@@ -54,12 +54,6 @@ of holding rows in memory (``REPRO_STREAM`` sets the default);
 ``--spool-dir DIR`` keeps the chunk files under ``DIR/<dataset_id>/``
 rather than a self-cleaning temp dir.  Answers are bit-identical to the
 in-memory path.
-
-Vectorized core (see README "Vectorized core"): ``--vector`` switches
-resolution to the plan/execute split — each fleet member's turn is
-recorded once through the scalar engine and replayed columnar on repeat
-runs (``REPRO_VECTOR`` sets the default).  Captures are bit-identical to
-the scalar path.
 """
 
 from __future__ import annotations
@@ -215,7 +209,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     run = run_dataset(
         descriptor, client_queries=volume, seed=args.seed, workers=args.workers,
         stream=args.stream, spool_dir=args.spool_dir, trace=trace_config,
-        vector=args.vector,
     )
     if run.runtime_report is not None:
         print(f"runtime: {run.runtime_report.summary()}", file=sys.stderr)
@@ -458,7 +451,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         scale=args.scale, seed=args.seed, workers=args.workers,
         fault_plan=_resolve_chaos(args),
         stream=args.stream, spool_dir=args.spool_dir,
-        trace=_resolve_trace(args), vector=args.vector,
+        trace=_resolve_trace(args),
     )
     if ctx.stream:
         print("streaming mode: single-pass aggregates + capture spool",
@@ -521,12 +514,6 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     parser.add_argument("--spool-dir", metavar="DIR", default=None,
                         help="root directory for streaming spool chunks"
                              " (default: a self-cleaning temp dir)")
-    parser.add_argument("--vector", action="store_const", const=True,
-                        default=None,
-                        help="vectorized core: record each member's turn"
-                             " once, replay it columnar on repeat runs;"
-                             " captures stay bit-identical (default:"
-                             " REPRO_VECTOR env)")
 
 
 def main(argv=None) -> int:

@@ -139,8 +139,8 @@ class CaptureSpool:
         are written straight to chunk files (no row re-tupling) and only
         the partial tail lands in the buffer; with rows already buffered,
         the view degrades to :meth:`append_rows` so chunk order stays
-        append order.  This is the spill path for columnar producers (the
-        vector replay layer) feeding a spool directly.
+        append order.  This is the spill path for a columnar producer
+        feeding a spool directly.
         """
         if len(view) == 0:
             return

@@ -97,8 +97,8 @@ class CaptureView:
     def to_rows(self) -> List[Tuple]:
         """Expand the view back into :meth:`CaptureStore._row_of`-layout
         tuples of native Python scalars (``tolist`` per column — the only
-        bulk column→row conversion in the codebase, shared by the store's
-        :meth:`CaptureStore.extend_columns` and the vector replay path).
+        bulk column→row conversion in the codebase, used by
+        :meth:`CaptureSpool.append_view` for partial chunks).
         Exact inverse of :meth:`CaptureStore.rows_to_view` up to scalar
         types: float64/int/bool round-trip bit-for-bit, object columns
         hand back the original interned strings."""
@@ -261,20 +261,6 @@ class CaptureStore:
         self._rows.extend(rows)
         self.rows_appended += len(rows)
         self._frozen = None
-
-    def extend_rows(self, rows: Sequence[Tuple]) -> None:
-        """Bulk append of pre-packed row tuples (cross-shard batch path)."""
-        if not rows:
-            return
-        self._rows.extend(rows)
-        self.rows_appended += len(rows)
-        self._frozen = None
-
-    def extend_columns(self, view: CaptureView) -> None:
-        """Bulk append of an already-columnar block (the vector replay
-        path): one ``tolist``-based expansion, one list extend, one view
-        invalidation for the whole block."""
-        self.extend_rows(view.to_rows())
 
     def clear(self) -> None:
         """Reset to the freshly-constructed state.

@@ -65,6 +65,11 @@ class AddressAllocator:
         self._next = [start] * len(self._prefixes)
         self._cursor = 0
 
+    @staticmethod
+    def capacity(prefix: Prefix, start: int = 10) -> int:
+        """How many addresses :meth:`allocate` hands out of one prefix."""
+        return prefix.num_hosts() - 1 - start
+
     def allocate(self) -> IPAddress:
         for __ in range(len(self._prefixes)):
             index = self._cursor
@@ -432,18 +437,30 @@ def build_background_fleet(
     registrations: List[Tuple[ASInfo, List[Prefix]]] = []
     fleet: List[FleetResolver] = []
     weights = _lognormal_weights(rng, int(per_as.sum()), sigma=1.5)
+    # Resolvers one background /22 holds (1,013).
+    slot_hosts = AddressAllocator.capacity(Prefix(4, 100 << 24, 22))
     cursor = 0
     for as_index in range(n_ases):
         asn = 60000 + as_index
         site_code = _BACKGROUND_SITES[as_index % len(_BACKGROUND_SITES)]
         site = GAZETTEER[site_code]
         info = ASInfo(asn, f"ISP-{asn}", f"ISP-{asn}", site.country)
-        v4 = Prefix(4, (100 << 24 | as_index << 10) << (32 - 32), 22)
+        as_resolvers = int(per_as[as_index])
+        # Each AS owns the /22 at slot ``as_index`` of block 0 of
+        # 100.0.0.0/8 (a block is 2^20 addresses; AS indices stay below
+        # 2^10).  The heavy tail can hand the largest AS more resolvers than
+        # a /22 holds; such an AS also announces its slot in blocks 1, 2, …,
+        # which nothing else uses.  An AS that fits announces only block 0.
+        blocks = -(-as_resolvers // slot_hosts)
+        v4 = [
+            Prefix(4, 100 << 24 | block << 20 | as_index << 10, 22)
+            for block in range(blocks)
+        ]
         v6 = Prefix.parse(f"2a10:{as_index:x}::/32")
-        registrations.append((info, [v4, v6]))
-        v4_alloc = AddressAllocator([v4])
+        registrations.append((info, v4 + [v6]))
+        v4_alloc = AddressAllocator(v4)
         v6_alloc = AddressAllocator([v6])
-        for r_index in range(int(per_as[as_index])):
+        for r_index in range(as_resolvers):
             dual = rng.random() < dual_rate
             behavior = ResolverBehavior(
                 qname_minimization=bool(rng.random() < qmin_rate),

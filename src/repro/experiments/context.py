@@ -30,7 +30,7 @@ from ..runtime import (
     configured_workers,
     derive_shard_seed,
 )
-from ..sim import DatasetRun, configured_stream, configured_vector, run_dataset
+from ..sim import DatasetRun, configured_stream, run_dataset
 from ..telemetry import (
     FlightRecorder,
     MetricsRegistry,
@@ -76,6 +76,13 @@ class ExperimentContext:
         trace=None,
         vector: Optional[bool] = None,
     ):
+        # Stub kept only for bench/workloads.py, which passes vector=False
+        # (see run_dataset); it goes with the next benchmark PR.
+        if vector:
+            raise ValueError(
+                "the record/replay vector core was removed;"
+                " vector= must be None or False"
+            )
         self.scale = configured_scale() if scale is None else scale
         self.seed = seed
         self.workers = configured_workers() if workers is None else int(workers)
@@ -90,10 +97,6 @@ class ExperimentContext:
         self.stream = configured_stream() if stream is None else bool(stream)
         #: Root directory for streaming spool chunks (``None`` = temp dirs).
         self.spool_dir = spool_dir
-        #: Vectorized core (the CLI's ``--vector`` flag / ``REPRO_VECTOR``):
-        #: every simulation records member plans on first execution and
-        #: replays them columnar thereafter; captures stay bit-identical.
-        self.vector = configured_vector() if vector is None else bool(vector)
         #: Trace config applied to every simulation (the CLI's
         #: ``--trace-sample`` flag / ``REPRO_TRACE``); ``None`` = off.
         self.trace = resolve_trace_config(trace)
@@ -139,7 +142,7 @@ class ExperimentContext:
                 client_queries=self._volume(descriptor),
                 telemetry=self.telemetry, workers=self.workers,
                 stream=self.stream, spool_dir=self.spool_dir,
-                trace=self.trace, vector=self.vector,
+                trace=self.trace,
             )
             self._adopt_observability(cached)
             self._runs[dataset_id] = cached
@@ -155,7 +158,7 @@ class ExperimentContext:
                 client_queries=self._volume(descriptor),
                 telemetry=self.telemetry, workers=self.workers,
                 stream=self.stream, spool_dir=self.spool_dir,
-                trace=self.trace, vector=self.vector,
+                trace=self.trace,
             )
             self._adopt_observability(cached)
             self._runs[descriptor.dataset_id] = cached
@@ -219,7 +222,6 @@ class ExperimentContext:
                 ),
                 trace_sample=self.trace.sample if self.trace else 0.0,
                 trace_window_s=self.trace.window_s if self.trace else 3600.0,
-                vector=self.vector,
             ))
         executor = ShardExecutor(
             RuntimeConfig(workers=self.workers), batch_metrics

@@ -166,10 +166,6 @@ class ShardTask:
     trace_sample: float = 0.0
     #: Flight-recorder window width in simulated seconds.
     trace_window_s: float = 3600.0
-    #: Vectorized plan/execute mode (``REPRO_VECTOR``): replay recorded
-    #: member plans where available, record them otherwise.  Fork-started
-    #: workers inherit the parent's process-global plan store.
-    vector: bool = False
 
 
 @dataclass

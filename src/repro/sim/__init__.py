@@ -5,12 +5,10 @@ from .driver import (
     DatasetRun,
     STREAM_ENV,
     SimEnvironment,
-    VECTOR_ENV,
     build_authority_world,
     build_environment,
     build_vantage_zone,
     configured_stream,
-    configured_vector,
     member_query_counts,
     run_dataset,
     run_member_range,
@@ -22,12 +20,10 @@ __all__ = [
     "DatasetRun",
     "STREAM_ENV",
     "SimEnvironment",
-    "VECTOR_ENV",
     "build_authority_world",
     "build_environment",
     "build_vantage_zone",
     "configured_stream",
-    "configured_vector",
     "member_query_counts",
     "run_dataset",
     "run_member_range",

@@ -37,7 +37,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -127,21 +127,6 @@ _FALSEY = ("", "0", "false", "no", "off")
 def configured_stream(default: bool = False) -> bool:
     """Streaming-mode default, overridable via the ``REPRO_STREAM`` env var."""
     raw = os.environ.get(STREAM_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSEY
-
-
-#: Environment variable enabling the vectorized plan/execute core
-#: (``REPRO_VECTOR=1``): member resolution traces are recorded once
-#: through the scalar engine and replayed as bulk columnar appends on
-#: every later run of the same environment (see :mod:`repro.vector`).
-VECTOR_ENV = "REPRO_VECTOR"
-
-
-def configured_vector(default: bool = False) -> bool:
-    """Vector-mode default, overridable via the ``REPRO_VECTOR`` env var."""
-    raw = os.environ.get(VECTOR_ENV)
     if raw is None:
         return default
     return raw.strip().lower() not in _FALSEY
@@ -581,7 +566,7 @@ def member_query_counts(
     apportionment: member *i* receives
     ``floor(total·W_i/W) − floor(total·W_{i−1}/W)`` where ``W_i`` is the
     cumulative weight through member *i*.  Two invariants hold exactly,
-    and are property-tested in ``tests/test_vector_parity.py``:
+    and are property-tested in ``tests/test_runtime.py``:
 
     * the counts **telescope to ``total_queries``** (the last cumulative
       ratio is exactly 1.0, so the bounds end at ``total``) — unlike the
@@ -607,7 +592,6 @@ def run_member_range(
     stop: Optional[int] = None,
     tracer: Optional[QueryTracer] = None,
     clock: Optional[SimClock] = None,
-    vector: bool = False,
 ) -> int:
     """Drive client query streams through fleet members ``[start, stop)``.
 
@@ -627,51 +611,22 @@ def run_member_range(
     a pure hash of ``(seed, global member index, per-member sequence
     number)``, so the traced population is identical for every shard
     layout; untraced runs skip only the per-query sample check.
-
-    ``vector`` enables the plan/execute split (:mod:`repro.vector`): each
-    member is replayed from a recorded plan when one exists, and recorded
-    through a columnar-workload scalar pass otherwise.  Bit-identical to
-    the scalar path either way.  Tracing forces the scalar path for the
-    whole range (traces carry per-query wall-time detail that a replay has
-    no business fabricating); the ``runtime.vector.fallbacks`` counter
-    records the downgrade.
     """
     descriptor = env.descriptor
     stop = len(env.fleet) if stop is None else stop
 
-    # Workload machinery is built lazily: a fully-replayed vector range
-    # never generates a single query, so it should not pay for the domain
-    # listing or the generator either.
-    workload_state: List = []
-
-    def workload() -> Tuple[WorkloadGenerator, DiurnalPattern]:
-        if not workload_state:
-            domains = (
-                domains_of(env.vantage_zone) if env.vantage_zone is not None else []
-            )
-            workload_state.append((
-                WorkloadGenerator(
-                    vantage=descriptor.vantage,
-                    domains=domains,
-                    tld_names=list(DEFAULT_TLDS),
-                    seed=env.seed,
-                ),
-                DiurnalPattern(descriptor.start, descriptor.duration),
-            ))
-        return workload_state[0]
+    domains = domains_of(env.vantage_zone) if env.vantage_zone is not None else []
+    generator = WorkloadGenerator(
+        vantage=descriptor.vantage,
+        domains=domains,
+        tld_names=list(DEFAULT_TLDS),
+        seed=env.seed,
+    )
+    pattern = DiurnalPattern(descriptor.start, descriptor.duration)
 
     counts = member_query_counts(
         [member.weight for member in env.fleet], total_queries
     )
-
-    vexec = None
-    if vector:
-        if tracer is None:
-            from ..vector import VectorExecutor
-
-            vexec = VectorExecutor(env, metrics)
-        else:
-            metrics.counter("runtime.vector.fallbacks").inc()
 
     run_count = 0
     interval = progress_interval_s()
@@ -711,47 +666,11 @@ def run_member_range(
             provider_counter = provider_counters[member.provider] = metrics.counter(
                 "sim.client_queries", provider=member.provider
             )
-        recording = None
-        if vexec is not None:
-            if vexec.try_replay(member, index, count, clock):
-                run_count += count
-                provider_counter.inc(count)
-                maybe_progress(member.provider, index)
-                continue
-            recording = vexec.begin_record(index, count)
         storm_fraction = 0.0
         if env.storm_domains and member.provider == "Google":
             storm_fraction = 0.25
         resolve = member.resolver.resolve
         network = env.network
-        if recording is not None:
-            # Record pass: the workload is materialised columnar (one
-            # QueryBatch, no per-query objects) and driven through the
-            # scalar engine in one tight loop; the executor snapshots the
-            # appended row slice and stats deltas into a replayable plan.
-            generator, pattern = workload()
-            with metrics.time_phase("workload"):
-                batch = generator.generate_batch(
-                    resolver_index=index,
-                    count=count,
-                    pattern=pattern,
-                    junk_fraction=member.junk_fraction,
-                    storm_domains=env.storm_domains,
-                    storm_fraction=storm_fraction,
-                )
-                stamps, qnames, qtypes = batch.columns()
-            with metrics.time_phase("resolve"):
-                for timestamp, qname, qtype in zip(stamps, qnames, qtypes):
-                    resolve(network, timestamp, qname, qtype)
-            last_ts = batch.last_timestamp
-            vexec.finish_record(recording, member, last_ts)
-            if clock is not None and last_ts > clock.now:
-                clock.advance_to(last_ts)
-            run_count += count
-            provider_counter.inc(count)
-            maybe_progress(member.provider, index)
-            continue
-        generator, pattern = workload()
         stream = generator.generate(
             resolver_index=index,
             count=count,
@@ -804,10 +723,6 @@ def run_member_range(
                     clock.advance_to(last_ts)
             provider_counter.inc(len(chunk))
             maybe_progress(member.provider, index)
-    if vexec is not None:
-        # publish() flushes the pending replayed columns, so every replayed
-        # row is resident before the caller's stats/streaming passes run.
-        vexec.publish()
     if tracer is not None:
         for provider in sorted(stamps_by_provider):
             tracer.recorder.observe_many(
@@ -847,7 +762,6 @@ def simulate_shard(task: ShardTask) -> ShardResult:
         )
     queries_run = run_member_range(
         env, total_queries, metrics, task.start, stop, tracer,
-        vector=task.vector,
     )
     _publish_run_metrics(
         metrics, env.fleet[task.start:stop], env.server_sets, env.capture,
@@ -907,14 +821,10 @@ def run_dataset(
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    ``vector`` (default: the ``REPRO_VECTOR`` env var) enables the
-    vectorized plan/execute core: each fleet member's resolution trace is
-    recorded once through the scalar engine and replayed as a bulk
-    columnar append on every later run of the same ``(descriptor, seed)``
-    in this process (pool workers inherit the parent's recorded plans via
-    fork).  The capture, analyses, and simulation counters are
-    bit-identical to the scalar path; only ``runtime.*`` execution
-    telemetry differs.  Tracing runs fall back to the scalar path.
+    Execution modes are serial/pool (``workers``) × memory/stream
+    (``stream``) × chaos (the descriptor's fault plan) × trace (``trace``),
+    all through the one loop in :func:`run_member_range`; for a given
+    fault plan every combination yields the same capture bytes.
 
     ``clock`` optionally injects the :class:`~repro.netsim.SimClock` the run
     keeps in step with sim time (defaults to a fresh clock pinned to the
@@ -960,17 +870,28 @@ def run_dataset(
     nothing about the capture; the run then carries
     ``DatasetRun.traces`` / ``DatasetRun.timeseries``, deterministic
     across runs and worker counts.
+
+    ``vector`` is a stub: the record/replay vector core it selected was
+    removed, and only ``None``/``False`` are accepted.
     """
+    # The keyword and the constant ``runtime.vector.enabled`` gauge below
+    # remain only because bench/workloads.py (frozen outside benchmark PRs)
+    # passes ``vector=False`` and asserts the gauge; the next benchmark PR
+    # drops both there, after which these lines go too.
+    if vector:
+        raise ValueError(
+            "the record/replay vector core was removed;"
+            " vector= must be None or False"
+        )
     config = resolve_runtime_config(workers, shard_count, runtime)
     stream = configured_stream() if stream is None else bool(stream)
-    vector = configured_vector() if vector is None else bool(vector)
     trace_config = resolve_trace_config(trace)
     dataset_spool_dir = (
         os.path.join(spool_dir, descriptor.dataset_id) if spool_dir else None
     )
     metrics = MetricsRegistry()
     metrics.gauge("runtime.stream.enabled").set(1 if stream else 0)
-    metrics.gauge("runtime.vector.enabled").set(1 if vector else 0)
+    metrics.gauge("runtime.vector.enabled").set(0)
     if clock is None:
         clock = SimClock(now=descriptor.start)
     env = build_environment(descriptor, seed, metrics)
@@ -1017,7 +938,6 @@ def run_dataset(
                 spool_dir=worker_spool_dir,
                 trace_sample=trace_config.sample if trace_config else 0.0,
                 trace_window_s=trace_config.window_s if trace_config else 3600.0,
-                vector=vector,
             )
             for shard in plan
         ]
@@ -1098,7 +1018,7 @@ def run_dataset(
                 shard_started = time.perf_counter()
                 shard_queries = run_member_range(
                     env, total_queries, metrics, shard.start, shard.stop,
-                    tracer, clock, vector=vector,
+                    tracer, clock,
                 )
                 shard_elapsed = time.perf_counter() - shard_started
                 metrics.observe_phase(f"runtime.shard.{shard.index}", shard_elapsed)

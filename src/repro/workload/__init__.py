@@ -17,7 +17,6 @@ from .generators import (
     CLIENT_QTYPE_MIX,
     ClientQuery,
     DiurnalPattern,
-    QueryBatch,
     SUBNAME_CHOICES,
     WorkloadGenerator,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "FIGURE3_MONTHS",
     "PAPER_DATASETS",
     "QUERY_SCALE",
-    "QueryBatch",
     "RESOLVER_SCALE",
     "SUBNAME_CHOICES",
     "ServerSpec",

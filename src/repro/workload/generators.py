@@ -56,68 +56,6 @@ class ClientQuery:
     qtype: RRType
 
 
-#: qtype code → RRType memo for :meth:`QueryBatch.iter_queries` (falls back
-#: to the raw int for codes outside the enum, which compare equal anyway).
-_RRTYPE_OF = {int(t): t for t in RRType}
-
-
-@dataclass
-class QueryBatch:
-    """One resolver's client stream in columnar form.
-
-    Three parallel arrays instead of ``count`` :class:`ClientQuery`
-    objects: ``timestamps`` (float64, sorted), ``qnames`` (object array of
-    interned :class:`~repro.dnscore.Name` instances) and ``qtypes``
-    (uint16 codes).  Built by :meth:`WorkloadGenerator.generate_batch`
-    from the *same* RNG draw sequence as :meth:`WorkloadGenerator.
-    generate`, so iterating a batch reproduces the scalar stream
-    value-for-value — the vectorized execution path's workload unit.
-    """
-
-    timestamps: np.ndarray
-    qnames: np.ndarray
-    qtypes: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    @property
-    def last_timestamp(self) -> float:
-        return float(self.timestamps[-1]) if len(self) else 0.0
-
-    def columns(self) -> Tuple[List[float], List[Name], List[RRType]]:
-        """Native-scalar column lists (one bulk ``tolist`` per column; the
-        qtype column is decoded back to :class:`~repro.dnscore.RRType`)."""
-        rrtype_of = _RRTYPE_OF
-        return (
-            self.timestamps.tolist(),
-            self.qnames.tolist(),
-            [rrtype_of.get(code, code) for code in self.qtypes.tolist()],
-        )
-
-    def iter_queries(self) -> Iterator[ClientQuery]:
-        """Re-materialise the scalar stream (tests / compatibility)."""
-        stamps, names, qtypes = self.columns()
-        for timestamp, qname, qtype in zip(stamps, names, qtypes):
-            yield ClientQuery(timestamp, qname, qtype)
-
-    @classmethod
-    def from_queries(cls, queries: Sequence[ClientQuery]) -> "QueryBatch":
-        count = len(queries)
-        qnames = np.empty(count, dtype=object)
-        for i, query in enumerate(queries):
-            qnames[i] = query.qname
-        return cls(
-            timestamps=np.fromiter(
-                (q.timestamp for q in queries), dtype=np.float64, count=count
-            ),
-            qnames=qnames,
-            qtypes=np.fromiter(
-                (int(q.qtype) for q in queries), dtype=np.uint16, count=count
-            ),
-        )
-
-
 class DiurnalPattern:
     """Weekly arrival-time sampler with a sinusoidal day/night cycle.
 
@@ -279,33 +217,3 @@ class WorkloadGenerator:
                 )
                 qtype = self._qtypes[int(qtype_draws[i])]
             yield ClientQuery(float(stamps[i]), qname, qtype)
-
-    def generate_batch(
-        self,
-        resolver_index: int,
-        count: int,
-        pattern: DiurnalPattern,
-        junk_fraction: float,
-        storm_domains: Sequence[Name] = (),
-        storm_fraction: float = 0.0,
-    ) -> QueryBatch:
-        """Columnar form of :meth:`generate`: the same stream (same RNG
-        draw sequence, same values, same order) materialised as a
-        :class:`QueryBatch` instead of per-query objects.
-
-        This is the vectorized execution path's emission API — downstream
-        consumers get whole float64/object/uint16 columns and never touch
-        :class:`ClientQuery` instances.
-        """
-        return QueryBatch.from_queries(
-            list(
-                self.generate(
-                    resolver_index=resolver_index,
-                    count=count,
-                    pattern=pattern,
-                    junk_fraction=junk_fraction,
-                    storm_domains=storm_domains,
-                    storm_fraction=storm_fraction,
-                )
-            )
-        )

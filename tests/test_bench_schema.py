@@ -43,19 +43,6 @@ RESILIENCE_KEYS = (
     "breaker_closed",
 )
 
-#: Extra contract keys for the vectorized-core benchmark: CI and later
-#: sessions trend replay throughput and recording overhead from these.
-VECTOR_KEYS = (
-    "client_queries",
-    "scalar_steady_queries_per_s",
-    "vector_record_queries_per_s",
-    "vector_steady_queries_per_s",
-    "speedup_steady_vs_scalar",
-    "record_overhead_vs_scalar",
-    "unique_plan_ratio_steady",
-    "replay_width_rows",
-)
-
 #: Extra contract keys for the sovereignty/composition benchmark: CI and
 #: later sessions trend aggregator fold throughput and the headline
 #: jurisdiction/taxonomy cuts from these.
@@ -85,8 +72,7 @@ def test_benchmark_artifacts_exist():
     names = {os.path.basename(path) for path in bench_paths()}
     assert {"BENCH_hotpath.json", "BENCH_parallel.json",
             "BENCH_streaming.json", "BENCH_serve.json",
-            "BENCH_resilience.json", "BENCH_vector.json",
-            "BENCH_sovereignty.json"} <= names
+            "BENCH_resilience.json", "BENCH_sovereignty.json"} <= names
 
 
 @pytest.mark.parametrize(
@@ -134,21 +120,6 @@ def test_benchmark_artifact_schema(path):
         slos = data.get("slos")
         assert isinstance(slos, dict) and slos, (
             f"{path}: slos must record the per-SLO verdicts"
-        )
-
-    if os.path.basename(path) == "BENCH_vector.json":
-        for key in VECTOR_KEYS:
-            value = data.get(key)
-            assert isinstance(value, (int, float)), (
-                f"{path}: {key} must be numeric"
-            )
-        identical = data.get("captures_bit_identical")
-        assert isinstance(identical, dict) and all(identical.values()), (
-            f"{path}: captures_bit_identical must confirm every mode"
-        )
-        assert data["vector_steady_queries_per_s"] >= 50_000, (
-            f"{path}: the committed artefact must record the >= 50k q/s "
-            f"acceptance bar"
         )
 
     if os.path.basename(path) == "BENCH_sovereignty.json":

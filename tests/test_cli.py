@@ -131,6 +131,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_removed_vector_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dataset", "nz-w2018", "--vector"])
+        assert excinfo.value.code == 2
+        assert "--vector" in capsys.readouterr().err
+
 
 class TestChaosCLI:
     def test_chaos_command_lists_scenarios(self, capsys):

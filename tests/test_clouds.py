@@ -158,6 +158,45 @@ class TestFleets:
         ]
 
 
+#: (vantage, year, seed) worlds whose largest background AS draws more
+#: resolvers than its /22 holds; every one of them used to raise
+#: "address pool exhausted".
+OVERSIZED_AS_WORLDS = (
+    [("nl", 2020, seed) for seed in (2, 15, 31, 34, 100)]
+    + [("nz", 2020, 15)]
+    + [("root", 2020, seed) for seed in (2, 3, 15, 17, 23, 28, 31, 32, 34, 100, 116)]
+)
+
+#: Block 0 of the background range: every background AS's primary /22.
+PRIMARY_BLOCK = Prefix.parse("100.0.0.0/12")
+
+
+class TestBackgroundOverflow:
+    @pytest.mark.parametrize("vantage,year,seed", OVERSIZED_AS_WORLDS)
+    def test_oversized_as_builds_and_attributes(self, vantage, year, seed):
+        fleet, registry = build_all_fleets(vantage, year, seed)
+        addresses = [m.resolver.v4 for m in fleet] + [
+            m.resolver.v6 for m in fleet if m.resolver.v6 is not None
+        ]
+        assert len(set(addresses)) == len(addresses)
+        overflow = [
+            m for m in fleet
+            if m.provider == "Background"
+            and not PRIMARY_BLOCK.contains(m.resolver.v4)
+        ]
+        assert overflow
+        for member in overflow:
+            asn = registry.origin(member.resolver.v4)
+            assert member.pool == f"as{asn}"
+            assert registry.country_of(asn) == member.resolver.site.country
+
+    def test_as_that_fits_announces_only_its_primary(self):
+        fleet, registry = build_all_fleets("nl", 2020, seed=3)
+        for pool in {m.pool for m in fleet if m.provider == "Background"}:
+            v4 = [p for p in registry.announcements(int(pool[2:])) if p.family == 4]
+            assert len(v4) == 1 and PRIMARY_BLOCK.contains_prefix(v4[0])
+
+
 class TestPTR:
     @pytest.fixture(scope="class")
     def fb_fleet(self):

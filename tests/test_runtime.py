@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.capture import CaptureStore
 from repro.capture.schema import QueryRecord, Transport
@@ -21,7 +22,7 @@ from repro.runtime import (
     derive_shard_seed,
     plan_shards,
 )
-from repro.sim import run_dataset
+from repro.sim import member_query_counts, run_dataset
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 
@@ -92,6 +93,63 @@ class TestPlanner:
             plan_shards([], 2, seed=1)
         with pytest.raises(ValueError):
             plan_shards([1.0], 0, seed=1)
+
+
+positive_weights = st.lists(
+    st.floats(0.01, 1e6, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=200,
+)
+
+
+class TestMemberQueryCounts:
+    """The cumulative-floor apportionment that makes per-member query
+    counts independent of how the fleet is partitioned into shards."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(positive_weights, st.integers(0, 50_000))
+    def test_counts_sum_exactly_to_total(self, weights, total):
+        counts = member_query_counts(weights, total)
+        assert len(counts) == len(weights)
+        assert int(counts.sum()) == total
+        assert int(counts.min()) >= 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        positive_weights, st.integers(1, 50_000),
+        st.data(),
+    )
+    def test_partition_independence(self, weights, total, data):
+        """Sharding is slicing: any contiguous partition of the members
+        sums to the same total, and each member's count never depends on
+        where the shard boundaries fall."""
+        counts = member_query_counts(weights, total)
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, len(weights)), max_size=4),
+                label="cuts",
+            )
+        )
+        bounds = [0, *cuts, len(weights)]
+        assert sum(
+            int(counts[start:stop].sum())
+            for start, stop in zip(bounds, bounds[1:])
+        ) == total
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 10_000))
+    def test_uniform_weights_spread_evenly(self, members, total):
+        """Near-even spread: each count is within one query of the ideal
+        share, give or take one ulp-jittered cumulative bound."""
+        counts = member_query_counts([1.0] * members, total)
+        ideal = total / members
+        assert abs(int(counts.max()) - ideal) < 2
+        assert abs(int(counts.min()) - ideal) < 2
+
+    def test_zero_weight_fleet_rejected(self):
+        with pytest.raises(ValueError):
+            member_query_counts([0.0, 0.0], 100)
+        with pytest.raises(ValueError):
+            member_query_counts([], 100)
 
 
 def _record(ts, server, qname="a.nz"):
@@ -354,7 +412,67 @@ class TestExperimentParity:
         assert ctx._runs["nz-w2018"].runtime_report.mode == "serial"
 
 
+def _vector_keys(snapshot):
+    return sorted(
+        key
+        for table in (snapshot.counters, snapshot.gauges, snapshot.phases)
+        for key in table
+        if key.startswith("runtime.vector.")
+    )
+
+
+class TestVectorKeywordStub:
+    """The record/replay vector core is gone; ``vector=`` survives on
+    ``run_dataset`` and ``ExperimentContext`` only as a stub that the
+    frozen ``bench/workloads.py`` still passes ``False`` to."""
+
+    def test_truthy_value_rejected(self):
+        from repro.experiments.context import ExperimentContext
+
+        with pytest.raises(ValueError, match="vector core was removed"):
+            run_dataset(dataset(DATASET), client_queries=60, vector=True)
+        with pytest.raises(ValueError, match="vector core was removed"):
+            ExperimentContext(scale=0.01, vector=True)
+
+    def test_falsy_value_publishes_constant_gauge(self, serial_run):
+        # serial_run left ``vector`` at its default, None.
+        explicit = run_dataset(dataset(DATASET), client_queries=60, vector=False)
+        for run in (serial_run, explicit):
+            assert _vector_keys(run.telemetry) == ["runtime.vector.enabled"]
+            assert run.telemetry.gauges["runtime.vector.enabled"] == 0
+
+    def test_context_accepts_false(self):
+        from repro.experiments.context import ExperimentContext
+
+        ctx = ExperimentContext(scale=0.01, workers=1, vector=False)
+        assert not hasattr(ctx, "vector")
+        ctx.run(DATASET)
+        snapshot = ctx.telemetry.snapshot()
+        assert _vector_keys(snapshot) == ["runtime.vector.enabled"]
+        assert snapshot.gauges["runtime.vector.enabled"] == 0
+
+
 class TestEnvDefaults:
+    def test_every_env_knob_is_in_the_readme_table(self):
+        """The ``REPRO_*`` names read under ``src/`` are exactly the rows of
+        README's "Environment variables" table — a new knob cannot arrive
+        undocumented, and the count ROADMAP tracks is asserted here."""
+        import re
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        in_source = {
+            name
+            for path in (root / "src" / "repro").rglob("*.py")
+            for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+        }
+        section = (root / "README.md").read_text().split(
+            "## Environment variables\n", 1
+        )[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
+        assert in_source == documented
+        assert len(documented) == 9
+
     def test_workers_env_default(self, monkeypatch):
         from repro.runtime import configured_workers
 

@@ -85,6 +85,13 @@ class TestChunkRoundTrip:
             assert size == path.stat().st_size > 0
             assert_views_equal(view, read_chunk(path))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(record_st, max_size=60))
+    def test_view_to_rows_round_trips(self, records):
+        """``CaptureView.to_rows`` inverts ``CaptureStore.rows_to_view``."""
+        view = records_to_view(records)
+        assert_views_equal(view, CaptureStore.rows_to_view(view.to_rows()))
+
     def test_empty_chunk_round_trip(self):
         view = records_to_view([])
         with tempfile.TemporaryDirectory() as tmp:
@@ -165,6 +172,46 @@ class TestSpoolProperties:
             capture.release_view()
             assert_views_equal(reference.view(), capture.view())
             capture.cleanup()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(record_st, max_size=60), st.integers(1, 9))
+    def test_spool_append_view_preserves_rows_and_order(self, records, chunk_rows):
+        source = CaptureStore()
+        source.extend(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            spool = CaptureSpool(directory=tmp, chunk_rows=chunk_rows)
+            spool.append_view(source.view())
+            spool.flush()
+            assert len(spool) == len(records)
+            chunks = list(spool.iter_views())
+            assert all(len(c) <= chunk_rows for c in chunks)
+            if records:
+                merged = np.concatenate([c.timestamp for c in chunks])
+                assert np.array_equal(merged, source.view().timestamp)
+            spool.cleanup()
+
+    def test_spool_append_view_respects_pending_buffer(self):
+        """A view arriving while rows sit in the buffer must queue behind
+        them (chunk order is append order)."""
+        records = [
+            QueryRecord(
+                timestamp=float(i), server_id="nl-a", src=IPAddress(4, i + 1),
+                transport=Transport.UDP, qname="nl.", qtype=2, rcode=0,
+            )
+            for i in range(4)
+        ]
+        head, tail = records[:1], records[1:]
+        head_store, tail_store = CaptureStore(), CaptureStore()
+        head_store.extend(head)
+        tail_store.extend(tail)
+        with tempfile.TemporaryDirectory() as tmp:
+            spool = CaptureSpool(directory=tmp, chunk_rows=100)
+            spool.append_rows(head_store.raw_rows())
+            spool.append_view(tail_store.view())
+            spool.flush()
+            (chunk,) = spool.iter_views()
+            assert list(chunk.timestamp) == [0.0, 1.0, 2.0, 3.0]
+            spool.cleanup()
 
     def test_write_view_rejects_buffered_rows(self):
         records = [

@@ -163,6 +163,17 @@ class TestCaptureBitIdentity:
         assert_views_equal(off.capture.view(), on.capture.view())
         assert len(on.traces) > 0
 
+    def test_tracing_does_not_switch_execution_path(self, base_run, traced_run):
+        """One resolve loop: a traced run takes the same path as an
+        untraced one, so both publish the same ``runtime.*`` counters."""
+        def runtime_counters(run):
+            return {
+                key for key in run.telemetry.counters if key.startswith("runtime.")
+            }
+
+        assert runtime_counters(base_run)
+        assert runtime_counters(base_run) == runtime_counters(traced_run)
+
     def test_untraced_run_has_no_observability_payloads(self, base_run):
         assert base_run.traces is None
         assert base_run.timeseries is None
