@@ -42,6 +42,7 @@ streams are never perturbed.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -81,6 +82,10 @@ class SpaceSavingSketch:
         self.total = 0
         #: item → [count, error, insertion_seq]
         self._entries: Dict[str, List[int]] = {}
+        #: Eviction order: one ``(count, insertion_seq, item)`` per tracked
+        #: item.  A stored count may lag the entry's (hits do not touch the
+        #: heap) but never leads it, because counts only grow.
+        self._heap: List[Tuple[int, int, str]] = []
         self._seq = 0
         #: Telemetry: item-weight updates fed and evictions performed.
         self.updates = 0
@@ -101,22 +106,31 @@ class SpaceSavingSketch:
         """Add ``count`` observations of ``item``."""
         if count <= 0:
             return
-        self.total += int(count)
+        count = int(count)
+        self.total += count
         self.updates += 1
         entry = self._entries.get(item)
         if entry is not None:
-            entry[0] += int(count)
+            entry[0] += count
             return
-        if len(self._entries) < self.capacity:
-            self._entries[item] = [int(count), 0, self._seq]
+        entries, heap = self._entries, self._heap
+        if len(entries) < self.capacity:
+            entries[item] = [count, 0, self._seq]
+            heapq.heappush(heap, (count, self._seq, item))
             self._seq += 1
             return
-        victim = min(
-            self._entries.items(), key=lambda kv: (kv[1][0], kv[1][2])
-        )
-        floor = victim[1][0]
-        del self._entries[victim[0]]
-        self._entries[item] = [floor + int(count), floor, self._seq]
+        # Refresh lagging tops until the top is current.  Every other stored
+        # pair is at most its item's real one, so a current top is the true
+        # minimum ``(count, insertion_seq)``.
+        while True:
+            floor, seq, victim = heap[0]
+            current = entries[victim][0]
+            if current == floor:
+                break
+            heapq.heapreplace(heap, (current, seq, victim))
+        del entries[victim]
+        entries[item] = [floor + count, floor, self._seq]
+        heapq.heapreplace(heap, (floor + count, self._seq, item))
         self._seq += 1
         self.evictions += 1
 
@@ -201,6 +215,10 @@ class SpaceSavingSketch:
             entry[2] = seq
             self._entries[item] = entry
         self._seq = len(self._entries)
+        self._heap = [
+            (entry[0], entry[2], item) for item, entry in self._entries.items()
+        ]
+        heapq.heapify(self._heap)
         self.total += other.total
         self.updates += other.updates
         self.evictions += other.evictions

@@ -208,12 +208,18 @@ class Message:
                 wire = truncated._encode()
         return wire
 
-    def wire_size(self) -> int:
-        """Size of the untruncated encoding in octets."""
-        return len(self._encode())
+    def wire_size(self, compress: Optional[dict] = None) -> int:
+        """Size of the untruncated encoding in octets.
 
-    def _encode(self) -> bytes:
-        compress: dict = {}
+        ``compress`` (pass an empty dict) receives the encoder's
+        compression table: every casefolded name suffix it wrote below the
+        pointer limit, mapped to its offset.
+        """
+        return len(self._encode(compress))
+
+    def _encode(self, compress: Optional[dict] = None) -> bytes:
+        if compress is None:
+            compress = {}
         out = bytearray(HEADER_LENGTH)
         additional_count = len(self.additionals) + (1 if self.edns is not None else 0)
         struct.pack_into(

@@ -46,7 +46,9 @@ class Name:
         the terminating empty root label (it is implicit).
     """
 
-    __slots__ = ("_labels", "_key", "_hash", "_wire", "_text", "_parent")
+    __slots__ = (
+        "_labels", "_key", "_hash", "_wire", "_text", "_parent", "_canonical"
+    )
 
     _labels: Tuple[bytes, ...]
     _key: Tuple[bytes, ...]
@@ -54,6 +56,7 @@ class Name:
     _wire: Optional[bytes]
     _text: Optional[str]
     _parent: Optional["Name"]
+    _canonical: Optional[Tuple[bytes, ...]]
 
     def __init__(self, labels: Iterable[bytes] = ()):
         labels = tuple(bytes(label) for label in labels)
@@ -69,13 +72,29 @@ class Name:
         wire_len = sum(len(label) + 1 for label in labels) + 1
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        object.__setattr__(self, "_labels", labels)
         key = tuple(_casefold_label(label) for label in labels)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_wire", None)
-        object.__setattr__(self, "_text", None)
-        object.__setattr__(self, "_parent", None)
+        self._labels = labels
+        self._key = key
+        self._hash = hash(key)
+        self._wire = None
+        self._text = None
+        self._parent = None
+        self._canonical = None
+
+    @classmethod
+    def _derived(cls, labels: Tuple[bytes, ...], key: Tuple[bytes, ...]) -> "Name":
+        """A name pieced together from names that were validated when they
+        were built (``parent``/``prepend``): nothing is checked or
+        casefolded again."""
+        name = object.__new__(cls)
+        name._labels = labels
+        name._key = key
+        name._hash = hash(key)
+        name._wire = None
+        name._text = None
+        name._parent = None
+        name._canonical = None
+        return name
 
     # -- construction ------------------------------------------------------
 
@@ -141,7 +160,7 @@ class Name:
                     out.append(f"\\{b:03d}")
             parts.append("".join(out))
         text = ".".join(parts) + "."
-        object.__setattr__(self, "_text", text)
+        self._text = text
         return text
 
     def __str__(self) -> str:
@@ -162,12 +181,26 @@ class Name:
     def __hash__(self) -> int:
         return self._hash
 
+    def canonical_key(self) -> Tuple[bytes, ...]:
+        """Sort key for canonical DNS ordering (RFC 4034 section 6.1): the
+        casefolded labels from the rightmost (least significant) one.
+
+        ``sorted(names, key=Name.canonical_key)`` orders like
+        ``sorted(names)`` without a Python-level comparison per pair;
+        ``canonical_key()[n]`` is the label directly below an ``n``-label
+        ancestor.  Computed once per instance.
+        """
+        canonical = self._canonical
+        if canonical is None:
+            canonical = self._canonical = self._key[::-1]
+        return canonical
+
     def __lt__(self, other: "Name") -> bool:
         """Canonical DNS ordering (RFC 4034 section 6.1): compare from the
         rightmost (least significant) label."""
         if not isinstance(other, Name):
             return NotImplemented
-        return tuple(reversed(self._key)) < tuple(reversed(other._key))
+        return self.canonical_key() < other.canonical_key()
 
     # -- structure ---------------------------------------------------------
 
@@ -196,8 +229,7 @@ class Name:
             return parent
         if not self._labels:
             raise NameError_("the root name has no parent")
-        parent = Name(self._labels[1:])
-        object.__setattr__(self, "_parent", parent)
+        parent = self._parent = Name._derived(self._labels[1:], self._key[1:])
         return parent
 
     def ancestors(self) -> Iterator["Name"]:
@@ -250,8 +282,18 @@ class Name:
         return self._labels[: len(self._labels) - len(origin._labels)]
 
     def prepend(self, *labels: bytes) -> "Name":
-        """Return a new name with ``labels`` prepended (most specific first)."""
-        return Name(tuple(labels) + self._labels)
+        """Return a new name with ``labels`` prepended (most specific first).
+
+        Only the new labels and the total length are validated; this
+        name's own labels, casefolded key included, are reused as they are.
+        """
+        prefix = Name(labels)
+        wire_len = (
+            sum(map(len, prefix._labels)) + len(prefix._labels) + len(self.to_wire())
+        )
+        if wire_len > MAX_NAME_LENGTH:
+            raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
+        return Name._derived(prefix._labels + self._labels, prefix._key + self._key)
 
     def prepend_text(self, text: str) -> "Name":
         """Prepend dotted textual labels, e.g. ``name.prepend_text("www")``."""
@@ -286,8 +328,7 @@ class Name:
                     plain.append(len(label))
                     plain.extend(label)
                 plain.append(0)
-                wire = bytes(plain)
-                object.__setattr__(self, "_wire", wire)
+                wire = self._wire = bytes(plain)
             return wire
         out = bytearray()
         labels = self._labels

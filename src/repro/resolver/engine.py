@@ -26,7 +26,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..capture import Transport
-from ..dnscore import EdnsRecord, Message, Name, RCode, ROOT, RRType
+from ..dnscore import (
+    ARdata,
+    EdnsRecord,
+    Message,
+    Name,
+    RCode,
+    ResourceRecord,
+    ROOT,
+    RRType,
+)
 from ..netsim import Clock, IPAddress, Site
 from ..server import AuthoritativeServer, ServerSet
 from ..telemetry import tracing
@@ -371,8 +380,6 @@ class SimResolver:
         return RCode.NOERROR
 
     def _cache_positive_marker(self, now: float, qname: Name, qtype: RRType, ttl: float) -> None:
-        from ..dnscore import ARdata, ResourceRecord
-
         marker = ResourceRecord(qname, RRType.A, int(max(ttl, 1.0)), ARdata(0x7F000001))
         self.cache.put(now, qname, qtype, [marker])
 
@@ -524,12 +531,17 @@ class SimResolver:
         a real resolver moves to another NS rather than hammering a dead
         one (the behaviour that makes NS-set redundancy survive outages).
         """
-        candidates = [s for s in server_set.servers if s.server_id not in exclude]
-        if not candidates:
-            candidates = list(server_set.servers)
+        candidates = server_set.servers
+        if exclude:
+            candidates = [s for s in candidates if s.server_id not in exclude]
+            if not candidates:
+                candidates = server_set.servers
         if len(candidates) > 1 and self._rng.random() < self.behavior.server_exploration:
             return candidates[int(self._rng.integers(len(candidates)))]
         family = 4 if self.v4 is not None else 6
+        if candidates is server_set.servers:
+            # Nothing left out (or everything was): the set's own answer.
+            return server_set.fastest(self.site, family)
         return min(
             candidates, key=lambda s: server_set.rtt_ms(s, self.site, family)
         )

@@ -15,16 +15,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..capture import CaptureStore, QueryRecord, Transport, split_address
-from ..dnscore import Message, Name, RCode, RRType
+from ..dnscore import Message, Name, Opcode, Question, RCode, RRType
 from ..dnscore.edns import EdnsRecord, effective_udp_limit
+from ..dnscore.names import MAX_NAME_LENGTH
 from ..dnscore.rdata import ResourceRecord
-from ..dnscore.message import Flags
+from ..dnscore.message import HEADER_LENGTH, Flags
 from ..netsim import Clock, IPAddress, LatencyModel, Site, nearest_site
 from ..telemetry import tracing
-from ..zones import LookupOutcome, Zone
+from ..zones import LookupOutcome, LookupResult, Zone
 from .rrl import RateLimiter, RRLConfig
 
 #: Maximum TCP message size (2-octet length prefix bound).
@@ -40,12 +42,93 @@ PLAN_CACHE_LIMIT = 65536
 
 _NAN = math.nan
 
+#: The OPT record a response carries — the server's own 4096-octet buffer,
+#: echoing the query's DO bit (the index) — and its size on the wire.
+_RESPONSE_EDNS = (
+    EdnsRecord(udp_payload_size=4096, dnssec_ok=False),
+    EdnsRecord(udp_payload_size=4096, dnssec_ok=True),
+)
+_OPT_SIZE = len(_RESPONSE_EDNS[0].to_wire())
+
+#: Octets of a question after its name (QTYPE + QCLASS).
+_QUESTION_FIXED = 4
+
+#: A probe encoding longer than this sits close enough to the 0x4000
+#: compression-pointer limit that a longer question could push one of its
+#: names past it and change what later names compress against.
+_SHIFT_SAFE_SIZE = 0x4000 - MAX_NAME_LENGTH - 1
+
 
 def plan_cache_enabled() -> bool:
     """Whether servers memoise response plans (``REPRO_PLAN_CACHE``, on by
     default; set ``0`` to force every query down the full build/encode
     path)."""
     return os.environ.get(PLAN_CACHE_ENV, "1") != "0"
+
+
+@lru_cache(maxsize=256)
+def _response_flags(opcode: Opcode, rd: bool, aa: bool, rcode: RCode) -> Flags:
+    """Interned header flags of a built response (a dozen combinations)."""
+    return Flags(qr=True, opcode=opcode, aa=aa, rd=rd, rcode=rcode)
+
+
+def _calibrate(result: LookupResult) -> Tuple[Optional[int], FrozenSet[bytes]]:
+    """Measure an anchored result's sections with one real encode.
+
+    The probe's question is the anchor itself.  Returns the octets the
+    three sections take after that question, and the casefolded labels
+    directly below the anchor under which some section name sits — exactly
+    the names a longer question under the anchor could offer a better
+    compression target for.  The size is ``None`` when the probe is too
+    close to the pointer limit for a shifted copy to encode alike.
+    """
+    anchor = result.anchor
+    table: dict = {}
+    probe = Message(
+        questions=[Question(anchor, RRType.NS)],
+        answers=result.answers,
+        authorities=result.authorities,
+        additionals=result.additionals,
+    )
+    size = probe.wire_size(table)
+    if size > _SHIFT_SAFE_SIZE:
+        return None, frozenset()
+    depth = anchor.label_count
+    anchor_key = anchor.canonical_key()[::-1]
+    below = frozenset(
+        suffix[-depth - 1]
+        for suffix in table
+        if len(suffix) > depth and suffix[len(suffix) - depth:] == anchor_key
+    )
+    question_size = len(anchor.to_wire()) + _QUESTION_FIXED
+    return size - HEADER_LENGTH - question_size, below
+
+
+def _anchored_size(
+    result: LookupResult, qname: Name, edns: Optional[EdnsRecord]
+) -> Optional[int]:
+    """Exact wire size of the response to ``qname`` whose sections are the
+    anchored ``result``, by arithmetic — or ``None`` when only the encoder
+    can tell.
+
+    With the anchor as the question, every section name compresses against
+    the anchor's suffixes or against an earlier section name.  A longer
+    question adds compression targets only for names under its own label
+    just below the anchor, and otherwise shifts every offset by the same
+    amount, which changes pointer values but not sizes.  So unless that
+    label is one the sections use, the sections take the calibrated size.
+    """
+    sizing = result.sizing
+    if sizing is None:
+        sizing = result.sizing = _calibrate(result)
+    body_size, below = sizing
+    if body_size is None:
+        return None
+    depth = result.anchor.label_count
+    if qname.label_count > depth and qname.canonical_key()[depth] in below:
+        return None
+    size = HEADER_LENGTH + len(qname.to_wire()) + _QUESTION_FIXED + body_size
+    return size if edns is None else size + _OPT_SIZE
 
 
 @dataclass(slots=True)
@@ -173,8 +256,6 @@ class AuthoritativeServer:
         Called once per run by the simulation driver — the per-query path
         keeps its cheap :class:`ServerStats` increments.
         """
-        from ..dnscore import RCode
-
         label = {"server": self.server_id}
         metrics.counter("server.queries", **label).inc(self.stats.queries)
         metrics.counter("server.truncated", **label).inc(self.stats.truncated)
@@ -285,9 +366,15 @@ class AuthoritativeServer:
                     plan, timestamp, src, transport, query, tcp_rtt_ms
                 )
 
-        response = self._build_response(query)
+        response, result = self._build_response(query)
+        # Only a server that memoises plans memoises sizes: without the
+        # plan cache every response is fully encoded (the reference path).
+        wire_size = None
+        if plan_key is not None and result is not None and result.anchor is not None:
+            wire_size = _anchored_size(result, question.qname, response.edns)
         return self._finish_response(
-            timestamp, src, transport, query, response, tcp_rtt_ms, plan_key
+            timestamp, src, transport, query, response, tcp_rtt_ms, plan_key,
+            wire_size,
         )
 
     def _finish_response(
@@ -299,22 +386,29 @@ class AuthoritativeServer:
         response: Message,
         tcp_rtt_ms: Optional[float],
         plan_key: Optional[tuple],
+        wire_size: Optional[int] = None,
     ) -> Message:
-        """Truncate/encode one built response, account + capture it, and —
-        when ``plan_key`` is given — memoise the outcome for replay."""
+        """Truncate/size one built response, account + capture it, and —
+        when ``plan_key`` is given — memoise the outcome for replay.
+        ``wire_size`` is the response's exact encoded size when the caller
+        already knows it; otherwise the response is encoded to find out."""
         question = query.question
         limit = (
             effective_udp_limit(query.edns)
             if transport is Transport.UDP
             else TCP_MAX_SIZE
         )
-        wire = response.to_wire()
-        if len(wire) > limit:
+        if wire_size is None:
+            wire_size = len(response.to_wire())
+        if wire_size > limit:
             # Truncate: strip records, set TC, and let the client retry TCP.
-            sent = query.make_response_skeleton()
-            sent.flags = dc_replace(response.flags, tc=True)
-            sent.edns = response.edns
-            wire = sent.to_wire()
+            sent = Message(
+                msg_id=query.msg_id,
+                flags=dc_replace(response.flags, tc=True),
+                questions=list(query.questions),
+                edns=response.edns,
+            )
+            wire_size = len(sent.to_wire())
         else:
             sent = response
 
@@ -342,7 +436,7 @@ class AuthoritativeServer:
                 rcode,
                 edns.udp_payload_size if edns is not None else 0,
                 edns.dnssec_ok if edns is not None else False,
-                len(wire),
+                wire_size,
                 truncated,
                 _NAN if tcp_rtt_ms is None else tcp_rtt_ms,
             ))
@@ -352,7 +446,7 @@ class AuthoritativeServer:
                     {
                         "server": self.server_id,
                         "rcode": rcode,
-                        "bytes": len(wire),
+                        "bytes": wire_size,
                         "truncated": truncated,
                     },
                 )
@@ -381,7 +475,7 @@ class AuthoritativeServer:
                 authorities=sent.authorities,
                 additionals=sent.additionals,
                 rcode=rcode,
-                wire_size=len(wire),
+                wire_size=wire_size,
                 truncated=truncated,
             )
         return sent
@@ -450,32 +544,45 @@ class AuthoritativeServer:
             edns=plan.edns,
         )
 
-    def _build_response(self, query: Message) -> Message:
+    def _build_response(
+        self, query: Message
+    ) -> Tuple[Message, Optional[LookupResult]]:
+        """The full response to ``query`` and the zone lookup behind it
+        (``None`` when the name is out of the zone).  The message adopts
+        the lookup's section lists, which a memoised result shares with
+        every other response it answers: read-only, like a plan's."""
         question = query.question
-        response = query.make_response_skeleton()
-        if query.edns is not None:
-            response.edns = EdnsRecord(
-                udp_payload_size=4096, dnssec_ok=query.edns.dnssec_ok
-            )
-        dnssec_ok = query.edns.dnssec_ok if query.edns is not None else False
-
+        flags = query.flags
+        edns = query.edns
+        dnssec_ok = edns is not None and edns.dnssec_ok
+        response_edns = None if edns is None else _RESPONSE_EDNS[dnssec_ok]
         if not question.qname.is_subdomain_of(self.zone.origin):
-            response.set_rcode(RCode.REFUSED)
-            return response
+            refused = Message(
+                msg_id=query.msg_id,
+                flags=_response_flags(flags.opcode, flags.rd, False, RCode.REFUSED),
+                questions=list(query.questions),
+                edns=response_edns,
+            )
+            return refused, None
 
         result = self.zone.lookup(question.qname, question.qtype, dnssec_ok)
-        response.answers.extend(result.answers)
-        response.authorities.extend(result.authorities)
-        response.additionals.extend(result.additionals)
-        if result.outcome is LookupOutcome.NXDOMAIN:
-            response.set_rcode(RCode.NXDOMAIN)
-        from dataclasses import replace as _replace
-
-        # Authoritative answer for everything except referrals.
-        response.flags = _replace(
-            response.flags, aa=result.outcome is not LookupOutcome.DELEGATION
+        outcome = result.outcome
+        response = Message(
+            msg_id=query.msg_id,
+            flags=_response_flags(
+                flags.opcode,
+                flags.rd,
+                # Authoritative answer for everything except referrals.
+                outcome is not LookupOutcome.DELEGATION,
+                RCode.NXDOMAIN if outcome is LookupOutcome.NXDOMAIN else RCode.NOERROR,
+            ),
+            questions=list(query.questions),
+            answers=result.answers,
+            authorities=result.authorities,
+            additionals=result.additionals,
+            edns=response_edns,
         )
-        return response
+        return response, result
 
 
 class ServerSet:
@@ -493,6 +600,7 @@ class ServerSet:
             raise ValueError("all servers in a set must serve the same zone")
         self.servers = list(servers)
         self.latency = latency
+        self._fastest: Dict[Tuple[str, int], AuthoritativeServer] = {}
 
     @property
     def origin(self) -> Name:
@@ -519,5 +627,17 @@ class ServerSet:
         )
 
     def fastest(self, client_site: Site, family: int) -> AuthoritativeServer:
-        """The lowest-RTT server for this client site and family."""
-        return min(self.servers, key=lambda s: self.rtt_ms(s, client_site, family))
+        """The lowest-RTT server for this client site and family (the
+        first such server on a tie).
+
+        A pure function of site geometry, so it is worked out once per
+        (site, family); pinning a latency offset after the first call
+        needs a new set.
+        """
+        key = (client_site.code, family)
+        server = self._fastest.get(key)
+        if server is None:
+            server = self._fastest[key] = min(
+                self.servers, key=lambda s: self.rtt_ms(s, client_site, family)
+            )
+        return server

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,6 +97,20 @@ class ZoneSpec:
 IN_BAILIWICK_FRACTION = 0.3
 
 
+#: Distinct out-of-zone hosters delegations are spread over.
+HOSTER_COUNT = 50
+
+
+@lru_cache(maxsize=HOSTER_COUNT)
+def _hoster_nameservers(hoster: int) -> Tuple[Name, Name, Name]:
+    """The NS triple of one hoster — parsed once, shared by every
+    delegation (and every zone build) that draws it."""
+    ns_base = Name.from_text(f"dns{hoster}.hosting-{hoster % 7}.net")
+    return (
+        ns_base.prepend(b"ns1"), ns_base.prepend(b"ns2"), ns_base.prepend(b"ns3")
+    )
+
+
 def _delegate_child(
     zone: Zone, child: Name, index: int, secure: bool, rng: np.random.Generator
 ) -> None:
@@ -119,13 +134,8 @@ def _delegate_child(
                 )
             )
     else:
-        hoster = int(rng.integers(0, 50))
-        ns_base = Name.from_text(f"dns{hoster}.hosting-{hoster % 7}.net")
-        zone.add_delegation(
-            child,
-            [ns_base.prepend(b"ns1"), ns_base.prepend(b"ns2"), ns_base.prepend(b"ns3")],
-            secure=secure,
-        )
+        hoster = int(rng.integers(0, HOSTER_COUNT))
+        zone.add_delegation(child, _hoster_nameservers(hoster), secure=secure)
 
 
 def build_registry_zone(spec: ZoneSpec) -> Zone:
@@ -191,4 +201,4 @@ def build_root_zone(
 def domains_of(zone: Zone) -> List[Name]:
     """All delegated (registered) domains of a registry zone, sorted for
     deterministic indexing by the popularity sampler."""
-    return sorted(zone.delegation_names)
+    return sorted(zone.delegation_names, key=Name.canonical_key)

@@ -48,12 +48,24 @@ class LookupOutcome(enum.Enum):
 
 @dataclass
 class LookupResult:
-    """Everything a server needs to build the response."""
+    """Everything a server needs to build the response.
+
+    A result with an :attr:`anchor` is memoised on the zone and shared by
+    every query it answers — every qname under the cut, on every server of
+    the set — so its section lists are read-only.
+    """
 
     outcome: LookupOutcome
     answers: List[ResourceRecord] = field(default_factory=list)
     authorities: List[ResourceRecord] = field(default_factory=list)
     additionals: List[ResourceRecord] = field(default_factory=list)
+    #: The name the sections hang off (a referral's zone cut, in the
+    #: spelling of the query that first asked): the sections are the same
+    #: for any qname at or below it.  ``None`` for per-qname results.
+    anchor: Optional[Name] = None
+    #: The consumer's own memo about this shared body (the server keeps its
+    #: wire-size calibration here); it lives and dies with the result.
+    sizing: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -67,6 +79,13 @@ class RRset:
 
     def to_records(self) -> List[ResourceRecord]:
         return [ResourceRecord(self.name, self.rrtype, self.ttl, rd) for rd in self.rdatas]
+
+
+#: Entries a zone's referral / signature memo may hold before it is dropped
+#: wholesale.  Both are keyed by the *query's* spelling of a zone name, so
+#: the population is zone-bounded in simulation; the bound only matters to a
+#: live frontend fed 0x20-randomised names.
+MEMO_LIMIT = 65536
 
 
 def _fake_signature(name: Name, rrtype: RRType, origin: Name) -> RRSIGRdata:
@@ -118,7 +137,11 @@ class Zone:
         self._types_by_name: Dict[Name, set] = {}
         self._delegations: Dict[Name, RRset] = {}
         self._ds: Dict[Name, RRset] = {}
-        self._sorted_names: Optional[List[Name]] = None
+        self._sorted_names: Optional[Tuple[List[Name], List[tuple]]] = None
+        #: (cut labels as spelled by the query, DO) → the shared referral.
+        self._referrals: Dict[Tuple[Tuple[bytes, ...], bool], LookupResult] = {}
+        #: (owner labels as spelled, type) → simulated RRSIG.
+        self._signatures: Dict[Tuple[Tuple[bytes, ...], RRType], RRSIGRdata] = {}
         # Apex SOA is mandatory; callers overwrite via add_rrset if desired.
         self.add_rrset(
             RRset(
@@ -168,6 +191,7 @@ class Zone:
             ancestor = ancestor.parent()
             self._empty_non_terminals.add(ancestor)
         self._sorted_names = None
+        self._referrals.clear()
         if rrset.rrtype is RRType.NS and rrset.name != self.origin:
             self._delegations[rrset.name] = rrset
         if rrset.rrtype is RRType.DS:
@@ -247,19 +271,21 @@ class Zone:
 
     # -- NSEC chain --------------------------------------------------------------
 
-    def _sorted(self) -> List[Name]:
+    def _sorted(self) -> Tuple[List[Name], List[tuple]]:
+        """The zone's names in canonical order, and their sort keys."""
         if self._sorted_names is None:
-            self._sorted_names = sorted(self._names)
+            names = sorted(self._names, key=Name.canonical_key)
+            self._sorted_names = (names, [n.canonical_key() for n in names])
         return self._sorted_names
 
     def nsec_for(self, qname: Name) -> Optional[ResourceRecord]:
         """The NSEC record proving ``qname`` does not exist (signed zones)."""
         if not self.signed:
             return None
-        names = self._sorted()
+        names, keys = self._sorted()
         if not names:
             return None
-        index = bisect.bisect_left(names, qname)
+        index = bisect.bisect_left(keys, qname.canonical_key())
         owner = names[index - 1] if index > 0 else names[-1]
         next_name = names[index % len(names)] if index < len(names) else names[0]
         types = tuple(sorted(self._types_by_name.get(owner, ()), key=int))
@@ -294,7 +320,7 @@ class Zone:
                         qname,
                         RRType.RRSIG,
                         rrset.ttl,
-                        _fake_signature(qname, qtype, self.origin),
+                        self._signature(qname, qtype),
                     )
                 )
             return result
@@ -303,10 +329,39 @@ class Zone:
             return self._negative(qname, LookupOutcome.NODATA, dnssec_ok)
         return self._negative(qname, LookupOutcome.NXDOMAIN, dnssec_ok)
 
+    def _signature(self, name: Name, rrtype: RRType) -> RRSIGRdata:
+        """:func:`_fake_signature` under this zone's key, hashed once per
+        (owner spelling, type) — a pure function of both."""
+        key = (name.labels, rrtype)
+        signature = self._signatures.get(key)
+        if signature is None:
+            if len(self._signatures) >= MEMO_LIMIT:
+                self._signatures.clear()
+            signature = self._signatures[key] = _fake_signature(
+                name, rrtype, self.origin
+            )
+        return signature
+
     def _referral(self, cut: Name, dnssec_ok: bool) -> LookupResult:
+        """The referral for ``cut``, built once per (the cut's exact
+        spelling, DO) and shared until the zone content next changes.
+
+        The spelling is part of the key because ``cut`` is derived from the
+        query name: its case shows in the RRSIG owner and signature."""
+        key = (cut.labels, dnssec_ok)
+        result = self._referrals.get(key)
+        if result is None:
+            if len(self._referrals) >= MEMO_LIMIT:
+                self._referrals.clear()
+            result = self._referrals[key] = self._build_referral(cut, dnssec_ok)
+        return result
+
+    def _build_referral(self, cut: Name, dnssec_ok: bool) -> LookupResult:
         ns_rrset = self._delegations[cut]
         result = LookupResult(
-            LookupOutcome.DELEGATION, authorities=ns_rrset.to_records()
+            LookupOutcome.DELEGATION,
+            authorities=ns_rrset.to_records(),
+            anchor=cut,
         )
         ds_rrset = self._ds.get(cut)
         if dnssec_ok and self.signed:
@@ -317,7 +372,7 @@ class Zone:
                         cut,
                         RRType.RRSIG,
                         ds_rrset.ttl,
-                        _fake_signature(cut, RRType.DS, self.origin),
+                        self._signature(cut, RRType.DS),
                     )
                 )
             else:
@@ -344,7 +399,7 @@ class Zone:
                     self.origin,
                     RRType.RRSIG,
                     soa.ttl,
-                    _fake_signature(self.origin, RRType.SOA, self.origin),
+                    self._signature(self.origin, RRType.SOA),
                 )
             )
             nsec = self.nsec_for(qname)
@@ -355,7 +410,7 @@ class Zone:
                         nsec.name,
                         RRType.RRSIG,
                         nsec.ttl,
-                        _fake_signature(nsec.name, RRType.NSEC, self.origin),
+                        self._signature(nsec.name, RRType.NSEC),
                     )
                 )
             if outcome is LookupOutcome.NXDOMAIN:
@@ -374,9 +429,7 @@ class Zone:
                             wildcard_nsec.name,
                             RRType.RRSIG,
                             wildcard_nsec.ttl,
-                            _fake_signature(
-                                wildcard_nsec.name, RRType.NSEC, self.origin
-                            ),
+                            self._signature(wildcard_nsec.name, RRType.NSEC),
                         )
                     )
         return result

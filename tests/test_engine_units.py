@@ -97,6 +97,36 @@ class TestSelection:
         chosen = {resolver._choose_server(server_set).server_id for __ in range(50)}
         assert chosen == {"near", "far"}
 
+    def test_memoised_fastest_changes_no_choice_and_no_draw(self):
+        """``_choose_server`` against its definition (filter, maybe
+        explore, else the minimum RTT over the candidates): same servers,
+        same RNG consumption, whatever is excluded."""
+
+        def by_definition(resolver, server_set, exclude):
+            candidates = [s for s in server_set.servers if s.server_id not in exclude]
+            if not candidates:
+                candidates = list(server_set.servers)
+            if (
+                len(candidates) > 1
+                and resolver._rng.random() < resolver.behavior.server_exploration
+            ):
+                return candidates[int(resolver._rng.integers(len(candidates)))]
+            return min(
+                candidates, key=lambda s: server_set.rtt_ms(s, resolver.site, 4)
+            )
+
+        server_set, near, far = self._server_set()
+        actual = make_resolver(server_exploration=0.3)
+        expected = make_resolver(server_exploration=0.3)
+        excludes = [frozenset(), frozenset({"near"}), frozenset({"near", "far"}),
+                    frozenset({"far"}), frozenset()]
+        for i in range(200):
+            exclude = excludes[i % len(excludes)]
+            assert actual._choose_server(server_set, exclude) is by_definition(
+                expected, server_set, exclude
+            )
+        assert actual._rng.random() == expected._rng.random()
+
     def test_family_v6_extra_rtt_discourages_v6(self):
         server_set, near, __ = self._server_set()
         resolver = make_resolver(

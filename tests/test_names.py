@@ -130,6 +130,32 @@ class TestStructure:
             "www.example.nl"
         )
 
+    def test_prepend_still_validates_what_it_adds(self):
+        base = Name.from_text("example.nl")
+        with pytest.raises(NameError_):
+            base.prepend(b"")
+        with pytest.raises(NameError_):
+            base.prepend(b"www", b"")
+        with pytest.raises(NameError_):
+            base.prepend(b"x" * 64)
+        assert base.prepend(b"x" * 63).labels[0] == b"x" * 63
+
+    def test_prepend_still_enforces_the_total_length(self):
+        # 4 x (1 + 61) + 1 = 249 octets; six more make 255, seven 256.
+        base = Name([b"a" * 61] * 4)
+        assert len(base.prepend(b"b" * 5).to_wire()) == 255
+        with pytest.raises(NameError_):
+            base.prepend(b"b" * 6)
+        with pytest.raises(NameError_):
+            base.prepend(b"b", b"c" * 4)
+
+    def test_prepend_keeps_the_given_spelling(self):
+        name = Name.from_text("Example.NL").prepend(b"WwW")
+        assert name.labels == (b"WwW", b"Example", b"NL")
+        assert name == Name.from_text("www.example.nl")
+        assert hash(name) == hash(Name.from_text("www.example.nl"))
+        assert name.parent().labels == (b"Example", b"NL")
+
     def test_prepend_text_multiple_labels(self):
         assert Name.from_text("nl").prepend_text("www.example") == Name.from_text(
             "www.example.nl"

@@ -87,6 +87,34 @@ class TestNameProperties:
         for a, b in zip(ordered, ordered[1:]):
             assert not b < a
 
+    @given(st.lists(name_st, min_size=2, max_size=8))
+    def test_canonical_key_sorts_like_comparison(self, names):
+        by_key = sorted(names, key=Name.canonical_key)
+        assert [n.labels for n in by_key] == [n.labels for n in sorted(names)]
+        for a in names:
+            for b in names:
+                assert (a < b) == (a.canonical_key() < b.canonical_key())
+
+    @given(name_st, st.lists(label_st, min_size=0, max_size=3))
+    def test_derived_names_equal_validated_ones(self, base, extra):
+        """``parent()`` and ``prepend()`` skip re-validation; what they
+        build is indistinguishable from ``Name(labels)``."""
+        derived = [base.prepend(*extra)]
+        while not derived[-1].is_root():
+            derived.append(derived[-1].parent())
+        rebuilt = [Name(name.labels) for name in derived]
+        for name, fresh in zip(derived, rebuilt):
+            assert name.labels == fresh.labels
+            assert name == fresh and hash(name) == hash(fresh)
+            assert name.canonical_key() == fresh.canonical_key()
+            assert name.to_wire() == fresh.to_wire()
+            assert name.to_text() == fresh.to_text()
+            assert name == Name([label.swapcase() for label in name.labels])
+        assert sorted(derived) == sorted(rebuilt)
+        assert [a < b for a in derived for b in derived] == [
+            a < b for a in rebuilt for b in rebuilt
+        ]
+
     @given(name_st, name_st)
     def test_compression_preserves_decoding(self, first, second):
         compress = {}

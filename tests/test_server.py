@@ -1,13 +1,27 @@
 """Unit tests for the authoritative server: responses, truncation, RRL,
 anycast catchments, and capture taps."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.capture import CaptureStore, Transport
-from repro.dnscore import EdnsRecord, Message, Name, RCode, RRType
+from repro.dnscore import (
+    EdnsRecord,
+    Message,
+    Name,
+    NSRdata,
+    RCode,
+    ResourceRecord,
+    RRType,
+    TXTRdata,
+)
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.server import AuthoritativeServer, RateLimiter, RRLConfig, ServerSet
-from repro.zones import Zone
+from repro.server.authoritative import _anchored_size
+from repro.zones import LookupOutcome, LookupResult, Zone
 
 
 SRC = IPAddress.parse("192.0.2.53")
@@ -98,6 +112,175 @@ class TestTruncation:
         assert record.edns_bufsize == 512
 
 
+def flip_case(name, mask):
+    """``name`` with the ASCII letters picked by ``mask``'s bits case-flipped."""
+    labels, bit = [], 0
+    for label in name.labels:
+        flipped = bytearray(label)
+        for i, octet in enumerate(label):
+            if chr(octet).isalpha() and (mask >> bit) & 1:
+                flipped[i] = octet ^ 0x20
+            bit += 1
+        labels.append(bytes(flipped))
+    return Name(labels)
+
+
+def exchange(server, query, timestamp=1.0):
+    """What a resolver does: UDP, then TCP when the answer came back TC."""
+    responses = [server.handle_query(timestamp, SRC, Transport.UDP, query)]
+    if responses[0].is_truncated():
+        responses.append(
+            server.handle_query(timestamp, SRC, Transport.TCP, query, tcp_rtt_ms=10.0)
+        )
+    return responses
+
+
+class TestSizeShortcut:
+    """A referral's size by arithmetic is the encoder's size, or is not
+    offered at all.  The reference is a ``REPRO_PLAN_CACHE=0`` server: it
+    memoises nothing and encodes every response in full."""
+
+    EDNS = (
+        None,
+        EdnsRecord(udp_payload_size=512),
+        EdnsRecord(udp_payload_size=1232, dnssec_ok=True),
+        EdnsRecord(udp_payload_size=4096, dnssec_ok=True),
+    )
+
+    @pytest.fixture
+    def servers(self, session_zones, monkeypatch):
+        zone = session_zones["nz"]
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
+        fast = AuthoritativeServer("nz-a", zone, [GAZETTEER["AKL"]], CaptureStore())
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+        reference = AuthoritativeServer("nz-a", zone, [GAZETTEER["AKL"]], CaptureStore())
+        assert fast._plans is not None and reference._plans is None
+        return fast, reference
+
+    def test_arithmetic_size_is_the_encoders_size(self, servers):
+        fast, reference = servers
+        zone = fast.zone
+        cuts = sorted(zone.delegation_names, key=Name.canonical_key)
+        # The zone has what the property needs: third-level cuts, and both
+        # glueless (hoster) and in-bailiwick (ns1.<cut>, with glue) NS sets.
+        assert {cut.label_count for cut in cuts} == {2, 3}
+        vanity = [c for c in cuts if zone.rrset(c.prepend(b"ns1"), RRType.A)]
+        assert vanity and len(vanity) < len(cuts)
+        branches = Counter()
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(
+            cut=st.sampled_from(cuts),
+            prefix=st.lists(
+                st.sampled_from([b"www", b"ns1", b"NS2", b"ns3", b"a-much-longer-label"]),
+                max_size=3,
+            ),
+            mask=st.integers(0, 2**40 - 1),
+            edns=st.sampled_from(self.EDNS),
+            qtype=st.sampled_from([RRType.A, RRType.AAAA, RRType.NS, RRType.DS]),
+        )
+        def check(cut, prefix, mask, edns, qtype):
+            qname = flip_case(cut.prepend(*prefix), mask)
+            query = Message.make_query(qname, qtype, msg_id=7, edns=edns)
+
+            response, result = fast._build_response(query)
+            if result.anchor is not None:
+                size = _anchored_size(result, qname, response.edns)
+                if size is None:
+                    branches["fallback"] += 1
+                else:
+                    branches["shortcut"] += 1
+                    assert size == len(response.to_wire())
+                below = qname.labels[: qname.label_count - result.anchor.label_count]
+                in_bailiwick = bool(result.additionals)
+                if size is None:
+                    assert in_bailiwick and below[-1].lower() in (b"ns1", b"ns2")
+            else:
+                assert qtype is RRType.DS and not prefix
+
+            # The whole path: same bytes out, same row captured.
+            got, expected = exchange(fast, query), exchange(reference, query)
+            assert [r.to_wire() for r in got] == [r.to_wire() for r in expected]
+
+        check()
+        assert branches["shortcut"] and branches["fallback"]
+        assert fast.stats.plan_misses and reference.stats.plan_misses == 0
+        a, b = fast.capture.view(), reference.capture.view()
+        for column in ("qname", "qtype", "rcode", "transport", "response_size", "truncated"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
+
+    def test_truncated_referral_and_its_tcp_retry(self, servers):
+        """A shortcut-sized referral that overflows the UDP limit: the TC
+        response and the TCP retry are sized as the reference sizes them."""
+        fast, reference = servers
+        zone = fast.zone
+        cut = next(
+            c for c in sorted(zone.delegation_names, key=Name.canonical_key)
+            if zone.rrset(c.prepend(b"ns1"), RRType.A) and zone.rrset(c, RRType.DS)
+        )
+        query = Message.make_query(
+            cut.prepend(b"www"), RRType.A, msg_id=3,
+            edns=EdnsRecord(udp_payload_size=512, dnssec_ok=True),
+        )
+        result = zone.lookup(query.question.qname, RRType.A, True)
+        assert _anchored_size(result, query.question.qname, query.edns) > 512
+        for server in (fast, reference):
+            udp, tcp = exchange(server, query)
+            assert udp.is_truncated() and not udp.authorities
+            assert not tcp.is_truncated() and tcp.authorities
+        a, b = fast.capture.view(), reference.capture.view()
+        assert a.response_size.tolist() == b.response_size.tolist()
+        assert a.truncated.tolist() == b.truncated.tolist() == [True, False]
+        assert a.response_size[1] > 512 > a.response_size[0]
+
+    def test_reference_server_never_uses_a_memoised_size(self, servers, monkeypatch):
+        fast, reference = servers
+        cut = sorted(fast.zone.delegation_names, key=Name.canonical_key)[0]
+        query = Message.make_query(cut.prepend(b"www"), RRType.A, msg_id=1)
+        fast.handle_query(1.0, SRC, Transport.UDP, query)
+        result = fast.zone.lookup(query.question.qname, RRType.A, False)
+        assert result.sizing is not None
+        # Poison the calibration: a server that consulted it would be off.
+        result.sizing = (result.sizing[0] + 1000, result.sizing[1])
+        try:
+            response = reference.handle_query(1.0, SRC, Transport.UDP, query)
+            assert reference.capture.view().response_size[-1] == len(response.to_wire())
+        finally:
+            result.sizing = None
+
+    def test_near_the_pointer_limit_only_the_encoder_decides(self):
+        """Names written at or past offset 0x4000 are not compression
+        targets, so a body that long may encode differently once a longer
+        question shifts it; the shortcut declines such a body outright."""
+        cut = Name.from_text("big.nl")
+        filler = [
+            ResourceRecord(cut, RRType.TXT, 60, TXTRdata((b"x" * 250,)))
+            for _ in range(62)
+        ]
+        tail = [ResourceRecord(cut, RRType.NS, 60, NSRdata(cut.prepend(b"ns1", b"deep")))] * 2
+        short = LookupResult(LookupOutcome.DELEGATION, authorities=filler[:10] + tail, anchor=cut)
+        long = LookupResult(LookupOutcome.DELEGATION, authorities=filler + tail, anchor=cut)
+        qname = cut.prepend(b"w" * 60, b"w" * 60)
+        for result, offered in ((short, True), (long, False)):
+            message = Message(
+                questions=[Message.make_query(qname, RRType.A).question],
+                authorities=result.authorities,
+            )
+            size = _anchored_size(result, qname, None)
+            assert (size is not None) == offered
+            if offered:
+                assert size == message.wire_size()
+        # What the guard is for: at the anchor the second NS target is a
+        # pointer to the first; 120 octets further on the first lands past
+        # the limit, the second is spelled out, and the body grows.
+        at_anchor = Message(
+            questions=[Message.make_query(cut, RRType.A).question],
+            authorities=long.authorities,
+        )
+        shifted_by = len(qname.to_wire()) - len(cut.to_wire())
+        assert message.wire_size() > at_anchor.wire_size() + shifted_by
+
+
 class TestCaptureTap:
     def test_fields_recorded(self, server):
         q = query("www.example.nl", edns=EdnsRecord(udp_payload_size=1232, dnssec_ok=True))
@@ -174,6 +357,16 @@ class TestServerSet:
         server_set = ServerSet([europe, oceania], latency)
         assert server_set.fastest(GAZETTEER["FRA"], 4) is europe
         assert server_set.fastest(GAZETTEER["SYD"], 4) is oceania
+        # Memoised per (site, family); the answer is the unmemoised one.
+        for site in ("FRA", "SYD", "LAX", "NRT"):
+            for family in (4, 6):
+                rtts = [
+                    server_set.rtt_ms(s, GAZETTEER[site], family)
+                    for s in server_set.servers
+                ]
+                expected = server_set.servers[rtts.index(min(rtts))]
+                assert server_set.fastest(GAZETTEER[site], family) is expected
+                assert server_set.fastest(GAZETTEER[site], family) is expected
 
     def test_mixed_zones_rejected(self, zone):
         other = Zone(Name.from_text("nz"))

@@ -24,6 +24,7 @@ count-min
     deterministic equality, immune to flake.
 """
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -114,7 +115,100 @@ def assert_space_saving_sound(sketch, truth):
     assert sketch.estimate("never-fed.invalid.") <= floor
 
 
+class LinearScanSketch(SpaceSavingSketch):
+    """The reference the heap is held to: the eviction victim is found by
+    scanning every tracked entry for the minimum ``(count, insertion
+    sequence)`` — the definition, at O(capacity) per eviction."""
+
+    def feed(self, item, count=1):
+        if count <= 0:
+            return
+        self.total += count
+        self.updates += 1
+        entries = self._entries
+        if item in entries:
+            entries[item][0] += count
+        elif len(entries) < self.capacity:
+            entries[item] = [count, 0, self._seq]
+            self._seq += 1
+        else:
+            victim = min(entries, key=lambda k: (entries[k][0], entries[k][2]))
+            floor = entries.pop(victim)[0]
+            entries[item] = [floor + count, floor, self._seq]
+            self._seq += 1
+            self.evictions += 1
+
+
+def full_state(sketch):
+    """Everything later behaviour depends on: ``state()`` plus the
+    insertion sequences that break eviction ties."""
+    return (
+        sketch.state(),
+        sorted((item, entry[2]) for item, entry in sketch._entries.items()),
+        sketch._seq,
+        sketch.evictions,
+        sketch.updates,
+    )
+
+
 # -- space-saving ------------------------------------------------------------------
+
+class TestHeapEvictionMatchesLinearScan:
+    """The heap picks the victim the linear scan would, every time — so
+    ``state()``, every report and every golden are what they were."""
+
+    @staticmethod
+    def feed_both(fast, reference, stream):
+        for item, count in stream:
+            fast.feed(item, count)
+            reference.feed(item, count)
+            # After every single update, not only at the end: one wrong
+            # victim can be masked by later evictions.
+            assert full_state(fast) == full_state(reference)
+
+    @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
+    @pytest.mark.parametrize("capacity", [1, 4, 16])
+    def test_adversarial_shapes(self, shape, capacity):
+        stream = STREAM_SHAPES[shape](300)
+        self.feed_both(
+            SpaceSavingSketch(capacity), LinearScanSketch(capacity),
+            # Twice over: the second pass hits tracked items whose heap
+            # entries have gone stale, then evicts through them.
+            stream + stream[::-1],
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_stream_st, st.integers(1, 12))
+    def test_generated_streams(self, stream, capacity):
+        self.feed_both(
+            SpaceSavingSketch(capacity), LinearScanSketch(capacity), stream
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_stream_st, weighted_stream_st, st.integers(1, 8), st.integers(2, 4))
+    def test_interleaved_merge_then_feed(self, stream, tail, capacity, ways):
+        """Merge rebuilds the heap; feeding on afterwards evicts alike."""
+        fast, reference = SpaceSavingSketch(capacity), LinearScanSketch(capacity)
+        for part in interleave(stream, ways):
+            fast_shard, reference_shard = (
+                SpaceSavingSketch(capacity), LinearScanSketch(capacity)
+            )
+            self.feed_both(fast_shard, reference_shard, part)
+            fast.merge(fast_shard)
+            reference.merge(reference_shard)
+            assert full_state(fast) == full_state(reference)
+        self.feed_both(fast, reference, tail)
+
+    @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
+    def test_pickle_round_trip_then_feed(self, shape):
+        stream = STREAM_SHAPES[shape](200)
+        half = len(stream) // 2
+        fast, reference = SpaceSavingSketch(4), LinearScanSketch(4)
+        self.feed_both(fast, reference, stream[:half])
+        fast = pickle.loads(pickle.dumps(fast))
+        assert full_state(fast) == full_state(reference)
+        self.feed_both(fast, reference, stream[half:] + stream[:half])
+
 
 class TestSpaceSaving:
     @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))

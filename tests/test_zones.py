@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dnscore import Name, NSRdata, ROOT, RRType
+from repro.dnscore import AAAARdata, ARdata, Name, NSRdata, ROOT, RRType
+from repro.zones.zone import _fake_signature
 from repro.zones import (
     LookupOutcome,
     RRset,
@@ -106,6 +107,114 @@ class TestZoneLookup:
             )
 
 
+def records_text(result):
+    """Every field a response is made of, spelled out."""
+    return (
+        result.outcome,
+        [r.to_text() for r in result.answers],
+        [r.to_text() for r in result.authorities],
+        [r.to_text() for r in result.additionals],
+        [r.name.labels for r in result.authorities + result.additionals],
+        [r.rdata.to_wire() for r in result.authorities + result.additionals],
+    )
+
+
+class TestReferralMemo:
+    @pytest.fixture
+    def zone(self, nl_zone):
+        vanity = Name.from_text("vanity.nl")
+        nl_zone.add_delegation(
+            vanity, [vanity.prepend(b"ns1"), vanity.prepend(b"ns2")], secure=True
+        )
+        nl_zone.add_rrset(
+            RRset(vanity.prepend(b"ns1"), RRType.A, 3600, [ARdata(0xC6336401)])
+        )
+        return nl_zone
+
+    @pytest.mark.parametrize("dnssec_ok", [False, True])
+    @pytest.mark.parametrize("cut", ["example.nl", "insecure.nl", "vanity.nl"])
+    def test_memoised_referral_equals_a_fresh_build(self, zone, cut, dnssec_ok):
+        cut = Name.from_text(cut)
+        memoised = zone.lookup(cut.prepend(b"www"), RRType.A, dnssec_ok)
+        fresh = zone._build_referral(cut, dnssec_ok)
+        assert memoised is not fresh
+        assert records_text(memoised) == records_text(fresh)
+        assert memoised.anchor.labels == cut.labels
+
+    def test_one_result_for_every_name_under_the_cut(self, zone):
+        first = zone.lookup(Name.from_text("www.example.nl"), RRType.A, True)
+        assert zone.lookup(Name.from_text("a.b.example.nl"), RRType.MX, True) is first
+        assert zone.lookup(Name.from_text("example.nl"), RRType.NS, True) is first
+        # DO is part of the key; a DS query at the cut is not a referral.
+        assert zone.lookup(Name.from_text("www.example.nl"), RRType.A, False) is not first
+        at_cut = zone.lookup(Name.from_text("example.nl"), RRType.DS, True)
+        assert at_cut.outcome is LookupOutcome.ANSWER and at_cut.anchor is None
+
+    def test_only_referrals_are_anchored(self, zone):
+        for qname, qtype in [("nl", RRType.SOA), ("nl", RRType.A), ("missing.nl", RRType.A)]:
+            assert zone.lookup(Name.from_text(qname), qtype, True).anchor is None
+
+    def test_add_rrset_drops_the_memo(self, zone):
+        qname = Name.from_text("www.vanity.nl")
+        before = zone.lookup(qname, RRType.A, True)
+        assert len(before.additionals) == 1
+        zone.add_rrset(
+            RRset(
+                Name.from_text("ns2.vanity.nl"), RRType.AAAA, 3600,
+                [AAAARdata(0x20010DB8 << 96)],
+            )
+        )
+        after = zone.lookup(qname, RRType.A, True)
+        assert after is not before
+        assert len(after.additionals) == 2
+        assert records_text(after) == records_text(
+            zone._build_referral(Name.from_text("vanity.nl"), True)
+        )
+
+    def test_add_delegation_drops_the_memo(self, zone):
+        qname = Name.from_text("www.example.nl")
+        before = zone.lookup(qname, RRType.A, False)
+        zone.add_delegation(
+            Name.from_text("example.nl"), [Name.from_text("ns9.elsewhere.net")]
+        )
+        after = zone.lookup(qname, RRType.A, False)
+        assert [r.rdata.to_text() for r in after.authorities] == ["ns9.elsewhere.net."]
+        assert before is not after
+
+    def test_case_variant_cut_gets_its_own_spelling(self, zone):
+        """The cut is derived from the query name, so its case shows in
+        the RRSIG owner and in the signature hashed from it; a memo keyed
+        on the casefolded cut would answer in the first asker's case."""
+        lower = zone.lookup(Name.from_text("www.example.nl"), RRType.A, True)
+        upper = zone.lookup(Name.from_text("www.EXAMPLE.nl"), RRType.A, True)
+        assert upper is not lower
+        assert upper.anchor.labels == (b"EXAMPLE", b"nl")
+        fresh = zone._build_referral(Name.from_text("EXAMPLE.nl"), True)
+        assert records_text(upper) == records_text(fresh)
+        assert records_text(upper) != records_text(lower)
+        # And the spelling is exact, not merely case-insensitive-equal.
+        assert zone.lookup(Name.from_text("x.EXAMPLE.nl"), RRType.A, True) is upper
+
+    def test_signature_memo_is_the_pure_function(self, zone):
+        for name, rrtype in [("example.nl", RRType.DS), ("Example.NL", RRType.DS), ("nl", RRType.SOA)]:
+            name = Name.from_text(name)
+            memoised = zone._signature(name, rrtype)
+            assert memoised == _fake_signature(name, rrtype, zone.origin)
+            assert zone._signature(name, rrtype) is memoised
+
+    def test_memo_is_bounded(self, zone, monkeypatch):
+        import repro.zones.zone as zone_module
+
+        monkeypatch.setattr(zone_module, "MEMO_LIMIT", 4)
+        for i in range(32):
+            spelling = "".join(
+                c.upper() if (i >> bit) & 1 else c for bit, c in enumerate("example")
+            )
+            zone.lookup(Name.from_text(f"www.{spelling}.nl"), RRType.A, True)
+            assert len(zone._referrals) <= 4
+            assert len(zone._signatures) <= 4
+
+
 class TestNSECChain:
     def test_nsec_brackets_missing_name(self, nl_zone):
         nsec = nl_zone.nsec_for(Name.from_text("fake.nl"))
@@ -151,6 +260,25 @@ class TestBuilders:
         # DS presence (secure flags) must also match.
         for name in domains_of(a):
             assert (a.rrset(name, RRType.DS) is None) == (b.rrset(name, RRType.DS) is None)
+
+    def test_domains_of_is_in_canonical_order(self):
+        zone = build_registry_zone(
+            ZoneSpec(origin="nz", second_level_count=20, third_level_count=30, seed=2)
+        )
+        by_comparison = sorted(zone.delegation_names)
+        assert [n.labels for n in domains_of(zone)] == [n.labels for n in by_comparison]
+
+    def test_hoster_nameservers_are_parsed_once(self):
+        zone = build_registry_zone(ZoneSpec(origin="nl", second_level_count=200, seed=7))
+        targets = {}
+        for cut in domains_of(zone):
+            for rdata in zone.rrset(cut, RRType.NS).rdatas:
+                if not rdata.target.is_subdomain_of(zone.origin):
+                    assert targets.setdefault(rdata.target, rdata.target) is rdata.target
+        assert targets
+        assert all(
+            t.to_text().split(".", 1)[0] in ("ns1", "ns2", "ns3") for t in targets
+        )
 
     def test_root_zone_delegates_tlds(self):
         root = build_root_zone()
