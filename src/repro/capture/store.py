@@ -275,6 +275,16 @@ class CaptureStore:
         self.rows_appended = 0
         self._frozen = None
 
+    def release(self) -> None:
+        """Drop the resident rows and keep counting.
+
+        Unlike :meth:`clear` this is not a new session: ``rows_appended``
+        — rows ever observed — stands.  A long-running producer whose rows
+        nothing consumes (the live service) calls it to stay bounded.
+        """
+        self._rows = []
+        self._frozen = None
+
     # -- sharded-runtime support -----------------------------------------------
 
     def raw_rows(self) -> List[Tuple]:

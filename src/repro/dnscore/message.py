@@ -113,7 +113,7 @@ class Question:
     def from_wire(cls, wire: bytes, offset: int) -> Tuple["Question", int]:
         qname, offset = Name.from_wire(wire, offset)
         qtype, qclass = struct.unpack_from("!HH", wire, offset)
-        return cls(qname, RRType(qtype), RRClass(qclass)), offset + 4
+        return cls(qname, RRType.from_code(qtype), RRClass(qclass)), offset + 4
 
 
 @dataclass
@@ -131,6 +131,10 @@ class Message:
     authorities: List[ResourceRecord] = field(default_factory=list)
     additionals: List[ResourceRecord] = field(default_factory=list)
     edns: Optional[EdnsRecord] = None
+    #: The memoised server-side plan this response replays, if any.  Opaque
+    #: here and no part of the message (not compared, printed or encoded):
+    #: it rides along so a live endpoint can reuse the plan's encoding.
+    plan: Optional[object] = field(default=None, compare=False, repr=False)
 
     # -- convenience constructors -------------------------------------------
 
@@ -280,7 +284,12 @@ class Message:
     @staticmethod
     def _parse_additional(wire: bytes, offset: int, message: "Message"):
         """Parse one additional record, diverting OPT into ``message.edns``."""
-        name, after_name = Name.from_wire(wire, offset)
+        if wire[offset] == 0:
+            # A root owner — every OPT's (RFC 6891 section 6.1.2) — is one
+            # octet to step over, not a name to build and throw away.
+            after_name = offset + 1
+        else:
+            _, after_name = Name.from_wire(wire, offset)
         rrtype, klass, ttl, rdlength = struct.unpack_from("!HHIH", wire, after_name)
         if rrtype == int(RRType.OPT):
             if after_name + 10 + rdlength > len(wire):

@@ -83,9 +83,10 @@ class Name:
 
     @classmethod
     def _derived(cls, labels: Tuple[bytes, ...], key: Tuple[bytes, ...]) -> "Name":
-        """A name pieced together from names that were validated when they
-        were built (``parent``/``prepend``): nothing is checked or
-        casefolded again."""
+        """A name whose labels are already known to be valid — pieced
+        together from validated names (``parent``/``prepend``) or bounded
+        octet by octet while decoding (``from_wire``): nothing is checked
+        or casefolded again."""
         name = object.__new__(cls)
         name._labels = labels
         name._key = key
@@ -364,12 +365,13 @@ class Name:
         cursor = offset
         after = None  # set when we chase the first pointer
         total = 0
+        size = len(wire)
         while True:
-            if cursor >= len(wire):
+            if cursor >= size:
                 raise NameError_("truncated name")
             length = wire[cursor]
             if length & 0xC0 == 0xC0:
-                if cursor + 1 >= len(wire):
+                if cursor + 1 >= size:
                     raise NameError_("truncated compression pointer")
                 pointer = ((length & 0x3F) << 8) | wire[cursor + 1]
                 if after is None:
@@ -393,16 +395,19 @@ class Name:
             cursor += 1
             if length == 0:
                 break
-            if cursor + length > len(wire):
+            if cursor + length > size:
                 raise NameError_("label runs past end of message")
-            labels.append(wire[cursor : cursor + length])
+            labels.append(bytes(wire[cursor : cursor + length]))
             total += length + 1
             if total + 1 > MAX_NAME_LENGTH:
                 raise NameError_("decoded name exceeds maximum length")
             cursor += length
         if after is None:
             after = cursor
-        return cls(labels), after
+        # Each label was bounded by its length octet (1..63, the two top
+        # bits being clear) and the running total by MAX_NAME_LENGTH above,
+        # which is all ``Name.__init__`` would check again.
+        return cls._derived(tuple(labels), tuple(map(bytes.lower, labels))), after
 
 
 #: The DNS root name (zero labels).

@@ -9,6 +9,7 @@ never fails on an unknown-but-valid type.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 
 class RRType(enum.IntEnum):
@@ -38,6 +39,26 @@ class RRType(enum.IntEnum):
             return cls[text.upper()]
         except KeyError:
             raise ValueError(f"unknown RR type {text!r}") from None
+
+    @classmethod
+    @lru_cache(maxsize=1024)
+    def from_code(cls, code: int) -> "RRType":
+        """The type a 16-bit wire code stands for — never a failure.
+
+        A code this enum does not name (HTTPS 65, SVCB 64, SPF 99, …) comes
+        back as an unregistered pseudo-member called ``TYPE<code>``
+        (RFC 3597 section 5): it compares, hashes and converts like the
+        integer, and ``name`` / ``to_text()`` work, so a question for such a
+        type travels through the server like any other.  ``RRType(code)``
+        still raises for it.
+        """
+        try:
+            return cls(code)
+        except ValueError:
+            unknown = int.__new__(cls, code)
+            unknown._name_ = f"TYPE{code}"
+            unknown._value_ = code
+            return unknown
 
     def to_text(self) -> str:
         return self.name

@@ -153,6 +153,13 @@ class ResponsePlan:
     rcode: int
     wire_size: int
     truncated: bool
+    #: Live service only: the octets its endpoint sent the first time it
+    #: *replayed* this plan (size-bounded, so any second-stage truncation
+    #: is inside them), and the offset at which the echoed question ends.
+    #: The endpoint owns both; a miss, the simulator and a server without a
+    #: plan cache never fill them.  They go when the plan goes.
+    wire: Optional[bytes] = None
+    question_end: int = 0
 
 
 @dataclass
@@ -325,7 +332,11 @@ class AuthoritativeServer:
         if not self.online:
             return None
 
-        question = query.question
+        # One question is all the simulator ever asks; only then is the
+        # ``question`` property (a call, and a check this repeats) skipped.
+        questions = query.questions
+        single = len(questions) == 1
+        question = questions[0] if single else query.question
 
         # RRL verdicts depend on mutable limiter state, so they are decided
         # before — and never served from or stored into — the plan cache.
@@ -346,7 +357,11 @@ class AuthoritativeServer:
                 )
 
         plan_key = None
-        if self._plans is not None:
+        # A plan answers exactly one question, the only kind the simulator
+        # asks.  A live socket can bring several: those are built, sized by
+        # encoding and never memoised, like everything on the reference path
+        # (a plan's size and truncation verdict cover one echoed question).
+        if self._plans is not None and single:
             edns = query.edns
             plan_key = (
                 question.qname,
@@ -491,7 +506,8 @@ class AuthoritativeServer:
     ) -> Message:
         """Answer from a memoised plan: cheap counter bumps, one raw
         capture-row append, and a fresh Message wrapper that echoes the
-        query's id while sharing the plan's (read-only) section lists."""
+        query's id while sharing the plan's (read-only) section lists and
+        naming the plan it came from."""
         stats = self.stats
         stats.plan_hits += 1
         stats.queries += 1
@@ -542,6 +558,7 @@ class AuthoritativeServer:
             authorities=plan.authorities,
             additionals=plan.additionals,
             edns=plan.edns,
+            plan=plan,
         )
 
     def _build_response(

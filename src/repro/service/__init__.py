@@ -8,7 +8,12 @@ exposes the telemetry registry as a Prometheus ``/metrics`` endpoint.
 ``repro loadgen`` replays workload-layer query streams against it.
 """
 
-from .app import RESOLVER_FRONTEND_ADDR, DnsService, ServiceConfig
+from .app import (
+    LIVE_CAPTURE_WINDOW,
+    RESOLVER_FRONTEND_ADDR,
+    DnsService,
+    ServiceConfig,
+)
 from .dispatch import LIVE_TCP_RTT_MS, QueryDispatcher
 from .endpoints import (
     TCP_MAX_QUERY,
@@ -57,6 +62,7 @@ from .topology import (
 )
 
 __all__ = [
+    "LIVE_CAPTURE_WINDOW",
     "RESOLVER_FRONTEND_ADDR",
     "DnsService",
     "ServiceConfig",

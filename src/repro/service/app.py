@@ -19,12 +19,14 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 from ..capture import Transport
-from ..dnscore import RCode
+from ..dnscore import Message, RCode
 from ..dnscore.edns import effective_udp_limit
+from ..dnscore.message import HEADER_LENGTH
 from ..faults import FaultInjector, derive_fault_seed
 from ..faults.scenarios import chaos_scenario
 from ..netsim import GAZETTEER, Clock, IPAddress, WallClock
@@ -35,7 +37,7 @@ from ..sim.driver import (
     build_authority_world,
     publish_server_metrics,
 )
-from ..telemetry import MetricsRegistry, TelemetrySnapshot, to_prometheus
+from ..telemetry import Counter, MetricsRegistry, TelemetrySnapshot, to_prometheus
 from ..workload import dataset
 from .dispatch import QueryDispatcher
 from .resilience import SHED_SERVFAIL, ResilienceConfig
@@ -54,6 +56,13 @@ logger = logging.getLogger("repro.service")
 #: Source address of the optional resolver frontend (TEST-NET-1 — it never
 #: collides with a real client, and capture attribution stays unambiguous).
 RESOLVER_FRONTEND_ADDR = "192.0.2.53"
+
+#: Rows the live capture keeps resident before it releases them (the chunk
+#: size ``CaptureStore.publish_timeseries`` folds by).  Nothing consumes
+#: live rows yet, so the window only bounds memory — every answered query
+#: appends a row, for as long as the process runs — while
+#: ``capture.rows_appended`` keeps counting rows ever observed.
+LIVE_CAPTURE_WINDOW = 65536
 
 
 @dataclass
@@ -122,6 +131,8 @@ class DnsService:
         self._restart_backoff: Dict[str, float] = {}
         self._restart_not_before: Dict[str, float] = {}
         self._last_restart_at: Optional[float] = None
+        #: ``capture.rows_appended`` when the live capture last released.
+        self._capture_released = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -448,10 +459,78 @@ class DnsService:
         response.set_rcode(RCode.SERVFAIL)
         return response
 
+    # The per-datagram counters are fetched once and held: the registry
+    # rebuilds the flat key on every ``counter()`` call.  Each binds on its
+    # first use, so a series is listed only once traffic has touched it.
+
+    @cached_property
+    def _udp_datagrams(self) -> Counter:
+        return self.metrics.counter("service.udp_datagrams")
+
+    @cached_property
+    def _udp_response_bytes(self) -> Counter:
+        return self.metrics.counter("service.udp_response_bytes")
+
+    @cached_property
+    def _tcp_frames(self) -> Counter:
+        return self.metrics.counter("service.tcp_frames")
+
+    @cached_property
+    def _tcp_response_bytes(self) -> Counter:
+        return self.metrics.counter("service.tcp_response_bytes")
+
+    def _answer(
+        self, data: bytes, src: IPAddress, transport: Transport, query: Message,
+        limit: int,
+    ) -> Optional[bytes]:
+        """Dispatch one admitted query and encode what comes back within
+        ``limit`` octets; ``None`` is the dispatcher's deliberate silence.
+
+        A response replayed from a server's plan cache is encoded once per
+        plan: the octets sent for its first replay stay on the plan, and a
+        later replay is those octets under the new message id.  Everything
+        else the encoding depends on is in the plan key except the echoed
+        question section — one question, or the server would not have
+        replayed a plan — so the octets are reused only when the query
+        spells its question octet for octet like the one they echo (which
+        rules out a qname spelled with a compression pointer, another
+        qclass, and octets whose question truncation dropped, in one
+        compare).  Any other response is encoded in full.
+        """
+        try:
+            response = self.dispatcher.dispatch(src, transport, query)
+        except Exception:  # dispatch must never take the endpoint down
+            label = transport.name
+            logger.exception("dispatch failed for a %s query", label)
+            self.metrics.counter(
+                "service.dispatch_errors", transport=label.lower()
+            ).inc()
+            response = self._servfail(query)
+        capture = self.world.capture
+        if capture.rows_appended - self._capture_released >= LIVE_CAPTURE_WINDOW:
+            self._capture_released = capture.rows_appended
+            capture.release()
+        if response is None:
+            return None
+        plan = response.plan
+        if plan is not None:
+            cached = plan.wire
+            if cached is None:
+                # First replay of this plan: what goes out now is kept.
+                cached = plan.wire = response.to_wire(max_size=limit)
+                plan.question_end = (
+                    HEADER_LENGTH + len(query.questions[0].qname.to_wire()) + 4
+                )
+                return cached
+            end = plan.question_end
+            if data[HEADER_LENGTH:end] == cached[HEADER_LENGTH:end]:
+                return data[:2] + cached[2:]
+        return response.to_wire(max_size=limit)
+
     def handle_datagram(self, transport, data: bytes, addr) -> None:
         """Answer one UDP datagram (runs inline on the event loop)."""
         metrics = self.metrics
-        metrics.counter("service.udp_datagrams").inc()
+        self._udp_datagrams.inc()
         kind, payload = classify_datagram(data)
         if kind == "ignore":
             metrics.counter("service.ignored", cause=payload).inc()
@@ -465,23 +544,16 @@ class DnsService:
             metrics.counter("service.ignored", cause="unparseable_peer").inc()
             return
         query = payload
+        limit = effective_udp_limit(query.edns)
         admitted, shed = self._admit("udp", query)
         if not admitted:
             if shed is not None:
-                transport.sendto(
-                    shed.to_wire(max_size=effective_udp_limit(query.edns)), addr
-                )
+                transport.sendto(shed.to_wire(max_size=limit), addr)
             return
-        try:
-            response = self.dispatcher.dispatch(src, Transport.UDP, query)
-        except Exception:  # dispatch must never take the endpoint down
-            logger.exception("dispatch failed for a UDP query")
-            metrics.counter("service.dispatch_errors", transport="udp").inc()
-            response = self._servfail(query)
-        if response is None:
+        wire = self._answer(data, src, Transport.UDP, query, limit)
+        if wire is None:
             return  # deliberate silence (RRL / fault / all upstreams down)
-        wire = response.to_wire(max_size=effective_udp_limit(query.edns))
-        metrics.counter("service.udp_response_bytes").inc(len(wire))
+        self._udp_response_bytes.inc(len(wire))
         transport.sendto(wire, addr)
 
     def handle_stream_query(
@@ -489,7 +561,7 @@ class DnsService:
     ) -> Optional[bytes]:
         """Answer one TCP-framed query; ``None`` poisons the connection."""
         metrics = self.metrics
-        metrics.counter("service.tcp_frames").inc()
+        self._tcp_frames.inc()
         kind, payload = classify_datagram(frame)
         if kind == "ignore":
             metrics.counter("service.ignored", cause=payload).inc()
@@ -505,15 +577,9 @@ class DnsService:
         if not admitted:
             # drop policy over TCP = close the connection (still a shed).
             return shed.to_wire(max_size=TCP_MAX_SIZE) if shed else None
-        try:
-            response = self.dispatcher.dispatch(src, Transport.TCP, query)
-        except Exception:  # dispatch must never take the endpoint down
-            logger.exception("dispatch failed for a TCP query")
-            metrics.counter("service.dispatch_errors", transport="tcp").inc()
-            response = self._servfail(query)
         # TCP dispatch degrades to SERVFAIL rather than silence.
-        wire = response.to_wire(max_size=TCP_MAX_SIZE)
-        metrics.counter("service.tcp_response_bytes").inc(len(wire))
+        wire = self._answer(frame, src, Transport.TCP, query, TCP_MAX_SIZE)
+        self._tcp_response_bytes.inc(len(wire))
         return wire
 
     def note_udp_error(self, exc) -> None:  # pragma: no cover - OS-dependent

@@ -23,7 +23,7 @@ from ..dnscore import Flags, Message, Opcode, RCode
 from ..netsim import Clock, IPAddress
 from ..resolver import AuthorityNetwork
 from ..server import ServerSet
-from ..telemetry import MetricsRegistry
+from ..telemetry import Counter, MetricsRegistry
 from .resilience import BreakerBoard, Deadline, ResilienceConfig
 from .topology import MAX_TIER_HOPS, POLICY_SINKS, ServiceTopology
 
@@ -45,6 +45,24 @@ class _DispatchState:
     deadline_hit: bool = False
     breaker_skips: int = 0
     silent_attempts: int = field(default=0)
+
+
+class _HeldByTransport(dict):
+    """One counter family's members by ``transport`` label, each fetched
+    from the registry the first time it is counted and held from then on
+    (the registry rebuilds the flat key on every ``counter()`` call; a
+    series must not be listed before traffic touches it)."""
+
+    def __init__(self, metrics: MetricsRegistry, name: str):
+        super().__init__()
+        self._metrics = metrics
+        self._name = name
+
+    def __missing__(self, transport_label: str) -> Counter:
+        counter = self[transport_label] = self._metrics.counter(
+            self._name, transport=transport_label
+        )
+        return counter
 
 
 class QueryDispatcher:
@@ -92,6 +110,8 @@ class QueryDispatcher:
         self._network = network
         self._resolver = resolver
         self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._queries = _HeldByTransport(self._metrics, "service.queries")
+        self._answered = _HeldByTransport(self._metrics, "service.answered")
         self._resilience = resilience
         self.breakers: Optional[BreakerBoard] = (
             BreakerBoard(resilience)
@@ -126,7 +146,7 @@ class QueryDispatcher:
         """
         metrics = self._metrics
         transport_label = "tcp" if transport is Transport.TCP else "udp"
-        metrics.counter("service.queries", transport=transport_label).inc()
+        self._queries[transport_label].inc()
 
         if query.flags.opcode is not Opcode.QUERY:
             metrics.counter("service.refused", cause="opcode").inc()
@@ -150,7 +170,7 @@ class QueryDispatcher:
             tier.name, src, transport, query, timestamp, hops=0, state=state
         )
         if response is not None:
-            metrics.counter("service.answered", transport=transport_label).inc()
+            self._answered[transport_label].inc()
             return response
         if state.deadline_hit:
             metrics.counter(

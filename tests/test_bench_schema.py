@@ -25,10 +25,6 @@ REQUIRED_KEYS = ("dataset", "generated_unix")
 #: Artefacts keyed by session, not by a single dataset.
 SESSION_LEVEL = {"BENCH_telemetry.json"}
 
-#: Extra contract keys for the live-service benchmark: CI and later
-#: sessions trend throughput and tail latency from these.
-SERVE_KEYS = ("qps", "p50_ms", "p99_ms", "answered_fraction")
-
 #: Extra contract keys for the chaos-soak benchmark: CI and later
 #: sessions trend graceful-degradation behaviour from these.
 RESILIENCE_KEYS = (
@@ -71,8 +67,8 @@ def bench_paths():
 def test_benchmark_artifacts_exist():
     names = {os.path.basename(path) for path in bench_paths()}
     assert {"BENCH_hotpath.json", "BENCH_parallel.json",
-            "BENCH_streaming.json", "BENCH_serve.json",
-            "BENCH_resilience.json", "BENCH_sovereignty.json"} <= names
+            "BENCH_streaming.json", "BENCH_resilience.json",
+            "BENCH_sovereignty.json"} <= names
 
 
 @pytest.mark.parametrize(
@@ -94,16 +90,6 @@ def test_benchmark_artifact_schema(path):
     assert isinstance(dataset, str) and dataset, (
         f"{path}: dataset must name the simulated workload"
     )
-
-    if os.path.basename(path) == "BENCH_serve.json":
-        for key in SERVE_KEYS:
-            value = data.get(key)
-            assert isinstance(value, (int, float)), (
-                f"{path}: {key} must be numeric"
-            )
-        assert 0.0 <= data["answered_fraction"] <= 1.0, (
-            f"{path}: answered_fraction must be a fraction"
-        )
 
     if os.path.basename(path) == "BENCH_resilience.json":
         for key in RESILIENCE_KEYS:

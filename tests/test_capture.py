@@ -144,6 +144,23 @@ class TestStore:
         assert len(records) == 1
         assert records[0].qtype == 2
 
+    def test_release_drops_rows_and_keeps_counting(self):
+        store = CaptureStore()
+        store.append(make_record(qtype=1))
+        store.append(make_record(qtype=2))
+        held = store.raw_rows()
+        stale_view = store.view()
+        store.release()
+        assert len(store) == 0 and len(store.view()) == 0
+        assert store.rows_appended == 2          # rows ever observed
+        assert len(held) == 2 and len(stale_view) == 2   # released, not emptied
+        store.append(make_record(qtype=3))
+        assert len(store) == 1 and store.rows_appended == 3
+        assert list(store.view().qtype) == [3]
+        # clear() is the other thing: a new session, counted from zero.
+        store.clear()
+        assert len(store) == 0 and store.rows_appended == 0
+
 
 class TestPersistence:
     @pytest.fixture

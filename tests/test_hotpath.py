@@ -21,7 +21,8 @@ from repro.netsim import GAZETTEER, IPAddress
 from repro.runtime import EnvironmentCache, ShardTask, environment_fingerprint
 from repro.server import AuthoritativeServer
 from repro.sim import run_dataset
-from repro.sim.driver import simulate_shard
+from repro.sim.driver import acquire_environment, simulate_shard
+from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 from repro.zones import Zone
 
@@ -192,6 +193,26 @@ class TestPlanCache:
         # after reset is already a hit.
         server.handle_query(3.0, SRC, Transport.UDP, _query("www.example.nl"))
         assert server.stats.plan_hits == 1
+
+
+    def test_simulated_plans_carry_no_encoding(self, force_caches):
+        """The cached encoding belongs to the live endpoint.  The
+        simulator's loop replays plans all day and never encodes one."""
+        descriptor = dataset(DATASET)
+        result, _ = _cached_shard(descriptor)
+        assert sum(
+            v for k, v in result.telemetry.counters.items()
+            if "runtime.plan_cache.hits" in str(k)
+        ) > 0
+        env = acquire_environment(descriptor, SEED, MetricsRegistry())
+        plans = [
+            plan
+            for server_set in env.server_sets.values()
+            for server in server_set
+            for plan in server._plans.values()
+        ]
+        assert plans
+        assert all(plan.wire is None and plan.question_end == 0 for plan in plans)
 
 
 class TestEnvironmentCache:

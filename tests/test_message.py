@@ -103,6 +103,31 @@ class TestMessageCodec:
         with pytest.raises(ValueError):
             Message.from_wire(b"\x00" * 11)
 
+    @pytest.mark.parametrize("code", [65, 64, 99, 0, 65535])
+    def test_question_for_an_unnamed_type_decodes(self, code):
+        """HTTPS, SVCB, SPF…: a question's type is whatever 16 bits the
+        client sent (RFC 3597), not a decode error."""
+        wire = bytearray(make_query(qtype=RRType.A).to_wire())
+        qtype_at = len(wire) - 4
+        wire[qtype_at : qtype_at + 2] = code.to_bytes(2, "big")
+        decoded = Message.from_wire(bytes(wire))
+        qtype = decoded.question.qtype
+        assert isinstance(qtype, RRType)
+        assert qtype == code and int(qtype) == code and hash(qtype) == hash(code)
+        assert qtype.to_text() == f"TYPE{code}"
+        assert f"IN TYPE{code}" in decoded.to_text()
+        assert decoded.to_wire() == bytes(wire)          # echoed as sent
+        assert decoded.question == Message.from_wire(bytes(wire)).question
+        # The enum itself still only names what it lists.
+        assert all(member.value != code for member in RRType)
+        with pytest.raises(ValueError):
+            RRType(code)
+
+    def test_question_for_a_named_type_is_the_member(self):
+        decoded = Message.from_wire(make_query(qtype=RRType.DS).to_wire())
+        assert decoded.question.qtype is RRType.DS
+        assert RRType.from_code(28) is RRType.AAAA
+
 
 class TestTruncation:
     def _big_response(self):

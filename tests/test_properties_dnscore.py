@@ -6,6 +6,8 @@ name.
 """
 
 import string
+import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,9 @@ from repro.dnscore import (
     ResourceRecord,
     RRType,
     TXTRdata,
+    WireDecodeError,
 )
+from repro.dnscore.names import MAX_NAME_LENGTH, NameError_
 
 # -- strategies ---------------------------------------------------------------
 
@@ -206,3 +210,190 @@ class TestMessageProperties:
         decoded = Message.from_wire(message.to_wire())
         assert decoded.edns.udp_payload_size == bufsize
         assert decoded.edns.dnssec_ok == do_bit
+
+
+# -- the decoder against its validating reference ------------------------------
+
+
+def _reference_name_from_wire(cls, wire, offset):
+    """``Name.from_wire`` as it was when every decoded name went through
+    ``Name(labels)`` — each label and the total length checked a second
+    time by the constructor.  Kept here as the reference the single-check
+    decoder is held to."""
+    labels = []
+    seen_offsets = set()
+    cursor = offset
+    after = None
+    total = 0
+    while True:
+        if cursor >= len(wire):
+            raise NameError_("truncated name")
+        length = wire[cursor]
+        if length & 0xC0 == 0xC0:
+            if cursor + 1 >= len(wire):
+                raise NameError_("truncated compression pointer")
+            pointer = ((length & 0x3F) << 8) | wire[cursor + 1]
+            if after is None:
+                after = cursor + 2
+            if pointer >= cursor:
+                raise NameError_("forward compression pointer")
+            if pointer in seen_offsets:
+                raise NameError_("compression pointer loop")
+            seen_offsets.add(pointer)
+            cursor = pointer
+            continue
+        if length & 0xC0:
+            raise NameError_("unsupported label type")
+        cursor += 1
+        if length == 0:
+            break
+        if cursor + length > len(wire):
+            raise NameError_("label runs past end of message")
+        labels.append(wire[cursor : cursor + length])
+        total += length + 1
+        if total + 1 > MAX_NAME_LENGTH:
+            raise NameError_("decoded name exceeds maximum length")
+        cursor += length
+    if after is None:
+        after = cursor
+    return Name(labels), after
+
+
+def _reference_parse_additional(wire, offset, message):
+    """``Message._parse_additional`` decoding every owner name in full,
+    the OPT's root owner included."""
+    name, after_name = Name.from_wire(wire, offset)
+    rrtype, klass, ttl, rdlength = struct.unpack_from("!HHIH", wire, after_name)
+    if rrtype == int(RRType.OPT):
+        if after_name + 10 + rdlength > len(wire):
+            raise WireDecodeError("OPT rdata runs past end of message")
+        rdata = wire[after_name + 10 : after_name + 10 + rdlength]
+        message.edns = EdnsRecord.from_wire_fields(klass, ttl, rdata)
+        return None, after_name + 10 + rdlength
+    record, offset = ResourceRecord.from_wire(wire, offset)
+    message.additionals.append(record)
+    return record, offset
+
+
+def _decode(wire, reference=False):
+    """The decoded message, or ``None`` for a ``WireDecodeError`` (anything
+    else a decoder raises fails the test)."""
+    try:
+        if not reference:
+            return Message.from_wire(wire)
+        with mock.patch.object(
+            Name, "from_wire", classmethod(_reference_name_from_wire)
+        ), mock.patch.object(
+            Message, "_parse_additional", staticmethod(_reference_parse_additional)
+        ):
+            return Message.from_wire(wire)
+    except WireDecodeError:
+        return None
+
+
+def _names_of(message):
+    names = [question.qname for question in message.questions]
+    for section in (message.answers, message.authorities, message.additionals):
+        names.extend(record.name for record in section)
+    return names
+
+
+def _mutate(wire, edits, cut):
+    out = bytearray(wire)
+    for position, value in edits:
+        if out:
+            out[position % len(out)] = value
+    return bytes(out[: len(out) - cut % (len(out) + 1)])
+
+
+#: Octets that steer a name decoder: root, pointers (backward, forward,
+#: into the header), a 63-octet label, both reserved label types.
+_STEERING = st.sampled_from([0x00, 0xC0, 0xC1, 0x0C, 0x06, 0x3F, 0x40, 0x80, 0xFF])
+
+valid_wire_st = st.builds(
+    lambda message, edns: Message(
+        msg_id=message.msg_id, questions=message.questions,
+        answers=message.answers, additionals=message.answers[:1], edns=edns,
+    ).to_wire(),
+    message_st,
+    st.one_of(st.none(), st.builds(EdnsRecord, st.integers(0, 65535), st.booleans())),
+)
+
+hostile_wire_st = st.one_of(
+    st.binary(max_size=80),
+    # A plausible header over arbitrary octets: the decoder gets past the
+    # counts and into the names.
+    st.builds(
+        lambda msg_id, counts, body: struct.pack("!HHHHHH", msg_id, 0, *counts) + body,
+        st.integers(0, 65535),
+        st.tuples(*[st.integers(0, 2)] * 4),
+        st.binary(max_size=300),
+    ),
+    st.builds(
+        _mutate,
+        valid_wire_st,
+        st.lists(
+            st.tuples(st.integers(0, 4095), st.one_of(_STEERING, st.integers(0, 255))),
+            max_size=4,
+        ),
+        st.one_of(st.just(0), st.integers(0, 4095)),
+    ),
+)
+
+
+class TestDecoderAgainstValidatingReference:
+    """``Name.from_wire`` trusts the bounds it checked while walking the
+    octets, and an OPT's root owner is stepped over: for any input the
+    outcome is the doubly-validating decoder's."""
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(hostile_wire_st)
+    def test_same_message_or_same_refusal(self, wire):
+        decoded = _decode(wire)
+        expected = _decode(wire, reference=True)
+        assert (decoded is None) == (expected is None)
+        if decoded is None:
+            return
+        assert decoded == expected
+        assert decoded.edns == expected.edns
+        # Name equality folds case; spelling and the derived state must
+        # match too.
+        for name, reference in zip(_names_of(decoded), _names_of(expected)):
+            assert name.labels == reference.labels
+            assert hash(name) == hash(reference)
+            assert name.canonical_key() == reference.canonical_key()
+            assert name.to_wire() == reference.to_wire()
+            assert name.to_text() == reference.to_text()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(hostile_wire_st)
+    def test_labels_are_bytes_whatever_the_buffer(self, wire):
+        decoded = _decode(wire)
+        from_buffer = _decode(bytearray(wire))
+        assert (decoded is None) == (from_buffer is None)
+        if decoded is None:
+            return
+        assert from_buffer == decoded
+        for name, reference in zip(_names_of(from_buffer), _names_of(decoded)):
+            assert name.labels == reference.labels
+            assert all(type(label) is bytes for label in name.labels)
+
+    def test_every_length_bound_still_refused(self):
+        header = struct.pack("!HHHHHH", 1, 0, 1, 0, 0, 0)
+        tail = struct.pack("!HH", 1, 1)
+        longest = b"\x3f" + b"a" * 63
+        fits = longest * 3 + b"\x3d" + b"a" * 61 + b"\x00"      # 255 octets
+        over = longest * 3 + b"\x3e" + b"a" * 62 + b"\x00"      # 256 octets
+        assert len(fits) == MAX_NAME_LENGTH and len(over) == MAX_NAME_LENGTH + 1
+        assert Message.from_wire(header + fits + tail).question.qname.label_count == 4
+        for name in (over, b"\x40" + b"a" * 64 + b"\x00", b"\x80a\x00", b"\x05ab"):
+            with pytest.raises(WireDecodeError):
+                Message.from_wire(header + name + tail)
+
+    def test_missing_opt_owner_is_a_decode_error(self):
+        # arcount promises a record the datagram ends before: the root-owner
+        # shortcut indexes past the end.
+        wire = Message.make_query(Name.from_text("example.nl"), RRType.A).to_wire()
+        wire = wire[:10] + b"\x00\x01" + wire[12:]
+        with pytest.raises(WireDecodeError):
+            Message.from_wire(wire)

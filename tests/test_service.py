@@ -10,11 +10,18 @@ shutdown that yields a final telemetry snapshot.
 
 import asyncio
 import json
+import os
+import struct
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.service.app as service_app
 from repro.capture import Transport
 from repro.dnscore import (
+    EdnsRecord,
     Flags,
     Message,
     Name,
@@ -41,7 +48,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.sim import build_authority_world
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, TelemetrySnapshot, to_prometheus
 from repro.workload import dataset
 
 CLIENT = IPAddress.parse("127.0.0.1")
@@ -610,3 +617,417 @@ class TestClassify:
         reply = Message.from_wire(formerr_response(msg_id))
         assert reply.msg_id == 0xABCD
         assert reply.rcode is RCode.FORMERR
+
+
+# ---------------------------------------------------------------------------
+# the live hot path: cached encodings, held counters, the capture window
+#
+# These drive ``handle_datagram`` / ``handle_stream_query`` directly (the
+# sockets are bound but idle), so every byte and every capture row can be
+# compared between two services.
+
+_PEER = ("127.0.0.1", 5353)
+
+
+class _Sink:
+    """Stands in for the UDP transport: keeps the last datagram sent."""
+
+    def __init__(self):
+        self.sent = None
+
+    def sendto(self, data, addr):
+        self.sent = data
+
+
+def _exchange(service, wire, tcp=False):
+    """The octets ``service`` answers ``wire`` with (``None`` = nothing)."""
+    if tcp:
+        return service.handle_stream_query(wire, CLIENT)
+    sink = _Sink()
+    service.handle_datagram(sink, wire, _PEER)
+    return sink.sent
+
+
+def _offline_service(loop, clock=None, plan_cache=True, **overrides):
+    """A started service that is only ever driven in-process."""
+    config = _serve_config(watchdog_interval_s=0, **overrides)
+    with mock.patch.dict(
+        os.environ, {"REPRO_PLAN_CACHE": "1" if plan_cache else "0"}
+    ):
+        service = DnsService(config, clock=clock)
+        loop.run_until_complete(service.start())
+    return service
+
+
+def _servers(service):
+    return [s for ss in service.world.server_sets.values() for s in ss]
+
+
+def _plans(service):
+    return [plan for server in _servers(service) for plan in server._plans.values()]
+
+
+@pytest.fixture(scope="module")
+def service_pair():
+    """Two services on one injected clock: ``fast`` as shipped, and
+    ``reference`` whose servers have no plan cache — every response built
+    and encoded in full (the ``REPRO_PLAN_CACHE=0`` path)."""
+    loop = asyncio.new_event_loop()
+    clock = SimClock(now=dataset("nl-w2020").start)
+    fast = _offline_service(loop, clock)
+    reference = _offline_service(loop, clock, plan_cache=False)
+    assert all(server._plans is not None for server in _servers(fast))
+    assert all(server._plans is None for server in _servers(reference))
+    yield fast, reference
+    for service in (fast, reference):
+        loop.run_until_complete(service.stop())
+    loop.close()
+
+
+def _flip_case(label: bytes, mask: int) -> bytes:
+    return bytes(
+        (b ^ 0x20) if (mask >> i) & 1 and chr(b).isalpha() else b
+        for i, b in enumerate(label)
+    )
+
+
+def _query_wire(
+    labels, qtype=1, qclass=1, msg_id=0, rd=False, edns=None, do=False,
+    shape="plain", other=(b"nl",),
+):
+    """A hand-assembled query.  ``shape``: ``plain``; ``pointer`` — the
+    qname ends in a compression pointer at a zero octet of the header
+    instead of its root octet; ``none`` / ``two`` / ``two-pointer`` — no
+    question, a second question for ``other``, a second question whose name
+    is a pointer at the first."""
+    name = b"".join(bytes([len(label)]) + label for label in labels)
+    fixed = struct.pack("!HH", qtype, qclass)
+    if shape == "pointer":
+        questions = [name + b"\xc0\x06" + fixed]
+    else:
+        questions = [name + b"\x00" + fixed]
+    if shape == "none":
+        questions = []
+    elif shape == "two":
+        second = b"".join(bytes([len(label)]) + label for label in other)
+        questions.append(second + b"\x00" + fixed)
+    elif shape == "two-pointer":
+        questions.append(b"\xc0\x0c" + fixed)
+    opt = b"" if edns is None else EdnsRecord(edns, do).to_wire()
+    header = struct.pack(
+        "!HHHHHH", msg_id, 0x0100 if rd else 0, len(questions), 0, 0,
+        0 if edns is None else 1,
+    )
+    return header + b"".join(questions) + opt
+
+
+def _name_pool(service):
+    from repro.zones import domains_of
+
+    delegated = [name.labels for name in domains_of(service.world.vantage_zone)[:3]]
+    return delegated + [
+        (b"www",) + delegated[0],
+        (b"ns1",) + delegated[1],
+        (b"nl",),
+        (b"no-such-name-zzz", b"nl"),
+        (b"a", b"b", b"c", b"also-missing", b"nl"),
+        (b"example", b"com"),
+        (b"db", b"internal", b"invalid"),
+        (),
+    ]
+
+
+_QTYPES = [1, 28, 2, 43, 6, 15, 16, 48, 65]
+
+query_spec_st = st.fixed_dictionaries({
+    "name": st.integers(0, 10),
+    "case": st.one_of(st.just(0), st.integers(0, 2**16 - 1)),
+    "qtype": st.sampled_from(_QTYPES),
+    "qclass": st.sampled_from([1, 1, 1, 3]),
+    "shape": st.sampled_from(
+        ["plain"] * 5 + ["pointer", "pointer", "none", "two", "two-pointer"]
+    ),
+    "edns": st.sampled_from([None, 512, 1232, 4096]),
+    "do": st.booleans(),
+    "rd": st.booleans(),
+    "tcp": st.sampled_from([False, False, False, True]),
+    "ids": st.lists(st.integers(0, 65535), min_size=1, max_size=3),
+})
+
+
+def _spec_wires(pool, spec):
+    labels = tuple(_flip_case(label, spec["case"]) for label in pool[spec["name"]])
+    return [
+        _query_wire(
+            labels, spec["qtype"], spec["qclass"], msg_id, spec["rd"],
+            spec["edns"], spec["do"], spec["shape"],
+        )
+        for msg_id in spec["ids"]
+    ]
+
+
+def _assert_same_exchange(fast, reference, wire, tcp=False):
+    got, expected = _exchange(fast, wire, tcp), _exchange(reference, wire, tcp)
+    assert got == expected, (wire.hex(), tcp)
+    return got
+
+
+class TestCachedEncoding:
+    """A replayed plan is encoded once; afterwards the endpoint answers
+    with those octets under the new id.  Whatever the traffic, the bytes on
+    the wire and the rows in the capture are the reference path's."""
+
+    def test_random_streams_match_the_uncached_service(self, service_pair):
+        fast, reference = service_pair
+        pool = _name_pool(fast)
+
+        @settings(max_examples=250, derandomize=True, deadline=None)
+        @given(specs=st.lists(query_spec_st, min_size=1, max_size=12))
+        def stream(specs):
+            marks = [len(service.world.capture) for service in service_pair]
+            for spec in specs:
+                for wire in _spec_wires(pool, spec):
+                    _assert_same_exchange(fast, reference, wire, spec["tcp"])
+            rows = [
+                service.world.capture.raw_rows()[mark:]
+                for service, mark in zip(service_pair, marks)
+            ]
+            assert rows[0] == rows[1]
+
+        before = sum(server.stats.plan_hits for server in _servers(fast))
+        stream()
+        # The streams did reach what they are here for: plans of every
+        # qtype (the unnamed one included) replayed from cached octets.
+        cached = [plan for plan in _plans(fast) if plan.wire is not None]
+        assert len(cached) > 50
+        assert {plan.qtype for plan in cached} >= set(_QTYPES)
+        hits = sum(server.stats.plan_hits for server in _servers(fast)) - before
+        assert hits > 2 * len(cached)
+        assert sum(server.stats.plan_hits for server in _servers(reference)) == 0
+
+    def test_question_spelling_guard(self, service_pair):
+        """One plan, every way a query can reach it without spelling the
+        question like the cached octets do."""
+        fast, reference = service_pair
+        labels = _name_pool(fast)[0][:-1] + (b"NL",)   # a spelling of its own
+        common = dict(qtype=2, edns=1232, do=True)
+        plain = lambda msg_id, **kw: _query_wire(labels, msg_id=msg_id, **common, **kw)
+
+        _assert_same_exchange(fast, reference, plain(1))           # miss
+        (plan,) = [p for p in _plans(fast) if p.qname_labels == labels]
+        assert plan.wire is None                                   # never on a miss
+        first = _assert_same_exchange(fast, reference, plain(2))   # replay: fill
+        assert plan.wire == first
+        assert plan.question_end == 12 + len(Name(labels).to_wire()) + 4
+        third = _assert_same_exchange(fast, reference, plain(0xBEEF))
+        assert third == b"\xbe\xef" + plan.wire[2:]
+        for wire in (
+            plain(3, qclass=3),
+            plain(4, shape="pointer"),
+            plain(5, shape="two"),
+            plain(6, shape="two-pointer"),
+            plain(7, qclass=3),
+            plain(8),
+        ):
+            _assert_same_exchange(fast, reference, wire)
+            assert plan.wire == first                              # first fill stays
+        # The other transport is another plan with its own octets.
+        for msg_id in (9, 10, 11):
+            _assert_same_exchange(fast, reference, plain(msg_id), tcp=True)
+        assert len([p for p in _plans(fast) if p.qname_labels == labels]) == 2
+
+    def test_a_name_seen_once_pins_no_bytes(self, service_pair):
+        fast, reference = service_pair
+        labels = (b"seen-exactly-once", b"nl")
+        _assert_same_exchange(fast, reference, _query_wire(labels, edns=1232))
+        (plan,) = [p for p in _plans(fast) if p.qname_labels == labels]
+        assert plan.wire is None and plan.question_end == 0
+
+    def test_no_plan_no_cached_encoding(self, service_pair):
+        """Policy sinks, refused opcodes and question-less queries are
+        answered locally, multi-question queries are never planned, and
+        the reference service plans nothing: all encode in full."""
+        fast, reference = service_pair
+        before = len(_plans(fast))
+        labels = (b"db", b"internal", b"invalid")
+        for msg_id in (1, 2, 3):
+            _assert_same_exchange(fast, reference, _query_wire(labels, msg_id=msg_id))
+            _assert_same_exchange(
+                fast, reference, _query_wire((b"nl",), msg_id=msg_id, shape="none")
+            )
+            _assert_same_exchange(
+                fast, reference,
+                _query_wire((b"multi", b"nl"), msg_id=msg_id, shape="two"),
+            )
+        assert len(_plans(fast)) == before
+
+    def test_endpoint_truncation_is_inside_the_cached_octets(
+        self, service_pair, monkeypatch
+    ):
+        """The cached octets are what ``to_wire(max_size=limit)`` gave.
+        With the endpoint's limit forced below the server's, the first
+        replay is truncated at the endpoint — TC, then without the OPT,
+        then without the question — and that is what later replays send."""
+        fast, reference = service_pair
+        for limit, labels in (
+            (60, (b"truncated-at-60", b"nl")),     # TC, question and OPT fit
+            (40, (b"truncated-at-40", b"nl")),     # OPT dropped
+            (20, (b"truncated-at-20", b"nl")),     # question dropped too
+        ):
+            monkeypatch.setattr(service_app, "effective_udp_limit", lambda edns: limit)
+            answers = [
+                _assert_same_exchange(
+                    fast, reference, _query_wire(labels, msg_id=msg_id, edns=4096, do=True)
+                )
+                for msg_id in (1, 2, 3, 4)
+            ]
+            (plan,) = [p for p in _plans(fast) if p.qname_labels == labels]
+            assert plan.wire == answers[1] and len(plan.wire) <= limit
+            assert plan.wire[2] & 0x02                         # TC
+            assert not plan.truncated                          # not the server's doing
+            assert [a[2:] for a in answers] == [plan.wire[2:]] * 4
+
+    def test_unnamed_qtype_is_answered_from_the_zone(self, service_pair):
+        """HTTPS (65) and friends used to die in the codec and come back
+        FORMERR; they get what the zone says about a type it has no data
+        for, with the qtype echoed and captured as the integer."""
+        fast, reference = service_pair
+        pool = _name_pool(fast)
+        expectations = (
+            (pool[0], RCode.NOERROR, False),                  # under a cut: referral
+            ((b"nl",), RCode.NOERROR, True),                  # apex: NODATA
+            ((b"no-such-name-zzz", b"nl"), RCode.NXDOMAIN, True),
+        )
+        for qtype in (65, 64, 99):
+            for labels, rcode, authoritative in expectations:
+                wire = _query_wire(labels, qtype=qtype, msg_id=qtype, edns=1232)
+                assert classify_datagram(wire)[0] == "query"
+                for tcp in (False, True):
+                    answer = Message.from_wire(
+                        _assert_same_exchange(fast, reference, wire, tcp)
+                    )
+                    assert answer.rcode is rcode
+                    assert answer.flags.aa is authoritative
+                    assert not answer.answers
+                    assert bool(answer.authorities)
+                    assert answer.question.qtype == qtype
+                    assert answer.question.qtype.to_text() == f"TYPE{qtype}"
+                    row = fast.world.capture.raw_rows()[-1]
+                    assert row[7] == qtype and type(row[7]) is int
+                    assert row[8] == int(rcode)
+
+
+class TestHeldCounters:
+    """Fetching the per-datagram counters once must not change what
+    ``/metrics`` and ``snapshot()`` list: a series appears with the first
+    event that touches it, never before."""
+
+    #: What a service that has seen no traffic lists under ``service.``:
+    #: the breaker board's totals, published at every snapshot.
+    IDLE = {
+        "service.breaker.closed": 0,
+        "service.breaker.opened": 0,
+        "service.breaker.probes": 0,
+        "service.breaker.skipped": 0,
+    }
+
+    #: ``service.*`` counters after :meth:`_burst`, recorded from the commit
+    #: before the counters were held (``counter()`` looked up per datagram)
+    #: on this same burst.
+    EXPECTED = {
+        **IDLE,
+        "service.answered{transport=udp}": 6,
+        "service.formerr": 1,
+        "service.ignored{cause=response}": 1,
+        "service.ignored{cause=short}": 1,
+        "service.policy_sink{sink=refused}": 1,
+        "service.queries{transport=tcp}": 1,
+        "service.queries{transport=udp}": 6,
+        "service.refused{cause=opcode}": 1,
+        "service.tcp_frames": 1,
+        "service.tcp_response_bytes": 26,
+        "service.udp_datagrams": 9,
+        "service.udp_response_bytes": 567,
+    }
+
+    @staticmethod
+    def _burst(service):
+        pool = _name_pool(service)
+        udp = [
+            _query_wire(pool[0], msg_id=1, edns=1232),
+            _query_wire(pool[0], msg_id=2, edns=1232),
+            _query_wire(pool[0], msg_id=3, edns=1232),
+            _query_wire(pool[1], msg_id=4, qtype=28),
+            _query_wire((b"no-such-name-zzz", b"nl"), msg_id=5, edns=512, do=True),
+            _query_wire((b"db", b"internal", b"invalid"), msg_id=6),
+            _query_wire(pool[2], msg_id=7)[:-3],                      # FORMERR
+            b"\x00\x01\x02",                                          # short
+            _query_wire(pool[2], msg_id=8)[:2] + b"\x80" + _query_wire(pool[2])[3:],
+        ]
+        for wire in udp:
+            _exchange(service, wire)
+        # Over TCP only a STATUS query: counted, never "answered".
+        status = bytearray(_query_wire(pool[0], msg_id=9))
+        status[2] |= 0x10
+        _exchange(service, bytes(status), tcp=True)
+
+    @staticmethod
+    def _service_series(service):
+        counters = service.snapshot().counters
+        return {k: v for k, v in counters.items() if k.startswith("service.")}
+
+    def test_series_are_the_parents(self):
+        loop = asyncio.new_event_loop()
+        service = _offline_service(loop, SimClock(now=dataset("nl-w2020").start))
+        try:
+            assert self._service_series(service) == self.IDLE
+            self._burst(service)
+            assert self._service_series(service) == self.EXPECTED
+            # /metrics: exactly those series, rendered by the (unchanged)
+            # exposition code.
+            samples = lambda text: sorted(
+                line for line in text.splitlines()
+                if line.startswith("repro_service_") and "_total" in line
+            )
+            exposed = samples(service.render_metrics())
+            assert len(exposed) == len(self.EXPECTED)
+            assert exposed == samples(
+                to_prometheus(TelemetrySnapshot(counters=self.EXPECTED))
+            )
+            # Held counters are the registry's own objects: a second burst
+            # doubles every series and adds none.
+            self._burst(service)
+            assert self._service_series(service) == {
+                key: 2 * value for key, value in self.EXPECTED.items()
+            }
+        finally:
+            loop.run_until_complete(service.stop())
+            loop.close()
+
+
+class TestLiveCaptureWindow:
+    def test_resident_rows_stay_within_the_window(self, monkeypatch):
+        window = 32
+        monkeypatch.setattr(service_app, "LIVE_CAPTURE_WINDOW", window)
+        loop = asyncio.new_event_loop()
+        service = _offline_service(loop)
+        try:
+            pool = _name_pool(service)
+            capture = service.world.capture
+            answered = 0
+            high_water = 0
+            for index in range(3 * window + 5):
+                wire = _query_wire(pool[index % 3], msg_id=index, edns=1232)
+                tcp = index % 7 == 0
+                assert _exchange(service, wire, tcp) is not None
+                answered += 1
+                high_water = max(high_water, len(capture))
+                assert len(capture) <= window
+            assert high_water > window // 2          # rows do stay for a while
+            assert capture.rows_appended == answered
+            assert len(capture) == answered % window
+            snapshot = service.snapshot()
+            assert snapshot.total("service.answered") == answered
+        finally:
+            loop.run_until_complete(service.stop())
+            loop.close()
