@@ -8,7 +8,7 @@ check must separate pre/post months cleanly.
 
 from conftest import emit
 
-from repro.analysis import cusum_detector, detect_rollout, minimized_fraction
+from repro.analysis import cusum_detector, detect_rollout
 from repro.experiments import figure3
 from repro.experiments.report import Report
 
@@ -16,13 +16,8 @@ from repro.experiments.report import Report
 def _minimized_series(ctx, vantage):
     out = []
     for year, month in ((2019, 10), (2019, 11), (2019, 12), (2020, 1)):
-        run, attribution = ctx.monthly_attribution(vantage, year, month)
-        out.append(
-            (
-                (year, month),
-                minimized_fraction(run.capture.view(), attribution, "Google", 1),
-            )
-        )
+        __, analytics = ctx.monthly_analytics(vantage, year, month)
+        out.append(((year, month), analytics.minimized_fraction("Google", 1)))
     return out
 
 

@@ -28,8 +28,8 @@ from conftest import emit
 from repro.analysis import (
     Attributor,
     CompositionAggregator,
+    DatasetAnalytics,
     SovereigntyAggregator,
-    StreamingAnalytics,
 )
 from repro.clouds import PROVIDERS
 from repro.experiments.context import configured_scale
@@ -65,7 +65,7 @@ def test_bench_sovereignty_composition():
     run = run_dataset(
         dataset(DATASET), client_queries=volume, workers=WORKERS, stream=True,
     )
-    analytics = StreamingAnalytics(run.aggregates)
+    analytics = DatasetAnalytics(run.aggregates)
     sovereignty = analytics.sovereignty()
     composition = analytics.composition(top_k=10)
 

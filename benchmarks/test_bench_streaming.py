@@ -54,7 +54,7 @@ import json, resource, sys, time
 
 mode, volume, workers = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 
-from repro.analysis import Attributor, StreamingAnalytics, ViewAnalytics
+from repro.analysis import Attributor, DatasetAnalytics
 from repro.clouds import PROVIDERS
 from repro.sim import run_dataset
 from repro.workload import dataset
@@ -65,10 +65,10 @@ run = run_dataset(
     stream=(mode == "stream"),
 )
 if mode == "stream":
-    analytics = StreamingAnalytics(run.aggregates)
+    analytics = DatasetAnalytics(run.aggregates)
 else:
     view = run.capture.view()
-    analytics = ViewAnalytics(
+    analytics = DatasetAnalytics.over(
         view, Attributor(run.registry, PROVIDERS).attribute(view)
     )
 summary = analytics.dataset_summary()

@@ -6,8 +6,6 @@ the tiny IPv6 traffic shares of Table 5.
 
 from conftest import emit
 
-from repro.analysis import transport_matrix
-from repro.clouds import PROVIDERS
 from repro.experiments import table6
 
 
@@ -25,8 +23,7 @@ def test_bench_table6(ctx, benchmark):
 
     # Correlation with traffic (section 4.3): Amazon's v6 address share is
     # of the same order as its v6 traffic share.
-    view, attribution = ctx.view("nl-w2020"), ctx.attribution("nl-w2020")
-    rows = {r.provider: r for r in transport_matrix(view, attribution, PROVIDERS)}
+    rows = {r.provider: r for r in ctx.analytics("nl-w2020").transport_matrix()}
     amazon_addr_v6 = report.measured("Amazon .nl IPv6 fraction")
     amazon_traffic_v6 = rows["Amazon"].ipv6
     assert abs(amazon_addr_v6 - amazon_traffic_v6) < 0.06

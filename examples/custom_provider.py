@@ -13,12 +13,7 @@ capture, analysis) without the prebuilt paper fleets.
 
 import numpy as np
 
-from repro.analysis import (
-    Attributor,
-    provider_shares,
-    rrtype_mix,
-    transport_matrix,
-)
+from repro.analysis import Attributor, DatasetAnalytics
 from repro.capture import CaptureStore
 from repro.netsim import ASInfo, ASRegistry, GAZETTEER, LatencyModel, Prefix
 from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver
@@ -111,17 +106,19 @@ def main() -> None:
 
     view = capture.view()
     providers = ("ExampleCloud",)
-    attribution = Attributor(registry, providers).attribute(view)
+    analytics = DatasetAnalytics.over(
+        view, Attributor(registry, providers).attribute(view), providers
+    )
 
     print(f"captured {len(view)} queries")
-    share = provider_shares(view, attribution, providers)["ExampleCloud"]
+    share = analytics.provider_shares()["ExampleCloud"]
     print(f"ExampleCloud share of TLD traffic: {share:.1%}")
 
-    mix = rrtype_mix(view, attribution, "ExampleCloud")
+    mix = analytics.rrtype_mix("ExampleCloud")
     print("query mix:", {k: round(v, 3) for k, v in mix.items() if v > 0})
     print("  (high NS = Q-min; DS/DNSKEY = validating)")
 
-    row = transport_matrix(view, attribution, providers)[0]
+    row = analytics.transport_matrix()[0]
     print(f"IPv6 share: {row.ipv6:.1%} (configured 80% v6-preferring)")
 
 

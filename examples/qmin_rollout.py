@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro.analysis import detect_rollout, minimized_fraction
+from repro.analysis import detect_rollout
 from repro.experiments import ExperimentContext, figure3
 from repro.reporting import bar_chart, sparkline
 
@@ -43,8 +43,8 @@ def main() -> None:
     print(f"detected Q-min rollout: {rollout[0]}-{rollout[1]:02d} "
           "(paper ground truth: 2019-12)")
 
-    run, attribution = ctx.monthly_attribution(vantage, 2020, 1)
-    minimised = minimized_fraction(run.capture.view(), attribution, "Google", 1)
+    __, analytics = ctx.monthly_analytics(vantage, 2020, 1)
+    minimised = analytics.minimized_fraction("Google", 1)
     print(f"post-rollout NS queries with minimised qnames: {minimised:.1%}")
 
     if vantage == "nz":

@@ -17,12 +17,7 @@ volume the benchmarks use.
 
 import sys
 
-from repro.analysis import (
-    Attributor,
-    cloud_share,
-    dataset_summary,
-    provider_shares,
-)
+from repro.analysis import Attributor, DatasetAnalytics
 from repro.clouds import PROVIDERS
 from repro.reporting import bar_chart
 from repro.sim import run_dataset
@@ -40,19 +35,20 @@ def main() -> None:
     print(f"captured {len(view)} queries at servers {run.vantage_server_ids}")
 
     attribution = Attributor(run.registry, PROVIDERS).attribute(view)
-    summary = dataset_summary(view, attribution)
+    analytics = DatasetAnalytics.over(view, attribution)
+    summary = analytics.dataset_summary()
     print(
         f"valid: {summary.valid_fraction:.1%}  "
         f"resolvers: {summary.resolvers}  ASes: {summary.ases}"
     )
     print()
 
-    shares = provider_shares(view, attribution, PROVIDERS)
+    shares = analytics.provider_shares()
     print(bar_chart(
         list(shares), list(shares.values()),
         title="Share of .nl queries per cloud provider (w2020):",
     ))
-    total = cloud_share(view, attribution, PROVIDERS)
+    total = analytics.cloud_share()
     print()
     print(
         f"the five cloud providers send {total:.1%} of all queries "

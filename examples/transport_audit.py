@@ -14,13 +14,7 @@ e.g. ``python examples/transport_audit.py nz-w2020 0.3``
 
 import sys
 
-from repro.analysis import (
-    Attributor,
-    bufsize_cdf,
-    resolver_inventory,
-    transport_matrix,
-    truncation_table,
-)
+from repro.analysis import Attributor, DatasetAnalytics
 from repro.clouds import PROVIDERS
 from repro.reporting import cdf_plot
 from repro.sim import run_dataset
@@ -37,13 +31,15 @@ def main() -> None:
         descriptor, client_queries=int(descriptor.client_queries * scale)
     )
     view = run.capture.view()
-    attribution = Attributor(run.registry, PROVIDERS).attribute(view)
+    analytics = DatasetAnalytics.over(
+        view, Attributor(run.registry, PROVIDERS).attribute(view)
+    )
 
     print()
     print(f"{'provider':<11} {'IPv4':>6} {'IPv6':>6} {'UDP':>6} {'TCP':>6}"
           f" {'resolvers':>10} {'v6 addrs':>9}")
-    for row in transport_matrix(view, attribution, PROVIDERS):
-        inventory = resolver_inventory(view, attribution, row.provider)
+    for row in analytics.transport_matrix():
+        inventory = analytics.resolver_inventory(row.provider)
         print(
             f"{row.provider:<11} {row.ipv4:>6.2f} {row.ipv6:>6.2f} "
             f"{row.udp:>6.2f} {row.tcp:>6.2f} {inventory.total:>10} "
@@ -52,13 +48,13 @@ def main() -> None:
 
     print()
     print("truncated UDP answers per provider:")
-    for provider, ratio in truncation_table(view, attribution, PROVIDERS).items():
+    for provider, ratio in analytics.truncation_table().items():
         print(f"  {provider:<11} {ratio:.2%}")
 
     print()
     for provider in ("Facebook", "Google"):
         print(cdf_plot(
-            bufsize_cdf(view, attribution, provider).as_points(),
+            analytics.bufsize_cdf(provider).as_points(),
             title=f"{provider} EDNS0 UDP size CDF:",
         ))
         print()

@@ -192,7 +192,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_dataset(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .analysis import Attributor, StreamingAnalytics, ViewAnalytics
+    from .analysis import Attributor, DatasetAnalytics
     from .clouds import PROVIDERS
     from .experiments import configured_scale
     from .sim import run_dataset
@@ -214,14 +214,14 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         print(f"runtime: {run.runtime_report.summary()}", file=sys.stderr)
     partial_exit = _check_partial(run.runtime_report, args.allow_partial)
     if run.aggregates is not None:
-        analytics = StreamingAnalytics(run.aggregates)
+        analytics = DatasetAnalytics(run.aggregates)
         print(
             f"analysis mode: streaming ({len(run.capture)} rows spooled)",
             file=sys.stderr,
         )
     else:
         view = run.capture.view()
-        analytics = ViewAnalytics(
+        analytics = DatasetAnalytics.over(
             view, Attributor(run.registry, PROVIDERS).attribute(view)
         )
     summary = analytics.dataset_summary()

@@ -1,14 +1,12 @@
 """The ENTRADA-like analysis layer: attribution and every paper metric."""
 
-from .analytics import DatasetAnalytics, StreamingAnalytics, ViewAnalytics
+from .analytics import DatasetAnalytics
 from .attribution import (
     AttributionResult,
     Attributor,
     NO_COUNTRY,
     OTHER,
     UNKNOWN,
-    distinct_as_count,
-    queries_by_provider,
 )
 from .changepoint import cusum_detector, detect_step_level, jump_detector
 from .composition import (
@@ -17,7 +15,6 @@ from .composition import (
     CompositionReport,
     HeavyHitter,
     classify_queries,
-    composition_report,
 )
 from .sketches import CountMinSketch, SpaceSavingSketch
 from .sovereignty import (
@@ -26,7 +23,6 @@ from .sovereignty import (
     SovereigntyAggregator,
     SovereigntyReport,
     bloc_of,
-    sovereignty_report,
 )
 from .concentration import (
     ConcentrationReport,
@@ -34,13 +30,7 @@ from .concentration import (
     per_as_counts,
     provider_group_concentration,
 )
-from .edns import (
-    BufsizeCDF,
-    bufsize_cdf,
-    tcp_share,
-    truncation_ratio,
-    truncation_table,
-)
+from .edns import BufsizeCDF
 from .facebook import (
     DualStackReport,
     SiteStats,
@@ -48,20 +38,8 @@ from .facebook import (
     facebook_site_stats,
     rtt_preference_correlation,
 )
-from .google_split import GoogleSplit, build_public_dns_trie, google_split
-from .metrics import (
-    DatasetSummary,
-    InventoryRow,
-    TransportRow,
-    cloud_share,
-    dataset_summary,
-    junk_ratios,
-    overall_junk_ratio,
-    provider_shares,
-    resolver_inventory,
-    rrtype_mix,
-    transport_matrix,
-)
+from .google_split import GoogleSplit, build_public_dns_trie
+from .metrics import DatasetSummary, InventoryRow, TransportRow
 from .rssac import DailyTraffic, RSSACSummary, daily_traffic, summarize
 from .streaming import (
     AGGREGATOR_FACTORIES,
@@ -78,13 +56,7 @@ from .streaming import (
     TransportAggregator,
     fold_capture,
 )
-from .qmin import (
-    MonthlyPoint,
-    detect_rollout,
-    minimized_fraction,
-    monthly_point,
-    ns_share,
-)
+from .qmin import MonthlyPoint, detect_rollout
 
 __all__ = [
     "AGGREGATOR_FACTORIES",
@@ -103,8 +75,6 @@ __all__ = [
     "SpaceSavingSketch",
     "bloc_of",
     "classify_queries",
-    "composition_report",
-    "sovereignty_report",
     "DatasetAnalytics",
     "EDNSAggregator",
     "GoogleSplitAggregator",
@@ -114,10 +84,8 @@ __all__ = [
     "QMinAggregator",
     "RRTypeMixAggregator",
     "StreamingAggregator",
-    "StreamingAnalytics",
     "SummaryAggregator",
     "TransportAggregator",
-    "ViewAnalytics",
     "fold_capture",
     "Attributor",
     "BufsizeCDF",
@@ -142,26 +110,8 @@ __all__ = [
     "TransportRow",
     "UNKNOWN",
     "build_public_dns_trie",
-    "bufsize_cdf",
     "classify_addresses",
-    "cloud_share",
-    "dataset_summary",
     "detect_rollout",
-    "distinct_as_count",
     "facebook_site_stats",
-    "google_split",
-    "junk_ratios",
-    "minimized_fraction",
-    "monthly_point",
-    "ns_share",
-    "overall_junk_ratio",
-    "provider_shares",
-    "queries_by_provider",
-    "resolver_inventory",
-    "rrtype_mix",
     "rtt_preference_correlation",
-    "tcp_share",
-    "transport_matrix",
-    "truncation_ratio",
-    "truncation_table",
 ]

@@ -10,7 +10,7 @@ the labels produced here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,25 +103,3 @@ class Attributor:
         from ..capture import split_address
 
         return self._lookup(*split_address(address))[1]
-
-
-def distinct_as_count(result: AttributionResult) -> int:
-    """How many distinct (routed) ASes appear in the capture."""
-    asns = result.asns[result.asns != 0]
-    return int(np.unique(asns).size)
-
-
-def queries_by_provider(
-    view: CaptureView,
-    result: AttributionResult,
-    providers: Sequence[str],
-    mask: Optional[np.ndarray] = None,
-) -> Dict[str, int]:
-    """Query counts per provider label (plus OTHER/UNKNOWN), under a mask."""
-    labels = result.providers if mask is None else result.providers[mask]
-    values, counts = np.unique(labels.astype(str), return_counts=True)
-    table = dict(zip(values.tolist(), counts.tolist()))
-    out = {p: int(table.get(p, 0)) for p in providers}
-    out[OTHER] = int(table.get(OTHER, 0))
-    out[UNKNOWN] = int(table.get(UNKNOWN, 0))
-    return out

@@ -275,20 +275,3 @@ class CompositionAggregator(StreamingAggregator):
         metrics.counter("analysis.sketch.countmin.updates").inc(
             self.name_counts.updates
         )
-
-
-def composition_report(
-    view: CaptureView,
-    attribution: AttributionResult,
-    providers: Sequence[str],
-    top_k: int = 10,
-) -> CompositionReport:
-    """Whole-view convenience: one feed over the full view, then finalize.
-
-    The exact fields are bit-identical to any chunked/streamed fold of
-    the same rows; the heavy-hitter fields come from a sketch fed the
-    whole view in one pass (zero error: every distinct name fits or the
-    bounds say otherwise)."""
-    aggregator = CompositionAggregator(providers)
-    aggregator.feed(view, attribution)
-    return aggregator.finalize(top_k)

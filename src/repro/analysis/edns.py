@@ -2,20 +2,19 @@
 
 The advertised UDP payload size determines whether large answers fit over
 UDP; providers advertising small buffers (Facebook's 512-byte mode) see
-truncated answers and retry over TCP.  This module computes the
-query-weighted CDF of advertised sizes and the per-provider truncation
-ratios the paper quotes (Facebook 17.16%, Google 0.04%, Microsoft 0.01%).
+truncated answers and retry over TCP.
+:class:`~repro.analysis.streaming.EDNSAggregator` folds the
+query-weighted histogram of advertised sizes and the truncation counts
+behind the per-provider ratios the paper quotes (Facebook 17.16%, Google
+0.04%, Microsoft 0.01%); this module holds the CDF it finalises to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-from ..capture import CaptureView, Transport
-from .attribution import AttributionResult
 
 
 @dataclass
@@ -34,55 +33,3 @@ class BufsizeCDF:
 
     def as_points(self) -> List[Tuple[int, float]]:
         return [(int(s), float(c)) for s, c in zip(self.sizes, self.cumulative)]
-
-
-def bufsize_cdf(
-    view: CaptureView, attribution: AttributionResult, provider: str
-) -> BufsizeCDF:
-    """CDF over the provider's *UDP* queries (as plotted in Figure 6).
-
-    Queries without EDNS0 are counted at the classic 512-octet limit, the
-    effective payload bound they imply.
-    """
-    mask = attribution.provider_mask(provider) & (
-        view.transport == int(Transport.UDP)
-    )
-    sizes = view.edns_bufsize[mask].astype(np.int64)
-    sizes = np.where(sizes == 0, 512, sizes)
-    if len(sizes) == 0:
-        return BufsizeCDF(provider, np.array([], dtype=np.int64), np.array([]))
-    values, counts = np.unique(sizes, return_counts=True)
-    cumulative = np.cumsum(counts) / counts.sum()
-    return BufsizeCDF(provider, values, cumulative)
-
-
-def truncation_ratio(
-    view: CaptureView, attribution: AttributionResult, provider: str
-) -> float:
-    """Fraction of the provider's UDP queries whose answer came back
-    truncated (TC=1) — section 4.4's headline per-provider percentages."""
-    mask = attribution.provider_mask(provider) & (
-        view.transport == int(Transport.UDP)
-    )
-    total = int(mask.sum())
-    if total == 0:
-        return 0.0
-    return float(view.truncated[mask].sum()) / total
-
-
-def truncation_table(
-    view: CaptureView, attribution: AttributionResult, providers: Sequence[str]
-) -> Dict[str, float]:
-    """Truncation ratios for all providers at once."""
-    return {p: truncation_ratio(view, attribution, p) for p in providers}
-
-
-def tcp_share(
-    view: CaptureView, attribution: AttributionResult, provider: str
-) -> float:
-    """Fraction of the provider's queries arriving over TCP."""
-    mask = attribution.provider_mask(provider)
-    total = int(mask.sum())
-    if total == 0:
-        return 0.0
-    return float((view.transport[mask] == int(Transport.TCP)).sum()) / total

@@ -3,19 +3,17 @@
 The paper separates Google's queries using the FAQ-advertised egress ranges
 of Google Public DNS: traffic from those prefixes is "Pub. DNS", the rest
 is corporate/cloud infrastructure.  Resolver counts use distinct source
-addresses.
+addresses.  :class:`~repro.analysis.streaming.GoogleSplitAggregator`
+does the counting; this module holds its result type and the prefix
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from ..capture import CaptureView, join_address
 from ..netsim import Prefix, PrefixTrie
-from .attribution import AttributionResult
 
 
 @dataclass
@@ -46,35 +44,3 @@ def build_public_dns_trie(prefixes: Sequence[str]) -> PrefixTrie:
     for text in prefixes:
         trie.insert(Prefix.parse(text), True)
     return trie
-
-
-def google_split(
-    view: CaptureView,
-    attribution: AttributionResult,
-    public_prefixes: Sequence[str],
-    provider: str = "Google",
-) -> GoogleSplit:
-    """Compute the Public-DNS/rest split for Google's captured traffic."""
-    trie = build_public_dns_trie(public_prefixes)
-    mask = attribution.provider_mask(provider)
-    indices = np.nonzero(mask)[0]
-    public_mask = np.zeros(len(view), dtype=bool)
-    membership_cache = {}
-    for i in indices:
-        key = (int(view.family[i]), int(view.src_hi[i]), int(view.src_lo[i]))
-        hit = membership_cache.get(key)
-        if hit is None:
-            hit = trie.lookup_value(join_address(*key)) is not None
-            membership_cache[key] = hit
-        public_mask[i] = hit
-
-    total = int(mask.sum())
-    public = int((mask & public_mask).sum())
-    return GoogleSplit(
-        total_queries=total,
-        public_queries=public,
-        rest_queries=total - public,
-        total_resolvers=view.unique_address_count(mask),
-        public_resolvers=view.unique_address_count(mask & public_mask),
-        rest_resolvers=view.unique_address_count(mask & ~public_mask),
-    )

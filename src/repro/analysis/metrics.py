@@ -1,102 +1,23 @@
-"""Core traffic metrics: shares, RR mixes, junk, transport, inventories.
+"""Result types of the core traffic metrics.
 
-Each function consumes a :class:`~repro.capture.store.CaptureView` plus an
-:class:`~repro.analysis.attribution.AttributionResult` and produces the
-quantity behind one of the paper's artifacts:
-
-* :func:`cloud_share` / :func:`provider_shares` — Figure 1;
-* :func:`rrtype_mix` — Figure 2 / Figure 7;
-* :func:`junk_ratios` — Figure 4 (junk = non-NOERROR, section 3);
-* :func:`transport_matrix` — Table 5;
-* :func:`resolver_inventory` — Table 6;
-* :func:`dataset_summary` — Table 3 rows.
+The numbers are folded by the aggregators in
+:mod:`~repro.analysis.streaming` and read through
+:class:`~repro.analysis.analytics.DatasetAnalytics`; this module holds
+what they return — a Table 5 row, a Table 6 block, a Table 3 row — and
+the Figure 2 bucket list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
-import numpy as np
+from ..dnscore import RRType
 
-from ..capture import CaptureView, Transport
-from ..dnscore import RCode, RRType
-from .attribution import AttributionResult, OTHER, distinct_as_count
-
-
-def provider_shares(
-    view: CaptureView, attribution: AttributionResult, providers: Sequence[str]
-) -> Dict[str, float]:
-    """Fraction of all captured queries per provider (Figure 1 bars)."""
-    total = len(view)
-    if total == 0:
-        return {p: 0.0 for p in providers}
-    out = {}
-    for provider in providers:
-        out[provider] = float((attribution.providers == provider).sum()) / total
-    return out
-
-
-def cloud_share(
-    view: CaptureView, attribution: AttributionResult, providers: Sequence[str]
-) -> float:
-    """Combined share of the five CPs — the paper's ">30% of ccTLD
-    queries from 5 clouds" headline number."""
-    return float(sum(provider_shares(view, attribution, providers).values()))
-
-
-#: The Figure 2 bar buckets; qtypes outside land under "other".  Shared
-#: with the streaming facade so both analysis modes report the same mix.
+#: The Figure 2 bar buckets; qtypes outside land under "other".
 DEFAULT_RRTYPE_BUCKETS = (
     RRType.A, RRType.AAAA, RRType.NS, RRType.DS, RRType.DNSKEY, RRType.MX,
 )
-
-
-def rrtype_mix(
-    view: CaptureView,
-    attribution: AttributionResult,
-    provider: str,
-    buckets: Sequence[RRType] = DEFAULT_RRTYPE_BUCKETS,
-) -> Dict[str, float]:
-    """Per-provider query-type distribution (one group of Figure 2 bars).
-
-    Types outside ``buckets`` are reported under ``"other"``.  Fractions
-    sum to 1 over the provider's queries.
-    """
-    mask = attribution.provider_mask(provider)
-    qtypes = view.qtype[mask]
-    total = len(qtypes)
-    if total == 0:
-        return {**{t.name: 0.0 for t in buckets}, "other": 0.0}
-    out: Dict[str, float] = {}
-    covered = np.zeros(total, dtype=bool)
-    for rrtype in buckets:
-        hits = qtypes == int(rrtype)
-        covered |= hits
-        out[rrtype.name] = float(hits.sum()) / total
-    out["other"] = float((~covered).sum()) / total
-    return out
-
-
-def junk_ratios(
-    view: CaptureView, attribution: AttributionResult, providers: Sequence[str]
-) -> Dict[str, float]:
-    """Per-provider junk ratio (Figure 4): non-NOERROR responses over all
-    of the provider's queries."""
-    junk_mask = view.rcode != int(RCode.NOERROR)
-    out = {}
-    for provider in providers:
-        mask = attribution.provider_mask(provider)
-        total = int(mask.sum())
-        out[provider] = float((junk_mask & mask).sum()) / total if total else 0.0
-    return out
-
-
-def overall_junk_ratio(view: CaptureView) -> float:
-    """Vantage-wide junk ratio (section 3's per-dataset 'valid' split)."""
-    if len(view) == 0:
-        return 0.0
-    return float((view.rcode != int(RCode.NOERROR)).mean())
 
 
 @dataclass
@@ -111,23 +32,6 @@ class TransportRow:
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.ipv4, self.ipv6, self.udp, self.tcp)
-
-
-def transport_matrix(
-    view: CaptureView, attribution: AttributionResult, providers: Sequence[str]
-) -> List[TransportRow]:
-    """Per-provider IPv4/IPv6 and UDP/TCP query fractions (Table 5)."""
-    rows = []
-    for provider in providers:
-        mask = attribution.provider_mask(provider)
-        total = int(mask.sum())
-        if total == 0:
-            rows.append(TransportRow(provider, 0.0, 0.0, 0.0, 0.0))
-            continue
-        v6 = float((view.family[mask] == 6).sum()) / total
-        tcp = float((view.transport[mask] == int(Transport.TCP)).sum()) / total
-        rows.append(TransportRow(provider, 1.0 - v6, v6, 1.0 - tcp, tcp))
-    return rows
 
 
 @dataclass
@@ -148,17 +52,6 @@ class InventoryRow:
         return self.ipv6 / self.total if self.total else 0.0
 
 
-def resolver_inventory(
-    view: CaptureView, attribution: AttributionResult, provider: str
-) -> InventoryRow:
-    """Distinct source addresses per family for one provider (Table 6;
-    the paper's 'resolvers' unit is distinct addresses)."""
-    mask = attribution.provider_mask(provider)
-    v4 = view.unique_address_count(mask & (view.family == 4))
-    v6 = view.unique_address_count(mask & (view.family == 6))
-    return InventoryRow(provider, v4 + v6, v4, v6)
-
-
 @dataclass
 class DatasetSummary:
     """One row of Table 3."""
@@ -171,15 +64,3 @@ class DatasetSummary:
     @property
     def valid_fraction(self) -> float:
         return self.queries_valid / self.queries_total if self.queries_total else 0.0
-
-
-def dataset_summary(view: CaptureView, attribution: AttributionResult) -> DatasetSummary:
-    """Totals, valid counts, distinct resolvers, and distinct ASes."""
-    total = len(view)
-    valid = int((view.rcode == int(RCode.NOERROR)).sum())
-    return DatasetSummary(
-        queries_total=total,
-        queries_valid=valid,
-        resolvers=view.unique_address_count(),
-        ases=distinct_as_count(attribution),
-    )

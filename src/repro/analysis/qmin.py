@@ -3,10 +3,13 @@
 Two complementary detectors, mirroring the paper's method:
 
 * the **NS-share signal** — a jump in the fraction of NS queries from a
-  provider is the first hint of a Q-min rollout;
+  provider is the first hint of a Q-min rollout
+  (:meth:`DatasetAnalytics.ns_share` / ``monthly_point``);
 * the **minimised-name check** — the paper "manually verif[ied] the query
   names to ensure they match expected Q-min behavior": a minimised query
-  at a TLD carries exactly one label more than the zone.
+  at a TLD carries exactly one label more than the zone
+  (:meth:`DatasetAnalytics.minimized_fraction`, folded by
+  :class:`~repro.analysis.streaming.QMinAggregator`).
 
 :func:`detect_rollout` runs changepoint detection over a monthly NS-share
 series, which is how the paper pins Google's rollout to Dec 2019.
@@ -15,49 +18,9 @@ series, which is how the paper pins Google's rollout to Dec 2019.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..capture import CaptureView
-from ..dnscore import RRType
-from .attribution import AttributionResult
-
-
-def ns_share(view: CaptureView, attribution: AttributionResult, provider: str) -> float:
-    """Fraction of a provider's queries that are NS queries."""
-    mask = attribution.provider_mask(provider)
-    total = int(mask.sum())
-    if total == 0:
-        return 0.0
-    return float((view.qtype[mask] == int(RRType.NS)).sum()) / total
-
-
-def minimized_fraction(
-    view: CaptureView,
-    attribution: AttributionResult,
-    provider: str,
-    zone_label_count: int,
-    max_cut_depth: int = 1,
-) -> float:
-    """Of the provider's NS queries, the fraction whose qname is stripped
-    to a registration cut — the Q-min signature.
-
-    ``max_cut_depth`` is how many labels below the zone apex registrations
-    can sit: 1 for `.nl` (second level only), 2 for `.nz` (second- and
-    third-level registrations; a zone-cut-aware minimiser queries NS for
-    ``example.co.nz`` directly).
-    """
-    mask = attribution.provider_mask(provider) & (view.qtype == int(RRType.NS))
-    qnames = view.qname[mask]
-    if len(qnames) == 0:
-        return 0.0
-    allowed = {
-        zone_label_count + 1 + depth for depth in range(max_cut_depth)
-    }
-    # Absolute presentation names carry one trailing dot per label.
-    hits = sum(1 for name in qnames if name.count(".") in allowed)
-    return hits / len(qnames)
 
 
 @dataclass
@@ -74,31 +37,6 @@ class MonthlyPoint:
     @property
     def label(self) -> str:
         return f"{self.year}-{self.month:02d}"
-
-
-def monthly_point(
-    view: CaptureView,
-    attribution: AttributionResult,
-    provider: str,
-    year: int,
-    month: int,
-) -> MonthlyPoint:
-    """Summarise one monthly capture into a Figure 3 data point."""
-    mask = attribution.provider_mask(provider)
-    qtypes = view.qtype[mask]
-    total = len(qtypes)
-
-    def share(rrtype: RRType) -> float:
-        return float((qtypes == int(rrtype)).sum()) / total if total else 0.0
-
-    return MonthlyPoint(
-        year=year,
-        month=month,
-        ns_share=share(RRType.NS),
-        a_share=share(RRType.A),
-        aaaa_share=share(RRType.AAAA),
-        total_queries=total,
-    )
 
 
 def detect_rollout(

@@ -216,18 +216,3 @@ class SovereigntyAggregator(StreamingAggregator):
         metrics.counter("analysis.sovereignty.countries").inc(
             len(self.query_counts)
         )
-
-
-def sovereignty_report(
-    view: CaptureView,
-    attribution: AttributionResult,
-    providers: Sequence[str],
-) -> SovereigntyReport:
-    """Whole-view convenience: one feed over the full view, then finalize.
-
-    Because the aggregator's arithmetic is exact, this is bit-identical
-    to the streaming fold of the same rows in any chunking.
-    """
-    aggregator = SovereigntyAggregator(providers)
-    aggregator.feed(view, attribution)
-    return aggregator.finalize()

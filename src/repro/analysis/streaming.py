@@ -1,11 +1,11 @@
 """Mergeable single-pass aggregators over capture chunks.
 
-The in-memory analysis layer re-scans a fully materialised
-:class:`~repro.capture.CaptureView` once per metric.  This module provides
-the out-of-core alternative: small **aggregator** objects that fold chunk
-views into constant-size state and merge across shards — the shape of the
-paper's ENTRADA pipeline, where 55.7B queries reduce to per-category
-aggregates without the row set ever being resident.
+These are the reducers behind every figure and table: small
+**aggregator** objects that fold chunk views into compact state and
+merge across shards — the shape of the paper's ENTRADA pipeline, where
+55.7B queries reduce to per-category aggregates without the row set ever
+being resident.  A capture that *is* resident is the one-chunk case
+(:meth:`~repro.analysis.analytics.DatasetAnalytics.over`).
 
 Every aggregator implements the :class:`StreamingAggregator` protocol:
 
@@ -19,9 +19,10 @@ Every aggregator implements the :class:`StreamingAggregator` protocol:
     algebra the property tests in ``tests/test_streaming_algebra.py`` pin
     down.
 ``finalize()``
-    The metric's result, with arithmetic chosen to be **bit-identical** to
-    the corresponding whole-view function in this package (all divisions
-    happen on the same integer totals the in-memory path would produce).
+    The metric's result.  State is integer counts and sets, and every
+    division happens here on the merged totals, so the result does not
+    depend on how the rows were chunked (``tests/test_streaming_parity.py``
+    pins the bytes).
 
 States are plain picklable containers (ints, dicts, Counters, sets of int
 tuples), so pool workers ship them back to the parent instead of raw row
@@ -45,10 +46,11 @@ from .attribution import AttributionResult
 AddressKey = Tuple[int, int, int]
 
 
-def _address_key_set(view: CaptureView, mask: np.ndarray) -> Set[AddressKey]:
+def _address_key_set(
+    view: CaptureView, mask: Optional[np.ndarray] = None
+) -> Set[AddressKey]:
     """Distinct (family, hi, lo) keys under a mask, as plain int tuples."""
-    unique = np.unique(view.address_keys(mask))
-    return {(int(row["f"]), int(row["h"]), int(row["l"])) for row in unique}
+    return set(np.unique(view.address_keys(mask)).tolist())
 
 
 def _require_same_config(a, b) -> None:
@@ -126,7 +128,6 @@ class ProviderShareAggregator(StreamingAggregator):
         return {"total": self.total, "counts": dict(self.counts)}
 
     def finalize(self) -> Dict[str, float]:
-        """Same arithmetic as :func:`~repro.analysis.metrics.provider_shares`."""
         if self.total == 0:
             return {p: 0.0 for p in self.providers}
         return {
@@ -228,8 +229,7 @@ class JunkAggregator(StreamingAggregator):
         }
 
     def overall(self) -> float:
-        """Same value as :func:`~repro.analysis.metrics.overall_junk_ratio`
-        (whose ``bool.mean()`` is exactly count/total in float64)."""
+        """Vantage-wide junk ratio."""
         if self.total == 0:
             return 0.0
         return self.junk_total / self.total
@@ -351,7 +351,6 @@ class GoogleSplitAggregator(StreamingAggregator):
         }
 
     def finalize(self):
-        """Same counts as :func:`~repro.analysis.google_split.google_split`."""
         from .google_split import GoogleSplit
 
         return GoogleSplit(
@@ -367,9 +366,9 @@ class GoogleSplitAggregator(StreamingAggregator):
 class EDNSAggregator(StreamingAggregator):
     """Figure 6: advertised-bufsize histogram and truncation, per provider.
 
-    Sizes are histogrammed over each provider's **UDP** queries with the
-    no-OPT→512 substitution already applied, exactly the population
-    :func:`~repro.analysis.edns.bufsize_cdf` draws from.
+    Sizes are histogrammed over each provider's **UDP** queries (the
+    population Figure 6 plots), a query without EDNS0 counted at the
+    classic 512-octet limit it implies.
     """
 
     name = "edns"
@@ -414,9 +413,8 @@ class EDNSAggregator(StreamingAggregator):
         }
 
     def finalize_provider(self, provider: str):
-        """One provider's :class:`~repro.analysis.edns.BufsizeCDF`,
-        bit-identical to the whole-view computation (same sorted distinct
-        sizes, same integer counts through the same cumsum/sum)."""
+        """One provider's :class:`~repro.analysis.edns.BufsizeCDF`: the
+        sorted distinct sizes and their query-weighted cumulative share."""
         from .edns import BufsizeCDF
 
         bucket = self.sizes[provider]
@@ -451,7 +449,7 @@ class SummaryAggregator(StreamingAggregator):
         self.total += len(view)
         self.valid += int((view.rcode == int(RCode.NOERROR)).sum())
         if len(view):
-            self.addresses |= _address_key_set(view, np.ones(len(view), dtype=bool))
+            self.addresses |= _address_key_set(view)
             routed = attribution.asns[attribution.asns != 0]
             self.asns.update(int(a) for a in np.unique(routed))
 
@@ -567,7 +565,9 @@ class QMinAggregator(StreamingAggregator):
     def minimized_fraction(
         self, provider: str, zone_label_count: int, max_cut_depth: int = 1
     ) -> float:
-        """Same arithmetic as :func:`~repro.analysis.qmin.minimized_fraction`."""
+        """Fraction of the provider's NS queries exactly ``1..max_cut_depth``
+        labels below the zone: a minimised query is stripped to a
+        registration cut.  Absolute names carry one dot per label."""
         depths = self.ns_depths[provider]
         total = sum(depths.values())
         if total == 0:

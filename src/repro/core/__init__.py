@@ -8,25 +8,20 @@ and (2) run the paper's centralization analytics over any capture:
 >>> ctx = ExperimentContext(scale=0.2)
 >>> report = figure1.run_vantage(ctx, "nl")
 >>> print(report.to_text())
+
+Every metric is a method of :class:`DatasetAnalytics`
+(``ctx.analytics("nl-w2020")``, or over any capture of your own):
+
+>>> from repro.core import Attributor, DatasetAnalytics, PROVIDERS
+>>> attribution = Attributor(registry, PROVIDERS).attribute(view)
+>>> DatasetAnalytics.over(view, attribution).cloud_share()
 """
 
 from ..analysis import (
     Attributor,
-    bufsize_cdf,
-    cloud_share,
-    dataset_summary,
+    DatasetAnalytics,
     detect_rollout,
     facebook_site_stats,
-    google_split,
-    junk_ratios,
-    monthly_point,
-    ns_share,
-    provider_shares,
-    resolver_inventory,
-    rrtype_mix,
-    tcp_share,
-    transport_matrix,
-    truncation_table,
 )
 from ..capture import CaptureStore, QueryRecord, Transport
 from ..clouds import (
@@ -62,6 +57,7 @@ __all__ = [
     "AuthorityNetwork",
     "Attributor",
     "CaptureStore",
+    "DatasetAnalytics",
     "DatasetRun",
     "ExperimentContext",
     "FleetResolver",
@@ -80,10 +76,7 @@ __all__ = [
     "build_registry",
     "build_registry_zone",
     "build_root_zone",
-    "bufsize_cdf",
-    "cloud_share",
     "dataset",
-    "dataset_summary",
     "datasets_for_vantage",
     "detect_rollout",
     "facebook_site_stats",
@@ -93,20 +86,10 @@ __all__ = [
     "figure4",
     "figure5",
     "figure6",
-    "google_split",
-    "junk_ratios",
-    "monthly_point",
-    "ns_share",
-    "provider_shares",
-    "resolver_inventory",
-    "rrtype_mix",
     "run_dataset",
     "table2",
     "table3",
     "table4",
     "table5",
     "table6",
-    "tcp_share",
-    "transport_matrix",
-    "truncation_table",
 ]

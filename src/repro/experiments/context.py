@@ -13,13 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..analysis import (
-    AttributionResult,
-    Attributor,
-    DatasetAnalytics,
-    StreamingAnalytics,
-    ViewAnalytics,
-)
+from ..analysis import AttributionResult, Attributor, DatasetAnalytics
 from ..capture import CaptureStore, CaptureView
 from ..clouds import PROVIDERS
 from ..runtime import (
@@ -299,15 +293,6 @@ class ExperimentContext:
             self._attributions[dataset_id] = cached
         return cached
 
-    def monthly_attribution(self, vantage: str, year: int, month: int) -> Tuple[DatasetRun, AttributionResult]:
-        run = self.monthly(vantage, year, month)
-        key = run.descriptor.dataset_id
-        cached = self._attributions.get(key)
-        if cached is None:
-            cached = self._attribute(run)
-            self._attributions[key] = cached
-        return run, cached
-
     def _attribute(self, run: DatasetRun) -> AttributionResult:
         view = run.capture.view()
         with self.telemetry.time_phase("attribution"):
@@ -322,25 +307,24 @@ class ExperimentContext:
         cached = self._analytics.get(key)
         if cached is None:
             if run.aggregates is not None:
-                cached = StreamingAnalytics(run.aggregates)
+                cached = DatasetAnalytics(run.aggregates)
                 self.telemetry.counter("analysis.streaming_answers").inc()
             else:
                 attribution = self._attributions.get(key)
                 if attribution is None:
                     attribution = self._attribute(run)
                     self._attributions[key] = attribution
-                cached = ViewAnalytics(run.capture.view(), attribution)
+                cached = DatasetAnalytics.over(run.capture.view(), attribution)
             self._analytics[key] = cached
         return cached
 
     def analytics(self, dataset_id: str) -> DatasetAnalytics:
-        """Mode-agnostic metric access for one dataset.
+        """Metric access for one dataset, memoised per dataset.
 
-        Returns a :class:`~repro.analysis.StreamingAnalytics` when the run
-        carries single-pass aggregates (streaming mode — no row
-        materialisation), a :class:`~repro.analysis.ViewAnalytics` over the
-        frozen capture otherwise.  Both answer every metric method with
-        bit-identical results.
+        Answers from the aggregates the run folded while simulating
+        (streaming mode — no row materialisation), or, for an in-memory
+        run, from aggregators fed the frozen capture the first time a
+        report reads them; every later report shares that state.
         """
         return self._analytics_for(self.run(dataset_id), dataset_id)
 

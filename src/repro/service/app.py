@@ -17,6 +17,7 @@ connections drain (bounded), and a final telemetry snapshot is taken so
 from __future__ import annotations
 
 import asyncio
+import errno
 import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -56,6 +57,9 @@ logger = logging.getLogger("repro.service")
 #: Source address of the optional resolver frontend (TEST-NET-1 — it never
 #: collides with a real client, and capture attribution stays unambiguous).
 RESOLVER_FRONTEND_ADDR = "192.0.2.53"
+
+#: Draws of an ephemeral UDP number whose TCP twin must be free as well.
+EPHEMERAL_BIND_ATTEMPTS = 8
 
 #: Rows the live capture keeps resident before it releases them (the chunk
 #: size ``CaptureStore.publish_timeseries`` folds by).  Nothing consumes
@@ -195,17 +199,7 @@ class DnsService:
             resilience=config.resilience,
         )
 
-        loop = asyncio.get_running_loop()
-        self._udp_transport, _ = await loop.create_datagram_endpoint(
-            lambda: UdpEndpoint(self),
-            local_addr=(config.host, config.udp_port),
-        )
-        tcp_port = config.tcp_port
-        if tcp_port is None:
-            tcp_port = self.udp_port
-        self._tcp_server = await asyncio.start_server(
-            self._tcp_connected, host=config.host, port=tcp_port
-        )
+        await self._bind_dns_endpoints()
         if config.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
                 self._metrics_connected, host=config.host, port=config.metrics_port
@@ -226,6 +220,33 @@ class DnsService:
             self.tcp_port,
             f"{config.host}:{self.metrics_port}" if self._metrics_server else "off",
         )
+
+    async def _bind_dns_endpoints(self) -> None:
+        """Bind UDP, then TCP on ``tcp_port`` or, by default, the UDP number.
+
+        A kernel-chosen UDP number promises nothing about the TCP port of
+        the same number, so when both are ephemeral a taken twin means
+        draw again; a port the caller named fails at once.
+        """
+        config = self.config
+        loop = asyncio.get_running_loop()
+        both_ephemeral = config.udp_port == 0 and config.tcp_port is None
+        attempts = EPHEMERAL_BIND_ATTEMPTS if both_ephemeral else 1
+        for attempt in range(1, attempts + 1):
+            self._udp_transport, _ = await loop.create_datagram_endpoint(
+                lambda: UdpEndpoint(self),
+                local_addr=(config.host, config.udp_port),
+            )
+            tcp_port = self.udp_port if config.tcp_port is None else config.tcp_port
+            try:
+                self._tcp_server = await asyncio.start_server(
+                    self._tcp_connected, host=config.host, port=tcp_port
+                )
+                return
+            except OSError as error:
+                self._udp_transport.close()
+                if error.errno != errno.EADDRINUSE or attempt == attempts:
+                    raise
 
     async def stop(self) -> TelemetrySnapshot:
         """Drain and shut down; returns (and stores) the final snapshot."""

@@ -1,34 +1,21 @@
 """Unit tests for the analysis layer against hand-built captures.
 
 Synthetic capture rows with known ground truth verify every metric
-independently of the simulator.
+independently of the simulator: each case reads the
+:class:`DatasetAnalytics` facade over a resident hand-built view, so the
+expectations here are the aggregators' hand-computed truth.
 """
 
-import numpy as np
+from collections import Counter
+
 import pytest
 
 from repro.analysis import (
     Attributor,
-    BufsizeCDF,
-    bufsize_cdf,
-    classify_addresses,
-    cloud_share,
-    dataset_summary,
-    detect_rollout,
-    distinct_as_count,
-    google_split,
-    junk_ratios,
+    DatasetAnalytics,
     MonthlyPoint,
-    minimized_fraction,
-    ns_share,
-    overall_junk_ratio,
-    provider_shares,
-    queries_by_provider,
-    resolver_inventory,
-    rrtype_mix,
-    tcp_share,
-    transport_matrix,
-    truncation_ratio,
+    classify_addresses,
+    detect_rollout,
 )
 from repro.capture import CaptureStore, QueryRecord, Transport
 from repro.clouds import PTRTable
@@ -86,6 +73,14 @@ def attributor(registry):
     return Attributor(registry, PROVIDERS)
 
 
+def analytics_of(attributor, records, public_prefixes=None):
+    """The facade over a hand-built resident view."""
+    view = build(records)
+    return DatasetAnalytics.over(
+        view, attributor.attribute(view), PROVIDERS, public_prefixes
+    )
+
+
 class TestAttribution:
     def test_labels(self, attributor):
         view = build([rec(GOOGLE), rec(AMAZON), rec(OTHER_ISP), rec("203.0.113.9")])
@@ -94,14 +89,16 @@ class TestAttribution:
         assert list(result.asns) == [15169, 16509, 64500, 0]
 
     def test_distinct_as_count_ignores_unrouted(self, attributor):
-        view = build([rec(GOOGLE), rec(GOOGLE2), rec("203.0.113.9")])
-        result = attributor.attribute(view)
-        assert distinct_as_count(result) == 1
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE), rec(GOOGLE2), rec("203.0.113.9")]
+        )
+        assert analytics.dataset_summary().ases == 1
 
     def test_queries_by_provider(self, attributor):
-        view = build([rec(GOOGLE), rec(GOOGLE), rec(AMAZON), rec(OTHER_ISP)])
-        result = attributor.attribute(view)
-        table = queries_by_provider(view, result, PROVIDERS)
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE), rec(GOOGLE), rec(AMAZON), rec(OTHER_ISP)]
+        )
+        table = analytics.sovereignty().provider_queries
         assert table["Google"] == 2
         assert table["Amazon"] == 1
         assert table["Other"] == 1
@@ -114,92 +111,95 @@ class TestAttribution:
 
 class TestShares:
     def test_provider_shares_and_total(self, attributor):
-        view = build([rec(GOOGLE)] * 3 + [rec(AMAZON)] + [rec(OTHER_ISP)] * 6)
-        result = attributor.attribute(view)
-        shares = provider_shares(view, result, PROVIDERS)
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE)] * 3 + [rec(AMAZON)] + [rec(OTHER_ISP)] * 6
+        )
+        shares = analytics.provider_shares(PROVIDERS)
         assert shares["Google"] == pytest.approx(0.3)
         assert shares["Amazon"] == pytest.approx(0.1)
-        assert cloud_share(view, result, PROVIDERS) == pytest.approx(0.4)
+        assert analytics.cloud_share(PROVIDERS) == pytest.approx(0.4)
 
     def test_empty_view(self, attributor):
-        view = build([])
-        result = attributor.attribute(view)
-        assert cloud_share(view, result, PROVIDERS) == 0.0
+        assert analytics_of(attributor, []).cloud_share(PROVIDERS) == 0.0
 
 
 class TestRRMix:
     def test_mix_sums_to_one(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE, RRType.A)] * 5
             + [rec(GOOGLE, RRType.NS)] * 3
-            + [rec(GOOGLE, RRType.SOA)] * 2
+            + [rec(GOOGLE, RRType.SOA)] * 2,
         )
-        result = attributor.attribute(view)
-        mix = rrtype_mix(view, result, "Google")
+        mix = analytics.rrtype_mix("Google")
         assert mix["A"] == pytest.approx(0.5)
         assert mix["NS"] == pytest.approx(0.3)
         assert mix["other"] == pytest.approx(0.2)
         assert sum(mix.values()) == pytest.approx(1.0)
 
     def test_absent_provider_zero(self, attributor):
-        view = build([rec(GOOGLE)])
-        result = attributor.attribute(view)
-        mix = rrtype_mix(view, result, "Amazon")
+        mix = analytics_of(attributor, [rec(GOOGLE)]).rrtype_mix("Amazon")
         assert all(v == 0.0 for v in mix.values())
 
 
 class TestJunk:
     def test_per_provider_junk(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE, rcode=RCode.NXDOMAIN)] * 2
             + [rec(GOOGLE)] * 8
             + [rec(AMAZON, rcode=RCode.REFUSED)]
-            + [rec(AMAZON)]
+            + [rec(AMAZON)],
         )
-        result = attributor.attribute(view)
-        ratios = junk_ratios(view, result, PROVIDERS)
+        ratios = analytics.junk_ratios(PROVIDERS)
         assert ratios["Google"] == pytest.approx(0.2)
         assert ratios["Amazon"] == pytest.approx(0.5)
 
     def test_overall_junk(self, attributor):
-        view = build([rec(GOOGLE, rcode=RCode.NXDOMAIN), rec(GOOGLE)])
-        assert overall_junk_ratio(view) == pytest.approx(0.5)
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE, rcode=RCode.NXDOMAIN), rec(GOOGLE)]
+        )
+        assert analytics.overall_junk_ratio() == pytest.approx(0.5)
 
 
 class TestTransport:
     def test_matrix(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE)] * 3
             + [rec(GOOGLE_V6)] * 3
-            + [rec(GOOGLE, transport=Transport.TCP, rtt=10.0)] * 2
+            + [rec(GOOGLE, transport=Transport.TCP, rtt=10.0)] * 2,
         )
-        result = attributor.attribute(view)
-        row = transport_matrix(view, result, ("Google",))[0]
+        row = analytics.transport_matrix(("Google",))[0]
         assert row.ipv6 == pytest.approx(3 / 8)
         assert row.tcp == pytest.approx(2 / 8)
         assert row.ipv4 + row.ipv6 == pytest.approx(1.0)
         assert row.udp + row.tcp == pytest.approx(1.0)
 
     def test_tcp_share(self, attributor):
-        view = build([rec(GOOGLE), rec(GOOGLE, transport=Transport.TCP, rtt=5.0)])
-        result = attributor.attribute(view)
-        assert tcp_share(view, result, "Google") == pytest.approx(0.5)
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE), rec(GOOGLE, transport=Transport.TCP, rtt=5.0)]
+        )
+        assert analytics.tcp_share("Google") == pytest.approx(0.5)
 
 
 class TestInventoryAndSummary:
     def test_inventory_counts_addresses(self, attributor):
-        view = build([rec(GOOGLE), rec(GOOGLE), rec(GOOGLE2), rec(GOOGLE_V6)])
-        result = attributor.attribute(view)
-        inventory = resolver_inventory(view, result, "Google")
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE), rec(GOOGLE), rec(GOOGLE2), rec(GOOGLE_V6)]
+        )
+        inventory = analytics.resolver_inventory("Google")
         assert inventory.total == 3
         assert inventory.ipv4 == 2
         assert inventory.ipv6 == 1
         assert inventory.ipv6_fraction == pytest.approx(1 / 3)
 
     def test_dataset_summary(self, attributor):
-        view = build([rec(GOOGLE), rec(AMAZON, rcode=RCode.NXDOMAIN), rec(OTHER_ISP)])
-        result = attributor.attribute(view)
-        summary = dataset_summary(view, result)
+        analytics = analytics_of(
+            attributor,
+            [rec(GOOGLE), rec(AMAZON, rcode=RCode.NXDOMAIN), rec(OTHER_ISP)],
+        )
+        summary = analytics.dataset_summary()
         assert summary.queries_total == 3
         assert summary.queries_valid == 2
         assert summary.resolvers == 3
@@ -209,9 +209,12 @@ class TestInventoryAndSummary:
 class TestGoogleSplit:
     def test_split_by_advertised_ranges(self, attributor):
         # 8.8.8.8 is in the public ranges; 8.8.4.x not included this time.
-        view = build([rec(GOOGLE)] * 4 + [rec(GOOGLE2)] + [rec(AMAZON)])
-        result = attributor.attribute(view)
-        split = google_split(view, result, ["8.8.8.0/24"])
+        analytics = analytics_of(
+            attributor,
+            [rec(GOOGLE)] * 4 + [rec(GOOGLE2)] + [rec(AMAZON)],
+            public_prefixes=["8.8.8.0/24"],
+        )
+        split = analytics.google_split(["8.8.8.0/24"])
         assert split.total_queries == 5
         assert split.public_queries == 4
         assert split.rest_queries == 1
@@ -222,17 +225,18 @@ class TestGoogleSplit:
 
 class TestQmin:
     def test_ns_share(self, attributor):
-        view = build([rec(GOOGLE, RRType.NS)] * 3 + [rec(GOOGLE)] * 7)
-        result = attributor.attribute(view)
-        assert ns_share(view, result, "Google") == pytest.approx(0.3)
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE, RRType.NS)] * 3 + [rec(GOOGLE)] * 7
+        )
+        assert analytics.ns_share("Google") == pytest.approx(0.3)
 
     def test_minimized_fraction(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE, RRType.NS, qname="example.nl.")] * 3
-            + [rec(GOOGLE, RRType.NS, qname="www.example.nl.")]
+            + [rec(GOOGLE, RRType.NS, qname="www.example.nl.")],
         )
-        result = attributor.attribute(view)
-        assert minimized_fraction(view, result, "Google", 1) == pytest.approx(0.75)
+        assert analytics.minimized_fraction("Google", 1) == pytest.approx(0.75)
 
     def test_detect_rollout(self):
         series = [
@@ -253,35 +257,98 @@ class TestQmin:
 
 class TestEdns:
     def test_cdf_counts_no_edns_as_512(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE, bufsize=0)]
             + [rec(GOOGLE, bufsize=1232)] * 2
-            + [rec(GOOGLE, bufsize=4096)]
+            + [rec(GOOGLE, bufsize=4096)],
         )
-        result = attributor.attribute(view)
-        cdf = bufsize_cdf(view, result, "Google")
+        cdf = analytics.bufsize_cdf("Google")
         assert cdf.at(512) == pytest.approx(0.25)
         assert cdf.at(1232) == pytest.approx(0.75)
         assert cdf.at(4096) == pytest.approx(1.0)
         assert cdf.at(100) == 0.0
 
     def test_cdf_excludes_tcp(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE, bufsize=512)]
-            + [rec(GOOGLE, bufsize=4096, transport=Transport.TCP, rtt=9.0)] * 5
+            + [rec(GOOGLE, bufsize=4096, transport=Transport.TCP, rtt=9.0)] * 5,
         )
-        result = attributor.attribute(view)
-        cdf = bufsize_cdf(view, result, "Google")
+        cdf = analytics.bufsize_cdf("Google")
         assert cdf.at(512) == pytest.approx(1.0)
 
     def test_truncation_ratio_over_udp(self, attributor):
-        view = build(
+        analytics = analytics_of(
+            attributor,
             [rec(GOOGLE, bufsize=512, truncated=True)]
             + [rec(GOOGLE)] * 3
-            + [rec(GOOGLE, transport=Transport.TCP, rtt=4.0)]
+            + [rec(GOOGLE, transport=Transport.TCP, rtt=4.0)],
         )
-        result = attributor.attribute(view)
-        assert truncation_ratio(view, result, "Google") == pytest.approx(0.25)
+        assert analytics.truncation_ratio("Google") == pytest.approx(0.25)
+
+
+UNAGGREGATED = "ExampleCloud"
+
+
+class TestFacade:
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("provider_shares", ([UNAGGREGATED],)),
+            ("cloud_share", ([UNAGGREGATED],)),
+            ("junk_ratios", (["Google", UNAGGREGATED],)),
+            ("transport_matrix", ([UNAGGREGATED],)),
+            ("truncation_table", ([UNAGGREGATED],)),
+            ("sovereignty", ([UNAGGREGATED],)),
+            ("rrtype_mix", (UNAGGREGATED,)),
+            ("bufsize_cdf", (UNAGGREGATED,)),
+            ("truncation_ratio", (UNAGGREGATED,)),
+            ("tcp_share", (UNAGGREGATED,)),
+            ("resolver_inventory", (UNAGGREGATED,)),
+            ("ns_share", (UNAGGREGATED,)),
+            ("minimized_fraction", (UNAGGREGATED, 1)),
+            ("monthly_point", (UNAGGREGATED, 2020, 1)),
+        ],
+    )
+    def test_provider_that_was_not_aggregated_is_rejected(
+        self, attributor, method, args
+    ):
+        """Plural or singular, the answer for a provider nothing counted
+        is an error naming what was configured — not a KeyError, not 0.0."""
+        analytics = analytics_of(attributor, [rec(GOOGLE), rec(AMAZON)])
+        with pytest.raises(ValueError, match=r"ExampleCloud.*\('Google', 'Amazon'\)"):
+            getattr(analytics, method)(*args)
+
+    def test_resident_view_is_folded_on_demand_and_once(self, attributor):
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE, RRType.NS), rec(GOOGLE_V6), rec(AMAZON)]
+        )
+        feeds = Counter()
+        for name, aggregator in analytics.aggregates.aggregators.items():
+            def counting_feed(view, attribution, name=name, feed=aggregator.feed):
+                feeds[name] += 1
+                feed(view, attribution)
+
+            aggregator.feed = counting_feed
+
+        analytics.provider_shares()
+        assert analytics.cloud_share() == 1.0
+        assert feeds == {"provider_shares": 1}
+        analytics.rrtype_mix("Google")
+        assert analytics.ns_share("Google") == 0.5
+        analytics.monthly_point("Google", 2020, 1)
+        analytics.transport_matrix()
+        assert analytics.tcp_share("Amazon") == 0.0
+        assert feeds == {"provider_shares": 1, "rrtype_mix": 1, "transport": 1}
+
+        # Read everything: each aggregator has now seen the view exactly once.
+        analytics.junk_ratios(), analytics.overall_junk_ratio()
+        analytics.dataset_summary(), analytics.google_split()
+        analytics.resolver_inventory("Google"), analytics.minimized_fraction("Google", 1)
+        analytics.bufsize_cdf("Google"), analytics.truncation_table()
+        analytics.sovereignty(), analytics.composition()
+        assert feeds == dict.fromkeys(analytics.aggregates.aggregators, 1)
 
 
 class TestFacebookClassification:

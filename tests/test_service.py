@@ -9,6 +9,7 @@ shutdown that yields a final telemetry snapshot.
 """
 
 import asyncio
+import errno
 import json
 import os
 import struct
@@ -570,6 +571,57 @@ class TestLiveService:
             if "service.shutdowns" in str(key)
         )
         assert shutdowns == 1
+
+    def test_ephemeral_bind_draws_again_when_the_tcp_twin_is_taken(self):
+        """``udp_port=0, tcp_port=None`` asks for one number on both
+        protocols, and the kernel only picked it for UDP."""
+        real_start_server = asyncio.start_server
+        refused = []
+
+        async def first_number_taken(callback, host=None, port=None, **kwargs):
+            if not refused:
+                refused.append(port)
+                raise OSError(
+                    errno.EADDRINUSE,
+                    f"error while attempting to bind on address ({host!r}, {port})",
+                )
+            return await real_start_server(callback, host=host, port=port, **kwargs)
+
+        async def scenario(service):
+            report = await run_loadgen(
+                LoadGenConfig(
+                    udp_port=service.udp_port,
+                    tcp_port=service.tcp_port,
+                    queries=8,
+                    tcp_fraction=0.5,
+                    timeout_s=5.0,
+                )
+            )
+            return service.udp_port, service.tcp_port, report
+
+        with mock.patch.object(asyncio, "start_server", first_number_taken):
+            udp, tcp, report = asyncio.run(_with_service(_serve_config(), scenario))
+        assert len(refused) == 1 and refused[0] > 0
+        assert udp == tcp
+        assert report.answered == 8
+        assert report.udp_sent > 0 and report.tcp_sent > 0
+
+    def test_named_tcp_port_in_use_fails_at_once(self):
+        async def scenario():
+            blocker = await asyncio.start_server(
+                lambda reader, writer: writer.close(), host="127.0.0.1", port=0
+            )
+            taken = blocker.sockets[0].getsockname()[1]
+            service = DnsService(_serve_config(tcp_port=taken))
+            try:
+                with pytest.raises(OSError) as refusal:
+                    await service.start()
+            finally:
+                blocker.close()
+                await blocker.wait_closed()
+            return refusal.value.errno, service._udp_transport.is_closing()
+
+        assert asyncio.run(scenario()) == (errno.EADDRINUSE, True)
 
     def test_resolver_frontend_answers(self):
         async def scenario(service):

@@ -1,6 +1,6 @@
 """Golden parity for the sovereignty and composition aggregators.
 
-Streaming results vs a brute-force exact recount of the materialised
+Folded state vs a brute-force exact recount of the materialised
 capture — serial and workers=2, chaos on and off.  The exact fields
 (country/bloc counts, taxonomy categories, count-min table) must match
 the recount bit-for-bit and be identical across worker counts; the
@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import Attributor, StreamingAnalytics, ViewAnalytics
+from repro.analysis import Attributor, DatasetAnalytics
 from repro.analysis.composition import CATEGORIES, LOCAL_SUFFIXES, META_QTYPES, classify_queries
 from repro.clouds import PROVIDERS
 from repro.faults import chaos_scenario
@@ -207,28 +207,28 @@ class TestChaosParity:
 
 
 class TestFacadeParity:
-    """Both analytics backends answer the new methods identically on the
-    exact fields; the approximate fields stay inside their bounds."""
+    """The facade answers the two re-cuts identically on the exact fields
+    whether its aggregators were fed the whole view once or merged from
+    two workers' chunked folds; the approximate fields stay inside their
+    bounds."""
 
-    def test_sovereignty_reports_identical(self, mem_run, stream_run):
-        view, attribution = attribution_of(mem_run)
-        mem = ViewAnalytics(view, attribution)
-        streaming = StreamingAnalytics(stream_run.aggregates)
+    def test_sovereignty_reports_identical(self, mem_run, pooled_run):
+        mem = DatasetAnalytics.over(*attribution_of(mem_run))
+        streaming = DatasetAnalytics(pooled_run.aggregates)
         assert mem.sovereignty() == streaming.sovereignty()
 
-    def test_composition_exact_fields_identical(self, mem_run, stream_run):
-        view, attribution = attribution_of(mem_run)
-        mem = ViewAnalytics(view, attribution).composition()
-        streaming = StreamingAnalytics(stream_run.aggregates).composition()
+    def test_composition_exact_fields_identical(self, mem_run, pooled_run):
+        mem = DatasetAnalytics.over(*attribution_of(mem_run)).composition()
+        streaming = DatasetAnalytics(pooled_run.aggregates).composition()
         assert mem.total_queries == streaming.total_queries
         assert mem.category_counts == streaming.category_counts
         assert mem.category_shares == streaming.category_shares
         assert mem.provider_categories == streaming.provider_categories
         assert mem.cm_error_bound == streaming.cm_error_bound
 
-    def test_composition_heavy_hitters_within_bounds(self, mem_run, stream_run):
+    def test_composition_heavy_hitters_within_bounds(self, mem_run, pooled_run):
         truth = Counter(str(q) for q in mem_run.capture.view().qname)
-        streaming = StreamingAnalytics(stream_run.aggregates).composition(top_k=10)
+        streaming = DatasetAnalytics(pooled_run.aggregates).composition(top_k=10)
         assert streaming.heavy_hitters
         for hitter in streaming.heavy_hitters:
             true_count = truth.get(hitter.qname, 0)
@@ -236,7 +236,7 @@ class TestFacadeParity:
             assert hitter.cm_estimate >= true_count
 
     def test_sovereignty_bloc_rollups_consistent(self, stream_run):
-        report = StreamingAnalytics(stream_run.aggregates).sovereignty()
+        report = DatasetAnalytics(stream_run.aggregates).sovereignty()
         country_queries = {row.name: row.queries for row in report.countries}
         from repro.analysis import JURISDICTION_BLOCS
 
