@@ -34,7 +34,7 @@ import numpy as np
 
 from conftest import emit
 
-from repro.experiments.context import configured_scale
+from repro.config import resolve_scale
 from repro.runtime import ShardTask
 from repro.sim import run_dataset
 from repro.sim.driver import simulate_shard
@@ -74,7 +74,7 @@ def _counter_total(snapshot, needle: str) -> int:
 
 def test_bench_hotpath():
     descriptor = dataset(DATASET)
-    volume = max(2_000, int(BASE_VOLUME * configured_scale()))
+    volume = max(2_000, int(BASE_VOLUME * resolve_scale()))
     cores = os.cpu_count() or 1
 
     # -- baseline: the pre-PR hot path (caches off, cold build every run) --
@@ -97,7 +97,7 @@ def test_bench_hotpath():
     # -- cached: cold first shard, then steady-state repeats ---------------
     task = ShardTask(
         descriptor=descriptor, seed=SEED, client_queries=volume,
-        shard_index=0, shard_seed=0, start=0, stop=None,
+        shard_index=0, start=0, stop=None,
     )
     started = time.perf_counter()
     cold = simulate_shard(task)

@@ -27,7 +27,7 @@ import numpy as np
 
 from conftest import emit
 
-from repro.experiments.context import configured_scale
+from repro.config import resolve_scale
 from repro.sim import run_dataset
 from repro.workload import dataset
 
@@ -73,7 +73,7 @@ def _timed_runs(descriptor, volume, trace):
 
 def test_bench_observability():
     descriptor = dataset(DATASET)
-    volume = max(2_000, int(BASE_VOLUME * configured_scale()))
+    volume = max(2_000, int(BASE_VOLUME * resolve_scale()))
 
     # trace=0.0 (not None) so an ambient REPRO_TRACE can never leak into
     # the baseline measurement.

@@ -19,7 +19,7 @@ import numpy as np
 
 from conftest import emit
 
-from repro.experiments.context import configured_scale
+from repro.config import resolve_scale
 from repro.sim import run_dataset
 from repro.workload import dataset
 
@@ -44,7 +44,7 @@ def _views_identical(a, b) -> bool:
 
 def test_bench_parallel_speedup():
     descriptor = dataset(DATASET)
-    volume = max(2_000, int(BASE_VOLUME * configured_scale()))
+    volume = max(2_000, int(BASE_VOLUME * resolve_scale()))
 
     started = time.perf_counter()
     serial = run_dataset(descriptor, client_queries=volume, workers=1)

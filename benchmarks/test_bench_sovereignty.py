@@ -32,7 +32,7 @@ from repro.analysis import (
     SovereigntyAggregator,
 )
 from repro.clouds import PROVIDERS
-from repro.experiments.context import configured_scale
+from repro.config import resolve_scale
 from repro.sim import run_dataset
 from repro.workload import dataset
 
@@ -61,7 +61,7 @@ def timed_fold(aggregator, capture, attributor):
 
 
 def test_bench_sovereignty_composition():
-    volume = max(1_500, int(BASE_VOLUME * configured_scale()))
+    volume = max(1_500, int(BASE_VOLUME * resolve_scale()))
     run = run_dataset(
         dataset(DATASET), client_queries=volume, workers=WORKERS, stream=True,
     )

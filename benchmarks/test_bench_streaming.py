@@ -27,7 +27,7 @@ import time
 
 from conftest import emit
 
-from repro.experiments.context import configured_scale
+from repro.config import resolve_scale
 
 BENCH_STREAMING_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_streaming.json"
@@ -100,7 +100,7 @@ def run_child(mode: str, volume: int) -> dict:
 
 
 def test_bench_streaming_memory_and_throughput():
-    base = max(1_000, int(BASE_VOLUME * configured_scale()))
+    base = max(1_000, int(BASE_VOLUME * resolve_scale()))
     big = base * SCALE_FACTOR
 
     results = {

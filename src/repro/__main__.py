@@ -54,51 +54,63 @@ of holding rows in memory (``REPRO_STREAM`` sets the default);
 ``--spool-dir DIR`` keeps the chunk files under ``DIR/<dataset_id>/``
 rather than a self-cleaning temp dir.  Answers are bit-identical to the
 in-memory path.
+
+Flags and ``REPRO_*`` defaults of ``dataset``, ``experiments`` and
+``serve`` are resolved once, before anything is built, into one
+:class:`~repro.config.RunConfig` (``--workers`` always means shard-level
+parallelism: every dataset simulated is split across the pool); a value
+that cannot run — ``--workers 0``, ``--trace-sample 2``, ``--scale -1``,
+``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-#: Environment variable naming the default chaos scenario (CLI commands
-#: only — library callers pass FaultPlan explicitly).
-CHAOS_ENV = "REPRO_CHAOS"
 
 #: Exit code for a run with failed shards (without ``--allow-partial``).
 EXIT_PARTIAL = 3
 
 
-def _resolve_chaos(args):
-    """The FaultPlan selected by ``--chaos``/``REPRO_CHAOS``, or None."""
-    name = getattr(args, "chaos", None) or os.environ.get(CHAOS_ENV)
-    if not name:
+def _resolve_flags(args: argparse.Namespace) -> None:
+    """Fold flags, environment and defaults into ``args``, once, for every
+    command that takes ``--chaos`` (``dataset``, ``experiments``, ``serve``).
+
+    ``args.chaos`` becomes the scenario name from ``--chaos`` or
+    ``REPRO_CHAOS``.  The simulating commands also get ``args.scale``
+    (``--scale``, else ``REPRO_SCALE``, else the command's default) and
+    ``args.config``, the run's :class:`~repro.config.RunConfig`.  Tracing
+    precedence: an explicit ``--trace-sample`` wins; otherwise
+    ``REPRO_TRACE``; otherwise ``--trace-out`` alone turns tracing on at 1%
+    (a trace file with zero traces helps nobody).  A value that does not
+    validate raises ``ValueError``, which :func:`main` reports as a usage
+    error before anything is simulated.
+    """
+    from dataclasses import replace
+
+    from .config import RunConfig, TraceConfig, default_chaos, resolve_scale
+
+    args.chaos = args.chaos or default_chaos()
+    if not hasattr(args, "workers"):
+        return
+    args.scale = resolve_scale(args.scale, args.scale_default)
+    args.config = RunConfig.resolve(
+        workers=args.workers, stream=args.stream, spool_dir=args.spool_dir,
+        trace=args.trace_sample,
+    )
+    if args.config.trace is None and args.trace_sample is None and args.trace_out:
+        args.config = replace(args.config, trace=TraceConfig(sample=0.01))
+
+
+def _chaos_plan(args):
+    """The FaultPlan of the resolved ``args.chaos`` scenario, or None."""
+    if not args.chaos:
         return None
     from .faults import chaos_scenario
 
-    plan = chaos_scenario(name, seed=getattr(args, "chaos_seed", None))
-    print(f"chaos scenario {name!r} active", file=sys.stderr)
+    plan = chaos_scenario(args.chaos, seed=args.chaos_seed)
+    print(f"chaos scenario {args.chaos!r} active", file=sys.stderr)
     return plan
-
-
-def _resolve_trace(args):
-    """The TraceConfig selected by the trace flags, or None.
-
-    Precedence: an explicit ``--trace-sample`` wins; otherwise the
-    ``REPRO_TRACE`` environment default applies; otherwise ``--trace-out``
-    alone turns tracing on at the 1% default (a trace file with zero
-    traces helps nobody).
-    """
-    from .telemetry import TraceConfig, resolve_trace_config
-
-    sample = getattr(args, "trace_sample", None)
-    if sample is not None:
-        return resolve_trace_config(sample)
-    config = resolve_trace_config(None)
-    if config is None and getattr(args, "trace_out", None):
-        config = TraceConfig(sample=0.01)
-    return config
 
 
 def _check_partial(report, allow_partial: bool) -> int:
@@ -194,21 +206,17 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
     from .analysis import Attributor, DatasetAnalytics
     from .clouds import PROVIDERS
-    from .experiments import configured_scale
     from .sim import run_dataset
     from .workload import dataset
 
     descriptor = dataset(args.dataset_id)
-    chaos_plan = _resolve_chaos(args)
+    chaos_plan = _chaos_plan(args)
     if chaos_plan is not None:
         descriptor = replace(descriptor, fault_plan=chaos_plan)
-    trace_config = _resolve_trace(args)
-    scale = configured_scale(0.2) if args.scale is None else args.scale
-    volume = int(descriptor.client_queries * scale)
+    volume = int(descriptor.client_queries * args.scale)
     print(f"simulating {args.dataset_id} ({volume} client queries)...", file=sys.stderr)
     run = run_dataset(
-        descriptor, client_queries=volume, seed=args.seed, workers=args.workers,
-        stream=args.stream, spool_dir=args.spool_dir, trace=trace_config,
+        descriptor, client_queries=volume, seed=args.seed, config=args.config
     )
     if run.runtime_report is not None:
         print(f"runtime: {run.runtime_report.summary()}", file=sys.stderr)
@@ -306,7 +314,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rrl = None
     if args.rrl and args.rrl > 0:
         rrl = RRLConfig(responses_per_second=args.rrl, burst=2.0 * args.rrl)
-    chaos = args.chaos or os.environ.get(CHAOS_ENV) or None
     resilience = ResilienceConfig(
         admission_rate_qps=args.admission_qps if args.admission_qps > 0 else None,
         shed_policy=args.shed_policy,
@@ -322,7 +329,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         metrics_port=None if args.no_metrics else args.metrics_port,
         seed=args.seed,
         rrl=rrl,
-        chaos=chaos,
+        chaos=args.chaos,
         chaos_seed=args.chaos_seed,
         fault_window_s=args.fault_window,
         topology=topology,
@@ -448,12 +455,10 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments.render_all import run_and_render
 
     ctx = ExperimentContext(
-        scale=args.scale, seed=args.seed, workers=args.workers,
-        fault_plan=_resolve_chaos(args),
-        stream=args.stream, spool_dir=args.spool_dir,
-        trace=_resolve_trace(args),
+        scale=args.scale, seed=args.seed, fault_plan=_chaos_plan(args),
+        config=args.config,
     )
-    if ctx.stream:
+    if args.config.stream:
         print("streaming mode: single-pass aggregates + capture spool",
               file=sys.stderr)
     content = run_and_render(ctx=ctx)
@@ -478,6 +483,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     are list-only commands and take none of them; ``-v`` lives on the
     top-level parser and applies everywhere.)
     """
+    parser.set_defaults(scale_default=float(scale_default))
     parser.add_argument("--scale", type=float, default=None,
                         help="volume scale (default: REPRO_SCALE or "
                              f"{scale_default})")
@@ -717,6 +723,11 @@ def main(argv=None) -> int:
     p_trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
+    if hasattr(args, "chaos"):
+        try:
+            _resolve_flags(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.verbose:
         from .telemetry import configure_logging
 

@@ -19,14 +19,13 @@ from . import (
     table5,
     table6,
 )
-from .context import ExperimentContext, configured_scale
+from .context import ExperimentContext
 from .report import Report, ReportRow
 
 __all__ = [
     "ExperimentContext",
     "Report",
     "ReportRow",
-    "configured_scale",
     "extension_composition",
     "extension_concentration",
     "extension_outage",

@@ -4,11 +4,10 @@ Turns one :func:`repro.sim.run_dataset` call into a plan of deterministic
 shards executed on a worker pool and merged back into a bit-identical
 result:
 
-* :mod:`repro.runtime.planner` — weight-balanced contiguous shard plans
-  with spawn-key-derived per-shard seeds;
+* :mod:`repro.runtime.planner` — weight-balanced contiguous shard plans;
 * :mod:`repro.runtime.executor` — the process-pool backend with per-shard
   timeout, retry-once, serial-fallback semantics, and ``runtime.*``
-  telemetry; the serial in-process backend lives in the driver itself;
+  telemetry; the in-process backend is a loop in the driver itself;
 * :mod:`repro.runtime.env_cache` — the worker-persistent environment cache
   that lets N shards of one dataset share a single ``build_environment``;
 * merging — :meth:`repro.capture.CaptureStore.merge` (canonical
@@ -22,44 +21,27 @@ deterministic, so ``run_dataset(..., workers=N)`` yields the same capture
 and reports for any ``N``.
 """
 
-from .env_cache import (
-    DEFAULT_ENV_CACHE_CAPACITY,
-    ENV_CACHE_ENV,
-    EnvironmentCache,
-    env_cache_capacity,
-    environment_fingerprint,
-)
+from .env_cache import EnvironmentCache, environment_fingerprint
 from .executor import (
     FAULT_CRASH,
     FAULT_EXIT,
     FAULT_HANG,
-    POOL_START_ENV,
-    pool_context,
-    RuntimeConfig,
     RuntimeReport,
     ShardExecutor,
     ShardOutcome,
     ShardResult,
     ShardTask,
-    WORKERS_ENV,
-    configured_workers,
     execute_shard_task,
-    resolve_runtime_config,
+    pool_context,
+    record_outcome,
 )
-from .planner import Shard, ShardPlan, derive_shard_seed, plan_shards
+from .planner import Shard, ShardPlan, plan_shards
 
 __all__ = [
-    "DEFAULT_ENV_CACHE_CAPACITY",
-    "ENV_CACHE_ENV",
     "EnvironmentCache",
     "FAULT_CRASH",
     "FAULT_EXIT",
     "FAULT_HANG",
-    "POOL_START_ENV",
-    "env_cache_capacity",
-    "environment_fingerprint",
-    "pool_context",
-    "RuntimeConfig",
     "RuntimeReport",
     "Shard",
     "ShardExecutor",
@@ -67,10 +49,9 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "ShardTask",
-    "WORKERS_ENV",
-    "configured_workers",
-    "derive_shard_seed",
+    "environment_fingerprint",
     "execute_shard_task",
     "plan_shards",
-    "resolve_runtime_config",
+    "pool_context",
+    "record_outcome",
 ]

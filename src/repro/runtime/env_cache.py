@@ -33,21 +33,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
-#: Environment variable bounding the per-process cache capacity.
-#: ``0`` disables the cache (every shard rebuilds, the pre-cache behaviour).
-ENV_CACHE_ENV = "REPRO_ENV_CACHE"
-DEFAULT_ENV_CACHE_CAPACITY = 4
-
-
-def env_cache_capacity() -> int:
-    """Configured capacity (clamped at 0)."""
-    raw = os.environ.get(ENV_CACHE_ENV, "")
-    if not raw:
-        return DEFAULT_ENV_CACHE_CAPACITY
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_ENV_CACHE_CAPACITY
+from ..config import env_cache_capacity
 
 
 def environment_fingerprint(descriptor: Any, seed: int) -> str:

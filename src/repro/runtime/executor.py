@@ -3,9 +3,9 @@
 The executor turns a list of :class:`ShardTask` descriptions into
 :class:`ShardResult` objects.  Two backends exist:
 
-* ``workers <= 1`` — callers run shards in-process (the simulation driver
-  does this directly against a shared environment, preserving the exact
-  serial semantics of the original single-interpreter loop);
+* ``workers == 1`` — the simulation driver runs the shards in-process,
+  one after another against the environment it built, and books each with
+  :func:`record_outcome`;
 * ``workers > 1`` — :class:`ShardExecutor` dispatches tasks onto a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Every worker rebuilds
   the full deterministic environment from ``(descriptor, seed)`` and
@@ -38,38 +38,26 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..config import RunConfig, pool_start_method
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from ..workload import DatasetDescriptor
 
 logger = logging.getLogger("repro.runtime")
 
-#: Environment variable giving the default worker count (default 1 = serial).
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable selecting the multiprocessing start method for the
-#: shard pool.  Defaults to ``fork`` where available so workers inherit the
-#: parent's pre-warmed environment cache (see
-#: :mod:`repro.runtime.env_cache`); ``spawn``/``forkserver`` still work —
-#: each worker then builds once and reuses across its own shards.
-POOL_START_ENV = "REPRO_POOL_START"
-
 
 def pool_context():
-    """The multiprocessing context for shard pools (fork-preferring)."""
-    available = multiprocessing.get_all_start_methods()
-    requested = os.environ.get(POOL_START_ENV)
-    if requested:
-        if requested not in available:
-            raise ValueError(
-                f"{POOL_START_ENV}={requested!r} not available "
-                f"(choose from {available})"
-            )
-        return multiprocessing.get_context(requested)
-    if "fork" in available:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+    """The multiprocessing context for shard pools: ``REPRO_POOL_START``,
+    else ``fork`` where available so workers inherit the parent's
+    pre-warmed environment cache (see :mod:`repro.runtime.env_cache`);
+    ``spawn``/``forkserver`` still work — each worker then builds once and
+    reuses across its own shards."""
+    method = pool_start_method()
+    if method is None and "fork" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context()
+    return multiprocessing.get_context(method or "fork")
 
-#: Injected-fault modes (testing hooks; see :attr:`RuntimeConfig.inject_faults`).
+
+#: Injected-fault modes (testing hooks; see :attr:`RunConfig.inject_faults`).
 FAULT_CRASH = "crash"
 FAULT_HANG = "hang"
 #: Hard worker death (``os._exit``): breaks the whole pool, exercising the
@@ -79,61 +67,6 @@ FAULT_EXIT = "exit"
 #: How long an injected ``hang`` fault sleeps before proceeding.  Short
 #: enough that pool shutdown after a timed-out test shard stays cheap.
 _HANG_SECONDS = 2.0
-
-
-def configured_workers(default: int = 1) -> int:
-    """Worker-count default, overridable via the ``REPRO_WORKERS`` env var."""
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return default
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1")
-    return value
-
-
-@dataclass
-class RuntimeConfig:
-    """Execution policy for one sharded run.
-
-    ``shard_count`` defaults to the worker count (one shard per worker —
-    each worker pays the fixed environment-build cost exactly once).
-    ``inject_faults`` maps shard index → fault mode (``"crash"``/``"hang"``)
-    and applies only to pool attempts, never to the serial fallback; it
-    exists so tests and drills can exercise the recovery paths
-    deterministically.
-    """
-
-    workers: int = 1
-    shard_count: Optional[int] = None
-    shard_timeout_s: Optional[float] = None
-    retries: int = 1
-    inject_faults: Dict[int, str] = field(default_factory=dict)
-
-    def effective_shards(self) -> int:
-        if self.shard_count is not None:
-            if self.shard_count < 1:
-                raise ValueError("shard_count must be >= 1")
-            return self.shard_count
-        return max(1, self.workers)
-
-
-def resolve_runtime_config(
-    workers: Optional[int] = None,
-    shard_count: Optional[int] = None,
-    runtime: Optional[RuntimeConfig] = None,
-) -> RuntimeConfig:
-    """Fold the driver-level knobs into one config.
-
-    An explicit ``runtime`` config wins; otherwise ``workers`` falls back
-    to the ``REPRO_WORKERS`` environment default.
-    """
-    if runtime is not None:
-        return runtime
-    resolved = configured_workers() if workers is None else int(workers)
-    if resolved < 1:
-        raise ValueError("workers must be >= 1")
-    return RuntimeConfig(workers=resolved, shard_count=shard_count)
 
 
 @dataclass
@@ -149,23 +82,18 @@ class ShardTask:
     seed: int
     client_queries: Optional[int]
     shard_index: int
-    shard_seed: int
     start: int = 0
     stop: Optional[int] = None
     fault: Optional[str] = None
-    #: Streaming mode: fold the shard's capture into an
-    #: :class:`~repro.analysis.streaming.AggregateSet` worker-side and ship
-    #: that (plus optional spool chunks) instead of raw row tuples.
-    stream: bool = False
-    #: Spool directory for streaming chunk files (shared with the parent;
-    #: ``None`` = aggregate-only, no row persistence).
+    #: The run's configuration: a streaming shard folds its capture into an
+    #: :class:`~repro.analysis.streaming.AggregateSet` and spool chunks and
+    #: ships those instead of raw row tuples; a traced shard samples by
+    #: hash per fleet member, so the same queries are traced no matter how
+    #: members are packed into shards.
+    config: RunConfig = RunConfig()
+    #: The parent spool's directory, where a streaming shard writes its
+    #: chunk files (they must outlive the worker).
     spool_dir: Optional[str] = None
-    #: Trace-sampling rate for this shard (0 = tracing off).  Sampling is
-    #: hash-derived per fleet member, so the same queries are traced no
-    #: matter how members are packed into shards.
-    trace_sample: float = 0.0
-    #: Flight-recorder window width in simulated seconds.
-    trace_window_s: float = 3600.0
 
 
 @dataclass
@@ -241,6 +169,24 @@ class RuntimeReport:
         return ", ".join(parts)
 
 
+def record_outcome(
+    report: RuntimeReport, metrics: MetricsRegistry, task: ShardTask,
+    result: ShardResult,
+) -> None:
+    """Book one finished shard: its ``runtime.shard.<i>`` span (busy time
+    as the shard measured it), its ``runtime.shard_queries`` counter and
+    its line of the run report."""
+    index = task.shard_index
+    metrics.observe_phase(f"runtime.shard.{index}", result.duration_s)
+    metrics.counter("runtime.shard_queries", shard=index).inc(result.queries_run)
+    report.outcomes.append(ShardOutcome(
+        index=index, start=task.start, stop=task.stop,
+        queries_run=result.queries_run, rows=result.rows_appended,
+        duration_s=result.duration_s, attempts=result.attempts,
+        fallback=result.fallback,
+    ))
+
+
 def execute_shard_task(task: ShardTask) -> ShardResult:
     """Simulate one shard in the current process.
 
@@ -271,7 +217,7 @@ class ShardExecutor:
     shard-index order.
     """
 
-    def __init__(self, config: RuntimeConfig, metrics: MetricsRegistry):
+    def __init__(self, config: RunConfig, metrics: MetricsRegistry):
         self.config = config
         self.metrics = metrics
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -393,29 +339,16 @@ class ShardExecutor:
         self._pool.shutdown(wait=False, cancel_futures=True)
         self._pool = None
 
-        busy = 0.0
         for index in sorted(self._tasks):
             task = self._tasks[index]
-            result = results.get(index)
-            if result is not None:
-                busy += result.duration_s
-                self.metrics.observe_phase(
-                    f"runtime.shard.{index}", result.duration_s
-                )
-                self.metrics.counter(
-                    "runtime.shard_queries", shard=index
-                ).inc(result.queries_run)
-                report.outcomes.append(ShardOutcome(
-                    index=index, start=task.start, stop=task.stop,
-                    queries_run=result.queries_run, rows=result.rows_appended,
-                    duration_s=result.duration_s, attempts=result.attempts,
-                    fallback=result.fallback,
-                ))
+            if index in results:
+                record_outcome(report, self.metrics, task, results[index])
             else:
                 report.outcomes.append(ShardOutcome(
                     index=index, start=task.start, stop=task.stop,
                     attempts=attempts.get(index, 0), error=errors.get(index),
                 ))
+        busy = sum(result.duration_s for result in results.values())
         if wall > 0 and report.workers > 0:
             self.metrics.gauge("runtime.worker_utilization").set(
                 min(1.0, busy / (report.workers * wall))

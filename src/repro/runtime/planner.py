@@ -9,9 +9,8 @@ what makes the merged result bit-identical to the serial path (see
 Per-resolver query streams are seeded from the run seed plus the resolver's
 *global* fleet index (:class:`~repro.workload.generators.WorkloadGenerator`),
 so a member produces the same stream no matter which shard — or process —
-resolves it.  The per-shard ``seed`` carried here is derived spawn-key style
-(:func:`derive_shard_seed`) and is reserved for shard-local randomness; it
-never feeds the member streams, keeping results placement-independent.
+resolves it: nothing random is ever seeded per shard, which keeps results
+placement-independent.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Shard:
-    """One contiguous slice of the fleet, plus its derived seed."""
+    """One contiguous slice of the fleet."""
 
     index: int
     start: int
     stop: int
     weight: float
-    seed: int
 
     @property
     def members(self) -> int:
@@ -52,21 +50,7 @@ class ShardPlan:
         return iter(self.shards)
 
 
-def derive_shard_seed(seed: int, shard_index: int) -> int:
-    """A shard-local seed derived ``spawn_key``-style from the run seed.
-
-    Uses :class:`numpy.random.SeedSequence` with ``spawn_key=(shard_index,)``
-    — the same construction ``SeedSequence.spawn`` uses — so derived seeds
-    are stable across processes and platforms and well-separated from both
-    the run seed and each other.
-    """
-    sequence = np.random.SeedSequence(seed, spawn_key=(shard_index,))
-    return int(sequence.generate_state(1, dtype=np.uint64)[0])
-
-
-def plan_shards(
-    weights: Sequence[float], shard_count: int, seed: int
-) -> ShardPlan:
+def plan_shards(weights: Sequence[float], shard_count: int) -> ShardPlan:
     """Partition ``len(weights)`` members into ``shard_count`` contiguous,
     weight-balanced shards.
 
@@ -104,7 +88,6 @@ def plan_shards(
             start=int(bounds[index]),
             stop=int(bounds[index + 1]),
             weight=float(weight_arr[bounds[index]:bounds[index + 1]].sum()),
-            seed=derive_shard_seed(seed, index),
         )
         for index in range(count)
     )

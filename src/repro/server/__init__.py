@@ -2,23 +2,19 @@
 
 from .authoritative import (
     AuthoritativeServer,
-    PLAN_CACHE_ENV,
     ResponsePlan,
     ServerSet,
     ServerStats,
     TCP_MAX_SIZE,
-    plan_cache_enabled,
 )
 from .rrl import RateLimiter, RRLConfig
 
 __all__ = [
     "AuthoritativeServer",
-    "PLAN_CACHE_ENV",
     "RateLimiter",
     "ResponsePlan",
     "RRLConfig",
     "ServerSet",
     "ServerStats",
     "TCP_MAX_SIZE",
-    "plan_cache_enabled",
 ]

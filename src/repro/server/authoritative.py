@@ -13,12 +13,12 @@ A :class:`ServerSet` models a vantage point's NS set (e.g. `.nl`'s servers
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..capture import CaptureStore, QueryRecord, Transport, split_address
+from ..config import plan_cache_enabled
 from ..dnscore import Message, Name, Opcode, Question, RCode, RRType
 from ..dnscore.edns import EdnsRecord, effective_udp_limit
 from ..dnscore.names import MAX_NAME_LENGTH
@@ -31,9 +31,6 @@ from .rrl import RateLimiter, RRLConfig
 
 #: Maximum TCP message size (2-octet length prefix bound).
 TCP_MAX_SIZE = 65535
-
-#: Environment variable disabling the response-plan cache (``0`` = off).
-PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
 
 #: Distinct response plans retained per server before the cache is flushed
 #: wholesale (epoch eviction — the plan population is zone-bounded, so a
@@ -57,13 +54,6 @@ _QUESTION_FIXED = 4
 #: compression-pointer limit that a longer question could push one of its
 #: names past it and change what later names compress against.
 _SHIFT_SAFE_SIZE = 0x4000 - MAX_NAME_LENGTH - 1
-
-
-def plan_cache_enabled() -> bool:
-    """Whether servers memoise response plans (``REPRO_PLAN_CACHE``, on by
-    default; set ``0`` to force every query down the full build/encode
-    path)."""
-    return os.environ.get(PLAN_CACHE_ENV, "1") != "0"
 
 
 @lru_cache(maxsize=256)

@@ -3,12 +3,10 @@
 from .driver import (
     AuthorityWorld,
     DatasetRun,
-    STREAM_ENV,
     SimEnvironment,
     build_authority_world,
     build_environment,
     build_vantage_zone,
-    configured_stream,
     member_query_counts,
     run_dataset,
     run_member_range,
@@ -18,12 +16,10 @@ from .driver import (
 __all__ = [
     "AuthorityWorld",
     "DatasetRun",
-    "STREAM_ENV",
     "SimEnvironment",
     "build_authority_world",
     "build_environment",
     "build_vantage_zone",
-    "configured_stream",
     "member_query_counts",
     "run_dataset",
     "run_member_range",

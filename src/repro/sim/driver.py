@@ -9,13 +9,15 @@ layer needs (AS registry, PTR table, fleet metadata).
 This is the reproduction's stand-in for "one week of pcap collection at the
 vantage point".
 
-Execution is sharded through :mod:`repro.runtime`: the fleet is partitioned
-into weight-balanced contiguous shards (:func:`repro.runtime.plan_shards`),
-which run either sequentially in-process (``workers <= 1``, the default —
-exactly the original serial loop) or on a process pool
-(:class:`repro.runtime.ShardExecutor`) whose per-shard captures and
-telemetry merge back into a result bit-identical to the serial path.  The
-capture always comes back in canonical ``(timestamp, server_id)`` order.
+Execution is one pipeline configured by one :class:`~repro.config.RunConfig`:
+the fleet is partitioned into weight-balanced contiguous shards
+(:func:`repro.runtime.plan_shards`), every shard runs through
+:func:`_run_shard` — in-process against the environment built here
+(``workers == 1``, the default) or in pool workers behind
+:func:`simulate_shard` (:class:`repro.runtime.ShardExecutor`) — and
+:func:`_assemble` merges the shard results into the :class:`DatasetRun`,
+so the result is bit-identical whatever the backend.  The capture always
+comes back in canonical ``(timestamp, server_id)`` order.
 
 Every run is instrumented through :mod:`repro.telemetry`: phase spans
 (``zone_build`` / ``fleet_build`` / ``workload`` / ``resolve`` plus the
@@ -35,19 +37,20 @@ import logging
 import os
 import time
 import zlib
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..capture import CaptureStore
+from ..capture import CaptureSpool, CaptureStore, SpooledCapture
 from ..clouds import (
     FleetResolver,
     PTRTable,
     build_all_fleets,
     build_facebook_ptr_table,
 )
+from ..config import RunConfig
 from ..dnscore import Name, ROOT, RRType
 from ..faults import FaultInjector, derive_fault_seed
 from ..netsim import ASRegistry, GAZETTEER, LatencyModel, SimClock
@@ -59,15 +62,13 @@ from ..resolver import (
 )
 from ..runtime import (
     EnvironmentCache,
-    RuntimeConfig,
     RuntimeReport,
     ShardExecutor,
-    ShardOutcome,
     ShardResult,
     ShardTask,
     environment_fingerprint,
     plan_shards,
-    resolve_runtime_config,
+    record_outcome,
 )
 from ..server import AuthoritativeServer, ServerSet
 from ..telemetry import (
@@ -76,8 +77,6 @@ from ..telemetry import (
     QueryTracer,
     TelemetrySnapshot,
     TraceBuffer,
-    TraceConfig,
-    resolve_trace_config,
 )
 from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator
 from ..zones import (
@@ -96,42 +95,6 @@ logger = logging.getLogger("repro.sim")
 #: chunk, not per query).
 _CHUNK = 8192
 
-#: Seconds between progress log lines during the resolve loop (default;
-#: override per-run with the REPRO_PROGRESS_INTERVAL env var).
-_PROGRESS_INTERVAL_S = 5.0
-
-#: Environment variable overriding the progress-log interval, so long
-#: parallel runs can quiet their logs (e.g. REPRO_PROGRESS_INTERVAL=60).
-PROGRESS_INTERVAL_ENV = "REPRO_PROGRESS_INTERVAL"
-
-
-def progress_interval_s(default: float = _PROGRESS_INTERVAL_S) -> float:
-    """Progress-log interval, overridable via ``REPRO_PROGRESS_INTERVAL``."""
-    raw = os.environ.get(PROGRESS_INTERVAL_ENV)
-    if raw is None:
-        return default
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{PROGRESS_INTERVAL_ENV} must be positive")
-    return value
-
-
-#: Environment variable enabling streaming execution (``REPRO_STREAM=1``):
-#: captures are folded into single-pass aggregate states and spilled to a
-#: chunked spool instead of being kept resident as row lists.
-STREAM_ENV = "REPRO_STREAM"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def configured_stream(default: bool = False) -> bool:
-    """Streaming-mode default, overridable via the ``REPRO_STREAM`` env var."""
-    raw = os.environ.get(STREAM_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSEY
-
-
 @dataclass
 class DatasetRun:
     """Everything produced by simulating one dataset.
@@ -146,7 +109,8 @@ class DatasetRun:
     """
 
     descriptor: DatasetDescriptor
-    capture: CaptureStore          #: traffic at the captured vantage servers
+    #: traffic at the captured vantage servers
+    capture: Union[CaptureStore, SpooledCapture]
     registry: ASRegistry
     fleet: List[FleetResolver]
     ptr_table: PTRTable
@@ -502,43 +466,36 @@ def publish_server_metrics(
             server.publish_metrics(metrics)
 
 
-def _publish_run_metrics(
-    metrics: MetricsRegistry,
-    fleet: Sequence[FleetResolver],
-    server_sets: Dict[str, ServerSet],
-    capture: CaptureStore,
-    fleet_size: int,
-    faults: Optional[FaultInjector] = None,
-) -> None:
-    publish_fleet_metrics(metrics, fleet)
-    publish_server_metrics(metrics, server_sets)
-    if faults is not None:
-        faults.publish_metrics(metrics)
-    capture.publish_metrics(metrics, window_seconds=metrics.phase_seconds("resolve"))
-    metrics.gauge("sim.fleet_size").set(fleet_size)
+def _publish_environment_metrics(metrics: MetricsRegistry, env: SimEnvironment) -> None:
+    """Everything the environment as a whole counted: authoritative
+    servers, the fault injector and the capture.  Published once per
+    environment — shards that share one (the in-process backend) share its
+    servers and its capture, so only the shard that closes it calls this."""
+    publish_server_metrics(metrics, env.server_sets)
+    if env.network.faults is not None:
+        env.network.faults.publish_metrics(metrics)
+    env.capture.publish_metrics(
+        metrics, window_seconds=metrics.phase_seconds("resolve")
+    )
+    metrics.gauge("sim.fleet_size").set(len(env.fleet))
 
 
 # -- streaming fold ---------------------------------------------------------------
 
 def _stream_capture(
-    env: SimEnvironment,
-    metrics: MetricsRegistry,
-    shard_index: int,
-    directory: Optional[str],
+    env: SimEnvironment, metrics: MetricsRegistry, shard_index: int, directory: str
 ):
     """Fold the environment's capture into aggregate state + spool chunks.
 
     One pass over the captured rows: each bounded chunk view is attributed,
     fed to every streaming aggregator, and written out as one compressed
-    spool chunk.  ``directory=None`` lets the spool own a temp dir (the
-    serial path); pool workers are always handed the parent's directory so
-    chunks outlive the worker process.  Returns ``(aggregates, spool)``.
+    spool chunk under ``directory`` — the run's spool, owned by the parent
+    so the files outlive a pool worker.  Returns ``(aggregates, spool)``.
     """
     # Lazy imports: repro.analysis is a consumer of this module's output
     # everywhere else; importing it at call time keeps the sim package
     # importable without the analysis layer loaded.
     from ..analysis import AggregateSet, Attributor, fold_capture
-    from ..capture import CaptureSpool
     from ..clouds import PROVIDERS
 
     spool = CaptureSpool(directory=directory, shard_index=shard_index)
@@ -592,6 +549,7 @@ def run_member_range(
     stop: Optional[int] = None,
     tracer: Optional[QueryTracer] = None,
     clock: Optional[SimClock] = None,
+    progress_interval_s: float = 5.0,
 ) -> int:
     """Drive client query streams through fleet members ``[start, stop)``.
 
@@ -611,6 +569,9 @@ def run_member_range(
     a pure hash of ``(seed, global member index, per-member sequence
     number)``, so the traced population is identical for every shard
     layout; untraced runs skip only the per-query sample check.
+
+    ``progress_interval_s`` is the wall-clock spacing of the progress lines
+    on the ``repro.sim`` logger.
     """
     descriptor = env.descriptor
     stop = len(env.fleet) if stop is None else stop
@@ -629,7 +590,6 @@ def run_member_range(
     )
 
     run_count = 0
-    interval = progress_interval_s()
     loop_started = time.perf_counter()
     last_progress = loop_started
     # Counter handles resolved once per provider, not once per member —
@@ -644,7 +604,7 @@ def run_member_range(
     def maybe_progress(provider: str, index: int) -> None:
         nonlocal last_progress
         now = time.perf_counter()
-        if now - last_progress >= interval:
+        if now - last_progress >= progress_interval_s:
             rate = run_count / max(now - loop_started, 1e-9)
             # rows_appended, not len(): O(1) on both CaptureStore and
             # SpooledCapture (len() scans chunk metadata in streaming mode).
@@ -732,22 +692,32 @@ def run_member_range(
     return run_count
 
 
-def simulate_shard(task: ShardTask) -> ShardResult:
-    """Build (or reuse) the world and resolve one shard's member range.
+def _run_shard(
+    env: SimEnvironment,
+    task: ShardTask,
+    metrics: MetricsRegistry,
+    clock: Optional[SimClock] = None,
+    closes_environment: bool = True,
+) -> ShardResult:
+    """Resolve one shard's member range against ``env``.
 
-    Runs inside pool workers (via
-    :func:`repro.runtime.execute_shard_task`) and in the parent for serial
-    fallbacks.  Environments come from the worker-persistent cache, so N
-    shards of one dataset in one worker pay for a single
-    ``build_environment``.  Returns only picklable payloads: raw capture
-    rows and a telemetry snapshot.  Releasing before return is safe — the
-    returned row list survives the next acquire's reset because
-    :meth:`~repro.capture.CaptureStore.clear` swaps in a fresh list.
+    The one per-shard routine of both backends: a pool worker runs it on
+    the environment it acquired, the in-process backend on the
+    environment :func:`run_dataset` built.  Everything the shard measured
+    lands in ``metrics`` and returns as a snapshot; only picklable
+    payloads come back.
+
+    Shards of the in-process backend share one environment, hence one
+    capture and one set of servers: each reports the rows *it* appended,
+    but the rows themselves are taken — handed over, or folded into
+    aggregate state plus spool chunks when streaming — and the
+    environment-wide metrics published by the shard that
+    ``closes_environment``, the last to run on it.  A pool shard has its
+    environment to itself and always does.
     """
     started = time.perf_counter()
-    descriptor = task.descriptor
-    metrics = MetricsRegistry()
-    env = acquire_environment(descriptor, task.seed, metrics)
+    descriptor = env.descriptor
+    config = task.config
     stop = len(env.fleet) if task.stop is None else task.stop
     total_queries = (
         descriptor.client_queries
@@ -755,38 +725,41 @@ def simulate_shard(task: ShardTask) -> ShardResult:
         else task.client_queries
     )
     tracer = None
-    if task.trace_sample > 0.0:
+    if config.trace is not None:
         tracer = QueryTracer(
-            TraceConfig(sample=task.trace_sample, window_s=task.trace_window_s),
-            task.seed, descriptor.dataset_id, base_ts=descriptor.start,
+            config.trace, task.seed, descriptor.dataset_id,
+            base_ts=descriptor.start,
         )
+    rows_before = env.capture.rows_appended
     queries_run = run_member_range(
-        env, total_queries, metrics, task.start, stop, tracer,
+        env, total_queries, metrics, task.start, stop, tracer, clock,
+        config.progress_interval_s,
     )
-    _publish_run_metrics(
-        metrics, env.fleet[task.start:stop], env.server_sets, env.capture,
-        fleet_size=len(env.fleet), faults=env.network.faults,
-    )
+    rows_appended = env.capture.rows_appended - rows_before
+    publish_fleet_metrics(metrics, env.fleet[task.start:stop])
     if tracer is not None:
-        # Capture-side series feed before any streaming fold clears the rows.
-        env.capture.publish_timeseries(tracer.recorder)
         metrics.counter("trace.queries_sampled").inc(len(tracer.traces))
-    rows = env.capture.raw_rows()
-    rows_appended = env.capture.rows_appended
+    rows: List[tuple] = []
     aggregates = None
     chunk_paths: List[str] = []
     chunk_row_counts: List[int] = []
-    if task.stream:
-        # Streaming shard: fold rows into aggregate state + spool chunks
-        # and ship those; the raw rows never cross the process boundary.
-        aggregates, spool = _stream_capture(
-            env, metrics, task.shard_index, task.spool_dir
-        )
-        chunk_paths = spool.chunk_paths()
-        chunk_row_counts = spool.chunk_row_counts()
-        rows = []
+    if closes_environment:
+        _publish_environment_metrics(metrics, env)
+        if tracer is not None:
+            # Capture-side series feed before the rows leave the store.
+            env.capture.publish_timeseries(tracer.recorder)
+        if config.stream:
+            aggregates, spool = _stream_capture(
+                env, metrics, task.shard_index, task.spool_dir
+            )
+            chunk_paths = spool.chunk_paths()
+            chunk_row_counts = spool.chunk_row_counts()
+        else:
+            rows = env.capture.raw_rows()
+        # clear() swaps in a fresh list, so ``rows`` stays valid while the
+        # store — still shared with the servers — starts over.
         env.capture.clear()
-    result = ShardResult(
+    return ShardResult(
         shard_index=task.shard_index,
         rows=rows,
         rows_appended=rows_appended,
@@ -799,8 +772,99 @@ def simulate_shard(task: ShardTask) -> ShardResult:
         traces=tracer.traces if tracer is not None else [],
         frames=tracer.recorder.as_dict() if tracer is not None else None,
     )
+
+
+def simulate_shard(task: ShardTask) -> ShardResult:
+    """Build (or reuse) the world and resolve one shard's member range.
+
+    The pool's entry point (via :func:`repro.runtime.execute_shard_task`),
+    also run in the parent for serial fallbacks.  Environments come from
+    the worker-persistent cache, so N shards of one dataset in one worker
+    pay for a single ``build_environment``.
+    """
+    started = time.perf_counter()
+    metrics = MetricsRegistry()
+    env = acquire_environment(task.descriptor, task.seed, metrics)
+    result = _run_shard(env, task, metrics)
     release_environment(env)
+    # Busy time as the pool sees it includes acquiring the environment.
+    result.duration_s = time.perf_counter() - started
     return result
+
+
+def _assemble(
+    env: SimEnvironment,
+    results: Sequence[ShardResult],
+    report: RuntimeReport,
+    config: RunConfig,
+    metrics: MetricsRegistry,
+    spool: Optional[CaptureSpool],
+) -> DatasetRun:
+    """Merge shard results, in shard-index order, into the dataset's run.
+
+    Shards are contiguous fleet ranges, so concatenating their rows (or
+    adopting their spool chunks), traces and frames in that order
+    reproduces the sequence one shard over the whole fleet appends;
+    :meth:`~repro.capture.CaptureStore.merge` and
+    :meth:`~repro.capture.SpooledCapture.view` then apply the same stable
+    canonical sort.  ``metrics`` is the run's registry (world build, plan,
+    executor bookkeeping); every shard's snapshot folds into it here.
+    """
+    descriptor = env.descriptor
+    rows_appended = sum(result.rows_appended for result in results)
+    aggregates = None
+    with metrics.time_phase("runtime.stream.merge" if config.stream else "runtime.merge"):
+        if config.stream:
+            from ..analysis import AggregateSet
+
+            aggregates = AggregateSet.merge_all(
+                [r.aggregates for r in results if r.aggregates is not None]
+            )
+            for result in results:
+                spool.adopt(result.chunk_paths, result.chunk_row_counts)
+            capture = SpooledCapture(spool, rows_appended)
+        else:
+            capture = CaptureStore.merge([
+                CaptureStore.from_raw_rows(r.rows, r.rows_appended)
+                for r in results
+            ])
+        for result in results:
+            metrics.merge_snapshot(result.telemetry)
+    resolve_s = metrics.phase_seconds("resolve")
+    if resolve_s > 0:
+        # Re-derived from merged totals: the value a shard's snapshot
+        # carried covers that shard's resolve time only.
+        metrics.gauge("capture.append_rows_per_s").set(rows_appended / resolve_s)
+    traces = None
+    timeseries = None
+    if config.trace is not None:
+        traces = TraceBuffer(
+            dataset_id=descriptor.dataset_id, seed=env.seed,
+            sample=config.trace.sample, base_ts=descriptor.start,
+        )
+        for result in results:
+            traces.extend(result.traces)
+        # Frames merge by integer summation, so order cannot matter.
+        timeseries = FlightRecorder.merge_all(
+            FlightRecorder.from_dict(result.frames)
+            for result in results if result.frames is not None
+        )
+    return DatasetRun(
+        descriptor=descriptor,
+        capture=capture,
+        registry=env.registry,
+        fleet=env.fleet,
+        ptr_table=env.ptr_table,
+        network=env.network,
+        vantage_zone=env.vantage_zone,
+        server_sets=env.server_sets,
+        client_queries_run=sum(result.queries_run for result in results),
+        telemetry=metrics.snapshot(),
+        runtime_report=report,
+        aggregates=aggregates,
+        traces=traces,
+        timeseries=timeseries,
+    )
 
 
 # -- the entry point -------------------------------------------------------------
@@ -812,7 +876,7 @@ def run_dataset(
     telemetry: Optional[MetricsRegistry] = None,
     workers: Optional[int] = None,
     shard_count: Optional[int] = None,
-    runtime: Optional[RuntimeConfig] = None,
+    config: Optional[RunConfig] = None,
     stream: Optional[bool] = None,
     spool_dir: Optional[str] = None,
     trace=None,
@@ -821,55 +885,28 @@ def run_dataset(
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    Execution modes are serial/pool (``workers``) × memory/stream
-    (``stream``) × chaos (the descriptor's fault plan) × trace (``trace``),
-    all through the one loop in :func:`run_member_range`; for a given
-    fault plan every combination yields the same capture bytes.
-
-    ``clock`` optionally injects the :class:`~repro.netsim.SimClock` the run
-    keeps in step with sim time (defaults to a fresh clock pinned to the
-    capture window's start).  The simulation always passes explicit
-    timestamps downstream, so the injected clock observes the replay rather
-    than driving it — results are bit-identical with or without one.  On
-    the serial path it tracks each chunk's latest timestamp; either way it
-    ends at the capture window's close.
+    ``workers`` / ``shard_count`` / ``stream`` / ``spool_dir`` / ``trace``
+    are the front door to :meth:`RunConfig.resolve
+    <repro.config.RunConfig.resolve>` (``None`` = environment, else
+    default; the fields are documented on the class); a ready ``config``
+    replaces all five.  For a given fault plan every configuration yields
+    the same capture bytes.  With ``workers=1`` the returned fleet and
+    server objects carry their post-run state; a pool leaves the parent's
+    cold (their counters live in the merged telemetry).
 
     ``client_queries`` overrides the descriptor's volume (tests use small
     values; benchmarks use the descriptor default).
-
-    ``workers`` selects the execution backend: ``<=1`` (default, or via the
-    ``REPRO_WORKERS`` env var) runs shards sequentially in-process — the
-    returned fleet/server objects then carry their post-run state exactly
-    as the original serial driver left it; ``>1`` executes shards on a
-    process pool and merges the results, bit-identical to the serial path
-    but with parent-side fleet/server objects left cold (their counters
-    live in the merged telemetry instead).  ``shard_count`` defaults to the
-    worker count; ``runtime`` passes a full
-    :class:`~repro.runtime.RuntimeConfig` (timeouts, retries, fault
-    injection) and overrides both.
-
-    ``stream`` (default: the ``REPRO_STREAM`` env var) switches to
-    streaming execution: captured rows are folded into a single-pass
-    :class:`~repro.analysis.streaming.AggregateSet` and spilled to a
-    chunked :class:`~repro.capture.CaptureSpool` as they leave each shard,
-    so the parent never holds the full row set.  The returned run carries a
-    :class:`~repro.capture.SpooledCapture` plus ``aggregates``; every
-    analysis is bit-identical to the in-memory path.  ``spool_dir`` roots
-    the chunk files (a per-dataset subdirectory is created); ``None`` uses
-    a self-cleaning temp dir.
 
     ``telemetry`` optionally names a session-level registry (e.g. an
     :class:`~repro.experiments.context.ExperimentContext`'s) into which
     this run's metrics are merged; the run itself always instruments a
     fresh registry whose snapshot lands on ``DatasetRun.telemetry``.
 
-    ``trace`` (default: the ``REPRO_TRACE`` env var) enables sampled
-    per-query lifecycle tracing: a :class:`~repro.telemetry.TraceConfig`,
-    a bare sample rate in [0, 1], or ``None``.  Sampling decisions are
-    hash-derived (never RNG-stream-based), so enabling tracing changes
-    nothing about the capture; the run then carries
-    ``DatasetRun.traces`` / ``DatasetRun.timeseries``, deterministic
-    across runs and worker counts.
+    ``clock`` optionally injects the :class:`~repro.netsim.SimClock` the run
+    keeps in step with sim time (defaults to a fresh clock pinned to the
+    capture window's start).  Queries carry explicit timestamps, so the
+    clock observes the replay rather than driving it: in-process it tracks
+    each chunk's latest timestamp; either way it ends at the window's close.
 
     ``vector`` is a stub: the record/replay vector core it selected was
     removed, and only ``None``/``False`` are accepted.
@@ -883,14 +920,13 @@ def run_dataset(
             "the record/replay vector core was removed;"
             " vector= must be None or False"
         )
-    config = resolve_runtime_config(workers, shard_count, runtime)
-    stream = configured_stream() if stream is None else bool(stream)
-    trace_config = resolve_trace_config(trace)
-    dataset_spool_dir = (
-        os.path.join(spool_dir, descriptor.dataset_id) if spool_dir else None
-    )
+    if config is None:
+        config = RunConfig.resolve(
+            workers=workers, shard_count=shard_count, stream=stream,
+            spool_dir=spool_dir, trace=trace,
+        )
     metrics = MetricsRegistry()
-    metrics.gauge("runtime.stream.enabled").set(1 if stream else 0)
+    metrics.gauge("runtime.stream.enabled").set(1 if config.stream else 0)
     metrics.gauge("runtime.vector.enabled").set(0)
     if clock is None:
         clock = SimClock(now=descriptor.start)
@@ -901,7 +937,7 @@ def run_dataset(
 
     with metrics.time_phase("runtime.plan"):
         plan = plan_shards(
-            [member.weight for member in env.fleet], config.effective_shards(), seed
+            [member.weight for member in env.fleet], config.effective_shards()
         )
     metrics.counter("runtime.shards_total").inc(len(plan))
     metrics.gauge("runtime.workers").set(config.workers)
@@ -912,35 +948,28 @@ def run_dataset(
         len(plan), config.workers,
     )
 
-    aggregates = None
-    use_pool = config.workers > 1 and len(plan) > 1 and total_queries > 0
-    if use_pool:
-        # In streaming mode the parent owns the spool (and its temp dir,
-        # when no explicit directory is given) and workers write their
-        # chunks straight into it — chunk files must outlive the workers.
-        parent_spool = None
-        worker_spool_dir = None
-        if stream:
-            from ..capture import CaptureSpool
-
-            parent_spool = CaptureSpool(directory=dataset_spool_dir)
-            worker_spool_dir = str(parent_spool.directory)
-        tasks = [
-            ShardTask(
-                descriptor=descriptor,
-                seed=seed,
-                client_queries=total_queries,
-                shard_index=shard.index,
-                shard_seed=shard.seed,
-                start=shard.start,
-                stop=shard.stop,
-                stream=stream,
-                spool_dir=worker_spool_dir,
-                trace_sample=trace_config.sample if trace_config else 0.0,
-                trace_window_s=trace_config.window_s if trace_config else 3600.0,
-            )
-            for shard in plan
-        ]
+    # The parent owns the spool (and its temp dir, when no directory is
+    # configured); shards write their chunks straight into it.
+    spool = None
+    if config.stream:
+        spool = CaptureSpool(directory=(
+            os.path.join(config.spool_dir, descriptor.dataset_id)
+            if config.spool_dir else None
+        ))
+    tasks = [
+        ShardTask(
+            descriptor=descriptor,
+            seed=seed,
+            client_queries=total_queries,
+            shard_index=shard.index,
+            start=shard.start,
+            stop=shard.stop,
+            config=config,
+            spool_dir=str(spool.directory) if spool is not None else None,
+        )
+        for shard in plan
+    ]
+    if config.workers > 1 and len(plan) > 1 and total_queries > 0:
         # Pre-warm the cache the fork-started workers inherit: the parent's
         # just-built environment, pinned so the parent itself can never
         # consume it (this env is aliased into the returned DatasetRun).
@@ -948,144 +977,31 @@ def run_dataset(
         executor = ShardExecutor(config, metrics)
         with metrics.time_phase("runtime.execute"):
             executor.submit(tasks)
-            results, runtime_report = executor.collect()
-        if stream:
-            from ..analysis import AggregateSet
-            from ..capture import SpooledCapture
-
-            with metrics.time_phase("runtime.stream.merge"):
-                # collect() returns results in shard-index order, so
-                # adopting chunks in results order reproduces the serial
-                # append sequence — SpooledCapture.view() then applies the
-                # same canonical sort as CaptureStore.merge.
-                aggregates = AggregateSet.merge_all(
-                    [r.aggregates for r in results if r.aggregates is not None]
-                )
-                for result in results:
-                    parent_spool.adopt(result.chunk_paths, result.chunk_row_counts)
-                    metrics.merge_snapshot(result.telemetry)
-                rows_appended = sum(r.rows_appended for r in results)
-                capture = SpooledCapture(parent_spool, rows_appended)
-                resolve_s = metrics.phase_seconds("resolve")
-                if resolve_s > 0:
-                    metrics.gauge("capture.append_rows_per_s").set(
-                        rows_appended / resolve_s
-                    )
-        else:
-            with metrics.time_phase("runtime.merge"):
-                capture = CaptureStore.merge([
-                    CaptureStore.from_raw_rows(r.rows, r.rows_appended)
-                    for r in results
-                ])
-                for result in results:
-                    metrics.merge_snapshot(result.telemetry)
-                resolve_s = metrics.phase_seconds("resolve")
-                if resolve_s > 0:
-                    # Re-derive the throughput gauge from merged totals (the
-                    # per-worker last-write value is meaningless here).
-                    metrics.gauge("capture.append_rows_per_s").set(
-                        capture.rows_appended / resolve_s
-                    )
-        queries_run = sum(result.queries_run for result in results)
-        trace_buffer = None
-        flight = None
-        if trace_config is not None:
-            trace_buffer = TraceBuffer(
-                dataset_id=descriptor.dataset_id, seed=seed,
-                sample=trace_config.sample, base_ts=descriptor.start,
-            )
-            # Shard-index order = contiguous fleet ranges in order = the
-            # serial trace sequence; frames merge by integer summation.
-            for result in results:
-                trace_buffer.extend(result.traces)
-            flight = FlightRecorder.merge_all(
-                FlightRecorder.from_dict(result.frames)
-                for result in results if result.frames is not None
-            )
+            results, report = executor.collect()
     else:
-        runtime_report = RuntimeReport(
-            mode="serial", workers=1, shard_count=len(plan)
-        )
-        tracer = None
-        if trace_config is not None:
-            tracer = QueryTracer(
-                trace_config, seed, descriptor.dataset_id,
-                base_ts=descriptor.start,
-            )
-        queries_run = 0
+        report = RuntimeReport(mode="serial", workers=1, shard_count=len(plan))
+        results = []
         with metrics.time_phase("runtime.execute"):
-            for shard in plan:
-                shard_started = time.perf_counter()
-                shard_queries = run_member_range(
-                    env, total_queries, metrics, shard.start, shard.stop,
-                    tracer, clock,
+            for task in tasks:
+                result = _run_shard(
+                    env, task, MetricsRegistry(), clock,
+                    closes_environment=task is tasks[-1],
                 )
-                shard_elapsed = time.perf_counter() - shard_started
-                metrics.observe_phase(f"runtime.shard.{shard.index}", shard_elapsed)
-                metrics.counter(
-                    "runtime.shard_queries", shard=shard.index
-                ).inc(shard_queries)
-                runtime_report.outcomes.append(ShardOutcome(
-                    index=shard.index, start=shard.start, stop=shard.stop,
-                    queries_run=shard_queries, duration_s=shard_elapsed,
-                    attempts=1,
-                ))
-                queries_run += shard_queries
-        _publish_run_metrics(
-            metrics, env.fleet, env.server_sets, env.capture,
-            fleet_size=len(env.fleet), faults=env.network.faults,
-        )
-        trace_buffer = None
-        flight = None
-        if tracer is not None:
-            # Capture-side series feed must precede any streaming fold,
-            # which releases the resident rows.
-            env.capture.publish_timeseries(tracer.recorder)
-            metrics.counter("trace.queries_sampled").inc(len(tracer.traces))
-            trace_buffer = tracer.buffer()
-            flight = tracer.recorder
-        if stream:
-            from ..capture import SpooledCapture
-
-            # No canonical sort here: chunks spill in append order and
-            # SpooledCapture.view() applies the same stable lexsort on
-            # materialisation, bit-identical to sort_canonical().
-            aggregates, spool = _stream_capture(env, metrics, 0, dataset_spool_dir)
-            capture = SpooledCapture(spool, env.capture.rows_appended)
-            env.capture.clear()
-        else:
-            with metrics.time_phase("runtime.merge"):
-                env.capture.sort_canonical()
-            capture = env.capture
+                record_outcome(report, metrics, task, result)
+                results.append(result)
+    run = _assemble(env, results, report, config, metrics, spool)
 
     # The run is over: sim time has reached the end of the capture window
-    # regardless of execution backend (pool workers advance local clocks).
+    # regardless of execution backend (pool workers advance no clock).
     window_end = descriptor.start + descriptor.duration
     if window_end > clock.now:
         clock.advance_to(window_end)
 
-    snapshot = metrics.snapshot()
     logger.info(
         "run %s done (%s): %d client queries, %d captured rows, %.2fs resolve time",
-        descriptor.dataset_id, runtime_report.summary(), queries_run,
-        len(capture), snapshot.phase_seconds("resolve"),
+        descriptor.dataset_id, report.summary(), run.client_queries_run,
+        len(run.capture), run.telemetry.phase_seconds("resolve"),
     )
     if telemetry is not None:
-        telemetry.merge_snapshot(snapshot)
-
-    return DatasetRun(
-        descriptor=descriptor,
-        capture=capture,
-        registry=env.registry,
-        fleet=env.fleet,
-        ptr_table=env.ptr_table,
-        network=env.network,
-        vantage_zone=env.vantage_zone,
-        server_sets=env.server_sets,
-        client_queries_run=queries_run,
-        telemetry=snapshot,
-        runtime_report=runtime_report,
-        aggregates=aggregates,
-        traces=trace_buffer,
-        timeseries=flight,
-    )
+        telemetry.merge_snapshot(run.telemetry)
+    return run

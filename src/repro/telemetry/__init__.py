@@ -34,11 +34,9 @@ from .tracing import (
     QueryTracer,
     TraceBuffer,
     TraceConfig,
-    configured_trace_sample,
     hash_uniform,
     mix32,
     read_trace_file,
-    resolve_trace_config,
     summarize_trace_file,
 )
 from .registry import (
@@ -67,13 +65,11 @@ __all__ = [
     "TraceBuffer",
     "TraceConfig",
     "configure_logging",
-    "configured_trace_sample",
     "format_summary",
     "hash_uniform",
     "metric_key",
     "mix32",
     "read_trace_file",
-    "resolve_trace_config",
     "split_key",
     "summarize_trace_file",
     "PROMETHEUS_CONTENT_TYPE",

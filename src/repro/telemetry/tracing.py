@@ -41,30 +41,24 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..config import TraceConfig
+
 __all__ = [
     "ACTIVE",
-    "TRACE_ENV",
     "TraceConfig",
     "QueryTrace",
     "QueryTracer",
     "TraceBuffer",
-    "configured_trace_sample",
     "hash_uniform",
     "mix32",
     "read_trace_file",
-    "resolve_trace_config",
     "summarize_trace_file",
 ]
-
-#: Environment variable giving the default trace-sample rate (``0`` = off,
-#: e.g. ``REPRO_TRACE=0.01`` traces 1% of client queries).
-TRACE_ENV = "REPRO_TRACE"
 
 #: Events retained per trace before further events are counted but
 #: dropped (a cyclic-dependency chase can fan one client query out into
@@ -93,53 +87,6 @@ def mix32(digest: int) -> int:
 def hash_uniform(seed_bytes: bytes, payload: bytes) -> float:
     """Deterministic uniform [0, 1) from ``crc32 → murmur3-finalize``."""
     return mix32(zlib.crc32(seed_bytes + payload)) / _HASH_DENOM
-
-
-def configured_trace_sample(default: float = 0.0) -> float:
-    """Trace-sample default, overridable via the ``REPRO_TRACE`` env var
-    (unset or empty → ``default``)."""
-    raw = os.environ.get(TRACE_ENV)
-    if raw is None or raw == "":
-        return default
-    value = float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{TRACE_ENV} must be in [0, 1]")
-    return value
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Tracing policy for one run.
-
-    ``sample`` is the traced fraction of client queries (hash-derived, see
-    module docstring); ``window_s`` is the flight-recorder bucket width in
-    simulated seconds (:mod:`repro.telemetry.timeseries`).
-    """
-
-    sample: float = 0.01
-    window_s: float = 3600.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.sample <= 1.0:
-            raise ValueError("trace sample must be in [0, 1]")
-        if self.window_s <= 0:
-            raise ValueError("trace window_s must be positive")
-
-
-def resolve_trace_config(trace=None) -> Optional[TraceConfig]:
-    """Fold the driver-level ``trace`` knob into a config (or ``None``).
-
-    Accepts a :class:`TraceConfig`, a bare sample rate, or ``None`` (fall
-    back to the ``REPRO_TRACE`` environment default).  A resolved sample
-    of 0 means tracing is off and ``None`` is returned.
-    """
-    if trace is None:
-        sample = configured_trace_sample()
-        return TraceConfig(sample=sample) if sample > 0.0 else None
-    if isinstance(trace, TraceConfig):
-        return trace if trace.sample > 0.0 else None
-    sample = float(trace)
-    return TraceConfig(sample=sample) if sample > 0.0 else None
 
 
 class QueryTrace:
@@ -297,16 +244,6 @@ class QueryTracer:
         ACTIVE = None
         trace.rcode = int(rcode)
         self.traces.append(trace.as_dict())
-
-    def buffer(self) -> "TraceBuffer":
-        """This tracer's traces as a mergeable :class:`TraceBuffer`."""
-        return TraceBuffer(
-            dataset_id=self.dataset_id,
-            seed=self.seed,
-            sample=self.config.sample,
-            base_ts=self.base_ts,
-            traces=list(self.traces),
-        )
 
 
 @dataclass

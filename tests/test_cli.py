@@ -90,7 +90,7 @@ class TestCLI:
         monkeypatch.setattr(render_all, "run_and_render", fake_run_and_render)
         assert main(["experiments", "--scale", "0.05", "--workers", "3"]) == 0
         capsys.readouterr()
-        assert seen["ctx"].workers == 3
+        assert seen["ctx"].config.workers == 3
 
     def test_dataset_scale_honors_repro_scale_env(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.01")
@@ -136,6 +136,42 @@ class TestCLI:
             main(["dataset", "nz-w2018", "--vector"])
         assert excinfo.value.code == 2
         assert "--vector" in capsys.readouterr().err
+
+
+class TestValidatesBeforeSimulating:
+    """A flag or ``REPRO_*`` value that cannot run is a usage error — exit
+    2, one line naming it — not a traceback (or, for a negative scale, an
+    all-zero report and exit 0) after the world was built."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["dataset", "nz-w2018", "--workers", "0"], "workers must be >= 1"),
+        (["dataset", "nz-w2018", "--trace-sample", "2"], "trace sample must be in [0, 1]"),
+        (["dataset", "nz-w2018", "--scale", "-1"], "scale must be positive"),
+        (["experiments", "--workers", "0"], "workers must be >= 1"),
+        (["experiments", "--scale", "0"], "scale must be positive"),
+    ])
+    def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {named}" in err
+        assert "simulating" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["dataset", "nz-w2018"], ["experiments"],
+    ])
+    def test_bad_environment_is_a_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(command)
+        assert excinfo.value.code == 2
+        assert "REPRO_WORKERS='abc': expected an integer >= 1" in capsys.readouterr().err
+
+    def test_serve_takes_its_chaos_default_from_the_same_resolver(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "nope")
+        with pytest.raises(KeyError, match="default-loss"):
+            main(["serve", "nl-w2020", "--udp-port", "0", "--duration", "0.1"])
 
 
 class TestChaosCLI:

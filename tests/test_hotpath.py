@@ -61,7 +61,7 @@ def _uncached_serial(descriptor, monkeypatch):
 def _cached_shard(descriptor):
     task = ShardTask(
         descriptor=descriptor, seed=SEED, client_queries=QUERIES,
-        shard_index=0, shard_seed=0, start=0, stop=None,
+        shard_index=0, start=0, stop=None,
     )
     result = simulate_shard(task)
     store = CaptureStore.from_raw_rows(result.rows, result.rows_appended)

@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capture import CaptureStore
+from repro.capture import CaptureStore, SpooledCapture
 from repro.capture.schema import QueryRecord, Transport
+from repro import config as run_config
+from repro.config import RunConfig
 from repro.netsim import IPAddress
-from repro.runtime import (
-    RuntimeConfig,
-    ShardExecutor,
-    ShardTask,
-    derive_shard_seed,
-    plan_shards,
-)
+from repro.runtime import ShardExecutor, ShardTask, plan_shards
 from repro.sim import member_query_counts, run_dataset
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
@@ -42,21 +38,38 @@ def assert_views_equal(a, b):
 def sim_counters(snapshot):
     """The simulation-facing counters (excludes runtime.* bookkeeping and
     capture.spool.* chunk accounting, which legitimately differ between
-    serial and pooled execution)."""
+    serial and pooled execution, and the analysis.* / trace.* counters only
+    a streaming / traced run publishes)."""
     return {
         key: value for key, value in snapshot.counters.items()
-        if not key.startswith(("runtime.", "capture.spool."))
+        if not key.startswith(("runtime.", "capture.spool.", "analysis.", "trace."))
     }
+
+
+TRACE_SAMPLE = 0.05
 
 
 @pytest.fixture(scope="module")
 def serial_run():
-    return run_dataset(dataset(DATASET), client_queries=QUERIES)
+    return run_dataset(
+        dataset(DATASET), client_queries=QUERIES, workers=1, stream=False,
+        trace=0.0,
+    )
+
+
+@pytest.fixture(scope="module")
+def serial_trace_ids():
+    traced = run_dataset(
+        dataset(DATASET), client_queries=QUERIES, workers=1, stream=False,
+        trace=TRACE_SAMPLE,
+    )
+    assert len(traced.traces) > 0
+    return [trace["id"] for trace in traced.traces.traces]
 
 
 class TestPlanner:
     def test_shards_are_contiguous_and_cover_fleet(self):
-        plan = plan_shards([1.0] * 10, 3, seed=1)
+        plan = plan_shards([1.0] * 10, 3)
         assert len(plan) == 3
         assert plan.shards[0].start == 0
         assert plan.shards[-1].stop == 10
@@ -67,32 +80,23 @@ class TestPlanner:
     def test_shards_balance_by_weight(self):
         # One heavy member up front: it should get a shard to itself.
         weights = [100.0] + [1.0] * 99
-        plan = plan_shards(weights, 2, seed=1)
+        plan = plan_shards(weights, 2)
         assert plan.shards[0].stop == 1
         assert plan.shards[1].start == 1 and plan.shards[1].stop == 100
 
     def test_shard_count_clamped_to_members(self):
-        plan = plan_shards([1.0, 2.0], 8, seed=1)
+        plan = plan_shards([1.0, 2.0], 8)
         assert len(plan) == 2
 
     def test_zero_weights_split_evenly(self):
-        plan = plan_shards([0.0] * 9, 3, seed=1)
+        plan = plan_shards([0.0] * 9, 3)
         assert [s.members for s in plan] == [3, 3, 3]
-
-    def test_seeds_derived_and_distinct(self):
-        plan = plan_shards([1.0] * 6, 3, seed=42)
-        seeds = [shard.seed for shard in plan]
-        assert len(set(seeds)) == 3
-        assert seeds == [derive_shard_seed(42, i) for i in range(3)]
-        # Stable across invocations.
-        again = plan_shards([1.0] * 6, 3, seed=42)
-        assert [s.seed for s in again] == seeds
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            plan_shards([], 2, seed=1)
+            plan_shards([], 2)
         with pytest.raises(ValueError):
-            plan_shards([1.0], 0, seed=1)
+            plan_shards([1.0], 0)
 
 
 positive_weights = st.lists(
@@ -232,6 +236,35 @@ class TestPoolDeterminism:
         assert sim_counters(serial_run.telemetry) == sim_counters(pooled.telemetry)
         assert pooled.client_queries_run == serial_run.client_queries_run
 
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("stream", [False, True], ids=["memory", "stream"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_mode_matches_the_serial_in_memory_run(
+        self, serial_run, serial_trace_ids, workers, stream, trace
+    ):
+        """One pipeline: backend, capture residency and tracing are
+        configuration, and none of them may show in the results."""
+        run = run_dataset(
+            dataset(DATASET), client_queries=QUERIES, workers=workers,
+            stream=stream, trace=TRACE_SAMPLE if trace else 0.0,
+        )
+        report = run.runtime_report
+        assert report.mode == ("process-pool" if workers > 1 else "serial")
+        assert report.shard_count == workers and report.failures == 0
+        assert sum(outcome.rows for outcome in report.outcomes) == len(run.capture)
+        assert_views_equal(serial_run.capture.view(), run.capture.view())
+        assert sim_counters(serial_run.telemetry) == sim_counters(run.telemetry)
+        assert run.client_queries_run == serial_run.client_queries_run
+        assert isinstance(run.capture, SpooledCapture if stream else CaptureStore)
+        assert (run.aggregates is not None) == stream
+        assert run.telemetry.gauges["runtime.stream.enabled"] == (1 if stream else 0)
+        if trace:
+            assert [t["id"] for t in run.traces.traces] == serial_trace_ids
+            assert run.telemetry.counters["trace.queries_sampled"] == len(serial_trace_ids)
+            assert run.timeseries is not None
+        else:
+            assert run.traces is None and run.timeseries is None
+
     def test_pool_runtime_telemetry(self, serial_run):
         pooled = run_dataset(dataset(DATASET), client_queries=QUERIES, workers=2)
         snap = pooled.telemetry
@@ -249,8 +282,8 @@ class TestPoolDeterminism:
 
 class TestFaultRecovery:
     def test_crashed_shard_falls_back_serially(self, serial_run):
-        config = RuntimeConfig(workers=2, inject_faults={0: "crash"})
-        run = run_dataset(dataset(DATASET), client_queries=QUERIES, runtime=config)
+        config = RunConfig.resolve(workers=2, inject_faults={0: "crash"})
+        run = run_dataset(dataset(DATASET), client_queries=QUERIES, config=config)
         report = run.runtime_report
         assert report.failures == 0
         assert report.retries == 1       # retried once on the pool (crashed again)
@@ -261,11 +294,11 @@ class TestFaultRecovery:
         assert_views_equal(serial_run.capture.view(), run.capture.view())
 
     def test_hung_shard_times_out_and_falls_back(self, serial_run):
-        config = RuntimeConfig(
+        config = RunConfig.resolve(
             workers=2, shard_timeout_s=1.5, retries=0,
             inject_faults={0: "hang"},
         )
-        run = run_dataset(dataset(DATASET), client_queries=QUERIES, runtime=config)
+        run = run_dataset(dataset(DATASET), client_queries=QUERIES, config=config)
         report = run.runtime_report
         assert report.failures == 0
         assert report.fallbacks >= 1
@@ -279,7 +312,7 @@ def _shard_tasks(count=2, queries=60, descriptor=None):
     return [
         ShardTask(
             descriptor=base, seed=7, client_queries=queries,
-            shard_index=index, shard_seed=derive_shard_seed(7, index),
+            shard_index=index,
         )
         for index in range(count)
     ]
@@ -291,7 +324,7 @@ class TestShardExecutorAccounting:
     def test_crash_attempts_pool_retry_fallback(self):
         metrics = MetricsRegistry()
         executor = ShardExecutor(
-            RuntimeConfig(workers=2, inject_faults={0: "crash"}), metrics
+            RunConfig(workers=2, inject_faults={0: "crash"}), metrics
         )
         executor.submit(_shard_tasks())
         results, report = executor.collect()
@@ -314,7 +347,7 @@ class TestShardExecutorAccounting:
     def test_hang_times_out_retries_then_falls_back(self):
         metrics = MetricsRegistry()
         executor = ShardExecutor(
-            RuntimeConfig(
+            RunConfig(
                 workers=2, shard_timeout_s=0.4, retries=1,
                 inject_faults={0: "hang"},
             ),
@@ -339,7 +372,7 @@ class TestShardExecutorAccounting:
         # with `runtime.shard_fallbacks` accounting for every recovery.
         metrics = MetricsRegistry()
         executor = ShardExecutor(
-            RuntimeConfig(workers=2, retries=1, inject_faults={0: "exit"}),
+            RunConfig(workers=2, retries=1, inject_faults={0: "exit"}),
             metrics,
         )
         executor.submit(_shard_tasks())
@@ -364,7 +397,7 @@ class TestShardExecutorAccounting:
         tasks = _shard_tasks()
         tasks[0] = replace(tasks[0], descriptor=broken)
         metrics = MetricsRegistry()
-        executor = ShardExecutor(RuntimeConfig(workers=2, retries=1), metrics)
+        executor = ShardExecutor(RunConfig(workers=2, retries=1), metrics)
         executor.submit(tasks)
         results, report = executor.collect()
         assert report.failures == 1
@@ -380,20 +413,14 @@ class TestShardExecutorAccounting:
 
 
 class TestExperimentParity:
-    def test_prefetched_reports_match_serial(self):
+    def test_pooled_context_renders_the_serial_reports(self):
+        """``ExperimentContext(workers=2)`` shards every simulation it runs;
+        the reports built on top must not be able to tell."""
         from repro.experiments import figure1, table5
         from repro.experiments.context import ExperimentContext
 
-        nz_datasets = ["nz-w2018", "nz-w2019", "nz-w2020"]
         serial_ctx = ExperimentContext(scale=0.01, workers=1)
         pool_ctx = ExperimentContext(scale=0.01, workers=2)
-        pool_ctx.prefetch(nz_datasets)
-        for dataset_id in nz_datasets:
-            assert dataset_id in pool_ctx._runs
-            assert_views_equal(
-                serial_ctx.run(dataset_id).capture.view(),
-                pool_ctx.run(dataset_id).capture.view(),
-            )
         assert (
             figure1.run_vantage(serial_ctx, "nz").to_text()
             == figure1.run_vantage(pool_ctx, "nz").to_text()
@@ -402,14 +429,8 @@ class TestExperimentParity:
             table5.run_vantage_year(serial_ctx, "nz", 2018).to_text()
             == table5.run_vantage_year(pool_ctx, "nz", 2018).to_text()
         )
-
-    def test_prefetch_serial_context_just_runs(self):
-        from repro.experiments.context import ExperimentContext
-
-        ctx = ExperimentContext(scale=0.01, workers=1)
-        ctx.prefetch(["nz-w2018"])
-        assert "nz-w2018" in ctx._runs
-        assert ctx._runs["nz-w2018"].runtime_report.mode == "serial"
+        assert serial_ctx.run("nz-w2018").runtime_report.mode == "serial"
+        assert pool_ctx.run("nz-w2018").runtime_report.mode == "process-pool"
 
 
 def _vector_keys(snapshot):
@@ -452,45 +473,123 @@ class TestVectorKeywordStub:
         assert snapshot.gauges["runtime.vector.enabled"] == 0
 
 
+#: name -> (reader, value when unset, valid text, its value, invalid text).
+#: Empty always means unset.  ``REPRO_CHAOS`` has no invalid form at this
+#: level: any name passes through and ``chaos_scenario`` rejects unknown ones.
+ENV_KNOBS = {
+    "REPRO_SCALE": (lambda: run_config.resolve_scale(default=0.2), 0.2, "0.5", 0.5, "-1"),
+    "REPRO_WORKERS": (lambda: RunConfig.resolve().workers, 1, "3", 3, "abc"),
+    "REPRO_STREAM": (lambda: RunConfig.resolve().stream, False, "on", True, "maybe"),
+    "REPRO_TRACE": (
+        lambda: RunConfig.resolve().trace, None,
+        "0.125", run_config.TraceConfig(sample=0.125), "2",
+    ),
+    "REPRO_CHAOS": (run_config.default_chaos, None, "default-loss", "default-loss", None),
+    "REPRO_PROGRESS_INTERVAL": (
+        lambda: RunConfig.resolve().progress_interval_s, 5.0, "30", 30.0, "0",
+    ),
+    "REPRO_PLAN_CACHE": (run_config.plan_cache_enabled, True, "off", False, "abc"),
+    "REPRO_ENV_CACHE": (run_config.env_cache_capacity, 4, "0", 0, "abc"),
+    "REPRO_POOL_START": (run_config.pool_start_method, None, "spawn", "spawn", "teleport"),
+}
+
+
 class TestEnvDefaults:
+    @pytest.mark.parametrize("name", sorted(ENV_KNOBS))
+    def test_one_parsing_rule_for_every_knob(self, monkeypatch, name):
+        read, default, valid, value, invalid = ENV_KNOBS[name]
+        monkeypatch.delenv(name, raising=False)
+        assert read() == default
+        monkeypatch.setenv(name, "")
+        assert read() == default
+        monkeypatch.setenv(name, f" {valid} ")
+        assert read() == value
+        if invalid is not None:
+            monkeypatch.setenv(name, invalid)
+            with pytest.raises(ValueError) as excinfo:
+                read()
+            message = str(excinfo.value)
+            assert f"{name}={invalid!r}" in message and "expected" in message
+
+    def test_booleans_share_one_vocabulary(self, monkeypatch):
+        for text, expected in (
+            ("0", False), ("false", False), ("No", False), ("OFF", False),
+            ("1", True), ("true", True), ("Yes", True), ("on", True),
+        ):
+            monkeypatch.setenv("REPRO_PLAN_CACHE", text)
+            monkeypatch.setenv("REPRO_STREAM", text)
+            assert run_config.plan_cache_enabled() is expected
+            assert RunConfig.resolve().stream is expected
+
+    def test_run_config_rejects_what_cannot_run(self):
+        from repro.experiments.context import ExperimentContext
+
+        for field, bad in (
+            ("workers", 0), ("shard_count", 0), ("shard_timeout_s", 0.0),
+            ("retries", -1), ("progress_interval_s", 0.0), ("trace", 2.0),
+        ):
+            with pytest.raises(ValueError, match=field):
+                RunConfig.resolve(**{field: bad})
+        with pytest.raises(ValueError, match="scale"):
+            run_config.resolve_scale(-1.0)
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentContext(workers=0)
+
     def test_every_env_knob_is_in_the_readme_table(self):
         """The ``REPRO_*`` names read under ``src/`` are exactly the rows of
         README's "Environment variables" table — a new knob cannot arrive
-        undocumented, and the count ROADMAP tracks is asserted here."""
+        undocumented — and the structure that keeps it so: one module reads
+        the environment, and the objects a run is assembled from are each
+        constructed at one site, so a second way to configure or run a
+        dataset cannot arrive unnoticed either."""
         import re
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent
+        sources = {
+            path: path.read_text() for path in (root / "src" / "repro").rglob("*.py")
+        }
         in_source = {
             name
-            for path in (root / "src" / "repro").rglob("*.py")
-            for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+            for text in sources.values()
+            for name in re.findall(r"REPRO_[A-Z_]+", text)
         }
         section = (root / "README.md").read_text().split(
             "## Environment variables\n", 1
         )[1].split("\n## ", 1)[0]
         documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
-        assert in_source == documented
-        assert len(documented) == 9
+        assert in_source == documented == {
+            "REPRO_SCALE", "REPRO_WORKERS", "REPRO_STREAM", "REPRO_TRACE",
+            "REPRO_CHAOS", "REPRO_PROGRESS_INTERVAL", "REPRO_PLAN_CACHE",
+            "REPRO_ENV_CACHE", "REPRO_POOL_START",
+        }
+        readers = [
+            path.name for path, text in sources.items()
+            if re.search(r"\bos\.environ\b|\bgetenv\b", text)
+        ]
+        assert readers == ["config.py"]
+        for constructor in ("DatasetRun(", "ShardTask(", "QueryTracer(", "SpooledCapture("):
+            sites = sum(
+                len(re.findall(r"(?<![\w.`])" + re.escape(constructor), text))
+                for text in sources.values()
+            )
+            assert sites == 1, f"{constructor} constructed at {sites} sites"
 
     def test_workers_env_default(self, monkeypatch):
-        from repro.runtime import configured_workers
-
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert configured_workers() == 1
+        assert RunConfig.resolve().workers == 1
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert configured_workers() == 3
+        assert RunConfig.resolve().workers == 3
+        assert RunConfig.resolve(workers=2).workers == 2
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(ValueError):
-            configured_workers()
+            RunConfig.resolve()
 
     def test_progress_interval_env(self, monkeypatch):
-        from repro.sim.driver import progress_interval_s
-
         monkeypatch.delenv("REPRO_PROGRESS_INTERVAL", raising=False)
-        assert progress_interval_s() == 5.0
+        assert RunConfig.resolve().progress_interval_s == 5.0
         monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "30")
-        assert progress_interval_s() == 30.0
+        assert RunConfig.resolve().progress_interval_s == 30.0
         monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "-1")
         with pytest.raises(ValueError):
-            progress_interval_s()
+            RunConfig.resolve()

@@ -350,7 +350,7 @@ class TestExperimentContextTelemetry:
         # figure4 "nz" covers the three .nz yearly datasets, each cached
         # after the first instrumented run.  Streaming contexts never run a
         # parent-side attribution pass (workers attribute chunk-by-chunk).
-        if ctx.stream:
+        if ctx.config.stream:
             assert snap.counter("analysis.streaming_answers") == 3
         else:
             assert snap.counter("analysis.attribution_passes") == 3

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.config import RunConfig
 from repro.faults import chaos_scenario
 from repro.telemetry import (
     FlightRecorder,
@@ -23,11 +24,9 @@ from repro.telemetry import (
     QueryTracer,
     TraceBuffer,
     TraceConfig,
-    configured_trace_sample,
     hash_uniform,
     mix32,
     read_trace_file,
-    resolve_trace_config,
     split_key,
     summarize_trace_file,
     to_prometheus,
@@ -131,18 +130,19 @@ class TestHashSampling:
 
     def test_resolve_trace_config(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert resolve_trace_config(None) is None
-        assert resolve_trace_config(0.0) is None
-        assert resolve_trace_config(0.25).sample == 0.25
+        resolve = lambda trace: RunConfig.resolve(trace=trace).trace
+        assert resolve(None) is None
+        assert resolve(0.0) is None
+        assert resolve(0.25).sample == 0.25
         config = TraceConfig(sample=0.5, window_s=60.0)
-        assert resolve_trace_config(config) is config
-        assert resolve_trace_config(TraceConfig(sample=0.0)) is None
+        assert resolve(config) is config
+        assert resolve(TraceConfig(sample=0.0)) is None
         monkeypatch.setenv("REPRO_TRACE", "0.125")
-        assert configured_trace_sample() == 0.125
-        assert resolve_trace_config(None).sample == 0.125
+        assert resolve(None).sample == 0.125
+        assert resolve(0.25).sample == 0.25
         monkeypatch.setenv("REPRO_TRACE", "2.0")
         with pytest.raises(ValueError):
-            configured_trace_sample()
+            resolve(None)
 
 
 class TestCaptureBitIdentity:
