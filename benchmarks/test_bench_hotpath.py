@@ -3,8 +3,8 @@
 Measures the simulator's serial queries/sec in three regimes and writes
 ``BENCH_hotpath.json`` next to this file:
 
-* **baseline** — all caches disabled (``REPRO_PLAN_CACHE=0``, environment
-  cache bypassed): every run pays environment construction and per-query
+* **baseline** — all caches disabled (``REPRO_PLAN_CACHE=0``,
+  ``REPRO_ENV_CACHE=0``): every run pays environment construction and per-query
   response building + wire encoding, exactly what every shard paid before
   this PR;
 * **cached cold** — caches enabled, first run: the plan cache warms as it
@@ -78,8 +78,11 @@ def test_bench_hotpath():
     cores = os.cpu_count() or 1
 
     # -- baseline: the pre-PR hot path (caches off, cold build every run) --
-    saved = os.environ.get("REPRO_PLAN_CACHE")
-    os.environ["REPRO_PLAN_CACHE"] = "0"
+    # REPRO_ENV_CACHE=0 as well: run_dataset would otherwise borrow the
+    # first repetition's zones and fleet in the second.
+    switches = ("REPRO_PLAN_CACHE", "REPRO_ENV_CACHE")
+    saved = {name: os.environ.get(name) for name in switches}
+    os.environ.update(dict.fromkeys(switches, "0"))
     try:
         baseline_runs = []
         for _ in range(REPEATS):
@@ -88,10 +91,11 @@ def test_bench_hotpath():
                                    workers=1)
             baseline_runs.append(time.perf_counter() - started)
     finally:
-        if saved is None:
-            os.environ.pop("REPRO_PLAN_CACHE", None)
-        else:
-            os.environ["REPRO_PLAN_CACHE"] = saved
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
     baseline_s = min(baseline_runs)
 
     # -- cached: cold first shard, then steady-state repeats ---------------

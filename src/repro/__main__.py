@@ -471,6 +471,13 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     snapshot = ctx.telemetry.snapshot()
     _print_telemetry(snapshot, args.telemetry_out, title="experiments")
     _export_observability(args, ctx.traces, ctx.timeseries, snapshot)
+    lookups = snapshot.counter
+    print(
+        f"worlds: {lookups('runtime.env_cache.miss', part='fleet')} fleets built, "
+        f"{lookups('runtime.env_cache.hit', part='fleet')} borrowed; "
+        f"{lookups('runtime.env_cache.miss', part='zone')} zones built",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -217,8 +217,10 @@ def default_chaos() -> Optional[str]:
 
 # -- process-level switches, read at their point of use ----------------------------
 
-#: Environments parked per process when ``REPRO_ENV_CACHE`` is unset.
-DEFAULT_ENV_CACHE_CAPACITY = 4
+#: Entries each world cache (environments, fleets, zones) parks per process
+#: when ``REPRO_ENV_CACHE`` is unset: the full matrix's nine ``(vantage,
+#: year)`` fleets, and three more so that a run beside it evicts none.
+DEFAULT_ENV_CACHE_CAPACITY = 12
 
 
 def plan_cache_enabled() -> bool:
@@ -229,7 +231,8 @@ def plan_cache_enabled() -> bool:
 
 
 def env_cache_capacity() -> int:
-    """Environment-cache capacity (``REPRO_ENV_CACHE``; ``0`` disables)."""
+    """Capacity of each world cache (``REPRO_ENV_CACHE``; ``0`` parks and
+    shares nothing — every dataset builds its world from scratch)."""
     capacity = _env("REPRO_ENV_CACHE", _integer_from(0), "an integer >= 0")
     return DEFAULT_ENV_CACHE_CAPACITY if capacity is None else capacity
 

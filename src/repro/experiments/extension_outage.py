@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from ..dnscore import RCode, RRType
 from ..faults import FaultPlan, OutageWindow
-from ..sim.driver import build_environment
+from ..sim import borrowed_environment
 from ..telemetry import MetricsRegistry
 from ..workload import DiurnalPattern, WorkloadGenerator, dataset
 from ..zones import domains_of
@@ -40,13 +40,16 @@ class OutageOutcome:
     captured_queries: int
 
 
-def _run_scenario(offline: int, client_queries: int, seed: int) -> OutageOutcome:
+def _run_scenario(
+    offline: int, client_queries: int, seed: int, metrics: MetricsRegistry
+) -> OutageOutcome:
     """Simulate nl-w2020 with ``offline`` of the NS set forced down.
 
     The outage is expressed as a :class:`FaultPlan` — one full-window
-    :class:`OutageWindow` per dark server — and built through the shared
-    :func:`build_environment` path, so this experiment exercises exactly
-    the fault layer every chaos scenario uses.
+    :class:`OutageWindow` per dark server — and the world assembled through
+    the shared :func:`borrowed_environment` path, so this experiment
+    exercises exactly the fault layer every chaos scenario uses, on the
+    fleet the process already holds for nl-w2020.
     """
     base = dataset("nl-w2020")
     plan = FaultPlan(
@@ -57,31 +60,32 @@ def _run_scenario(offline: int, client_queries: int, seed: int) -> OutageOutcome
         ),
     )
     descriptor = replace(base, fault_plan=plan) if offline else base
-    env = build_environment(descriptor, seed, MetricsRegistry())
+    with borrowed_environment(descriptor, seed, metrics) as env:
+        domains = domains_of(env.vantage_zone)
+        generator = WorkloadGenerator("nl", domains, seed=seed)
+        pattern = DiurnalPattern(descriptor.start, descriptor.duration)
+        fleet = [m for m in env.fleet if m.provider == "Google"][:40]
 
-    domains = domains_of(env.vantage_zone)
-    generator = WorkloadGenerator("nl", domains, seed=seed)
-    pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-    fleet = [m for m in env.fleet if m.provider == "Google"][:40]
-
-    servfails = 0
-    total = 0
-    auth_before = sum(m.resolver.stats.auth_queries for m in fleet)
-    per_member = max(1, client_queries // len(fleet))
-    for index, member in enumerate(fleet):
-        for query in generator.generate(index, per_member, pattern, junk_fraction=0.05):
-            rcode = member.resolver.resolve(
-                env.network, query.timestamp, query.qname, query.qtype
-            )
-            total += 1
-            if rcode is RCode.SERVFAIL:
-                servfails += 1
-    auth_after = sum(m.resolver.stats.auth_queries for m in fleet)
+        servfails = 0
+        total = 0
+        per_member = max(1, client_queries // len(fleet))
+        for index, member in enumerate(fleet):
+            for query in generator.generate(
+                index, per_member, pattern, junk_fraction=0.05
+            ):
+                rcode = member.resolver.resolve(
+                    env.network, query.timestamp, query.qname, query.qtype
+                )
+                total += 1
+                if rcode is RCode.SERVFAIL:
+                    servfails += 1
+        # Read before the fleet goes back: returning it rewinds the stats.
+        auth_queries = sum(m.resolver.stats.auth_queries for m in fleet)
     return OutageOutcome(
         offline_servers=offline,
         client_queries=total,
         servfail_ratio=servfails / total if total else 0.0,
-        auth_queries_per_client=(auth_after - auth_before) / max(total, 1),
+        auth_queries_per_client=auth_queries / max(total, 1),
         captured_queries=len(env.capture),
     )
 
@@ -94,7 +98,7 @@ def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:
     outcomes: List[OutageOutcome] = []
     total_servers = len(dataset("nl-w2020").servers)
     for offline in range(total_servers + 1):
-        outcomes.append(_run_scenario(offline, volume, seed=ctx.seed))
+        outcomes.append(_run_scenario(offline, volume, ctx.seed, ctx.telemetry))
     for outcome in outcomes:
         label = f"{outcome.offline_servers}/{total_servers} servers down"
         expectation = "~0" if outcome.offline_servers < total_servers else "~1.0"

@@ -23,7 +23,7 @@ from typing import Dict, List
 from ..clouds import PROVIDERS
 from ..dnscore import RCode
 from ..faults import FaultPlan, chaos_scenario
-from ..sim.driver import build_environment
+from ..sim import borrowed_environment
 from ..telemetry import MetricsRegistry
 from ..workload import DiurnalPattern, WorkloadGenerator, dataset
 from ..zones import domains_of
@@ -49,39 +49,45 @@ class LossOutcome:
     failovers: int
 
 
-def _loss_point(loss: float, client_queries: int, seed: int) -> LossOutcome:
+def _loss_point(
+    loss: float, client_queries: int, seed: int, metrics: MetricsRegistry
+) -> LossOutcome:
     """Resolve a Google-fleet sample against nl-w2020 under uniform loss."""
     base = dataset("nl-w2020")
     descriptor = base
     if loss:
         plan = FaultPlan(name=f"loss-{loss}", packet_loss=loss)
         descriptor = replace(base, fault_plan=plan)
-    env = build_environment(descriptor, seed, MetricsRegistry())
+    with borrowed_environment(descriptor, seed, metrics) as env:
+        domains = domains_of(env.vantage_zone)
+        generator = WorkloadGenerator("nl", domains, seed=seed)
+        pattern = DiurnalPattern(descriptor.start, descriptor.duration)
+        fleet = [m for m in env.fleet if m.provider == "Google"][:40]
 
-    domains = domains_of(env.vantage_zone)
-    generator = WorkloadGenerator("nl", domains, seed=seed)
-    pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-    fleet = [m for m in env.fleet if m.provider == "Google"][:40]
-
-    servfails = 0
-    total = 0
-    per_member = max(1, client_queries // len(fleet))
-    for index, member in enumerate(fleet):
-        for query in generator.generate(index, per_member, pattern, junk_fraction=0.05):
-            rcode = member.resolver.resolve(
-                env.network, query.timestamp, query.qname, query.qtype
-            )
-            total += 1
-            if rcode is RCode.SERVFAIL:
-                servfails += 1
-    auth = sum(m.resolver.stats.auth_queries for m in fleet)
+        servfails = 0
+        total = 0
+        per_member = max(1, client_queries // len(fleet))
+        for index, member in enumerate(fleet):
+            for query in generator.generate(
+                index, per_member, pattern, junk_fraction=0.05
+            ):
+                rcode = member.resolver.resolve(
+                    env.network, query.timestamp, query.qname, query.qtype
+                )
+                total += 1
+                if rcode is RCode.SERVFAIL:
+                    servfails += 1
+        # Read before the fleet goes back: returning it rewinds the stats.
+        auth = sum(m.resolver.stats.auth_queries for m in fleet)
+        retransmits = sum(m.resolver.stats.retransmits for m in fleet)
+        failovers = sum(m.resolver.stats.failovers for m in fleet)
     return LossOutcome(
         loss_rate=loss,
         client_queries=total,
         servfail_ratio=servfails / total if total else 0.0,
         auth_queries_per_client=auth / max(total, 1),
-        retransmits=sum(m.resolver.stats.retransmits for m in fleet),
-        failovers=sum(m.resolver.stats.failovers for m in fleet),
+        retransmits=retransmits,
+        failovers=failovers,
     )
 
 
@@ -97,31 +103,40 @@ def _capture_shares(env) -> Dict[str, float]:
     } if total else {}
 
 
-def _flaky_run(client_queries: int, seed: int, chaos: bool):
+def _flaky_run(client_queries: int, seed: int, chaos: bool, metrics: MetricsRegistry):
     """Resolve a five-provider sample against nl-w2020, optionally with the
-    ``flaky-server`` scenario active; returns (env, fleet sample)."""
+    ``flaky-server`` scenario active; returns (capture share per server,
+    the sample's failovers per provider)."""
     base = dataset("nl-w2020")
     descriptor = (
         replace(base, fault_plan=chaos_scenario("flaky-server")) if chaos else base
     )
-    env = build_environment(descriptor, seed, MetricsRegistry())
-
-    domains = domains_of(env.vantage_zone)
-    generator = WorkloadGenerator("nl", domains, seed=seed)
-    pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-    fleet = []
-    for provider in PROVIDERS:
-        fleet.extend(
-            [m for m in env.fleet if m.provider == provider][:MEMBERS_PER_PROVIDER]
-        )
-
-    per_member = max(1, client_queries // len(fleet))
-    for index, member in enumerate(fleet):
-        for query in generator.generate(index, per_member, pattern, junk_fraction=0.05):
-            member.resolver.resolve(
-                env.network, query.timestamp, query.qname, query.qtype
+    with borrowed_environment(descriptor, seed, metrics) as env:
+        domains = domains_of(env.vantage_zone)
+        generator = WorkloadGenerator("nl", domains, seed=seed)
+        pattern = DiurnalPattern(descriptor.start, descriptor.duration)
+        fleet = []
+        for provider in PROVIDERS:
+            fleet.extend(
+                [m for m in env.fleet if m.provider == provider][:MEMBERS_PER_PROVIDER]
             )
-    return env, fleet
+
+        per_member = max(1, client_queries // len(fleet))
+        for index, member in enumerate(fleet):
+            for query in generator.generate(
+                index, per_member, pattern, junk_fraction=0.05
+            ):
+                member.resolver.resolve(
+                    env.network, query.timestamp, query.qname, query.qtype
+                )
+        # Read before the fleet goes back: returning it rewinds the stats.
+        failovers = {
+            provider: sum(
+                m.resolver.stats.failovers for m in fleet if m.provider == provider
+            )
+            for provider in PROVIDERS
+        }
+    return _capture_shares(env), failovers
 
 
 def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:
@@ -133,7 +148,7 @@ def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:
     # -- query amplification vs loss rate ----------------------------------
     outcomes: List[LossOutcome] = []
     for loss in LOSS_RATES:
-        outcomes.append(_loss_point(loss, volume, seed=ctx.seed))
+        outcomes.append(_loss_point(loss, volume, ctx.seed, ctx.telemetry))
     baseline = outcomes[0].auth_queries_per_client
     for outcome in outcomes:
         label = f"loss {outcome.loss_rate:.0%}"
@@ -150,10 +165,10 @@ def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:
         )
 
     # -- failover share shift (flaky-server scenario) ----------------------
-    healthy_env, _ = _flaky_run(volume, ctx.seed, chaos=False)
-    flaky_env, flaky_fleet = _flaky_run(volume, ctx.seed, chaos=True)
-    healthy_shares = _capture_shares(healthy_env)
-    flaky_shares = _capture_shares(flaky_env)
+    healthy_shares, _ = _flaky_run(volume, ctx.seed, False, ctx.telemetry)
+    flaky_shares, failovers_by_provider = _flaky_run(
+        volume, ctx.seed, True, ctx.telemetry
+    )
     for server_id in sorted(set(healthy_shares) | set(flaky_shares)):
         before = healthy_shares.get(server_id, 0.0)
         after = flaky_shares.get(server_id, 0.0)
@@ -166,12 +181,6 @@ def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:
             round(after, 3),
             note=f"healthy {before:.3f} -> flaky {after:.3f}",
         )
-    failovers_by_provider = {
-        provider: sum(
-            m.resolver.stats.failovers for m in flaky_fleet if m.provider == provider
-        )
-        for provider in PROVIDERS
-    }
     for provider, count in failovers_by_provider.items():
         report.add(
             f"flaky-server: {provider} failovers", ">0 under faults", count

@@ -20,7 +20,7 @@ behavioural axes are explicit, configurable knobs on
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -212,18 +212,24 @@ class SimResolver:
             ),
         )
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
         self._delegation_expiry: Dict[Name, float] = {}
         self._ds_expiry: Dict[Name, float] = {}
         self._dnskey_expiry: Dict[Name, float] = {}
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The resolver's private stream, seeded on first draw: seeding
+        costs as much as the rest of the constructor, and a large part of
+        a fleet is never asked anything in a scaled-down run."""
+        return np.random.default_rng(self._seed)
 
     def reset_session(self) -> None:
         """Restore the freshly-constructed state for environment reuse.
 
         Rewinds everything a simulation run mutates — stats, cache,
-        delegation/DNSSEC expiries, and the RNG stream (reseeded from the
-        construction seed) — so a reused resolver replays queries
-        bit-identically to a newly built one.
+        delegation/DNSSEC expiries, and the RNG stream (dropped; the next
+        draw seeds it again from the construction seed) — so a reused
+        resolver replays queries bit-identically to a newly built one.
         """
         behavior = self.behavior
         self.stats = ResolverStats()
@@ -235,7 +241,7 @@ class SimResolver:
                 behavior.serve_stale_window if behavior.serve_stale else 0.0
             ),
         )
-        self._rng = np.random.default_rng(self._seed)
+        self.__dict__.pop("_rng", None)
         self._delegation_expiry.clear()
         self._ds_expiry.clear()
         self._dnskey_expiry.clear()

@@ -8,8 +8,10 @@ result:
 * :mod:`repro.runtime.executor` — the process-pool backend with per-shard
   timeout, retry-once, serial-fallback semantics, and ``runtime.*``
   telemetry; the in-process backend is a loop in the driver itself;
-* :mod:`repro.runtime.env_cache` — the worker-persistent environment cache
-  that lets N shards of one dataset share a single ``build_environment``;
+* :mod:`repro.runtime.env_cache` — the bounded parking class behind the
+  process's world stores (:mod:`repro.sim.worlds`): N shards of one
+  dataset share one assembled environment, datasets of one ``(vantage,
+  year, seed)`` share one fleet, every world shares its zones;
 * merging — :meth:`repro.capture.CaptureStore.merge` (canonical
   ``(timestamp, server_id)`` ordering) plus
   :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`.

@@ -1,26 +1,33 @@
-"""Worker-persistent environment cache.
+"""Process-persistent parking for built worlds and their parts.
 
 Building a :class:`~repro.sim.driver.SimEnvironment` (zone construction and
 signing, fleet setup) costs roughly as much as simulating several thousand
-queries, and the sharded runtime of :mod:`repro.runtime` used to pay that
-cost once *per shard*.  This module lets each worker process pay it once per
-**dataset**: environments are keyed by a deterministic fingerprint of
-``(descriptor, seed)`` and parked here between shards, with a
-``reset_session()`` pass restoring the freshly-built state before reuse.
+queries.  :class:`EnvironmentCache` is the one parking class behind every
+object :mod:`repro.sim.worlds` keeps between simulations so that cost is
+paid once per process, not once per dataset or shard:
+
+* **whole environments**, keyed by a deterministic fingerprint of
+  ``(descriptor, seed)`` and parked between the shards of one dataset, a
+  ``reset_session()`` pass restoring the freshly-built state before reuse;
+* **resolver fleets**, keyed ``(vantage, year, seed)`` and borrowed by one
+  dataset after another, rewound on the way back in;
+* **zones**, keyed by their spec — immutable once sealed, so they are read
+  through :meth:`~EnvironmentCache.share` and never checked out.
 
 Two properties make this safe:
 
-* **Determinism** — the fingerprint covers every input
-  :func:`repro.sim.driver.build_environment` consumes (the full frozen
+* **Determinism** — each key covers every input the parked object was
+  built from (for an environment the full frozen
   :class:`~repro.workload.DatasetDescriptor`, including any fault plan, plus
-  the seed), so a cache hit can only ever substitute a bit-identical build.
-* **No aliasing** — entries are *popped* on acquire (a cached environment is
-  owned by exactly one simulation at a time) and a ``pinned_pid`` guard
-  keeps a parent process from consuming an entry it deposited for its
-  fork-children to inherit.
+  the seed), so a hit can only ever substitute a bit-identical build.
+* **No aliasing** — mutable entries are *popped* on acquire (a parked
+  environment or fleet is owned by exactly one simulation at a time) and a
+  ``pinned_pid`` guard keeps a parent process from consuming an entry it
+  deposited for its fork-children to inherit.
 
-Capacity is bounded (``REPRO_ENV_CACHE``, default 4 entries, ``0`` disables
-caching entirely); eviction is FIFO by deposit order.
+Capacity is bounded per cache (``REPRO_ENV_CACHE``, default 12 entries,
+``0`` parks nothing: every dataset builds its whole world from scratch — the
+reference path); eviction is FIFO by deposit order.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from ..config import env_cache_capacity
 
@@ -56,16 +63,16 @@ def environment_fingerprint(descriptor: Any, seed: int) -> str:
 
 
 class EnvironmentCache:
-    """Bounded fingerprint-keyed parking lot for built environments.
+    """Bounded keyed parking lot for built environments, fleets and zones.
 
-    Thread-safe; entries are exclusive (popped on acquire).  The cache never
-    resets or rebuilds environments itself — callers reset on acquire and
-    deposit on release (see :func:`repro.sim.driver.acquire_environment`).
+    Thread-safe; entries are exclusive (popped on :meth:`acquire`) unless
+    read through :meth:`share`.  The cache never resets or rebuilds what it
+    holds — callers rewind and deposit (see :mod:`repro.sim.worlds`).
     """
 
     def __init__(self, capacity: Optional[int] = None):
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[Any, Optional[int]]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Tuple[Any, Optional[int]]]" = OrderedDict()
         self._capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -78,7 +85,7 @@ class EnvironmentCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def acquire(self, fingerprint: str) -> Optional[Any]:
+    def acquire(self, fingerprint: Hashable) -> Optional[Any]:
         """Pop and return the environment for ``fingerprint``, or ``None``.
 
         An entry pinned to the *current* process is left in place and
@@ -100,7 +107,23 @@ class EnvironmentCache:
             self.misses += 1
             return None
 
-    def release(self, fingerprint: str, environment: Any,
+    def share(self, key: Hashable) -> Optional[Any]:
+        """The entry for ``key`` without checking it out, or ``None``.
+
+        For immutable entries only (sealed zones): any number of live
+        environments may hold the same object at once.
+        """
+        if self.capacity == 0:
+            return None
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return entry[0]
+
+    def release(self, fingerprint: Hashable, environment: Any,
                 pinned_pid: Optional[int] = None) -> None:
         """Deposit (or re-deposit) an environment for later reuse.
 

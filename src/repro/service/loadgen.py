@@ -24,7 +24,8 @@ import numpy as np
 
 from ..dnscore import Message, Name, RCode, RRType, WireDecodeError
 from ..dnscore.edns import EdnsRecord
-from ..sim.driver import build_vantage_zone
+from ..sim.worlds import vantage_zone
+from ..telemetry import MetricsRegistry
 from ..workload import DiurnalPattern, WorkloadGenerator, dataset
 from ..zones import DEFAULT_TLDS, domains_of
 
@@ -116,7 +117,9 @@ def build_query_stream(config: LoadGenConfig) -> List[Tuple[Name, RRType]]:
     traffic does.
     """
     descriptor = dataset(config.dataset_id)
-    zone = build_vantage_zone(descriptor)
+    # The service's own (sealed) zone when both share a process; a load
+    # generator keeps no telemetry for the lookup to be booked in.
+    zone = vantage_zone(descriptor, MetricsRegistry())
     domains = domains_of(zone) if zone is not None else []
     generator = WorkloadGenerator(
         vantage=descriptor.vantage,

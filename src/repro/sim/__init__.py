@@ -4,22 +4,24 @@ from .driver import (
     AuthorityWorld,
     DatasetRun,
     SimEnvironment,
+    borrowed_environment,
     build_authority_world,
     build_environment,
-    build_vantage_zone,
     member_query_counts,
     run_dataset,
     run_member_range,
     simulate_shard,
 )
+from .worlds import forget_worlds
 
 __all__ = [
     "AuthorityWorld",
     "DatasetRun",
     "SimEnvironment",
+    "borrowed_environment",
     "build_authority_world",
     "build_environment",
-    "build_vantage_zone",
+    "forget_worlds",
     "member_query_counts",
     "run_dataset",
     "run_member_range",

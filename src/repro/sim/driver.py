@@ -1,10 +1,11 @@
 """End-to-end dataset simulation.
 
-:func:`run_dataset` executes one capture snapshot: it builds the vantage's
-zone and authoritative deployment, instantiates the cloud-provider and
-background resolver fleets, drives client query streams through every
-resolver, and returns the captured traffic plus everything the analysis
-layer needs (AS registry, PTR table, fleet metadata).
+:func:`run_dataset` executes one capture snapshot: it assembles the
+vantage's authoritative deployment over the zones, and borrows the
+cloud-provider and background resolver fleets, that the process keeps
+between datasets (:mod:`repro.sim.worlds`), drives client query streams
+through every resolver, and returns the captured traffic plus everything
+the analysis layer needs (AS registry, PTR table, fleet metadata).
 
 This is the reproduction's stand-in for "one week of pcap collection at the
 vantage point".
@@ -20,7 +21,8 @@ so the result is bit-identical whatever the backend.  The capture always
 comes back in canonical ``(timestamp, server_id)`` order.
 
 Every run is instrumented through :mod:`repro.telemetry`: phase spans
-(``zone_build`` / ``fleet_build`` / ``workload`` / ``resolve`` plus the
+(``zone_build`` / ``fleet_build`` for assembling a world, ``env_reset``
+for rewinding a reused one, ``workload`` / ``resolve``, plus the
 ``runtime.plan`` / ``runtime.execute`` / ``runtime.merge`` and per-shard
 ``runtime.shard.<i>`` spans), per-provider client-query counters,
 aggregated resolver/server/capture counters, and periodic progress logging
@@ -36,7 +38,7 @@ import itertools
 import logging
 import os
 import time
-import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -44,12 +46,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..capture import CaptureSpool, CaptureStore, SpooledCapture
-from ..clouds import (
-    FleetResolver,
-    PTRTable,
-    build_all_fleets,
-    build_facebook_ptr_table,
-)
+from ..clouds import FleetResolver, PTRTable
 from ..config import RunConfig
 from ..dnscore import Name, ROOT, RRType
 from ..faults import FaultInjector, derive_fault_seed
@@ -61,7 +58,6 @@ from ..resolver import (
     SyntheticLeafAuthority,
 )
 from ..runtime import (
-    EnvironmentCache,
     RuntimeReport,
     ShardExecutor,
     ShardResult,
@@ -79,14 +75,8 @@ from ..telemetry import (
     TraceBuffer,
 )
 from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator
-from ..zones import (
-    DEFAULT_TLDS,
-    Zone,
-    ZoneSpec,
-    build_registry_zone,
-    build_root_zone,
-    domains_of,
-)
+from ..zones import DEFAULT_TLDS, Zone, domains_of
+from . import worlds
 
 logger = logging.getLogger("repro.sim")
 
@@ -106,6 +96,14 @@ class DatasetRun:
     additionally carries the single-pass ``aggregates``
     (:class:`~repro.analysis.streaming.AggregateSet`) that the analytics
     facade answers from without materialising rows.
+
+    ``fleet`` is a *borrowed* handle: the resolvers went back to the
+    process's fleet store (:mod:`repro.sim.worlds`) when the run was
+    assembled, rewound, and the next dataset of the same ``(vantage, year,
+    seed)`` drives them again.  Read who the members are (addresses,
+    providers, weights) from it, never what they did — that is in
+    ``telemetry``.  ``registry`` and ``ptr_table`` are immutable and safe
+    to keep.
     """
 
     descriptor: DatasetDescriptor
@@ -142,6 +140,12 @@ class SimEnvironment:
     model and anycast catchments are memoised pure functions, the leaf
     authority is hash-based, and every resolver carries its own RNG — which
     is what makes shard placement invisible in the results.
+
+    The zones are shared with every other world of the process (sealed)
+    and ``fleet`` / ``registry`` / ``ptr_table`` are borrowed from
+    ``fleet_part`` for as long as this environment is live
+    (:func:`repro.sim.worlds.return_fleet` ends that); servers, capture,
+    network and fault injector are this dataset's own.
     """
 
     descriptor: DatasetDescriptor
@@ -152,29 +156,12 @@ class SimEnvironment:
     server_sets: Dict[str, ServerSet]
     network: AuthorityNetwork
     storm_domains: List[Name]
+    #: the members this dataset drives: the part's, or those of them
+    #: ``providers_only`` keeps (a list of its own, never the part's)
     fleet: List[FleetResolver]
     registry: ASRegistry
     ptr_table: PTRTable
-
-
-def build_vantage_zone(descriptor: DatasetDescriptor) -> Optional[Zone]:
-    """The registry zone for the descriptor's vantage (``None`` for root)."""
-    return _build_vantage_zone(descriptor)
-
-
-def _build_vantage_zone(descriptor: DatasetDescriptor) -> Optional[Zone]:
-    if descriptor.vantage == "root":
-        return None
-    spec = ZoneSpec(
-        origin=descriptor.vantage,
-        second_level_count=descriptor.zone_second_level,
-        third_level_count=descriptor.zone_third_level,
-        signed_fraction=0.55 if descriptor.vantage == "nl" else 0.35,
-        # zlib.crc32, not hash(): str hashing is salted per process and
-        # would break cross-run determinism of the zone content.
-        seed=zlib.crc32(descriptor.vantage.encode()) % (2**31),
-    )
-    return build_registry_zone(spec)
+    fleet_part: worlds.FleetPart
 
 
 def _build_servers(
@@ -230,20 +217,22 @@ def build_authority_world(
 ) -> AuthorityWorld:
     """Build the authoritative side of a dataset's world (no fleets).
 
-    Timed under the ``zone_build`` phase.  Deterministic given
-    ``(descriptor, seed)`` — this is the common prefix of
-    :func:`build_environment` and the live service mode's startup, so both
-    serve byte-identical zone content.
+    Timed under the ``zone_build`` phase.  The zones come from the
+    process's zone memo (``runtime.env_cache.miss{part=zone}`` counts the
+    ones really built); servers, capture, network and fault injector are
+    built here, per dataset.  Deterministic given ``(descriptor, seed)`` —
+    this is the common prefix of :func:`build_environment` and the live
+    service mode's startup, so both serve byte-identical zone content.
     """
     if latency is None:
         latency = LatencyModel()
 
     with metrics.time_phase("zone_build"):
-        vantage_zone = _build_vantage_zone(descriptor)
+        vantage_zone = worlds.vantage_zone(descriptor, metrics)
         capture = CaptureStore()
         server_sets: Dict[str, ServerSet] = {}
 
-        root_zone = build_root_zone(seed=7)
+        root_zone = worlds.root_zone(metrics)
         if descriptor.vantage == "root":
             root_set = _build_servers(descriptor, root_zone, capture, latency)
             tld_sets: Dict[Name, ServerSet] = {}
@@ -304,11 +293,16 @@ def build_authority_world(
 def build_environment(
     descriptor: DatasetDescriptor, seed: int, metrics: MetricsRegistry
 ) -> SimEnvironment:
-    """Build the whole simulated world for one dataset (no queries run).
+    """Assemble the simulated world for one dataset (no queries run).
 
-    Timed under the ``zone_build`` / ``fleet_build`` phases.  Deterministic
-    given ``(descriptor, seed)`` — pool workers call this independently and
-    arrive at the same world as the parent.
+    Timed under the ``zone_build`` / ``fleet_build`` phases.  The shared
+    parts — zones, the ``(vantage, year, seed)`` fleet with its registry
+    and PTR table — come from :mod:`repro.sim.worlds`, built only when the
+    process does not hold them yet (``runtime.env_cache.miss``); what the
+    descriptor owns is built here, over them.
+    Deterministic given ``(descriptor, seed)`` — pool workers call this
+    independently and arrive at the same world as the parent.  The fleet
+    is checked out until :func:`repro.sim.worlds.return_fleet`.
     """
     latency = LatencyModel()
 
@@ -317,12 +311,12 @@ def build_environment(
 
     # -- resolver fleets ---------------------------------------------------------
     with metrics.time_phase("fleet_build"):
-        fleet, registry = build_all_fleets(descriptor.vantage, descriptor.year, seed)
+        part = worlds.borrow_fleet(descriptor, seed, metrics)
+        fleet = part.members
         if descriptor.providers_only is not None:
             fleet = [m for m in fleet if m.provider in descriptor.providers_only]
         if descriptor.qmin_override is not None:
             _apply_qmin_override(fleet, descriptor.qmin_override)
-        ptr_table = build_facebook_ptr_table(fleet)
 
     return SimEnvironment(
         descriptor=descriptor,
@@ -334,18 +328,29 @@ def build_environment(
         network=world.network,
         storm_domains=world.storm_domains,
         fleet=fleet,
-        registry=registry,
-        ptr_table=ptr_table,
+        registry=part.registry,
+        ptr_table=part.ptr_table,
+        fleet_part=part,
     )
 
 
-# -- worker-persistent environment reuse ------------------------------------------
+@contextmanager
+def borrowed_environment(
+    descriptor: DatasetDescriptor, seed: int, metrics: MetricsRegistry
+):
+    """``with borrowed_environment(...) as env``: :func:`build_environment`
+    on entry, the fleet returned on exit — the entry point for code that
+    drives a world by hand instead of through :func:`run_dataset`.  What
+    the resolvers counted has to be read inside the block: returning the
+    fleet rewinds them."""
+    env = build_environment(descriptor, seed, metrics)
+    try:
+        yield env
+    finally:
+        worlds.return_fleet(env.fleet_part, metrics)
 
-#: Process-local parking lot for built environments, shared by every shard a
-#: worker executes (see :mod:`repro.runtime.env_cache` for the safety
-#: argument).  Fork-started pool workers inherit the parent's deposits.
-_ENV_CACHE = EnvironmentCache()
 
+# -- whole-environment reuse between the shards of one dataset ---------------------
 
 def reset_environment(env: SimEnvironment) -> None:
     """Rewind a previously-used environment to its freshly-built state.
@@ -354,14 +359,13 @@ def reset_environment(env: SimEnvironment) -> None:
     resolver session state, fault-injector stats.  Pure memoised structures
     (latency model, anycast catchments, zone content, response plans, the
     leaf authority) are deterministic functions of the build inputs and
-    survive untouched.
+    survive untouched, as does the descriptor's Q-min override.
     """
     env.capture.clear()
     for server_set in env.server_sets.values():
         for server in server_set:
             server.reset_session()
-    for member in env.fleet:
-        member.resolver.reset_session()
+    worlds.rewind_resolvers(env.fleet)
     if env.network.faults is not None:
         env.network.faults.reset_session()
 
@@ -369,25 +373,26 @@ def reset_environment(env: SimEnvironment) -> None:
 def acquire_environment(
     descriptor: DatasetDescriptor, seed: int, metrics: MetricsRegistry
 ) -> SimEnvironment:
-    """A ready-to-run environment for ``(descriptor, seed)``: reused from
-    the process cache when possible (reset under the ``env_reset`` phase),
-    built from scratch otherwise."""
+    """A ready-to-run environment for ``(descriptor, seed)``: the one an
+    earlier shard parked when possible (reset under the ``env_reset``
+    phase; its servers keep their plan caches), assembled from the shared
+    parts otherwise."""
     fingerprint = environment_fingerprint(descriptor, seed)
-    env = _ENV_CACHE.acquire(fingerprint)
+    env = worlds.ENVIRONMENTS.acquire(fingerprint)
+    worlds.count_lookup(metrics, "environment", env is not None)
     if env is not None:
-        metrics.counter("runtime.env_cache.hit").inc()
         with metrics.time_phase("env_reset"):
             reset_environment(env)
         return env
-    metrics.counter("runtime.env_cache.miss").inc()
     return build_environment(descriptor, seed, metrics)
 
 
 def release_environment(env: SimEnvironment, pinned_pid: Optional[int] = None) -> None:
-    """Park an environment for reuse by the next shard (or, when
-    ``pinned_pid`` is set, by forked children only — the pool parent
-    pre-warms the cache this way without ever consuming its own deposit)."""
-    _ENV_CACHE.release(
+    """Park an environment, fleet and all, for reuse by the next shard
+    (or, when ``pinned_pid`` is set, by forked children only — the pool
+    parent pre-warms the cache this way without ever consuming its own
+    deposit)."""
+    worlds.ENVIRONMENTS.release(
         environment_fingerprint(env.descriptor, env.seed), env, pinned_pid
     )
 
@@ -859,7 +864,6 @@ def _assemble(
         vantage_zone=env.vantage_zone,
         server_sets=env.server_sets,
         client_queries_run=sum(result.queries_run for result in results),
-        telemetry=metrics.snapshot(),
         runtime_report=report,
         aggregates=aggregates,
         traces=traces,
@@ -890,9 +894,12 @@ def run_dataset(
     <repro.config.RunConfig.resolve>` (``None`` = environment, else
     default; the fields are documented on the class); a ready ``config``
     replaces all five.  For a given fault plan every configuration yields
-    the same capture bytes.  With ``workers=1`` the returned fleet and
-    server objects carry their post-run state; a pool leaves the parent's
-    cold (their counters live in the merged telemetry).
+    the same capture bytes.  With ``workers=1`` the returned server objects
+    carry their post-run state (a pool leaves the parent's cold; their
+    counters live in the merged telemetry).  The fleet does not: it is
+    borrowed from the process's fleet store and goes back, rewound, once
+    the run is assembled — ``DatasetRun.fleet`` says who the resolvers
+    are, ``DatasetRun.telemetry`` what they did.
 
     ``client_queries`` overrides the descriptor's volume (tests use small
     values; benchmarks use the descriptor default).
@@ -971,8 +978,9 @@ def run_dataset(
     ]
     if config.workers > 1 and len(plan) > 1 and total_queries > 0:
         # Pre-warm the cache the fork-started workers inherit: the parent's
-        # just-built environment, pinned so the parent itself can never
-        # consume it (this env is aliased into the returned DatasetRun).
+        # just-assembled environment, pinned so the parent itself can never
+        # consume it (this env is aliased into the returned DatasetRun, and
+        # its fleet goes back to the store below).
         release_environment(env, pinned_pid=os.getpid())
         executor = ShardExecutor(config, metrics)
         with metrics.time_phase("runtime.execute"):
@@ -990,6 +998,8 @@ def run_dataset(
                 record_outcome(report, metrics, task, result)
                 results.append(result)
     run = _assemble(env, results, report, config, metrics, spool)
+    worlds.return_fleet(env.fleet_part, metrics)
+    run.telemetry = metrics.snapshot()
 
     # The run is over: sim time has reached the end of the capture window
     # regardless of execution backend (pool workers advance no clock).

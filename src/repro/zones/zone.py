@@ -138,6 +138,7 @@ class Zone:
         self._delegations: Dict[Name, RRset] = {}
         self._ds: Dict[Name, RRset] = {}
         self._sorted_names: Optional[Tuple[List[Name], List[tuple]]] = None
+        self._sealed = False
         #: (cut labels as spelled by the query, DO) → the shared referral.
         self._referrals: Dict[Tuple[Tuple[bytes, ...], bool], LookupResult] = {}
         #: (owner labels as spelled, type) → simulated RRSIG.
@@ -177,8 +178,21 @@ class Zone:
 
     # -- construction --------------------------------------------------------
 
+    def seal(self) -> "Zone":
+        """Freeze the content: :meth:`add_rrset` / :meth:`add_delegation`
+        raise from now on.  The world memo (:mod:`repro.sim.worlds`) seals
+        every zone it hands out, because any number of simulated worlds
+        serve from the same object; the lookup memos keep filling."""
+        self._sealed = True
+        return self
+
     def add_rrset(self, rrset: RRset) -> None:
         """Add (or replace) an RRset.  The owner must be in-bailiwick."""
+        if self._sealed:
+            raise ValueError(
+                f"zone {self.origin.to_text()} is sealed (shared between "
+                "simulated worlds); build a zone of your own to change it"
+            )
         if not rrset.name.is_subdomain_of(self.origin):
             raise ValueError(
                 f"{rrset.name.to_text()} is out of zone {self.origin.to_text()}"

@@ -5,6 +5,7 @@ import pytest
 from repro.__main__ import main
 from repro.experiments.render_all import render_markdown
 from repro.experiments.report import Report
+from repro.sim import forget_worlds
 
 
 class TestCLI:
@@ -113,6 +114,27 @@ class TestCLI:
         capsys.readouterr()
         assert seen["ctx"].seed == 42
         assert seen["ctx"].scale == 0.05
+
+    def test_experiments_closes_on_the_worlds_line(self, capsys, monkeypatch):
+        import re
+
+        from repro.experiments import render_all
+
+        def two_cuts_of_one_world(scale=None, dataset_filter=None,
+                                  seed=20201027, ctx=None):
+            ctx.run("nz-w2020")
+            ctx.monthly("nz", 2020, 1)
+            return "# stub report"
+
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        monkeypatch.setattr(render_all, "run_and_render", two_cuts_of_one_world)
+        forget_worlds()
+        assert main(["experiments", "--scale", "0.002"]) == 0
+        last = capsys.readouterr().err.rstrip("\n").split("\n")[-1]
+        assert re.fullmatch(
+            r"worlds: \d+ fleets built, \d+ borrowed; \d+ zones built", last
+        ), last
+        assert last == "worlds: 1 fleets built, 1 borrowed; 2 zones built"
 
     def test_dataset_writes_csv(self, capsys, tmp_path):
         path = tmp_path / "capture.csv"

@@ -252,6 +252,16 @@ class TestEnvironmentCache:
         cache.release("fp", "env")
         assert len(cache) == 0
         assert cache.acquire("fp") is None
+        assert cache.share("fp") is None
+
+    def test_share_reads_without_checking_out(self):
+        """Immutable entries (sealed zones) have any number of holders."""
+        cache = EnvironmentCache(capacity=4)
+        assert cache.share(("nz", 340, 120)) is None
+        cache.release(("nz", 340, 120), "zone")
+        assert cache.share(("nz", 340, 120)) == "zone"
+        assert cache.share(("nz", 340, 120)) == "zone"
+        assert (cache.hits, cache.misses) == (2, 1)
 
 
 class TestFingerprint:

@@ -489,7 +489,7 @@ ENV_KNOBS = {
         lambda: RunConfig.resolve().progress_interval_s, 5.0, "30", 30.0, "0",
     ),
     "REPRO_PLAN_CACHE": (run_config.plan_cache_enabled, True, "off", False, "abc"),
-    "REPRO_ENV_CACHE": (run_config.env_cache_capacity, 4, "0", 0, "abc"),
+    "REPRO_ENV_CACHE": (run_config.env_cache_capacity, 12, "0", 0, "abc"),
     "REPRO_POOL_START": (run_config.pool_start_method, None, "spawn", "spawn", "teleport"),
 }
 

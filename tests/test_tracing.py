@@ -32,7 +32,7 @@ from repro.telemetry import (
     to_prometheus,
     write_prometheus,
 )
-from repro.sim import run_dataset
+from repro.sim import forget_worlds, run_dataset
 from repro.workload import dataset
 
 DATASET = "nz-w2018"
@@ -65,12 +65,16 @@ def descriptor():
 def base_run(descriptor):
     """Tracing off — the reference capture.  ``trace=0.0`` (not None) so
     an ambient ``REPRO_TRACE`` (the CI trace-smoke lane sets one) cannot
-    leak into the baseline."""
+    leak into the baseline.  Both this run and ``traced_run`` start from
+    a cold world store, so both publish the same ``runtime.env_cache.*``
+    keys whatever the process ran before."""
+    forget_worlds()
     return run_dataset(descriptor, seed=SEED, client_queries=QUERIES, trace=0.0)
 
 
 @pytest.fixture(scope="module")
 def traced_run(descriptor):
+    forget_worlds()
     return run_dataset(
         descriptor, seed=SEED, client_queries=QUERIES, trace=SAMPLE
     )

@@ -1,0 +1,273 @@
+"""World sharing (ISSUE 22): zones memoised per spec, fleets borrowed per
+``(vantage, year, seed)`` and rewound, a per-dataset overlay on top.
+
+One oracle: whatever the process built or ran before, a dataset's capture
+and simulation counters equal those of the same run in a cold store and
+those of the reference path (``REPRO_ENV_CACHE=0``, every world built from
+scratch).  Plus the pieces that make it so — the rewind, the seal, the
+exclusive checkout — each on its own.
+"""
+
+import hashlib
+import pickle
+from dataclasses import replace
+
+import pytest
+
+from repro.clouds import FleetResolver
+from repro.dnscore import ARdata, Name, RRType
+from repro.experiments import ExperimentContext
+from repro.experiments.render_all import collect_all
+from repro.faults import chaos_scenario
+from repro.netsim import GAZETTEER, IPAddress
+from repro.resolver import ResolverBehavior, SimResolver
+from repro.sim import borrowed_environment, forget_worlds, run_dataset, worlds
+from repro.sim.driver import build_environment
+from repro.telemetry import MetricsRegistry
+from repro.workload import dataset, monthly_google_descriptor
+from repro.zones import RRset
+
+SEED = 20201027
+QUERIES = 400
+
+#: The Dec-2019 monthly run with Q-min forced *off*: the only override that
+#: differs from what its (2020) fleet was built with.
+QMIN_OFF = replace(
+    monthly_google_descriptor("nz", 2019, 12),
+    dataset_id="nz-google-qmin-off", qmin_override=False,
+)
+
+#: The bag: every way a descriptor can differ while sharing a fleet or a
+#: zone with another — two years of one vantage, Google-only cuts of each
+#: (one with the cyclic event), a Q-min override that really differs from
+#: the behaviour the fleet was built with (the paper's months never do),
+#: a fault plan — across both backends and both capture modes.
+BAG = {
+    "w2019": (dataset("nz-w2019"), dict(workers=1, stream=False)),
+    "w2020-pool": (dataset("nz-w2020"), dict(workers=2, stream=False)),
+    "google-2019-12-stream": (
+        monthly_google_descriptor("nz", 2019, 12), dict(workers=1, stream=True),
+    ),
+    "google-2020-02-cyclic-pool-stream": (
+        monthly_google_descriptor("nz", 2020, 2), dict(workers=2, stream=True),
+    ),
+    "google-qmin-off": (QMIN_OFF, dict(workers=1, stream=False)),
+    "google-qmin-off-pool": (QMIN_OFF, dict(workers=2, stream=False)),
+    "w2020": (dataset("nz-w2020"), dict(workers=1, stream=False)),
+    "w2020-heavy-loss": (
+        replace(dataset("nz-w2020"), fault_plan=chaos_scenario("heavy-loss")),
+        dict(workers=1, stream=False),
+    ),
+}
+
+ORDERS = {
+    "as-listed": list(BAG),
+    "reversed": list(reversed(BAG)),
+    # weekly → Q-min-off monthly → weekly again, then the rest
+    "override-between-weeklies": [
+        "w2020", "google-qmin-off", "w2020-heavy-loss", "w2020-pool",
+        "google-qmin-off-pool", "w2019", "google-2020-02-cyclic-pool-stream",
+        "google-2019-12-stream",
+    ],
+}
+
+
+def sim_counters(snapshot):
+    """The simulation-facing counters (the ``runtime.*`` bookkeeping — the
+    world stores' own hit/miss counts among it — and the counters only a
+    streaming run publishes legitimately differ)."""
+    return {
+        key: value for key, value in snapshot.counters.items()
+        if not key.startswith(("runtime.", "capture.spool.", "analysis.", "trace."))
+    }
+
+
+def fingerprint(name):
+    """(capture blake2b, simulation counters) of one bag entry, run now."""
+    descriptor, how = BAG[name]
+    run = run_dataset(descriptor, seed=SEED, client_queries=QUERIES, **how)
+    view = run.capture.view()
+    digest = hashlib.blake2b(digest_size=16)
+    for column in view.__dataclass_fields__:
+        values = getattr(view, column)
+        digest.update(column.encode())
+        if values.dtype == object:
+            digest.update("\x00".join(values.tolist()).encode())
+        else:
+            digest.update(values.tobytes())
+    return digest.hexdigest(), sim_counters(run.telemetry)
+
+
+@pytest.fixture(scope="module")
+def cold():
+    """Every bag entry run in a cold store."""
+    out = {}
+    for name in BAG:
+        forget_worlds()
+        out[name] = fingerprint(name)
+    forget_worlds()
+    return out
+
+
+class TestOrderIndependence:
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_any_order_equals_cold_builds(self, cold, order, monkeypatch):
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        forget_worlds()
+        for name in ORDERS[order]:
+            assert fingerprint(name) == cold[name], (order, name)
+
+    def test_reference_path_equals_cold_builds(self, cold, monkeypatch):
+        monkeypatch.setenv("REPRO_ENV_CACHE", "0")
+        forget_worlds()
+        for name in BAG:
+            assert fingerprint(name) == cold[name], name
+        assert len(worlds.ZONES) == len(worlds.FLEETS) == 0
+
+    def test_the_bag_has_teeth(self, cold):
+        """The forced-off Q-min run differs from the paper's month, so a
+        leaked override would have shown in the weekly that follows it."""
+        assert cold["google-qmin-off"] != cold["google-2019-12-stream"]
+        assert cold["google-qmin-off"] == cold["google-qmin-off-pool"]
+        assert cold["w2020"] == cold["w2020-pool"]
+        assert cold["w2020"] != cold["w2020-heavy-loss"]
+
+
+class TestBorrowing:
+    def test_override_does_not_outlive_the_borrow(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        forget_worlds()
+        metrics = MetricsRegistry()
+        with borrowed_environment(dataset("nz-w2020"), SEED, metrics) as env:
+            part = env.fleet_part
+            members = len(part.members)
+            google = [m for m in part.members if m.provider == "Google"]
+            assert all(m.resolver.behavior.qname_minimization for m in google)
+        with borrowed_environment(QMIN_OFF, SEED, metrics) as env:
+            assert env.fleet_part is part  # the same fleet, borrowed again
+            assert {m.provider for m in env.fleet} == {"Google"}
+            assert not any(m.resolver.behavior.qname_minimization for m in env.fleet)
+            # The filter is the environment's own list, never the part's.
+            assert len(part.members) == members
+        assert all(m.resolver.behavior.qname_minimization for m in google)
+        snapshot = metrics.snapshot()
+        assert snapshot.counter("runtime.env_cache.miss", part="fleet") == 1
+        assert snapshot.counter("runtime.env_cache.hit", part="fleet") == 1
+
+    def test_a_fleet_is_checked_out_by_one_environment_at_a_time(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        forget_worlds()
+        metrics = MetricsRegistry()
+        descriptor = dataset("nz-w2018")
+        first = build_environment(descriptor, SEED, metrics)
+        second = build_environment(descriptor, SEED, metrics)
+        assert first.fleet_part is not second.fleet_part
+        assert first.fleet[0].resolver is not second.fleet[0].resolver
+        # ...while the sealed zones are one object in both.
+        assert first.vantage_zone is second.vantage_zone
+        snapshot = metrics.snapshot()
+        assert snapshot.counter("runtime.env_cache.miss", part="fleet") == 2
+        assert snapshot.counter("runtime.env_cache.miss", part="zone") == 2  # root + nz
+        assert snapshot.counter("runtime.env_cache.hit", part="zone") == 2
+        worlds.return_fleet(first.fleet_part, metrics)
+        worlds.return_fleet(second.fleet_part, metrics)
+
+    def test_collect_all_builds_each_world_once(self, monkeypatch):
+        """The whole matrix: nine (vantage, year) fleets, four registry
+        zone specs and the root — the parent built 39 of each.  A miss in
+        a store is a real build; the ``zone_build`` / ``fleet_build``
+        phases open once per assembled environment."""
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        forget_worlds()
+        ctx = ExperimentContext(scale=0.005, workers=1, stream=False)
+        assert len(collect_all(ctx)) == 43
+        snapshot = ctx.telemetry.snapshot()
+        assert snapshot.counter("runtime.env_cache.miss", part="fleet") <= 9
+        assert snapshot.counter("runtime.env_cache.miss", part="zone") <= 5
+        assert snapshot.counter("runtime.env_cache.hit", part="fleet") >= 30
+        assert snapshot.phases["fleet_build"]["count"] >= 39
+
+
+class TestSealedZones:
+    def test_memoised_zones_refuse_changes(self):
+        env_zone = worlds.vantage_zone(dataset("nz-w2018"), MetricsRegistry())
+        root = worlds.root_zone(MetricsRegistry())
+        for zone, label in ((env_zone, "nz."), (root, ".")):
+            with pytest.raises(ValueError, match="sealed") as raised:
+                zone.add_delegation(
+                    zone.origin.prepend(b"intruder"), [Name.from_text("ns.example")]
+                )
+            assert f"zone {label} " in str(raised.value)
+            with pytest.raises(ValueError, match="sealed"):
+                zone.add_rrset(RRset(
+                    zone.origin.prepend(b"intruder"), RRType.A, 60, [ARdata(1)]
+                ))
+        # Lookups still fill the zone's memos.
+        assert env_zone.lookup(
+            env_zone.delegation_names[0].prepend(b"www"), RRType.A
+        ) is not None
+
+    def test_forget_worlds_empties_every_store(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        run_dataset(dataset("nz-w2018"), seed=SEED, client_queries=50)
+        assert len(worlds.ZONES) and len(worlds.FLEETS)
+        forget_worlds()
+        assert len(worlds.ZONES) == len(worlds.FLEETS) == len(worlds.ENVIRONMENTS) == 0
+
+
+def _resolver(seed=5):
+    return SimResolver(
+        "r1", GAZETTEER["AMS"],
+        IPAddress.parse("192.0.2.1"), IPAddress.parse("2001:db8::1"),
+        ResolverBehavior(validates_dnssec=True, set_do=True, family_policy="fixed"),
+        seed=seed,
+    )
+
+
+def _drive(resolver, world):
+    """Resolve a fixed script; returns the authoritative queries it caused."""
+    world["nl_capture"].clear()
+    zone = world["nl_zone"]
+    for step, child in enumerate(zone.delegation_names[:25] * 2):
+        resolver.resolve(
+            world["network"], 1000.0 + step, child.prepend(b"www"), RRType.A
+        )
+    view = world["nl_capture"].view()
+    return (
+        view.timestamp.tolist(), view.qname.tolist(), view.qtype.tolist(),
+        view.server_id.tolist(), view.family.tolist(), view.transport.tolist(),
+    )
+
+
+class TestRewind:
+    def test_rewound_resolver_replays_like_a_fresh_one(self, small_world):
+        resolver = _resolver()
+        first = _drive(resolver, small_world)
+        assert first[0] and resolver.stats.auth_queries
+        resolver.reset_session()
+        assert resolver.stats.client_queries == 0
+        assert "_rng" not in vars(resolver)  # seeded again on the next draw
+        assert _drive(resolver, small_world) == first
+        assert _drive(_resolver(), small_world) == first
+
+    def test_untouched_resolvers_are_skipped(self, small_world):
+        asked, idle = _resolver(1), _resolver(2)
+        members = [
+            FleetResolver(r, "Google", "cloud", 1.0, 0.0) for r in (asked, idle)
+        ]
+        _drive(asked, small_world)
+        caches = asked.cache, idle.cache
+        worlds.rewind_resolvers(members)
+        assert asked.cache is not caches[0] and asked.stats.client_queries == 0
+        assert idle.cache is caches[1]
+        assert "_rng" not in vars(idle)  # never drew, never seeded
+
+    def test_rewound_fleet_pickles_for_spawn(self, monkeypatch, small_world):
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        forget_worlds()
+        metrics = MetricsRegistry()
+        with borrowed_environment(dataset("nz-w2018"), SEED, metrics) as env:
+            member = env.fleet[0]
+            first = _drive(member.resolver, small_world)
+        part = pickle.loads(pickle.dumps(worlds.FLEETS.acquire(env.fleet_part.key)))
+        assert _drive(part.members[0].resolver, small_world) == first
