@@ -1,57 +1,23 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures for the per-figure shape checks.
 
 Simulation (the expensive part, = the paper's capture collection) happens
-once per session in a shared :class:`ExperimentContext`; each benchmark
-then times the *analysis* that regenerates its table/figure, asserts the
-paper's qualitative shape, and prints the paper-vs-measured report.
+once per session in a shared :class:`ExperimentContext`; each check then
+regenerates its table/figure, asserts the paper's qualitative shape, and
+prints the paper-vs-measured report.  Nothing here measures speed or
+writes a file: the benchmark of record is ``bench/``.
 
 Volume can be scaled down for quick runs: ``REPRO_SCALE=0.2 pytest
 benchmarks/``.
-
-At session end the context's telemetry registry (phase timings, resolver /
-server / capture counters for every dataset the session simulated) is
-written to ``BENCH_telemetry.json`` next to this file, so successive
-benchmark runs accumulate a comparable perf trajectory.
 """
-
-import json
-import os
-import time
 
 import pytest
 
 from repro.experiments import ExperimentContext
 
-BENCH_TELEMETRY_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_telemetry.json"
-)
-
-_SESSION_CTX = None
-
 
 @pytest.fixture(scope="session")
 def ctx():
-    global _SESSION_CTX
-    if _SESSION_CTX is None:
-        _SESSION_CTX = ExperimentContext()
-    return _SESSION_CTX
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the session's telemetry next to the bench results."""
-    if _SESSION_CTX is None:
-        return
-    snapshot = _SESSION_CTX.telemetry.snapshot()
-    payload = {
-        "generated_unix": time.time(),
-        "scale": _SESSION_CTX.scale,
-        "seed": _SESSION_CTX.seed,
-        "exit_status": int(exitstatus),
-        "telemetry": snapshot.as_dict(),
-    }
-    with open(BENCH_TELEMETRY_PATH, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    return ExperimentContext()
 
 
 def emit(report_text: str) -> None:

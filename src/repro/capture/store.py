@@ -266,10 +266,10 @@ class CaptureStore:
         """Reset to the freshly-constructed state.
 
         The old row list is *released*, not cleared in place: callers that
-        received it via :meth:`raw_rows` (shard results in flight back to
-        the pool parent) keep a valid snapshot while the store — still
-        shared by reference with its authoritative servers — starts a new
-        session on a fresh list.
+        received it via :meth:`raw_rows` (a shard's result on its way to
+        the assembler) keep a valid snapshot while the store — still
+        shared by reference with its authoritative servers — starts over
+        on a fresh list and no longer pins the rows it handed off.
         """
         self._rows = []
         self.rows_appended = 0

@@ -27,8 +27,7 @@ class ExperimentContext:
     Each context carries a session-level :class:`MetricsRegistry`; every
     dataset simulation merges its run telemetry into it, so after a batch
     of experiments ``ctx.telemetry.snapshot()`` is the whole session's
-    phase/counter record (exported by the CLI's ``--telemetry-out`` and the
-    benchmark suite's ``BENCH_telemetry.json``).
+    phase/counter record (exported by the CLI's ``--telemetry-out``).
     """
 
     def __init__(

@@ -94,13 +94,10 @@ def _loss_point(
 def _capture_shares(env) -> Dict[str, float]:
     """Fraction of captured queries per vantage server id."""
     view = env.capture.view()
-    counts: Dict[str, int] = {}
-    for record in view.iter_records():
-        counts[record.server_id] = counts.get(record.server_id, 0) + 1
-    total = sum(counts.values())
     return {
-        server_id: count / total for server_id, count in sorted(counts.items())
-    } if total else {}
+        server_id: count / len(view)
+        for server_id, count in view.count_by(view.server_id).items()
+    }
 
 
 def _flaky_run(client_queries: int, seed: int, chaos: bool, metrics: MetricsRegistry):

@@ -111,14 +111,6 @@ class FaultInjector:
         self.stats = FaultStats()
         self._seed_bytes = struct.pack("<I", self.seed)
 
-    def reset_session(self) -> None:
-        """Zero accumulated stats for environment reuse across shards.
-
-        Verdicts are pure functions of ``(seed, inputs)`` so no other state
-        needs resetting.
-        """
-        self.stats = FaultStats()
-
     # -- decision helpers -------------------------------------------------------
 
     def window_frac(self, timestamp: float) -> float:

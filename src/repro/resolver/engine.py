@@ -224,7 +224,7 @@ class SimResolver:
         return np.random.default_rng(self._seed)
 
     def reset_session(self) -> None:
-        """Restore the freshly-constructed state for environment reuse.
+        """Restore the freshly-constructed state for fleet reuse.
 
         Rewinds everything a simulation run mutates — stats, cache,
         delegation/DNSSEC expiries, and the RNG stream (dropped; the next

@@ -9,21 +9,20 @@ result:
   timeout, retry-once, serial-fallback semantics, and ``runtime.*``
   telemetry; the in-process backend is a loop in the driver itself;
 * :mod:`repro.runtime.env_cache` — the bounded parking class behind the
-  process's world stores (:mod:`repro.sim.worlds`): N shards of one
-  dataset share one assembled environment, datasets of one ``(vantage,
-  year, seed)`` share one fleet, every world shares its zones;
+  process's world stores (:mod:`repro.sim.worlds`): datasets of one
+  ``(vantage, year, seed)`` share one fleet, every world shares its zones;
 * merging — :meth:`repro.capture.CaptureStore.merge` (canonical
   ``(timestamp, server_id)`` ordering) plus
   :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`.
 
 Determinism contract: per-resolver query streams are seeded by *global*
-fleet index, every worker rebuilds the full environment from
+fleet index, every worker assembles the full environment from
 ``(descriptor, seed)``, and all cross-member simulation state is
 deterministic, so ``run_dataset(..., workers=N)`` yields the same capture
 and reports for any ``N``.
 """
 
-from .env_cache import EnvironmentCache, environment_fingerprint
+from .env_cache import EnvironmentCache
 from .executor import (
     FAULT_CRASH,
     FAULT_EXIT,
@@ -51,7 +50,6 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "ShardTask",
-    "environment_fingerprint",
     "execute_shard_task",
     "plan_shards",
     "pool_context",

@@ -1,29 +1,22 @@
-"""Process-persistent parking for built worlds and their parts.
+"""Process-persistent parking for the parts simulated worlds share.
 
-Building a :class:`~repro.sim.driver.SimEnvironment` (zone construction and
-signing, fleet setup) costs roughly as much as simulating several thousand
-queries.  :class:`EnvironmentCache` is the one parking class behind every
-object :mod:`repro.sim.worlds` keeps between simulations so that cost is
-paid once per process, not once per dataset or shard:
+Building a world's zones (construction and signing) and its resolver fleet
+costs roughly as much as simulating several thousand queries.
+:class:`EnvironmentCache` is the one parking class behind both stores
+:mod:`repro.sim.worlds` keeps between simulations so that cost is paid
+once per process, not once per dataset or shard:
 
-* **whole environments**, keyed by a deterministic fingerprint of
-  ``(descriptor, seed)`` and parked between the shards of one dataset, a
-  ``reset_session()`` pass restoring the freshly-built state before reuse;
 * **resolver fleets**, keyed ``(vantage, year, seed)`` and borrowed by one
-  dataset after another, rewound on the way back in;
+  dataset (or one pool shard) after another, rewound on the way back in;
 * **zones**, keyed by their spec — immutable once sealed, so they are read
   through :meth:`~EnvironmentCache.share` and never checked out.
 
 Two properties make this safe:
 
 * **Determinism** — each key covers every input the parked object was
-  built from (for an environment the full frozen
-  :class:`~repro.workload.DatasetDescriptor`, including any fault plan, plus
-  the seed), so a hit can only ever substitute a bit-identical build.
-* **No aliasing** — mutable entries are *popped* on acquire (a parked
-  environment or fleet is owned by exactly one simulation at a time) and a
-  ``pinned_pid`` guard keeps a parent process from consuming an entry it
-  deposited for its fork-children to inherit.
+  built from, so a hit can only ever substitute a bit-identical build.
+* **No aliasing** — mutable entries are *popped* on acquire: a parked
+  fleet is owned by exactly one simulation at a time.
 
 Capacity is bounded per cache (``REPRO_ENV_CACHE``, default 12 entries,
 ``0`` parks nothing: every dataset builds its whole world from scratch — the
@@ -32,38 +25,15 @@ reference path); eviction is FIFO by deposit order.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional
 
 from ..config import env_cache_capacity
 
 
-def environment_fingerprint(descriptor: Any, seed: int) -> str:
-    """Deterministic fingerprint of everything ``build_environment`` reads.
-
-    The descriptor is a frozen dataclass tree; ``dataclasses.asdict``
-    flattens it (fault plans included) and canonical JSON with ``sort_keys``
-    plus ``default=repr`` for non-JSON leaves (enums, tuples of dataclasses
-    already unwrapped) yields a stable byte string to hash.  Two descriptors
-    differing in *any* field — scale, behaviour mix, fault plan, window —
-    therefore fingerprint apart, and the same spec always fingerprints the
-    same across processes and runs.
-    """
-    payload = {
-        "seed": int(seed),
-        "descriptor": dataclasses.asdict(descriptor),
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 class EnvironmentCache:
-    """Bounded keyed parking lot for built environments, fleets and zones.
+    """Bounded keyed parking lot for built fleets and zones.
 
     Thread-safe; entries are exclusive (popped on :meth:`acquire`) unless
     read through :meth:`share`.  The cache never resets or rebuilds what it
@@ -72,7 +42,7 @@ class EnvironmentCache:
 
     def __init__(self, capacity: Optional[int] = None):
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Tuple[Any, Optional[int]]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._capacity = capacity
         self.hits = 0
         self.misses = 0
@@ -85,27 +55,20 @@ class EnvironmentCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def acquire(self, fingerprint: Hashable) -> Optional[Any]:
-        """Pop and return the environment for ``fingerprint``, or ``None``.
-
-        An entry pinned to the *current* process is left in place and
-        reported as a miss: the parent deposited it for forked workers to
-        inherit and must not consume it itself (its copy is aliased into
-        live result objects).
-        """
+    def _lookup(self, key: Hashable, pop: bool) -> Optional[Any]:
         if self.capacity == 0:
             return None
-        pid = os.getpid()
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is not None:
-                environment, pinned_pid = entry
-                if pinned_pid is None or pinned_pid != pid:
-                    del self._entries[fingerprint]
-                    self.hits += 1
-                    return environment
-            self.misses += 1
-            return None
+            entry = self._entries.pop(key, None) if pop else self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return entry
+
+    def acquire(self, key: Hashable) -> Optional[Any]:
+        """Pop and return the entry for ``key``, or ``None``."""
+        return self._lookup(key, pop=True)
 
     def share(self, key: Hashable) -> Optional[Any]:
         """The entry for ``key`` without checking it out, or ``None``.
@@ -113,30 +76,17 @@ class EnvironmentCache:
         For immutable entries only (sealed zones): any number of live
         environments may hold the same object at once.
         """
-        if self.capacity == 0:
-            return None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return entry[0]
+        return self._lookup(key, pop=False)
 
-    def release(self, fingerprint: Hashable, environment: Any,
-                pinned_pid: Optional[int] = None) -> None:
-        """Deposit (or re-deposit) an environment for later reuse.
-
-        ``pinned_pid`` marks a deposit that only *other* processes may
-        acquire — used by the pool parent to pre-warm the cache its forked
-        workers inherit.  Oldest entries are evicted beyond capacity.
-        """
+    def release(self, key: Hashable, entry: Any) -> None:
+        """Deposit (or re-deposit) an entry for later reuse.  Oldest
+        entries are evicted beyond capacity."""
         capacity = self.capacity
         if capacity == 0:
             return
         with self._lock:
-            self._entries.pop(fingerprint, None)
-            self._entries[fingerprint] = (environment, pinned_pid)
+            self._entries.pop(key, None)
+            self._entries[key] = entry
             while len(self._entries) > capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1

@@ -7,7 +7,7 @@ The executor turns a list of :class:`ShardTask` descriptions into
   one after another against the environment it built, and books each with
   :func:`record_outcome`;
 * ``workers > 1`` — :class:`ShardExecutor` dispatches tasks onto a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Every worker rebuilds
+  :class:`concurrent.futures.ProcessPoolExecutor`.  Every worker assembles
   the full deterministic environment from ``(descriptor, seed)`` and
   resolves only its member range, so no simulation state ever crosses a
   process boundary — only the plan goes in and columnar rows come out.
@@ -47,10 +47,10 @@ logger = logging.getLogger("repro.runtime")
 
 def pool_context():
     """The multiprocessing context for shard pools: ``REPRO_POOL_START``,
-    else ``fork`` where available so workers inherit the parent's
-    pre-warmed environment cache (see :mod:`repro.runtime.env_cache`);
-    ``spawn``/``forkserver`` still work — each worker then builds once and
-    reuses across its own shards."""
+    else ``fork`` where available so workers inherit the zones and the
+    fleet the parent holds in its world stores (:mod:`repro.sim.worlds`);
+    under ``spawn``/``forkserver`` a worker starts with empty stores,
+    builds its parts itself and shares them across its own shards."""
     method = pool_start_method()
     if method is None and "fork" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context()

@@ -218,19 +218,6 @@ class AuthoritativeServer:
         #: offline server time out at the resolver; nothing is captured.
         self.online = True
 
-    def reset_session(self) -> None:
-        """Restore pristine constructed state (environment-cache reuse).
-
-        Pure memos survive on purpose: the anycast catchment cache and the
-        response-plan cache depend only on the immutable zone content and
-        site geometry, so keeping them warm across sessions is free speedup
-        with no observable difference from a fresh build.
-        """
-        self.stats = ServerStats()
-        self.online = True
-        if self._rrl_config is not None:
-            self._limiter = RateLimiter(self._rrl_config)
-
     def configure_rrl(self, rrl: Optional[RRLConfig]) -> None:
         """Install (or clear, with ``None``) response rate limiting.
 

@@ -19,8 +19,7 @@ The harness then *asserts SLOs* rather than just reporting numbers:
   during the outage and re-closed after recovery, as observed through the
   public ``/metrics`` endpoint (not by reaching into the process).
 
-Results land in a :class:`SoakReport`; the benchmark suite serialises one
-as ``BENCH_resilience.json``.
+Results land in a :class:`SoakReport` (``repro soak --json`` serialises it).
 """
 
 from __future__ import annotations

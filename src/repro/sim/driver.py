@@ -22,7 +22,7 @@ comes back in canonical ``(timestamp, server_id)`` order.
 
 Every run is instrumented through :mod:`repro.telemetry`: phase spans
 (``zone_build`` / ``fleet_build`` for assembling a world, ``env_reset``
-for rewinding a reused one, ``workload`` / ``resolve``, plus the
+for rewinding a borrowed fleet, ``workload`` / ``resolve``, plus the
 ``runtime.plan`` / ``runtime.execute`` / ``runtime.merge`` and per-shard
 ``runtime.shard.<i>`` spans), per-provider client-query counters,
 aggregated resolver/server/capture counters, and periodic progress logging
@@ -62,7 +62,6 @@ from ..runtime import (
     ShardExecutor,
     ShardResult,
     ShardTask,
-    environment_fingerprint,
     plan_shards,
     record_outcome,
 )
@@ -348,53 +347,6 @@ def borrowed_environment(
         yield env
     finally:
         worlds.return_fleet(env.fleet_part, metrics)
-
-
-# -- whole-environment reuse between the shards of one dataset ---------------------
-
-def reset_environment(env: SimEnvironment) -> None:
-    """Rewind a previously-used environment to its freshly-built state.
-
-    Everything a simulation run mutates is reset — capture rows, server and
-    resolver session state, fault-injector stats.  Pure memoised structures
-    (latency model, anycast catchments, zone content, response plans, the
-    leaf authority) are deterministic functions of the build inputs and
-    survive untouched, as does the descriptor's Q-min override.
-    """
-    env.capture.clear()
-    for server_set in env.server_sets.values():
-        for server in server_set:
-            server.reset_session()
-    worlds.rewind_resolvers(env.fleet)
-    if env.network.faults is not None:
-        env.network.faults.reset_session()
-
-
-def acquire_environment(
-    descriptor: DatasetDescriptor, seed: int, metrics: MetricsRegistry
-) -> SimEnvironment:
-    """A ready-to-run environment for ``(descriptor, seed)``: the one an
-    earlier shard parked when possible (reset under the ``env_reset``
-    phase; its servers keep their plan caches), assembled from the shared
-    parts otherwise."""
-    fingerprint = environment_fingerprint(descriptor, seed)
-    env = worlds.ENVIRONMENTS.acquire(fingerprint)
-    worlds.count_lookup(metrics, "environment", env is not None)
-    if env is not None:
-        with metrics.time_phase("env_reset"):
-            reset_environment(env)
-        return env
-    return build_environment(descriptor, seed, metrics)
-
-
-def release_environment(env: SimEnvironment, pinned_pid: Optional[int] = None) -> None:
-    """Park an environment, fleet and all, for reuse by the next shard
-    (or, when ``pinned_pid`` is set, by forked children only — the pool
-    parent pre-warms the cache this way without ever consuming its own
-    deposit)."""
-    worlds.ENVIRONMENTS.release(
-        environment_fingerprint(env.descriptor, env.seed), env, pinned_pid
-    )
 
 
 # -- telemetry aggregation -------------------------------------------------------
@@ -707,7 +659,7 @@ def _run_shard(
     """Resolve one shard's member range against ``env``.
 
     The one per-shard routine of both backends: a pool worker runs it on
-    the environment it acquired, the in-process backend on the
+    the environment it assembled, the in-process backend on the
     environment :func:`run_dataset` built.  Everything the shard measured
     lands in ``metrics`` and returns as a snapshot; only picklable
     payloads come back.
@@ -780,19 +732,20 @@ def _run_shard(
 
 
 def simulate_shard(task: ShardTask) -> ShardResult:
-    """Build (or reuse) the world and resolve one shard's member range.
+    """Assemble the shard's world and resolve its member range.
 
     The pool's entry point (via :func:`repro.runtime.execute_shard_task`),
-    also run in the parent for serial fallbacks.  Environments come from
-    the worker-persistent cache, so N shards of one dataset in one worker
-    pay for a single ``build_environment``.
+    also run in the parent for serial fallbacks.  The world is assembled
+    like any other caller's (:func:`borrowed_environment`): a forked worker
+    finds the zones and the fleet its parent parked in the stores it
+    inherited and builds only the per-dataset overlay; a spawned one
+    builds everything.
     """
     started = time.perf_counter()
     metrics = MetricsRegistry()
-    env = acquire_environment(task.descriptor, task.seed, metrics)
-    result = _run_shard(env, task, metrics)
-    release_environment(env)
-    # Busy time as the pool sees it includes acquiring the environment.
+    with borrowed_environment(task.descriptor, task.seed, metrics) as env:
+        result = _run_shard(env, task, metrics)
+    # Busy time as the pool sees it includes assembling the world.
     result.duration_s = time.perf_counter() - started
     return result
 
@@ -976,12 +929,12 @@ def run_dataset(
         )
         for shard in plan
     ]
-    if config.workers > 1 and len(plan) > 1 and total_queries > 0:
-        # Pre-warm the cache the fork-started workers inherit: the parent's
-        # just-assembled environment, pinned so the parent itself can never
-        # consume it (this env is aliased into the returned DatasetRun, and
-        # its fleet goes back to the store below).
-        release_environment(env, pinned_pid=os.getpid())
+    pooled = config.workers > 1 and len(plan) > 1 and total_queries > 0
+    if pooled:
+        # The parent drives no resolver itself: its still-pristine fleet
+        # goes back to the store before the pool forks, so every worker
+        # (and a serial fallback here) borrows it instead of building one.
+        worlds.return_fleet(env.fleet_part, metrics)
         executor = ShardExecutor(config, metrics)
         with metrics.time_phase("runtime.execute"):
             executor.submit(tasks)
@@ -998,7 +951,8 @@ def run_dataset(
                 record_outcome(report, metrics, task, result)
                 results.append(result)
     run = _assemble(env, results, report, config, metrics, spool)
-    worlds.return_fleet(env.fleet_part, metrics)
+    if not pooled:
+        worlds.return_fleet(env.fleet_part, metrics)
     run.telemetry = metrics.snapshot()
 
     # The run is over: sim time has reached the end of the capture window

@@ -1,4 +1,4 @@
-"""What simulated worlds share: zones, resolver fleets, parked environments.
+"""What simulated worlds share: zones and resolver fleets.
 
 The paper's nine snapshots and the monthly Google samples behind Figure 3
 are cuts of three vantages, so most of what
@@ -19,11 +19,10 @@ override) on top of them.
   :class:`FleetPart` keyed ``(vantage, year, seed)``, checked out by at
   most one environment at a time (:meth:`EnvironmentCache.acquire` pops)
   and rewound — resolver sessions *and* behaviours — when it comes back.
-* **Environments are parked whole** between the shards of one dataset
-  (:func:`repro.sim.driver.simulate_shard`); a parked environment keeps
-  the fleet it borrowed.
+  The shards of a pooled run borrow it too: the parent parks it before
+  the pool forks (:func:`repro.sim.driver.run_dataset`).
 
-All three stores are :class:`~repro.runtime.EnvironmentCache` instances
+Both stores are :class:`~repro.runtime.EnvironmentCache` instances
 under the one ``REPRO_ENV_CACHE`` capacity; ``0`` shares nothing and every
 dataset builds its world from scratch — the reference path.
 ``runtime.env_cache.{hit,miss}`` with a ``part`` label count every lookup:
@@ -46,14 +45,13 @@ from ..zones import Zone, ZoneSpec, build_registry_zone, build_root_zone
 
 ZONES = EnvironmentCache()
 FLEETS = EnvironmentCache()
-ENVIRONMENTS = EnvironmentCache()
 
 
 def forget_worlds() -> None:
-    """Drop every parked fleet and environment and every memoised zone:
-    the next dataset builds its whole world, as a fresh process would."""
-    for cache in (ZONES, FLEETS, ENVIRONMENTS):
-        cache.clear()
+    """Drop every parked fleet and every memoised zone: the next dataset
+    builds its whole world, as a fresh process would."""
+    ZONES.clear()
+    FLEETS.clear()
 
 
 def count_lookup(metrics: MetricsRegistry, part: str, found: bool) -> None:

@@ -404,13 +404,19 @@ class MetricsRegistry:
     def merge_snapshot(self, snap: TelemetrySnapshot) -> None:
         """Fold a snapshot into this registry (counters/phases/histograms
         add; gauges take the snapshot's value).  Used to roll per-dataset
-        run telemetry up into a session-level registry."""
+        run telemetry up into a session-level registry.  A snapshot's keys
+        are canonical already (a registry or its JSON dump wrote them), so
+        counters and gauges are added under the key as given."""
         for key, value in snap.counters.items():
-            name, labels = split_key(key)
-            self.counter(name, **labels).inc(value)
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._counters[key] = Counter(key)
+            counter.inc(value)
         for key, value in snap.gauges.items():
-            name, labels = split_key(key)
-            self.gauge(name, **labels).set(value)
+            gauge = self._gauges.get(key)
+            if gauge is None:
+                gauge = self._gauges[key] = Gauge(key)
+            gauge.set(value)
         for name, stat in snap.phases.items():
             mine = self._phases.get(name)
             if mine is None:

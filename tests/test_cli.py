@@ -129,7 +129,8 @@ class TestCLI:
         monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
         monkeypatch.setattr(render_all, "run_and_render", two_cuts_of_one_world)
         forget_worlds()
-        assert main(["experiments", "--scale", "0.002"]) == 0
+        # --workers 1: a pooled run books one more borrow per shard.
+        assert main(["experiments", "--scale", "0.002", "--workers", "1"]) == 0
         last = capsys.readouterr().err.rstrip("\n").split("\n")[-1]
         assert re.fullmatch(
             r"worlds: \d+ fleets built, \d+ borrowed; \d+ zones built", last

@@ -1,5 +1,5 @@
-"""Tests for the hot-path caches (ISSUE 4): worker-persistent environments
-and response-plan caching.
+"""Tests for the hot-path caches (ISSUE 4): borrowed world parts and
+response-plan caching.
 
 The contract under test is the same one the sharded runtime established:
 caching is an execution detail and must be *invisible* in the results —
@@ -7,7 +7,6 @@ captures stay bit-identical to the uncached path, serially, on a pool, and
 under a chaos plan.
 """
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +17,10 @@ from repro.capture import CaptureStore, Transport
 from repro.dnscore import Message, Name, RRType
 from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
-from repro.runtime import EnvironmentCache, ShardTask, environment_fingerprint
+from repro.runtime import EnvironmentCache, ShardTask
 from repro.server import AuthoritativeServer
 from repro.sim import run_dataset
-from repro.sim.driver import acquire_environment, simulate_shard
-from repro.telemetry import MetricsRegistry
+from repro.sim.driver import simulate_shard
 from repro.workload import dataset
 from repro.zones import Zone
 
@@ -69,6 +67,16 @@ def _cached_shard(descriptor):
     return result, store
 
 
+def _assert_second_shard_borrowed(result):
+    """What a second shard of the same dataset in one process shares with
+    the first is the rewound fleet (and the sealed zones) — not servers:
+    its overlay is its own, so its plan caches start empty."""
+    telemetry = result.telemetry
+    assert telemetry.counter("runtime.env_cache.hit", part="fleet") == 1
+    assert telemetry.counter("runtime.env_cache.miss", part="fleet") == 0
+    assert telemetry.total("runtime.plan_cache.misses") > 0
+
+
 class TestBitIdentity:
     def test_serial_cached_matches_uncached(self, monkeypatch, force_caches):
         descriptor = dataset(DATASET)
@@ -79,14 +87,7 @@ class TestBitIdentity:
 
         assert_views_equal(uncached.capture.view(), cold_store.view())
         assert_views_equal(uncached.capture.view(), warm_store.view())
-        # The warm run really reused: environment from the cache, plans all hit.
-        counters = warm.telemetry.counters
-        assert sum(
-            v for k, v in counters.items() if "runtime.env_cache.hit" in str(k)
-        ) == 1
-        assert sum(
-            v for k, v in counters.items() if "runtime.plan_cache.misses" in str(k)
-        ) == 0
+        _assert_second_shard_borrowed(warm)
 
     def test_pool_cached_matches_uncached(self, monkeypatch):
         descriptor = dataset(DATASET)
@@ -97,9 +98,9 @@ class TestBitIdentity:
         assert pooled.runtime_report.mode == "process-pool"
         assert_views_equal(uncached.capture.view(), pooled.capture.view())
 
-    def test_chaos_plan_cached_matches_uncached(self, monkeypatch):
+    def test_chaos_plan_cached_matches_uncached(self, monkeypatch, force_caches):
         """Fault verdicts are resolver-side and hash-based; neither the
-        plan cache nor environment reuse may change what gets dropped."""
+        plan cache nor a borrowed fleet may change what gets dropped."""
         descriptor = replace(
             dataset(DATASET), fault_plan=chaos_scenario("heavy-loss")
         )
@@ -108,6 +109,7 @@ class TestBitIdentity:
         warm, warm_store = _cached_shard(descriptor)
         assert_views_equal(uncached.capture.view(), cold_store.view())
         assert_views_equal(uncached.capture.view(), warm_store.view())
+        _assert_second_shard_borrowed(warm)
 
 
 def _zone():
@@ -181,33 +183,17 @@ class TestPlanCache:
         assert server.stats.plan_hits == 0
         assert server.stats.plan_misses == 0
 
-    def test_reset_session_keeps_plans_but_zeroes_stats(self, force_caches):
-        server = _server()
-        server.handle_query(1.0, SRC, Transport.UDP, _query("www.example.nl"))
-        server.handle_query(2.0, SRC, Transport.UDP, _query("www.example.nl"))
-        assert server.stats.queries == 2
-        server.reset_session()
-        assert server.stats.queries == 0
-        assert len(server.capture) == 2  # capture is reset by the driver, not here
-        # Plans survive (pure memo over the immutable zone): first query
-        # after reset is already a hit.
-        server.handle_query(3.0, SRC, Transport.UDP, _query("www.example.nl"))
-        assert server.stats.plan_hits == 1
-
-
     def test_simulated_plans_carry_no_encoding(self, force_caches):
         """The cached encoding belongs to the live endpoint.  The
         simulator's loop replays plans all day and never encodes one."""
-        descriptor = dataset(DATASET)
-        result, _ = _cached_shard(descriptor)
-        assert sum(
-            v for k, v in result.telemetry.counters.items()
-            if "runtime.plan_cache.hits" in str(k)
-        ) > 0
-        env = acquire_environment(descriptor, SEED, MetricsRegistry())
+        run = run_dataset(
+            dataset(DATASET), seed=SEED, client_queries=QUERIES, workers=1
+        )
+        assert run.telemetry.total("runtime.plan_cache.hits") > 0
+        # workers=1: the returned servers carry their post-run state.
         plans = [
             plan
-            for server_set in env.server_sets.values()
+            for server_set in run.server_sets.values()
             for server in server_set
             for plan in server._plans.values()
         ]
@@ -223,19 +209,6 @@ class TestEnvironmentCache:
         assert cache.acquire("fp") is None  # popped: second acquire misses
         assert cache.hits == 1
         assert cache.misses == 1
-
-    def test_pinned_deposit_is_invisible_to_its_own_process(self):
-        cache = EnvironmentCache(capacity=4)
-        cache.release("fp", "env", pinned_pid=os.getpid())
-        assert cache.acquire("fp") is None  # own pid: guarded
-        assert cache.misses == 1
-        cache.release("fp", "env2")  # unpinned redeposit replaces it
-        assert cache.acquire("fp") == "env2"
-
-    def test_pinned_to_other_process_is_acquirable(self):
-        cache = EnvironmentCache(capacity=4)
-        cache.release("fp", "env", pinned_pid=os.getpid() + 1)
-        assert cache.acquire("fp") == "env"
 
     def test_capacity_evicts_oldest(self):
         cache = EnvironmentCache(capacity=2)
@@ -262,32 +235,3 @@ class TestEnvironmentCache:
         assert cache.share(("nz", 340, 120)) == "zone"
         assert cache.share(("nz", 340, 120)) == "zone"
         assert (cache.hits, cache.misses) == (2, 1)
-
-
-class TestFingerprint:
-    def test_stable_for_identical_inputs(self):
-        descriptor = dataset(DATASET)
-        assert environment_fingerprint(descriptor, SEED) == environment_fingerprint(
-            dataset(DATASET), SEED
-        )
-
-    def test_seed_and_descriptor_fields_distinguish(self):
-        descriptor = dataset(DATASET)
-        base = environment_fingerprint(descriptor, SEED)
-        assert environment_fingerprint(descriptor, SEED + 1) != base
-        assert environment_fingerprint(
-            replace(descriptor, client_queries=descriptor.client_queries + 1), SEED
-        ) != base
-        assert environment_fingerprint(
-            replace(descriptor, fault_plan=chaos_scenario("heavy-loss")), SEED
-        ) != base
-
-    def test_chaos_scenarios_distinguish(self):
-        descriptor = dataset(DATASET)
-        a = environment_fingerprint(
-            replace(descriptor, fault_plan=chaos_scenario("heavy-loss")), SEED
-        )
-        b = environment_fingerprint(
-            replace(descriptor, fault_plan=chaos_scenario("default-loss")), SEED
-        )
-        assert a != b

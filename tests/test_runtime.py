@@ -541,7 +541,8 @@ class TestEnvDefaults:
         undocumented — and the structure that keeps it so: one module reads
         the environment, and the objects a run is assembled from are each
         constructed at one site, so a second way to configure or run a
-        dataset cannot arrive unnoticed either."""
+        dataset — or a second benchmark system — cannot arrive unnoticed
+        either."""
         import re
         from pathlib import Path
 
@@ -568,12 +569,26 @@ class TestEnvDefaults:
             if re.search(r"\bos\.environ\b|\bgetenv\b", text)
         ]
         assert readers == ["config.py"]
-        for constructor in ("DatasetRun(", "ShardTask(", "QueryTracer(", "SpooledCapture("):
+        for constructor in (
+            "DatasetRun(", "ShardTask(", "QueryTracer(", "SpooledCapture(",
+            "SimEnvironment(",
+        ):
             sites = sum(
                 len(re.findall(r"(?<![\w.`])" + re.escape(constructor), text))
                 for text in sources.values()
             )
             assert sites == 1, f"{constructor} constructed at {sites} sites"
+        # One benchmark (bench/): the per-figure shape checks under
+        # benchmarks/ keep no records and write no files.
+        assert not list((root / "benchmarks").glob("*.json"))
+        writers = [
+            path.name for path in (root / "benchmarks").glob("*.py")
+            if re.search(
+                r"""open\([^)]*["'][wax]|write_text|write_bytes|\.dump\(""",
+                path.read_text(),
+            )
+        ]
+        assert writers == []
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

@@ -14,6 +14,9 @@ deltas) is excluded from the comparison by design; everything else is.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -293,6 +296,67 @@ class TestSpoolDirectory:
         assert sum(1 for _ in run.capture.iter_views()) == len(chunks)
         run.capture.cleanup()
         assert not list((tmp_path / "nz-w2018").glob("*.npz"))
+
+
+#: One pooled run plus its headline analysis in a fresh interpreter, so
+#: the peak RSS is that run's alone — and its *parent's* alone: workers
+#: are processes of their own.  Prints rows and peak RSS (KB).  VmHWM, not
+#: ``ru_maxrss``: the latter starts at the high-water mark of whoever
+#: launched the child, which under a full pytest run hides the growth.
+RSS_CHILD = r"""
+import re, sys
+from repro.analysis import Attributor, DatasetAnalytics
+from repro.clouds import PROVIDERS
+from repro.sim import run_dataset
+from repro.workload import dataset
+
+stream, volume = sys.argv[1] == "stream", int(sys.argv[2])
+run = run_dataset(dataset("nl-w2020"), client_queries=volume, workers=2, stream=stream)
+if stream:
+    analytics = DatasetAnalytics(run.aggregates)
+else:
+    view = run.capture.view()
+    analytics = DatasetAnalytics.over(
+        view, Attributor(run.registry, PROVIDERS).attribute(view)
+    )
+analytics.provider_shares(PROVIDERS)
+peak_kb = re.search(r"VmHWM:\s+(\d+) kB", open("/proc/self/status").read()).group(1)
+print(len(run.capture), peak_kb)
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs procfs")
+def test_streaming_parent_memory_is_sublinear_in_volume():
+    """An in-memory pooled run ships every row tuple to the parent and
+    materialises the view, so the parent's peak RSS grows with volume; a
+    streamed one ships aggregate state and chunk paths.  At four times the
+    volume the streamed parent must grow by less than half of what the
+    in-memory parent does."""
+    base, big = 6_000, 24_000
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("REPRO_STREAM", None)  # the child's mode comes from argv only
+
+    def child(mode, volume):
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_CHILD, mode, str(volume)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        rows, peak_kb = proc.stdout.split()[-2:]
+        return int(rows), int(peak_kb)
+
+    runs = {
+        (mode, volume): child(mode, volume)
+        for mode in ("memory", "stream") for volume in (base, big)
+    }
+    for volume in (base, big):
+        assert runs["memory", volume][0] == runs["stream", volume][0]
+    memory_growth = runs["memory", big][1] - runs["memory", base][1]
+    stream_growth = runs["stream", big][1] - runs["stream", base][1]
+    if memory_growth < 2_048:
+        pytest.skip(f"in-memory growth {memory_growth} KB is below the noise floor")
+    assert stream_growth < 0.5 * memory_growth, (stream_growth, memory_growth)
 
 
 @pytest.mark.slow

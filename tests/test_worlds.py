@@ -9,6 +9,7 @@ exclusive checkout — each on its own.
 """
 
 import hashlib
+import multiprocessing
 import pickle
 from dataclasses import replace
 
@@ -82,10 +83,8 @@ def sim_counters(snapshot):
     }
 
 
-def fingerprint(name):
-    """(capture blake2b, simulation counters) of one bag entry, run now."""
-    descriptor, how = BAG[name]
-    run = run_dataset(descriptor, seed=SEED, client_queries=QUERIES, **how)
+def capture_digest(run):
+    """blake2b over every column of the run's canonical capture."""
     view = run.capture.view()
     digest = hashlib.blake2b(digest_size=16)
     for column in view.__dataclass_fields__:
@@ -95,7 +94,14 @@ def fingerprint(name):
             digest.update("\x00".join(values.tolist()).encode())
         else:
             digest.update(values.tobytes())
-    return digest.hexdigest(), sim_counters(run.telemetry)
+    return digest.hexdigest()
+
+
+def fingerprint(name):
+    """(capture blake2b, simulation counters) of one bag entry, run now."""
+    descriptor, how = BAG[name]
+    run = run_dataset(descriptor, seed=SEED, client_queries=QUERIES, **how)
+    return capture_digest(run), sim_counters(run.telemetry)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +194,44 @@ class TestBorrowing:
         assert snapshot.phases["fleet_build"]["count"] >= 39
 
 
+class TestPoolWorkersBorrow:
+    """A pool worker assembles its world like every other caller: from the
+    stores it inherited (``fork``) or from nothing (``spawn``)."""
+
+    def _pooled(self, monkeypatch, start):
+        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_POOL_START", start)
+        forget_worlds()
+        run = run_dataset(
+            dataset("nz-w2018"), seed=SEED, client_queries=QUERIES,
+            workers=2, stream=False,
+        )
+        assert run.runtime_report.mode == "process-pool"
+        assert not any("part=environment" in key for key in run.telemetry.counters)
+        return run
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_workers_drive_the_fleet_the_parent_parked(self, monkeypatch):
+        run = self._pooled(monkeypatch, "fork")
+        assert run.runtime_report.shard_count == 2
+        assert run.telemetry.counter("runtime.env_cache.miss", part="fleet") == 1
+        # one borrow per pool shard, of the fleet the parent built
+        assert run.telemetry.counter("runtime.env_cache.hit", part="fleet") == 2
+        assert len(worlds.FLEETS) == 1  # parked once, by the parent, pristine
+
+    def test_spawned_workers_build_their_own_parts(self, monkeypatch):
+        spawned = self._pooled(monkeypatch, "spawn")
+        assert spawned.telemetry.counter("runtime.env_cache.miss", part="fleet") >= 2
+        serial = run_dataset(
+            dataset("nz-w2018"), seed=SEED, client_queries=QUERIES,
+            workers=1, stream=False,
+        )
+        assert capture_digest(spawned) == capture_digest(serial)
+
+
 class TestSealedZones:
     def test_memoised_zones_refuse_changes(self):
         env_zone = worlds.vantage_zone(dataset("nz-w2018"), MetricsRegistry())
@@ -212,7 +256,7 @@ class TestSealedZones:
         run_dataset(dataset("nz-w2018"), seed=SEED, client_queries=50)
         assert len(worlds.ZONES) and len(worlds.FLEETS)
         forget_worlds()
-        assert len(worlds.ZONES) == len(worlds.FLEETS) == len(worlds.ENVIRONMENTS) == 0
+        assert len(worlds.ZONES) == len(worlds.FLEETS) == 0
 
 
 def _resolver(seed=5):
