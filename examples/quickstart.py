@@ -17,8 +17,7 @@ volume the benchmarks use.
 
 import sys
 
-from repro.analysis import Attributor, DatasetAnalytics
-from repro.clouds import PROVIDERS
+from repro.analysis import DatasetAnalytics
 from repro.reporting import bar_chart
 from repro.sim import run_dataset
 from repro.workload import dataset
@@ -31,11 +30,9 @@ def main() -> None:
 
     print(f"simulating {descriptor.dataset_id}: {volume} client queries ...")
     run = run_dataset(descriptor, client_queries=volume)
-    view = run.capture.view()
-    print(f"captured {len(view)} queries at servers {run.vantage_server_ids}")
+    print(f"captured {len(run.capture)} queries at servers {run.vantage_server_ids}")
 
-    attribution = Attributor(run.registry, PROVIDERS).attribute(view)
-    analytics = DatasetAnalytics.over(view, attribution)
+    analytics = DatasetAnalytics.of(run)
     summary = analytics.dataset_summary()
     print(
         f"valid: {summary.valid_fraction:.1%}  "

@@ -14,8 +14,7 @@ e.g. ``python examples/transport_audit.py nz-w2020 0.3``
 
 import sys
 
-from repro.analysis import Attributor, DatasetAnalytics
-from repro.clouds import PROVIDERS
+from repro.analysis import DatasetAnalytics
 from repro.reporting import cdf_plot
 from repro.sim import run_dataset
 from repro.workload import dataset
@@ -30,10 +29,7 @@ def main() -> None:
     run = run_dataset(
         descriptor, client_queries=int(descriptor.client_queries * scale)
     )
-    view = run.capture.view()
-    analytics = DatasetAnalytics.over(
-        view, Attributor(run.registry, PROVIDERS).attribute(view)
-    )
+    analytics = DatasetAnalytics.of(run)
 
     print()
     print(f"{'provider':<11} {'IPv4':>6} {'IPv6':>6} {'UDP':>6} {'TCP':>6}"

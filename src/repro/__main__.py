@@ -48,19 +48,21 @@ fault placement independently of ``--seed``; the ``REPRO_CHAOS`` env var
 sets the default scenario).  ``repro dataset`` exits non-zero when any
 shard failed outright unless ``--allow-partial`` is given.
 
-Streaming flags (see README "Streaming mode"): ``--stream`` folds each
-capture into single-pass aggregates plus a chunked on-disk spool instead
-of holding rows in memory (``REPRO_STREAM`` sets the default);
+Streaming flags (see README "Streaming mode"): ``--stream`` spills each
+capture's columnar chunks to an on-disk spool and folds them into
+single-pass aggregates as they are written, instead of holding the chunks
+in memory and folding on first read (``REPRO_STREAM`` sets the default);
 ``--spool-dir DIR`` keeps the chunk files under ``DIR/<dataset_id>/``
-rather than a self-cleaning temp dir.  Answers are bit-identical to the
-in-memory path.
+rather than a self-cleaning temp dir.  Answers are bit-identical either
+way.
 
 Flags and ``REPRO_*`` defaults of ``dataset``, ``experiments`` and
 ``serve`` are resolved once, before anything is built, into one
 :class:`~repro.config.RunConfig` (``--workers`` always means shard-level
 parallelism: every dataset simulated is split across the pool); a value
 that cannot run — ``--workers 0``, ``--trace-sample 2``, ``--scale -1``,
-``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.
+``REPRO_WORKERS=abc``, ``--spool-dir`` without streaming — is a usage
+error (exit 2) naming it.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_dataset(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .analysis import Attributor, DatasetAnalytics
+    from .analysis import DatasetAnalytics
     from .clouds import PROVIDERS
     from .sim import run_dataset
     from .workload import dataset
@@ -221,17 +223,12 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     if run.runtime_report is not None:
         print(f"runtime: {run.runtime_report.summary()}", file=sys.stderr)
     partial_exit = _check_partial(run.runtime_report, args.allow_partial)
-    if run.aggregates is not None:
-        analytics = DatasetAnalytics(run.aggregates)
+    if args.config.stream:
         print(
             f"analysis mode: streaming ({len(run.capture)} rows spooled)",
             file=sys.stderr,
         )
-    else:
-        view = run.capture.view()
-        analytics = DatasetAnalytics.over(
-            view, Attributor(run.registry, PROVIDERS).attribute(view)
-        )
+    analytics = DatasetAnalytics.of(run)
     summary = analytics.dataset_summary()
     telemetry = run.telemetry
     print(f"captured queries : {summary.queries_total}")

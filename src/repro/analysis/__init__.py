@@ -54,7 +54,6 @@ from .streaming import (
     StreamingAggregator,
     SummaryAggregator,
     TransportAggregator,
-    fold_capture,
 )
 from .qmin import MonthlyPoint, detect_rollout
 
@@ -86,7 +85,6 @@ __all__ = [
     "StreamingAggregator",
     "SummaryAggregator",
     "TransportAggregator",
-    "fold_capture",
     "Attributor",
     "BufsizeCDF",
     "ConcentrationReport",

@@ -4,34 +4,37 @@ Experiments ask an :class:`ExperimentContext` for a dataset's
 ``analytics()`` and call metric methods on it.  There is one set of
 reducers — the mergeable aggregators of
 :class:`~repro.analysis.streaming.AggregateSet` — and
-:class:`DatasetAnalytics` finalises their state; only how that state was
-obtained differs:
+:class:`DatasetAnalytics` finalises their state.  When that state was
+folded is the one thing that differs between runs, and
+:meth:`DatasetAnalytics.of` is the one place that asks:
 
 * a streaming run folded it chunk by chunk while simulating, possibly in
-  several pool workers, and carries it as ``run.aggregates``:
-  ``DatasetAnalytics(run.aggregates)``, no row data resident;
-* an in-memory run has the whole capture resident, which is a spool with
-  one chunk: ``DatasetAnalytics.over(view, attribution)`` feeds each
-  aggregator that view once, the first time a method reads it.  On
-  demand rather than all eleven up front because a report reads few of
-  them: the four behind Figures 1, 2, 4 and Table 5 fold a 9,196-row
-  view in under 4 ms, the full set (composition's sketches included)
-  takes 126 ms.
+  several pool workers, and carries it as ``run.aggregates``; the facade
+  answers from it and no row data is resident;
+* an in-memory run's chunks are resident; the facade is built
+  :meth:`~DatasetAnalytics.over` the capture's whole view and its
+  attribution and feeds each aggregator that view once, the first time a
+  method reads it.  On demand rather than all eleven up front because a
+  report reads few of them: the four behind Figures 1, 2, 4 and Table 5
+  fold a 9,196-row view in under 4 ms, the full set (composition's
+  sketches included) takes 126 ms.
 
 Every aggregator but one is exact integer counting, so an answer does
 not depend on how the rows were chunked; the composition heavy-hitter
 list is sketch-derived and agrees between chunkings within its certified
 error bounds rather than bit-for-bit.  Analyses with no aggregate form
-(the Facebook PTR/RTT join of Figure 5, the extension studies) keep
-using ``ctx.view()``, which a streaming run serves by materialising from
-the spool.
+(the Facebook PTR/RTT join of Figure 5, the extension studies) read the
+capture's whole view and :meth:`DatasetAnalytics.attribution`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..clouds import PROVIDERS
 from ..dnscore import RRType
+from ..telemetry import MetricsRegistry
+from .attribution import AttributionResult, Attributor
 from .edns import BufsizeCDF
 from .google_split import GoogleSplit
 from .metrics import (
@@ -54,10 +57,14 @@ class DatasetAnalytics:
 
     def __init__(self, aggregates: AggregateSet):
         self.aggregates = aggregates
-        #: ``(view, attribution)`` of a resident capture whose aggregators
-        #: are fed on first read; ``None`` when the state arrived folded.
-        self._resident = None
+        #: The view of a resident capture whose aggregators are fed on
+        #: first read; ``None`` when the state arrived folded.
+        self._view = None
         self._fed = set()
+        #: Produces the capture's attribution: already run for a resident
+        #: view, deferred to the first :meth:`attribution` call otherwise.
+        self._attribute = None
+        self._attribution: Optional[AttributionResult] = None
 
     @classmethod
     def over(
@@ -69,14 +76,54 @@ class DatasetAnalytics:
     ) -> "DatasetAnalytics":
         """The facade over a resident view and its attribution."""
         analytics = cls(AggregateSet(providers, public_prefixes))
-        analytics._resident = (view, attribution)
+        analytics._view, analytics._attribution = view, attribution
         return analytics
+
+    @classmethod
+    def of(cls, run, metrics: Optional[MetricsRegistry] = None) -> "DatasetAnalytics":
+        """The facade for a :class:`~repro.sim.DatasetRun`, wherever its
+        aggregate state comes from: the state the run folded while
+        simulating when it carries one, else aggregators fed from the
+        capture's whole view and its attribution (Table 1's providers).
+
+        ``metrics`` books the ``attribution`` phase and the
+        ``analysis.*`` counters of whatever this ends up doing.
+        """
+        metrics = MetricsRegistry() if metrics is None else metrics
+        # The deferred pass outlives this call on a folded run's facade:
+        # it holds the capture and the registry, not the run's whole world.
+        capture, registry = run.capture, run.registry
+
+        def attribute() -> AttributionResult:
+            view = capture.view()
+            with metrics.time_phase("attribution"):
+                result = Attributor(registry, PROVIDERS).attribute(view)
+            metrics.counter("analysis.attribution_passes").inc()
+            metrics.counter("analysis.rows_attributed").inc(len(view))
+            return result
+
+        if run.aggregates is not None:
+            analytics = cls(run.aggregates)
+            analytics._attribute = attribute
+            metrics.counter("analysis.streaming_answers").inc()
+            return analytics
+        return cls.over(capture.view(), attribute())
+
+    def attribution(self) -> AttributionResult:
+        """The row-level attribution of the capture a facade made
+        :meth:`over` or :meth:`of` one answers for: the one its
+        aggregators are fed when the capture is resident; for a run that
+        arrived folded, one pass over the materialised capture, made on
+        first request (only the view-level analyses ask)."""
+        if self._attribution is None:
+            self._attribution = self._attribute()
+        return self._attribution
 
     def _aggregator(self, name: str) -> StreamingAggregator:
         aggregator = self.aggregates[name]
-        if self._resident is not None and name not in self._fed:
+        if self._view is not None and name not in self._fed:
             self._fed.add(name)
-            aggregator.feed(*self._resident)
+            aggregator.feed(self._view, self._attribution)
         return aggregator
 
     def _check_providers(self, providers: Optional[Sequence[str]]) -> tuple:

@@ -25,8 +25,8 @@ Every aggregator implements the :class:`StreamingAggregator` protocol:
     pins the bytes).
 
 States are plain picklable containers (ints, dicts, Counters, sets of int
-tuples), so pool workers ship them back to the parent instead of raw row
-lists.  :class:`AggregateSet` bundles the full registry for one dataset
+tuples), so streaming pool workers ship them back to the parent with
+the paths of their chunk files, not the chunks.  :class:`AggregateSet` bundles the full registry for one dataset
 run and is what rides on a streaming
 :class:`~repro.sim.DatasetRun.aggregates`.
 """
@@ -615,7 +615,7 @@ class AggregateSet:
 
     Workers feed their shard's chunks into a fresh set, ship it back, and
     the parent merges the per-shard sets — the streaming replacement for
-    shipping and concatenating raw row lists.
+    shipping the chunks themselves.
     """
 
     def __init__(
@@ -672,29 +672,3 @@ class AggregateSet:
         for other in sets[1:]:
             merged.merge(other)
         return merged
-
-
-def fold_capture(
-    aggregates: AggregateSet,
-    capture,
-    attributor,
-    chunk_rows: int = 65536,
-    spool=None,
-) -> int:
-    """Single-pass fold of a capture's rows into aggregate state.
-
-    ``capture`` is anything with ``iter_views(chunk_rows)`` (an in-memory
-    :class:`~repro.capture.CaptureStore` or a
-    :class:`~repro.capture.SpooledCapture`); each bounded chunk is
-    attributed, fed to every aggregator, and — when ``spool`` is given —
-    written out as one spool chunk, so rows are columnised exactly once.
-    Returns the number of rows folded.
-    """
-    folded = 0
-    for view in capture.iter_views(chunk_rows):
-        attribution = attributor.attribute(view)
-        aggregates.feed(view, attribution)
-        if spool is not None:
-            spool.write_view(view)
-        folded += len(view)
-    return folded

@@ -1,6 +1,6 @@
 """Capture schema, columnar store, and persistence (the ENTRADA stand-in)."""
 
-from .io import read_csv, read_jsonl, write_csv, write_jsonl
+from .io import read_csv, write_csv
 from .io_binary import (
     arrays_to_view,
     decode_chunk,
@@ -35,12 +35,10 @@ __all__ = [
     "join_address",
     "read_chunk",
     "read_csv",
-    "read_jsonl",
     "read_npz",
     "split_address",
     "view_to_arrays",
     "write_chunk",
     "write_csv",
-    "write_jsonl",
     "write_npz",
 ]

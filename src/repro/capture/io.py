@@ -1,14 +1,14 @@
-"""Capture persistence: CSV and JSON-lines round-tripping.
+"""Capture persistence: CSV round-tripping.
 
 Datasets can be simulated once and re-analysed many times; these helpers
-serialise a :class:`~repro.capture.store.CaptureStore` to disk and back.
-CSV keeps files human-inspectable; JSONL preserves exact types.
+write a capture's canonical view to a human-inspectable CSV file and load
+one back into a :class:`~repro.capture.store.CaptureStore`
+(:mod:`repro.capture.io_binary` is the exact, compact format).
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Union
 
@@ -71,9 +71,11 @@ def _row_to_record(row: dict) -> QueryRecord:
     )
 
 
-def write_csv(store: CaptureStore, path: Union[str, Path]) -> int:
-    """Write all rows to CSV; returns the row count."""
-    view = store.view()
+def write_csv(capture, path: Union[str, Path]) -> int:
+    """Write all rows of a capture (anything with ``view()``: a run's
+    :class:`~repro.capture.SpooledCapture`, a store) to CSV, in the
+    view's order; returns the row count."""
+    view = capture.view()
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=_FIELDS)
         writer.writeheader()
@@ -90,26 +92,4 @@ def read_csv(path: Union[str, Path]) -> CaptureStore:
     with open(path, newline="") as handle:
         for row in csv.DictReader(handle):
             store.append(_row_to_record(row))
-    return store
-
-
-def write_jsonl(store: CaptureStore, path: Union[str, Path]) -> int:
-    """Write all rows as JSON lines; returns the row count."""
-    view = store.view()
-    with open(path, "w") as handle:
-        count = 0
-        for record in view.iter_records():
-            handle.write(json.dumps(_record_to_row(record)) + "\n")
-            count += 1
-    return count
-
-
-def read_jsonl(path: Union[str, Path]) -> CaptureStore:
-    """Load a capture store previously written by :func:`write_jsonl`."""
-    store = CaptureStore()
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                store.append(_row_to_record(json.loads(line)))
     return store

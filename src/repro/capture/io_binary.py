@@ -1,6 +1,6 @@
 """Binary columnar persistence for captures.
 
-CSV/JSONL (``repro.capture.io``) are human-friendly but slow and large;
+CSV (``repro.capture.io``) is human-friendly but slow and large;
 this module stores the frozen column arrays directly (numpy ``.npz``),
 the moral equivalent of ENTRADA's Parquet warehouse files.  A million-row
 capture loads in milliseconds and round-trips exactly.

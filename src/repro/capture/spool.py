@@ -1,25 +1,21 @@
-"""Streaming capture spool: out-of-core row storage in bounded chunks.
+"""The capture past the append buffer: columnar chunks, resident or spilled.
 
-The in-memory :class:`~repro.capture.store.CaptureStore` caps dataset scale
-by parent-process RAM: every captured row lives as a Python tuple until
-analysis ends.  The spool is the out-of-core alternative, mirroring how the
-paper's ENTRADA pipeline lands pcap-derived rows in Parquet files and never
-holds the row set in memory:
+Rows become columns once, when a shard freezes its
+:class:`~repro.capture.store.CaptureStore` into bounded
+:class:`CaptureView` chunks.  From there on a run's capture is those
+chunks in append order (:class:`CaptureSpool`), mirroring how the paper's
+ENTRADA pipeline lands pcap-derived rows in Parquet files once and queries
+columns ever after.  A chunk is either **resident** — the view itself (an
+in-memory run: the shards hand their chunks over as they are) — or
+**spilled** — a compressed ``.npz`` chunk file in the
+:mod:`repro.capture.io_binary` framing (a streaming run: each shard writes
+its chunks under the run's spool directory and hands over their paths),
+read back one bounded view at a time, so a single-pass analysis touches
+O(chunk) memory regardless of total rows.
 
-* writers (pool workers, or the serial driver) spill rows as compressed
-  binary **chunk files** — each chunk is a small ``.npz`` archive in the
-  :mod:`repro.capture.io_binary` framing;
-* readers stream the chunks back one bounded :class:`CaptureView` at a time
-  (:meth:`CaptureSpool.iter_views`), so a single-pass analysis touches
-  O(chunk) memory regardless of total rows.
-
-:class:`SpooledCapture` is the capture object a streaming
-:class:`~repro.sim.DatasetRun` carries instead of a ``CaptureStore``: it
-answers ``len()`` / ``rows_appended`` from chunk metadata and can still
-materialise a full canonical :meth:`view` on demand (the compatibility
-path for analyses that genuinely need the whole row set, e.g. the
-Facebook PTR join) — materialisation is lazy, cached, and droppable via
-:meth:`release_view`.
+:class:`SpooledCapture` is the capture every
+:class:`~repro.sim.DatasetRun` carries; its :meth:`~SpooledCapture.view`
+is the one canonical ``(timestamp, server_id)`` sort in the tree.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,15 +63,27 @@ def chunk_name(shard_index: int, sequence: int) -> str:
     return f"shard{shard_index:04d}-{sequence:06d}.npz"
 
 
-class CaptureSpool:
-    """Chunked writer/reader over a spool directory.
+def concatenate_views(views: Sequence[CaptureView]) -> CaptureView:
+    """The views' rows as one view, in the order given."""
+    if not views:
+        return CaptureStore.rows_to_view([])
+    return CaptureView(**{
+        name: np.concatenate([getattr(view, name) for view in views])
+        for name in CaptureView.__dataclass_fields__
+    })
 
-    One spool corresponds to one dataset run.  Writers call
-    :meth:`append_rows` (buffered; full chunks flush automatically) or
-    :meth:`spool_store` for a whole in-memory store; readers call
-    :meth:`iter_views`.  The chunk list is explicit — workers return the
-    paths they wrote and the parent :meth:`adopt`\\ s them in shard order —
-    so stale files from crashed attempts are never picked up by accident.
+
+class CaptureSpool:
+    """One dataset run's chunks, in append order.
+
+    Writers spill views with :meth:`write_view` (one view, one file) or
+    :meth:`append_view` (re-cut to ``chunk_rows``); chunks produced
+    elsewhere — a shard's resident views, or the files a streaming shard
+    wrote — join in shard order through :meth:`adopt`.  The chunk list is
+    explicit, so stale files from crashed attempts are never picked up by
+    accident.  The directory (a temp dir of the spool's own when none is
+    configured) is created by the first use of :attr:`directory`: a spool
+    whose chunks all stay resident never touches the filesystem.
     """
 
     def __init__(
@@ -86,43 +94,40 @@ class CaptureSpool:
     ):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
+        self._configured_directory = directory
+        self._directory: Optional[Path] = None
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        if directory is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spool-")
-            directory = self._tmpdir.name
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.chunk_rows = chunk_rows
         self.shard_index = shard_index
-        self._pending: List[Tuple] = []
+        #: The partial chunk :meth:`append_view` is still filling.
+        self._tail: Optional[CaptureView] = None
         self._sequence = 0
-        self._chunks: List[Path] = []
+        self._chunks: List[Union[Path, CaptureView]] = []
         self._chunk_rows_counts: List[int] = []
         #: Compressed bytes written by *this* spool object (adopted chunks
         #: were accounted by their writer).
         self.bytes_written = 0
         self.rows_spooled = 0
 
+    @property
+    def directory(self) -> Path:
+        """Where this spool's chunk files go (created on first use)."""
+        if self._directory is None:
+            directory = self._configured_directory
+            if directory is None:
+                self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spool-")
+                directory = self._tmpdir.name
+            self._directory = Path(directory)
+            self._directory.mkdir(parents=True, exist_ok=True)
+        return self._directory
+
     # -- writing ---------------------------------------------------------------
 
-    def append_rows(self, rows: Sequence[Tuple]) -> None:
-        """Buffer row tuples, flushing every time a full chunk accumulates."""
-        self._pending.extend(rows)
-        while len(self._pending) >= self.chunk_rows:
-            self._write(self._pending[: self.chunk_rows])
-            del self._pending[: self.chunk_rows]
-
-    def spool_store(self, store: CaptureStore) -> None:
-        """Spill a whole in-memory store's rows (does not clear the store)."""
-        self.append_rows(store.raw_rows())
-
     def write_view(self, view: CaptureView) -> None:
-        """Write an already-columnised chunk directly, bypassing the row
-        buffer — the streaming fold's path, where each chunk was just built
-        by ``iter_views`` and re-tupling it would be pure waste.  Requires
-        an empty buffer so chunk order stays append order."""
-        if self._pending:
-            raise RuntimeError("cannot mix write_view with buffered rows")
+        """Spill one view as one chunk file, behind any buffered tail —
+        the streaming fold's path, where each chunk was just built by
+        ``iter_views`` and is written as it is."""
+        self.flush()
         if len(view) == 0:
             return
         path = self.directory / chunk_name(self.shard_index, self._sequence)
@@ -133,66 +138,69 @@ class CaptureSpool:
         self._chunk_rows_counts.append(len(view))
 
     def append_view(self, view: CaptureView) -> None:
-        """Buffer-aware bulk columnar append.
-
-        With an empty row buffer, full ``chunk_rows`` slices of the view
-        are written straight to chunk files (no row re-tupling) and only
-        the partial tail lands in the buffer; with rows already buffered,
-        the view degrades to :meth:`append_rows` so chunk order stays
-        append order.  This is the spill path for a columnar producer
-        feeding a spool directly.
-        """
-        if len(view) == 0:
-            return
-        if self._pending:
-            self.append_rows(view.to_rows())
-            return
+        """Spill a view re-cut to ``chunk_rows``: full slices are written
+        straight to chunk files and the partial tail is kept — as a view —
+        for the next append or :meth:`flush` to complete, so chunk order
+        stays append order."""
+        if self._tail is not None:
+            view, self._tail = concatenate_views([self._tail, view]), None
         start = 0
         while len(view) - start >= self.chunk_rows:
             self.write_view(view.select(slice(start, start + self.chunk_rows)))
             start += self.chunk_rows
         if start < len(view):
-            self._pending.extend(view.select(slice(start, len(view))).to_rows())
+            self._tail = view.select(slice(start, len(view)))
 
     def flush(self) -> None:
         """Write any buffered partial chunk."""
-        if self._pending:
-            self._write(self._pending)
-            self._pending = []
-
-    def _write(self, rows: Sequence[Tuple]) -> None:
-        path = self.directory / chunk_name(self.shard_index, self._sequence)
-        self._sequence += 1
-        view = CaptureStore.rows_to_view(rows)
-        self.bytes_written += write_chunk(path, view)
-        self.rows_spooled += len(rows)
-        self._chunks.append(path)
-        self._chunk_rows_counts.append(len(rows))
+        if self._tail is not None:
+            tail, self._tail = self._tail, None
+            self.write_view(tail)
 
     # -- chunk bookkeeping ------------------------------------------------------
 
     def chunk_paths(self) -> List[str]:
-        """Paths of all flushed chunks, in write/adoption order."""
-        return [str(path) for path in self._chunks]
+        """Paths of all chunk files, in write/adoption order."""
+        return [
+            str(chunk) for chunk in self._chunks
+            if not isinstance(chunk, CaptureView)
+        ]
 
     def chunk_row_counts(self) -> List[int]:
         return list(self._chunk_rows_counts)
 
-    def adopt(self, paths: Sequence[Union[str, Path]],
+    def adopt(self, chunks: Sequence[Union[str, Path, CaptureView]],
               row_counts: Optional[Sequence[int]] = None) -> None:
-        """Register chunks written elsewhere (the pool-merge path).
+        """Register chunks produced elsewhere (the shard-merge path):
+        resident views, held as they are, or paths of chunk files.
 
         ``row_counts`` avoids re-opening every archive when the writer
         already reported them; otherwise counts are read from chunk
         metadata.
         """
-        paths = [Path(p) for p in paths]
+        chunks = [
+            chunk if isinstance(chunk, CaptureView) else Path(chunk)
+            for chunk in chunks
+        ]
         if row_counts is None:
-            row_counts = [self._read_row_count(path) for path in paths]
-        if len(row_counts) != len(paths):
-            raise ValueError("row_counts must match paths")
-        self._chunks.extend(paths)
+            row_counts = [
+                len(chunk) if isinstance(chunk, CaptureView)
+                else self._read_row_count(chunk)
+                for chunk in chunks
+            ]
+        if len(row_counts) != len(chunks):
+            raise ValueError("row_counts must match chunks")
+        self._chunks.extend(chunks)
         self._chunk_rows_counts.extend(int(c) for c in row_counts)
+
+    def keep_resident_as(self, view: CaptureView) -> None:
+        """Hold ``view`` — the same rows, in whatever order — as the one
+        chunk, if every chunk is resident: the per-chunk views it was
+        assembled from would otherwise keep each row in memory twice.
+        A spool with chunk files is left alone (they are the capture)."""
+        if all(isinstance(chunk, CaptureView) for chunk in self._chunks):
+            self._chunks = [view]
+            self._chunk_rows_counts = [len(view)]
 
     @staticmethod
     def _read_row_count(path: Path) -> int:
@@ -200,27 +208,31 @@ class CaptureSpool:
             return int(archive["__meta__"][1])
 
     def __len__(self) -> int:
-        return sum(self._chunk_rows_counts) + len(self._pending)
+        tail = 0 if self._tail is None else len(self._tail)
+        return sum(self._chunk_rows_counts) + tail
 
     # -- reading ---------------------------------------------------------------
 
     def iter_views(self) -> Iterator[CaptureView]:
-        """Stream every chunk back as a bounded :class:`CaptureView`.
+        """Every chunk as a bounded :class:`CaptureView`, in order.
 
-        Only one chunk's columns are resident at a time — this is the
-        O(chunk)-memory read path the streaming aggregators consume.
-        Call :meth:`flush` first if rows are still buffered.
+        Only one spilled chunk's columns are loaded at a time — this is
+        the O(chunk)-memory read path the streaming aggregators consume.
+        Call :meth:`flush` first if a partial chunk is still buffered.
         """
-        if self._pending:
+        if self._tail is not None:
             raise RuntimeError("spool has unflushed rows; call flush() first")
-        for path in self._chunks:
-            yield read_chunk(path)
+        for chunk in self._chunks:
+            yield chunk if isinstance(chunk, CaptureView) else read_chunk(chunk)
 
     def cleanup(self) -> None:
-        """Delete the spool's chunk files (and its temp dir, if owned)."""
-        for path in self._chunks:
+        """Drop the chunks: delete the chunk files (and the temp dir, if
+        owned), release the resident views."""
+        for chunk in self._chunks:
+            if isinstance(chunk, CaptureView):
+                continue
             try:
-                os.unlink(path)
+                os.unlink(chunk)
             except FileNotFoundError:
                 pass
         self._chunks = []
@@ -231,13 +243,11 @@ class CaptureSpool:
 
 
 class SpooledCapture:
-    """Read-side capture backed by a spool instead of resident rows.
+    """A run's capture: its spool's chunks plus the canonical whole view.
 
-    Quacks like the slice of :class:`CaptureStore` the analysis and CLI
-    layers consume — ``len()``, ``rows_appended``, :meth:`view`,
-    :meth:`iter_views` — while holding no row data until :meth:`view` is
-    explicitly asked to materialise (and even then the cache can be
-    dropped again with :meth:`release_view`).
+    Answers ``len()`` and ``rows_appended`` from chunk metadata, streams
+    the chunks (:meth:`iter_views`) and materialises the whole capture in
+    canonical order (:meth:`view`, cached) only when asked.
     """
 
     def __init__(self, spool: CaptureSpool, rows_appended: Optional[int] = None):
@@ -252,62 +262,28 @@ class SpooledCapture:
     def __len__(self) -> int:
         return len(self.spool)
 
-    def iter_views(self, chunk_rows: Optional[int] = None) -> Iterator[CaptureView]:
-        """Bounded chunk views in spool order (``chunk_rows`` is accepted
-        for :class:`CaptureStore` signature compatibility; the spool's
-        on-disk chunking wins)."""
+    def iter_views(self) -> Iterator[CaptureView]:
+        """Bounded chunk views in spool order."""
         return self.spool.iter_views()
 
-    def publish_timeseries(self, recorder, chunk_rows: Optional[int] = None) -> None:
-        """Fold the spooled capture's standard rate series into a
-        :class:`~repro.telemetry.timeseries.FlightRecorder`, one on-disk
-        chunk at a time — signature-compatible with
-        :meth:`CaptureStore.publish_timeseries`, and order-insensitive by
-        the flight recorder's integer-sum algebra, so spool chunk order
-        (vs canonical row order) cannot change the frames."""
-        for view in self.iter_views(chunk_rows):
-            recorder.observe_view(view)
-
     def view(self) -> CaptureView:
-        """Materialise the full capture in canonical order (cached).
+        """The whole capture in canonical order (cached).
 
-        This is the compatibility fallback for whole-view analyses; it is
-        bit-identical to the in-memory path's ``sort_canonical() + view()``
-        because chunks concatenate in the exact append order the serial
-        driver would have produced, and the same stable
-        ``(timestamp, server_id)`` lexsort is applied on top.
+        Chunks concatenate in the append order one shard over the whole
+        fleet would have produced; on top of that, a stable lexsort keyed
+        by ``(timestamp, server_id-code)`` — rows tied on both keys (one
+        client query fanning out to the same captured server) keep their
+        append order — so captures compare equal column for column
+        whatever the shard layout and wherever the chunks lived.
         """
         if self._frozen is None:
-            self._frozen = _concatenate_canonical(list(self.spool.iter_views()))
+            merged = concatenate_views(list(self.spool.iter_views()))
+            __, server_codes = np.unique(merged.server_id, return_inverse=True)
+            order = np.lexsort((server_codes, merged.timestamp))
+            self._frozen = merged.select(order)
+            self.spool.keep_resident_as(self._frozen)
         return self._frozen
 
-    def release_view(self) -> None:
-        """Drop the materialised view cache (rows remain on disk)."""
-        self._frozen = None
-
     def cleanup(self) -> None:
-        self.release_view()
+        self._frozen = None
         self.spool.cleanup()
-
-
-def _concatenate_canonical(views: List[CaptureView]) -> CaptureView:
-    """Concatenate chunk views and stable-sort into canonical order.
-
-    Mirrors :meth:`CaptureStore.sort_canonical`: stable lexsort keyed by
-    ``(timestamp, server_id-code)``, so the result is identical to sorting
-    the concatenated row list.
-    """
-    if not views:
-        return CaptureStore.rows_to_view([])
-    columns = {
-        name: np.concatenate([getattr(view, name) for view in views])
-        for name in CaptureView.__dataclass_fields__
-    }
-    merged = CaptureView(**columns)
-    if len(merged) <= 1:
-        return merged
-    __, server_codes = np.unique(merged.server_id, return_inverse=True)
-    order = np.lexsort((server_codes, merged.timestamp))
-    return CaptureView(
-        **{name: column[order] for name, column in columns.items()}
-    )

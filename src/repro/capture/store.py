@@ -1,8 +1,11 @@
-"""Columnar capture store.
+"""The capture's append buffer and its columnar form.
 
-An append-optimised, numpy-backed column store for :class:`QueryRecord`
-rows.  This is the reproduction's stand-in for ENTRADA's Parquet/Impala
-warehouse: the analysis layer works on whole columns (boolean masks,
+:class:`CaptureStore` is where the authoritative servers append
+:class:`QueryRecord` rows while a simulation runs; :class:`CaptureView` is
+what those rows become — numpy columns — the one time they are frozen
+(:meth:`CaptureStore.rows_to_view`).  Past that point a capture is
+columnar chunks (:mod:`repro.capture.spool`), as ENTRADA's pcap rows are
+Parquet files: the analysis layer works on whole columns (boolean masks,
 group-bys) rather than on row objects, which keeps million-row datasets
 tractable in pure Python + numpy.
 
@@ -97,8 +100,8 @@ class CaptureView:
     def to_rows(self) -> List[Tuple]:
         """Expand the view back into :meth:`CaptureStore._row_of`-layout
         tuples of native Python scalars (``tolist`` per column — the only
-        bulk column→row conversion in the codebase, used by
-        :meth:`CaptureSpool.append_view` for partial chunks).
+        bulk column→row conversion in the codebase; no product path
+        needs one, the codec fuzz uses it as its reference).
         Exact inverse of :meth:`CaptureStore.rows_to_view` up to scalar
         types: float64/int/bool round-trip bit-for-bit, object columns
         hand back the original interned strings."""
@@ -161,11 +164,9 @@ class CaptureStore:
         self._rows: List[Tuple] = []
         self._frozen: Optional[CaptureView] = None
         #: Monotonic count of rows ever appended.  This is *not* always
-        #: ``len(self)``: the streaming runtime folds appended rows into
-        #: aggregate states (and optionally a :class:`~repro.capture.spool.
-        #: CaptureSpool`) and then releases them via :meth:`clear`, so under
-        #: ``REPRO_STREAM=1`` the telemetry meaning is "rows ever observed",
-        #: not "rows currently resident".
+        #: ``len(self)``: a live service drops its rows with :meth:`release`
+        #: and keeps counting, so the telemetry meaning is "rows ever
+        #: observed", not "rows currently resident".
         self.rows_appended = 0
 
     def __len__(self) -> int:
@@ -254,7 +255,7 @@ class CaptureStore:
 
     def extend(self, records: Iterable[QueryRecord]) -> None:
         """Bulk append: one view invalidation and one ``rows_appended``
-        update for the whole batch (the merge path's hot loop)."""
+        update for the whole batch."""
         rows = [self._row_of(record) for record in records]
         if not rows:
             return
@@ -265,11 +266,10 @@ class CaptureStore:
     def clear(self) -> None:
         """Reset to the freshly-constructed state.
 
-        The old row list is *released*, not cleared in place: callers that
-        received it via :meth:`raw_rows` (a shard's result on its way to
-        the assembler) keep a valid snapshot while the store — still
-        shared by reference with its authoritative servers — starts over
-        on a fresh list and no longer pins the rows it handed off.
+        The old row list is released, not cleared in place: views frozen
+        from it (a shard's chunks on their way to the assembler) stay
+        valid while the store — still shared by reference with its
+        authoritative servers — starts over on a fresh list.
         """
         self._rows = []
         self.rows_appended = 0
@@ -285,69 +285,13 @@ class CaptureStore:
         self._rows = []
         self._frozen = None
 
-    # -- sharded-runtime support -----------------------------------------------
-
-    def raw_rows(self) -> List[Tuple]:
-        """The internal row tuples (primitives only, hence cheap to pickle).
-
-        This is the cross-process transfer format of :mod:`repro.runtime`:
-        workers ship ``raw_rows()`` back to the parent, which rebuilds
-        stores via :meth:`from_raw_rows`.  Treat the list as opaque and
-        read-only.
-        """
-        return self._rows
-
-    @classmethod
-    def from_raw_rows(
-        cls, rows: List[Tuple], rows_appended: Optional[int] = None
-    ) -> "CaptureStore":
-        """Rebuild a store from :meth:`raw_rows` output (takes ownership)."""
-        store = cls()
-        store._rows = rows
-        store.rows_appended = len(rows) if rows_appended is None else rows_appended
-        return store
-
-    def sort_canonical(self) -> None:
-        """Stable sort into canonical ``(timestamp, server_id)`` order.
-
-        Both the serial path and the sharded merge canonicalise through
-        this, so captures compare equal column-for-column regardless of
-        worker count.  Stability matters: rows tied on both keys (e.g. one
-        client query fanning out to the same captured server) keep their
-        deterministic append order.
-        """
-        if len(self._rows) <= 1:
-            return
-        timestamps = np.array([row[0] for row in self._rows], dtype=np.float64)
-        server_ids = np.array([row[1] for row in self._rows], dtype=object)
-        __, server_codes = np.unique(server_ids, return_inverse=True)
-        order = np.lexsort((server_codes, timestamps))
-        self._rows = [self._rows[int(i)] for i in order]
-        self._frozen = None
-
-    @classmethod
-    def merge(cls, stores: Sequence["CaptureStore"]) -> "CaptureStore":
-        """Concatenate per-shard stores into one canonically-ordered store.
-
-        Shards are contiguous fleet ranges, so concatenating in shard-index
-        order reproduces the serial append sequence exactly; the stable
-        canonical sort then yields a result bit-identical to a serially
-        executed (and equally canonicalised) run.
-        """
-        merged = cls()
-        for store in stores:
-            merged._rows.extend(store._rows)
-            merged.rows_appended += store.rows_appended
-        merged.sort_canonical()
-        return merged
-
     @staticmethod
     def rows_to_view(rows: Sequence[Tuple]) -> CaptureView:
         """Freeze a slice of row tuples into columnar form.
 
         This is the one place row tuples become column arrays; both
-        :meth:`view` and :meth:`iter_views` (and the spool's chunk writer)
-        go through it, so every code path agrees on column dtypes.
+        :meth:`view` and :meth:`iter_views` go through it, so every code
+        path agrees on column dtypes.
         """
         columns = list(zip(*rows)) if rows else [[] for _ in range(14)]
         return CaptureView(

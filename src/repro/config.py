@@ -108,12 +108,13 @@ class RunConfig:
     ``"hang"`` / ``"exit"``), applied to pool attempts only, never to the
     serial fallback — a hook for tests and drills.
 
-    ``stream`` folds captured rows into single-pass aggregates and a
-    chunked on-disk spool instead of keeping them resident; ``spool_dir``
-    roots the chunk files (``<spool_dir>/<dataset_id>/``; ``None`` = a
-    self-cleaning temp dir).  ``trace`` enables sampled per-query tracing
-    (``None`` = off).  ``progress_interval_s`` is the seconds between
-    progress log lines.
+    ``stream`` selects where the capture's columnar chunks live and when
+    they are folded: spilled to chunk files and folded into single-pass
+    aggregates as they are written, instead of resident and folded on
+    first read.  ``spool_dir`` (streaming only) roots the chunk files
+    (``<spool_dir>/<dataset_id>/``; ``None`` = a self-cleaning temp dir).
+    ``trace`` enables sampled per-query tracing (``None`` = off).
+    ``progress_interval_s`` is the seconds between progress log lines.
     """
 
     workers: int = 1
@@ -137,6 +138,8 @@ class RunConfig:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.spool_dir is not None and not self.stream:
+            raise ValueError("spool_dir needs stream=True (--spool-dir needs --stream)")
         if self.progress_interval_s <= 0:
             raise ValueError(
                 f"progress_interval_s must be positive, got {self.progress_interval_s}"

@@ -10,9 +10,12 @@ and (2) run the paper's centralization analytics over any capture:
 >>> print(report.to_text())
 
 Every metric is a method of :class:`DatasetAnalytics`
-(``ctx.analytics("nl-w2020")``, or over any capture of your own):
+(``ctx.analytics("nl-w2020")``; for a run of your own, however it was
+executed, ``DatasetAnalytics.of(run)``; or over any capture of your own):
 
->>> from repro.core import Attributor, DatasetAnalytics, PROVIDERS
+>>> from repro.core import DatasetAnalytics, dataset, run_dataset
+>>> DatasetAnalytics.of(run_dataset(dataset("nl-w2020"))).cloud_share()
+>>> from repro.core import Attributor, PROVIDERS
 >>> attribution = Attributor(registry, PROVIDERS).attribute(view)
 >>> DatasetAnalytics.over(view, attribution).cloud_share()
 """

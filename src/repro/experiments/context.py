@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
-from ..analysis import AttributionResult, Attributor, DatasetAnalytics
+from ..analysis import AttributionResult, DatasetAnalytics
 from ..capture import CaptureView
-from ..clouds import PROVIDERS
 from ..config import RunConfig, resolve_scale
 from ..sim import DatasetRun, run_dataset
 from ..telemetry import FlightRecorder, MetricsRegistry, TraceBuffer
@@ -72,7 +71,6 @@ class ExperimentContext:
         #: run lands).
         self.timeseries: Optional[FlightRecorder] = None
         self._runs: Dict[str, DatasetRun] = {}
-        self._attributions: Dict[str, AttributionResult] = {}
         self._analytics: Dict[str, DatasetAnalytics] = {}
 
     def _adopt_observability(self, run: DatasetRun) -> None:
@@ -116,36 +114,15 @@ class ExperimentContext:
         return self.run(dataset_id).capture.view()
 
     def attribution(self, dataset_id: str) -> AttributionResult:
-        cached = self._attributions.get(dataset_id)
-        if cached is None:
-            run = self.run(dataset_id)
-            cached = self._attribute(run)
-            self._attributions[dataset_id] = cached
-        return cached
-
-    def _attribute(self, run: DatasetRun) -> AttributionResult:
-        view = run.capture.view()
-        with self.telemetry.time_phase("attribution"):
-            result = Attributor(run.registry, PROVIDERS).attribute(view)
-        self.telemetry.counter("analysis.attribution_passes").inc()
-        self.telemetry.counter("analysis.rows_attributed").inc(len(view))
-        return result
+        return self.analytics(dataset_id).attribution()
 
     # -- the analytics facade ----------------------------------------------------
 
-    def _analytics_for(self, run: DatasetRun, key: str) -> DatasetAnalytics:
+    def _facade(self, run: DatasetRun) -> DatasetAnalytics:
+        key = run.descriptor.dataset_id
         cached = self._analytics.get(key)
         if cached is None:
-            if run.aggregates is not None:
-                cached = DatasetAnalytics(run.aggregates)
-                self.telemetry.counter("analysis.streaming_answers").inc()
-            else:
-                attribution = self._attributions.get(key)
-                if attribution is None:
-                    attribution = self._attribute(run)
-                    self._attributions[key] = attribution
-                cached = DatasetAnalytics.over(run.capture.view(), attribution)
-            self._analytics[key] = cached
+            cached = self._analytics[key] = DatasetAnalytics.of(run, self.telemetry)
         return cached
 
     def analytics(self, dataset_id: str) -> DatasetAnalytics:
@@ -156,11 +133,11 @@ class ExperimentContext:
         run, from aggregators fed the frozen capture the first time a
         report reads them; every later report shares that state.
         """
-        return self._analytics_for(self.run(dataset_id), dataset_id)
+        return self._facade(self.run(dataset_id))
 
     def monthly_analytics(
         self, vantage: str, year: int, month: int
     ) -> Tuple[DatasetRun, DatasetAnalytics]:
         """The monthly run plus its analytics facade (Figure 3's unit)."""
         run = self.monthly(vantage, year, month)
-        return run, self._analytics_for(run, run.descriptor.dataset_id)
+        return run, self._facade(run)

@@ -52,8 +52,8 @@ def growth(ctx: ExperimentContext, vantage: str) -> Dict[str, float]:
     ids = sorted(
         d for d in PAPER_DATASETS if PAPER_DATASETS[d].vantage == vantage
     )
-    # Capture length, not a materialised view: identical for CaptureStore
-    # and SpooledCapture, so streaming runs never freeze rows here.
+    # Capture length, not a materialised view: it comes from chunk
+    # metadata, so streaming runs never load rows here.
     first = len(ctx.run(ids[0]).capture)
     last = len(ctx.run(ids[-1]).capture)
     return {"first": first, "last": last, "growth": last / first - 1.0}

@@ -11,7 +11,9 @@ result:
 * :mod:`repro.runtime.env_cache` — the bounded parking class behind the
   process's world stores (:mod:`repro.sim.worlds`): datasets of one
   ``(vantage, year, seed)`` share one fleet, every world shares its zones;
-* merging — :meth:`repro.capture.CaptureStore.merge` (canonical
+* merging — every shard's columnar chunks adopted in shard order into
+  the run's :class:`repro.capture.CaptureSpool`
+  (:meth:`repro.capture.SpooledCapture.view` applies the canonical
   ``(timestamp, server_id)`` ordering) plus
   :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`.
 

@@ -10,7 +10,7 @@ The executor turns a list of :class:`ShardTask` descriptions into
   :class:`concurrent.futures.ProcessPoolExecutor`.  Every worker assembles
   the full deterministic environment from ``(descriptor, seed)`` and
   resolves only its member range, so no simulation state ever crosses a
-  process boundary — only the plan goes in and columnar rows come out.
+  process boundary — only the plan goes in and columnar chunks come out.
 
 Robustness semantics (ISSUE 2): a shard that crashes or exceeds the
 per-shard timeout is retried once on the pool, then re-run serially in the
@@ -36,8 +36,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..capture import CaptureView
 from ..config import RunConfig, pool_start_method
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from ..workload import DatasetDescriptor
@@ -86,10 +87,10 @@ class ShardTask:
     stop: Optional[int] = None
     fault: Optional[str] = None
     #: The run's configuration: a streaming shard folds its capture into an
-    #: :class:`~repro.analysis.streaming.AggregateSet` and spool chunks and
-    #: ships those instead of raw row tuples; a traced shard samples by
-    #: hash per fleet member, so the same queries are traced no matter how
-    #: members are packed into shards.
+    #: :class:`~repro.analysis.streaming.AggregateSet` while writing its
+    #: chunks out and ships that state with the chunk paths; a traced shard
+    #: samples by hash per fleet member, so the same queries are traced no
+    #: matter how members are packed into shards.
     config: RunConfig = RunConfig()
     #: The parent spool's directory, where a streaming shard writes its
     #: chunk files (they must outlive the worker).
@@ -98,15 +99,17 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """What comes back from one shard: columnar capture rows + telemetry.
+    """What comes back from one shard: its capture as columnar chunks,
+    plus telemetry.
 
-    In streaming mode ``rows`` is empty and the payload is ``aggregates``
-    (the shard's folded analysis state) plus ``chunk_paths`` /
-    ``chunk_row_counts`` describing any spool chunks the worker wrote.
+    ``chunks`` holds the shard's capture in append order — resident
+    :class:`~repro.capture.CaptureView` chunks, or under streaming the paths
+    of the chunk files it wrote into the run's spool directory — with
+    ``chunk_row_counts`` alongside; a streaming shard also ships
+    ``aggregates``, the analysis state it folded while writing them.
     """
 
     shard_index: int
-    rows: List[tuple]
     rows_appended: int
     queries_run: int
     telemetry: TelemetrySnapshot
@@ -114,11 +117,11 @@ class ShardResult:
     attempts: int = 1
     fallback: bool = False
     aggregates: Optional[object] = None
-    chunk_paths: List[str] = field(default_factory=list)
+    chunks: List[Union[CaptureView, str]] = field(default_factory=list)
     chunk_row_counts: List[int] = field(default_factory=list)
     #: Completed trace dicts, in member order (tracing enabled only).  The
     #: parent extends its buffer in shard-index order, reproducing the
-    #: serial trace sequence exactly — the same merge discipline as rows.
+    #: serial trace sequence exactly — the same merge discipline as chunks.
     traces: List[dict] = field(default_factory=list)
     #: ``FlightRecorder.as_dict()`` frames (tracing enabled only); integer
     #: window counts, merged parent-side by plain summation.

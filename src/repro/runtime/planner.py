@@ -1,10 +1,10 @@
 """Shard planning: deterministic, weight-balanced partitions of a fleet.
 
 A *shard* is a contiguous range ``[start, stop)`` of fleet-member indices.
-Contiguity is load-bearing: concatenating per-shard captures in shard-index
+Contiguity is load-bearing: concatenating per-shard chunks in shard-index
 order reproduces exactly the row sequence a serial run appends, which is
 what makes the merged result bit-identical to the serial path (see
-:meth:`repro.capture.CaptureStore.merge`).
+:meth:`repro.capture.SpooledCapture.view`).
 
 Per-resolver query streams are seeded from the run seed plus the resolver's
 *global* fleet index (:class:`~repro.workload.generators.WorkloadGenerator`),

@@ -17,8 +17,10 @@ the fleet is partitioned into weight-balanced contiguous shards
 (``workers == 1``, the default) or in pool workers behind
 :func:`simulate_shard` (:class:`repro.runtime.ShardExecutor`) — and
 :func:`_assemble` merges the shard results into the :class:`DatasetRun`,
-so the result is bit-identical whatever the backend.  The capture always
-comes back in canonical ``(timestamp, server_id)`` order.
+so the result is bit-identical whatever the backend.  Rows become columns
+once, in the shard that appended them; from there the capture is columnar
+chunks (:mod:`repro.capture.spool`), and its whole view always comes back
+in canonical ``(timestamp, server_id)`` order.
 
 Every run is instrumented through :mod:`repro.telemetry`: phase spans
 (``zone_build`` / ``fleet_build`` for assembling a world, ``env_reset``
@@ -41,7 +43,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -88,13 +90,14 @@ _CHUNK = 8192
 class DatasetRun:
     """Everything produced by simulating one dataset.
 
-    ``capture`` is a :class:`~repro.capture.CaptureStore` on the default
-    in-memory path, or a :class:`~repro.capture.SpooledCapture` under
-    streaming execution (``REPRO_STREAM=1``) — both answer ``len()``,
-    ``rows_appended``, ``view()`` and ``iter_views()``.  A streaming run
-    additionally carries the single-pass ``aggregates``
-    (:class:`~repro.analysis.streaming.AggregateSet`) that the analytics
-    facade answers from without materialising rows.
+    ``capture`` is the shards' columnar chunks in shard order — held in
+    memory, or under streaming execution (``REPRO_STREAM=1``) spilled to
+    chunk files: ``len()``, ``rows_appended``, ``iter_views()`` and the
+    canonical whole ``view()``.  A streaming run additionally carries the
+    ``aggregates`` (:class:`~repro.analysis.streaming.AggregateSet`) its
+    shards folded while writing their chunks;
+    :meth:`DatasetAnalytics.of <repro.analysis.DatasetAnalytics.of>` is
+    the one place that asks which kind of run it was handed.
 
     ``fleet`` is a *borrowed* handle: the resolvers went back to the
     process's fleet store (:mod:`repro.sim.worlds`) when the run was
@@ -107,7 +110,7 @@ class DatasetRun:
 
     descriptor: DatasetDescriptor
     #: traffic at the captured vantage servers
-    capture: Union[CaptureStore, SpooledCapture]
+    capture: SpooledCapture
     registry: ASRegistry
     fleet: List[FleetResolver]
     ptr_table: PTRTable
@@ -437,36 +440,40 @@ def _publish_environment_metrics(metrics: MetricsRegistry, env: SimEnvironment) 
     metrics.gauge("sim.fleet_size").set(len(env.fleet))
 
 
-# -- streaming fold ---------------------------------------------------------------
+# -- the hand-over ----------------------------------------------------------------
 
-def _stream_capture(
-    env: SimEnvironment, metrics: MetricsRegistry, shard_index: int, directory: str
-):
-    """Fold the environment's capture into aggregate state + spool chunks.
+def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTask):
+    """One pass over the environment's append buffer, the one time its
+    rows become columns; returns ``(chunks, row_counts, aggregates)``.
 
-    One pass over the captured rows: each bounded chunk view is attributed,
-    fed to every streaming aggregator, and written out as one compressed
-    spool chunk under ``directory`` — the run's spool, owned by the parent
-    so the files outlive a pool worker.  Returns ``(aggregates, spool)``.
+    A resident shard keeps the bounded chunk views as they are.  A
+    streaming shard attributes each, feeds it to every streaming
+    aggregator and writes it out as one compressed chunk file under
+    ``task.spool_dir`` — the run's spool, owned by the parent so the files
+    outlive a pool worker — and hands over the paths and the folded state.
     """
+    if not task.config.stream:
+        chunks = list(env.capture.iter_views())
+        return chunks, [len(view) for view in chunks], None
     # Lazy imports: repro.analysis is a consumer of this module's output
     # everywhere else; importing it at call time keeps the sim package
     # importable without the analysis layer loaded.
-    from ..analysis import AggregateSet, Attributor, fold_capture
+    from ..analysis import AggregateSet, Attributor
     from ..clouds import PROVIDERS
 
-    spool = CaptureSpool(directory=directory, shard_index=shard_index)
+    spool = CaptureSpool(directory=task.spool_dir, shard_index=task.shard_index)
     aggregates = AggregateSet()
     attributor = Attributor(env.registry, PROVIDERS)
     with metrics.time_phase("runtime.stream.fold"):
-        folded = fold_capture(aggregates, env.capture, attributor, spool=spool)
-        spool.flush()
-    metrics.counter("runtime.stream.rows_folded").inc(folded)
+        for view in env.capture.iter_views():
+            aggregates.feed(view, attributor.attribute(view))
+            spool.write_view(view)
+    metrics.counter("runtime.stream.rows_folded").inc(aggregates.rows_fed)
     metrics.counter("capture.spool.chunks").inc(len(spool.chunk_paths()))
     metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
     metrics.counter("capture.spool.bytes").inc(spool.bytes_written)
     aggregates.publish_metrics(metrics)
-    return aggregates, spool
+    return spool.chunk_paths(), spool.chunk_row_counts(), aggregates
 
 
 # -- the resolve loop ------------------------------------------------------------
@@ -563,8 +570,6 @@ def run_member_range(
         now = time.perf_counter()
         if now - last_progress >= progress_interval_s:
             rate = run_count / max(now - loop_started, 1e-9)
-            # rows_appended, not len(): O(1) on both CaptureStore and
-            # SpooledCapture (len() scans chunk metadata in streaming mode).
             logger.info(
                 "progress: %d/%d client queries (%.0f q/s, %d captured rows,"
                 " at %s fleet member %d/%d)",
@@ -665,12 +670,11 @@ def _run_shard(
     payloads come back.
 
     Shards of the in-process backend share one environment, hence one
-    capture and one set of servers: each reports the rows *it* appended,
-    but the rows themselves are taken — handed over, or folded into
-    aggregate state plus spool chunks when streaming — and the
-    environment-wide metrics published by the shard that
-    ``closes_environment``, the last to run on it.  A pool shard has its
-    environment to itself and always does.
+    append buffer and one set of servers: each reports the rows *it*
+    appended, but the buffer is frozen into columnar chunks
+    (:func:`_freeze_capture`) and the environment-wide metrics published
+    by the shard that ``closes_environment``, the last to run on it.  A
+    pool shard has its environment to itself and always does.
     """
     started = time.perf_counter()
     descriptor = env.descriptor
@@ -696,35 +700,24 @@ def _run_shard(
     publish_fleet_metrics(metrics, env.fleet[task.start:stop])
     if tracer is not None:
         metrics.counter("trace.queries_sampled").inc(len(tracer.traces))
-    rows: List[tuple] = []
-    aggregates = None
-    chunk_paths: List[str] = []
-    chunk_row_counts: List[int] = []
+    chunks, chunk_row_counts, aggregates = [], [], None
     if closes_environment:
         _publish_environment_metrics(metrics, env)
         if tracer is not None:
             # Capture-side series feed before the rows leave the store.
             env.capture.publish_timeseries(tracer.recorder)
-        if config.stream:
-            aggregates, spool = _stream_capture(
-                env, metrics, task.shard_index, task.spool_dir
-            )
-            chunk_paths = spool.chunk_paths()
-            chunk_row_counts = spool.chunk_row_counts()
-        else:
-            rows = env.capture.raw_rows()
-        # clear() swaps in a fresh list, so ``rows`` stays valid while the
-        # store — still shared with the servers — starts over.
+        chunks, chunk_row_counts, aggregates = _freeze_capture(env, metrics, task)
+        # The rows are columns now; the store — still shared with the
+        # servers — starts over.
         env.capture.clear()
     return ShardResult(
         shard_index=task.shard_index,
-        rows=rows,
         rows_appended=rows_appended,
         queries_run=queries_run,
         telemetry=metrics.snapshot(),
         duration_s=time.perf_counter() - started,
         aggregates=aggregates,
-        chunk_paths=chunk_paths,
+        chunks=chunks,
         chunk_row_counts=chunk_row_counts,
         traces=tracer.traces if tracer is not None else [],
         frames=tracer.recorder.as_dict() if tracer is not None else None,
@@ -756,17 +749,17 @@ def _assemble(
     report: RuntimeReport,
     config: RunConfig,
     metrics: MetricsRegistry,
-    spool: Optional[CaptureSpool],
+    spool: CaptureSpool,
 ) -> DatasetRun:
     """Merge shard results, in shard-index order, into the dataset's run.
 
-    Shards are contiguous fleet ranges, so concatenating their rows (or
-    adopting their spool chunks), traces and frames in that order
-    reproduces the sequence one shard over the whole fleet appends;
-    :meth:`~repro.capture.CaptureStore.merge` and
-    :meth:`~repro.capture.SpooledCapture.view` then apply the same stable
-    canonical sort.  ``metrics`` is the run's registry (world build, plan,
-    executor bookkeeping); every shard's snapshot folds into it here.
+    Shards are contiguous fleet ranges, so adopting their chunks —
+    resident views or chunk files alike — and extending their traces and
+    frames in that order reproduces the sequence one shard over the whole
+    fleet appends; :meth:`~repro.capture.SpooledCapture.view` applies the
+    stable canonical sort on top.  ``metrics`` is the run's registry
+    (world build, plan, executor bookkeeping); every shard's snapshot
+    folds into it here.
     """
     descriptor = env.descriptor
     rows_appended = sum(result.rows_appended for result in results)
@@ -778,16 +771,10 @@ def _assemble(
             aggregates = AggregateSet.merge_all(
                 [r.aggregates for r in results if r.aggregates is not None]
             )
-            for result in results:
-                spool.adopt(result.chunk_paths, result.chunk_row_counts)
-            capture = SpooledCapture(spool, rows_appended)
-        else:
-            capture = CaptureStore.merge([
-                CaptureStore.from_raw_rows(r.rows, r.rows_appended)
-                for r in results
-            ])
         for result in results:
+            spool.adopt(result.chunks, result.chunk_row_counts)
             metrics.merge_snapshot(result.telemetry)
+        capture = SpooledCapture(spool, rows_appended)
     resolve_s = metrics.phase_seconds("resolve")
     if resolve_s > 0:
         # Re-derived from merged totals: the value a shard's snapshot
@@ -908,14 +895,13 @@ def run_dataset(
         len(plan), config.workers,
     )
 
-    # The parent owns the spool (and its temp dir, when no directory is
-    # configured); shards write their chunks straight into it.
-    spool = None
-    if config.stream:
-        spool = CaptureSpool(directory=(
-            os.path.join(config.spool_dir, descriptor.dataset_id)
-            if config.spool_dir else None
-        ))
+    # The parent owns the run's spool (and its temp dir, when no directory
+    # is configured); streaming shards write their chunk files straight
+    # into it, resident chunks are adopted as they are.
+    spool = CaptureSpool(directory=(
+        os.path.join(config.spool_dir, descriptor.dataset_id)
+        if config.spool_dir else None
+    ))
     tasks = [
         ShardTask(
             descriptor=descriptor,
@@ -925,7 +911,7 @@ def run_dataset(
             start=shard.start,
             stop=shard.stop,
             config=config,
-            spool_dir=str(spool.directory) if spool is not None else None,
+            spool_dir=str(spool.directory) if config.stream else None,
         )
         for shard in plan
     ]

@@ -191,6 +191,18 @@ class TestValidatesBeforeSimulating:
         assert excinfo.value.code == 2
         assert "REPRO_WORKERS='abc': expected an integer >= 1" in capsys.readouterr().err
 
+    def test_spool_dir_without_streaming_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.delenv("REPRO_STREAM", raising=False)
+        target = tmp_path / "spool"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dataset", "nz-w2018", "--spool-dir", str(target)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: spool_dir needs stream=True (--spool-dir needs --stream)" in err
+        assert "simulating" not in err and not target.exists()
+
     def test_serve_takes_its_chaos_default_from_the_same_resolver(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "nope")
         with pytest.raises(KeyError, match="default-loss"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro.server.authoritative as authoritative
-from repro.capture import CaptureStore, Transport
+from repro.capture import CaptureSpool, CaptureStore, SpooledCapture, Transport
 from repro.dnscore import Message, Name, RRType
 from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
@@ -62,9 +62,9 @@ def _cached_shard(descriptor):
         shard_index=0, start=0, stop=None,
     )
     result = simulate_shard(task)
-    store = CaptureStore.from_raw_rows(result.rows, result.rows_appended)
-    store.sort_canonical()
-    return result, store
+    spool = CaptureSpool()
+    spool.adopt(result.chunks, result.chunk_row_counts)
+    return result, SpooledCapture(spool, result.rows_appended)
 
 
 def _assert_second_shard_borrowed(result):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.capture import CaptureStore, SpooledCapture
+from repro.capture import CaptureSpool, CaptureStore, SpooledCapture
 from repro.capture.schema import QueryRecord, Transport
 from repro import config as run_config
 from repro.config import RunConfig
@@ -165,6 +165,19 @@ def _record(ts, server, qname="a.nz"):
     )
 
 
+def _view_of(records):
+    store = CaptureStore()
+    store.extend(records)
+    return store.view()
+
+
+def _capture_of(*shards):
+    """A run's capture over resident chunks, one per shard's records."""
+    spool = CaptureSpool()
+    spool.adopt([_view_of(records) for records in shards])
+    return SpooledCapture(spool)
+
+
 class TestCaptureStoreRuntimeSupport:
     def test_extend_bulk_appends(self):
         store = CaptureStore()
@@ -175,35 +188,28 @@ class TestCaptureStoreRuntimeSupport:
         store.extend([])
         assert store.view() is view  # empty extend keeps the frozen view
 
-    def test_raw_rows_round_trip(self):
-        store = CaptureStore()
-        store.extend([_record(1.0, "a"), _record(2.0, "b")])
-        rebuilt = CaptureStore.from_raw_rows(store.raw_rows(), store.rows_appended)
-        assert rebuilt.rows_appended == 2
-        assert_views_equal(store.view(), rebuilt.view())
-
     def test_sort_canonical_is_stable(self):
-        store = CaptureStore()
         # Two ties on (timestamp, server): qname disambiguates append order.
-        store.extend([
+        capture = _capture_of([
             _record(2.0, "b", "late.nz"),
             _record(1.0, "a", "first.nz"),
             _record(1.0, "a", "second.nz"),
         ])
-        store.sort_canonical()
-        view = store.view()
-        assert list(view.qname) == ["first.nz", "second.nz", "late.nz"]
+        assert list(capture.view().qname) == ["first.nz", "second.nz", "late.nz"]
 
     def test_merge_equals_concat_then_sort(self):
-        left, right, reference = CaptureStore(), CaptureStore(), CaptureStore()
-        a, b, c = _record(3.0, "a"), _record(1.0, "b"), _record(2.0, "a")
-        left.extend([a, b])
-        right.extend([c])
-        reference.extend([a, b, c])
-        reference.sort_canonical()
-        merged = CaptureStore.merge([left, right])
-        assert merged.rows_appended == 3
-        assert_views_equal(merged.view(), reference.view())
+        """Chunks adopted in shard order, then the one canonical sort:
+        the rows a plain stable ``sorted`` of the tuples gives."""
+        a, b, c = _record(3.0, "a"), _record(1.0, "b", "x.nz"), _record(1.0, "b", "y.nz")
+        d = _record(2.0, "a")
+        merged = _capture_of([a, b], [c, d])
+        assert len(merged) == merged.rows_appended == 4
+        reference = sorted(
+            _view_of([a, b, c, d]).to_rows(), key=lambda row: (row[0], row[1])
+        )
+        assert_views_equal(merged.view(), CaptureStore.rows_to_view(reference))
+        # Resident chunks are not kept beside the whole view built from them.
+        assert [len(chunk) for chunk in merged.iter_views()] == [4]
 
 
 class TestSerialSharding:
@@ -255,7 +261,8 @@ class TestPoolDeterminism:
         assert_views_equal(serial_run.capture.view(), run.capture.view())
         assert sim_counters(serial_run.telemetry) == sim_counters(run.telemetry)
         assert run.client_queries_run == serial_run.client_queries_run
-        assert isinstance(run.capture, SpooledCapture if stream else CaptureStore)
+        assert isinstance(run.capture, SpooledCapture)
+        assert bool(run.capture.spool.chunk_paths()) == stream
         assert (run.aggregates is not None) == stream
         assert run.telemetry.gauges["runtime.stream.enabled"] == (1 if stream else 0)
         if trace:
@@ -530,6 +537,8 @@ class TestEnvDefaults:
         ):
             with pytest.raises(ValueError, match=field):
                 RunConfig.resolve(**{field: bad})
+        with pytest.raises(ValueError, match="spool_dir needs stream=True"):
+            RunConfig.resolve(spool_dir="/nowhere", stream=False)
         with pytest.raises(ValueError, match="scale"):
             run_config.resolve_scale(-1.0)
         with pytest.raises(ValueError, match="workers"):
@@ -578,6 +587,16 @@ class TestEnvDefaults:
                 for text in sources.values()
             )
             assert sites == 1, f"{constructor} constructed at {sites} sites"
+        # One format past the append buffer, one canonical sort, one place
+        # that asks whether a run folded (besides the merge of shard states).
+        everything = "".join(sources.values())
+        assert everything.count("np.lexsort") == 1
+        assert not re.search(
+            r"\b(from_raw_rows|sort_canonical|raw_rows|spool_store|append_rows|_pending)\b",
+            everything,
+        )
+        assert everything.count("aggregates is not None") == 2
+        assert "aggregates is not None" in sources[root / "src/repro/analysis/analytics.py"]
         # One benchmark (bench/): the per-figure shape checks under
         # benchmarks/ keep no records and write no files.
         assert not list((root / "benchmarks").glob("*.json"))

@@ -841,10 +841,11 @@ class TestCachedEncoding:
                 for wire in _spec_wires(pool, spec):
                     _assert_same_exchange(fast, reference, wire, spec["tcp"])
             rows = [
-                service.world.capture.raw_rows()[mark:]
+                service.world.capture.view().to_rows()[mark:]
                 for service, mark in zip(service_pair, marks)
             ]
-            assert rows[0] == rows[1]
+            # By repr: a UDP row's tcp_rtt_ms is NaN, which equals nothing.
+            assert repr(rows[0]) == repr(rows[1])
 
         before = sum(server.stats.plan_hits for server in _servers(fast))
         stream()
@@ -964,7 +965,7 @@ class TestCachedEncoding:
                     assert bool(answer.authorities)
                     assert answer.question.qtype == qtype
                     assert answer.question.qtype.to_text() == f"TYPE{qtype}"
-                    row = fast.world.capture.raw_rows()[-1]
+                    row = fast.world.capture.view().to_rows()[-1]
                     assert row[7] == qtype and type(row[7]) is int
                     assert row[8] == int(rcode)
 

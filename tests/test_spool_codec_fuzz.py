@@ -5,7 +5,8 @@ archives; these tests fuzz the full round trip (rows → columns → chunk
 file → columns) over adversarial record populations — empty chunks,
 maximum-size EDNS payloads, zero-bufsize (no-OPT) queries, and mixed
 v4/v6 address extremes — and pin down the reassembly invariant that
-``SpooledCapture.view()`` equals the in-memory canonical sort.
+``SpooledCapture.view()``, over chunk files and resident chunks alike,
+equals a plain stable sort of the row tuples on ``(timestamp, server_id)``.
 """
 
 import tempfile
@@ -132,11 +133,9 @@ class TestSpoolProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(record_st, max_size=60), st.integers(1, 9))
     def test_chunking_preserves_rows_and_order(self, records, chunk_rows):
-        store = CaptureStore()
-        store.extend(records)
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=chunk_rows)
-            spool.spool_store(store)
+            spool.append_view(records_to_view(records))
             spool.flush()
             assert len(spool) == len(records)
             assert spool.rows_spooled == len(records)
@@ -156,21 +155,21 @@ class TestSpoolProperties:
     @given(st.lists(record_st, max_size=60), st.integers(1, 9))
     def test_spooled_view_equals_canonical_sort(self, records, chunk_rows):
         """The reassembly invariant behind streaming/in-memory parity:
-        materialising a spool is bit-identical to sort_canonical()."""
-        reference = CaptureStore()
-        reference.extend(records)
-        reference.sort_canonical()
-
-        store = CaptureStore()
-        store.extend(records)
+        materialising a spool — from chunk files or from resident chunks —
+        is bit-identical to a stable sort of the row tuples."""
+        view = records_to_view(records)
+        reference = CaptureStore.rows_to_view(
+            sorted(view.to_rows(), key=lambda row: (row[0], row[1]))
+        )
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=chunk_rows)
-            spool.spool_store(store)
+            spool.append_view(view)
             capture = SpooledCapture(spool)
             assert capture.rows_appended == len(records)
-            assert_views_equal(reference.view(), capture.view())
-            capture.release_view()
-            assert_views_equal(reference.view(), capture.view())
+            assert_views_equal(reference, capture.view())
+            resident = CaptureSpool()
+            resident.adopt(list(capture.iter_views()))
+            assert_views_equal(reference, SpooledCapture(resident).view())
             capture.cleanup()
 
     @settings(max_examples=25, deadline=None)
@@ -191,8 +190,8 @@ class TestSpoolProperties:
             spool.cleanup()
 
     def test_spool_append_view_respects_pending_buffer(self):
-        """A view arriving while rows sit in the buffer must queue behind
-        them (chunk order is append order)."""
+        """A view arriving while a partial chunk sits in the buffer must
+        queue behind it (chunk order is append order)."""
         records = [
             QueryRecord(
                 timestamp=float(i), server_id="nl-a", src=IPAddress(4, i + 1),
@@ -200,20 +199,17 @@ class TestSpoolProperties:
             )
             for i in range(4)
         ]
-        head, tail = records[:1], records[1:]
-        head_store, tail_store = CaptureStore(), CaptureStore()
-        head_store.extend(head)
-        tail_store.extend(tail)
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=100)
-            spool.append_rows(head_store.raw_rows())
-            spool.append_view(tail_store.view())
+            spool.append_view(records_to_view(records[:1]))
+            spool.append_view(records_to_view(records[1:]))
+            assert len(spool) == 4 and spool.chunk_paths() == []
             spool.flush()
             (chunk,) = spool.iter_views()
             assert list(chunk.timestamp) == [0.0, 1.0, 2.0, 3.0]
             spool.cleanup()
 
-    def test_write_view_rejects_buffered_rows(self):
+    def test_write_view_lands_behind_a_buffered_tail(self):
         records = [
             QueryRecord(
                 timestamp=1.0, server_id="nl-a", src=IPAddress(4, 1),
@@ -222,19 +218,15 @@ class TestSpoolProperties:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=100)
-            store = CaptureStore()
-            store.extend(records)
-            spool.append_rows(store.raw_rows())
+            spool.append_view(records_to_view(records))
             with pytest.raises(RuntimeError):
-                spool.write_view(records_to_view(records))
-            spool.flush()
-            spool.write_view(records_to_view(records))
-            assert len(spool) == 2
+                next(spool.iter_views())       # a partial chunk is buffered
+            spool.write_view(records_to_view(records * 2))
+            assert [len(chunk) for chunk in spool.iter_views()] == [1, 2]
             spool.cleanup()
 
     def test_adopt_reads_row_counts_from_metadata(self):
-        store = CaptureStore()
-        store.extend(
+        view = records_to_view(
             [
                 QueryRecord(
                     timestamp=float(i), server_id="nl-a", src=IPAddress(4, i + 1),
@@ -245,7 +237,7 @@ class TestSpoolProperties:
         )
         with tempfile.TemporaryDirectory() as tmp:
             writer = CaptureSpool(directory=tmp, chunk_rows=2, shard_index=1)
-            writer.spool_store(store)
+            writer.append_view(view)
             writer.flush()
             adopter = CaptureSpool(directory=tmp)
             adopter.adopt(writer.chunk_paths())

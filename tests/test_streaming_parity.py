@@ -7,7 +7,9 @@ folds merged across pool workers.  The answers — and the materialised
 capture itself — must be equal *exactly* (same floats, same dtypes)
 whether the run was serial, pooled, or degraded by a chaos schedule, and
 must be the bytes the whole-view reducers produced before they were
-deleted (:data:`PARENT_DIGESTS`).  Report telemetry (wall times, counter
+deleted (:data:`PARENT_DIGESTS`) over the rows the row-tuple merge and
+its canonical sort produced before *they* were
+(:data:`PARENT_VIEW_DIGESTS`).  Report telemetry (wall times, counter
 deltas) is excluded from the comparison by design; everything else is.
 """
 
@@ -17,17 +19,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.analysis import Attributor, DatasetAnalytics
+from repro.capture import SpooledCapture
 from repro.clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
 from repro.experiments import ExperimentContext
 from repro.experiments.render_all import collect_all
 from repro.faults import chaos_scenario
 from repro.sim import run_dataset
+from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 
 DATASET = "nl-w2020"
@@ -46,6 +51,20 @@ PARENT_DIGESTS = {
     "root-2020": "1225f901bdf34ec157cde0a0131445bc",
 }
 
+#: blake2b-128 over every column of ``run.capture.view()``
+#: (:func:`view_digest`), recorded at commit 984449e from the same serial
+#: in-memory runs — ``CaptureStore.merge`` of the shards' row tuples,
+#: ``sort_canonical`` on the tuple list, then one freeze — plus one run
+#: under the ``heavy-loss`` chaos schedule.  That path is gone; the one
+#: remaining sort (``SpooledCapture.view``) must order the same rows the
+#: same way wherever the chunks lived and however the fleet was sharded.
+PARENT_VIEW_DIGESTS = {
+    "nl-w2020": "b645f5d0c14f428a680d1d5f5fe5d073",
+    "nz-w2019": "f7ca472098680ce770097157b5eb0342",
+    "root-2020": "0446a33b542a7e3dc5900a2b2ed3f245",
+    "nl-w2020+heavy-loss": "6e46d648306709db262b7af3b4a37570",
+}
+
 #: How a run obtains its aggregator state.  Pinned explicitly everywhere
 #: in this module so the comparison stays serial-in-memory vs streaming
 #: even when the suite itself runs under REPRO_STREAM=1 / REPRO_WORKERS=2.
@@ -53,6 +72,8 @@ MODES = {
     "memory": dict(workers=1, stream=False),
     "stream": dict(workers=1, stream=True),
     "pooled": dict(workers=2, stream=True),
+    "sharded-memory": dict(workers=1, shard_count=3, stream=False),
+    "pooled-memory": dict(workers=2, stream=False),
 }
 
 #: Scale for the full-report golden comparison (slow lane).
@@ -93,6 +114,20 @@ def assert_views_equal(a, b):
         assert x.dtype == y.dtype, f"column {name}: dtype differs"
         equal_nan = name == "tcp_rtt_ms"
         assert np.array_equal(x, y, equal_nan=equal_nan), f"column {name} differs"
+
+
+def view_digest(view):
+    """blake2b-128 over every column, in field order (name, dtype, bytes;
+    string columns NUL-joined)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for name in type(view).__dataclass_fields__:
+        column = getattr(view, name)
+        digest.update(f"{name}:{column.dtype}:".encode())
+        if column.dtype == object:
+            digest.update("\0".join(column.tolist()).encode())
+        else:
+            digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
 
 
 def one_feed_analytics(run):
@@ -192,16 +227,62 @@ class TestParentDigests:
     with: the one facade reproduces them however its state was obtained."""
 
     def test_resident_view_reproduces_the_whole_view_bytes(self, simulated, dataset_id):
-        answers = facade_answers(one_feed_analytics(simulated(dataset_id, "memory")))
+        run = simulated(dataset_id, "memory")
+        assert view_digest(run.capture.view()) == PARENT_VIEW_DIGESTS[dataset_id]
+        answers = facade_answers(DatasetAnalytics.of(run))
         assert answers_digest(answers) == PARENT_DIGESTS[dataset_id]
 
-    @pytest.mark.parametrize("mode", ["stream", "pooled"])
+    @pytest.mark.parametrize("mode", sorted(set(MODES) - {"memory"}))
     def test_chunked_state_reproduces_them(self, simulated, dataset_id, mode):
-        """Bar the heavy-hitter list, as in :func:`assert_reducer_parity`."""
-        answers = facade_answers(DatasetAnalytics(simulated(dataset_id, mode).aggregates))
+        """Wherever the chunks lived and whenever they were folded, the
+        one capture class and the one facade constructor give the parent's
+        rows and answers — bar the heavy-hitter list, as in
+        :func:`assert_reducer_parity`."""
+        run = simulated(dataset_id, mode)
+        assert isinstance(run.capture, SpooledCapture)
+        assert view_digest(run.capture.view()) == PARENT_VIEW_DIGESTS[dataset_id]
+        answers = facade_answers(DatasetAnalytics.of(run))
         resident = one_feed_analytics(simulated(dataset_id, "memory"))
         answers["composition"].heavy_hitters = resident.composition().heavy_hitters
         assert answers_digest(answers) == PARENT_DIGESTS[dataset_id]
+
+
+@pytest.mark.parametrize("mode", ["memory", "pooled"])
+def test_chaos_rows_match_the_parent_too(mode):
+    descriptor = replace(dataset(DATASET), fault_plan=chaos_scenario("heavy-loss"))
+    run = run_dataset(descriptor, client_queries=QUERIES, seed=SEED, **MODES[mode])
+    assert view_digest(run.capture.view()) == PARENT_VIEW_DIGESTS[f"{DATASET}+heavy-loss"]
+
+
+class TestOneFacadeConstructor:
+    """``DatasetAnalytics.of`` is the one place that asks whether a run
+    folded (:class:`TestParentDigests` holds its answers to the parent's
+    bytes either way)."""
+
+    def test_of_books_what_it_did(self, mem_run, stream_run):
+        resident, folded = MetricsRegistry(), MetricsRegistry()
+        DatasetAnalytics.of(mem_run, resident)
+        analytics = DatasetAnalytics.of(stream_run, folded)
+        assert resident.snapshot().counters == {
+            "analysis.attribution_passes": 1,
+            "analysis.rows_attributed": len(mem_run.capture),
+        }
+        assert folded.snapshot().counters == {"analysis.streaming_answers": 1}
+        # A folded run attributes its materialised capture on first request.
+        assert len(analytics.attribution().asns) == len(stream_run.capture)
+        assert analytics.attribution() is analytics.attribution()
+        assert folded.snapshot().counter("analysis.attribution_passes") == 1
+
+
+def test_an_in_memory_run_touches_no_filesystem(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    run = run_dataset(
+        dataset("nz-w2018"), client_queries=300, seed=SEED, workers=1, stream=False
+    )
+    assert not list(tmp_path.iterdir())
+    assert len(run.capture.view()) == len(run.capture) > 0
+    assert not list(tmp_path.iterdir())
+    assert run.capture.spool.chunk_paths() == []
 
 
 class TestSerialParity:
@@ -305,21 +386,14 @@ class TestSpoolDirectory:
 #: launched the child, which under a full pytest run hides the growth.
 RSS_CHILD = r"""
 import re, sys
-from repro.analysis import Attributor, DatasetAnalytics
+from repro.analysis import DatasetAnalytics
 from repro.clouds import PROVIDERS
 from repro.sim import run_dataset
 from repro.workload import dataset
 
 stream, volume = sys.argv[1] == "stream", int(sys.argv[2])
 run = run_dataset(dataset("nl-w2020"), client_queries=volume, workers=2, stream=stream)
-if stream:
-    analytics = DatasetAnalytics(run.aggregates)
-else:
-    view = run.capture.view()
-    analytics = DatasetAnalytics.over(
-        view, Attributor(run.registry, PROVIDERS).attribute(view)
-    )
-analytics.provider_shares(PROVIDERS)
+DatasetAnalytics.of(run).provider_shares(PROVIDERS)
 peak_kb = re.search(r"VmHWM:\s+(\d+) kB", open("/proc/self/status").read()).group(1)
 print(len(run.capture), peak_kb)
 """
@@ -328,9 +402,9 @@ print(len(run.capture), peak_kb)
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs procfs")
 def test_streaming_parent_memory_is_sublinear_in_volume():
-    """An in-memory pooled run ships every row tuple to the parent and
-    materialises the view, so the parent's peak RSS grows with volume; a
-    streamed one ships aggregate state and chunk paths.  At four times the
+    """An in-memory pooled run ships every shard's columnar chunks to the
+    parent and materialises the view, so the parent's peak RSS grows with
+    volume; a streamed one ships aggregate state and chunk paths.  At four times the
     volume the streamed parent must grow by less than half of what the
     in-memory parent does."""
     base, big = 6_000, 24_000
@@ -357,6 +431,27 @@ def test_streaming_parent_memory_is_sublinear_in_volume():
     if memory_growth < 2_048:
         pytest.skip(f"in-memory growth {memory_growth} KB is below the noise floor")
     assert stream_growth < 0.5 * memory_growth, (stream_growth, memory_growth)
+
+
+@pytest.mark.parametrize("example, args", [
+    ("quickstart.py", ["0.01"]),
+    ("transport_audit.py", ["nz-w2020", "0.01"]),
+])
+def test_examples_answer_the_same_streamed(example, args):
+    """The examples are the documentation of ``DatasetAnalytics.of(run)``:
+    they must not care how the run they were handed was executed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+
+    def stdout(stream):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "examples", example), *args],
+            env={**env, "REPRO_STREAM": stream},
+            capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    assert stdout("0") == stdout("1") != ""
 
 
 @pytest.mark.slow
