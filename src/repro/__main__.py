@@ -13,8 +13,9 @@ Commands
     List named chaos scenarios (list-only: it simulates nothing, so it
     takes none of the simulation flags below).
 ``trace <file>``
-    Summarise an exported trace file: slowest sampled queries and the
-    per-phase critical path.
+    Summarise a ``--trace-out`` file: slowest sampled queries and the
+    per-phase critical path.  A file it cannot read is a usage error
+    (exit 2).
 ``serve [<id>]``
     Live service mode: bind real UDP/TCP sockets answering DNS for the
     dataset's authority world (``dig @127.0.0.1 -p 5300 example.nl``),
@@ -35,8 +36,8 @@ Observability flags (see README "Observability"): ``-v/-vv`` turn on
 progress/debug logging, ``--telemetry-out PATH`` exports the run's
 telemetry snapshot as JSON, ``--metrics-out PATH`` exports it in the
 Prometheus text format, ``--trace-out PATH`` writes sampled per-query
-traces (Chrome-trace JSON, or a JSONL event log when PATH ends in
-``.jsonl``), ``--trace-sample F`` sets the traced fraction (default:
+traces as one Chrome-trace JSON file (Perfetto loads it, ``repro trace``
+summarises it), ``--trace-sample F`` sets the traced fraction (default:
 ``REPRO_TRACE`` env; ``--trace-out`` alone implies 1%), and every
 simulating command prints a phase/counter summary on stderr.  The two
 simulating commands (``dataset``, ``experiments``) expose the same flag
@@ -143,7 +144,7 @@ def _print_telemetry(snapshot, telemetry_out, title: str) -> None:
         print(f"wrote telemetry to {telemetry_out}", file=sys.stderr)
 
 
-def _export_observability(args, traces, timeseries, snapshot) -> None:
+def _export_observability(args, traces, snapshot) -> None:
     """Write ``--trace-out`` / ``--metrics-out`` artefacts, if requested."""
     trace_out = getattr(args, "trace_out", None)
     if trace_out:
@@ -151,11 +152,8 @@ def _export_observability(args, traces, timeseries, snapshot) -> None:
             from .telemetry import TraceBuffer
 
             traces = TraceBuffer()
-        fmt = traces.write(trace_out, timeseries=timeseries)
-        print(
-            f"wrote {len(traces)} traces ({fmt}) to {trace_out}",
-            file=sys.stderr,
-        )
+        traces.write(trace_out)
+        print(f"wrote {len(traces)} traces to {trace_out}", file=sys.stderr)
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
         from .telemetry import write_prometheus
@@ -199,7 +197,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import summarize_trace_file
 
-    print(summarize_trace_file(args.trace_file, top=args.top))
+    try:
+        summary = summarize_trace_file(args.trace_file, top=args.top)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # OSError: drop "[Errno n]"
+        print(f"repro: error: {args.trace_file}: {reason}", file=sys.stderr)
+        return 2
+    print(summary)
     return 0
 
 
@@ -288,7 +292,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         count = write_csv(run.capture, args.out)
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     _print_telemetry(telemetry, args.telemetry_out, title=args.dataset_id)
-    _export_observability(args, run.traces, run.timeseries, telemetry)
+    _export_observability(args, run.traces, telemetry)
     return partial_exit
 
 
@@ -467,7 +471,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print(content)
     snapshot = ctx.telemetry.snapshot()
     _print_telemetry(snapshot, args.telemetry_out, title="experiments")
-    _export_observability(args, ctx.traces, ctx.timeseries, snapshot)
+    _export_observability(args, ctx.traces, snapshot)
     lookups = snapshot.counter
     print(
         f"worlds: {lookups('runtime.env_cache.miss', part='fleet')} fleets built, "
@@ -499,9 +503,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
                         help="write the run's telemetry snapshot in the"
                              " Prometheus text exposition format")
     parser.add_argument("--trace-out", metavar="PATH",
-                        help="write sampled per-query traces: Chrome-trace"
-                             " JSON, or a JSONL event log if PATH ends in"
-                             " .jsonl (implies --trace-sample 0.01 unless"
+                        help="write sampled per-query traces as Chrome-trace"
+                             " JSON (implies --trace-sample 0.01 unless"
                              " set)")
     parser.add_argument("--trace-sample", type=float, default=None,
                         metavar="FRACTION",
@@ -718,10 +721,10 @@ def main(argv=None) -> int:
     p_soak.set_defaults(func=_cmd_soak)
 
     p_trace = sub.add_parser(
-        "trace", help="summarise an exported trace file"
+        "trace", help="summarise a --trace-out file"
     )
     p_trace.add_argument("trace_file",
-                         help="a --trace-out artefact (.json or .jsonl)")
+                         help="a Chrome-trace JSON file written by --trace-out")
     p_trace.add_argument("--top", type=int, default=10,
                          help="slowest queries to list (default: 10)")
     p_trace.set_defaults(func=_cmd_trace)

@@ -172,20 +172,15 @@ class CaptureStore:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def publish_metrics(self, metrics, window_seconds: Optional[float] = None) -> None:
+    def publish_metrics(self, metrics) -> None:
         """Aggregate capture-side telemetry into a
         :class:`~repro.telemetry.MetricsRegistry`.
 
-        ``window_seconds`` is the wall time the appends happened over
-        (the driver passes its resolve-phase total) and yields an
-        append-throughput gauge.  Response sizes are bucketed in bulk via
-        numpy — no per-row Python loop.
+        Response sizes are bucketed in bulk via numpy — no per-row Python
+        loop.  (The run's ``capture.append_rows_per_s`` gauge is derived
+        from merged totals when the driver assembles the run.)
         """
         metrics.counter("capture.rows_appended").inc(self.rows_appended)
-        if window_seconds is not None and window_seconds > 0:
-            metrics.gauge("capture.append_rows_per_s").set(
-                self.rows_appended / window_seconds
-            )
         hist = metrics.histogram(
             "capture.response_size_bytes", buckets=RESPONSE_SIZE_BUCKETS
         )
@@ -210,14 +205,6 @@ class CaptureStore:
                 float(sizes.min()),
                 float(sizes.max()),
             )
-
-    def publish_timeseries(self, recorder, chunk_rows: int = 65536) -> None:
-        """Fold the capture's standard rate series into a
-        :class:`~repro.telemetry.timeseries.FlightRecorder` — rows per
-        server, responses per rcode, TCP rows — one bounded chunk view at
-        a time (the same O(chunk) discipline as the streaming analyses)."""
-        for view in self.iter_views(chunk_rows):
-            recorder.observe_view(view)
 
     @staticmethod
     def _row_of(record: QueryRecord) -> Tuple:

@@ -78,21 +78,14 @@ def _fraction(text: str) -> Optional[float]:
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Tracing policy for one run.
-
-    ``sample`` is the traced fraction of client queries (hash-derived, see
-    :mod:`repro.telemetry.tracing`); ``window_s`` is the flight-recorder
-    bucket width in simulated seconds (:mod:`repro.telemetry.timeseries`).
-    """
+    """Tracing policy for one run: ``sample`` is the traced fraction of
+    client queries (hash-derived, see :mod:`repro.telemetry.tracing`)."""
 
     sample: float = 0.01
-    window_s: float = 3600.0
 
     def __post_init__(self):
         if not 0.0 <= self.sample <= 1.0:
             raise ValueError(f"trace sample must be in [0, 1], got {self.sample}")
-        if self.window_s <= 0:
-            raise ValueError(f"trace window_s must be positive, got {self.window_s}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from ..analysis import AttributionResult, DatasetAnalytics
 from ..capture import CaptureView
 from ..config import RunConfig, resolve_scale
 from ..sim import DatasetRun, run_dataset
-from ..telemetry import FlightRecorder, MetricsRegistry, TraceBuffer
+from ..telemetry import MetricsRegistry, TraceBuffer
 from ..workload import DatasetDescriptor, dataset, monthly_google_descriptor
 
 
@@ -67,20 +67,8 @@ class ExperimentContext:
         #: Session-level trace roll-up: every traced run's buffer merges in
         #: here (analogous to :attr:`telemetry` for counters).
         self.traces = TraceBuffer()
-        #: Session-level flight-recorder roll-up (``None`` until a traced
-        #: run lands).
-        self.timeseries: Optional[FlightRecorder] = None
         self._runs: Dict[str, DatasetRun] = {}
         self._analytics: Dict[str, DatasetAnalytics] = {}
-
-    def _adopt_observability(self, run: DatasetRun) -> None:
-        """Merge one run's traces/frames into the session roll-ups."""
-        if run.traces is not None:
-            self.traces.merge(run.traces)
-        if run.timeseries is not None:
-            if self.timeseries is None:
-                self.timeseries = FlightRecorder(run.timeseries.window_s)
-            self.timeseries.merge(run.timeseries)
 
     # -- dataset runs --------------------------------------------------------
 
@@ -96,7 +84,8 @@ class ExperimentContext:
                 client_queries=max(500, int(descriptor.client_queries * self.scale)),
                 telemetry=self.telemetry, config=self.config,
             )
-            self._adopt_observability(cached)
+            if cached.traces is not None:
+                self.traces.merge(cached.traces)
             self._runs[descriptor.dataset_id] = cached
         return cached
 

@@ -123,9 +123,6 @@ class ShardResult:
     #: parent extends its buffer in shard-index order, reproducing the
     #: serial trace sequence exactly — the same merge discipline as chunks.
     traces: List[dict] = field(default_factory=list)
-    #: ``FlightRecorder.as_dict()`` frames (tracing enabled only); integer
-    #: window counts, merged parent-side by plain summation.
-    frames: Optional[dict] = None
 
 
 @dataclass

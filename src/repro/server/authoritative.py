@@ -446,14 +446,6 @@ class AuthoritativeServer:
         if plan_key is not None:
             plans = self._plans
             stats.plan_misses += 1
-            # ``runtime`` category, like the ``runtime.*`` counters above:
-            # cache state is per-process, so hit/miss patterns differ across
-            # worker counts and exports drop these events by default.
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.event(
-                    timestamp, "plan_cache_miss",
-                    {"server": self.server_id}, cat="runtime",
-                )
             if len(plans) >= PLAN_CACHE_LIMIT:
                 plans.clear()
                 stats.plan_evictions += 1
@@ -491,11 +483,6 @@ class AuthoritativeServer:
         if plan.truncated:
             stats.truncated += 1
         stats.by_rcode[plan.rcode] = stats.by_rcode.get(plan.rcode, 0) + 1
-        if tracing.ACTIVE is not None:
-            tracing.ACTIVE.event(
-                timestamp, "plan_cache_hit",
-                {"server": self.server_id}, cat="runtime",
-            )
 
         if self.capture is not None:
             edns = query.edns

@@ -61,10 +61,9 @@ RESOLVER_FRONTEND_ADDR = "192.0.2.53"
 #: Draws of an ephemeral UDP number whose TCP twin must be free as well.
 EPHEMERAL_BIND_ATTEMPTS = 8
 
-#: Rows the live capture keeps resident before it releases them (the chunk
-#: size ``CaptureStore.publish_timeseries`` folds by).  Nothing consumes
-#: live rows yet, so the window only bounds memory — every answered query
-#: appends a row, for as long as the process runs — while
+#: Rows the live capture keeps resident before it releases them.  Nothing
+#: consumes live rows yet, and every answered query appends one for as long
+#: as the process runs, so the window exists to bound memory;
 #: ``capture.rows_appended`` keeps counting rows ever observed.
 LIVE_CAPTURE_WINDOW = 65536
 

@@ -68,13 +68,7 @@ from ..runtime import (
     record_outcome,
 )
 from ..server import AuthoritativeServer, ServerSet
-from ..telemetry import (
-    FlightRecorder,
-    MetricsRegistry,
-    QueryTracer,
-    TelemetrySnapshot,
-    TraceBuffer,
-)
+from ..telemetry import MetricsRegistry, QueryTracer, TelemetrySnapshot, TraceBuffer
 from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator
 from ..zones import DEFAULT_TLDS, Zone, domains_of
 from . import worlds
@@ -124,8 +118,6 @@ class DatasetRun:
     #: Sampled per-query traces (tracing enabled only), in the serial
     #: member order regardless of worker count.
     traces: Optional[TraceBuffer] = None
-    #: Windowed rate frames over simulated time (tracing enabled only).
-    timeseries: Optional[FlightRecorder] = None
 
     @property
     def vantage_server_ids(self) -> List[str]:
@@ -434,9 +426,7 @@ def _publish_environment_metrics(metrics: MetricsRegistry, env: SimEnvironment) 
     publish_server_metrics(metrics, env.server_sets)
     if env.network.faults is not None:
         env.network.faults.publish_metrics(metrics)
-    env.capture.publish_metrics(
-        metrics, window_seconds=metrics.phase_seconds("resolve")
-    )
+    env.capture.publish_metrics(metrics)
     metrics.gauge("sim.fleet_size").set(len(env.fleet))
 
 
@@ -559,10 +549,6 @@ def run_member_range(
     # Counter handles resolved once per provider, not once per member —
     # label-dict construction and registry lookup are off the member loop.
     provider_counters: Dict[str, object] = {}
-    # Traced runs bank client-query timestamps here (a pointer list — the
-    # floats already exist on the query objects) and fold them into the
-    # flight recorder in one vectorised pass per provider at the end.
-    stamps_by_provider: Dict[str, List[float]] = {}
     sampled = tracer.sampled if tracer is not None else None
 
     def maybe_progress(provider: str, index: int) -> None:
@@ -629,15 +615,6 @@ def run_member_range(
                     else:
                         resolve(network, query.timestamp, query.qname, query.qtype)
                     member_seq += 1
-            if sampled is not None:
-                # Timestamps are banked per provider and folded into the
-                # flight recorder once after the member loop — one
-                # observe_many per provider instead of one per tiny chunk
-                # (the per-chunk form measurably dragged the traced path).
-                bucket = stamps_by_provider.get(member.provider)
-                if bucket is None:
-                    bucket = stamps_by_provider[member.provider] = []
-                bucket.extend(query.timestamp for query in chunk)
             run_count += len(chunk)
             if clock is not None:
                 last_ts = chunk[-1].timestamp
@@ -645,12 +622,6 @@ def run_member_range(
                     clock.advance_to(last_ts)
             provider_counter.inc(len(chunk))
             maybe_progress(member.provider, index)
-    if tracer is not None:
-        for provider in sorted(stamps_by_provider):
-            tracer.recorder.observe_many(
-                "sim.client_queries", stamps_by_provider[provider],
-                provider=provider,
-            )
     return run_count
 
 
@@ -687,10 +658,7 @@ def _run_shard(
     )
     tracer = None
     if config.trace is not None:
-        tracer = QueryTracer(
-            config.trace, task.seed, descriptor.dataset_id,
-            base_ts=descriptor.start,
-        )
+        tracer = QueryTracer(config.trace.sample, task.seed)
     rows_before = env.capture.rows_appended
     queries_run = run_member_range(
         env, total_queries, metrics, task.start, stop, tracer, clock,
@@ -703,9 +671,6 @@ def _run_shard(
     chunks, chunk_row_counts, aggregates = [], [], None
     if closes_environment:
         _publish_environment_metrics(metrics, env)
-        if tracer is not None:
-            # Capture-side series feed before the rows leave the store.
-            env.capture.publish_timeseries(tracer.recorder)
         chunks, chunk_row_counts, aggregates = _freeze_capture(env, metrics, task)
         # The rows are columns now; the store — still shared with the
         # servers — starts over.
@@ -720,7 +685,6 @@ def _run_shard(
         chunks=chunks,
         chunk_row_counts=chunk_row_counts,
         traces=tracer.traces if tracer is not None else [],
-        frames=tracer.recorder.as_dict() if tracer is not None else None,
     )
 
 
@@ -754,9 +718,9 @@ def _assemble(
     """Merge shard results, in shard-index order, into the dataset's run.
 
     Shards are contiguous fleet ranges, so adopting their chunks —
-    resident views or chunk files alike — and extending their traces and
-    frames in that order reproduces the sequence one shard over the whole
-    fleet appends; :meth:`~repro.capture.SpooledCapture.view` applies the
+    resident views or chunk files alike — and extending their traces in
+    that order reproduces the sequence one shard over the whole fleet
+    appends; :meth:`~repro.capture.SpooledCapture.view` applies the
     stable canonical sort on top.  ``metrics`` is the run's registry
     (world build, plan, executor bookkeeping); every shard's snapshot
     folds into it here.
@@ -777,11 +741,10 @@ def _assemble(
         capture = SpooledCapture(spool, rows_appended)
     resolve_s = metrics.phase_seconds("resolve")
     if resolve_s > 0:
-        # Re-derived from merged totals: the value a shard's snapshot
-        # carried covers that shard's resolve time only.
+        # From merged totals, the gauge's one writer: a shard sees only
+        # its own resolve time.
         metrics.gauge("capture.append_rows_per_s").set(rows_appended / resolve_s)
     traces = None
-    timeseries = None
     if config.trace is not None:
         traces = TraceBuffer(
             dataset_id=descriptor.dataset_id, seed=env.seed,
@@ -789,11 +752,6 @@ def _assemble(
         )
         for result in results:
             traces.extend(result.traces)
-        # Frames merge by integer summation, so order cannot matter.
-        timeseries = FlightRecorder.merge_all(
-            FlightRecorder.from_dict(result.frames)
-            for result in results if result.frames is not None
-        )
     return DatasetRun(
         descriptor=descriptor,
         capture=capture,
@@ -807,7 +765,6 @@ def _assemble(
         runtime_report=report,
         aggregates=aggregates,
         traces=traces,
-        timeseries=timeseries,
     )
 
 

@@ -18,23 +18,19 @@ Quick use::
     snap.write_json("telemetry.json")
     print(format_summary(snap))
 
-Three sibling layers build on the registry (PR 6):
+Two sibling layers build on the registry:
 :mod:`~repro.telemetry.tracing` records sampled per-query lifecycle
-traces with deterministic hash-derived sampling,
-:mod:`~repro.telemetry.timeseries` buckets metrics into windowed
-rate-over-sim-time frames, and :mod:`~repro.telemetry.exposition` renders
-snapshots in the Prometheus text format for the future live-serve mode.
+traces with deterministic hash-derived sampling, and
+:mod:`~repro.telemetry.exposition` renders snapshots in the Prometheus
+text format (``--metrics-out`` and the live service's ``/metrics``).
 """
 
 from .exposition import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE, to_prometheus, write_prometheus
 from .logs import configure_logging, format_summary
-from .timeseries import FlightRecorder
 from .tracing import (
     QueryTrace,
     QueryTracer,
     TraceBuffer,
-    TraceConfig,
-    hash_uniform,
     mix32,
     read_trace_file,
     summarize_trace_file,
@@ -54,7 +50,6 @@ from .registry import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -63,10 +58,8 @@ __all__ = [
     "QueryTracer",
     "TelemetrySnapshot",
     "TraceBuffer",
-    "TraceConfig",
     "configure_logging",
     "format_summary",
-    "hash_uniform",
     "metric_key",
     "mix32",
     "read_trace_file",

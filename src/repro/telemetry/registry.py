@@ -30,7 +30,7 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 logger = logging.getLogger("repro.telemetry")
 
@@ -168,10 +168,6 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     def add_bulk(
         self,
         bucket_counts: Sequence[int],
@@ -195,10 +191,6 @@ class Histogram:
             self.min = float(minimum)
         if maximum is not None and (self.max is None or maximum > self.max):
             self.max = float(maximum)
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -254,15 +246,6 @@ class TelemetrySnapshot:
             value for key, value in self.counters.items()
             if split_key(key)[0] == name
         )
-
-    def by_label(self, name: str, label: str) -> Dict[str, int]:
-        """One counter family grouped by one label's values."""
-        out: Dict[str, int] = {}
-        for key, value in self.counters.items():
-            base, labels = split_key(key)
-            if base == name and label in labels:
-                out[labels[label]] = out.get(labels[label], 0) + value
-        return out
 
     def phase_seconds(self, name: str) -> float:
         stat = self.phases.get(name)
@@ -353,11 +336,6 @@ class MetricsRegistry:
             raise ValueError(f"histogram {key!r} re-registered with new bounds")
         return instrument
 
-    def value(self, name: str, **labels) -> int:
-        """Current value of a counter (0 when never incremented)."""
-        instrument = self._counters.get(metric_key(name, labels))
-        return instrument.value if instrument is not None else 0
-
     # -- phase timing ------------------------------------------------------------
 
     @contextmanager
@@ -394,12 +372,6 @@ class MetricsRegistry:
             phases={k: p.as_dict() for k, p in self._phases.items()},
             histograms={k: h.as_dict() for k, h in self._histograms.items()},
         )
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._phases.clear()
 
     def merge_snapshot(self, snap: TelemetrySnapshot) -> None:
         """Fold a snapshot into this registry (counters/phases/histograms

@@ -1,18 +1,24 @@
 """Sampled per-query lifecycle tracing.
 
 A :class:`QueryTracer` follows individual client queries through the whole
-pipeline — workload emit, resolver cache decisions, authoritative
-exchanges with retransmits and failover, RRL and fault verdicts,
-response-plan cache outcomes, capture appends — and collects them into a
-:class:`TraceBuffer` that exports Chrome-trace/Perfetto-compatible JSON
-and a JSONL event log.
+pipeline — resolver cache decisions, authoritative exchanges with
+retransmits and failover, RRL and fault verdicts, capture appends — and
+collects them into a :class:`TraceBuffer`, which writes one
+Chrome-trace/Perfetto-compatible JSON file that ``repro trace`` reads
+back.
+
+Only simulated events are recorded, ten of them: ``cache_hit``,
+``cache_miss``, ``auth_exchange``, ``auth_timeout``, ``capture_append``,
+``fault_drop``, ``fault_latency``, ``retry_exhausted``, ``rrl_limited``
+and ``stale_served``.  Each is a function of the simulated world, so the
+traces are the same whatever the worker count.
 
 Determinism contract (the same one :mod:`repro.faults.injector` makes)
 ----------------------------------------------------------------------
 Sampling decisions are **hash-based**, not RNG-stream-based: whether a
 query is traced is a pure function of ``(run seed, global resolver index,
 per-member query sequence number)`` scrambled through crc32 plus a
-murmur3 finalizer (:func:`hash_uniform`).  Enabling tracing therefore
+murmur3 finalizer (:func:`mix32`).  Enabling tracing therefore
 
 * consumes no shared randomness — captures stay bit-identical to an
   untraced run,
@@ -21,16 +27,6 @@ murmur3 finalizer (:func:`hash_uniform`).  Enabling tracing therefore
   per-member), and
 * reproduces the same trace file across runs given the same
   ``(seed, sample)``.
-
-Event categories
-----------------
-Events carry a category: ``"sim"`` events are functions of the simulated
-world and are identical across worker counts and repeat runs; ``"runtime"``
-events (response-plan cache hits/misses) describe *execution strategy*
-and legitimately differ between a serial run and a pool run (each worker
-warms its own caches).  Exports drop ``runtime`` events by default so the
-written trace files are bit-deterministic; pass ``include_runtime=True``
-to keep them (clearly not shard-stable).
 
 Instrumentation sites check the module-global :data:`ACTIVE` trace — one
 attribute load and an ``is not None`` test when tracing is off, so the
@@ -46,15 +42,11 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import TraceConfig
-
 __all__ = [
     "ACTIVE",
-    "TraceConfig",
     "QueryTrace",
     "QueryTracer",
     "TraceBuffer",
-    "hash_uniform",
     "mix32",
     "read_trace_file",
     "summarize_trace_file",
@@ -64,8 +56,6 @@ __all__ = [
 #: dropped (a cyclic-dependency chase can fan one client query out into
 #: hundreds of exchanges; the cap keeps trace payloads bounded).
 MAX_EVENTS_PER_TRACE = 512
-
-_HASH_DENOM = float(2**32)
 
 
 def mix32(digest: int) -> int:
@@ -84,15 +74,10 @@ def mix32(digest: int) -> int:
     return digest
 
 
-def hash_uniform(seed_bytes: bytes, payload: bytes) -> float:
-    """Deterministic uniform [0, 1) from ``crc32 → murmur3-finalize``."""
-    return mix32(zlib.crc32(seed_bytes + payload)) / _HASH_DENOM
-
-
 class QueryTrace:
     """One sampled client query's recorded lifecycle.
 
-    Events are ``[ts, cat, name, dur_s, args]`` lists (JSON/pickle-safe):
+    Events are ``[ts, name, dur_s, args]`` lists (JSON/pickle-safe):
     instants carry ``dur_s == 0.0``; spans carry their simulated duration.
     ``last_ts`` tracks the furthest simulated time any event reached, which
     becomes the trace's end timestamp.
@@ -130,25 +115,24 @@ class QueryTrace:
 
     # -- recording (the instrumentation-site API) -------------------------------
 
-    def event(self, ts: float, name: str, args: Optional[dict] = None,
-              cat: str = "sim") -> None:
+    def event(self, ts: float, name: str, args: Optional[dict] = None) -> None:
         """Record one instantaneous event at simulated time ``ts``."""
         if ts > self.last_ts:
             self.last_ts = ts
         if len(self.events) >= MAX_EVENTS_PER_TRACE:
             self.events_dropped += 1
             return
-        self.events.append([ts, cat, name, 0.0, args])
+        self.events.append([ts, name, 0.0, args])
 
     def span(self, start: float, end: float, name: str,
-             args: Optional[dict] = None, cat: str = "sim") -> None:
+             args: Optional[dict] = None) -> None:
         """Record one span covering ``[start, end]`` simulated seconds."""
         if end > self.last_ts:
             self.last_ts = end
         if len(self.events) >= MAX_EVENTS_PER_TRACE:
             self.events_dropped += 1
             return
-        self.events.append([start, cat, name, end - start, args])
+        self.events.append([start, name, end - start, args])
 
     # -- shipping ---------------------------------------------------------------
 
@@ -178,38 +162,28 @@ ACTIVE: Optional[QueryTrace] = None
 
 
 class QueryTracer:
-    """Per-shard trace collector: decides sampling, owns the buffers.
+    """Per-shard trace collector: decides sampling, banks finished traces.
 
     One tracer is built per shard execution (or one for the whole serial
-    run); completed traces accumulate as dicts in :attr:`traces` and the
-    companion :class:`~repro.telemetry.timeseries.FlightRecorder` in
-    :attr:`recorder` accumulates windowed rate frames.  Both are merged
-    parent-side in shard order, exactly like capture rows.
+    run); completed traces accumulate as dicts in :attr:`traces`, which
+    the parent extends in shard order, exactly like capture chunks.
     """
 
-    def __init__(self, config: TraceConfig, seed: int, dataset_id: str,
-                 base_ts: float = 0.0):
-        from .timeseries import FlightRecorder
-
+    def __init__(self, sample: float, seed: int):
         # A crashed traced run can leave a dangling ACTIVE trace behind;
         # never let it bleed into this tracer's run.
         global ACTIVE
         ACTIVE = None
-        self.config = config
-        self.seed = int(seed)
-        self.dataset_id = dataset_id
-        self.base_ts = float(base_ts)
         self.traces: List[dict] = []
-        self.recorder = FlightRecorder(window_s=config.window_s)
         # Domain-separated from the run seed so sampling never correlates
         # with resolver/workload RNG streams or fault verdicts.
-        self._seed_bytes = struct.pack("<q", self.seed) + b"repro.trace"
-        self._sample = config.sample
-        # Integer threshold equivalent to ``hash_uniform(...) < sample``:
-        # mix32 < sample * 2^32 iff mix32 < ceil(sample * 2^32) for integer
-        # mix32, and ceil keeps the boundary decisions bit-identical to the
-        # float comparison.  Saves a float division per client query.
-        self._threshold = math.ceil(config.sample * _HASH_DENOM)
+        self._seed_bytes = struct.pack("<q", int(seed)) + b"repro.trace"
+        self._sample = sample
+        # Integer form of ``mix32(...) / 2**32 < sample``: mix32 < sample *
+        # 2^32 iff mix32 < ceil(sample * 2^32) for integer mix32, so the
+        # boundary decisions are bit-identical to the float comparison.
+        # Saves a float division per client query.
+        self._threshold = math.ceil(sample * 2**32)
 
     def sampled(self, resolver_index: int, seq: int) -> bool:
         """Whether client query ``seq`` of fleet member ``resolver_index``
@@ -248,7 +222,7 @@ class QueryTracer:
 
 @dataclass
 class TraceBuffer:
-    """Mergeable collection of completed traces plus export writers.
+    """Mergeable collection of completed traces plus the file writer.
 
     Shard buffers are extended in shard order — shards are contiguous
     fleet ranges and traces complete in member order within a shard, so
@@ -286,55 +260,18 @@ class TraceBuffer:
                 trace = dict(trace, dataset=other.dataset_id)
             self.traces.append(trace)
 
-    # -- reading ----------------------------------------------------------------
-
-    def durations(self) -> List[Tuple[str, float]]:
-        """``(trace id, simulated duration)`` per trace, buffer order."""
-        return [
-            (t["id"], float(t["end"]) - float(t["begin"])) for t in self.traces
-        ]
-
-    def slowest(self, count: int = 10) -> List[dict]:
-        """The ``count`` largest simulated-duration traces (ties broken by
-        buffer order for determinism)."""
-        indexed = sorted(
-            enumerate(self.traces),
-            key=lambda pair: (-(float(pair[1]["end"]) - float(pair[1]["begin"])), pair[0]),
-        )
-        return [trace for _, trace in indexed[:count]]
-
-    def phase_totals(self, include_runtime: bool = False) -> Dict[str, Dict[str, float]]:
-        """Per-event-name totals across all traces: count and summed
-        simulated span seconds — the per-phase critical-path table."""
-        totals: Dict[str, Dict[str, float]] = {}
-        for trace in self.traces:
-            for ts, cat, name, dur, _args in trace["events"]:
-                if cat == "runtime" and not include_runtime:
-                    continue
-                stat = totals.get(name)
-                if stat is None:
-                    stat = totals[name] = {"count": 0, "total_s": 0.0}
-                stat["count"] += 1
-                stat["total_s"] += float(dur)
-        return totals
-
     # -- export -----------------------------------------------------------------
 
-    def to_chrome_trace(self, timeseries=None,
-                        include_runtime: bool = False) -> dict:
+    def to_chrome_trace(self) -> dict:
         """Chrome-trace/Perfetto object-format payload.
 
         ``pid`` is a stable small integer per provider, ``tid`` the global
         fleet index of the resolver; metadata events name both.  Query
         lifecycles are ``X`` (complete) events under the ``query``
-        category, recorded spans are ``X`` events under ``phase``, instant
-        events are ``i``.  Timestamps are microseconds rebased to the
+        category; recorded events sit under ``sim``, spans as ``X`` events
+        and instants as ``i``.  Timestamps are microseconds rebased to the
         dataset's capture-window start, so Perfetto renders sensible
         offsets instead of epoch values.
-
-        ``runtime``-category events are dropped unless ``include_runtime``
-        — see the module docstring — which keeps the exported file
-        bit-identical across worker counts and repeat runs.
         """
         providers: List[str] = []
         for trace in self.traces:
@@ -380,12 +317,10 @@ class TraceBuffer:
                     "events_dropped": trace["events_dropped"],
                 },
             })
-            for ts, cat, name, dur, args in trace["events"]:
-                if cat == "runtime" and not include_runtime:
-                    continue
+            for ts, name, dur, args in trace["events"]:
                 entry = {
                     "name": name,
-                    "cat": cat,
+                    "cat": "sim",
                     "ts": us(float(ts)),
                     "pid": pid,
                     "tid": tid,
@@ -399,7 +334,7 @@ class TraceBuffer:
                     entry["s"] = "t"
                 events.append(entry)
 
-        payload = {
+        return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "metadata": {
@@ -410,83 +345,36 @@ class TraceBuffer:
                 "traces": len(self.traces),
             },
         }
-        if timeseries is not None:
-            payload["timeseries"] = timeseries.as_dict()
-        return payload
 
-    def write_chrome(self, path: str, timeseries=None,
-                     include_runtime: bool = False) -> None:
+    def write(self, path: str) -> None:
+        """Write :meth:`to_chrome_trace` to ``path`` as compact JSON."""
         with open(path, "w") as handle:
             json.dump(
-                self.to_chrome_trace(timeseries, include_runtime),
-                handle, indent=None, separators=(",", ":"), sort_keys=True,
+                self.to_chrome_trace(), handle,
+                indent=None, separators=(",", ":"), sort_keys=True,
             )
             handle.write("\n")
-
-    def iter_jsonl(self, include_runtime: bool = False):
-        """One JSON-safe dict per log line: a ``trace_begin`` record per
-        trace (full metadata) followed by its events in recorded order."""
-        for trace in self.traces:
-            header = {k: v for k, v in trace.items() if k != "events"}
-            header["record"] = "trace_begin"
-            yield header
-            for ts, cat, name, dur, args in trace["events"]:
-                if cat == "runtime" and not include_runtime:
-                    continue
-                yield {
-                    "record": "event", "trace": trace["id"], "ts": ts,
-                    "cat": cat, "name": name, "dur_s": dur,
-                    "args": args or {},
-                }
-
-    def write_jsonl(self, path: str, include_runtime: bool = False) -> None:
-        with open(path, "w") as handle:
-            for record in self.iter_jsonl(include_runtime):
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-
-    def write(self, path: str, timeseries=None,
-              include_runtime: bool = False) -> str:
-        """Extension-dispatched export: ``.jsonl`` → event log, anything
-        else → Chrome-trace JSON.  Returns the format written."""
-        if str(path).endswith(".jsonl"):
-            self.write_jsonl(path, include_runtime)
-            return "jsonl"
-        self.write_chrome(path, timeseries, include_runtime)
-        return "chrome"
 
 
 # -- reading exported trace files back (the ``repro trace`` command) ------------
 
 
 def read_trace_file(path: str) -> dict:
-    """Parse a trace file written by :meth:`TraceBuffer.write`.
-
-    Handles both export formats (Chrome-trace JSON and the JSONL event
-    log) and normalises them to::
+    """Parse a trace file written by :meth:`TraceBuffer.write` into::
 
         {"metadata": {...},
          "queries": [{"name", "dur_s", "rcode", "resolver", "id"}, ...],
          "phases":  {name: {"count", "total_s"}, ...}}
 
     Query order follows the file; phase totals cover every non-``query``
-    event (instants contribute count only).
+    event (instants contribute count only).  Raises ``OSError`` for a
+    file that cannot be read and ``ValueError`` for one that is not a
+    Chrome-trace JSON object.
     """
     with open(path) as handle:
-        first = handle.read(1)
-        handle.seek(0)
-        if first != "{":
-            raise ValueError(f"{path}: not a JSON trace file")
-        if str(path).endswith(".jsonl"):
-            records = [json.loads(line) for line in handle if line.strip()]
-            return _normalize_jsonl(records)
         payload = json.load(handle)
-    if "traceEvents" not in payload:
-        raise ValueError(f"{path}: missing traceEvents (not a Chrome trace)")
-    return _normalize_chrome(payload)
-
-
-def _normalize_chrome(payload: dict) -> dict:
+    if not isinstance(payload, dict) or "traceEvents" not in payload:
+        raise ValueError("not a Chrome trace (no traceEvents object)")
     queries: List[dict] = []
     phases: Dict[str, Dict[str, float]] = {}
     threads: Dict[Tuple[int, int], str] = {}
@@ -513,25 +401,6 @@ def _normalize_chrome(payload: dict) -> dict:
         stat["total_s"] += float(event.get("dur", 0)) / 1e6
     return {"metadata": payload.get("metadata", {}), "queries": queries,
             "phases": phases}
-
-
-def _normalize_jsonl(records: List[dict]) -> dict:
-    queries: List[dict] = []
-    phases: Dict[str, Dict[str, float]] = {}
-    for record in records:
-        if record.get("record") == "trace_begin":
-            queries.append({
-                "name": f"{record['qname']} qtype={record['qtype']}",
-                "dur_s": float(record["end"]) - float(record["begin"]),
-                "rcode": record.get("rcode"),
-                "resolver": record.get("resolver_id", ""),
-                "id": record.get("id", ""),
-            })
-        elif record.get("record") == "event":
-            stat = phases.setdefault(record["name"], {"count": 0, "total_s": 0.0})
-            stat["count"] += 1
-            stat["total_s"] += float(record.get("dur_s", 0.0))
-    return {"metadata": {}, "queries": queries, "phases": phases}
 
 
 def summarize_trace_file(path: str, top: int = 10) -> str:

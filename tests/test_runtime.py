@@ -268,9 +268,8 @@ class TestPoolDeterminism:
         if trace:
             assert [t["id"] for t in run.traces.traces] == serial_trace_ids
             assert run.telemetry.counters["trace.queries_sampled"] == len(serial_trace_ids)
-            assert run.timeseries is not None
         else:
-            assert run.traces is None and run.timeseries is None
+            assert run.traces is None
 
     def test_pool_runtime_telemetry(self, serial_run):
         pooled = run_dataset(dataset(DATASET), client_queries=QUERIES, workers=2)
@@ -597,6 +596,14 @@ class TestEnvDefaults:
         )
         assert everything.count("aggregates is not None") == 2
         assert "aggregates is not None" in sources[root / "src/repro/analysis/analytics.py"]
+        # One trace surface: simulated events in one Chrome-trace file —
+        # no rate frames, no second format, no runtime-category events,
+        # no reader-less telemetry API.
+        assert not re.search(
+            r"FlightRecorder|timeseries|jsonl|include_runtime|hash_uniform"
+            r"|\bwindow_s\b|by_label|phase_totals|\.slowest\(|cat=",
+            everything,
+        )
         # One benchmark (bench/): the per-figure shape checks under
         # benchmarks/ keep no records and write no files.
         assert not list((root / "benchmarks").glob("*.json"))

@@ -1,44 +1,58 @@
-"""Tests for the observability layer (ISSUE 6): sampled per-query
-tracing, the flight recorder, and Prometheus exposition.
+"""Tests for the observability layer: sampled per-query tracing and
+Prometheus exposition.
 
 The contract under test mirrors the hot-path caches' one: observability
 is an *observer* and must be invisible in the results — captures stay
 bit-identical with tracing off or on, serially, on a pool, and under a
-chaos plan — while the trace artefacts themselves are deterministic
-(same bytes across repeat runs and across worker counts).
+chaos plan — while the traces themselves are deterministic (same
+recorded events, hence the same file bytes, across repeat runs and
+across worker counts).
 """
 
+import hashlib
 import json
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.config import RunConfig
+from repro.config import RunConfig, TraceConfig
 from repro.faults import chaos_scenario
 from repro.telemetry import (
-    FlightRecorder,
     MetricsRegistry,
     QueryTracer,
-    TraceBuffer,
-    TraceConfig,
-    hash_uniform,
     mix32,
-    read_trace_file,
-    split_key,
-    summarize_trace_file,
     to_prometheus,
     write_prometheus,
 )
 from repro.sim import forget_worlds, run_dataset
-from repro.workload import dataset
+from repro.workload import dataset, monthly_google_descriptor
 
 DATASET = "nz-w2018"
 QUERIES = 700
 SEED = 20201027
 SAMPLE = 0.1
+
+#: The only event names a trace records: each a function of the simulated
+#: world, none of how the run was executed.
+SIM_EVENTS = {
+    "cache_hit", "cache_miss", "auth_exchange", "auth_timeout",
+    "capture_append", "fault_drop", "fault_latency", "retry_exhausted",
+    "rrl_limited", "stale_served",
+}
+
+#: blake2b-128 of :func:`chrome_bytes`, recorded before the trace layer
+#: dropped its second file format, its runtime-category events and its
+#: rate frames: the exported file must not have moved.
+PARENT_TRACE_DIGESTS = {
+    "serial": "a5a7b2e34bab660b36096f01e4b47ba0",
+    "workers2": "a5a7b2e34bab660b36096f01e4b47ba0",
+    "flaky-server": "ac0dc5ca3adab22abfbcfbb22af40ff6",
+    "cyclic": "9537c9c7054bae7accb052e27bfdf944",
+}
 
 
 def assert_views_equal(a, b):
@@ -51,8 +65,7 @@ def assert_views_equal(a, b):
 
 def chrome_bytes(run):
     return json.dumps(
-        run.traces.to_chrome_trace(run.timeseries),
-        sort_keys=True, separators=(",", ":"),
+        run.traces.to_chrome_trace(), sort_keys=True, separators=(",", ":"),
     )
 
 
@@ -94,34 +107,38 @@ class TestHashSampling:
         assert all(0 <= v <= 0xFFFFFFFF for v in seen)
 
     def test_hash_uniform_range_and_determinism(self):
-        seed = struct.pack("<q", 7) + b"repro.trace"
-        values = [
-            hash_uniform(seed, struct.pack("<qq", i, j))
-            for i in range(20) for j in range(20)
+        """``sampled()`` is the float rule ``mix32(crc32(seed_bytes +
+        pack(i, s))) / 2**32 < sample``: the integer threshold it compares
+        against changes no decision."""
+        seed_bytes = struct.pack("<q", 7) + b"repro.trace"
+        picks = [(i, s) for i in range(20) for s in range(20)]
+        uniform = [
+            mix32(zlib.crc32(seed_bytes + struct.pack("<qq", i, s))) / 2**32
+            for i, s in picks
         ]
-        assert all(0.0 <= v < 1.0 for v in values)
-        assert values == [
-            hash_uniform(seed, struct.pack("<qq", i, j))
-            for i in range(20) for j in range(20)
-        ]
+        assert all(0.0 <= value < 1.0 for value in uniform)
+        for sample in (0.0, 0.1, 0.25, 0.5, 0.999):
+            tracer = QueryTracer(sample, seed=7)
+            assert [tracer.sampled(i, s) for i, s in picks] == [
+                value < sample for value in uniform
+            ]
         # Roughly uniform: the mean of 400 draws is near 1/2.
-        assert 0.4 < sum(values) / len(values) < 0.6
+        assert 0.4 < sum(uniform) / len(uniform) < 0.6
 
     def test_sampling_is_pure_function_of_seed_index_seq(self):
-        config = TraceConfig(sample=0.25)
-        a = QueryTracer(config, seed=SEED, dataset_id="x")
-        b = QueryTracer(config, seed=SEED, dataset_id="y", base_ts=123.0)
+        a = QueryTracer(0.25, seed=SEED)
+        b = QueryTracer(0.25, seed=SEED)
         picks = [(i, s) for i in range(50) for s in range(20)]
         assert [a.sampled(i, s) for i, s in picks] == [
             b.sampled(i, s) for i, s in picks
         ]
-        other = QueryTracer(config, seed=SEED + 1, dataset_id="x")
+        other = QueryTracer(0.25, seed=SEED + 1)
         assert [a.sampled(i, s) for i, s in picks] != [
             other.sampled(i, s) for i, s in picks
         ]
 
     def test_sample_one_traces_everything(self):
-        tracer = QueryTracer(TraceConfig(sample=1.0), seed=1, dataset_id="d")
+        tracer = QueryTracer(1.0, seed=1)
         assert all(tracer.sampled(i, s) for i in range(10) for s in range(10))
 
     def test_trace_config_validation(self):
@@ -129,8 +146,8 @@ class TestHashSampling:
             TraceConfig(sample=1.5)
         with pytest.raises(ValueError):
             TraceConfig(sample=-0.1)
-        with pytest.raises(ValueError):
-            TraceConfig(sample=0.5, window_s=0.0)
+        assert TraceConfig().sample == 0.01
+        assert list(TraceConfig.__dataclass_fields__) == ["sample"]
 
     def test_resolve_trace_config(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
@@ -138,7 +155,7 @@ class TestHashSampling:
         assert resolve(None) is None
         assert resolve(0.0) is None
         assert resolve(0.25).sample == 0.25
-        config = TraceConfig(sample=0.5, window_s=60.0)
+        config = TraceConfig(sample=0.5)
         assert resolve(config) is config
         assert resolve(TraceConfig(sample=0.0)) is None
         monkeypatch.setenv("REPRO_TRACE", "0.125")
@@ -180,7 +197,7 @@ class TestCaptureBitIdentity:
 
     def test_untraced_run_has_no_observability_payloads(self, base_run):
         assert base_run.traces is None
-        assert base_run.timeseries is None
+        assert not hasattr(base_run, "timeseries")
         assert base_run.telemetry.total("trace.queries_sampled") == 0
 
 
@@ -206,6 +223,11 @@ class TestTraceDeterminism:
     ):
         assert chrome_bytes(traced_run) == chrome_bytes(pooled_traced_run)
 
+    def test_pool_records_the_same_traces(self, traced_run, pooled_traced_run):
+        """Not only the export: every recorded event is simulated, so the
+        in-memory traces are the serial run's, event for event."""
+        assert pooled_traced_run.traces.traces == traced_run.traces.traces
+
     def test_chrome_export_identical_across_runs(self, descriptor, traced_run):
         again = run_dataset(
             descriptor, seed=SEED, client_queries=QUERIES, trace=SAMPLE
@@ -220,19 +242,50 @@ class TestTraceDeterminism:
             trace=SAMPLE,
         )
         assert chrome_bytes(streamed) == chrome_bytes(traced_run)
-        assert streamed.timeseries == traced_run.timeseries
+        assert streamed.traces.traces == traced_run.traces.traces
 
     def test_trace_contents_cover_the_lifecycle(self, traced_run):
         names = set()
         for trace in traced_run.traces.traces:
             assert trace["end"] >= trace["begin"]
             assert trace["rcode"] is not None
-            for ts, cat, name, dur, _args in trace["events"]:
-                assert cat in ("sim", "runtime")
+            for ts, name, dur, _args in trace["events"]:
+                assert ts >= trace["begin"] and dur >= 0.0
                 names.add(name)
+        assert names <= SIM_EVENTS, names - SIM_EVENTS
         # Every sampled query misses the cold resolver cache and lands in
         # the capture; authoritative exchanges happen for the misses.
         assert {"cache_miss", "auth_exchange", "capture_append"} <= names
+
+
+class TestTraceDigests:
+    """The exported file is the one written before the trace layer lost
+    its rate frames, its second format and its runtime-category events."""
+
+    RUNS = {
+        "serial": lambda nz: run_dataset(
+            nz, seed=SEED, client_queries=1500, trace=0.05, workers=1
+        ),
+        "workers2": lambda nz: run_dataset(
+            nz, seed=SEED, client_queries=1500, trace=0.05, workers=2
+        ),
+        "flaky-server": lambda nz: run_dataset(
+            replace(nz, fault_plan=chaos_scenario("flaky-server")),
+            seed=SEED, client_queries=1500, trace=0.05, workers=1,
+        ),
+        "cyclic": lambda nz: run_dataset(
+            monthly_google_descriptor("nz", 2020, 2),
+            seed=SEED, client_queries=400, trace=0.2, workers=1,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PARENT_TRACE_DIGESTS))
+    def test_export_reproduces_the_parent_digest(self, case):
+        run = self.RUNS[case](dataset("nz-w2020"))
+        digest = hashlib.blake2b(
+            chrome_bytes(run).encode(), digest_size=16
+        ).hexdigest()
+        assert digest == PARENT_TRACE_DIGESTS[case]
 
 
 CHROME_EVENT_PHASES = {"X", "i", "M"}
@@ -240,7 +293,7 @@ CHROME_EVENT_PHASES = {"X", "i", "M"}
 
 class TestChromeTraceSchema:
     def test_payload_validates(self, traced_run):
-        payload = traced_run.traces.to_chrome_trace(traced_run.timeseries)
+        payload = traced_run.traces.to_chrome_trace()
         assert isinstance(payload["traceEvents"], list)
         assert payload["traceEvents"], "no events exported"
         assert payload["displayTimeUnit"] == "ms"
@@ -263,14 +316,9 @@ class TestChromeTraceSchema:
                 assert event["dur"] >= 1
             else:
                 assert event["s"] == "t"
-        assert "timeseries" in payload
-
-    def test_runtime_events_excluded_by_default(self, traced_run):
-        payload = traced_run.traces.to_chrome_trace()
-        cats = {e.get("cat") for e in payload["traceEvents"]}
-        assert "runtime" not in cats
-        with_runtime = traced_run.traces.to_chrome_trace(include_runtime=True)
-        assert len(with_runtime["traceEvents"]) >= len(payload["traceEvents"])
+            assert event["cat"] in ("query", "sim")
+        assert set(payload) == {"traceEvents", "displayTimeUnit", "metadata"}
+        assert "timeseries" not in payload
 
     def test_timestamps_rebased_to_window_start(self, descriptor, traced_run):
         payload = traced_run.traces.to_chrome_trace()
@@ -291,69 +339,6 @@ class TestChromeTraceSchema:
         assert len(trace.events) == MAX_EVENTS_PER_TRACE
         assert trace.events_dropped == 25
         assert trace.last_ts == float(MAX_EVENTS_PER_TRACE + 24)
-
-
-class TestJsonlExport:
-    def test_round_trip(self, traced_run, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        assert traced_run.traces.write(str(path)) == "jsonl"
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        begins = [r for r in records if r["record"] == "trace_begin"]
-        events = [r for r in records if r["record"] == "event"]
-        assert len(begins) == len(traced_run.traces)
-        assert len(begins) + len(events) == len(records)
-        ids = {b["id"] for b in begins}
-        assert all(e["trace"] in ids for e in events)
-
-    def test_summary_reads_both_formats(self, traced_run, tmp_path):
-        chrome = tmp_path / "trace.json"
-        jsonl = tmp_path / "trace.jsonl"
-        assert traced_run.traces.write(
-            str(chrome), timeseries=traced_run.timeseries
-        ) == "chrome"
-        traced_run.traces.write(str(jsonl))
-        for path in (chrome, jsonl):
-            data = read_trace_file(str(path))
-            assert len(data["queries"]) == len(traced_run.traces)
-            assert "auth_exchange" in data["phases"]
-            text = summarize_trace_file(str(path), top=3)
-            assert "slowest 3 sampled queries" in text
-            assert "per-phase critical path" in text
-
-
-class TestFlightRecorder:
-    def test_run_totals_match_capture(self, traced_run):
-        ts = traced_run.timeseries
-        assert ts is not None
-        assert ts.family_total("capture.rows") == len(traced_run.capture)
-        assert ts.family_total("sim.client_queries") == (
-            traced_run.client_queries_run
-        )
-        assert ts.family_total("capture.responses") == len(traced_run.capture)
-
-    def test_series_are_windowed_rates(self, traced_run):
-        ts = traced_run.timeseries
-        name, labels = split_key(sorted(ts.keys())[0])
-        points = ts.series(name, **labels)
-        assert points
-        for window_start, count, rate in points:
-            assert count >= 1
-            assert rate == pytest.approx(count / ts.window_s)
-            assert window_start % ts.window_s == 0
-
-    def test_dict_round_trip(self, traced_run):
-        ts = traced_run.timeseries
-        clone = FlightRecorder.from_dict(ts.as_dict())
-        assert clone == ts
-        assert clone.as_dict() == ts.as_dict()
-
-    def test_merge_rejects_window_mismatch(self):
-        a = FlightRecorder(window_s=60.0)
-        b = FlightRecorder(window_s=30.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestPrometheusExposition:
@@ -410,7 +395,7 @@ class TestObservabilityCLI:
         ]) == 0
         err = capsys.readouterr().err
         assert "wrote Prometheus metrics" in err
-        assert "traces (chrome)" in err
+        assert f"traces to {trace_path}" in err
         payload = json.loads(trace_path.read_text())
         assert payload["traceEvents"]
         assert payload["metadata"]["sample"] == 0.5
@@ -436,18 +421,41 @@ class TestObservabilityCLI:
 
     def test_env_default_enables_tracing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0.3")
-        trace_path = tmp_path / "trace.jsonl"
+        trace_path = tmp_path / "trace.json"
         assert main([
             "dataset", DATASET, "--scale", "0.02",
             "--trace-out", str(trace_path),
         ]) == 0
-        err = capsys.readouterr().err
-        assert "traces (jsonl)" in err
-        records = [
-            json.loads(line)
-            for line in trace_path.read_text().splitlines()
-        ]
-        assert any(r["record"] == "trace_begin" for r in records)
+        capsys.readouterr()
+        payload = json.loads(trace_path.read_text())
+        assert payload["metadata"]["sample"] == 0.3
+        assert any(e.get("cat") == "query" for e in payload["traceEvents"])
+
+    @pytest.mark.parametrize(
+        "content", ["truncated", "not-json", "no-trace-events", "missing", "jsonl"]
+    )
+    def test_trace_reports_unreadable_files_as_usage_errors(
+        self, capsys, tmp_path, content
+    ):
+        """Whatever is wrong with the file, ``repro trace`` says so in one
+        ``repro: error:`` line naming it and exits 2 — no traceback."""
+        path = tmp_path / ("old.jsonl" if content == "jsonl" else f"{content}.json")
+        good = '{"traceEvents":[],"metadata":{}}\n'
+        text = {
+            "truncated": good[:17],
+            "not-json": "ph,name,ts\nX,q,0\n",
+            "no-trace-events": '{"displayTimeUnit":"ms"}\n',
+            "jsonl": '{"record":"trace_begin","id":"0:0"}\n'
+                     '{"record":"event","trace":"0:0"}\n',
+        }.get(content)
+        if text is not None:
+            path.write_text(text)
+        assert main(["trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro: error: {path}: ")
 
     def test_simulating_commands_share_the_flag_surface(self, capsys):
         """Satellite audit: dataset and experiments expose the same
