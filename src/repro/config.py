@@ -93,9 +93,8 @@ class RunConfig:
     """How one dataset simulation executes.
 
     ``workers`` selects the backend: 1 runs the shards in-process, more
-    run them on a process pool; either way the capture bytes are the same.
-    ``shard_count`` defaults to the worker count (one shard per worker —
-    each worker pays the fixed environment-build cost exactly once).
+    run them on a process pool; either way the fleet is cut into one
+    shard per worker and the capture bytes are the same.
     ``shard_timeout_s`` / ``retries`` are the pool's recovery policy, and
     ``inject_faults`` maps shard index → fault mode (``"crash"`` /
     ``"hang"`` / ``"exit"``), applied to pool attempts only, never to the
@@ -111,7 +110,6 @@ class RunConfig:
     """
 
     workers: int = 1
-    shard_count: Optional[int] = None
     shard_timeout_s: Optional[float] = None
     retries: int = 1
     inject_faults: Dict[int, str] = field(default_factory=dict)
@@ -123,8 +121,6 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_count is not None and self.shard_count < 1:
-            raise ValueError(f"shard_count must be >= 1, got {self.shard_count}")
         if self.shard_timeout_s is not None and self.shard_timeout_s <= 0:
             raise ValueError(
                 f"shard_timeout_s must be positive, got {self.shard_timeout_s}"
@@ -138,14 +134,10 @@ class RunConfig:
                 f"progress_interval_s must be positive, got {self.progress_interval_s}"
             )
 
-    def effective_shards(self) -> int:
-        return self.workers if self.shard_count is None else self.shard_count
-
     @classmethod
     def resolve(
         cls,
         workers: Optional[int] = None,
-        shard_count: Optional[int] = None,
         shard_timeout_s: Optional[float] = None,
         retries: int = 1,
         inject_faults: Optional[Dict[int, str]] = None,
@@ -178,7 +170,6 @@ class RunConfig:
             )
         return cls(
             workers=cls.workers if workers is None else int(workers),
-            shard_count=shard_count,
             shard_timeout_s=shard_timeout_s,
             retries=retries,
             inject_faults=dict(inject_faults or {}),

@@ -13,7 +13,6 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from ..analysis import AttributionResult, DatasetAnalytics
-from ..capture import CaptureView
 from ..config import RunConfig, resolve_scale
 from ..sim import DatasetRun, run_dataset
 from ..telemetry import MetricsRegistry, TraceBuffer
@@ -98,9 +97,6 @@ class ExperimentContext:
         return self._simulate(monthly_google_descriptor(vantage, year, month))
 
     # -- derived views ---------------------------------------------------------
-
-    def view(self, dataset_id: str) -> CaptureView:
-        return self.run(dataset_id).capture.view()
 
     def attribution(self, dataset_id: str) -> AttributionResult:
         return self.analytics(dataset_id).attribution()

@@ -25,7 +25,7 @@ def run(ctx: ExperimentContext) -> Report:
     report = Report("ext-rssac", "RSSAC002-style report for simulated B-Root")
     series: Dict[str, list] = {"year": [], "nxdomain": [], "v6": [], "sources": []}
     for descriptor in datasets_for_vantage("root"):
-        summary = summarize(ctx.view(descriptor.dataset_id))
+        summary = summarize(ctx.run(descriptor.dataset_id).capture.view())
         year = descriptor.year
         series["year"].append(year)
         series["nxdomain"].append(summary.nxdomain_share)

@@ -29,7 +29,7 @@ def run_server(ctx: ExperimentContext, server_id: str) -> Report:
         figure, f"Facebook sites vs .nl {server_id} (w2020, {figure})"
     )
     run = ctx.run("nl-w2020")
-    view, attribution = ctx.view("nl-w2020"), ctx.attribution("nl-w2020")
+    view, attribution = run.capture.view(), ctx.attribution("nl-w2020")
     stats, dual = facebook_site_stats(
         view, attribution, run.ptr_table, server_id
     )

@@ -50,15 +50,10 @@ import numpy as np
 from ..capture import CaptureSpool, CaptureStore, SpooledCapture
 from ..clouds import FleetResolver, PTRTable
 from ..config import RunConfig
-from ..dnscore import Name, ROOT, RRType
+from ..dnscore import Name, RRType
 from ..faults import FaultInjector, derive_fault_seed
 from ..netsim import ASRegistry, GAZETTEER, LatencyModel, SimClock
-from ..resolver import (
-    AuthorityNetwork,
-    CyclicPair,
-    ResolverBehavior,
-    SyntheticLeafAuthority,
-)
+from ..resolver import AuthorityNetwork, CyclicPair, SyntheticLeafAuthority
 from ..runtime import (
     RuntimeReport,
     ShardExecutor,
@@ -144,7 +139,6 @@ class SimEnvironment:
 
     descriptor: DatasetDescriptor
     seed: int
-    latency: LatencyModel
     vantage_zone: Optional[Zone]
     capture: CaptureStore
     server_sets: Dict[str, ServerSet]
@@ -207,7 +201,6 @@ def build_authority_world(
     descriptor: DatasetDescriptor,
     seed: int,
     metrics: MetricsRegistry,
-    latency: Optional[LatencyModel] = None,
 ) -> AuthorityWorld:
     """Build the authoritative side of a dataset's world (no fleets).
 
@@ -218,8 +211,7 @@ def build_authority_world(
     this is the common prefix of :func:`build_environment` and the live
     service mode's startup, so both serve byte-identical zone content.
     """
-    if latency is None:
-        latency = LatencyModel()
+    latency = LatencyModel()
 
     with metrics.time_phase("zone_build"):
         vantage_zone = worlds.vantage_zone(descriptor, metrics)
@@ -298,10 +290,8 @@ def build_environment(
     independently and arrive at the same world as the parent.  The fleet
     is checked out until :func:`repro.sim.worlds.return_fleet`.
     """
-    latency = LatencyModel()
-
     # -- authoritative side ---------------------------------------------------
-    world = build_authority_world(descriptor, seed, metrics, latency)
+    world = build_authority_world(descriptor, seed, metrics)
 
     # -- resolver fleets ---------------------------------------------------------
     with metrics.time_phase("fleet_build"):
@@ -315,7 +305,6 @@ def build_environment(
     return SimEnvironment(
         descriptor=descriptor,
         seed=seed,
-        latency=latency,
         vantage_zone=world.vantage_zone,
         capture=world.capture,
         server_sets=world.server_sets,
@@ -776,7 +765,6 @@ def run_dataset(
     client_queries: Optional[int] = None,
     telemetry: Optional[MetricsRegistry] = None,
     workers: Optional[int] = None,
-    shard_count: Optional[int] = None,
     config: Optional[RunConfig] = None,
     stream: Optional[bool] = None,
     spool_dir: Optional[str] = None,
@@ -786,14 +774,14 @@ def run_dataset(
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    ``workers`` / ``shard_count`` / ``stream`` / ``spool_dir`` / ``trace``
-    are the front door to :meth:`RunConfig.resolve
-    <repro.config.RunConfig.resolve>` (``None`` = environment, else
-    default; the fields are documented on the class); a ready ``config``
-    replaces all five.  For a given fault plan every configuration yields
-    the same capture bytes.  With ``workers=1`` the returned server objects
-    carry their post-run state (a pool leaves the parent's cold; their
-    counters live in the merged telemetry).  The fleet does not: it is
+    ``workers`` / ``stream`` / ``spool_dir`` / ``trace`` are the front
+    door to :meth:`RunConfig.resolve <repro.config.RunConfig.resolve>`
+    (``None`` = environment, else default; the fields are documented on
+    the class); a ready ``config`` replaces all four.  For a given fault
+    plan every configuration yields the same capture bytes.  With
+    ``workers=1`` the returned server objects carry their post-run state
+    (a pool leaves the parent's cold; their counters live in the merged
+    telemetry).  The fleet does not: it is
     borrowed from the process's fleet store and goes back, rewound, once
     the run is assembled — ``DatasetRun.fleet`` says who the resolvers
     are, ``DatasetRun.telemetry`` what they did.
@@ -826,8 +814,7 @@ def run_dataset(
         )
     if config is None:
         config = RunConfig.resolve(
-            workers=workers, shard_count=shard_count, stream=stream,
-            spool_dir=spool_dir, trace=trace,
+            workers=workers, stream=stream, spool_dir=spool_dir, trace=trace,
         )
     metrics = MetricsRegistry()
     metrics.gauge("runtime.stream.enabled").set(1 if config.stream else 0)
@@ -840,9 +827,7 @@ def run_dataset(
     )
 
     with metrics.time_phase("runtime.plan"):
-        plan = plan_shards(
-            [member.weight for member in env.fleet], config.effective_shards()
-        )
+        plan = plan_shards([member.weight for member in env.fleet], config.workers)
     metrics.counter("runtime.shards_total").inc(len(plan))
     metrics.gauge("runtime.workers").set(config.workers)
 

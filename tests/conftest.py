@@ -10,10 +10,33 @@ import pytest
 
 from repro.capture import CaptureStore
 from repro.dnscore import Name
+from repro.experiments import ExperimentContext
+from repro.experiments.render_all import collect_all
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.resolver import AuthorityNetwork, SyntheticLeafAuthority
 from repro.server import AuthoritativeServer, ServerSet
+from repro.sim import forget_worlds
 from repro.zones import ZoneSpec, build_registry_zone, build_root_zone
+
+from .helpers import REPORT_SCALE
+
+
+@pytest.fixture(scope="session")
+def serial_matrix():
+    """Every report of the experiment matrix from one serial in-memory
+    context that started with empty world stores, and the snapshot of that
+    context's telemetry — rendered once, checked by the modules that own
+    each claim (the report literal, the figure coverage, the world builds).
+
+    The process-level axes are pinned, whatever the surrounding lane set.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_PLAN_CACHE", "1")
+        patch.delenv("REPRO_ENV_CACHE", raising=False)
+        patch.delenv("REPRO_POOL_START", raising=False)
+        forget_worlds()
+        ctx = ExperimentContext(scale=REPORT_SCALE, workers=1, stream=False, trace=0.0)
+        return collect_all(ctx), ctx.telemetry.snapshot()
 
 
 @pytest.fixture(scope="session")

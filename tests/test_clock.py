@@ -7,12 +7,13 @@ epoch-anchored time that can never run backwards even if the OS clock
 does.
 """
 
-import numpy as np
-
 from repro.netsim import Clock, SimClock, WallClock
 from repro.netsim import clock as clock_module
 from repro.sim import run_dataset
 from repro.workload import dataset
+
+from .helpers import view_digest
+from .test_oracle import CASES, ORACLE
 
 
 class TestProtocol:
@@ -74,17 +75,11 @@ class TestWallClock:
 
 class TestSimBitIdentity:
     def test_injected_clock_is_pure_observer(self):
-        descriptor = dataset("nz-w2018")
-        plain = run_dataset(descriptor, client_queries=800, seed=9)
-        clock = SimClock(now=0.0)
+        descriptor, queries, __, seed = CASES["nz-w2019"]
         observed = run_dataset(
-            descriptor, client_queries=800, seed=9, clock=clock
+            descriptor, client_queries=queries, seed=seed, clock=SimClock(now=0.0)
         )
-        va, vb = plain.capture.view(), observed.capture.view()
-        assert len(va) == len(vb)
-        for name in va.__dataclass_fields__:
-            x, y = getattr(va, name), getattr(vb, name)
-            assert np.array_equal(x, y, equal_nan=(name == "tcp_rtt_ms")), name
+        assert view_digest(observed.capture.view()) == ORACLE["nz-w2019"]["capture"]
 
     def test_clock_lands_on_window_end(self):
         descriptor = dataset("nz-w2018")

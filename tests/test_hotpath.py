@@ -1,21 +1,17 @@
 """Tests for the hot-path caches (ISSUE 4): borrowed world parts and
 response-plan caching.
 
-The contract under test is the same one the sharded runtime established:
-caching is an execution detail and must be *invisible* in the results —
-captures stay bit-identical to the uncached path, serially, on a pool, and
-under a chaos plan.
+Caching is an execution detail and must be *invisible* in the results:
+that captures are the same bytes with the plan cache and the world store
+on or off, serially, on a pool and under a chaos plan is pinned in
+``test_oracle``.  Here: what the caches do — hit, miss, evict, borrow.
 """
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 import repro.server.authoritative as authoritative
 from repro.capture import CaptureSpool, CaptureStore, SpooledCapture, Transport
 from repro.dnscore import Message, Name, RRType
-from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
 from repro.runtime import EnvironmentCache, ShardTask
 from repro.server import AuthoritativeServer
@@ -24,18 +20,13 @@ from repro.sim.driver import simulate_shard
 from repro.workload import dataset
 from repro.zones import Zone
 
+from .helpers import view_digest
+from .test_oracle import CASES, ORACLE
+
 DATASET = "nz-w2018"
 QUERIES = 600
 SEED = 20201027
 SRC = IPAddress.parse("192.0.2.53")
-
-
-def assert_views_equal(a, b):
-    assert len(a) == len(b)
-    for name in a.__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
-        equal_nan = name == "tcp_rtt_ms"
-        assert np.array_equal(x, y, equal_nan=equal_nan), f"column {name} differs"
 
 
 @pytest.fixture
@@ -47,18 +38,10 @@ def force_caches(monkeypatch):
     monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
 
 
-def _uncached_serial(descriptor, monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-    try:
-        run = run_dataset(descriptor, seed=SEED, client_queries=QUERIES, workers=1)
-    finally:
-        monkeypatch.delenv("REPRO_PLAN_CACHE")
-    return run
-
-
-def _cached_shard(descriptor):
+def _cached_shard(case):
+    descriptor, queries, __, seed = CASES[case]
     task = ShardTask(
-        descriptor=descriptor, seed=SEED, client_queries=QUERIES,
+        descriptor=descriptor, seed=seed, client_queries=queries,
         shard_index=0, start=0, stop=None,
     )
     result = simulate_shard(task)
@@ -67,49 +50,21 @@ def _cached_shard(descriptor):
     return result, SpooledCapture(spool, result.rows_appended)
 
 
-def _assert_second_shard_borrowed(result):
-    """What a second shard of the same dataset in one process shares with
-    the first is the rewound fleet (and the sealed zones) — not servers:
-    its overlay is its own, so its plan caches start empty."""
-    telemetry = result.telemetry
-    assert telemetry.counter("runtime.env_cache.hit", part="fleet") == 1
-    assert telemetry.counter("runtime.env_cache.miss", part="fleet") == 0
-    assert telemetry.total("runtime.plan_cache.misses") > 0
-
-
-class TestBitIdentity:
-    def test_serial_cached_matches_uncached(self, monkeypatch, force_caches):
-        descriptor = dataset(DATASET)
-        uncached = _uncached_serial(descriptor, monkeypatch)
-
-        cold, cold_store = _cached_shard(descriptor)
-        warm, warm_store = _cached_shard(descriptor)
-
-        assert_views_equal(uncached.capture.view(), cold_store.view())
-        assert_views_equal(uncached.capture.view(), warm_store.view())
-        _assert_second_shard_borrowed(warm)
-
-    def test_pool_cached_matches_uncached(self, monkeypatch):
-        descriptor = dataset(DATASET)
-        uncached = _uncached_serial(descriptor, monkeypatch)
-        pooled = run_dataset(
-            descriptor, seed=SEED, client_queries=QUERIES, workers=2, shard_count=3
-        )
-        assert pooled.runtime_report.mode == "process-pool"
-        assert_views_equal(uncached.capture.view(), pooled.capture.view())
-
-    def test_chaos_plan_cached_matches_uncached(self, monkeypatch, force_caches):
-        """Fault verdicts are resolver-side and hash-based; neither the
-        plan cache nor a borrowed fleet may change what gets dropped."""
-        descriptor = replace(
-            dataset(DATASET), fault_plan=chaos_scenario("heavy-loss")
-        )
-        uncached = _uncached_serial(descriptor, monkeypatch)
-        cold, cold_store = _cached_shard(descriptor)
-        warm, warm_store = _cached_shard(descriptor)
-        assert_views_equal(uncached.capture.view(), cold_store.view())
-        assert_views_equal(uncached.capture.view(), warm_store.view())
-        _assert_second_shard_borrowed(warm)
+class TestWarmShard:
+    def test_a_second_shard_borrows_the_rewound_fleet(self, force_caches):
+        """What a second shard of the same dataset in one process shares
+        with the first is the rewound fleet (and the sealed zones) — not
+        servers: its overlay is its own, so its plan caches start empty.
+        One shard over the whole fleet is the serial run, so it must still
+        give the table's rows."""
+        case = "nz-w2019"
+        _cached_shard(case)
+        warm, warm_store = _cached_shard(case)
+        assert view_digest(warm_store.view()) == ORACLE[case]["capture"]
+        telemetry = warm.telemetry
+        assert telemetry.counter("runtime.env_cache.hit", part="fleet") == 1
+        assert telemetry.counter("runtime.env_cache.miss", part="fleet") == 0
+        assert telemetry.total("runtime.plan_cache.misses") > 0
 
 
 def _zone():

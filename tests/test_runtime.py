@@ -1,14 +1,14 @@
 """Tests for the sharded parallel execution engine (``repro.runtime``).
 
-The headline property under test is ISSUE 2's determinism guarantee:
-``run_dataset(..., workers=N)`` must produce a capture and reports
-bit-identical to the serial path for any ``N`` — including when shards
-crash or hang and the runtime recovers via retry / serial fallback.
+``run_dataset(..., workers=N)`` must produce the capture the serial path
+does for any ``N`` (pinned in ``test_oracle``) — including when shards
+crash or hang and the runtime recovers via retry / serial fallback, which
+is what this module drives, beside the planner, the apportionment and
+the executor's bookkeeping.
 """
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,49 +22,10 @@ from repro.sim import member_query_counts, run_dataset
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 
+from .helpers import assert_views_equal, view_digest
+from .test_oracle import CASES, ORACLE
+
 DATASET = "nz-w2018"
-QUERIES = 600
-
-
-def assert_views_equal(a, b):
-    """Column-for-column equality of two capture views."""
-    assert len(a) == len(b)
-    for name in a.__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
-        equal_nan = name == "tcp_rtt_ms"
-        assert np.array_equal(x, y, equal_nan=equal_nan), f"column {name} differs"
-
-
-def sim_counters(snapshot):
-    """The simulation-facing counters (excludes runtime.* bookkeeping and
-    capture.spool.* chunk accounting, which legitimately differ between
-    serial and pooled execution, and the analysis.* / trace.* counters only
-    a streaming / traced run publishes)."""
-    return {
-        key: value for key, value in snapshot.counters.items()
-        if not key.startswith(("runtime.", "capture.spool.", "analysis.", "trace."))
-    }
-
-
-TRACE_SAMPLE = 0.05
-
-
-@pytest.fixture(scope="module")
-def serial_run():
-    return run_dataset(
-        dataset(DATASET), client_queries=QUERIES, workers=1, stream=False,
-        trace=0.0,
-    )
-
-
-@pytest.fixture(scope="module")
-def serial_trace_ids():
-    traced = run_dataset(
-        dataset(DATASET), client_queries=QUERIES, workers=1, stream=False,
-        trace=TRACE_SAMPLE,
-    )
-    assert len(traced.traces) > 0
-    return [trace["id"] for trace in traced.traces.traces]
 
 
 class TestPlanner:
@@ -213,15 +174,6 @@ class TestCaptureStoreRuntimeSupport:
 
 
 class TestSerialSharding:
-    def test_shard_count_does_not_change_results(self, serial_run):
-        sharded = run_dataset(
-            dataset(DATASET), client_queries=QUERIES, workers=1, shard_count=3
-        )
-        assert sharded.runtime_report.mode == "serial"
-        assert sharded.runtime_report.shard_count == 3
-        assert_views_equal(serial_run.capture.view(), sharded.capture.view())
-        assert sim_counters(serial_run.telemetry) == sim_counters(sharded.telemetry)
-
     def test_zero_queries_stays_serial_even_with_workers(self):
         run = run_dataset(dataset(DATASET), client_queries=0, workers=4)
         assert run.runtime_report.mode == "serial"
@@ -232,47 +184,8 @@ class TestSerialSharding:
 
 
 class TestPoolDeterminism:
-    def test_pool_capture_identical_to_serial(self, serial_run):
-        pooled = run_dataset(dataset(DATASET), client_queries=QUERIES, workers=3)
-        report = pooled.runtime_report
-        assert report.mode == "process-pool"
-        assert report.shard_count == 3
-        assert report.failures == 0
-        assert_views_equal(serial_run.capture.view(), pooled.capture.view())
-        assert sim_counters(serial_run.telemetry) == sim_counters(pooled.telemetry)
-        assert pooled.client_queries_run == serial_run.client_queries_run
-
-    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-    @pytest.mark.parametrize("stream", [False, True], ids=["memory", "stream"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_mode_matches_the_serial_in_memory_run(
-        self, serial_run, serial_trace_ids, workers, stream, trace
-    ):
-        """One pipeline: backend, capture residency and tracing are
-        configuration, and none of them may show in the results."""
-        run = run_dataset(
-            dataset(DATASET), client_queries=QUERIES, workers=workers,
-            stream=stream, trace=TRACE_SAMPLE if trace else 0.0,
-        )
-        report = run.runtime_report
-        assert report.mode == ("process-pool" if workers > 1 else "serial")
-        assert report.shard_count == workers and report.failures == 0
-        assert sum(outcome.rows for outcome in report.outcomes) == len(run.capture)
-        assert_views_equal(serial_run.capture.view(), run.capture.view())
-        assert sim_counters(serial_run.telemetry) == sim_counters(run.telemetry)
-        assert run.client_queries_run == serial_run.client_queries_run
-        assert isinstance(run.capture, SpooledCapture)
-        assert bool(run.capture.spool.chunk_paths()) == stream
-        assert (run.aggregates is not None) == stream
-        assert run.telemetry.gauges["runtime.stream.enabled"] == (1 if stream else 0)
-        if trace:
-            assert [t["id"] for t in run.traces.traces] == serial_trace_ids
-            assert run.telemetry.counters["trace.queries_sampled"] == len(serial_trace_ids)
-        else:
-            assert run.traces is None
-
-    def test_pool_runtime_telemetry(self, serial_run):
-        pooled = run_dataset(dataset(DATASET), client_queries=QUERIES, workers=2)
+    def test_pool_runtime_telemetry(self):
+        pooled = run_dataset(dataset(DATASET), client_queries=600, workers=2)
         snap = pooled.telemetry
         assert snap.counters["runtime.shards_total"] == 2
         assert "runtime.shard.0" in snap.phases
@@ -286,10 +199,18 @@ class TestPoolDeterminism:
         assert shard_queries == pooled.client_queries_run
 
 
+#: Recovered runs are held to this case's literal in the oracle's table.
+RECOVERED = "nz-w2019"
+
+
+def recovered_run(config):
+    descriptor, queries, __, seed = CASES[RECOVERED]
+    return run_dataset(descriptor, seed=seed, client_queries=queries, config=config)
+
+
 class TestFaultRecovery:
-    def test_crashed_shard_falls_back_serially(self, serial_run):
-        config = RunConfig.resolve(workers=2, inject_faults={0: "crash"})
-        run = run_dataset(dataset(DATASET), client_queries=QUERIES, config=config)
+    def test_crashed_shard_falls_back_serially(self):
+        run = recovered_run(RunConfig.resolve(workers=2, inject_faults={0: "crash"}))
         report = run.runtime_report
         assert report.failures == 0
         assert report.retries == 1       # retried once on the pool (crashed again)
@@ -297,19 +218,18 @@ class TestFaultRecovery:
         assert report.outcomes[0].fallback
         assert run.telemetry.counters["runtime.shard_fallbacks"] == 1
         assert run.telemetry.counters["runtime.shard_retries"] == 1
-        assert_views_equal(serial_run.capture.view(), run.capture.view())
+        assert view_digest(run.capture.view()) == ORACLE[RECOVERED]["capture"]
 
-    def test_hung_shard_times_out_and_falls_back(self, serial_run):
-        config = RunConfig.resolve(
+    def test_hung_shard_times_out_and_falls_back(self):
+        run = recovered_run(RunConfig.resolve(
             workers=2, shard_timeout_s=1.5, retries=0,
             inject_faults={0: "hang"},
-        )
-        run = run_dataset(dataset(DATASET), client_queries=QUERIES, config=config)
+        ))
         report = run.runtime_report
         assert report.failures == 0
         assert report.fallbacks >= 1
         assert run.telemetry.counters["runtime.shard_fallbacks"] >= 1
-        assert_views_equal(serial_run.capture.view(), run.capture.view())
+        assert view_digest(run.capture.view()) == ORACLE[RECOVERED]["capture"]
 
 
 def _shard_tasks(count=2, queries=60, descriptor=None):
@@ -418,27 +338,6 @@ class TestShardExecutorAccounting:
         assert metrics.snapshot().counters["runtime.shard_failures"] == 1
 
 
-class TestExperimentParity:
-    def test_pooled_context_renders_the_serial_reports(self):
-        """``ExperimentContext(workers=2)`` shards every simulation it runs;
-        the reports built on top must not be able to tell."""
-        from repro.experiments import figure1, table5
-        from repro.experiments.context import ExperimentContext
-
-        serial_ctx = ExperimentContext(scale=0.01, workers=1)
-        pool_ctx = ExperimentContext(scale=0.01, workers=2)
-        assert (
-            figure1.run_vantage(serial_ctx, "nz").to_text()
-            == figure1.run_vantage(pool_ctx, "nz").to_text()
-        )
-        assert (
-            table5.run_vantage_year(serial_ctx, "nz", 2018).to_text()
-            == table5.run_vantage_year(pool_ctx, "nz", 2018).to_text()
-        )
-        assert serial_ctx.run("nz-w2018").runtime_report.mode == "serial"
-        assert pool_ctx.run("nz-w2018").runtime_report.mode == "process-pool"
-
-
 def _vector_keys(snapshot):
     return sorted(
         key
@@ -461,10 +360,9 @@ class TestVectorKeywordStub:
         with pytest.raises(ValueError, match="vector core was removed"):
             ExperimentContext(scale=0.01, vector=True)
 
-    def test_falsy_value_publishes_constant_gauge(self, serial_run):
-        # serial_run left ``vector`` at its default, None.
-        explicit = run_dataset(dataset(DATASET), client_queries=60, vector=False)
-        for run in (serial_run, explicit):
+    def test_falsy_value_publishes_constant_gauge(self):
+        for vector in (None, False):
+            run = run_dataset(dataset(DATASET), client_queries=60, vector=vector)
             assert _vector_keys(run.telemetry) == ["runtime.vector.enabled"]
             assert run.telemetry.gauges["runtime.vector.enabled"] == 0
 
@@ -531,7 +429,7 @@ class TestEnvDefaults:
         from repro.experiments.context import ExperimentContext
 
         for field, bad in (
-            ("workers", 0), ("shard_count", 0), ("shard_timeout_s", 0.0),
+            ("workers", 0), ("shard_timeout_s", 0.0),
             ("retries", -1), ("progress_interval_s", 0.0), ("trace", 2.0),
         ):
             with pytest.raises(ValueError, match=field):

@@ -26,6 +26,8 @@ from repro.capture import (
 from repro.capture.spool import chunk_name, read_chunk, write_chunk
 from repro.netsim import IPAddress
 
+from .helpers import assert_views_equal
+
 record_st = st.builds(
     lambda ts, server, fam, val, transport, qname, qtype, rcode, bufsize,
     do_bit, size, truncated, rtt: QueryRecord(
@@ -65,14 +67,6 @@ def records_to_view(records):
     store = CaptureStore()
     store.extend(records)
     return store.view()
-
-
-def assert_views_equal(a, b):
-    for name in type(a).__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype, f"column {name}: {x.dtype} != {y.dtype}"
-        equal_nan = name == "tcp_rtt_ms"
-        assert np.array_equal(x, y, equal_nan=equal_nan), f"column {name} differs"
 
 
 class TestChunkRoundTrip:

@@ -1,36 +1,23 @@
-"""Golden parity: how a capture was chunked must not show in the numbers.
+"""Streaming mode: where a run's chunks live and where its aggregate
+state comes from.
 
-Every figure/table answer comes from the same aggregators; what differs
-between execution modes is how their state was obtained — one feed of
-the resident view, a chunk-by-chunk fold while spooling, or per-shard
-folds merged across pool workers.  The answers — and the materialised
-capture itself — must be equal *exactly* (same floats, same dtypes)
-whether the run was serial, pooled, or degraded by a chaos schedule, and
-must be the bytes the whole-view reducers produced before they were
-deleted (:data:`PARENT_DIGESTS`) over the rows the row-tuple merge and
-its canonical sort produced before *they* were
-(:data:`PARENT_VIEW_DIGESTS`).  Report telemetry (wall times, counter
-deltas) is excluded from the comparison by design; everything else is.
+A resident run keeps its shards' columnar chunks in memory and its
+facade folds them on first read; a streamed run spills them to chunk
+files and carries the state its shards folded while writing.  That both
+give the same capture and the same answers is pinned once, in
+``test_oracle``; this module holds what differs between the two by
+design — the shape of the run, the files it leaves, the memory its
+parent needs — and that the examples cannot tell them apart.
 """
 
-import dataclasses
-import hashlib
-import json
 import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.analysis import Attributor, DatasetAnalytics
-from repro.capture import SpooledCapture
-from repro.clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
-from repro.experiments import ExperimentContext
-from repro.experiments.render_all import collect_all
-from repro.faults import chaos_scenario
+from repro.analysis import DatasetAnalytics
 from repro.sim import run_dataset
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
@@ -39,225 +26,29 @@ DATASET = "nl-w2020"
 QUERIES = 900
 SEED = 20201027
 
-#: blake2b-128 over the canonical JSON of every facade answer
-#: (:func:`facade_answers`), recorded at commit a299f2c from the facade's
-#: view backend — the whole-view reducers in ``analysis/metrics.py``,
-#: ``qmin.py``, ``edns.py``, ``google_split.py`` and the two ``*_report``
-#: helpers — over a serial in-memory run of QUERIES client queries at SEED.
-#: Those functions are gone; these are the bytes they produced.
-PARENT_DIGESTS = {
-    "nl-w2020": "47beeebc5b2891c5333651fd8b1b1b2e",
-    "nz-w2019": "fac279e47962dc0386d8ed4e79ef5748",
-    "root-2020": "1225f901bdf34ec157cde0a0131445bc",
-}
 
-#: blake2b-128 over every column of ``run.capture.view()``
-#: (:func:`view_digest`), recorded at commit 984449e from the same serial
-#: in-memory runs — ``CaptureStore.merge`` of the shards' row tuples,
-#: ``sort_canonical`` on the tuple list, then one freeze — plus one run
-#: under the ``heavy-loss`` chaos schedule.  That path is gone; the one
-#: remaining sort (``SpooledCapture.view``) must order the same rows the
-#: same way wherever the chunks lived and however the fleet was sharded.
-PARENT_VIEW_DIGESTS = {
-    "nl-w2020": "b645f5d0c14f428a680d1d5f5fe5d073",
-    "nz-w2019": "f7ca472098680ce770097157b5eb0342",
-    "root-2020": "0446a33b542a7e3dc5900a2b2ed3f245",
-    "nl-w2020+heavy-loss": "6e46d648306709db262b7af3b4a37570",
-}
-
-#: How a run obtains its aggregator state.  Pinned explicitly everywhere
-#: in this module so the comparison stays serial-in-memory vs streaming
-#: even when the suite itself runs under REPRO_STREAM=1 / REPRO_WORKERS=2.
-MODES = {
-    "memory": dict(workers=1, stream=False),
-    "stream": dict(workers=1, stream=True),
-    "pooled": dict(workers=2, stream=True),
-    "sharded-memory": dict(workers=1, shard_count=3, stream=False),
-    "pooled-memory": dict(workers=2, stream=False),
-}
-
-#: Scale for the full-report golden comparison (slow lane).
-GOLDEN_SCALE = 0.02
-GOLDEN_SEED = 7
-
-
-def assert_deep_equal(a, b, path="$"):
-    """Bit-strict structural equality over dataclasses/dicts/arrays."""
-    assert type(a) is type(b), f"{path}: {type(a).__name__} != {type(b).__name__}"
-    if isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype, f"{path}: dtype {a.dtype} != {b.dtype}"
-        equal_nan = a.dtype.kind == "f"
-        assert np.array_equal(a, b, equal_nan=equal_nan), f"{path}: arrays differ"
-    elif dataclasses.is_dataclass(a):
-        for field in dataclasses.fields(a):
-            assert_deep_equal(
-                getattr(a, field.name), getattr(b, field.name),
-                f"{path}.{field.name}",
-            )
-    elif isinstance(a, dict):
-        assert a.keys() == b.keys(), f"{path}: keys {a.keys()} != {b.keys()}"
-        for key in a:
-            assert_deep_equal(a[key], b[key], f"{path}[{key!r}]")
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b), f"{path}: length {len(a)} != {len(b)}"
-        for index, (x, y) in enumerate(zip(a, b)):
-            assert_deep_equal(x, y, f"{path}[{index}]")
-    elif isinstance(a, float) and np.isnan(a) and np.isnan(b):
-        pass
-    else:
-        assert a == b, f"{path}: {a!r} != {b!r}"
-
-
-def assert_views_equal(a, b):
-    for name in type(a).__dataclass_fields__:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype, f"column {name}: dtype differs"
-        equal_nan = name == "tcp_rtt_ms"
-        assert np.array_equal(x, y, equal_nan=equal_nan), f"column {name} differs"
-
-
-def view_digest(view):
-    """blake2b-128 over every column, in field order (name, dtype, bytes;
-    string columns NUL-joined)."""
-    digest = hashlib.blake2b(digest_size=16)
-    for name in type(view).__dataclass_fields__:
-        column = getattr(view, name)
-        digest.update(f"{name}:{column.dtype}:".encode())
-        if column.dtype == object:
-            digest.update("\0".join(column.tolist()).encode())
-        else:
-            digest.update(np.ascontiguousarray(column).tobytes())
-    return digest.hexdigest()
-
-
-def one_feed_analytics(run):
-    """The facade over the run's whole view, built the way
-    ExperimentContext does for an in-memory run: one chunk, one feed."""
-    view = run.capture.view()
-    return DatasetAnalytics.over(
-        view, Attributor(run.registry, PROVIDERS).attribute(view)
+def simulate(workers, stream):
+    """Modes are pinned explicitly, whatever REPRO_WORKERS / REPRO_STREAM
+    the suite runs under."""
+    return run_dataset(
+        dataset(DATASET), client_queries=QUERIES, seed=SEED,
+        workers=workers, stream=stream,
     )
 
 
-def facade_answers(analytics):
-    """Every facade answer, keyed for canonical JSON."""
-    return {
-        "provider_shares": analytics.provider_shares(PROVIDERS),
-        "cloud_share": analytics.cloud_share(PROVIDERS),
-        "junk_ratios": analytics.junk_ratios(PROVIDERS),
-        "overall_junk_ratio": analytics.overall_junk_ratio(),
-        "transport_matrix": analytics.transport_matrix(PROVIDERS),
-        "truncation_table": analytics.truncation_table(PROVIDERS),
-        "google_split": analytics.google_split(GOOGLE_PUBLIC_DNS_PREFIXES),
-        "dataset_summary": analytics.dataset_summary(),
-        "per_provider": {
-            provider: {
-                "rrtype_mix": analytics.rrtype_mix(provider),
-                "bufsize_cdf": analytics.bufsize_cdf(provider),
-                "truncation_ratio": analytics.truncation_ratio(provider),
-                "tcp_share": analytics.tcp_share(provider),
-                "resolver_inventory": analytics.resolver_inventory(provider),
-                "ns_share": analytics.ns_share(provider),
-                "minimized_fraction": analytics.minimized_fraction(provider, 1),
-                "monthly_point": analytics.monthly_point(provider, 2020, 1),
-            }
-            for provider in PROVIDERS
-        },
-        "sovereignty": analytics.sovereignty(),
-        "composition": analytics.composition(),
-    }
-
-
-def _plain(value):
-    if dataclasses.is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return {"dtype": str(value.dtype), "values": value.tolist()}
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(type(value).__name__)
-
-
-def answers_digest(answers):
-    """blake2b-128 of the answers' canonical JSON (floats by ``repr``)."""
-    text = json.dumps(answers, sort_keys=True, default=_plain)
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-
-
-def assert_reducer_parity(one_feed, chunked):
-    """Every facade method (= every figure/table reducer) agrees exactly —
-    bar the heavy-hitter list, a space-saving summary that depends on
-    where the chunk boundaries fell (held to its bounds in
-    ``test_sovereignty_composition``)."""
-    expected, answers = facade_answers(one_feed), facade_answers(chunked)
-    answers["composition"].heavy_hitters = expected["composition"].heavy_hitters
-    assert_deep_equal(expected, answers)
+@pytest.fixture(scope="module")
+def mem_run():
+    return simulate(workers=1, stream=False)
 
 
 @pytest.fixture(scope="module")
-def simulated():
-    """``simulated(dataset_id, mode)``: each run simulated once per module."""
-    runs = {}
-
-    def get(dataset_id, mode):
-        key = (dataset_id, mode)
-        if key not in runs:
-            runs[key] = run_dataset(
-                dataset(dataset_id), client_queries=QUERIES, seed=SEED,
-                **MODES[mode],
-            )
-        return runs[key]
-
-    return get
-
-
-@pytest.fixture(scope="module")
-def mem_run(simulated):
-    return simulated(DATASET, "memory")
-
-
-@pytest.fixture(scope="module")
-def stream_run(simulated):
-    return simulated(DATASET, "stream")
-
-
-@pytest.mark.parametrize("dataset_id", sorted(PARENT_DIGESTS))
-class TestParentDigests:
-    """The deleted whole-view reducers live on as the bytes they answered
-    with: the one facade reproduces them however its state was obtained."""
-
-    def test_resident_view_reproduces_the_whole_view_bytes(self, simulated, dataset_id):
-        run = simulated(dataset_id, "memory")
-        assert view_digest(run.capture.view()) == PARENT_VIEW_DIGESTS[dataset_id]
-        answers = facade_answers(DatasetAnalytics.of(run))
-        assert answers_digest(answers) == PARENT_DIGESTS[dataset_id]
-
-    @pytest.mark.parametrize("mode", sorted(set(MODES) - {"memory"}))
-    def test_chunked_state_reproduces_them(self, simulated, dataset_id, mode):
-        """Wherever the chunks lived and whenever they were folded, the
-        one capture class and the one facade constructor give the parent's
-        rows and answers — bar the heavy-hitter list, as in
-        :func:`assert_reducer_parity`."""
-        run = simulated(dataset_id, mode)
-        assert isinstance(run.capture, SpooledCapture)
-        assert view_digest(run.capture.view()) == PARENT_VIEW_DIGESTS[dataset_id]
-        answers = facade_answers(DatasetAnalytics.of(run))
-        resident = one_feed_analytics(simulated(dataset_id, "memory"))
-        answers["composition"].heavy_hitters = resident.composition().heavy_hitters
-        assert answers_digest(answers) == PARENT_DIGESTS[dataset_id]
-
-
-@pytest.mark.parametrize("mode", ["memory", "pooled"])
-def test_chaos_rows_match_the_parent_too(mode):
-    descriptor = replace(dataset(DATASET), fault_plan=chaos_scenario("heavy-loss"))
-    run = run_dataset(descriptor, client_queries=QUERIES, seed=SEED, **MODES[mode])
-    assert view_digest(run.capture.view()) == PARENT_VIEW_DIGESTS[f"{DATASET}+heavy-loss"]
+def stream_run():
+    return simulate(workers=1, stream=True)
 
 
 class TestOneFacadeConstructor:
     """``DatasetAnalytics.of`` is the one place that asks whether a run
-    folded (:class:`TestParentDigests` holds its answers to the parent's
-    bytes either way)."""
+    folded (``test_oracle`` holds its answers to one literal either way)."""
 
     def test_of_books_what_it_did(self, mem_run, stream_run):
         resident, folded = MetricsRegistry(), MetricsRegistry()
@@ -293,77 +84,29 @@ class TestSerialParity:
         assert stream_run.capture.rows_appended == mem_run.capture.rows_appended
         assert stream_run.aggregates.rows_fed == len(stream_run.capture)
 
-    def test_materialised_view_bit_identical(self, mem_run, stream_run):
-        assert_views_equal(mem_run.capture.view(), stream_run.capture.view())
-
-    def test_all_reducers_bit_identical(self, mem_run, stream_run):
-        assert_reducer_parity(
-            one_feed_analytics(mem_run), DatasetAnalytics(stream_run.aggregates)
-        )
-
-    def test_streamed_view_answers_match_aggregates(self, stream_run):
-        """Materialising the spooled capture and feeding it whole agrees
-        with the state folded while it was spooled."""
-        assert_reducer_parity(
-            one_feed_analytics(stream_run), DatasetAnalytics(stream_run.aggregates)
-        )
-
 
 class TestPooledParity:
     @pytest.fixture(scope="class")
-    def pooled_run(self, simulated):
-        return simulated(DATASET, "pooled")
+    def pooled_run(self):
+        return simulate(workers=2, stream=True)
 
     def test_pool_was_used(self, pooled_run):
         assert pooled_run.runtime_report.mode == "process-pool"
         assert pooled_run.runtime_report.failures == 0
         assert pooled_run.aggregates is not None
 
-    def test_pooled_view_matches_serial_memory(self, mem_run, pooled_run):
-        assert_views_equal(mem_run.capture.view(), pooled_run.capture.view())
 
-    def test_pooled_reducers_match_serial_memory(self, mem_run, pooled_run):
-        assert_reducer_parity(
-            one_feed_analytics(mem_run), DatasetAnalytics(pooled_run.aggregates)
-        )
+class TestGoldenReports:
+    """The reports ``test_oracle`` holds to its one literal, whatever the
+    residency, are every figure and table of the paper."""
 
-
-class TestChaosParity:
-    """Fault injection must not break the streaming/in-memory equivalence:
-    the chaos schedule is a deterministic function of (scenario, seed), so
-    both modes observe the same degraded traffic."""
-
-    @pytest.fixture(scope="class")
-    def chaos_descriptor(self):
-        return replace(
-            dataset(DATASET), fault_plan=chaos_scenario("default-loss")
-        )
-
-    @pytest.fixture(scope="class")
-    def chaos_mem_run(self, chaos_descriptor):
-        return run_dataset(
-            chaos_descriptor, client_queries=QUERIES, seed=SEED,
-            workers=1, stream=False,
-        )
-
-    @pytest.fixture(scope="class")
-    def chaos_stream_run(self, chaos_descriptor):
-        return run_dataset(
-            chaos_descriptor, client_queries=QUERIES, seed=SEED,
-            workers=2, stream=True,
-        )
-
-    def test_chaos_views_bit_identical(self, chaos_mem_run, chaos_stream_run):
-        assert chaos_stream_run.runtime_report.mode == "process-pool"
-        assert_views_equal(
-            chaos_mem_run.capture.view(), chaos_stream_run.capture.view()
-        )
-
-    def test_chaos_reducers_bit_identical(self, chaos_mem_run, chaos_stream_run):
-        assert_reducer_parity(
-            one_feed_analytics(chaos_mem_run),
-            DatasetAnalytics(chaos_stream_run.aggregates),
-        )
+    def test_reports_cover_every_figure_and_table(self, serial_matrix):
+        reports, __ = serial_matrix
+        ids = {report.experiment_id for report in reports}
+        for expected in ("table2", "table3", "table4", "table6", "figure6"):
+            assert expected in ids
+        for prefix in ("figure1", "figure3", "figure5", "table5"):
+            assert any(i.startswith(prefix) for i in ids), prefix
 
 
 class TestSpoolDirectory:
@@ -452,34 +195,3 @@ def test_examples_answer_the_same_streamed(example, args):
         return proc.stdout
 
     assert stdout("0") == stdout("1") != ""
-
-
-@pytest.mark.slow
-class TestGoldenReports:
-    """The acceptance gate: every figure/table report, generated end to end
-    through the experiment runners, is identical with streaming on and off
-    (rows, series, and notes — telemetry stamps are run-specific)."""
-
-    @pytest.fixture(scope="class")
-    def report_pairs(self):
-        mem_ctx = ExperimentContext(scale=GOLDEN_SCALE, seed=GOLDEN_SEED, stream=False)
-        stream_ctx = ExperimentContext(scale=GOLDEN_SCALE, seed=GOLDEN_SEED, stream=True)
-        return list(zip(collect_all(mem_ctx), collect_all(stream_ctx)))
-
-    def test_reports_cover_every_figure_and_table(self, report_pairs):
-        ids = {mem.experiment_id for mem, __ in report_pairs}
-        for expected in ("table2", "table3", "table4", "table6", "figure6"):
-            assert expected in ids
-        assert any(i.startswith("figure1") for i in ids)
-        assert any(i.startswith("figure3") for i in ids)
-        assert any(i.startswith("figure5") for i in ids)
-        assert any(i.startswith("table5") for i in ids)
-
-    def test_every_report_bit_identical(self, report_pairs):
-        assert report_pairs
-        for mem_report, stream_report in report_pairs:
-            assert mem_report.experiment_id == stream_report.experiment_id
-            prefix = f"${mem_report.experiment_id}"
-            assert_deep_equal(mem_report.rows, stream_report.rows, f"{prefix}.rows")
-            assert_deep_equal(mem_report.series, stream_report.series, f"{prefix}.series")
-            assert_deep_equal(mem_report.notes, stream_report.notes, f"{prefix}.notes")

@@ -1,142 +1,48 @@
-"""World sharing (ISSUE 22): zones memoised per spec, fleets borrowed per
+"""World sharing: zones memoised per spec, fleets borrowed per
 ``(vantage, year, seed)`` and rewound, a per-dataset overlay on top.
 
-One oracle: whatever the process built or ran before, a dataset's capture
-and simulation counters equal those of the same run in a cold store and
-those of the reference path (``REPRO_ENV_CACHE=0``, every world built from
-scratch).  Plus the pieces that make it so — the rewind, the seal, the
-exclusive checkout — each on its own.
+That whatever the process built or ran before, a dataset's capture and
+simulation counters are the table's — in any order, and on the reference
+path (``REPRO_ENV_CACHE=0``, every world built from scratch) — is pinned
+in ``test_oracle`` (its world-store bag and its ``nostore`` rows).  Here:
+the pieces that make it so — the rewind, the seal, the exclusive
+checkout — each on its own.
 """
 
-import hashlib
 import multiprocessing
 import pickle
-from dataclasses import replace
 
 import pytest
 
 from repro.clouds import FleetResolver
 from repro.dnscore import ARdata, Name, RRType
-from repro.experiments import ExperimentContext
-from repro.experiments.render_all import collect_all
-from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
 from repro.sim import borrowed_environment, forget_worlds, run_dataset, worlds
 from repro.sim.driver import build_environment
 from repro.telemetry import MetricsRegistry
-from repro.workload import dataset, monthly_google_descriptor
+from repro.workload import dataset
 from repro.zones import RRset
+
+from .test_oracle import BAG_ORDERS, CASES, ORACLE, QMIN_OFF
 
 SEED = 20201027
 QUERIES = 400
 
-#: The Dec-2019 monthly run with Q-min forced *off*: the only override that
-#: differs from what its (2020) fleet was built with.
-QMIN_OFF = replace(
-    monthly_google_descriptor("nz", 2019, 12),
-    dataset_id="nz-google-qmin-off", qmin_override=False,
-)
-
-#: The bag: every way a descriptor can differ while sharing a fleet or a
-#: zone with another — two years of one vantage, Google-only cuts of each
-#: (one with the cyclic event), a Q-min override that really differs from
-#: the behaviour the fleet was built with (the paper's months never do),
-#: a fault plan — across both backends and both capture modes.
-BAG = {
-    "w2019": (dataset("nz-w2019"), dict(workers=1, stream=False)),
-    "w2020-pool": (dataset("nz-w2020"), dict(workers=2, stream=False)),
-    "google-2019-12-stream": (
-        monthly_google_descriptor("nz", 2019, 12), dict(workers=1, stream=True),
-    ),
-    "google-2020-02-cyclic-pool-stream": (
-        monthly_google_descriptor("nz", 2020, 2), dict(workers=2, stream=True),
-    ),
-    "google-qmin-off": (QMIN_OFF, dict(workers=1, stream=False)),
-    "google-qmin-off-pool": (QMIN_OFF, dict(workers=2, stream=False)),
-    "w2020": (dataset("nz-w2020"), dict(workers=1, stream=False)),
-    "w2020-heavy-loss": (
-        replace(dataset("nz-w2020"), fault_plan=chaos_scenario("heavy-loss")),
-        dict(workers=1, stream=False),
-    ),
-}
-
-ORDERS = {
-    "as-listed": list(BAG),
-    "reversed": list(reversed(BAG)),
-    # weekly → Q-min-off monthly → weekly again, then the rest
-    "override-between-weeklies": [
-        "w2020", "google-qmin-off", "w2020-heavy-loss", "w2020-pool",
-        "google-qmin-off-pool", "w2019", "google-2020-02-cyclic-pool-stream",
-        "google-2019-12-stream",
-    ],
-}
-
-
-def sim_counters(snapshot):
-    """The simulation-facing counters (the ``runtime.*`` bookkeeping — the
-    world stores' own hit/miss counts among it — and the counters only a
-    streaming run publishes legitimately differ)."""
-    return {
-        key: value for key, value in snapshot.counters.items()
-        if not key.startswith(("runtime.", "capture.spool.", "analysis.", "trace."))
-    }
-
-
-def capture_digest(run):
-    """blake2b over every column of the run's canonical capture."""
-    view = run.capture.view()
-    digest = hashlib.blake2b(digest_size=16)
-    for column in view.__dataclass_fields__:
-        values = getattr(view, column)
-        digest.update(column.encode())
-        if values.dtype == object:
-            digest.update("\x00".join(values.tolist()).encode())
-        else:
-            digest.update(values.tobytes())
-    return digest.hexdigest()
-
-
-def fingerprint(name):
-    """(capture blake2b, simulation counters) of one bag entry, run now."""
-    descriptor, how = BAG[name]
-    run = run_dataset(descriptor, seed=SEED, client_queries=QUERIES, **how)
-    return capture_digest(run), sim_counters(run.telemetry)
-
-
-@pytest.fixture(scope="module")
-def cold():
-    """Every bag entry run in a cold store."""
-    out = {}
-    for name in BAG:
-        forget_worlds()
-        out[name] = fingerprint(name)
-    forget_worlds()
-    return out
-
 
 class TestOrderIndependence:
-    @pytest.mark.parametrize("order", list(ORDERS))
-    def test_any_order_equals_cold_builds(self, cold, order, monkeypatch):
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
-        forget_worlds()
-        for name in ORDERS[order]:
-            assert fingerprint(name) == cold[name], (order, name)
-
-    def test_reference_path_equals_cold_builds(self, cold, monkeypatch):
-        monkeypatch.setenv("REPRO_ENV_CACHE", "0")
-        forget_worlds()
-        for name in BAG:
-            assert fingerprint(name) == cold[name], name
-        assert len(worlds.ZONES) == len(worlds.FLEETS) == 0
-
-    def test_the_bag_has_teeth(self, cold):
-        """The forced-off Q-min run differs from the paper's month, so a
-        leaked override would have shown in the weekly that follows it."""
-        assert cold["google-qmin-off"] != cold["google-2019-12-stream"]
-        assert cold["google-qmin-off"] == cold["google-qmin-off-pool"]
-        assert cold["w2020"] == cold["w2020-pool"]
-        assert cold["w2020"] != cold["w2020-heavy-loss"]
+    def test_the_bag_has_teeth(self):
+        """Both bag orders visit every ``.nz`` case, and the cases differ
+        where a leak would show: the forced-off Q-min month against its
+        paper twin, the weekly against its chaos twin."""
+        nz = sorted(case for case in CASES if case.startswith("nz-"))
+        assert all(sorted(order) == nz for order in BAG_ORDERS.values())
+        for a, b in (
+            ("nz-google-qmin-off", "nz-google-2019-12"),
+            ("nz-w2020", "nz-w2020+flaky-server"),
+        ):
+            assert ORACLE[a]["capture"] != ORACLE[b]["capture"]
+            assert ORACLE[a]["counters"] != ORACLE[b]["counters"]
 
 
 class TestBorrowing:
@@ -178,16 +84,13 @@ class TestBorrowing:
         worlds.return_fleet(first.fleet_part, metrics)
         worlds.return_fleet(second.fleet_part, metrics)
 
-    def test_collect_all_builds_each_world_once(self, monkeypatch):
+    def test_collect_all_builds_each_world_once(self, serial_matrix):
         """The whole matrix: nine (vantage, year) fleets, four registry
         zone specs and the root — the parent built 39 of each.  A miss in
         a store is a real build; the ``zone_build`` / ``fleet_build``
         phases open once per assembled environment."""
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
-        forget_worlds()
-        ctx = ExperimentContext(scale=0.005, workers=1, stream=False)
-        assert len(collect_all(ctx)) == 43
-        snapshot = ctx.telemetry.snapshot()
+        reports, snapshot = serial_matrix
+        assert len(reports) == 43
         assert snapshot.counter("runtime.env_cache.miss", part="fleet") <= 9
         assert snapshot.counter("runtime.env_cache.miss", part="zone") <= 5
         assert snapshot.counter("runtime.env_cache.hit", part="fleet") >= 30
@@ -223,13 +126,9 @@ class TestPoolWorkersBorrow:
         assert len(worlds.FLEETS) == 1  # parked once, by the parent, pristine
 
     def test_spawned_workers_build_their_own_parts(self, monkeypatch):
+        """What they build is held to the table by the oracle's spawned row."""
         spawned = self._pooled(monkeypatch, "spawn")
         assert spawned.telemetry.counter("runtime.env_cache.miss", part="fleet") >= 2
-        serial = run_dataset(
-            dataset("nz-w2018"), seed=SEED, client_queries=QUERIES,
-            workers=1, stream=False,
-        )
-        assert capture_digest(spawned) == capture_digest(serial)
 
 
 class TestSealedZones:
