@@ -20,7 +20,9 @@ Commands
     Live service mode: bind real UDP/TCP sockets answering DNS for the
     dataset's authority world (``dig @127.0.0.1 -p 5300 example.nl``),
     with an optional Prometheus ``/metrics`` listener.  ``--chaos`` and
-    ``--rrl`` apply their schedules to live traffic.
+    ``--rrl`` apply their schedules to live traffic.  A ``--topology``
+    file it cannot load or whose references do not resolve in the world
+    is a usage error (exit 2).
 ``loadgen``
     Replay workload-layer query streams against a running ``serve``
     instance and report q/s + latency percentiles (``--min-answered``
@@ -194,15 +196,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+def _file_error(path: str, exc: Exception) -> int:
+    """Report an input file the command cannot use: one line, exit 2."""
+    reason = getattr(exc, "strerror", None) or exc  # OSError: drop "[Errno n]"
+    print(f"repro: error: {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import summarize_trace_file
 
     try:
         summary = summarize_trace_file(args.trace_file, top=args.top)
     except (OSError, ValueError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # OSError: drop "[Errno n]"
-        print(f"repro: error: {args.trace_file}: {reason}", file=sys.stderr)
-        return 2
+        return _file_error(args.trace_file, exc)
     print(summary)
     return 0
 
@@ -307,11 +314,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ResilienceConfig,
         ServiceConfig,
         ServiceTopology,
+        TopologyError,
     )
 
     topology = None
     if args.topology:
-        topology = ServiceTopology.from_json_file(args.topology)
+        try:
+            topology = ServiceTopology.from_json_file(args.topology)
+        except (OSError, ValueError) as exc:
+            return _file_error(args.topology, exc)
     rrl = None
     if args.rrl and args.rrl > 0:
         rrl = RRLConfig(responses_per_second=args.rrl, burst=2.0 * args.rrl)
@@ -338,9 +349,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         resilience=resilience,
     )
 
-    async def _serve() -> None:
+    async def _serve() -> int:
         service = DnsService(config)
-        await service.start()
+        try:
+            await service.start()
+        except TopologyError as exc:
+            # Only a loaded topology can fail: its references are checked
+            # against the world, which exists only now.
+            return _file_error(args.topology, exc)
         ports = service.ports()
         if args.port_file:
             with open(args.port_file, "w") as handle:
@@ -371,9 +387,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             write_prometheus(snapshot, args.metrics_out)
             print(f"wrote Prometheus metrics to {args.metrics_out}", file=sys.stderr)
+        return 0
 
-    asyncio.run(_serve())
-    return 0
+    return asyncio.run(_serve())
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
