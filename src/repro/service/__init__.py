@@ -51,6 +51,7 @@ from .soak import (
     scrape_metrics,
 )
 from .topology import (
+    MAX_ROUTE_UPSTREAMS,
     MAX_TIER_HOPS,
     POLICY_SINKS,
     ClientGroup,
@@ -95,6 +96,7 @@ __all__ = [
     "run_soak",
     "run_soak_sync",
     "scrape_metrics",
+    "MAX_ROUTE_UPSTREAMS",
     "MAX_TIER_HOPS",
     "POLICY_SINKS",
     "ClientGroup",

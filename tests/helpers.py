@@ -1,14 +1,20 @@
-"""What the suite compares runs by: capture views, simulation counters and
-trace exports, each reduced the one way every module reduces it.
+"""What the suite compares runs by: capture views, simulation counters,
+trace exports and plain values, each reduced the one way every module
+reduces it; and the hand-built service topology the live-path suites share.
 
 :func:`view_digest` and :func:`assert_views_equal` are dtype-strict — a
 column that keeps its values but changes its type is a different capture.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
+
+from repro.dnscore import Name
+from repro.netsim import Prefix
+from repro.service import ClientGroup, ForwardingTier, ForwardRule, ServiceTopology
 
 #: The scale every whole-matrix test renders the paper's reports at.
 REPORT_SCALE = 0.005
@@ -17,6 +23,21 @@ REPORT_SCALE = 0.005
 def digest(text):
     """blake2b-128 of ``text``."""
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return {"dtype": str(value.dtype), "values": value.tolist()}
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(type(value).__name__)
+
+
+def canonical_digest(value):
+    """blake2b-128 of ``value``'s canonical JSON (floats by ``repr``)."""
+    return digest(json.dumps(value, sort_keys=True, default=_plain))
 
 
 def view_digest(view):
@@ -66,3 +87,39 @@ def chrome_bytes(run):
     return json.dumps(
         run.traces.to_chrome_trace(), sort_keys=True, separators=(",", ":"),
     )
+
+
+#: Every route shape of the live service: a ``tier:`` hop, a single server
+#: (``auth:nl/nl-a``), both policy sinks, and clients split by family.
+HAND_BUILT = ServiceTopology(
+    tiers=(
+        ForwardingTier(
+            name="edge",
+            rules=(
+                ForwardRule(Name.from_text("internal.invalid."), "refused"),
+                ForwardRule(Name.from_text("blocked.nl."), "nxdomain"),
+                ForwardRule(Name.from_text("nl."), "tier:authority"),
+            ),
+            upstreams=("auth:root",),
+        ),
+        ForwardingTier(
+            name="lan",
+            rules=(ForwardRule(Name.from_text("internal.invalid."), "nxdomain"),),
+            upstreams=("tier:edge",),
+        ),
+        ForwardingTier(
+            name="v6",
+            rules=(ForwardRule(Name.from_text("nl."), "auth:nl/nl-a"),),
+            upstreams=("tier:authority",),
+        ),
+        ForwardingTier(
+            name="authority",
+            upstreams=("auth:nl/nl-b", "auth:nl", "auth:root"),
+        ),
+    ),
+    groups=(
+        ClientGroup("lan", (Prefix.parse("198.51.100.0/24"),), "lan"),
+        ClientGroup("v6", (Prefix.parse("2001:db8::/32"),), "v6"),
+    ),
+    default_tier="edge",
+)

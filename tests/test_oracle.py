@@ -12,13 +12,10 @@ prints the new digest.  Re-recording is editing that one literal and
 saying why in CHANGES.md.
 """
 
-import dataclasses
 import itertools
-import json
 from dataclasses import replace
 from typing import NamedTuple
 
-import numpy as np
 import pytest
 
 from repro.analysis import Attributor, DatasetAnalytics
@@ -30,7 +27,14 @@ from repro.faults import FaultPlan, chaos_scenario
 from repro.sim import forget_worlds, run_dataset
 from repro.workload import dataset, monthly_google_descriptor
 
-from .helpers import REPORT_SCALE, chrome_bytes, digest, sim_counters, view_digest
+from .helpers import (
+    REPORT_SCALE,
+    canonical_digest,
+    chrome_bytes,
+    digest,
+    sim_counters,
+    view_digest,
+)
 
 SEED = 20201027
 
@@ -222,21 +226,6 @@ def facade_answers(analytics):
         "sovereignty": analytics.sovereignty(),
         "composition": analytics.composition(),
     }
-
-
-def _plain(value):
-    if dataclasses.is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return {"dtype": str(value.dtype), "values": value.tolist()}
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(type(value).__name__)
-
-
-def canonical_digest(value):
-    """blake2b-128 of ``value``'s canonical JSON (floats by ``repr``)."""
-    return digest(json.dumps(value, sort_keys=True, default=_plain))
 
 
 def columns(run):
