@@ -54,9 +54,10 @@ class AttributionResult:
 class Attributor:
     """Caches per-address lookups over a registry.
 
-    Address→AS lookups are memoised (captures contain the same sources many
-    times), making attribution of a million-row view a few hundred
-    thousand trie walks at most.
+    Captures contain the same sources many times, so :meth:`attribute`
+    looks each distinct source of a view up once and fans the labels out
+    to its rows; the address→AS lookups themselves are memoised across
+    views, so each source costs one trie walk per attributor.
     """
 
     def __init__(self, registry: ASRegistry, cloud_providers: Sequence[str]):
@@ -82,20 +83,21 @@ class Attributor:
         return result
 
     def attribute(self, view: CaptureView) -> AttributionResult:
-        """Label every row of a capture view."""
-        n = len(view)
-        providers = np.empty(n, dtype=object)
-        countries = np.empty(n, dtype=object)
-        asns = np.zeros(n, dtype=np.int64)
-        family, hi, lo = view.family, view.src_hi, view.src_lo
+        """Label every row of a capture view: one :meth:`_lookup` per
+        distinct source, fanned out to its rows."""
+        keys = list(zip(view.family.tolist(), view.src_hi.tolist(), view.src_lo.tolist()))
+        distinct = dict.fromkeys(keys)
+        for position, key in enumerate(distinct):
+            distinct[key] = position
+        inverse = np.array([distinct[key] for key in keys], dtype=np.intp)
         lookup = self._lookup
-        for i in range(n):
-            asn, label, country = lookup(int(family[i]), int(hi[i]), int(lo[i]))
-            asns[i] = asn
-            providers[i] = label
-            countries[i] = country
+        asns, providers, countries = (
+            zip(*[lookup(*key) for key in distinct]) if distinct else ((), (), ())
+        )
         return AttributionResult(
-            providers=providers, asns=asns, countries=countries
+            providers=np.array(providers, dtype=object)[inverse],
+            asns=np.array(asns, dtype=np.int64)[inverse],
+            countries=np.array(countries, dtype=object)[inverse],
         )
 
     def provider_of_address(self, address: IPAddress) -> str:

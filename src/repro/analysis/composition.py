@@ -199,9 +199,9 @@ class CompositionAggregator(StreamingAggregator):
                     count
                 )
         names, name_counts = np.unique(view.qname.astype(str), return_counts=True)
-        for qname, count in zip(names.tolist(), name_counts.tolist()):
-            self.hot_names.feed(qname, int(count))
-            self.name_counts.feed(qname, int(count))
+        names = names.tolist()
+        self.hot_names.feed_many(names, name_counts.tolist())
+        self.name_counts.feed_many(names, name_counts)
 
     def merge(self, other: "CompositionAggregator") -> None:
         _require_same_config(self, other)

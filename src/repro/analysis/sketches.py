@@ -104,39 +104,48 @@ class SpaceSavingSketch:
 
     def feed(self, item: str, count: int = 1) -> None:
         """Add ``count`` observations of ``item``."""
-        if count <= 0:
-            return
-        count = int(count)
-        self.total += count
-        self.updates += 1
-        entry = self._entries.get(item)
-        if entry is not None:
-            entry[0] += count
-            return
-        entries, heap = self._entries, self._heap
-        if len(entries) < self.capacity:
-            entries[item] = [count, 0, self._seq]
-            heapq.heappush(heap, (count, self._seq, item))
-            self._seq += 1
-            return
-        # Refresh lagging tops until the top is current.  Every other stored
-        # pair is at most its item's real one, so a current top is the true
-        # minimum ``(count, insertion_seq)``.
-        while True:
-            floor, seq, victim = heap[0]
-            current = entries[victim][0]
-            if current == floor:
-                break
-            heapq.heapreplace(heap, (current, seq, victim))
-        del entries[victim]
-        entries[item] = [floor + count, floor, self._seq]
-        heapq.heapreplace(heap, (floor + count, self._seq, item))
-        self._seq += 1
-        self.evictions += 1
+        self.feed_many((item,), (count,))
 
     def feed_many(self, items: Sequence[str], counts: Sequence[int]) -> None:
+        """Add ``counts[i]`` observations of ``items[i]``, in order — the
+        same summary as feeding them one by one.  Non-positive counts are
+        skipped."""
+        entries, heap, capacity = self._entries, self._heap, self.capacity
+        heappush, heapreplace = heapq.heappush, heapq.heapreplace
+        seq, total, updates, evictions = self._seq, 0, 0, 0
         for item, count in zip(items, counts):
-            self.feed(item, int(count))
+            if count <= 0:
+                continue
+            count = int(count)
+            total += count
+            updates += 1
+            entry = entries.get(item)
+            if entry is not None:
+                entry[0] += count
+                continue
+            if len(entries) < capacity:
+                entries[item] = [count, 0, seq]
+                heappush(heap, (count, seq, item))
+                seq += 1
+                continue
+            # Refresh lagging tops until the top is current.  Every other
+            # stored pair is at most its item's real one, so a current top
+            # is the true minimum ``(count, insertion_seq)``.
+            while True:
+                floor, victim_seq, victim = heap[0]
+                current = entries[victim][0]
+                if current == floor:
+                    break
+                heapreplace(heap, (current, victim_seq, victim))
+            del entries[victim]
+            entries[item] = [floor + count, floor, seq]
+            heapreplace(heap, (floor + count, seq, item))
+            seq += 1
+            evictions += 1
+        self._seq = seq
+        self.total += total
+        self.updates += updates
+        self.evictions += evictions
 
     # -- queries ---------------------------------------------------------------
 
@@ -245,7 +254,9 @@ class CountMinSketch:
     most ``δ = e^−depth`` per query.  The table is a plain int64 numpy
     array; ``merge`` is element-wise addition, so partition == whole holds
     *bit-exactly* and the sketch participates in the registry's exact
-    algebra property tests unchanged.
+    algebra property tests unchanged.  For the same reason a batch feed
+    (:meth:`feed_many`) and the same items fed one at a time give
+    identical tables.
     """
 
     def __init__(self, width: int = 1024, depth: int = 4, seed: int = 0):
@@ -289,16 +300,33 @@ class CountMinSketch:
     # -- feeding ---------------------------------------------------------------
 
     def feed(self, item: str, count: int = 1) -> None:
-        if count <= 0:
-            return
-        self.total += int(count)
-        self.updates += 1
-        for row, index in enumerate(self._indices(item)):
-            self.table[row, index] += int(count)
+        self.feed_many((item,), (count,))
 
     def feed_many(self, items: Sequence[str], counts: Sequence[int]) -> None:
-        for item, count in zip(items, counts):
-            self.feed(item, int(count))
+        """Add ``counts[i]`` observations of ``items[i]`` in one bulk step
+        per hash row; non-positive counts are skipped.  Each item is
+        encoded once, and its bucket in every row is the one
+        :meth:`_indices` names."""
+        counts = np.asarray(counts, dtype=np.int64)
+        keep = counts > 0
+        if not keep.all():
+            items = [item for item, kept in zip(items, keep.tolist()) if kept]
+            counts = counts[keep]
+        if not len(counts):
+            return
+        self.total += int(counts.sum())
+        self.updates += len(counts)
+        data = [item.encode("utf-8", "surrogateescape") for item in items]
+        blake2b, width = hashlib.blake2b, np.uint64(self.width)
+        for row, key in enumerate(self._keys):
+            digests = b"".join(
+                [blake2b(d, digest_size=8, key=key).digest() for d in data]
+            )
+            # ``np.add.at``, not fancy ``+=``: two items landing in one
+            # bucket within a batch must both count.
+            np.add.at(
+                self.table[row], np.frombuffer(digests, dtype="<u8") % width, counts
+            )
 
     # -- queries ---------------------------------------------------------------
 

@@ -50,7 +50,10 @@ def _address_key_set(
     view: CaptureView, mask: Optional[np.ndarray] = None
 ) -> Set[AddressKey]:
     """Distinct (family, hi, lo) keys under a mask, as plain int tuples."""
-    return set(np.unique(view.address_keys(mask)).tolist())
+    columns = (view.family, view.src_hi, view.src_lo)
+    if mask is not None:
+        columns = tuple(column[mask] for column in columns)
+    return set(zip(*(column.tolist() for column in columns)))
 
 
 def _require_same_config(a, b) -> None:

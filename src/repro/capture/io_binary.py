@@ -48,20 +48,36 @@ _NUMERIC_COLUMNS = (
 
 
 def _encode_strings(values: np.ndarray):
-    """Object array of str → (uint8 pool, int64 offsets)."""
-    encoded = [str(v).encode("utf-8") for v in values]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    for i, blob in enumerate(encoded):
-        offsets[i + 1] = offsets[i] + len(blob)
-    pool = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
+    """Object array of str → (uint8 pool, int64 offsets).
+
+    The column is encoded as one joined string; when that is all ASCII
+    (byte length == character length) every string's byte length is its
+    character length, so the offsets follow without encoding strings one
+    by one."""
+    strings = list(map(str, values.tolist()))
+    blob = "".join(strings).encode("utf-8")
+    lengths = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    if len(blob) != int(lengths.sum()):
+        encoded = [s.encode("utf-8") for s in strings]
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    pool = np.frombuffer(blob, dtype=np.uint8).copy()
     return pool, offsets
 
 
 def _decode_strings(pool: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_encode_strings`: the pool is decoded once and
+    sliced by character offsets when it is all ASCII."""
     raw = pool.tobytes()
-    out = np.empty(len(offsets) - 1, dtype=object)
-    for i in range(len(out)):
-        out[i] = raw[offsets[i] : offsets[i + 1]].decode("utf-8")
+    text = raw.decode("utf-8")
+    bounds = offsets.tolist()
+    if len(text) == len(raw):
+        strings = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    else:
+        strings = [raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    out = np.empty(len(strings), dtype=object)
+    out[:] = strings
     return out
 
 

@@ -8,6 +8,7 @@ expectations here are the aggregators' hand-computed truth.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -107,6 +108,70 @@ class TestAttribution:
         view = build([rec(GOOGLE_V6)])
         result = attributor.attribute(view)
         assert result.providers[0] == "Google"
+
+
+class TestAttributeOncePerSource:
+    """``attribute`` looks each distinct source up once and fans the labels
+    out; row by row it must say what a per-row ``_lookup`` says."""
+
+    SOURCES = [
+        GOOGLE, AMAZON, GOOGLE, OTHER_ISP, GOOGLE_V6, "203.0.113.9",
+        AMAZON, GOOGLE_V6, GOOGLE, "2001:db8::1", "203.0.113.9",
+    ]
+
+    @pytest.fixture
+    def fresh(self):
+        registry = ASRegistry()
+        registry.register(ASInfo(15169, "GOOGLE", "Google", "US"))
+        registry.register(ASInfo(16509, "AMAZON", "Amazon", "IE"))
+        registry.register(ASInfo(64500, "ISP", "SomeISP", "NL"))
+        registry.announce(15169, Prefix.parse("8.8.8.0/24"))
+        registry.announce(15169, Prefix.parse("2001:4860::/32"))
+        registry.announce(16509, Prefix.parse("52.0.0.0/13"))
+        registry.announce(64500, Prefix.parse("198.51.100.0/24"))
+        return Attributor(registry, PROVIDERS)
+
+    @staticmethod
+    def per_row(attributor, view):
+        rows = [
+            attributor._lookup(int(f), int(h), int(l))
+            for f, h, l in zip(view.family, view.src_hi, view.src_lo)
+        ]
+        return [[row[column] for row in rows] for column in range(3)]
+
+    def test_equals_per_row_lookup(self, fresh):
+        view = build([rec(src) for src in self.SOURCES])
+        result = fresh.attribute(view)
+        asns, providers, countries = self.per_row(fresh, view)
+        assert result.asns.tolist() == asns
+        assert result.providers.tolist() == providers
+        assert result.countries.tolist() == countries
+        assert providers[5] == "Unknown" and countries[5] == "ZZ"
+        assert countries[:4] == ["US", "IE", "US", "NL"]
+
+    @pytest.mark.parametrize("sources", [SOURCES, []], ids=["mixed", "empty"])
+    def test_dtypes(self, fresh, sources):
+        result = fresh.attribute(build([rec(src) for src in sources]))
+        assert result.providers.dtype == object
+        assert result.countries.dtype == object
+        assert result.asns.dtype == np.int64
+        assert len(result.providers) == len(result.asns) == len(sources)
+
+    def test_one_lookup_per_distinct_source(self, fresh):
+        view = build([rec(src) for src in self.SOURCES])
+        calls = Counter()
+        lookup = fresh._lookup
+
+        def counting(*key):
+            calls[key] += 1
+            return lookup(*key)
+
+        fresh._lookup = counting
+        for _ in range(2):
+            calls.clear()
+            fresh.attribute(view)
+            assert len(calls) == len(set(self.SOURCES))
+            assert set(calls.values()) == {1}
 
 
 class TestShares:

@@ -80,6 +80,18 @@ any_stream_st = st.lists(
 )
 
 
+#: Batches for ``feed_many``: a small key space (repeats within a batch)
+#: mixed with arbitrary text, and counts that include 0 and negatives,
+#: which a feed must skip.
+batched_stream_st = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 20).map(lambda i: f"name-{i}."), st.text(max_size=8)),
+        st.integers(-3, 20),
+    ),
+    max_size=80,
+)
+
+
 def truth_of(stream):
     truth = Counter()
     for item, count in stream:
@@ -198,6 +210,19 @@ class TestHeapEvictionMatchesLinearScan:
             reference.merge(reference_shard)
             assert full_state(fast) == full_state(reference)
         self.feed_both(fast, reference, tail)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batched_stream_st, st.integers(1, 12), st.integers(1, 8))
+    def test_batches(self, stream, capacity, batch):
+        """``feed_many`` over consecutive batches evicts what the linear
+        scan evicts item by item."""
+        fast, reference = SpaceSavingSketch(capacity), LinearScanSketch(capacity)
+        for start in range(0, len(stream), batch):
+            part = stream[start : start + batch]
+            fast.feed_many([item for item, _ in part], [count for _, count in part])
+            for item, count in part:
+                reference.feed(item, count)
+            assert full_state(fast) == full_state(reference)
 
     @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
     def test_pickle_round_trip_then_feed(self, shape):
@@ -324,6 +349,41 @@ class TestSpaceSaving:
     def test_merge_rejects_mismatched_capacity(self):
         with pytest.raises(ValueError):
             SpaceSavingSketch(4).merge(SpaceSavingSketch(8))
+
+
+# -- batch == sequence -------------------------------------------------------------
+
+class TestBatchEqualsSequence:
+    """One ``feed_many`` call is the same sketch as its items fed one at a
+    time — the composition fold feeds each chunk's distinct names as one
+    batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batched_stream_st, st.integers(0, 5))
+    def test_count_min(self, stream, seed):
+        # Width 8: with up to 80 items, buckets collide within a batch.
+        batch = CountMinSketch(8, 3, seed)
+        batch.feed_many([item for item, _ in stream], [count for _, count in stream])
+        reference = CountMinSketch(8, 3, seed)
+        for item, count in stream:
+            if count <= 0:
+                continue
+            reference.total += count
+            reference.updates += 1
+            for row, index in enumerate(reference._indices(item)):
+                reference.table[row, index] += count
+        assert batch.table.tolist() == reference.table.tolist()
+        assert (batch.total, batch.updates) == (reference.total, reference.updates)
+
+    @settings(max_examples=80, deadline=None)
+    @given(batched_stream_st, st.integers(1, 12))
+    def test_space_saving(self, stream, capacity):
+        batch, sequence = SpaceSavingSketch(capacity), SpaceSavingSketch(capacity)
+        batch.feed_many([item for item, _ in stream], [count for _, count in stream])
+        for item, count in stream:
+            sequence.feed(item, count)
+        assert full_state(batch) == full_state(sequence)
+        assert batch.updates == sum(count > 0 for _, count in stream)
 
 
 # -- count-min ---------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The spool's on-disk format is the io_binary framing inside ``.npz``
 archives; these tests fuzz the full round trip (rows → columns → chunk
 file → columns) over adversarial record populations — empty chunks,
-maximum-size EDNS payloads, zero-bufsize (no-OPT) queries, and mixed
-v4/v6 address extremes — and pin down the reassembly invariant that
+maximum-size EDNS payloads, zero-bufsize (no-OPT) queries, mixed v4/v6
+address extremes, and non-ASCII names and server ids — and pin down the reassembly invariant that
 ``SpooledCapture.view()``, over chunk files and resident chunks alike,
 equals a plain stable sort of the row tuples on ``(timestamp, server_id)``.
 """
@@ -23,6 +23,7 @@ from repro.capture import (
     SpooledCapture,
     Transport,
 )
+from repro.capture.io_binary import _decode_strings, _encode_strings
 from repro.capture.spool import chunk_name, read_chunk, write_chunk
 from repro.netsim import IPAddress
 
@@ -45,13 +46,15 @@ record_st = st.builds(
         tcp_rtt_ms=(rtt if transport else None),
     ),
     st.floats(0, 1e9, allow_nan=False),
-    st.sampled_from(["nl-a", "nl-b", "nz-u", "b-root"]),
+    st.sampled_from(["nl-a", "nl-b", "nz-u", "b-root", "nz-ü"]),
     st.sampled_from([4, 6]),
     st.integers(0, 2**128 - 1),
     st.booleans(),
-    st.sampled_from(
-        ["nl.", "example.nl.", "a.very.deep.chain.example.nl.", "xn--caf-dma.nz."]
-    ),
+    # Punycode is ASCII; the raw names take the string pool's non-ASCII path.
+    st.sampled_from([
+        "nl.", "example.nl.", "a.very.deep.chain.example.nl.", "xn--caf-dma.nz.",
+        "café.nz.", "例え.jp.",
+    ]),
     st.integers(1, 65535),
     st.integers(0, 23),
     # Exercise the full EDNS0 range: 0 (no OPT) through the 0xFFFF maximum.
@@ -67,6 +70,65 @@ def records_to_view(records):
     store = CaptureStore()
     store.extend(records)
     return store.view()
+
+
+def per_string_encode(values):
+    """The string pool as first defined: each string encoded on its own,
+    offsets summed one by one."""
+    encoded = [str(v).encode("utf-8") for v in values]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    for i, blob in enumerate(encoded):
+        offsets[i + 1] = offsets[i] + len(blob)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+class TestStringPool:
+    """The one-buffer codec writes the bytes the per-string one wrote, on
+    ASCII and non-ASCII columns alike, and reads them back."""
+
+    @staticmethod
+    def assert_pool_matches(values):
+        pool, offsets = _encode_strings(values)
+        reference_pool, reference_offsets = per_string_encode(values)
+        assert pool.dtype == np.uint8 and offsets.dtype == np.int64
+        assert pool.tobytes() == reference_pool.tobytes()
+        assert offsets.tobytes() == reference_offsets.tobytes()
+        assert _decode_strings(pool, offsets).tolist() == list(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(max_size=10), max_size=40))
+    def test_any_text_column(self, strings):
+        values = np.empty(len(strings), dtype=object)
+        values[:] = strings
+        self.assert_pool_matches(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(record_st, max_size=50))
+    def test_capture_columns(self, records):
+        view = records_to_view(records)
+        for column in ("server_id", "qname"):
+            self.assert_pool_matches(getattr(view, column))
+
+    @pytest.mark.parametrize(
+        "qnames",
+        [["example.nl.", "nl."], ["café.nz.", "nl.", "例え.jp.", ""], []],
+        ids=["ascii", "non-ascii", "empty"],
+    )
+    def test_chunk_round_trip(self, qnames):
+        view = records_to_view([
+            QueryRecord(
+                timestamp=float(i), server_id="nz-ü" if i % 2 else "nl-a",
+                src=IPAddress(4, i + 1), transport=Transport.UDP, qname=qname,
+                qtype=1, rcode=0,
+            )
+            for i, qname in enumerate(qnames)
+        ])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / chunk_name(0, 0)
+            write_chunk(path, view)
+            loaded = read_chunk(path)
+        assert loaded.qname.tolist() == qnames
+        assert_views_equal(view, loaded)
 
 
 class TestChunkRoundTrip:
