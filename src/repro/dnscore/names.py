@@ -24,9 +24,27 @@ MAX_NAME_LENGTH = 255
 
 _ESCAPED = {ord("."), ord("\\")}
 
+#: The octets presentation format spells as themselves: printable ASCII
+#: other than the two that need a backslash.
+_PLAIN = bytes(b for b in range(0x21, 0x7F) if b not in _ESCAPED)
+
 
 class NameError_(ValueError):
     """Raised for malformed domain names (presentation or wire format)."""
+
+
+def _escaped_label(label: bytes) -> str:
+    """One label in presentation format, octet by octet: ``\\.`` and
+    ``\\\\`` for the two specials, ``\\DDD`` for anything unprintable."""
+    out = []
+    for b in label:
+        if b in _ESCAPED:
+            out.append("\\" + chr(b))
+        elif 0x21 <= b <= 0x7E:
+            out.append(chr(b))
+        else:
+            out.append(f"\\{b:03d}")
+    return "".join(out)
 
 
 def _casefold_label(label: bytes) -> bytes:
@@ -147,20 +165,14 @@ class Name:
         text = self._text
         if text is not None:
             return text
-        if not self._labels:
+        labels = self._labels
+        if not labels:
             return "."
-        parts = []
-        for label in self._labels:
-            out = []
-            for b in label:
-                if b in _ESCAPED:
-                    out.append("\\" + chr(b))
-                elif 0x21 <= b <= 0x7E:
-                    out.append(chr(b))
-                else:
-                    out.append(f"\\{b:03d}")
-            parts.append("".join(out))
-        text = ".".join(parts) + "."
+        if b"".join(labels).translate(None, _PLAIN):
+            text = ".".join(map(_escaped_label, labels)) + "."
+        else:
+            # Every octet stands for itself: the labels are the text.
+            text = b".".join(labels).decode("ascii") + "."
         self._text = text
         return text
 

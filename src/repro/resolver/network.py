@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dnscore import Name, RCode, ROOT, RRType
 from ..server import ServerSet
+from ..zones import Zone
 
 
 @dataclass
@@ -138,6 +139,13 @@ class AuthorityNetwork:
         self.tlds = dict(tlds)
         self.leaf = leaf if leaf is not None else SyntheticLeafAuthority()
         self.faults = faults
+        #: A TLD's canonical key (its one casefolded label) → its zone: a
+        #: qname's TLD is ``qname.canonical_key()[:1]``.
+        self._tld_zones: Dict[Tuple[bytes, ...], Zone] = {
+            origin.canonical_key(): server_set.servers[0].zone
+            for origin, server_set in self.tlds.items()
+            if origin.label_count == 1
+        }
 
     def server_set_for(self, origin: Name) -> Optional[ServerSet]:
         """The simulated server set authoritative for ``origin`` (root or a
@@ -147,11 +155,11 @@ class AuthorityNetwork:
         return self.tlds.get(origin)
 
     def tld_of(self, qname: Name) -> Optional[Name]:
-        """The simulated TLD covering ``qname``, if any."""
-        if qname.is_root():
-            return None
-        tld = qname.ancestor_with_labels(1)
-        return tld if tld in self.tlds else None
+        """The simulated TLD covering ``qname`` (in the query's spelling),
+        if any."""
+        if qname.canonical_key()[:1] in self._tld_zones:
+            return qname.ancestor_with_labels(1)
+        return None
 
     def registered_cut(self, qname: Name) -> Optional[Name]:
         """The delegated (registered-domain) zone cut covering ``qname``
@@ -160,8 +168,5 @@ class AuthorityNetwork:
         Uses the TLD zone's actual delegation table, so the resolver's
         control flow mirrors what referrals would teach it.
         """
-        tld = self.tld_of(qname)
-        if tld is None:
-            return None
-        zone = self.tlds[tld].servers[0].zone
-        return zone.covering_delegation(qname)
+        zone = self._tld_zones.get(qname.canonical_key()[:1])
+        return None if zone is None else zone.covering_delegation(qname)

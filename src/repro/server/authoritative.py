@@ -362,7 +362,7 @@ class AuthoritativeServer:
         # Only a server that memoises plans memoises sizes: without the
         # plan cache every response is fully encoded (the reference path).
         wire_size = None
-        if plan_key is not None and result is not None and result.anchor is not None:
+        if plan_key is not None and result is not None:
             wire_size = _anchored_size(result, question.qname, response.edns)
         return self._finish_response(
             timestamp, src, transport, query, response, tcp_rtt_ms, plan_key,

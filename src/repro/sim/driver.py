@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 import os
 import time
 from contextlib import contextmanager
@@ -355,6 +356,9 @@ _FLEET_COUNTERS = (
 
 _FLEET_ATTRS = tuple(dict.fromkeys(attr for _, attr in _FLEET_COUNTERS))
 
+#: A member's ``_FLEET_ATTRS`` values in one call.
+_fleet_values = operator.attrgetter(*_FLEET_ATTRS)
+
 
 @lru_cache(maxsize=None)
 def _qtype_label(qtype: int) -> str:
@@ -386,8 +390,8 @@ def publish_fleet_metrics(metrics: MetricsRegistry, fleet: Iterable) -> None:
         sums = provider_sums.get(member.provider)
         if sums is None:
             sums = provider_sums[member.provider] = dict.fromkeys(_FLEET_ATTRS, 0)
-        for attr in _FLEET_ATTRS:
-            sums[attr] += getattr(stats, attr)
+        for attr, value in zip(_FLEET_ATTRS, _fleet_values(stats)):
+            sums[attr] += value
         for qtype, count in stats.by_qtype.items():
             qtype_sums[qtype] = qtype_sums.get(qtype, 0) + count
     for provider, sums in provider_sums.items():

@@ -135,8 +135,12 @@ class WorkloadGenerator:
         self._qtype_probs = np.array([p for __, p in CLIENT_QTYPE_MIX])
         self._qtype_probs /= self._qtype_probs.sum()
         self._subnames = [s for s, __ in SUBNAME_CHOICES]
-        self._subname_probs = np.array([p for __, p in SUBNAME_CHOICES])
-        self._subname_probs /= self._subname_probs.sum()
+        subname_probs = np.array([p for __, p in SUBNAME_CHOICES])
+        subname_probs /= subname_probs.sum()
+        # The CDF ``rng.choice(n, p=subname_probs)`` builds on every call,
+        # built once: the same double in gives the same index out.
+        self._subname_cdf = subname_probs.cumsum()
+        self._subname_cdf /= self._subname_cdf[-1]
         self._base_seed = seed
         self._vantage_suffix = (
             Name.from_text(vantage) if vantage != "root" else None
@@ -151,7 +155,9 @@ class WorkloadGenerator:
 
     def _cctld_legit_name(self, rng: np.random.Generator) -> Name:
         rank = self._domain_sampler.sample(rng)
-        sub = self._subnames[int(rng.choice(len(self._subnames), p=self._subname_probs))]
+        sub = self._subnames[
+            int(self._subname_cdf.searchsorted(rng.random(), side="right"))
+        ]
         key = (rank, sub)
         name = self._legit_names.get(key)
         if name is None:

@@ -35,7 +35,7 @@ class ZipfSampler:
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw a single rank."""
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` ranks as an int64 array."""

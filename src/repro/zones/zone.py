@@ -50,18 +50,21 @@ class LookupOutcome(enum.Enum):
 class LookupResult:
     """Everything a server needs to build the response.
 
-    A result with an :attr:`anchor` is memoised on the zone and shared by
-    every query it answers — every qname under the cut, on every server of
-    the set — so its section lists are read-only.
+    :meth:`Zone.lookup` memoises every result on the zone and shares it with
+    every query it answers — every qname under a cut, every qname in one
+    NSEC interval, on every server of the set — so its section lists are
+    read-only.
     """
 
     outcome: LookupOutcome
     answers: List[ResourceRecord] = field(default_factory=list)
     authorities: List[ResourceRecord] = field(default_factory=list)
     additionals: List[ResourceRecord] = field(default_factory=list)
-    #: The name the sections hang off (a referral's zone cut, in the
-    #: spelling of the query that first asked): the sections are the same
-    #: for any qname at or below it.  ``None`` for per-qname results.
+    #: The name the sections hang off: the sections are the same for any
+    #: qname at or below it.  A referral's zone cut and an answer's qname
+    #: (each in the spelling of the query that first asked), or the origin
+    #: for a negative, whose sections hold zone-owned names only.  ``None``
+    #: only on a result built by hand.
     anchor: Optional[Name] = None
     #: The consumer's own memo about this shared body (the server keeps its
     #: wire-size calibration here); it lives and dies with the result.
@@ -81,9 +84,10 @@ class RRset:
         return [ResourceRecord(self.name, self.rrtype, self.ttl, rd) for rd in self.rdatas]
 
 
-#: Entries a zone's referral / signature memo may hold before it is dropped
-#: wholesale.  Both are keyed by the *query's* spelling of a zone name, so
-#: the population is zone-bounded in simulation; the bound only matters to a
+#: Entries a zone's lookup / signature memo may hold before it is dropped
+#: wholesale.  Referrals, answers and signatures are keyed by the *query's*
+#: spelling of a zone name, negatives by their NSEC interval, so the
+#: population is zone-bounded in simulation; the bound only matters to a
 #: live frontend fed 0x20-randomised names.
 MEMO_LIMIT = 65536
 
@@ -135,12 +139,18 @@ class Zone:
         self._names: set = set()
         self._empty_non_terminals: set = set()
         self._types_by_name: Dict[Name, set] = {}
-        self._delegations: Dict[Name, RRset] = {}
+        #: Cut's canonical key → its NS RRset; the label counts of the cuts
+        #: present, deepest first.
+        self._delegations: Dict[Tuple[bytes, ...], RRset] = {}
+        self._cut_depths: Tuple[int, ...] = ()
         self._ds: Dict[Name, RRset] = {}
         self._sorted_names: Optional[Tuple[List[Name], List[tuple]]] = None
         self._sealed = False
-        #: (cut labels as spelled by the query, DO) → the shared referral.
-        self._referrals: Dict[Tuple[Tuple[bytes, ...], bool], LookupResult] = {}
+        #: Every lookup outcome, shared until the content next changes:
+        #: (cut labels as spelled by the query, DO) → a referral;
+        #: (qname labels as spelled, qtype, DO) → an answer;
+        #: (outcome, DO ∧ signed, NSEC interval index or None) → a negative.
+        self._lookups: Dict[tuple, LookupResult] = {}
         #: (owner labels as spelled, type) → simulated RRSIG.
         self._signatures: Dict[Tuple[Tuple[bytes, ...], RRType], RRSIGRdata] = {}
         # Apex SOA is mandatory; callers overwrite via add_rrset if desired.
@@ -205,9 +215,12 @@ class Zone:
             ancestor = ancestor.parent()
             self._empty_non_terminals.add(ancestor)
         self._sorted_names = None
-        self._referrals.clear()
+        self._lookups.clear()
         if rrset.rrtype is RRType.NS and rrset.name != self.origin:
-            self._delegations[rrset.name] = rrset
+            self._delegations[rrset.name.canonical_key()] = rrset
+            depth = rrset.name.label_count
+            if depth not in self._cut_depths:
+                self._cut_depths = tuple(sorted((*self._cut_depths, depth), reverse=True))
         if rrset.rrtype is RRType.DS:
             self._ds[rrset.name] = rrset
 
@@ -252,7 +265,7 @@ class Zone:
 
     @property
     def delegation_names(self) -> List[Name]:
-        return list(self._delegations)
+        return [rrset.name for rrset in self._delegations.values()]
 
     def rrset(self, name: Name, rrtype: RRType) -> Optional[RRset]:
         return self._rrsets.get((name, rrtype))
@@ -271,16 +284,19 @@ class Zone:
     # -- zone-cut search -------------------------------------------------------
 
     def covering_delegation(self, qname: Name) -> Optional[Name]:
-        """The nearest zone cut at or above ``qname``, if any.
+        """The nearest zone cut at or above ``qname``, if any, in the
+        query's spelling.
 
-        Walks from ``qname`` up toward the origin looking for an NS-owning
-        name strictly below the apex.
+        Tests the leading labels of the query's canonical key against the
+        delegation table at each depth a cut exists, deepest first.  A
+        prefix longer than the key is the whole key: the qname itself.
         """
-        name = qname
-        while name.label_count > self.origin.label_count:
-            if name in self._delegations:
-                return name
-            name = name.parent()
+        key = qname.canonical_key()
+        delegations = self._delegations
+        for depth in self._cut_depths:
+            prefix = key[:depth]
+            if prefix in delegations:
+                return qname.ancestor_with_labels(len(prefix))
         return None
 
     # -- NSEC chain --------------------------------------------------------------
@@ -292,14 +308,20 @@ class Zone:
             self._sorted_names = (names, [n.canonical_key() for n in names])
         return self._sorted_names
 
+    def _interval(self, qname: Name) -> int:
+        """Where ``qname`` falls in the canonical order: the index of the
+        first zone name at or after it.  The NSEC proof is a function of
+        this index alone."""
+        return bisect.bisect_left(self._sorted()[1], qname.canonical_key())
+
     def nsec_for(self, qname: Name) -> Optional[ResourceRecord]:
         """The NSEC record proving ``qname`` does not exist (signed zones)."""
         if not self.signed:
             return None
-        names, keys = self._sorted()
+        names = self._sorted()[0]
         if not names:
             return None
-        index = bisect.bisect_left(keys, qname.canonical_key())
+        index = self._interval(qname)
         owner = names[index - 1] if index > 0 else names[-1]
         next_name = names[index % len(names)] if index < len(names) else names[0]
         types = tuple(sorted(self._types_by_name.get(owner, ()), key=int))
@@ -314,34 +336,44 @@ class Zone:
 
         Follows the RFC 1034 section 4.3.2 algorithm restricted to what a
         TLD/root server needs (no wildcards, no CNAME chasing across cuts).
+        Every result is memoised (see :attr:`LookupResult.anchor`): the
+        first query of its key builds it, the rest share it.
         """
         if not qname.is_subdomain_of(self.origin):
             # Out-of-bailiwick query: REFUSED territory; callers map this.
             raise ValueError(f"{qname.to_text()} is not within {self.origin.to_text()}")
 
+        lookups = self._lookups
         cut = self.covering_delegation(qname)
-        if cut is not None and not (qname == cut and qtype in (RRType.DS,)):
+        if cut is not None and not (qtype == RRType.DS and qname == cut):
             # Below (or at) a zone cut: referral.  Exception: a DS query for
-            # the cut itself is answered authoritatively by the parent.
-            return self._referral(cut, dnssec_ok)
+            # the cut itself is answered authoritatively by the parent.  The
+            # cut's spelling is part of the key: its case shows in the RRSIG
+            # owner and signature.
+            key = (cut.labels, dnssec_ok)
+            return lookups.get(key) or self._remember(
+                key, self._build_referral(cut, dnssec_ok)
+            )
 
         rrset = self._rrsets.get((qname, qtype))
         if rrset is not None:
-            result = LookupResult(LookupOutcome.ANSWER, answers=rrset.to_records())
-            if dnssec_ok and self.signed:
-                result.answers.append(
-                    ResourceRecord(
-                        qname,
-                        RRType.RRSIG,
-                        rrset.ttl,
-                        self._signature(qname, qtype),
-                    )
-                )
-            return result
+            key = (qname.labels, qtype, dnssec_ok)
+            return lookups.get(key) or self._remember(
+                key, self._answer(qname, rrset, dnssec_ok)
+            )
 
-        if self.has_name(qname):
-            return self._negative(qname, LookupOutcome.NODATA, dnssec_ok)
-        return self._negative(qname, LookupOutcome.NXDOMAIN, dnssec_ok)
+        outcome = LookupOutcome.NODATA if self.has_name(qname) else LookupOutcome.NXDOMAIN
+        proof = dnssec_ok and self.signed
+        key = (outcome, proof, self._interval(qname) if proof else None)
+        return lookups.get(key) or self._remember(
+            key, self._negative(qname, outcome, dnssec_ok)
+        )
+
+    def _remember(self, key: tuple, result: LookupResult) -> LookupResult:
+        if len(self._lookups) >= MEMO_LIMIT:
+            self._lookups.clear()
+        self._lookups[key] = result
+        return result
 
     def _signature(self, name: Name, rrtype: RRType) -> RRSIGRdata:
         """:func:`_fake_signature` under this zone's key, hashed once per
@@ -356,22 +388,23 @@ class Zone:
             )
         return signature
 
-    def _referral(self, cut: Name, dnssec_ok: bool) -> LookupResult:
-        """The referral for ``cut``, built once per (the cut's exact
-        spelling, DO) and shared until the zone content next changes.
-
-        The spelling is part of the key because ``cut`` is derived from the
-        query name: its case shows in the RRSIG owner and signature."""
-        key = (cut.labels, dnssec_ok)
-        result = self._referrals.get(key)
-        if result is None:
-            if len(self._referrals) >= MEMO_LIMIT:
-                self._referrals.clear()
-            result = self._referrals[key] = self._build_referral(cut, dnssec_ok)
+    def _answer(self, qname: Name, rrset: RRset, dnssec_ok: bool) -> LookupResult:
+        result = LookupResult(
+            LookupOutcome.ANSWER, answers=rrset.to_records(), anchor=qname
+        )
+        if dnssec_ok and self.signed:
+            result.answers.append(
+                ResourceRecord(
+                    qname,
+                    RRType.RRSIG,
+                    rrset.ttl,
+                    self._signature(qname, rrset.rrtype),
+                )
+            )
         return result
 
     def _build_referral(self, cut: Name, dnssec_ok: bool) -> LookupResult:
-        ns_rrset = self._delegations[cut]
+        ns_rrset = self._delegations[cut.canonical_key()]
         result = LookupResult(
             LookupOutcome.DELEGATION,
             authorities=ns_rrset.to_records(),
@@ -405,8 +438,12 @@ class Zone:
         return result
 
     def _negative(self, qname: Name, outcome: LookupOutcome, dnssec_ok: bool) -> LookupResult:
+        """NXDOMAIN / NODATA for ``qname``: the SOA, and with a proof the
+        NSEC covering ``qname`` plus, for NXDOMAIN, the wildcard's — each
+        with its RRSIG.  All of them are zone names, so the result depends
+        on ``qname`` only through :meth:`_interval`."""
         soa = self._rrsets[(self.origin, RRType.SOA)]
-        result = LookupResult(outcome, authorities=soa.to_records())
+        result = LookupResult(outcome, authorities=soa.to_records(), anchor=self.origin)
         if dnssec_ok and self.signed:
             result.authorities.append(
                 ResourceRecord(

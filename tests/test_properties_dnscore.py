@@ -10,7 +10,7 @@ import struct
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dnscore import (
     AAAARdata,
@@ -37,6 +37,16 @@ label_st = st.binary(min_size=1, max_size=20).filter(lambda b: b != b"")
 name_st = st.builds(
     Name, st.lists(label_st, min_size=0, max_size=5)
 )
+#: Mostly octets that spell themselves, with the ones that need escaping
+#: (``.``, ``\``, controls, space, DEL, the high half) mixed in.
+mixed_label_st = st.lists(
+    st.one_of(
+        st.integers(0x21, 0x7E),
+        st.sampled_from([0x00, 0x09, 0x20, 0x2E, 0x5C, 0x7F, 0x80, 0xC3, 0xFF]),
+    ),
+    min_size=1,
+    max_size=20,
+).map(bytes)
 ascii_label_st = st.text(
     alphabet=string.ascii_lowercase + string.digits + "-", min_size=1, max_size=15
 ).filter(lambda s: not s.startswith("-"))
@@ -56,6 +66,27 @@ class TestNameProperties:
     @given(ascii_name_st)
     def test_text_round_trip(self, name):
         assert Name.from_text(name.to_text()) == name
+
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(st.one_of(mixed_label_st, label_st), max_size=5))
+    @example([b"www", b"Example", b"nl"])
+    @example([b"a.b", b"back\\slash", b"\x00", b" ", b"\x7f\xff"])
+    def test_text_is_the_per_octet_rendering(self, labels):
+        """``to_text`` renders a name whose octets all spell themselves in
+        one step; the result is what rendering octet by octet gives."""
+        parts = []
+        for label in labels:
+            out = ""
+            for octet in label:
+                if octet in (0x2E, 0x5C):
+                    out += "\\" + chr(octet)
+                elif 0x21 <= octet <= 0x7E:
+                    out += chr(octet)
+                else:
+                    out += f"\\{octet:03d}"
+            parts.append(out)
+        expected = ".".join(parts) + "." if parts else "."
+        assert Name(labels).to_text() == expected
 
     @given(name_st)
     def test_parent_chain_reaches_root(self, name):

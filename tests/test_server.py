@@ -135,10 +135,25 @@ def exchange(server, query, timestamp=1.0):
     return responses
 
 
+def compressible_names(result):
+    """The section names the encoder may compress: record owners, NS
+    targets and SOA names (RRSIG signers and NSEC next names never are)."""
+    names = []
+    for record in result.answers + result.authorities + result.additionals:
+        names.append(record.name)
+        rdata = record.rdata
+        if record.rrtype is RRType.NS:
+            names.append(rdata.target)
+        elif record.rrtype is RRType.SOA:
+            names += [rdata.mname, rdata.rname]
+    return names
+
+
 class TestSizeShortcut:
-    """A referral's size by arithmetic is the encoder's size, or is not
-    offered at all.  The reference is a ``REPRO_PLAN_CACHE=0`` server: it
-    memoises nothing and encodes every response in full."""
+    """A lookup's size by arithmetic is the encoder's size, or is not
+    offered at all, for every outcome.  The reference is a
+    ``REPRO_PLAN_CACHE=0`` server: it memoises nothing and encodes every
+    response in full."""
 
     EDNS = (
         None,
@@ -166,44 +181,63 @@ class TestSizeShortcut:
         assert {cut.label_count for cut in cuts} == {2, 3}
         vanity = [c for c in cuts if zone.rrset(c.prepend(b"ns1"), RRType.A)]
         assert vanity and len(vanity) < len(cuts)
+        # Names no cut covers: the apex, the registry empty non-terminals
+        # (co.nz, ...), unregistered names, and the SOA's own names.
+        origin = zone.origin
+        registries = sorted({c.parent() for c in cuts if c.label_count == 3}, key=Name.canonical_key)
+        uncut = [origin, *registries] + [
+            origin.prepend(label)
+            for label in (b"zz-unregistered", b"a", b"ns1", b"hostmaster", b"co-op")
+        ]
+        assert all(zone.covering_delegation(name) is None for name in uncut)
         branches = Counter()
 
-        @settings(max_examples=400, deadline=None, derandomize=True)
+        @settings(max_examples=600, deadline=None, derandomize=True)
         @given(
-            cut=st.sampled_from(cuts),
+            base=st.sampled_from(cuts + uncut),
             prefix=st.lists(
                 st.sampled_from([b"www", b"ns1", b"NS2", b"ns3", b"a-much-longer-label"]),
                 max_size=3,
             ),
             mask=st.integers(0, 2**40 - 1),
             edns=st.sampled_from(self.EDNS),
-            qtype=st.sampled_from([RRType.A, RRType.AAAA, RRType.NS, RRType.DS]),
+            qtype=st.sampled_from(
+                [RRType.A, RRType.AAAA, RRType.NS, RRType.DS, RRType.SOA, RRType.DNSKEY]
+            ),
         )
-        def check(cut, prefix, mask, edns, qtype):
-            qname = flip_case(cut.prepend(*prefix), mask)
+        def check(base, prefix, mask, edns, qtype):
+            qname = flip_case(base.prepend(*prefix), mask)
             query = Message.make_query(qname, qtype, msg_id=7, edns=edns)
 
             response, result = fast._build_response(query)
-            if result.anchor is not None:
-                size = _anchored_size(result, qname, response.edns)
-                if size is None:
-                    branches["fallback"] += 1
-                else:
-                    branches["shortcut"] += 1
-                    assert size == len(response.to_wire())
-                below = qname.labels[: qname.label_count - result.anchor.label_count]
-                in_bailiwick = bool(result.additionals)
-                if size is None:
-                    assert in_bailiwick and below[-1].lower() in (b"ns1", b"ns2")
+            outcome = result.outcome.name
+            size = _anchored_size(result, qname, response.edns)
+            if size is None:
+                branches[outcome, "fallback"] += 1
             else:
-                assert qtype is RRType.DS and not prefix
+                branches[outcome, "shortcut"] += 1
+                assert size == len(response.to_wire())
+            if size is None:
+                # Declined only when the question offers a section name a
+                # compression target the calibration did not have.
+                depth = result.anchor.label_count
+                below = qname.canonical_key()[depth]
+                assert below in {
+                    name.canonical_key()[depth]
+                    for name in compressible_names(result)
+                    if name.label_count > depth and name.is_subdomain_of(result.anchor)
+                }
+                if result.outcome is LookupOutcome.DELEGATION:
+                    assert result.additionals and below in (b"ns1", b"ns2")
 
             # The whole path: same bytes out, same row captured.
             got, expected = exchange(fast, query), exchange(reference, query)
             assert [r.to_wire() for r in got] == [r.to_wire() for r in expected]
 
         check()
-        assert branches["shortcut"] and branches["fallback"]
+        for outcome in ("DELEGATION", "ANSWER", "NODATA", "NXDOMAIN"):
+            assert branches[outcome, "shortcut"], (outcome, branches)
+        assert branches["DELEGATION", "fallback"] and branches["NXDOMAIN", "fallback"]
         assert fast.stats.plan_misses and reference.stats.plan_misses == 0
         a, b = fast.capture.view(), reference.capture.view()
         for column in ("qname", "qtype", "rcode", "transport", "response_size", "truncated"):

@@ -8,6 +8,7 @@ from repro.workload import (
     CLIENT_QTYPE_MIX,
     DiurnalPattern,
     PAPER_DATASETS,
+    SUBNAME_CHOICES,
     WorkloadGenerator,
     dataset,
     datasets_for_vantage,
@@ -155,6 +156,29 @@ class TestWorkloadGenerator:
         assert [(q.timestamp, q.qname, q.qtype) for q in a] == [
             (q.timestamp, q.qname, q.qtype) for q in b
         ]
+
+    def test_legit_name_draws_what_rng_choice_draws(self, nl_domains):
+        """A legitimate name reads two doubles, one searched in the Zipf
+        CDF and one in the subname CDF.  ``np.searchsorted`` and
+        ``rng.choice(n, p=p)`` read the same doubles and return the same
+        indices, so the stream and the generator's state are theirs."""
+        generator = WorkloadGenerator("nl", nl_domains, seed=1)
+        subnames = [s for s, __ in SUBNAME_CHOICES]
+        p = np.array([p for __, p in SUBNAME_CHOICES])
+        p /= p.sum()
+        zipf_cdf = generator._domain_sampler._cdf
+        seen = set()
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(25):
+                rank = int(np.searchsorted(zipf_cdf, theirs.random(), side="right"))
+                sub = subnames[int(theirs.choice(len(subnames), p=p))]
+                domain = nl_domains[rank]
+                expected = domain.prepend(sub.encode()) if sub else domain
+                assert generator._cctld_legit_name(ours).labels == expected.labels
+                seen.add(sub)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert seen == set(subnames)
 
     def test_requires_domains_for_cctld(self):
         with pytest.raises(ValueError):

@@ -119,18 +119,22 @@ def records_text(result):
     )
 
 
-class TestReferralMemo:
-    @pytest.fixture
-    def zone(self, nl_zone):
-        vanity = Name.from_text("vanity.nl")
-        nl_zone.add_delegation(
-            vanity, [vanity.prepend(b"ns1"), vanity.prepend(b"ns2")], secure=True
-        )
-        nl_zone.add_rrset(
-            RRset(vanity.prepend(b"ns1"), RRType.A, 3600, [ARdata(0xC6336401)])
-        )
-        return nl_zone
+@pytest.fixture
+def zone(nl_zone):
+    """``nl_zone`` plus an in-bailiwick delegation with glue.  In canonical
+    order its names are nl, example.nl, insecure.nl, vanity.nl and
+    ns1.vanity.nl."""
+    vanity = Name.from_text("vanity.nl")
+    nl_zone.add_delegation(
+        vanity, [vanity.prepend(b"ns1"), vanity.prepend(b"ns2")], secure=True
+    )
+    nl_zone.add_rrset(
+        RRset(vanity.prepend(b"ns1"), RRType.A, 3600, [ARdata(0xC6336401)])
+    )
+    return nl_zone
 
+
+class TestReferralMemo:
     @pytest.mark.parametrize("dnssec_ok", [False, True])
     @pytest.mark.parametrize("cut", ["example.nl", "insecure.nl", "vanity.nl"])
     def test_memoised_referral_equals_a_fresh_build(self, zone, cut, dnssec_ok):
@@ -148,11 +152,7 @@ class TestReferralMemo:
         # DO is part of the key; a DS query at the cut is not a referral.
         assert zone.lookup(Name.from_text("www.example.nl"), RRType.A, False) is not first
         at_cut = zone.lookup(Name.from_text("example.nl"), RRType.DS, True)
-        assert at_cut.outcome is LookupOutcome.ANSWER and at_cut.anchor is None
-
-    def test_only_referrals_are_anchored(self, zone):
-        for qname, qtype in [("nl", RRType.SOA), ("nl", RRType.A), ("missing.nl", RRType.A)]:
-            assert zone.lookup(Name.from_text(qname), qtype, True).anchor is None
+        assert at_cut.outcome is LookupOutcome.ANSWER
 
     def test_add_rrset_drops_the_memo(self, zone):
         qname = Name.from_text("www.vanity.nl")
@@ -211,8 +211,108 @@ class TestReferralMemo:
                 c.upper() if (i >> bit) & 1 else c for bit, c in enumerate("example")
             )
             zone.lookup(Name.from_text(f"www.{spelling}.nl"), RRType.A, True)
-            assert len(zone._referrals) <= 4
+            zone.lookup(Name.from_text(f"{spelling}.nl"), RRType.DS, True)
+            zone.lookup(Name.from_text(f"{spelling}-{i}.nl"), RRType.A, bool(i & 1))
+            assert len(zone._lookups) <= 4
             assert len(zone._signatures) <= 4
+
+
+class TestLookupMemo:
+    """Every outcome is memoised and anchored.  A negative is keyed by its
+    NSEC interval, never by how the qname is spelled, so everything in one
+    interval shares one result."""
+
+    @pytest.mark.parametrize("dnssec_ok", [False, True])
+    @pytest.mark.parametrize(
+        "qname, qtype, outcome, anchor",
+        [
+            ("www.example.nl", RRType.A, LookupOutcome.DELEGATION, "example.nl"),
+            ("nl", RRType.SOA, LookupOutcome.ANSWER, "nl"),
+            ("nl", RRType.DNSKEY, LookupOutcome.ANSWER, "nl"),
+            ("example.nl", RRType.DS, LookupOutcome.ANSWER, "example.nl"),
+            ("nl", RRType.NS, LookupOutcome.NODATA, "nl"),
+            ("insecure.nl", RRType.DS, LookupOutcome.NODATA, "nl"),
+            ("a.missing.nl", RRType.A, LookupOutcome.NXDOMAIN, "nl"),
+        ],
+    )
+    def test_every_outcome_is_anchored(self, zone, qname, qtype, outcome, anchor, dnssec_ok):
+        result = zone.lookup(Name.from_text(qname), qtype, dnssec_ok)
+        assert result.outcome is outcome
+        assert result.anchor == Name.from_text(anchor)
+        assert zone.lookup(Name.from_text(qname), qtype, dnssec_ok) is result
+
+    def test_one_negative_per_nsec_interval_whatever_the_spelling(self, zone):
+        # All between insecure.nl and vanity.nl.
+        interval = ["junk.nl", "JUNK.nl", "Kite.NL", "other.nl", "x.OTHER.nl"]
+        first = zone.lookup(Name.from_text(interval[0]), RRType.A, True)
+        for qname in interval[1:]:
+            assert zone.lookup(Name.from_text(qname), RRType.AAAA, True) is first
+        assert first.anchor is zone.origin
+        # Another interval, another proof.
+        elsewhere = zone.lookup(Name.from_text("abc.nl"), RRType.A, True)
+        assert elsewhere is not first
+        assert records_text(elsewhere) != records_text(first)
+        # NODATA and NXDOMAIN in one interval (both end at insecure.nl).
+        nodata = zone.lookup(Name.from_text("insecure.nl"), RRType.DS, True)
+        nxdomain = zone.lookup(Name.from_text("foo.nl"), RRType.A, True)
+        assert nodata.outcome is LookupOutcome.NODATA
+        assert nxdomain.outcome is LookupOutcome.NXDOMAIN
+        # Without a proof the interval does not matter: one SOA for all.
+        plain = zone.lookup(Name.from_text("abc.nl"), RRType.A, False)
+        assert zone.lookup(Name.from_text("junk.nl"), RRType.MX, False) is plain
+
+    @pytest.mark.parametrize("dnssec_ok", [False, True])
+    def test_memoised_negative_equals_a_fresh_build(self, zone, dnssec_ok):
+        # Pairs in one interval, every interval in turn on one zone.
+        for first, then, qtype in [
+            ("abc.nl", "ABD.nl", RRType.MX),           # after the apex
+            ("foo.nl", "Fop.nl", RRType.A),            # up to insecure.nl
+            ("junk.nl", "x.OTHER.nl", RRType.A),       # up to vanity.nl
+            ("zz.nl", "ZZZ.nl", RRType.A),             # wraps to the apex
+            ("insecure.nl", "INSECURE.nl", RRType.DS), # NODATA at a cut
+            ("nl", "NL", RRType.A),                    # NODATA at the apex
+        ]:
+            memoised = zone.lookup(Name.from_text(first), qtype, dnssec_ok)
+            assert zone.lookup(Name.from_text(then), qtype, dnssec_ok) is memoised
+            fresh = zone._negative(Name.from_text(then), memoised.outcome, dnssec_ok)
+            assert fresh is not memoised
+            assert records_text(memoised) == records_text(fresh), (first, then)
+
+    @pytest.mark.parametrize("dnssec_ok", [False, True])
+    @pytest.mark.parametrize(
+        "qname, qtype", [("nl", RRType.SOA), ("NL", RRType.DNSKEY), ("Example.nl", RRType.DS)]
+    )
+    def test_memoised_answer_equals_a_fresh_build(self, zone, qname, qtype, dnssec_ok):
+        name = Name.from_text(qname)
+        memoised = zone.lookup(name, qtype, dnssec_ok)
+        assert memoised.outcome is LookupOutcome.ANSWER
+        assert memoised.anchor.labels == name.labels
+        fresh = zone._answer(name, zone.rrset(name, qtype), dnssec_ok)
+        assert [r.to_text() for r in memoised.answers] == [r.to_text() for r in fresh.answers]
+        # The RRSIG owner is the query's spelling, so the spelling is keyed.
+        other = zone.lookup(Name.from_text(qname.swapcase()), qtype, dnssec_ok)
+        assert other is not memoised
+
+    def test_add_rrset_drops_every_outcome(self, zone):
+        queries = [
+            ("www.example.nl", RRType.A),   # referral
+            ("nl", RRType.SOA),             # answer
+            ("example.nl", RRType.DS),      # answer at a cut
+            ("junk.nl", RRType.A),          # NXDOMAIN
+            ("nl", RRType.A),               # NODATA
+        ]
+        before = [zone.lookup(Name.from_text(q), t, True) for q, t in queries]
+        kite = Name.from_text("kite.nl")
+        zone.add_delegation(kite, [Name.from_text("ns1.hoster.net")])
+        after = [zone.lookup(Name.from_text(q), t, True) for q, t in queries]
+        assert all(a is not b for a, b in zip(after, before))
+        # kite.nl splits junk.nl's interval: the proof now ends there.
+        junk = after[3]
+        nsec = next(r for r in junk.authorities if r.rrtype is RRType.NSEC)
+        assert nsec.rdata.next_name == kite
+        assert records_text(junk) == records_text(
+            zone._negative(Name.from_text("junk.nl"), LookupOutcome.NXDOMAIN, True)
+        )
 
 
 class TestNSECChain:
