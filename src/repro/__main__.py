@@ -51,21 +51,18 @@ fault placement independently of ``--seed``; the ``REPRO_CHAOS`` env var
 sets the default scenario).  ``repro dataset`` exits non-zero when any
 shard failed outright unless ``--allow-partial`` is given.
 
-Streaming flags (see README "Streaming mode"): ``--stream`` spills each
-capture's columnar chunks to an on-disk spool and folds them into
-single-pass aggregates as they are written, instead of holding the chunks
-in memory and folding on first read (``REPRO_STREAM`` sets the default);
-``--spool-dir DIR`` keeps the chunk files under ``DIR/<dataset_id>/``
-rather than a self-cleaning temp dir.  Answers are bit-identical either
-way.
+Where the capture lives (see README "Capture chunks and the one fold"):
+every run folds each capture chunk into single-pass aggregates in the
+shard that froze it; ``--spool-dir DIR`` then writes the chunks as files
+under ``DIR/<dataset_id>/`` instead of keeping them in memory.  Answers
+are bit-identical either way.
 
 Flags and ``REPRO_*`` defaults of ``dataset``, ``experiments`` and
 ``serve`` are resolved once, before anything is built, into one
 :class:`~repro.config.RunConfig` (``--workers`` always means shard-level
 parallelism: every dataset simulated is split across the pool); a value
 that cannot run — ``--workers 0``, ``--trace-sample 2``, ``--scale -1``,
-``REPRO_WORKERS=abc``, ``--spool-dir`` without streaming — is a usage
-error (exit 2) naming it.
+``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.
 """
 
 from __future__ import annotations
@@ -100,8 +97,7 @@ def _resolve_flags(args: argparse.Namespace) -> None:
         return
     args.scale = resolve_scale(args.scale, args.scale_default)
     args.config = RunConfig.resolve(
-        workers=args.workers, stream=args.stream, spool_dir=args.spool_dir,
-        trace=args.trace_sample,
+        workers=args.workers, spool_dir=args.spool_dir, trace=args.trace_sample,
     )
     if args.config.trace is None and args.trace_sample is None and args.trace_out:
         args.config = replace(args.config, trace=TraceConfig(sample=0.01))
@@ -234,11 +230,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     if run.runtime_report is not None:
         print(f"runtime: {run.runtime_report.summary()}", file=sys.stderr)
     partial_exit = _check_partial(run.runtime_report, args.allow_partial)
-    if args.config.stream:
-        print(
-            f"analysis mode: streaming ({len(run.capture)} rows spooled)",
-            file=sys.stderr,
-        )
     analytics = DatasetAnalytics.of(run)
     summary = analytics.dataset_summary()
     telemetry = run.telemetry
@@ -475,9 +466,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         scale=args.scale, seed=args.seed, fault_plan=_chaos_plan(args),
         config=args.config,
     )
-    if args.config.stream:
-        print("streaming mode: single-pass aggregates + capture spool",
-              file=sys.stderr)
     content = run_and_render(ctx=ctx)
     if args.write:
         with open(args.write, "w") as handle:
@@ -535,14 +523,10 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     parser.add_argument("--chaos-seed", type=int, default=None,
                         help="fault-placement seed (default: derived"
                              " from --seed)")
-    parser.add_argument("--stream", action="store_const", const=True,
-                        default=None,
-                        help="streaming execution: fold the capture into"
-                             " single-pass aggregates + a chunked spool"
-                             " (default: REPRO_STREAM env)")
     parser.add_argument("--spool-dir", metavar="DIR", default=None,
-                        help="root directory for streaming spool chunks"
-                             " (default: a self-cleaning temp dir)")
+                        help="write each capture's chunks as files under"
+                             " DIR/<dataset_id>/ (default: keep them in"
+                             " memory)")
 
 
 def main(argv=None) -> int:

@@ -25,6 +25,7 @@ from .sovereignty import (
     bloc_of,
 )
 from .concentration import (
+    ConcentrationAggregator,
     ConcentrationReport,
     concentration,
     per_as_counts,
@@ -87,6 +88,7 @@ __all__ = [
     "TransportAggregator",
     "Attributor",
     "BufsizeCDF",
+    "ConcentrationAggregator",
     "ConcentrationReport",
     "DailyTraffic",
     "RSSACSummary",

@@ -3,28 +3,21 @@
 Experiments ask an :class:`ExperimentContext` for a dataset's
 ``analytics()`` and call metric methods on it.  There is one set of
 reducers — the mergeable aggregators of
-:class:`~repro.analysis.streaming.AggregateSet` — and
-:class:`DatasetAnalytics` finalises their state.  When that state was
-folded is the one thing that differs between runs, and
-:meth:`DatasetAnalytics.of` is the one place that asks:
-
-* a streaming run folded it chunk by chunk while simulating, possibly in
-  several pool workers, and carries it as ``run.aggregates``; the facade
-  answers from it and no row data is resident;
-* an in-memory run's chunks are resident; the facade is built
-  :meth:`~DatasetAnalytics.over` the capture's whole view and its
-  attribution and feeds each aggregator that view once, the first time a
-  method reads it.  On demand rather than all eleven up front because a
-  report reads few of them: the four behind Figures 1, 2, 4 and Table 5
-  fold a 9,196-row view in under 4 ms, the full set (composition's
-  sketches included) takes 126 ms.
+:class:`~repro.analysis.streaming.AggregateSet` — and one fold: every
+simulated run's shards feed it chunk by chunk while freezing their
+captures, and the run carries the merged state as ``run.aggregates``.
+:class:`DatasetAnalytics` finalises that state —
+:meth:`~DatasetAnalytics.of` a run, or :meth:`~DatasetAnalytics.over` a
+view and its attribution, fed once at construction (a hand-built capture
+is the one-chunk case).
 
 Every aggregator but one is exact integer counting, so an answer does
 not depend on how the rows were chunked; the composition heavy-hitter
 list is sketch-derived and agrees between chunkings within its certified
 error bounds rather than bit-for-bit.  Analyses with no aggregate form
-(the Facebook PTR/RTT join of Figure 5, the extension studies) read the
-capture's whole view and :meth:`DatasetAnalytics.attribution`.
+(the Facebook PTR/RTT join of Figure 5, the RSSAC and resilience
+extensions) read the capture's whole view and
+:meth:`DatasetAnalytics.attribution`.
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from ..clouds import PROVIDERS
 from ..dnscore import RRType
 from ..telemetry import MetricsRegistry
 from .attribution import AttributionResult, Attributor
+from .concentration import ConcentrationReport
 from .edns import BufsizeCDF
 from .google_split import GoogleSplit
 from .metrics import (
@@ -44,7 +38,7 @@ from .metrics import (
     TransportRow,
 )
 from .qmin import MonthlyPoint
-from .streaming import AggregateSet, StreamingAggregator
+from .streaming import AggregateSet
 
 
 class DatasetAnalytics:
@@ -55,15 +49,11 @@ class DatasetAnalytics:
     provider outside that list was never counted and is rejected.
     """
 
-    def __init__(self, aggregates: AggregateSet):
+    def __init__(self, aggregates: AggregateSet, attribute=None):
         self.aggregates = aggregates
-        #: The view of a resident capture whose aggregators are fed on
-        #: first read; ``None`` when the state arrived folded.
-        self._view = None
-        self._fed = set()
-        #: Produces the capture's attribution: already run for a resident
-        #: view, deferred to the first :meth:`attribution` call otherwise.
-        self._attribute = None
+        #: Produces the capture's attribution on the first
+        #: :meth:`attribution` call.
+        self._attribute = attribute
         self._attribution: Optional[AttributionResult] = None
 
     @classmethod
@@ -74,24 +64,23 @@ class DatasetAnalytics:
         providers: Optional[Sequence[str]] = None,
         public_prefixes: Optional[Sequence[str]] = None,
     ) -> "DatasetAnalytics":
-        """The facade over a resident view and its attribution."""
-        analytics = cls(AggregateSet(providers, public_prefixes))
-        analytics._view, analytics._attribution = view, attribution
-        return analytics
+        """The facade over a view and its attribution, folded here, once."""
+        aggregates = AggregateSet(providers, public_prefixes)
+        aggregates.feed(view, attribution)
+        return cls(aggregates, lambda: attribution)
 
     @classmethod
     def of(cls, run, metrics: Optional[MetricsRegistry] = None) -> "DatasetAnalytics":
-        """The facade for a :class:`~repro.sim.DatasetRun`, wherever its
-        aggregate state comes from: the state the run folded while
-        simulating when it carries one, else aggregators fed from the
-        capture's whole view and its attribution (Table 1's providers).
+        """The facade for a :class:`~repro.sim.DatasetRun`: the state its
+        shards folded (Table 1's providers), plus the row-level
+        attribution pass the view-level analyses ask for, deferred.
 
-        ``metrics`` books the ``attribution`` phase and the
-        ``analysis.*`` counters of whatever this ends up doing.
+        ``metrics`` books that pass's ``attribution`` phase and
+        ``analysis.*`` counters, if it is ever made.
         """
         metrics = MetricsRegistry() if metrics is None else metrics
-        # The deferred pass outlives this call on a folded run's facade:
-        # it holds the capture and the registry, not the run's whole world.
+        # The deferred pass outlives this call: it holds the capture and
+        # the registry, not the run's whole world.
         capture, registry = run.capture, run.registry
 
         def attribute() -> AttributionResult:
@@ -102,29 +91,16 @@ class DatasetAnalytics:
             metrics.counter("analysis.rows_attributed").inc(len(view))
             return result
 
-        if run.aggregates is not None:
-            analytics = cls(run.aggregates)
-            analytics._attribute = attribute
-            metrics.counter("analysis.streaming_answers").inc()
-            return analytics
-        return cls.over(capture.view(), attribute())
+        return cls(run.aggregates, attribute)
 
     def attribution(self) -> AttributionResult:
-        """The row-level attribution of the capture a facade made
-        :meth:`over` or :meth:`of` one answers for: the one its
-        aggregators are fed when the capture is resident; for a run that
-        arrived folded, one pass over the materialised capture, made on
-        first request (only the view-level analyses ask)."""
+        """The row-level attribution of the capture the facade answers
+        for: the one it was made :meth:`over`, or, for a run, one pass
+        over the materialised capture, made on first request (only the
+        view-level analyses ask)."""
         if self._attribution is None:
             self._attribution = self._attribute()
         return self._attribution
-
-    def _aggregator(self, name: str) -> StreamingAggregator:
-        aggregator = self.aggregates[name]
-        if self._view is not None and name not in self._fed:
-            self._fed.add(name)
-            aggregator.feed(self._view, self._attribution)
-        return aggregator
 
     def _check_providers(self, providers: Optional[Sequence[str]]) -> tuple:
         configured = self.aggregates.providers
@@ -144,7 +120,7 @@ class DatasetAnalytics:
     def provider_shares(self, providers: Optional[Sequence[str]] = None) -> Dict[str, float]:
         """Fraction of all captured queries per provider (Figure 1 bars)."""
         providers = self._check_providers(providers)
-        shares = self._aggregator("provider_shares").finalize()
+        shares = self.aggregates["provider_shares"].finalize()
         return {p: shares[p] for p in providers}
 
     def cloud_share(self, providers: Optional[Sequence[str]] = None) -> float:
@@ -153,7 +129,7 @@ class DatasetAnalytics:
         return float(sum(self.provider_shares(providers).values()))
 
     def _qtype_share(self, provider: str, rrtype: RRType) -> float:
-        agg = self._aggregator("rrtype_mix")
+        agg = self.aggregates["rrtype_mix"]
         total = agg.totals[provider]
         return float(agg.count(provider, int(rrtype))) / total if total else 0.0
 
@@ -164,7 +140,7 @@ class DatasetAnalytics:
         bars).  Types outside ``buckets`` are reported under ``"other"``;
         fractions sum to 1 over the provider's queries."""
         self._check_providers((provider,))
-        agg = self._aggregator("rrtype_mix")
+        agg = self.aggregates["rrtype_mix"]
         total = agg.totals[provider]
         if total == 0:
             return {**{t.name: 0.0 for t in buckets}, "other": 0.0}
@@ -192,7 +168,7 @@ class DatasetAnalytics:
             ns_share=self._qtype_share(provider, RRType.NS),
             a_share=self._qtype_share(provider, RRType.A),
             aaaa_share=self._qtype_share(provider, RRType.AAAA),
-            total_queries=self._aggregator("rrtype_mix").totals[provider],
+            total_queries=self.aggregates["rrtype_mix"].totals[provider],
         )
 
     def minimized_fraction(
@@ -205,7 +181,7 @@ class DatasetAnalytics:
         registrations can sit: 1 for `.nl` (second level only), 2 for
         `.nz` (second- and third-level registrations)."""
         self._check_providers((provider,))
-        return self._aggregator("qmin").minimized_fraction(
+        return self.aggregates["qmin"].minimized_fraction(
             provider, zone_label_count, max_cut_depth
         )
 
@@ -213,24 +189,24 @@ class DatasetAnalytics:
         """Per-provider junk ratio (Figure 4): non-NOERROR responses over
         all of the provider's queries."""
         providers = self._check_providers(providers)
-        ratios = self._aggregator("junk").finalize()
+        ratios = self.aggregates["junk"].finalize()
         return {p: ratios[p] for p in providers}
 
     def overall_junk_ratio(self) -> float:
         """Vantage-wide junk ratio (section 3's per-dataset 'valid' split)."""
-        return self._aggregator("junk").overall()
+        return self.aggregates["junk"].overall()
 
     # -- Tables 3–6, Figure 6 ----------------------------------------------------
 
     def dataset_summary(self) -> DatasetSummary:
         """Totals, valid counts, distinct resolvers, distinct ASes (Table 3)."""
-        return self._aggregator("summary").finalize()
+        return self.aggregates["summary"].finalize()
 
     def google_split(
         self, public_prefixes: Optional[Sequence[str]] = None, provider: str = "Google"
     ) -> GoogleSplit:
         """The Public-DNS/rest split of Google's traffic (Tables 4/7)."""
-        agg = self._aggregator("google_split")
+        agg = self.aggregates["google_split"]
         if public_prefixes is not None and tuple(public_prefixes) != agg.public_prefixes:
             raise ValueError(
                 "google_split was aggregated over a different prefix list; "
@@ -247,7 +223,7 @@ class DatasetAnalytics:
     ) -> List[TransportRow]:
         """Per-provider IPv4/IPv6 and UDP/TCP query fractions (Table 5)."""
         providers = self._check_providers(providers)
-        agg = self._aggregator("transport")
+        agg = self.aggregates["transport"]
         rows = []
         for provider in providers:
             total = agg.totals[provider]
@@ -267,7 +243,7 @@ class DatasetAnalytics:
         """Distinct source addresses per family for one provider (Table 6;
         the paper's 'resolvers' unit is distinct addresses)."""
         self._check_providers((provider,))
-        agg = self._aggregator("inventory")
+        agg = self.aggregates["inventory"]
         v4, v6 = len(agg.v4[provider]), len(agg.v6[provider])
         return InventoryRow(provider, v4 + v6, v4, v6)
 
@@ -275,20 +251,20 @@ class DatasetAnalytics:
         """CDF of advertised EDNS0 sizes over the provider's *UDP* queries
         (Figure 6); queries without EDNS0 count at the 512-octet limit."""
         self._check_providers((provider,))
-        return self._aggregator("edns").finalize_provider(provider)
+        return self.aggregates["edns"].finalize_provider(provider)
 
     def truncation_ratio(self, provider: str) -> float:
         """Fraction of the provider's UDP queries whose answer came back
         truncated (TC=1) — section 4.4's headline percentages."""
         self._check_providers((provider,))
-        return self._aggregator("edns").truncation_ratio(provider)
+        return self.aggregates["edns"].truncation_ratio(provider)
 
     def truncation_table(
         self, providers: Optional[Sequence[str]] = None
     ) -> Dict[str, float]:
         """Truncation ratios for all providers at once."""
         providers = self._check_providers(providers)
-        agg = self._aggregator("edns")
+        agg = self.aggregates["edns"]
         return {p: agg.truncation_ratio(p) for p in providers}
 
     # -- the re-cuts ---------------------------------------------------------------
@@ -297,7 +273,7 @@ class DatasetAnalytics:
         """Country/bloc cut (:class:`~repro.analysis.sovereignty.SovereigntyReport`)
         over the configured provider list; exact integer arithmetic."""
         self._check_providers(providers)
-        return self._aggregator("sovereignty").finalize()
+        return self.aggregates["sovereignty"].finalize()
 
     def composition(self, top_k: int = 10):
         """Taxonomy cut (:class:`~repro.analysis.composition.CompositionReport`).
@@ -305,4 +281,16 @@ class DatasetAnalytics:
         The category/provider counts are exact; the heavy-hitter list is
         sketch-derived, so it depends on how the rows were chunked —
         within the certified error bounds."""
-        return self._aggregator("composition").finalize(top_k)
+        return self.aggregates["composition"].finalize(top_k)
+
+    def concentration(self) -> ConcentrationReport:
+        """Per-AS concentration indices (HHI, CR-n, Gini) of the whole
+        capture, from the merged per-AS counts; exact."""
+        return self.aggregates.concentration.finalize()
+
+    def provider_group_share(self) -> float:
+        """The configured providers' combined share as one ratio of folded
+        counts: the double ``provider_group_concentration`` gives (the
+        :meth:`cloud_share` sum of per-provider ratios can differ in ulps)."""
+        shares = self.aggregates["provider_shares"]
+        return sum(shares.counts.values()) / shares.total if shares.total else 0.0

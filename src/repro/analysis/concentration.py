@@ -13,18 +13,22 @@ per-AS query distribution of a capture:
   senders.
 
 These are the natural "future work" extension of the paper: a single
-scalar tracking centralization across vantages and years.
+scalar tracking centralization across vantages and years.  Every run
+folds the per-AS counts in its shards (:class:`ConcentrationAggregator`),
+the reduction Boeira et al. apply per jurisdiction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..capture import CaptureView
 from .attribution import AttributionResult
+from .streaming import StreamingAggregator, _require_same_config
 
 
 @dataclass
@@ -78,7 +82,11 @@ def _gini(shares: np.ndarray) -> float:
 
 def concentration(attribution: AttributionResult) -> ConcentrationReport:
     """Compute all concentration measures for one capture."""
-    counts = per_as_counts(attribution)
+    return concentration_of_counts(per_as_counts(attribution))
+
+
+def concentration_of_counts(counts: Dict[int, int]) -> ConcentrationReport:
+    """All concentration measures of a per-AS query-count mapping."""
     total = sum(counts.values())
     if total == 0:
         return ConcentrationReport(0, 0, 0.0, 0.0, 0.0, 0.0)
@@ -104,3 +112,27 @@ def provider_group_concentration(
     if total == 0:
         return 0.0
     return float(np.isin(labels, list(providers)).sum()) / total
+
+
+class ConcentrationAggregator(StreamingAggregator):
+    """The per-AS query counts behind :func:`concentration`: a
+    ``Counter`` of routed origin AS → queries, merged by addition, so the
+    indices of a merged state are those of the whole capture, bit for bit."""
+
+    name = "concentration"
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+
+    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
+        self.counts.update(per_as_counts(attribution))
+
+    def merge(self, other: "ConcentrationAggregator") -> None:
+        _require_same_config(self, other)
+        self.counts.update(other.counts)
+
+    def state(self):
+        return {"counts": dict(sorted(self.counts.items()))}
+
+    def finalize(self) -> ConcentrationReport:
+        return concentration_of_counts(self.counts)

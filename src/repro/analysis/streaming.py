@@ -5,7 +5,8 @@ These are the reducers behind every figure and table: small
 merge across shards — the shape of the paper's ENTRADA pipeline, where
 55.7B queries reduce to per-category aggregates without the row set ever
 being resident.  A capture that *is* resident is the one-chunk case
-(:meth:`~repro.analysis.analytics.DatasetAnalytics.over`).
+(:meth:`~repro.analysis.analytics.DatasetAnalytics.over`); every
+simulated run folds its chunks in the shards that froze them.
 
 Every aggregator implements the :class:`StreamingAggregator` protocol:
 
@@ -25,10 +26,9 @@ Every aggregator implements the :class:`StreamingAggregator` protocol:
     pins the bytes).
 
 States are plain picklable containers (ints, dicts, Counters, sets of int
-tuples), so streaming pool workers ship them back to the parent with
-the paths of their chunk files, not the chunks.  :class:`AggregateSet` bundles the full registry for one dataset
-run and is what rides on a streaming
-:class:`~repro.sim.DatasetRun.aggregates`.
+tuples), so pool workers ship them back to the parent beside their
+chunks.  :class:`AggregateSet` bundles the full registry for one dataset
+run and is what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
 """
 
 from __future__ import annotations
@@ -616,9 +616,11 @@ AGGREGATOR_FACTORIES: Dict[str, Callable] = {
 class AggregateSet:
     """The full aggregator bundle for one dataset run.
 
-    Workers feed their shard's chunks into a fresh set, ship it back, and
-    the parent merges the per-shard sets — the streaming replacement for
-    shipping the chunks themselves.
+    Shards feed their chunks into a fresh set, ship it back, and the
+    parent merges the per-shard sets.  ``concentration`` (the per-AS
+    counts) is folded beside the registry, not in it, so the registry's
+    exact states — digested by the oracle and the benchmark goldens —
+    stay the figure, table and re-cut aggregators'.
     """
 
     def __init__(
@@ -639,6 +641,9 @@ class AggregateSet:
             name: factory(self.providers, self.public_prefixes)
             for name, factory in AGGREGATOR_FACTORIES.items()
         }
+        from .concentration import ConcentrationAggregator
+
+        self.concentration = ConcentrationAggregator()
 
     def __getitem__(self, name: str) -> StreamingAggregator:
         return self.aggregators[name]
@@ -647,6 +652,7 @@ class AggregateSet:
         self.rows_fed += len(view)
         for aggregator in self.aggregators.values():
             aggregator.feed(view, attribution)
+        self.concentration.feed(view, attribution)
 
     def merge(self, other: "AggregateSet") -> None:
         if (self.providers, self.public_prefixes) != (
@@ -656,6 +662,7 @@ class AggregateSet:
         self.rows_fed += other.rows_fed
         for name, aggregator in self.aggregators.items():
             aggregator.merge(other.aggregators[name])
+        self.concentration.merge(other.concentration)
 
     def publish_metrics(self, metrics) -> None:
         """Let every aggregator that exposes telemetry roll its counters

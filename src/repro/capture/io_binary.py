@@ -13,7 +13,7 @@ contains only primitive dtypes.
 The same framing backs two consumers:
 
 * :func:`write_npz` / :func:`read_npz` — whole-capture persistence;
-* :mod:`repro.capture.spool` — the streaming runtime's chunk files, which
+* :mod:`repro.capture.spool` — a spilled capture's chunk files, which
   are simply small archives of this format written one bounded chunk at a
   time (see :func:`view_to_arrays` / :func:`arrays_to_view`).
 """

@@ -8,10 +8,10 @@ ENTRADA pipeline lands pcap-derived rows in Parquet files once and queries
 columns ever after.  A chunk is either **resident** — the view itself (an
 in-memory run: the shards hand their chunks over as they are) — or
 **spilled** — a compressed ``.npz`` chunk file in the
-:mod:`repro.capture.io_binary` framing (a streaming run: each shard writes
-its chunks under the run's spool directory and hands over their paths),
-read back one bounded view at a time, so a single-pass analysis touches
-O(chunk) memory regardless of total rows.
+:mod:`repro.capture.io_binary` framing (a run with a spool directory: each
+shard writes its chunks under it and hands over their paths), read back
+one bounded view at a time, so a single-pass analysis touches O(chunk)
+memory regardless of total rows.
 
 :class:`SpooledCapture` is the capture every
 :class:`~repro.sim.DatasetRun` carries; its :meth:`~SpooledCapture.view`
@@ -21,7 +21,6 @@ is the one canonical ``(timestamp, server_id)`` sort in the tree.
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -78,12 +77,12 @@ class CaptureSpool:
 
     Writers spill views with :meth:`write_view` (one view, one file) or
     :meth:`append_view` (re-cut to ``chunk_rows``); chunks produced
-    elsewhere — a shard's resident views, or the files a streaming shard
+    elsewhere — a shard's resident views, or the files a spilling shard
     wrote — join in shard order through :meth:`adopt`.  The chunk list is
     explicit, so stale files from crashed attempts are never picked up by
-    accident.  The directory (a temp dir of the spool's own when none is
-    configured) is created by the first use of :attr:`directory`: a spool
-    whose chunks all stay resident never touches the filesystem.
+    accident.  The directory is created by the first write: a spool whose
+    chunks all stay resident never touches the filesystem, and one built
+    without a directory cannot write.
     """
 
     def __init__(
@@ -94,9 +93,7 @@ class CaptureSpool:
     ):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        self._configured_directory = directory
-        self._directory: Optional[Path] = None
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        self.directory = None if directory is None else Path(directory)
         self.chunk_rows = chunk_rows
         self.shard_index = shard_index
         #: The partial chunk :meth:`append_view` is still filling.
@@ -109,33 +106,27 @@ class CaptureSpool:
         self.bytes_written = 0
         self.rows_spooled = 0
 
-    @property
-    def directory(self) -> Path:
-        """Where this spool's chunk files go (created on first use)."""
-        if self._directory is None:
-            directory = self._configured_directory
-            if directory is None:
-                self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spool-")
-                directory = self._tmpdir.name
-            self._directory = Path(directory)
-            self._directory.mkdir(parents=True, exist_ok=True)
-        return self._directory
-
     # -- writing ---------------------------------------------------------------
 
-    def write_view(self, view: CaptureView) -> None:
-        """Spill one view as one chunk file, behind any buffered tail —
-        the streaming fold's path, where each chunk was just built by
-        ``iter_views`` and is written as it is."""
+    def write_view(self, view: CaptureView) -> Optional[str]:
+        """Spill one view as one chunk file, behind any buffered tail, and
+        return its path (``None`` for an empty view) — a spilling shard's
+        path, where each chunk was just built by ``iter_views`` and folded,
+        and is written as it is."""
         self.flush()
         if len(view) == 0:
-            return
+            return None
+        if self.directory is None:
+            raise ValueError("a spool without a directory cannot write chunk files")
+        if self._sequence == 0:
+            self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / chunk_name(self.shard_index, self._sequence)
         self._sequence += 1
         self.bytes_written += write_chunk(path, view)
         self.rows_spooled += len(view)
         self._chunks.append(path)
         self._chunk_rows_counts.append(len(view))
+        return str(path)
 
     def append_view(self, view: CaptureView) -> None:
         """Spill a view re-cut to ``chunk_rows``: full slices are written
@@ -226,8 +217,8 @@ class CaptureSpool:
             yield chunk if isinstance(chunk, CaptureView) else read_chunk(chunk)
 
     def cleanup(self) -> None:
-        """Drop the chunks: delete the chunk files (and the temp dir, if
-        owned), release the resident views."""
+        """Drop the chunks: delete the chunk files, release the resident
+        views."""
         for chunk in self._chunks:
             if isinstance(chunk, CaptureView):
                 continue
@@ -237,9 +228,6 @@ class CaptureSpool:
                 pass
         self._chunks = []
         self._chunk_rows_counts = []
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-            self._tmpdir = None
 
 
 class SpooledCapture:

@@ -10,13 +10,13 @@ keyword front doors (:func:`repro.sim.run_dataset`,
 :class:`repro.experiments.ExperimentContext`) takes the object.
 
 This module imports nothing from the package and holds the only reads of
-the process environment under ``src/repro``, so the nine ``REPRO_*`` names
+the process environment under ``src/repro``, so the eight ``REPRO_*`` names
 share one parsing rule: an unset or empty variable means "use the
 default", booleans accept ``1/true/yes/on`` and ``0/false/no/off``, and a
 value that does not parse raises a :class:`ValueError` naming the
 variable, the offending text and the accepted form.
 
-Three of the nine are process-level switches rather than properties of a
+Three of the eight are process-level switches rather than properties of a
 run — ``REPRO_PLAN_CACHE``, ``REPRO_ENV_CACHE``, ``REPRO_POOL_START`` —
 and are read late, at their point of use, through the functions at the end
 of this module: pool workers and tests that monkeypatch the environment
@@ -100,11 +100,10 @@ class RunConfig:
     ``"hang"`` / ``"exit"``), applied to pool attempts only, never to the
     serial fallback — a hook for tests and drills.
 
-    ``stream`` selects where the capture's columnar chunks live and when
-    they are folded: spilled to chunk files and folded into single-pass
-    aggregates as they are written, instead of resident and folded on
-    first read.  ``spool_dir`` (streaming only) roots the chunk files
-    (``<spool_dir>/<dataset_id>/``; ``None`` = a self-cleaning temp dir).
+    Every shard folds its capture's columnar chunks into single-pass
+    aggregates as it freezes them; ``spool_dir`` says where the chunks
+    live afterwards: written to chunk files under
+    ``<spool_dir>/<dataset_id>/``, or resident in memory (``None``).
     ``trace`` enables sampled per-query tracing (``None`` = off).
     ``progress_interval_s`` is the seconds between progress log lines.
     """
@@ -113,7 +112,6 @@ class RunConfig:
     shard_timeout_s: Optional[float] = None
     retries: int = 1
     inject_faults: Dict[int, str] = field(default_factory=dict)
-    stream: bool = False
     spool_dir: Optional[str] = None
     trace: Optional[TraceConfig] = None
     progress_interval_s: float = 5.0
@@ -127,8 +125,6 @@ class RunConfig:
             )
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.spool_dir is not None and not self.stream:
-            raise ValueError("spool_dir needs stream=True (--spool-dir needs --stream)")
         if self.progress_interval_s <= 0:
             raise ValueError(
                 f"progress_interval_s must be positive, got {self.progress_interval_s}"
@@ -141,16 +137,15 @@ class RunConfig:
         shard_timeout_s: Optional[float] = None,
         retries: int = 1,
         inject_faults: Optional[Dict[int, str]] = None,
-        stream: Optional[bool] = None,
         spool_dir: Optional[str] = None,
         trace: Union[TraceConfig, float, None] = None,
         progress_interval_s: Optional[float] = None,
     ) -> "RunConfig":
         """Explicit arguments, else the environment, else the defaults.
 
-        ``None`` for ``workers`` / ``stream`` / ``trace`` /
-        ``progress_interval_s`` falls back to ``REPRO_WORKERS`` /
-        ``REPRO_STREAM`` / ``REPRO_TRACE`` / ``REPRO_PROGRESS_INTERVAL``.
+        ``None`` for ``workers`` / ``trace`` / ``progress_interval_s``
+        falls back to ``REPRO_WORKERS`` / ``REPRO_TRACE`` /
+        ``REPRO_PROGRESS_INTERVAL``.
         ``trace`` also accepts a bare sample rate; a resolved rate of 0
         means tracing is off.
         """
@@ -158,8 +153,6 @@ class RunConfig:
         # the argument nor the environment says anything.
         if workers is None:
             workers = _env("REPRO_WORKERS", _integer_from(1), "an integer >= 1")
-        if stream is None:
-            stream = _env("REPRO_STREAM", _boolean, _BOOLEAN_FORM)
         if trace is None:
             trace = _env("REPRO_TRACE", _fraction, "a fraction in [0, 1]")
         if trace is not None and not isinstance(trace, TraceConfig):
@@ -173,7 +166,6 @@ class RunConfig:
             shard_timeout_s=shard_timeout_s,
             retries=retries,
             inject_faults=dict(inject_faults or {}),
-            stream=bool(stream),
             spool_dir=spool_dir,
             trace=trace if trace is not None and trace.sample > 0.0 else None,
             progress_interval_s=(

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 from ..analysis import AttributionResult, DatasetAnalytics
 from ..config import RunConfig, resolve_scale
 from ..sim import DatasetRun, run_dataset
+from ..sim.driver import reject_removed_keywords
 from ..telemetry import MetricsRegistry, TraceBuffer
 from ..workload import DatasetDescriptor, dataset, monthly_google_descriptor
 
@@ -41,23 +42,15 @@ class ExperimentContext:
         vector: Optional[bool] = None,
         config: Optional[RunConfig] = None,
     ):
-        # Stub kept only for bench/workloads.py, which passes vector=False
-        # (see run_dataset); it goes with the next benchmark PR.
-        if vector:
-            raise ValueError(
-                "the record/replay vector core was removed;"
-                " vector= must be None or False"
-            )
+        reject_removed_keywords(vector=vector, stream=stream)
         self.scale = resolve_scale(scale)
         self.seed = seed
         #: How every simulation of this context executes: a ready
         #: ``config`` (the CLI passes the one it resolved), else
-        #: ``workers`` / ``stream`` / ``spool_dir`` / ``trace`` resolved
-        #: against the environment once, here.  Under ``stream``
-        #: :meth:`analytics` answers from the aggregates each run folded
-        #: instead of a materialised view.
+        #: ``workers`` / ``spool_dir`` / ``trace`` resolved against the
+        #: environment once, here.
         self.config = config if config is not None else RunConfig.resolve(
-            workers=workers, stream=stream, spool_dir=spool_dir, trace=trace
+            workers=workers, spool_dir=spool_dir, trace=trace
         )
         self.telemetry = MetricsRegistry() if telemetry is None else telemetry
         #: Optional :class:`~repro.faults.FaultPlan` applied to *every*
@@ -111,12 +104,9 @@ class ExperimentContext:
         return cached
 
     def analytics(self, dataset_id: str) -> DatasetAnalytics:
-        """Metric access for one dataset, memoised per dataset.
-
-        Answers from the aggregates the run folded while simulating
-        (streaming mode — no row materialisation), or, for an in-memory
-        run, from aggregators fed the frozen capture the first time a
-        report reads them; every later report shares that state.
+        """Metric access for one dataset, memoised per dataset: answers
+        from the aggregates the run's shards folded, with no row
+        materialisation; every later report shares that state.
         """
         return self._facade(self.run(dataset_id))
 

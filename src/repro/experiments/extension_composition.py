@@ -10,8 +10,8 @@ Expected shapes: the root vantage carries the largest junk fraction and
 its junk is dominated by single-label probes (the chromium effect); the
 ccTLD vantages see mostly NOERROR with a thinner junk tail.
 
-Category rows come from exact counting and are bit-identical between the
-in-memory and streaming backends.  The heavy-hitter list is approximate
+Category rows come from exact counting and are bit-identical however the
+capture was chunked.  The heavy-hitter list is approximate
 (space-saving + count-min) and therefore rides in ``Report.approx`` with
 its certified error bounds, outside the bit-identity contract.
 """

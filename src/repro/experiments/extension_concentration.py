@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..analysis import concentration, provider_group_concentration
-from ..clouds import PROVIDERS
 from ..workload import datasets_for_vantage
 from .context import ExperimentContext
 from .report import Report
@@ -27,9 +25,9 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
     )
     series: Dict[str, list] = {"year": [], "hhi": [], "cr5": [], "cr20": [], "gini": [], "group": []}
     for descriptor in datasets_for_vantage(vantage):
-        attribution = ctx.attribution(descriptor.dataset_id)
-        stats = concentration(attribution)
-        group = provider_group_concentration(attribution, PROVIDERS)
+        analytics = ctx.analytics(descriptor.dataset_id)
+        stats = analytics.concentration()
+        group = analytics.provider_group_share()
         year = descriptor.year
         series["year"].append(year)
         series["hhi"].append(stats.hhi)

@@ -49,9 +49,9 @@ class Report:
     counter_deltas: Dict[str, int] = field(default_factory=dict)
     #: Sketch-derived (approximate) results — e.g. heavy-hitter lists from
     #: the composition aggregator.  Kept out of ``rows``/``series`` because
-    #: those are held to bit-identity between the in-memory and streaming
-    #: backends; entries here are only guaranteed within stated error
-    #: bounds (and may legitimately differ between modes/worker counts).
+    #: those are held to bit-identity however the capture was chunked;
+    #: entries here are only guaranteed within stated error bounds (and
+    #: may legitimately differ between worker counts and volumes).
     approx: Dict[str, object] = field(default_factory=dict)
 
     def add(self, label: str, paper: Number, measured: Number, unit: str = "", note: str = "") -> None:

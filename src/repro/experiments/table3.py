@@ -53,7 +53,7 @@ def growth(ctx: ExperimentContext, vantage: str) -> Dict[str, float]:
         d for d in PAPER_DATASETS if PAPER_DATASETS[d].vantage == vantage
     )
     # Capture length, not a materialised view: it comes from chunk
-    # metadata, so streaming runs never load rows here.
+    # metadata, so spilled chunks are never loaded here.
     first = len(ctx.run(ids[0]).capture)
     last = len(ctx.run(ids[-1]).capture)
     return {"first": first, "last": last, "growth": last / first - 1.0}

@@ -86,14 +86,13 @@ class ShardTask:
     start: int = 0
     stop: Optional[int] = None
     fault: Optional[str] = None
-    #: The run's configuration: a streaming shard folds its capture into an
-    #: :class:`~repro.analysis.streaming.AggregateSet` while writing its
-    #: chunks out and ships that state with the chunk paths; a traced shard
-    #: samples by hash per fleet member, so the same queries are traced no
-    #: matter how members are packed into shards.
+    #: The run's configuration: a traced shard samples by hash per fleet
+    #: member, so the same queries are traced no matter how members are
+    #: packed into shards.
     config: RunConfig = RunConfig()
-    #: The parent spool's directory, where a streaming shard writes its
-    #: chunk files (they must outlive the worker).
+    #: The parent spool's directory, where a spilling shard writes its
+    #: chunk files (they must outlive the worker); ``None`` keeps them
+    #: resident.
     spool_dir: Optional[str] = None
 
 
@@ -103,10 +102,11 @@ class ShardResult:
     plus telemetry.
 
     ``chunks`` holds the shard's capture in append order — resident
-    :class:`~repro.capture.CaptureView` chunks, or under streaming the paths
-    of the chunk files it wrote into the run's spool directory — with
-    ``chunk_row_counts`` alongside; a streaming shard also ships
-    ``aggregates``, the analysis state it folded while writing them.
+    :class:`~repro.capture.CaptureView` chunks, or the paths of the chunk
+    files it wrote into the run's spool directory — with
+    ``chunk_row_counts`` alongside, and ``aggregates``, the analysis state
+    it folded from them (``None`` from an in-process shard that left the
+    shared capture to the last one).
     """
 
     shard_index: int

@@ -81,13 +81,13 @@ class DatasetRun:
     """Everything produced by simulating one dataset.
 
     ``capture`` is the shards' columnar chunks in shard order — held in
-    memory, or under streaming execution (``REPRO_STREAM=1``) spilled to
-    chunk files: ``len()``, ``rows_appended``, ``iter_views()`` and the
-    canonical whole ``view()``.  A streaming run additionally carries the
-    ``aggregates`` (:class:`~repro.analysis.streaming.AggregateSet`) its
-    shards folded while writing their chunks;
-    :meth:`DatasetAnalytics.of <repro.analysis.DatasetAnalytics.of>` is
-    the one place that asks which kind of run it was handed.
+    memory, or, when the run has a spool directory, spilled to chunk
+    files: ``len()``, ``rows_appended``, ``iter_views()`` and the
+    canonical whole ``view()``.  ``aggregates``
+    (:class:`~repro.analysis.streaming.AggregateSet`) is what the shards
+    folded while freezing those chunks, merged; every
+    :meth:`DatasetAnalytics.of <repro.analysis.DatasetAnalytics.of>`
+    answer comes from it.
 
     ``fleet`` is a *borrowed* handle: the resolvers went back to the
     process's fleet store (:mod:`repro.sim.worlds`) when the run was
@@ -429,15 +429,12 @@ def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTa
     """One pass over the environment's append buffer, the one time its
     rows become columns; returns ``(chunks, row_counts, aggregates)``.
 
-    A resident shard keeps the bounded chunk views as they are.  A
-    streaming shard attributes each, feeds it to every streaming
-    aggregator and writes it out as one compressed chunk file under
-    ``task.spool_dir`` — the run's spool, owned by the parent so the files
-    outlive a pool worker — and hands over the paths and the folded state.
+    Each bounded chunk view is attributed and fed to a fresh
+    :class:`~repro.analysis.streaming.AggregateSet` — the run's one fold —
+    and kept as it is, or, under a spool directory (``task.spool_dir``,
+    the parent's, so the files outlive a pool worker), written out as one
+    compressed chunk file whose path is handed over instead.
     """
-    if not task.config.stream:
-        chunks = list(env.capture.iter_views())
-        return chunks, [len(view) for view in chunks], None
     # Lazy imports: repro.analysis is a consumer of this module's output
     # everywhere else; importing it at call time keeps the sim package
     # importable without the analysis layer loaded.
@@ -447,16 +444,19 @@ def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTa
     spool = CaptureSpool(directory=task.spool_dir, shard_index=task.shard_index)
     aggregates = AggregateSet()
     attributor = Attributor(env.registry, PROVIDERS)
-    with metrics.time_phase("runtime.stream.fold"):
+    chunks, row_counts = [], []
+    with metrics.time_phase("runtime.fold"):
         for view in env.capture.iter_views():
             aggregates.feed(view, attributor.attribute(view))
-            spool.write_view(view)
-    metrics.counter("runtime.stream.rows_folded").inc(aggregates.rows_fed)
-    metrics.counter("capture.spool.chunks").inc(len(spool.chunk_paths()))
-    metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
-    metrics.counter("capture.spool.bytes").inc(spool.bytes_written)
+            chunks.append(view if task.spool_dir is None else spool.write_view(view))
+            row_counts.append(len(view))
+    metrics.counter("runtime.rows_folded").inc(aggregates.rows_fed)
     aggregates.publish_metrics(metrics)
-    return spool.chunk_paths(), spool.chunk_row_counts(), aggregates
+    if task.spool_dir is not None:
+        metrics.counter("capture.spool.chunks").inc(len(chunks))
+        metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
+        metrics.counter("capture.spool.bytes").inc(spool.bytes_written)
+    return chunks, row_counts, aggregates
 
 
 # -- the resolve loop ------------------------------------------------------------
@@ -714,24 +714,26 @@ def _assemble(
     resident views or chunk files alike — and extending their traces in
     that order reproduces the sequence one shard over the whole fleet
     appends; :meth:`~repro.capture.SpooledCapture.view` applies the
-    stable canonical sort on top.  ``metrics`` is the run's registry
+    stable canonical sort on top, and their folded states merge into
+    ``aggregates`` (an in-process shard that is not the last brings none).
+    ``metrics`` is the run's registry
     (world build, plan, executor bookkeeping); every shard's snapshot
     folds into it here.
     """
+    from ..analysis import AggregateSet
+
     descriptor = env.descriptor
     rows_appended = sum(result.rows_appended for result in results)
-    aggregates = None
-    with metrics.time_phase("runtime.stream.merge" if config.stream else "runtime.merge"):
-        if config.stream:
-            from ..analysis import AggregateSet
-
-            aggregates = AggregateSet.merge_all(
-                [r.aggregates for r in results if r.aggregates is not None]
-            )
+    with metrics.time_phase("runtime.merge"):
+        aggregates = AggregateSet.merge_all(
+            [result.aggregates for result in results if result.aggregates]
+        )
         for result in results:
             spool.adopt(result.chunks, result.chunk_row_counts)
             metrics.merge_snapshot(result.telemetry)
         capture = SpooledCapture(spool, rows_appended)
+    # A stub gauge (see ``_REMOVED_KEYWORDS``): 1 exactly when chunks spilled.
+    metrics.gauge("runtime.stream.enabled").set(1 if spool.chunk_paths() else 0)
     resolve_s = metrics.phase_seconds("resolve")
     if resolve_s > 0:
         # From merged totals, the gauge's one writer: a shard sees only
@@ -763,6 +765,26 @@ def _assemble(
 
 # -- the entry point -------------------------------------------------------------
 
+#: Keywords of removed modes.  :func:`run_dataset` and ``ExperimentContext``
+#: accept them as ``None``/``False``, and runs publish the
+#: ``runtime.{vector,stream}.enabled`` gauges, only because bench/workloads.py
+#: (frozen outside benchmark PRs) passes ``False`` and asserts the gauges;
+#: the next benchmark PR drops both there, and then they go here too.
+_REMOVED_KEYWORDS = {
+    "vector": "the record/replay vector core was removed",
+    "stream": "streaming is no longer a mode: every run folds its chunks"
+              " in the shards, and spool_dir= alone says where they live",
+}
+
+
+def reject_removed_keywords(**values) -> None:
+    for keyword, value in values.items():
+        if value:
+            raise ValueError(
+                f"{_REMOVED_KEYWORDS[keyword]}; {keyword}= must be None or False"
+            )
+
+
 def run_dataset(
     descriptor: DatasetDescriptor,
     seed: int = 20201027,
@@ -778,11 +800,11 @@ def run_dataset(
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    ``workers`` / ``stream`` / ``spool_dir`` / ``trace`` are the front
-    door to :meth:`RunConfig.resolve <repro.config.RunConfig.resolve>`
-    (``None`` = environment, else default; the fields are documented on
-    the class); a ready ``config`` replaces all four.  For a given fault
-    plan every configuration yields the same capture bytes.  With
+    ``workers`` / ``spool_dir`` / ``trace`` are the front door to
+    :meth:`RunConfig.resolve <repro.config.RunConfig.resolve>` (``None`` =
+    environment, else default; the fields are documented on the class); a
+    ready ``config`` replaces all three.  For a given fault plan every
+    configuration yields the same capture bytes.  With
     ``workers=1`` the returned server objects carry their post-run state
     (a pool leaves the parent's cold; their counters live in the merged
     telemetry).  The fleet does not: it is
@@ -804,24 +826,13 @@ def run_dataset(
     clock observes the replay rather than driving it: in-process it tracks
     each chunk's latest timestamp; either way it ends at the window's close.
 
-    ``vector`` is a stub: the record/replay vector core it selected was
-    removed, and only ``None``/``False`` are accepted.
+    ``vector`` and ``stream`` are stubs (:data:`_REMOVED_KEYWORDS`): only
+    ``None``/``False`` are accepted.
     """
-    # The keyword and the constant ``runtime.vector.enabled`` gauge below
-    # remain only because bench/workloads.py (frozen outside benchmark PRs)
-    # passes ``vector=False`` and asserts the gauge; the next benchmark PR
-    # drops both there, after which these lines go too.
-    if vector:
-        raise ValueError(
-            "the record/replay vector core was removed;"
-            " vector= must be None or False"
-        )
+    reject_removed_keywords(vector=vector, stream=stream)
     if config is None:
-        config = RunConfig.resolve(
-            workers=workers, stream=stream, spool_dir=spool_dir, trace=trace,
-        )
+        config = RunConfig.resolve(workers=workers, spool_dir=spool_dir, trace=trace)
     metrics = MetricsRegistry()
-    metrics.gauge("runtime.stream.enabled").set(1 if config.stream else 0)
     metrics.gauge("runtime.vector.enabled").set(0)
     if clock is None:
         clock = SimClock(now=descriptor.start)
@@ -841,13 +852,14 @@ def run_dataset(
         len(plan), config.workers,
     )
 
-    # The parent owns the run's spool (and its temp dir, when no directory
-    # is configured); streaming shards write their chunk files straight
-    # into it, resident chunks are adopted as they are.
-    spool = CaptureSpool(directory=(
+    # The parent owns the run's spool: spilling shards write their chunk
+    # files straight into its directory, resident chunks are adopted as
+    # they are.
+    spool_dir = (
         os.path.join(config.spool_dir, descriptor.dataset_id)
         if config.spool_dir else None
-    ))
+    )
+    spool = CaptureSpool(directory=spool_dir)
     tasks = [
         ShardTask(
             descriptor=descriptor,
@@ -857,7 +869,7 @@ def run_dataset(
             start=shard.start,
             stop=shard.stop,
             config=config,
-            spool_dir=str(spool.directory) if config.stream else None,
+            spool_dir=spool_dir,
         )
         for shard in plan
     ]

@@ -35,7 +35,7 @@ def serial_matrix():
         patch.delenv("REPRO_ENV_CACHE", raising=False)
         patch.delenv("REPRO_POOL_START", raising=False)
         forget_worlds()
-        ctx = ExperimentContext(scale=REPORT_SCALE, workers=1, stream=False, trace=0.0)
+        ctx = ExperimentContext(scale=REPORT_SCALE, workers=1, trace=0.0)
         return collect_all(ctx), ctx.telemetry.snapshot()
 
 

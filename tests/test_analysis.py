@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    AggregateSet,
     Attributor,
     DatasetAnalytics,
     MonthlyPoint,
@@ -385,35 +386,25 @@ class TestFacade:
         with pytest.raises(ValueError, match=r"ExampleCloud.*\('Google', 'Amazon'\)"):
             getattr(analytics, method)(*args)
 
-    def test_resident_view_is_folded_on_demand_and_once(self, attributor):
+    def test_view_is_folded_once_at_construction(self, attributor, monkeypatch):
+        counted = []
+        feed = AggregateSet.feed
+        monkeypatch.setattr(
+            AggregateSet, "feed",
+            lambda aggregates, view, attribution: counted.append(len(view))
+            or feed(aggregates, view, attribution),
+        )
         analytics = analytics_of(
             attributor, [rec(GOOGLE, RRType.NS), rec(GOOGLE_V6), rec(AMAZON)]
         )
-        feeds = Counter()
-        for name, aggregator in analytics.aggregates.aggregators.items():
-            def counting_feed(view, attribution, name=name, feed=aggregator.feed):
-                feeds[name] += 1
-                feed(view, attribution)
-
-            aggregator.feed = counting_feed
-
-        analytics.provider_shares()
+        assert counted == [3] and analytics.aggregates.rows_fed == 3
+        # Reading every answer feeds nothing more.
         assert analytics.cloud_share() == 1.0
-        assert feeds == {"provider_shares": 1}
-        analytics.rrtype_mix("Google")
         assert analytics.ns_share("Google") == 0.5
-        analytics.monthly_point("Google", 2020, 1)
-        analytics.transport_matrix()
         assert analytics.tcp_share("Amazon") == 0.0
-        assert feeds == {"provider_shares": 1, "rrtype_mix": 1, "transport": 1}
-
-        # Read everything: each aggregator has now seen the view exactly once.
-        analytics.junk_ratios(), analytics.overall_junk_ratio()
-        analytics.dataset_summary(), analytics.google_split()
-        analytics.resolver_inventory("Google"), analytics.minimized_fraction("Google", 1)
-        analytics.bufsize_cdf("Google"), analytics.truncation_table()
-        analytics.sovereignty(), analytics.composition()
-        assert feeds == dict.fromkeys(analytics.aggregates.aggregators, 1)
+        analytics.junk_ratios(), analytics.dataset_summary(), analytics.google_split()
+        analytics.sovereignty(), analytics.composition(), analytics.concentration()
+        assert analytics.aggregates.rows_fed == 3
 
 
 class TestFacebookClassification:

@@ -160,6 +160,23 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "--vector" in capsys.readouterr().err
 
+    def test_removed_stream_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dataset", "nz-w2018", "--stream"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --stream" in capsys.readouterr().err
+
+    def test_spool_dir_alone_spills(self, capsys, tmp_path):
+        """``--spool-dir`` needs no other flag: the chunks land under
+        ``DIR/<dataset_id>/`` and the run prints what a resident one does."""
+        target = tmp_path / "spool"
+        argv = ["dataset", "nz-w2018", "--scale", "0.01"]
+        assert main(argv + ["--spool-dir", str(target)]) == 0
+        spilled = capsys.readouterr().out
+        assert list((target / "nz-w2018").glob("shard*.npz"))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == spilled
+
 
 class TestValidatesBeforeSimulating:
     """A flag or ``REPRO_*`` value that cannot run is a usage error — exit
@@ -190,18 +207,6 @@ class TestValidatesBeforeSimulating:
             main(command)
         assert excinfo.value.code == 2
         assert "REPRO_WORKERS='abc': expected an integer >= 1" in capsys.readouterr().err
-
-    def test_spool_dir_without_streaming_is_a_usage_error(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.delenv("REPRO_STREAM", raising=False)
-        target = tmp_path / "spool"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["dataset", "nz-w2018", "--spool-dir", str(target)])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "repro: error: spool_dir needs stream=True (--spool-dir needs --stream)" in err
-        assert "simulating" not in err and not target.exists()
 
     def test_serve_takes_its_chaos_default_from_the_same_resolver(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "nope")

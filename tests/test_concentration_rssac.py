@@ -5,6 +5,8 @@ import pytest
 
 from repro.analysis import (
     AttributionResult,
+    Attributor,
+    DatasetAnalytics,
     concentration,
     daily_traffic,
     per_as_counts,
@@ -12,8 +14,12 @@ from repro.analysis import (
     summarize,
 )
 from repro.capture import CaptureStore, QueryRecord, Transport
+from repro.clouds import PROVIDERS
 from repro.dnscore import RCode
 from repro.netsim import IPAddress
+from repro.sim import run_dataset
+
+from .test_oracle import CASES
 
 
 def attribution_of(asns, providers=None):
@@ -92,6 +98,20 @@ def rec(day, transport=Transport.UDP, family=4, rcode=RCode.NOERROR, src_index=0
         rcode=int(rcode),
         response_size=size,
         tcp_rtt_ms=5.0 if transport is Transport.TCP else None,
+    )
+
+
+@pytest.mark.parametrize("case", ["nl-w2020", "nz-w2019", "root-2020"])
+def test_folded_concentration_is_the_whole_view_arithmetic(case):
+    """Two shards' merged per-AS counts give the report and the group
+    share that one pass over the whole attributed view gives, bit for bit."""
+    descriptor, queries, __, seed = CASES[case]
+    run = run_dataset(descriptor, seed=seed, client_queries=queries, workers=2)
+    attribution = Attributor(run.registry, PROVIDERS).attribute(run.capture.view())
+    analytics = DatasetAnalytics.of(run)
+    assert analytics.concentration() == concentration(attribution)
+    assert analytics.provider_group_share() == provider_group_concentration(
+        attribution, PROVIDERS
     )
 
 

@@ -174,6 +174,8 @@ class Row(NamedTuple):
 
 
 #: Every pair of values of any two (two-valued) axes meets in some row.
+#: ``stream`` is where the chunks live: spilled under a spool directory
+#: (``stream``) or resident (``memory``); every row folds in its shards.
 #: The first row is the reference path — one process, resident chunks, no
 #: tracing, every response and every world built from scratch — and the
 #: second its complement.
@@ -192,7 +194,7 @@ ROWS = [
 SCHEDULE = [(row, case) for case in CASES for row in ROWS[:2]] + [
     (ROWS[2], "nz-w2020"),               # every part built again in each worker
     (ROWS[3], "nz-w2020+flaky-server"),  # chaos on a pool, chunks resident
-    (ROWS[4], "root-2020"),              # folded, worlds built from scratch
+    (ROWS[4], "root-2020"),              # spilled, worlds built from scratch
     (ROWS[5], "nl-w2020+heavy-loss"),    # a traced resident shard
 ]
 
@@ -231,17 +233,16 @@ def facade_answers(analytics):
 def columns(run):
     """Every column of the table for one run (``trace`` only if traced).
 
-    A streamed run answers from what its shards folded; a resident run
-    from its view, which answering every question folds once.  The
-    heavy-hitter list, a sketch that depends on where chunk boundaries
-    fell, always comes from one feed of the run's own view, so the answers
-    of every mode share one literal.
+    Every run answers from what its shards folded.  The heavy-hitter list,
+    a sketch that depends on where chunk boundaries fell, always comes
+    from one feed of the run's own view, so the answers of every mode
+    share one literal.
     """
     view = run.capture.view()
     one_feed = DatasetAnalytics.over(
         view, Attributor(run.registry, PROVIDERS).attribute(view)
     )
-    analytics = one_feed if run.aggregates is None else DatasetAnalytics(run.aggregates)
+    analytics = DatasetAnalytics(run.aggregates)
     answers = facade_answers(analytics)
     answers["composition"].heavy_hitters = one_feed.composition().heavy_hitters
     got = {
@@ -293,26 +294,30 @@ def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
         monkeypatch.setenv("REPRO_POOL_START", start)
 
 
-def run_case(case, workers=1, stream=False, traced=False, **overrides):
+def run_case(case, workers=1, spool_dir=None, traced=False, **overrides):
     """One run of ``case``; ``overrides`` replace descriptor fields."""
     descriptor, queries, sample, seed = CASES[case]
     return run_dataset(
         replace(descriptor, **overrides), seed=seed, client_queries=queries,
-        workers=workers, stream=stream, trace=sample if traced else 0.0,
+        workers=workers, spool_dir=spool_dir, trace=sample if traced else 0.0,
     )
 
 
-def assert_structure(run, workers, stream, traced):
+def assert_structure(run, workers, spool_dir, traced):
     """What the mode itself must show: the backend, the shards, where the
-    chunks live, whether the run folded, whether it traced."""
+    chunks live, what the run folded, whether it traced."""
     report = run.runtime_report
     assert report.mode == ("process-pool" if workers > 1 else "serial")
     assert report.shard_count == workers and report.failures == 0
     assert sum(outcome.rows for outcome in report.outcomes) == len(run.capture)
     assert isinstance(run.capture, SpooledCapture)
-    assert bool(run.capture.spool.chunk_paths()) == stream
-    assert (run.aggregates is not None) == stream
-    assert run.telemetry.gauges["runtime.stream.enabled"] == (1 if stream else 0)
+    chunk_files = [] if spool_dir is None else sorted(
+        str(path) for path in (spool_dir / run.descriptor.dataset_id).glob("*.npz")
+    )
+    assert chunk_files == sorted(run.capture.spool.chunk_paths())
+    assert bool(chunk_files) == (spool_dir is not None)
+    assert run.aggregates.rows_fed == len(run.capture)
+    assert run.telemetry.gauges["runtime.stream.enabled"] == (1 if chunk_files else 0)
     assert (run.traces is not None) == traced
     if traced:
         assert run.telemetry.counters["trace.queries_sampled"] == len(run.traces) > 0
@@ -332,26 +337,27 @@ def test_the_matrix_covers_every_pair_and_every_case():
 @pytest.mark.parametrize(
     "row, case", SCHEDULE, ids=[f"{row.name}-{case}" for row, case in SCHEDULE]
 )
-def test_row_reproduces_the_table(row, case, monkeypatch):
+def test_row_reproduces_the_table(row, case, monkeypatch, tmp_path):
     pin(monkeypatch, row.plan_cache, row.world_store)
-    run = run_case(case, row.workers, row.stream, row.traced)
-    assert_structure(run, row.workers, row.stream, row.traced)
+    spool_dir = tmp_path if row.stream else None
+    run = run_case(case, row.workers, spool_dir, row.traced)
+    assert_structure(run, row.workers, spool_dir, row.traced)
     assert_reproduces(case, row.name, columns(run))
 
 
 def test_three_workers(monkeypatch):
     pin(monkeypatch)
     run = run_case("nl-w2020", workers=3)
-    assert_structure(run, 3, False, False)
+    assert_structure(run, 3, None, False)
     assert_reproduces("nl-w2020", "w3", columns(run))
 
 
-def test_spawned_pool(monkeypatch):
+def test_spawned_pool(monkeypatch, tmp_path):
     """Spawned workers start with empty world stores and build every part
     themselves; forked ones borrow what the parent parked."""
     pin(monkeypatch, start="spawn")
-    run = run_case("nz-google-qmin-off", workers=2, stream=True, traced=True)
-    assert_structure(run, 2, True, True)
+    run = run_case("nz-google-qmin-off", workers=2, spool_dir=tmp_path, traced=True)
+    assert_structure(run, 2, tmp_path, True)
     assert_reproduces("nz-google-qmin-off", "spawn", columns(run))
 
 
@@ -402,7 +408,9 @@ def test_serial_matrix_reproduces_the_reports(serial_matrix):
 
 
 @pytest.mark.slow
-def test_pooled_streaming_matrix_reproduces_the_reports(monkeypatch):
+def test_pooled_streaming_matrix_reproduces_the_reports(monkeypatch, tmp_path):
     pin(monkeypatch)
-    ctx = ExperimentContext(scale=REPORT_SCALE, workers=2, stream=True, trace=0.0)
+    ctx = ExperimentContext(
+        scale=REPORT_SCALE, workers=2, spool_dir=str(tmp_path), trace=0.0
+    )
     assert reports_digest(collect_all(ctx)) == REPORTS

@@ -7,7 +7,7 @@ is what this module drives, beside the planner, the apportionment and
 the executor's bookkeeping.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,39 +338,53 @@ class TestShardExecutorAccounting:
         assert metrics.snapshot().counters["runtime.shard_failures"] == 1
 
 
-def _vector_keys(snapshot):
+def _vector_keys(snapshot, prefix="runtime.vector."):
     return sorted(
         key
         for table in (snapshot.counters, snapshot.gauges, snapshot.phases)
         for key in table
-        if key.startswith("runtime.vector.")
+        if key.startswith(prefix)
     )
 
 
 class TestVectorKeywordStub:
-    """The record/replay vector core is gone; ``vector=`` survives on
-    ``run_dataset`` and ``ExperimentContext`` only as a stub that the
-    frozen ``bench/workloads.py`` still passes ``False`` to."""
+    """The record/replay vector core and the streaming mode are gone;
+    ``vector=`` and ``stream=`` survive on ``run_dataset`` and
+    ``ExperimentContext`` only as stubs that the frozen
+    ``bench/workloads.py`` still passes ``False`` to."""
 
     def test_truthy_value_rejected(self):
         from repro.experiments.context import ExperimentContext
 
-        with pytest.raises(ValueError, match="vector core was removed"):
-            run_dataset(dataset(DATASET), client_queries=60, vector=True)
-        with pytest.raises(ValueError, match="vector core was removed"):
-            ExperimentContext(scale=0.01, vector=True)
+        for keyword, message in (
+            ("vector", "vector core was removed"),
+            ("stream", "streaming is no longer a mode"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run_dataset(dataset(DATASET), client_queries=60, **{keyword: True})
+            with pytest.raises(ValueError, match=message):
+                ExperimentContext(scale=0.01, **{keyword: True})
 
-    def test_falsy_value_publishes_constant_gauge(self):
-        for vector in (None, False):
-            run = run_dataset(dataset(DATASET), client_queries=60, vector=vector)
+    def test_falsy_value_publishes_constant_gauge(self, tmp_path):
+        for falsy in (None, False):
+            run = run_dataset(
+                dataset(DATASET), client_queries=60, vector=falsy, stream=falsy
+            )
             assert _vector_keys(run.telemetry) == ["runtime.vector.enabled"]
             assert run.telemetry.gauges["runtime.vector.enabled"] == 0
+            assert _vector_keys(run.telemetry, "runtime.stream.") == [
+                "runtime.stream.enabled"
+            ]
+            assert run.telemetry.gauges["runtime.stream.enabled"] == 0
+        # The stream gauge now says whether chunks were spilled.
+        run = run_dataset(dataset(DATASET), client_queries=60, spool_dir=str(tmp_path))
+        assert run.telemetry.gauges["runtime.stream.enabled"] == 1
 
     def test_context_accepts_false(self):
         from repro.experiments.context import ExperimentContext
 
-        ctx = ExperimentContext(scale=0.01, workers=1, vector=False)
-        assert not hasattr(ctx, "vector")
+        ctx = ExperimentContext(scale=0.01, workers=1, vector=False, stream=False)
+        assert not hasattr(ctx, "vector") and not hasattr(ctx.config, "stream")
         ctx.run(DATASET)
         snapshot = ctx.telemetry.snapshot()
         assert _vector_keys(snapshot) == ["runtime.vector.enabled"]
@@ -383,7 +397,6 @@ class TestVectorKeywordStub:
 ENV_KNOBS = {
     "REPRO_SCALE": (lambda: run_config.resolve_scale(default=0.2), 0.2, "0.5", 0.5, "-1"),
     "REPRO_WORKERS": (lambda: RunConfig.resolve().workers, 1, "3", 3, "abc"),
-    "REPRO_STREAM": (lambda: RunConfig.resolve().stream, False, "on", True, "maybe"),
     "REPRO_TRACE": (
         lambda: RunConfig.resolve().trace, None,
         "0.125", run_config.TraceConfig(sample=0.125), "2",
@@ -421,9 +434,7 @@ class TestEnvDefaults:
             ("1", True), ("true", True), ("Yes", True), ("on", True),
         ):
             monkeypatch.setenv("REPRO_PLAN_CACHE", text)
-            monkeypatch.setenv("REPRO_STREAM", text)
             assert run_config.plan_cache_enabled() is expected
-            assert RunConfig.resolve().stream is expected
 
     def test_run_config_rejects_what_cannot_run(self):
         from repro.experiments.context import ExperimentContext
@@ -434,8 +445,6 @@ class TestEnvDefaults:
         ):
             with pytest.raises(ValueError, match=field):
                 RunConfig.resolve(**{field: bad})
-        with pytest.raises(ValueError, match="spool_dir needs stream=True"):
-            RunConfig.resolve(spool_dir="/nowhere", stream=False)
         with pytest.raises(ValueError, match="scale"):
             run_config.resolve_scale(-1.0)
         with pytest.raises(ValueError, match="workers"):
@@ -466,7 +475,7 @@ class TestEnvDefaults:
         )[1].split("\n## ", 1)[0]
         documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
         assert in_source == documented == {
-            "REPRO_SCALE", "REPRO_WORKERS", "REPRO_STREAM", "REPRO_TRACE",
+            "REPRO_SCALE", "REPRO_WORKERS", "REPRO_TRACE",
             "REPRO_CHAOS", "REPRO_PROGRESS_INTERVAL", "REPRO_PLAN_CACHE",
             "REPRO_ENV_CACHE", "REPRO_POOL_START",
         }
@@ -484,16 +493,22 @@ class TestEnvDefaults:
                 for text in sources.values()
             )
             assert sites == 1, f"{constructor} constructed at {sites} sites"
-        # One format past the append buffer, one canonical sort, one place
-        # that asks whether a run folded (besides the merge of shard states).
+        # One format past the append buffer, one canonical sort, and one
+        # fold: no streaming mode, so nothing asks whether a run folded.
         everything = "".join(sources.values())
         assert everything.count("np.lexsort") == 1
         assert not re.search(
             r"\b(from_raw_rows|sort_canonical|raw_rows|spool_store|append_rows|_pending)\b",
             everything,
         )
-        assert everything.count("aggregates is not None") == 2
-        assert "aggregates is not None" in sources[root / "src/repro/analysis/analytics.py"]
+        assert not re.search(
+            r'REPRO_STREAM|config\.stream\b|aggregates is (not )?None|"--stream"',
+            everything,
+        )
+        assert [field.name for field in fields(RunConfig)] == [
+            "workers", "shard_timeout_s", "retries", "inject_faults",
+            "spool_dir", "trace", "progress_interval_s",
+        ]
         # One trace surface: simulated events in one Chrome-trace file —
         # no rate frames, no second format, no runtime-category events,
         # no reader-less telemetry API.

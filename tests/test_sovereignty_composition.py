@@ -81,27 +81,28 @@ def brute_force_composition(view):
     return counts
 
 
-def simulate(descriptor, workers, stream):
+def simulate(descriptor, workers, spool_dir=None):
     """Modes are pinned explicitly so the comparison stays fixed even under
-    REPRO_STREAM=1 / REPRO_WORKERS=2."""
+    REPRO_WORKERS=2."""
     return run_dataset(
-        descriptor, client_queries=QUERIES, seed=SEED, workers=workers, stream=stream,
+        descriptor, client_queries=QUERIES, seed=SEED, workers=workers,
+        spool_dir=spool_dir,
     )
 
 
 @pytest.fixture(scope="module")
 def mem_run():
-    return simulate(dataset(DATASET), workers=1, stream=False)
+    return simulate(dataset(DATASET), workers=1)
 
 
 @pytest.fixture(scope="module")
-def stream_run():
-    return simulate(dataset(DATASET), workers=1, stream=True)
+def stream_run(tmp_path_factory):
+    return simulate(dataset(DATASET), workers=1, spool_dir=tmp_path_factory.mktemp("spool"))
 
 
 @pytest.fixture(scope="module")
-def pooled_run():
-    return simulate(dataset(DATASET), workers=2, stream=True)
+def pooled_run(tmp_path_factory):
+    return simulate(dataset(DATASET), workers=2, spool_dir=tmp_path_factory.mktemp("spool"))
 
 
 class TestClassifier:
@@ -160,11 +161,13 @@ class TestChaosParity:
 
     @pytest.fixture(scope="class")
     def chaos_mem_run(self, chaos_descriptor):
-        return simulate(chaos_descriptor, workers=1, stream=False)
+        return simulate(chaos_descriptor, workers=1)
 
     @pytest.fixture(scope="class")
-    def chaos_pooled_run(self, chaos_descriptor):
-        return simulate(chaos_descriptor, workers=2, stream=True)
+    def chaos_pooled_run(self, chaos_descriptor, tmp_path_factory):
+        return simulate(
+            chaos_descriptor, workers=2, spool_dir=tmp_path_factory.mktemp("spool")
+        )
 
     def test_chaos_sovereignty_equals_brute_force(self, chaos_mem_run, chaos_pooled_run):
         view, attribution = attribution_of(chaos_mem_run)

@@ -277,9 +277,23 @@ class TestSpoolProperties:
             spool.append_view(records_to_view(records))
             with pytest.raises(RuntimeError):
                 next(spool.iter_views())       # a partial chunk is buffered
-            spool.write_view(records_to_view(records * 2))
+            path = spool.write_view(records_to_view(records * 2))
+            assert spool.chunk_paths()[-1] == path
             assert [len(chunk) for chunk in spool.iter_views()] == [1, 2]
             spool.cleanup()
+
+    def test_a_spool_without_a_directory_holds_chunks_but_cannot_write(self):
+        view = records_to_view([
+            QueryRecord(
+                timestamp=1.0, server_id="nl-a", src=IPAddress(4, 1),
+                transport=Transport.UDP, qname="nl.", qtype=2, rcode=0,
+            )
+        ])
+        spool = CaptureSpool()
+        spool.adopt([view])
+        assert len(spool) == 1 and spool.chunk_paths() == []
+        with pytest.raises(ValueError, match="without a directory"):
+            spool.write_view(view)
 
     def test_adopt_reads_row_counts_from_metadata(self):
         view = records_to_view(

@@ -6,7 +6,9 @@ whole, (2) merge is order-insensitive, and (3) merge is associative — the
 parent may then fold shard states in any grouping and still match a serial
 single-pass fold.  These properties are checked against the canonical
 ``exact_state()`` snapshot for every entry in ``AGGREGATOR_FACTORIES``, so
-a new aggregator gets algebra coverage just by registering itself.
+a new aggregator gets algebra coverage just by registering itself — and
+for the per-AS concentration counts every ``AggregateSet`` folds beside
+that registry.
 
 For fully-exact aggregators ``exact_state()`` *is* ``state()``.  The
 composition aggregator additionally carries an approximate space-saving
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import AggregateSet
+from repro.analysis import AggregateSet, ConcentrationAggregator
 from repro.analysis.attribution import OTHER, UNKNOWN, AttributionResult
 from repro.analysis.streaming import AGGREGATOR_FACTORIES
 from repro.capture import CaptureStore, QueryRecord, Transport
@@ -111,8 +113,16 @@ def partition(view, cuts):
     return parts
 
 
+#: Everything an ``AggregateSet`` folds: the registry and, beside it, the
+#: concentration counts.
+FACTORIES = {
+    **AGGREGATOR_FACTORIES,
+    ConcentrationAggregator.name: lambda providers, prefixes: ConcentrationAggregator(),
+}
+
+
 def fresh(name):
-    return AGGREGATOR_FACTORIES[name](PROVIDERS, GOOGLE_PUBLIC_DNS_PREFIXES)
+    return FACTORIES[name](PROVIDERS, GOOGLE_PUBLIC_DNS_PREFIXES)
 
 
 def fed(name, views):
@@ -146,7 +156,7 @@ parts_st = st.tuples(
 )
 
 
-@pytest.mark.parametrize("name", sorted(AGGREGATOR_FACTORIES))
+@pytest.mark.parametrize("name", sorted(FACTORIES))
 class TestAggregatorAlgebra:
     @settings(max_examples=20, deadline=None)
     @given(parts_st)
@@ -205,7 +215,7 @@ class TestAggregatorAlgebra:
 
     def test_merge_rejects_mismatched_config(self, name):
         a = fresh(name)
-        b = AGGREGATOR_FACTORIES[name](PROVIDERS[:2], ("192.0.2.0/24",))
+        b = FACTORIES[name](PROVIDERS[:2], ("192.0.2.0/24",))
         if a.config() == b.config():
             pytest.skip("aggregator has no configuration")
         with pytest.raises(ValueError):
@@ -232,6 +242,7 @@ class TestAggregateSetAlgebra:
         for name in AGGREGATOR_FACTORIES:
             assert merged[name].exact_state() == whole[name].exact_state(), name
             assert_approx_part_sound(merged[name], view)
+        assert merged.concentration.exact_state() == whole.concentration.exact_state()
 
     def test_merge_all_of_nothing_is_empty(self):
         merged = AggregateSet.merge_all([])

@@ -1,13 +1,12 @@
-"""Streaming mode: where a run's chunks live and where its aggregate
-state comes from.
+"""Where a run's chunks live, and the one fold every run carries.
 
-A resident run keeps its shards' columnar chunks in memory and its
-facade folds them on first read; a streamed run spills them to chunk
-files and carries the state its shards folded while writing.  That both
-give the same capture and the same answers is pinned once, in
-``test_oracle``; this module holds what differs between the two by
-design — the shape of the run, the files it leaves, the memory its
-parent needs — and that the examples cannot tell them apart.
+Every run's shards fold their columnar chunks into aggregate state while
+freezing them; a resident run then keeps the chunks in memory, a run with
+a spool directory writes them to chunk files.  That both give the same
+capture and the same answers is pinned once, in ``test_oracle``; this
+module holds what differs between the two by design — the files a run
+leaves, the memory its parent needs — and that the facade and the
+examples never need the materialised view to answer.
 """
 
 import os
@@ -27,49 +26,66 @@ QUERIES = 900
 SEED = 20201027
 
 
-def simulate(workers, stream):
-    """Modes are pinned explicitly, whatever REPRO_WORKERS / REPRO_STREAM
-    the suite runs under."""
+def simulate(workers, spool_dir=None):
+    """Modes are pinned explicitly, whatever REPRO_WORKERS the suite runs
+    under."""
     return run_dataset(
         dataset(DATASET), client_queries=QUERIES, seed=SEED,
-        workers=workers, stream=stream,
+        workers=workers, spool_dir=spool_dir,
     )
 
 
 @pytest.fixture(scope="module")
 def mem_run():
-    return simulate(workers=1, stream=False)
+    return simulate(workers=1)
 
 
 @pytest.fixture(scope="module")
-def stream_run():
-    return simulate(workers=1, stream=True)
+def stream_run(tmp_path_factory):
+    return simulate(workers=1, spool_dir=str(tmp_path_factory.mktemp("spool")))
 
 
 class TestOneFacadeConstructor:
-    """``DatasetAnalytics.of`` is the one place that asks whether a run
-    folded (``test_oracle`` holds its answers to one literal either way)."""
+    """``DatasetAnalytics.of`` answers from the folded state of any run
+    (``test_oracle`` holds its answers to one literal)."""
 
     def test_of_books_what_it_did(self, mem_run, stream_run):
-        resident, folded = MetricsRegistry(), MetricsRegistry()
-        DatasetAnalytics.of(mem_run, resident)
-        analytics = DatasetAnalytics.of(stream_run, folded)
-        assert resident.snapshot().counters == {
-            "analysis.attribution_passes": 1,
-            "analysis.rows_attributed": len(mem_run.capture),
-        }
-        assert folded.snapshot().counters == {"analysis.streaming_answers": 1}
-        # A folded run attributes its materialised capture on first request.
-        assert len(analytics.attribution().asns) == len(stream_run.capture)
-        assert analytics.attribution() is analytics.attribution()
-        assert folded.snapshot().counter("analysis.attribution_passes") == 1
+        for run in (mem_run, stream_run):
+            metrics = MetricsRegistry()
+            analytics = DatasetAnalytics.of(run, metrics)
+            assert analytics.aggregates is run.aggregates
+            analytics.provider_shares()
+            assert metrics.snapshot().counters == {}
+            # The view-level analyses get one attribution pass over the
+            # materialised capture, made on first request.
+            assert len(analytics.attribution().asns) == len(run.capture)
+            assert analytics.attribution() is analytics.attribution()
+            assert metrics.snapshot().counters == {
+                "analysis.attribution_passes": 1,
+                "analysis.rows_attributed": len(run.capture),
+            }
+
+
+def test_a_resident_run_answers_without_its_view(monkeypatch):
+    """Every facade answer of a resident serial run comes from the state
+    its shard folded: the canonical view is never materialised."""
+    from repro.capture import SpooledCapture
+
+    from .test_oracle import facade_answers
+
+    calls = []
+    monkeypatch.setattr(SpooledCapture, "view", lambda self: calls.append(self))
+    fresh = simulate(workers=1)
+    assert fresh.runtime_report.mode == "serial"
+    assert fresh.capture.spool.chunk_paths() == []
+    facade_answers(DatasetAnalytics.of(fresh))
+    assert calls == []
 
 
 def test_an_in_memory_run_touches_no_filesystem(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    run = run_dataset(
-        dataset("nz-w2018"), client_queries=300, seed=SEED, workers=1, stream=False
-    )
+    monkeypatch.chdir(tmp_path)
+    run = run_dataset(dataset("nz-w2018"), client_queries=300, seed=SEED, workers=1)
     assert not list(tmp_path.iterdir())
     assert len(run.capture.view()) == len(run.capture) > 0
     assert not list(tmp_path.iterdir())
@@ -78,22 +94,24 @@ def test_an_in_memory_run_touches_no_filesystem(tmp_path, monkeypatch):
 
 class TestSerialParity:
     def test_run_shapes(self, mem_run, stream_run):
-        assert mem_run.aggregates is None
-        assert stream_run.aggregates is not None
         assert len(mem_run.capture) == len(stream_run.capture)
         assert stream_run.capture.rows_appended == mem_run.capture.rows_appended
-        assert stream_run.aggregates.rows_fed == len(stream_run.capture)
+        for run in (mem_run, stream_run):
+            assert run.aggregates.rows_fed == len(run.capture)
+            assert run.telemetry.counter("runtime.rows_folded") == len(run.capture)
+        assert mem_run.capture.spool.chunk_paths() == []
+        assert stream_run.capture.spool.chunk_paths()
 
 
 class TestPooledParity:
     @pytest.fixture(scope="class")
     def pooled_run(self):
-        return simulate(workers=2, stream=True)
+        return simulate(workers=2)
 
     def test_pool_was_used(self, pooled_run):
         assert pooled_run.runtime_report.mode == "process-pool"
         assert pooled_run.runtime_report.failures == 0
-        assert pooled_run.aggregates is not None
+        assert pooled_run.aggregates.rows_fed == len(pooled_run.capture) > 0
 
 
 class TestGoldenReports:
@@ -112,8 +130,7 @@ class TestGoldenReports:
 class TestSpoolDirectory:
     def test_explicit_spool_dir_holds_chunks(self, tmp_path):
         run = run_dataset(
-            dataset("nz-w2018"), client_queries=300, seed=SEED,
-            stream=True, spool_dir=str(tmp_path),
+            dataset("nz-w2018"), client_queries=300, seed=SEED, spool_dir=str(tmp_path),
         )
         chunks = list((tmp_path / "nz-w2018").glob("*.npz"))
         assert chunks, "spool directory should contain chunk archives"
@@ -134,8 +151,8 @@ from repro.clouds import PROVIDERS
 from repro.sim import run_dataset
 from repro.workload import dataset
 
-stream, volume = sys.argv[1] == "stream", int(sys.argv[2])
-run = run_dataset(dataset("nl-w2020"), client_queries=volume, workers=2, stream=stream)
+volume, spool_dir = int(sys.argv[2]), sys.argv[3] if sys.argv[1] == "stream" else None
+run = run_dataset(dataset("nl-w2020"), client_queries=volume, workers=2, spool_dir=spool_dir)
 DatasetAnalytics.of(run).provider_shares(PROVIDERS)
 peak_kb = re.search(r"VmHWM:\s+(\d+) kB", open("/proc/self/status").read()).group(1)
 print(len(run.capture), peak_kb)
@@ -144,20 +161,20 @@ print(len(run.capture), peak_kb)
 
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs procfs")
-def test_streaming_parent_memory_is_sublinear_in_volume():
+def test_streaming_parent_memory_is_sublinear_in_volume(tmp_path):
     """An in-memory pooled run ships every shard's columnar chunks to the
-    parent and materialises the view, so the parent's peak RSS grows with
-    volume; a streamed one ships aggregate state and chunk paths.  At four times the
-    volume the streamed parent must grow by less than half of what the
-    in-memory parent does."""
+    parent, so the parent's peak RSS grows with volume; a spilling one
+    ships aggregate state and chunk paths.  At four times the volume the
+    spilling parent must grow by less than half of what the in-memory
+    parent does."""
     base, big = 6_000, 24_000
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("REPRO_STREAM", None)  # the child's mode comes from argv only
+    env.pop("REPRO_WORKERS", None)
 
     def child(mode, volume):
         proc = subprocess.run(
-            [sys.executable, "-c", RSS_CHILD, mode, str(volume)],
+            [sys.executable, "-c", RSS_CHILD, mode, str(volume), str(tmp_path)],
             env=env, capture_output=True, text=True, check=True,
         )
         rows, peak_kb = proc.stdout.split()[-2:]
@@ -182,16 +199,17 @@ def test_streaming_parent_memory_is_sublinear_in_volume():
 ])
 def test_examples_answer_the_same_streamed(example, args):
     """The examples are the documentation of ``DatasetAnalytics.of(run)``:
-    they must not care how the run they were handed was executed."""
+    they must not care how the run they were handed was executed — in one
+    process, or folded in two pool workers."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
 
-    def stdout(stream):
+    def stdout(workers):
         proc = subprocess.run(
             [sys.executable, os.path.join(root, "examples", example), *args],
-            env={**env, "REPRO_STREAM": stream},
+            env={**env, "REPRO_WORKERS": workers},
             capture_output=True, text=True, check=True,
         )
         return proc.stdout
 
-    assert stdout("0") == stdout("1") != ""
+    assert stdout("1") == stdout("2") != ""

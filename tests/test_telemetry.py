@@ -337,13 +337,9 @@ class TestExperimentContextTelemetry:
         ctx = ExperimentContext(scale=0.004, seed=5)
         report = instrumented(ctx, lambda: figure4.run_vantage(ctx, "nz"))
         assert report.wall_time_s is not None and report.wall_time_s > 0
-        # In-memory runs attribute rows lazily in the parent; streaming runs
-        # answer from merged aggregates instead — either counter proves the
-        # analysis work was charged to this experiment's delta.
-        assert (
-            report.counter_deltas.get("analysis.rows_attributed", 0) > 0
-            or report.counter_deltas.get("analysis.streaming_answers", 0) > 0
-        )
+        # The runs' shards fold their captures while simulating: the fold
+        # is charged to this experiment's delta.
+        assert report.counter_deltas.get("runtime.rows_folded", 0) > 0
         assert "telemetry: wall" in report.to_text()
         # A second, fully cached run moves no counters.
         cached = instrumented(ctx, lambda: figure4.run_vantage(ctx, "nz"))
@@ -351,9 +347,8 @@ class TestExperimentContextTelemetry:
         snap = ctx.telemetry.snapshot()
         assert snap.total("sim.client_queries") > 0
         # figure4 "nz" covers the three .nz yearly datasets, each cached
-        # after the first instrumented run.  Streaming contexts never run a
-        # parent-side attribution pass (workers attribute chunk-by-chunk).
-        if ctx.config.stream:
-            assert snap.counter("analysis.streaming_answers") == 3
-        else:
-            assert snap.counter("analysis.attribution_passes") == 3
+        # after the first instrumented run.  It reads folded state only, so
+        # no parent-side attribution pass runs (shards attribute chunk by
+        # chunk), and every captured row was folded once.
+        assert snap.counter("analysis.attribution_passes") == 0
+        assert snap.counter("runtime.rows_folded") == snap.total("capture.rows_appended") > 0

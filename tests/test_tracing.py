@@ -369,7 +369,7 @@ class TestObservabilityCLI:
         shared = [
             "--scale", "--seed", "--telemetry-out", "--metrics-out",
             "--trace-out", "--trace-sample", "--workers", "--chaos",
-            "--chaos-seed", "--stream", "--spool-dir",
+            "--chaos-seed", "--spool-dir",
         ]
         helps = {}
         for command in ("dataset", "experiments"):
@@ -396,6 +396,6 @@ class TestObservabilityCLI:
             return " ".join(" ".join(block).split())
 
         for flag in ("--telemetry-out", "--metrics-out", "--trace-out",
-                     "--trace-sample", "--workers", "--chaos", "--stream"):
+                     "--trace-sample", "--workers", "--chaos", "--spool-dir"):
             entries = {entry(text, flag) for text in helps.values()}
             assert len(entries) == 1, f"help text drifted for {flag}: {entries}"

@@ -107,7 +107,7 @@ class TestPoolWorkersBorrow:
         forget_worlds()
         run = run_dataset(
             dataset("nz-w2018"), seed=SEED, client_queries=QUERIES,
-            workers=2, stream=False,
+            workers=2,
         )
         assert run.runtime_report.mode == "process-pool"
         assert not any("part=environment" in key for key in run.telemetry.counters)
