@@ -3,8 +3,8 @@
 Every experiment produces a :class:`Report` whose rows pair the paper's
 published value with the reproduction's measured value.  Absolute numbers
 are not expected to match (the substrate is a scaled simulator); the
-*shape* assertions live in the benchmark suite, and the report makes the
-comparison inspectable.
+report makes the comparison inspectable.  Nothing scores the pairs yet:
+that is ROADMAP.md item 2.
 """
 
 from __future__ import annotations

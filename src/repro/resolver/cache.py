@@ -18,10 +18,13 @@ Three stores:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dnscore import Name, RCode, ResourceRecord, RRType
+
+#: A name's :meth:`~repro.dnscore.Name.canonical_key`.
+CanonicalKey = Tuple[bytes, ...]
 
 
 @dataclass
@@ -42,18 +45,12 @@ class NegativeEntry:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting, including aggressive-NSEC synthesis."""
+    """What the cache answered without a positive or negative line: names
+    proven absent by a cached NSEC range, and stale answers.  (Hits and
+    misses are the resolver's own count, ``ResolverStats``.)"""
 
-    hits: int = 0
-    misses: int = 0
-    negative_hits: int = 0
     nsec_synthesised: int = 0
     stale_hits: int = 0      #: RFC 8767 serve-stale lookups that hit
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses + self.negative_hits + self.nsec_synthesised
-        return 0.0 if total == 0 else (total - self.misses) / total
 
 
 class ResolverCache:
@@ -90,8 +87,10 @@ class ResolverCache:
         self.stats = CacheStats()
         self._positive: Dict[Tuple[Name, RRType], CacheEntry] = {}
         self._negative: Dict[Name, NegativeEntry] = {}
-        # zone origin -> sorted list of (owner, next) NSEC gap tuples.
-        self._nsec_ranges: Dict[Name, List[Tuple[Name, Name]]] = {}
+        # zone origin -> sorted list of (owner, next) NSEC gaps, each name
+        # as its canonical key: tuples that order like the names (RFC 4034
+        # section 6.1) and compare without a Python-level call.
+        self._nsec_ranges: Dict[Name, List[Tuple[CanonicalKey, CanonicalKey]]] = {}
 
     # -- positive ----------------------------------------------------------
 
@@ -103,10 +102,9 @@ class ResolverCache:
         self._positive[(qname, qtype)] = CacheEntry(list(records), now + ttl)
 
     def get(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
-        """Positive lookup; counts a miss only if nothing (incl. negative) hits."""
+        """Positive lookup: the live records, or ``None``."""
         entry = self._positive.get((qname, qtype))
         if entry is not None and entry.expires_at > now:
-            self.stats.hits += 1
             return entry.records
         if entry is not None and now >= entry.expires_at + self.serve_stale_window:
             # Past TTL *and* past the stale window (window 0 = on expiry).
@@ -138,7 +136,6 @@ class ResolverCache:
     def get_negative(self, now: float, qname: Name) -> Optional[RCode]:
         entry = self._negative.get(qname)
         if entry is not None and entry.expires_at > now:
-            self.stats.negative_hits += 1
             return entry.rcode
         if entry is not None:
             del self._negative[qname]
@@ -151,54 +148,35 @@ class ResolverCache:
         if not self.aggressive_nsec:
             return
         ranges = self._nsec_ranges.setdefault(zone, [])
-        entry = (owner, next_name)
+        entry = (owner.canonical_key(), next_name.canonical_key())
         index = bisect.bisect_left(ranges, entry)
         if index >= len(ranges) or ranges[index] != entry:
             ranges.insert(index, entry)
 
-    @staticmethod
-    def _gap_covers(owner: Name, next_name: Name, qname: Name) -> bool:
-        """True if qname falls in the NSEC gap (owner, next_name).
-
-        The zone's last NSEC wraps around to the apex/first name, so a gap
-        whose end sorts at-or-before its start covers everything after the
-        owner *or* before the next name.
-        """
-        if owner < next_name:
-            return owner < qname < next_name
-        return qname > owner or qname < next_name
-
     def nsec_covers(self, zone: Name, qname: Name) -> bool:
-        """True if a cached NSEC range proves ``qname`` does not exist."""
+        """True if a cached NSEC range proves ``qname`` does not exist.
+
+        ``qname`` falls in the gap (owner, next) when it sorts strictly
+        between the two.  The zone's last NSEC wraps around to the
+        apex/first name, so a gap whose end sorts at-or-before its start
+        covers everything after the owner *or* before the next name.
+        """
         if not self.aggressive_nsec:
             return False
         ranges = self._nsec_ranges.get(zone)
         if not ranges:
             return False
-        index = bisect.bisect_right(ranges, (qname, qname)) - 1
+        key = qname.canonical_key()
+        index = bisect.bisect_right(ranges, (key, key)) - 1
         # Probe the bracketing ranges plus the extremes (wraparound gaps
         # sort by owner, so the covering entry may be the last or first).
         for probe in {index, index + 1, 0, len(ranges) - 1}:
             if 0 <= probe < len(ranges):
-                owner, next_name = ranges[probe]
-                if self._gap_covers(owner, next_name, qname):
+                owner, next_key = ranges[probe]
+                if (
+                    owner < key < next_key if owner < next_key
+                    else key > owner or key < next_key
+                ):
                     self.stats.nsec_synthesised += 1
                     return True
         return False
-
-    # -- bookkeeping ------------------------------------------------------------
-
-    def record_miss(self) -> None:
-        self.stats.misses += 1
-
-    def positive_size(self) -> int:
-        return len(self._positive)
-
-    def negative_size(self) -> int:
-        return len(self._negative)
-
-    def expire_all(self) -> None:
-        """Flush everything (used between dataset runs)."""
-        self._positive.clear()
-        self._negative.clear()
-        self._nsec_ranges.clear()

@@ -29,7 +29,6 @@ from ..capture import Transport
 from ..dnscore import (
     ARdata,
     EdnsRecord,
-    Message,
     Name,
     RCode,
     ResourceRecord,
@@ -37,7 +36,7 @@ from ..dnscore import (
     RRType,
 )
 from ..netsim import Clock, IPAddress, Site
-from ..server import AuthoritativeServer, ServerSet
+from ..server import AuthoritativeServer, ResponsePlan, ServerSet
 from ..telemetry import tracing
 from .cache import ResolverCache
 from .network import AuthorityNetwork
@@ -158,6 +157,16 @@ def _edns_for(bufsize: int, dnssec_ok: bool) -> EdnsRecord:
     return EdnsRecord(udp_payload_size=bufsize, dnssec_ok=dnssec_ok)
 
 
+@lru_cache(maxsize=256)
+def _positive_marker(ttl: int) -> Tuple[ResourceRecord, ...]:
+    """The records a positive cache line holds, one shared tuple per TTL.
+
+    Only the TTL is material to the captured traffic (it decides when the
+    name is asked again), so no record is built per answer.
+    """
+    return (ResourceRecord(ROOT, RRType.A, ttl, ARdata(0x7F000001)),)
+
+
 class SimResolver:
     """One simulated recursive resolver.
 
@@ -220,8 +229,9 @@ class SimResolver:
     def _rng(self) -> np.random.Generator:
         """The resolver's private stream, seeded on first draw: seeding
         costs as much as the rest of the constructor, and a large part of
-        a fleet is never asked anything in a scaled-down run."""
-        return np.random.default_rng(self._seed)
+        a fleet is never asked anything in a scaled-down run.  It is what
+        ``default_rng`` builds, without its argument dispatch."""
+        return np.random.Generator(np.random.PCG64(self._seed))
 
     def reset_session(self) -> None:
         """Restore the freshly-constructed state for fleet reuse.
@@ -386,8 +396,7 @@ class SimResolver:
         return RCode.NOERROR
 
     def _cache_positive_marker(self, now: float, qname: Name, qtype: RRType, ttl: float) -> None:
-        marker = ResourceRecord(qname, RRType.A, int(max(ttl, 1.0)), ARdata(0x7F000001))
-        self.cache.put(now, qname, qtype, [marker])
+        self.cache.put(now, qname, qtype, _positive_marker(int(max(ttl, 1.0))))
 
     # -- root interaction -------------------------------------------------------
 
@@ -407,7 +416,7 @@ class SimResolver:
         if response is None:
             self.stats.servfails += 1
             return RCode.SERVFAIL
-        if response.rcode is RCode.NXDOMAIN:
+        if response.rcode == RCode.NXDOMAIN:
             self._learn_nsec(ROOT, response)
             self.cache.put_negative(session.now, qname, RCode.NXDOMAIN)
             return RCode.NXDOMAIN
@@ -559,10 +568,16 @@ class SimResolver:
         qname: Name,
         qtype: RRType,
         faults=None,
-    ) -> Optional[Message]:
+    ) -> Optional[ResponsePlan]:
         """One authoritative exchange: UDP, then TCP on truncation, with
         exponential-backoff retransmits on drops/timeouts, failover across
-        the NS set, and a bounded total retry budget.
+        the NS set, and a bounded total retry budget.  Returns the plan of
+        the response that came back, or ``None``.
+
+        The server is asked the question itself
+        (:meth:`~repro.server.AuthoritativeServer.answer`); no query message
+        is built.  The message id such a query would carry is still drawn,
+        so the RNG stream is the one a wire client consumes.
 
         ``faults`` is the network's optional
         :class:`~repro.faults.FaultInjector`; its per-packet verdicts are
@@ -578,18 +593,16 @@ class SimResolver:
         qname_key = qname.to_text().encode() if faults is not None else b""
         last_server_id: Optional[str] = None
         spent_timeout_ms = 0.0
+        edns = (
+            _edns_for(behavior.edns_bufsize, behavior.set_do)
+            if behavior.edns_bufsize > 0
+            else None
+        )
         for attempt in range(behavior.max_retries + 1):
             server = self._choose_server(server_set, frozenset(failed))
             family = self._choose_family(server_set, server)
             src = self.v4 if family == 4 else self.v6
-            edns = (
-                _edns_for(behavior.edns_bufsize, behavior.set_do)
-                if behavior.edns_bufsize > 0
-                else None
-            )
-            query = Message.make_query(
-                qname, qtype, msg_id=int(self._rng.integers(65536)), edns=edns
-            )
+            self._rng.integers(65536)  # the message id
             rtt = server_set.rtt_ms(server, self.site, family)
             if family == 6:
                 rtt += behavior.v6_extra_rtt_ms
@@ -609,8 +622,8 @@ class SimResolver:
             ).dropped:
                 response = None  # lost in transit: the server never sees it
             else:
-                response = server.handle_query(
-                    send_time, src, Transport.UDP, query
+                response = server.answer(
+                    send_time, src, Transport.UDP, qname, qtype, edns
                 )
             if response is None:
                 # Drop (fault, RRL, or outage) → wait out the timeout, back
@@ -639,17 +652,19 @@ class SimResolver:
                     break  # total budget exhausted: give up early
                 continue
             transport_used = "udp"
-            if response.is_truncated() and behavior.tcp_fallback:
+            if response.truncated and behavior.tcp_fallback:
                 tcp_rtt = rtt * float(1.0 + 0.05 * self._rng.random())
                 stats.auth_queries += 1
                 stats.tcp_retries += 1
                 transport_used = "tcp"
-                response = server.handle_query(
+                response = server.answer(
                     session.tick(2 * tcp_rtt),
                     src,
                     Transport.TCP,
-                    query,
-                    tcp_rtt_ms=tcp_rtt,
+                    qname,
+                    qtype,
+                    edns,
+                    tcp_rtt,
                 )
             if tracing.ACTIVE is not None:
                 tracing.ACTIVE.span(
@@ -662,7 +677,7 @@ class SimResolver:
                         "attempt": attempt,
                         "failover": failover,
                         "transport": transport_used,
-                        "rcode": None if response is None else int(response.rcode),
+                        "rcode": None if response is None else response.rcode,
                     },
                 )
             return response
@@ -675,7 +690,7 @@ class SimResolver:
 
     # -- NSEC learning ------------------------------------------------------------------
 
-    def _learn_nsec(self, zone: Name, response: Message) -> None:
+    def _learn_nsec(self, zone: Name, response: ResponsePlan) -> None:
         """Harvest NSEC ranges from a negative answer (for RFC 8198)."""
         if not self.behavior.aggressive_nsec:
             return

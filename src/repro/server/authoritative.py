@@ -13,7 +13,7 @@ A :class:`ServerSet` models a vantage point's NS set (e.g. `.nl`'s servers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -57,9 +57,11 @@ _SHIFT_SAFE_SIZE = 0x4000 - MAX_NAME_LENGTH - 1
 
 
 @lru_cache(maxsize=256)
-def _response_flags(opcode: Opcode, rd: bool, aa: bool, rcode: RCode) -> Flags:
+def _response_flags(
+    opcode: Opcode, rd: bool, aa: bool, rcode: RCode, tc: bool
+) -> Flags:
     """Interned header flags of a built response (a dozen combinations)."""
-    return Flags(qr=True, opcode=opcode, aa=aa, rd=rd, rcode=rcode)
+    return Flags(qr=True, opcode=opcode, aa=aa, tc=tc, rd=rd, rcode=rcode)
 
 
 def _calibrate(result: LookupResult) -> Tuple[Optional[int], FrozenSet[bytes]]:
@@ -292,13 +294,17 @@ class AuthoritativeServer:
         query: Message,
         tcp_rtt_ms: Optional[float] = None,
     ) -> Optional[Message]:
-        """Answer one query and record the exchange.
+        """Answer one query message and record the exchange: the live
+        path's entry point, which unpacks the question for :meth:`answer`
+        and wraps the plan it returns in a response message.
 
         Returns the response message, or ``None`` if RRL dropped it.
         ``tcp_rtt_ms`` is the handshake RTT the capture would measure and
         must be provided exactly when ``transport`` is TCP.  ``timestamp``
         may be ``None`` when the server carries a :class:`Clock`, in which
-        case the clock is read — the live service path.
+        case the clock is read — the live service path.  A response
+        replayed from the plan cache names its plan (``Message.plan``), so
+        that the endpoint can keep the octets it sends for it.
         """
         if (transport is Transport.TCP) != (tcp_rtt_ms is not None):
             raise ValueError("tcp_rtt_ms must accompany TCP queries only")
@@ -306,186 +312,104 @@ class AuthoritativeServer:
             if self.clock is None:
                 raise ValueError("timestamp required when server has no clock")
             timestamp = self.clock.read()
-        if not self.online:
-            return None
-
-        # One question is all the simulator ever asks; only then is the
-        # ``question`` property (a call, and a check this repeats) skipped.
+        # One question is the common case; only then is the ``question``
+        # property (a call, and a check this repeats) skipped.
         questions = query.questions
         single = len(questions) == 1
         question = questions[0] if single else query.question
+        flags = query.flags
+        hits = self.stats.plan_hits
+        plan = self.answer(
+            timestamp, src, transport, question.qname, question.qtype,
+            query.edns, tcp_rtt_ms, flags.rd, flags.opcode,
+            None if single else questions,
+        )
+        if plan is None:
+            return None
+        return Message(
+            msg_id=query.msg_id,
+            flags=plan.flags,
+            questions=list(questions),
+            answers=plan.answers,
+            authorities=plan.authorities,
+            additionals=plan.additionals,
+            edns=plan.edns,
+            plan=plan if self.stats.plan_hits != hits else None,
+        )
 
+    def answer(
+        self,
+        timestamp: float,
+        src: IPAddress,
+        transport: Transport,
+        qname: Name,
+        qtype: RRType,
+        edns: Optional[EdnsRecord],
+        tcp_rtt_ms: Optional[float] = None,
+        rd: bool = False,
+        opcode: Opcode = Opcode.QUERY,
+        questions: Optional[List[Question]] = None,
+    ) -> Optional[ResponsePlan]:
+        """Answer one question and record the exchange — the one core of
+        both entry points; the simulator asks it directly, with no message.
+
+        The question is ``qname``/``qtype`` under the sender's OPT record
+        ``edns`` and header bits ``rd``/``opcode``.  ``questions`` is a live
+        query's whole question section when it has more than one: such a
+        response is built, sized by encoding and never memoised (a plan's
+        size and truncation verdict cover one echoed question).  Returns
+        the response's plan — replayed from the plan cache or built now,
+        shared and read-only — or ``None`` when the server is offline or
+        RRL dropped the query.  ``timestamp`` and ``tcp_rtt_ms`` are as for
+        :meth:`handle_query`, unchecked.
+        """
+        if not self.online:
+            return None
+        stats = self.stats
+        plan = None
         # RRL verdicts depend on mutable limiter state, so they are decided
         # before — and never served from or stored into — the plan cache.
         if self._limiter is not None and transport is Transport.UDP:
             verdict = self._limiter.check(src, timestamp)
             if verdict == RateLimiter.DROP:
-                self.stats.rrl_dropped += 1
+                stats.rrl_dropped += 1
                 return None
             if verdict == RateLimiter.SLIP:
-                self.stats.rrl_slipped += 1
-                slipped = query.make_response_skeleton()
-                slipped.flags = Flags(
-                    qr=True, aa=True, tc=True, rd=query.flags.rd
+                stats.rrl_slipped += 1
+                plan = self._build_plan(
+                    qname, qtype, edns, transport, rd, opcode, questions, None,
+                    slip=True,
                 )
-                return self._finish_response(
-                    timestamp, src, transport, query, slipped, tcp_rtt_ms,
-                    plan_key=None,
+        if plan is None:
+            key = None
+            if self._plans is not None and questions is None:
+                key = (
+                    qname,
+                    int(qtype),
+                    -1 if edns is None else edns.udp_payload_size,
+                    edns is not None and edns.dnssec_ok,
+                    transport is Transport.TCP,
+                    rd,
+                    int(opcode),
                 )
-
-        plan_key = None
-        # A plan answers exactly one question, the only kind the simulator
-        # asks.  A live socket can bring several: those are built, sized by
-        # encoding and never memoised, like everything on the reference path
-        # (a plan's size and truncation verdict cover one echoed question).
-        if self._plans is not None and single:
-            edns = query.edns
-            plan_key = (
-                question.qname,
-                int(question.qtype),
-                -1 if edns is None else edns.udp_payload_size,
-                edns is not None and edns.dnssec_ok,
-                transport is Transport.TCP,
-                query.flags.rd,
-                int(query.flags.opcode),
-            )
-            plan = self._plans.get(plan_key)
+                plan = self._plans.get(key)
             # Name keys compare case-insensitively (RFC 1035); replay only
             # for the exact spelling the plan was built from so captured
             # qname text stays bit-identical to the uncached path.
-            if plan is not None and plan.qname_labels == question.qname.labels:
-                return self._replay_plan(
-                    plan, timestamp, src, transport, query, tcp_rtt_ms
+            if plan is not None and plan.qname_labels == qname.labels:
+                stats.plan_hits += 1
+            else:
+                plan = self._build_plan(
+                    qname, qtype, edns, transport, rd, opcode, questions, key
                 )
 
-        response, result = self._build_response(query)
-        # Only a server that memoises plans memoises sizes: without the
-        # plan cache every response is fully encoded (the reference path).
-        wire_size = None
-        if plan_key is not None and result is not None:
-            wire_size = _anchored_size(result, question.qname, response.edns)
-        return self._finish_response(
-            timestamp, src, transport, query, response, tcp_rtt_ms, plan_key,
-            wire_size,
-        )
-
-    def _finish_response(
-        self,
-        timestamp: float,
-        src: IPAddress,
-        transport: Transport,
-        query: Message,
-        response: Message,
-        tcp_rtt_ms: Optional[float],
-        plan_key: Optional[tuple],
-        wire_size: Optional[int] = None,
-    ) -> Message:
-        """Truncate/size one built response, account + capture it, and —
-        when ``plan_key`` is given — memoise the outcome for replay.
-        ``wire_size`` is the response's exact encoded size when the caller
-        already knows it; otherwise the response is encoded to find out."""
-        question = query.question
-        limit = (
-            effective_udp_limit(query.edns)
-            if transport is Transport.UDP
-            else TCP_MAX_SIZE
-        )
-        if wire_size is None:
-            wire_size = len(response.to_wire())
-        if wire_size > limit:
-            # Truncate: strip records, set TC, and let the client retry TCP.
-            sent = Message(
-                msg_id=query.msg_id,
-                flags=dc_replace(response.flags, tc=True),
-                questions=list(query.questions),
-                edns=response.edns,
-            )
-            wire_size = len(sent.to_wire())
-        else:
-            sent = response
-
-        stats = self.stats
         stats.queries += 1
-        truncated = sent.is_truncated()
+        truncated = plan.truncated
         if truncated:
             stats.truncated += 1
-        rcode = int(sent.rcode)
+        rcode = plan.rcode
         stats.by_rcode[rcode] = stats.by_rcode.get(rcode, 0) + 1
-
-        qname_text = question.qname.to_text()
-        edns = query.edns
         if self.capture is not None:
-            family, hi, lo = split_address(src)
-            self.capture.append_row((
-                timestamp,
-                self.server_id,
-                family,
-                hi,
-                lo,
-                int(transport),
-                qname_text,
-                int(question.qtype),
-                rcode,
-                edns.udp_payload_size if edns is not None else 0,
-                edns.dnssec_ok if edns is not None else False,
-                wire_size,
-                truncated,
-                _NAN if tcp_rtt_ms is None else tcp_rtt_ms,
-            ))
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.event(
-                    timestamp, "capture_append",
-                    {
-                        "server": self.server_id,
-                        "rcode": rcode,
-                        "bytes": wire_size,
-                        "truncated": truncated,
-                    },
-                )
-
-        if plan_key is not None:
-            plans = self._plans
-            stats.plan_misses += 1
-            if len(plans) >= PLAN_CACHE_LIMIT:
-                plans.clear()
-                stats.plan_evictions += 1
-            plans[plan_key] = ResponsePlan(
-                qname_labels=question.qname.labels,
-                qname_text=qname_text,
-                qtype=int(question.qtype),
-                flags=sent.flags,
-                edns=sent.edns,
-                answers=sent.answers,
-                authorities=sent.authorities,
-                additionals=sent.additionals,
-                rcode=rcode,
-                wire_size=wire_size,
-                truncated=truncated,
-            )
-        return sent
-
-    def _replay_plan(
-        self,
-        plan: ResponsePlan,
-        timestamp: float,
-        src: IPAddress,
-        transport: Transport,
-        query: Message,
-        tcp_rtt_ms: Optional[float],
-    ) -> Message:
-        """Answer from a memoised plan: cheap counter bumps, one raw
-        capture-row append, and a fresh Message wrapper that echoes the
-        query's id while sharing the plan's (read-only) section lists and
-        naming the plan it came from."""
-        stats = self.stats
-        stats.plan_hits += 1
-        stats.queries += 1
-        if plan.truncated:
-            stats.truncated += 1
-        stats.by_rcode[plan.rcode] = stats.by_rcode.get(plan.rcode, 0) + 1
-
-        if self.capture is not None:
-            edns = query.edns
             family, hi, lo = split_address(src)
             self.capture.append_row((
                 timestamp,
@@ -496,11 +420,11 @@ class AuthoritativeServer:
                 int(transport),
                 plan.qname_text,
                 plan.qtype,
-                plan.rcode,
+                rcode,
                 edns.udp_payload_size if edns is not None else 0,
                 edns.dnssec_ok if edns is not None else False,
                 plan.wire_size,
-                plan.truncated,
+                truncated,
                 _NAN if tcp_rtt_ms is None else tcp_rtt_ms,
             ))
             if tracing.ACTIVE is not None:
@@ -508,62 +432,112 @@ class AuthoritativeServer:
                     timestamp, "capture_append",
                     {
                         "server": self.server_id,
-                        "rcode": plan.rcode,
+                        "rcode": rcode,
                         "bytes": plan.wire_size,
-                        "truncated": plan.truncated,
+                        "truncated": truncated,
                     },
                 )
+        return plan
 
-        return Message(
-            msg_id=query.msg_id,
-            flags=plan.flags,
-            questions=list(query.questions),
-            answers=plan.answers,
-            authorities=plan.authorities,
-            additionals=plan.additionals,
-            edns=plan.edns,
-            plan=plan,
-        )
+    def _build_plan(
+        self,
+        qname: Name,
+        qtype: RRType,
+        edns: Optional[EdnsRecord],
+        transport: Transport,
+        rd: bool,
+        opcode: Opcode,
+        questions: Optional[List[Question]],
+        key: Optional[tuple],
+        slip: bool = False,
+    ) -> ResponsePlan:
+        """Build, size and truncate the response to one question — an RRL
+        ``slip`` when asked — and memoise it under ``key`` when given.
 
-    def _build_response(
-        self, query: Message
-    ) -> Tuple[Message, Optional[LookupResult]]:
-        """The full response to ``query`` and the zone lookup behind it
-        (``None`` when the name is out of the zone).  The message adopts
-        the lookup's section lists, which a memoised result shares with
-        every other response it answers: read-only, like a plan's."""
-        question = query.question
-        flags = query.flags
-        edns = query.edns
-        dnssec_ok = edns is not None and edns.dnssec_ok
-        response_edns = None if edns is None else _RESPONSE_EDNS[dnssec_ok]
-        if not question.qname.is_subdomain_of(self.zone.origin):
-            refused = Message(
-                msg_id=query.msg_id,
-                flags=_response_flags(flags.opcode, flags.rd, False, RCode.REFUSED),
-                questions=list(query.questions),
-                edns=response_edns,
-            )
-            return refused, None
-
-        result = self.zone.lookup(question.qname, question.qtype, dnssec_ok)
-        outcome = result.outcome
-        response = Message(
-            msg_id=query.msg_id,
-            flags=_response_flags(
-                flags.opcode,
-                flags.rd,
+        An in-zone response adopts the zone lookup's section lists, which a
+        memoised result shares with every other response it answers:
+        read-only, like every plan.  Only a server that memoises plans
+        sizes by arithmetic; without the plan cache every response is
+        encoded to find its size (the reference path), as is anything
+        answered without a key.
+        """
+        answers: List[ResourceRecord] = []
+        authorities: List[ResourceRecord] = []
+        additionals: List[ResourceRecord] = []
+        response_edns = None
+        wire_size = None
+        aa, rcode, tc = False, RCode.NOERROR, False
+        if slip:
+            # An empty, truncated answer without OPT that invites a TCP retry.
+            opcode, aa, tc = Opcode.QUERY, True, True
+        else:
+            dnssec_ok = edns is not None and edns.dnssec_ok
+            if edns is not None:
+                response_edns = _RESPONSE_EDNS[dnssec_ok]
+            if qname.is_subdomain_of(self.zone.origin):
+                result = self.zone.lookup(qname, qtype, dnssec_ok)
+                outcome = result.outcome
                 # Authoritative answer for everything except referrals.
-                outcome is not LookupOutcome.DELEGATION,
-                RCode.NXDOMAIN if outcome is LookupOutcome.NXDOMAIN else RCode.NOERROR,
-            ),
-            questions=list(query.questions),
-            answers=result.answers,
-            authorities=result.authorities,
-            additionals=result.additionals,
-            edns=response_edns,
+                aa = outcome is not LookupOutcome.DELEGATION
+                if outcome is LookupOutcome.NXDOMAIN:
+                    rcode = RCode.NXDOMAIN
+                answers = result.answers
+                authorities = result.authorities
+                additionals = result.additionals
+                if key is not None:
+                    wire_size = _anchored_size(result, qname, response_edns)
+            else:
+                rcode = RCode.REFUSED
+        if wire_size is None:
+            # The header's size does not depend on its bits.
+            wire_size = len(Message(
+                questions=questions or [Question(qname, qtype)],
+                answers=answers,
+                authorities=authorities,
+                additionals=additionals,
+                edns=response_edns,
+            ).to_wire())
+        limit = (
+            effective_udp_limit(edns)
+            if transport is Transport.UDP
+            else TCP_MAX_SIZE
         )
-        return response, result
+        if wire_size > limit:
+            # Truncate: strip records, set TC, and let the client retry TCP.
+            tc = True
+            answers, authorities, additionals = [], [], []
+            if key is not None:
+                # The header, the one echoed question and the OPT record.
+                wire_size = HEADER_LENGTH + len(qname.to_wire()) + _QUESTION_FIXED
+                if response_edns is not None:
+                    wire_size += _OPT_SIZE
+            else:
+                wire_size = len(Message(
+                    questions=questions or [Question(qname, qtype)],
+                    edns=response_edns,
+                ).to_wire())
+        flags = _response_flags(opcode, rd, aa, rcode, tc)
+        plan = ResponsePlan(
+            qname_labels=qname.labels,
+            qname_text=qname.to_text(),
+            qtype=int(qtype),
+            flags=flags,
+            edns=response_edns,
+            answers=answers,
+            authorities=authorities,
+            additionals=additionals,
+            rcode=int(rcode),
+            wire_size=wire_size,
+            truncated=tc,
+        )
+        if key is not None:
+            plans = self._plans
+            self.stats.plan_misses += 1
+            if len(plans) >= PLAN_CACHE_LIMIT:
+                plans.clear()
+                self.stats.plan_evictions += 1
+            plans[key] = plan
+        return plan
 
 
 class ServerSet:
@@ -582,6 +556,7 @@ class ServerSet:
         self.servers = list(servers)
         self.latency = latency
         self._fastest: Dict[Tuple[str, int], AuthoritativeServer] = {}
+        self._rtts: Dict[Tuple[str, str, int], float] = {}
 
     @property
     def origin(self) -> Name:
@@ -602,10 +577,18 @@ class ServerSet:
     def rtt_ms(
         self, server: AuthoritativeServer, client_site: Site, family: int
     ) -> float:
-        """RTT from a client site to the server's catchment instance."""
-        return self.latency.rtt_ms(
-            client_site, server.catchment_site(client_site), family
-        )
+        """RTT from a client site to the server's catchment instance.
+
+        Like :meth:`fastest`, worked out once per (server, site, family):
+        pinning a latency offset after the first call needs a new set.
+        """
+        key = (server.server_id, client_site.code, family)
+        rtt = self._rtts.get(key)
+        if rtt is None:
+            rtt = self._rtts[key] = self.latency.rtt_ms(
+                client_site, server.catchment_site(client_site), family
+            )
+        return rtt
 
     def fastest(self, client_site: Site, family: int) -> AuthoritativeServer:
         """The lowest-RTT server for this client site and family (the

@@ -72,8 +72,8 @@ from . import worlds
 logger = logging.getLogger("repro.sim")
 
 #: Queries materialised per workload/resolve phase alternation.  Bounds
-#: both the memory held in flight and the timer overhead (two spans per
-#: chunk, not per query).
+#: both the memory held in flight and the timer overhead (two clock reads
+#: per chunk, not per query).
 _CHUNK = 8192
 
 @dataclass
@@ -537,16 +537,19 @@ def run_member_range(
     )
 
     run_count = 0
-    loop_started = time.perf_counter()
+    clock_s = time.perf_counter
+    loop_started = clock_s()
     last_progress = loop_started
+    # Both phases are timed by summing clock deltas and booked once per
+    # shard: a timer span per chunk cost more than most members' streams.
+    workload_s = resolve_s = 0.0
     # Counter handles resolved once per provider, not once per member —
     # label-dict construction and registry lookup are off the member loop.
     provider_counters: Dict[str, object] = {}
     sampled = tracer.sampled if tracer is not None else None
 
-    def maybe_progress(provider: str, index: int) -> None:
+    def maybe_progress(provider: str, index: int, now: float) -> None:
         nonlocal last_progress
-        now = time.perf_counter()
         if now - last_progress >= progress_interval_s:
             rate = run_count / max(now - loop_started, 1e-9)
             logger.info(
@@ -582,39 +585,45 @@ def run_member_range(
         )
         member_seq = 0
         resolver_label = f"{member.pool}/{index}"
+        started = clock_s()
         while True:
             # Workload generation and the resolve loop alternate in bounded
             # chunks so both phases are timed separately without holding a
             # whole member's query list in memory.
-            with metrics.time_phase("workload"):
-                chunk = list(itertools.islice(stream, _CHUNK))
+            chunk = list(itertools.islice(stream, _CHUNK))
+            generated = clock_s()
+            workload_s += generated - started
             if not chunk:
                 break
             # One loop for traced and untraced runs: the untraced fast
             # path pays only the (hoisted) ``sampled is None`` check and
             # the sequence increment per query.
-            with metrics.time_phase("resolve"):
-                for query in chunk:
-                    if sampled is not None and sampled(index, member_seq):
-                        trace = tracer.begin(
-                            index, member_seq, resolver_label,
-                            member.provider, query.timestamp,
-                            query.qname.to_text(), int(query.qtype),
-                        )
-                        rcode = resolve(
-                            network, query.timestamp, query.qname, query.qtype
-                        )
-                        tracer.finish(trace, int(rcode))
-                    else:
-                        resolve(network, query.timestamp, query.qname, query.qtype)
-                    member_seq += 1
+            for query in chunk:
+                if sampled is not None and sampled(index, member_seq):
+                    trace = tracer.begin(
+                        index, member_seq, resolver_label,
+                        member.provider, query.timestamp,
+                        query.qname.to_text(), int(query.qtype),
+                    )
+                    rcode = resolve(
+                        network, query.timestamp, query.qname, query.qtype
+                    )
+                    tracer.finish(trace, int(rcode))
+                else:
+                    resolve(network, query.timestamp, query.qname, query.qtype)
+                member_seq += 1
+            started = clock_s()
+            resolve_s += started - generated
             run_count += len(chunk)
             if clock is not None:
                 last_ts = chunk[-1].timestamp
                 if last_ts > clock.now:
                     clock.advance_to(last_ts)
             provider_counter.inc(len(chunk))
-            maybe_progress(member.provider, index)
+            maybe_progress(member.provider, index, started)
+    if run_count:
+        metrics.observe_phase("workload", workload_s)
+        metrics.observe_phase("resolve", resolve_s)
     return run_count
 
 

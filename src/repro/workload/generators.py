@@ -47,6 +47,15 @@ SUBNAME_CHOICES: Tuple[Tuple[str, float], ...] = (
 _JUNK_ALPHABET = np.array(list(string.ascii_lowercase))
 
 
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF ``rng.choice(len(probs), p=probs)`` builds on every call,
+    built once: ``cdf.searchsorted(rng.random(n), side="right")`` reads the
+    same doubles from ``rng`` and returns the same indices."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass
 class ClientQuery:
     """One client-side query event."""
@@ -72,13 +81,13 @@ class DiurnalPattern:
         weights = 1.0 + (peak_ratio - 1.0) * 0.5 * (
             1.0 + np.sin((hours - 9.0) / 24.0 * 2.0 * np.pi)
         )
-        self._hour_probs = weights / weights.sum()
+        self._hour_cdf = _choice_cdf(weights / weights.sum())
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` sorted timestamps across the window."""
         n_days = max(1, int(round(self.duration / 86400.0)))
         days = rng.integers(0, n_days, size=count)
-        hours = rng.choice(24, size=count, p=self._hour_probs)
+        hours = self._hour_cdf.searchsorted(rng.random(count), side="right")
         seconds = rng.random(count) * 3600.0
         stamps = self.start + days * 86400.0 + hours * 3600.0 + seconds
         stamps.sort()
@@ -132,15 +141,11 @@ class WorkloadGenerator:
             ZipfSampler(len(self.tld_names), 0.8) if self.tld_names else None
         )
         self._qtypes = [t for t, __ in CLIENT_QTYPE_MIX]
-        self._qtype_probs = np.array([p for __, p in CLIENT_QTYPE_MIX])
-        self._qtype_probs /= self._qtype_probs.sum()
+        qtype_probs = np.array([p for __, p in CLIENT_QTYPE_MIX])
+        self._qtype_cdf = _choice_cdf(qtype_probs / qtype_probs.sum())
         self._subnames = [s for s, __ in SUBNAME_CHOICES]
         subname_probs = np.array([p for __, p in SUBNAME_CHOICES])
-        subname_probs /= subname_probs.sum()
-        # The CDF ``rng.choice(n, p=subname_probs)`` builds on every call,
-        # built once: the same double in gives the same index out.
-        self._subname_cdf = subname_probs.cumsum()
-        self._subname_cdf /= self._subname_cdf[-1]
+        self._subname_cdf = _choice_cdf(subname_probs / subname_probs.sum())
         self._base_seed = seed
         self._vantage_suffix = (
             Name.from_text(vantage) if vantage != "root" else None
@@ -199,11 +204,14 @@ class WorkloadGenerator:
         """
         if count <= 0:
             return
-        rng = np.random.default_rng(self._base_seed * 1_000_003 + resolver_index)
+        # What ``default_rng`` builds, without its argument dispatch.
+        rng = np.random.Generator(
+            np.random.PCG64(self._base_seed * 1_000_003 + resolver_index)
+        )
         stamps = pattern.sample(rng, count)
         junk_draws = rng.random(count)
         storm_draws = rng.random(count)
-        qtype_draws = rng.choice(len(self._qtypes), size=count, p=self._qtype_probs)
+        qtype_draws = self._qtype_cdf.searchsorted(rng.random(count), side="right")
         for i in range(count):
             if storm_domains and storm_draws[i] < storm_fraction:
                 qname = storm_domains[int(rng.integers(len(storm_domains)))]

@@ -132,6 +132,44 @@ class TestCacheProperties:
             if owner < candidate < nxt:
                 assert cache.nsec_covers(zone, candidate)
 
+    @settings(max_examples=100)
+    @given(
+        st.lists(name_label_st, min_size=1, max_size=12, unique=True),
+        st.data(),
+    )
+    def test_nsec_covers_agrees_with_name_order(self, labels, data):
+        """The ranges are kept as canonical keys; the answer must be the
+        one ``Name`` ordering gives.  The gaps are a learned subset of one
+        zone's NSEC chain, wraparound gap included, added in any order and
+        any case spelling, and probed with names in and between them."""
+
+        def spelled(name):
+            mask = data.draw(st.integers(0, 2**64 - 1))
+            return Name(tuple(
+                bytes(b ^ 0x20 if (mask >> i) & 1 else b for i, b in enumerate(label))
+                for label in name.labels
+            ))
+
+        def covers(owner, nxt, q):
+            if owner < nxt:
+                return owner < q < nxt
+            return owner < q or q < nxt
+
+        zone = Name.from_text("nl")
+        chain = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        gaps = list(zip(chain, chain[1:])) + [(chain[-1], chain[0])]
+        learned = data.draw(st.lists(st.sampled_from(gaps), unique=True))
+        cache = ResolverCache(aggressive_nsec=True)
+        for owner, nxt in learned:
+            cache.add_nsec(zone, spelled(owner), spelled(nxt))
+        probes = chain + [
+            Name.from_text(f"{label}.nl")
+            for label in data.draw(st.lists(name_label_st, max_size=10))
+        ] + [zone, Name.from_text("zzzz.nl"), Name.from_text("a.a.nl")]
+        for probe in probes:
+            expected = any(covers(owner, nxt, probe) for owner, nxt in learned)
+            assert cache.nsec_covers(zone, spelled(probe)) == expected, probe
+
 
 class TestNSECRdataProperties:
     @settings(max_examples=50)

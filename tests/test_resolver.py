@@ -76,16 +76,6 @@ class TestResolverCache:
         cache.add_nsec(Name.from_text("nl"), Name.from_text("a.nl"), Name.from_text("c.nl"))
         assert not cache.nsec_covers(Name.from_text("nl"), Name.from_text("b.nl"))
 
-    def test_hit_ratio(self):
-        from repro.dnscore import ARdata, ResourceRecord
-
-        cache = ResolverCache()
-        name = Name.from_text("x.nl")
-        cache.put(0.0, name, RRType.A, [ResourceRecord(name, RRType.A, 100, ARdata(1))])
-        cache.get(1.0, name, RRType.A)
-        cache.record_miss()
-        assert cache.stats.hit_ratio == pytest.approx(0.5)
-
 
 class TestBehaviorValidation:
     def test_unknown_family_policy_rejected(self):

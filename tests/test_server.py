@@ -20,8 +20,12 @@ from repro.dnscore import (
 )
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.server import AuthoritativeServer, RateLimiter, RRLConfig, ServerSet
+from repro.server import authoritative
 from repro.server.authoritative import _anchored_size
 from repro.zones import LookupOutcome, LookupResult, Zone
+
+from .helpers import view_digest
+from .test_oracle import ORACLE, run_case
 
 
 SRC = IPAddress.parse("192.0.2.53")
@@ -209,7 +213,15 @@ class TestSizeShortcut:
             qname = flip_case(base.prepend(*prefix), mask)
             query = Message.make_query(qname, qtype, msg_id=7, edns=edns)
 
-            response, result = fast._build_response(query)
+            dnssec_ok = edns is not None and edns.dnssec_ok
+            result = fast.zone.lookup(qname, qtype, dnssec_ok)
+            response = Message(
+                questions=query.questions,
+                answers=result.answers,
+                authorities=result.authorities,
+                additionals=result.additionals,
+                edns=None if edns is None else EdnsRecord(4096, dnssec_ok),
+            )
             outcome = result.outcome.name
             size = _anchored_size(result, qname, response.edns)
             if size is None:
@@ -313,6 +325,46 @@ class TestSizeShortcut:
         )
         shifted_by = len(qname.to_wire()) - len(cut.to_wire())
         assert message.wire_size() > at_anchor.wire_size() + shifted_by
+
+
+class TestSimulatorSendPath:
+    """The simulated resolver asks its servers with the question tuple:
+    no query message is built for a send, and a response message only
+    where the arithmetic cannot size a plan miss."""
+
+    def test_no_message_but_the_encoder_fallbacks(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
+        counts = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                result = function(*args, **kwargs)
+                if name == "size" and result is None:
+                    counts["unsized"] += 1
+                return result
+            return wrapper
+
+        monkeypatch.setattr(
+            Message, "make_query", counted("make_query", Message.make_query)
+        )
+        monkeypatch.setattr(Message, "__init__", counted("message", Message.__init__))
+        monkeypatch.setattr(
+            authoritative, "_anchored_size", counted("size", authoritative._anchored_size)
+        )
+        monkeypatch.setattr(
+            authoritative, "_calibrate", counted("calibrate", authoritative._calibrate)
+        )
+        run = run_case("nl-w2020")
+        assert counts["make_query"] == 0
+        assert counts["size"] > 0 and run.telemetry.total("runtime.plan_cache.hits") > 0
+        # One probe per calibrated zone result, one encode per unsized miss.
+        assert counts["message"] <= counts["calibrate"] + counts["unsized"]
+
+    def test_reference_path_still_matches_the_oracle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+        run = run_case("nl-w2020")
+        assert view_digest(run.capture.view()) == ORACLE["nl-w2020"]["capture"]
 
 
 class TestCaptureTap:

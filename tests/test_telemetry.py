@@ -285,6 +285,9 @@ class TestRunDatasetIntegration:
         for phase in ("zone_build", "fleet_build", "workload", "resolve"):
             assert phase in snap.phases, phase
             assert snap.phases[phase]["total_s"] > 0.0
+        # The member loop books each of its phases once per shard.
+        shards = run.runtime_report.shard_count
+        assert snap.phases["workload"]["count"] == snap.phases["resolve"]["count"] == shards
 
     def test_per_provider_sums_match_run(self, run):
         snap = run.telemetry

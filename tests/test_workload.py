@@ -180,6 +180,55 @@ class TestWorkloadGenerator:
             assert ours.bit_generator.state == theirs.bit_generator.state
         assert seen == set(subnames)
 
+    def test_hours_draw_what_rng_choice_draws(self):
+        """``DiurnalPattern.sample`` searches a CDF built once; the
+        reference is ``rng.choice(24, p=p)``: the same stamps, and the
+        generator's state after them."""
+        pattern = DiurnalPattern(1000.0, 7 * 86400.0)
+        hours = np.arange(24)
+        weights = 1.0 + 0.5 * (1.0 + np.sin((hours - 9.0) / 24.0 * 2.0 * np.pi))
+        p = weights / weights.sum()
+        for seed in range(200):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            count = 1 + seed % 37
+            got = pattern.sample(ours, count)
+            days = theirs.integers(0, 7, size=count)
+            drawn = theirs.choice(24, size=count, p=p)
+            expected = 1000.0 + days * 86400.0 + drawn * 3600.0 + theirs.random(count) * 3600.0
+            expected.sort()
+            assert np.array_equal(got, expected)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_qtypes_draw_what_rng_choice_draws(self, nl_domains):
+        """``generate``'s qtype column against the draws it replaced —
+        ``rng.choice(n, p=p)`` over the mix — and the member stream's state
+        after its last name against a replay of every draw."""
+        generator = WorkloadGenerator("nl", nl_domains, seed=3)
+        pattern = DiurnalPattern(0.0, 7 * 86400.0)
+        qtypes = [t for t, __ in CLIENT_QTYPE_MIX]
+        p = np.array([p for __, p in CLIENT_QTYPE_MIX])
+        p /= p.sum()
+        legit_name = generator._cctld_legit_name
+        streams = []
+        generator._cctld_legit_name = lambda rng: streams.append(rng) or legit_name(rng)
+        for index in range(200):
+            count = 1 + index % 23
+            got = [q.qtype for q in generator.generate(index, count, pattern, 0.0)]
+            theirs = np.random.default_rng(3 * 1_000_003 + index)
+            pattern.sample(theirs, count)
+            theirs.random(count)
+            theirs.random(count)
+            drawn = theirs.choice(len(qtypes), size=count, p=p)
+            assert got == [qtypes[i] for i in drawn]
+            for _ in range(count):
+                legit_name(theirs)
+            assert streams[-1].bit_generator.state == theirs.bit_generator.state
+
+    def test_pcg64_is_what_default_rng_builds(self):
+        for seed in [*range(200), 20201027 * 1_000_003 + 2241]:
+            built = np.random.Generator(np.random.PCG64(seed))
+            assert built.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
     def test_requires_domains_for_cctld(self):
         with pytest.raises(ValueError):
             WorkloadGenerator("nl", [])
