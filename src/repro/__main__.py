@@ -62,12 +62,15 @@ Flags and ``REPRO_*`` defaults of ``dataset``, ``experiments`` and
 :class:`~repro.config.RunConfig` (``--workers`` always means shard-level
 parallelism: every dataset simulated is split across the pool); a value
 that cannot run — ``--workers 0``, ``--trace-sample 2``, ``--scale -1``,
-``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.
+``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.  So is an
+unknown dataset id and an output path whose directory does not exist, on
+every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 #: Exit code for a run with failed shards (without ``--allow-partial``).
@@ -101,6 +104,35 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     )
     if args.config.trace is None and args.trace_sample is None and args.trace_out:
         args.config = replace(args.config, trace=TraceConfig(sample=0.01))
+
+
+#: Flags naming a file a command writes; its directory must already exist.
+_OUTPUT_FLAGS = ("out", "write", "telemetry_out", "metrics_out", "trace_out",
+                 "port_file", "json")
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject what would otherwise fail only after the run: an unknown
+    dataset id, an output file in a missing directory, or a ``--spool-dir``
+    that cannot be created (it is created here).  Raises ``ValueError``,
+    which :func:`main` reports as a usage error."""
+    dataset_id = getattr(args, "dataset_id", None)
+    if dataset_id is not None:
+        from .workload import PAPER_DATASETS
+
+        if dataset_id not in PAPER_DATASETS:
+            raise ValueError(f"unknown dataset {dataset_id!r} (see 'repro list')")
+    for name in _OUTPUT_FLAGS:
+        path = getattr(args, name, None)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} {path}: its directory does not exist")
+    spool_dir = getattr(args, "spool_dir", None)
+    if spool_dir:
+        try:
+            os.makedirs(spool_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--spool-dir {spool_dir}: {exc.strerror}") from None
 
 
 def _chaos_plan(args):
@@ -730,11 +762,12 @@ def main(argv=None) -> int:
     p_trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
-    if hasattr(args, "chaos"):
-        try:
+    try:
+        if hasattr(args, "chaos"):
             _resolve_flags(args)
-        except ValueError as exc:
-            parser.error(str(exc))
+        _check_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.verbose:
         from .telemetry import configure_logging
 

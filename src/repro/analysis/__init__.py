@@ -8,7 +8,7 @@ from .attribution import (
     OTHER,
     UNKNOWN,
 )
-from .changepoint import cusum_detector, detect_step_level, jump_detector
+from .changepoint import cusum_detector, jump_detector
 from .composition import (
     CATEGORIES,
     CompositionAggregator,
@@ -94,7 +94,6 @@ __all__ = [
     "RSSACSummary",
     "concentration",
     "cusum_detector",
-    "detect_step_level",
     "jump_detector",
     "daily_traffic",
     "per_as_counts",

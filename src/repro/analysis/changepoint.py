@@ -3,9 +3,9 @@
 Two detectors over monthly metric series (e.g. a provider's NS-query
 share, Figure 3):
 
-* :func:`jump_detector` — the simple rule used by
-  :func:`repro.analysis.qmin.detect_rollout`: first point exceeding a
-  floor and a multiple of the preceding mean;
+* :func:`jump_detector` — first point exceeding a floor and a multiple
+  of the preceding mean; :func:`repro.analysis.qmin.detect_rollout` maps
+  its index to a month, and Figure 3 reports that month;
 * :func:`cusum_detector` — a one-sided CUSUM on standardised deviations
   from the running baseline, the classical sequential-detection approach;
   more robust when the pre-change series is noisy.
@@ -16,7 +16,7 @@ truth (Google: Dec 2019).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,13 +64,3 @@ def cusum_detector(
         count = index + 1
         mean = mean + (values[index] - mean) / count
     return None
-
-
-def detect_step_level(
-    values: Sequence[float], change_index: int
-) -> Tuple[float, float]:
-    """(pre-change mean, post-change mean) around a detected index."""
-    values = np.asarray(values, dtype=np.float64)
-    if not 0 < change_index < len(values):
-        raise ValueError("change index out of range")
-    return float(values[:change_index].mean()), float(values[change_index:].mean())

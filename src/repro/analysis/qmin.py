@@ -11,8 +11,9 @@ Two complementary detectors, mirroring the paper's method:
   (:meth:`DatasetAnalytics.minimized_fraction`, folded by
   :class:`~repro.analysis.streaming.QMinAggregator`).
 
-:func:`detect_rollout` runs changepoint detection over a monthly NS-share
-series, which is how the paper pins Google's rollout to Dec 2019.
+:func:`detect_rollout` runs :func:`~repro.analysis.changepoint.jump_detector`
+over a monthly NS-share series, which is how the paper pins Google's
+rollout to Dec 2019.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
+from .changepoint import jump_detector
 
 
 @dataclass
@@ -42,20 +43,9 @@ class MonthlyPoint:
 def detect_rollout(
     series: Sequence[MonthlyPoint], jump_factor: float = 2.0, floor: float = 0.10
 ) -> Optional[Tuple[int, int]]:
-    """Find the first month whose NS share jumps.
-
-    A month is a changepoint when its NS share exceeds both ``floor`` and
-    ``jump_factor`` times the mean of all preceding months.  Returns
-    ``(year, month)`` or None.
-    """
-    if len(series) < 2:
+    """``(year, month)`` of the first month whose NS share jumps under
+    :func:`~repro.analysis.changepoint.jump_detector`; None if none does."""
+    index = jump_detector([p.ns_share for p in series], jump_factor, floor)
+    if index is None:
         return None
-    for index in range(1, len(series)):
-        before = np.array([p.ns_share for p in series[:index]])
-        baseline = float(before.mean())
-        point = series[index]
-        if point.ns_share >= floor and point.ns_share >= jump_factor * max(
-            baseline, 1e-9
-        ):
-            return (point.year, point.month)
-    return None
+    return (series[index].year, series[index].month)

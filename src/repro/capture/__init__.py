@@ -1,14 +1,7 @@
 """Capture schema, columnar store, and persistence (the ENTRADA stand-in)."""
 
-from .io import read_csv, write_csv
-from .io_binary import (
-    arrays_to_view,
-    decode_chunk,
-    encode_chunk,
-    read_npz,
-    view_to_arrays,
-    write_npz,
-)
+from .io import write_csv
+from .io_binary import arrays_to_view, read_npz, view_to_arrays, write_npz
 from .schema import QueryRecord, Transport
 from .spool import (
     DEFAULT_CHUNK_ROWS,
@@ -30,11 +23,8 @@ __all__ = [
     "Transport",
     "arrays_to_view",
     "chunk_name",
-    "decode_chunk",
-    "encode_chunk",
     "join_address",
     "read_chunk",
-    "read_csv",
     "read_npz",
     "split_address",
     "view_to_arrays",

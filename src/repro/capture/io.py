@@ -1,9 +1,9 @@
-"""Capture persistence: CSV round-tripping.
+"""Capture export: CSV.
 
-Datasets can be simulated once and re-analysed many times; these helpers
-write a capture's canonical view to a human-inspectable CSV file and load
-one back into a :class:`~repro.capture.store.CaptureStore`
-(:mod:`repro.capture.io_binary` is the exact, compact format).
+:func:`write_csv` writes a capture's canonical view to a
+human-inspectable CSV file (``repro dataset --out``).  It is export-only;
+:mod:`repro.capture.io_binary` is the exact, compact format that loads
+back.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import csv
 from pathlib import Path
 from typing import Union
 
-from ..netsim import IPAddress
-from .schema import QueryRecord, Transport
-from .store import CaptureStore
+from .schema import QueryRecord
 
 _FIELDS = [
     "timestamp",
@@ -49,28 +47,6 @@ def _record_to_row(record: QueryRecord) -> dict:
     }
 
 
-def _row_to_record(row: dict) -> QueryRecord:
-    rtt = row["tcp_rtt_ms"]
-    if rtt in ("", None):
-        rtt = None
-    else:
-        rtt = float(rtt)
-    return QueryRecord(
-        timestamp=float(row["timestamp"]),
-        server_id=row["server_id"],
-        src=IPAddress.parse(row["src"]),
-        transport=Transport[row["transport"]],
-        qname=row["qname"],
-        qtype=int(row["qtype"]),
-        rcode=int(row["rcode"]),
-        edns_bufsize=int(row["edns_bufsize"]),
-        do_bit=bool(int(row["do_bit"])),
-        response_size=int(row["response_size"]),
-        truncated=bool(int(row["truncated"])),
-        tcp_rtt_ms=rtt,
-    )
-
-
 def write_csv(capture, path: Union[str, Path]) -> int:
     """Write all rows of a capture (anything with ``view()``: a run's
     :class:`~repro.capture.SpooledCapture`, a store) to CSV, in the
@@ -84,12 +60,3 @@ def write_csv(capture, path: Union[str, Path]) -> int:
             writer.writerow(_record_to_row(record))
             count += 1
     return count
-
-
-def read_csv(path: Union[str, Path]) -> CaptureStore:
-    """Load a capture store previously written by :func:`write_csv`."""
-    store = CaptureStore()
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            store.append(_row_to_record(row))
-    return store

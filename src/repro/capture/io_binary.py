@@ -20,7 +20,6 @@ The same framing backs two consumers:
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Dict, Union
 
@@ -122,17 +121,4 @@ def read_npz(path: Union[str, Path]) -> CaptureView:
     straight in.
     """
     with np.load(path, allow_pickle=False) as archive:
-        return arrays_to_view(archive)
-
-
-def encode_chunk(view: CaptureView) -> bytes:
-    """Serialise one chunk of rows to compressed bytes (spool framing)."""
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **view_to_arrays(view))
-    return buffer.getvalue()
-
-
-def decode_chunk(data: bytes) -> CaptureView:
-    """Inverse of :func:`encode_chunk`."""
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
         return arrays_to_view(archive)

@@ -7,7 +7,6 @@ and record mixes behave like the protocol the paper measured.
 """
 
 from .edns import CLASSIC_UDP_LIMIT, RECOMMENDED_BUFSIZE, EdnsOption, EdnsRecord
-from .inspect import annotate, annotated_dump, explain, hexdump
 from .message import Flags, Message, Question, WireDecodeError
 from .names import ROOT, Name, NameError_
 from .rdata import (
@@ -33,10 +32,6 @@ __all__ = [
     "ADDRESS_TYPES",
     "AAAARdata",
     "ARdata",
-    "annotate",
-    "annotated_dump",
-    "explain",
-    "hexdump",
     "CLASSIC_UDP_LIMIT",
     "CNAMERdata",
     "DNSKEYRdata",

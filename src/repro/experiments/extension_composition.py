@@ -71,7 +71,3 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
         "noerror); heavy hitters are sketch-estimated with stated bounds"
     )
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    return {v: run_vantage(ctx, v) for v in ("nl", "nz", "root")}

@@ -73,7 +73,3 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
         "blocs roll up EU-27, Five Eyes, and BRICS membership"
     )
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    return {v: run_vantage(ctx, v) for v in ("nl", "nz", "root")}

@@ -45,8 +45,3 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
         )
     report.series = series
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    """All three Figure 1 panels."""
-    return {v: run_vantage(ctx, v) for v in ("nl", "nz", "root")}

@@ -58,11 +58,3 @@ def _expectation(provider: str, rrtype: str, qmin: bool) -> str:
     if rrtype == "A":
         return "dominant" if not qmin else "present"
     return "present"
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    """All nine panels (Figure 2 for 2018/2020, Figure 7 for 2019)."""
-    return {
-        PANELS[key]: run_panel(ctx, *key)
-        for key in PANELS
-    }

@@ -8,7 +8,7 @@ misconfiguration that flooded the TLD with A/AAAA queries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from ..analysis import MonthlyPoint, detect_rollout
 from ..workload import FIGURE3_MONTHS
@@ -72,7 +72,3 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
         "aaaa_share": [p.aaaa_share for p in series],
     }
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    return {v: run_vantage(ctx, v) for v in ("nl", "nz")}

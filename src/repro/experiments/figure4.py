@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..clouds import JUNK_FRACTION, PROVIDERS
 from ..workload import datasets_for_vantage
 from .context import ExperimentContext
@@ -41,7 +39,3 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
             unit="junk ratio",
         )
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    return {v: run_vantage(ctx, v) for v in ("nl", "nz", "root")}

@@ -7,10 +7,7 @@ Figure 8 repeats both for Server B (appendix).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..analysis import facebook_site_stats, rtt_preference_correlation
-from ..clouds import FACEBOOK_SITES
 from .context import ExperimentContext
 from .report import Report
 
@@ -66,10 +63,3 @@ def run_server(ctx: ExperimentContext, server_id: str) -> Report:
         "rtt_v6": [s.median_tcp_rtt_v6 for s in stats],
     }
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    return {
-        "figure5": run_server(ctx, "nl-a"),
-        "figure8": run_server(ctx, "nl-b"),
-    }

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..clouds import GOOGLE_PUBLIC_DNS_PREFIXES
 from .context import ExperimentContext
 from .report import Report
@@ -43,7 +41,3 @@ def run_year(ctx: ExperimentContext, year: int) -> Report:
         "Google Public DNS egress ranges, as in the paper"
     )
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[int, Report]:
-    return {year: run_year(ctx, year) for year in (2020, 2019)}

@@ -56,11 +56,3 @@ def run_vantage_year(ctx: ExperimentContext, vantage: str, year: int) -> Report:
         report.add(f"{row.provider} UDP", paper[2], round(row.udp, 2))
         report.add(f"{row.provider} TCP", paper[3], round(row.tcp, 2))
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    out = {}
-    for vantage in ("nl", "nz"):
-        for year in (2018, 2019, 2020):
-            out[f"{vantage}-{year}"] = run_vantage_year(ctx, vantage, year)
-    return out

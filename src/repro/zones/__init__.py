@@ -9,9 +9,8 @@ from .builders import (
     domains_of,
     synthetic_labels,
 )
-from .popularity import ZipfSampler, weighted_choice
+from .popularity import ZipfSampler
 from .zone import LookupOutcome, LookupResult, RRset, Zone
-from .zonefile import ZoneFileError, dump_zone, load_zone, parse_records
 
 __all__ = [
     "DEFAULT_TLDS",
@@ -21,14 +20,9 @@ __all__ = [
     "RRset",
     "Zone",
     "ZipfSampler",
-    "ZoneFileError",
     "ZoneSpec",
-    "dump_zone",
-    "load_zone",
-    "parse_records",
     "build_registry_zone",
     "build_root_zone",
     "domains_of",
     "synthetic_labels",
-    "weighted_choice",
 ]

@@ -9,8 +9,6 @@ the cache-miss traffic the authoritatives see) behave realistically.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 
@@ -49,17 +47,3 @@ class ZipfSampler:
             raise ValueError("rank out of range")
         low = self._cdf[rank - 1] if rank > 0 else 0.0
         return float(self._cdf[rank] - low)
-
-
-def weighted_choice(
-    rng: np.random.Generator, items: Sequence, weights: Optional[Sequence[float]] = None
-):
-    """Pick one item, optionally weighted (weights need not be normalised)."""
-    if not items:
-        raise ValueError("empty choice set")
-    if weights is None:
-        return items[int(rng.integers(len(items)))]
-    w = np.asarray(weights, dtype=np.float64)
-    if w.sum() <= 0:
-        raise ValueError("weights must sum to a positive value")
-    return items[int(rng.choice(len(items), p=w / w.sum()))]

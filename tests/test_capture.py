@@ -1,6 +1,7 @@
 """Unit tests for the capture schema, columnar store, and persistence."""
 
-import numpy as np
+import csv
+
 import pytest
 
 from repro.capture import (
@@ -8,7 +9,6 @@ from repro.capture import (
     QueryRecord,
     Transport,
     join_address,
-    read_csv,
     split_address,
     write_csv,
 )
@@ -178,7 +178,21 @@ class TestPersistence:
     def test_csv_round_trip(self, store, tmp_path):
         path = tmp_path / "capture.csv"
         assert write_csv(store, path) == 2
-        loaded = read_csv(path)
-        assert len(loaded) == 2
-        for i in range(2):
-            assert loaded.view().record(i) == store.view().record(i)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        view = store.view()
+        assert len(rows) == len(view) == 2
+        for row, record in zip(rows, view.iter_records()):
+            assert float(row["timestamp"]) == record.timestamp
+            assert row["server_id"] == record.server_id
+            assert row["src"] == record.src.to_text()
+            assert row["transport"] == record.transport.name
+            assert row["qname"] == record.qname
+            assert int(row["qtype"]) == record.qtype
+            assert int(row["rcode"]) == record.rcode
+            assert int(row["edns_bufsize"]) == record.edns_bufsize
+            assert bool(int(row["do_bit"])) == record.do_bit
+            assert int(row["response_size"]) == record.response_size
+            assert bool(int(row["truncated"])) == record.truncated
+            rtt = row["tcp_rtt_ms"]
+            assert (float(rtt) if rtt else None) == record.tcp_rtt_ms

@@ -147,8 +147,9 @@ class TestCLI:
         assert len(content.splitlines()) > 1
 
     def test_unknown_dataset_errors(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["dataset", "nl-w2099", "--scale", "0.01"])
+        assert excinfo.value.code == 2
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
@@ -189,6 +190,22 @@ class TestValidatesBeforeSimulating:
         (["dataset", "nz-w2018", "--scale", "-1"], "scale must be positive"),
         (["experiments", "--workers", "0"], "workers must be >= 1"),
         (["experiments", "--scale", "0"], "scale must be positive"),
+        (["dataset", "nope"], "unknown dataset 'nope'"),
+        (["serve", "nope"], "unknown dataset 'nope'"),
+        (["loadgen", "nope"], "unknown dataset 'nope'"),
+        (["soak", "nope"], "unknown dataset 'nope'"),
+        (["experiments", "--scale", "0.005", "--write", "/nonexistent/d/x.md"],
+         "--write /nonexistent/d/x.md: its directory does not exist"),
+        (["dataset", "nz-w2018", "--scale", "0.01", "--out", "/nonexistent/x.csv"],
+         "--out /nonexistent/x.csv: its directory does not exist"),
+        (["dataset", "nz-w2018", "--scale", "0.01",
+          "--telemetry-out", "/nonexistent/t.json"],
+         "--telemetry-out /nonexistent/t.json: its directory does not exist"),
+        (["dataset", "nz-w2018", "--scale", "0.01",
+          "--metrics-out", "/nonexistent/m.prom"],
+         "--metrics-out /nonexistent/m.prom: its directory does not exist"),
+        (["dataset", "nz-w2018", "--scale", "0.01", "--spool-dir", "/proc/x"],
+         "--spool-dir /proc/x:"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import cusum_detector, detect_step_level, jump_detector
+from repro.analysis import cusum_detector, jump_detector
 from repro.capture import (
     CaptureStore,
     QueryRecord,
@@ -114,14 +114,3 @@ class TestChangepoint:
         # per-step allowance and never accumulates.
         series = [0.05, 0.07, 0.055, 0.065, 0.060, 0.062, 0.064, 0.066, 0.068]
         assert cusum_detector(series, threshold=4.0, drift=1.0) is None
-
-    def test_detect_step_level(self):
-        before, after = detect_step_level(STEP, 5)
-        assert before == pytest.approx(0.05)
-        assert after == pytest.approx(0.46, abs=0.01)
-
-    def test_detect_step_level_bounds(self):
-        with pytest.raises(ValueError):
-            detect_step_level(STEP, 0)
-        with pytest.raises(ValueError):
-            detect_step_level(STEP, len(STEP))
