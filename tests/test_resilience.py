@@ -86,19 +86,27 @@ class TestTokenBucket:
 class TestDeadline:
     def test_virtual_charges_consume_budget(self):
         clock = SimClock(now=100.0)
-        deadline = Deadline(1000.0, clock.read())
-        assert not deadline.exhausted(clock.read())
-        deadline.charge_ms(400.0)
-        assert deadline.remaining_ms(clock.read()) == pytest.approx(600.0)
-        assert deadline.virtual_offset_s() == pytest.approx(0.4)
+        start = clock.read()
+        deadline = Deadline(1000.0, start)
+        assert not deadline.exhausted(start)
+        deadline.charge_ms(375.0)
+        assert deadline.virtual_offset_s() == 0.375
+        # 625 ms remain: real time spends them at exactly +0.625 s (every
+        # figure here is exact in binary), not a millisecond earlier.
+        assert not deadline.exhausted(start + 0.624)
+        assert deadline.exhausted(start + 0.625)
         deadline.charge_ms(700.0)
-        assert deadline.exhausted(clock.read())
+        assert deadline.exhausted(start)
 
     def test_real_elapsed_time_counts_too(self):
         clock = SimClock(now=100.0)
         deadline = Deadline(1000.0, clock.read())
-        clock.advance(0.9)
-        assert deadline.consumed_ms(clock.read()) == pytest.approx(900.0)
+        clock.advance(0.875)
+        assert not deadline.exhausted(clock.read())
+        assert deadline.virtual_offset_s() == 0.0     # real time is not virtual
+        # 875 ms elapsed: a 125 ms charge spends the budget exactly.
+        deadline.charge_ms(125.0)
+        assert deadline.exhausted(clock.read())
         clock.advance(0.2)
         assert deadline.exhausted(clock.read())
 
