@@ -8,7 +8,7 @@ a resolver population keeps resolving, and the client-visible failure rate
 plus the retry load on the survivors are reported.
 
 It also demonstrates capture persistence: the baseline capture is written
-to a compact .npz warehouse file and re-loaded for analysis.
+to a compact, checksummed chunk file and re-loaded for analysis.
 
 Usage::
 
@@ -19,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.capture import read_npz, write_npz
+from repro.capture import read_chunk, write_chunk
 from repro.experiments import ExperimentContext, extension_outage
 from repro.reporting import bar_chart
 from repro.sim import run_dataset
@@ -46,13 +46,13 @@ def main() -> None:
     descriptor = dataset("nl-w2020")
     run = run_dataset(descriptor, client_queries=int(2000 * scale))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "nl-w2020.npz"
-        rows = write_npz(run.capture, path)
-        loaded = read_npz(path)
+        path = Path(tmp) / "nl-w2020.chunk"
+        size = write_chunk(path, run.capture.view())
+        loaded = read_chunk(path)
         print()
         print(
-            f"warehouse round trip: wrote {rows} rows "
-            f"({path.stat().st_size // 1024} KiB), reloaded {len(loaded)} rows"
+            f"warehouse round trip: wrote {len(run.capture)} rows "
+            f"({size // 1024} KiB), reloaded {len(loaded)} rows"
         )
 
 

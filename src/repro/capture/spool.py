@@ -7,11 +7,12 @@ chunks in append order (:class:`CaptureSpool`), mirroring how the paper's
 ENTRADA pipeline lands pcap-derived rows in Parquet files once and queries
 columns ever after.  A chunk is either **resident** — the view itself (an
 in-memory run: the shards hand their chunks over as they are) — or
-**spilled** — a compressed ``.npz`` chunk file in the
-:mod:`repro.capture.io_binary` framing (a run with a spool directory: each
+**spilled** — a ``.chunk`` file holding one checksummed, compressed
+:mod:`repro.capture.io_binary` frame (a run with a spool directory: each
 shard writes its chunks under it and hands over their paths), read back
 one bounded view at a time, so a single-pass analysis touches O(chunk)
-memory regardless of total rows.
+memory regardless of total rows.  Only the paths a spool wrote or adopted
+are chunks: a writer's ``.tmp`` file is never one.
 
 :class:`SpooledCapture` is the capture every
 :class:`~repro.sim.DatasetRun` carries; its :meth:`~SpooledCapture.view`
@@ -26,7 +27,7 @@ from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .io_binary import arrays_to_view, view_to_arrays
+from .io_binary import read_chunk, read_row_count, write_chunk
 from .store import CaptureStore, CaptureView
 
 #: Default rows per spooled chunk.  Large enough that zlib and numpy
@@ -35,31 +36,10 @@ from .store import CaptureStore, CaptureView
 DEFAULT_CHUNK_ROWS = 65536
 
 
-def write_chunk(path: Union[str, Path], view: CaptureView) -> int:
-    """Write one chunk archive; returns its compressed size in bytes.
-
-    The write lands in a pid-tagged temp file and is renamed into place,
-    so a reader never sees a half-written chunk even if a timed-out shard
-    attempt and its retry race on the same deterministic name.
-    """
-    path = Path(path)
-    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
-    np.savez_compressed(tmp, **view_to_arrays(view))
-    size = tmp.stat().st_size
-    os.replace(tmp, path)
-    return size
-
-
-def read_chunk(path: Union[str, Path]) -> CaptureView:
-    """Load one chunk archive back into a bounded view."""
-    with np.load(path, allow_pickle=False) as archive:
-        return arrays_to_view(archive)
-
-
 def chunk_name(shard_index: int, sequence: int) -> str:
     """Deterministic chunk filename: retried shards overwrite their own
     chunks instead of leaking partial attempts next to good ones."""
-    return f"shard{shard_index:04d}-{sequence:06d}.npz"
+    return f"shard{shard_index:04d}-{sequence:06d}.chunk"
 
 
 def concatenate_views(views: Sequence[CaptureView]) -> CaptureView:
@@ -165,9 +145,9 @@ class CaptureSpool:
         """Register chunks produced elsewhere (the shard-merge path):
         resident views, held as they are, or paths of chunk files.
 
-        ``row_counts`` avoids re-opening every archive when the writer
-        already reported them; otherwise counts are read from chunk
-        metadata.
+        ``row_counts`` avoids re-opening every file when the writer
+        already reported them; otherwise each count is read from its
+        frame's prefix.
         """
         chunks = [
             chunk if isinstance(chunk, CaptureView) else Path(chunk)
@@ -176,7 +156,7 @@ class CaptureSpool:
         if row_counts is None:
             row_counts = [
                 len(chunk) if isinstance(chunk, CaptureView)
-                else self._read_row_count(chunk)
+                else read_row_count(chunk)
                 for chunk in chunks
             ]
         if len(row_counts) != len(chunks):
@@ -192,11 +172,6 @@ class CaptureSpool:
         if all(isinstance(chunk, CaptureView) for chunk in self._chunks):
             self._chunks = [view]
             self._chunk_rows_counts = [len(view)]
-
-    @staticmethod
-    def _read_row_count(path: Path) -> int:
-        with np.load(path, allow_pickle=False) as archive:
-            return int(archive["__meta__"][1])
 
     def __len__(self) -> int:
         tail = 0 if self._tail is None else len(self._tail)

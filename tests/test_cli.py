@@ -174,7 +174,7 @@ class TestCLI:
         argv = ["dataset", "nz-w2018", "--scale", "0.01"]
         assert main(argv + ["--spool-dir", str(target)]) == 0
         spilled = capsys.readouterr().out
-        assert list((target / "nz-w2018").glob("shard*.npz"))
+        assert list((target / "nz-w2018").glob("shard*.chunk"))
         assert main(argv) == 0
         assert capsys.readouterr().out == spilled
 

@@ -1,16 +1,10 @@
 """Unit tests for binary capture persistence and changepoint detectors."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import cusum_detector, jump_detector
-from repro.capture import (
-    CaptureStore,
-    QueryRecord,
-    Transport,
-    read_npz,
-    write_npz,
-)
+from repro.capture import CaptureStore, QueryRecord, Transport, read_chunk, write_chunk
+from repro.capture.io_binary import MAGIC, read_row_count
 from repro.netsim import IPAddress
 
 
@@ -35,9 +29,10 @@ class TestBinaryIO:
     def test_round_trip(self, tmp_path):
         store = CaptureStore()
         store.extend(make_record(i) for i in range(200))
-        path = tmp_path / "capture.npz"
-        assert write_npz(store, path) == 200
-        loaded = read_npz(path)
+        path = tmp_path / "capture.chunk"
+        assert write_chunk(path, store.view()) == path.stat().st_size
+        assert read_row_count(path) == 200
+        loaded = read_chunk(path)
         original = store.view()
         assert len(loaded) == 200
         for i in (0, 7, 99, 199):
@@ -46,17 +41,18 @@ class TestBinaryIO:
     def test_columns_usable_for_analysis(self, tmp_path):
         store = CaptureStore()
         store.extend(make_record(i) for i in range(50))
-        path = tmp_path / "c.npz"
-        write_npz(store, path)
-        view = read_npz(path)
+        path = tmp_path / "c.chunk"
+        write_chunk(path, store.view())
+        view = read_chunk(path)
         # Masks and aggregations behave identically on the reloaded view.
         assert view.unique_address_count() == store.view().unique_address_count()
         assert view.count_by(view.rcode) == store.view().count_by(store.view().rcode)
 
     def test_empty_capture(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        assert write_npz(CaptureStore(), path) == 0
-        assert len(read_npz(path)) == 0
+        path = tmp_path / "empty.chunk"
+        write_chunk(path, CaptureStore().view())
+        assert read_row_count(path) == 0
+        assert len(read_chunk(path)) == 0
 
     def test_unicode_qnames(self, tmp_path):
         store = CaptureStore()
@@ -65,20 +61,23 @@ class TestBinaryIO:
             transport=Transport.UDP, qname="exámple.nl.", qtype=1, rcode=0,
         )
         store.append(record)
-        path = tmp_path / "u.npz"
-        write_npz(store, path)
-        assert read_npz(path).record(0).qname == "exámple.nl."
+        path = tmp_path / "u.chunk"
+        write_chunk(path, store.view())
+        assert read_chunk(path).record(0).qname == "exámple.nl."
 
     def test_version_check(self, tmp_path):
         store = CaptureStore()
         store.append(make_record(1))
-        path = tmp_path / "v.npz"
-        write_npz(store, path)
-        data = dict(np.load(path, allow_pickle=False))
-        data["__meta__"] = np.array([99, 1], dtype=np.int64)
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError):
-            read_npz(path)
+        path = tmp_path / "v.chunk"
+        write_chunk(path, store.view())
+        data = bytearray(path.read_bytes())
+        # The version is the little-endian uint16 right after the magic.
+        data[len(MAGIC):len(MAGIC) + 2] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        for read in (read_chunk, read_row_count):
+            with pytest.raises(ValueError, match="version 99") as excinfo:
+                read(path)
+            assert str(path) in str(excinfo.value)
 
 
 FLAT = [0.05, 0.04, 0.06, 0.05, 0.05]

@@ -312,7 +312,7 @@ def assert_structure(run, workers, spool_dir, traced):
     assert sum(outcome.rows for outcome in report.outcomes) == len(run.capture)
     assert isinstance(run.capture, SpooledCapture)
     chunk_files = [] if spool_dir is None else sorted(
-        str(path) for path in (spool_dir / run.descriptor.dataset_id).glob("*.npz")
+        str(path) for path in (spool_dir / run.descriptor.dataset_id).glob("*.chunk")
     )
     assert chunk_files == sorted(run.capture.spool.chunk_paths())
     assert bool(chunk_files) == (spool_dir is not None)

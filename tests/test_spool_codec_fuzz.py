@@ -1,14 +1,23 @@
 """Property tests for the spool chunk codec and canonical reassembly.
 
-The spool's on-disk format is the io_binary framing inside ``.npz``
-archives; these tests fuzz the full round trip (rows → columns → chunk
-file → columns) over adversarial record populations — empty chunks,
-maximum-size EDNS payloads, zero-bufsize (no-OPT) queries, mixed v4/v6
-address extremes, and non-ASCII names and server ids — and pin down the reassembly invariant that
-``SpooledCapture.view()``, over chunk files and resident chunks alike,
-equals a plain stable sort of the row tuples on ``(timestamp, server_id)``.
+A spilled chunk is one io_binary frame in a ``.chunk`` file: a prefix
+with a crc32, a column table and one zlib body.  These tests fuzz the full
+round trip (rows → columns → chunk file → columns) over adversarial record
+populations — empty chunks, maximum-size EDNS payloads, zero-bufsize
+(no-OPT) queries, mixed v4/v6 address extremes, and non-ASCII names and
+server ids — and check that what comes back is writable, aligned and of the
+written dtypes.  They tear chunks (cut inside the prefix, the table or the
+body; flip any one bit; write a foreign magic or another version) and
+require a ``ValueError`` naming the file every time; they fail writes
+(a full disk, a failed rename) and require that no temp file is left; and
+they pin down the reassembly invariant that ``SpooledCapture.view()``, over
+chunk files and resident chunks alike, equals a plain stable sort of the
+row tuples on ``(timestamp, server_id)``.
 """
 
+import errno
+import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -23,8 +32,17 @@ from repro.capture import (
     SpooledCapture,
     Transport,
 )
-from repro.capture.io_binary import _decode_strings, _encode_strings
-from repro.capture.spool import chunk_name, read_chunk, write_chunk
+from repro.capture import io_binary
+from repro.capture.io_binary import (
+    MAGIC,
+    PREFIX_SIZE,
+    _decode_strings,
+    _encode_strings,
+    read_chunk,
+    read_row_count,
+    write_chunk,
+)
+from repro.capture.spool import chunk_name
 from repro.netsim import IPAddress
 
 from .helpers import assert_views_equal
@@ -70,6 +88,15 @@ def records_to_view(records):
     store = CaptureStore()
     store.extend(records)
     return store.view()
+
+
+def assert_columns_usable(view):
+    """Every numeric column is writable and aligned, as a freshly built
+    view's are."""
+    for name in type(view).__dataclass_fields__:
+        column = getattr(view, name)
+        assert column.flags.writeable, name
+        assert column.flags.aligned, name
 
 
 def per_string_encode(values):
@@ -140,7 +167,9 @@ class TestChunkRoundTrip:
             path = Path(tmp) / chunk_name(0, 0)
             size = write_chunk(path, view)
             assert size == path.stat().st_size > 0
-            assert_views_equal(view, read_chunk(path))
+            loaded = read_chunk(path)
+        assert_views_equal(view, loaded)
+        assert_columns_usable(loaded)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(record_st, max_size=60))
@@ -313,3 +342,157 @@ class TestSpoolProperties:
             adopter.adopt(writer.chunk_paths())
             assert len(adopter) == 5
             assert adopter.chunk_row_counts() == writer.chunk_row_counts()
+
+
+def small_view(rows):
+    return records_to_view([
+        QueryRecord(
+            timestamp=float(i), server_id="nz-ü" if i % 2 else "nl-a",
+            src=IPAddress(4, i + 1), transport=Transport.UDP,
+            qname="café.nz." if i % 3 else "nl.", qtype=2, rcode=0,
+        )
+        for i in range(rows)
+    ])
+
+
+def assert_rejected(path, read=read_chunk):
+    """``read(path)`` raises a plain ValueError that names the file — not
+    a numpy or zlib error, and no rows."""
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert type(excinfo.value) is ValueError
+    assert str(path) in str(excinfo.value)
+
+
+class TestTornChunks:
+    """A chunk file that is not an intact frame of this version is refused
+    whole: truncated anywhere, one bit flipped anywhere, or not a frame."""
+
+    @staticmethod
+    def regions(data):
+        """(start, end) of the prefix, the column table and the body."""
+        __, __, __, table_len = io_binary._HEAD.unpack_from(data)
+        table_end = PREFIX_SIZE + table_len
+        return {
+            "prefix": (0, PREFIX_SIZE),
+            "table": (PREFIX_SIZE, table_end),
+            "body": (table_end, len(data)),
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(record_st, max_size=30),
+        st.sampled_from(["prefix", "table", "body"]),
+        st.data(),
+    )
+    def test_truncated_anywhere(self, records, region, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / chunk_name(0, 0)
+            write_chunk(path, records_to_view(records))
+            frame = path.read_bytes()
+            start, end = self.regions(frame)[region]
+            path.write_bytes(frame[:data.draw(st.integers(start, end - 1))])
+            assert_rejected(path)
+            if region == "prefix":
+                assert_rejected(path, read_row_count)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(record_st, max_size=30),
+        st.sampled_from(["prefix", "table", "body"]),
+        st.data(),
+    )
+    def test_any_flipped_bit(self, records, region, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / chunk_name(0, 0)
+            write_chunk(path, records_to_view(records))
+            frame = bytearray(path.read_bytes())
+            start, end = self.regions(frame)[region]
+            bit = data.draw(st.integers(start * 8, end * 8 - 1))
+            frame[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(frame))
+            assert_rejected(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.binary(min_size=len(MAGIC), max_size=len(MAGIC)).filter(lambda m: m != MAGIC))
+    def test_wrong_magic(self, magic):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / chunk_name(0, 0)
+            write_chunk(path, small_view(3))
+            path.write_bytes(magic + path.read_bytes()[len(MAGIC):])
+            assert_rejected(path)
+            assert_rejected(path, read_row_count)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**16 - 1).filter(lambda v: v != io_binary.FORMAT_VERSION))
+    def test_wrong_version(self, version):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / chunk_name(0, 0)
+            write_chunk(path, small_view(3))
+            frame = bytearray(path.read_bytes())
+            frame[len(MAGIC):len(MAGIC) + 2] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(frame))
+            for read in (read_chunk, read_row_count):
+                with pytest.raises(ValueError, match=f"version {version}$"):
+                    read(path)
+
+    def test_a_zip_archive_is_foreign(self, tmp_path):
+        """The container chunks used to be is refused, not half-read."""
+        path = tmp_path / chunk_name(0, 0)
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, timestamp=np.zeros(3))
+        assert_rejected(path)
+        assert_rejected(path, read_row_count)
+
+
+class TestFailedWrites:
+    """A write that fails removes its temp file, re-raises, and leaves any
+    chunk already at the path as it was."""
+
+    def test_full_disk(self, tmp_path, monkeypatch):
+        path = tmp_path / chunk_name(0, 0)
+        write_chunk(path, small_view(4))
+        before = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[:7])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(
+            io_binary, "open", lambda file, mode: FullDisk(file, "w"), raising=False
+        )
+        with pytest.raises(OSError) as excinfo:
+            write_chunk(path, small_view(9))
+        assert excinfo.value.errno == errno.ENOSPC
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    def test_failed_rename(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(io_binary.os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_chunk(tmp_path / chunk_name(0, 0), small_view(4))
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_a_stale_temp_file_is_never_a_chunk(tmp_path):
+    """A temp file a killed writer left behind ends in ``.tmp``: no
+    ``*.chunk`` listing, spool or canonical view picks it up."""
+    view = small_view(5)
+    spool = CaptureSpool(directory=tmp_path, chunk_rows=2)
+    spool.append_view(view)
+    spool.flush()
+    first = Path(spool.chunk_paths()[0])
+    stale = first.with_name(f"{first.name}.{os.getpid() + 1}.tmp")
+    stale.write_bytes(first.read_bytes())
+    listed = sorted(str(path) for path in tmp_path.glob("*.chunk"))
+    assert listed == sorted(spool.chunk_paths()) and str(stale) not in listed
+    adopter = CaptureSpool(directory=tmp_path)
+    adopter.adopt(listed)
+    assert len(adopter) == 5
+    canonical = SpooledCapture(spool).view()
+    assert len(canonical) == 5
+    assert_views_equal(canonical, SpooledCapture(adopter).view())

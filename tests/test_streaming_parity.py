@@ -132,11 +132,11 @@ class TestSpoolDirectory:
         run = run_dataset(
             dataset("nz-w2018"), client_queries=300, seed=SEED, spool_dir=str(tmp_path),
         )
-        chunks = list((tmp_path / "nz-w2018").glob("*.npz"))
-        assert chunks, "spool directory should contain chunk archives"
+        chunks = list((tmp_path / "nz-w2018").glob("*.chunk"))
+        assert chunks, "spool directory should contain chunk files"
         assert sum(1 for _ in run.capture.iter_views()) == len(chunks)
         run.capture.cleanup()
-        assert not list((tmp_path / "nz-w2018").glob("*.npz"))
+        assert not list((tmp_path / "nz-w2018").glob("*.chunk"))
 
 
 #: One pooled run plus its headline analysis in a fresh interpreter, so
