@@ -15,7 +15,8 @@ result:
   the run's :class:`repro.capture.CaptureSpool`
   (:meth:`repro.capture.SpooledCapture.view` applies the canonical
   ``(timestamp, server_id)`` ordering) plus
-  :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`.
+  :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`;
+* :func:`collector_paused` — no automatic cyclic GC in a run or a shard.
 
 Determinism contract: per-resolver query streams are seeded by *global*
 fleet index, every worker assembles the full environment from
@@ -34,6 +35,7 @@ from .executor import (
     ShardOutcome,
     ShardResult,
     ShardTask,
+    collector_paused,
     execute_shard_task,
     pool_context,
     record_outcome,
@@ -52,6 +54,7 @@ __all__ = [
     "ShardPlan",
     "ShardResult",
     "ShardTask",
+    "collector_paused",
     "execute_shard_task",
     "plan_shards",
     "pool_context",

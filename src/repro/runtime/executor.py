@@ -28,6 +28,7 @@ counters, and a ``runtime.worker_utilization`` gauge (busy seconds over
 
 from __future__ import annotations
 
+import gc
 import logging
 import multiprocessing
 import os
@@ -35,6 +36,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -187,11 +189,33 @@ def record_outcome(
     ))
 
 
+@contextmanager
+def collector_paused():
+    """Pause automatic cyclic garbage collection for the block.
+
+    A dataset run allocates millions of objects but leaves almost no
+    reference cycles, so every collection inside it rescans the parked
+    world only to find it alive (12–22 % of ``nl-w2020`` in ``bench/``).  The
+    collector is re-enabled on exit only if it was enabled on entry, so
+    pauses nest and an exception restores the caller's state.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@collector_paused()
 def execute_shard_task(task: ShardTask) -> ShardResult:
     """Simulate one shard in the current process.
 
     This is the pool's target function (must stay module-level for
-    pickling) and doubles as the serial-fallback entry point.
+    pickling) and doubles as the serial-fallback entry point.  It pauses
+    the collector itself: a spawned worker inherits no state from the
+    :func:`~repro.sim.run_dataset` that started the pool.
     """
     if task.fault == FAULT_CRASH:
         raise RuntimeError(f"injected crash in shard {task.shard_index}")

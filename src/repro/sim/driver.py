@@ -60,6 +60,7 @@ from ..runtime import (
     ShardExecutor,
     ShardResult,
     ShardTask,
+    collector_paused,
     plan_shards,
     record_outcome,
 )
@@ -794,6 +795,7 @@ def reject_removed_keywords(**values) -> None:
             )
 
 
+@collector_paused()
 def run_dataset(
     descriptor: DatasetDescriptor,
     seed: int = 20201027,
