@@ -26,7 +26,7 @@ Commands
 ``loadgen``
     Replay workload-layer query streams against a running ``serve``
     instance and report q/s + latency percentiles (``--min-answered``
-    turns the report into a CI gate; ``--rate`` offers open-loop load).
+    turns the report into a CI gate).
 ``soak``
     Chaos soak: boot a server on ephemeral ports with admission control
     at ``--admission-qps``, black out the vantage's authoritative tier
@@ -64,7 +64,8 @@ parallelism: every dataset simulated is split across the pool); a value
 that cannot run — ``--workers 0``, ``--trace-sample 2``, ``--scale -1``,
 ``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.  So is an
 unknown dataset id and an output path whose directory does not exist, on
-every command.
+every command, and a ``loadgen`` or ``soak`` value its config rejects
+(``--tcp-fraction -0.2``, ``--duration 0``).
 """
 
 from __future__ import annotations
@@ -349,13 +350,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     rrl = None
     if args.rrl and args.rrl > 0:
         rrl = RRLConfig(responses_per_second=args.rrl, burst=2.0 * args.rrl)
-    resilience = ResilienceConfig(
-        admission_rate_qps=args.admission_qps if args.admission_qps > 0 else None,
-        shed_policy=args.shed_policy,
-        breakers=not args.no_breakers,
-        deadline_ms=args.deadline_ms if args.deadline_ms > 0 else None,
-        hedge=args.hedge,
-    )
     config = ServiceConfig(
         dataset_id=args.dataset_id,
         host=args.host,
@@ -369,7 +363,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_window_s=args.fault_window,
         topology=topology,
         resolver_frontend=args.resolver,
-        resilience=resilience,
+        resilience=ResilienceConfig(
+            admission_rate_qps=args.admission_qps if args.admission_qps > 0 else None,
+        ),
     )
 
     async def _serve() -> int:
@@ -415,26 +411,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return asyncio.run(_serve())
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
+def _loadgen_config(args: argparse.Namespace):
+    from .service import LoadGenConfig
 
-    from .service import LoadGenConfig, run_loadgen_sync
-
-    config = LoadGenConfig(
+    return LoadGenConfig(
         host=args.host,
         udp_port=args.port,
         tcp_port=args.tcp_port,
         dataset_id=args.dataset_id,
         queries=args.queries,
-        concurrency=args.concurrency,
-        timeout_s=args.timeout,
-        rate_qps=args.rate if args.rate > 0 else None,
         tcp_fraction=args.tcp_fraction,
-        streams=args.streams,
-        junk_fraction=args.junk_fraction,
         seed=args.seed,
     )
-    report = run_loadgen_sync(config)
+
+
+def _cmd_loadgen(args: argparse.Namespace) -> int:
+    import json
+
+    from .service import run_loadgen_sync
+
+    report = run_loadgen_sync(args.live_config)
     print(report.summary())
     for rcode, count in sorted(report.rcodes.items()):
         print(f"  {rcode:<10} {count}")
@@ -456,24 +452,24 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
-    import json
+def _soak_config(args: argparse.Namespace):
+    from .service import SoakConfig
 
-    from .service import SoakConfig, run_soak_sync
-
-    config = SoakConfig(
+    return SoakConfig(
         dataset_id=args.dataset_id,
         seed=args.seed,
         duration_s=args.duration,
         offered_qps=args.offered_qps,
         admission_qps=args.admission_qps,
-        shed_policy=args.shed_policy,
-        deadline_ms=args.deadline_ms,
-        blackout_start_frac=args.blackout_start,
-        blackout_end_frac=args.blackout_end,
-        slo_answered_fraction=args.slo_answered,
     )
-    report = run_soak_sync(config)
+
+
+def _cmd_soak(args: argparse.Namespace) -> int:
+    import json
+
+    from .service import run_soak_sync
+
+    report = run_soak_sync(args.live_config)
     print(report.summary())
     for name, ok in sorted(report.slos.items()):
         print(f"  SLO {name:<22} {'PASS' if ok else 'FAIL'}")
@@ -655,20 +651,8 @@ def main(argv=None) -> int:
     p_serve.add_argument("--admission-qps", type=float, default=0.0,
                          metavar="RATE",
                          help="token-bucket admission control at RATE"
-                              " queries/s (0 = no admission limit)")
-    p_serve.add_argument("--shed-policy", choices=("drop", "servfail"),
-                         default="servfail",
-                         help="what an over-capacity query gets: silence"
-                              " or SERVFAIL-with-TC (default: servfail)")
-    p_serve.add_argument("--deadline-ms", type=float, default=1500.0,
-                         help="per-query deadline budget; exhausted"
-                              " budgets answer SERVFAIL (0 = off,"
-                              " restoring silence; default: 1500)")
-    p_serve.add_argument("--no-breakers", action="store_true",
-                         help="disable per-upstream circuit breakers")
-    p_serve.add_argument("--hedge", action="store_true",
-                         help="hedged retries: charge retransmits half"
-                              " an attempt timeout")
+                              " queries/s; over-capacity queries are"
+                              " dropped (0 = no admission limit)")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_loadgen = sub.add_parser(
@@ -686,33 +670,18 @@ def main(argv=None) -> int:
                                 " --port)")
     p_loadgen.add_argument("--queries", type=int, default=1000,
                            help="queries to send (default: 1000)")
-    p_loadgen.add_argument("--concurrency", type=int, default=32,
-                           help="max in-flight UDP queries (default: 32)")
-    p_loadgen.add_argument("--timeout", type=float, default=2.0,
-                           metavar="SECONDS",
-                           help="per-query answer deadline (default: 2)")
     p_loadgen.add_argument("--tcp-fraction", type=float, default=0.0,
-                           help="share of queries sent over TCP"
-                                " (default: 0)")
-    p_loadgen.add_argument("--streams", type=int, default=8,
-                           help="distinct workload client streams"
-                                " (default: 8)")
-    p_loadgen.add_argument("--junk-fraction", type=float, default=0.05,
-                           help="junk-query share of the stream"
-                                " (default: 0.05)")
+                           help="share of queries sent over TCP, in"
+                                " [0, 1] (default: 0)")
     p_loadgen.add_argument("--seed", type=int, default=20201027,
                            help="stream seed (default: 20201027)")
     p_loadgen.add_argument("--min-answered", type=float, default=0.0,
                            metavar="FRACTION",
                            help="exit 1 if the answered fraction falls"
                                 " below this (CI gate)")
-    p_loadgen.add_argument("--rate", type=float, default=0.0,
-                           metavar="QPS",
-                           help="open-loop offered rate in queries/s"
-                                " (0 = closed loop via --concurrency)")
     p_loadgen.add_argument("--json", metavar="PATH", default=None,
                            help="write the full report as JSON")
-    p_loadgen.set_defaults(func=_cmd_loadgen)
+    p_loadgen.set_defaults(func=_cmd_loadgen, make_config=_loadgen_config)
 
     p_soak = sub.add_parser(
         "soak", help="chaos soak: blackout + overload against a live"
@@ -729,28 +698,11 @@ def main(argv=None) -> int:
                              " 2x the admission capacity)")
     p_soak.add_argument("--admission-qps", type=float, default=150.0,
                         help="admission-control capacity (default: 150)")
-    p_soak.add_argument("--shed-policy", choices=("drop", "servfail"),
-                        default="drop",
-                        help="shed policy under overload (default: drop)")
-    p_soak.add_argument("--deadline-ms", type=float, default=1500.0,
-                        help="per-query deadline budget (default: 1500)")
-    p_soak.add_argument("--blackout-start", type=float, default=0.25,
-                        metavar="FRAC",
-                        help="blackout start as a fraction of the soak"
-                             " (default: 0.25)")
-    p_soak.add_argument("--blackout-end", type=float, default=0.6,
-                        metavar="FRAC",
-                        help="blackout end as a fraction of the soak"
-                             " (default: 0.6)")
-    p_soak.add_argument("--slo-answered", type=float, default=0.99,
-                        metavar="FRACTION",
-                        help="answered-or-graceful SLO over admitted"
-                             " queries (default: 0.99)")
     p_soak.add_argument("--seed", type=int, default=20201027,
                         help="world/stream seed (default: 20201027)")
     p_soak.add_argument("--json", metavar="PATH", default=None,
                         help="write the soak report as JSON")
-    p_soak.set_defaults(func=_cmd_soak)
+    p_soak.set_defaults(func=_cmd_soak, make_config=_soak_config)
 
     p_trace = sub.add_parser(
         "trace", help="summarise a --trace-out file"
@@ -766,6 +718,9 @@ def main(argv=None) -> int:
         if hasattr(args, "chaos"):
             _resolve_flags(args)
         _check_args(args)
+        if hasattr(args, "make_config"):
+            # Built here so a value the config rejects is a usage error too.
+            args.live_config = args.make_config(args)
     except ValueError as exc:
         parser.error(str(exc))
     if args.verbose:

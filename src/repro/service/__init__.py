@@ -33,9 +33,6 @@ from .resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    SHED_DROP,
-    SHED_POLICIES,
-    SHED_SERVFAIL,
     BreakerBoard,
     CircuitBreaker,
     Deadline,
@@ -82,9 +79,6 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "SHED_DROP",
-    "SHED_POLICIES",
-    "SHED_SERVFAIL",
     "BreakerBoard",
     "CircuitBreaker",
     "Deadline",

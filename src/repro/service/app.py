@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
@@ -41,7 +41,7 @@ from ..sim.driver import (
 from ..telemetry import Counter, MetricsRegistry, TelemetrySnapshot, to_prometheus
 from ..workload import dataset
 from .dispatch import QueryDispatcher
-from .resilience import SHED_SERVFAIL, ResilienceConfig
+from .resilience import ResilienceConfig
 from .endpoints import (
     UdpEndpoint,
     classify_datagram,
@@ -105,10 +105,9 @@ class ServiceConfig:
     topology: Optional[ServiceTopology] = None
     resolver_frontend: bool = False
     drain_timeout_s: float = 5.0
-    #: The self-healing layer: admission control, circuit breakers,
-    #: deadline budgets.  Default-constructed = breakers + deadlines on,
-    #: admission off; ``ResilienceConfig(deadline_ms=None, breakers=False)``
-    #: restores the exact PR 7 fair-weather semantics.
+    #: The self-healing layer's settings: the admission rate (default
+    #: off) and the breaker cooldown.  Breakers and deadline budgets always
+    #: run (``repro.service.resilience``).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Slow-loris guards on the TCP DNS endpoint: maximum idle seconds
     #: between frames, and maximum seconds to deliver a started frame
@@ -214,7 +213,7 @@ class DnsService:
             network=self.world.network,
             resolver=self.resolver,
             metrics=self.metrics,
-            resilience=config.resilience,
+            breaker_cooldown_s=config.resilience.breaker_cooldown_s,
         )
 
         await self._bind_dns_endpoints()
@@ -441,8 +440,7 @@ class DnsService:
             return "draining", 503
         if self._started_at is None:
             return "starting", 503
-        breakers = self.dispatcher.breakers if self.dispatcher else None
-        if breakers is not None and breakers.open_count() > 0:
+        if self.dispatcher is not None and self.dispatcher.breakers.open_count() > 0:
             return "degraded", 200
         if (
             self._last_restart_at is not None
@@ -457,9 +455,8 @@ class DnsService:
         state, code = self.health()
         status = "200 OK" if code == 200 else "503 Service Unavailable"
         lines = [f"state: {state}"]
-        breakers = self.dispatcher.breakers if self.dispatcher else None
-        if breakers is not None:
-            lines.append(f"breakers_open: {breakers.open_count()}")
+        if self.dispatcher is not None:
+            lines.append(f"breakers_open: {self.dispatcher.breakers.open_count()}")
         if self._last_restart_at is not None:
             lines.append(
                 f"last_restart_s_ago: "
@@ -491,29 +488,15 @@ class DnsService:
             self._decoded[key] = entry
         return entry
 
-    def _admit(self, transport_label: str, query):
-        """Token-bucket admission control at the socket edge.
-
-        Returns ``(admitted, shed_response)``: an over-capacity query is
-        shed *before* any dispatch work happens — silently under the
-        ``drop`` policy, or with a SERVFAIL-with-TC response under
-        ``servfail`` (an honest "overloaded, retry over TCP" signal).
-        """
-        bucket = self._admission
-        if bucket is None or bucket.try_take(self.clock.read()):
-            return True, None
-        if self.config.resilience.shed_policy == SHED_SERVFAIL:
-            self.metrics.counter(
-                "service.shed.servfail", transport=transport_label
-            ).inc()
-            response = query.make_response_skeleton()
-            response.set_rcode(RCode.SERVFAIL)
-            response.flags = replace(response.flags, tc=True)
-            return False, response
-        self.metrics.counter(
-            "service.shed.dropped", transport=transport_label
-        ).inc()
-        return False, None
+    def _shed(self, transport_label: str) -> bool:
+        """Token-bucket admission control at the socket edge: is this
+        query over capacity?  A shed query gets no dispatch work and no
+        answer (over TCP its connection is closed).  Called only when an
+        admission rate is set."""
+        if self._admission.try_take(self.clock.read()):
+            return False
+        self.metrics.counter("service.shed.dropped", transport=transport_label).inc()
+        return True
 
     def _servfail(self, query):
         response = query.make_response_skeleton()
@@ -612,17 +595,12 @@ class DnsService:
                 self._peers.clear()
             peer = self._peers[addr[0]] = (src, self.dispatcher.entry_tier(src))
         src, tier = peer
-        query = payload
-        admitted, shed = self._admit("udp", query)
-        if admitted:
-            wire = self._answer(data, src, Transport.UDP, query, limit, tier)
-            if wire is None:
-                return  # deliberate silence (RRL / fault / all upstreams down)
-            self._udp_response_bytes.inc(len(wire))
-        elif shed is None:
+        if self._admission is not None and self._shed("udp"):
             return
-        else:
-            wire = shed.to_wire(max_size=limit)
+        wire = self._answer(data, src, Transport.UDP, payload, limit, tier)
+        if wire is None:
+            return  # deliberate silence (RRL / fault / all upstreams down)
+        self._udp_response_bytes.inc(len(wire))
         transport.sendto(data[:2] + wire[2:], addr)
 
     def handle_stream_query(
@@ -641,17 +619,11 @@ class DnsService:
         if src is None:  # pragma: no cover - exotic socket families only
             metrics.counter("service.ignored", cause="unparseable_peer").inc()
             return None
-        query = payload
-        admitted, shed = self._admit("tcp", query)
-        if admitted:
-            # TCP dispatch degrades to SERVFAIL rather than silence.
-            wire = self._answer(frame, src, Transport.TCP, query, TCP_MAX_SIZE)
-            self._tcp_response_bytes.inc(len(wire))
-        elif shed is None:
-            # drop policy over TCP = close the connection (still a shed).
+        if self._admission is not None and self._shed("tcp"):
             return None
-        else:
-            wire = shed.to_wire(max_size=TCP_MAX_SIZE)
+        # TCP dispatch degrades to SERVFAIL rather than silence.
+        wire = self._answer(frame, src, Transport.TCP, payload, TCP_MAX_SIZE)
+        self._tcp_response_bytes.inc(len(wire))
         return frame[:2] + wire[2:]
 
     def note_udp_error(self, exc) -> None:  # pragma: no cover - OS-dependent
@@ -700,7 +672,7 @@ class DnsService:
             roll.gauge("service.uptime_seconds").set(
                 self.clock.read() - self._started_at
             )
-        if self.dispatcher is not None and self.dispatcher.breakers is not None:
+        if self.dispatcher is not None:
             self.dispatcher.breakers.publish_metrics(roll)
         if self._admission is not None:
             roll.gauge("service.shed.bucket_level").set(self._admission.level)

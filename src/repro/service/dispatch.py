@@ -10,6 +10,12 @@ path — RRL verdicts, the response-plan cache, capture rows, tracing taps —
 and an attached :class:`~repro.faults.FaultInjector` drops live UDP
 exchanges exactly as it drops simulated ones.
 
+Every query runs under one resilience policy
+(:mod:`~repro.service.resilience`): a :data:`DEADLINE_MS` budget, up to
+``1 + RETRANSMITS`` attempts per server in route order, each silent one
+charged its :data:`ATTEMPT_CHARGES_MS` entry against the budget, and a
+circuit breaker per upstream.
+
 The topology is static once validated, so the dispatcher compiles it when
 it is built: every route a query can take is one flat tuple of steps
 (``tier:`` hops expanded, servers resolved), keyed by entry tier and the
@@ -30,7 +36,13 @@ from ..dnscore import Flags, Message, Name, Opcode, RCode
 from ..netsim import Clock, IPAddress
 from ..resolver import AuthorityNetwork
 from ..telemetry import Counter, MetricsRegistry
-from .resilience import BreakerBoard, Deadline, ResilienceConfig
+from .resilience import (
+    ATTEMPT_CHARGES_MS,
+    BREAKER_COOLDOWN_S,
+    DEADLINE_MS,
+    BreakerBoard,
+    Deadline,
+)
 from .topology import POLICY_SINKS, ServiceTopology
 
 #: Handshake RTT recorded for live TCP exchanges.  The capture schema wants
@@ -55,7 +67,7 @@ class _DispatchState:
 
     __slots__ = ("deadline", "deadline_hit", "breaker_skips", "silent_attempts")
 
-    def __init__(self, deadline: Optional[Deadline] = None):
+    def __init__(self, deadline: Deadline):
         self.deadline = deadline
         self.deadline_hit = False
         self.breaker_skips = 0
@@ -100,12 +112,10 @@ class QueryDispatcher:
         :class:`~repro.resolver.SimResolver`).
     metrics:
         Registry receiving ``service.*`` counters.
-    resilience:
-        Optional :class:`~repro.service.resilience.ResilienceConfig`
-        enabling per-upstream circuit breakers, retransmit/backoff budget
-        accounting, and graceful SERVFAIL on deadline exhaustion.  ``None``
-        preserves the exact PR 7 semantics (single attempt per server,
-        silence on an exhausted UDP chain).
+    breaker_cooldown_s:
+        How long an open circuit breaker waits before its probe (the one
+        resilience value callers set; the rest are
+        :mod:`~repro.service.resilience` constants).
     """
 
     def __init__(
@@ -116,7 +126,7 @@ class QueryDispatcher:
         network: Optional[AuthorityNetwork] = None,
         resolver=None,
         metrics: Optional[MetricsRegistry] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        breaker_cooldown_s: float = BREAKER_COOLDOWN_S,
     ):
         topology.validate(
             {key: [server.server_id for server in servers]
@@ -131,16 +141,7 @@ class QueryDispatcher:
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._queries = _HeldByTransport(self._metrics, "service.queries")
         self._answered = _HeldByTransport(self._metrics, "service.answered")
-        self._resilience = resilience
-        self._deadline_ms = resilience.deadline_ms if resilience is not None else None
-        self._attempts_per_server = 1 + (
-            resilience.retransmits if resilience is not None else 0
-        )
-        self.breakers: Optional[BreakerBoard] = (
-            BreakerBoard(resilience)
-            if resilience is not None and resilience.breakers
-            else None
-        )
+        self.breakers = BreakerBoard(breaker_cooldown_s)
         #: Casefolded rule suffixes, and their distinct lengths, longest
         #: first: the tails of a qname worth testing.
         self._suffixes = {
@@ -235,12 +236,12 @@ class QueryDispatcher:
         get silence: an exhausted chain degrades to SERVFAIL because a
         connected client expects *some* bytes back.
 
-        With a resilience config attached two graceful-degradation rules
-        override UDP silence: a query whose deadline budget runs out mid
-        chain answers SERVFAIL immediately (the client's stub would have
-        given up anyway — tell it now), and a chain exhausted because open
-        circuit breakers skipped every upstream answers SERVFAIL in O(1)
-        (the blackhole is known; making the client wait teaches nothing).
+        Two graceful-degradation rules override UDP silence: a query whose
+        deadline budget runs out mid chain answers SERVFAIL immediately (the
+        client's stub would have given up anyway — tell it now), and a chain
+        exhausted because open circuit breakers skipped every upstream
+        answers SERVFAIL in O(1) (the blackhole is known; making the client
+        wait teaches nothing).
 
         The clock is read once, here: the reading stamps every exchange,
         starts the deadline budget and feeds the breakers until an upstream
@@ -260,10 +261,7 @@ class QueryDispatcher:
         if tier is None:
             tier = self.entry_tier(src)
         now = self._clock.read()
-        state = _DispatchState(
-            deadline=None if self._deadline_ms is None
-            else Deadline(self._deadline_ms, now)
-        )
+        state = _DispatchState(Deadline(DEADLINE_MS, now))
         response = None
         for kind, target in self.route_for(tier, query.questions[0].qname):
             if kind is AUTH:
@@ -300,7 +298,7 @@ class QueryDispatcher:
     def _via_authority(
         self, servers, src, transport, query, now, state
     ) -> Optional[Message]:
-        """Try ``servers`` in order, each up to ``1 + retransmits`` times.
+        """Try ``servers`` in order, each up to ``1 + RETRANSMITS`` times.
 
         ``now`` is the dispatch's clock reading.  It stands in for the
         clock until an attempt of this query goes unanswered; from then
@@ -310,32 +308,25 @@ class QueryDispatcher:
         qname_key = (
             query.questions[0].qname.to_text().encode() if faults is not None else b""
         )
-        resilience = self._resilience
         deadline = state.deadline
         breakers = self.breakers
         read = self._clock.read
         metrics = self._metrics
         tcp_rtt_ms = LIVE_TCP_RTT_MS if transport is Transport.TCP else None
         for server in servers:
-            breaker = breakers.get(server.server_id) if breakers is not None else None
-            if breaker is not None and not breaker.allow(
-                read() if state.silent_attempts else now
-            ):
+            breaker = breakers.get(server.server_id)
+            if not breaker.allow(read() if state.silent_attempts else now):
                 state.breaker_skips += 1
                 breakers.skipped += 1
                 continue
-            for attempt in range(self._attempts_per_server):
-                if deadline is not None and deadline.exhausted(
-                    read() if state.silent_attempts else now
-                ):
+            for attempt, charge_ms in enumerate(ATTEMPT_CHARGES_MS):
+                if deadline.exhausted(read() if state.silent_attempts else now):
                     state.deadline_hit = True
                     return None
                 # Retries happen later in virtual time: the charged waits
                 # shift the timestamp, so hash-derived loss verdicts re-roll
                 # exactly as the simulated resolver's retransmits do.
-                attempt_ts = now + (
-                    deadline.virtual_offset_s() if deadline is not None else 0.0
-                )
+                attempt_ts = now + deadline.virtual_offset_s()
                 if attempt > 0:
                     metrics.counter("service.retry.retransmits").inc()
                 silent = False
@@ -353,8 +344,7 @@ class QueryDispatcher:
                         attempt_ts, src, transport, query, tcp_rtt_ms=tcp_rtt_ms
                     )
                     if response is not None:
-                        if breaker is not None:
-                            breaker.record(True, read() if state.silent_attempts else now)
+                        breaker.record(True, read() if state.silent_attempts else now)
                         return response
                     # None = RRL drop or offline server: silence, same as a
                     # lost packet from where the forwarder sits.
@@ -362,17 +352,9 @@ class QueryDispatcher:
                         "service.upstream_silent", server=server.server_id
                     ).inc()
                 state.silent_attempts += 1
-                if deadline is not None:
-                    charge = resilience.attempt_timeout_ms
-                    if resilience.hedge and attempt > 0:
-                        # A hedged retry overlaps the previous wait, so only
-                        # half a fresh attempt timeout is actually spent.
-                        charge *= 0.5
-                        metrics.counter("service.retry.hedged").inc()
-                    deadline.charge_ms(charge + resilience.backoff_ms(attempt))
+                deadline.charge_ms(charge_ms)
             # All attempts on this server went unanswered.
-            if breaker is not None:
-                breaker.record(False, read())
+            breaker.record(False, read())
         return None
 
     def _via_resolver(self, query: Message, timestamp: float) -> Optional[Message]:

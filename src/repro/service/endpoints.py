@@ -154,8 +154,9 @@ async def serve_tcp_connection(service, reader, writer, src) -> None:
                 return
             wire = service.handle_stream_query(frame, src)
             if wire is None:
-                # Unanswerable frame (e.g. a response packet): drop the
-                # connection rather than stall the client.
+                # Unanswerable frame (e.g. a response packet) or a query
+                # shed at admission: drop the connection rather than stall
+                # the client.
                 return
             writer.write(struct.pack("!H", len(wire)) + wire)
             await writer.drain()

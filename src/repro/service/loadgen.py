@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,11 @@ from ..zones import DEFAULT_TLDS, domains_of
 
 #: EDNS0 profile advertised by generated queries (the fleet's modal value).
 _LOADGEN_BUFSIZE = 1232
+
+#: Distinct workload client streams a burst interleaves.
+STREAMS = 8
+#: Persistent TCP connections the TCP share of a burst is spread over.
+TCP_CONNECTIONS = 2
 
 
 @dataclass
@@ -49,10 +54,16 @@ class LoadGenConfig:
     #: sheds or stalls — what a soak needs to measure overload behaviour.
     rate_qps: Optional[float] = None
     tcp_fraction: float = 0.0        #: share of queries sent over TCP
-    tcp_connections: int = 2         #: persistent TCP conns to spread over
-    streams: int = 8                 #: distinct workload client streams
     junk_fraction: float = 0.05
     seed: int = 20201027
+
+    def __post_init__(self):
+        if self.queries < 1:
+            raise ValueError(f"queries must be >= 1, got {self.queries}")
+        if not 0.0 <= self.tcp_fraction <= 1.0:
+            raise ValueError(
+                f"tcp_fraction must be in [0, 1], got {self.tcp_fraction}"
+            )
 
 
 @dataclass
@@ -80,22 +91,10 @@ class LoadReport:
         return self.answered / self.sent if self.sent else 0.0
 
     def as_dict(self) -> dict:
+        """Every field (rcodes sorted), plus the answered fraction."""
         return {
-            "sent": self.sent,
-            "answered": self.answered,
+            **asdict(self),
             "answered_fraction": self.answered_fraction,
-            "timeouts": self.timeouts,
-            "late": self.late,
-            "aborted": self.aborted,
-            "decode_errors": self.decode_errors,
-            "udp_sent": self.udp_sent,
-            "tcp_sent": self.tcp_sent,
-            "duration_s": self.duration_s,
-            "qps": self.qps,
-            "p50_ms": self.p50_ms,
-            "p90_ms": self.p90_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
             "rcodes": dict(sorted(self.rcodes.items())),
         }
 
@@ -112,7 +111,7 @@ def build_query_stream(config: LoadGenConfig) -> List[Tuple[Name, RRType]]:
     """The (qname, qtype) burst: workload-layer streams, deterministic.
 
     Uses the dataset's real zone content and the workload generator's
-    popularity/junk model, interleaving ``streams`` independent client
+    popularity/junk model, interleaving :data:`STREAMS` independent client
     streams round-robin so popular names repeat the way a resolver pool's
     traffic does.
     """
@@ -128,8 +127,7 @@ def build_query_stream(config: LoadGenConfig) -> List[Tuple[Name, RRType]]:
         seed=config.seed,
     )
     pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-    streams = max(1, config.streams)
-    per_stream = -(-config.queries // streams)  # ceil
+    per_stream = -(-config.queries // STREAMS)  # ceil
     columns = [
         [
             (q.qname, q.qtype)
@@ -140,7 +138,7 @@ def build_query_stream(config: LoadGenConfig) -> List[Tuple[Name, RRType]]:
                 junk_fraction=config.junk_fraction,
             )
         ]
-        for i in range(streams)
+        for i in range(STREAMS)
     ]
     interleaved: List[Tuple[Name, RRType]] = []
     for rank in range(per_stream):
@@ -222,7 +220,7 @@ async def run_loadgen(
         )
     if tcp_queries:
         tcp_port = config.tcp_port if config.tcp_port is not None else config.udp_port
-        conns = max(1, min(config.tcp_connections, len(tcp_queries)))
+        conns = min(TCP_CONNECTIONS, len(tcp_queries))
         for i in range(conns):
             slice_ = tcp_queries[i::conns]
             tasks.append(

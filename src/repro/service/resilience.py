@@ -1,28 +1,33 @@
 """Resilience primitives for the live service: shed, break, bound.
 
-This module is the self-healing layer of ``repro serve``.  Three
-mechanisms compose, each cheap enough to sit on the per-query path:
+This module is the self-healing layer of ``repro serve``.  The service
+runs one policy for a silent upstream, and three mechanisms make it up,
+each cheap enough to sit on the per-query path:
 
 * **Admission control** (:class:`TokenBucket`) — a rate/burst gate at the
-  socket endpoints.  Queries over the configured capacity are *shed*
-  before any dispatch work happens, either silently (``drop`` — the
-  cheapest answer to a spoofed flood) or with an immediate
-  SERVFAIL-with-TC response (``servfail`` — an honest "overloaded, retry
-  over TCP" signal for well-behaved stubs).
+  socket endpoints (burst :data:`ADMISSION_BURST_FACTOR` times the rate).
+  A query over capacity is *shed* silently before any dispatch work
+  happens: the cheapest answer to a spoofed flood, and over TCP the
+  connection is closed.
 * **Circuit breakers** (:class:`CircuitBreaker` / :class:`BreakerBoard`)
   — per-upstream failure tracking with the classic closed → open →
   half-open state machine.  A blackholed upstream is skipped in O(1)
   instead of being re-tried (and re-charged against the deadline) on
   every query; after a cooldown one probe query tests recovery.
 * **Deadline budgets** (:class:`Deadline`) — every query carries a
-  budget combining *real* elapsed wall time with *virtual* charges for
-  upstream waits.  The simulated world answers instantly, so the time a
-  real forwarder would have spent waiting on a silent upstream (attempt
-  timeout plus capped exponential backoff) is charged against the budget
-  instead of slept; the virtual offset also advances the fault-verdict
-  timestamp so retransmits roll fresh loss verdicts, exactly as the
-  simulated resolver's retransmit clock does.  An exhausted budget turns
-  into a graceful SERVFAIL rather than silence.
+  :data:`DEADLINE_MS` budget combining *real* elapsed wall time with
+  *virtual* charges for upstream waits.  The simulated world answers
+  instantly, so the time a real forwarder would have spent waiting on a
+  silent upstream (:data:`ATTEMPT_CHARGES_MS`: the attempt timeout plus
+  capped exponential backoff) is charged against the budget instead of
+  slept; the virtual offset also advances the fault-verdict timestamp so
+  retransmits roll fresh loss verdicts, exactly as the simulated
+  resolver's retransmit clock does.  An exhausted budget turns into a
+  graceful SERVFAIL rather than silence.
+
+The tuning values are module constants: no caller sets another value.
+:class:`ResilienceConfig` keeps the two that callers do set, the admission
+rate and the breaker cooldown.
 
 Everything here is synchronous and lock-free: dispatch runs inline on
 the event loop, so ``allow``/``record`` pairs can never interleave.
@@ -33,11 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-#: Shed policies for admission control.
-SHED_DROP = "drop"
-SHED_SERVFAIL = "servfail"
-SHED_POLICIES = (SHED_DROP, SHED_SERVFAIL)
-
 #: Breaker states, with the integer encoding exported on the
 #: ``service.breaker_state`` gauge (0 is healthy so dashboards sum to
 #: "anything non-zero needs a look").
@@ -45,74 +45,66 @@ BREAKER_CLOSED = 0
 BREAKER_HALF_OPEN = 1
 BREAKER_OPEN = 2
 
-_STATE_NAMES = {
-    BREAKER_CLOSED: "closed",
-    BREAKER_HALF_OPEN: "half_open",
-    BREAKER_OPEN: "open",
-}
+#: Admission burst, as a multiple of the admission rate.
+ADMISSION_BURST_FACTOR = 2.0
+
+#: Consecutive failures that open a breaker.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Rolling-window error rate that opens a breaker, the window's size, and
+#: the samples it needs before the rate applies.
+BREAKER_ERROR_RATE = 0.5
+BREAKER_WINDOW = 20
+BREAKER_MIN_SAMPLES = 10
+#: Open → half-open delay ``repro serve`` uses.
+BREAKER_COOLDOWN_S = 2.0
+
+#: One query's budget; the soak's ``p99_under_deadline`` SLO reads it too.
+DEADLINE_MS = 1500.0
+#: Virtual wait per silent attempt, per-server retries before failover,
+#: and the capped exponential backoff charged after failed attempt N.
+ATTEMPT_TIMEOUT_MS = 250.0
+RETRANSMITS = 1
+BACKOFF_BASE_MS = 50.0
+BACKOFF_CAP_MS = 400.0
+
+
+def backoff_ms(attempt: int) -> float:
+    """Capped exponential backoff charged after failed attempt N."""
+    return min(BACKOFF_CAP_MS, BACKOFF_BASE_MS * (2.0 ** attempt))
+
+
+#: What each silent attempt on one server charges, attempt by attempt:
+#: ``(300.0, 350.0)``, so two silent servers spend 1300 of the 1500 ms.
+ATTEMPT_CHARGES_MS = tuple(
+    ATTEMPT_TIMEOUT_MS + backoff_ms(attempt) for attempt in range(1 + RETRANSMITS)
+)
 
 
 @dataclass
 class ResilienceConfig:
-    """Tuning for the whole resilience layer (one instance per service).
+    """The resilience settings that differ between callers (one instance
+    per service).
 
-    ``admission_rate_qps=None`` disables admission control;
-    ``deadline_ms=None`` disables budget accounting (legacy PR 7
-    semantics: an exhausted chain is silent over UDP).  Breakers default
-    on — they only change behaviour when upstreams actually fail.
+    ``admission_rate_qps=None`` disables admission control; the soak sets
+    a rate, ``repro serve --admission-qps`` may.  The breaker cooldown is
+    :data:`BREAKER_COOLDOWN_S` under ``repro serve``; the soak shortens it
+    to fit its run.
     """
 
-    # -- admission control
     admission_rate_qps: Optional[float] = None
-    admission_burst: Optional[float] = None  #: default: 2x the rate
-    shed_policy: str = SHED_SERVFAIL
-
-    # -- circuit breakers
-    breakers: bool = True
-    breaker_failure_threshold: int = 5   #: consecutive failures to open
-    breaker_error_rate: float = 0.5      #: rolling-window open threshold
-    breaker_window: int = 20             #: rolling-window sample size
-    breaker_min_samples: int = 10        #: samples before the rate applies
-    breaker_cooldown_s: float = 2.0      #: open → half-open delay
-
-    # -- deadline budgets
-    deadline_ms: Optional[float] = 1500.0
-    attempt_timeout_ms: float = 250.0    #: virtual wait per silent attempt
-    retransmits: int = 1                 #: per-server retries before failover
-    backoff_base_ms: float = 50.0
-    backoff_cap_ms: float = 400.0
-    hedge: bool = False                  #: hedged retries charge half a wait
+    breaker_cooldown_s: float = BREAKER_COOLDOWN_S
 
     def __post_init__(self):
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, "
-                f"got {self.shed_policy!r}"
-            )
         if self.admission_rate_qps is not None and self.admission_rate_qps <= 0:
             raise ValueError("admission_rate_qps must be positive (or None)")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None)")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if not 0.0 < self.breaker_error_rate <= 1.0:
-            raise ValueError("breaker_error_rate must be in (0, 1]")
-        if self.retransmits < 0:
-            raise ValueError("retransmits must be >= 0")
-
-    def backoff_ms(self, attempt: int) -> float:
-        """Capped exponential backoff charged after failed attempt N."""
-        return min(self.backoff_cap_ms, self.backoff_base_ms * (2.0 ** attempt))
 
     def make_bucket(self) -> Optional["TokenBucket"]:
         if self.admission_rate_qps is None:
             return None
-        burst = (
-            self.admission_burst
-            if self.admission_burst is not None
-            else 2.0 * self.admission_rate_qps
+        return TokenBucket(
+            self.admission_rate_qps,
+            ADMISSION_BURST_FACTOR * self.admission_rate_qps,
         )
-        return TokenBucket(self.admission_rate_qps, burst)
 
 
 class TokenBucket:
@@ -179,20 +171,20 @@ class Deadline:
 class CircuitBreaker:
     """Closed → open → half-open failure tracking for one upstream.
 
-    Opens on either ``failure_threshold`` consecutive failures or a
-    rolling-window error rate at/above ``error_rate`` (once
-    ``min_samples`` outcomes are in the window).  After ``cooldown_s`` an
-    open breaker admits a single probe: success closes it, failure
-    re-opens and restarts the cooldown.
+    Opens on either :data:`BREAKER_FAILURE_THRESHOLD` consecutive failures
+    or a rolling-window error rate at/above :data:`BREAKER_ERROR_RATE` (once
+    :data:`BREAKER_MIN_SAMPLES` outcomes are in the window).  After
+    ``cooldown_s`` an open breaker admits a single probe: success closes
+    it, failure re-opens and restarts the cooldown.
     """
 
     __slots__ = (
-        "config", "state", "consecutive_failures", "_window", "_opened_at",
+        "cooldown_s", "state", "consecutive_failures", "_window", "_opened_at",
         "opened_count", "closed_count", "probe_count",
     )
 
-    def __init__(self, config: ResilienceConfig):
-        self.config = config
+    def __init__(self, cooldown_s: float = BREAKER_COOLDOWN_S):
+        self.cooldown_s = cooldown_s
         self.state = BREAKER_CLOSED
         self.consecutive_failures = 0
         self._window: list = []  # rolling bools, newest last
@@ -201,16 +193,12 @@ class CircuitBreaker:
         self.closed_count = 0
         self.probe_count = 0
 
-    @property
-    def state_name(self) -> str:
-        return _STATE_NAMES[self.state]
-
     def allow(self, now: float) -> bool:
         """May dispatch try this upstream right now?"""
         if self.state == BREAKER_CLOSED:
             return True
         if self.state == BREAKER_OPEN:
-            if now - self._opened_at >= self.config.breaker_cooldown_s:
+            if now - self._opened_at >= self.cooldown_s:
                 self.state = BREAKER_HALF_OPEN
                 self.probe_count += 1
                 return True
@@ -229,7 +217,7 @@ class CircuitBreaker:
             return
         window = self._window
         window.append(ok)
-        if len(window) > self.config.breaker_window:
+        if len(window) > BREAKER_WINDOW:
             del window[0]
         if ok:
             self.consecutive_failures = 0
@@ -241,11 +229,11 @@ class CircuitBreaker:
     # -- internals ---------------------------------------------------------
 
     def _should_open(self) -> bool:
-        if self.consecutive_failures >= self.config.breaker_failure_threshold:
+        if self.consecutive_failures >= BREAKER_FAILURE_THRESHOLD:
             return True
-        if len(self._window) >= self.config.breaker_min_samples:
+        if len(self._window) >= BREAKER_MIN_SAMPLES:
             failures = self._window.count(False)
-            return failures / len(self._window) >= self.config.breaker_error_rate
+            return failures / len(self._window) >= BREAKER_ERROR_RATE
         return False
 
     def _open(self, now: float) -> None:
@@ -265,15 +253,15 @@ class CircuitBreaker:
 class BreakerBoard:
     """All the per-upstream breakers of one dispatcher, plus telemetry."""
 
-    def __init__(self, config: ResilienceConfig):
-        self.config = config
+    def __init__(self, cooldown_s: float = BREAKER_COOLDOWN_S):
+        self.cooldown_s = cooldown_s
         self._breakers: Dict[str, CircuitBreaker] = {}
         self.skipped = 0
 
     def get(self, upstream: str) -> CircuitBreaker:
         breaker = self._breakers.get(upstream)
         if breaker is None:
-            breaker = CircuitBreaker(self.config)
+            breaker = CircuitBreaker(self.cooldown_s)
             self._breakers[upstream] = breaker
         return breaker
 

@@ -1,20 +1,22 @@
 """Chaos soak harness: choreographed failure + overload against a live server.
 
-``repro soak`` composes the PR 3 fault plans with the built-in load
-generator: it boots a :class:`~repro.service.app.DnsService` on ephemeral
-ports with the resilience layer tuned for the run (admission control at a
-declared capacity, fast-cooldown circuit breakers, deadline budgets),
-schedules a **full blackout of one upstream tier** over a window of the
-soak, then offers **2x-capacity load** open-loop for the whole duration
-while scraping ``/metrics`` in the background.
+``repro soak`` composes the fault plans with the built-in load generator:
+it boots a :class:`~repro.service.app.DnsService` on ephemeral ports under
+the service's one resilience policy, with admission control at a declared
+capacity and a breaker cooldown fitted to the run, schedules a **full
+blackout of the dataset vantage's authoritative tier** from
+:data:`BLACKOUT_START_FRAC` to :data:`BLACKOUT_END_FRAC` of the soak, then
+offers load open-loop for the whole duration (twice the capacity by
+default) while scraping ``/metrics`` in the background.  Over-capacity
+queries are dropped at the gate.
 
 The harness then *asserts SLOs* rather than just reporting numbers:
 
 * ``answered_or_graceful`` — of the queries the admission gate let in,
-  at least ``slo_answered_fraction`` received *some* response (a real
+  at least :data:`SLO_ANSWERED_FRACTION` received *some* response (a real
   answer or a graceful SERVFAIL) within the client deadline;
 * ``p99_under_deadline`` — client-observed p99 latency stayed under the
-  service's deadline budget;
+  service's deadline budget (:data:`~repro.service.resilience.DEADLINE_MS`);
 * ``breaker_cycle`` — the breakers guarding the blacked-out tier opened
   during the outage and re-closed after recovery, as observed through the
   public ``/metrics`` endpoint (not by reaching into the process).
@@ -25,19 +27,29 @@ Results land in a :class:`SoakReport` (``repro soak --json`` serialises it).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List
 
 from ..faults import FaultPlan, OutageWindow
 from ..workload import dataset
 from .app import DnsService, ServiceConfig
 from .loadgen import LoadGenConfig, LoadReport, build_query_stream, run_loadgen
-from .resilience import SHED_DROP, SHED_POLICIES, ResilienceConfig
+from .resilience import DEADLINE_MS, ResilienceConfig
+
+#: The blackout, as fractions of the soak's duration.
+BLACKOUT_START_FRAC = 0.25
+BLACKOUT_END_FRAC = 0.6
+#: Client-side per-query deadline; it exceeds the service's budget, so a
+#: graceful SERVFAIL reaches the client before it gives up.
+CLIENT_TIMEOUT_S = 2.5
+SCRAPE_INTERVAL_S = 0.5
+#: Share of admitted queries that must get a response.
+SLO_ANSWERED_FRACTION = 0.99
 
 
 @dataclass
 class SoakConfig:
-    """One chaos soak: capacity, overload factor, and blackout window."""
+    """One chaos soak: its length, the offered load and the capacity."""
 
     dataset_id: str = "nl-w2020"
     seed: int = 20201027
@@ -47,25 +59,8 @@ class SoakConfig:
     offered_qps: float = 300.0
     #: Admission-control capacity (token-bucket rate).
     admission_qps: float = 150.0
-    shed_policy: str = SHED_DROP
-    deadline_ms: float = 1500.0
-    #: Blackout choreography, as fractions of ``duration_s``.
-    blackout_start_frac: float = 0.25
-    blackout_end_frac: float = 0.6
-    #: Server-id pattern to black out; ``None`` = the dataset vantage's
-    #: whole authoritative tier (e.g. ``nl-*`` for ``nl-w2020``).
-    blackout_pattern: Optional[str] = None
-    #: Client-side per-query deadline (must exceed ``deadline_ms``).
-    client_timeout_s: float = 2.5
-    scrape_interval_s: float = 0.5
-    junk_fraction: float = 0.05
-    streams: int = 8
-    #: SLO thresholds.
-    slo_answered_fraction: float = 0.99
 
     def __post_init__(self):
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(f"shed_policy must be one of {SHED_POLICIES}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.offered_qps <= 0 or self.admission_qps <= 0:
@@ -97,24 +92,8 @@ class SoakReport:
         return not self.failures
 
     def as_dict(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "load": dict(self.load),
-            "shed": self.shed,
-            "admitted": self.admitted,
-            "answered_or_graceful": self.answered_or_graceful,
-            "shed_ratio": self.shed_ratio,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "breaker_opened": self.breaker_opened,
-            "breaker_closed": self.breaker_closed,
-            "breaker_open_observed": self.breaker_open_observed,
-            "deadline_exhausted": self.deadline_exhausted,
-            "monotonic_clamps": self.monotonic_clamps,
-            "slos": dict(self.slos),
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+        """Every field, plus the verdict (``repro soak --json``)."""
+        return {**asdict(self), "passed": self.passed}
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -185,17 +164,16 @@ async def _scrape_loop(
 # -- the soak itself -------------------------------------------------------
 
 
-def _blackout_plan(config: SoakConfig, vantage: str) -> FaultPlan:
-    pattern = config.blackout_pattern
-    if pattern is None:
-        pattern = f"{vantage}-*"
+def _blackout_plan(vantage: str) -> FaultPlan:
+    """The vantage's whole authoritative tier (``nl-*`` for ``nl-w2020``)
+    goes dark for the middle of the soak."""
     return FaultPlan(
         name="soak-blackout",
         outages=(
             OutageWindow(
-                server_id=pattern,
-                start_frac=config.blackout_start_frac,
-                end_frac=config.blackout_end_frac,
+                server_id=f"{vantage}-*",
+                start_frac=BLACKOUT_START_FRAC,
+                end_frac=BLACKOUT_END_FRAC,
             ),
         ),
     )
@@ -204,17 +182,15 @@ def _blackout_plan(config: SoakConfig, vantage: str) -> FaultPlan:
 async def run_soak(config: SoakConfig) -> SoakReport:
     """Run one choreographed soak and evaluate its SLOs."""
     descriptor = dataset(config.dataset_id)
-    plan = _blackout_plan(config, descriptor.vantage)
+    plan = _blackout_plan(descriptor.vantage)
 
     load_config = LoadGenConfig(
         host=config.host,
         dataset_id=config.dataset_id,
         queries=max(1, int(round(config.offered_qps * config.duration_s))),
         concurrency=4096,  # open loop: in-flight is bounded by timeouts
-        timeout_s=config.client_timeout_s,
+        timeout_s=CLIENT_TIMEOUT_S,
         rate_qps=config.offered_qps,
-        streams=config.streams,
-        junk_fraction=config.junk_fraction,
         seed=config.seed,
     )
     # Build the stream *before* the service starts: the fault plan anchors
@@ -233,9 +209,6 @@ async def run_soak(config: SoakConfig) -> SoakReport:
             fault_window_s=config.duration_s,
             resilience=ResilienceConfig(
                 admission_rate_qps=config.admission_qps,
-                shed_policy=config.shed_policy,
-                deadline_ms=config.deadline_ms,
-                breaker_failure_threshold=3,
                 breaker_cooldown_s=min(0.5, config.duration_s / 8.0),
             ),
         )
@@ -247,7 +220,7 @@ async def run_soak(config: SoakConfig) -> SoakReport:
     samples: List[Dict[str, float]] = []
     scraper = asyncio.ensure_future(
         _scrape_loop(
-            config.host, service.metrics_port, config.scrape_interval_s, samples
+            config.host, service.metrics_port, SCRAPE_INTERVAL_S, samples
         )
     )
     try:
@@ -279,10 +252,7 @@ def _evaluate(
     config: SoakConfig, load: LoadReport, samples: List[Dict[str, float]]
 ) -> SoakReport:
     final = samples[-1] if samples else {}
-    shed = int(
-        _sum_metric(final, "repro_service_shed_dropped_total")
-        + _sum_metric(final, "repro_service_shed_servfail_total")
-    )
+    shed = int(_sum_metric(final, "repro_service_shed_dropped_total"))
     admitted = max(0, load.sent - shed)
     answered_or_graceful = load.answered / admitted if admitted else 0.0
 
@@ -292,9 +262,8 @@ def _evaluate(
             "duration_s": config.duration_s,
             "offered_qps": config.offered_qps,
             "admission_qps": config.admission_qps,
-            "shed_policy": config.shed_policy,
-            "deadline_ms": config.deadline_ms,
-            "blackout": [config.blackout_start_frac, config.blackout_end_frac],
+            "deadline_ms": DEADLINE_MS,
+            "blackout": [BLACKOUT_START_FRAC, BLACKOUT_END_FRAC],
         },
         load=load.as_dict(),
         shed=shed,
@@ -324,10 +293,10 @@ def _evaluate(
     )
 
     report.slos["answered_or_graceful"] = (
-        answered_or_graceful >= config.slo_answered_fraction
+        answered_or_graceful >= SLO_ANSWERED_FRACTION
     )
     report.slos["p99_under_deadline"] = (
-        load.p99_ms <= config.deadline_ms or load.answered == 0
+        load.p99_ms <= DEADLINE_MS or load.answered == 0
     )
     report.slos["breaker_cycle"] = (
         report.breaker_opened > 0 and report.breaker_closed > 0

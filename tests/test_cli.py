@@ -206,6 +206,10 @@ class TestValidatesBeforeSimulating:
          "--metrics-out /nonexistent/m.prom: its directory does not exist"),
         (["dataset", "nz-w2018", "--scale", "0.01", "--spool-dir", "/proc/x"],
          "--spool-dir /proc/x:"),
+        (["loadgen", "--tcp-fraction", "-0.2", "--queries", "1000"],
+         "tcp_fraction must be in [0, 1], got -0.2"),
+        (["loadgen", "--queries", "0"], "queries must be >= 1, got 0"),
+        (["soak", "--duration", "0"], "duration_s must be positive"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:
@@ -367,7 +371,7 @@ class TestServeCLI:
                 loadgen_rc["rc"] = main(
                     ["loadgen", "nl-w2020",
                      "--port", str(ports["udp"]),
-                     "--queries", "40", "--concurrency", "8",
+                     "--queries", "40",
                      "--min-answered", "0.99",
                      "--json", str(report_path)]
                 )
@@ -400,8 +404,7 @@ class TestServeCLI:
         # --min-answered gate must exit non-zero.
         rc = main(
             ["loadgen", "nl-w2020", "--port", "1",
-             "--queries", "3", "--timeout", "0.2",
-             "--min-answered", "0.99"]
+             "--queries", "3", "--min-answered", "0.99"]
         )
         captured = capsys.readouterr()
         assert rc == 1
@@ -409,42 +412,69 @@ class TestServeCLI:
 
 
 class TestSoakCLI:
-    @pytest.mark.slow
-    def test_soak_passes_and_writes_json(self, capsys, tmp_path):
+    """The soak's plumbing against a stubbed run; the one real soak is
+    ``test_resilience::TestSoakEndToEnd`` (and the CI ``soak-smoke`` lane
+    runs this command end to end)."""
+
+    @staticmethod
+    def _run(monkeypatch, argv, failures=()):
+        """``repro soak argv`` on a stub: the config it ran, its exit code."""
+        import repro.service
+        from repro.service import SoakReport
+
+        seen = []
+
+        def run_soak_sync(config):
+            seen.append(config)
+            return SoakReport(admitted=7, failures=list(failures))
+
+        monkeypatch.setattr(repro.service, "run_soak_sync", run_soak_sync)
+        rc = main(["soak", *argv])
+        (config,) = seen
+        return config, rc
+
+    def test_soak_passes_and_writes_json(self, capsys, tmp_path, monkeypatch):
         import json
 
         report_path = tmp_path / "soak.json"
-        rc = main(
-            ["soak", "nl-w2020", "--duration", "5",
-             "--offered-qps", "120", "--admission-qps", "60",
-             "--json", str(report_path)]
-        )
-        captured = capsys.readouterr()
+        config, rc = self._run(monkeypatch, [
+            "nz-w2020", "--duration", "5", "--seed", "9", "--offered-qps", "120",
+            "--admission-qps", "60", "--json", str(report_path),
+        ])
         assert rc == 0
-        assert "soak PASS" in captured.out
+        assert "soak PASS" in capsys.readouterr().out
+        assert (config.dataset_id, config.seed, config.duration_s) == ("nz-w2020", 9, 5.0)
+        assert (config.offered_qps, config.admission_qps) == (120.0, 60.0)
         report = json.loads(report_path.read_text())
-        assert report["passed"] is True
-        assert set(report["slos"]) == {
-            "answered_or_graceful", "p99_under_deadline", "breaker_cycle"
-        }
-        assert report["shed"] > 0
-        assert 0.0 < report["shed_ratio"] < 1.0
-        assert report["breaker_opened"] > 0
+        assert report["admitted"] == 7 and report["passed"] is True
 
-    def test_soak_rejects_bad_policy(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["soak", "nl-w2020", "--shed-policy", "teapot"])
+    def test_soak_failure_exits_one(self, capsys, monkeypatch):
+        _, rc = self._run(monkeypatch, [], failures=("breaker_cycle",))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "soak FAIL" in captured.out
+        assert "soak SLOs failed: breaker_cycle" in captured.err
 
-    def test_serve_resilience_flags_parse(self, capsys):
-        # Flag plumbing only: a bad combination must error out before any
-        # socket work, proving the flags reach ResilienceConfig validation.
-        rc = main(
-            ["serve", "nl-w2020", "--udp-port", "0", "--duration", "0.1",
-             "--admission-qps", "50", "--shed-policy", "drop",
-             "--deadline-ms", "800", "--no-breakers"]
-        )
-        capsys.readouterr()
-        assert rc == 0
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shed-policy", "drop"],
+        ["serve", "--deadline-ms", "800"],
+        ["serve", "--no-breakers"],
+        ["soak", "--shed-policy", "drop"],
+        ["soak", "--deadline-ms", "800"],
+        ["soak", "--blackout-start", "0.1"],
+        ["soak", "--blackout-end", "0.9"],
+        ["soak", "--slo-answered", "0.5"],
+        ["loadgen", "--concurrency", "8"],
+        ["loadgen", "--timeout", "0.2"],
+        ["loadgen", "--streams", "4"],
+        ["loadgen", "--junk-fraction", "0.1"],
+        ["loadgen", "--rate", "100"],
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    def test_removed_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 class TestRenderMarkdown:

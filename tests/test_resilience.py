@@ -35,6 +35,11 @@ from repro.service import (
     run_soak_sync,
 )
 from repro.service.loadgen import LoadReport, _drive_tcp, _UdpClient
+from repro.service.resilience import (
+    BREAKER_FAILURE_THRESHOLD,
+    BREAKER_MIN_SAMPLES,
+    backoff_ms,
+)
 from repro.service.soak import _evaluate
 from repro.sim import build_authority_world
 from repro.telemetry import MetricsRegistry
@@ -113,8 +118,7 @@ class TestDeadline:
 
 class TestResilienceConfig:
     def test_backoff_is_capped_exponential(self):
-        config = ResilienceConfig(backoff_base_ms=50.0, backoff_cap_ms=400.0)
-        assert [config.backoff_ms(n) for n in range(5)] == [
+        assert [backoff_ms(n) for n in range(5)] == [
             50.0, 100.0, 200.0, 400.0, 400.0
         ]
 
@@ -125,19 +129,13 @@ class TestResilienceConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ResilienceConfig(shed_policy="teapot")
-        with pytest.raises(ValueError):
             ResilienceConfig(admission_rate_qps=-1.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(deadline_ms=0.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(retransmits=-1)
 
 
 class TestCircuitBreaker:
     def test_opens_on_consecutive_failures(self):
-        breaker = CircuitBreaker(ResilienceConfig(breaker_failure_threshold=3))
-        for _ in range(2):
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_FAILURE_THRESHOLD - 1):
             breaker.record(False, 0.0)
         assert breaker.state == BREAKER_CLOSED
         breaker.record(False, 0.0)
@@ -145,32 +143,25 @@ class TestCircuitBreaker:
         assert breaker.opened_count == 1
 
     def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker(ResilienceConfig(breaker_failure_threshold=3))
-        breaker.record(False, 0.0)
-        breaker.record(False, 0.0)
-        breaker.record(True, 0.0)
-        breaker.record(False, 0.0)
+        breaker = CircuitBreaker()
+        for ok in [False] * (BREAKER_FAILURE_THRESHOLD - 1) + [True, False]:
+            breaker.record(ok, 0.0)
         assert breaker.state == BREAKER_CLOSED
 
     def test_opens_on_window_error_rate(self):
-        config = ResilienceConfig(
-            breaker_failure_threshold=100,     # streak rule out of the way
-            breaker_error_rate=0.5,
-            breaker_window=10,
-            breaker_min_samples=10,
-        )
-        breaker = CircuitBreaker(config)
-        # Alternate ok/fail: 50% error rate once ten samples are in.
-        for i in range(10):
+        breaker = CircuitBreaker()
+        # Alternate ok/fail: never a streak, but a 50% error rate once the
+        # window holds enough samples.
+        for i in range(BREAKER_MIN_SAMPLES - 1):
             breaker.record(i % 2 == 0, 0.0)
+        assert breaker.state == BREAKER_CLOSED
+        breaker.record(False, 0.0)
         assert breaker.state == BREAKER_OPEN
 
     def test_cooldown_probe_closes_on_success(self):
-        config = ResilienceConfig(
-            breaker_failure_threshold=1, breaker_cooldown_s=5.0
-        )
-        breaker = CircuitBreaker(config)
-        breaker.record(False, 100.0)
+        breaker = CircuitBreaker(cooldown_s=5.0)
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            breaker.record(False, 100.0)
         assert breaker.state == BREAKER_OPEN
         assert not breaker.allow(102.0)       # still cooling down
         assert breaker.allow(105.0)           # half-open probe admitted
@@ -181,11 +172,9 @@ class TestCircuitBreaker:
         assert breaker.closed_count == 1
 
     def test_failed_probe_reopens_and_restarts_cooldown(self):
-        config = ResilienceConfig(
-            breaker_failure_threshold=1, breaker_cooldown_s=5.0
-        )
-        breaker = CircuitBreaker(config)
-        breaker.record(False, 100.0)
+        breaker = CircuitBreaker(cooldown_s=5.0)
+        for _ in range(BREAKER_FAILURE_THRESHOLD):
+            breaker.record(False, 100.0)
         assert breaker.allow(105.0)
         breaker.record(False, 105.0)
         assert breaker.state == BREAKER_OPEN
@@ -205,7 +194,7 @@ def blackout_world():
     return descriptor, world
 
 
-def _blackout_dispatcher(blackout_world, resilience):
+def _blackout_dispatcher(blackout_world):
     descriptor, world = blackout_world
     clock = SimClock(now=descriptor.start)
     plan = FaultPlan(
@@ -220,7 +209,6 @@ def _blackout_dispatcher(blackout_world, resilience):
         clock,
         network=world.network,
         metrics=metrics,
-        resilience=resilience,
     )
     query = Message.make_query(
         Name.from_text("example-blackout.nl"), RRType.A, msg_id=99
@@ -230,9 +218,7 @@ def _blackout_dispatcher(blackout_world, resilience):
 
 class TestDispatchUnderBlackout:
     def test_deadline_exhaustion_answers_servfail(self, blackout_world):
-        dispatcher, metrics, query = _blackout_dispatcher(
-            blackout_world, ResilienceConfig()
-        )
+        dispatcher, metrics, query = _blackout_dispatcher(blackout_world)
         try:
             response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
             assert response is not None
@@ -244,14 +230,13 @@ class TestDispatchUnderBlackout:
             blackout_world[1].network.faults = None
 
     def test_breakers_open_then_short_circuit(self, blackout_world):
-        dispatcher, metrics, query = _blackout_dispatcher(
-            blackout_world, ResilienceConfig(breaker_failure_threshold=2)
-        )
+        dispatcher, metrics, query = _blackout_dispatcher(blackout_world)
         try:
-            # Hammer the blackout until every breaker has tripped.  (While
-            # only part of the fleet is open a query can still end in
-            # legacy UDP silence; once all breakers are open the chain
-            # short-circuits in O(1).)
+            # Hammer the blackout until every breaker has tripped: each
+            # query's budget reaches two of the four upstreams, so ten
+            # queries open all of them.  (While only part of the fleet is
+            # open a query can still end in UDP silence; once all breakers
+            # are open the chain short-circuits in O(1).)
             for _ in range(16):
                 response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
             response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
@@ -279,39 +264,11 @@ class TestDispatchUnderBlackout:
         finally:
             blackout_world[1].network.faults = None
 
-    def test_resilience_none_preserves_udp_silence(self, blackout_world):
-        dispatcher, metrics, query = _blackout_dispatcher(blackout_world, None)
-        try:
-            assert dispatcher.breakers is None
-            response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
-            assert response is None  # exact PR 7 fair-weather semantics
-            snap = metrics.snapshot()
-            assert _counter_total(snap, "service.unanswered") == 1
-            assert _counter_total(snap, "service.retry.retransmits") == 0
-        finally:
-            blackout_world[1].network.faults = None
-
-    def test_legacy_config_also_keeps_silence(self, blackout_world):
-        dispatcher, metrics, query = _blackout_dispatcher(
-            blackout_world,
-            ResilienceConfig(deadline_ms=None, breakers=False, retransmits=0),
-        )
-        try:
-            response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
-            assert response is None
-            assert (
-                _counter_total(metrics.snapshot(), "service.unanswered") == 1
-            )
-        finally:
-            blackout_world[1].network.faults = None
-
     def test_tcp_rides_through_udp_blackout(self, blackout_world):
         # The outage models UDP packet loss, so the TC-retry escape hatch
         # stays alive: a TCP query reaches the authority and gets a real
         # answer (NXDOMAIN for a name outside the zone), never silence.
-        dispatcher, metrics, query = _blackout_dispatcher(
-            blackout_world, ResilienceConfig()
-        )
+        dispatcher, metrics, query = _blackout_dispatcher(blackout_world)
         try:
             response = dispatcher.dispatch(CLIENT, Transport.TCP, query)
             assert response is not None
@@ -353,40 +310,14 @@ def _test_query(msg_id=1):
     )
 
 
+#: Half a query a second: the bucket holds one token and refills the next
+#: in two seconds, so the first query is admitted and the rest shed.
+_ONE_TOKEN = ResilienceConfig(admission_rate_qps=0.5)
+
+
 class TestAdmissionControl:
-    def test_servfail_shed_sets_tc(self):
-        config = _serve_config(
-            resilience=ResilienceConfig(
-                admission_rate_qps=0.001, admission_burst=1.0,
-                shed_policy="servfail",
-            )
-        )
-
-        async def scenario(service):
-            transport = _FakeTransport()
-            for msg_id in (1, 2):
-                service.handle_datagram(
-                    transport, _test_query(msg_id).to_wire(), ("127.0.0.1", 9)
-                )
-            return transport.sent, service.snapshot()
-
-        sent, snap = asyncio.run(_with_service(config, scenario))
-        assert len(sent) == 2
-        first = Message.from_wire(sent[0][0])
-        shed = Message.from_wire(sent[1][0])
-        assert not first.flags.tc and first.rcode is not RCode.SERVFAIL
-        assert shed.msg_id == 2
-        assert shed.rcode is RCode.SERVFAIL
-        assert shed.flags.tc  # "overloaded — retry over TCP"
-        assert _counter_total(snap, "service.shed.servfail") == 1
-
     def test_drop_shed_is_silent(self):
-        config = _serve_config(
-            resilience=ResilienceConfig(
-                admission_rate_qps=0.001, admission_burst=1.0,
-                shed_policy="drop",
-            )
-        )
+        config = _serve_config(resilience=_ONE_TOKEN)
 
         async def scenario(service):
             transport = _FakeTransport()
@@ -401,13 +332,8 @@ class TestAdmissionControl:
         assert _counter_total(snap, "service.shed.dropped") == 2
         assert snap.gauges.get("service.shed.bucket_level") is not None
 
-    def test_tcp_shed_answers_servfail_frame(self):
-        config = _serve_config(
-            resilience=ResilienceConfig(
-                admission_rate_qps=0.001, admission_burst=1.0,
-                shed_policy="servfail",
-            )
-        )
+    def test_tcp_shed_closes_the_connection(self):
+        config = _serve_config(resilience=_ONE_TOKEN)
 
         async def scenario(service):
             first = service.handle_stream_query(
@@ -416,11 +342,12 @@ class TestAdmissionControl:
             second = service.handle_stream_query(
                 _test_query(2).to_wire(), CLIENT
             )
-            return first, second
+            return first, second, service.snapshot()
 
-        first, second = asyncio.run(_with_service(config, scenario))
-        assert first is not None and second is not None
-        assert Message.from_wire(second).rcode is RCode.SERVFAIL
+        first, second, snap = asyncio.run(_with_service(config, scenario))
+        assert first is not None
+        assert second is None  # no frame: the endpoint closes the stream
+        assert _counter_total(snap, "service.shed.dropped") == 1
 
 
 class TestWatchdogAndHealth:
@@ -558,7 +485,7 @@ class TestSlowLoris:
         assert _counter_total(snap, "service.tcp_idle_timeouts") == 1
 
     def test_timeouts_disabled_by_none(self):
-        # None = unbounded (the PR 7 behaviour), still answers normally.
+        # None = unbounded, still answers normally.
         config = _serve_config(
             tcp_idle_timeout_s=None, tcp_frame_timeout_s=None
         )

@@ -48,7 +48,6 @@ from repro.service import (
     ForwardingTier,
     LoadGenConfig,
     QueryDispatcher,
-    ResilienceConfig,
     ServiceConfig,
     ServiceTopology,
     TopologyError,
@@ -1267,19 +1266,6 @@ class TestDecodeMemo:
             counters = warm.snapshot().counters
             assert counters["service.deadline.exhausted{transport=udp}"] == 3
 
-    def test_servfail_shed(self):
-        shed = ResilienceConfig(
-            admission_rate_qps=0.001, admission_burst=1.0, shed_policy="servfail",
-        )
-        with _Twins(resilience=shed) as (warm, cold):
-            wire = _query_wire((b"memo-shed", b"nl"), edns=1232)
-            answers = _repeat(warm, cold, wire, (31, 32, 33))
-            answers += _repeat(warm, cold, wire, (34, 35), tcp=True)
-            first, *shed_answers = [Message.from_wire(a) for a in answers]
-            assert first.rcode is not RCode.SERVFAIL
-            assert [a.msg_id for a in shed_answers] == [32, 33, 34, 35]
-            assert all(a.rcode is RCode.SERVFAIL and a.flags.tc for a in shed_answers)
-
     def test_the_memo_clears_whole_at_its_limit(self, memo_twins, monkeypatch):
         limit = 4
         monkeypatch.setattr(service_app, "QUERY_MEMO_LIMIT", limit)
@@ -1678,13 +1664,12 @@ class TestSourceMemo:
 
 class TestOneClockRead:
     def test_fair_weather_reads_the_clock_once(self):
-        """Breakers and deadlines on (the default): every answered datagram,
-        UDP or TCP, costs one read — the dispatch's."""
+        """Every answered datagram, UDP or TCP, costs one read — the
+        dispatch's, which also starts the deadline and feeds the breakers."""
         loop = asyncio.new_event_loop()
         clock = CountingClock(dataset("nl-w2020").start)
         service = _offline_service(loop, clock)
         try:
-            assert service.dispatcher.breakers is not None
             pool = _name_pool(service)
             for index in range(60):
                 wire = _query_wire(pool[index % 6], msg_id=index, edns=1232)
@@ -1710,7 +1695,6 @@ class TestOneClockRead:
                 default_tier="edge",
             ),
             world.server_sets, clock, network=world.network,
-            resilience=ResilienceConfig(),
         )
         server = world.server_sets["nl"].by_id("nl-a")
         server.online = False
