@@ -15,7 +15,7 @@ Figure 5b (per-site IPv6 query ratio vs median RTTs, per server).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

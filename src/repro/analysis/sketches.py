@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..capture import CaptureView
-from .attribution import NO_COUNTRY, OTHER, UNKNOWN, AttributionResult
+from .attribution import OTHER, UNKNOWN, AttributionResult
 from .streaming import StreamingAggregator, _require_same_config
 
 #: Jurisdiction blocs rolled up from ISO country codes.  EU-27 plus the

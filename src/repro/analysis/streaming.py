@@ -34,7 +34,7 @@ run and is what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 

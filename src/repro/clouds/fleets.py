@@ -13,11 +13,11 @@ Builds, for one (vantage, year) scenario:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..netsim import ASInfo, ASRegistry, GAZETTEER, IPAddress, Prefix, Site
+from ..netsim import ASInfo, ASRegistry, GAZETTEER, IPAddress, Prefix
 from ..resolver import ResolverBehavior, SimResolver
 from .profiles import (
     AS_PREFIXES,

@@ -20,7 +20,7 @@ Everything here traces to a specific paper artifact:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..netsim import ASInfo, Prefix
 from ..resolver import ResolverBehavior

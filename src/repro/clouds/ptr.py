@@ -15,7 +15,7 @@ reproducing the quirks the paper relies on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..netsim import IPAddress
 from .fleets import FleetResolver

@@ -10,7 +10,7 @@ this advertised value, and the per-provider truncation ratios fall out of it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .names import ROOT

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .edns import EdnsRecord, effective_udp_limit
+from .edns import EdnsRecord
 from .names import Name
 from .rdata import ResourceRecord
 from .types import Opcode, RCode, RRClass, RRType

@@ -10,9 +10,14 @@ immutable :class:`Name` type with the operations the rest of the library needs:
 * label arithmetic used by QNAME minimisation (``ancestor_with_labels``,
   ``parent``, ``relativize``).
 
-Names are stored as a tuple of label byte-strings in their original case; all
-comparisons go through a casefolded key so that ``WWW.Example.NL`` and
-``www.example.nl`` compare equal but round-trip their original spelling.
+A name's structure is plain slot attributes, each set once when the name is
+built: ``labels`` (the byte-strings in their original case), ``label_count``,
+``key`` (the casefolded labels) and ``canonical`` (``key`` reversed, the RFC
+4034 order).  Reading one is an attribute load, not a call.  All comparisons
+go through ``key``, so ``WWW.Example.NL`` and ``www.example.nl`` compare equal
+but round-trip their original spelling; a table that only needs
+case-insensitive identity can key by ``name.key`` itself, and then hashing
+and equality run on a tuple of bytes, in C.
 """
 
 from __future__ import annotations
@@ -57,6 +62,12 @@ class Name:
 
     The root name is the empty tuple of labels and renders as ``"."``.
 
+    ``labels``, ``label_count``, ``key`` and ``canonical`` are slots set at
+    construction (in ``__init__``, or in ``_derived`` for names pieced
+    together from validated ones) and never change; there is no property
+    and no lazily computed key.  Only the renderings (``to_text``, the
+    uncompressed ``to_wire``) and the parent are filled in on first use.
+
     Parameters
     ----------
     labels:
@@ -65,16 +76,25 @@ class Name:
     """
 
     __slots__ = (
-        "_labels", "_key", "_hash", "_wire", "_text", "_parent", "_canonical"
+        "labels", "label_count", "key", "canonical",
+        "_hash", "_wire", "_text", "_parent",
     )
 
-    _labels: Tuple[bytes, ...]
-    _key: Tuple[bytes, ...]
+    #: The labels, most specific first, without the root label.
+    labels: Tuple[bytes, ...]
+    #: Number of non-root labels (the root name has 0).
+    label_count: int
+    #: The casefolded labels, most specific first: what equality, hashing
+    #: and every table keyed by a name compare (RFC 1035 section 2.3.3).
+    key: Tuple[bytes, ...]
+    #: The canonical key (RFC 4034 section 6.1): ``key`` reversed, from the
+    #: rightmost (least significant) label.  ``canonical[n]`` is the label
+    #: directly below an ``n``-label ancestor.
+    canonical: Tuple[bytes, ...]
     _hash: int
     _wire: Optional[bytes]
     _text: Optional[str]
     _parent: Optional["Name"]
-    _canonical: Optional[Tuple[bytes, ...]]
 
     def __init__(self, labels: Iterable[bytes] = ()):
         labels = tuple(bytes(label) for label in labels)
@@ -91,13 +111,14 @@ class Name:
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
         key = tuple(_casefold_label(label) for label in labels)
-        self._labels = labels
-        self._key = key
+        self.labels = labels
+        self.label_count = len(labels)
+        self.key = key
+        self.canonical = key[::-1]
         self._hash = hash(key)
         self._wire = None
         self._text = None
         self._parent = None
-        self._canonical = None
 
     @classmethod
     def _derived(cls, labels: Tuple[bytes, ...], key: Tuple[bytes, ...]) -> "Name":
@@ -106,13 +127,14 @@ class Name:
         octet by octet while decoding (``from_wire``): nothing is checked
         or casefolded again."""
         name = object.__new__(cls)
-        name._labels = labels
-        name._key = key
+        name.labels = labels
+        name.label_count = len(labels)
+        name.key = key
+        name.canonical = key[::-1]
         name._hash = hash(key)
         name._wire = None
         name._text = None
         name._parent = None
-        name._canonical = None
         return name
 
     # -- construction ------------------------------------------------------
@@ -165,7 +187,7 @@ class Name:
         text = self._text
         if text is not None:
             return text
-        labels = self._labels
+        labels = self.labels
         if not labels:
             return "."
         if b"".join(labels).translate(None, _PLAIN):
@@ -185,50 +207,34 @@ class Name:
     # -- equality / ordering -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Name):
-            return NotImplemented
-        return self._key == other._key
+        # ``__class__`` first: no call on the common path.
+        if other.__class__ is Name or isinstance(other, Name):
+            return self.key == other.key
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
 
     def canonical_key(self) -> Tuple[bytes, ...]:
         """Sort key for canonical DNS ordering (RFC 4034 section 6.1): the
-        casefolded labels from the rightmost (least significant) one.
+        :attr:`canonical` attribute.
 
         ``sorted(names, key=Name.canonical_key)`` orders like
-        ``sorted(names)`` without a Python-level comparison per pair;
-        ``canonical_key()[n]`` is the label directly below an ``n``-label
-        ancestor.  Computed once per instance.
+        ``sorted(names)`` without a Python-level comparison per pair.
         """
-        canonical = self._canonical
-        if canonical is None:
-            canonical = self._canonical = self._key[::-1]
-        return canonical
+        return self.canonical
 
     def __lt__(self, other: "Name") -> bool:
         """Canonical DNS ordering (RFC 4034 section 6.1): compare from the
         rightmost (least significant) label."""
         if not isinstance(other, Name):
             return NotImplemented
-        return self.canonical_key() < other.canonical_key()
+        return self.canonical < other.canonical
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def labels(self) -> Tuple[bytes, ...]:
-        """The labels, most specific first, without the root label."""
-        return self._labels
-
-    @property
-    def label_count(self) -> int:
-        """Number of non-root labels (the root name has 0)."""
-        return len(self._labels)
-
     def is_root(self) -> bool:
-        return not self._labels
+        return not self.label_count
 
     def parent(self) -> "Name":
         """The name with the leftmost label removed.
@@ -240,16 +246,16 @@ class Name:
         parent = self._parent
         if parent is not None:
             return parent
-        if not self._labels:
+        if not self.label_count:
             raise NameError_("the root name has no parent")
-        parent = self._parent = Name._derived(self._labels[1:], self._key[1:])
+        parent = self._parent = Name._derived(self.labels[1:], self.key[1:])
         return parent
 
     def ancestors(self) -> Iterator["Name"]:
         """Yield every proper ancestor, nearest first, ending with the root."""
         name = self
-        while not name.is_root():
-            name = name.parent()
+        while name.label_count:
+            name = name._parent or name.parent()
             yield name
 
     def ancestor_with_labels(self, count: int) -> "Name":
@@ -259,25 +265,25 @@ class Name:
         asks for ``qname.ancestor_with_labels(len(zone) + 1)`` at each step
         (RFC 7816, "one label more than the zone").
         """
-        if count < 0 or count > len(self._labels):
+        if count < 0 or count > self.label_count:
             raise NameError_(
                 f"{self.to_text()} has no ancestor with {count} labels"
             )
         # Walk the (memoised) parent chain instead of slicing into a fresh
         # Name: repeated minimisation over the same names reuses instances.
         name = self
-        while len(name._labels) > count:
-            name = name.parent()
+        while name.label_count > count:
+            name = name._parent or name.parent()
         return name
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals or falls under ``other``."""
-        n = len(other._key)
+        n = other.label_count
         if n == 0:
             return True
-        if n > len(self._key):
+        if n > self.label_count:
             return False
-        return self._key[len(self._key) - n :] == other._key
+        return self.canonical[:n] == other.canonical
 
     def is_proper_subdomain_of(self, other: "Name") -> bool:
         return self != other and self.is_subdomain_of(other)
@@ -292,7 +298,7 @@ class Name:
             raise NameError_(
                 f"{self.to_text()} is not a subdomain of {origin.to_text()}"
             )
-        return self._labels[: len(self._labels) - len(origin._labels)]
+        return self.labels[: self.label_count - origin.label_count]
 
     def prepend(self, *labels: bytes) -> "Name":
         """Return a new name with ``labels`` prepended (most specific first).
@@ -302,16 +308,16 @@ class Name:
         """
         prefix = Name(labels)
         wire_len = (
-            sum(map(len, prefix._labels)) + len(prefix._labels) + len(self.to_wire())
+            sum(map(len, prefix.labels)) + prefix.label_count + len(self.to_wire())
         )
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return Name._derived(prefix._labels + self._labels, prefix._key + self._key)
+        return Name._derived(prefix.labels + self.labels, prefix.key + self.key)
 
     def prepend_text(self, text: str) -> "Name":
         """Prepend dotted textual labels, e.g. ``name.prepend_text("www")``."""
         prefix = Name.from_text(text) if text not in (".", "") else ROOT
-        return Name(prefix.labels + self._labels)
+        return Name(prefix.labels + self.labels)
 
     # -- wire format --------------------------------------------------------
 
@@ -337,15 +343,15 @@ class Name:
             wire = self._wire
             if wire is None:
                 plain = bytearray()
-                for label in self._labels:
+                for label in self.labels:
                     plain.append(len(label))
                     plain.extend(label)
                 plain.append(0)
                 wire = self._wire = bytes(plain)
             return wire
         out = bytearray()
-        labels = self._labels
-        key = self._key
+        labels = self.labels
+        key = self.key
         for i in range(len(labels)):
             suffix = key[i:]
             if compress is not None and suffix in compress:

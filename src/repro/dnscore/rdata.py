@@ -13,7 +13,7 @@ capture pipeline never drops a record merely because it does not model it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 from .names import Name

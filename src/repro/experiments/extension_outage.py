@@ -17,9 +17,9 @@ by one — and measures what the paper's framing predicts:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import List
 
-from ..dnscore import RCode, RRType
+from ..dnscore import RCode
 from ..faults import FaultPlan, OutageWindow
 from ..sim import borrowed_environment
 from ..telemetry import MetricsRegistry

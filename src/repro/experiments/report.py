@@ -10,7 +10,7 @@ that is ROADMAP.md item 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 Number = Union[int, float, str, None]
 

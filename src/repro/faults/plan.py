@@ -16,7 +16,7 @@ plan meaningful across datasets with different absolute time ranges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 #: Wildcard matching every server in :attr:`OutageWindow.server_id` et al.

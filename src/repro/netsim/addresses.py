@@ -11,7 +11,7 @@ pairs without object churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 V4_BITS = 32
 V6_BITS = 128

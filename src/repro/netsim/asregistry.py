@@ -8,8 +8,8 @@ background population) and that the analysis side queries for attribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .addresses import IPAddress, Prefix
 from .prefixtrie import PrefixTrie

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 #: Effective propagation speed in fibre, as fraction of c (~200 km/ms).
 FIBRE_KM_PER_MS = 200.0

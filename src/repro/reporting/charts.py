@@ -6,7 +6,7 @@ terminal user can eyeball the same shapes the paper's figures show.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def bar_chart(

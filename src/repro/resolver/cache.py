@@ -23,8 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dnscore import Name, RCode, ResourceRecord, RRType
 
-#: A name's :meth:`~repro.dnscore.Name.canonical_key`.
-CanonicalKey = Tuple[bytes, ...]
+#: A name's casefolded :attr:`~repro.dnscore.Name.key`, or its
+#: :attr:`~repro.dnscore.Name.canonical` key (the same labels reversed).
+NameKey = Tuple[bytes, ...]
 
 
 @dataclass
@@ -85,12 +86,14 @@ class ResolverCache:
         self.aggressive_nsec = aggressive_nsec
         self.serve_stale_window = serve_stale_window
         self.stats = CacheStats()
-        self._positive: Dict[Tuple[Name, RRType], CacheEntry] = {}
-        self._negative: Dict[Name, NegativeEntry] = {}
-        # zone origin -> sorted list of (owner, next) NSEC gaps, each name
+        # Every table is keyed by names' keys, not by the names: a tuple of
+        # bytes hashes and compares in C, and is as case-insensitive.
+        self._positive: Dict[Tuple[NameKey, RRType], CacheEntry] = {}
+        self._negative: Dict[NameKey, NegativeEntry] = {}
+        # zone key -> sorted list of (owner, next) NSEC gaps, each name
         # as its canonical key: tuples that order like the names (RFC 4034
         # section 6.1) and compare without a Python-level call.
-        self._nsec_ranges: Dict[Name, List[Tuple[CanonicalKey, CanonicalKey]]] = {}
+        self._nsec_ranges: Dict[NameKey, List[Tuple[NameKey, NameKey]]] = {}
 
     # -- positive ----------------------------------------------------------
 
@@ -99,16 +102,17 @@ class ResolverCache:
         if not records:
             raise ValueError("use put_negative for empty answers")
         ttl = min(min(r.ttl for r in records), self.max_ttl)
-        self._positive[(qname, qtype)] = CacheEntry(list(records), now + ttl)
+        self._positive[(qname.key, qtype)] = CacheEntry(list(records), now + ttl)
 
     def get(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
         """Positive lookup: the live records, or ``None``."""
-        entry = self._positive.get((qname, qtype))
+        key = (qname.key, qtype)
+        entry = self._positive.get(key)
         if entry is not None and entry.expires_at > now:
             return entry.records
         if entry is not None and now >= entry.expires_at + self.serve_stale_window:
             # Past TTL *and* past the stale window (window 0 = on expiry).
-            del self._positive[(qname, qtype)]
+            del self._positive[key]
         return None
 
     def get_stale(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
@@ -117,7 +121,7 @@ class ResolverCache:
         absent, or staler than the window allows."""
         if self.serve_stale_window <= 0:
             return None
-        entry = self._positive.get((qname, qtype))
+        entry = self._positive.get((qname.key, qtype))
         if (
             entry is not None
             and entry.expires_at <= now < entry.expires_at + self.serve_stale_window
@@ -131,14 +135,14 @@ class ResolverCache:
     def put_negative(self, now: float, qname: Name, rcode: RCode, ttl: Optional[float] = None) -> None:
         """Cache an NXDOMAIN/NODATA outcome."""
         ttl = self.negative_ttl if ttl is None else min(ttl, self.max_ttl)
-        self._negative[qname] = NegativeEntry(rcode, now + ttl)
+        self._negative[qname.key] = NegativeEntry(rcode, now + ttl)
 
     def get_negative(self, now: float, qname: Name) -> Optional[RCode]:
-        entry = self._negative.get(qname)
+        entry = self._negative.get(qname.key)
         if entry is not None and entry.expires_at > now:
             return entry.rcode
         if entry is not None:
-            del self._negative[qname]
+            del self._negative[qname.key]
         return None
 
     # -- aggressive NSEC -----------------------------------------------------
@@ -147,8 +151,8 @@ class ResolverCache:
         """Record an NSEC gap learned from a negative answer."""
         if not self.aggressive_nsec:
             return
-        ranges = self._nsec_ranges.setdefault(zone, [])
-        entry = (owner.canonical_key(), next_name.canonical_key())
+        ranges = self._nsec_ranges.setdefault(zone.key, [])
+        entry = (owner.canonical, next_name.canonical)
         index = bisect.bisect_left(ranges, entry)
         if index >= len(ranges) or ranges[index] != entry:
             ranges.insert(index, entry)
@@ -163,10 +167,10 @@ class ResolverCache:
         """
         if not self.aggressive_nsec:
             return False
-        ranges = self._nsec_ranges.get(zone)
+        ranges = self._nsec_ranges.get(zone.key)
         if not ranges:
             return False
-        key = qname.canonical_key()
+        key = qname.canonical
         index = bisect.bisect_right(ranges, (key, key)) - 1
         # Probe the bracketing ranges plus the extremes (wraparound gaps
         # sort by owner, so the covering entry may be the last or first).

@@ -19,9 +19,9 @@ behavioural axes are explicit, configurable knobs on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -221,9 +221,11 @@ class SimResolver:
             ),
         )
         self._seed = seed
-        self._delegation_expiry: Dict[Name, float] = {}
-        self._ds_expiry: Dict[Name, float] = {}
-        self._dnskey_expiry: Dict[Name, float] = {}
+        # Zone name's key (``Name.key``) → when its delegation / DS /
+        # DNSKEY must be fetched again: tuples of bytes hash and compare in C.
+        self._delegation_expiry: Dict[Tuple[bytes, ...], float] = {}
+        self._ds_expiry: Dict[Tuple[bytes, ...], float] = {}
+        self._dnskey_expiry: Dict[Tuple[bytes, ...], float] = {}
 
     @cached_property
     def _rng(self) -> np.random.Generator:
@@ -367,7 +369,7 @@ class SimResolver:
             return RCode.SERVFAIL
 
         # Registered: fetch/refresh the delegation if needed.
-        if self._delegation_expiry.get(cut, 0.0) <= session.now:
+        if self._delegation_expiry.get(cut.key, 0.0) <= session.now:
             send_name, send_type = self._minimized(qname, qtype, tld, cut)
             response = self._send(
                 session, tld_set, send_name, send_type, network.faults
@@ -375,7 +377,7 @@ class SimResolver:
             if response is None:
                 self.stats.servfails += 1
                 return RCode.SERVFAIL
-            self._delegation_expiry[cut] = session.now + _CUT_DELEGATION_TTL
+            self._delegation_expiry[cut.key] = session.now + _CUT_DELEGATION_TTL
             if self.behavior.validates_dnssec:
                 self._validate_delegation(network, session, tld_set, tld, cut)
 
@@ -423,8 +425,8 @@ class SimResolver:
         # Existing TLD: treat resolution below it as out of scope (the
         # delegated infrastructure is not simulated); cache the referral.
         tld_label = qname.ancestor_with_labels(1)
-        first_visit = self._delegation_expiry.get(tld_label, 0.0) <= session.now
-        self._delegation_expiry[tld_label] = session.now + _TLD_DELEGATION_TTL
+        first_visit = self._delegation_expiry.get(tld_label.key, 0.0) <= session.now
+        self._delegation_expiry[tld_label.key] = session.now + _TLD_DELEGATION_TTL
         if first_visit and self.behavior.validates_dnssec:
             # Validators chase the TLD's DS (at the root) and the root's
             # own DNSKEY — the DS/DNSKEY bars in the paper's B-Root panels.
@@ -437,14 +439,14 @@ class SimResolver:
     ) -> None:
         """Query the root for the TLD delegation when not cached — the only
         regular ccTLD-driven traffic the root sees from a warm resolver."""
-        if self._delegation_expiry.get(tld, 0.0) > session.now:
+        if self._delegation_expiry.get(tld.key, 0.0) > session.now:
             return
         send_name, send_type = self._minimized(tld, RRType.NS, ROOT)
         response = self._send(
             session, network.root, send_name, send_type, network.faults
         )
         if response is not None:
-            self._delegation_expiry[tld] = session.now + _TLD_DELEGATION_TTL
+            self._delegation_expiry[tld.key] = session.now + _TLD_DELEGATION_TTL
             if self.behavior.validates_dnssec:
                 self._validate_delegation(
                     network, session, network.root, ROOT, tld
@@ -465,14 +467,14 @@ class SimResolver:
         the signature validator type in Figure 2), and a DNSKEY fetch for
         the parent zone itself when ours has expired."""
         if (
-            self._ds_expiry.get(child, 0.0) <= session.now
+            self._ds_expiry.get(child.key, 0.0) <= session.now
             and self._rng.random() < self.behavior.explicit_ds_probability
         ):
             self._send(session, parent_set, child, RRType.DS, network.faults)
-            self._ds_expiry[child] = session.now + _DS_TTL
-        if self._dnskey_expiry.get(parent, 0.0) <= session.now:
+            self._ds_expiry[child.key] = session.now + _DS_TTL
+        if self._dnskey_expiry.get(parent.key, 0.0) <= session.now:
             self._send(session, parent_set, parent, RRType.DNSKEY, network.faults)
-            self._dnskey_expiry[parent] = session.now + _DNSKEY_TTL
+            self._dnskey_expiry[parent.key] = session.now + _DNSKEY_TTL
 
     # -- QNAME minimisation --------------------------------------------------------
 
@@ -488,14 +490,16 @@ class SimResolver:
         Without Q-min: the full name and type (classic leakage).
         With Q-min: the name stripped to one label more than the zone, with
         type NS — unless that minimised name *is* the full qname, in which
-        case the original type is used (RFC 7816 section 2).
+        case the original type is used (RFC 7816 section 2).  The target
+        (``cut``, when given, covers ``qname``) is always an ancestor-or-self
+        of ``qname``, so it *is* ``qname`` exactly when it has as many labels.
         """
         if not self.behavior.qname_minimization:
             return qname, qtype
         target = cut if cut is not None else qname.ancestor_with_labels(
             min(zone.label_count + 1, qname.label_count)
         )
-        if target == qname:
+        if target.label_count == qname.label_count:
             return qname, qtype
         return target, RRType.NS
 
@@ -545,21 +549,14 @@ class SimResolver:
         ``exclude`` holds servers that already timed out this resolution —
         a real resolver moves to another NS rather than hammering a dead
         one (the behaviour that makes NS-set redundancy survive outages).
+        The set memoises both the candidates and the lowest-RTT pick per
+        excluded set; the exploration draw is made here, on every call.
         """
-        candidates = server_set.servers
-        if exclude:
-            candidates = [s for s in candidates if s.server_id not in exclude]
-            if not candidates:
-                candidates = server_set.servers
+        candidates = server_set.remaining(exclude) if exclude else server_set.servers
         if len(candidates) > 1 and self._rng.random() < self.behavior.server_exploration:
             return candidates[int(self._rng.integers(len(candidates)))]
         family = 4 if self.v4 is not None else 6
-        if candidates is server_set.servers:
-            # Nothing left out (or everything was): the set's own answer.
-            return server_set.fastest(self.site, family)
-        return min(
-            candidates, key=lambda s: server_set.rtt_ms(s, self.site, family)
-        )
+        return server_set.fastest(self.site, family, exclude)
 
     def _send(
         self,

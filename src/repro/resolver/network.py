@@ -15,10 +15,10 @@ layer is also where the Feb-2020 `.nz` cyclic-dependency misconfiguration
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Set, Tuple
 
-from ..dnscore import Name, RCode, ROOT, RRType
+from ..dnscore import Name, RCode, RRType
 from ..server import ServerSet
 from ..zones import Zone
 
@@ -43,9 +43,9 @@ class CyclicPair:
     second: Name
 
     def partner(self, domain: Name) -> Optional[Name]:
-        if domain == self.first:
+        if domain.key == self.first.key:
             return self.second
-        if domain == self.second:
+        if domain.key == self.second.key:
             return self.first
         return None
 
@@ -62,13 +62,14 @@ class SyntheticLeafAuthority:
 
     def __init__(self, cyclic_pairs: Sequence[CyclicPair] = ()):
         self.cyclic_pairs = list(cyclic_pairs)
-        self._cyclic_domains: Set[Name] = set()
+        #: The keys (``Name.key``) of every domain in a cyclic pair.
+        self._cyclic_domains: Set[Tuple[bytes, ...]] = set()
         for pair in self.cyclic_pairs:
-            self._cyclic_domains.add(pair.first)
-            self._cyclic_domains.add(pair.second)
+            self._cyclic_domains.add(pair.first.key)
+            self._cyclic_domains.add(pair.second.key)
 
     def is_cyclic(self, domain: Name) -> bool:
-        return domain in self._cyclic_domains
+        return domain.key in self._cyclic_domains
 
     def cyclic_partner(self, domain: Name) -> Optional[Name]:
         for pair in self.cyclic_pairs:
@@ -82,11 +83,13 @@ class SyntheticLeafAuthority:
         return zlib.crc32((salt + name.to_text().lower()).encode())
 
     def answer(self, domain: Name, qname: Name, qtype: RRType) -> LeafAnswer:
-        """Answer a query for ``qname`` under delegated ``domain``."""
-        if self.is_cyclic(domain):
+        """Answer a query for ``qname`` under delegated ``domain``, the zone
+        cut covering it: an ancestor-or-self of ``qname``, which therefore
+        *is* ``qname`` exactly when it has as many labels."""
+        if domain.key in self._cyclic_domains:
             return LeafAnswer(RCode.SERVFAIL, ttl=0.0, exists=False)
         h = self._stable_hash(qname, qtype.name)
-        if qname == domain:
+        if qname.label_count == domain.label_count:
             if qtype is RRType.A:
                 return LeafAnswer(RCode.NOERROR)
             if qtype is RRType.AAAA:
@@ -139,10 +142,14 @@ class AuthorityNetwork:
         self.tlds = dict(tlds)
         self.leaf = leaf if leaf is not None else SyntheticLeafAuthority()
         self.faults = faults
-        #: A TLD's canonical key (its one casefolded label) → its zone: a
-        #: qname's TLD is ``qname.canonical_key()[:1]``.
+        #: A TLD origin's key (``Name.key``) → its server set.
+        self._tld_sets: Dict[Tuple[bytes, ...], ServerSet] = {
+            origin.key: server_set for origin, server_set in self.tlds.items()
+        }
+        #: A TLD's key (its one casefolded label) → its zone: a qname's TLD
+        #: is ``qname.canonical[:1]``.
         self._tld_zones: Dict[Tuple[bytes, ...], Zone] = {
-            origin.canonical_key(): server_set.servers[0].zone
+            origin.key: server_set.servers[0].zone
             for origin, server_set in self.tlds.items()
             if origin.label_count == 1
         }
@@ -150,14 +157,14 @@ class AuthorityNetwork:
     def server_set_for(self, origin: Name) -> Optional[ServerSet]:
         """The simulated server set authoritative for ``origin`` (root or a
         TLD), or None for zones below the simulated layer."""
-        if origin == ROOT:
+        if not origin.label_count:
             return self.root
-        return self.tlds.get(origin)
+        return self._tld_sets.get(origin.key)
 
     def tld_of(self, qname: Name) -> Optional[Name]:
         """The simulated TLD covering ``qname`` (in the query's spelling),
         if any."""
-        if qname.canonical_key()[:1] in self._tld_zones:
+        if qname.canonical[:1] in self._tld_zones:
             return qname.ancestor_with_labels(1)
         return None
 
@@ -168,5 +175,5 @@ class AuthorityNetwork:
         Uses the TLD zone's actual delegation table, so the resolver's
         control flow mirrors what referrals would teach it.
         """
-        zone = self._tld_zones.get(qname.canonical_key()[:1])
+        zone = self._tld_zones.get(qname.canonical[:1])
         return None if zone is None else zone.covering_delegation(qname)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..capture import CaptureStore, QueryRecord, Transport, split_address
+from ..capture import CaptureStore, Transport, split_address
 from ..config import plan_cache_enabled
 from ..dnscore import Message, Name, Opcode, Question, RCode, RRType
 from ..dnscore.edns import EdnsRecord, effective_udp_limit
@@ -86,7 +86,7 @@ def _calibrate(result: LookupResult) -> Tuple[Optional[int], FrozenSet[bytes]]:
     if size > _SHIFT_SAFE_SIZE:
         return None, frozenset()
     depth = anchor.label_count
-    anchor_key = anchor.canonical_key()[::-1]
+    anchor_key = anchor.key
     below = frozenset(
         suffix[-depth - 1]
         for suffix in table
@@ -117,7 +117,7 @@ def _anchored_size(
     if body_size is None:
         return None
     depth = result.anchor.label_count
-    if qname.label_count > depth and qname.canonical_key()[depth] in below:
+    if qname.label_count > depth and qname.canonical[depth] in below:
         return None
     size = HEADER_LENGTH + len(qname.to_wire()) + _QUESTION_FIXED + body_size
     return size if edns is None else size + _OPT_SIZE
@@ -384,7 +384,7 @@ class AuthoritativeServer:
             key = None
             if self._plans is not None and questions is None:
                 key = (
-                    qname,
+                    qname.key,
                     int(qtype),
                     -1 if edns is None else edns.udp_payload_size,
                     edns is not None and edns.dnssec_ok,
@@ -550,12 +550,15 @@ class ServerSet:
     def __init__(self, servers: Sequence[AuthoritativeServer], latency: LatencyModel):
         if not servers:
             raise ValueError("empty server set")
-        origins = {server.zone.origin for server in servers}
+        origins = {server.zone.origin.key for server in servers}
         if len(origins) != 1:
             raise ValueError("all servers in a set must serve the same zone")
         self.servers = list(servers)
         self.latency = latency
-        self._fastest: Dict[Tuple[str, int], AuthoritativeServer] = {}
+        self._fastest: Dict[
+            Tuple[str, int, FrozenSet[str]], AuthoritativeServer
+        ] = {}
+        self._remaining: Dict[FrozenSet[str], List[AuthoritativeServer]] = {}
         self._rtts: Dict[Tuple[str, str, int], float] = {}
 
     @property
@@ -590,18 +593,32 @@ class ServerSet:
             )
         return rtt
 
-    def fastest(self, client_site: Site, family: int) -> AuthoritativeServer:
-        """The lowest-RTT server for this client site and family (the
-        first such server on a tie).
+    def remaining(self, exclude: FrozenSet[str]) -> List[AuthoritativeServer]:
+        """The servers whose ids are not in ``exclude``, in set order — or
+        every server, when that would leave none.  Memoised per excluded
+        set; the list is shared and read-only."""
+        servers = self._remaining.get(exclude)
+        if servers is None:
+            servers = self._remaining[exclude] = [
+                s for s in self.servers if s.server_id not in exclude
+            ] or self.servers
+        return servers
+
+    def fastest(
+        self, client_site: Site, family: int, exclude: FrozenSet[str] = frozenset()
+    ) -> AuthoritativeServer:
+        """The lowest-RTT server for this client site and family among
+        :meth:`remaining` (the first such server on a tie).
 
         A pure function of site geometry, so it is worked out once per
-        (site, family); pinning a latency offset after the first call
-        needs a new set.
+        (site, family, excluded ids); pinning a latency offset after the
+        first call needs a new set.
         """
-        key = (client_site.code, family)
+        key = (client_site.code, family, exclude)
         server = self._fastest.get(key)
         if server is None:
             server = self._fastest[key] = min(
-                self.servers, key=lambda s: self.rtt_ms(s, client_site, family)
+                self.remaining(exclude),
+                key=lambda s: self.rtt_ms(s, client_site, family),
             )
         return server

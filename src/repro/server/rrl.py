@@ -9,7 +9,7 @@ forces a legitimate resolver to retry over TCP, proving it is not spoofing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..netsim import IPAddress

@@ -145,7 +145,7 @@ class QueryDispatcher:
         #: Casefolded rule suffixes, and their distinct lengths, longest
         #: first: the tails of a qname worth testing.
         self._suffixes = {
-            rule.suffix._key for tier in topology.tiers for rule in tier.rules
+            rule.suffix.key for tier in topology.tiers for rule in tier.rules
         }
         self._suffix_lengths = sorted(
             {len(key) for key in self._suffixes}, reverse=True
@@ -184,7 +184,7 @@ class QueryDispatcher:
         upstreams they expand to)."""
         tier = self._topology.tier(tier_name)
         chain = next(
-            ((rule.upstream,) for rule in tier.rules if rule.suffix._key in matched),
+            ((rule.upstream,) for rule in tier.rules if rule.suffix.key in matched),
             tier.upstreams,
         )
         for spec in chain:
@@ -212,8 +212,8 @@ class QueryDispatcher:
     def route_for(self, tier: str, qname: Name) -> Tuple[tuple, ...]:
         """The compiled steps a query for ``qname`` entering at ``tier``
         runs."""
-        key = qname._key
-        labels = len(key)
+        key = qname.key
+        labels = qname.label_count
         suffixes = self._suffixes
         for length in self._suffix_lengths:
             if length <= labels and key[labels - length:] in suffixes:

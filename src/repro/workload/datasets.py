@@ -10,8 +10,8 @@ counts back to the paper's absolute numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan
 from ..netsim import utc_timestamp

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 

@@ -21,7 +21,7 @@ import bisect
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dnscore import (
     DNSKEYRdata,
@@ -217,7 +217,7 @@ class Zone:
         self._sorted_names = None
         self._lookups.clear()
         if rrset.rrtype is RRType.NS and rrset.name != self.origin:
-            self._delegations[rrset.name.canonical_key()] = rrset
+            self._delegations[rrset.name.canonical] = rrset
             depth = rrset.name.label_count
             if depth not in self._cut_depths:
                 self._cut_depths = tuple(sorted((*self._cut_depths, depth), reverse=True))
@@ -288,15 +288,16 @@ class Zone:
         query's spelling.
 
         Tests the leading labels of the query's canonical key against the
-        delegation table at each depth a cut exists, deepest first.  A
-        prefix longer than the key is the whole key: the qname itself.
+        delegation table at each depth a cut exists, deepest first, skipping
+        depths below the qname (a cut with as many labels as the qname is
+        tested at its own depth).
         """
-        key = qname.canonical_key()
+        key = qname.canonical
+        count = qname.label_count
         delegations = self._delegations
         for depth in self._cut_depths:
-            prefix = key[:depth]
-            if prefix in delegations:
-                return qname.ancestor_with_labels(len(prefix))
+            if depth <= count and key[:depth] in delegations:
+                return qname.ancestor_with_labels(depth)
         return None
 
     # -- NSEC chain --------------------------------------------------------------
@@ -305,14 +306,14 @@ class Zone:
         """The zone's names in canonical order, and their sort keys."""
         if self._sorted_names is None:
             names = sorted(self._names, key=Name.canonical_key)
-            self._sorted_names = (names, [n.canonical_key() for n in names])
+            self._sorted_names = (names, [n.canonical for n in names])
         return self._sorted_names
 
     def _interval(self, qname: Name) -> int:
         """Where ``qname`` falls in the canonical order: the index of the
         first zone name at or after it.  The NSEC proof is a function of
         this index alone."""
-        return bisect.bisect_left(self._sorted()[1], qname.canonical_key())
+        return bisect.bisect_left(self._sorted()[1], qname.canonical)
 
     def nsec_for(self, qname: Name) -> Optional[ResourceRecord]:
         """The NSEC record proving ``qname`` does not exist (signed zones)."""
@@ -345,9 +346,12 @@ class Zone:
 
         lookups = self._lookups
         cut = self.covering_delegation(qname)
-        if cut is not None and not (qtype == RRType.DS and qname == cut):
+        if cut is not None and not (
+            qtype == RRType.DS and qname.label_count == cut.label_count
+        ):
             # Below (or at) a zone cut: referral.  Exception: a DS query for
-            # the cut itself is answered authoritatively by the parent.  The
+            # the cut itself (the cut covers the qname, so it is the qname
+            # when as long) is answered authoritatively by the parent.  The
             # cut's spelling is part of the key: its case shows in the RRSIG
             # owner and signature.
             key = (cut.labels, dnssec_ok)
@@ -404,7 +408,7 @@ class Zone:
         return result
 
     def _build_referral(self, cut: Name, dnssec_ok: bool) -> LookupResult:
-        ns_rrset = self._delegations[cut.canonical_key()]
+        ns_rrset = self._delegations[cut.canonical]
         result = LookupResult(
             LookupOutcome.DELEGATION,
             authorities=ns_rrset.to_records(),

@@ -7,17 +7,23 @@ on or off, serially, on a pool and under a chaos plan is pinned in
 ``test_oracle``.  Here: what the caches do — hit, miss, evict, borrow.
 """
 
+import sys
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 import repro.server.authoritative as authoritative
 from repro.capture import CaptureSpool, CaptureStore, SpooledCapture, Transport
 from repro.dnscore import Message, Name, RRType
+from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
 from repro.runtime import EnvironmentCache, ShardTask
 from repro.server import AuthoritativeServer
 from repro.sim import run_dataset
 from repro.sim.driver import simulate_shard
 from repro.workload import dataset
+from repro.workload.datasets import monthly_google_descriptor
 from repro.zones import Zone
 
 from .helpers import view_digest
@@ -154,6 +160,57 @@ class TestPlanCache:
         ]
         assert plans
         assert all(plan.wire is None and plan.question_end == 0 for plan in plans)
+
+
+#: Runs that between them reach every send-path table: validators and
+#: Q-min (nl), the root path (root), and the cyclic chase with retries
+#: and failover under packet loss (the Feb-2020 .nz month, Google only).
+SEND_PATH_RUNS = {
+    "nl-w2020": lambda: dataset("nl-w2020"),
+    "root-2020": lambda: dataset("root-2020"),
+    "nz-google-2020-02+heavy-loss": lambda: replace(
+        monthly_google_descriptor("nz", 2020, 2),
+        fault_plan=chaos_scenario("heavy-loss"),
+    ),
+}
+
+
+class TestSendPathKeys:
+    """The resolver's and the server's tables are keyed by ``Name.key``
+    (a tuple of bytes) and compare label counts, never names: no
+    Python-level ``Name.__hash__`` / ``__eq__`` runs on the send path.
+    A wrapper's caller frame is the Python function that made the call,
+    also when it went through a C-level ``dict.get`` or ``in``."""
+
+    @pytest.mark.parametrize("run", sorted(SEND_PATH_RUNS))
+    def test_no_name_hash_or_eq_from_resolver_or_server(
+        self, run, force_caches, monkeypatch
+    ):
+        callers: Counter = Counter()
+        real_hash, real_eq = Name.__hash__, Name.__eq__
+
+        def traced_hash(self):
+            callers[sys._getframe(1).f_globals.get("__name__")] += 1
+            return real_hash(self)
+
+        def traced_eq(self, other):
+            callers[sys._getframe(1).f_globals.get("__name__")] += 1
+            return real_eq(self, other)
+
+        monkeypatch.setattr(Name, "__hash__", traced_hash)
+        monkeypatch.setattr(Name, "__eq__", traced_eq)
+        result = run_dataset(
+            SEND_PATH_RUNS[run](), seed=SEED, client_queries=QUERIES, workers=1
+        )
+        assert result.telemetry.total("runtime.plan_cache.hits") > 0
+        assert {Name.from_text("probe.nl")}  # the wrappers are live
+        assert callers[__name__] == 1
+        offenders = {
+            module: count
+            for module, count in callers.items()
+            if module.startswith(("repro.resolver", "repro.server"))
+        }
+        assert offenders == {}
 
 
 class TestEnvironmentCache:

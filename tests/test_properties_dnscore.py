@@ -56,6 +56,93 @@ ascii_name_st = st.builds(
 )
 
 
+cased_label_st = st.text(
+    alphabet=string.ascii_letters + string.digits, min_size=1, max_size=12
+).map(str.encode)
+#: Labels that spell themselves in presentation format (``from_text``
+#: reads back no ``\DDD`` escape), and any labels.
+plain_labels_st = st.lists(cased_label_st, max_size=4).map(tuple)
+any_labels_st = st.lists(st.one_of(cased_label_st, label_st), max_size=4).map(tuple)
+
+#: Every way a name gets built.
+CONSTRUCTIONS = (
+    "Name", "from_text", "from_wire", "from_wire_compressed", "parent",
+    "prepend", "ancestor_with_labels",
+)
+
+
+@st.composite
+def constructed_name_st(draw, labels=None):
+    """A name with the given (or drawn) labels, built by a drawn path."""
+    how = draw(st.sampled_from(CONSTRUCTIONS))
+    if labels is None:
+        labels = draw(plain_labels_st if how == "from_text" else any_labels_st)
+    elif how == "from_text" and not all(
+        label.isalnum() and label.isascii() for label in labels
+    ):
+        how = "Name"
+    extra = draw(st.lists(cased_label_st, min_size=1, max_size=2).map(tuple))
+    if how == "Name":
+        return Name(labels)
+    if how == "from_text":
+        return Name.from_text(b".".join(labels).decode())
+    if how == "from_wire":
+        return Name.from_wire(b"\x00\x00" + Name(labels).to_wire(), 2)[0]
+    if how == "from_wire_compressed":
+        # The second name is one pointer into the first one's suffixes.
+        compress: dict = {}
+        wire = Name(extra + labels).to_wire(compress, 0)
+        wire += Name(labels).to_wire(compress, len(wire))
+        return Name.from_wire(wire, len(Name(extra + labels).to_wire()))[0]
+    if how == "parent":
+        return Name(extra[-1:] + labels).parent()
+    if how == "prepend":
+        cut = draw(st.integers(0, len(labels)))
+        return Name(labels[cut:]).prepend(*labels[:cut])
+    return Name(extra + labels).ancestor_with_labels(len(labels))
+
+
+class TestNameStructure:
+    """``labels``, ``label_count``, ``key`` and ``canonical`` are set once,
+    at construction, on every path, and agree with each other."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(constructed_name_st())
+    def test_structure_slots_agree(self, name):
+        assert name.label_count == len(name.labels)
+        assert name.key == tuple(map(bytes.lower, name.labels))
+        assert name.canonical == name.key[::-1]
+        assert name.canonical_key() is name.canonical
+        assert hash(name) == hash(name.key)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(any_labels_st, st.data())
+    def test_every_path_builds_the_same_structure(self, labels, data):
+        name = data.draw(constructed_name_st(labels))
+        reference = Name(labels)
+        assert name.labels == reference.labels
+        assert (name.label_count, name.key, name.canonical) == (
+            reference.label_count, reference.key, reference.canonical
+        )
+
+    @settings(max_examples=300, derandomize=True)
+    @given(any_labels_st, st.booleans(), st.data())
+    def test_equality_is_key_equality(self, labels, twin, data):
+        a = data.draw(constructed_name_st(labels))
+        other = (
+            tuple(label.swapcase() for label in labels)
+            if twin
+            else data.draw(any_labels_st)
+        )
+        b = data.draw(constructed_name_st(other))
+        assert (a == b) == (a.key == b.key)
+        assert (a != b) == (a.key != b.key)
+        if a == b:
+            assert hash(a) == hash(b)
+        if twin:
+            assert a == b
+
+
 class TestNameProperties:
     @given(name_st)
     def test_wire_round_trip(self, name):

@@ -170,6 +170,45 @@ class TestBasicResolution:
         assert resolver.stats.auth_queries >= 1
 
 
+def spelled_0x20(name):
+    """``name`` with the case of every letter flipped (a 0x20 spelling)."""
+    return Name([label.swapcase() for label in name.labels])
+
+
+class TestCaseInsensitiveKeys:
+    def test_0x20_spelling_hits_the_same_negative_entry_and_delegation(
+        self, small_world
+    ):
+        """The resolver's tables are keyed by the casefolded labels: a 0x20
+        spelling of a name already cached is the same negative entry, and a
+        sibling under the re-spelled cut finds the delegation's expiry."""
+        network = small_world["network"]
+        domain = nl_domain(small_world)
+        resolver = make_resolver()
+        now = 1000.0
+        for i in range(40):  # a subdomain the leaf says does not exist
+            gone = domain.prepend(b"Gone%d" % i)
+            now += 1.0
+            if resolver.resolve(network, now, gone, RRType.A) is RCode.NXDOMAIN:
+                break
+        else:
+            pytest.fail("no non-existent subdomain found")
+        rows, hits = len(small_world["nl_capture"]), resolver.stats.cache_hits
+        twin = spelled_0x20(gone)
+        assert twin.labels != gone.labels and twin.key == gone.key
+
+        assert resolver.cache.get_negative(now, twin) is RCode.NXDOMAIN
+        assert resolver.resolve(network, now + 1.0, twin, RRType.A) is RCode.NXDOMAIN
+        assert resolver.stats.cache_hits == hits + 1
+        assert len(small_world["nl_capture"]) == rows
+
+        expiry = resolver._delegation_expiry[domain.key]
+        sibling = spelled_0x20(domain).prepend(b"www")
+        assert resolver.resolve(network, now + 2.0, sibling, RRType.A) is RCode.NOERROR
+        assert len(small_world["nl_capture"]) == rows  # no referral fetched
+        assert resolver._delegation_expiry[spelled_0x20(domain).key] == expiry
+
+
 class TestQnameMinimization:
     def test_qmin_sends_ns_for_subdomains(self, small_world):
         resolver = make_resolver(ResolverBehavior(qname_minimization=True))
