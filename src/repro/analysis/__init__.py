@@ -34,14 +34,14 @@ from .concentration import (
 from .edns import BufsizeCDF
 from .facebook import (
     DualStackReport,
+    FacebookSiteAggregator,
     SiteStats,
     classify_addresses,
-    facebook_site_stats,
     rtt_preference_correlation,
 )
 from .google_split import GoogleSplit, build_public_dns_trie
 from .metrics import DatasetSummary, InventoryRow, TransportRow
-from .rssac import DailyTraffic, RSSACSummary, daily_traffic, summarize
+from .rssac import RSSACAggregator, RSSACSummary
 from .streaming import (
     AGGREGATOR_FACTORIES,
     AggregateSet,
@@ -90,15 +90,14 @@ __all__ = [
     "BufsizeCDF",
     "ConcentrationAggregator",
     "ConcentrationReport",
-    "DailyTraffic",
+    "FacebookSiteAggregator",
+    "RSSACAggregator",
     "RSSACSummary",
     "concentration",
     "cusum_detector",
     "jump_detector",
-    "daily_traffic",
     "per_as_counts",
     "provider_group_concentration",
-    "summarize",
     "DatasetSummary",
     "DualStackReport",
     "GoogleSplit",
@@ -111,6 +110,5 @@ __all__ = [
     "build_public_dns_trie",
     "classify_addresses",
     "detect_rollout",
-    "facebook_site_stats",
     "rtt_preference_correlation",
 ]

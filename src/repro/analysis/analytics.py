@@ -14,22 +14,18 @@ is the one-chunk case).
 Every aggregator but one is exact integer counting, so an answer does
 not depend on how the rows were chunked; the composition heavy-hitter
 list is sketch-derived and agrees between chunkings within its certified
-error bounds rather than bit-for-bit.  Analyses with no aggregate form
-(the Facebook PTR/RTT join of Figure 5, the RSSAC and resilience
-extensions) read the capture's whole view and
-:meth:`DatasetAnalytics.attribution`.
+error bounds rather than bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..clouds import PROVIDERS
+from ..clouds import PTRTable
 from ..dnscore import RRType
-from ..telemetry import MetricsRegistry
-from .attribution import AttributionResult, Attributor
 from .concentration import ConcentrationReport
 from .edns import BufsizeCDF
+from .facebook import DualStackReport, SiteStats
 from .google_split import GoogleSplit
 from .metrics import (
     DEFAULT_RRTYPE_BUCKETS,
@@ -38,6 +34,7 @@ from .metrics import (
     TransportRow,
 )
 from .qmin import MonthlyPoint
+from .rssac import RSSACSummary
 from .streaming import AggregateSet
 
 
@@ -49,12 +46,8 @@ class DatasetAnalytics:
     provider outside that list was never counted and is rejected.
     """
 
-    def __init__(self, aggregates: AggregateSet, attribute=None):
+    def __init__(self, aggregates: AggregateSet):
         self.aggregates = aggregates
-        #: Produces the capture's attribution on the first
-        #: :meth:`attribution` call.
-        self._attribute = attribute
-        self._attribution: Optional[AttributionResult] = None
 
     @classmethod
     def over(
@@ -67,40 +60,13 @@ class DatasetAnalytics:
         """The facade over a view and its attribution, folded here, once."""
         aggregates = AggregateSet(providers, public_prefixes)
         aggregates.feed(view, attribution)
-        return cls(aggregates, lambda: attribution)
+        return cls(aggregates)
 
     @classmethod
-    def of(cls, run, metrics: Optional[MetricsRegistry] = None) -> "DatasetAnalytics":
+    def of(cls, run) -> "DatasetAnalytics":
         """The facade for a :class:`~repro.sim.DatasetRun`: the state its
-        shards folded (Table 1's providers), plus the row-level
-        attribution pass the view-level analyses ask for, deferred.
-
-        ``metrics`` books that pass's ``attribution`` phase and
-        ``analysis.*`` counters, if it is ever made.
-        """
-        metrics = MetricsRegistry() if metrics is None else metrics
-        # The deferred pass outlives this call: it holds the capture and
-        # the registry, not the run's whole world.
-        capture, registry = run.capture, run.registry
-
-        def attribute() -> AttributionResult:
-            view = capture.view()
-            with metrics.time_phase("attribution"):
-                result = Attributor(registry, PROVIDERS).attribute(view)
-            metrics.counter("analysis.attribution_passes").inc()
-            metrics.counter("analysis.rows_attributed").inc(len(view))
-            return result
-
-        return cls(run.aggregates, attribute)
-
-    def attribution(self) -> AttributionResult:
-        """The row-level attribution of the capture the facade answers
-        for: the one it was made :meth:`over`, or, for a run, one pass
-        over the materialised capture, made on first request (only the
-        view-level analyses ask)."""
-        if self._attribution is None:
-            self._attribution = self._attribute()
-        return self._attribution
+        shards folded (Table 1's providers)."""
+        return cls(run.aggregates)
 
     def _check_providers(self, providers: Optional[Sequence[str]]) -> tuple:
         configured = self.aggregates.providers
@@ -287,6 +253,18 @@ class DatasetAnalytics:
         """Per-AS concentration indices (HHI, CR-n, Gini) of the whole
         capture, from the merged per-AS counts; exact."""
         return self.aggregates.concentration.finalize()
+
+    def facebook_sites(
+        self, ptr_table: PTRTable, server_id: str
+    ) -> Tuple[List[SiteStats], DualStackReport]:
+        """Figures 5/8: the Facebook resolvers' per-site query volumes and
+        median TCP RTTs toward one server, sites named by ``ptr_table``,
+        plus the PTR-based dual-stack classification; exact."""
+        return self.aggregates.facebook_sites.finalize(ptr_table, server_id)
+
+    def rssac(self) -> RSSACSummary:
+        """The RSSAC002-style rollup of the capture's UTC days; exact."""
+        return self.aggregates.rssac.finalize()
 
     def provider_group_share(self) -> float:
         """The configured providers' combined share as one ratio of folded

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..capture import CaptureView, join_address
-from ..netsim import ASRegistry, IPAddress
+from ..netsim import ASRegistry
 
 #: Label used for traffic whose AS is not one of the five providers.
 OTHER = "Other"
@@ -99,9 +99,3 @@ class Attributor:
             asns=np.array(asns, dtype=np.int64)[inverse],
             countries=np.array(countries, dtype=object)[inverse],
         )
-
-    def provider_of_address(self, address: IPAddress) -> str:
-        """Label a single address (helper for spot checks)."""
-        from ..capture import split_address
-
-        return self._lookup(*split_address(address))[1]

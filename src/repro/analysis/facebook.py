@@ -10,12 +10,16 @@ The paper's pipeline, reproduced step by step:
    family, per authoritative server.
 
 The output reproduces Figure 5a (per-site v4/v6 query distribution) and
-Figure 5b (per-site IPv6 query ratio vs median RTTs, per server).
+Figure 5b (per-site IPv6 query ratio vs median RTTs, per server).  Every
+run folds the Facebook rows in its shards
+(:class:`FacebookSiteAggregator`); steps 1-4 run on the merged state.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +28,7 @@ from ..capture import CaptureView, Transport, join_address
 from ..clouds import PTRTable, parse_ptr_embedded_v4, parse_ptr_site
 from ..netsim import IPAddress
 from .attribution import AttributionResult
+from .streaming import StreamingAggregator, _require_same_config
 
 
 @dataclass
@@ -95,51 +100,81 @@ def classify_addresses(
     return site_of, report
 
 
-def facebook_site_stats(
-    view: CaptureView,
-    attribution: AttributionResult,
-    ptr_table: PTRTable,
-    server_id: str,
-    provider: str = "Facebook",
-) -> Tuple[List[SiteStats], DualStackReport]:
-    """Per-site query/RTT aggregates toward one authoritative server."""
-    mask = attribution.provider_mask(provider) & (view.server_id == server_id)
-    addresses = view.unique_addresses(mask)
-    site_of, report = classify_addresses(addresses, ptr_table)
+class FacebookSiteAggregator(StreamingAggregator):
+    """The Facebook rows behind Figures 5/8: queries per (server id,
+    source address) and the TCP-handshake RTTs each of those pairs saw.
 
-    stats: Dict[int, SiteStats] = {}
-    rtts: Dict[Tuple[int, int], List[float]] = {}
-    indices = np.nonzero(mask)[0]
-    for i in indices:
-        address = join_address(
-            int(view.family[i]), int(view.src_hi[i]), int(view.src_lo[i])
-        )
-        site = site_of.get(address.to_text())
-        if site is None:
-            continue
-        code, number = site
-        entry = stats.get(number)
-        if entry is None:
-            entry = stats[number] = SiteStats(site_index=number, site_code=code)
-        family = int(view.family[i])
-        if family == 4:
-            entry.queries_v4 += 1
-        else:
-            entry.queries_v6 += 1
-        if int(view.transport[i]) == int(Transport.TCP):
-            rtt = float(view.tcp_rtt_ms[i])
-            if not np.isnan(rtt):
-                rtts.setdefault((number, family), []).append(rtt)
+    :meth:`finalize` classifies each distinct address once, after the
+    merge; a site's median RTT is taken over the same multiset of RTTs
+    however the rows were chunked, so it is exact.
+    """
 
-    for (number, family), values in rtts.items():
-        median = float(np.median(values))
-        if family == 4:
-            stats[number].median_tcp_rtt_v4 = median
-        else:
-            stats[number].median_tcp_rtt_v6 = median
+    name = "facebook_sites"
 
-    ordered = [stats[k] for k in sorted(stats)]
-    return ordered, report
+    def __init__(self):
+        #: Queries per (server_id, family, hi64, lo64) source key.
+        self.queries: Counter = Counter()
+        #: TCP RTTs (ms) per source key, in fed order.
+        self.rtts: Dict[Tuple[str, int, int, int], List[float]] = {}
+
+    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
+        mask = attribution.provider_mask("Facebook")
+        if not mask.any():
+            return
+        keys = list(zip(
+            view.server_id[mask].tolist(), view.family[mask].tolist(),
+            view.src_hi[mask].tolist(), view.src_lo[mask].tolist(),
+        ))
+        self.queries.update(keys)
+        rtt = view.tcp_rtt_ms[mask]
+        timed = (view.transport[mask] == int(Transport.TCP)) & ~np.isnan(rtt)
+        for key, value in zip(compress(keys, timed), rtt[timed].tolist()):
+            self.rtts.setdefault(key, []).append(value)
+
+    def merge(self, other: "FacebookSiteAggregator") -> None:
+        _require_same_config(self, other)
+        self.queries.update(other.queries)
+        for key, values in other.rtts.items():
+            self.rtts.setdefault(key, []).extend(values)
+
+    def state(self):
+        return {
+            "queries": dict(sorted(self.queries.items())),
+            "rtts": {key: sorted(self.rtts[key]) for key in sorted(self.rtts)},
+        }
+
+    def finalize(
+        self, ptr_table: PTRTable, server_id: str
+    ) -> Tuple[List[SiteStats], DualStackReport]:
+        """Per-site query/RTT aggregates toward one authoritative server."""
+        keys = sorted(key for key in self.queries if key[0] == server_id)
+        addresses = [join_address(*key[1:]) for key in keys]
+        site_of, report = classify_addresses(addresses, ptr_table)
+
+        stats: Dict[int, SiteStats] = {}
+        rtts: Dict[Tuple[int, int], List[float]] = {}
+        for key, address in zip(keys, addresses):
+            site = site_of.get(address.to_text())
+            if site is None:
+                continue
+            code, number = site
+            entry = stats.setdefault(number, SiteStats(site_index=number, site_code=code))
+            family = key[1]
+            if family == 4:
+                entry.queries_v4 += self.queries[key]
+            else:
+                entry.queries_v6 += self.queries[key]
+            if key in self.rtts:
+                rtts.setdefault((number, family), []).extend(self.rtts[key])
+
+        for (number, family), values in rtts.items():
+            median = float(np.median(values))
+            if family == 4:
+                stats[number].median_tcp_rtt_v4 = median
+            else:
+                stats[number].median_tcp_rtt_v6 = median
+
+        return [stats[k] for k in sorted(stats)], report
 
 
 def rtt_preference_correlation(stats: Sequence[SiteStats]) -> List[Tuple[int, float, Optional[float]]]:

@@ -10,7 +10,6 @@ the Figure 2 bucket list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..dnscore import RRType
 
@@ -30,9 +29,6 @@ class TransportRow:
     udp: float
     tcp: float
 
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.ipv4, self.ipv6, self.udp, self.tcp)
-
 
 @dataclass
 class InventoryRow:
@@ -42,10 +38,6 @@ class InventoryRow:
     total: int
     ipv4: int
     ipv6: int
-
-    @property
-    def ipv4_fraction(self) -> float:
-        return self.ipv4 / self.total if self.total else 0.0
 
     @property
     def ipv6_fraction(self) -> float:

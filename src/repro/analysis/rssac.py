@@ -3,8 +3,9 @@
 The paper (section 3) compares B-Root against the 11 root letters that
 publish RSSAC002 measurements.  This module computes the corresponding
 aggregates from a capture: per-day traffic volume by transport and address
-family, RCODE distribution, and unique-source counts — the same report a
-root operator would publish for a simulated letter.
+family, NXDOMAIN share, and unique-source counts — the same report a root
+operator would publish for a simulated letter.  Every run folds the
+per-day counts in its shards (:class:`RSSACAggregator`).
 """
 
 from __future__ import annotations
@@ -16,61 +17,12 @@ import numpy as np
 
 from ..capture import CaptureView, Transport
 from ..dnscore import RCode
-from ..netsim import timestamp_to_utc
+from .attribution import AttributionResult
+from .streaming import StreamingAggregator, _require_same_config
 
-
-@dataclass
-class DailyTraffic:
-    """One day's RSSAC002-shaped aggregates."""
-
-    day: str                      #: "YYYY-MM-DD" (UTC)
-    queries: int
-    udp_queries: int
-    tcp_queries: int
-    v4_queries: int
-    v6_queries: int
-    rcode_counts: Dict[int, int]
-    unique_sources: int
-    response_size_bytes: int      #: total bytes of responses sent
-
-    @property
-    def nxdomain_ratio(self) -> float:
-        nx = self.rcode_counts.get(int(RCode.NXDOMAIN), 0)
-        return nx / self.queries if self.queries else 0.0
-
-
-def _day_keys(view: CaptureView) -> np.ndarray:
-    """UTC day index (integer days since epoch) per row."""
-    return (view.timestamp // 86400.0).astype(np.int64)
-
-
-def daily_traffic(view: CaptureView) -> List[DailyTraffic]:
-    """RSSAC002 'traffic-volume'-style report, one entry per UTC day."""
-    if len(view) == 0:
-        return []
-    days = _day_keys(view)
-    out: List[DailyTraffic] = []
-    for day in np.unique(days):
-        mask = days == day
-        rcodes = view.rcode[mask]
-        rcode_values, rcode_counts = np.unique(rcodes, return_counts=True)
-        date = timestamp_to_utc(float(day) * 86400.0).strftime("%Y-%m-%d")
-        out.append(
-            DailyTraffic(
-                day=date,
-                queries=int(mask.sum()),
-                udp_queries=int((view.transport[mask] == int(Transport.UDP)).sum()),
-                tcp_queries=int((view.transport[mask] == int(Transport.TCP)).sum()),
-                v4_queries=int((view.family[mask] == 4).sum()),
-                v6_queries=int((view.family[mask] == 6).sum()),
-                rcode_counts={
-                    int(v): int(c) for v, c in zip(rcode_values, rcode_counts)
-                },
-                unique_sources=view.unique_address_count(mask),
-                response_size_bytes=int(view.response_size[mask].sum()),
-            )
-        )
-    return out
+#: Source keys a day may hold beyond twice its distinct ones before they
+#: are cut down to the distinct ones.
+PENDING_KEYS = 65536
 
 
 @dataclass
@@ -87,21 +39,91 @@ class RSSACSummary:
     unique_sources_peak: int
 
 
-def summarize(view: CaptureView) -> RSSACSummary:
-    """Collapse the daily series into one summary row."""
-    series = daily_traffic(view)
-    if not series:
-        return RSSACSummary(0, 0, 0.0, 0, 0.0, 0.0, 0.0, 0)
-    total = sum(d.queries for d in series)
-    return RSSACSummary(
-        days=len(series),
-        total_queries=total,
-        mean_daily_queries=total / len(series),
-        peak_daily_queries=max(d.queries for d in series),
-        udp_share=sum(d.udp_queries for d in series) / total,
-        v6_share=sum(d.v6_queries for d in series) / total,
-        nxdomain_share=sum(
-            d.rcode_counts.get(int(RCode.NXDOMAIN), 0) for d in series
-        ) / total,
-        unique_sources_peak=max(d.unique_sources for d in series),
-    )
+def _distinct(parts: List[np.ndarray]) -> np.ndarray:
+    """The distinct rows of some :meth:`~repro.capture.CaptureView.address_keys`
+    arrays, in byte order (``np.unique`` over the raw 17-byte rows)."""
+    keys = np.concatenate(parts)
+    return np.unique(keys.view(f"V{keys.dtype.itemsize}")).view(keys.dtype)
+
+
+class RSSACAggregator(StreamingAggregator):
+    """Per UTC day (integer days since the epoch): the query, UDP, IPv6
+    and NXDOMAIN counts and the distinct source addresses, merged by
+    addition and union.  A day's sources are address-key arrays (17 bytes
+    a row), cut down to the distinct keys when they pile up, when read and
+    when pickled: a pool worker ships back little, and a fold neither
+    inserts each row into a set nor re-sorts the day's keys every chunk.
+    """
+
+    name = "rssac"
+
+    def __init__(self):
+        #: day → [queries, udp, v6, nxdomain].
+        self.counts: Dict[int, List[int]] = {}
+        #: day → source address-key arrays.
+        self.sources: Dict[int, List[np.ndarray]] = {}
+
+    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
+        days = (view.timestamp // 86400.0).astype(np.int64)
+        flags = (
+            view.transport == int(Transport.UDP),
+            view.family == 6,
+            view.rcode == int(RCode.NXDOMAIN),
+        )
+        for day in np.unique(days).tolist():
+            mask = days == day
+            row = self.counts.setdefault(day, [0, 0, 0, 0])
+            row[0] += int(np.count_nonzero(mask))
+            for column, flag in enumerate(flags, 1):
+                row[column] += int(np.count_nonzero(flag & mask))
+            self._add_sources(day, [view.address_keys(mask)])
+
+    def merge(self, other: "RSSACAggregator") -> None:
+        _require_same_config(self, other)
+        for day, counts in other.counts.items():
+            row = self.counts.setdefault(day, [0, 0, 0, 0])
+            for column, count in enumerate(counts):
+                row[column] += count
+        for day, parts in other.sources.items():
+            self._add_sources(day, parts)
+
+    def _add_sources(self, day: int, parts: List[np.ndarray]) -> None:
+        mine = self.sources.setdefault(day, [])
+        mine.extend(parts)
+        if sum(map(len, mine)) > 2 * len(mine[0]) + PENDING_KEYS:
+            mine[:] = [_distinct(mine)]
+
+    def _distinct_sources(self) -> Dict[int, np.ndarray]:
+        """Each day's distinct source keys, kept as the day's one array."""
+        for parts in self.sources.values():
+            parts[:] = [_distinct(parts)]
+        return {day: parts[0] for day, parts in sorted(self.sources.items())}
+
+    def __getstate__(self):
+        self._distinct_sources()
+        return self.__dict__
+
+    def state(self):
+        return {
+            "counts": {day: tuple(self.counts[day]) for day in sorted(self.counts)},
+            "sources": {
+                day: keys.tolist() for day, keys in self._distinct_sources().items()
+            },
+        }
+
+    def finalize(self) -> RSSACSummary:
+        """Collapse the daily series into one summary row."""
+        if not self.counts:
+            return RSSACSummary(0, 0, 0.0, 0, 0.0, 0.0, 0.0, 0)
+        days = len(self.counts)
+        total, udp, v6, nxdomain = (sum(column) for column in zip(*self.counts.values()))
+        return RSSACSummary(
+            days=days,
+            total_queries=total,
+            mean_daily_queries=total / days,
+            peak_daily_queries=max(row[0] for row in self.counts.values()),
+            udp_share=udp / total,
+            v6_share=v6 / total,
+            nxdomain_share=nxdomain / total,
+            unique_sources_peak=max(map(len, self._distinct_sources().values())),
+        )

@@ -618,7 +618,8 @@ class AggregateSet:
 
     Shards feed their chunks into a fresh set, ship it back, and the
     parent merges the per-shard sets.  ``concentration`` (the per-AS
-    counts) is folded beside the registry, not in it, so the registry's
+    counts), ``facebook_sites`` (Figures 5/8) and ``rssac`` (the RSSAC002
+    report) are folded beside the registry, not in it, so the registry's
     exact states — digested by the oracle and the benchmark goldens —
     stay the figure, table and re-cut aggregators'.
     """
@@ -642,17 +643,26 @@ class AggregateSet:
             for name, factory in AGGREGATOR_FACTORIES.items()
         }
         from .concentration import ConcentrationAggregator
+        from .facebook import FacebookSiteAggregator
+        from .rssac import RSSACAggregator
 
         self.concentration = ConcentrationAggregator()
+        self.facebook_sites = FacebookSiteAggregator()
+        self.rssac = RSSACAggregator()
 
     def __getitem__(self, name: str) -> StreamingAggregator:
         return self.aggregators[name]
+
+    def _beside(self) -> Tuple[StreamingAggregator, ...]:
+        """The aggregators folded beside the registry."""
+        return (self.concentration, self.facebook_sites, self.rssac)
 
     def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
         self.rows_fed += len(view)
         for aggregator in self.aggregators.values():
             aggregator.feed(view, attribution)
-        self.concentration.feed(view, attribution)
+        for aggregator in self._beside():
+            aggregator.feed(view, attribution)
 
     def merge(self, other: "AggregateSet") -> None:
         if (self.providers, self.public_prefixes) != (
@@ -662,7 +672,8 @@ class AggregateSet:
         self.rows_fed += other.rows_fed
         for name, aggregator in self.aggregators.items():
             aggregator.merge(other.aggregators[name])
-        self.concentration.merge(other.concentration)
+        for aggregator, theirs in zip(self._beside(), other._beside()):
+            aggregator.merge(theirs)
 
     def publish_metrics(self, metrics) -> None:
         """Let every aggregator that exposes telemetry roll its counters

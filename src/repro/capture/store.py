@@ -16,13 +16,13 @@ Usage pattern::
     ...
     view = store.view()           # freeze to columns
     mask = view.qtype == RRType.NS
-    counts = view.count_by(view.server_id, mask)
+    ns_per_server = Counter(view.server_id[mask].tolist())
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class CaptureView:
 
     All columns are equal-length numpy arrays (``qname``/``server_id`` are
     object arrays of interned strings).  Analysis code composes boolean
-    masks over these columns; `count_by`/`unique_addresses` provide the two
-    aggregations everything else is built from.
+    masks over these columns and counts under them.
     """
 
     timestamp: np.ndarray
@@ -122,16 +121,6 @@ class CaptureView:
 
     # -- aggregation ------------------------------------------------------------
 
-    def count_by(
-        self, key: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> Dict[object, int]:
-        """Count rows per distinct key value (optionally under a mask)."""
-        if mask is not None:
-            key = key[mask]
-        values, counts = np.unique(key, return_counts=True)
-        return {v if not isinstance(v, np.generic) else v.item(): int(c)
-                for v, c in zip(values, counts)}
-
     def address_keys(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Composite (family, hi, lo) keys as a structured array, for
         distinct-resolver counting."""
@@ -141,14 +130,6 @@ class CaptureView:
         out = np.empty(len(family), dtype=[("f", "u1"), ("h", "u8"), ("l", "u8")])
         out["f"], out["h"], out["l"] = family, hi, lo
         return out
-
-    def unique_addresses(self, mask: Optional[np.ndarray] = None) -> List[IPAddress]:
-        """Distinct source addresses (the paper's 'resolvers' unit)."""
-        unique = np.unique(self.address_keys(mask))
-        return [join_address(row["f"], row["h"], row["l"]) for row in unique]
-
-    def unique_address_count(self, mask: Optional[np.ndarray] = None) -> int:
-        return len(np.unique(self.address_keys(mask)))
 
 
 #: Upper-inclusive response-size bucket edges (bytes): the DNS-relevant

@@ -24,7 +24,6 @@ from ..analysis import (
     Attributor,
     DatasetAnalytics,
     detect_rollout,
-    facebook_site_stats,
 )
 from ..capture import CaptureStore, QueryRecord, Transport
 from ..clouds import (
@@ -82,7 +81,6 @@ __all__ = [
     "dataset",
     "datasets_for_vantage",
     "detect_rollout",
-    "facebook_site_stats",
     "figure1",
     "figure2",
     "figure3",

@@ -171,11 +171,6 @@ class Name:
             labels.append(bytes(current))
         return cls(labels)
 
-    @classmethod
-    def from_labels_text(cls, *labels: str) -> "Name":
-        """Build a name from individual textual labels (no dots parsed)."""
-        return cls(label.encode() for label in labels)
-
     # -- rendering ---------------------------------------------------------
 
     def to_text(self) -> str:

@@ -3,8 +3,8 @@
 The paper's pipeline separates collection (one week of pcap at the vantage)
 from analytics (many ENTRADA queries over the same warehouse).  The
 :class:`ExperimentContext` mirrors that: dataset simulations are cached by
-id, as are their attribution passes, so every experiment and benchmark
-re-uses the same captures.
+id, so every experiment and benchmark re-uses the same captures and the
+state their shards folded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
-from ..analysis import AttributionResult, DatasetAnalytics
+from ..analysis import DatasetAnalytics
 from ..config import RunConfig, resolve_scale
 from ..sim import DatasetRun, run_dataset
 from ..sim.driver import reject_removed_keywords
@@ -21,7 +21,8 @@ from ..workload import DatasetDescriptor, dataset, monthly_google_descriptor
 
 
 class ExperimentContext:
-    """Caches simulated datasets and their attribution results.
+    """Caches simulated datasets; every analytics facade answers from a
+    cached run's folded state.
 
     Each context carries a session-level :class:`MetricsRegistry`; every
     dataset simulation merges its run telemetry into it, so after a batch
@@ -60,7 +61,6 @@ class ExperimentContext:
         #: here (analogous to :attr:`telemetry` for counters).
         self.traces = TraceBuffer()
         self._runs: Dict[str, DatasetRun] = {}
-        self._analytics: Dict[str, DatasetAnalytics] = {}
 
     # -- dataset runs --------------------------------------------------------
 
@@ -89,30 +89,18 @@ class ExperimentContext:
         """The (cached) Google-only monthly run for Figure 3."""
         return self._simulate(monthly_google_descriptor(vantage, year, month))
 
-    # -- derived views ---------------------------------------------------------
-
-    def attribution(self, dataset_id: str) -> AttributionResult:
-        return self.analytics(dataset_id).attribution()
-
     # -- the analytics facade ----------------------------------------------------
 
-    def _facade(self, run: DatasetRun) -> DatasetAnalytics:
-        key = run.descriptor.dataset_id
-        cached = self._analytics.get(key)
-        if cached is None:
-            cached = self._analytics[key] = DatasetAnalytics.of(run, self.telemetry)
-        return cached
-
     def analytics(self, dataset_id: str) -> DatasetAnalytics:
-        """Metric access for one dataset, memoised per dataset: answers
-        from the aggregates the run's shards folded, with no row
-        materialisation; every later report shares that state.
+        """Metric access for one dataset: answers from the aggregates the
+        run's shards folded, with no row materialisation; every report
+        over the dataset shares that state.
         """
-        return self._facade(self.run(dataset_id))
+        return DatasetAnalytics.of(self.run(dataset_id))
 
     def monthly_analytics(
         self, vantage: str, year: int, month: int
     ) -> Tuple[DatasetRun, DatasetAnalytics]:
         """The monthly run plus its analytics facade (Figure 3's unit)."""
         run = self.monthly(vantage, year, month)
-        return run, self._facade(run)
+        return run, DatasetAnalytics.of(run)

@@ -17,6 +17,7 @@ the chaos layer (:mod:`repro.faults`) models:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
@@ -93,11 +94,10 @@ def _loss_point(
 
 def _capture_shares(env) -> Dict[str, float]:
     """Fraction of captured queries per vantage server id."""
-    view = env.capture.view()
-    return {
-        server_id: count / len(view)
-        for server_id, count in view.count_by(view.server_id).items()
-    }
+    counts: Counter = Counter()
+    for chunk in env.capture.iter_views():
+        counts.update(chunk.server_id.tolist())
+    return {server_id: count / len(env.capture) for server_id, count in counts.items()}
 
 
 def _flaky_run(client_queries: int, seed: int, chaos: bool, metrics: MetricsRegistry):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..analysis import summarize
 from ..workload import datasets_for_vantage
 from .context import ExperimentContext
 from .report import Report
@@ -25,7 +24,7 @@ def run(ctx: ExperimentContext) -> Report:
     report = Report("ext-rssac", "RSSAC002-style report for simulated B-Root")
     series: Dict[str, list] = {"year": [], "nxdomain": [], "v6": [], "sources": []}
     for descriptor in datasets_for_vantage("root"):
-        summary = summarize(ctx.run(descriptor.dataset_id).capture.view())
+        summary = ctx.analytics(descriptor.dataset_id).rssac()
         year = descriptor.year
         series["year"].append(year)
         series["nxdomain"].append(summary.nxdomain_share)

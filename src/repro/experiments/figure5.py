@@ -7,7 +7,7 @@ Figure 8 repeats both for Server B (appendix).
 
 from __future__ import annotations
 
-from ..analysis import facebook_site_stats, rtt_preference_correlation
+from ..analysis import rtt_preference_correlation
 from .context import ExperimentContext
 from .report import Report
 
@@ -25,10 +25,8 @@ def run_server(ctx: ExperimentContext, server_id: str) -> Report:
     report = Report(
         figure, f"Facebook sites vs .nl {server_id} (w2020, {figure})"
     )
-    run = ctx.run("nl-w2020")
-    view, attribution = run.capture.view(), ctx.attribution("nl-w2020")
-    stats, dual = facebook_site_stats(
-        view, attribution, run.ptr_table, server_id
+    stats, dual = ctx.analytics("nl-w2020").facebook_sites(
+        ctx.run("nl-w2020").ptr_table, server_id
     )
     report.add("sites identified", PAPER_FACTS["sites_total"], len(stats))
     if stats:

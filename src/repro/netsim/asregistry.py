@@ -9,7 +9,7 @@ background population) and that the analysis side queries for attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from .addresses import IPAddress, Prefix
 from .prefixtrie import PrefixTrie
@@ -63,9 +63,6 @@ class ASRegistry:
     def origin(self, address: IPAddress) -> Optional[int]:
         """The ASN originating the covering prefix, or None if unrouted."""
         return self._trie.lookup_value(address)
-
-    def origin_prefix(self, address: IPAddress) -> Optional[Tuple[Prefix, int]]:
-        return self._trie.lookup(address)
 
     def info(self, asn: int) -> ASInfo:
         return self._ases[asn]

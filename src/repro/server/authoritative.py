@@ -229,10 +229,6 @@ class AuthoritativeServer:
         self._rrl_config = rrl
         self._limiter = RateLimiter(rrl) if rrl is not None else None
 
-    @property
-    def is_anycast(self) -> bool:
-        return len(self.sites) > 1
-
     # -- telemetry -------------------------------------------------------------
 
     def publish_metrics(self, metrics) -> None:

@@ -275,12 +275,6 @@ class Zone:
         non-terminal, i.e. an ancestor of an existing name)."""
         return name in self._names or name in self._empty_non_terminals
 
-    def record_count(self) -> int:
-        return sum(len(r.rdatas) for r in self._rrsets.values())
-
-    def name_count(self) -> int:
-        return len(self._names)
-
     # -- zone-cut search -------------------------------------------------------
 
     def covering_delegation(self, qname: Name) -> Optional[Name]:

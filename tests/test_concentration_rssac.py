@@ -7,11 +7,11 @@ from repro.analysis import (
     AttributionResult,
     Attributor,
     DatasetAnalytics,
+    RSSACAggregator,
+    RSSACSummary,
     concentration,
-    daily_traffic,
     per_as_counts,
     provider_group_concentration,
-    summarize,
 )
 from repro.capture import CaptureStore, QueryRecord, Transport
 from repro.clouds import PROVIDERS
@@ -86,7 +86,7 @@ class TestConcentration:
         assert report.cr20 >= report.cr5 >= 0
 
 
-def rec(day, transport=Transport.UDP, family=4, rcode=RCode.NOERROR, src_index=0, size=100):
+def rec(day, transport=Transport.UDP, family=4, rcode=RCode.NOERROR, src_index=0):
     value = 0xC0000200 + src_index if family == 4 else (0x20010DB8 << 96) + src_index
     return QueryRecord(
         timestamp=day * 86400.0 + 3600.0,
@@ -96,7 +96,6 @@ def rec(day, transport=Transport.UDP, family=4, rcode=RCode.NOERROR, src_index=0
         qname="x.nl.",
         qtype=1,
         rcode=int(rcode),
-        response_size=size,
         tcp_rtt_ms=5.0 if transport is Transport.TCP else None,
     )
 
@@ -115,52 +114,49 @@ def test_folded_concentration_is_the_whole_view_arithmetic(case):
     )
 
 
+def rssac_of(*records):
+    """An RSSAC aggregator fed one hand-built store of ``records``."""
+    store = CaptureStore()
+    store.extend(records)
+    aggregator = RSSACAggregator()
+    aggregator.feed(store.view(), None)
+    return aggregator
+
+
 class TestRSSAC:
     def test_daily_split(self):
-        store = CaptureStore()
-        store.extend([rec(0), rec(0), rec(1)])
-        days = daily_traffic(store.view())
-        assert len(days) == 2
-        assert days[0].queries == 2
-        assert days[1].queries == 1
-        assert days[0].day == "1970-01-01"
+        aggregator = rssac_of(rec(0), rec(0), rec(1))
+        assert [row[0] for row in aggregator.state()["counts"].values()] == [2, 1]
+        summary = aggregator.finalize()
+        assert summary.days == 2
+        assert summary.peak_daily_queries == 2
+        assert summary.mean_daily_queries == pytest.approx(1.5)
 
     def test_transport_and_family_counts(self):
-        store = CaptureStore()
-        store.extend([
+        summary = rssac_of(
             rec(0), rec(0, transport=Transport.TCP),
             rec(0, family=6), rec(0, family=6),
-        ])
-        day = daily_traffic(store.view())[0]
-        assert day.udp_queries == 3
-        assert day.tcp_queries == 1
-        assert day.v4_queries == 2
-        assert day.v6_queries == 2
+        ).finalize()
+        assert summary.udp_share == pytest.approx(0.75)
+        assert summary.v6_share == pytest.approx(0.5)
 
     def test_rcode_counts_and_nxdomain_ratio(self):
-        store = CaptureStore()
-        store.extend([rec(0), rec(0, rcode=RCode.NXDOMAIN)])
-        day = daily_traffic(store.view())[0]
-        assert day.rcode_counts == {0: 1, 3: 1}
-        assert day.nxdomain_ratio == pytest.approx(0.5)
+        summary = rssac_of(rec(0), rec(0, rcode=RCode.NXDOMAIN)).finalize()
+        assert summary.nxdomain_share == pytest.approx(0.5)
 
     def test_unique_sources(self):
-        store = CaptureStore()
-        store.extend([rec(0, src_index=1), rec(0, src_index=1), rec(0, src_index=2)])
-        assert daily_traffic(store.view())[0].unique_sources == 2
-
-    def test_response_bytes(self):
-        store = CaptureStore()
-        store.extend([rec(0, size=100), rec(0, size=150)])
-        assert daily_traffic(store.view())[0].response_size_bytes == 250
+        aggregator = rssac_of(
+            rec(0, src_index=1), rec(0, src_index=1), rec(0, src_index=2),
+            rec(1, src_index=1),
+        )
+        assert [len(s) for s in aggregator.state()["sources"].values()] == [2, 1]
+        assert aggregator.finalize().unique_sources_peak == 2
 
     def test_summary(self):
-        store = CaptureStore()
-        store.extend(
-            [rec(d, src_index=i) for d in range(3) for i in range(d + 1)]
-            + [rec(1, rcode=RCode.NXDOMAIN)]
-        )
-        summary = summarize(store.view())
+        summary = rssac_of(
+            *[rec(d, src_index=i) for d in range(3) for i in range(d + 1)],
+            rec(1, rcode=RCode.NXDOMAIN),
+        ).finalize()
         assert summary.days == 3
         assert summary.total_queries == 7
         assert summary.peak_daily_queries == 3
@@ -168,4 +164,4 @@ class TestRSSAC:
         assert summary.udp_share == 1.0
 
     def test_empty_summary(self):
-        assert summarize(CaptureStore().view()).days == 0
+        assert rssac_of().finalize() == RSSACSummary(0, 0, 0.0, 0, 0.0, 0.0, 0.0, 0)

@@ -1,5 +1,6 @@
 """Unit tests for binary capture persistence and changepoint detectors."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import cusum_detector, jump_detector
@@ -45,8 +46,9 @@ class TestBinaryIO:
         write_chunk(path, store.view())
         view = read_chunk(path)
         # Masks and aggregations behave identically on the reloaded view.
-        assert view.unique_address_count() == store.view().unique_address_count()
-        assert view.count_by(view.rcode) == store.view().count_by(store.view().rcode)
+        original = store.view()
+        assert (np.unique(view.address_keys()) == np.unique(original.address_keys())).all()
+        assert (view.rcode[view.qtype == 1] == original.rcode[original.qtype == 1]).all()
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.chunk"

@@ -7,8 +7,8 @@ parent may then fold shard states in any grouping and still match a serial
 single-pass fold.  These properties are checked against the canonical
 ``exact_state()`` snapshot for every entry in ``AGGREGATOR_FACTORIES``, so
 a new aggregator gets algebra coverage just by registering itself — and
-for the per-AS concentration counts every ``AggregateSet`` folds beside
-that registry.
+for the per-AS concentration counts, the Facebook site rows and the
+RSSAC days every ``AggregateSet`` folds beside that registry.
 
 For fully-exact aggregators ``exact_state()`` *is* ``state()``.  The
 composition aggregator additionally carries an approximate space-saving
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AggregateSet, ConcentrationAggregator
+from repro.analysis import FacebookSiteAggregator, RSSACAggregator
 from repro.analysis.attribution import OTHER, UNKNOWN, AttributionResult
 from repro.analysis.streaming import AGGREGATOR_FACTORIES
 from repro.capture import CaptureStore, QueryRecord, Transport
@@ -114,10 +115,12 @@ def partition(view, cuts):
 
 
 #: Everything an ``AggregateSet`` folds: the registry and, beside it, the
-#: concentration counts.
+#: concentration counts, the Facebook site rows and the RSSAC days.
 FACTORIES = {
     **AGGREGATOR_FACTORIES,
     ConcentrationAggregator.name: lambda providers, prefixes: ConcentrationAggregator(),
+    FacebookSiteAggregator.name: lambda providers, prefixes: FacebookSiteAggregator(),
+    RSSACAggregator.name: lambda providers, prefixes: RSSACAggregator(),
 }
 
 
@@ -242,7 +245,8 @@ class TestAggregateSetAlgebra:
         for name in AGGREGATOR_FACTORIES:
             assert merged[name].exact_state() == whole[name].exact_state(), name
             assert_approx_part_sound(merged[name], view)
-        assert merged.concentration.exact_state() == whole.concentration.exact_state()
+        for mine, theirs in zip(merged._beside(), whole._beside()):
+            assert mine.exact_state() == theirs.exact_state(), mine.name
 
     def test_merge_all_of_nothing_is_empty(self):
         merged = AggregateSet.merge_all([])

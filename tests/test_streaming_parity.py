@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis import DatasetAnalytics
 from repro.sim import run_dataset
-from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 
 DATASET = "nl-w2020"
@@ -51,19 +50,9 @@ class TestOneFacadeConstructor:
 
     def test_of_books_what_it_did(self, mem_run, stream_run):
         for run in (mem_run, stream_run):
-            metrics = MetricsRegistry()
-            analytics = DatasetAnalytics.of(run, metrics)
+            analytics = DatasetAnalytics.of(run)
             assert analytics.aggregates is run.aggregates
-            analytics.provider_shares()
-            assert metrics.snapshot().counters == {}
-            # The view-level analyses get one attribution pass over the
-            # materialised capture, made on first request.
-            assert len(analytics.attribution().asns) == len(run.capture)
-            assert analytics.attribution() is analytics.attribution()
-            assert metrics.snapshot().counters == {
-                "analysis.attribution_passes": 1,
-                "analysis.rows_attributed": len(run.capture),
-            }
+            assert analytics.rssac().total_queries == len(run.capture)
 
 
 def test_a_resident_run_answers_without_its_view(monkeypatch):
@@ -80,6 +69,21 @@ def test_a_resident_run_answers_without_its_view(monkeypatch):
     assert fresh.capture.spool.chunk_paths() == []
     facade_answers(DatasetAnalytics.of(fresh))
     assert calls == []
+
+
+def test_the_last_view_level_reports_answer_without_a_view(monkeypatch):
+    """Figures 5/8 and the RSSAC report render with the view made to raise."""
+    from repro.capture import SpooledCapture
+    from repro.experiments import ExperimentContext, extension_rssac, figure5
+
+    def no_view(self):
+        raise AssertionError("the whole capture view was materialised")
+
+    monkeypatch.setattr(SpooledCapture, "view", no_view)
+    ctx = ExperimentContext(scale=0.004, seed=SEED, workers=1)
+    assert figure5.run_server(ctx, "nl-a").rows
+    assert figure5.run_server(ctx, "nl-b").rows
+    assert extension_rssac.run(ctx).rows
 
 
 def test_an_in_memory_run_touches_no_filesystem(tmp_path, monkeypatch):

@@ -350,8 +350,6 @@ class TestExperimentContextTelemetry:
         snap = ctx.telemetry.snapshot()
         assert snap.total("sim.client_queries") > 0
         # figure4 "nz" covers the three .nz yearly datasets, each cached
-        # after the first instrumented run.  It reads folded state only, so
-        # no parent-side attribution pass runs (shards attribute chunk by
-        # chunk), and every captured row was folded once.
-        assert snap.counter("analysis.attribution_passes") == 0
+        # after the first instrumented run; every captured row was folded
+        # once, chunk by chunk, in the shards.
         assert snap.counter("runtime.rows_folded") == snap.total("capture.rows_appended") > 0
