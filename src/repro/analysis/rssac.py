@@ -50,9 +50,9 @@ class RSSACAggregator(StreamingAggregator):
     """Per UTC day (integer days since the epoch): the query, UDP, IPv6
     and NXDOMAIN counts and the distinct source addresses, merged by
     addition and union.  A day's sources are address-key arrays (17 bytes
-    a row), cut down to the distinct keys when they pile up, when read and
-    when pickled: a pool worker ships back little, and a fold neither
-    inserts each row into a set nor re-sorts the day's keys every chunk.
+    a row), cut down to the distinct keys when they pile up, at the end
+    of a fold, when read and when pickled: a run keeps little, and a fold
+    neither inserts each row into a set nor re-sorts every chunk.
     """
 
     name = "rssac"
@@ -93,21 +93,21 @@ class RSSACAggregator(StreamingAggregator):
         if sum(map(len, mine)) > 2 * len(mine[0]) + PENDING_KEYS:
             mine[:] = [_distinct(mine)]
 
-    def _distinct_sources(self) -> Dict[int, np.ndarray]:
+    def distinct_sources(self) -> Dict[int, np.ndarray]:
         """Each day's distinct source keys, kept as the day's one array."""
         for parts in self.sources.values():
             parts[:] = [_distinct(parts)]
         return {day: parts[0] for day, parts in sorted(self.sources.items())}
 
     def __getstate__(self):
-        self._distinct_sources()
+        self.distinct_sources()
         return self.__dict__
 
     def state(self):
         return {
             "counts": {day: tuple(self.counts[day]) for day in sorted(self.counts)},
             "sources": {
-                day: keys.tolist() for day, keys in self._distinct_sources().items()
+                day: keys.tolist() for day, keys in self.distinct_sources().items()
             },
         }
 
@@ -125,5 +125,5 @@ class RSSACAggregator(StreamingAggregator):
             udp_share=udp / total,
             v6_share=v6 / total,
             nxdomain_share=nxdomain / total,
-            unique_sources_peak=max(map(len, self._distinct_sources().values())),
+            unique_sources_peak=max(map(len, self.distinct_sources().values())),
         )

@@ -1,7 +1,7 @@
 """Recursive-resolver simulation: cache, behaviour profiles, and engine."""
 
 from .cache import CacheStats, ResolverCache
-from .engine import ResolverBehavior, ResolverStats, SimResolver
+from .engine import ResolverBehavior, ResolverStats, SimResolver, seed_fleet
 from .network import (
     AuthorityNetwork,
     CyclicPair,
@@ -19,4 +19,5 @@ __all__ = [
     "ResolverStats",
     "SimResolver",
     "SyntheticLeafAuthority",
+    "seed_fleet",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from ..dnscore import (
 from ..netsim import Clock, IPAddress, Site
 from ..server import AuthoritativeServer, ResponsePlan, ServerSet
 from ..telemetry import tracing
+from ..zones import seed_words, word_stream
 from .cache import ResolverCache
 from .network import AuthorityNetwork
 
@@ -221,6 +222,8 @@ class SimResolver:
             ),
         )
         self._seed = seed
+        #: ``seed``'s row of its fleet's ``seed_words`` table (:func:`seed_fleet`).
+        self._words: Optional[Tuple[np.ndarray, int]] = None
         # Zone name's key (``Name.key``) → when its delegation / DS /
         # DNSKEY must be fetched again: tuples of bytes hash and compare in C.
         self._delegation_expiry: Dict[Tuple[bytes, ...], float] = {}
@@ -229,11 +232,10 @@ class SimResolver:
 
     @cached_property
     def _rng(self) -> np.random.Generator:
-        """The resolver's private stream, seeded on first draw: seeding
-        costs as much as the rest of the constructor, and a large part of
-        a fleet is never asked anything in a scaled-down run.  It is what
-        ``default_rng`` builds, without its argument dispatch."""
-        return np.random.Generator(np.random.PCG64(self._seed))
+        """``default_rng(seed)``'s stream, built from the seed's words on first
+        draw: much of a scaled-down run's fleet is never asked anything."""
+        table, row = self._words or (seed_words([self._seed]), 0)
+        return word_stream(table[row])
 
     def reset_session(self) -> None:
         """Restore the freshly-constructed state for fleet reuse.
@@ -694,3 +696,10 @@ class SimResolver:
         for record in response.authorities:
             if record.rrtype is RRType.NSEC:
                 self.cache.add_nsec(zone, record.name, record.rdata.next_name)
+
+
+def seed_fleet(resolvers: Sequence[SimResolver]) -> None:
+    """Hash the fleet's seeds in one :func:`~repro.zones.seed_words` table."""
+    table = seed_words([resolver._seed for resolver in resolvers])
+    for row, resolver in enumerate(resolvers):
+        resolver._words = (table, row)

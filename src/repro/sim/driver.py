@@ -36,7 +36,6 @@ describing how the shards actually executed.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import operator
 import os
@@ -67,15 +66,10 @@ from ..runtime import (
 from ..server import AuthoritativeServer, ServerSet
 from ..telemetry import MetricsRegistry, QueryTracer, TelemetrySnapshot, TraceBuffer
 from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator
-from ..zones import DEFAULT_TLDS, Zone, domains_of
+from ..zones import DEFAULT_TLDS, Zone, domains_of, word_stream
 from . import worlds
 
 logger = logging.getLogger("repro.sim")
-
-#: Queries materialised per workload/resolve phase alternation.  Bounds
-#: both the memory held in flight and the timer overhead (two clock reads
-#: per chunk, not per query).
-_CHUNK = 8192
 
 @dataclass
 class DatasetRun:
@@ -451,6 +445,8 @@ def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTa
             aggregates.feed(view, attributor.attribute(view))
             chunks.append(view if task.spool_dir is None else spool.write_view(view))
             row_counts.append(len(view))
+        # Cut the RSSAC source keys a fold leaves pending down once, here.
+        aggregates.rssac.distinct_sources()
     metrics.counter("runtime.rows_folded").inc(aggregates.rows_fed)
     aggregates.publish_metrics(metrics)
     if task.spool_dir is not None:
@@ -504,10 +500,12 @@ def run_member_range(
     Per-member query counts derive from the *full* fleet's weights
     (:func:`member_query_counts`) and per-member streams are seeded by
     global fleet index, so any partition of the fleet into ranges produces
-    exactly the union of the serial run's per-member traffic.
+    exactly the union of the serial run's per-member traffic.  The range's
+    seeds are hashed in one pass, and each member's stream is drawn as
+    columns (:meth:`~repro.workload.WorkloadGenerator.columns`).
 
     ``clock`` optionally names a :class:`~repro.netsim.SimClock` to keep in
-    step with the replay: after each chunk it is advanced to the latest
+    step with the replay: after each member it is advanced to the latest
     timestamp handed out so far (never backwards — member streams overlap
     in sim time).  Queries always carry their own explicit timestamps, so
     the clock is an observer here, not a time source; injecting one changes
@@ -536,31 +534,19 @@ def run_member_range(
     counts = member_query_counts(
         [member.weight for member in env.fleet], total_queries
     )
+    seeds = generator.member_seeds(start, stop)
 
     run_count = 0
     clock_s = time.perf_counter
     loop_started = clock_s()
     last_progress = loop_started
     # Both phases are timed by summing clock deltas and booked once per
-    # shard: a timer span per chunk cost more than most members' streams.
+    # shard: a timer span per member cost more than most members' streams.
     workload_s = resolve_s = 0.0
     # Counter handles resolved once per provider, not once per member —
     # label-dict construction and registry lookup are off the member loop.
     provider_counters: Dict[str, object] = {}
     sampled = tracer.sampled if tracer is not None else None
-
-    def maybe_progress(provider: str, index: int, now: float) -> None:
-        nonlocal last_progress
-        if now - last_progress >= progress_interval_s:
-            rate = run_count / max(now - loop_started, 1e-9)
-            logger.info(
-                "progress: %d/%d client queries (%.0f q/s, %d captured rows,"
-                " at %s fleet member %d/%d)",
-                run_count, total_queries, rate, env.capture.rows_appended,
-                provider, index + 1, len(env.fleet),
-            )
-            last_progress = now
-
     for index in range(start, stop):
         member = env.fleet[index]
         count = int(counts[index])
@@ -571,57 +557,41 @@ def run_member_range(
             provider_counter = provider_counters[member.provider] = metrics.counter(
                 "sim.client_queries", provider=member.provider
             )
-        storm_fraction = 0.0
-        if env.storm_domains and member.provider == "Google":
-            storm_fraction = 0.25
+        storm_fraction = 0.25 if env.storm_domains and member.provider == "Google" else 0.0
         resolve = member.resolver.resolve
         network = env.network
-        stream = generator.generate(
-            resolver_index=index,
-            count=count,
-            pattern=pattern,
-            junk_fraction=member.junk_fraction,
-            storm_domains=env.storm_domains,
-            storm_fraction=storm_fraction,
-        )
-        member_seq = 0
-        resolver_label = f"{member.pool}/{index}"
         started = clock_s()
-        while True:
-            # Workload generation and the resolve loop alternate in bounded
-            # chunks so both phases are timed separately without holding a
-            # whole member's query list in memory.
-            chunk = list(itertools.islice(stream, _CHUNK))
-            generated = clock_s()
-            workload_s += generated - started
-            if not chunk:
-                break
-            # One loop for traced and untraced runs: the untraced fast
-            # path pays only the (hoisted) ``sampled is None`` check and
-            # the sequence increment per query.
-            for query in chunk:
-                if sampled is not None and sampled(index, member_seq):
-                    trace = tracer.begin(
-                        index, member_seq, resolver_label,
-                        member.provider, query.timestamp,
-                        query.qname.to_text(), int(query.qtype),
-                    )
-                    rcode = resolve(
-                        network, query.timestamp, query.qname, query.qtype
-                    )
-                    tracer.finish(trace, int(rcode))
-                else:
-                    resolve(network, query.timestamp, query.qname, query.qtype)
-                member_seq += 1
-            started = clock_s()
-            resolve_s += started - generated
-            run_count += len(chunk)
-            if clock is not None:
-                last_ts = chunk[-1].timestamp
-                if last_ts > clock.now:
-                    clock.advance_to(last_ts)
-            provider_counter.inc(len(chunk))
-            maybe_progress(member.provider, index, started)
+        stamps, qnames, qtypes = generator.columns(
+            word_stream(seeds[index - start]), count, pattern,
+            member.junk_fraction, env.storm_domains, storm_fraction,
+        )
+        generated = clock_s()
+        workload_s += generated - started
+        # One loop for traced and untraced runs: the untraced fast path
+        # pays only the (hoisted) ``sampled is None`` check per query.
+        for member_seq, timestamp, qname, qtype in zip(range(count), stamps, qnames, qtypes):
+            if sampled is not None and sampled(index, member_seq):
+                trace = tracer.begin(
+                    index, member_seq, f"{member.pool}/{index}", member.provider,
+                    timestamp, qname.to_text(), int(qtype),
+                )
+                tracer.finish(trace, int(resolve(network, timestamp, qname, qtype)))
+            else:
+                resolve(network, timestamp, qname, qtype)
+        done = clock_s()
+        resolve_s += done - generated
+        run_count += count
+        if clock is not None and stamps[-1] > clock.now:
+            clock.advance_to(stamps[-1])
+        provider_counter.inc(count)
+        if done - last_progress >= progress_interval_s:
+            logger.info(
+                "progress: %d/%d client queries (%.0f q/s, %d captured rows,"
+                " at %s fleet member %d/%d)",
+                run_count, total_queries, run_count / max(done - loop_started, 1e-9),
+                env.capture.rows_appended, member.provider, index + 1, len(env.fleet),
+            )
+            last_progress = done
     if run_count:
         metrics.observe_phase("workload", workload_s)
         metrics.observe_phase("resolve", resolve_s)
@@ -835,7 +805,7 @@ def run_dataset(
     keeps in step with sim time (defaults to a fresh clock pinned to the
     capture window's start).  Queries carry explicit timestamps, so the
     clock observes the replay rather than driving it: in-process it tracks
-    each chunk's latest timestamp; either way it ends at the window's close.
+    each member's latest timestamp; either way it ends at the window's close.
 
     ``vector`` and ``stream`` are stubs (:data:`_REMOVED_KEYWORDS`): only
     ``None``/``False`` are accepted.

@@ -37,7 +37,7 @@ from typing import Hashable, Iterable, List, Optional, Tuple
 
 from ..clouds import FleetResolver, PTRTable, build_all_fleets, build_facebook_ptr_table
 from ..netsim import ASRegistry
-from ..resolver import ResolverBehavior
+from ..resolver import ResolverBehavior, seed_fleet
 from ..runtime import EnvironmentCache
 from ..telemetry import MetricsRegistry
 from ..workload import DatasetDescriptor
@@ -143,6 +143,7 @@ def borrow_fleet(
     count_lookup(metrics, "fleet", part is not None)
     if part is None:
         members, registry = build_all_fleets(descriptor.vantage, descriptor.year, seed)
+        seed_fleet([member.resolver for member in members])
         part = FleetPart(
             key=key,
             members=members,

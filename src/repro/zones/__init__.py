@@ -9,7 +9,7 @@ from .builders import (
     domains_of,
     synthetic_labels,
 )
-from .popularity import ZipfSampler
+from .popularity import ZipfSampler, seed_words, word_stream
 from .zone import LookupOutcome, LookupResult, RRset, Zone
 
 __all__ = [
@@ -24,5 +24,7 @@ __all__ = [
     "build_registry_zone",
     "build_root_zone",
     "domains_of",
+    "seed_words",
     "synthetic_labels",
+    "word_stream",
 ]

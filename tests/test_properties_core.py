@@ -194,6 +194,6 @@ class TestZipfProperties:
     @given(st.integers(2, 100), st.integers(0, 2**31 - 1))
     def test_samples_within_range(self, n, seed):
         sampler = ZipfSampler(n)
-        draws = sampler.sample_many(np.random.default_rng(seed), 200)
+        draws = sampler.ranks(np.random.default_rng(seed).random(200))
         assert draws.min() >= 0
         assert draws.max() < n

@@ -77,7 +77,7 @@ class TestDiurnalPattern:
     def test_timestamps_sorted_and_in_window(self):
         pattern = DiurnalPattern(1000.0, 7 * 86400.0)
         rng = np.random.default_rng(1)
-        stamps = pattern.sample(rng, 500)
+        stamps = pattern.stamps(rng.integers(0, pattern.n_days, size=500), *rng.random((2, 500)))
         assert (np.diff(stamps) >= 0).all()
         assert stamps.min() >= 1000.0
         assert stamps.max() <= 1000.0 + 7 * 86400.0
@@ -85,7 +85,7 @@ class TestDiurnalPattern:
     def test_peak_hours_busier(self):
         pattern = DiurnalPattern(0.0, 86400.0, peak_ratio=3.0)
         rng = np.random.default_rng(2)
-        stamps = pattern.sample(rng, 20_000)
+        stamps = pattern.stamps(np.zeros(20_000, dtype=np.int64), *rng.random((2, 20_000)))
         hours = (stamps % 86400.0 // 3600).astype(int)
         counts = np.bincount(hours, minlength=24)
         assert counts.max() > 1.5 * counts.min()
@@ -158,11 +158,13 @@ class TestWorkloadGenerator:
         ]
 
     def test_legit_name_draws_what_rng_choice_draws(self, nl_domains):
-        """A legitimate name reads two doubles, one searched in the Zipf
-        CDF and one in the subname CDF.  ``np.searchsorted`` and
+        """A run of legitimate names reads two doubles a name, one searched
+        in the Zipf CDF and one in the subname CDF, after the stream's day
+        and five per-query doubles.  ``np.searchsorted`` and
         ``rng.choice(n, p=p)`` read the same doubles and return the same
         indices, so the stream and the generator's state are theirs."""
         generator = WorkloadGenerator("nl", nl_domains, seed=1)
+        pattern = DiurnalPattern(0.0, 7 * 86400.0)
         subnames = [s for s, __ in SUBNAME_CHOICES]
         p = np.array([p for __, p in SUBNAME_CHOICES])
         p /= p.sum()
@@ -170,20 +172,23 @@ class TestWorkloadGenerator:
         seen = set()
         for seed in range(200):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(25):
+            __, got, __ = generator.columns(ours, 25, pattern, junk_fraction=0.0)
+            theirs.integers(0, 7, size=25)
+            theirs.random(5 * 25)
+            for name in got:
                 rank = int(np.searchsorted(zipf_cdf, theirs.random(), side="right"))
                 sub = subnames[int(theirs.choice(len(subnames), p=p))]
                 domain = nl_domains[rank]
                 expected = domain.prepend(sub.encode()) if sub else domain
-                assert generator._cctld_legit_name(ours).labels == expected.labels
+                assert name.labels == expected.labels
                 seen.add(sub)
             assert ours.bit_generator.state == theirs.bit_generator.state
         assert seen == set(subnames)
 
     def test_hours_draw_what_rng_choice_draws(self):
-        """``DiurnalPattern.sample`` searches a CDF built once; the
-        reference is ``rng.choice(24, p=p)``: the same stamps, and the
-        generator's state after them."""
+        """``DiurnalPattern.stamps`` searches a CDF built once; the
+        reference is ``rng.choice(24, p=p)``: the same stamps from the
+        draws a stream starts with, and the generator's state after them."""
         pattern = DiurnalPattern(1000.0, 7 * 86400.0)
         hours = np.arange(24)
         weights = 1.0 + 0.5 * (1.0 + np.sin((hours - 9.0) / 24.0 * 2.0 * np.pi))
@@ -191,7 +196,9 @@ class TestWorkloadGenerator:
         for seed in range(200):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             count = 1 + seed % 37
-            got = pattern.sample(ours, count)
+            days = ours.integers(0, pattern.n_days, size=count)
+            draws = ours.random(2 * count)
+            got = pattern.stamps(days, draws[:count], draws[count:])
             days = theirs.integers(0, 7, size=count)
             drawn = theirs.choice(24, size=count, p=p)
             expected = 1000.0 + days * 86400.0 + drawn * 3600.0 + theirs.random(count) * 3600.0
@@ -200,7 +207,7 @@ class TestWorkloadGenerator:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_qtypes_draw_what_rng_choice_draws(self, nl_domains):
-        """``generate``'s qtype column against the draws it replaced —
+        """The qtype column against the draws it replaced —
         ``rng.choice(n, p=p)`` over the mix — and the member stream's state
         after its last name against a replay of every draw."""
         generator = WorkloadGenerator("nl", nl_domains, seed=3)
@@ -208,21 +215,18 @@ class TestWorkloadGenerator:
         qtypes = [t for t, __ in CLIENT_QTYPE_MIX]
         p = np.array([p for __, p in CLIENT_QTYPE_MIX])
         p /= p.sum()
-        legit_name = generator._cctld_legit_name
-        streams = []
-        generator._cctld_legit_name = lambda rng: streams.append(rng) or legit_name(rng)
         for index in range(200):
             count = 1 + index % 23
-            got = [q.qtype for q in generator.generate(index, count, pattern, 0.0)]
+            ours = np.random.default_rng(3 * 1_000_003 + index)
+            __, __, got = generator.columns(ours, count, pattern, 0.0)
             theirs = np.random.default_rng(3 * 1_000_003 + index)
-            pattern.sample(theirs, count)
-            theirs.random(count)
-            theirs.random(count)
+            theirs.integers(0, 7, size=count)
+            for __ in range(4):
+                theirs.random(count)
             drawn = theirs.choice(len(qtypes), size=count, p=p)
             assert got == [qtypes[i] for i in drawn]
-            for _ in range(count):
-                legit_name(theirs)
-            assert streams[-1].bit_generator.state == theirs.bit_generator.state
+            theirs.random(2 * count)  # the legitimate names
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_pcg64_is_what_default_rng_builds(self):
         for seed in [*range(200), 20201027 * 1_000_003 + 2241]:
