@@ -18,9 +18,11 @@ Two properties make this safe:
 * **No aliasing** — mutable entries are *popped* on acquire: a parked
   fleet is owned by exactly one simulation at a time.
 
-Capacity is bounded per cache (``REPRO_ENV_CACHE``, default 12 entries,
-``0`` parks nothing: every dataset builds its whole world from scratch — the
-reference path); eviction is FIFO by deposit order.
+Capacity is bounded per cache (default 12 entries: the full matrix's nine
+``(vantage, year)`` fleets, and three more so that a run beside it evicts
+none); eviction is FIFO by deposit order.  A cache of capacity ``0`` parks
+nothing: swapped in for both stores, every dataset builds its whole world
+from scratch — the reference path.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable, Optional
-
-from ..config import env_cache_capacity
 
 
 class EnvironmentCache:
@@ -40,17 +40,13 @@ class EnvironmentCache:
     holds — callers rewind and deposit (see :mod:`repro.sim.worlds`).
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self, capacity: int = 12):
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._capacity = capacity
+        self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    @property
-    def capacity(self) -> int:
-        return env_cache_capacity() if self._capacity is None else self._capacity
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -12,11 +12,12 @@ The executor turns a list of :class:`ShardTask` descriptions into
   resolves only its member range, so no simulation state ever crosses a
   process boundary — only the plan goes in and columnar chunks come out.
 
-Robustness semantics (ISSUE 2): a shard that crashes or exceeds the
-per-shard timeout is retried once on the pool, then re-run serially in the
-parent process.  Shards that still fail are surfaced in the
-:class:`RuntimeReport` (and the ``runtime.shard_failures`` counter) instead
-of crashing the session; the merged run simply lacks their rows.
+Robustness semantics: a shard that crashes or exceeds the per-shard
+timeout (:data:`SHARD_TIMEOUT_S`; none by default) is retried once on the
+pool (:data:`RETRY_ON_POOL`), then re-run serially in the parent process.
+Shards that still fail are surfaced in the :class:`RuntimeReport` (and the
+``runtime.shard_failures`` counter) instead of crashing the session; the
+merged run simply lacks their rows.
 
 Telemetry: ``runtime.shards_total`` / ``runtime.shard_retries`` /
 ``runtime.shard_fallbacks`` / ``runtime.shard_failures`` counters, a
@@ -60,7 +61,15 @@ def pool_context():
     return multiprocessing.get_context(method or "fork")
 
 
-#: Injected-fault modes (testing hooks; see :attr:`RunConfig.inject_faults`).
+#: Seconds the parent waits for a pool shard before it counts as failed
+#: (``None`` = no limit).
+SHARD_TIMEOUT_S: Optional[float] = None
+
+#: Whether failed shards get one more attempt on the pool before the
+#: serial fallback (skipped anyway when the pool itself died).
+RETRY_ON_POOL = True
+
+#: Injected-fault modes (testing hooks; see :attr:`ShardTask.fault`).
 FAULT_CRASH = "crash"
 FAULT_HANG = "hang"
 #: Hard worker death (``os._exit``): breaks the whole pool, exercising the
@@ -87,6 +96,8 @@ class ShardTask:
     shard_index: int
     start: int = 0
     stop: Optional[int] = None
+    #: Injected-fault mode for pool attempts (a hook for tests and
+    #: drills); the serial fallback strips it.
     fault: Optional[str] = None
     #: The run's configuration: a traced shard samples by hash per fleet
     #: member, so the same queries are traced no matter how members are
@@ -260,11 +271,9 @@ class ShardExecutor:
         )
         self._submitted_at = time.perf_counter()
         for task in tasks:
-            fault = self.config.inject_faults.get(task.shard_index)
-            payload = replace(task, fault=fault) if fault else task
             self._tasks[task.shard_index] = task
             self._futures[task.shard_index] = self._pool.submit(
-                execute_shard_task, payload
+                execute_shard_task, task
             )
 
     # -- collection -----------------------------------------------------------
@@ -273,12 +282,12 @@ class ShardExecutor:
         """(result, error, pool_broken) for one outstanding future."""
         future = self._futures[index]
         try:
-            return future.result(timeout=self.config.shard_timeout_s), None, False
+            return future.result(timeout=SHARD_TIMEOUT_S), None, False
         except BrokenProcessPool as exc:
             return None, f"worker pool broken: {exc}", True
         except FutureTimeoutError:
             future.cancel()
-            return None, f"shard timed out after {self.config.shard_timeout_s}s", False
+            return None, f"shard timed out after {SHARD_TIMEOUT_S}s", False
         except Exception as exc:  # noqa: BLE001 — any worker failure is recoverable
             return None, f"{type(exc).__name__}: {exc}", False
 
@@ -306,16 +315,12 @@ class ShardExecutor:
                 logger.warning("shard %d failed on pool: %s", index, error)
 
         # One retry round on the pool (skipped when the pool itself died).
-        if errors and not pool_broken and self.config.retries > 0:
-            retry_indices = sorted(errors)
+        if errors and not pool_broken and RETRY_ON_POOL:
             retry_futures = {}
-            for index in retry_indices:
-                fault = self.config.inject_faults.get(index)
-                task = self._tasks[index]
-                payload = replace(task, fault=fault) if fault else task
+            for index in sorted(errors):
                 try:
                     retry_futures[index] = self._pool.submit(
-                        execute_shard_task, payload
+                        execute_shard_task, self._tasks[index]
                     )
                 except BrokenProcessPool:
                     pool_broken = True

@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..capture import CaptureStore, Transport, split_address
-from ..config import plan_cache_enabled
 from ..dnscore import Message, Name, Opcode, Question, RCode, RRType
 from ..dnscore.edns import EdnsRecord, effective_udp_limit
 from ..dnscore.names import MAX_NAME_LENGTH
@@ -212,9 +211,9 @@ class AuthoritativeServer:
         self._rrl_config = rrl
         self._limiter = RateLimiter(rrl) if rrl is not None else None
         self._catchment_cache: Dict[str, Site] = {}
-        self._plans: Optional[Dict[tuple, ResponsePlan]] = (
-            {} if plan_cache_enabled() else None
-        )
+        #: The plan cache.  ``None`` makes a reference server: every
+        #: response built and encoded in full, nothing memoised.
+        self._plans: Optional[Dict[tuple, ResponsePlan]] = {}
         #: When False, the server answers nothing (models a DoS outage —
         #: the paper's motivating scenario, section 1).  Queries sent to an
         #: offline server time out at the resolver; nothing is captured.

@@ -82,6 +82,16 @@ SOURCE_MEMO_LIMIT = 16384
 QUERY_MEMO_LIMIT = 16384
 QUERY_BODY_LIMIT = 128
 
+#: Seconds :meth:`DnsService.stop` lets in-flight TCP/HTTP connections
+#: drain before it cancels them.
+DRAIN_TIMEOUT_S = 5.0
+
+#: Base delay of the watchdog's restart backoff (doubles per failure).
+WATCHDOG_BACKOFF_S = 0.5
+
+#: A restart within this many seconds keeps ``/healthz`` in ``degraded``.
+DEGRADED_WINDOW_S = 30.0
+
 
 @dataclass
 class ServiceConfig:
@@ -104,23 +114,12 @@ class ServiceConfig:
     fault_window_s: float = 3600.0
     topology: Optional[ServiceTopology] = None
     resolver_frontend: bool = False
-    drain_timeout_s: float = 5.0
     #: The self-healing layer's settings: the admission rate (default
     #: off) and the breaker cooldown.  Breakers and deadline budgets always
     #: run (``repro.service.resilience``).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    #: Slow-loris guards on the TCP DNS endpoint: maximum idle seconds
-    #: between frames, and maximum seconds to deliver a started frame
-    #: (half a length prefix counts as a started frame).  ``None`` = no
-    #: limit.
-    tcp_idle_timeout_s: Optional[float] = 30.0
-    tcp_frame_timeout_s: Optional[float] = 10.0
     #: Watchdog cadence for endpoint supervision (0 disables it).
     watchdog_interval_s: float = 1.0
-    #: Base delay for watchdog restart backoff (doubles per failure).
-    watchdog_backoff_s: float = 0.5
-    #: A restart within this window keeps ``/healthz`` in ``degraded``.
-    degraded_window_s: float = 30.0
 
 
 class DnsService:
@@ -289,7 +288,7 @@ class DnsService:
         # Drain in-flight TCP/HTTP connections, then cut the stragglers.
         if self._conn_tasks:
             _, pending = await asyncio.wait(
-                self._conn_tasks, timeout=self.config.drain_timeout_s
+                self._conn_tasks, timeout=DRAIN_TIMEOUT_S
             )
             for task in pending:
                 task.cancel()
@@ -380,9 +379,7 @@ class DnsService:
         try:
             await restart()
         except OSError as exc:
-            backoff = self._restart_backoff.get(
-                endpoint, self.config.watchdog_backoff_s
-            )
+            backoff = self._restart_backoff.get(endpoint, WATCHDOG_BACKOFF_S)
             self._restart_not_before[endpoint] = now + backoff
             self._restart_backoff[endpoint] = min(30.0, backoff * 2.0)
             self.metrics.counter(
@@ -433,7 +430,7 @@ class DnsService:
         answer 503 (not ready for traffic); ``ready`` and ``degraded``
         answer 200 (still serving).  ``degraded`` means self-healing is
         actively engaged — at least one circuit breaker is not closed, or
-        an endpoint was restarted within ``degraded_window_s`` — so
+        an endpoint was restarted within :data:`DEGRADED_WINDOW_S` — so
         operators should look even though clients are being answered.
         """
         if self._draining or self._stopped:
@@ -444,8 +441,7 @@ class DnsService:
             return "degraded", 200
         if (
             self._last_restart_at is not None
-            and self.clock.read() - self._last_restart_at
-            < self.config.degraded_window_s
+            and self.clock.read() - self._last_restart_at < DEGRADED_WINDOW_S
         ):
             return "degraded", 200
         return "ready", 200

@@ -30,6 +30,12 @@ from ..telemetry import PROMETHEUS_CONTENT_TYPE
 #: Largest TCP-framed message we accept from a client.
 TCP_MAX_QUERY = 65535
 
+#: Slow-loris guards on the TCP DNS endpoint: the most seconds a client may
+#: idle between frames, and the most it may take to deliver a started frame
+#: (half a length prefix counts as a started frame).
+TCP_IDLE_TIMEOUT_S = 30.0
+TCP_FRAME_TIMEOUT_S = 10.0
+
 #: Hard cap on a FORMERR reply (always fits any UDP path).
 _FORMERR_MAX = 512
 
@@ -95,13 +101,6 @@ class UdpEndpoint(asyncio.DatagramProtocol):
         self._service.note_udp_error(exc)
 
 
-async def _read_exactly(reader, n: int, timeout: Optional[float]) -> bytes:
-    """``readexactly`` under an optional deadline (``None`` = unbounded)."""
-    if timeout is None:
-        return await reader.readexactly(n)
-    return await asyncio.wait_for(reader.readexactly(n), timeout=timeout)
-
-
 async def serve_tcp_connection(service, reader, writer, src) -> None:
     """Handle one TCP client: length-prefixed queries until EOF.
 
@@ -110,20 +109,19 @@ async def serve_tcp_connection(service, reader, writer, src) -> None:
     connection is closed.
 
     Two slow-loris guards bound how long one socket can be pinned: a
-    client may idle at most ``tcp_idle_timeout_s`` between frames, and a
-    *started* frame (half a length prefix counts) must complete within
-    ``tcp_frame_timeout_s``.  Either timeout closes the connection and
+    client may idle at most :data:`TCP_IDLE_TIMEOUT_S` between frames, and
+    a *started* frame (half a length prefix counts) must complete within
+    :data:`TCP_FRAME_TIMEOUT_S`.  Either timeout closes the connection and
     counts ``service.tcp_idle_timeouts``.
     """
-    config = service.config
-    idle_s = getattr(config, "tcp_idle_timeout_s", None)
-    frame_s = getattr(config, "tcp_frame_timeout_s", None)
     try:
         while True:
             try:
                 # Waiting for a frame to *start* is idle time; once the
                 # first prefix byte lands the frame clock is running.
-                first = await _read_exactly(reader, 1, idle_s)
+                first = await asyncio.wait_for(
+                    reader.readexactly(1), TCP_IDLE_TIMEOUT_S
+                )
             except asyncio.TimeoutError:
                 service.metrics.counter(
                     "service.tcp_idle_timeouts", phase="idle"
@@ -132,7 +130,9 @@ async def serve_tcp_connection(service, reader, writer, src) -> None:
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 return
             try:
-                rest = await _read_exactly(reader, 1, frame_s)
+                rest = await asyncio.wait_for(
+                    reader.readexactly(1), TCP_FRAME_TIMEOUT_S
+                )
             except asyncio.TimeoutError:
                 service.metrics.counter(
                     "service.tcp_idle_timeouts", phase="frame"
@@ -144,7 +144,9 @@ async def serve_tcp_connection(service, reader, writer, src) -> None:
             if length == 0:
                 return
             try:
-                frame = await _read_exactly(reader, length, frame_s)
+                frame = await asyncio.wait_for(
+                    reader.readexactly(length), TCP_FRAME_TIMEOUT_S
+                )
             except asyncio.TimeoutError:
                 service.metrics.counter(
                     "service.tcp_idle_timeouts", phase="frame"

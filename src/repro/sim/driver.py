@@ -71,6 +71,9 @@ from . import worlds
 
 logger = logging.getLogger("repro.sim")
 
+#: Wall-clock seconds between progress lines on the ``repro.sim`` logger.
+PROGRESS_INTERVAL_S = 5.0
+
 @dataclass
 class DatasetRun:
     """Everything produced by simulating one dataset.
@@ -493,7 +496,6 @@ def run_member_range(
     stop: Optional[int] = None,
     tracer: Optional[QueryTracer] = None,
     clock: Optional[SimClock] = None,
-    progress_interval_s: float = 5.0,
 ) -> int:
     """Drive client query streams through fleet members ``[start, stop)``.
 
@@ -515,9 +517,6 @@ def run_member_range(
     a pure hash of ``(seed, global member index, per-member sequence
     number)``, so the traced population is identical for every shard
     layout; untraced runs skip only the per-query sample check.
-
-    ``progress_interval_s`` is the wall-clock spacing of the progress lines
-    on the ``repro.sim`` logger.
     """
     descriptor = env.descriptor
     stop = len(env.fleet) if stop is None else stop
@@ -584,7 +583,7 @@ def run_member_range(
         if clock is not None and stamps[-1] > clock.now:
             clock.advance_to(stamps[-1])
         provider_counter.inc(count)
-        if done - last_progress >= progress_interval_s:
+        if done - last_progress >= PROGRESS_INTERVAL_S:
             logger.info(
                 "progress: %d/%d client queries (%.0f q/s, %d captured rows,"
                 " at %s fleet member %d/%d)",
@@ -634,8 +633,7 @@ def _run_shard(
         tracer = QueryTracer(config.trace.sample, task.seed)
     rows_before = env.capture.rows_appended
     queries_run = run_member_range(
-        env, total_queries, metrics, task.start, stop, tracer, clock,
-        config.progress_interval_s,
+        env, total_queries, metrics, task.start, stop, tracer, clock
     )
     rows_appended = env.capture.rows_appended - rows_before
     publish_fleet_metrics(metrics, env.fleet[task.start:stop])

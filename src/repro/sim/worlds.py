@@ -22,9 +22,10 @@ override) on top of them.
   The shards of a pooled run borrow it too: the parent parks it before
   the pool forks (:func:`repro.sim.driver.run_dataset`).
 
-Both stores are :class:`~repro.runtime.EnvironmentCache` instances
-under the one ``REPRO_ENV_CACHE`` capacity; ``0`` shares nothing and every
-dataset builds its world from scratch — the reference path.
+Both stores are :class:`~repro.runtime.EnvironmentCache` instances of
+the default capacity.  Swapping both for ``EnvironmentCache(0)`` shares
+nothing, so every dataset builds its world from scratch — the reference
+path; forked pool workers inherit the swap.
 ``runtime.env_cache.{hit,miss}`` with a ``part`` label count every lookup:
 a ``miss`` is a real build, a ``hit`` a part some earlier world paid for.
 """

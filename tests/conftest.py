@@ -28,11 +28,9 @@ def serial_matrix():
     context's telemetry — rendered once, checked by the modules that own
     each claim (the report literal, the figure coverage, the world builds).
 
-    The process-level axes are pinned, whatever the surrounding lane set.
+    The pool start method is pinned, whatever the surrounding lane set.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_PLAN_CACHE", "1")
-        patch.delenv("REPRO_ENV_CACHE", raising=False)
         patch.delenv("REPRO_POOL_START", raising=False)
         forget_worlds()
         ctx = ExperimentContext(scale=REPORT_SCALE, workers=1, trace=0.0)

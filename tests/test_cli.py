@@ -126,7 +126,6 @@ class TestCLI:
             ctx.monthly("nz", 2020, 1)
             return "# stub report"
 
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
         monkeypatch.setattr(render_all, "run_and_render", two_cuts_of_one_world)
         forget_worlds()
         # --workers 1: a pooled run books one more borrow per shard.

@@ -35,15 +35,6 @@ SEED = 20201027
 SRC = IPAddress.parse("192.0.2.53")
 
 
-@pytest.fixture
-def force_caches(monkeypatch):
-    """Make cache-behaviour tests immune to REPRO_PLAN_CACHE=0 /
-    REPRO_ENV_CACHE=0 in the outer environment (CI runs the suite with the
-    caches force-disabled too)."""
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
-    monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
-
-
 def _cached_shard(case):
     descriptor, queries, __, seed = CASES[case]
     task = ShardTask(
@@ -57,7 +48,7 @@ def _cached_shard(case):
 
 
 class TestWarmShard:
-    def test_a_second_shard_borrows_the_rewound_fleet(self, force_caches):
+    def test_a_second_shard_borrows_the_rewound_fleet(self):
         """What a second shard of the same dataset in one process shares
         with the first is the rewound fleet (and the sealed zones) — not
         servers: its overlay is its own, so its plan caches start empty.
@@ -94,7 +85,7 @@ def _query(qname, msg_id=7):
 
 
 class TestPlanCache:
-    def test_hit_replays_equivalent_response(self, force_caches):
+    def test_hit_replays_equivalent_response(self):
         server = _server()
         first = server.handle_query(1.0, SRC, Transport.UDP, _query("www.example.nl"))
         second = server.handle_query(
@@ -110,7 +101,7 @@ class TestPlanCache:
         assert list(view.qname) == ["www.example.nl."] * 2
         assert view.response_size[0] == view.response_size[1]
 
-    def test_case_variant_is_not_replayed(self, force_caches):
+    def test_case_variant_is_not_replayed(self):
         """Name keys casefold; the capture must keep each query's original
         spelling, so a case variant falls through to the uncached path."""
         server = _server()
@@ -121,7 +112,7 @@ class TestPlanCache:
             "www.example.nl.", "WWW.Example.NL.",
         ]
 
-    def test_eviction_bound(self, monkeypatch, force_caches):
+    def test_eviction_bound(self, monkeypatch):
         monkeypatch.setattr(authoritative, "PLAN_CACHE_LIMIT", 4)
         server = _server()
         for i in range(6):
@@ -135,16 +126,7 @@ class TestPlanCache:
         )
         assert response is not None
 
-    def test_disabled_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
-        server = _server()
-        assert server._plans is None
-        server.handle_query(1.0, SRC, Transport.UDP, _query("www.example.nl"))
-        server.handle_query(2.0, SRC, Transport.UDP, _query("www.example.nl"))
-        assert server.stats.plan_hits == 0
-        assert server.stats.plan_misses == 0
-
-    def test_simulated_plans_carry_no_encoding(self, force_caches):
+    def test_simulated_plans_carry_no_encoding(self):
         """The cached encoding belongs to the live endpoint.  The
         simulator's loop replays plans all day and never encodes one."""
         run = run_dataset(
@@ -184,7 +166,7 @@ class TestSendPathKeys:
 
     @pytest.mark.parametrize("run", sorted(SEND_PATH_RUNS))
     def test_no_name_hash_or_eq_from_resolver_or_server(
-        self, run, force_caches, monkeypatch
+        self, run, monkeypatch
     ):
         callers: Counter = Counter()
         real_hash, real_eq = Name.__hash__, Name.__eq__

@@ -182,14 +182,8 @@ def drive(case):
     return columns, counters
 
 
-@pytest.fixture
-def pinned(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
-    monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
-
-
 @pytest.mark.parametrize("case", list(CASES))
-def test_case_reproduces_the_table(case, pinned):
+def test_case_reproduces_the_table(case):
     columns, _ = drive(case)
     expected = LIVE_ORACLE[case]
     wrong = [
@@ -199,7 +193,7 @@ def test_case_reproduces_the_table(case, pinned):
     assert not wrong, "\n".join(wrong)
 
 
-def test_the_chaos_case_degrades(pinned):
+def test_the_chaos_case_degrades():
     """The flaky-server case reaches the resilience rules, not only the
     fair-weather path."""
     _, counters = drive("flaky-server")
@@ -213,7 +207,7 @@ def test_the_chaos_case_degrades(pinned):
     assert sum(engaged.values()) > 0, counters
 
 
-def test_the_hand_built_case_takes_every_route(pinned):
+def test_the_hand_built_case_takes_every_route():
     _, counters = drive("hand-built")
     assert counters["service.policy_sink{sink=refused}"] > 0
     assert counters["service.policy_sink{sink=nxdomain}"] > 0

@@ -9,7 +9,8 @@ digest of what a run produced.  A *row* (:data:`ROWS`) is how it ran.
 a null fault plan, the world store visited in two orders, and the report
 matrix (:data:`REPORTS`).  A mismatch names case, row and column and
 prints the new digest.  Re-recording is editing that one literal and
-saying why in CHANGES.md.
+saying why in CHANGES.md.  Beside the table, every plan a serial run of
+each case memoised must equal its keyless, encoder-sized rebuild.
 """
 
 import itertools
@@ -24,7 +25,9 @@ from repro.clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
 from repro.experiments import ExperimentContext
 from repro.experiments.render_all import collect_all
 from repro.faults import FaultPlan, chaos_scenario
-from repro.sim import forget_worlds, run_dataset
+from repro.runtime import EnvironmentCache
+from repro.server import AuthoritativeServer
+from repro.sim import forget_worlds, run_dataset, worlds
 from repro.workload import dataset, monthly_google_descriptor
 
 from .helpers import (
@@ -35,6 +38,7 @@ from .helpers import (
     sim_counters,
     view_digest,
 )
+from .tools.plan_twins import plan_mismatches, run_servers
 
 SEED = 20201027
 
@@ -176,6 +180,8 @@ class Row(NamedTuple):
 #: Every pair of values of any two (two-valued) axes meets in some row.
 #: ``stream`` is where the chunks live: spilled under a spool directory
 #: (``stream``) or resident (``memory``); every row folds in its shards.
+#: ``plan_cache`` off makes every server of the run a reference server,
+#: ``world_store`` off every world built from scratch (see :func:`pin`).
 #: The first row is the reference path — one process, resident chunks, no
 #: tracing, every response and every world built from scratch — and the
 #: second its complement.
@@ -282,12 +288,25 @@ def reports_digest(reports):
 # -- running a row -------------------------------------------------------------
 
 def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
-    """Set the process-level axes, whatever the surrounding lane set."""
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "1" if plan_cache else "0")
-    if world_store:
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_ENV_CACHE", "0")
+    """Set the process-level axes, whatever the surrounding lane set.
+
+    Without ``plan_cache`` every server built from here on — in this
+    process and in the pool workers it forks — is a reference server
+    (``_plans = None``: every response built and encoded in full).
+    Without ``world_store`` both world stores are swapped for ones that
+    park nothing, so every world is built from scratch.
+    """
+    if not plan_cache:
+        build = AuthoritativeServer.__init__
+
+        def reference_server(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            self._plans = None
+
+        monkeypatch.setattr(AuthoritativeServer, "__init__", reference_server)
+    if not world_store:
+        monkeypatch.setattr(worlds, "ZONES", EnvironmentCache(0))
+        monkeypatch.setattr(worlds, "FLEETS", EnvironmentCache(0))
     if start is None:
         monkeypatch.delenv("REPRO_POOL_START", raising=False)
     else:
@@ -342,7 +361,19 @@ def test_row_reproduces_the_table(row, case, monkeypatch, tmp_path):
     spool_dir = tmp_path if row.stream else None
     run = run_case(case, row.workers, spool_dir, row.traced)
     assert_structure(run, row.workers, spool_dir, row.traced)
+    # Only servers with a plan cache book its counters.
+    assert (run.telemetry.total("runtime.plan_cache.misses") > 0) == row.plan_cache
     assert_reproduces(case, row.name, columns(run))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_every_memoised_plan_is_its_encoder_sized_twin(case, monkeypatch):
+    """A serial run's servers keep the plans they memoised; rebuilt without
+    a key, each must come out field for field the same."""
+    pin(monkeypatch)
+    run = run_case(case)
+    checked, wrong = plan_mismatches(run_servers(run))
+    assert checked > 0 and not wrong, "\n".join(wrong[:20])
 
 
 def test_three_workers(monkeypatch):

@@ -34,6 +34,7 @@ from repro.service import (
     parse_prometheus_text,
     run_soak_sync,
 )
+from repro.service import app as service_app, endpoints
 from repro.service.loadgen import LoadReport, _drive_tcp, _UdpClient
 from repro.service.resilience import (
     BREAKER_FAILURE_THRESHOLD,
@@ -282,7 +283,7 @@ class TestDispatchUnderBlackout:
 
 
 def _serve_config(**overrides):
-    base = dict(udp_port=0, metrics_port=None, drain_timeout_s=2.0)
+    base = dict(udp_port=0, metrics_port=None)
     base.update(overrides)
     return ServiceConfig(**base)
 
@@ -351,12 +352,9 @@ class TestAdmissionControl:
 
 
 class TestWatchdogAndHealth:
-    def test_udp_endpoint_restarts_on_same_port(self):
-        config = _serve_config(
-            watchdog_interval_s=0.05,
-            watchdog_backoff_s=0.05,
-            metrics_port=0,
-        )
+    def test_udp_endpoint_restarts_on_same_port(self, monkeypatch):
+        monkeypatch.setattr(service_app, "WATCHDOG_BACKOFF_S", 0.05)
+        config = _serve_config(watchdog_interval_s=0.05, metrics_port=0)
 
         async def scenario(service):
             port = service.udp_port
@@ -448,10 +446,10 @@ class TestWatchdogAndHealth:
 
 
 class TestSlowLoris:
-    def test_half_prefix_times_out(self):
-        config = _serve_config(
-            tcp_idle_timeout_s=5.0, tcp_frame_timeout_s=0.2
-        )
+    def test_half_prefix_times_out(self, monkeypatch):
+        monkeypatch.setattr(endpoints, "TCP_IDLE_TIMEOUT_S", 5.0)
+        monkeypatch.setattr(endpoints, "TCP_FRAME_TIMEOUT_S", 0.2)
+        config = _serve_config()
 
         async def scenario(service):
             reader, writer = await asyncio.open_connection(
@@ -467,10 +465,10 @@ class TestSlowLoris:
         assert data == b""  # server closed the pinned connection
         assert _counter_total(snap, "service.tcp_idle_timeouts") == 1
 
-    def test_idle_connection_times_out(self):
-        config = _serve_config(
-            tcp_idle_timeout_s=0.2, tcp_frame_timeout_s=5.0
-        )
+    def test_idle_connection_times_out(self, monkeypatch):
+        monkeypatch.setattr(endpoints, "TCP_IDLE_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(endpoints, "TCP_FRAME_TIMEOUT_S", 5.0)
+        config = _serve_config()
 
         async def scenario(service):
             reader, writer = await asyncio.open_connection(
@@ -483,31 +481,6 @@ class TestSlowLoris:
         data, snap = asyncio.run(_with_service(config, scenario))
         assert data == b""
         assert _counter_total(snap, "service.tcp_idle_timeouts") == 1
-
-    def test_timeouts_disabled_by_none(self):
-        # None = unbounded, still answers normally.
-        config = _serve_config(
-            tcp_idle_timeout_s=None, tcp_frame_timeout_s=None
-        )
-
-        async def scenario(service):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.tcp_port
-            )
-            wire = _test_query(5).to_wire()
-            writer.write(len(wire).to_bytes(2, "big") + wire)
-            await writer.drain()
-            prefix = await asyncio.wait_for(
-                reader.readexactly(2), timeout=5.0
-            )
-            payload = await reader.readexactly(
-                int.from_bytes(prefix, "big")
-            )
-            writer.close()
-            return Message.from_wire(payload)
-
-        response = asyncio.run(_with_service(config, scenario))
-        assert response.msg_id == 5
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.capture import CaptureSpool, CaptureStore, SpooledCapture
 from repro.capture.schema import QueryRecord, Transport
+import repro.runtime.executor as runtime_executor
 from repro import config as run_config
 from repro.config import RunConfig
 from repro.netsim import IPAddress
 from repro.runtime import ShardExecutor, ShardTask, plan_shards
+from repro.service import ServiceConfig
 from repro.sim import member_query_counts, run_dataset
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
@@ -203,14 +205,26 @@ class TestPoolDeterminism:
 RECOVERED = "nz-w2019"
 
 
-def recovered_run(config):
+def recovered_run(monkeypatch, fault):
+    """A two-worker run of :data:`RECOVERED` whose shard 0 carries
+    ``fault`` on every pool attempt: the tasks ``run_dataset`` builds are
+    rewritten in the parent, on their way into the pool."""
+    submit = ShardExecutor.submit
+
+    def faulty_submit(self, tasks):
+        submit(self, [
+            replace(task, fault=fault) if task.shard_index == 0 else task
+            for task in tasks
+        ])
+
+    monkeypatch.setattr(ShardExecutor, "submit", faulty_submit)
     descriptor, queries, __, seed = CASES[RECOVERED]
-    return run_dataset(descriptor, seed=seed, client_queries=queries, config=config)
+    return run_dataset(descriptor, seed=seed, client_queries=queries, workers=2)
 
 
 class TestFaultRecovery:
-    def test_crashed_shard_falls_back_serially(self):
-        run = recovered_run(RunConfig.resolve(workers=2, inject_faults={0: "crash"}))
+    def test_crashed_shard_falls_back_serially(self, monkeypatch):
+        run = recovered_run(monkeypatch, "crash")
         report = run.runtime_report
         assert report.failures == 0
         assert report.retries == 1       # retried once on the pool (crashed again)
@@ -220,11 +234,10 @@ class TestFaultRecovery:
         assert run.telemetry.counters["runtime.shard_retries"] == 1
         assert view_digest(run.capture.view()) == ORACLE[RECOVERED]["capture"]
 
-    def test_hung_shard_times_out_and_falls_back(self):
-        run = recovered_run(RunConfig.resolve(
-            workers=2, shard_timeout_s=1.5, retries=0,
-            inject_faults={0: "hang"},
-        ))
+    def test_hung_shard_times_out_and_falls_back(self, monkeypatch):
+        monkeypatch.setattr(runtime_executor, "SHARD_TIMEOUT_S", 1.5)
+        monkeypatch.setattr(runtime_executor, "RETRY_ON_POOL", False)
+        run = recovered_run(monkeypatch, "hang")
         report = run.runtime_report
         assert report.failures == 0
         assert report.fallbacks >= 1
@@ -232,13 +245,15 @@ class TestFaultRecovery:
         assert view_digest(run.capture.view()) == ORACLE[RECOVERED]["capture"]
 
 
-def _shard_tasks(count=2, queries=60, descriptor=None):
-    """Minimal full-fleet tasks for driving ShardExecutor directly."""
+def _shard_tasks(count=2, queries=60, descriptor=None, faults=None):
+    """Minimal full-fleet tasks for driving ShardExecutor directly;
+    ``faults`` maps shard index to an injected-fault mode."""
     base = dataset(DATASET) if descriptor is None else descriptor
+    faults = faults or {}
     return [
         ShardTask(
             descriptor=base, seed=7, client_queries=queries,
-            shard_index=index,
+            shard_index=index, fault=faults.get(index),
         )
         for index in range(count)
     ]
@@ -249,10 +264,8 @@ class TestShardExecutorAccounting:
 
     def test_crash_attempts_pool_retry_fallback(self):
         metrics = MetricsRegistry()
-        executor = ShardExecutor(
-            RunConfig(workers=2, inject_faults={0: "crash"}), metrics
-        )
-        executor.submit(_shard_tasks())
+        executor = ShardExecutor(RunConfig(workers=2), metrics)
+        executor.submit(_shard_tasks(faults={0: "crash"}))
         results, report = executor.collect()
         assert report.failures == 0
         assert report.retries == 1
@@ -270,16 +283,11 @@ class TestShardExecutorAccounting:
         assert snap.counters["runtime.shard_fallbacks"] == 1
         assert "runtime.shard_failures" not in snap.counters
 
-    def test_hang_times_out_retries_then_falls_back(self):
+    def test_hang_times_out_retries_then_falls_back(self, monkeypatch):
+        monkeypatch.setattr(runtime_executor, "SHARD_TIMEOUT_S", 0.4)
         metrics = MetricsRegistry()
-        executor = ShardExecutor(
-            RunConfig(
-                workers=2, shard_timeout_s=0.4, retries=1,
-                inject_faults={0: "hang"},
-            ),
-            metrics,
-        )
-        executor.submit(_shard_tasks())
+        executor = ShardExecutor(RunConfig(workers=2), metrics)
+        executor.submit(_shard_tasks(faults={0: "hang"}))
         results, report = executor.collect()
         # Both the pool attempt and the retry hang past the timeout; the
         # serial fallback (faults stripped) recovers the rows.
@@ -297,11 +305,8 @@ class TestShardExecutorAccounting:
         # dead shard (and any collateral losses) via the serial fallback,
         # with `runtime.shard_fallbacks` accounting for every recovery.
         metrics = MetricsRegistry()
-        executor = ShardExecutor(
-            RunConfig(workers=2, retries=1, inject_faults={0: "exit"}),
-            metrics,
-        )
-        executor.submit(_shard_tasks())
+        executor = ShardExecutor(RunConfig(workers=2), metrics)
+        executor.submit(_shard_tasks(faults={0: "exit"}))
         results, report = executor.collect()
         assert report.failures == 0
         assert report.retries == 0  # broken pool: no retry round
@@ -323,7 +328,7 @@ class TestShardExecutorAccounting:
         tasks = _shard_tasks()
         tasks[0] = replace(tasks[0], descriptor=broken)
         metrics = MetricsRegistry()
-        executor = ShardExecutor(RunConfig(workers=2, retries=1), metrics)
+        executor = ShardExecutor(RunConfig(workers=2), metrics)
         executor.submit(tasks)
         results, report = executor.collect()
         assert report.failures == 1
@@ -402,11 +407,6 @@ ENV_KNOBS = {
         "0.125", run_config.TraceConfig(sample=0.125), "2",
     ),
     "REPRO_CHAOS": (run_config.default_chaos, None, "default-loss", "default-loss", None),
-    "REPRO_PROGRESS_INTERVAL": (
-        lambda: RunConfig.resolve().progress_interval_s, 5.0, "30", 30.0, "0",
-    ),
-    "REPRO_PLAN_CACHE": (run_config.plan_cache_enabled, True, "off", False, "abc"),
-    "REPRO_ENV_CACHE": (run_config.env_cache_capacity, 12, "0", 0, "abc"),
     "REPRO_POOL_START": (run_config.pool_start_method, None, "spawn", "spawn", "teleport"),
 }
 
@@ -428,21 +428,10 @@ class TestEnvDefaults:
             message = str(excinfo.value)
             assert f"{name}={invalid!r}" in message and "expected" in message
 
-    def test_booleans_share_one_vocabulary(self, monkeypatch):
-        for text, expected in (
-            ("0", False), ("false", False), ("No", False), ("OFF", False),
-            ("1", True), ("true", True), ("Yes", True), ("on", True),
-        ):
-            monkeypatch.setenv("REPRO_PLAN_CACHE", text)
-            assert run_config.plan_cache_enabled() is expected
-
     def test_run_config_rejects_what_cannot_run(self):
         from repro.experiments.context import ExperimentContext
 
-        for field, bad in (
-            ("workers", 0), ("shard_timeout_s", 0.0),
-            ("retries", -1), ("progress_interval_s", 0.0), ("trace", 2.0),
-        ):
+        for field, bad in (("workers", 0), ("trace", 2.0)):
             with pytest.raises(ValueError, match=field):
                 RunConfig.resolve(**{field: bad})
         with pytest.raises(ValueError, match="scale"):
@@ -475,9 +464,8 @@ class TestEnvDefaults:
         )[1].split("\n## ", 1)[0]
         documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
         assert in_source == documented == {
-            "REPRO_SCALE", "REPRO_WORKERS", "REPRO_TRACE",
-            "REPRO_CHAOS", "REPRO_PROGRESS_INTERVAL", "REPRO_PLAN_CACHE",
-            "REPRO_ENV_CACHE", "REPRO_POOL_START",
+            "REPRO_SCALE", "REPRO_WORKERS", "REPRO_TRACE", "REPRO_CHAOS",
+            "REPRO_POOL_START",
         }
         readers = [
             path.name for path, text in sources.items()
@@ -505,9 +493,16 @@ class TestEnvDefaults:
             r'REPRO_STREAM|config\.stream\b|aggregates is (not )?None|"--stream"',
             everything,
         )
+        # Settable only where a caller sets it: every field of the two
+        # configs is one the CLI, the soak harness or the benchmark passes.
         assert [field.name for field in fields(RunConfig)] == [
-            "workers", "shard_timeout_s", "retries", "inject_faults",
-            "spool_dir", "trace", "progress_interval_s",
+            "workers", "spool_dir", "trace",
+        ]
+        assert [field.name for field in fields(ServiceConfig)] == [
+            "dataset_id", "host", "udp_port", "tcp_port", "metrics_port",
+            "seed", "rrl", "chaos", "chaos_seed", "fault_plan",
+            "fault_window_s", "topology", "resolver_frontend", "resilience",
+            "watchdog_interval_s",
         ]
         # One trace surface: simulated events in one Chrome-trace file —
         # no rate frames, no second format, no runtime-category events,
@@ -536,14 +531,5 @@ class TestEnvDefaults:
         assert RunConfig.resolve().workers == 3
         assert RunConfig.resolve(workers=2).workers == 2
         monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError):
-            RunConfig.resolve()
-
-    def test_progress_interval_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRESS_INTERVAL", raising=False)
-        assert RunConfig.resolve().progress_interval_s == 5.0
-        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "30")
-        assert RunConfig.resolve().progress_interval_s == 30.0
-        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "-1")
         with pytest.raises(ValueError):
             RunConfig.resolve()

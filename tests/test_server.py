@@ -25,7 +25,7 @@ from repro.server.authoritative import _anchored_size
 from repro.zones import LookupOutcome, LookupResult, Zone
 
 from .helpers import view_digest
-from .test_oracle import ORACLE, run_case
+from .test_oracle import ORACLE, pin, run_case
 
 
 SRC = IPAddress.parse("192.0.2.53")
@@ -155,8 +155,8 @@ def compressible_names(result):
 
 class TestSizeShortcut:
     """A lookup's size by arithmetic is the encoder's size, or is not
-    offered at all, for every outcome.  The reference is a
-    ``REPRO_PLAN_CACHE=0`` server: it memoises nothing and encodes every
+    offered at all, for every outcome.  The reference is a reference
+    server (``_plans = None``): it memoises nothing and encodes every
     response in full."""
 
     EDNS = (
@@ -167,13 +167,11 @@ class TestSizeShortcut:
     )
 
     @pytest.fixture
-    def servers(self, session_zones, monkeypatch):
+    def servers(self, session_zones):
         zone = session_zones["nz"]
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
         fast = AuthoritativeServer("nz-a", zone, [GAZETTEER["AKL"]], CaptureStore())
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
         reference = AuthoritativeServer("nz-a", zone, [GAZETTEER["AKL"]], CaptureStore())
-        assert fast._plans is not None and reference._plans is None
+        reference._plans = None
         return fast, reference
 
     def test_arithmetic_size_is_the_encoders_size(self, servers):
@@ -333,7 +331,6 @@ class TestSimulatorSendPath:
     where the arithmetic cannot size a plan miss."""
 
     def test_no_message_but_the_encoder_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
         counts = Counter()
 
         def counted(name, function):
@@ -362,8 +359,9 @@ class TestSimulatorSendPath:
         assert counts["message"] <= counts["calibrate"] + counts["unsized"]
 
     def test_reference_path_still_matches_the_oracle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_CACHE", "0")
+        pin(monkeypatch, plan_cache=False)
         run = run_case("nl-w2020")
+        assert run.telemetry.total("runtime.plan_cache.misses") == 0
         assert view_digest(run.capture.view()) == ORACLE["nl-w2020"]["capture"]
 
 

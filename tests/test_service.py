@@ -12,7 +12,6 @@ import asyncio
 import errno
 import gc
 import json
-import os
 import random
 import struct
 import tracemalloc
@@ -375,7 +374,7 @@ class TestDispatcher:
 
 
 def _serve_config(**overrides):
-    base = dict(udp_port=0, metrics_port=None, drain_timeout_s=2.0)
+    base = dict(udp_port=0, metrics_port=None)
     base.update(overrides)
     return ServiceConfig(**base)
 
@@ -799,13 +798,14 @@ def _exchange(service, wire, tcp=False):
 
 
 def _offline_service(loop, clock=None, plan_cache=True, **overrides):
-    """A started service that is only ever driven in-process."""
+    """A started service that is only ever driven in-process; without
+    ``plan_cache`` every server of its world is a reference server."""
     config = _serve_config(watchdog_interval_s=0, **overrides)
-    with mock.patch.dict(
-        os.environ, {"REPRO_PLAN_CACHE": "1" if plan_cache else "0"}
-    ):
-        service = DnsService(config, clock=clock)
-        loop.run_until_complete(service.start())
+    service = DnsService(config, clock=clock)
+    loop.run_until_complete(service.start())
+    if not plan_cache:
+        for server in _servers(service):
+            server._plans = None
     return service
 
 
@@ -821,7 +821,7 @@ def _plans(service):
 def service_pair():
     """Two services on one injected clock: ``fast`` as shipped, and
     ``reference`` whose servers have no plan cache — every response built
-    and encoded in full (the ``REPRO_PLAN_CACHE=0`` path)."""
+    and encoded in full (the reference path)."""
     loop = asyncio.new_event_loop()
     clock = SimClock(now=dataset("nl-w2020").start)
     fast = _offline_service(loop, clock)

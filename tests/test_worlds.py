@@ -3,8 +3,9 @@
 
 That whatever the process built or ran before, a dataset's capture and
 simulation counters are the table's — in any order, and on the reference
-path (``REPRO_ENV_CACHE=0``, every world built from scratch) — is pinned
-in ``test_oracle`` (its world-store bag and its ``nostore`` rows).  Here:
+path (both stores swapped for capacity-0 ones, every world built from
+scratch) — is pinned in ``test_oracle`` (its world-store bag and its
+``nostore`` rows).  Here:
 the pieces that make it so — the rewind, the seal, the exclusive
 checkout — each on its own.
 """
@@ -46,8 +47,7 @@ class TestOrderIndependence:
 
 
 class TestBorrowing:
-    def test_override_does_not_outlive_the_borrow(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+    def test_override_does_not_outlive_the_borrow(self):
         forget_worlds()
         metrics = MetricsRegistry()
         with borrowed_environment(dataset("nz-w2020"), SEED, metrics) as env:
@@ -66,8 +66,7 @@ class TestBorrowing:
         assert snapshot.counter("runtime.env_cache.miss", part="fleet") == 1
         assert snapshot.counter("runtime.env_cache.hit", part="fleet") == 1
 
-    def test_a_fleet_is_checked_out_by_one_environment_at_a_time(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+    def test_a_fleet_is_checked_out_by_one_environment_at_a_time(self):
         forget_worlds()
         metrics = MetricsRegistry()
         descriptor = dataset("nz-w2018")
@@ -102,7 +101,6 @@ class TestPoolWorkersBorrow:
     stores it inherited (``fork``) or from nothing (``spawn``)."""
 
     def _pooled(self, monkeypatch, start):
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
         monkeypatch.setenv("REPRO_POOL_START", start)
         forget_worlds()
         run = run_dataset(
@@ -150,8 +148,7 @@ class TestSealedZones:
             env_zone.delegation_names[0].prepend(b"www"), RRType.A
         ) is not None
 
-    def test_forget_worlds_empties_every_store(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+    def test_forget_worlds_empties_every_store(self):
         run_dataset(dataset("nz-w2018"), seed=SEED, client_queries=50)
         assert len(worlds.ZONES) and len(worlds.FLEETS)
         forget_worlds()
@@ -205,8 +202,7 @@ class TestRewind:
         assert idle.cache is caches[1]
         assert "_rng" not in vars(idle)  # never drew, never seeded
 
-    def test_rewound_fleet_pickles_for_spawn(self, monkeypatch, small_world):
-        monkeypatch.delenv("REPRO_ENV_CACHE", raising=False)
+    def test_rewound_fleet_pickles_for_spawn(self, small_world):
         forget_worlds()
         metrics = MetricsRegistry()
         with borrowed_environment(dataset("nz-w2018"), SEED, metrics) as env:

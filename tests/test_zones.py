@@ -145,6 +145,37 @@ class TestReferralMemo:
         assert records_text(memoised) == records_text(fresh)
         assert memoised.anchor.labels == cut.labels
 
+    @pytest.mark.parametrize("dnssec_ok", [False, True])
+    @pytest.mark.parametrize(
+        "first, then, outcome",
+        [
+            (("www.example.nl", RRType.A), ("a.b.example.nl", RRType.MX),
+             LookupOutcome.DELEGATION),
+            (("nl", RRType.SOA), ("nl", RRType.SOA), LookupOutcome.ANSWER),
+            (("example.nl", RRType.DS), ("example.nl", RRType.DS), LookupOutcome.ANSWER),
+            # Negatives: another name, spelling or type under the same key.
+            (("nl", RRType.NS), ("NL", RRType.MX), LookupOutcome.NODATA),
+            (("insecure.nl", RRType.DS), ("INSECURE.nl", RRType.DS),
+             LookupOutcome.NODATA),
+            (("junk.nl", RRType.A), ("x.Kite.NL", RRType.AAAA), LookupOutcome.NXDOMAIN),
+        ],
+        ids=["referral", "answer-apex", "answer-ds", "nodata-apex", "nodata-ds",
+             "nxdomain"],
+    )
+    def test_every_memoised_outcome_equals_a_fresh_build(
+        self, zone, first, then, outcome, dnssec_ok
+    ):
+        """Whatever asked first, the result a later query of the same key
+        is handed is the one an empty memo would build for it."""
+        memoised = zone.lookup(Name.from_text(first[0]), first[1], dnssec_ok)
+        qname, qtype = Name.from_text(then[0]), then[1]
+        assert zone.lookup(qname, qtype, dnssec_ok) is memoised
+        zone._lookups.clear()
+        fresh = zone.lookup(qname, qtype, dnssec_ok)
+        assert fresh is not memoised and fresh.outcome is outcome
+        assert records_text(fresh) == records_text(memoised)
+        assert fresh.anchor.labels == memoised.anchor.labels
+
     def test_one_result_for_every_name_under_the_cut(self, zone):
         first = zone.lookup(Name.from_text("www.example.nl"), RRType.A, True)
         assert zone.lookup(Name.from_text("a.b.example.nl"), RRType.MX, True) is first
