@@ -6,8 +6,7 @@ regenerates its table/figure, asserts the paper's qualitative shape, and
 prints the paper-vs-measured report.  Nothing here measures speed or
 writes a file: the benchmark of record is ``bench/``.
 
-Volume can be scaled down for quick runs: ``REPRO_SCALE=0.2 pytest
-benchmarks/``.
+Volume can be scaled down for quick runs: ``pytest benchmarks/ --scale 0.2``.
 """
 
 import pytest
@@ -15,9 +14,16 @@ import pytest
 from repro.experiments import ExperimentContext
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--scale", type=float, default=1.0,
+        help="client-query volume scale of the shared context (default: 1.0)",
+    )
+
+
 @pytest.fixture(scope="session")
-def ctx():
-    return ExperimentContext()
+def ctx(request):
+    return ExperimentContext(scale=request.config.getoption("--scale"))
 
 
 def emit(report_text: str) -> None:

@@ -40,16 +40,16 @@ telemetry snapshot as JSON, ``--metrics-out PATH`` exports it in the
 Prometheus text format, ``--trace-out PATH`` writes sampled per-query
 traces as one Chrome-trace JSON file (Perfetto loads it, ``repro trace``
 summarises it), ``--trace-sample F`` sets the traced fraction (default:
-``REPRO_TRACE`` env; ``--trace-out`` alone implies 1%), and every
+off; ``--trace-out`` alone implies 1%), and every
 simulating command prints a phase/counter summary on stderr.  The two
 simulating commands (``dataset``, ``experiments``) expose the same flag
 set via a shared helper so availability and help text cannot drift.
 
 Chaos flags (see README "Chaos scenarios"): ``--chaos <scenario>`` runs
-the simulation under a named fault schedule (``--chaos-seed`` varies the
-fault placement independently of ``--seed``; the ``REPRO_CHAOS`` env var
-sets the default scenario).  ``repro dataset`` exits non-zero when any
-shard failed outright unless ``--allow-partial`` is given.
+the simulation under a named fault schedule (``--chaos-seed``, which
+needs ``--chaos``, varies the fault placement independently of ``--seed``).
+``repro dataset`` exits non-zero when any shard failed outright unless
+``--allow-partial`` is given.
 
 Where the capture lives (see README "Capture chunks and the one fold"):
 every run folds each capture chunk into single-pass aggregates in the
@@ -57,15 +57,16 @@ shard that froze it; ``--spool-dir DIR`` then writes the chunks as files
 under ``DIR/<dataset_id>/`` instead of keeping them in memory.  Answers
 are bit-identical either way.
 
-Flags and ``REPRO_*`` defaults of ``dataset``, ``experiments`` and
-``serve`` are resolved once, before anything is built, into one
-:class:`~repro.config.RunConfig` (``--workers`` always means shard-level
-parallelism: every dataset simulated is split across the pool); a value
-that cannot run — ``--workers 0``, ``--trace-sample 2``, ``--scale -1``,
-``REPRO_WORKERS=abc`` — is a usage error (exit 2) naming it.  So is an
-unknown dataset id and an output path whose directory does not exist, on
-every command, and a ``loadgen`` or ``soak`` value its config rejects
-(``--tcp-fraction -0.2``, ``--duration 0``).
+Settings come from flags alone: nothing here reads the environment.  The
+flags of ``dataset`` and ``experiments`` are checked once, before anything
+is built, and folded into one :class:`~repro.config.RunConfig`
+(``--workers`` always means shard-level parallelism: every dataset
+simulated is split across the pool); a value that cannot run —
+``--workers 0``, ``--trace-sample 2``, ``--scale -1``, or ``--chaos-seed``
+without ``--chaos`` (on ``serve`` too) — is a usage error (exit 2) naming
+it.  So is an unknown dataset id and an output path whose directory does
+not exist, on every command, and a ``loadgen`` or ``soak`` value its
+config rejects (``--tcp-fraction -0.2``, ``--duration 0``).
 """
 
 from __future__ import annotations
@@ -79,32 +80,28 @@ EXIT_PARTIAL = 3
 
 
 def _resolve_flags(args: argparse.Namespace) -> None:
-    """Fold flags, environment and defaults into ``args``, once, for every
-    command that takes ``--chaos`` (``dataset``, ``experiments``, ``serve``).
+    """Check the flags of every command that takes ``--chaos``
+    (``dataset``, ``experiments``, ``serve``) and give the simulating ones
+    ``args.config``, the run's :class:`~repro.config.RunConfig`.
 
-    ``args.chaos`` becomes the scenario name from ``--chaos`` or
-    ``REPRO_CHAOS``.  The simulating commands also get ``args.scale``
-    (``--scale``, else ``REPRO_SCALE``, else the command's default) and
-    ``args.config``, the run's :class:`~repro.config.RunConfig`.  Tracing
-    precedence: an explicit ``--trace-sample`` wins; otherwise
-    ``REPRO_TRACE``; otherwise ``--trace-out`` alone turns tracing on at 1%
-    (a trace file with zero traces helps nobody).  A value that does not
+    ``--chaos-seed`` places the faults of a ``--chaos`` scenario, so alone
+    it is an error.  An explicit ``--trace-sample`` sets the traced
+    fraction; otherwise ``--trace-out`` alone turns tracing on at 1% (a
+    trace file with zero traces helps nobody).  A value that does not
     validate raises ``ValueError``, which :func:`main` reports as a usage
     error before anything is simulated.
     """
-    from dataclasses import replace
+    from .config import RunConfig, check_scale
 
-    from .config import RunConfig, TraceConfig, default_chaos, resolve_scale
-
-    args.chaos = args.chaos or default_chaos()
+    if args.chaos_seed is not None and not args.chaos:
+        raise ValueError(f"--chaos-seed {args.chaos_seed} needs --chaos SCENARIO")
     if not hasattr(args, "workers"):
         return
-    args.scale = resolve_scale(args.scale, args.scale_default)
-    args.config = RunConfig.resolve(
-        workers=args.workers, spool_dir=args.spool_dir, trace=args.trace_sample,
-    )
-    if args.config.trace is None and args.trace_sample is None and args.trace_out:
-        args.config = replace(args.config, trace=TraceConfig(sample=0.01))
+    check_scale(args.scale)
+    trace = args.trace_sample
+    if trace is None:
+        trace = 0.01 if args.trace_out else 0.0
+    args.config = RunConfig(workers=args.workers, spool_dir=args.spool_dir, trace=trace)
 
 
 #: Flags naming a file a command writes; its directory must already exist.
@@ -137,7 +134,7 @@ def _check_args(args: argparse.Namespace) -> None:
 
 
 def _chaos_plan(args):
-    """The FaultPlan of the resolved ``args.chaos`` scenario, or None."""
+    """The FaultPlan of the ``--chaos`` scenario, or None."""
     if not args.chaos:
         return None
     from .faults import chaos_scenario
@@ -523,10 +520,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     are list-only commands and take none of them; ``-v`` lives on the
     top-level parser and applies everywhere.)
     """
-    parser.set_defaults(scale_default=float(scale_default))
-    parser.add_argument("--scale", type=float, default=None,
-                        help="volume scale (default: REPRO_SCALE or "
-                             f"{scale_default})")
+    parser.add_argument("--scale", type=float, default=float(scale_default),
+                        help=f"volume scale (default: {scale_default})")
     parser.add_argument("--seed", type=int, default=20201027,
                         help="simulation seed (default: 20201027)")
     parser.add_argument("--telemetry-out", metavar="PATH",
@@ -541,16 +536,16 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     parser.add_argument("--trace-sample", type=float, default=None,
                         metavar="FRACTION",
                         help="fraction of client queries to trace, 0..1"
-                             " (default: REPRO_TRACE env or off)")
-    parser.add_argument("--workers", type=int, default=None,
+                             " (default: off)")
+    parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for sharded execution"
-                             " (default: REPRO_WORKERS or 1 = serial)")
+                             " (default: 1 = serial)")
     parser.add_argument("--chaos", metavar="SCENARIO", default=None,
                         help="run under a named fault schedule (see"
-                             " 'repro chaos'; default: REPRO_CHAOS env)")
+                             " 'repro chaos'; default: none)")
     parser.add_argument("--chaos-seed", type=int, default=None,
-                        help="fault-placement seed (default: derived"
-                             " from --seed)")
+                        help="fault-placement seed of --chaos (default:"
+                             " derived from --seed)")
     parser.add_argument("--spool-dir", metavar="DIR", default=None,
                         help="write each capture's chunks as files under"
                              " DIR/<dataset_id>/ (default: keep them in"
@@ -621,10 +616,10 @@ def main(argv=None) -> int:
                               " responses/s per client prefix (0 = off)")
     p_serve.add_argument("--chaos", metavar="SCENARIO", default=None,
                          help="apply a named fault schedule to live"
-                              " traffic (default: REPRO_CHAOS env)")
+                              " traffic (default: none)")
     p_serve.add_argument("--chaos-seed", type=int, default=None,
-                         help="fault-placement seed (default: derived"
-                              " from --seed)")
+                         help="fault-placement seed of --chaos (default:"
+                              " derived from --seed)")
     p_serve.add_argument("--fault-window", type=float, default=3600.0,
                          metavar="SECONDS",
                          help="uptime window the chaos schedule replays"

@@ -16,14 +16,17 @@ by one — and measures what the paper's framing predicts:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import List
+from typing import Callable, Iterator, List, Sequence
 
+from ..clouds import FleetResolver
 from ..dnscore import RCode
 from ..faults import FaultPlan, OutageWindow
 from ..sim import borrowed_environment
+from ..sim.driver import SimEnvironment
 from ..telemetry import MetricsRegistry
-from ..workload import DiurnalPattern, WorkloadGenerator, dataset
+from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator, dataset
 from ..zones import domains_of
 from .context import ExperimentContext
 from .report import Report
@@ -40,36 +43,52 @@ class OutageOutcome:
     captured_queries: int
 
 
-def _run_scenario(
-    offline: int, client_queries: int, seed: int, metrics: MetricsRegistry
-) -> OutageOutcome:
-    """Simulate nl-w2020 with ``offline`` of the NS set forced down.
+@dataclass
+class ResolvedSample:
+    """A fleet sample driven by hand through a borrowed world."""
 
-    The outage is expressed as a :class:`FaultPlan` — one full-window
-    :class:`OutageWindow` per dark server — and the world assembled through
-    the shared :func:`borrowed_environment` path, so this experiment
-    exercises exactly the fault layer every chaos scenario uses, on the
-    fleet the process already holds for nl-w2020.
+    env: SimEnvironment
+    members: List[FleetResolver]
+    client_queries: int
+    servfails: int
+
+    @property
+    def servfail_ratio(self) -> float:
+        return self.servfails / self.client_queries if self.client_queries else 0.0
+
+
+def google_sample(fleet: Sequence[FleetResolver]) -> List[FleetResolver]:
+    """The first 40 Google members of a fleet."""
+    return [m for m in fleet if m.provider == "Google"][:40]
+
+
+@contextmanager
+def resolve_sample(
+    descriptor: DatasetDescriptor,
+    seed: int,
+    metrics: MetricsRegistry,
+    sample: Callable[[Sequence[FleetResolver]], List[FleetResolver]],
+    client_queries: int,
+) -> Iterator[ResolvedSample]:
+    """Borrow ``descriptor``'s world and resolve ``client_queries`` spread
+    evenly over the members ``sample`` picks from its fleet, each with its
+    own workload stream.
+
+    The world is assembled through the shared :func:`borrowed_environment`
+    path, on the fleet the process already holds for the dataset, so the
+    extension experiments exercise exactly the fault layer every chaos
+    scenario uses.  The fleet goes back when the block exits, and
+    returning it rewinds the members' stats: read them inside the block.
     """
-    base = dataset("nl-w2020")
-    plan = FaultPlan(
-        name=f"outage-{offline}",
-        outages=tuple(
-            OutageWindow(spec.server_id, 0.0, 1.0)
-            for spec in base.servers[:offline]
-        ),
-    )
-    descriptor = replace(base, fault_plan=plan) if offline else base
     with borrowed_environment(descriptor, seed, metrics) as env:
-        domains = domains_of(env.vantage_zone)
-        generator = WorkloadGenerator("nl", domains, seed=seed)
+        generator = WorkloadGenerator(
+            descriptor.vantage, domains_of(env.vantage_zone), seed=seed
+        )
         pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-        fleet = [m for m in env.fleet if m.provider == "Google"][:40]
-
-        servfails = 0
-        total = 0
-        per_member = max(1, client_queries // len(fleet))
-        for index, member in enumerate(fleet):
+        members = sample(env.fleet)
+        per_member = max(1, client_queries // len(members))
+        total = servfails = 0
+        for index, member in enumerate(members):
             for query in generator.generate(
                 index, per_member, pattern, junk_fraction=0.05
             ):
@@ -79,14 +98,33 @@ def _run_scenario(
                 total += 1
                 if rcode is RCode.SERVFAIL:
                     servfails += 1
-        # Read before the fleet goes back: returning it rewinds the stats.
-        auth_queries = sum(m.resolver.stats.auth_queries for m in fleet)
+        yield ResolvedSample(env, members, total, servfails)
+
+
+def _run_scenario(
+    offline: int, client_queries: int, seed: int, metrics: MetricsRegistry
+) -> OutageOutcome:
+    """Simulate nl-w2020 with ``offline`` of the NS set forced down: one
+    full-window :class:`OutageWindow` per dark server."""
+    base = dataset("nl-w2020")
+    plan = FaultPlan(
+        name=f"outage-{offline}",
+        outages=tuple(
+            OutageWindow(spec.server_id, 0.0, 1.0)
+            for spec in base.servers[:offline]
+        ),
+    )
+    descriptor = replace(base, fault_plan=plan) if offline else base
+    with resolve_sample(
+        descriptor, seed, metrics, google_sample, client_queries
+    ) as sample:
+        auth_queries = sum(m.resolver.stats.auth_queries for m in sample.members)
     return OutageOutcome(
         offline_servers=offline,
-        client_queries=total,
-        servfail_ratio=servfails / total if total else 0.0,
-        auth_queries_per_client=auth_queries / max(total, 1),
-        captured_queries=len(env.capture),
+        client_queries=sample.client_queries,
+        servfail_ratio=sample.servfail_ratio,
+        auth_queries_per_client=auth_queries / max(sample.client_queries, 1),
+        captured_queries=len(sample.env.capture),
     )
 
 

@@ -22,13 +22,11 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from ..clouds import PROVIDERS
-from ..dnscore import RCode
 from ..faults import FaultPlan, chaos_scenario
-from ..sim import borrowed_environment
 from ..telemetry import MetricsRegistry
-from ..workload import DiurnalPattern, WorkloadGenerator, dataset
-from ..zones import domains_of
+from ..workload import dataset
 from .context import ExperimentContext
+from .extension_outage import google_sample, resolve_sample
 from .report import Report
 
 #: Uniform loss rates of the amplification sweep.
@@ -59,34 +57,17 @@ def _loss_point(
     if loss:
         plan = FaultPlan(name=f"loss-{loss}", packet_loss=loss)
         descriptor = replace(base, fault_plan=plan)
-    with borrowed_environment(descriptor, seed, metrics) as env:
-        domains = domains_of(env.vantage_zone)
-        generator = WorkloadGenerator("nl", domains, seed=seed)
-        pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-        fleet = [m for m in env.fleet if m.provider == "Google"][:40]
-
-        servfails = 0
-        total = 0
-        per_member = max(1, client_queries // len(fleet))
-        for index, member in enumerate(fleet):
-            for query in generator.generate(
-                index, per_member, pattern, junk_fraction=0.05
-            ):
-                rcode = member.resolver.resolve(
-                    env.network, query.timestamp, query.qname, query.qtype
-                )
-                total += 1
-                if rcode is RCode.SERVFAIL:
-                    servfails += 1
-        # Read before the fleet goes back: returning it rewinds the stats.
-        auth = sum(m.resolver.stats.auth_queries for m in fleet)
-        retransmits = sum(m.resolver.stats.retransmits for m in fleet)
-        failovers = sum(m.resolver.stats.failovers for m in fleet)
+    with resolve_sample(
+        descriptor, seed, metrics, google_sample, client_queries
+    ) as sample:
+        auth = sum(m.resolver.stats.auth_queries for m in sample.members)
+        retransmits = sum(m.resolver.stats.retransmits for m in sample.members)
+        failovers = sum(m.resolver.stats.failovers for m in sample.members)
     return LossOutcome(
         loss_rate=loss,
-        client_queries=total,
-        servfail_ratio=servfails / total if total else 0.0,
-        auth_queries_per_client=auth / max(total, 1),
+        client_queries=sample.client_queries,
+        servfail_ratio=sample.servfail_ratio,
+        auth_queries_per_client=auth / max(sample.client_queries, 1),
         retransmits=retransmits,
         failovers=failovers,
     )
@@ -100,6 +81,14 @@ def _capture_shares(env) -> Dict[str, float]:
     return {server_id: count / len(env.capture) for server_id, count in counts.items()}
 
 
+def _five_provider_sample(fleet):
+    """The first :data:`MEMBERS_PER_PROVIDER` members of each provider."""
+    sample = []
+    for provider in PROVIDERS:
+        sample.extend([m for m in fleet if m.provider == provider][:MEMBERS_PER_PROVIDER])
+    return sample
+
+
 def _flaky_run(client_queries: int, seed: int, chaos: bool, metrics: MetricsRegistry):
     """Resolve a five-provider sample against nl-w2020, optionally with the
     ``flaky-server`` scenario active; returns (capture share per server,
@@ -108,32 +97,17 @@ def _flaky_run(client_queries: int, seed: int, chaos: bool, metrics: MetricsRegi
     descriptor = (
         replace(base, fault_plan=chaos_scenario("flaky-server")) if chaos else base
     )
-    with borrowed_environment(descriptor, seed, metrics) as env:
-        domains = domains_of(env.vantage_zone)
-        generator = WorkloadGenerator("nl", domains, seed=seed)
-        pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-        fleet = []
-        for provider in PROVIDERS:
-            fleet.extend(
-                [m for m in env.fleet if m.provider == provider][:MEMBERS_PER_PROVIDER]
-            )
-
-        per_member = max(1, client_queries // len(fleet))
-        for index, member in enumerate(fleet):
-            for query in generator.generate(
-                index, per_member, pattern, junk_fraction=0.05
-            ):
-                member.resolver.resolve(
-                    env.network, query.timestamp, query.qname, query.qtype
-                )
-        # Read before the fleet goes back: returning it rewinds the stats.
+    with resolve_sample(
+        descriptor, seed, metrics, _five_provider_sample, client_queries
+    ) as sample:
         failovers = {
             provider: sum(
-                m.resolver.stats.failovers for m in fleet if m.provider == provider
+                m.resolver.stats.failovers
+                for m in sample.members if m.provider == provider
             )
             for provider in PROVIDERS
         }
-    return _capture_shares(env), failovers
+    return _capture_shares(sample.env), failovers
 
 
 def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..capture import CaptureView
-from ..config import RunConfig, pool_start_method
+from ..config import RunConfig
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from ..workload import DatasetDescriptor
 
@@ -50,15 +50,13 @@ logger = logging.getLogger("repro.runtime")
 
 
 def pool_context():
-    """The multiprocessing context for shard pools: ``REPRO_POOL_START``,
-    else ``fork`` where available so workers inherit the zones and the
-    fleet the parent holds in its world stores (:mod:`repro.sim.worlds`);
-    under ``spawn``/``forkserver`` a worker starts with empty stores,
+    """The multiprocessing context for shard pools: ``fork`` where the
+    platform has it, so workers inherit the zones and the fleet the parent
+    holds in its world stores (:mod:`repro.sim.worlds`); elsewhere the
+    platform's default, under which a worker starts with empty stores,
     builds its parts itself and shares them across its own shards."""
-    method = pool_start_method()
-    if method is None and "fork" not in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context()
-    return multiprocessing.get_context(method or "fork")
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if forks else None)
 
 
 #: Seconds the parent waits for a pool shard before it counts as failed

@@ -52,7 +52,7 @@ from ..clouds import FleetResolver, PTRTable
 from ..config import RunConfig
 from ..dnscore import Name, RRType
 from ..faults import FaultInjector, derive_fault_seed
-from ..netsim import ASRegistry, GAZETTEER, LatencyModel, SimClock
+from ..netsim import ASRegistry, GAZETTEER, LatencyModel
 from ..resolver import AuthorityNetwork, CyclicPair, SyntheticLeafAuthority
 from ..runtime import (
     RuntimeReport,
@@ -495,7 +495,6 @@ def run_member_range(
     start: int = 0,
     stop: Optional[int] = None,
     tracer: Optional[QueryTracer] = None,
-    clock: Optional[SimClock] = None,
 ) -> int:
     """Drive client query streams through fleet members ``[start, stop)``.
 
@@ -505,13 +504,6 @@ def run_member_range(
     exactly the union of the serial run's per-member traffic.  The range's
     seeds are hashed in one pass, and each member's stream is drawn as
     columns (:meth:`~repro.workload.WorkloadGenerator.columns`).
-
-    ``clock`` optionally names a :class:`~repro.netsim.SimClock` to keep in
-    step with the replay: after each member it is advanced to the latest
-    timestamp handed out so far (never backwards — member streams overlap
-    in sim time).  Queries always carry their own explicit timestamps, so
-    the clock is an observer here, not a time source; injecting one changes
-    nothing about the capture.
 
     ``tracer`` enables sampled per-query tracing.  The sampling decision is
     a pure hash of ``(seed, global member index, per-member sequence
@@ -580,8 +572,6 @@ def run_member_range(
         done = clock_s()
         resolve_s += done - generated
         run_count += count
-        if clock is not None and stamps[-1] > clock.now:
-            clock.advance_to(stamps[-1])
         provider_counter.inc(count)
         if done - last_progress >= PROGRESS_INTERVAL_S:
             logger.info(
@@ -601,7 +591,6 @@ def _run_shard(
     env: SimEnvironment,
     task: ShardTask,
     metrics: MetricsRegistry,
-    clock: Optional[SimClock] = None,
     closes_environment: bool = True,
 ) -> ShardResult:
     """Resolve one shard's member range against ``env``.
@@ -628,12 +617,10 @@ def _run_shard(
         if task.client_queries is None
         else task.client_queries
     )
-    tracer = None
-    if config.trace is not None:
-        tracer = QueryTracer(config.trace.sample, task.seed)
+    tracer = QueryTracer(config.trace, task.seed) if config.trace else None
     rows_before = env.capture.rows_appended
     queries_run = run_member_range(
-        env, total_queries, metrics, task.start, stop, tracer, clock
+        env, total_queries, metrics, task.start, stop, tracer
     )
     rows_appended = env.capture.rows_appended - rows_before
     publish_fleet_metrics(metrics, env.fleet[task.start:stop])
@@ -718,10 +705,10 @@ def _assemble(
         # its own resolve time.
         metrics.gauge("capture.append_rows_per_s").set(rows_appended / resolve_s)
     traces = None
-    if config.trace is not None:
+    if config.trace:
         traces = TraceBuffer(
             dataset_id=descriptor.dataset_id, seed=env.seed,
-            sample=config.trace.sample, base_ts=descriptor.start,
+            sample=config.trace, base_ts=descriptor.start,
         )
         for result in results:
             traces.extend(result.traces)
@@ -769,20 +756,18 @@ def run_dataset(
     seed: int = 20201027,
     client_queries: Optional[int] = None,
     telemetry: Optional[MetricsRegistry] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     config: Optional[RunConfig] = None,
     stream: Optional[bool] = None,
     spool_dir: Optional[str] = None,
-    trace=None,
-    clock: Optional[SimClock] = None,
+    trace: float = 0.0,
     vector: Optional[bool] = None,
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    ``workers`` / ``spool_dir`` / ``trace`` are the front door to
-    :meth:`RunConfig.resolve <repro.config.RunConfig.resolve>` (``None`` =
-    environment, else default; the fields are documented on the class); a
-    ready ``config`` replaces all three.  For a given fault plan every
+    ``workers`` / ``spool_dir`` / ``trace`` build the run's
+    :class:`~repro.config.RunConfig` (the fields are documented on the
+    class); a ready ``config`` replaces all three.  For a given fault plan every
     configuration yields the same capture bytes.  With
     ``workers=1`` the returned server objects carry their post-run state
     (a pool leaves the parent's cold; their counters live in the merged
@@ -799,22 +784,14 @@ def run_dataset(
     this run's metrics are merged; the run itself always instruments a
     fresh registry whose snapshot lands on ``DatasetRun.telemetry``.
 
-    ``clock`` optionally injects the :class:`~repro.netsim.SimClock` the run
-    keeps in step with sim time (defaults to a fresh clock pinned to the
-    capture window's start).  Queries carry explicit timestamps, so the
-    clock observes the replay rather than driving it: in-process it tracks
-    each member's latest timestamp; either way it ends at the window's close.
-
     ``vector`` and ``stream`` are stubs (:data:`_REMOVED_KEYWORDS`): only
     ``None``/``False`` are accepted.
     """
     reject_removed_keywords(vector=vector, stream=stream)
     if config is None:
-        config = RunConfig.resolve(workers=workers, spool_dir=spool_dir, trace=trace)
+        config = RunConfig(workers=workers, spool_dir=spool_dir, trace=trace)
     metrics = MetricsRegistry()
     metrics.gauge("runtime.vector.enabled").set(0)
-    if clock is None:
-        clock = SimClock(now=descriptor.start)
     env = build_environment(descriptor, seed, metrics)
     total_queries = (
         descriptor.client_queries if client_queries is None else client_queries
@@ -868,7 +845,7 @@ def run_dataset(
         with metrics.time_phase("runtime.execute"):
             for task in tasks:
                 result = _run_shard(
-                    env, task, MetricsRegistry(), clock,
+                    env, task, MetricsRegistry(),
                     closes_environment=task is tasks[-1],
                 )
                 record_outcome(report, metrics, task, result)
@@ -877,12 +854,6 @@ def run_dataset(
     if not pooled:
         worlds.return_fleet(env.fleet_part, metrics)
     run.telemetry = metrics.snapshot()
-
-    # The run is over: sim time has reached the end of the capture window
-    # regardless of execution backend (pool workers advance no clock).
-    window_end = descriptor.start + descriptor.duration
-    if window_end > clock.now:
-        clock.advance_to(window_end)
 
     logger.info(
         "run %s done (%s): %d client queries, %d captured rows, %.2fs resolve time",

@@ -27,14 +27,10 @@ def serial_matrix():
     context that started with empty world stores, and the snapshot of that
     context's telemetry — rendered once, checked by the modules that own
     each claim (the report literal, the figure coverage, the world builds).
-
-    The pool start method is pinned, whatever the surrounding lane set.
     """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delenv("REPRO_POOL_START", raising=False)
-        forget_worlds()
-        ctx = ExperimentContext(scale=REPORT_SCALE, workers=1, trace=0.0)
-        return collect_all(ctx), ctx.telemetry.snapshot()
+    forget_worlds()
+    ctx = ExperimentContext(scale=REPORT_SCALE)
+    return collect_all(ctx), ctx.telemetry.snapshot()
 
 
 @pytest.fixture(scope="session")

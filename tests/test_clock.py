@@ -1,19 +1,13 @@
 """The Clock protocol split: SimClock vs WallClock semantics.
 
 Satellite of the live service mode: the simulation keeps its explicit
-deterministic timestamps (an injected :class:`SimClock` is an observer,
-never a source of drift), while :class:`WallClock` gives the live service
+deterministic timestamps, while :class:`WallClock` gives the live service
 epoch-anchored time that can never run backwards even if the OS clock
 does.
 """
 
 from repro.netsim import Clock, SimClock, WallClock
 from repro.netsim import clock as clock_module
-from repro.sim import run_dataset
-from repro.workload import dataset
-
-from .helpers import view_digest
-from .test_oracle import CASES, ORACLE
 
 
 class TestProtocol:
@@ -71,18 +65,3 @@ class TestWallClock:
         b = clock.read()
         assert b >= a > 1_500_000_000.0  # epoch seconds, after 2017
         assert clock.clamps == 0
-
-
-class TestSimBitIdentity:
-    def test_injected_clock_is_pure_observer(self):
-        descriptor, queries, __, seed = CASES["nz-w2019"]
-        observed = run_dataset(
-            descriptor, client_queries=queries, seed=seed, clock=SimClock(now=0.0)
-        )
-        assert view_digest(observed.capture.view()) == ORACLE["nz-w2019"]["capture"]
-
-    def test_clock_lands_on_window_end(self):
-        descriptor = dataset("nz-w2018")
-        clock = SimClock(now=0.0)
-        run_dataset(descriptor, client_queries=400, seed=3, clock=clock)
-        assert clock.now == descriptor.start + descriptor.duration

@@ -26,7 +26,7 @@ import pytest
 from repro.__main__ import main
 from repro.faults import chaos_scenario
 from repro.resolver.engine import SimResolver
-from repro.runtime import ShardTask, collector_paused, execute_shard_task
+from repro.runtime import ShardTask, collector_paused, execute_shard_task, executor
 from repro.sim import driver, run_dataset
 from repro.workload import dataset
 
@@ -61,7 +61,9 @@ def _run(mode, tmp_path, monkeypatch):
     if mode in ("fork", "spawn"):
         if mode not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {mode} start method here")
-        monkeypatch.setenv("REPRO_POOL_START", mode)
+        monkeypatch.setattr(
+            executor, "pool_context", lambda: multiprocessing.get_context(mode)
+        )
         options["workers"] = 2
     elif mode == "trace":
         options["trace"] = 0.05
@@ -115,13 +117,14 @@ class TestCallerStateSurvives:
         assert gc.isenabled()
 
     def test_cli_dataset_restores_the_collector(self, collector, capsys):
-        # Whatever REPRO_WORKERS / REPRO_CHAOS the lane sets reach the
-        # pause through the CLI.  No cycle count here: building the
-        # argument parser alone leaves ~600 unreachable objects a call.
+        # A pooled, lossy run reaches the pause through the CLI as well as
+        # a serial one.  No cycle count here: building the argument parser
+        # alone leaves ~600 unreachable objects a call.
+        pooled = ["--workers", "2", "--chaos", "default-loss"]
         assert main(["dataset", DATASET, "--scale", "0.01"]) == 0
         assert gc.isenabled()
         gc.disable()
-        assert main(["dataset", DATASET, "--scale", "0.01"]) == 0
+        assert main(["dataset", DATASET, "--scale", "0.01", *pooled]) == 0
         assert not gc.isenabled()
         capsys.readouterr()
 

@@ -14,6 +14,7 @@ each case memoised must equal its keyless, encoder-sized rebuild.
 """
 
 import itertools
+import multiprocessing
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ from repro.clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
 from repro.experiments import ExperimentContext
 from repro.experiments.render_all import collect_all
 from repro.faults import FaultPlan, chaos_scenario
-from repro.runtime import EnvironmentCache
+from repro.runtime import EnvironmentCache, executor
 from repro.server import AuthoritativeServer
 from repro.sim import forget_worlds, run_dataset, worlds
 from repro.workload import dataset, monthly_google_descriptor
@@ -288,13 +289,15 @@ def reports_digest(reports):
 # -- running a row -------------------------------------------------------------
 
 def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
-    """Set the process-level axes, whatever the surrounding lane set.
+    """Set the process-level axes for one test.
 
     Without ``plan_cache`` every server built from here on — in this
     process and in the pool workers it forks — is a reference server
     (``_plans = None``: every response built and encoded in full).
     Without ``world_store`` both world stores are swapped for ones that
-    park nothing, so every world is built from scratch.
+    park nothing, so every world is built from scratch.  ``start`` names
+    the multiprocessing start method of the run's shard pools (``None``:
+    the platform rule, fork where it exists).
     """
     if not plan_cache:
         build = AuthoritativeServer.__init__
@@ -307,10 +310,10 @@ def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
     if not world_store:
         monkeypatch.setattr(worlds, "ZONES", EnvironmentCache(0))
         monkeypatch.setattr(worlds, "FLEETS", EnvironmentCache(0))
-    if start is None:
-        monkeypatch.delenv("REPRO_POOL_START", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_POOL_START", start)
+    if start is not None:
+        monkeypatch.setattr(
+            executor, "pool_context", lambda: multiprocessing.get_context(start)
+        )
 
 
 def run_case(case, workers=1, spool_dir=None, traced=False, **overrides):

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.capture import CaptureSpool, CaptureStore, SpooledCapture
 from repro.capture.schema import QueryRecord, Transport
 import repro.runtime.executor as runtime_executor
-from repro import config as run_config
 from repro.config import RunConfig
 from repro.netsim import IPAddress
 from repro.runtime import ShardExecutor, ShardTask, plan_shards
@@ -396,57 +395,24 @@ class TestVectorKeywordStub:
         assert snapshot.gauges["runtime.vector.enabled"] == 0
 
 
-#: name -> (reader, value when unset, valid text, its value, invalid text).
-#: Empty always means unset.  ``REPRO_CHAOS`` has no invalid form at this
-#: level: any name passes through and ``chaos_scenario`` rejects unknown ones.
-ENV_KNOBS = {
-    "REPRO_SCALE": (lambda: run_config.resolve_scale(default=0.2), 0.2, "0.5", 0.5, "-1"),
-    "REPRO_WORKERS": (lambda: RunConfig.resolve().workers, 1, "3", 3, "abc"),
-    "REPRO_TRACE": (
-        lambda: RunConfig.resolve().trace, None,
-        "0.125", run_config.TraceConfig(sample=0.125), "2",
-    ),
-    "REPRO_CHAOS": (run_config.default_chaos, None, "default-loss", "default-loss", None),
-    "REPRO_POOL_START": (run_config.pool_start_method, None, "spawn", "spawn", "teleport"),
-}
-
-
 class TestEnvDefaults:
-    @pytest.mark.parametrize("name", sorted(ENV_KNOBS))
-    def test_one_parsing_rule_for_every_knob(self, monkeypatch, name):
-        read, default, valid, value, invalid = ENV_KNOBS[name]
-        monkeypatch.delenv(name, raising=False)
-        assert read() == default
-        monkeypatch.setenv(name, "")
-        assert read() == default
-        monkeypatch.setenv(name, f" {valid} ")
-        assert read() == value
-        if invalid is not None:
-            monkeypatch.setenv(name, invalid)
-            with pytest.raises(ValueError) as excinfo:
-                read()
-            message = str(excinfo.value)
-            assert f"{name}={invalid!r}" in message and "expected" in message
-
     def test_run_config_rejects_what_cannot_run(self):
         from repro.experiments.context import ExperimentContext
 
-        for field, bad in (("workers", 0), ("trace", 2.0)):
+        for field, bad in (("workers", 0), ("trace", 1.5), ("trace", -0.1)):
             with pytest.raises(ValueError, match=field):
-                RunConfig.resolve(**{field: bad})
+                RunConfig(**{field: bad})
         with pytest.raises(ValueError, match="scale"):
-            run_config.resolve_scale(-1.0)
+            ExperimentContext(scale=-1)
         with pytest.raises(ValueError, match="workers"):
             ExperimentContext(workers=0)
 
     def test_every_env_knob_is_in_the_readme_table(self):
-        """The ``REPRO_*`` names read under ``src/`` are exactly the rows of
-        README's "Environment variables" table — a new knob cannot arrive
-        undocumented — and the structure that keeps it so: one module reads
-        the environment, and the objects a run is assembled from are each
-        constructed at one site, so a second way to configure or run a
-        dataset — or a second benchmark system — cannot arrive unnoticed
-        either."""
+        """No module under ``src/repro`` reads the process environment —
+        every setting is a flag or a keyword — and the structure that keeps
+        it so: the objects a run is assembled from are each constructed at
+        one site, so a second way to configure or run a dataset — or a
+        second benchmark system — cannot arrive unnoticed either."""
         import re
         from pathlib import Path
 
@@ -454,24 +420,11 @@ class TestEnvDefaults:
         sources = {
             path: path.read_text() for path in (root / "src" / "repro").rglob("*.py")
         }
-        in_source = {
-            name
-            for text in sources.values()
-            for name in re.findall(r"REPRO_[A-Z_]+", text)
-        }
-        section = (root / "README.md").read_text().split(
-            "## Environment variables\n", 1
-        )[1].split("\n## ", 1)[0]
-        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
-        assert in_source == documented == {
-            "REPRO_SCALE", "REPRO_WORKERS", "REPRO_TRACE", "REPRO_CHAOS",
-            "REPRO_POOL_START",
-        }
         readers = [
             path.name for path, text in sources.items()
-            if re.search(r"\bos\.environ\b|\bgetenv\b", text)
+            if re.search(r"REPRO_|\bos\.environ\b|\bgetenv\b", text)
         ]
-        assert readers == ["config.py"]
+        assert readers == []
         for constructor in (
             "DatasetRun(", "ShardTask(", "QueryTracer(", "SpooledCapture(",
             "SimEnvironment(",
@@ -490,7 +443,7 @@ class TestEnvDefaults:
             everything,
         )
         assert not re.search(
-            r'REPRO_STREAM|config\.stream\b|aggregates is (not )?None|"--stream"',
+            r'config\.stream\b|aggregates is (not )?None|"--stream"',
             everything,
         )
         # Settable only where a caller sets it: every field of the two
@@ -523,13 +476,3 @@ class TestEnvDefaults:
             )
         ]
         assert writers == []
-
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert RunConfig.resolve().workers == 1
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert RunConfig.resolve().workers == 3
-        assert RunConfig.resolve(workers=2).workers == 2
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError):
-            RunConfig.resolve()

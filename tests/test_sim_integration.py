@@ -109,15 +109,10 @@ class TestExperimentContext:
         second = ctx.run("nz-w2020")
         assert first is second
 
-    def test_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.5")
-        ctx = ExperimentContext()
-        assert ctx.scale == 0.5
-
-    def test_bad_scale_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "-1")
-        with pytest.raises(ValueError):
-            ExperimentContext()
+    def test_bad_scale_rejected(self):
+        for scale in (-1, 0):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                ExperimentContext(scale=scale)
 
     def test_table2_needs_no_simulation(self):
         ctx = ExperimentContext(scale=0.02)

@@ -82,8 +82,7 @@ def brute_force_composition(view):
 
 
 def simulate(descriptor, workers, spool_dir=None):
-    """Modes are pinned explicitly so the comparison stays fixed even under
-    REPRO_WORKERS=2."""
+    """One run of ``descriptor`` with the modes given explicitly."""
     return run_dataset(
         descriptor, client_queries=QUERIES, seed=SEED, workers=workers,
         spool_dir=spool_dir,

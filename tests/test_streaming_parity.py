@@ -26,8 +26,7 @@ SEED = 20201027
 
 
 def simulate(workers, spool_dir=None):
-    """Modes are pinned explicitly, whatever REPRO_WORKERS the suite runs
-    under."""
+    """One run of the dataset with the modes given explicitly."""
     return run_dataset(
         dataset(DATASET), client_queries=QUERIES, seed=SEED,
         workers=workers, spool_dir=spool_dir,
@@ -174,7 +173,6 @@ def test_streaming_parent_memory_is_sublinear_in_volume(tmp_path):
     base, big = 6_000, 24_000
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("REPRO_WORKERS", None)
 
     def child(mode, volume):
         proc = subprocess.run(
@@ -209,11 +207,19 @@ def test_examples_answer_the_same_streamed(example, args):
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
 
     def stdout(workers):
+        # Every run_dataset call the example makes gets ``workers``.
+        bound = (
+            "import functools, runpy, sys\n"
+            "import repro.sim\n"
+            "repro.sim.run_dataset = functools.partial(\n"
+            f"    repro.sim.run_dataset, workers={workers})\n"
+            "sys.argv = sys.argv[1:]\n"
+            "runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        )
         proc = subprocess.run(
-            [sys.executable, os.path.join(root, "examples", example), *args],
-            env={**env, "REPRO_WORKERS": workers},
-            capture_output=True, text=True, check=True,
+            [sys.executable, "-c", bound, os.path.join(root, "examples", example), *args],
+            env=env, capture_output=True, text=True, check=True,
         )
         return proc.stdout
 
-    assert stdout("1") == stdout("2") != ""
+    assert stdout(1) == stdout(2) != ""

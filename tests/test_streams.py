@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import default_chaos
 from repro.dnscore import Name, RRType
 from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
@@ -146,13 +145,13 @@ def test_no_stream_is_seeded_from_an_integer(monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(np.random, "PCG64", guarded)
-    chaos = default_chaos()
     for descriptor in (
         dataset("nl-w2020"), dataset("root-2020"), monthly_google_descriptor("nz", 2020, 2),
     ):
-        if chaos is not None:
-            descriptor = replace(descriptor, fault_plan=chaos_scenario(chaos))
         run = run_dataset(descriptor, client_queries=600)
         assert run.client_queries_run == 600
-    if run.runtime_report.mode == "serial":
-        assert seen  # the patch sees the runs' streams
+    assert seen  # the patch sees the runs' streams
+    # Under a chaos plan, on a pool: forked workers inherit the patch.
+    lossy = replace(dataset("nz-w2020"), fault_plan=chaos_scenario("default-loss"))
+    run = run_dataset(lossy, client_queries=600, workers=2)
+    assert run.client_queries_run == 600

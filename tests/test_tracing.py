@@ -15,7 +15,7 @@ import zlib
 import pytest
 
 from repro.__main__ import main
-from repro.config import RunConfig, TraceConfig
+from repro.config import RunConfig
 from repro.telemetry import (
     MetricsRegistry,
     QueryTracer,
@@ -47,11 +47,9 @@ def descriptor():
 
 @pytest.fixture(scope="module")
 def base_run(descriptor):
-    """Tracing off — the reference capture.  ``trace=0.0`` (not None) so
-    an ambient ``REPRO_TRACE`` (the CI trace-smoke lane sets one) cannot
-    leak into the baseline.  Both this run and ``traced_run`` start from
-    a cold world store, so both publish the same ``runtime.env_cache.*``
-    keys whatever the process ran before."""
+    """Tracing off — the reference capture.  Both this run and
+    ``traced_run`` start from a cold world store, so both publish the same
+    ``runtime.env_cache.*`` keys whatever the process ran before."""
     forget_worlds()
     return run_dataset(descriptor, seed=SEED, client_queries=QUERIES, trace=0.0)
 
@@ -113,28 +111,22 @@ class TestHashSampling:
         assert all(tracer.sampled(i, s) for i in range(10) for s in range(10))
 
     def test_trace_config_validation(self):
-        with pytest.raises(ValueError):
-            TraceConfig(sample=1.5)
-        with pytest.raises(ValueError):
-            TraceConfig(sample=-0.1)
-        assert TraceConfig().sample == 0.01
-        assert list(TraceConfig.__dataclass_fields__) == ["sample"]
+        with pytest.raises(ValueError, match="trace sample must be in"):
+            RunConfig(trace=1.5)
+        with pytest.raises(ValueError, match="trace sample must be in"):
+            RunConfig(trace=-0.1)
+        assert RunConfig().trace == 0.0
 
-    def test_resolve_trace_config(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        resolve = lambda trace: RunConfig.resolve(trace=trace).trace
-        assert resolve(None) is None
-        assert resolve(0.0) is None
-        assert resolve(0.25).sample == 0.25
-        config = TraceConfig(sample=0.5)
-        assert resolve(config) is config
-        assert resolve(TraceConfig(sample=0.0)) is None
-        monkeypatch.setenv("REPRO_TRACE", "0.125")
-        assert resolve(None).sample == 0.125
-        assert resolve(0.25).sample == 0.25
-        monkeypatch.setenv("REPRO_TRACE", "2.0")
-        with pytest.raises(ValueError):
-            resolve(None)
+    def test_resolve_trace_config(self):
+        """Both keyword front doors build the one config: the sampled
+        fraction, 0 meaning off, as a float whatever number came in."""
+        from repro.experiments import ExperimentContext
+
+        assert RunConfig(trace=0.25).trace == 0.25
+        assert RunConfig(trace=1) == RunConfig(trace=1.0)
+        assert repr(RunConfig(trace=1).trace) == "1.0"
+        assert ExperimentContext(scale=0.01, trace=0.25).config == RunConfig(trace=0.25)
+        assert ExperimentContext(scale=0.01).config == RunConfig()
 
 
 class TestCaptureBitIdentity:
@@ -289,8 +281,7 @@ class TestPrometheusExposition:
 
 
 class TestObservabilityCLI:
-    def test_trace_out_and_summary(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_trace_out_and_summary(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.prom"
         assert main([
@@ -312,10 +303,7 @@ class TestObservabilityCLI:
         assert "slowest 4 sampled queries" in out
         assert "auth_exchange" in out
 
-    def test_trace_out_alone_implies_default_sample(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_trace_out_alone_implies_default_sample(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         assert main([
             "dataset", DATASET, "--scale", "0.02",
@@ -324,18 +312,6 @@ class TestObservabilityCLI:
         capsys.readouterr()
         payload = json.loads(trace_path.read_text())
         assert payload["metadata"]["sample"] == 0.01
-
-    def test_env_default_enables_tracing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "0.3")
-        trace_path = tmp_path / "trace.json"
-        assert main([
-            "dataset", DATASET, "--scale", "0.02",
-            "--trace-out", str(trace_path),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(trace_path.read_text())
-        assert payload["metadata"]["sample"] == 0.3
-        assert any(e.get("cat") == "query" for e in payload["traceEvents"])
 
     @pytest.mark.parametrize(
         "content", ["truncated", "not-json", "no-trace-events", "missing", "jsonl"]

@@ -19,6 +19,7 @@ from repro.clouds import FleetResolver
 from repro.dnscore import ARdata, Name, RRType
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
+from repro.runtime import executor
 from repro.sim import borrowed_environment, forget_worlds, run_dataset, worlds
 from repro.sim.driver import build_environment
 from repro.telemetry import MetricsRegistry
@@ -101,7 +102,9 @@ class TestPoolWorkersBorrow:
     stores it inherited (``fork``) or from nothing (``spawn``)."""
 
     def _pooled(self, monkeypatch, start):
-        monkeypatch.setenv("REPRO_POOL_START", start)
+        monkeypatch.setattr(
+            executor, "pool_context", lambda: multiprocessing.get_context(start)
+        )
         forget_worlds()
         run = run_dataset(
             dataset("nz-w2018"), seed=SEED, client_queries=QUERIES,
