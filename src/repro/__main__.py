@@ -324,30 +324,14 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return partial_exit
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-    import signal
-
+def _serve_config(args: argparse.Namespace):
     from .server import RRLConfig
-    from .service import (
-        DnsService,
-        ResilienceConfig,
-        ServiceConfig,
-        ServiceTopology,
-        TopologyError,
-    )
+    from .service import ResilienceConfig, ServiceConfig
 
-    topology = None
-    if args.topology:
-        try:
-            topology = ServiceTopology.from_json_file(args.topology)
-        except (OSError, ValueError) as exc:
-            return _file_error(args.topology, exc)
     rrl = None
     if args.rrl and args.rrl > 0:
         rrl = RRLConfig(responses_per_second=args.rrl, burst=2.0 * args.rrl)
-    config = ServiceConfig(
+    return ServiceConfig(
         dataset_id=args.dataset_id,
         host=args.host,
         udp_port=args.udp_port,
@@ -358,12 +342,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chaos=args.chaos,
         chaos_seed=args.chaos_seed,
         fault_window_s=args.fault_window,
-        topology=topology,
         resolver_frontend=args.resolver,
         resilience=ResilienceConfig(
             admission_rate_qps=args.admission_qps if args.admission_qps > 0 else None,
         ),
     )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+    import json
+    import signal
+
+    from .service import DnsService, ServiceTopology, TopologyError
+
+    config = args.live_config
+    if args.topology:
+        # A file it cannot use is one ``FILE: reason`` line, not a usage
+        # message, so it is loaded here rather than in ``_serve_config``.
+        try:
+            config.topology = ServiceTopology.from_json_file(args.topology)
+        except (OSError, ValueError) as exc:
+            return _file_error(args.topology, exc)
 
     async def _serve() -> int:
         service = DnsService(config)
@@ -648,7 +648,7 @@ def main(argv=None) -> int:
                          help="token-bucket admission control at RATE"
                               " queries/s; over-capacity queries are"
                               " dropped (0 = no admission limit)")
-    p_serve.set_defaults(func=_cmd_serve)
+    p_serve.set_defaults(func=_cmd_serve, make_config=_serve_config)
 
     p_loadgen = sub.add_parser(
         "loadgen", help="replay workload streams against a live serve"

@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..netsim import ASInfo, ASRegistry, GAZETTEER, IPAddress, Prefix
+from ..paper import FIGURE1, TABLE5
 from ..resolver import ResolverBehavior, SimResolver
 from .profiles import (
     AS_PREFIXES,
@@ -29,12 +30,10 @@ from .profiles import (
     GOOGLE_PUBLIC_RESOLVER_FRACTION,
     GOOGLE_PUBLIC_SHARE,
     JUNK_FRACTION,
-    PROVIDER_ASES,
     PROVIDER_SITES,
     PROVIDERS,
     RESOLVER_POPULATION,
-    TRAFFIC_SHARE,
-    V6_QUERY_RATIO,
+    provider_prefixes,
     qmin_enabled,
     registered_as_infos,
 )
@@ -132,11 +131,18 @@ EXPLICIT_DS_PROBABILITY: Dict[str, float] = {
 }
 
 
+def _v6_query_ratio(provider: str, vantage: str, year: int) -> float:
+    """Table 5's IPv6 query share of a provider (the root reads .nl's).
+    Facebook's fleet never asks: its family split emerges from per-site
+    RTTs."""
+    return TABLE5[(provider, "nl" if vantage == "root" else vantage, year)][1]
+
+
 def _behavior_for(
     provider: str, vantage: str, year: int, bufsize: int, validating: bool
 ) -> ResolverBehavior:
     """Base behaviour for a provider's pool members."""
-    v6_ratio = V6_QUERY_RATIO.get((provider, "nl" if vantage == "root" else vantage, year), 0.0)
+    v6_ratio = _v6_query_ratio(provider, vantage, year)
     return ResolverBehavior(
         qname_minimization=qmin_enabled(provider, vantage, year),
         validates_dnssec=validating,
@@ -180,14 +186,14 @@ def _build_generic_fleet(
     cloud regions, with a dual-stack sub-population sized from Table 6."""
     rng = np.random.default_rng(seed)
     count, v6_fraction = _resolver_count(provider, vantage, year)
-    v4_alloc = AddressAllocator(_family_split(_provider_prefixes(provider))[0])
-    v6_prefixes = _family_split(_provider_prefixes(provider))[1]
+    v4_alloc = AddressAllocator(_family_split(provider_prefixes(provider))[0])
+    v6_prefixes = _family_split(provider_prefixes(provider))[1]
     v6_alloc = AddressAllocator(v6_prefixes) if v6_prefixes else None
     sites = PROVIDER_SITES[provider]
     validating = _validates(provider)
     junk = JUNK_FRACTION[(provider, year)]
     weights = _lognormal_weights(rng, count)
-    total_share = TRAFFIC_SHARE[(vantage, year)][provider] / (
+    total_share = FIGURE1[(vantage, year)][provider] / (
         CAPTURE_AMPLIFICATION[provider] * YEAR_AMPLIFICATION[year]
     )
 
@@ -203,9 +209,7 @@ def _build_generic_fleet(
             )
         else:
             # Dual-stack machines carry the provider's whole v6 query share.
-            ratio = V6_QUERY_RATIO.get(
-                (provider, "nl" if vantage == "root" else vantage, year), 0.0
-            )
+            ratio = _v6_query_ratio(provider, vantage, year)
             # Floor keeps rarely-v6 fleets (Microsoft) visible in the
             # resolver inventory while their v6 *traffic* rounds to zero.
             pooled = max(0.05, min(0.95, ratio * count / max(dual_count, 1)))
@@ -243,7 +247,7 @@ def _build_google_fleet(vantage: str, year: int, seed: int) -> List[FleetResolve
     public_count = max(2, int(round(count * public_fraction)))
     rest_count = count - public_count
     public_share = GOOGLE_PUBLIC_SHARE[(vkey, year)]
-    total_share = TRAFFIC_SHARE[(vantage, year)]["Google"] / (
+    total_share = FIGURE1[(vantage, year)]["Google"] / (
         CAPTURE_AMPLIFICATION["Google"] * YEAR_AMPLIFICATION[year]
     )
     junk = JUNK_FRACTION[("Google", year)]
@@ -251,7 +255,7 @@ def _build_google_fleet(vantage: str, year: int, seed: int) -> List[FleetResolve
     public_prefixes = [Prefix.parse(p) for p in GOOGLE_PUBLIC_DNS_PREFIXES]
     pub_v4, pub_v6 = _family_split(public_prefixes)
     rest_prefixes = [
-        p for p in _provider_prefixes("Google")
+        p for p in provider_prefixes("Google")
         if p.to_text() not in GOOGLE_PUBLIC_DNS_PREFIXES
     ]
     rest_v4, rest_v6 = _family_split(rest_prefixes)
@@ -321,9 +325,9 @@ def _build_facebook_fleet(vantage: str, year: int, seed: int) -> List[FleetResol
     needs TCP — the paper's 'no TCP from location 1' observation)."""
     rng = np.random.default_rng(seed)
     count, __ = _resolver_count("Facebook", vantage, year)
-    v4_alloc = AddressAllocator(_family_split(_provider_prefixes("Facebook"))[0])
-    v6_alloc = AddressAllocator(_family_split(_provider_prefixes("Facebook"))[1])
-    total_share = TRAFFIC_SHARE[(vantage, year)]["Facebook"] / (
+    v4_alloc = AddressAllocator(_family_split(provider_prefixes("Facebook"))[0])
+    v6_alloc = AddressAllocator(_family_split(provider_prefixes("Facebook"))[1])
+    total_share = FIGURE1[(vantage, year)]["Facebook"] / (
         CAPTURE_AMPLIFICATION["Facebook"] * YEAR_AMPLIFICATION[year]
     )
     junk = JUNK_FRACTION[("Facebook", year)]
@@ -367,13 +371,6 @@ def _build_facebook_fleet(vantage: str, year: int, seed: int) -> List[FleetResol
     return fleet
 
 
-def _provider_prefixes(provider: str) -> List[Prefix]:
-    prefixes: List[Prefix] = []
-    for asn in PROVIDER_ASES[provider]:
-        prefixes.extend(Prefix.parse(text) for text in AS_PREFIXES[asn])
-    return prefixes
-
-
 def _validates(provider: str) -> bool:
     from .profiles import VALIDATES
 
@@ -413,7 +410,7 @@ def build_background_fleet(
     n_resolvers = int(base_resolvers * year_scale)
     n_ases = int(base_ases * year_scale)
 
-    cp_share = sum(TRAFFIC_SHARE[(vantage, year)].values())
+    cp_share = sum(FIGURE1[(vantage, year)].values())
     background_share = 1.0 - cp_share
 
     # Resolvers per AS: heavy-tailed allocation.

@@ -5,25 +5,33 @@ provider's resolver behaviour; we *parameterise* simulated fleets with those
 measurements and verify that the full pipeline (resolvers → authoritative
 captures → ENTRADA-like analysis) regenerates every table and figure.
 
-Everything here traces to a specific paper artifact:
+Inputs that *are* a published cell read it from :mod:`repro.paper`, so the
+reports' paper column and the simulator share one copy:
 
-* AS numbers — Table 1;
-* per-year IPv4/IPv6 and UDP/TCP behaviour — Table 5;
-* resolver counts and address-family splits — Tables 4 and 6;
-* Q-min adoption timing — section 4.2.1 / Figure 3 (Google: Dec 2019);
-* DNSSEC validation ("all except one") — section 4.2.2;
-* EDNS0 buffer-size distributions — section 4.4 / Figure 6;
-* Facebook's 13 PTR-visible sites and their RTT-driven family choice —
-  section 4.3 / Figure 5.
+* each provider's query share — Figure 1 (``paper.FIGURE1``);
+* the fixed IPv6 query share of a fleet — Table 5's IPv6 column (read in
+  :mod:`repro.clouds.fleets`);
+* Google Public DNS's query share in 2019/2020 — Tables 4 and 7;
+* Amazon's and Microsoft's fleet sizes (1:100) and most of their IPv6
+  address fractions — Table 6;
+* the Facebook-512 and Google-1232 EDNS0 shares — Figure 6;
+* Google's Q-min rollout month — Figure 3.
+
+The rest is tuned to land the captured outputs on the paper, or read from
+its prose: AS numbers and public-DNS flags (Table 1), Q-min adoption
+(section 4.2.1), DNSSEC validation ("all except one", section 4.2.2), the
+remaining fleet sizes, address fractions and EDNS0 sizes, junk fractions,
+capture amplification, and Facebook's 13 PTR-visible sites with their
+RTT-driven family choice (section 4.3 / Figure 5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..netsim import ASInfo, Prefix
-from ..resolver import ResolverBehavior
+from ..paper import FIGURE3_ROLLOUT, FIGURE6_CDF, TABLE4, TABLE6
 
 PROVIDERS = ("Google", "Amazon", "Microsoft", "Facebook", "Cloudflare")
 
@@ -112,41 +120,6 @@ FACEBOOK_SITES: Tuple[FacebookSite, ...] = (
 )
 
 
-@dataclass
-class PoolSpec:
-    """One homogeneous resolver pool inside a provider's fleet.
-
-    ``bufsize_choices`` is a discrete (size, probability) distribution
-    sampled per resolver — the population whose query-weighted CDF is
-    Figure 6.
-    """
-
-    name: str
-    resolver_count: int
-    site_codes: Tuple[str, ...]
-    behavior: ResolverBehavior
-    dual_stack_fraction: float = 1.0
-    v6_only_fraction: float = 0.0
-    traffic_weight: float = 1.0
-    bufsize_choices: Tuple[Tuple[int, float], ...] = ((4096, 1.0),)
-    junk_fraction: float = 0.08
-    is_public_dns: bool = False
-    site_weights: Optional[Tuple[float, ...]] = None
-
-
-@dataclass
-class ProviderProfile:
-    """A provider's full fleet configuration for one measurement year."""
-
-    name: str
-    year: int
-    pools: List[PoolSpec] = field(default_factory=list)
-
-    @property
-    def total_resolvers(self) -> int:
-        return sum(pool.resolver_count for pool in self.pools)
-
-
 #: Per-year Q-min status (section 4.2.1: by w2020, NS queries jumped for
 #: Google, Cloudflare, and Facebook at both ccTLDs; Amazon only at .nz).
 QMIN_BY_YEAR: Dict[str, Dict[int, bool]] = {
@@ -171,38 +144,37 @@ VALIDATES: Dict[str, bool] = {
     "Cloudflare": True,
 }
 
-#: Table 5 — fraction of queries over IPv6, per provider/vantage/year.
-#: Facebook is absent: its family split *emerges* from per-site RTTs.
-V6_QUERY_RATIO: Dict[Tuple[str, str, int], float] = {
-    ("Google", "nl", 2018): 0.34, ("Google", "nl", 2019): 0.51, ("Google", "nl", 2020): 0.48,
-    ("Google", "nz", 2018): 0.39, ("Google", "nz", 2019): 0.46, ("Google", "nz", 2020): 0.46,
-    ("Amazon", "nl", 2018): 0.00, ("Amazon", "nl", 2019): 0.02, ("Amazon", "nl", 2020): 0.03,
-    ("Amazon", "nz", 2018): 0.00, ("Amazon", "nz", 2019): 0.03, ("Amazon", "nz", 2020): 0.04,
-    ("Microsoft", "nl", 2018): 0.0, ("Microsoft", "nl", 2019): 0.0, ("Microsoft", "nl", 2020): 0.0,
-    ("Microsoft", "nz", 2018): 0.0, ("Microsoft", "nz", 2019): 0.0, ("Microsoft", "nz", 2020): 0.0,
-    ("Cloudflare", "nl", 2018): 0.46, ("Cloudflare", "nl", 2019): 0.43, ("Cloudflare", "nl", 2020): 0.49,
-    ("Cloudflare", "nz", 2018): 0.46, ("Cloudflare", "nz", 2019): 0.44, ("Cloudflare", "nz", 2020): 0.51,
-}
 
-#: Table 6 / Table 4 — resolver populations per vantage (scaled 1:100).
-#: Values: (total_resolvers, ipv6_fraction_of_resolvers).
+def _table6_population(provider: str, vantage: str) -> Tuple[int, float]:
+    """Table 6 at 1:100: (resolvers, IPv6 fraction of the addresses)."""
+    total, __, v6 = TABLE6[provider][vantage]
+    return round(total / 100), round(v6 / total, 3)
+
+
+#: Resolver populations per vantage (scaled 1:100), w2020.
+#: Values: (total_resolvers, ipv6_fraction_of_resolvers).  Amazon and
+#: Microsoft are Table 6; the other three are tuned.
 RESOLVER_POPULATION: Dict[Tuple[str, str, int], Tuple[int, float]] = {
     ("Google", "nl", 2020): (239, 0.30), ("Google", "nz", 2020): (212, 0.30),
-    ("Amazon", "nl", 2020): (383, 0.018), ("Amazon", "nz", 2020): (346, 0.021),
-    ("Microsoft", "nl", 2020): (145, 0.030), ("Microsoft", "nz", 2020): (102, 0.046),
+    ("Amazon", "nl", 2020): _table6_population("Amazon", "nl"),
+    ("Amazon", "nz", 2020): _table6_population("Amazon", "nz"),
+    # Table 6 rounds to 0.029; the input stays 0.030 until the outputs are
+    # re-recorded (ROADMAP item 3).
+    ("Microsoft", "nl", 2020): (_table6_population("Microsoft", "nl")[0], 0.030),
+    ("Microsoft", "nz", 2020): _table6_population("Microsoft", "nz"),
     ("Cloudflare", "nl", 2020): (150, 0.45), ("Cloudflare", "nz", 2020): (140, 0.45),
     ("Facebook", "nl", 2020): (65, 0.90), ("Facebook", "nz", 2020): (60, 0.90),
 }
 
-#: Fraction of Google queries from the Public DNS pool (Tables 4 and 7).
+#: Fraction of Google queries from the Public DNS pool: Tables 4 and 7 for
+#: 2019/2020; the paper has no 2018 split, so those two are tuned.
 GOOGLE_PUBLIC_SHARE: Dict[Tuple[str, int], float] = {
-    ("nl", 2019): 0.893, ("nz", 2019): 0.844,
-    ("nl", 2020): 0.865, ("nz", 2020): 0.884,
+    **{key: queries for key, (queries, __) in TABLE4.items()},
     ("nl", 2018): 0.87, ("nz", 2018): 0.86,
 }
 
 #: Fraction of Google *machines* that are Public DNS egresses.  Tuned below
-#: the paper's address fractions (15.6% .nl / 18.7% .nz, Table 4) because
+#: the paper's address fractions (Table 4's resolver ratios) because
 #: public egresses are dual-stack and therefore contribute two addresses
 #: each to the capture's distinct-address count.
 GOOGLE_PUBLIC_RESOLVER_FRACTION: Dict[str, float] = {"nl": 0.10, "nz": 0.12, "root": 0.10}
@@ -225,21 +197,6 @@ CAPTURE_AMPLIFICATION: Dict[str, float] = {
 #: 2018/2019 levels.
 YEAR_AMPLIFICATION: Dict[int, float] = {2018: 1.16, 2019: 1.16, 2020: 1.0}
 
-#: Figure 1 — share of all captured queries originating from each provider.
-#: These drive workload volume allocation; the analysis re-derives them
-#: from the capture via AS attribution.
-TRAFFIC_SHARE: Dict[Tuple[str, int], Dict[str, float]] = {
-    ("nl", 2018): {"Google": 0.125, "Amazon": 0.065, "Microsoft": 0.055, "Facebook": 0.035, "Cloudflare": 0.040},
-    ("nl", 2019): {"Google": 0.135, "Amazon": 0.070, "Microsoft": 0.055, "Facebook": 0.035, "Cloudflare": 0.045},
-    ("nl", 2020): {"Google": 0.132, "Amazon": 0.070, "Microsoft": 0.055, "Facebook": 0.033, "Cloudflare": 0.045},
-    ("nz", 2018): {"Google": 0.065, "Amazon": 0.080, "Microsoft": 0.050, "Facebook": 0.030, "Cloudflare": 0.045},
-    ("nz", 2019): {"Google": 0.070, "Amazon": 0.085, "Microsoft": 0.050, "Facebook": 0.030, "Cloudflare": 0.050},
-    ("nz", 2020): {"Google": 0.072, "Amazon": 0.090, "Microsoft": 0.050, "Facebook": 0.030, "Cloudflare": 0.055},
-    ("root", 2018): {"Google": 0.020, "Amazon": 0.015, "Microsoft": 0.010, "Facebook": 0.005, "Cloudflare": 0.010},
-    ("root", 2019): {"Google": 0.024, "Amazon": 0.018, "Microsoft": 0.012, "Facebook": 0.006, "Cloudflare": 0.014},
-    ("root", 2020): {"Google": 0.027, "Amazon": 0.020, "Microsoft": 0.015, "Facebook": 0.008, "Cloudflare": 0.017},
-}
-
 #: Per-provider junk fraction of the client workload (Figure 4: ccTLD junk
 #: rates are similar across .nl/.nz; CPs show proportionally less junk at
 #: the root than the 80% background).  2020 sees a drop attributed to
@@ -252,13 +209,14 @@ JUNK_FRACTION: Dict[Tuple[str, int], float] = {
     ("Cloudflare", 2018): 0.12, ("Cloudflare", 2019): 0.20, ("Cloudflare", 2020): 0.09,
 }
 
-#: EDNS0 buffer-size populations (Figure 6).  Facebook: ~30% of queries at
-#: 512; Google/Microsoft: ~24% at or below 1232, the rest 4096.
+#: EDNS0 buffer-size populations (Figure 6).  Facebook's 512 and Google's
+#: 1232 shares are the figure's anchors; Microsoft's mirrors Google's
+#: ("similar"), and the other sizes and shares are tuned.
 BUFSIZE_CHOICES: Dict[str, Tuple[Tuple[int, float], ...]] = {
-    "Google": ((1232, 0.24), (4096, 0.76)),
+    "Google": ((1232, FIGURE6_CDF[("Google", 1232)]), (4096, 0.76)),
     "Amazon": ((4096, 0.90), (1232, 0.10)),
     "Microsoft": ((1232, 0.24), (4096, 0.76)),
-    "Facebook": ((512, 0.30), (1432, 0.30), (4096, 0.40)),
+    "Facebook": ((512, FIGURE6_CDF[("Facebook", 512)]), (1432, 0.30), (4096, 0.40)),
     "Cloudflare": ((512, 0.02), (1452, 0.78), (4096, 0.20)),
 }
 
@@ -296,6 +254,6 @@ def qmin_enabled(provider: str, vantage: str, year: int) -> bool:
 
 
 def google_qmin_by_month(year: int, month: int) -> bool:
-    """Google's Q-min rollout switch for the monthly Figure 3 runs:
-    confirmed deployed in Dec 2019."""
-    return (year, month) >= (2019, 12)
+    """Google's Q-min rollout switch for the monthly Figure 3 runs: on
+    from the month the paper confirms it deployed."""
+    return (year, month) >= FIGURE3_ROLLOUT

@@ -19,9 +19,10 @@ from typing import Optional
 class RunConfig:
     """How one dataset simulation executes.
 
-    ``workers`` selects the backend: 1 runs the shards in-process, more
-    run them on a process pool; either way the fleet is cut into one
-    shard per worker and the capture bytes are the same.
+    ``workers`` selects the backend: 1 runs the fleet in-process as one
+    shard, more cut it into one shard per worker and run them on a process
+    pool (a run with no client queries stays one shard); either way the
+    capture bytes are the same.
 
     Every shard folds its capture's columnar chunks into single-pass
     aggregates as it freezes them; ``spool_dir`` says where the chunks
@@ -41,6 +42,14 @@ class RunConfig:
         if not 0.0 <= self.trace <= 1.0:
             raise ValueError(f"trace sample must be in [0, 1], got {self.trace}")
         object.__setattr__(self, "trace", float(self.trace))
+
+
+def check_ports(**ports: Optional[int]) -> None:
+    """Raise ``ValueError`` naming the first port outside [0, 65535];
+    ``None`` (no port) passes."""
+    for name, port in ports.items():
+        if port is not None and not 0 <= port <= 65535:
+            raise ValueError(f"{name} must be in [0, 65535], got {port}")
 
 
 def check_scale(scale: float) -> float:

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..paper import TABLE3
 from ..workload import datasets_for_vantage
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper section 3: valid fractions at the root per year — so NXDOMAIN-ish
-#: junk is the complement (most junk is NXDOMAIN; some is REFUSED et al.).
-PAPER_ROOT_VALID = {2018: 0.35, 2019: 0.35, 2020: 0.20}
 
 
 def run(ctx: ExperimentContext) -> Report:
@@ -26,6 +23,11 @@ def run(ctx: ExperimentContext) -> Report:
     for descriptor in datasets_for_vantage("root"):
         summary = ctx.analytics(descriptor.dataset_id).rssac()
         year = descriptor.year
+        # Table 3's valid fraction, rounded as section 3 quotes it; most
+        # junk is NXDOMAIN (some is REFUSED et al.), so NXDOMAIN is about
+        # its complement.
+        queries, valid = TABLE3[descriptor.dataset_id][:2]
+        valid_fraction = round(valid / queries, 2)
         series["year"].append(year)
         series["nxdomain"].append(summary.nxdomain_share)
         series["v6"].append(summary.v6_share)
@@ -34,7 +36,7 @@ def run(ctx: ExperimentContext) -> Report:
         report.add(f"{year} mean daily", None, round(summary.mean_daily_queries))
         report.add(
             f"{year} NXDOMAIN share",
-            round(1.0 - PAPER_ROOT_VALID[year], 2),
+            round(1.0 - valid_fraction, 2),
             round(summary.nxdomain_share, 3),
             note="paper column = 1 - valid fraction",
         )

@@ -11,12 +11,10 @@ from __future__ import annotations
 from typing import List
 
 from ..analysis import MonthlyPoint, detect_rollout
+from ..paper import FIGURE3_ROLLOUT
 from ..workload import FIGURE3_MONTHS
 from .context import ExperimentContext
 from .report import Report
-
-#: The ground truth the paper establishes (confirmed by Google operators).
-PAPER_ROLLOUT = (2019, 12)
 
 
 def monthly_series(ctx: ExperimentContext, vantage: str) -> List[MonthlyPoint]:
@@ -37,13 +35,13 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
     for point in series:
         report.add(
             f"{point.label} NS share",
-            "jump from Dec 2019" if (point.year, point.month) >= PAPER_ROLLOUT else "low",
+            "jump from Dec 2019" if (point.year, point.month) >= FIGURE3_ROLLOUT else "low",
             round(point.ns_share, 3),
         )
     detected = detect_rollout(series)
     report.add(
         "detected Q-min rollout",
-        f"{PAPER_ROLLOUT[0]}-{PAPER_ROLLOUT[1]:02d}",
+        f"{FIGURE3_ROLLOUT[0]}-{FIGURE3_ROLLOUT[1]:02d}",
         f"{detected[0]}-{detected[1]:02d}" if detected else None,
     )
     # Verify the minimised-name signature on a post-rollout month.  .nz

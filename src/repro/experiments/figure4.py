@@ -3,17 +3,10 @@
 from __future__ import annotations
 
 from ..clouds import JUNK_FRACTION, PROVIDERS
+from ..paper import FIGURE4
 from ..workload import datasets_for_vantage
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper's vantage-wide junk levels (section 3): ~14% .nl, ~29% .nz,
-#: ~80% B-Root in 2020.
-PAPER_OVERALL_JUNK = {
-    ("nl", 2018): 0.104, ("nl", 2019): 0.109, ("nl", 2020): 0.136,
-    ("nz", 2018): 0.322, ("nz", 2019): 0.193, ("nz", 2020): 0.337,
-    ("root", 2018): 0.653, ("root", 2019): 0.654, ("root", 2020): 0.800,
-}
 
 
 def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
@@ -34,7 +27,7 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
             )
         report.add(
             f"{descriptor.year} overall",
-            PAPER_OVERALL_JUNK[(vantage, descriptor.year)],
+            FIGURE4[(vantage, descriptor.year)],
             round(analytics.overall_junk_ratio(), 3),
             unit="junk ratio",
         )

@@ -8,16 +8,9 @@ Figure 8 repeats both for Server B (appendix).
 from __future__ import annotations
 
 from ..analysis import rtt_preference_correlation
+from ..paper import FIGURE5
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper's qualitative ground truth for w2020 at .nl.
-PAPER_FACTS = {
-    "dominant_site": 1,          # location 1 dominates query volume
-    "no_tcp_site": 1,            # and sends no TCP at all
-    "v4_preferring_sites": (8, 9, 10),  # big v6 RTT gap → prefer IPv4
-    "sites_total": 13,
-}
 
 
 def run_server(ctx: ExperimentContext, server_id: str) -> Report:
@@ -28,10 +21,10 @@ def run_server(ctx: ExperimentContext, server_id: str) -> Report:
     stats, dual = ctx.analytics("nl-w2020").facebook_sites(
         ctx.run("nl-w2020").ptr_table, server_id
     )
-    report.add("sites identified", PAPER_FACTS["sites_total"], len(stats))
+    report.add("sites identified", FIGURE5["sites_total"], len(stats))
     if stats:
         dominant = max(stats, key=lambda s: s.total_queries)
-        report.add("dominant site", PAPER_FACTS["dominant_site"], dominant.site_index)
+        report.add("dominant site", FIGURE5["dominant_site"], dominant.site_index)
         site1 = next((s for s in stats if s.site_index == 1), None)
         if site1 is not None:
             no_tcp = site1.median_tcp_rtt_v4 is None and site1.median_tcp_rtt_v6 is None
@@ -40,7 +33,7 @@ def run_server(ctx: ExperimentContext, server_id: str) -> Report:
     for site_index, v6_ratio, gap in correlation:
         expectation = (
             "v4-preferring"
-            if site_index in PAPER_FACTS["v4_preferring_sites"]
+            if site_index in FIGURE5["v4_preferring_sites"]
             else "mixed/v6"
         )
         gap_text = f"gap {gap:+.0f}ms" if gap is not None else "no TCP RTT"

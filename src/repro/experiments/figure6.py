@@ -3,17 +3,9 @@
 from __future__ import annotations
 
 from ..clouds import PROVIDERS
+from ..paper import FIGURE6_CDF, FIGURE6_TRUNCATION, TABLE5
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper section 4.4 (w2020, .nl): CDF anchors and truncation ratios.
-PAPER_FB_512_SHARE = 0.30        # ~30% of Facebook UDP queries at 512
-PAPER_GOOGLE_1232_SHARE = 0.24   # ~24% of Google queries at sizes <= 1232
-PAPER_TRUNCATION = {
-    "Facebook": 0.1716,
-    "Google": 0.0004,
-    "Microsoft": 0.0001,
-}
 
 
 def run(ctx: ExperimentContext) -> Report:
@@ -22,19 +14,17 @@ def run(ctx: ExperimentContext) -> Report:
     )
     analytics = ctx.analytics("nl-w2020")
 
-    facebook = analytics.bufsize_cdf("Facebook")
-    google = analytics.bufsize_cdf("Google")
-    microsoft = analytics.bufsize_cdf("Microsoft")
-    report.add("Facebook CDF @512", PAPER_FB_512_SHARE, round(facebook.at(512), 3))
-    report.add("Google CDF @1232", PAPER_GOOGLE_1232_SHARE, round(google.at(1232), 3))
+    cdfs = {p: analytics.bufsize_cdf(p) for p in ("Facebook", "Google", "Microsoft")}
+    for (provider, size), share in FIGURE6_CDF.items():
+        report.add(f"{provider} CDF @{size}", share, round(cdfs[provider].at(size), 3))
     report.add(
         "Microsoft CDF @1232",
         "similar to Google",
-        round(microsoft.at(1232), 3),
+        round(cdfs["Microsoft"].at(1232), 3),
     )
 
     truncation = analytics.truncation_table(PROVIDERS)
-    for provider, paper_value in PAPER_TRUNCATION.items():
+    for provider, paper_value in FIGURE6_TRUNCATION.items():
         report.add(
             f"{provider} truncated UDP answers",
             paper_value,
@@ -42,12 +32,8 @@ def run(ctx: ExperimentContext) -> Report:
         )
     report.add(
         "Facebook TCP share (consequence)",
-        0.14,
+        TABLE5[("Facebook", "nl", 2020)][3],
         round(analytics.tcp_share("Facebook"), 3),
     )
-    report.series = {
-        "facebook_cdf": facebook.as_points(),
-        "google_cdf": google.as_points(),
-        "microsoft_cdf": microsoft.as_points(),
-    }
+    report.series = {f"{p.lower()}_cdf": cdf.as_points() for p, cdf in cdfs.items()}
     return report

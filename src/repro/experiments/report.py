@@ -1,10 +1,13 @@
 """Experiment reports: paper-vs-measured, rendered as text.
 
 Every experiment produces a :class:`Report` whose rows pair the paper's
-published value with the reproduction's measured value.  Absolute numbers
-are not expected to match (the substrate is a scaled simulator); the
-report makes the comparison inspectable.  Nothing scores the pairs yet:
-that is ROADMAP.md item 2.
+published value with the reproduction's measured value.  Published
+numbers are read from :mod:`repro.paper`, where each is stated once (and
+where the fleet profiles read the cells that are simulator inputs);
+prose expectations such as ``"~1.0"`` stay beside the row that prints
+them.  Absolute numbers are not expected to match (the substrate is a
+scaled simulator); the report makes the comparison inspectable.  Nothing
+scores the pairs yet: that is ROADMAP.md item 2.
 """
 
 from __future__ import annotations

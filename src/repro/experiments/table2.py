@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-from ..workload import PAPER_DATASETS, ZONE_SCALE
+from ..paper import TABLE2
+from ..workload import ZONE_SCALE, dataset
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper's Table 2: (NS set, analysed NSes, zone size) per dataset.
-PAPER_TABLE2 = {
-    "nl-w2018": ("4A", "2A", "5.8M"),
-    "nl-w2019": ("4A", "2A", "5.8M"),
-    "nl-w2020": ("3A", "2A", "5.9M"),
-    "nz-w2018": ("6A,1U", "5A,1U", "720K"),
-    "nz-w2019": ("6A,1U", "5A,1U", "710K"),
-    "nz-w2020": ("6A,1U", "5A,1U", "710K"),
-}
 
 
 def _format_nsset(descriptor, captured_only: bool) -> str:
@@ -40,8 +31,8 @@ def run(ctx: ExperimentContext) -> Report:
     and that zone sizes match under the declared scale factor.
     """
     report = Report("table2", ".nl and .nz authoritative servers (Table 2)")
-    for dataset_id, (nsset, analysed, zone_size) in PAPER_TABLE2.items():
-        descriptor = PAPER_DATASETS[dataset_id]
+    for dataset_id, (nsset, analysed, zone_size) in TABLE2.items():
+        descriptor = dataset(dataset_id)
         report.add(f"{dataset_id} NSSet", nsset, _format_nsset(descriptor, False))
         report.add(f"{dataset_id} analysed", analysed, _format_nsset(descriptor, True))
         report.add(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..workload import PAPER_DATASETS
+from ..paper import TABLE3
+from ..workload import datasets_for_vantage
 from .context import ExperimentContext
 from .report import Report
 
@@ -17,28 +18,16 @@ def run(ctx: ExperimentContext) -> Report:
     vantage, query growth over years, and the root's junk dominance.
     """
     report = Report("table3", "Evaluated datasets (Table 3)")
-    for dataset_id in sorted(PAPER_DATASETS):
-        descriptor = PAPER_DATASETS[dataset_id]
+    for dataset_id, (queries, valid, resolvers, ases) in sorted(TABLE3.items()):
         summary = ctx.analytics(dataset_id).dataset_summary()
-        paper_valid_fraction = (
-            descriptor.paper_queries_valid / descriptor.paper_queries_total
-        )
-        report.add(
-            f"{dataset_id} queries",
-            f"{descriptor.paper_queries_total}B",
-            summary.queries_total,
-        )
+        report.add(f"{dataset_id} queries", f"{queries}B", summary.queries_total)
         report.add(
             f"{dataset_id} valid fraction",
-            round(paper_valid_fraction, 3),
+            round(valid / queries, 3),
             round(summary.valid_fraction, 3),
         )
-        report.add(
-            f"{dataset_id} resolvers",
-            f"{descriptor.paper_resolvers}M",
-            summary.resolvers,
-        )
-        report.add(f"{dataset_id} ASes", descriptor.paper_ases, summary.ases)
+        report.add(f"{dataset_id} resolvers", f"{resolvers}M", summary.resolvers)
+        report.add(f"{dataset_id} ASes", ases, summary.ases)
     report.notes.append(
         "queries/resolvers are simulated at declared scales; valid fractions "
         "and growth shapes are directly comparable"
@@ -49,9 +38,7 @@ def run(ctx: ExperimentContext) -> Report:
 def growth(ctx: ExperimentContext, vantage: str) -> Dict[str, float]:
     """Query growth 2018→2020 for one vantage (paper: .nl +88%, .nz +55%,
     B-Root +150%)."""
-    ids = sorted(
-        d for d in PAPER_DATASETS if PAPER_DATASETS[d].vantage == vantage
-    )
+    ids = [d.dataset_id for d in datasets_for_vantage(vantage)]
     # Capture length, not a materialised view: it comes from chunk
     # metadata, so spilled chunks are never loaded here.
     first = len(ctx.run(ids[0]).capture)

@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 from ..clouds import GOOGLE_PUBLIC_DNS_PREFIXES
+from ..paper import TABLE4
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper values: (vantage, year) → (public query ratio, public resolver ratio).
-PAPER_SPLITS = {
-    ("nl", 2020): (0.865, 0.156),
-    ("nz", 2020): (0.884, 0.187),
-    ("nl", 2019): (0.893, 0.154),
-    ("nz", 2019): (0.844, 0.177),
-}
 
 
 def run_year(ctx: ExperimentContext, year: int) -> Report:
@@ -21,7 +14,7 @@ def run_year(ctx: ExperimentContext, year: int) -> Report:
     for vantage in ("nl", "nz"):
         dataset_id = f"{vantage}-w{year}"
         split = ctx.analytics(dataset_id).google_split(GOOGLE_PUBLIC_DNS_PREFIXES)
-        paper_q, paper_r = PAPER_SPLITS[(vantage, year)]
+        paper_q, paper_r = TABLE4[(vantage, year)]
         report.add(f".{vantage} total queries", None, split.total_queries)
         report.add(f".{vantage} public queries", None, split.public_queries)
         report.add(f".{vantage} rest queries", None, split.rest_queries)

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
+from ..paper import TABLE6
 from .context import ExperimentContext
 from .report import Report
-
-#: Paper's Table 6 (w2020): provider → vantage → (total, v4, v6).
-PAPER_TABLE6 = {
-    "Amazon": {"nl": (38317, 37640, 677), "nz": (34645, 33908, 737)},
-    "Microsoft": {"nl": (14494, 14069, 425), "nz": (10206, 9738, 468)},
-}
 
 
 def run(ctx: ExperimentContext) -> Report:
@@ -23,7 +18,7 @@ def run(ctx: ExperimentContext) -> Report:
         for vantage in ("nl", "nz"):
             dataset_id = f"{vantage}-w2020"
             inventory = ctx.analytics(dataset_id).resolver_inventory(provider)
-            paper_total, paper_v4, paper_v6 = PAPER_TABLE6[provider][vantage]
+            paper_total, paper_v4, paper_v6 = TABLE6[provider][vantage]
             report.add(f"{provider} .{vantage} total", paper_total, inventory.total)
             report.add(f"{provider} .{vantage} IPv4", paper_v4, inventory.ipv4)
             report.add(f"{provider} .{vantage} IPv6", paper_v6, inventory.ipv6)

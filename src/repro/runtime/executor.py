@@ -3,8 +3,8 @@
 The executor turns a list of :class:`ShardTask` descriptions into
 :class:`ShardResult` objects.  Two backends exist:
 
-* ``workers == 1`` — the simulation driver runs the shards in-process,
-  one after another against the environment it built, and books each with
+* ``workers == 1`` — the simulation driver runs the whole fleet as one
+  shard in-process, against the environment it built, and books it with
   :func:`record_outcome`;
 * ``workers > 1`` — :class:`ShardExecutor` dispatches tasks onto a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Every worker assembles
@@ -116,8 +116,7 @@ class ShardResult:
     :class:`~repro.capture.CaptureView` chunks, or the paths of the chunk
     files it wrote into the run's spool directory — with
     ``chunk_row_counts`` alongside, and ``aggregates``, the analysis state
-    it folded from them (``None`` from an in-process shard that left the
-    shared capture to the last one).
+    it folded from them.
     """
 
     shard_index: int

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 from ..capture import Transport
+from ..config import check_ports
 from ..dnscore import Message, RCode
 from ..dnscore.edns import effective_udp_limit
 from ..dnscore.message import HEADER_LENGTH
@@ -120,6 +121,16 @@ class ServiceConfig:
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Watchdog cadence for endpoint supervision (0 disables it).
     watchdog_interval_s: float = 1.0
+
+    def __post_init__(self):
+        check_ports(
+            udp_port=self.udp_port, tcp_port=self.tcp_port,
+            metrics_port=self.metrics_port,
+        )
+        if not self.fault_window_s > 0:
+            raise ValueError(
+                f"fault_window_s must be positive, got {self.fault_window_s}"
+            )
 
 
 class DnsService:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import check_ports
 from ..dnscore import Message, Name, RCode, RRType, WireDecodeError
 from ..dnscore.edns import EdnsRecord
 from ..sim.worlds import vantage_zone
@@ -58,6 +59,7 @@ class LoadGenConfig:
     seed: int = 20201027
 
     def __post_init__(self):
+        check_ports(udp_port=self.udp_port, tcp_port=self.tcp_port)
         if self.queries < 1:
             raise ValueError(f"queries must be >= 1, got {self.queries}")
         if not 0.0 <= self.tcp_fraction <= 1.0:

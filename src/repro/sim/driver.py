@@ -13,9 +13,10 @@ vantage point".
 Execution is one pipeline configured by one :class:`~repro.config.RunConfig`:
 the fleet is partitioned into weight-balanced contiguous shards
 (:func:`repro.runtime.plan_shards`), every shard runs through
-:func:`_run_shard` — in-process against the environment built here
-(``workers == 1``, the default) or in pool workers behind
-:func:`simulate_shard` (:class:`repro.runtime.ShardExecutor`) — and
+:func:`_run_shard` — one shard over the whole fleet, in-process against
+the environment built here (``workers == 1``, the default, or a run with
+no client queries), or one per worker behind :func:`simulate_shard`
+(:class:`repro.runtime.ShardExecutor`) — and
 :func:`_assemble` merges the shard results into the :class:`DatasetRun`,
 so the result is bit-identical whatever the backend.  Rows become columns
 once, in the shard that appended them; from there the capture is columnar
@@ -588,25 +589,18 @@ def run_member_range(
 
 
 def _run_shard(
-    env: SimEnvironment,
-    task: ShardTask,
-    metrics: MetricsRegistry,
-    closes_environment: bool = True,
+    env: SimEnvironment, task: ShardTask, metrics: MetricsRegistry
 ) -> ShardResult:
     """Resolve one shard's member range against ``env``.
 
     The one per-shard routine of both backends: a pool worker runs it on
-    the environment it assembled, the in-process backend on the
-    environment :func:`run_dataset` built.  Everything the shard measured
-    lands in ``metrics`` and returns as a snapshot; only picklable
-    payloads come back.
-
-    Shards of the in-process backend share one environment, hence one
-    append buffer and one set of servers: each reports the rows *it*
-    appended, but the buffer is frozen into columnar chunks
-    (:func:`_freeze_capture`) and the environment-wide metrics published
-    by the shard that ``closes_environment``, the last to run on it.  A
-    pool shard has its environment to itself and always does.
+    the environment it assembled, a serial run — one shard over the whole
+    fleet — on the environment :func:`run_dataset` built.  Each shard has
+    its environment to itself, so it also publishes the
+    environment-wide metrics and freezes the append buffer into columnar
+    chunks (:func:`_freeze_capture`).  Everything the shard measured lands
+    in ``metrics`` and returns as a snapshot; only picklable payloads come
+    back.
     """
     started = time.perf_counter()
     descriptor = env.descriptor
@@ -626,13 +620,11 @@ def _run_shard(
     publish_fleet_metrics(metrics, env.fleet[task.start:stop])
     if tracer is not None:
         metrics.counter("trace.queries_sampled").inc(len(tracer.traces))
-    chunks, chunk_row_counts, aggregates = [], [], None
-    if closes_environment:
-        _publish_environment_metrics(metrics, env)
-        chunks, chunk_row_counts, aggregates = _freeze_capture(env, metrics, task)
-        # The rows are columns now; the store — still shared with the
-        # servers — starts over.
-        env.capture.clear()
+    _publish_environment_metrics(metrics, env)
+    chunks, chunk_row_counts, aggregates = _freeze_capture(env, metrics, task)
+    # The rows are columns now; the store — still shared with the
+    # servers — starts over.
+    env.capture.clear()
     return ShardResult(
         shard_index=task.shard_index,
         rows_appended=rows_appended,
@@ -680,8 +672,7 @@ def _assemble(
     that order reproduces the sequence one shard over the whole fleet
     appends; :meth:`~repro.capture.SpooledCapture.view` applies the
     stable canonical sort on top, and their folded states merge into
-    ``aggregates`` (an in-process shard that is not the last brings none).
-    ``metrics`` is the run's registry
+    ``aggregates``.  ``metrics`` is the run's registry
     (world build, plan, executor bookkeeping); every shard's snapshot
     folds into it here.
     """
@@ -690,9 +681,7 @@ def _assemble(
     descriptor = env.descriptor
     rows_appended = sum(result.rows_appended for result in results)
     with metrics.time_phase("runtime.merge"):
-        aggregates = AggregateSet.merge_all(
-            [result.aggregates for result in results if result.aggregates]
-        )
+        aggregates = AggregateSet.merge_all([result.aggregates for result in results])
         for result in results:
             spool.adopt(result.chunks, result.chunk_row_counts)
             metrics.merge_snapshot(result.telemetry)
@@ -797,8 +786,11 @@ def run_dataset(
         descriptor.client_queries if client_queries is None else client_queries
     )
 
+    # Only a pool runs more than one shard: with no client queries there
+    # is nothing to spread over workers.
+    shard_count = config.workers if total_queries > 0 else 1
     with metrics.time_phase("runtime.plan"):
-        plan = plan_shards([member.weight for member in env.fleet], config.workers)
+        plan = plan_shards([member.weight for member in env.fleet], shard_count)
     metrics.counter("runtime.shards_total").inc(len(plan))
     metrics.gauge("runtime.workers").set(config.workers)
 
@@ -829,7 +821,7 @@ def run_dataset(
         )
         for shard in plan
     ]
-    pooled = config.workers > 1 and len(plan) > 1 and total_queries > 0
+    pooled = len(plan) > 1
     if pooled:
         # The parent drives no resolver itself: its still-pristine fleet
         # goes back to the store before the pool forks, so every worker
@@ -840,16 +832,11 @@ def run_dataset(
             executor.submit(tasks)
             results, report = executor.collect()
     else:
-        report = RuntimeReport(mode="serial", workers=1, shard_count=len(plan))
-        results = []
+        report = RuntimeReport(mode="serial", workers=1, shard_count=1)
+        (task,) = tasks
         with metrics.time_phase("runtime.execute"):
-            for task in tasks:
-                result = _run_shard(
-                    env, task, MetricsRegistry(),
-                    closes_environment=task is tasks[-1],
-                )
-                record_outcome(report, metrics, task, result)
-                results.append(result)
+            results = [_run_shard(env, task, MetricsRegistry())]
+            record_outcome(report, metrics, task, results[0])
     run = _assemble(env, results, report, config, metrics, spool)
     if not pooled:
         worlds.return_fleet(env.fleet_part, metrics)

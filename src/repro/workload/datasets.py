@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan
 from ..netsim import utc_timestamp
+from ..paper import FIGURE3_ROLLOUT
 
 WEEK_SECONDS = 7 * 86400.0
 DAY_SECONDS = 86400.0
@@ -43,12 +44,6 @@ class DatasetDescriptor:
     client_queries: int        #: simulated client-side query volume
     zone_second_level: int     #: synthetic zone size (second-level)
     zone_third_level: int = 0
-    #: paper-reported values for side-by-side reporting:
-    paper_queries_total: float = 0.0      # billions
-    paper_queries_valid: float = 0.0      # billions
-    paper_resolvers: float = 0.0          # millions
-    paper_ases: int = 0
-    paper_zone_size: str = ""
     cyclic_event: bool = False            #: Feb-2020 .nz misconfiguration
     providers_only: Optional[Tuple[str, ...]] = None  #: restrict fleets
     qmin_override: Optional[bool] = None  #: force Q-min (monthly runs)
@@ -129,56 +124,38 @@ def _add(descriptor: DatasetDescriptor) -> None:
 _add(DatasetDescriptor(
     "nl-w2018", "nl", 2018, utc_timestamp(2018, 11, 4), WEEK_SECONDS,
     _nl_servers(2018), client_queries=110_000, zone_second_level=3900,
-    paper_queries_total=7.29, paper_queries_valid=6.53,
-    paper_resolvers=2.09, paper_ases=41276, paper_zone_size="5.8M",
 ))
 _add(DatasetDescriptor(
     "nl-w2019", "nl", 2019, utc_timestamp(2019, 11, 3), WEEK_SECONDS,
     _nl_servers(2019), client_queries=150_000, zone_second_level=3900,
-    paper_queries_total=10.16, paper_queries_valid=9.05,
-    paper_resolvers=2.18, paper_ases=42727, paper_zone_size="5.8M",
 ))
 _add(DatasetDescriptor(
     "nl-w2020", "nl", 2020, utc_timestamp(2020, 4, 5), WEEK_SECONDS,
     _nl_servers(2020), client_queries=185_000, zone_second_level=3950,
-    paper_queries_total=13.75, paper_queries_valid=11.88,
-    paper_resolvers=1.99, paper_ases=41716, paper_zone_size="5.9M",
 ))
 _add(DatasetDescriptor(
     "nz-w2018", "nz", 2018, utc_timestamp(2018, 11, 4), WEEK_SECONDS,
     _nz_servers(), client_queries=75_000, zone_second_level=95, zone_third_level=385,
-    paper_queries_total=2.95, paper_queries_valid=2.00,
-    paper_resolvers=1.28, paper_ases=37623, paper_zone_size="720K",
 ))
 _add(DatasetDescriptor(
     "nz-w2019", "nz", 2019, utc_timestamp(2019, 11, 3), WEEK_SECONDS,
     _nz_servers(), client_queries=88_000, zone_second_level=94, zone_third_level=380,
-    paper_queries_total=3.48, paper_queries_valid=2.81,
-    paper_resolvers=1.42, paper_ases=39601, paper_zone_size="710K",
 ))
 _add(DatasetDescriptor(
     "nz-w2020", "nz", 2020, utc_timestamp(2020, 4, 5), WEEK_SECONDS,
     _nz_servers(), client_queries=115_000, zone_second_level=94, zone_third_level=380,
-    paper_queries_total=4.57, paper_queries_valid=3.03,
-    paper_resolvers=1.31, paper_ases=38505, paper_zone_size="710K",
 ))
 _add(DatasetDescriptor(
     "root-2018", "root", 2018, utc_timestamp(2018, 4, 10), DAY_SECONDS,
     _broot_servers(2018), client_queries=90_000, zone_second_level=0,
-    paper_queries_total=2.68, paper_queries_valid=0.93,
-    paper_resolvers=4.23, paper_ases=45210, paper_zone_size="~1.5K TLDs",
 ))
 _add(DatasetDescriptor(
     "root-2019", "root", 2019, utc_timestamp(2019, 4, 9), DAY_SECONDS,
     _broot_servers(2019), client_queries=125_000, zone_second_level=0,
-    paper_queries_total=4.13, paper_queries_valid=1.43,
-    paper_resolvers=4.13, paper_ases=48154, paper_zone_size="~1.5K TLDs",
 ))
 _add(DatasetDescriptor(
     "root-2020", "root", 2020, utc_timestamp(2020, 5, 6), DAY_SECONDS,
     _broot_servers(2020), client_queries=190_000, zone_second_level=0,
-    paper_queries_total=6.70, paper_queries_valid=1.34,
-    paper_resolvers=6.01, paper_ases=51820, paper_zone_size="~1.5K TLDs",
 ))
 
 
@@ -206,16 +183,16 @@ FIGURE3_MONTHS: Tuple[Tuple[int, int], ...] = (
 def monthly_google_descriptor(vantage: str, year: int, month: int) -> DatasetDescriptor:
     """A one-week Google-only sample standing in for one month of Figure 3.
 
-    Q-min follows :func:`repro.clouds.profiles.google_qmin_by_month`; the
-    Feb-2020 `.nz` run carries the cyclic-dependency misconfiguration.
+    Q-min is on from the paper's rollout month (Figure 3), which also
+    splits the 2019 from the 2020 fleet; the Feb-2020 `.nz` run carries
+    the cyclic-dependency misconfiguration.
     """
-    from ..clouds.profiles import google_qmin_by_month
-
+    rolled_out = (year, month) >= FIGURE3_ROLLOUT
     base = dataset(f"{vantage}-w2020")
     return DatasetDescriptor(
         dataset_id=f"{vantage}-google-{year}-{month:02d}",
         vantage=vantage,
-        year=2020 if (year, month) >= (2019, 12) else 2019,
+        year=2020 if rolled_out else 2019,
         start=utc_timestamp(year, month, 3),
         duration=WEEK_SECONDS,
         servers=base.servers if vantage == "nz" else _nl_servers(2020 if year == 2020 else 2019),
@@ -224,5 +201,5 @@ def monthly_google_descriptor(vantage: str, year: int, month: int) -> DatasetDes
         zone_third_level=base.zone_third_level,
         cyclic_event=(vantage == "nz" and (year, month) == (2020, 2)),
         providers_only=("Google",),
-        qmin_override=google_qmin_by_month(year, month),
+        qmin_override=rolled_out,
     )

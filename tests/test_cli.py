@@ -205,6 +205,13 @@ class TestValidatesBeforeSimulating:
          "--chaos-seed 3 needs --chaos SCENARIO"),
         (["serve", "--udp-port", "0", "--no-metrics", "--duration", "0.1",
           "--chaos-seed", "3"], "--chaos-seed 3 needs --chaos SCENARIO"),
+        # Out-of-range ports and windows fail in the config, before the
+        # world is built or a socket bound.
+        (["serve", "--udp-port", "70000"], "udp_port must be in [0, 65535], got 70000"),
+        (["serve", "--metrics-port", "-3"], "metrics_port must be in [0, 65535], got -3"),
+        (["loadgen", "--port", "70000"], "udp_port must be in [0, 65535], got 70000"),
+        (["serve", "--chaos", "default-loss", "--fault-window", "-5"],
+         "fault_window_s must be positive, got -5.0"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,7 +6,6 @@ from repro.clouds import (
     FACEBOOK_SITES,
     PROVIDER_ASES,
     PROVIDERS,
-    TRAFFIC_SHARE,
     build_all_fleets,
     build_facebook_ptr_table,
     build_provider_fleet,
@@ -18,6 +17,7 @@ from repro.clouds import (
 )
 from repro.clouds.fleets import AddressAllocator
 from repro.netsim import IPAddress, Prefix
+from repro.paper import FIGURE1
 
 
 class TestProfiles:
@@ -56,10 +56,10 @@ class TestProfiles:
     def test_traffic_share_ordering(self):
         # ccTLD shares far above root shares; .nl Google > .nz Google.
         for year in (2018, 2019, 2020):
-            nl = sum(TRAFFIC_SHARE[("nl", year)].values())
-            root = sum(TRAFFIC_SHARE[("root", year)].values())
+            nl = sum(FIGURE1[("nl", year)].values())
+            root = sum(FIGURE1[("root", year)].values())
             assert nl > 2 * root
-            assert TRAFFIC_SHARE[("nl", year)]["Google"] > TRAFFIC_SHARE[("nz", year)]["Google"]
+            assert FIGURE1[("nl", year)]["Google"] > FIGURE1[("nz", year)]["Google"]
 
 
 class TestRegistry:

@@ -178,6 +178,7 @@ class TestSerialSharding:
     def test_zero_queries_stays_serial_even_with_workers(self):
         run = run_dataset(dataset(DATASET), client_queries=0, workers=4)
         assert run.runtime_report.mode == "serial"
+        assert run.runtime_report.shard_count == 1
         assert len(run.capture) == 0
         # The built world is still fully usable (the outage extension
         # relies on this to replay traffic against run.network).
