@@ -111,15 +111,29 @@ _OUTPUT_FLAGS = ("out", "write", "telemetry_out", "metrics_out", "trace_out",
 
 def _check_args(args: argparse.Namespace) -> None:
     """Reject what would otherwise fail only after the run: an unknown
-    dataset id, an output file in a missing directory, or a ``--spool-dir``
-    that cannot be created (it is created here).  Raises ``ValueError``,
-    which :func:`main` reports as a usage error."""
+    dataset id or chaos scenario, a ``--scale`` whose client-query volume
+    does not fit int64, an output file in a missing directory, or a
+    ``--spool-dir`` that cannot be created (it is created here).  Raises
+    ``ValueError``, which :func:`main` reports as a usage error."""
     dataset_id = getattr(args, "dataset_id", None)
     if dataset_id is not None:
         from .workload import PAPER_DATASETS
 
         if dataset_id not in PAPER_DATASETS:
             raise ValueError(f"unknown dataset {dataset_id!r} (see 'repro list')")
+    chaos = getattr(args, "chaos", None)
+    if chaos:
+        from .faults import CHAOS_SCENARIOS
+
+        if chaos not in CHAOS_SCENARIOS:
+            raise ValueError(f"unknown chaos scenario {chaos!r} (see 'repro chaos')")
+    if hasattr(args, "scale"):
+        from .config import check_volume
+        from .workload import PAPER_DATASETS
+
+        # ``dataset`` runs one descriptor; ``experiments`` the largest.
+        runs = [PAPER_DATASETS[dataset_id]] if dataset_id else PAPER_DATASETS.values()
+        check_volume(max(d.client_queries for d in runs) * args.scale)
     for name in _OUTPUT_FLAGS:
         path = getattr(args, name, None)
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -491,7 +505,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         scale=args.scale, seed=args.seed, fault_plan=_chaos_plan(args),
         config=args.config,
     )
-    content = run_and_render(ctx=ctx)
+    content = run_and_render(ctx)
     if args.write:
         with open(args.write, "w") as handle:
             handle.write(content)

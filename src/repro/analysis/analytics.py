@@ -28,7 +28,7 @@ from .edns import BufsizeCDF
 from .facebook import DualStackReport, SiteStats
 from .google_split import GoogleSplit
 from .metrics import (
-    DEFAULT_RRTYPE_BUCKETS,
+    RRTYPE_BUCKETS,
     DatasetSummary,
     InventoryRow,
     TransportRow,
@@ -99,20 +99,19 @@ class DatasetAnalytics:
         total = agg.totals[provider]
         return float(agg.count(provider, int(rrtype))) / total if total else 0.0
 
-    def rrtype_mix(
-        self, provider: str, buckets: Sequence[RRType] = DEFAULT_RRTYPE_BUCKETS
-    ) -> Dict[str, float]:
+    def rrtype_mix(self, provider: str) -> Dict[str, float]:
         """Per-provider query-type distribution (one group of Figure 2
-        bars).  Types outside ``buckets`` are reported under ``"other"``;
-        fractions sum to 1 over the provider's queries."""
+        bars).  Types outside :data:`~repro.analysis.metrics.RRTYPE_BUCKETS`
+        are reported under ``"other"``; fractions sum to 1 over the
+        provider's queries."""
         self._check_providers((provider,))
         agg = self.aggregates["rrtype_mix"]
         total = agg.totals[provider]
         if total == 0:
-            return {**{t.name: 0.0 for t in buckets}, "other": 0.0}
+            return {**{t.name: 0.0 for t in RRTYPE_BUCKETS}, "other": 0.0}
         out: Dict[str, float] = {}
         covered = 0
-        for rrtype in buckets:
+        for rrtype in RRTYPE_BUCKETS:
             count = agg.count(provider, int(rrtype))
             covered += count
             out[rrtype.name] = float(count) / total
@@ -168,21 +167,10 @@ class DatasetAnalytics:
         """Totals, valid counts, distinct resolvers, distinct ASes (Table 3)."""
         return self.aggregates["summary"].finalize()
 
-    def google_split(
-        self, public_prefixes: Optional[Sequence[str]] = None, provider: str = "Google"
-    ) -> GoogleSplit:
-        """The Public-DNS/rest split of Google's traffic (Tables 4/7)."""
-        agg = self.aggregates["google_split"]
-        if public_prefixes is not None and tuple(public_prefixes) != agg.public_prefixes:
-            raise ValueError(
-                "google_split was aggregated over a different prefix list; "
-                "configure the aggregates with the prefixes to split by"
-            )
-        if provider != agg.provider:
-            raise ValueError(
-                f"google_split was aggregated for {agg.provider!r}, not {provider!r}"
-            )
-        return agg.finalize()
+    def google_split(self) -> GoogleSplit:
+        """The Public-DNS/rest split of Google's traffic (Tables 4/7), over
+        the prefix list the aggregates were configured with."""
+        return self.aggregates["google_split"].finalize()
 
     def transport_matrix(
         self, providers: Optional[Sequence[str]] = None
@@ -235,10 +223,9 @@ class DatasetAnalytics:
 
     # -- the re-cuts ---------------------------------------------------------------
 
-    def sovereignty(self, providers: Optional[Sequence[str]] = None):
+    def sovereignty(self):
         """Country/bloc cut (:class:`~repro.analysis.sovereignty.SovereigntyReport`)
         over the configured provider list; exact integer arithmetic."""
-        self._check_providers(providers)
         return self.aggregates["sovereignty"].finalize()
 
     def composition(self, top_k: int = 10):

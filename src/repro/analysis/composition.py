@@ -73,12 +73,12 @@ LOCAL_SUFFIXES: Tuple[str, ...] = (
 #: protocol plumbing rather than name lookups.
 META_QTYPES: Tuple[int, ...] = (0, 41, 249, 250, 251, 252, 253, 254, 255)
 
-#: Default sketch shapes: 64 tracked heavy hitters (error ≤ N/64 per
-#: item) and a 1024×4 count-min table (ε ≈ 0.0027, δ ≈ 0.018).
-DEFAULT_TOPK_CAPACITY = 64
-DEFAULT_CM_WIDTH = 1024
-DEFAULT_CM_DEPTH = 4
-DEFAULT_CM_SEED = 0
+#: Sketch shapes: 64 tracked heavy hitters (error ≤ N/64 per item) and a
+#: 1024×4 count-min table (ε ≈ 0.0027, δ ≈ 0.018).
+TOPK_CAPACITY = 64
+CM_WIDTH = 1024
+CM_DEPTH = 4
+CM_SEED = 0
 
 
 def classify_queries(view: CaptureView) -> np.ndarray:
@@ -158,20 +158,13 @@ class CompositionAggregator(StreamingAggregator):
 
     name = "composition"
 
-    def __init__(
-        self,
-        providers: Sequence[str],
-        topk_capacity: int = DEFAULT_TOPK_CAPACITY,
-        cm_width: int = DEFAULT_CM_WIDTH,
-        cm_depth: int = DEFAULT_CM_DEPTH,
-        cm_seed: int = DEFAULT_CM_SEED,
-    ):
+    def __init__(self, providers: Sequence[str]):
         self.providers = tuple(providers)
         self.total = 0
         self.category_counts: Dict[str, int] = {c: 0 for c in CATEGORIES}
         self.provider_categories: Counter = Counter()   # (label, category) → n
-        self.hot_names = SpaceSavingSketch(topk_capacity)
-        self.name_counts = CountMinSketch(cm_width, cm_depth, cm_seed)
+        self.hot_names = SpaceSavingSketch(TOPK_CAPACITY)
+        self.name_counts = CountMinSketch(CM_WIDTH, CM_DEPTH, CM_SEED)
 
     def config(self) -> tuple:
         return (

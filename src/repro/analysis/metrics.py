@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..dnscore import RRType
 
 #: The Figure 2 bar buckets; qtypes outside land under "other".
-DEFAULT_RRTYPE_BUCKETS = (
+RRTYPE_BUCKETS = (
     RRType.A, RRType.AAAA, RRType.NS, RRType.DS, RRType.DNSKEY, RRType.MX,
 )
 

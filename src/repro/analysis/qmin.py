@@ -40,12 +40,10 @@ class MonthlyPoint:
         return f"{self.year}-{self.month:02d}"
 
 
-def detect_rollout(
-    series: Sequence[MonthlyPoint], jump_factor: float = 2.0, floor: float = 0.10
-) -> Optional[Tuple[int, int]]:
+def detect_rollout(series: Sequence[MonthlyPoint]) -> Optional[Tuple[int, int]]:
     """``(year, month)`` of the first month whose NS share jumps under
     :func:`~repro.analysis.changepoint.jump_detector`; None if none does."""
-    index = jump_detector([p.ns_share for p in series], jump_factor, floor)
+    index = jump_detector([p.ns_share for p in series])
     if index is None:
         return None
     return (series[index].year, series[index].month)

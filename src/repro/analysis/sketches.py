@@ -188,15 +188,6 @@ class SpaceSavingSketch:
         )
         return ranked if k is None else ranked[:k]
 
-    def heavy_hitters(self, threshold: Optional[int] = None) -> List[Tuple[str, int, int]]:
-        """Every tracked item whose guaranteed lower bound clears
-        ``threshold`` (default: the current floor).  Completeness holds
-        the other way around: any item with true count > ``min_count()``
-        is guaranteed to be tracked."""
-        if threshold is None:
-            threshold = self.min_count()
-        return [row for row in self.top() if row[1] - row[2] > threshold]
-
     # -- algebra ---------------------------------------------------------------
 
     def merge(self, other: "SpaceSavingSketch") -> None:

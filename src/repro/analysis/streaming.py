@@ -285,7 +285,7 @@ class TransportAggregator(StreamingAggregator):
 
 
 class GoogleSplitAggregator(StreamingAggregator):
-    """Tables 4/7: Public-DNS vs rest split of one provider's traffic.
+    """Tables 4/7: Public-DNS vs rest split of Google's traffic.
 
     Membership of an address in the advertised egress prefixes is a pure
     function of the configured prefix list, so the per-address cache and
@@ -293,9 +293,9 @@ class GoogleSplitAggregator(StreamingAggregator):
     """
 
     name = "google_split"
+    provider = "Google"
 
-    def __init__(self, public_prefixes: Sequence[str], provider: str = "Google"):
-        self.provider = provider
+    def __init__(self, public_prefixes: Sequence[str]):
         self.public_prefixes = tuple(public_prefixes)
         self.total_queries = 0
         self.public_queries = 0

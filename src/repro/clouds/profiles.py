@@ -14,11 +14,13 @@ reports' paper column and the simulator share one copy:
 * Google Public DNS's query share in 2019/2020 — Tables 4 and 7;
 * Amazon's and Microsoft's fleet sizes (1:100) and most of their IPv6
   address fractions — Table 6;
-* the Facebook-512 and Google-1232 EDNS0 shares — Figure 6;
-* Google's Q-min rollout month — Figure 3.
+* the Facebook-512 and Google-1232 EDNS0 shares — Figure 6.
+
+Google's Q-min rollout month (Figure 3) is read where the monthly
+descriptors are built, :func:`repro.workload.monthly_google_descriptor`.
 
 The rest is tuned to land the captured outputs on the paper, or read from
-its prose: AS numbers and public-DNS flags (Table 1), Q-min adoption
+its prose: AS numbers (Table 1), Q-min adoption
 (section 4.2.1), DNSSEC validation ("all except one", section 4.2.2), the
 remaining fleet sizes, address fractions and EDNS0 sizes, junk fractions,
 capture amplification, and Facebook's 13 PTR-visible sites with their
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..netsim import ASInfo, Prefix
-from ..paper import FIGURE3_ROLLOUT, FIGURE6_CDF, TABLE4, TABLE6
+from ..paper import FIGURE6_CDF, TABLE4, TABLE6
 
 PROVIDERS = ("Google", "Amazon", "Microsoft", "Facebook", "Cloudflare")
 
@@ -42,15 +44,6 @@ PROVIDER_ASES: Dict[str, Tuple[int, ...]] = {
     "Microsoft": (3598, 6584, 8068, 8069, 8070, 8071, 8072, 8073, 8074, 8075, 12076, 23468),
     "Facebook": (32934,),
     "Cloudflare": (13335,),
-}
-
-#: Whether the provider runs a public DNS service (Table 1).
-RUNS_PUBLIC_DNS: Dict[str, bool] = {
-    "Google": True,
-    "Amazon": False,
-    "Microsoft": False,
-    "Facebook": False,
-    "Cloudflare": True,
 }
 
 #: Synthetic-but-plausible announced prefixes per AS.  One v4 and one v6
@@ -251,9 +244,3 @@ def qmin_enabled(provider: str, vantage: str, year: int) -> bool:
     if provider == "Amazon" and vantage == "nz" and year >= 2020:
         return AMAZON_QMIN_NZ_2020
     return QMIN_BY_YEAR[provider][year]
-
-
-def google_qmin_by_month(year: int, month: int) -> bool:
-    """Google's Q-min rollout switch for the monthly Figure 3 runs: on
-    from the month the paper confirms it deployed."""
-    return (year, month) >= FIGURE3_ROLLOUT

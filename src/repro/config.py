@@ -11,6 +11,7 @@ run's inputs are exactly its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +54,21 @@ def check_ports(**ports: Optional[int]) -> None:
 
 
 def check_scale(scale: float) -> float:
-    """``scale``, the client-query volume multiplier, if it is positive."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    """``scale``, the client-query volume multiplier, if it is positive
+    and finite."""
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return float(scale)
+
+
+#: The largest client-query volume whose float64 image still fits int64,
+#: the type a run apportions its volume over the fleet in (float64 is
+#: 1024 apart just below 2**63).
+MAX_CLIENT_QUERIES = 2**63 - 1024
+
+
+def check_volume(client_queries: float) -> None:
+    """Raise ``ValueError`` if ``client_queries`` exceeds
+    :data:`MAX_CLIENT_QUERIES`."""
+    if not client_queries <= MAX_CLIENT_QUERIES:
+        raise ValueError(f"{client_queries:.4g} client queries do not fit int64")

@@ -123,19 +123,12 @@ def render_markdown(reports: List[Report], scale: float, elapsed: float) -> str:
     return "\n".join(lines)
 
 
-def run_and_render(
-    scale: float = None,
-    dataset_filter: str = None,
-    seed: int = 20201027,
-    ctx: ExperimentContext = None,
-) -> str:
-    """Convenience wrapper used by the CLI.
+def run_and_render(ctx: ExperimentContext) -> str:
+    """Every report of ``ctx``, rendered as the experiments document.
 
-    Pass an existing ``ctx`` to keep its caches and telemetry registry
-    (the CLI does, so it can export ``ctx.telemetry`` afterwards).
+    The CLI builds ``ctx``, so it keeps its caches and telemetry registry
+    and can export ``ctx.telemetry`` afterwards.
     """
-    if ctx is None:
-        ctx = ExperimentContext(scale=scale, seed=seed)
     start = time.perf_counter()
     reports = collect_all(ctx)
     elapsed = time.perf_counter() - start

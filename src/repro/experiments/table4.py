@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..clouds import GOOGLE_PUBLIC_DNS_PREFIXES
 from ..paper import TABLE4
 from .context import ExperimentContext
 from .report import Report
@@ -13,7 +12,7 @@ def run_year(ctx: ExperimentContext, year: int) -> Report:
     report = Report(table, f"Queries from Google on w{year} (Table {4 if year == 2020 else 7})")
     for vantage in ("nl", "nz"):
         dataset_id = f"{vantage}-w{year}"
-        split = ctx.analytics(dataset_id).google_split(GOOGLE_PUBLIC_DNS_PREFIXES)
+        split = ctx.analytics(dataset_id).google_split()
         paper_q, paper_r = TABLE4[(vantage, year)]
         report.add(f".{vantage} total queries", None, split.total_queries)
         report.add(f".{vantage} public queries", None, split.public_queries)

@@ -3,9 +3,11 @@
 The paper's Figure 5 correlates Facebook's per-site IPv6/IPv4 preference with
 the median TCP-handshake RTT each site observes toward the `.nl`
 authoritatives.  To reproduce that mechanism we need a latency substrate:
-sites placed on the globe, propagation delay from great-circle distance, and
-per-family offsets (real networks routinely have asymmetric v4/v6 paths, the
-root cause of the paper's observation).
+sites placed on the globe and propagation delay from great-circle distance,
+stretched by :data:`DEFAULT_PATH_STRETCH` and padded by
+:data:`PER_PATH_OVERHEAD_MS`.  Real networks routinely have asymmetric
+v4/v6 paths, the root cause of the paper's observation; the model keeps
+that asymmetry in one place, the resolver's ``v6_extra_rtt_ms``.
 
 Sites are identified by IATA airport codes — the convention Facebook's PTR
 records embed and that the paper's reverse-DNS analysis extracts.
@@ -14,7 +16,7 @@ records embed and that the paper's reverse-DNS analysis extracts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 #: Effective propagation speed in fibre, as fraction of c (~200 km/ms).
@@ -95,44 +97,27 @@ def great_circle_km(a: Site, b: Site) -> float:
     return 2 * 6371.0 * math.asin(min(1.0, math.sqrt(h)))
 
 
-@dataclass
 class LatencyModel:
-    """Computes round-trip times between sites, per address family.
+    """Computes round-trip times between sites.
 
-    RTT = 2 × (distance × stretch / fibre speed + overhead) + family offset.
-
-    ``family_offsets_ms`` maps ``(site_code, family)`` to an additive one-way
-    offset, used to model sites whose IPv6 transit takes a longer path than
-    IPv4 (paper section 4.3: Facebook locations 8–10 see much larger IPv6
-    RTTs and therefore prefer IPv4).
+    RTT = 2 × (distance × :data:`DEFAULT_PATH_STRETCH` / fibre speed
+    + :data:`PER_PATH_OVERHEAD_MS`), the same for both address families.
+    The one IPv6 path delay in the model is the resolver's own
+    ``ResolverBehavior.v6_extra_rtt_ms`` (paper section 4.3: Facebook
+    locations 8–10 see much larger IPv6 RTTs and therefore prefer IPv4).
     """
 
-    path_stretch: float = DEFAULT_PATH_STRETCH
-    overhead_ms: float = PER_PATH_OVERHEAD_MS
-    family_offsets_ms: Dict[Tuple[str, int], float] = field(default_factory=dict)
-    _rtt_cache: Dict[Tuple[str, str, int], float] = field(
-        default_factory=dict, repr=False
-    )
+    def __init__(self):
+        self._rtt_cache: Dict[Tuple[str, str], float] = {}
 
-    def one_way_ms(self, src: Site, dst: Site, family: int = 4) -> float:
-        base = great_circle_km(src, dst) * self.path_stretch / FIBRE_KM_PER_MS
-        offset = self.family_offsets_ms.get((src.code, family), 0.0)
-        offset += self.family_offsets_ms.get((dst.code, family), 0.0)
-        return base + self.overhead_ms + offset
-
-    def rtt_ms(self, src: Site, dst: Site, family: int = 4) -> float:
+    def rtt_ms(self, src: Site, dst: Site) -> float:
         """Round-trip time in milliseconds (memoised by site codes)."""
-        key = (src.code, dst.code, family)
+        key = (src.code, dst.code)
         rtt = self._rtt_cache.get(key)
         if rtt is None:
-            rtt = 2.0 * self.one_way_ms(src, dst, family)
-            self._rtt_cache[key] = rtt
+            one_way = great_circle_km(src, dst) * DEFAULT_PATH_STRETCH / FIBRE_KM_PER_MS
+            rtt = self._rtt_cache[key] = 2.0 * (one_way + PER_PATH_OVERHEAD_MS)
         return rtt
-
-    def set_family_offset(self, site_code: str, family: int, one_way_ms: float) -> None:
-        """Pin an additive one-way offset for (site, family)."""
-        self.family_offsets_ms[(site_code, family)] = one_way_ms
-        self._rtt_cache.clear()
 
 
 def nearest_site(client: Site, candidates: Sequence[Site]) -> Site:

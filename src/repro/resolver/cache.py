@@ -27,6 +27,11 @@ from ..dnscore import Name, RCode, ResourceRecord, RRType
 #: :attr:`~repro.dnscore.Name.canonical` key (the same labels reversed).
 NameKey = Tuple[bytes, ...]
 
+#: Cap applied to record TTLs, in seconds (resolvers commonly clamp at a day).
+MAX_TTL = 86400.0
+#: TTL of a negative entry whose answer carried none (RFC 2308), in seconds.
+NEGATIVE_TTL = 900.0
+
 
 @dataclass
 class CacheEntry:
@@ -57,12 +62,11 @@ class CacheStats:
 class ResolverCache:
     """TTL-bounded DNS cache with optional aggressive NSEC use.
 
+    Record TTLs are capped at :data:`MAX_TTL`; a negative entry given no
+    TTL lives :data:`NEGATIVE_TTL` seconds.
+
     Parameters
     ----------
-    max_ttl:
-        Cap applied to record TTLs (resolvers commonly clamp, e.g. 1 day).
-    negative_ttl:
-        TTL for negative entries (clamped by the zone SOA minimum upstream).
     aggressive_nsec:
         Enable RFC 8198 synthesis from cached NSEC ranges.
     serve_stale_window:
@@ -74,15 +78,11 @@ class ResolverCache:
 
     def __init__(
         self,
-        max_ttl: float = 86400.0,
-        negative_ttl: float = 900.0,
         aggressive_nsec: bool = False,
         serve_stale_window: float = 0.0,
     ):
         if serve_stale_window < 0:
             raise ValueError("serve_stale_window must be >= 0")
-        self.max_ttl = max_ttl
-        self.negative_ttl = negative_ttl
         self.aggressive_nsec = aggressive_nsec
         self.serve_stale_window = serve_stale_window
         self.stats = CacheStats()
@@ -101,7 +101,7 @@ class ResolverCache:
         """Cache a positive answer under the minimum record TTL."""
         if not records:
             raise ValueError("use put_negative for empty answers")
-        ttl = min(min(r.ttl for r in records), self.max_ttl)
+        ttl = min(min(r.ttl for r in records), MAX_TTL)
         self._positive[(qname.key, qtype)] = CacheEntry(list(records), now + ttl)
 
     def get(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
@@ -134,7 +134,7 @@ class ResolverCache:
 
     def put_negative(self, now: float, qname: Name, rcode: RCode, ttl: Optional[float] = None) -> None:
         """Cache an NXDOMAIN/NODATA outcome."""
-        ttl = self.negative_ttl if ttl is None else min(ttl, self.max_ttl)
+        ttl = NEGATIVE_TTL if ttl is None else min(ttl, MAX_TTL)
         self._negative[qname.key] = NegativeEntry(rcode, now + ttl)
 
     def get_negative(self, now: float, qname: Name) -> Optional[RCode]:

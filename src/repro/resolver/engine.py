@@ -1,8 +1,8 @@
 """The recursive-resolver simulation engine.
 
 A :class:`SimResolver` turns *client* queries into the *authoritative*
-queries the paper's vantage points capture.  All of the paper's observed
-behavioural axes are explicit, configurable knobs on
+queries the paper's vantage points capture.  The paper's observed
+behavioural axes, the ones the fleets set per provider, are fields of
 :class:`ResolverBehavior`:
 
 * **QNAME minimisation** (RFC 7816): below-zone queries become NS queries
@@ -11,10 +11,23 @@ behavioural axes are explicit, configurable knobs on
 * **DNSSEC validation**: DO bit set, explicit DS queries for delegations,
   periodic DNSKEY fetches — the DS/DNSKEY bars in Figure 2;
 * **dual-stack family choice**: fixed ratio or RTT-preferring (logistic in
-  the v4−v6 RTT gap) — Table 5 / Figure 5;
-* **EDNS0 buffer size** and **TCP fallback on TC** — Figure 6 and the
+  the v4−v6 RTT gap, plus a per-resolver IPv6 penalty — the model's only
+  IPv6 path delay, section 4.3) — Table 5 / Figure 5;
+* **EDNS0 buffer size** — Figure 6 and, through TCP fallback on TC, the
   UDP/TCP split in Table 5;
 * **negative caching / aggressive NSEC** — the junk ratios of Figure 4.
+
+What every resolver does alike is a module constant, not a field: server
+exploration (:data:`SERVER_EXPLORATION`), the retransmit schedule
+(:data:`MAX_RETRIES`, :data:`RETRY_INITIAL_TIMEOUT_MS`,
+:data:`RETRY_BACKOFF`, :data:`RETRY_MAX_TIMEOUT_MS`,
+:data:`RETRY_BUDGET_MS`), the cyclic glue-chase depth
+(:data:`CYCLIC_CHASE_DEPTH`), the serve-stale window
+(:data:`SERVE_STALE_WINDOW`) and TCP fallback on truncation, which is
+always on; the cache's TTL caps live in :mod:`repro.resolver.cache`.
+``serve_stale`` stays a field although no fleet turns it on: the
+``resolver.retry.stale_served`` counters it feeds are part of every
+simulation's digested telemetry.
 """
 
 from __future__ import annotations
@@ -43,12 +56,33 @@ from .cache import ResolverCache
 from .network import AuthorityNetwork
 
 
+#: Chance of asking a random NS of the set instead of the fastest one
+#: (Müller et al. 2017); drawn only when there is more than one candidate.
+SERVER_EXPLORATION = 0.25
+#: Glue-chase depth on cyclically dependent domains (section 4.2.1).
+CYCLIC_CHASE_DEPTH = 3
+#: Retransmit schedule (RFC 1035 section 4.2.1 spirit): retries per
+#: authoritative query after a drop, the first timeout in milliseconds,
+#: the exponential growth factor applied per attempt, a per-attempt cap,
+#: and a total time budget after which the resolver gives up early even
+#: with retries left (SERVFAIL-on-exhaustion).  Against a server that
+#: drops everything: 3 attempts, waits of 400, 800 and 1600 ms.
+MAX_RETRIES = 2
+RETRY_INITIAL_TIMEOUT_MS = 400.0
+RETRY_BACKOFF = 2.0
+RETRY_MAX_TIMEOUT_MS = 3000.0
+RETRY_BUDGET_MS = 8000.0
+#: RFC 8767: how many seconds past its TTL an expired answer may be served
+#: when resolution fails (for a resolver with ``serve_stale`` on).
+SERVE_STALE_WINDOW = 86400.0
+
+
 @dataclass
 class ResolverBehavior:
     """Behavioural profile of one resolver (or resolver pool).
 
     The defaults model a plain, conservative ISP resolver: no Q-min, no
-    validation, EDNS0 4096, RTT-based dual-stack choice, TCP fallback on.
+    validation, EDNS0 4096, RTT-based dual-stack choice.
     """
 
     qname_minimization: bool = False
@@ -63,40 +97,17 @@ class ResolverBehavior:
     fixed_v6_ratio: float = 0.5       #: used when family_policy == "fixed".
     rtt_sharpness_ms: float = 15.0    #: logistic scale for "rtt" policy.
     v6_extra_rtt_ms: float = 0.0      #: per-resolver IPv6 path penalty (RTT).
-    server_exploration: float = 0.25  #: prob. of not picking the fastest NS.
-    tcp_fallback: bool = True
-    max_ttl: float = 86400.0
-    negative_ttl: float = 900.0
     aggressive_nsec: bool = False
-    max_retries: int = 2              #: per-query retries on drop/timeout.
-    cyclic_chase_depth: int = 3       #: glue-chase depth on cyclic domains.
-    #: Retransmit timing (RFC 1035 section 4.2.1 spirit): the first timeout
-    #: in milliseconds, the exponential growth factor applied per attempt,
-    #: a per-attempt cap, and a total time budget after which the resolver
-    #: gives up early even with retries left (SERVFAIL-on-exhaustion).
-    retry_initial_timeout_ms: float = 400.0
-    retry_backoff: float = 2.0
-    retry_max_timeout_ms: float = 3000.0
-    retry_budget_ms: float = 8000.0
     #: RFC 8767 serve-stale: when resolution fails, answer from expired
-    #: cache entries no older than ``serve_stale_window`` seconds past
+    #: cache entries no older than :data:`SERVE_STALE_WINDOW` seconds past
     #: their TTL.  Off by default (stock resolver behaviour).
     serve_stale: bool = False
-    serve_stale_window: float = 86400.0
 
     def __post_init__(self):
         if self.family_policy not in ("rtt", "fixed", "v4only", "v6only"):
             raise ValueError(f"unknown family policy {self.family_policy!r}")
         if not 0.0 <= self.fixed_v6_ratio <= 1.0:
             raise ValueError("fixed_v6_ratio must be in [0, 1]")
-        if self.retry_initial_timeout_ms <= 0 or self.retry_max_timeout_ms <= 0:
-            raise ValueError("retry timeouts must be positive")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        if self.retry_budget_ms <= 0:
-            raise ValueError("retry_budget_ms must be positive")
-        if self.serve_stale_window < 0:
-            raise ValueError("serve_stale_window must be >= 0")
 
 
 @dataclass
@@ -214,12 +225,8 @@ class SimResolver:
         self.clock = clock
         self.stats = ResolverStats()
         self.cache = ResolverCache(
-            max_ttl=behavior.max_ttl,
-            negative_ttl=behavior.negative_ttl,
             aggressive_nsec=behavior.aggressive_nsec,
-            serve_stale_window=(
-                behavior.serve_stale_window if behavior.serve_stale else 0.0
-            ),
+            serve_stale_window=SERVE_STALE_WINDOW if behavior.serve_stale else 0.0,
         )
         self._seed = seed
         #: ``seed``'s row of its fleet's ``seed_words`` table (:func:`seed_fleet`).
@@ -248,12 +255,8 @@ class SimResolver:
         behavior = self.behavior
         self.stats = ResolverStats()
         self.cache = ResolverCache(
-            max_ttl=behavior.max_ttl,
-            negative_ttl=behavior.negative_ttl,
             aggressive_nsec=behavior.aggressive_nsec,
-            serve_stale_window=(
-                behavior.serve_stale_window if behavior.serve_stale else 0.0
-            ),
+            serve_stale_window=SERVE_STALE_WINDOW if behavior.serve_stale else 0.0,
         )
         self.__dict__.pop("_rng", None)
         self._delegation_expiry.clear()
@@ -304,7 +307,7 @@ class SimResolver:
         qtype: RRType,
         depth: int,
     ) -> RCode:
-        if depth > self.behavior.cyclic_chase_depth:
+        if depth > CYCLIC_CHASE_DEPTH:
             self.stats.servfails += 1
             return RCode.SERVFAIL
 
@@ -555,7 +558,7 @@ class SimResolver:
         excluded set; the exploration draw is made here, on every call.
         """
         candidates = server_set.remaining(exclude) if exclude else server_set.servers
-        if len(candidates) > 1 and self._rng.random() < self.behavior.server_exploration:
+        if len(candidates) > 1 and self._rng.random() < SERVER_EXPLORATION:
             return candidates[int(self._rng.integers(len(candidates)))]
         family = 4 if self.v4 is not None else 6
         return server_set.fastest(self.site, family, exclude)
@@ -597,7 +600,7 @@ class SimResolver:
             if behavior.edns_bufsize > 0
             else None
         )
-        for attempt in range(behavior.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             server = self._choose_server(server_set, frozenset(failed))
             family = self._choose_family(server_set, server)
             src = self.v4 if family == 4 else self.v6
@@ -630,9 +633,8 @@ class SimResolver:
                 stats.drops += 1
                 failed.add(server.server_id)
                 timeout_ms = min(
-                    behavior.retry_initial_timeout_ms
-                    * behavior.retry_backoff ** attempt,
-                    behavior.retry_max_timeout_ms,
+                    RETRY_INITIAL_TIMEOUT_MS * RETRY_BACKOFF ** attempt,
+                    RETRY_MAX_TIMEOUT_MS,
                 )
                 session.tick(timeout_ms)
                 spent_timeout_ms += timeout_ms
@@ -647,11 +649,11 @@ class SimResolver:
                             "failover": failover,
                         },
                     )
-                if spent_timeout_ms >= behavior.retry_budget_ms:
+                if spent_timeout_ms >= RETRY_BUDGET_MS:
                     break  # total budget exhausted: give up early
                 continue
             transport_used = "udp"
-            if response.truncated and behavior.tcp_fallback:
+            if response.truncated:
                 tcp_rtt = rtt * float(1.0 + 0.05 * self._rng.random())
                 stats.auth_queries += 1
                 stats.tcp_retries += 1

@@ -575,16 +575,13 @@ class ServerSet:
     def rtt_ms(
         self, server: AuthoritativeServer, client_site: Site, family: int
     ) -> float:
-        """RTT from a client site to the server's catchment instance.
-
-        Like :meth:`fastest`, worked out once per (server, site, family):
-        pinning a latency offset after the first call needs a new set.
-        """
+        """RTT from a client site to the server's catchment instance,
+        worked out once per (server, site, family) like :meth:`fastest`."""
         key = (server.server_id, client_site.code, family)
         rtt = self._rtts.get(key)
         if rtt is None:
             rtt = self._rtts[key] = self.latency.rtt_ms(
-                client_site, server.catchment_site(client_site), family
+                client_site, server.catchment_site(client_site)
             )
         return rtt
 
@@ -606,8 +603,7 @@ class ServerSet:
         :meth:`remaining` (the first such server on a tie).
 
         A pure function of site geometry, so it is worked out once per
-        (site, family, excluded ids); pinning a latency offset after the
-        first call needs a new set.
+        (site, family, excluded ids).
         """
         key = (client_site.code, family, exclude)
         server = self._fastest.get(key)

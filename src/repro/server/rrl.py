@@ -16,20 +16,21 @@ from ..netsim import IPAddress
 from ..telemetry import tracing
 
 
+#: Every ``SLIP``-th limited response from a prefix is sent as a TC=1 slip
+#: instead of being dropped (BIND's default: every other one).
+SLIP = 2
+#: Source prefix lengths a token bucket covers, per address family.
+V4_PREFIX_LEN = 24
+V6_PREFIX_LEN = 56
+
+
 @dataclass
 class RRLConfig:
-    """Token-bucket parameters.
-
-    ``responses_per_second`` is the sustained per-prefix rate; ``burst``
-    is the bucket depth; every ``slip``-th limited response is sent as a
-    TC=1 slip instead of being dropped (slip=1 → always slip, never drop).
-    """
+    """Token-bucket parameters: ``responses_per_second`` is the sustained
+    per-prefix rate and ``burst`` the bucket depth."""
 
     responses_per_second: float = 50.0
     burst: float = 100.0
-    slip: int = 2
-    v4_prefix_len: int = 24
-    v6_prefix_len: int = 56
 
 
 @dataclass
@@ -60,10 +61,7 @@ class RateLimiter:
         return len(self._buckets)
 
     def _bucket_key(self, src: IPAddress) -> Tuple[int, int]:
-        length = (
-            self.config.v4_prefix_len if src.family == 4 else self.config.v6_prefix_len
-        )
-        shift = src.bits - length
+        shift = src.bits - (V4_PREFIX_LEN if src.family == 4 else V6_PREFIX_LEN)
         return (src.family, src.value >> shift)
 
     def check(self, src: IPAddress, now: float) -> str:
@@ -81,7 +79,7 @@ class RateLimiter:
         self._buckets[key] = (tokens, now)
         count = self._slip_counters.get(key, 0) + 1
         self._slip_counters[key] = count
-        if self.config.slip > 0 and count % self.config.slip == 0:
+        if count % SLIP == 0:
             self.stats.slipped += 1
             verdict = self.SLIP
         else:

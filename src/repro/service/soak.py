@@ -43,6 +43,8 @@ BLACKOUT_END_FRAC = 0.6
 #: graceful SERVFAIL reaches the client before it gives up.
 CLIENT_TIMEOUT_S = 2.5
 SCRAPE_INTERVAL_S = 0.5
+#: The soak's server, load generator and scraper all meet on loopback.
+LOOPBACK = "127.0.0.1"
 #: Share of admitted queries that must get a response.
 SLO_ANSWERED_FRACTION = 0.99
 
@@ -53,7 +55,6 @@ class SoakConfig:
 
     dataset_id: str = "nl-w2020"
     seed: int = 20201027
-    host: str = "127.0.0.1"
     duration_s: float = 8.0
     #: Open-loop offered rate; defaults to 2x the admission capacity.
     offered_qps: float = 300.0
@@ -185,7 +186,7 @@ async def run_soak(config: SoakConfig) -> SoakReport:
     plan = _blackout_plan(descriptor.vantage)
 
     load_config = LoadGenConfig(
-        host=config.host,
+        host=LOOPBACK,
         dataset_id=config.dataset_id,
         queries=max(1, int(round(config.offered_qps * config.duration_s))),
         concurrency=4096,  # open loop: in-flight is bounded by timeouts
@@ -201,7 +202,7 @@ async def run_soak(config: SoakConfig) -> SoakReport:
     service = DnsService(
         ServiceConfig(
             dataset_id=config.dataset_id,
-            host=config.host,
+            host=LOOPBACK,
             udp_port=0,
             metrics_port=0,
             seed=config.seed,
@@ -220,7 +221,7 @@ async def run_soak(config: SoakConfig) -> SoakReport:
     samples: List[Dict[str, float]] = []
     scraper = asyncio.ensure_future(
         _scrape_loop(
-            config.host, service.metrics_port, SCRAPE_INTERVAL_S, samples
+            LOOPBACK, service.metrics_port, SCRAPE_INTERVAL_S, samples
         )
     )
     try:
@@ -229,7 +230,7 @@ async def run_soak(config: SoakConfig) -> SoakReport:
         # close is visible even if the periodic scraper just slept.
         samples.append(
             parse_prometheus_text(
-                await scrape_metrics(config.host, service.metrics_port)
+                await scrape_metrics(LOOPBACK, service.metrics_port)
             )
         )
     finally:

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..capture import CaptureSpool, CaptureStore, SpooledCapture
 from ..clouds import FleetResolver, PTRTable
-from ..config import RunConfig
+from ..config import RunConfig, check_volume
 from ..dnscore import Name, RRType
 from ..faults import FaultInjector, derive_fault_seed
 from ..netsim import ASRegistry, GAZETTEER, LatencyModel
@@ -480,7 +480,11 @@ def member_query_counts(
     * each member's count depends only on the *full* fleet's weights,
       never on how members are partitioned into shard ranges, so any
       partition sums to the same per-member traffic.
+
+    A volume past :data:`~repro.config.MAX_CLIENT_QUERIES` raises
+    ``ValueError``: its bounds would not fit the int64 counts.
     """
+    check_volume(total_queries)
     weights = np.asarray(weights, dtype=np.float64)
     cumulative = np.cumsum(weights)
     if len(cumulative) == 0 or cumulative[-1] <= 0:

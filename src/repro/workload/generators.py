@@ -49,6 +49,15 @@ SUBNAME_CHOICES: Tuple[Tuple[str, float], ...] = (
     ("shop", 0.03),
 )
 
+#: Zipf exponents of name popularity: over a ccTLD's registered domains,
+#: and over the TLDs root-vantage queries target.
+DOMAIN_ZIPF_EXPONENT = 1.0
+TLD_ZIPF_EXPONENT = 0.8
+
+#: Busiest-hour over quietest-hour query rate of the day (the Internet
+#: "sleeps", Quan et al. 2014).
+DIURNAL_PEAK_RATIO = 2.0
+
 _JUNK, _STORM = 1, 2  # the kinds ``columns`` sorts queries into; legitimate is 0
 _JUNK_LETTERS = bytes.maketrans(bytes(range(26)), string.ascii_lowercase.encode())
 
@@ -72,19 +81,16 @@ class ClientQuery:
 
 
 class DiurnalPattern:
-    """Weekly arrival-time model with a sinusoidal day/night cycle.
+    """Weekly arrival-time model with a sinusoidal day/night cycle whose
+    busiest hour is :data:`DIURNAL_PEAK_RATIO` times its quietest."""
 
-    ``peak_ratio`` is the busiest-hour rate over the quietest-hour rate
-    (the Internet "sleeps", Quan et al. 2014).
-    """
-
-    def __init__(self, start: float, duration: float, peak_ratio: float = 2.0):
+    def __init__(self, start: float, duration: float):
         if duration <= 0:
             raise ValueError("duration must be positive")
         self.start = start
         self.n_days = max(1, int(round(duration / 86400.0)))
         hours = np.arange(24)
-        weights = 1.0 + (peak_ratio - 1.0) * 0.5 * (
+        weights = 1.0 + (DIURNAL_PEAK_RATIO - 1.0) * 0.5 * (
             1.0 + np.sin((hours - 9.0) / 24.0 * 2.0 * np.pi)
         )
         self._hour_cdf = _choice_cdf(weights / weights.sum())
@@ -115,7 +121,7 @@ class WorkloadGenerator:
         spread of TLDs, junk queries are nonexistent TLD probes).
     domains:
         The vantage zone's registered domains (for ccTLD vantages), sorted;
-        popularity over them is Zipf.
+        popularity over them is Zipf (:data:`DOMAIN_ZIPF_EXPONENT`).
     tld_names:
         For the root vantage: existing TLDs to target.
     """
@@ -125,7 +131,6 @@ class WorkloadGenerator:
         vantage: str,
         domains: Sequence[Name],
         tld_names: Sequence[str] = (),
-        zipf_exponent: float = 1.0,
         seed: int = 0,
     ):
         self.vantage = vantage
@@ -136,10 +141,10 @@ class WorkloadGenerator:
         if vantage == "root" and not self._tld_names:
             raise ValueError("root vantage needs TLD names")
         self._domain_sampler = (
-            ZipfSampler(len(self.domains), zipf_exponent) if self.domains else None
+            ZipfSampler(len(self.domains), DOMAIN_ZIPF_EXPONENT) if self.domains else None
         )
         self._tld_sampler = (
-            ZipfSampler(len(self._tld_names), 0.8) if self._tld_names else None
+            ZipfSampler(len(self._tld_names), TLD_ZIPF_EXPONENT) if self._tld_names else None
         )
         self._qtypes = [t for t, __ in CLIENT_QTYPE_MIX]
         qtype_probs = np.array([p for __, p in CLIENT_QTYPE_MIX])

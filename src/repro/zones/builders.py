@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -78,18 +78,6 @@ class ZoneSpec:
     third_level_count: int = 0
     signed_fraction: float = 0.6
     seed: int = 0
-    #: Paper-reported real size; used only for reporting scale.
-    real_size: Optional[int] = None
-
-    @property
-    def total_domains(self) -> int:
-        return self.second_level_count + self.third_level_count
-
-    @property
-    def scale_factor(self) -> float:
-        if self.real_size is None:
-            return 1.0
-        return self.real_size / max(1, self.total_domains)
 
 
 #: Fraction of delegations whose NS live under the delegated domain
@@ -170,12 +158,13 @@ def build_registry_zone(spec: ZoneSpec) -> Zone:
     return zone
 
 
-def build_root_zone(
-    tlds: Sequence[str] = DEFAULT_TLDS,
-    signed_fraction: float = 0.9,
-    seed: int = 0,
-) -> Zone:
-    """Build the synthetic root zone with delegations for ``tlds``.
+#: Fraction of the root's TLD delegations that are DNSSEC-signed.
+ROOT_SIGNED_FRACTION = 0.9
+
+
+def build_root_zone(seed: int = 0) -> Zone:
+    """Build the synthetic root zone with delegations for
+    :data:`DEFAULT_TLDS`, :data:`ROOT_SIGNED_FRACTION` of them signed.
 
     Root-server NS names (``a.root-servers.net`` style) get in-zone glue so
     priming responses are realistic.
@@ -189,9 +178,9 @@ def build_root_zone(
         zone.add_rrset(
             RRset(ns_name, RRType.AAAA, 3600000, [AAAARdata((0x2001 << 112) | (0x503 << 96) | i)])
         )
-    for tld in tlds:
+    for tld in DEFAULT_TLDS:
         child = ROOT.prepend(tld.encode())
-        secure = bool(rng.random() < signed_fraction)
+        secure = bool(rng.random() < ROOT_SIGNED_FRACTION)
         ns1 = Name.from_text(f"ns1.nic.{tld}")
         ns2 = Name.from_text(f"ns2.nic.{tld}")
         zone.add_delegation(child, [ns1, ns2], secure=secure)

@@ -37,6 +37,11 @@ from ..dnscore import (
 )
 
 
+#: TTL of the apex SOA and DNSKEY, of delegation NS and DS records, and of
+#: NSEC proofs (seconds).
+DEFAULT_TTL = 3600
+
+
 class LookupOutcome(enum.Enum):
     """Classification of a query against a zone."""
 
@@ -131,10 +136,9 @@ class Zone:
         NSEC records.
     """
 
-    def __init__(self, origin: Name, signed: bool = True, default_ttl: int = 3600):
+    def __init__(self, origin: Name, signed: bool = True):
         self.origin = origin
         self.signed = signed
-        self.default_ttl = default_ttl
         self._rrsets: Dict[Tuple[Name, RRType], RRset] = {}
         self._names: set = set()
         self._empty_non_terminals: set = set()
@@ -158,7 +162,7 @@ class Zone:
             RRset(
                 origin,
                 RRType.SOA,
-                default_ttl,
+                DEFAULT_TTL,
                 [
                     SOARdata(
                         origin.prepend(b"ns1"),
@@ -178,7 +182,7 @@ class Zone:
                 RRset(
                     origin,
                     RRType.DNSKEY,
-                    default_ttl,
+                    DEFAULT_TTL,
                     [
                         DNSKEYRdata(0x0101, 3, 8, ksk_seed * 8),   # 256-octet key
                         DNSKEYRdata(0x0100, 3, 8, zsk_seed * 4),   # 128-octet key
@@ -229,16 +233,14 @@ class Zone:
         child: Name,
         nameservers: Sequence[Name],
         secure: bool = False,
-        ttl: Optional[int] = None,
     ) -> None:
         """Register a delegation (zone cut) to ``child``.
 
         ``secure=True`` attaches a simulated DS RRset, which is what makes
         validating resolvers fetch the child's DNSKEY.
         """
-        ttl = self.default_ttl if ttl is None else ttl
         self.add_rrset(
-            RRset(child, RRType.NS, ttl, [NSRdata(ns) for ns in nameservers])
+            RRset(child, RRType.NS, DEFAULT_TTL, [NSRdata(ns) for ns in nameservers])
         )
         if secure and self.signed:
             # Registries commonly publish two DS digests per child (SHA-1 +
@@ -253,7 +255,7 @@ class Zone:
                 RRset(
                     child,
                     RRType.DS,
-                    ttl,
+                    DEFAULT_TTL,
                     [
                         DSRdata(key_tag, 8, 2, digest256),
                         DSRdata(key_tag, 8, 1, digest1),
@@ -321,7 +323,7 @@ class Zone:
         next_name = names[index % len(names)] if index < len(names) else names[0]
         types = tuple(sorted(self._types_by_name.get(owner, ()), key=int))
         return ResourceRecord(
-            owner, RRType.NSEC, self.default_ttl, NSECRdata(next_name, types)
+            owner, RRType.NSEC, DEFAULT_TTL, NSECRdata(next_name, types)
         )
 
     # -- query classification -----------------------------------------------------

@@ -280,7 +280,7 @@ class TestGoogleSplit:
             [rec(GOOGLE)] * 4 + [rec(GOOGLE2)] + [rec(AMAZON)],
             public_prefixes=["8.8.8.0/24"],
         )
-        split = analytics.google_split(["8.8.8.0/24"])
+        split = analytics.google_split()
         assert split.total_queries == 5
         assert split.public_queries == 4
         assert split.rest_queries == 1
@@ -366,7 +366,7 @@ class TestFacade:
             ("junk_ratios", (["Google", UNAGGREGATED],)),
             ("transport_matrix", ([UNAGGREGATED],)),
             ("truncation_table", ([UNAGGREGATED],)),
-            ("sovereignty", ([UNAGGREGATED],)),
+            ("transport_matrix", (["Google", UNAGGREGATED],)),
             ("rrtype_mix", (UNAGGREGATED,)),
             ("bufsize_cdf", (UNAGGREGATED,)),
             ("truncation_ratio", (UNAGGREGATED,)),

@@ -77,8 +77,7 @@ class TestCLI:
 
         seen = {}
 
-        def fake_run_and_render(scale=None, dataset_filter=None,
-                                seed=20201027, ctx=None):
+        def fake_run_and_render(ctx):
             seen["ctx"] = ctx
             return "# stub report"
 
@@ -92,8 +91,7 @@ class TestCLI:
 
         seen = {}
 
-        def fake_run_and_render(scale=None, dataset_filter=None,
-                                seed=20201027, ctx=None):
+        def fake_run_and_render(ctx):
             seen["ctx"] = ctx
             return "# stub report"
 
@@ -108,8 +106,7 @@ class TestCLI:
 
         from repro.experiments import render_all
 
-        def two_cuts_of_one_world(scale=None, dataset_filter=None,
-                                  seed=20201027, ctx=None):
+        def two_cuts_of_one_world(ctx):
             ctx.run("nz-w2020")
             ctx.monthly("nz", 2020, 1)
             return "# stub report"
@@ -212,6 +209,20 @@ class TestValidatesBeforeSimulating:
         (["loadgen", "--port", "70000"], "udp_port must be in [0, 65535], got 70000"),
         (["serve", "--chaos", "default-loss", "--fault-window", "-5"],
          "fault_window_s must be positive, got -5.0"),
+        # An unknown scenario is caught before any world is built.
+        (["dataset", "nl-w2020", "--chaos", "nope"],
+         "unknown chaos scenario 'nope' (see 'repro chaos')"),
+        (["experiments", "--chaos", "nope"],
+         "unknown chaos scenario 'nope' (see 'repro chaos')"),
+        (["serve", "--chaos", "nope"],
+         "unknown chaos scenario 'nope' (see 'repro chaos')"),
+        # A scale with no finite volume, or one past int64.
+        (["dataset", "nl-w2020", "--scale", "inf"],
+         "scale must be positive and finite, got inf"),
+        (["experiments", "--scale", "inf"],
+         "scale must be positive and finite, got inf"),
+        (["dataset", "nl-w2020", "--scale", "1e300"],
+         "1.85e+305 client queries do not fit int64"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:
@@ -252,17 +263,18 @@ class TestChaosCLI:
         ) == 0
         capsys.readouterr()
 
-    def test_unknown_chaos_scenario_errors(self):
-        with pytest.raises(KeyError, match="default-loss"):
+    def test_unknown_chaos_scenario_errors(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["dataset", "nz-w2018", "--scale", "0.01", "--chaos", "nope"])
+        assert excinfo.value.code == 2
+        assert "unknown chaos scenario 'nope'" in capsys.readouterr().err
 
     def test_experiments_chaos_plumbed(self, capsys, monkeypatch):
         from repro.experiments import render_all
 
         seen = {}
 
-        def fake_run_and_render(scale=None, dataset_filter=None,
-                                seed=20201027, ctx=None):
+        def fake_run_and_render(ctx):
             seen["ctx"] = ctx
             return "# stub report"
 

@@ -13,11 +13,11 @@ from repro.clouds import (
     parse_ptr_embedded_v4,
     parse_ptr_site,
     qmin_enabled,
-    google_qmin_by_month,
 )
 from repro.clouds.fleets import AddressAllocator
 from repro.netsim import IPAddress, Prefix
 from repro.paper import FIGURE1
+from repro.workload import monthly_google_descriptor
 
 
 class TestProfiles:
@@ -40,9 +40,10 @@ class TestProfiles:
         assert not qmin_enabled("Microsoft", "nl", 2020)
 
     def test_google_monthly_qmin_boundary(self):
-        assert not google_qmin_by_month(2019, 11)
-        assert google_qmin_by_month(2019, 12)
-        assert google_qmin_by_month(2020, 4)
+        for vantage in ("nl", "nz"):
+            assert not monthly_google_descriptor(vantage, 2019, 11).qmin_override
+            assert monthly_google_descriptor(vantage, 2019, 12).qmin_override
+            assert monthly_google_descriptor(vantage, 2020, 4).qmin_override
 
     def test_facebook_thirteen_sites_weights(self):
         assert len(FACEBOOK_SITES) == 13

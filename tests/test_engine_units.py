@@ -6,7 +6,7 @@ import pytest
 
 from repro.dnscore import Name, ROOT, RRType
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
-from repro.resolver import ResolverBehavior, SimResolver
+from repro.resolver import ResolverBehavior, SimResolver, engine
 from repro.resolver.engine import _Session
 from repro.server import AuthoritativeServer, ServerSet
 from repro.zones import Zone
@@ -74,26 +74,27 @@ class TestSelection:
         far = AuthoritativeServer("far", zone, [GAZETTEER["SYD"]])
         return ServerSet([near, far], latency), near, far
 
-    def test_no_exploration_always_fastest(self):
+    def test_no_exploration_always_fastest(self, monkeypatch):
+        monkeypatch.setattr(engine, "SERVER_EXPLORATION", 0.0)
         server_set, near, far = self._server_set()
-        resolver = make_resolver(server_exploration=0.0)
+        resolver = make_resolver()
         for __ in range(10):
             assert resolver._choose_server(server_set) is near
 
     def test_exclusion_skips_failed(self):
         server_set, near, far = self._server_set()
-        resolver = make_resolver(server_exploration=0.0)
+        resolver = make_resolver()
         assert resolver._choose_server(server_set, frozenset({"near"})) is far
 
     def test_all_excluded_falls_back(self):
         server_set, near, far = self._server_set()
-        resolver = make_resolver(server_exploration=0.0)
+        resolver = make_resolver()
         chosen = resolver._choose_server(server_set, frozenset({"near", "far"}))
         assert chosen in (near, far)
 
     def test_exploration_hits_both(self):
         server_set, near, far = self._server_set()
-        resolver = make_resolver(server_exploration=0.5)
+        resolver = make_resolver()
         chosen = {resolver._choose_server(server_set).server_id for __ in range(50)}
         assert chosen == {"near", "far"}
 
@@ -108,7 +109,7 @@ class TestSelection:
                 candidates = list(server_set.servers)
             if (
                 len(candidates) > 1
-                and resolver._rng.random() < resolver.behavior.server_exploration
+                and resolver._rng.random() < engine.SERVER_EXPLORATION
             ):
                 return candidates[int(resolver._rng.integers(len(candidates)))]
             return min(
@@ -116,8 +117,8 @@ class TestSelection:
             )
 
         server_set, near, far = self._server_set()
-        actual = make_resolver(server_exploration=0.3)
-        expected = make_resolver(server_exploration=0.3)
+        actual = make_resolver()
+        expected = make_resolver()
         excludes = [frozenset(), frozenset({"near"}), frozenset({"near", "far"}),
                     frozenset({"far"}), frozenset()]
         for i in range(200):

@@ -27,7 +27,8 @@ from repro.faults import (
     derive_fault_seed,
 )
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
-from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver
+from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver, engine
+from repro.resolver.engine import _Session
 from repro.server import AuthoritativeServer, ServerSet
 from repro.sim import run_dataset
 from repro.telemetry import MetricsRegistry
@@ -307,39 +308,61 @@ def make_resolver(behavior, seed=2):
     )
 
 
+class _TickLog(_Session):
+    """A resolution clock that records every advance, in milliseconds."""
+
+    def __init__(self, now):
+        super().__init__(now)
+        self.ticks = []
+
+    def tick(self, ms):
+        self.ticks.append(ms)
+        return super().tick(ms)
+
+
+def _send_to_dead_server():
+    """One authoritative exchange against a server that drops every
+    query: (the clock's advances, the one-way-trip RTT, the stats)."""
+    network, tld_set, __ = make_world(1)
+    server = tld_set.servers[0]
+    server.online = False
+    resolver = make_resolver(ResolverBehavior())
+    session = _TickLog(1.0)
+    assert resolver._send(session, tld_set, Name.from_text("example.nl"), RRType.A) is None
+    return session.ticks, tld_set.rtt_ms(server, resolver.site, 4), resolver.stats
+
+
 class TestRetryBudget:
-    def test_budget_caps_attempts_before_retry_limit(self):
-        network, tld_set, __ = make_world(1)
-        tld_set.servers[0].online = False
-        behavior = ResolverBehavior(max_retries=10, retry_budget_ms=1000.0)
-        resolver = make_resolver(behavior)
-        rcode = resolver.resolve(
-            network, 1.0, Name.from_text("example.nl"), RRType.A
-        )
-        assert rcode is RCode.SERVFAIL
-        # 400ms + 800ms = 1200ms >= 1000ms budget: two drops, not eleven.
-        assert resolver.stats.drops == 2
-        assert resolver.stats.retry_exhausted >= 1
+    def test_default_schedule_against_a_dead_server(self):
+        """The sim's one retransmit schedule: 3 attempts, waits of 400, 800
+        and 1600 ms (under the 3000 ms cap and the 8000 ms budget), then
+        ``retry_exhausted``."""
+        ticks, rtt, stats = _send_to_dead_server()
+        assert ticks == [rtt, 400.0, rtt, 800.0, rtt, 1600.0]
+        assert (engine.RETRY_MAX_TIMEOUT_MS, engine.RETRY_BUDGET_MS) == (3000.0, 8000.0)
+        assert (stats.auth_queries, stats.drops, stats.retransmits) == (3, 3, 2)
+        assert stats.retry_exhausted == 1
 
-    def test_backoff_timeouts_grow_and_cap(self):
-        network, tld_set, capture = make_world(2)
-        for server in tld_set.servers:
-            server.online = False
-        behavior = ResolverBehavior(
-            max_retries=5, retry_initial_timeout_ms=100.0, retry_backoff=2.0,
-            retry_max_timeout_ms=300.0, retry_budget_ms=100000.0,
-        )
-        resolver = make_resolver(behavior)
-        resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
-        # 6 attempts: timeouts 100, 200, 300, 300, 300, 300 (capped).
-        assert resolver.stats.drops == 6
-        assert resolver.stats.retransmits == 5
+    def test_backoff_timeouts_grow_and_cap(self, monkeypatch):
+        # The default schedule stops before the cap binds; with five
+        # retries the waits double from 400 ms until capped at 3000 ms.
+        monkeypatch.setattr(engine, "MAX_RETRIES", 5)
+        ticks, rtt, stats = _send_to_dead_server()
+        assert ticks[1::2] == [400.0, 800.0, 1600.0, 3000.0, 3000.0]
 
-    def test_failover_counted_on_server_change(self):
+    def test_budget_caps_attempts_before_retry_limit(self, monkeypatch):
+        # 400 + 800 + 1600 + 3000 + 3000 = 8800 ms >= the 8000 ms budget:
+        # five drops, not eleven.
+        monkeypatch.setattr(engine, "MAX_RETRIES", 10)
+        ticks, rtt, stats = _send_to_dead_server()
+        assert stats.drops == 5
+        assert stats.retry_exhausted == 1
+
+    def test_failover_counted_on_server_change(self, monkeypatch):
+        monkeypatch.setattr(engine, "SERVER_EXPLORATION", 0.0)
         network, tld_set, __ = make_world(3)
         tld_set.servers[0].online = False
-        behavior = ResolverBehavior(max_retries=3, server_exploration=0.0)
-        resolver = make_resolver(behavior, seed=3)
+        resolver = make_resolver(ResolverBehavior(), seed=3)
         rcode = resolver.resolve(
             network, 1.0, Name.from_text("example.nl"), RRType.A
         )
@@ -350,9 +373,10 @@ class TestRetryBudget:
 
 class TestServeStale:
     # The resolution retry at RETRY_AT must actually *fail*: past the
-    # answer TTL (~3600s) and past the cached delegation (86400s), so the
-    # resolver has to re-ask the — now offline — TLD servers.
-    RETRY_AT = 100_000.0
+    # answer TTL (3600s) and past the cached delegation (86400s), so the
+    # resolver has to re-ask the — now offline — TLD servers; and inside
+    # the answer's stale window (TTL + SERVE_STALE_WINDOW, 86400s).
+    RETRY_AT = 88_000.0
 
     def _prime_then_kill(self, behavior):
         network, tld_set, __ = make_world(1)
@@ -364,9 +388,7 @@ class TestServeStale:
         return network, resolver, qname
 
     def test_stale_answer_on_servfail(self):
-        behavior = ResolverBehavior(
-            serve_stale=True, serve_stale_window=7 * 86400.0
-        )
+        behavior = ResolverBehavior(serve_stale=True)
         network, resolver, qname = self._prime_then_kill(behavior)
         rcode = resolver.resolve(network, self.RETRY_AT, qname, RRType.A)
         assert rcode is RCode.NOERROR
@@ -382,10 +404,10 @@ class TestServeStale:
         assert resolver.stats.stale_served == 0
 
     def test_stale_window_expiry(self):
-        behavior = ResolverBehavior(serve_stale=True, serve_stale_window=1000.0)
+        behavior = ResolverBehavior(serve_stale=True)
         network, resolver, qname = self._prime_then_kill(behavior)
-        # TTL 3600 + window 1000 << RETRY_AT: the entry is too stale.
-        rcode = resolver.resolve(network, self.RETRY_AT, qname, RRType.A)
+        # 1 + TTL 3600 + window 86400 < 100000: the entry is too stale.
+        rcode = resolver.resolve(network, 100_000.0, qname, RRType.A)
         assert rcode is RCode.SERVFAIL
         assert resolver.stats.stale_served == 0
 

@@ -200,13 +200,6 @@ class TestGeo:
         far = model.rtt_ms(GAZETTEER["AMS"], GAZETTEER["SYD"])
         assert far > near > 0
 
-    def test_family_offset_raises_v6_rtt(self):
-        model = LatencyModel()
-        model.set_family_offset("IAD", 6, 40.0)
-        v4 = model.rtt_ms(GAZETTEER["IAD"], GAZETTEER["AMS"], family=4)
-        v6 = model.rtt_ms(GAZETTEER["IAD"], GAZETTEER["AMS"], family=6)
-        assert v6 == pytest.approx(v4 + 80.0)
-
     def test_nearest_site(self):
         candidates = [GAZETTEER["AMS"], GAZETTEER["SYD"], GAZETTEER["IAD"]]
         assert nearest_site(GAZETTEER["LHR"], candidates).code == "AMS"

@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis import Attributor, DatasetAnalytics
 from repro.capture import SpooledCapture
-from repro.clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
+from repro.clouds import PROVIDERS
 from repro.experiments import ExperimentContext
 from repro.experiments.render_all import collect_all
 from repro.faults import FaultPlan, chaos_scenario
@@ -217,7 +217,7 @@ def facade_answers(analytics):
         "overall_junk_ratio": analytics.overall_junk_ratio(),
         "transport_matrix": analytics.transport_matrix(PROVIDERS),
         "truncation_table": analytics.truncation_table(PROVIDERS),
-        "google_split": analytics.google_split(GOOGLE_PUBLIC_DNS_PREFIXES),
+        "google_split": analytics.google_split(),
         "dataset_summary": analytics.dataset_summary(),
         "per_provider": {
             provider: {

@@ -5,7 +5,7 @@ import pytest
 from repro.capture import CaptureStore, Transport
 from repro.dnscore import Message, Name, RCode, RRType
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
-from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver
+from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver, engine
 from repro.server import AuthoritativeServer, ServerSet
 from repro.zones import Zone, build_root_zone
 
@@ -34,10 +34,10 @@ def make_world(n_servers=3):
     return network, tld_set, capture
 
 
-def make_resolver(max_retries=3):
+def make_resolver(seed=2):
     return SimResolver(
         "r", GAZETTEER["AMS"], IPAddress.parse("192.0.2.10"), None,
-        ResolverBehavior(max_retries=max_retries), seed=2,
+        ResolverBehavior(), seed=seed,
     )
 
 
@@ -80,21 +80,19 @@ class TestOfflineServer:
     def test_retries_bounded(self):
         network, tld_set, __ = make_world(1)
         tld_set.servers[0].online = False
-        resolver = make_resolver(max_retries=2)
+        resolver = make_resolver()
         resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
-        # max_retries + 1 attempts, all dropped.
+        # MAX_RETRIES (2) + 1 attempts, all dropped.
         assert resolver.stats.drops == 3
 
-    def test_timeouts_advance_time(self):
+    def test_timeouts_advance_time(self, monkeypatch):
         network, tld_set, capture = make_world(2)
         tld_set.servers[0].online = False
         # Force the dead server to be the preferred one by site proximity:
         # the AMS resolver prefers nl-0 (AMS); after a timeout it must ask
         # nl-1 with a visibly later timestamp.
-        resolver = SimResolver(
-            "r", GAZETTEER["AMS"], IPAddress.parse("192.0.2.10"), None,
-            ResolverBehavior(max_retries=3, server_exploration=0.0), seed=3,
-        )
+        monkeypatch.setattr(engine, "SERVER_EXPLORATION", 0.0)
+        resolver = make_resolver(seed=3)
         resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
         view = capture.view()
         assert len(view) >= 1

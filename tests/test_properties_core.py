@@ -80,7 +80,7 @@ class TestCacheProperties:
         st.integers(1, 1000),
     )
     def test_positive_entries_expire_exactly(self, labels, ttl):
-        cache = ResolverCache(max_ttl=10_000)
+        cache = ResolverCache()
         for label in labels:
             name = Name.from_text(f"{label}.nl")
             cache.put(

@@ -139,10 +139,3 @@ class TestLatencyProperties:
         model = LatencyModel()
         assert model.rtt_ms(a, b) > 0
         assert model.rtt_ms(a, b) == pytest.approx(model.rtt_ms(b, a))
-
-    @given(st.sampled_from(sites), st.sampled_from(sites), st.floats(0.1, 100.0))
-    def test_family_offset_monotone(self, a, b, offset):
-        model = LatencyModel()
-        base = model.rtt_ms(a, b, family=6)
-        model.set_family_offset(a.code, 6, offset)
-        assert model.rtt_ms(a, b, family=6) > base

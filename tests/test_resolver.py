@@ -47,16 +47,21 @@ class TestResolverCache:
     def test_ttl_clamped_to_max(self):
         from repro.dnscore import ARdata, ResourceRecord
 
-        cache = ResolverCache(max_ttl=10.0)
+        cache = ResolverCache()
         name = Name.from_text("x.nl")
         cache.put(0.0, name, RRType.A, [ResourceRecord(name, RRType.A, 99999, ARdata(1))])
-        assert cache.get(11.0, name, RRType.A) is None
+        # MAX_TTL is a day.
+        assert cache.get(86399.0, name, RRType.A) is not None
+        assert cache.get(86401.0, name, RRType.A) is None
 
     def test_negative_cache(self):
-        cache = ResolverCache(negative_ttl=60.0)
+        cache = ResolverCache()
         name = Name.from_text("gone.nl")
         cache.put_negative(0.0, name, RCode.NXDOMAIN)
-        assert cache.get_negative(30.0, name) is RCode.NXDOMAIN
+        # NEGATIVE_TTL is 900 s when the answer carries none.
+        assert cache.get_negative(899.0, name) is RCode.NXDOMAIN
+        assert cache.get_negative(901.0, name) is None
+        cache.put_negative(0.0, name, RCode.NXDOMAIN, ttl=60.0)
         assert cache.get_negative(61.0, name) is None
 
     def test_empty_put_rejected(self):
@@ -320,10 +325,12 @@ class TestTransportAndFamily:
         assert families == {4, 6}
 
     def test_rtt_policy_prefers_faster_family(self, small_world):
-        # Make IPv6 brutally slow from this resolver's site.
-        small_world["latency"].set_family_offset("FRA", 6, 200.0)
+        # Make IPv6 brutally slow for this resolver.
         resolver = make_resolver(
-            ResolverBehavior(family_policy="rtt", rtt_sharpness_ms=10.0), seed=5
+            ResolverBehavior(
+                family_policy="rtt", rtt_sharpness_ms=10.0, v6_extra_rtt_ms=400.0
+            ),
+            seed=5,
         )
         for i in range(20):
             resolver.resolve(

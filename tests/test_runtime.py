@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.capture import CaptureSpool, CaptureStore, SpooledCapture
 from repro.capture.schema import QueryRecord, Transport
 import repro.runtime.executor as runtime_executor
-from repro.config import RunConfig
+from repro.config import MAX_CLIENT_QUERIES, RunConfig
 from repro.netsim import IPAddress
 from repro.runtime import ShardExecutor, ShardTask, plan_shards
 from repro.service import ServiceConfig
@@ -116,6 +116,18 @@ class TestMemberQueryCounts:
             member_query_counts([0.0, 0.0], 100)
         with pytest.raises(ValueError):
             member_query_counts([], 100)
+
+    def test_volume_past_int64_rejected(self):
+        """A volume whose bounds do not fit int64 raises instead of
+        wrapping into non-positive counts; the largest that fits spreads
+        in full."""
+        weights = [1.0, 2.0, 3.0]
+        for total in (int(185_000 * 1e300), 2**63 - 1, MAX_CLIENT_QUERIES + 1):
+            with pytest.raises(ValueError, match="do not fit int64"):
+                member_query_counts(weights, total)
+        counts = member_query_counts(weights, MAX_CLIENT_QUERIES)
+        assert (counts > 0).all()
+        assert int(counts.sum()) == MAX_CLIENT_QUERIES
 
 
 def _record(ts, server, qname="a.nz"):

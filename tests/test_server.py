@@ -395,36 +395,52 @@ class TestCaptureTap:
 
 class TestRRL:
     def test_limiter_slips_and_drops_under_flood(self):
-        limiter = RateLimiter(RRLConfig(responses_per_second=5, burst=5, slip=2))
+        limiter = RateLimiter(RRLConfig(responses_per_second=5, burst=5))
         verdicts = [limiter.check(SRC, 0.0) for __ in range(20)]
         assert verdicts[:5] == [RateLimiter.PASS] * 5
         assert RateLimiter.SLIP in verdicts[5:]
         assert RateLimiter.DROP in verdicts[5:]
 
     def test_bucket_refills_over_time(self):
-        limiter = RateLimiter(RRLConfig(responses_per_second=10, burst=5, slip=2))
+        limiter = RateLimiter(RRLConfig(responses_per_second=10, burst=5))
         for __ in range(5):
             limiter.check(SRC, 0.0)
         assert limiter.check(SRC, 0.0) != RateLimiter.PASS
         assert limiter.check(SRC, 10.0) == RateLimiter.PASS
 
     def test_distinct_prefixes_independent(self):
-        limiter = RateLimiter(RRLConfig(responses_per_second=1, burst=1, slip=1))
+        limiter = RateLimiter(RRLConfig(responses_per_second=1, burst=1))
         a = IPAddress.parse("192.0.2.1")
         b = IPAddress.parse("198.51.100.1")
         assert limiter.check(a, 0.0) == RateLimiter.PASS
         assert limiter.check(b, 0.0) == RateLimiter.PASS
+        # Every SLIP-th (2nd) limited response of a prefix slips.
+        assert limiter.check(a, 0.0) == RateLimiter.DROP
         assert limiter.check(a, 0.0) == RateLimiter.SLIP
+        assert limiter.check(b, 0.0) == RateLimiter.DROP
+
+    def test_prefix_lengths_share_a_bucket(self):
+        """A /24 (IPv4) or /56 (IPv6) is one bucket; the next one is not."""
+        limiter = RateLimiter(RRLConfig(responses_per_second=1, burst=1))
+        pairs = [("192.0.2.1", "192.0.2.254", "192.0.3.1"),
+                 ("2001:db8:0:ff::1", "2001:db8::2", "2001:db8:0:100::1")]
+        for first, same, other in pairs:
+            assert limiter.check(IPAddress.parse(first), 0.0) == RateLimiter.PASS
+            assert limiter.check(IPAddress.parse(same), 0.0) != RateLimiter.PASS
+            assert limiter.check(IPAddress.parse(other), 0.0) == RateLimiter.PASS
 
     def test_server_slip_truncates(self, zone):
         server = AuthoritativeServer(
             "nl-a", zone, [GAZETTEER["AMS"]], capture=CaptureStore(),
-            rrl=RRLConfig(responses_per_second=1, burst=1, slip=1),
+            rrl=RRLConfig(responses_per_second=1, burst=1),
         )
-        first = server.handle_query(0.0, SRC, Transport.UDP, query("nl", RRType.SOA))
-        second = server.handle_query(0.0, SRC, Transport.UDP, query("nl", RRType.SOA))
+        first, dropped, slipped = (
+            server.handle_query(0.0, SRC, Transport.UDP, query("nl", RRType.SOA))
+            for __ in range(3)
+        )
         assert not first.is_truncated()
-        assert second.is_truncated()
+        assert dropped is None
+        assert slipped.is_truncated()
         assert server.stats.rrl_slipped == 1
 
 

@@ -357,7 +357,7 @@ class TestDispatcher:
         first = nl_set.servers[0]
         saved = first._rrl_config
         first.configure_rrl(
-            RRLConfig(responses_per_second=0.0, burst=0.0, slip=0)
+            RRLConfig(responses_per_second=0.0, burst=0.0)
         )
         try:
             response = dispatcher.dispatch(
@@ -552,7 +552,7 @@ class TestLiveService:
 
     def test_rrl_drops_live_udp(self):
         async def scenario(service):
-            return await run_loadgen(
+            report = await run_loadgen(
                 LoadGenConfig(
                     udp_port=service.udp_port,
                     queries=80,
@@ -560,15 +560,20 @@ class TestLiveService:
                     timeout_s=0.4,
                 )
             )
+            return report, service.snapshot()
 
-        # One-shot bucket with slip disabled: after the first response per
-        # prefix the limiter drops everything (every client is 127.0.0.1).
+        # One-shot bucket: after the first response per prefix (every
+        # client is 127.0.0.1) the limiter drops every other response and
+        # slips the rest as TC=1, which the dispatcher's retransmit
+        # collects.
         config = _serve_config(
-            rrl=RRLConfig(responses_per_second=0.001, burst=1.0, slip=0)
+            rrl=RRLConfig(responses_per_second=0.001, burst=1.0)
         )
-        report = asyncio.run(_with_service(config, scenario))
-        assert report.timeouts > 0
-        assert report.answered < report.sent
+        report, snapshot = asyncio.run(_with_service(config, scenario))
+        assert snapshot.total("rrl.dropped") > 0
+        assert snapshot.total("rrl.slipped") > 0
+        assert snapshot.total("server.rrl_dropped") == snapshot.total("rrl.dropped")
+        assert report.sent == 80
 
     def test_chaos_with_fallback_keeps_answering(self):
         async def scenario(service):

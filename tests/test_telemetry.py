@@ -202,7 +202,7 @@ class TestEngineCounters:
         network = small_world["network"]
         for server in network.root.servers:
             server.online = False
-        resolver = _engine_resolver(ResolverBehavior(max_retries=1))
+        resolver = _engine_resolver()
         resolver.resolve(network, 0.0, Name.from_text("example.org"), RRType.A)
         assert resolver.stats.drops > 0
         assert resolver.stats.servfails > 0
@@ -227,11 +227,11 @@ class TestEngineCounters:
 
         zone = build_registry_zone(ZoneSpec(origin="nl", second_level_count=5, seed=1))
         capture = CaptureStore()
-        # slip=1: every rate-limited response is a TC=1 slip, which a
-        # tcp_fallback resolver retries over TCP.
+        # Every other rate-limited response is a TC=1 slip, which the
+        # resolver retries over TCP.
         server = AuthoritativeServer(
             "nl-rrl", zone, [GAZETTEER["AMS"]], capture=capture,
-            rrl=RRLConfig(responses_per_second=0.0001, burst=1.0, slip=1),
+            rrl=RRLConfig(responses_per_second=0.0001, burst=1.0),
         )
         nl_set = ServerSet([server], latency)
         root_set = ServerSet(

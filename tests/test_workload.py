@@ -83,7 +83,7 @@ class TestDiurnalPattern:
         assert stamps.max() <= 1000.0 + 7 * 86400.0
 
     def test_peak_hours_busier(self):
-        pattern = DiurnalPattern(0.0, 86400.0, peak_ratio=3.0)
+        pattern = DiurnalPattern(0.0, 86400.0)
         rng = np.random.default_rng(2)
         stamps = pattern.stamps(np.zeros(20_000, dtype=np.int64), *rng.random((2, 20_000)))
         hours = (stamps % 86400.0 // 3600).astype(int)

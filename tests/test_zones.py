@@ -377,12 +377,6 @@ class TestBuilders:
         assert len(domains) == 100
         assert sum(1 for d in domains if d.label_count == 3) == 80
 
-    def test_zone_spec_scale_factor(self):
-        spec = ZoneSpec(
-            origin="nl", second_level_count=1000, real_size=5_800_000
-        )
-        assert spec.scale_factor == pytest.approx(5800.0)
-
     def test_registry_zone_deterministic(self):
         spec = ZoneSpec(origin="nl", second_level_count=50, seed=7)
         a = build_registry_zone(spec)
