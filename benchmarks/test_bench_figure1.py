@@ -48,6 +48,6 @@ def test_bench_figure1_root(ctx, benchmark):
     # B-Root: far smaller CP share (~8.7% in 2020) than the ccTLDs...
     root_2020 = report.measured("2020 all 5 CPs")
     assert root_2020 < 0.18
-    assert root_2020 < ctx.analytics("nl-w2020").cloud_share(PROVIDERS) / 2
+    assert root_2020 < ctx.analytics("nl-w2020").cloud_share() / 2
     # ...but growing over the years (slower penetration, section 4.1).
     assert report.measured("2020 all 5 CPs") > report.measured("2018 all 5 CPs")

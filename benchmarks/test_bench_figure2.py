@@ -43,9 +43,8 @@ def test_bench_figure2_2020_ccTLDs(ctx, benchmark):
     nl, nz = reports
     emit(nl.to_text())
     emit(nz.to_text())
-    emit(grouped_bar_chart(
-        list(nl.series), {"NS": [nl.series[p]["NS"] for p in nl.series]},
-        title="Figure 2d: NS share per provider (.nl 2020)",
+    emit("Figure 2d: NS share per provider (.nl 2020)\n" + grouped_bar_chart(
+        list(nl.series), {"NS": [nl.series[p]["NS"] for p in nl.series]}
     ))
 
     for report, vantage in ((nl, "nl"), (nz, "nz")):

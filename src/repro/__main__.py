@@ -91,13 +91,13 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     validate raises ``ValueError``, which :func:`main` reports as a usage
     error before anything is simulated.
     """
-    from .config import RunConfig, check_scale
+    from .config import RunConfig, check_positive
 
     if args.chaos_seed is not None and not args.chaos:
         raise ValueError(f"--chaos-seed {args.chaos_seed} needs --chaos SCENARIO")
     if not hasattr(args, "workers"):
         return
-    check_scale(args.scale)
+    check_positive("scale", args.scale)
     trace = args.trace_sample
     if trace is None:
         trace = 0.01 if args.trace_out else 0.0
@@ -258,7 +258,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from .analysis import DatasetAnalytics
-    from .clouds import PROVIDERS
     from .sim import run_dataset
     from .workload import dataset
 
@@ -292,10 +291,10 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         print(f"  retransmits    : {telemetry.total('resolver.retry.retransmits')}")
         print(f"  failovers      : {telemetry.total('resolver.retry.failovers')}")
         print(f"  stale served   : {telemetry.total('resolver.retry.stale_served')}")
-    shares = analytics.provider_shares(PROVIDERS)
+    shares = analytics.provider_shares()
     for provider, share in shares.items():
         print(f"{provider:<11}      : {share:.3f}")
-    print(f"all 5 CPs        : {analytics.cloud_share(PROVIDERS):.3f}")
+    print(f"all 5 CPs        : {analytics.cloud_share():.3f}")
     if args.sovereignty:
         sovereignty = analytics.sovereignty()
         print("sovereignty cut (top countries):")
@@ -339,11 +338,13 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _serve_config(args: argparse.Namespace):
+    from .faults import chaos_scenario
     from .server import RRLConfig
     from .service import ResilienceConfig, ServiceConfig
 
+    # 0 is off; anything else the configs check.
     rrl = None
-    if args.rrl and args.rrl > 0:
+    if args.rrl:
         rrl = RRLConfig(responses_per_second=args.rrl, burst=2.0 * args.rrl)
     return ServiceConfig(
         dataset_id=args.dataset_id,
@@ -353,12 +354,13 @@ def _serve_config(args: argparse.Namespace):
         metrics_port=None if args.no_metrics else args.metrics_port,
         seed=args.seed,
         rrl=rrl,
-        chaos=args.chaos,
-        chaos_seed=args.chaos_seed,
+        fault_plan=(
+            chaos_scenario(args.chaos, seed=args.chaos_seed) if args.chaos else None
+        ),
         fault_window_s=args.fault_window,
         resolver_frontend=args.resolver,
         resilience=ResilienceConfig(
-            admission_rate_qps=args.admission_qps if args.admission_qps > 0 else None,
+            admission_rate_qps=args.admission_qps or None,
         ),
     )
 

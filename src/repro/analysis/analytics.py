@@ -41,9 +41,10 @@ from .streaming import AggregateSet
 class DatasetAnalytics:
     """Answers every metric method from an :class:`AggregateSet`.
 
-    Every method that takes ``providers`` defaults it to the list the set
-    was configured with (Table 1's unless the caller chose another); a
-    provider outside that list was never counted and is rejected.
+    A per-provider table answers the list the set was configured with
+    (Table 1's unless the caller chose another), in its order; a method
+    asked about one provider outside that list rejects it: nothing
+    counted it.
     """
 
     def __init__(self, aggregates: AggregateSet):
@@ -55,10 +56,9 @@ class DatasetAnalytics:
         view,
         attribution,
         providers: Optional[Sequence[str]] = None,
-        public_prefixes: Optional[Sequence[str]] = None,
     ) -> "DatasetAnalytics":
         """The facade over a view and its attribution, folded here, once."""
-        aggregates = AggregateSet(providers, public_prefixes)
+        aggregates = AggregateSet(providers)
         aggregates.feed(view, attribution)
         return cls(aggregates)
 
@@ -68,31 +68,25 @@ class DatasetAnalytics:
         shards folded (Table 1's providers)."""
         return cls(run.aggregates)
 
-    def _check_providers(self, providers: Optional[Sequence[str]]) -> tuple:
+    def _check_providers(self, providers: Sequence[str]) -> None:
         configured = self.aggregates.providers
-        if providers is None:
-            return configured
-        providers = tuple(providers)
         missing = [p for p in providers if p not in configured]
         if missing:
             raise ValueError(
                 f"providers {missing} were not aggregated "
                 f"(configured: {configured})"
             )
-        return providers
 
     # -- Figures 1, 2/3, 4 -------------------------------------------------------
 
-    def provider_shares(self, providers: Optional[Sequence[str]] = None) -> Dict[str, float]:
+    def provider_shares(self) -> Dict[str, float]:
         """Fraction of all captured queries per provider (Figure 1 bars)."""
-        providers = self._check_providers(providers)
-        shares = self.aggregates["provider_shares"].finalize()
-        return {p: shares[p] for p in providers}
+        return self.aggregates["provider_shares"].finalize()
 
-    def cloud_share(self, providers: Optional[Sequence[str]] = None) -> float:
+    def cloud_share(self) -> float:
         """Combined share of the CPs — the paper's ">30% of ccTLD queries
         from 5 clouds" headline number."""
-        return float(sum(self.provider_shares(providers).values()))
+        return float(sum(self.provider_shares().values()))
 
     def _qtype_share(self, provider: str, rrtype: RRType) -> float:
         agg = self.aggregates["rrtype_mix"]
@@ -150,12 +144,10 @@ class DatasetAnalytics:
             provider, zone_label_count, max_cut_depth
         )
 
-    def junk_ratios(self, providers: Optional[Sequence[str]] = None) -> Dict[str, float]:
+    def junk_ratios(self) -> Dict[str, float]:
         """Per-provider junk ratio (Figure 4): non-NOERROR responses over
         all of the provider's queries."""
-        providers = self._check_providers(providers)
-        ratios = self.aggregates["junk"].finalize()
-        return {p: ratios[p] for p in providers}
+        return self.aggregates["junk"].finalize()
 
     def overall_junk_ratio(self) -> float:
         """Vantage-wide junk ratio (section 3's per-dataset 'valid' split)."""
@@ -172,14 +164,11 @@ class DatasetAnalytics:
         the prefix list the aggregates were configured with."""
         return self.aggregates["google_split"].finalize()
 
-    def transport_matrix(
-        self, providers: Optional[Sequence[str]] = None
-    ) -> List[TransportRow]:
+    def transport_matrix(self) -> List[TransportRow]:
         """Per-provider IPv4/IPv6 and UDP/TCP query fractions (Table 5)."""
-        providers = self._check_providers(providers)
         agg = self.aggregates["transport"]
         rows = []
-        for provider in providers:
+        for provider in self.aggregates.providers:
             total = agg.totals[provider]
             if total == 0:
                 rows.append(TransportRow(provider, 0.0, 0.0, 0.0, 0.0))
@@ -191,7 +180,10 @@ class DatasetAnalytics:
 
     def tcp_share(self, provider: str) -> float:
         """Fraction of the provider's queries arriving over TCP."""
-        return self.transport_matrix((provider,))[0].tcp
+        self._check_providers((provider,))
+        agg = self.aggregates["transport"]
+        total = agg.totals[provider]
+        return float(agg.tcp[provider]) / total if total else 0.0
 
     def resolver_inventory(self, provider: str) -> InventoryRow:
         """Distinct source addresses per family for one provider (Table 6;
@@ -213,13 +205,10 @@ class DatasetAnalytics:
         self._check_providers((provider,))
         return self.aggregates["edns"].truncation_ratio(provider)
 
-    def truncation_table(
-        self, providers: Optional[Sequence[str]] = None
-    ) -> Dict[str, float]:
+    def truncation_table(self) -> Dict[str, float]:
         """Truncation ratios for all providers at once."""
-        providers = self._check_providers(providers)
         agg = self.aggregates["edns"]
-        return {p: agg.truncation_ratio(p) for p in providers}
+        return {p: agg.truncation_ratio(p) for p in self.aggregates.providers}
 
     # -- the re-cuts ---------------------------------------------------------------
 

@@ -20,45 +20,55 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+#: :func:`jump_detector`: a rollout point is at least this multiple of the
+#: mean of the points before it ...
+JUMP_FACTOR = 2.0
+#: ... and at least this share.
+JUMP_FLOOR = 0.10
 
-def jump_detector(
-    values: Sequence[float], jump_factor: float = 2.0, floor: float = 0.10
-) -> Optional[int]:
-    """Index of the first value ≥ ``floor`` and ≥ ``jump_factor`` × the
-    mean of all preceding values; None if no such point exists."""
+#: :func:`cusum_detector`: the cumulative standardised deviation that
+#: signals a change,
+CUSUM_THRESHOLD = 4.0
+#: the per-step allowance subtracted before accumulating (suppresses slow
+#: trends),
+CUSUM_DRIFT = 0.5
+#: and the points the first baseline mean/std are computed over.
+CUSUM_MIN_HISTORY = 2
+
+
+def jump_detector(values: Sequence[float]) -> Optional[int]:
+    """Index of the first value ≥ :data:`JUMP_FLOOR` and ≥
+    :data:`JUMP_FACTOR` × the mean of all preceding values; None if no
+    such point exists."""
     for index in range(1, len(values)):
         baseline = float(np.mean(values[:index]))
-        if values[index] >= floor and values[index] >= jump_factor * max(
+        if values[index] >= JUMP_FLOOR and values[index] >= JUMP_FACTOR * max(
             baseline, 1e-9
         ):
             return index
     return None
 
 
-def cusum_detector(
-    values: Sequence[float],
-    threshold: float = 4.0,
-    drift: float = 0.5,
-    min_history: int = 2,
-) -> Optional[int]:
+def cusum_detector(values: Sequence[float]) -> Optional[int]:
     """One-sided CUSUM: index where the cumulative standardised positive
-    deviation from the running baseline first exceeds ``threshold``.
+    deviation from the running baseline first exceeds
+    :data:`CUSUM_THRESHOLD`.
 
-    ``drift`` is the per-step allowance subtracted before accumulating
-    (suppresses slow trends); the baseline mean/std are computed over the
-    first ``min_history`` points and updated only with pre-change data.
+    :data:`CUSUM_DRIFT` is subtracted per step before accumulating; the
+    baseline mean/std are computed over the first
+    :data:`CUSUM_MIN_HISTORY` points and updated only with pre-change data.
     """
     values = np.asarray(values, dtype=np.float64)
-    if len(values) <= min_history:
+    if len(values) <= CUSUM_MIN_HISTORY:
         return None
-    baseline = values[:min_history]
+    baseline = values[:CUSUM_MIN_HISTORY]
     mean = float(baseline.mean())
     std = float(baseline.std()) or max(abs(mean) * 0.25, 1e-3)
     cumulative = 0.0
-    for index in range(min_history, len(values)):
+    for index in range(CUSUM_MIN_HISTORY, len(values)):
         z = (values[index] - mean) / std
-        cumulative = max(0.0, cumulative + z - drift)
-        if cumulative >= threshold:
+        cumulative = max(0.0, cumulative + z - CUSUM_DRIFT)
+        if cumulative >= CUSUM_THRESHOLD:
             return index
         # Still pre-change: fold the point into the baseline.
         count = index + 1

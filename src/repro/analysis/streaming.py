@@ -39,6 +39,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..capture import CaptureView, Transport, join_address
+from ..clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
 from ..dnscore import RCode, RRType
 from .attribution import AttributionResult
 
@@ -285,18 +286,20 @@ class TransportAggregator(StreamingAggregator):
 
 
 class GoogleSplitAggregator(StreamingAggregator):
-    """Tables 4/7: Public-DNS vs rest split of Google's traffic.
+    """Tables 4/7: Public-DNS vs rest split of Google's traffic, by
+    Google's advertised Public DNS egress prefixes
+    (:data:`~repro.clouds.GOOGLE_PUBLIC_DNS_PREFIXES`).
 
-    Membership of an address in the advertised egress prefixes is a pure
-    function of the configured prefix list, so the per-address cache and
-    the trie are rebuilt on demand and excluded from pickled state.
+    Membership of an address in those prefixes is a pure function of the
+    address, so the per-address cache and the trie are rebuilt on demand
+    and excluded from pickled state.
     """
 
     name = "google_split"
     provider = "Google"
+    public_prefixes = GOOGLE_PUBLIC_DNS_PREFIXES
 
-    def __init__(self, public_prefixes: Sequence[str]):
-        self.public_prefixes = tuple(public_prefixes)
+    def __init__(self):
         self.total_queries = 0
         self.public_queries = 0
         self.addresses: Set[AddressKey] = set()
@@ -580,34 +583,34 @@ class QMinAggregator(StreamingAggregator):
         return hits / total
 
 
-def _sovereignty_factory(providers, prefixes):
+def _sovereignty_factory(providers):
     from .sovereignty import SovereigntyAggregator
 
     return SovereigntyAggregator(providers)
 
 
-def _composition_factory(providers, prefixes):
+def _composition_factory(providers):
     from .composition import CompositionAggregator
 
     return CompositionAggregator(providers)
 
 
-#: Registered aggregator factories: name → factory(providers, public_prefixes).
+#: Registered aggregator factories: name → factory(providers).
 #: The parity/property tests iterate this registry, so new aggregators get
 #: algebra coverage for free by registering here.  The sovereignty and
 #: composition factories import lazily — those modules subclass
 #: :class:`StreamingAggregator`, so importing them here at module top
 #: would be circular.
 AGGREGATOR_FACTORIES: Dict[str, Callable] = {
-    ProviderShareAggregator.name: lambda providers, prefixes: ProviderShareAggregator(providers),
-    RRTypeMixAggregator.name: lambda providers, prefixes: RRTypeMixAggregator(providers),
-    JunkAggregator.name: lambda providers, prefixes: JunkAggregator(providers),
-    TransportAggregator.name: lambda providers, prefixes: TransportAggregator(providers),
-    GoogleSplitAggregator.name: lambda providers, prefixes: GoogleSplitAggregator(prefixes),
-    EDNSAggregator.name: lambda providers, prefixes: EDNSAggregator(providers),
-    SummaryAggregator.name: lambda providers, prefixes: SummaryAggregator(),
-    InventoryAggregator.name: lambda providers, prefixes: InventoryAggregator(providers),
-    QMinAggregator.name: lambda providers, prefixes: QMinAggregator(providers),
+    ProviderShareAggregator.name: ProviderShareAggregator,
+    RRTypeMixAggregator.name: RRTypeMixAggregator,
+    JunkAggregator.name: JunkAggregator,
+    TransportAggregator.name: TransportAggregator,
+    GoogleSplitAggregator.name: lambda providers: GoogleSplitAggregator(),
+    EDNSAggregator.name: EDNSAggregator,
+    SummaryAggregator.name: lambda providers: SummaryAggregator(),
+    InventoryAggregator.name: InventoryAggregator,
+    QMinAggregator.name: QMinAggregator,
     "sovereignty": _sovereignty_factory,
     "composition": _composition_factory,
 }
@@ -624,22 +627,11 @@ class AggregateSet:
     stay the figure, table and re-cut aggregators'.
     """
 
-    def __init__(
-        self,
-        providers: Optional[Sequence[str]] = None,
-        public_prefixes: Optional[Sequence[str]] = None,
-    ):
-        if providers is None or public_prefixes is None:
-            from ..clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
-
-            providers = PROVIDERS if providers is None else providers
-            if public_prefixes is None:
-                public_prefixes = GOOGLE_PUBLIC_DNS_PREFIXES
-        self.providers = tuple(providers)
-        self.public_prefixes = tuple(public_prefixes)
+    def __init__(self, providers: Optional[Sequence[str]] = None):
+        self.providers = tuple(PROVIDERS if providers is None else providers)
         self.rows_fed = 0
         self.aggregators: Dict[str, StreamingAggregator] = {
-            name: factory(self.providers, self.public_prefixes)
+            name: factory(self.providers)
             for name, factory in AGGREGATOR_FACTORIES.items()
         }
         from .concentration import ConcentrationAggregator
@@ -665,9 +657,7 @@ class AggregateSet:
             aggregator.feed(view, attribution)
 
     def merge(self, other: "AggregateSet") -> None:
-        if (self.providers, self.public_prefixes) != (
-            other.providers, other.public_prefixes
-        ):
+        if self.providers != other.providers:
             raise ValueError("cannot merge differently-configured AggregateSets")
         self.rows_fed += other.rows_fed
         for name, aggregator in self.aggregators.items():

@@ -3,13 +3,14 @@
 from .io import write_csv
 from .io_binary import read_chunk, write_chunk
 from .schema import QueryRecord, Transport
-from .spool import (
+from .spool import CaptureSpool, SpooledCapture, chunk_name
+from .store import (
     DEFAULT_CHUNK_ROWS,
-    CaptureSpool,
-    SpooledCapture,
-    chunk_name,
+    CaptureStore,
+    CaptureView,
+    join_address,
+    split_address,
 )
-from .store import CaptureStore, CaptureView, join_address, split_address
 
 __all__ = [
     "CaptureSpool",

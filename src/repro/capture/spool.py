@@ -28,12 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from .io_binary import read_chunk, read_row_count, write_chunk
-from .store import CaptureStore, CaptureView
-
-#: Default rows per spooled chunk.  Large enough that zlib and numpy
-#: amortise their per-chunk overheads, small enough that a chunk's columns
-#: stay a few MB.
-DEFAULT_CHUNK_ROWS = 65536
+from .store import DEFAULT_CHUNK_ROWS, CaptureStore, CaptureView
 
 
 def chunk_name(shard_index: int, sequence: int) -> str:

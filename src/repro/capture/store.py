@@ -29,6 +29,11 @@ import numpy as np
 from ..netsim import IPAddress
 from .schema import QueryRecord, Transport
 
+#: Rows per columnar chunk, frozen or spooled.  Large enough that zlib and
+#: numpy amortise their per-chunk overheads, small enough that a chunk's
+#: columns stay a few MB.
+DEFAULT_CHUNK_ROWS = 65536
+
 _U64_MASK = (1 << 64) - 1
 
 
@@ -91,10 +96,9 @@ class CaptureView:
             tcp_rtt_ms=None if np.isnan(rtt) else rtt,
         )
 
-    def iter_records(self, mask: Optional[np.ndarray] = None) -> Iterator[QueryRecord]:
-        indices = np.nonzero(mask)[0] if mask is not None else range(len(self))
-        for index in indices:
-            yield self.record(int(index))
+    def iter_records(self) -> Iterator[QueryRecord]:
+        for index in range(len(self)):
+            yield self.record(index)
 
     def to_rows(self) -> List[Tuple]:
         """Expand the view back into :meth:`CaptureStore._row_of`-layout
@@ -285,11 +289,10 @@ class CaptureStore:
             self._frozen = self.rows_to_view(self._rows)
         return self._frozen
 
-    def iter_views(self, chunk_rows: int = 65536) -> Iterator[CaptureView]:
-        """Yield bounded columnar views over the rows, ``chunk_rows`` at a
-        time — the single-pass entry point of the streaming analysis layer
-        (O(chunk) transient column memory instead of a full freeze)."""
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        for start in range(0, len(self._rows), chunk_rows):
-            yield self.rows_to_view(self._rows[start : start + chunk_rows])
+    def iter_views(self) -> Iterator[CaptureView]:
+        """Yield bounded columnar views over the rows,
+        :data:`DEFAULT_CHUNK_ROWS` at a time — the single-pass entry point
+        of the streaming analysis layer (O(chunk) transient column memory
+        instead of a full freeze)."""
+        for start in range(0, len(self._rows), DEFAULT_CHUNK_ROWS):
+            yield self.rows_to_view(self._rows[start : start + DEFAULT_CHUNK_ROWS])

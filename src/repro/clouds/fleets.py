@@ -52,22 +52,26 @@ class FleetResolver:
     site_index: int = 0    #: Facebook location number (0 = n/a).
 
 
+#: The host index :class:`AddressAllocator` starts each prefix at.
+FIRST_HOST = 10
+
+
 class AddressAllocator:
     """Hands out sequential host addresses from a list of prefixes,
     round-robin across prefixes so every announced range appears in the
     capture."""
 
-    def __init__(self, prefixes: Sequence[Prefix], start: int = 10):
+    def __init__(self, prefixes: Sequence[Prefix]):
         if not prefixes:
             raise ValueError("no prefixes to allocate from")
         self._prefixes = list(prefixes)
-        self._next = [start] * len(self._prefixes)
+        self._next = [FIRST_HOST] * len(self._prefixes)
         self._cursor = 0
 
     @staticmethod
-    def capacity(prefix: Prefix, start: int = 10) -> int:
+    def capacity(prefix: Prefix) -> int:
         """How many addresses :meth:`allocate` hands out of one prefix."""
-        return prefix.num_hosts() - 1 - start
+        return prefix.num_hosts() - 1 - FIRST_HOST
 
     def allocate(self) -> IPAddress:
         for __ in range(len(self._prefixes)):

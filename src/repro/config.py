@@ -3,10 +3,14 @@
 :class:`RunConfig` is the frozen, validated description of *how* a dataset
 is simulated (backend, capture residency, tracing); *what* is simulated
 stays on the :class:`~repro.workload.DatasetDescriptor`.  Every setting
-has one front door — a CLI flag, or a keyword of
+has one front door: how a run executes is the ``config=`` of
 :func:`repro.sim.run_dataset` / :class:`repro.experiments.ExperimentContext`
-— and nothing under ``src/repro`` reads the process environment, so a
-run's inputs are exactly its arguments.
+(the CLI builds it from its flags), where faults fall is a
+:class:`~repro.faults.FaultPlan` (its ``seed`` places them), and which
+providers a capture is cut by is the list its analytics are configured
+with.  A value no caller varies is a module constant, not a keyword, and
+nothing under ``src/repro`` reads the process environment, so a run's
+inputs are exactly its arguments.
 """
 
 from __future__ import annotations
@@ -53,12 +57,12 @@ def check_ports(**ports: Optional[int]) -> None:
             raise ValueError(f"{name} must be in [0, 65535], got {port}")
 
 
-def check_scale(scale: float) -> float:
-    """``scale``, the client-query volume multiplier, if it is positive
-    and finite."""
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    return float(scale)
+def check_positive(name: str, value: float) -> float:
+    """``value`` as a float if it is positive and finite (NaN is neither);
+    else ``ValueError`` naming ``name``: a scale, a rate or a duration."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 #: The largest client-query volume whose float64 image still fits int64,

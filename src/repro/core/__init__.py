@@ -11,13 +11,18 @@ and (2) run the paper's centralization analytics over any capture:
 
 Every metric is a method of :class:`DatasetAnalytics`
 (``ctx.analytics("nl-w2020")``; for a run of your own, however it was
-executed, ``DatasetAnalytics.of(run)``; or over any capture of your own):
+executed, ``DatasetAnalytics.of(run)``; or over any capture of your own).
+How a run executes has one front door, a
+:class:`~repro.config.RunConfig`; a per-provider table answers the
+providers the analytics were configured with (Table 1's by default):
 
+>>> from repro.config import RunConfig
 >>> from repro.core import DatasetAnalytics, dataset, run_dataset
->>> DatasetAnalytics.of(run_dataset(dataset("nl-w2020"))).cloud_share()
+>>> run = run_dataset(dataset("nl-w2020"), config=RunConfig(workers=2, trace=0.05))
+>>> DatasetAnalytics.of(run).cloud_share()
 >>> from repro.core import Attributor, PROVIDERS
 >>> attribution = Attributor(registry, PROVIDERS).attribute(view)
->>> DatasetAnalytics.over(view, attribution).cloud_share()
+>>> DatasetAnalytics.over(view, attribution).provider_shares()
 """
 
 from ..analysis import (

@@ -90,10 +90,9 @@ def _flags_from_wire_word(word: int) -> Flags:
     )
 
 
-@lru_cache(maxsize=16)
-def _query_flags(rd: bool) -> Flags:
-    """Interned header flags for freshly built queries (hot path)."""
-    return Flags(rd=rd)
+#: Header flags of every freshly built query: an iterative query, RD
+#: clear (interned: the hot path shares one instance).
+_QUERY_FLAGS = Flags()
 
 
 @dataclass(frozen=True)
@@ -144,13 +143,12 @@ class Message:
         qname: Name,
         qtype: RRType,
         msg_id: int = 0,
-        recursion_desired: bool = False,
         edns: Optional[EdnsRecord] = None,
     ) -> "Message":
-        """Build a standard query message."""
+        """Build a standard iterative query message (RD clear)."""
         return cls(
             msg_id=msg_id,
-            flags=_query_flags(recursion_desired),
+            flags=_QUERY_FLAGS,
             questions=[Question(qname, qtype)],
             edns=edns,
         )

@@ -13,7 +13,7 @@ from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from ..analysis import DatasetAnalytics
-from ..config import RunConfig, check_scale
+from ..config import RunConfig, check_positive
 from ..sim import DatasetRun, run_dataset
 from ..sim.driver import reject_removed_keywords
 from ..telemetry import MetricsRegistry, TraceBuffer
@@ -34,25 +34,20 @@ class ExperimentContext:
         self,
         scale: float = 1.0,
         seed: int = 20201027,
-        telemetry: Optional[MetricsRegistry] = None,
         workers: int = 1,
         fault_plan=None,
         stream: Optional[bool] = None,
-        spool_dir: Optional[str] = None,
-        trace: float = 0.0,
         vector: Optional[bool] = None,
         config: Optional[RunConfig] = None,
     ):
         reject_removed_keywords(vector=vector, stream=stream)
-        self.scale = check_scale(scale)
+        self.scale = check_positive("scale", scale)
         self.seed = seed
-        #: How every simulation of this context executes: a ready
-        #: ``config`` (the CLI passes the one it built from its flags), else
-        #: one built from ``workers`` / ``spool_dir`` / ``trace``.
-        self.config = config if config is not None else RunConfig(
-            workers=workers, spool_dir=spool_dir, trace=trace
-        )
-        self.telemetry = MetricsRegistry() if telemetry is None else telemetry
+        #: How every simulation of this context executes: ``config`` (the
+        #: CLI passes the one it built from its flags), else
+        #: ``RunConfig(workers=workers)``.
+        self.config = config if config is not None else RunConfig(workers=workers)
+        self.telemetry = MetricsRegistry()
         #: Optional :class:`~repro.faults.FaultPlan` applied to *every*
         #: dataset this context simulates (the CLI's ``--chaos`` flag).
         self.fault_plan = fault_plan

@@ -20,8 +20,8 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
     series: Dict[str, list] = {p: [] for p in PROVIDERS}
     for descriptor in datasets_for_vantage(vantage):
         analytics = ctx.analytics(descriptor.dataset_id)
-        shares = analytics.provider_shares(PROVIDERS)
-        total = analytics.cloud_share(PROVIDERS)
+        shares = analytics.provider_shares()
+        total = analytics.cloud_share()
         for provider in PROVIDERS:
             series[provider].append(shares[provider])
             report.add(

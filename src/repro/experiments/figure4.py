@@ -16,7 +16,7 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
     )
     for descriptor in datasets_for_vantage(vantage):
         analytics = ctx.analytics(descriptor.dataset_id)
-        ratios = analytics.junk_ratios(PROVIDERS)
+        ratios = analytics.junk_ratios()
         for provider in PROVIDERS:
             report.add(
                 f"{descriptor.year} {provider}",

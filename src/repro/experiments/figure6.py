@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..clouds import PROVIDERS
 from ..paper import FIGURE6_CDF, FIGURE6_TRUNCATION, TABLE5
 from .context import ExperimentContext
 from .report import Report
@@ -23,7 +22,7 @@ def run(ctx: ExperimentContext) -> Report:
         round(cdfs["Microsoft"].at(1232), 3),
     )
 
-    truncation = analytics.truncation_table(PROVIDERS)
+    truncation = analytics.truncation_table()
     for provider, paper_value in FIGURE6_TRUNCATION.items():
         report.add(
             f"{provider} truncated UDP answers",

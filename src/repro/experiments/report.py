@@ -69,7 +69,7 @@ class Report:
     def measured(self, label: str) -> Number:
         return self.row(label).measured
 
-    def to_text(self, width: int = 78) -> str:
+    def to_text(self) -> str:
         lines = [f"== {self.experiment_id}: {self.title} ==", ""]
         if self.rows:
             label_w = max(len(r.label) for r in self.rows)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..clouds import PROVIDERS
 from ..paper import TABLE5
 from .context import ExperimentContext
 from .report import Report
@@ -12,7 +11,7 @@ def run_vantage_year(ctx: ExperimentContext, vantage: str, year: int) -> Report:
     report = Report(
         f"table5-{vantage}-{year}", f"Transport distribution, .{vantage} {year} (Table 5)"
     )
-    rows = ctx.analytics(dataset_id).transport_matrix(PROVIDERS)
+    rows = ctx.analytics(dataset_id).transport_matrix()
     for row in rows:
         paper = TABLE5[(row.provider, vantage, year)]
         report.add(f"{row.provider} IPv4", paper[0], round(row.ipv4, 2))

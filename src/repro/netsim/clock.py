@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 
-def utc_timestamp(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: int = 0) -> float:
-    """Epoch seconds for a UTC wall-clock instant."""
-    return float(
-        calendar.timegm((year, month, day, hour, minute, second, 0, 0, 0))
-    )
+def utc_timestamp(year: int, month: int, day: int) -> float:
+    """Epoch seconds of a UTC day's midnight."""
+    return float(calendar.timegm((year, month, day, 0, 0, 0, 0, 0, 0)))
 
 
 def timestamp_to_utc(ts: float) -> _dt.datetime:

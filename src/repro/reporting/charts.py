@@ -8,11 +8,17 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+#: Bar length, in characters, of the largest value of a :func:`bar_chart`,
+BAR_WIDTH = 40
+#: of a :func:`grouped_bar_chart`,
+GROUPED_BAR_WIDTH = 30
+#: and of a :func:`cdf_plot`'s y = 1.
+CDF_WIDTH = 50
+
 
 def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
-    width: int = 40,
     title: str = "",
     value_format: str = "{:.3f}",
 ) -> str:
@@ -25,21 +31,16 @@ def bar_chart(
     peak = max(max(values), 1e-12)
     label_w = max((len(l) for l in labels), default=0)
     for label, value in zip(labels, values):
-        bar = "#" * max(0, int(round(value / peak * width)))
+        bar = "#" * max(0, int(round(value / peak * BAR_WIDTH)))
         lines.append(
-            f"{label.ljust(label_w)} | {bar.ljust(width)} {value_format.format(value)}"
+            f"{label.ljust(label_w)} | {bar.ljust(BAR_WIDTH)} {value_format.format(value)}"
         )
     return "\n".join(lines)
 
 
-def grouped_bar_chart(
-    groups: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    width: int = 30,
-    title: str = "",
-) -> str:
+def grouped_bar_chart(groups: Sequence[str], series: Dict[str, Sequence[float]]) -> str:
     """Bars for several series per group (Figure 2-style RR mixes)."""
-    lines = [title] if title else []
+    lines = []
     peak = max(
         (max(values) for values in series.values() if len(values)), default=1e-12
     )
@@ -49,23 +50,21 @@ def grouped_bar_chart(
         lines.append(f"{group}:")
         for name, values in series.items():
             value = values[index] if index < len(values) else 0.0
-            bar = "#" * max(0, int(round(value / peak * width)))
-            lines.append(f"  {name.ljust(name_w)} | {bar.ljust(width)} {value:.3f}")
+            bar = "#" * max(0, int(round(value / peak * GROUPED_BAR_WIDTH)))
+            lines.append(
+                f"  {name.ljust(name_w)} | {bar.ljust(GROUPED_BAR_WIDTH)} {value:.3f}"
+            )
     return "\n".join(lines)
 
 
-def cdf_plot(
-    points: Sequence[Tuple[int, float]],
-    width: int = 50,
-    title: str = "",
-) -> str:
+def cdf_plot(points: Sequence[Tuple[int, float]], title: str = "") -> str:
     """A step-CDF rendered as one row per distinct x value."""
     lines = [title] if title else []
     if not points:
         return "\n".join(lines + ["(no data)"])
     for x, y in points:
-        bar = "#" * int(round(y * width))
-        lines.append(f"{x:>6} | {bar.ljust(width)} {y:.3f}")
+        bar = "#" * int(round(y * CDF_WIDTH))
+        lines.append(f"{x:>6} | {bar.ljust(CDF_WIDTH)} {y:.3f}")
     return "\n".join(lines)
 
 

@@ -540,8 +540,9 @@ class SimResolver:
         if policy == "fixed":
             return 6 if self._rng.random() < self.behavior.fixed_v6_ratio else 4
         # "rtt": logistic preference in the v4−v6 RTT gap.
-        rtt4 = server_set.rtt_ms(server, self.site, 4)
-        rtt6 = server_set.rtt_ms(server, self.site, 6) + self.behavior.v6_extra_rtt_ms
+        rtt = server_set.rtt_ms(server, self.site)
+        rtt4 = rtt
+        rtt6 = rtt + self.behavior.v6_extra_rtt_ms
         gap = (rtt4 - rtt6) / max(self.behavior.rtt_sharpness_ms, 1e-6)
         p6 = 1.0 / (1.0 + np.exp(-gap))
         return 6 if self._rng.random() < p6 else 4
@@ -560,8 +561,7 @@ class SimResolver:
         candidates = server_set.remaining(exclude) if exclude else server_set.servers
         if len(candidates) > 1 and self._rng.random() < SERVER_EXPLORATION:
             return candidates[int(self._rng.integers(len(candidates)))]
-        family = 4 if self.v4 is not None else 6
-        return server_set.fastest(self.site, family, exclude)
+        return server_set.fastest(self.site, exclude)
 
     def _send(
         self,
@@ -605,7 +605,7 @@ class SimResolver:
             family = self._choose_family(server_set, server)
             src = self.v4 if family == 4 else self.v6
             self._rng.integers(65536)  # the message id
-            rtt = server_set.rtt_ms(server, self.site, family)
+            rtt = server_set.rtt_ms(server, self.site)
             if family == 6:
                 rtt += behavior.v6_extra_rtt_ms
             if faults is not None:

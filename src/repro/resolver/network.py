@@ -125,10 +125,11 @@ class AuthorityNetwork:
         vantage points).
     leaf:
         The synthetic leaf authority.
-    faults:
-        Optional :class:`~repro.faults.FaultInjector` applied to every
-        resolver→authoritative exchange on this network.  ``None`` (the
-        default) is the loss-free, always-up network of the seed.
+
+    ``faults`` starts as ``None``, the loss-free, always-up network; the
+    driver (or the live service) sets it to the
+    :class:`~repro.faults.FaultInjector` applied to every
+    resolver→authoritative exchange on this network.
     """
 
     def __init__(
@@ -136,12 +137,11 @@ class AuthorityNetwork:
         root: ServerSet,
         tlds: Dict[Name, ServerSet],
         leaf: Optional[SyntheticLeafAuthority] = None,
-        faults=None,
     ):
         self.root = root
         self.tlds = dict(tlds)
         self.leaf = leaf if leaf is not None else SyntheticLeafAuthority()
-        self.faults = faults
+        self.faults = None
         #: A TLD origin's key (``Name.key``) → its server set.
         self._tld_sets: Dict[Tuple[bytes, ...], ServerSet] = {
             origin.key: server_set for origin, server_set in self.tlds.items()

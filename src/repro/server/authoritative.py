@@ -182,13 +182,12 @@ class AuthoritativeServer:
         Store receiving one :class:`QueryRecord` per handled query.  Pass
         ``None`` for servers whose traffic is not collected (the paper
         analyses 2 of 4 `.nl` and 6 of 7 `.nz` servers).
-    rrl:
-        Optional response-rate-limiting configuration.
-    clock:
-        Optional :class:`~repro.netsim.Clock` consulted when
-        :meth:`handle_query` is called without an explicit timestamp — the
-        live service mode injects a ``WallClock`` here while the simulation
-        keeps passing explicit sim-time stamps.
+
+    A server starts without response rate limiting (:meth:`configure_rrl`
+    installs it) and without a clock: the live service mode sets
+    ``clock`` to the :class:`~repro.netsim.Clock` that :meth:`handle_query`
+    consults when called without an explicit timestamp, while the
+    simulation keeps passing explicit sim-time stamps.
     """
 
     def __init__(
@@ -197,8 +196,6 @@ class AuthoritativeServer:
         zone: Zone,
         sites: Sequence[Site],
         capture: Optional[CaptureStore] = None,
-        rrl: Optional[RRLConfig] = None,
-        clock: Optional[Clock] = None,
     ):
         if not sites:
             raise ValueError("server needs at least one site")
@@ -206,10 +203,10 @@ class AuthoritativeServer:
         self.zone = zone
         self.sites = list(sites)
         self.capture = capture
-        self.clock = clock
+        self.clock: Optional[Clock] = None
         self.stats = ServerStats()
-        self._rrl_config = rrl
-        self._limiter = RateLimiter(rrl) if rrl is not None else None
+        self._rrl_config: Optional[RRLConfig] = None
+        self._limiter: Optional[RateLimiter] = None
         self._catchment_cache: Dict[str, Site] = {}
         #: The plan cache.  ``None`` makes a reference server: every
         #: response built and encoded in full, nothing memoised.
@@ -550,11 +547,9 @@ class ServerSet:
             raise ValueError("all servers in a set must serve the same zone")
         self.servers = list(servers)
         self.latency = latency
-        self._fastest: Dict[
-            Tuple[str, int, FrozenSet[str]], AuthoritativeServer
-        ] = {}
+        self._fastest: Dict[Tuple[str, FrozenSet[str]], AuthoritativeServer] = {}
         self._remaining: Dict[FrozenSet[str], List[AuthoritativeServer]] = {}
-        self._rtts: Dict[Tuple[str, str, int], float] = {}
+        self._rtts: Dict[Tuple[str, str], float] = {}
 
     @property
     def origin(self) -> Name:
@@ -572,12 +567,11 @@ class ServerSet:
                 return server
         raise KeyError(server_id)
 
-    def rtt_ms(
-        self, server: AuthoritativeServer, client_site: Site, family: int
-    ) -> float:
-        """RTT from a client site to the server's catchment instance,
-        worked out once per (server, site, family) like :meth:`fastest`."""
-        key = (server.server_id, client_site.code, family)
+    def rtt_ms(self, server: AuthoritativeServer, client_site: Site) -> float:
+        """RTT from a client site to the server's catchment instance, either
+        family (a family's extra delay is the resolver's to add), worked out
+        once per (server, site) like :meth:`fastest`."""
+        key = (server.server_id, client_site.code)
         rtt = self._rtts.get(key)
         if rtt is None:
             rtt = self._rtts[key] = self.latency.rtt_ms(
@@ -597,19 +591,18 @@ class ServerSet:
         return servers
 
     def fastest(
-        self, client_site: Site, family: int, exclude: FrozenSet[str] = frozenset()
+        self, client_site: Site, exclude: FrozenSet[str] = frozenset()
     ) -> AuthoritativeServer:
-        """The lowest-RTT server for this client site and family among
+        """The lowest-RTT server for this client site among
         :meth:`remaining` (the first such server on a tie).
 
         A pure function of site geometry, so it is worked out once per
-        (site, family, excluded ids).
+        (site, excluded ids).
         """
-        key = (client_site.code, family, exclude)
+        key = (client_site.code, exclude)
         server = self._fastest.get(key)
         if server is None:
             server = self._fastest[key] = min(
-                self.remaining(exclude),
-                key=lambda s: self.rtt_ms(s, client_site, family),
+                self.remaining(exclude), key=lambda s: self.rtt_ms(s, client_site)
             )
         return server

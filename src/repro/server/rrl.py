@@ -9,6 +9,7 @@ forces a legitimate resolver to retry over TCP, proving it is not spoofing
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -31,6 +32,13 @@ class RRLConfig:
 
     responses_per_second: float = 50.0
     burst: float = 100.0
+
+    def __post_init__(self):
+        # 0 is allowed: a bucket that never refills (or never fills).
+        for name in ("responses_per_second", "burst"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

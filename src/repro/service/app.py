@@ -29,8 +29,7 @@ from ..config import check_ports
 from ..dnscore import Message, RCode
 from ..dnscore.edns import effective_udp_limit
 from ..dnscore.message import HEADER_LENGTH
-from ..faults import FaultInjector, derive_fault_seed
-from ..faults.scenarios import chaos_scenario
+from ..faults import FaultInjector, FaultPlan, derive_fault_seed
 from ..netsim import GAZETTEER, Clock, IPAddress, WallClock
 from ..resolver import ResolverBehavior, SimResolver
 from ..server import TCP_MAX_SIZE, RRLConfig
@@ -96,7 +95,12 @@ DEGRADED_WINDOW_S = 30.0
 
 @dataclass
 class ServiceConfig:
-    """Everything ``repro serve`` needs to come up."""
+    """Everything ``repro serve`` needs to come up.
+
+    Each setting has one field: a chaos scenario is its
+    :class:`~repro.faults.FaultPlan` (``--chaos`` / ``--chaos-seed`` build
+    it with :func:`~repro.faults.chaos_scenario`), and the plan's own
+    ``seed`` places the faults."""
 
     dataset_id: str = "nl-w2020"
     host: str = "127.0.0.1"
@@ -105,11 +109,10 @@ class ServiceConfig:
     metrics_port: Optional[int] = 0  #: 0 = ephemeral, None = no metrics listener
     seed: int = 20201027
     rrl: Optional[RRLConfig] = None
-    chaos: Optional[str] = None   #: named chaos scenario, live
-    chaos_seed: Optional[int] = None
-    #: Explicit fault plan; wins over ``chaos`` (the soak harness builds
-    #: custom blackout schedules this way).
-    fault_plan: Optional[object] = None
+    #: The fault plan served live (a named chaos scenario, or the soak
+    #: harness's blackout schedule); its ``seed``, else one derived from
+    #: ``seed``, places the faults.
+    fault_plan: Optional[FaultPlan] = None
     #: Live fault plans replay their capture-window choreography over this
     #: many seconds of service uptime (sim plans use the dataset window).
     fault_window_s: float = 3600.0
@@ -180,13 +183,9 @@ class DnsService:
                     server.configure_rrl(config.rrl)
 
         plan = config.fault_plan
-        if plan is None and config.chaos:
-            plan = chaos_scenario(config.chaos)
         if plan is not None:
             fault_seed = (
-                config.chaos_seed
-                if config.chaos_seed is not None
-                else (plan.seed if plan.seed is not None else derive_fault_seed(config.seed))
+                plan.seed if plan.seed is not None else derive_fault_seed(config.seed)
             )
             # Live mode anchors the plan's window choreography to service
             # uptime: outages scheduled at window fraction 0.3 hit 30% of
@@ -196,8 +195,7 @@ class DnsService:
             )
             logger.info(
                 "serving with fault plan %r over a %.0fs window",
-                getattr(plan, "name", None) or config.chaos,
-                config.fault_window_s,
+                plan.name, config.fault_window_s,
             )
 
         if config.resolver_frontend:

@@ -35,8 +35,11 @@ the event loop, so ``allow``/``record`` pairs can never interleave.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+from ..config import check_positive
 
 #: Breaker states, with the integer encoding exported on the
 #: ``service.breaker_state`` gauge (0 is healthy so dashboards sum to
@@ -95,8 +98,8 @@ class ResilienceConfig:
     breaker_cooldown_s: float = BREAKER_COOLDOWN_S
 
     def __post_init__(self):
-        if self.admission_rate_qps is not None and self.admission_rate_qps <= 0:
-            raise ValueError("admission_rate_qps must be positive (or None)")
+        if self.admission_rate_qps is not None:
+            check_positive("admission_rate_qps", self.admission_rate_qps)
 
     def make_bucket(self) -> Optional["TokenBucket"]:
         if self.admission_rate_qps is None:
@@ -113,8 +116,9 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "_tokens", "_last")
 
     def __init__(self, rate: float, burst: float):
-        if rate <= 0 or burst < 1.0:
-            raise ValueError("rate must be > 0 and burst >= 1")
+        check_positive("rate", rate)
+        if not 1.0 <= burst < math.inf:
+            raise ValueError(f"burst must be >= 1 and finite, got {burst}")
         self.rate = float(rate)
         self.burst = float(burst)
         self._tokens = float(burst)

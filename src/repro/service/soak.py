@@ -30,6 +30,7 @@ import asyncio
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
+from ..config import check_positive
 from ..faults import FaultPlan, OutageWindow
 from ..workload import dataset
 from .app import DnsService, ServiceConfig
@@ -62,10 +63,8 @@ class SoakConfig:
     admission_qps: float = 150.0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.offered_qps <= 0 or self.admission_qps <= 0:
-            raise ValueError("offered_qps and admission_qps must be positive")
+        for name in ("duration_s", "offered_qps", "admission_qps"):
+            check_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -133,11 +132,12 @@ def _sum_metric(values: Dict[str, float], name: str) -> float:
     return total
 
 
-async def scrape_metrics(host: str, port: int, path: str = "/metrics") -> str:
-    """One HTTP/1.0 GET against the service's metrics listener."""
+async def scrape_metrics(host: str, port: int) -> str:
+    """One HTTP/1.0 GET of ``/metrics`` against the service's metrics
+    listener."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+        writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
         await writer.drain()
         raw = await reader.read(-1)
     finally:

@@ -724,14 +724,15 @@ def _assemble(
 # -- the entry point -------------------------------------------------------------
 
 #: Keywords of removed modes.  :func:`run_dataset` and ``ExperimentContext``
-#: accept them as ``None``/``False``, and runs publish the
-#: ``runtime.{vector,stream}.enabled`` gauges, only because bench/workloads.py
-#: (frozen outside benchmark PRs) passes ``False`` and asserts the gauges;
-#: the next benchmark PR drops both there, and then they go here too.
+#: accept them as ``None``/``False`` (and ``workers=`` beside ``config=``),
+#: and runs publish the ``runtime.{vector,stream}.enabled`` gauges, only
+#: because bench/workloads.py (frozen outside benchmark PRs) passes them and
+#: asserts the gauges; the next benchmark PR drops them there, and then they
+#: go here too.
 _REMOVED_KEYWORDS = {
     "vector": "the record/replay vector core was removed",
     "stream": "streaming is no longer a mode: every run folds its chunks"
-              " in the shards, and spool_dir= alone says where they live",
+              " in the shards, and RunConfig.spool_dir alone says where they live",
 }
 
 
@@ -752,15 +753,13 @@ def run_dataset(
     workers: int = 1,
     config: Optional[RunConfig] = None,
     stream: Optional[bool] = None,
-    spool_dir: Optional[str] = None,
-    trace: float = 0.0,
     vector: Optional[bool] = None,
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    ``workers`` / ``spool_dir`` / ``trace`` build the run's
-    :class:`~repro.config.RunConfig` (the fields are documented on the
-    class); a ready ``config`` replaces all three.  For a given fault plan every
+    ``config`` says how the run executes (the fields are documented on
+    :class:`~repro.config.RunConfig`); with none, the run is
+    ``RunConfig(workers=workers)``.  For a given fault plan every
     configuration yields the same capture bytes.  With
     ``workers=1`` the returned server objects carry their post-run state
     (a pool leaves the parent's cold; their counters live in the merged
@@ -777,12 +776,13 @@ def run_dataset(
     this run's metrics are merged; the run itself always instruments a
     fresh registry whose snapshot lands on ``DatasetRun.telemetry``.
 
-    ``vector`` and ``stream`` are stubs (:data:`_REMOVED_KEYWORDS`): only
-    ``None``/``False`` are accepted.
+    ``workers``, ``vector`` and ``stream`` are stubs beside ``config``
+    (:data:`_REMOVED_KEYWORDS`): only ``None``/``False`` are accepted for
+    the last two.
     """
     reject_removed_keywords(vector=vector, stream=stream)
     if config is None:
-        config = RunConfig(workers=workers, spool_dir=spool_dir, trace=trace)
+        config = RunConfig(workers=workers)
     metrics = MetricsRegistry()
     metrics.gauge("runtime.vector.enabled").set(0)
     env = build_environment(descriptor, seed, metrics)

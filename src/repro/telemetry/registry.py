@@ -286,12 +286,9 @@ class TelemetrySnapshot:
             "histograms": {k: dict(v) for k, v in self.histograms.items()},
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
     def write_json(self, path: str) -> None:
         with open(path, "w") as handle:
-            handle.write(self.to_json())
+            handle.write(json.dumps(self.as_dict(), indent=2, sort_keys=True))
             handle.write("\n")
 
 

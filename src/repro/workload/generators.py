@@ -243,13 +243,11 @@ class WorkloadGenerator:
         count: int,
         pattern: DiurnalPattern,
         junk_fraction: float,
-        storm_domains: Sequence[Name] = (),
-        storm_fraction: float = 0.0,
     ) -> Iterator[ClientQuery]:
         """Yield ``count`` time-ordered client queries for one resolver:
-        :meth:`columns` of its seed words, one query at a time."""
+        :meth:`columns` of its seed words, one query at a time, no storm."""
         if count <= 0:
             return
         rng = word_stream(self.member_seeds(resolver_index, resolver_index + 1)[0])
-        columns = self.columns(rng, count, pattern, junk_fraction, storm_domains, storm_fraction)
+        columns = self.columns(rng, count, pattern, junk_fraction)
         yield from map(ClientQuery, *columns)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    OTHER,
+    UNKNOWN,
     AggregateSet,
     Attributor,
     DatasetAnalytics,
@@ -26,6 +28,7 @@ from repro.netsim import ASInfo, ASRegistry, IPAddress, Prefix
 
 GOOGLE = "8.8.8.8"
 GOOGLE2 = "8.8.4.4"
+GOOGLE_CLOUD = "34.64.1.1"  # Google's AS, outside its Public DNS ranges
 AMAZON = "52.1.2.3"
 OTHER_ISP = "198.51.100.7"
 GOOGLE_V6 = "2001:4860:4860::8888"
@@ -39,6 +42,7 @@ def registry():
     registry.register(ASInfo(64500, "ISP", "SomeISP"))
     registry.announce(15169, Prefix.parse("8.8.8.0/24"))
     registry.announce(15169, Prefix.parse("8.8.4.0/24"))
+    registry.announce(15169, Prefix.parse("34.64.0.0/10"))
     registry.announce(15169, Prefix.parse("2001:4860::/32"))
     registry.announce(16509, Prefix.parse("52.0.0.0/13"))
     registry.announce(64500, Prefix.parse("198.51.100.0/24"))
@@ -75,12 +79,10 @@ def attributor(registry):
     return Attributor(registry, PROVIDERS)
 
 
-def analytics_of(attributor, records, public_prefixes=None):
+def analytics_of(attributor, records):
     """The facade over a hand-built resident view."""
     view = build(records)
-    return DatasetAnalytics.over(
-        view, attributor.attribute(view), PROVIDERS, public_prefixes
-    )
+    return DatasetAnalytics.over(view, attributor.attribute(view), PROVIDERS)
 
 
 class TestAttribution:
@@ -180,13 +182,13 @@ class TestShares:
         analytics = analytics_of(
             attributor, [rec(GOOGLE)] * 3 + [rec(AMAZON)] + [rec(OTHER_ISP)] * 6
         )
-        shares = analytics.provider_shares(PROVIDERS)
+        shares = analytics.provider_shares()
         assert shares["Google"] == pytest.approx(0.3)
         assert shares["Amazon"] == pytest.approx(0.1)
-        assert analytics.cloud_share(PROVIDERS) == pytest.approx(0.4)
+        assert analytics.cloud_share() == pytest.approx(0.4)
 
     def test_empty_view(self, attributor):
-        assert analytics_of(attributor, []).cloud_share(PROVIDERS) == 0.0
+        assert analytics_of(attributor, []).cloud_share() == 0.0
 
 
 class TestRRMix:
@@ -217,7 +219,7 @@ class TestJunk:
             + [rec(AMAZON, rcode=RCode.REFUSED)]
             + [rec(AMAZON)],
         )
-        ratios = analytics.junk_ratios(PROVIDERS)
+        ratios = analytics.junk_ratios()
         assert ratios["Google"] == pytest.approx(0.2)
         assert ratios["Amazon"] == pytest.approx(0.5)
 
@@ -236,7 +238,8 @@ class TestTransport:
             + [rec(GOOGLE_V6)] * 3
             + [rec(GOOGLE, transport=Transport.TCP, rtt=10.0)] * 2,
         )
-        row = analytics.transport_matrix(("Google",))[0]
+        row = analytics.transport_matrix()[0]
+        assert row.provider == "Google"
         assert row.ipv6 == pytest.approx(3 / 8)
         assert row.tcp == pytest.approx(2 / 8)
         assert row.ipv4 + row.ipv6 == pytest.approx(1.0)
@@ -274,11 +277,10 @@ class TestInventoryAndSummary:
 
 class TestGoogleSplit:
     def test_split_by_advertised_ranges(self, attributor):
-        # 8.8.8.8 is in the public ranges; 8.8.4.x not included this time.
+        # 8.8.8.8 is in the advertised public ranges; 34.64.1.1 is Google's
+        # but not one of them.
         analytics = analytics_of(
-            attributor,
-            [rec(GOOGLE)] * 4 + [rec(GOOGLE2)] + [rec(AMAZON)],
-            public_prefixes=["8.8.8.0/24"],
+            attributor, [rec(GOOGLE)] * 4 + [rec(GOOGLE_CLOUD)] + [rec(AMAZON)]
         )
         split = analytics.google_split()
         assert split.total_queries == 5
@@ -361,12 +363,14 @@ class TestFacade:
     @pytest.mark.parametrize(
         "method, args",
         [
-            ("provider_shares", ([UNAGGREGATED],)),
-            ("cloud_share", ([UNAGGREGATED],)),
-            ("junk_ratios", (["Google", UNAGGREGATED],)),
-            ("transport_matrix", ([UNAGGREGATED],)),
-            ("truncation_table", ([UNAGGREGATED],)),
-            ("transport_matrix", (["Google", UNAGGREGATED],)),
+            # The attribution's labels for the rest of the capture.
+            ("rrtype_mix", (OTHER,)),
+            ("ns_share", (UNKNOWN,)),
+            ("tcp_share", (OTHER,)),
+            ("bufsize_cdf", (UNKNOWN,)),
+            ("truncation_ratio", (OTHER,)),
+            ("resolver_inventory", (UNKNOWN,)),
+            # A provider nothing attributed.
             ("rrtype_mix", (UNAGGREGATED,)),
             ("bufsize_cdf", (UNAGGREGATED,)),
             ("truncation_ratio", (UNAGGREGATED,)),
@@ -380,11 +384,28 @@ class TestFacade:
     def test_provider_that_was_not_aggregated_is_rejected(
         self, attributor, method, args
     ):
-        """Plural or singular, the answer for a provider nothing counted
-        is an error naming what was configured — not a KeyError, not 0.0."""
-        analytics = analytics_of(attributor, [rec(GOOGLE), rec(AMAZON)])
-        with pytest.raises(ValueError, match=r"ExampleCloud.*\('Google', 'Amazon'\)"):
+        """The answer for a provider nothing counted is an error naming
+        what was configured — not a KeyError, not 0.0."""
+        analytics = analytics_of(
+            attributor, [rec(GOOGLE), rec(AMAZON), rec(OTHER_ISP), rec("203.0.113.9")]
+        )
+        with pytest.raises(ValueError, match=rf"{args[0]}.*\('Google', 'Amazon'\)"):
             getattr(analytics, method)(*args)
+
+    @pytest.mark.parametrize(
+        "method",
+        ["provider_shares", "junk_ratios", "truncation_table", "transport_matrix"],
+    )
+    def test_plural_answer_is_the_configured_list(self, attributor, method):
+        """A per-provider table answers the providers the set was
+        configured with, in that order — also one nothing counted."""
+        view = build([rec(AMAZON), rec(GOOGLE)])
+        configured = ("Amazon", "ExampleCloud", "Google")
+        analytics = DatasetAnalytics.over(view, attributor.attribute(view), configured)
+        answer = getattr(analytics, method)()
+        if method == "transport_matrix":
+            answer = [row.provider for row in answer]
+        assert list(answer) == list(configured)
 
     def test_view_is_folded_once_at_construction(self, attributor, monkeypatch):
         counted = []

@@ -122,7 +122,7 @@ class TestStore:
         store.append(make_record(qtype=1))
         store.append(make_record(qtype=2))
         view = store.view()
-        records = list(view.iter_records(view.qtype == 2))
+        records = list(view.select(view.qtype == 2).iter_records())
         assert len(records) == 1
         assert records[0].qtype == 2
 

@@ -223,6 +223,19 @@ class TestValidatesBeforeSimulating:
          "scale must be positive and finite, got inf"),
         (["dataset", "nl-w2020", "--scale", "1e300"],
          "1.85e+305 client queries do not fit int64"),
+        # A rate or a duration that is not a finite number: NaN passes a
+        # `<= 0` check, and `nan > 0` is False, so "off" would be silent.
+        (["soak", "--duration", "nan"], "duration_s must be positive and finite, got nan"),
+        (["soak", "--duration", "0.5", "--offered-qps", "inf"],
+         "offered_qps must be positive and finite, got inf"),
+        (["soak", "--duration", "0.5", "--admission-qps", "nan"],
+         "admission_qps must be positive and finite, got nan"),
+        (["serve", "--udp-port", "0", "--duration", "0.5", "--admission-qps", "nan"],
+         "admission_rate_qps must be positive and finite, got nan"),
+        (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "nan"],
+         "responses_per_second must be finite and >= 0, got nan"),
+        (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "inf"],
+         "responses_per_second must be finite and >= 0, got inf"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:

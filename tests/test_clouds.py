@@ -91,8 +91,10 @@ class TestAllocator:
         assert len(seen) == 5
 
     def test_exhaustion(self):
-        allocator = AddressAllocator([Prefix.parse("192.0.2.0/30")], start=2)
-        allocator.allocate()
+        prefix = Prefix.parse("192.0.2.0/28")
+        allocator = AddressAllocator([prefix])
+        for __ in range(AddressAllocator.capacity(prefix)):
+            allocator.allocate()
         with pytest.raises(RuntimeError):
             allocator.allocate()
 

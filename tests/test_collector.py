@@ -24,6 +24,7 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import main
+from repro.config import RunConfig
 from repro.faults import chaos_scenario
 from repro.resolver.engine import SimResolver
 from repro.runtime import ShardTask, collector_paused, execute_shard_task, executor
@@ -57,7 +58,7 @@ MODES = ("serial", "fork", "spawn", "trace", "chaos", "spool")
 def _run(mode, tmp_path, monkeypatch):
     """One small ``nz-w2020`` run in ``mode``."""
     descriptor = dataset(DATASET)
-    options = {"workers": 1, "trace": 0.0}
+    options = {"workers": 1}
     if mode in ("fork", "spawn"):
         if mode not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {mode} start method here")
@@ -71,7 +72,7 @@ def _run(mode, tmp_path, monkeypatch):
         descriptor = replace(descriptor, fault_plan=chaos_scenario("flaky-server"))
     elif mode == "spool":
         options["spool_dir"] = str(tmp_path / "spool")
-    run = run_dataset(descriptor, client_queries=QUERIES, **options)
+    run = run_dataset(descriptor, client_queries=QUERIES, config=RunConfig(**options))
     assert run.client_queries_run == QUERIES
     assert len(run.capture) > 0
     if options["workers"] > 1:
@@ -146,7 +147,7 @@ def resolve_sees(monkeypatch):
 
 class TestPauseCoversTheWork:
     def test_member_loop_runs_paused(self, collector, resolve_sees):
-        run_dataset(dataset(DATASET), client_queries=QUERIES, workers=1, trace=0.0)
+        run_dataset(dataset(DATASET), client_queries=QUERIES, workers=1)
         assert resolve_sees and not any(resolve_sees)
         assert gc.isenabled()
 

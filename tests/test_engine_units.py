@@ -66,6 +66,19 @@ class TestSession:
         assert session.now == pytest.approx(101.0)
 
 
+class TestRttMemo:
+    def test_one_entry_per_server_and_site(self, small_world):
+        """An RTT does not depend on the address family (the family's
+        extra delay is the resolver's), so a dual-stack resolver choosing
+        its family by RTT memoises one RTT per (server, site)."""
+        network = small_world["network"]
+        resolver = make_resolver()
+        resolver.resolve(network, 0.0, Name.from_text("www.example.nl"), RRType.A)
+        for server_set in (network.root, network.server_set_for(Name.from_text("nl"))):
+            pairs = {(s.server_id, resolver.site.code) for s in server_set}
+            assert server_set._rtts and set(server_set._rtts) <= pairs
+
+
 class TestSelection:
     def _server_set(self):
         latency = LatencyModel()
@@ -113,7 +126,7 @@ class TestSelection:
             ):
                 return candidates[int(resolver._rng.integers(len(candidates)))]
             return min(
-                candidates, key=lambda s: server_set.rtt_ms(s, resolver.site, 4)
+                candidates, key=lambda s: server_set.rtt_ms(s, resolver.site)
             )
 
         server_set, near, far = self._server_set()

@@ -95,7 +95,7 @@ class TestChangepoint:
 
     def test_jump_detector_respects_floor(self):
         # A doubling below the floor is not a rollout signal.
-        assert jump_detector([0.01, 0.01, 0.03], floor=0.10) is None
+        assert jump_detector([0.01, 0.01, 0.03]) is None
 
     def test_cusum_finds_step(self):
         assert cusum_detector(STEP) == 5
@@ -114,4 +114,4 @@ class TestChangepoint:
         # Drift small relative to the baseline noise stays under the
         # per-step allowance and never accumulates.
         series = [0.05, 0.07, 0.055, 0.065, 0.060, 0.062, 0.064, 0.066, 0.068]
-        assert cusum_detector(series, threshold=4.0, drift=1.0) is None
+        assert cusum_detector(series) is None

@@ -24,6 +24,7 @@ import struct
 import pytest
 
 from repro.dnscore import EdnsRecord, Message, Name
+from repro.faults import chaos_scenario
 from repro.netsim import SimClock
 from repro.service import DnsService, LoadGenConfig, ServiceConfig
 from repro.service.endpoints import peer_address
@@ -60,7 +61,9 @@ CASES = {
     "nl": dict(dataset_id="nl-w2020"),
     "root": dict(dataset_id="root-2020"),
     "resolver": dict(dataset_id="nl-w2020", resolver_frontend=True),
-    "flaky-server": dict(dataset_id="nl-w2020", chaos="flaky-server", chaos_seed=11),
+    "flaky-server": dict(
+        dataset_id="nl-w2020", fault_plan=chaos_scenario("flaky-server", seed=11)
+    ),
     "hand-built": dict(dataset_id="nl-w2020", topology=HAND_BUILT),
 }
 

@@ -42,7 +42,8 @@ class TestFlags:
 
 class TestMessageCodec:
     def test_query_round_trip(self):
-        query = make_query(recursion_desired=True)
+        query = make_query()
+        query.flags = Flags(rd=True)
         decoded = Message.from_wire(query.to_wire())
         assert decoded.msg_id == 0x1234
         assert decoded.flags.rd

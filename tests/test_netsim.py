@@ -212,7 +212,7 @@ class TestGeo:
 
 class TestClock:
     def test_utc_timestamp_round_trip(self):
-        ts = utc_timestamp(2020, 4, 5, 12, 30, 15)
+        ts = utc_timestamp(2020, 4, 5) + 12 * 3600 + 30 * 60 + 15
         dt = timestamp_to_utc(ts)
         assert (dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second) == (
             2020, 4, 5, 12, 30, 15,

@@ -23,6 +23,7 @@ import pytest
 from repro.analysis import Attributor, DatasetAnalytics
 from repro.capture import SpooledCapture
 from repro.clouds import PROVIDERS
+from repro.config import RunConfig
 from repro.experiments import ExperimentContext
 from repro.experiments.render_all import collect_all
 from repro.faults import FaultPlan, chaos_scenario
@@ -211,12 +212,12 @@ SCHEDULE = [(row, case) for case in CASES for row in ROWS[:2]] + [
 def facade_answers(analytics):
     """Every facade answer, keyed for canonical JSON."""
     return {
-        "provider_shares": analytics.provider_shares(PROVIDERS),
-        "cloud_share": analytics.cloud_share(PROVIDERS),
-        "junk_ratios": analytics.junk_ratios(PROVIDERS),
+        "provider_shares": analytics.provider_shares(),
+        "cloud_share": analytics.cloud_share(),
+        "junk_ratios": analytics.junk_ratios(),
         "overall_junk_ratio": analytics.overall_junk_ratio(),
-        "transport_matrix": analytics.transport_matrix(PROVIDERS),
-        "truncation_table": analytics.truncation_table(PROVIDERS),
+        "transport_matrix": analytics.transport_matrix(),
+        "truncation_table": analytics.truncation_table(),
         "google_split": analytics.google_split(),
         "dataset_summary": analytics.dataset_summary(),
         "per_provider": {
@@ -321,7 +322,9 @@ def run_case(case, workers=1, spool_dir=None, traced=False, **overrides):
     descriptor, queries, sample, seed = CASES[case]
     return run_dataset(
         replace(descriptor, **overrides), seed=seed, client_queries=queries,
-        workers=workers, spool_dir=spool_dir, trace=sample if traced else 0.0,
+        config=RunConfig(
+            workers=workers, spool_dir=spool_dir, trace=sample if traced else 0.0
+        ),
     )
 
 
@@ -445,6 +448,6 @@ def test_serial_matrix_reproduces_the_reports(serial_matrix):
 def test_pooled_streaming_matrix_reproduces_the_reports(monkeypatch, tmp_path):
     pin(monkeypatch)
     ctx = ExperimentContext(
-        scale=REPORT_SCALE, workers=2, spool_dir=str(tmp_path), trace=0.0
+        scale=REPORT_SCALE, config=RunConfig(workers=2, spool_dir=str(tmp_path))
     )
     assert reports_digest(collect_all(ctx)) == REPORTS

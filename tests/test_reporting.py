@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.report import Report, ReportRow
 from repro.reporting import bar_chart, cdf_plot, grouped_bar_chart, sparkline
+from repro.reporting.charts import BAR_WIDTH, CDF_WIDTH, GROUPED_BAR_WIDTH
 
 
 class TestReport:
@@ -38,12 +39,12 @@ class TestReport:
 
 class TestCharts:
     def test_bar_chart_basic(self):
-        text = bar_chart(["a", "bb"], [1.0, 0.5], width=10, title="T")
+        text = bar_chart(["a", "bb"], [1.0, 0.5], title="T")
         lines = text.splitlines()
         assert lines[0] == "T"
         assert lines[1].startswith("a ")
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 5
+        assert lines[1].count("#") == BAR_WIDTH
+        assert lines[2].count("#") == BAR_WIDTH // 2
 
     def test_bar_chart_empty(self):
         assert "(no data)" in bar_chart([], [], title="T")
@@ -53,17 +54,16 @@ class TestCharts:
             bar_chart(["a"], [1.0, 2.0])
 
     def test_grouped_bar_chart(self):
-        text = grouped_bar_chart(
-            ["g1", "g2"], {"x": [1.0, 0.2], "y": [0.5, 0.8]}, width=10
-        )
+        text = grouped_bar_chart(["g1", "g2"], {"x": [1.0, 0.2], "y": [0.5, 0.8]})
         assert "g1:" in text and "g2:" in text
         assert text.count("|") == 4
+        assert text.splitlines()[1].count("#") == GROUPED_BAR_WIDTH
 
     def test_cdf_plot(self):
-        text = cdf_plot([(512, 0.3), (4096, 1.0)], width=10)
+        text = cdf_plot([(512, 0.3), (4096, 1.0)])
         lines = text.splitlines()
         assert "512" in lines[0]
-        assert lines[1].count("#") == 10
+        assert lines[1].count("#") == CDF_WIDTH
 
     def test_cdf_plot_empty(self):
         assert "(no data)" in cdf_plot([])

@@ -9,6 +9,7 @@ soak test runs the whole chaos harness end to end and asserts its SLOs.
 """
 
 import asyncio
+import math
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.capture import Transport
 from repro.dnscore import Message, Name, RCode, RRType
 from repro.faults import FaultInjector, FaultPlan, OutageWindow
 from repro.netsim import IPAddress, SimClock
+from repro.server import RRLConfig
 from repro.service import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -87,6 +89,18 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, burst=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            TokenBucket(rate=bad, burst=1.0)
+        with pytest.raises(ValueError, match="burst must be >= 1 and finite"):
+            TokenBucket(rate=1.0, burst=bad)
+        with pytest.raises(ValueError, match="admission_rate_qps"):
+            ResilienceConfig(admission_rate_qps=bad)
+        for field in ("responses_per_second", "burst"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                RRLConfig(**{field: bad})
 
 
 class TestDeadline:

@@ -394,7 +394,9 @@ class TestVectorKeywordStub:
             ]
             assert run.telemetry.gauges["runtime.stream.enabled"] == 0
         # The stream gauge now says whether chunks were spilled.
-        run = run_dataset(dataset(DATASET), client_queries=60, spool_dir=str(tmp_path))
+        run = run_dataset(
+            dataset(DATASET), client_queries=60, config=RunConfig(spool_dir=str(tmp_path))
+        )
         assert run.telemetry.gauges["runtime.stream.enabled"] == 1
 
     def test_context_accepts_false(self):
@@ -466,7 +468,7 @@ class TestEnvDefaults:
         ]
         assert [field.name for field in fields(ServiceConfig)] == [
             "dataset_id", "host", "udp_port", "tcp_port", "metrics_port",
-            "seed", "rrl", "chaos", "chaos_seed", "fault_plan",
+            "seed", "rrl", "fault_plan",
             "fault_window_s", "topology", "resolver_frontend", "resilience",
             "watchdog_interval_s",
         ]

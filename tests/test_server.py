@@ -430,10 +430,8 @@ class TestRRL:
             assert limiter.check(IPAddress.parse(other), 0.0) == RateLimiter.PASS
 
     def test_server_slip_truncates(self, zone):
-        server = AuthoritativeServer(
-            "nl-a", zone, [GAZETTEER["AMS"]], capture=CaptureStore(),
-            rrl=RRLConfig(responses_per_second=1, burst=1),
-        )
+        server = AuthoritativeServer("nl-a", zone, [GAZETTEER["AMS"]], capture=CaptureStore())
+        server.configure_rrl(RRLConfig(responses_per_second=1, burst=1))
         first, dropped, slipped = (
             server.handle_query(0.0, SRC, Transport.UDP, query("nl", RRType.SOA))
             for __ in range(3)
@@ -455,18 +453,14 @@ class TestServerSet:
         europe = AuthoritativeServer("nl-a", zone, [GAZETTEER["AMS"]])
         oceania = AuthoritativeServer("nl-b", zone, [GAZETTEER["AKL"]])
         server_set = ServerSet([europe, oceania], latency)
-        assert server_set.fastest(GAZETTEER["FRA"], 4) is europe
-        assert server_set.fastest(GAZETTEER["SYD"], 4) is oceania
-        # Memoised per (site, family); the answer is the unmemoised one.
+        assert server_set.fastest(GAZETTEER["FRA"]) is europe
+        assert server_set.fastest(GAZETTEER["SYD"]) is oceania
+        # Memoised per site; the answer is the unmemoised one.
         for site in ("FRA", "SYD", "LAX", "NRT"):
-            for family in (4, 6):
-                rtts = [
-                    server_set.rtt_ms(s, GAZETTEER[site], family)
-                    for s in server_set.servers
-                ]
-                expected = server_set.servers[rtts.index(min(rtts))]
-                assert server_set.fastest(GAZETTEER[site], family) is expected
-                assert server_set.fastest(GAZETTEER[site], family) is expected
+            rtts = [server_set.rtt_ms(s, GAZETTEER[site]) for s in server_set.servers]
+            expected = server_set.servers[rtts.index(min(rtts))]
+            assert server_set.fastest(GAZETTEER[site]) is expected
+            assert server_set.fastest(GAZETTEER[site]) is expected
 
     def test_mixed_zones_rejected(self, zone):
         other = Zone(Name.from_text("nz"))

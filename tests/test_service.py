@@ -15,6 +15,7 @@ import json
 import random
 import struct
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -35,7 +36,7 @@ from repro.dnscore import (
     RCode,
     RRType,
 )
-from repro.faults import FaultPlan, OutageWindow
+from repro.faults import FaultPlan, OutageWindow, chaos_scenario
 from repro.netsim import IPAddress, SimClock
 from repro.server import RRLConfig
 from repro.service import (
@@ -595,7 +596,7 @@ class TestLiveService:
 
         # flaky-server halts *-a for the whole window; the NS set's other
         # members keep the answered fraction at the acceptance bar.
-        config = _serve_config(chaos="flaky-server", chaos_seed=11)
+        config = _serve_config(fault_plan=chaos_scenario("flaky-server", seed=11))
         report, drops = asyncio.run(_with_service(config, scenario))
         assert drops > 0, "chaos plan never fired on live traffic"
         assert report.answered_fraction >= 0.99
@@ -1264,7 +1265,7 @@ class TestDecodeMemo:
             name="total-blackout",
             outages=(OutageWindow(server_id="*", start_frac=0.0, end_frac=1.0),),
         )
-        with _Twins(fault_plan=blackout, chaos_seed=7) as (warm, cold):
+        with _Twins(fault_plan=replace(blackout, seed=7)) as (warm, cold):
             wire = _query_wire((b"memo-blackout", b"nl"))
             answers = _repeat(warm, cold, wire, (21, 22, 23))
             assert all(Message.from_wire(a).rcode is RCode.SERVFAIL for a in answers)

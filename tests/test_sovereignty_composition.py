@@ -25,6 +25,7 @@ from repro.analysis.composition import CATEGORIES, LOCAL_SUFFIXES, META_QTYPES, 
 from repro.clouds import PROVIDERS
 from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER
+from repro.config import RunConfig
 from repro.sim import run_dataset
 from repro.workload import dataset
 
@@ -84,8 +85,8 @@ def brute_force_composition(view):
 def simulate(descriptor, workers, spool_dir=None):
     """One run of ``descriptor`` with the modes given explicitly."""
     return run_dataset(
-        descriptor, client_queries=QUERIES, seed=SEED, workers=workers,
-        spool_dir=spool_dir,
+        descriptor, client_queries=QUERIES, seed=SEED,
+        config=RunConfig(workers=workers, spool_dir=spool_dir),
     )
 
 

@@ -27,9 +27,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import AggregateSet, ConcentrationAggregator
 from repro.analysis import FacebookSiteAggregator, RSSACAggregator
 from repro.analysis.attribution import OTHER, UNKNOWN, AttributionResult
-from repro.analysis.streaming import AGGREGATOR_FACTORIES
+from repro.analysis.streaming import AGGREGATOR_FACTORIES, GoogleSplitAggregator
 from repro.capture import CaptureStore, QueryRecord, Transport
-from repro.clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
+from repro.clouds import PROVIDERS
 from repro.netsim import IPAddress
 
 #: Labels the synthetic attribution can hand out (clouds + the two
@@ -118,14 +118,14 @@ def partition(view, cuts):
 #: concentration counts, the Facebook site rows and the RSSAC days.
 FACTORIES = {
     **AGGREGATOR_FACTORIES,
-    ConcentrationAggregator.name: lambda providers, prefixes: ConcentrationAggregator(),
-    FacebookSiteAggregator.name: lambda providers, prefixes: FacebookSiteAggregator(),
-    RSSACAggregator.name: lambda providers, prefixes: RSSACAggregator(),
+    ConcentrationAggregator.name: lambda providers: ConcentrationAggregator(),
+    FacebookSiteAggregator.name: lambda providers: FacebookSiteAggregator(),
+    RSSACAggregator.name: lambda providers: RSSACAggregator(),
 }
 
 
 def fresh(name):
-    return FACTORIES[name](PROVIDERS, GOOGLE_PUBLIC_DNS_PREFIXES)
+    return FACTORIES[name](PROVIDERS)
 
 
 def fed(name, views):
@@ -218,7 +218,11 @@ class TestAggregatorAlgebra:
 
     def test_merge_rejects_mismatched_config(self, name):
         a = fresh(name)
-        b = FACTORIES[name](PROVIDERS[:2], ("192.0.2.0/24",))
+        b = FACTORIES[name](PROVIDERS[:2])
+        if name == GoogleSplitAggregator.name:
+            # Its prefix list is a constant: only an instance handed
+            # another list is configured differently.
+            b.public_prefixes = ("192.0.2.0/24",)
         if a.config() == b.config():
             pytest.skip("aggregator has no configuration")
         with pytest.raises(ValueError):
@@ -231,12 +235,12 @@ class TestAggregateSetAlgebra:
     def test_set_partition_merge_equals_whole(self, data):
         records, cuts = data
         view = records_to_view(records)
-        whole = AggregateSet(PROVIDERS, GOOGLE_PUBLIC_DNS_PREFIXES)
+        whole = AggregateSet(PROVIDERS)
         whole.feed(view, synthetic_attribution(view))
 
         shards = []
         for part in partition(view, cuts):
-            shard = AggregateSet(PROVIDERS, GOOGLE_PUBLIC_DNS_PREFIXES)
+            shard = AggregateSet(PROVIDERS)
             shard.feed(part, synthetic_attribution(part))
             shards.append(shard)
         merged = AggregateSet.merge_all(shards)
@@ -254,7 +258,9 @@ class TestAggregateSetAlgebra:
         assert merged["summary"].state()["total"] == 0
 
     def test_mismatched_sets_refuse_to_merge(self):
-        a = AggregateSet(PROVIDERS, GOOGLE_PUBLIC_DNS_PREFIXES)
-        b = AggregateSet(PROVIDERS[:1], GOOGLE_PUBLIC_DNS_PREFIXES)
-        with pytest.raises(ValueError):
-            a.merge(b)
+        # The provider list is a set's one configuration: fewer, the same
+        # in another order, or other names make another set.
+        a = AggregateSet(PROVIDERS)
+        for providers in (PROVIDERS[:1], PROVIDERS[::-1], ("Google", "ExampleCloud")):
+            with pytest.raises(ValueError, match="differently-configured"):
+                a.merge(AggregateSet(providers))

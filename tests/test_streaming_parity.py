@@ -17,6 +17,7 @@ import tempfile
 import pytest
 
 from repro.analysis import DatasetAnalytics
+from repro.config import RunConfig
 from repro.sim import run_dataset
 from repro.workload import dataset
 
@@ -29,7 +30,7 @@ def simulate(workers, spool_dir=None):
     """One run of the dataset with the modes given explicitly."""
     return run_dataset(
         dataset(DATASET), client_queries=QUERIES, seed=SEED,
-        workers=workers, spool_dir=spool_dir,
+        config=RunConfig(workers=workers, spool_dir=spool_dir),
     )
 
 
@@ -133,7 +134,8 @@ class TestGoldenReports:
 class TestSpoolDirectory:
     def test_explicit_spool_dir_holds_chunks(self, tmp_path):
         run = run_dataset(
-            dataset("nz-w2018"), client_queries=300, seed=SEED, spool_dir=str(tmp_path),
+            dataset("nz-w2018"), client_queries=300, seed=SEED,
+            config=RunConfig(spool_dir=str(tmp_path)),
         )
         chunks = list((tmp_path / "nz-w2018").glob("*.chunk"))
         assert chunks, "spool directory should contain chunk files"
@@ -150,13 +152,16 @@ class TestSpoolDirectory:
 RSS_CHILD = r"""
 import re, sys
 from repro.analysis import DatasetAnalytics
-from repro.clouds import PROVIDERS
+from repro.config import RunConfig
 from repro.sim import run_dataset
 from repro.workload import dataset
 
 volume, spool_dir = int(sys.argv[2]), sys.argv[3] if sys.argv[1] == "stream" else None
-run = run_dataset(dataset("nl-w2020"), client_queries=volume, workers=2, spool_dir=spool_dir)
-DatasetAnalytics.of(run).provider_shares(PROVIDERS)
+run = run_dataset(
+    dataset("nl-w2020"), client_queries=volume,
+    config=RunConfig(workers=2, spool_dir=spool_dir),
+)
+DatasetAnalytics.of(run).provider_shares()
 peak_kb = re.search(r"VmHWM:\s+(\d+) kB", open("/proc/self/status").read()).group(1)
 print(len(run.capture), peak_kb)
 """

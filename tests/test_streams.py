@@ -111,8 +111,11 @@ def test_columns_are_the_per_query_stream(generators):
         assert [n.labels for n in names] == [n.labels for n in expected[1]]
         assert types == expected[2]
         assert rng.bit_generator.state == state
-        queries = list(generator.generate(index, count, pattern, junk, storm, 0.25))
-        assert [(q.timestamp, q.qname, q.qtype) for q in queries] == list(zip(stamps, names, types))
+        if not storm:
+            queries = list(generator.generate(index, count, pattern, junk))
+            assert [(q.timestamp, q.qname, q.qtype) for q in queries] == list(
+                zip(stamps, names, types)
+            )
 
 
 def test_fleet_words_seed_what_the_integer_seeded():

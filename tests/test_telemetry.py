@@ -229,10 +229,8 @@ class TestEngineCounters:
         capture = CaptureStore()
         # Every other rate-limited response is a TC=1 slip, which the
         # resolver retries over TCP.
-        server = AuthoritativeServer(
-            "nl-rrl", zone, [GAZETTEER["AMS"]], capture=capture,
-            rrl=RRLConfig(responses_per_second=0.0001, burst=1.0),
-        )
+        server = AuthoritativeServer("nl-rrl", zone, [GAZETTEER["AMS"]], capture=capture)
+        server.configure_rrl(RRLConfig(responses_per_second=0.0001, burst=1.0))
         nl_set = ServerSet([server], latency)
         root_set = ServerSet(
             [AuthoritativeServer("root-x", build_root_zone(seed=3),

@@ -51,21 +51,22 @@ def base_run(descriptor):
     ``traced_run`` start from a cold world store, so both publish the same
     ``runtime.env_cache.*`` keys whatever the process ran before."""
     forget_worlds()
-    return run_dataset(descriptor, seed=SEED, client_queries=QUERIES, trace=0.0)
+    return run_dataset(descriptor, seed=SEED, client_queries=QUERIES)
 
 
 @pytest.fixture(scope="module")
 def traced_run(descriptor):
     forget_worlds()
     return run_dataset(
-        descriptor, seed=SEED, client_queries=QUERIES, trace=SAMPLE
+        descriptor, seed=SEED, client_queries=QUERIES, config=RunConfig(trace=SAMPLE)
     )
 
 
 @pytest.fixture(scope="module")
 def pooled_traced_run(descriptor):
     return run_dataset(
-        descriptor, seed=SEED, client_queries=QUERIES, workers=2, trace=SAMPLE
+        descriptor, seed=SEED, client_queries=QUERIES,
+        config=RunConfig(workers=2, trace=SAMPLE),
     )
 
 
@@ -118,14 +119,15 @@ class TestHashSampling:
         assert RunConfig().trace == 0.0
 
     def test_resolve_trace_config(self):
-        """Both keyword front doors build the one config: the sampled
-        fraction, 0 meaning off, as a float whatever number came in."""
+        """The one front door holds the sampled fraction, 0 meaning off,
+        as a float whatever number came in."""
         from repro.experiments import ExperimentContext
 
         assert RunConfig(trace=0.25).trace == 0.25
         assert RunConfig(trace=1) == RunConfig(trace=1.0)
         assert repr(RunConfig(trace=1).trace) == "1.0"
-        assert ExperimentContext(scale=0.01, trace=0.25).config == RunConfig(trace=0.25)
+        config = RunConfig(trace=0.25)
+        assert ExperimentContext(scale=0.01, config=config).config is config
         assert ExperimentContext(scale=0.01).config == RunConfig()
 
 
