@@ -20,9 +20,7 @@ Commands
     Live service mode: bind real UDP/TCP sockets answering DNS for the
     dataset's authority world (``dig @127.0.0.1 -p 5300 example.nl``),
     with an optional Prometheus ``/metrics`` listener.  ``--chaos`` and
-    ``--rrl`` apply their schedules to live traffic.  A ``--topology``
-    file it cannot load or whose references do not resolve in the world
-    is a usage error (exit 2).
+    ``--rrl`` apply their schedules to live traffic.
 ``loadgen``
     Replay workload-layer query streams against a running ``serve``
     instance and report q/s + latency percentiles (``--min-answered``
@@ -338,10 +336,15 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _serve_config(args: argparse.Namespace):
+    from .config import check_positive
     from .faults import chaos_scenario
     from .server import RRLConfig
     from .service import ResilienceConfig, ServiceConfig
 
+    # Unset serves until signalled; a set duration must be positive and
+    # finite (NaN, 0 or less would stop at once, inf never).
+    if args.duration is not None:
+        check_positive("--duration", args.duration)
     # 0 is off; anything else the configs check.
     rrl = None
     if args.rrl:
@@ -358,7 +361,6 @@ def _serve_config(args: argparse.Namespace):
             chaos_scenario(args.chaos, seed=args.chaos_seed) if args.chaos else None
         ),
         fault_window_s=args.fault_window,
-        resolver_frontend=args.resolver,
         resilience=ResilienceConfig(
             admission_rate_qps=args.admission_qps or None,
         ),
@@ -370,25 +372,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    from .service import DnsService, ServiceTopology, TopologyError
-
-    config = args.live_config
-    if args.topology:
-        # A file it cannot use is one ``FILE: reason`` line, not a usage
-        # message, so it is loaded here rather than in ``_serve_config``.
-        try:
-            config.topology = ServiceTopology.from_json_file(args.topology)
-        except (OSError, ValueError) as exc:
-            return _file_error(args.topology, exc)
+    from .service import DnsService
 
     async def _serve() -> int:
-        service = DnsService(config)
-        try:
-            await service.start()
-        except TopologyError as exc:
-            # Only a loaded topology can fail: its references are checked
-            # against the world, which exists only now.
-            return _file_error(args.topology, exc)
+        service = DnsService(args.live_config)
+        await service.start()
         ports = service.ports()
         if args.port_file:
             with open(args.port_file, "w") as handle:
@@ -427,6 +415,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _loadgen_config(args: argparse.Namespace):
     from .service import LoadGenConfig
 
+    # The gate compares a fraction: a value outside [0, 1] (NaN included)
+    # could never fail, or never pass.
+    if not 0.0 <= args.min_answered <= 1.0:
+        raise ValueError(f"--min-answered must be in [0, 1], got {args.min_answered}")
     return LoadGenConfig(
         host=args.host,
         udp_port=args.port,
@@ -640,12 +632,6 @@ def main(argv=None) -> int:
                          metavar="SECONDS",
                          help="uptime window the chaos schedule replays"
                               " over (default: 3600)")
-    p_serve.add_argument("--resolver", action="store_true",
-                         help="enable the recursive-resolver frontend"
-                              " tier")
-    p_serve.add_argument("--topology", metavar="PATH", default=None,
-                         help="load the forwarding topology from a JSON"
-                              " file instead of the stock layout")
     p_serve.add_argument("--port-file", metavar="PATH", default=None,
                          help="write the bound ports as JSON (for"
                               " scripting against ephemeral ports)")

@@ -48,7 +48,7 @@ from ..dnscore import (
     ROOT,
     RRType,
 )
-from ..netsim import Clock, IPAddress, Site
+from ..netsim import IPAddress, Site
 from ..server import AuthoritativeServer, ResponsePlan, ServerSet
 from ..telemetry import tracing
 from ..zones import seed_words, word_stream
@@ -205,7 +205,6 @@ class SimResolver:
         v6: Optional[IPAddress],
         behavior: ResolverBehavior,
         seed: int = 0,
-        clock: Optional[Clock] = None,
     ):
         if v4 is None and v6 is None:
             raise ValueError("resolver needs at least one source address")
@@ -222,7 +221,6 @@ class SimResolver:
         self.v4 = v4
         self.v6 = v6
         self.behavior = behavior
-        self.clock = clock
         self.stats = ResolverStats()
         self.cache = ResolverCache(
             aggressive_nsec=behavior.aggressive_nsec,
@@ -268,21 +266,14 @@ class SimResolver:
     def resolve(
         self,
         network: AuthorityNetwork,
-        now: Optional[float],
+        now: float,
         qname: Name,
         qtype: RRType,
     ) -> RCode:
-        """Resolve one client query, emitting authoritative queries as a
-        side effect.  Returns the RCODE the client would receive.
-
-        ``now`` may be ``None`` when the resolver carries a
-        :class:`~repro.netsim.Clock` (the live service frontend), in which
-        case the clock is read; the simulation always passes sim time.
+        """Resolve one client query at ``now``, emitting authoritative
+        queries as a side effect.  Returns the RCODE the client would
+        receive.
         """
-        if now is None:
-            if self.clock is None:
-                raise ValueError("now required when resolver has no clock")
-            now = self.clock.read()
         self.stats.client_queries += 1
         session = _Session(now)
         rcode = self._resolve(network, session, qname, qtype, depth=0)

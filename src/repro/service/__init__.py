@@ -1,16 +1,15 @@
 """Live service mode: real sockets in front of the simulated DNS world.
 
 ``repro serve`` binds asyncio UDP/TCP endpoints that speak actual DNS wire
-format (answerable with ``dig``/``dnsperf``), routes queries through a
-declarative forwarding topology into the same authoritative servers the
-simulation uses — RRL, fault plans, plan cache and tracing all live — and
-exposes the telemetry registry as a Prometheus ``/metrics`` endpoint.
+format (answerable with ``dig``/``dnsperf``), answers each query from the
+vantage's server chain — the same authoritative servers the simulation
+uses, RRL, fault plans, plan cache and tracing all live — and exposes
+the telemetry registry as a Prometheus ``/metrics`` endpoint.
 ``repro loadgen`` replays workload-layer query streams against it.
 """
 
 from .app import (
     LIVE_CAPTURE_WINDOW,
-    RESOLVER_FRONTEND_ADDR,
     DnsService,
     ServiceConfig,
 )
@@ -47,21 +46,9 @@ from .soak import (
     run_soak_sync,
     scrape_metrics,
 )
-from .topology import (
-    MAX_ROUTE_UPSTREAMS,
-    MAX_TIER_HOPS,
-    POLICY_SINKS,
-    ClientGroup,
-    ForwardRule,
-    ForwardingTier,
-    ServiceTopology,
-    TopologyError,
-    default_topology,
-)
 
 __all__ = [
     "LIVE_CAPTURE_WINDOW",
-    "RESOLVER_FRONTEND_ADDR",
     "DnsService",
     "ServiceConfig",
     "LIVE_TCP_RTT_MS",
@@ -90,13 +77,4 @@ __all__ = [
     "run_soak",
     "run_soak_sync",
     "scrape_metrics",
-    "MAX_ROUTE_UPSTREAMS",
-    "MAX_TIER_HOPS",
-    "POLICY_SINKS",
-    "ClientGroup",
-    "ForwardRule",
-    "ForwardingTier",
-    "ServiceTopology",
-    "TopologyError",
-    "default_topology",
 ]

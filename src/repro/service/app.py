@@ -5,7 +5,7 @@
 deterministic authority world the simulation uses
 (:func:`~repro.sim.driver.build_authority_world`), and answers real
 clients — ``dig``, ``dnsperf``, or the built-in
-:mod:`~repro.service.loadgen` — through the forwarding topology.  Time
+:mod:`~repro.service.loadgen` — from the vantage's server chain.  Time
 comes from a :class:`~repro.netsim.WallClock`; RRL, chaos fault plans, the
 response-plan cache, and capture/telemetry taps all run live.
 
@@ -21,17 +21,15 @@ import errno
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 from ..capture import Transport
-from ..config import check_ports
+from ..config import check_ports, check_positive
 from ..dnscore import Message, RCode
 from ..dnscore.edns import effective_udp_limit
 from ..dnscore.message import HEADER_LENGTH
 from ..faults import FaultInjector, FaultPlan, derive_fault_seed
-from ..netsim import GAZETTEER, Clock, IPAddress, WallClock
-from ..resolver import ResolverBehavior, SimResolver
+from ..netsim import Clock, IPAddress, WallClock
 from ..server import TCP_MAX_SIZE, RRLConfig
 from ..sim.driver import (
     AuthorityWorld,
@@ -50,13 +48,8 @@ from .endpoints import (
     serve_metrics_connection,
     serve_tcp_connection,
 )
-from .topology import ServiceTopology, default_topology
 
 logger = logging.getLogger("repro.service")
-
-#: Source address of the optional resolver frontend (TEST-NET-1 — it never
-#: collides with a real client, and capture attribution stays unambiguous).
-RESOLVER_FRONTEND_ADDR = "192.0.2.53"
 
 #: Draws of an ephemeral UDP number whose TCP twin must be free as well.
 EPHEMERAL_BIND_ATTEMPTS = 8
@@ -67,13 +60,13 @@ EPHEMERAL_BIND_ATTEMPTS = 8
 #: ``capture.rows_appended`` keeps counting rows ever observed.
 LIVE_CAPTURE_WINDOW = 65536
 
-#: Peer hosts the UDP endpoint remembers (host → parsed address and entry
-#: tier) before it clears the memo whole.  Keyed by host, not by host and
-#: port: resolvers randomise source ports.  Sized from the simulated
-#: vantages' captures: at full volume ``nl-w2020`` hears from 3,998 resolver
-#: addresses and ``root-2020`` from 5,535, so at this size the memo never
-#: clears on either and 97 % of their queries find their host in it; at
-#: 4,096 entries ``root-2020`` falls to 85 %.
+#: Peer hosts the UDP endpoint remembers (host → parsed address) before it
+#: clears the memo whole.  Keyed by host, not by host and port: resolvers
+#: randomise source ports.  Sized from the simulated vantages' captures: at
+#: full volume ``nl-w2020`` hears from 3,998 resolver addresses and
+#: ``root-2020`` from 5,535, so at this size the memo never clears on either
+#: and 97 % of their queries find their host in it; at 4,096 entries
+#: ``root-2020`` falls to 85 %.
 SOURCE_MEMO_LIMIT = 16384
 
 #: Query bodies (the octets after the message id) the endpoints keep decoded
@@ -116,8 +109,6 @@ class ServiceConfig:
     #: Live fault plans replay their capture-window choreography over this
     #: many seconds of service uptime (sim plans use the dataset window).
     fault_window_s: float = 3600.0
-    topology: Optional[ServiceTopology] = None
-    resolver_frontend: bool = False
     #: The self-healing layer's settings: the admission rate (default
     #: off) and the breaker cooldown.  Breakers and deadline budgets always
     #: run (``repro.service.resilience``).
@@ -130,10 +121,7 @@ class ServiceConfig:
             udp_port=self.udp_port, tcp_port=self.tcp_port,
             metrics_port=self.metrics_port,
         )
-        if not self.fault_window_s > 0:
-            raise ValueError(
-                f"fault_window_s must be positive, got {self.fault_window_s}"
-            )
+        check_positive("fault_window_s", self.fault_window_s)
 
 
 class DnsService:
@@ -146,7 +134,6 @@ class DnsService:
         self.final_snapshot: Optional[TelemetrySnapshot] = None
         self.world: Optional[AuthorityWorld] = None
         self.dispatcher: Optional[QueryDispatcher] = None
-        self.resolver: Optional[SimResolver] = None
         self._started_at: Optional[float] = None
         self._udp_transport = None
         self._tcp_server: Optional[asyncio.AbstractServer] = None
@@ -163,8 +150,8 @@ class DnsService:
         self._last_restart_at: Optional[float] = None
         #: ``capture.rows_appended`` when the live capture last released.
         self._capture_released = 0
-        #: Peer host text → (parsed address, entry tier name).
-        self._peers: Dict[str, Tuple[IPAddress, str]] = {}
+        #: Peer host text → parsed address.
+        self._peers: Dict[str, IPAddress] = {}
         #: Query octets after the message id → ("query", Message, UDP limit).
         self._decoded: Dict[bytes, Tuple[str, Message, int]] = {}
 
@@ -173,8 +160,9 @@ class DnsService:
     async def start(self) -> None:
         """Build the world and bind every endpoint."""
         config = self.config
-        descriptor = dataset(config.dataset_id)
-        self.world = build_authority_world(descriptor, config.seed, self.metrics)
+        self.world = build_authority_world(
+            dataset(config.dataset_id), config.seed, self.metrics
+        )
 
         for server_set in self.world.server_sets.values():
             for server in server_set:
@@ -198,28 +186,10 @@ class DnsService:
                 plan.name, config.fault_window_s,
             )
 
-        if config.resolver_frontend:
-            self.resolver = SimResolver(
-                "service-frontend",
-                GAZETTEER["AMS"],
-                IPAddress.parse(RESOLVER_FRONTEND_ADDR),
-                None,
-                ResolverBehavior(),
-                seed=config.seed,
-                clock=self.clock,
-            )
-
-        topology = config.topology
-        if topology is None:
-            topology = default_topology(
-                descriptor.vantage, resolver=config.resolver_frontend
-            )
         self.dispatcher = QueryDispatcher(
-            topology,
             self.world.server_sets,
             self.clock,
             network=self.world.network,
-            resolver=self.resolver,
             metrics=self.metrics,
             breaker_cooldown_s=config.resilience.breaker_cooldown_s,
         )
@@ -530,12 +500,12 @@ class DnsService:
 
     def _answer(
         self, data: bytes, src: IPAddress, transport: Transport, query: Message,
-        limit: int, tier: Optional[str] = None,
+        limit: int,
     ) -> Optional[bytes]:
-        """Dispatch one admitted query (entering at ``tier``, when the
-        caller memoised it) and encode what comes back within ``limit``
-        octets; ``None`` is the dispatcher's deliberate silence.  A memoised
-        ``query`` has an earlier datagram's id: the caller stamps ``data``'s.
+        """Dispatch one admitted query and encode what comes back within
+        ``limit`` octets; ``None`` is the dispatcher's deliberate silence.
+        A memoised ``query`` has an earlier datagram's id: the caller
+        stamps ``data``'s.
 
         A response replayed from a server's plan cache is encoded once per
         plan: the octets sent for its first replay (under ``data``'s id)
@@ -549,7 +519,7 @@ class DnsService:
         compare).  Any other response is encoded in full.
         """
         try:
-            response = self.dispatcher.dispatch(src, transport, query, tier)
+            response = self.dispatcher.dispatch(src, transport, query)
         except Exception:  # dispatch must never take the endpoint down
             label = transport.name
             logger.exception("dispatch failed for a %s query", label)
@@ -590,19 +560,18 @@ class DnsService:
             metrics.counter("service.formerr").inc()
             transport.sendto(formerr_response(payload), addr)
             return
-        peer = self._peers.get(addr[0])
-        if peer is None:
+        src = self._peers.get(addr[0])
+        if src is None:
             src = peer_address(addr)
-            if src is None:  # exotic socket families: nothing to route by
+            if src is None:  # exotic socket families: nothing to answer
                 metrics.counter("service.ignored", cause="unparseable_peer").inc()
                 return
             if len(self._peers) >= SOURCE_MEMO_LIMIT:
                 self._peers.clear()
-            peer = self._peers[addr[0]] = (src, self.dispatcher.entry_tier(src))
-        src, tier = peer
+            self._peers[addr[0]] = src
         if self._admission is not None and self._shed("udp"):
             return
-        wire = self._answer(data, src, Transport.UDP, payload, limit, tier)
+        wire = self._answer(data, src, Transport.UDP, payload, limit)
         if wire is None:
             return  # deliberate silence (RRL / fault / all upstreams down)
         self._udp_response_bytes.inc(len(wire))
@@ -654,7 +623,7 @@ class DnsService:
     # -- telemetry ---------------------------------------------------------
 
     def snapshot(self) -> TelemetrySnapshot:
-        """Roll service counters + live server/fault/resolver state up.
+        """Roll service counters + live server/fault state up.
 
         Server and fault counters are *published* into a scratch registry on
         every call (publishing increments, so feeding the live registry
@@ -666,13 +635,6 @@ class DnsService:
             publish_server_metrics(roll, self.world.server_sets)
             if self.world.network.faults is not None:
                 self.world.network.faults.publish_metrics(roll)
-        if self.resolver is not None:
-            from ..sim.driver import publish_fleet_metrics
-
-            publish_fleet_metrics(
-                roll,
-                [SimpleNamespace(provider="service", resolver=self.resolver)],
-            )
         if self._started_at is not None:
             roll.gauge("service.uptime_seconds").set(
                 self.clock.read() - self._started_at

@@ -100,6 +100,7 @@ class ResilienceConfig:
     def __post_init__(self):
         if self.admission_rate_qps is not None:
             check_positive("admission_rate_qps", self.admission_rate_qps)
+        check_positive("breaker_cooldown_s", self.breaker_cooldown_s)
 
     def make_bucket(self) -> Optional["TokenBucket"]:
         if self.admission_rate_qps is None:

@@ -65,6 +65,9 @@ class SoakConfig:
     def __post_init__(self):
         for name in ("duration_s", "offered_qps", "admission_qps"):
             check_positive(name, getattr(self, name))
+        # The breaker cooldown is at most an eighth of the run, and
+        # ``ResilienceConfig`` rejects one that rounds to zero.
+        check_positive("duration_s / 8", self.duration_s / 8.0)
 
 
 @dataclass

@@ -192,6 +192,8 @@ class AuthorityWorld:
 
     vantage_zone: Optional[Zone]
     capture: CaptureStore
+    #: The vantage's set, then the root's (``root-2020``: the root's
+    #: alone); ``repro serve`` walks their servers in this order.
     server_sets: Dict[str, ServerSet]
     network: AuthorityNetwork
     storm_domains: List[Name]

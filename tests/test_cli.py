@@ -208,7 +208,7 @@ class TestValidatesBeforeSimulating:
         (["serve", "--metrics-port", "-3"], "metrics_port must be in [0, 65535], got -3"),
         (["loadgen", "--port", "70000"], "udp_port must be in [0, 65535], got 70000"),
         (["serve", "--chaos", "default-loss", "--fault-window", "-5"],
-         "fault_window_s must be positive, got -5.0"),
+         "fault_window_s must be positive and finite, got -5.0"),
         # An unknown scenario is caught before any world is built.
         (["dataset", "nl-w2020", "--chaos", "nope"],
          "unknown chaos scenario 'nope' (see 'repro chaos')"),
@@ -236,6 +236,24 @@ class TestValidatesBeforeSimulating:
          "responses_per_second must be finite and >= 0, got nan"),
         (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "inf"],
          "responses_per_second must be finite and >= 0, got inf"),
+        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "0.5",
+          "--chaos", "default-loss", "--fault-window", "inf"],
+         "fault_window_s must be positive and finite, got inf"),
+        # A serve that would stop at once: unset serves until signalled,
+        # a set duration must be positive and finite.
+        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "nan"],
+         "--duration must be positive and finite, got nan"),
+        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "0"],
+         "--duration must be positive and finite, got 0.0"),
+        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "-1"],
+         "--duration must be positive and finite, got -1.0"),
+        # A gate that could never fail, or never pass.
+        (["loadgen", "--queries", "1", "--min-answered", "nan"],
+         "--min-answered must be in [0, 1], got nan"),
+        (["loadgen", "--queries", "1", "--min-answered", "1.5"],
+         "--min-answered must be in [0, 1], got 1.5"),
+        # A soak so short its breaker cooldown (an eighth of it) is 0.
+        (["soak", "--duration", "5e-324"], "duration_s / 8 must be positive and finite, got 0.0"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:

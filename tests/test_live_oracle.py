@@ -5,9 +5,8 @@ digest table.
 A *case* (:data:`CASES`) is a service configuration.  Each case is driven
 by the same kind of stream — :data:`DATAGRAMS` queries from the workload
 layer, a few truncated (FORMERR-bound), a few sent through the TCP
-handler, a few 0x20-spelled, a few for the policy-sink suffixes and for
-names outside the vantage zone — sent
-from :data:`HOSTS` on random source ports, on a :class:`SimClock` that
+handler, a few 0x20-spelled, a few for names no zone holds and for
+names outside the vantage zone — sent from :data:`HOSTS` on random source ports, on a :class:`SimClock` that
 steps :data:`STEP_S` per datagram.  Three columns reduce what it did: the
 response octets, the ``service.*`` counters and the capture columns.
 :data:`LIVE_ORACLE` holds one literal per (case, column); a mismatch names
@@ -31,7 +30,7 @@ from repro.service.endpoints import peer_address
 from repro.service.loadgen import build_query_stream
 from repro.workload import dataset
 
-from .helpers import HAND_BUILT, canonical_digest, view_digest
+from .helpers import canonical_digest, view_digest
 
 SEED = 20201027
 DATAGRAMS = 3000
@@ -42,16 +41,15 @@ MALFORMED_AT = 7      #: truncated by three octets: FORMERR
 TCP_AT = 29           #: sent through the TCP handler
 FLIPPED_AT = (13, 41)  #: qname spelled with random 0x20 case
 
-#: Positions (mod 50) of names the workload stream would not ask: the
-#: policy-sink suffixes, and names outside every vantage zone (the
-#: fallback tier's, and the resolver frontend's, traffic).
+#: Positions (mod 50) of names the workload stream would not ask: one under
+#: ``nl.`` that its zone does not hold, and names outside every vantage
+#: zone (the chain's first server answers them with its own rcode).
 NAMED_AT = {
     3: "db.internal.invalid.", 23: "ads.blocked.nl.",
     33: "www.example.com.", 45: "mail.example.org.",
 }
 
-#: Sources: two v4 hosts inside one :data:`HAND_BUILT` group's prefix, one
-#: v4 host outside every group, two v6 hosts.
+#: Sources: three v4 hosts and two v6 hosts.
 HOSTS = (
     "198.51.100.7", "198.51.100.200", "203.0.113.9", "2001:db8::53",
     "2001:db8:ffff::1",
@@ -60,40 +58,30 @@ HOSTS = (
 CASES = {
     "nl": dict(dataset_id="nl-w2020"),
     "root": dict(dataset_id="root-2020"),
-    "resolver": dict(dataset_id="nl-w2020", resolver_frontend=True),
     "flaky-server": dict(
         dataset_id="nl-w2020", fault_plan=chaos_scenario("flaky-server", seed=11)
     ),
-    "hand-built": dict(dataset_id="nl-w2020", topology=HAND_BUILT),
 }
 
-#: blake2b-128 per (case, column), recorded at commit c804511, before the
-#: live path was compiled into route tables.
+#: blake2b-128 per (case, column).  Re-recorded once when the live path
+#: lost its forwarding edge: position 3's ``db.internal.invalid.``, which a
+#: ``refused`` policy sink used to answer, now reaches the server chain
+#: like any other name outside the vantage zone.
 LIVE_ORACLE = {
     "nl": {
-        "responses": "7e9f3f268025ae0cf6b3d3f2e6125577",
-        "counters": "7e6ef351055b34b0e6cc360664632568",
-        "capture": "b829c4eee5e8403a66be0f7c0d0dca0f",
+        "responses": "533c53ed2a37741d1182c440ee927ec2",
+        "counters": "7620f5c4d84370e89c72df4cbaad2a11",
+        "capture": "3ec882754654e86a23201e5d76c0fde7",
     },
     "root": {
-        "responses": "82fda3559b8a4a99a1a094d4824a133c",
-        "counters": "fe2d0f07dfac3e3dc16ecbf40365e1fe",
-        "capture": "0540c6b48e0a680649ce962f2b0804aa",
-    },
-    "resolver": {
-        "responses": "2c45e02729c325558695e060445d7147",
-        "counters": "1540a955612cc8f6970d8fbc63220b1c",
-        "capture": "56b1b276483e9dc07ef0c6714ed71ecc",
+        "responses": "4c3f2486705c6933167d5001014a7622",
+        "counters": "bb5a21f520263435a8e28a24d99d9ada",
+        "capture": "6d191d60e09bb16eac256a7a7f83ad80",
     },
     "flaky-server": {
-        "responses": "7e9f3f268025ae0cf6b3d3f2e6125577",
-        "counters": "0897ffeb547a692eafd16c06cfd84292",
-        "capture": "9a8375eacaef3a07aad679e402ec5744",
-    },
-    "hand-built": {
-        "responses": "d44876a854c66c4c94eb1edec32b0869",
-        "counters": "77c1d7afaa2f8e19426be9ac2e9683f3",
-        "capture": "332c40a04725fb3adbc50488129a8475",
+        "responses": "533c53ed2a37741d1182c440ee927ec2",
+        "counters": "de8fc4ae20bbe791213292779f45630f",
+        "capture": "bf0f1ae3ab151db47bff2d89e0b5af00",
     },
 }
 
@@ -209,10 +197,3 @@ def test_the_chaos_case_degrades():
     }
     assert sum(engaged.values()) > 0, counters
 
-
-def test_the_hand_built_case_takes_every_route():
-    _, counters = drive("hand-built")
-    assert counters["service.policy_sink{sink=refused}"] > 0
-    assert counters["service.policy_sink{sink=nxdomain}"] > 0
-    assert counters["service.queries{transport=tcp}"] > 0
-    assert counters["service.formerr"] > 0

@@ -32,7 +32,6 @@ from repro.service import (
     ServiceConfig,
     SoakConfig,
     TokenBucket,
-    default_topology,
     parse_prometheus_text,
     run_soak_sync,
 )
@@ -146,6 +145,15 @@ class TestResilienceConfig:
         with pytest.raises(ValueError):
             ResilienceConfig(admission_rate_qps=-1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_breaker_cooldown_is_checked(self, bad):
+        """A breaker that never probes (inf, NaN) or never stays open (0,
+        below) is a usage error, not a silent policy."""
+        with pytest.raises(
+            ValueError, match="breaker_cooldown_s must be positive and finite"
+        ):
+            ResilienceConfig(breaker_cooldown_s=bad)
+
 
 class TestCircuitBreaker:
     def test_opens_on_consecutive_failures(self):
@@ -219,7 +227,6 @@ def _blackout_dispatcher(blackout_world):
     world.network.faults = FaultInjector(plan, 7, clock.read(), 3600.0)
     metrics = MetricsRegistry()
     dispatcher = QueryDispatcher(
-        default_topology(descriptor.vantage),
         world.server_sets,
         clock,
         network=world.network,

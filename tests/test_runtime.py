@@ -469,8 +469,7 @@ class TestEnvDefaults:
         assert [field.name for field in fields(ServiceConfig)] == [
             "dataset_id", "host", "udp_port", "tcp_port", "metrics_port",
             "seed", "rrl", "fault_plan",
-            "fault_window_s", "topology", "resolver_frontend", "resilience",
-            "watchdog_interval_s",
+            "fault_window_s", "resilience", "watchdog_interval_s",
         ]
         # One trace surface: simulated events in one Chrome-trace file —
         # no rate frames, no second format, no runtime-category events,

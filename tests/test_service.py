@@ -1,4 +1,4 @@
-"""Live service mode: topology, dispatch, and real-socket round trips.
+"""Live service mode: dispatch and real-socket round trips.
 
 The end-to-end tests bind ephemeral loopback sockets and drive them with
 the built-in load generator inside ``asyncio.run`` (the suite does not
@@ -11,7 +11,6 @@ shutdown that yields a final telemetry snapshot.
 import asyncio
 import errno
 import gc
-import json
 import random
 import struct
 import tracemalloc
@@ -23,8 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.app as service_app
-import repro.service.dispatch as service_dispatch
-from repro.__main__ import main
 from repro.capture import Transport
 from repro.dnscore import (
     EdnsRecord,
@@ -40,19 +37,11 @@ from repro.faults import FaultPlan, OutageWindow, chaos_scenario
 from repro.netsim import IPAddress, SimClock
 from repro.server import RRLConfig
 from repro.service import (
-    MAX_ROUTE_UPSTREAMS,
-    MAX_TIER_HOPS,
-    ClientGroup,
     DnsService,
-    ForwardRule,
-    ForwardingTier,
     LoadGenConfig,
     QueryDispatcher,
     ServiceConfig,
-    ServiceTopology,
-    TopologyError,
     classify_datagram,
-    default_topology,
     formerr_response,
     run_loadgen,
 )
@@ -60,194 +49,7 @@ from repro.sim import build_authority_world
 from repro.telemetry import MetricsRegistry, TelemetrySnapshot, to_prometheus
 from repro.workload import dataset
 
-from .helpers import HAND_BUILT
-
 CLIENT = IPAddress.parse("127.0.0.1")
-
-#: Authority sets by key → server ids, as ``nl-w2020``'s world has them.
-NL_SETS = {"nl": ("nl-a", "nl-b", "nl-c"), "root": ("root-x",)}
-ROOT_SETS = {"root": ("b-root",)}
-
-
-# ---------------------------------------------------------------------------
-# topology
-
-
-class TestTopology:
-    def test_default_topology_validates(self):
-        topo = default_topology("nl")
-        topo.validate(NL_SETS)
-
-    def test_default_root_topology_validates(self):
-        default_topology("root").validate(ROOT_SETS)
-
-    def test_resolver_spec_requires_frontend(self):
-        topo = default_topology("nl", resolver=True)
-        topo.validate(NL_SETS, resolver_available=True)
-        with pytest.raises(TopologyError, match="resolver"):
-            topo.validate(NL_SETS, resolver_available=False)
-
-    def test_unknown_authority_rejected(self):
-        topo = ServiceTopology(
-            tiers=(ForwardingTier(name="edge", upstreams=("auth:nosuch",)),),
-            default_tier="edge",
-        )
-        with pytest.raises(TopologyError, match="nosuch"):
-            topo.validate(NL_SETS)
-
-    def test_dangling_tier_rejected(self):
-        topo = ServiceTopology(
-            tiers=(ForwardingTier(name="edge", upstreams=("tier:ghost",)),),
-            default_tier="edge",
-        )
-        with pytest.raises(TopologyError, match="ghost"):
-            topo.validate(ROOT_SETS)
-
-    def test_cycle_rejected(self):
-        topo = ServiceTopology(
-            tiers=(
-                ForwardingTier(name="a", upstreams=("tier:b",)),
-                ForwardingTier(name="b", upstreams=("tier:a",)),
-            ),
-            default_tier="a",
-        )
-        with pytest.raises(TopologyError, match="cycle"):
-            topo.validate(ROOT_SETS)
-
-    def test_unknown_server_id_rejected(self):
-        """A server id is checked against the set it names: a typo used to
-        validate, then fail every query it routed at dispatch."""
-        def single(spec):
-            return ServiceTopology(
-                tiers=(ForwardingTier(name="edge", upstreams=(spec,)),),
-                default_tier="edge",
-            )
-
-        single("auth:nl/nl-a").validate(NL_SETS)
-        with pytest.raises(TopologyError, match="ns-typo"):
-            single("auth:nl/ns-typo").validate(NL_SETS)
-        with pytest.raises(TopologyError, match="nl-a"):
-            single("auth:root/nl-a").validate(NL_SETS)
-
-    def test_chain_of_max_hops_rejected(self):
-        ladder(MAX_TIER_HOPS - 1).validate(ROOT_SETS)
-        with pytest.raises(
-            TopologyError, match=f"takes {MAX_TIER_HOPS} tier: hops"
-        ):
-            ladder(MAX_TIER_HOPS).validate(ROOT_SETS)
-
-    def test_route_wider_than_the_limit_rejected(self):
-        """Hops that each list two ``tier:`` upstreams double the route per
-        level: 2^6 = 64 upstreams pass, 2^7 fail at the widest tier — within
-        the hop limit, before anything is compiled."""
-        assert 2 ** 6 == MAX_ROUTE_UPSTREAMS
-        ladder(6, fan_out=2).validate(ROOT_SETS)
-        with pytest.raises(
-            TopologyError, match="'t0' routes a query to as many as 128 upstreams"
-        ):
-            ladder(7, fan_out=2).validate(ROOT_SETS)
-
-    def test_malformed_spec_rejected(self):
-        topo = ServiceTopology(
-            tiers=(ForwardingTier(name="edge", upstreams=("bogus",)),),
-            default_tier="edge",
-        )
-        with pytest.raises(TopologyError, match="bogus"):
-            topo.validate(ROOT_SETS)
-
-    def test_suffix_rule_beats_default_chain(self):
-        tier = ForwardingTier(
-            name="edge",
-            rules=(ForwardRule(Name.from_text("nl"), "auth:nl"),),
-            upstreams=("auth:root",),
-        )
-        assert tier.chain_for(Name.from_text("example.nl")) == ("auth:nl",)
-        assert tier.chain_for(Name.from_text("example.org")) == ("auth:root",)
-
-    def test_client_group_routing(self):
-        topo = ServiceTopology.from_dict(
-            {
-                "default_tier": "wan",
-                "tiers": [
-                    {"name": "lan", "upstreams": ["auth:root"]},
-                    {"name": "wan", "upstreams": ["auth:root"]},
-                ],
-                "groups": [
-                    {"name": "lan", "prefixes": ["10.0.0.0/8"], "tier": "lan"}
-                ],
-            }
-        )
-        topo.validate(ROOT_SETS)
-        assert topo.tier_for(IPAddress.parse("10.1.2.3")).name == "lan"
-        assert topo.tier_for(IPAddress.parse("192.0.2.1")).name == "wan"
-        # v6 sources never match a v4 prefix; they fall to the default.
-        assert topo.tier_for(IPAddress.parse("2001:db8::1")).name == "wan"
-
-    def test_dict_round_trip(self):
-        topo = default_topology("nl", resolver=True)
-        clone = ServiceTopology.from_dict(topo.to_dict())
-        assert clone == topo
-
-    def test_json_file_round_trip(self, tmp_path):
-        topo = default_topology("nz")
-        path = tmp_path / "topology.json"
-        path.write_text(json.dumps(topo.to_dict()))
-        assert ServiceTopology.from_json_file(str(path)) == topo
-
-    def test_malformed_payload_raises_topology_error(self):
-        with pytest.raises(TopologyError):
-            ServiceTopology.from_dict({"tiers": [{}]})
-
-
-def ladder(hops, fan_out=1):
-    """Tiers ``t0`` → ``t1`` → … → ``t<hops>``, the last one answering
-    from the root set: a chain of ``hops`` ``tier:`` hops, each tier listing
-    its successor ``fan_out`` times (a route of ``fan_out ** hops``
-    upstreams)."""
-    return ServiceTopology(
-        tiers=tuple(
-            ForwardingTier(name=f"t{i}", upstreams=(f"tier:t{i + 1}",) * fan_out)
-            for i in range(hops)
-        ) + (ForwardingTier(name=f"t{hops}", upstreams=("auth:root",)),),
-        default_tier="t0",
-    )
-
-
-class TestServeCommand:
-    TOPOLOGIES = {
-        "unknown-set": {"default_tier": "edge", "tiers": [
-            {"name": "edge", "upstreams": ["auth:nosuch"]}]},
-        "unknown-server": {"default_tier": "edge", "tiers": [
-            {"name": "edge", "upstreams": ["auth:nl/ns-typo"]}]},
-        "cycle": {"default_tier": "a", "tiers": [
-            {"name": "a", "upstreams": ["tier:b"]},
-            {"name": "b", "upstreams": ["tier:a"]}]},
-        "too-deep": ladder(MAX_TIER_HOPS).to_dict(),
-        # Seven hops within the depth limit, ten tier: upstreams each: a
-        # route of 10^7 upstreams if it were compiled.
-        "too-wide": ladder(MAX_TIER_HOPS - 1, fan_out=10).to_dict(),
-        "not-an-object": [1, 2],
-    }
-
-    @pytest.mark.parametrize(
-        "content", ["missing", "not-json", *TOPOLOGIES]
-    )
-    def test_bad_topology_is_a_usage_error(self, capsys, tmp_path, content):
-        """Whatever is wrong with ``--topology``, ``repro serve`` says so in
-        one ``repro: error:`` line naming the file and exits 2 before
-        binding anything — no traceback."""
-        path = tmp_path / f"{content}.json"
-        if content == "not-json":
-            path.write_text('{"tiers": [')
-        elif content != "missing":
-            path.write_text(json.dumps(self.TOPOLOGIES[content]))
-        argv = ["serve", "--topology", str(path), "--udp-port", "0", "--no-metrics"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"repro: error: {path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +68,7 @@ def live_world():
 def dispatcher(live_world):
     descriptor, world, _ = live_world
     clock = SimClock(now=descriptor.start)
-    return QueryDispatcher(
-        default_topology(descriptor.vantage),
-        world.server_sets,
-        clock,
-        network=world.network,
-    )
+    return QueryDispatcher(world.server_sets, clock, network=world.network)
 
 
 def _query_for(world, qtype=RRType.A):
@@ -303,12 +100,28 @@ class TestDispatcher:
         response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
         assert response.rcode is RCode.NXDOMAIN
 
-    def test_policy_sink_refuses_internal_suffix(self, dispatcher):
+    def test_out_of_zone_name_gets_the_first_servers_rcode(
+        self, live_world, dispatcher
+    ):
+        """A name outside the vantage zone is no special case: the chain's
+        first server answers it with its own rcode, and the capture tap
+        records that one exchange."""
+        _, world, _ = live_world
+        capture = world.capture
+        before = capture.rows_appended
         query = Message.make_query(
             Name.from_text("db.internal.invalid."), RRType.A, msg_id=9
         )
         response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
         assert response.rcode is RCode.REFUSED
+        assert capture.rows_appended == before + 1
+        row = capture.view().record(len(capture) - 1)
+        assert (row.server_id, row.qname, row.rcode) == (
+            "nl-a", "db.internal.invalid.", RCode.REFUSED
+        )
+        assert [server.server_id for server in dispatcher.chain] == [
+            "nl-a", "nl-b", "nl-c", "root-x"
+        ]
 
     def test_non_query_opcode_notimp(self, dispatcher):
         query = Message(
@@ -326,16 +139,12 @@ class TestDispatcher:
 
     def test_exhausted_chain_udp_silence_tcp_servfail(self, live_world):
         descriptor, world, _ = live_world
-        # A tier whose only upstream is a single offline server.
-        topo = ServiceTopology(
-            tiers=(ForwardingTier(name="edge", upstreams=("auth:nl/nl-a",)),),
-            default_tier="edge",
-        )
+        # A chain of one offline server.
+        server = world.server_sets["nl"].by_id("nl-a")
         clock = SimClock(now=descriptor.start)
         dispatcher = QueryDispatcher(
-            topo, world.server_sets, clock, network=world.network
+            {"nl": [server]}, clock, network=world.network
         )
-        server = world.server_sets["nl"].by_id("nl-a")
         server.online = False
         try:
             query = _query_for(world)
@@ -348,12 +157,7 @@ class TestDispatcher:
     def test_rrl_fallback_to_next_server(self, live_world):
         descriptor, world, _ = live_world
         clock = SimClock(now=descriptor.start)
-        dispatcher = QueryDispatcher(
-            default_topology(descriptor.vantage),
-            world.server_sets,
-            clock,
-            network=world.network,
-        )
+        dispatcher = QueryDispatcher(world.server_sets, clock, network=world.network)
         nl_set = world.server_sets["nl"]
         first = nl_set.servers[0]
         saved = first._rrl_config
@@ -726,23 +530,6 @@ class TestLiveService:
 
         assert asyncio.run(scenario()) == (errno.EADDRINUSE, True)
 
-    def test_resolver_frontend_answers(self):
-        async def scenario(service):
-            return await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port,
-                    queries=60,
-                    concurrency=8,
-                    timeout_s=5.0,
-                )
-            )
-
-        config = _serve_config(resolver_frontend=True)
-        report = asyncio.run(_with_service(config, scenario))
-        assert report.answered_fraction >= 0.99
-        assert "NOERROR" in report.rcodes
-
-
 # ---------------------------------------------------------------------------
 # classification helpers
 
@@ -1001,14 +788,12 @@ class TestCachedEncoding:
         assert plan.wire is None and plan.question_end == 0
 
     def test_no_plan_no_cached_encoding(self, service_pair):
-        """Policy sinks, refused opcodes and question-less queries are
-        answered locally, multi-question queries are never planned, and
-        the reference service plans nothing: all encode in full."""
+        """Question-less queries are answered locally, multi-question
+        queries are never planned, and the reference service plans nothing:
+        all encode in full."""
         fast, reference = service_pair
         before = len(_plans(fast))
-        labels = (b"db", b"internal", b"invalid")
         for msg_id in (1, 2, 3):
-            _assert_same_exchange(fast, reference, _query_wire(labels, msg_id=msg_id))
             _assert_same_exchange(
                 fast, reference, _query_wire((b"nl",), msg_id=msg_id, shape="none")
             )
@@ -1196,7 +981,8 @@ class TestDecodeMemo:
     def test_every_answer_carries_the_datagrams_id(self, memo_twins):
         """Each answer path, reached on a memo hit: a plan's miss, first
         fill and replays, UDP and TCP; a multi-question query, a refused
-        opcode, a question-less query and the default topology's sink."""
+        opcode, a question-less query and a name outside the vantage zone
+        (the first server's REFUSED)."""
         warm, cold = memo_twins
         labels = (b"memo-stamped", b"nl")
         status = bytearray(_query_wire(labels, edns=1232))
@@ -1224,41 +1010,6 @@ class TestDecodeMemo:
         assert rcode(cases["notimp"]) is RCode.NOTIMP
         assert rcode(cases["no-question"]) is RCode.FORMERR
         assert rcode(cases["refused"]) is RCode.REFUSED
-
-    def test_sinks_and_the_resolver_frontend(self):
-        topology = ServiceTopology(
-            tiers=(ForwardingTier(
-                name="edge",
-                rules=(
-                    ForwardRule(Name.from_text("internal.invalid."), "refused"),
-                    ForwardRule(Name.from_text("blocked.nl."), "nxdomain"),
-                    ForwardRule(Name.from_text("nl."), "auth:nl"),
-                ),
-                upstreams=("resolver",),
-            ),),
-            default_tier="edge",
-        )
-        with _Twins(topology=topology, resolver_frontend=True) as (warm, cold):
-            for labels, rcode in (
-                ((b"db", b"internal", b"invalid"), RCode.REFUSED),
-                ((b"ads", b"blocked", b"nl"), RCode.NXDOMAIN),
-                ((b"example", b"com"), None),
-            ):
-                for tcp in (False, True):
-                    answers = _repeat(warm, cold, _query_wire(labels), (7, 8, 9), tcp)
-                    got = Message.from_wire(answers[-1])
-                    assert got.msg_id == 9
-                    if rcode is None:                           # the frontend
-                        assert got.flags.ra
-                    else:
-                        assert got.rcode is rcode
-            counters = warm.snapshot().counters
-            assert counters["service.policy_sink{sink=refused}"] == 6
-            assert counters["service.policy_sink{sink=nxdomain}"] == 6
-            assert sum(
-                value for key, value in counters.items()
-                if key.startswith("service.resolved{")
-            ) == 6
 
     def test_deadline_servfail(self):
         blackout = FaultPlan(
@@ -1379,14 +1130,14 @@ class TestHeldCounters:
 
     #: ``service.*`` counters after :meth:`_burst`, recorded from the commit
     #: before the counters were held (``counter()`` looked up per datagram)
-    #: on this same burst.
+    #: on this same burst, less the policy-sink series that went with the
+    #: sinks (the server now refuses ``db.internal.invalid.`` itself).
     EXPECTED = {
         **IDLE,
         "service.answered{transport=udp}": 6,
         "service.formerr": 1,
         "service.ignored{cause=response}": 1,
         "service.ignored{cause=short}": 1,
-        "service.policy_sink{sink=refused}": 1,
         "service.queries{transport=tcp}": 1,
         "service.queries{transport=udp}": 6,
         "service.refused{cause=opcode}": 1,
@@ -1480,7 +1231,7 @@ class TestLiveCaptureWindow:
 
 
 # ---------------------------------------------------------------------------
-# the compiled live path: route table, source memos, one clock read
+# the live path: source memos, one clock read
 
 
 class CountingClock:
@@ -1493,125 +1244,6 @@ class CountingClock:
     def read(self):
         self.reads += 1
         return self.inner.read()
-
-
-def _reference_route(topology, src, qname):
-    """The upstream specs the recursive walk visits: ``tier_for``, then
-    ``chain_for`` with every ``tier:`` hop followed in place."""
-    def walk(tier):
-        for spec in tier.chain_for(qname):
-            if spec.startswith("tier:"):
-                yield from walk(topology.tier(spec[5:]))
-            else:
-                yield spec
-
-    return tuple(walk(topology.tier_for(src)))
-
-
-def _as_specs(route, server_sets):
-    """A compiled route spelled as the specs it was compiled from."""
-    whole = {tuple(servers): key for key, servers in server_sets.items()}
-    specs = []
-    for kind, target in route:
-        if kind == service_dispatch.AUTH:
-            key = whole.get(target)
-            if key is None:
-                (server,) = target
-                (key,) = [k for k, servers in server_sets.items() if server in servers]
-                key = f"{key}/{server.server_id}"
-            specs.append(f"auth:{key}")
-        else:
-            specs.append(target if kind == service_dispatch.SINK else "resolver")
-    return tuple(specs)
-
-
-def _test_topologies():
-    nested = ServiceTopology(
-        tiers=(
-            ForwardingTier(
-                name="edge",
-                rules=(
-                    ForwardRule(Name.from_text("deep.example.nl."), "nxdomain"),
-                    ForwardRule(Name.from_text("example.nl."), "tier:inner"),
-                    ForwardRule(Name.from_text("."), "tier:inner"),
-                ),
-            ),
-            ForwardingTier(
-                name="inner",
-                rules=(
-                    ForwardRule(Name.from_text("nl."), "auth:nl/nl-c"),
-                    ForwardRule(Name.from_text("deep.example.nl."), "refused"),
-                ),
-                upstreams=("auth:root", "auth:nl"),
-            ),
-        ),
-        default_tier="edge",
-    )
-    return {
-        "default": default_topology("nl"),
-        "default+resolver": default_topology("nl", resolver=True),
-        "hand-built": HAND_BUILT,
-        "nested": nested,
-        "ladder": ladder(MAX_TIER_HOPS - 1),
-    }
-
-
-_SOURCES = [
-    IPAddress.parse(text) for text in (
-        "127.0.0.1", "198.51.100.7", "203.0.113.9", "2001:db8::53", "fe80::1",
-    )
-]
-
-_QNAMES = [
-    Name.from_text(text) for text in (
-        ".", "nl.", "NL.", "example.nl.", "www.Example.NL.", "deep.example.nl.",
-        "a.deep.example.nl.", "blocked.nl.", "ads.blocked.nl.", "internal.invalid.",
-        "db.Internal.Invalid.", "invalid.", "example.com.", "nl.example.com.",
-    )
-]
-
-
-class TestCompiledRoutes:
-    @pytest.mark.parametrize("name", list(_test_topologies()))
-    def test_compiled_route_is_the_recursive_walk(self, live_world, name):
-        _, world, _ = live_world
-        topology = _test_topologies()[name]
-        # Routing never calls the frontend; it only has to exist for the
-        # ``resolver`` spec to validate.
-        dispatcher = QueryDispatcher(
-            topology, world.server_sets, SimClock(), network=world.network,
-            resolver=object() if name == "default+resolver" else None,
-        )
-        for src in _SOURCES:
-            tier = dispatcher.entry_tier(src)
-            for qname in _QNAMES:
-                assert _as_specs(
-                    dispatcher.route_for(tier, qname), world.server_sets
-                ) == _reference_route(topology, src, qname), (name, src, qname)
-
-    def test_randomised_case_adds_no_route(self, live_world):
-        """10k 0x20 spellings: each routes like its lowercase form, and the
-        table is the one compiled — bounded by the topology, not traffic."""
-        _, world, _ = live_world
-        dispatcher = QueryDispatcher(
-            HAND_BUILT, world.server_sets, SimClock(), network=world.network
-        )
-        compiled = dict(dispatcher.routes)
-        rng = random.Random(5)
-        for index in range(10_000):
-            qname = _QNAMES[index % len(_QNAMES)]
-            spelled = Name(
-                bytes(b ^ 0x20 if chr(b).isalpha() and rng.random() < 0.5 else b
-                      for b in label)
-                for label in qname.labels
-            )
-            tier = dispatcher.entry_tier(_SOURCES[index % len(_SOURCES)])
-            assert dispatcher.route_for(tier, spelled) is dispatcher.route_for(
-                tier, Name(label.lower() for label in qname.labels)
-            )
-        suffixes = {rule.suffix for tier in HAND_BUILT.tiers for rule in tier.rules}
-        assert dispatcher.routes == compiled
-        assert len(dispatcher.routes) <= len(HAND_BUILT.tiers) * 2 ** len(suffixes)
 
 
 class TestSourceMemo:
@@ -1630,9 +1262,7 @@ class TestSourceMemo:
                     sink, self._wire(service, msg_id), ("198.51.100.7", rng.randrange(1024, 65536))
                 )
                 assert sink.sent is not None
-            assert service._peers == {
-                "198.51.100.7": (IPAddress.parse("198.51.100.7"), "edge"),
-            }
+            assert service._peers == {"198.51.100.7": IPAddress.parse("198.51.100.7")}
         finally:
             loop.run_until_complete(service.stop())
             loop.close()
@@ -1693,15 +1323,7 @@ class TestOneClockRead:
         record each read the clock again."""
         descriptor, world, _ = live_world
         clock = CountingClock(descriptor.start)
-        dispatcher = QueryDispatcher(
-            ServiceTopology(
-                tiers=(ForwardingTier(
-                    name="edge", upstreams=("auth:nl/nl-a", "auth:nl/nl-b")
-                ),),
-                default_tier="edge",
-            ),
-            world.server_sets, clock, network=world.network,
-        )
+        dispatcher = QueryDispatcher(world.server_sets, clock, network=world.network)
         server = world.server_sets["nl"].by_id("nl-a")
         server.online = False
         try:

@@ -26,7 +26,6 @@ from repro.service import (
     QueryDispatcher,
     ServiceConfig,
     classify_datagram,
-    default_topology,
 )
 from repro.sim import build_authority_world
 from repro.telemetry import MetricsRegistry
@@ -56,7 +55,6 @@ def fuzz_dispatcher():
     descriptor = dataset("nl-w2020")
     world = build_authority_world(descriptor, 20201027, MetricsRegistry())
     return QueryDispatcher(
-        default_topology(descriptor.vantage),
         world.server_sets,
         SimClock(now=descriptor.start),
         network=world.network,
