@@ -20,17 +20,13 @@ Commands
     Live service mode: bind real UDP/TCP sockets answering DNS for the
     dataset's authority world (``dig @127.0.0.1 -p 5300 example.nl``),
     with an optional Prometheus ``/metrics`` listener.  ``--chaos`` and
-    ``--rrl`` apply their schedules to live traffic.
+    ``--rrl`` apply their schedules to live traffic.  A port it cannot
+    bind is a usage error (exit 2) naming the endpoint, the address and
+    the OS error.
 ``loadgen``
     Replay workload-layer query streams against a running ``serve``
     instance and report q/s + latency percentiles (``--min-answered``
     turns the report into a CI gate).
-``soak``
-    Chaos soak: boot a server on ephemeral ports with admission control
-    at ``--admission-qps``, black out the vantage's authoritative tier
-    mid-run, offer ``--offered-qps`` open-loop, and gate on SLOs
-    (answered-or-graceful ratio, p99 under deadline, breaker
-    open/close cycle observed via ``/metrics``); exit 1 on SLO failure.
 
 Observability flags (see README "Observability"): ``-v/-vv`` turn on
 progress/debug logging, ``--telemetry-out PATH`` exports the run's
@@ -63,8 +59,8 @@ simulated is split across the pool); a value that cannot run —
 ``--workers 0``, ``--trace-sample 2``, ``--scale -1``, or ``--chaos-seed``
 without ``--chaos`` (on ``serve`` too) — is a usage error (exit 2) naming
 it.  So is an unknown dataset id and an output path whose directory does
-not exist, on every command, and a ``loadgen`` or ``soak`` value its
-config rejects (``--tcp-fraction -0.2``, ``--duration 0``).
+not exist, on every command, and a ``serve`` or ``loadgen`` value its
+config rejects (``--udp-port 70000``, ``--tcp-fraction -0.2``).
 """
 
 from __future__ import annotations
@@ -339,7 +335,7 @@ def _serve_config(args: argparse.Namespace):
     from .config import check_positive
     from .faults import chaos_scenario
     from .server import RRLConfig
-    from .service import ResilienceConfig, ServiceConfig
+    from .service import ServiceConfig
 
     # Unset serves until signalled; a set duration must be positive and
     # finite (NaN, 0 or less would stop at once, inf never).
@@ -361,9 +357,6 @@ def _serve_config(args: argparse.Namespace):
             chaos_scenario(args.chaos, seed=args.chaos_seed) if args.chaos else None
         ),
         fault_window_s=args.fault_window,
-        resilience=ResilienceConfig(
-            admission_rate_qps=args.admission_qps or None,
-        ),
     )
 
 
@@ -376,7 +369,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> int:
         service = DnsService(args.live_config)
-        await service.start()
+        try:
+            await service.start()
+        except OSError as error:  # a port it cannot bind, named
+            print(f"repro: error: {error.strerror}", file=sys.stderr)
+            return 2
         ports = service.ports()
         if args.port_file:
             with open(args.port_file, "w") as handle:
@@ -451,40 +448,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print(
             f"ERROR: answered fraction {report.answered_fraction:.4f} below "
             f"--min-answered {args.min_answered}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _soak_config(args: argparse.Namespace):
-    from .service import SoakConfig
-
-    return SoakConfig(
-        dataset_id=args.dataset_id,
-        seed=args.seed,
-        duration_s=args.duration,
-        offered_qps=args.offered_qps,
-        admission_qps=args.admission_qps,
-    )
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import run_soak_sync
-
-    report = run_soak_sync(args.live_config)
-    print(report.summary())
-    for name, ok in sorted(report.slos.items()):
-        print(f"  SLO {name:<22} {'PASS' if ok else 'FAIL'}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"wrote soak report to {args.json}", file=sys.stderr)
-    if not report.passed:
-        print(
-            f"ERROR: soak SLOs failed: {', '.join(report.failures)}",
             file=sys.stderr,
         )
         return 1
@@ -645,11 +608,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--metrics-out", metavar="PATH",
                          help="write the final snapshot in Prometheus"
                               " text format on shutdown")
-    p_serve.add_argument("--admission-qps", type=float, default=0.0,
-                         metavar="RATE",
-                         help="token-bucket admission control at RATE"
-                              " queries/s; over-capacity queries are"
-                              " dropped (0 = no admission limit)")
     p_serve.set_defaults(func=_cmd_serve, make_config=_serve_config)
 
     p_loadgen = sub.add_parser(
@@ -679,27 +637,6 @@ def main(argv=None) -> int:
     p_loadgen.add_argument("--json", metavar="PATH", default=None,
                            help="write the full report as JSON")
     p_loadgen.set_defaults(func=_cmd_loadgen, make_config=_loadgen_config)
-
-    p_soak = sub.add_parser(
-        "soak", help="chaos soak: blackout + overload against a live"
-                     " server with SLO gates"
-    )
-    p_soak.add_argument("dataset_id", nargs="?", default="nl-w2020",
-                        help="dataset to serve and load (default:"
-                             " nl-w2020)")
-    p_soak.add_argument("--duration", type=float, default=8.0,
-                        metavar="SECONDS",
-                        help="soak length (default: 8)")
-    p_soak.add_argument("--offered-qps", type=float, default=300.0,
-                        help="open-loop offered load (default: 300,"
-                             " 2x the admission capacity)")
-    p_soak.add_argument("--admission-qps", type=float, default=150.0,
-                        help="admission-control capacity (default: 150)")
-    p_soak.add_argument("--seed", type=int, default=20201027,
-                        help="world/stream seed (default: 20201027)")
-    p_soak.add_argument("--json", metavar="PATH", default=None,
-                        help="write the soak report as JSON")
-    p_soak.set_defaults(func=_cmd_soak, make_config=_soak_config)
 
     p_trace = sub.add_parser(
         "trace", help="summarise a --trace-out file"

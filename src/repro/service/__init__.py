@@ -3,8 +3,10 @@
 ``repro serve`` binds asyncio UDP/TCP endpoints that speak actual DNS wire
 format (answerable with ``dig``/``dnsperf``), answers each query from the
 vantage's server chain — the same authoritative servers the simulation
-uses, RRL, fault plans, plan cache and tracing all live — and exposes
-the telemetry registry as a Prometheus ``/metrics`` endpoint.
+uses, RRL, fault plans, plan cache and tracing all live; each query tries
+each server once, in order, and an exhausted chain is silence over UDP
+and SERVFAIL over TCP — and exposes the telemetry registry as a
+Prometheus ``/metrics`` endpoint.
 ``repro loadgen`` replays workload-layer query streams against it.
 """
 
@@ -28,24 +30,6 @@ from .loadgen import (
     run_loadgen,
     run_loadgen_sync,
 )
-from .resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerBoard,
-    CircuitBreaker,
-    Deadline,
-    ResilienceConfig,
-    TokenBucket,
-)
-from .soak import (
-    SoakConfig,
-    SoakReport,
-    parse_prometheus_text,
-    run_soak,
-    run_soak_sync,
-    scrape_metrics,
-)
 
 __all__ = [
     "LIVE_CAPTURE_WINDOW",
@@ -63,18 +47,4 @@ __all__ = [
     "build_query_stream",
     "run_loadgen",
     "run_loadgen_sync",
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "Deadline",
-    "ResilienceConfig",
-    "TokenBucket",
-    "SoakConfig",
-    "SoakReport",
-    "parse_prometheus_text",
-    "run_soak",
-    "run_soak_sync",
-    "scrape_metrics",
 ]

@@ -19,7 +19,8 @@ from __future__ import annotations
 import asyncio
 import errno
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
@@ -39,7 +40,6 @@ from ..sim.driver import (
 from ..telemetry import Counter, MetricsRegistry, TelemetrySnapshot, to_prometheus
 from ..workload import dataset
 from .dispatch import QueryDispatcher
-from .resilience import ResilienceConfig
 from .endpoints import (
     UdpEndpoint,
     classify_datagram,
@@ -102,17 +102,12 @@ class ServiceConfig:
     metrics_port: Optional[int] = 0  #: 0 = ephemeral, None = no metrics listener
     seed: int = 20201027
     rrl: Optional[RRLConfig] = None
-    #: The fault plan served live (a named chaos scenario, or the soak
-    #: harness's blackout schedule); its ``seed``, else one derived from
-    #: ``seed``, places the faults.
+    #: The fault plan served live (a named chaos scenario); its ``seed``,
+    #: else one derived from ``seed``, places the faults.
     fault_plan: Optional[FaultPlan] = None
     #: Live fault plans replay their capture-window choreography over this
     #: many seconds of service uptime (sim plans use the dataset window).
     fault_window_s: float = 3600.0
-    #: The self-healing layer's settings: the admission rate (default
-    #: off) and the breaker cooldown.  Breakers and deadline budgets always
-    #: run (``repro.service.resilience``).
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Watchdog cadence for endpoint supervision (0 disables it).
     watchdog_interval_s: float = 1.0
 
@@ -142,7 +137,6 @@ class DnsService:
         self._shutdown = asyncio.Event()
         self._stopped = False
         self._draining = False
-        self._admission = config.resilience.make_bucket()
         self._watchdog_task: Optional[asyncio.Task] = None
         self._bound_ports: Dict[str, Optional[int]] = {}
         self._restart_backoff: Dict[str, float] = {}
@@ -191,14 +185,17 @@ class DnsService:
             self.clock,
             network=self.world.network,
             metrics=self.metrics,
-            breaker_cooldown_s=config.resilience.breaker_cooldown_s,
         )
 
-        await self._bind_dns_endpoints()
-        if config.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._metrics_connected, host=config.host, port=config.metrics_port
-            )
+        try:
+            await self._bind_dns_endpoints()
+            if config.metrics_port is not None:
+                self._metrics_server = await self._listen(
+                    "metrics", config.metrics_port
+                )
+        except OSError:
+            await self._close_listeners()
+            raise
         # Pin the bound numbers so watchdog restarts reclaim the same
         # addresses even when the config asked for ephemeral ports.
         self._bound_ports = {
@@ -216,6 +213,31 @@ class DnsService:
             f"{config.host}:{self.metrics_port}" if self._metrics_server else "off",
         )
 
+    async def _listen(self, endpoint: str, port: int):
+        """Bind ``endpoint`` (``udp``, ``tcp`` or ``metrics``) on ``port``:
+        its datagram transport or its server.  An ``OSError`` comes back
+        with a message naming the endpoint, the address and the OS error.
+        """
+        host = self.config.host
+        try:
+            if endpoint == "udp":
+                loop = asyncio.get_running_loop()
+                transport, _ = await loop.create_datagram_endpoint(
+                    lambda: UdpEndpoint(self), local_addr=(host, port)
+                )
+                return transport
+            connected = (
+                self._tcp_connected if endpoint == "tcp" else self._metrics_connected
+            )
+            return await asyncio.start_server(connected, host=host, port=port)
+        except OSError as error:
+            # ``start_server`` rewords the OS error, so it is spelt from the
+            # errno; a resolver error's errno is no OS error number.
+            reason = (
+                os.strerror(error.errno) if (error.errno or 0) > 0 else error.strerror
+            )
+            raise OSError(error.errno, f"{endpoint} {host}:{port}: {reason}") from error
+
     async def _bind_dns_endpoints(self) -> None:
         """Bind UDP, then TCP on ``tcp_port`` or, by default, the UDP number.
 
@@ -224,19 +246,13 @@ class DnsService:
         draw again; a port the caller named fails at once.
         """
         config = self.config
-        loop = asyncio.get_running_loop()
         both_ephemeral = config.udp_port == 0 and config.tcp_port is None
         attempts = EPHEMERAL_BIND_ATTEMPTS if both_ephemeral else 1
         for attempt in range(1, attempts + 1):
-            self._udp_transport, _ = await loop.create_datagram_endpoint(
-                lambda: UdpEndpoint(self),
-                local_addr=(config.host, config.udp_port),
-            )
+            self._udp_transport = await self._listen("udp", config.udp_port)
             tcp_port = self.udp_port if config.tcp_port is None else config.tcp_port
             try:
-                self._tcp_server = await asyncio.start_server(
-                    self._tcp_connected, host=config.host, port=tcp_port
-                )
+                self._tcp_server = await self._listen("tcp", tcp_port)
                 return
             except OSError as error:
                 self._udp_transport.close()
@@ -256,14 +272,7 @@ class DnsService:
             except asyncio.CancelledError:
                 pass
             self._watchdog_task = None
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-        for server in (self._tcp_server, self._metrics_server):
-            if server is not None:
-                server.close()
-        for server in (self._tcp_server, self._metrics_server):
-            if server is not None:
-                await server.wait_closed()
+        await self._close_listeners()
         # Drain in-flight TCP/HTTP connections, then cut the stragglers.
         if self._conn_tasks:
             _, pending = await asyncio.wait(
@@ -279,6 +288,16 @@ class DnsService:
         self._shutdown.set()
         logger.info("repro serve stopped cleanly")
         return self.final_snapshot
+
+    async def _close_listeners(self) -> None:
+        """Close every bound endpoint; connections already accepted stay."""
+        if self._udp_transport is not None:
+            self._udp_transport.close()
+        servers = [s for s in (self._tcp_server, self._metrics_server) if s is not None]
+        for server in servers:
+            server.close()
+        for server in servers:
+            await server.wait_closed()
 
     def request_shutdown(self) -> None:
         """Signal-handler entry: unblocks :meth:`run_until_shutdown`."""
@@ -378,28 +397,18 @@ class DnsService:
         logger.warning("watchdog: restarted the %s endpoint", endpoint)
 
     async def _restart_udp(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._udp_transport, _ = await loop.create_datagram_endpoint(
-            lambda: UdpEndpoint(self),
-            local_addr=(self.config.host, self._bound_ports["udp"]),
-        )
+        self._udp_transport = await self._listen("udp", self._bound_ports["udp"])
 
     async def _restart_tcp(self) -> None:
         if self._tcp_server is not None:
             self._tcp_server.close()
-        self._tcp_server = await asyncio.start_server(
-            self._tcp_connected,
-            host=self.config.host,
-            port=self._bound_ports["tcp"],
-        )
+        self._tcp_server = await self._listen("tcp", self._bound_ports["tcp"])
 
     async def _restart_metrics(self) -> None:
         if self._metrics_server is not None:
             self._metrics_server.close()
-        self._metrics_server = await asyncio.start_server(
-            self._metrics_connected,
-            host=self.config.host,
-            port=self._bound_ports["metrics"],
+        self._metrics_server = await self._listen(
+            "metrics", self._bound_ports["metrics"]
         )
 
     def health(self) -> Tuple[str, int]:
@@ -407,17 +416,14 @@ class DnsService:
 
         Contract (documented in the README): ``starting`` and ``draining``
         answer 503 (not ready for traffic); ``ready`` and ``degraded``
-        answer 200 (still serving).  ``degraded`` means self-healing is
-        actively engaged — at least one circuit breaker is not closed, or
-        an endpoint was restarted within :data:`DEGRADED_WINDOW_S` — so
-        operators should look even though clients are being answered.
+        answer 200 (still serving).  ``degraded`` means an endpoint was
+        restarted within :data:`DEGRADED_WINDOW_S`, so operators should look
+        even though clients are being answered.
         """
         if self._draining or self._stopped:
             return "draining", 503
         if self._started_at is None:
             return "starting", 503
-        if self.dispatcher is not None and self.dispatcher.breakers.open_count() > 0:
-            return "degraded", 200
         if (
             self._last_restart_at is not None
             and self.clock.read() - self._last_restart_at < DEGRADED_WINDOW_S
@@ -430,8 +436,6 @@ class DnsService:
         state, code = self.health()
         status = "200 OK" if code == 200 else "503 Service Unavailable"
         lines = [f"state: {state}"]
-        if self.dispatcher is not None:
-            lines.append(f"breakers_open: {self.dispatcher.breakers.open_count()}")
         if self._last_restart_at is not None:
             lines.append(
                 f"last_restart_s_ago: "
@@ -463,16 +467,6 @@ class DnsService:
             self._decoded[key] = entry
         return entry
 
-    def _shed(self, transport_label: str) -> bool:
-        """Token-bucket admission control at the socket edge: is this
-        query over capacity?  A shed query gets no dispatch work and no
-        answer (over TCP its connection is closed).  Called only when an
-        admission rate is set."""
-        if self._admission.try_take(self.clock.read()):
-            return False
-        self.metrics.counter("service.shed.dropped", transport=transport_label).inc()
-        return True
-
     def _servfail(self, query):
         response = query.make_response_skeleton()
         response.set_rcode(RCode.SERVFAIL)
@@ -502,7 +496,7 @@ class DnsService:
         self, data: bytes, src: IPAddress, transport: Transport, query: Message,
         limit: int,
     ) -> Optional[bytes]:
-        """Dispatch one admitted query and encode what comes back within
+        """Dispatch one query and encode what comes back within
         ``limit`` octets; ``None`` is the dispatcher's deliberate silence.
         A memoised ``query`` has an earlier datagram's id: the caller
         stamps ``data``'s.
@@ -569,8 +563,6 @@ class DnsService:
             if len(self._peers) >= SOURCE_MEMO_LIMIT:
                 self._peers.clear()
             self._peers[addr[0]] = src
-        if self._admission is not None and self._shed("udp"):
-            return
         wire = self._answer(data, src, Transport.UDP, payload, limit)
         if wire is None:
             return  # deliberate silence (RRL / fault / all upstreams down)
@@ -592,8 +584,6 @@ class DnsService:
             return formerr_response(payload)
         if src is None:  # pragma: no cover - exotic socket families only
             metrics.counter("service.ignored", cause="unparseable_peer").inc()
-            return None
-        if self._admission is not None and self._shed("tcp"):
             return None
         # TCP dispatch degrades to SERVFAIL rather than silence.
         wire = self._answer(frame, src, Transport.TCP, payload, TCP_MAX_SIZE)
@@ -639,12 +629,8 @@ class DnsService:
             roll.gauge("service.uptime_seconds").set(
                 self.clock.read() - self._started_at
             )
-        if self.dispatcher is not None:
-            self.dispatcher.breakers.publish_metrics(roll)
-        if self._admission is not None:
-            roll.gauge("service.shed.bucket_level").set(self._admission.level)
         # WallClock counts backwards-clamp events; surface them so time
-        # anomalies during long soaks are observable.
+        # anomalies during long runs are observable.
         roll.counter("clock.monotonic_clamps").inc(
             getattr(self.clock, "clamps", 0)
         )

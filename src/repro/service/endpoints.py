@@ -36,6 +36,10 @@ TCP_MAX_QUERY = 65535
 TCP_IDLE_TIMEOUT_S = 30.0
 TCP_FRAME_TIMEOUT_S = 10.0
 
+#: The most seconds a metrics client may take to send its whole request
+#: head (request line and headers).
+METRICS_HEAD_TIMEOUT_S = 5.0
+
 #: Hard cap on a FORMERR reply (always fits any UDP path).
 _FORMERR_MAX = 512
 
@@ -156,9 +160,8 @@ async def serve_tcp_connection(service, reader, writer, src) -> None:
                 return
             wire = service.handle_stream_query(frame, src)
             if wire is None:
-                # Unanswerable frame (e.g. a response packet) or a query
-                # shed at admission: drop the connection rather than stall
-                # the client.
+                # Unanswerable frame (e.g. a response packet): drop the
+                # connection rather than stall the client.
                 return
             writer.write(struct.pack("!H", len(wire)) + wire)
             await writer.drain()
@@ -170,29 +173,41 @@ async def serve_tcp_connection(service, reader, writer, src) -> None:
             pass
 
 
+async def _request_line(reader) -> bytes:
+    """Read a request head; return its first line (the headers are read
+    up to the blank line and dropped)."""
+    request = line = await reader.readline()
+    while line not in (b"\r\n", b"\n", b""):
+        line = await reader.readline()
+    return request
+
+
 async def serve_metrics_connection(service, reader, writer) -> None:
-    """Minimal HTTP/1.0 for Prometheus scrapes: GET /metrics, /healthz."""
+    """Minimal HTTP/1.0 for Prometheus scrapes: GET /metrics, /healthz.
+
+    The request head must arrive within :data:`METRICS_HEAD_TIMEOUT_S`, or
+    the connection is closed unanswered; a line longer than the stream
+    reader's limit is answered ``400``."""
     try:
-        request = await asyncio.wait_for(reader.readline(), timeout=5.0)
-    except asyncio.TimeoutError:
-        writer.close()
-        return
-    try:
-        parts = request.decode("ascii", "replace").split()
-        path = parts[1] if len(parts) >= 2 else ""
-        # Drain the remaining request headers (best effort, bounded).
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            if line in (b"\r\n", b"\n", b""):
-                break
-        if path == "/metrics":
-            body = service.render_metrics().encode()
-            status, ctype = "200 OK", PROMETHEUS_CONTENT_TYPE
-        elif path == "/healthz":
-            status, body = service.render_healthz()
-            ctype = "text/plain"
+        try:
+            request = await asyncio.wait_for(
+                _request_line(reader), METRICS_HEAD_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            return
+        except ValueError:  # a line past the reader's limit
+            body, status, ctype = b"bad request\n", "400 Bad Request", "text/plain"
         else:
-            body, status, ctype = b"not found\n", "404 Not Found", "text/plain"
+            parts = request.decode("ascii", "replace").split()
+            path = parts[1] if len(parts) >= 2 else ""
+            if path == "/metrics":
+                body = service.render_metrics().encode()
+                status, ctype = "200 OK", PROMETHEUS_CONTENT_TYPE
+            elif path == "/healthz":
+                status, body = service.render_healthz()
+                ctype = "text/plain"
+            else:
+                body, status, ctype = b"not found\n", "404 Not Found", "text/plain"
         writer.write(
             (
                 f"HTTP/1.0 {status}\r\n"
@@ -203,7 +218,7 @@ async def serve_metrics_connection(service, reader, writer) -> None:
             + body
         )
         await writer.drain()
-    except (asyncio.TimeoutError, ConnectionResetError):  # pragma: no cover
+    except ConnectionResetError:  # pragma: no cover
         pass
     finally:
         writer.close()

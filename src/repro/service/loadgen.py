@@ -6,7 +6,7 @@ feeds its resolver fleet, Zipf popularity and junk fraction included —
 against a live instance over real UDP (and optionally TCP) sockets, then
 reports throughput and latency percentiles.
 
-The UDP client multiplexes up to ``concurrency`` in-flight queries over a
+The UDP client multiplexes up to :data:`UDP_IN_FLIGHT` queries over a
 single socket, matching responses to senders by message id; TCP queries go
 request-by-request over persistent length-prefixed connections.  Unanswered
 queries (RRL drops, injected faults) time out individually, so the report's
@@ -37,6 +37,9 @@ _LOADGEN_BUFSIZE = 1232
 STREAMS = 8
 #: Persistent TCP connections the TCP share of a burst is spread over.
 TCP_CONNECTIONS = 2
+#: Most UDP queries in flight at once, and each query's answer deadline.
+UDP_IN_FLIGHT = 32
+QUERY_TIMEOUT_S = 2.0
 
 
 @dataclass
@@ -48,12 +51,6 @@ class LoadGenConfig:
     tcp_port: Optional[int] = None   #: None = same number as ``udp_port``
     dataset_id: str = "nl-w2020"     #: workload shape (zone, Zipf, junk mix)
     queries: int = 1000
-    concurrency: int = 32            #: max in-flight UDP queries
-    timeout_s: float = 2.0           #: per-query answer deadline
-    #: Open-loop offered rate (q/s).  ``None`` = closed loop bounded by
-    #: ``concurrency``; a rate keeps offering load even when the server
-    #: sheds or stalls — what a soak needs to measure overload behaviour.
-    rate_qps: Optional[float] = None
     tcp_fraction: float = 0.0        #: share of queries sent over TCP
     junk_fraction: float = 0.05
     seed: int = 20201027
@@ -185,20 +182,9 @@ class _UdpClient(asyncio.DatagramProtocol):
         pass
 
 
-async def run_loadgen(
-    config: LoadGenConfig,
-    queries: Optional[Sequence[Tuple[Name, RRType]]] = None,
-) -> LoadReport:
-    """Fire one burst and gather the report (call from an event loop).
-
-    Pass a prebuilt ``queries`` stream to skip the workload build — the
-    soak harness does this so zone/workload construction time never eats
-    into the fault plan's choreographed windows.
-    """
-    if queries is None:
-        queries = build_query_stream(config)
-    else:
-        queries = list(queries)
+async def run_loadgen(config: LoadGenConfig) -> LoadReport:
+    """Fire one burst and gather the report (call from an event loop)."""
+    queries = build_query_stream(config)
     report = LoadReport()
     latencies: List[float] = []
 
@@ -217,7 +203,7 @@ async def run_loadgen(
         )
         tasks.append(
             asyncio.ensure_future(
-                _drive_udp(config, protocol, udp_queries, report, latencies)
+                _drive_udp(protocol, udp_queries, report, latencies)
             )
         )
     if tcp_queries:
@@ -227,7 +213,7 @@ async def run_loadgen(
             slice_ = tcp_queries[i::conns]
             tasks.append(
                 asyncio.ensure_future(
-                    _drive_tcp(config, tcp_port, slice_, report, latencies)
+                    _drive_tcp(config.host, tcp_port, slice_, report, latencies)
                 )
             )
     if tasks:
@@ -254,16 +240,13 @@ def run_loadgen_sync(config: LoadGenConfig) -> LoadReport:
 
 
 async def _drive_udp(
-    config: LoadGenConfig,
     protocol: _UdpClient,
     queries: Sequence[Tuple[Name, RRType]],
     report: LoadReport,
     latencies: List[float],
 ) -> None:
-    semaphore = asyncio.Semaphore(max(1, config.concurrency))
+    semaphore = asyncio.Semaphore(UDP_IN_FLIGHT)
     loop = asyncio.get_running_loop()
-    started = loop.time()
-    interval = 1.0 / config.rate_qps if config.rate_qps else None
     next_id = 0
 
     async def send_one(qname: Name, qtype: RRType) -> None:
@@ -295,7 +278,7 @@ async def _drive_udp(
         report.udp_sent += 1
         protocol.transport.sendto(query.to_wire())
         try:
-            wire = await asyncio.wait_for(future, timeout=config.timeout_s)
+            wire = await asyncio.wait_for(future, timeout=QUERY_TIMEOUT_S)
         except asyncio.TimeoutError:
             protocol.pending.pop(msg_id, None)
             protocol.lost.add(msg_id)
@@ -303,25 +286,15 @@ async def _drive_udp(
             return
         _account_response(wire, sent_at, report, latencies)
 
-    async def one(index: int, qname: Name, qtype: RRType) -> None:
-        if interval is not None:
-            # Open loop: send at the scheduled instant regardless of how
-            # the server is coping — overload is the point of the soak.
-            delay = started + index * interval - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
+    async def one(qname: Name, qtype: RRType) -> None:
+        async with semaphore:
             await send_one(qname, qtype)
-        else:
-            async with semaphore:
-                await send_one(qname, qtype)
 
-    await asyncio.gather(
-        *(one(i, qname, qtype) for i, (qname, qtype) in enumerate(queries))
-    )
+    await asyncio.gather(*(one(qname, qtype) for qname, qtype in queries))
 
 
 async def _drive_tcp(
-    config: LoadGenConfig,
+    host: str,
     port: int,
     queries: Sequence[Tuple[Name, RRType]],
     report: LoadReport,
@@ -347,9 +320,7 @@ async def _drive_tcp(
         for i, (qname, qtype) in enumerate(queries):
             if writer is None or writer.is_closing():
                 try:
-                    reader, writer = await asyncio.open_connection(
-                        config.host, port
-                    )
+                    reader, writer = await asyncio.open_connection(host, port)
                 except OSError:
                     # Server gone: the rest of this slice was never sent.
                     report.aborted += len(queries) - i
@@ -360,8 +331,8 @@ async def _drive_tcp(
             )
             wire = query.to_wire()
             # One deadline covers drain + prefix + payload: a server
-            # dribbling bytes cannot stretch a query to 2-3x timeout_s.
-            deadline = loop.time() + config.timeout_s
+            # dribbling bytes cannot stretch a query to 2-3x the timeout.
+            deadline = loop.time() + QUERY_TIMEOUT_S
             sent_at = time.perf_counter()
             report.sent += 1
             report.tcp_sent += 1

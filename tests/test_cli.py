@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` CLI and the report renderer."""
 
+import socket
+
 import pytest
 
 from repro.__main__ import main
@@ -177,7 +179,7 @@ class TestValidatesBeforeSimulating:
         (["dataset", "nope"], "unknown dataset 'nope'"),
         (["serve", "nope"], "unknown dataset 'nope'"),
         (["loadgen", "nope"], "unknown dataset 'nope'"),
-        (["soak", "nope"], "unknown dataset 'nope'"),
+        (["loadgen", "--tcp-port", "70000"], "tcp_port must be in [0, 65535], got 70000"),
         (["experiments", "--scale", "0.005", "--write", "/nonexistent/d/x.md"],
          "--write /nonexistent/d/x.md: its directory does not exist"),
         (["dataset", "nz-w2018", "--scale", "0.01", "--out", "/nonexistent/x.csv"],
@@ -193,7 +195,7 @@ class TestValidatesBeforeSimulating:
         (["loadgen", "--tcp-fraction", "-0.2", "--queries", "1000"],
          "tcp_fraction must be in [0, 1], got -0.2"),
         (["loadgen", "--queries", "0"], "queries must be >= 1, got 0"),
-        (["soak", "--duration", "0"], "duration_s must be positive"),
+        (["serve", "--tcp-port", "70000"], "tcp_port must be in [0, 65535], got 70000"),
         # --chaos-seed places the faults of a --chaos scenario: alone it
         # would be dropped without a word.
         (["dataset", "nz-w2018", "--scale", "0.01", "--chaos-seed", "3"],
@@ -223,15 +225,16 @@ class TestValidatesBeforeSimulating:
          "scale must be positive and finite, got inf"),
         (["dataset", "nl-w2020", "--scale", "1e300"],
          "1.85e+305 client queries do not fit int64"),
-        # A rate or a duration that is not a finite number: NaN passes a
-        # `<= 0` check, and `nan > 0` is False, so "off" would be silent.
-        (["soak", "--duration", "nan"], "duration_s must be positive and finite, got nan"),
-        (["soak", "--duration", "0.5", "--offered-qps", "inf"],
-         "offered_qps must be positive and finite, got inf"),
-        (["soak", "--duration", "0.5", "--admission-qps", "nan"],
-         "admission_qps must be positive and finite, got nan"),
-        (["serve", "--udp-port", "0", "--duration", "0.5", "--admission-qps", "nan"],
-         "admission_rate_qps must be positive and finite, got nan"),
+        # A rate, a share, a window or a duration out of range or not a
+        # finite number: NaN passes a `<= 0` check, and `nan > 0` is False,
+        # so "off" would be silent.
+        (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "-1"],
+         "responses_per_second must be finite and >= 0, got -1.0"),
+        (["loadgen", "--tcp-fraction", "nan"], "tcp_fraction must be in [0, 1], got nan"),
+        (["serve", "--chaos", "default-loss", "--fault-window", "nan"],
+         "fault_window_s must be positive and finite, got nan"),
+        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "inf"],
+         "--duration must be positive and finite, got inf"),
         (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "nan"],
          "responses_per_second must be finite and >= 0, got nan"),
         (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "inf"],
@@ -252,8 +255,6 @@ class TestValidatesBeforeSimulating:
          "--min-answered must be in [0, 1], got nan"),
         (["loadgen", "--queries", "1", "--min-answered", "1.5"],
          "--min-answered must be in [0, 1], got 1.5"),
-        # A soak so short its breaker cooldown (an eighth of it) is 0.
-        (["soak", "--duration", "5e-324"], "duration_s / 8 must be positive and finite, got 0.0"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:
@@ -427,70 +428,73 @@ class TestServeCLI:
         assert "below" in captured.err
 
 
-class TestSoakCLI:
-    """The soak's plumbing against a stubbed run; the one real soak is
-    ``test_resilience::TestSoakEndToEnd`` (and the CI ``soak-smoke`` lane
-    runs this command end to end)."""
+class TestServeBindFailure:
+    """A port ``serve`` cannot bind ends in exit 2 and one line naming the
+    endpoint, the address and the OS error — not a traceback — and
+    whatever the service had bound before it is released."""
 
     @staticmethod
-    def _run(monkeypatch, argv, failures=()):
-        """``repro soak argv`` on a stub: the config it ran, its exit code."""
-        import repro.service
-        from repro.service import SoakReport
+    def _socket(kind, port=0):
+        sock = socket.socket(socket.AF_INET, kind)
+        sock.bind(("127.0.0.1", port))
+        if kind == socket.SOCK_STREAM:
+            sock.listen()
+        return sock
 
-        seen = []
+    @pytest.mark.parametrize("endpoint", ["udp", "metrics"])
+    def test_taken_port_is_a_usage_error(self, capsys, endpoint):
+        with self._socket(socket.SOCK_DGRAM) as probe:
+            dns_port = probe.getsockname()[1]
+        kind = socket.SOCK_DGRAM if endpoint == "udp" else socket.SOCK_STREAM
+        with self._socket(kind) as taken:
+            port = taken.getsockname()[1]
+            argv = ["serve", "--udp-port", str(dns_port), "--duration", "5"]
+            if endpoint == "udp":
+                argv[2:3] = [str(port), "--no-metrics"]
+            else:
+                argv += ["--metrics-port", str(port)]
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("repro: error:") == 1 and "Traceback" not in err
+        assert f"repro: error: {endpoint} 127.0.0.1:{port}: Address already in use" in err
+        if endpoint == "metrics":
+            # UDP and TCP were up when the metrics bind failed: both closed.
+            for kind in (socket.SOCK_DGRAM, socket.SOCK_STREAM):
+                self._socket(kind, dns_port).close()
 
-        def run_soak_sync(config):
-            seen.append(config)
-            return SoakReport(admitted=7, failures=list(failures))
+    def test_an_address_not_this_hosts_is_a_usage_error(self, capsys):
+        assert main(["serve", "--udp-port", "0", "--host", "192.0.2.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("repro: error:") == 1 and "Traceback" not in err
+        assert "repro: error: udp 192.0.2.1:0: Cannot assign requested address" in err
 
-        monkeypatch.setattr(repro.service, "run_soak_sync", run_soak_sync)
-        rc = main(["soak", *argv])
-        (config,) = seen
-        return config, rc
 
-    def test_soak_passes_and_writes_json(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        report_path = tmp_path / "soak.json"
-        config, rc = self._run(monkeypatch, [
-            "nz-w2020", "--duration", "5", "--seed", "9", "--offered-qps", "120",
-            "--admission-qps", "60", "--json", str(report_path),
-        ])
-        assert rc == 0
-        assert "soak PASS" in capsys.readouterr().out
-        assert (config.dataset_id, config.seed, config.duration_s) == ("nz-w2020", 9, 5.0)
-        assert (config.offered_qps, config.admission_qps) == (120.0, 60.0)
-        report = json.loads(report_path.read_text())
-        assert report["admitted"] == 7 and report["passed"] is True
-
-    def test_soak_failure_exits_one(self, capsys, monkeypatch):
-        _, rc = self._run(monkeypatch, [], failures=("breaker_cycle",))
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert "soak FAIL" in captured.out
-        assert "soak SLOs failed: breaker_cycle" in captured.err
+class TestSoakCLI:
+    """The soak is gone, and so are the flags of ``serve`` and ``loadgen``
+    that tuned the self-healing layer it exercised: each is a usage error,
+    not a silently ignored setting."""
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--shed-policy", "drop"],
         ["serve", "--deadline-ms", "800"],
         ["serve", "--no-breakers"],
-        ["soak", "--shed-policy", "drop"],
-        ["soak", "--deadline-ms", "800"],
-        ["soak", "--blackout-start", "0.1"],
-        ["soak", "--blackout-end", "0.9"],
-        ["soak", "--slo-answered", "0.5"],
+        ["serve", "--admission-qps", "10"],
+        ["soak"],
         ["loadgen", "--concurrency", "8"],
         ["loadgen", "--timeout", "0.2"],
         ["loadgen", "--streams", "4"],
         ["loadgen", "--junk-fraction", "0.1"],
         ["loadgen", "--rate", "100"],
-    ], ids=lambda argv: f"{argv[0]}{argv[1]}")
+    ], ids=lambda argv: "".join(argv[:2]))
     def test_removed_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        named = (
+            f"unrecognized arguments: {argv[1]}" if argv[1:]
+            else f"invalid choice: {argv[0]!r}"
+        )
+        assert named in capsys.readouterr().err
 
 
 class TestRenderMarkdown:

@@ -66,22 +66,26 @@ CASES = {
 #: blake2b-128 per (case, column).  Re-recorded once when the live path
 #: lost its forwarding edge: position 3's ``db.internal.invalid.``, which a
 #: ``refused`` policy sink used to answer, now reaches the server chain
-#: like any other name outside the vantage zone.
+#: like any other name outside the vantage zone.  The counters re-recorded
+#: once more when dispatch came to try each server once: the always-zero
+#: ``service.breaker.*`` series went with the breakers, and under
+#: ``flaky-server`` a storm-dropped exchange on ``nl-a`` now fails over to
+#: ``nl-b`` instead of retransmitting to ``nl-a`` (its capture too).
 LIVE_ORACLE = {
     "nl": {
         "responses": "533c53ed2a37741d1182c440ee927ec2",
-        "counters": "7620f5c4d84370e89c72df4cbaad2a11",
+        "counters": "261d787cc5db5a06fdb2f49f17c5c1a1",
         "capture": "3ec882754654e86a23201e5d76c0fde7",
     },
     "root": {
         "responses": "4c3f2486705c6933167d5001014a7622",
-        "counters": "bb5a21f520263435a8e28a24d99d9ada",
+        "counters": "094e72906cab23116eb03c20c5ce1c09",
         "capture": "6d191d60e09bb16eac256a7a7f83ad80",
     },
     "flaky-server": {
         "responses": "533c53ed2a37741d1182c440ee927ec2",
-        "counters": "de8fc4ae20bbe791213292779f45630f",
-        "capture": "bf0f1ae3ab151db47bff2d89e0b5af00",
+        "counters": "6bfa586374043c86eb7567bda06b791a",
+        "capture": "0f4bd2e5d79d5007e0eb9c53d09a2a4c",
     },
 }
 
@@ -185,15 +189,12 @@ def test_case_reproduces_the_table(case):
 
 
 def test_the_chaos_case_degrades():
-    """The flaky-server case reaches the resilience rules, not only the
-    fair-weather path."""
+    """The flaky-server storm drops exchanges, and failover down the chain
+    still answers every query."""
     _, counters = drive("flaky-server")
-    engaged = {
-        key: value for key, value in counters.items()
-        if key.startswith((
-            "service.retry.retransmits", "service.deadline.exhausted",
-            "service.breaker.short_circuit",
-        ))
-    }
-    assert sum(engaged.values()) > 0, counters
-
+    total = lambda name: sum(
+        value for key, value in counters.items() if key.startswith(name)
+    )
+    assert total("service.fault_drops") > 0, counters
+    assert total("service.answered") == total("service.queries") > 0, counters
+    assert total("service.unanswered") == 0, counters

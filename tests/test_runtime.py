@@ -462,14 +462,14 @@ class TestEnvDefaults:
             everything,
         )
         # Settable only where a caller sets it: every field of the two
-        # configs is one the CLI, the soak harness or the benchmark passes.
+        # configs is one the CLI or the benchmark passes.
         assert [field.name for field in fields(RunConfig)] == [
             "workers", "spool_dir", "trace",
         ]
         assert [field.name for field in fields(ServiceConfig)] == [
             "dataset_id", "host", "udp_port", "tcp_port", "metrics_port",
             "seed", "rrl", "fault_plan",
-            "fault_window_s", "resilience", "watchdog_interval_s",
+            "fault_window_s", "watchdog_interval_s",
         ]
         # One trace surface: simulated events in one Chrome-trace file —
         # no rate frames, no second format, no runtime-category events,

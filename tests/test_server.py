@@ -394,6 +394,12 @@ class TestCaptureTap:
 
 
 class TestRRL:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["responses_per_second", "burst"])
+    def test_non_finite_settings_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RRLConfig(**{field: bad})
+
     def test_limiter_slips_and_drops_under_flood(self):
         limiter = RateLimiter(RRLConfig(responses_per_second=5, burst=5))
         verdicts = [limiter.check(SRC, 0.0) for __ in range(20)]

@@ -14,7 +14,6 @@ import gc
 import random
 import struct
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -22,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.app as service_app
+import repro.service.loadgen as service_loadgen
 from repro.capture import Transport
 from repro.dnscore import (
     EdnsRecord,
@@ -33,7 +33,7 @@ from repro.dnscore import (
     RCode,
     RRType,
 )
-from repro.faults import FaultPlan, OutageWindow, chaos_scenario
+from repro.faults import chaos_scenario
 from repro.netsim import IPAddress, SimClock
 from repro.server import RRLConfig
 from repro.service import (
@@ -202,8 +202,6 @@ class TestLiveService:
                     tcp_port=service.tcp_port,
                     queries=120,
                     tcp_fraction=0.25,
-                    concurrency=16,
-                    timeout_s=5.0,
                 )
             )
             return report
@@ -355,22 +353,22 @@ class TestLiveService:
         assert response.rcode is RCode.NXDOMAIN
         assert eof == b""
 
-    def test_rrl_drops_live_udp(self):
+    def test_rrl_drops_live_udp(self, monkeypatch):
+        monkeypatch.setattr(service_loadgen, "QUERY_TIMEOUT_S", 0.4)
+
         async def scenario(service):
             report = await run_loadgen(
                 LoadGenConfig(
                     udp_port=service.udp_port,
                     queries=80,
-                    concurrency=32,
-                    timeout_s=0.4,
                 )
             )
             return report, service.snapshot()
 
         # One-shot bucket: after the first response per prefix (every
         # client is 127.0.0.1) the limiter drops every other response and
-        # slips the rest as TC=1, which the dispatcher's retransmit
-        # collects.
+        # slips the rest as TC=1; a dropped one fails over to the next
+        # server of the chain.
         config = _serve_config(
             rrl=RRLConfig(responses_per_second=0.001, burst=1.0)
         )
@@ -386,8 +384,6 @@ class TestLiveService:
                 LoadGenConfig(
                     udp_port=service.udp_port,
                     queries=150,
-                    concurrency=16,
-                    timeout_s=5.0,
                 )
             )
             snapshot = service.snapshot()
@@ -409,7 +405,7 @@ class TestLiveService:
         async def scenario(service):
             await run_loadgen(
                 LoadGenConfig(
-                    udp_port=service.udp_port, queries=25, timeout_s=5.0
+                    udp_port=service.udp_port, queries=25
                 )
             )
             reader, writer = await asyncio.open_connection(
@@ -457,7 +453,7 @@ class TestLiveService:
             await service.start()
             await run_loadgen(
                 LoadGenConfig(
-                    udp_port=service.udp_port, queries=30, timeout_s=5.0
+                    udp_port=service.udp_port, queries=30
                 )
             )
             first = await service.stop()
@@ -501,7 +497,6 @@ class TestLiveService:
                     tcp_port=service.tcp_port,
                     queries=8,
                     tcp_fraction=0.5,
-                    timeout_s=5.0,
                 )
             )
             return service.udp_port, service.tcp_port, report
@@ -1011,18 +1006,6 @@ class TestDecodeMemo:
         assert rcode(cases["no-question"]) is RCode.FORMERR
         assert rcode(cases["refused"]) is RCode.REFUSED
 
-    def test_deadline_servfail(self):
-        blackout = FaultPlan(
-            name="total-blackout",
-            outages=(OutageWindow(server_id="*", start_frac=0.0, end_frac=1.0),),
-        )
-        with _Twins(fault_plan=replace(blackout, seed=7)) as (warm, cold):
-            wire = _query_wire((b"memo-blackout", b"nl"))
-            answers = _repeat(warm, cold, wire, (21, 22, 23))
-            assert all(Message.from_wire(a).rcode is RCode.SERVFAIL for a in answers)
-            counters = warm.snapshot().counters
-            assert counters["service.deadline.exhausted{transport=udp}"] == 3
-
     def test_the_memo_clears_whole_at_its_limit(self, memo_twins, monkeypatch):
         limit = 4
         monkeypatch.setattr(service_app, "QUERY_MEMO_LIMIT", limit)
@@ -1119,14 +1102,8 @@ class TestHeldCounters:
     ``/metrics`` and ``snapshot()`` list: a series appears with the first
     event that touches it, never before."""
 
-    #: What a service that has seen no traffic lists under ``service.``:
-    #: the breaker board's totals, published at every snapshot.
-    IDLE = {
-        "service.breaker.closed": 0,
-        "service.breaker.opened": 0,
-        "service.breaker.probes": 0,
-        "service.breaker.skipped": 0,
-    }
+    #: What a service that has seen no traffic lists under ``service.``.
+    IDLE = {}
 
     #: ``service.*`` counters after :meth:`_burst`, recorded from the commit
     #: before the counters were held (``counter()`` looked up per datagram)
@@ -1301,7 +1278,7 @@ class TestSourceMemo:
 class TestOneClockRead:
     def test_fair_weather_reads_the_clock_once(self):
         """Every answered datagram, UDP or TCP, costs one read — the
-        dispatch's, which also starts the deadline and feeds the breakers."""
+        dispatch's."""
         loop = asyncio.new_event_loop()
         clock = CountingClock(dataset("nl-w2020").start)
         service = _offline_service(loop, clock)
@@ -1316,11 +1293,9 @@ class TestOneClockRead:
             loop.run_until_complete(service.stop())
             loop.close()
 
-    def test_retry_and_failover_read_again(self, live_world):
-        """``nl-a`` offline: its first attempt rides on the dispatch's
-        reading; the retry's deadline check, the breaker's failure record,
-        the failover's breaker verdict, its deadline check and its success
-        record each read the clock again."""
+    def test_failover_reads_the_clock_once_too(self, live_world):
+        """``nl-a`` offline: the failover to ``nl-b`` is stamped with the
+        dispatch's one reading."""
         descriptor, world, _ = live_world
         clock = CountingClock(descriptor.start)
         dispatcher = QueryDispatcher(world.server_sets, clock, network=world.network)
@@ -1331,4 +1306,4 @@ class TestOneClockRead:
         finally:
             server.online = True
         assert response is not None and response.rcode is not RCode.SERVFAIL
-        assert clock.reads == 1 + 5
+        assert clock.reads == 1
