@@ -12,7 +12,7 @@ Usage::
     python examples/quickstart.py [scale]
 
 ``scale`` (default 0.2) multiplies the client-query volume; 1.0 is the
-volume the benchmarks use.
+volume ``repro experiments`` uses by default.
 """
 
 import sys

@@ -8,7 +8,7 @@ from .attribution import (
     OTHER,
     UNKNOWN,
 )
-from .changepoint import cusum_detector, jump_detector
+from .changepoint import jump_detector
 from .composition import (
     CATEGORIES,
     CompositionAggregator,
@@ -94,7 +94,6 @@ __all__ = [
     "RSSACAggregator",
     "RSSACSummary",
     "concentration",
-    "cusum_detector",
     "jump_detector",
     "per_as_counts",
     "provider_group_concentration",

@@ -51,7 +51,3 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
         )
     report.series = series
     return report
-
-
-def run(ctx: ExperimentContext) -> Dict[str, Report]:
-    return {v: run_vantage(ctx, v) for v in ("nl", "nz", "root")}

@@ -2,7 +2,8 @@
 
 This is the engine behind ``python -m repro experiments`` and the generator
 for EXPERIMENTS.md: it executes all table/figure runners against a shared
-context and emits one combined document.
+context and emits one combined document, closed by the ``claims`` report
+(the paper's findings, :data:`repro.paper.CLAIMS`, checked against them).
 
 Every runner is executed through :func:`instrumented`, which stamps the
 report with its wall time and the session-counter deltas it caused (which
@@ -34,6 +35,7 @@ from . import (
     table5,
     table6,
 )
+from .claims import claims_report, evaluate
 from .context import ExperimentContext
 from .report import Report
 
@@ -124,7 +126,8 @@ def render_markdown(reports: List[Report], scale: float, elapsed: float) -> str:
 
 
 def run_and_render(ctx: ExperimentContext) -> str:
-    """Every report of ``ctx``, rendered as the experiments document.
+    """Every report of ``ctx`` and the ``claims`` report checked against
+    them, rendered as the experiments document.
 
     The CLI builds ``ctx``, so it keeps its caches and telemetry registry
     and can export ``ctx.telemetry`` afterwards.
@@ -132,4 +135,5 @@ def run_and_render(ctx: ExperimentContext) -> str:
     start = time.perf_counter()
     reports = collect_all(ctx)
     elapsed = time.perf_counter() - start
-    return render_markdown(reports, ctx.scale, elapsed)
+    claims = claims_report(evaluate(reports, ctx.scale))
+    return render_markdown([*reports, claims], ctx.scale, elapsed)

@@ -6,8 +6,11 @@ numbers are read from :mod:`repro.paper`, where each is stated once (and
 where the fleet profiles read the cells that are simulator inputs);
 prose expectations such as ``"~1.0"`` stay beside the row that prints
 them.  Absolute numbers are not expected to match (the substrate is a
-scaled simulator); the report makes the comparison inspectable.  Nothing
-scores the pairs yet: that is ROADMAP.md item 2.
+scaled simulator); the report makes the comparison inspectable.  The
+paper's story over these rows — its orderings, signs, thresholds and
+detected months — is :data:`repro.paper.CLAIMS`, checked by
+:mod:`repro.experiments.claims`; nothing scores the pairs row by row yet
+(ROADMAP.md item 3).
 """
 
 from __future__ import annotations

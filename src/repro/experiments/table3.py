@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from ..paper import TABLE3
-from ..workload import datasets_for_vantage
 from .context import ExperimentContext
 from .report import Report
 
@@ -14,8 +11,9 @@ def run(ctx: ExperimentContext) -> Report:
     """Regenerate Table 3 for all nine datasets.
 
     Absolute counts live on different scales (queries 1:~40k, resolvers
-    1:~500); the shape assertions are the ratios: valid fractions per
-    vantage, query growth over years, and the root's junk dominance.
+    1:~500); the paper's claims over these rows are ratios — valid
+    fractions per vantage, query growth from 2018 to 2020 (the ``queries``
+    rows), and the root's junk dominance (:data:`repro.paper.CLAIMS`).
     """
     report = Report("table3", "Evaluated datasets (Table 3)")
     for dataset_id, (queries, valid, resolvers, ases) in sorted(TABLE3.items()):
@@ -33,14 +31,3 @@ def run(ctx: ExperimentContext) -> Report:
         "and growth shapes are directly comparable"
     )
     return report
-
-
-def growth(ctx: ExperimentContext, vantage: str) -> Dict[str, float]:
-    """Query growth 2018→2020 for one vantage (paper: .nl +88%, .nz +55%,
-    B-Root +150%)."""
-    ids = [d.dataset_id for d in datasets_for_vantage(vantage)]
-    # Capture length, not a materialised view: it comes from chunk
-    # metadata, so spilled chunks are never loaded here.
-    first = len(ctx.run(ids[0]).capture)
-    last = len(ctx.run(ids[-1]).capture)
-    return {"first": first, "last": last, "growth": last / first - 1.0}

@@ -1,5 +1,5 @@
 """Report rendering: text tables and ASCII charts."""
 
-from .charts import bar_chart, cdf_plot, grouped_bar_chart, sparkline
+from .charts import bar_chart, cdf_plot, sparkline
 
-__all__ = ["bar_chart", "cdf_plot", "grouped_bar_chart", "sparkline"]
+__all__ = ["bar_chart", "cdf_plot", "sparkline"]

@@ -1,17 +1,15 @@
 """ASCII chart rendering for experiment reports.
 
-The benchmarks print these alongside the paper-vs-measured tables so a
+The examples print these beside the paper-vs-measured numbers so a
 terminal user can eyeball the same shapes the paper's figures show.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 #: Bar length, in characters, of the largest value of a :func:`bar_chart`,
 BAR_WIDTH = 40
-#: of a :func:`grouped_bar_chart`,
-GROUPED_BAR_WIDTH = 30
 #: and of a :func:`cdf_plot`'s y = 1.
 CDF_WIDTH = 50
 
@@ -35,25 +33,6 @@ def bar_chart(
         lines.append(
             f"{label.ljust(label_w)} | {bar.ljust(BAR_WIDTH)} {value_format.format(value)}"
         )
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(groups: Sequence[str], series: Dict[str, Sequence[float]]) -> str:
-    """Bars for several series per group (Figure 2-style RR mixes)."""
-    lines = []
-    peak = max(
-        (max(values) for values in series.values() if len(values)), default=1e-12
-    )
-    peak = max(peak, 1e-12)
-    name_w = max((len(name) for name in series), default=0)
-    for index, group in enumerate(groups):
-        lines.append(f"{group}:")
-        for name, values in series.items():
-            value = values[index] if index < len(values) else 0.0
-            bar = "#" * max(0, int(round(value / peak * GROUPED_BAR_WIDTH)))
-            lines.append(
-                f"  {name.ljust(name_w)} | {bar.ljust(GROUPED_BAR_WIDTH)} {value:.3f}"
-            )
     return "\n".join(lines)
 
 

@@ -771,7 +771,7 @@ def run_dataset(
     are, ``DatasetRun.telemetry`` what they did.
 
     ``client_queries`` overrides the descriptor's volume (tests use small
-    values; benchmarks use the descriptor default).
+    values; full-scale experiments use the descriptor default).
 
     ``telemetry`` optionally names a session-level registry (e.g. an
     :class:`~repro.experiments.context.ExperimentContext`'s) into which

@@ -1,9 +1,9 @@
-"""Unit tests for binary capture persistence and changepoint detectors."""
+"""Unit tests for binary capture persistence and the changepoint detector."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import cusum_detector, jump_detector
+from repro.analysis import jump_detector
 from repro.capture import CaptureStore, QueryRecord, Transport, read_chunk, write_chunk
 from repro.capture.io_binary import MAGIC, read_row_count
 from repro.netsim import IPAddress
@@ -96,22 +96,3 @@ class TestChangepoint:
     def test_jump_detector_respects_floor(self):
         # A doubling below the floor is not a rollout signal.
         assert jump_detector([0.01, 0.01, 0.03]) is None
-
-    def test_cusum_finds_step(self):
-        assert cusum_detector(STEP) == 5
-
-    def test_cusum_flat_none(self):
-        assert cusum_detector(FLAT) is None
-
-    def test_cusum_short_series_none(self):
-        assert cusum_detector([0.3]) is None
-
-    def test_cusum_tolerates_noise(self):
-        noisy = [0.05, 0.07, 0.04, 0.06, 0.05, 0.06, 0.50, 0.52, 0.49]
-        assert cusum_detector(noisy) == 6
-
-    def test_cusum_slow_drift_suppressed(self):
-        # Drift small relative to the baseline noise stays under the
-        # per-step allowance and never accumulates.
-        series = [0.05, 0.07, 0.055, 0.065, 0.060, 0.062, 0.064, 0.066, 0.068]
-        assert cusum_detector(series) is None

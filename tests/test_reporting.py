@@ -3,8 +3,8 @@
 import pytest
 
 from repro.experiments.report import Report, ReportRow
-from repro.reporting import bar_chart, cdf_plot, grouped_bar_chart, sparkline
-from repro.reporting.charts import BAR_WIDTH, CDF_WIDTH, GROUPED_BAR_WIDTH
+from repro.reporting import bar_chart, cdf_plot, sparkline
+from repro.reporting.charts import BAR_WIDTH, CDF_WIDTH
 
 
 class TestReport:
@@ -52,12 +52,6 @@ class TestCharts:
     def test_bar_chart_mismatched_rejected(self):
         with pytest.raises(ValueError):
             bar_chart(["a"], [1.0, 2.0])
-
-    def test_grouped_bar_chart(self):
-        text = grouped_bar_chart(["g1", "g2"], {"x": [1.0, 0.2], "y": [0.5, 0.8]})
-        assert "g1:" in text and "g2:" in text
-        assert text.count("|") == 4
-        assert text.splitlines()[1].count("#") == GROUPED_BAR_WIDTH
 
     def test_cdf_plot(self):
         text = cdf_plot([(512, 0.3), (4096, 1.0)])

@@ -426,8 +426,8 @@ class TestEnvDefaults:
         """No module under ``src/repro`` reads the process environment —
         every setting is a flag or a keyword — and the structure that keeps
         it so: the objects a run is assembled from are each constructed at
-        one site, so a second way to configure or run a dataset — or a
-        second benchmark system — cannot arrive unnoticed either."""
+        one site, so a second way to configure or run a dataset cannot
+        arrive unnoticed either."""
         import re
         from pathlib import Path
 
@@ -479,14 +479,3 @@ class TestEnvDefaults:
             r"|\bwindow_s\b|by_label|phase_totals|\.slowest\(|cat=",
             everything,
         )
-        # One benchmark (bench/): the per-figure shape checks under
-        # benchmarks/ keep no records and write no files.
-        assert not list((root / "benchmarks").glob("*.json"))
-        writers = [
-            path.name for path in (root / "benchmarks").glob("*.py")
-            if re.search(
-                r"""open\([^)]*["'][wax]|write_text|write_bytes|\.dump\(""",
-                path.read_text(),
-            )
-        ]
-        assert writers == []

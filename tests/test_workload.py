@@ -45,6 +45,11 @@ class TestDescriptors:
         assert sum(1 for s in servers if not s.anycast) == 1
         assert sum(1 for s in servers if s.captured) == 6
 
+    def test_only_nz_registers_third_level_names(self):
+        # Table 2: .nl registers second-level names only; .nz also third.
+        assert dataset("nl-w2020").zone_third_level == 0
+        assert dataset("nz-w2020").zone_third_level > 0
+
     def test_root_anycast_growth(self):
         assert len(dataset("root-2018").servers[0].site_codes) < len(
             dataset("root-2020").servers[0].site_codes

@@ -1,8 +1,8 @@
 """``python tests/tools/unreferenced.py``: print each module-level function
 or class, and each non-dunder method, under ``src/repro`` whose name is an
 identifier-shaped word nowhere but in its own definition — counted over
-the code, strings and comments of ``src/``, ``tests/``, ``examples/``,
-``bench/*.py`` and ``benchmarks/`` — and exit 1 if there is any."""
+the code, strings and comments of ``src/``, ``tests/``, ``examples/`` and
+``bench/*.py`` — and exit 1 if there is any."""
 
 import ast
 import re
@@ -28,7 +28,7 @@ def definitions(path: Path):
 
 if __name__ == "__main__":
     scanned = [*(ROOT / "bench").glob("*.py")] + [
-        path for top in ("src", "tests", "examples", "benchmarks")
+        path for top in ("src", "tests", "examples")
         for path in (ROOT / top).rglob("*.py")
     ]
     words = Counter()
