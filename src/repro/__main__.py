@@ -12,10 +12,6 @@ Commands
 ``chaos``
     List named chaos scenarios (list-only: it simulates nothing, so it
     takes none of the simulation flags below).
-``trace <file>``
-    Summarise a ``--trace-out`` file: slowest sampled queries and the
-    per-phase critical path.  A file it cannot read is a usage error
-    (exit 2).
 ``serve [<id>]``
     Live service mode: bind real UDP/TCP sockets answering DNS for the
     dataset's authority world (``dig @127.0.0.1 -p 5300 example.nl``),
@@ -31,13 +27,10 @@ Commands
 Observability flags (see README "Observability"): ``-v/-vv`` turn on
 progress/debug logging, ``--telemetry-out PATH`` exports the run's
 telemetry snapshot as JSON, ``--metrics-out PATH`` exports it in the
-Prometheus text format, ``--trace-out PATH`` writes sampled per-query
-traces as one Chrome-trace JSON file (Perfetto loads it, ``repro trace``
-summarises it), ``--trace-sample F`` sets the traced fraction (default:
-off; ``--trace-out`` alone implies 1%), and every
-simulating command prints a phase/counter summary on stderr.  The two
-simulating commands (``dataset``, ``experiments``) expose the same flag
-set via a shared helper so availability and help text cannot drift.
+Prometheus text format, and every simulating command prints a
+phase/counter summary on stderr.  The two simulating commands
+(``dataset``, ``experiments``) expose the same flag set via a shared
+helper so availability and help text cannot drift.
 
 Chaos flags (see README "Chaos scenarios"): ``--chaos <scenario>`` runs
 the simulation under a named fault schedule (``--chaos-seed``, which
@@ -56,11 +49,12 @@ flags of ``dataset`` and ``experiments`` are checked once, before anything
 is built, and folded into one :class:`~repro.config.RunConfig`
 (``--workers`` always means shard-level parallelism: every dataset
 simulated is split across the pool); a value that cannot run —
-``--workers 0``, ``--trace-sample 2``, ``--scale -1``, or ``--chaos-seed``
+``--workers 0``, ``--scale -1``, or ``--chaos-seed``
 without ``--chaos`` (on ``serve`` too) — is a usage error (exit 2) naming
-it.  So is an unknown dataset id and an output path whose directory does
-not exist, on every command, and a ``serve`` or ``loadgen`` value its
-config rejects (``--udp-port 70000``, ``--tcp-fraction -0.2``).
+it.  So is an unknown dataset id and an output path that is a directory
+or whose directory does not exist, on every command, and a ``serve`` or
+``loadgen`` value its config rejects (``--udp-port 70000``,
+``--tcp-fraction -0.2``).
 """
 
 from __future__ import annotations
@@ -79,11 +73,9 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     ``args.config``, the run's :class:`~repro.config.RunConfig`.
 
     ``--chaos-seed`` places the faults of a ``--chaos`` scenario, so alone
-    it is an error.  An explicit ``--trace-sample`` sets the traced
-    fraction; otherwise ``--trace-out`` alone turns tracing on at 1% (a
-    trace file with zero traces helps nobody).  A value that does not
-    validate raises ``ValueError``, which :func:`main` reports as a usage
-    error before anything is simulated.
+    it is an error.  A value that does not validate raises ``ValueError``,
+    which :func:`main` reports as a usage error before anything is
+    simulated.
     """
     from .config import RunConfig, check_positive
 
@@ -92,23 +84,20 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     if not hasattr(args, "workers"):
         return
     check_positive("scale", args.scale)
-    trace = args.trace_sample
-    if trace is None:
-        trace = 0.01 if args.trace_out else 0.0
-    args.config = RunConfig(workers=args.workers, spool_dir=args.spool_dir, trace=trace)
+    args.config = RunConfig(workers=args.workers, spool_dir=args.spool_dir)
 
 
 #: Flags naming a file a command writes; its directory must already exist.
-_OUTPUT_FLAGS = ("out", "write", "telemetry_out", "metrics_out", "trace_out",
-                 "port_file", "json")
+_OUTPUT_FLAGS = ("out", "write", "telemetry_out", "metrics_out", "port_file", "json")
 
 
 def _check_args(args: argparse.Namespace) -> None:
     """Reject what would otherwise fail only after the run: an unknown
     dataset id or chaos scenario, a ``--scale`` whose client-query volume
-    does not fit int64, an output file in a missing directory, or a
-    ``--spool-dir`` that cannot be created (it is created here).  Raises
-    ``ValueError``, which :func:`main` reports as a usage error."""
+    does not fit int64, an output file that is a directory or lies in a
+    missing directory, or a ``--spool-dir`` that cannot be created (it is
+    created here).  Raises ``ValueError``, which :func:`main` reports as a
+    usage error."""
     dataset_id = getattr(args, "dataset_id", None)
     if dataset_id is not None:
         from .workload import PAPER_DATASETS
@@ -130,8 +119,12 @@ def _check_args(args: argparse.Namespace) -> None:
         check_volume(max(d.client_queries for d in runs) * args.scale)
     for name in _OUTPUT_FLAGS:
         path = getattr(args, name, None)
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            flag = "--" + name.replace("_", "-")
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"{flag} {path}: its directory does not exist")
     spool_dir = getattr(args, "spool_dir", None)
     if spool_dir:
@@ -180,22 +173,14 @@ def _print_telemetry(snapshot, telemetry_out, title: str) -> None:
         print(f"wrote telemetry to {telemetry_out}", file=sys.stderr)
 
 
-def _export_observability(args, traces, snapshot) -> None:
-    """Write ``--trace-out`` / ``--metrics-out`` artefacts, if requested."""
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        if traces is None:
-            from .telemetry import TraceBuffer
-
-            traces = TraceBuffer()
-        traces.write(trace_out)
-        print(f"wrote {len(traces)} traces to {trace_out}", file=sys.stderr)
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
+def _export_observability(args, snapshot) -> None:
+    """Write the snapshot to ``--metrics-out`` in the Prometheus text
+    format, if requested."""
+    if args.metrics_out:
         from .telemetry import write_prometheus
 
-        write_prometheus(snapshot, metrics_out)
-        print(f"wrote Prometheus metrics to {metrics_out}", file=sys.stderr)
+        write_prometheus(snapshot, args.metrics_out)
+        print(f"wrote Prometheus metrics to {args.metrics_out}", file=sys.stderr)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -227,24 +212,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if plan.storms:
             parts.append(f"storms={len(plan.storms)}")
         print(f"{name:<16} {' '.join(parts)}")
-    return 0
-
-
-def _file_error(path: str, exc: Exception) -> int:
-    """Report an input file the command cannot use: one line, exit 2."""
-    reason = getattr(exc, "strerror", None) or exc  # OSError: drop "[Errno n]"
-    print(f"repro: error: {path}: {reason}", file=sys.stderr)
-    return 2
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .telemetry import summarize_trace_file
-
-    try:
-        summary = summarize_trace_file(args.trace_file, top=args.top)
-    except (OSError, ValueError) as exc:
-        return _file_error(args.trace_file, exc)
-    print(summary)
     return 0
 
 
@@ -327,7 +294,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         count = write_csv(run.capture, args.out)
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     _print_telemetry(telemetry, args.telemetry_out, title=args.dataset_id)
-    _export_observability(args, run.traces, telemetry)
+    _export_observability(args, telemetry)
     return partial_exit
 
 
@@ -399,11 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await service.run_until_shutdown(duration=args.duration)
         snapshot = await service.stop()
         _print_telemetry(snapshot, args.telemetry_out, title="serve")
-        if args.metrics_out:
-            from .telemetry import write_prometheus
-
-            write_prometheus(snapshot, args.metrics_out)
-            print(f"wrote Prometheus metrics to {args.metrics_out}", file=sys.stderr)
+        _export_observability(args, snapshot)
         return 0
 
     return asyncio.run(_serve())
@@ -471,7 +434,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print(content)
     snapshot = ctx.telemetry.snapshot()
     _print_telemetry(snapshot, args.telemetry_out, title="experiments")
-    _export_observability(args, ctx.traces, snapshot)
+    _export_observability(args, snapshot)
     lookups = snapshot.counter
     print(
         f"worlds: {lookups('runtime.env_cache.miss', part='fleet')} fleets built, "
@@ -500,14 +463,6 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="write the run's telemetry snapshot in the"
                              " Prometheus text exposition format")
-    parser.add_argument("--trace-out", metavar="PATH",
-                        help="write sampled per-query traces as Chrome-trace"
-                             " JSON (implies --trace-sample 0.01 unless"
-                             " set)")
-    parser.add_argument("--trace-sample", type=float, default=None,
-                        metavar="FRACTION",
-                        help="fraction of client queries to trace, 0..1"
-                             " (default: off)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for sharded execution"
                              " (default: 1 = serial)")
@@ -637,15 +592,6 @@ def main(argv=None) -> int:
     p_loadgen.add_argument("--json", metavar="PATH", default=None,
                            help="write the full report as JSON")
     p_loadgen.set_defaults(func=_cmd_loadgen, make_config=_loadgen_config)
-
-    p_trace = sub.add_parser(
-        "trace", help="summarise a --trace-out file"
-    )
-    p_trace.add_argument("trace_file",
-                         help="a Chrome-trace JSON file written by --trace-out")
-    p_trace.add_argument("--top", type=int, default=10,
-                         help="slowest queries to list (default: 10)")
-    p_trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
     try:

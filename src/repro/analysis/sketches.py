@@ -35,8 +35,8 @@ single-dominant, interleaved partitions).
 
 Hashing is deterministic and RNG-free (keyed blake2b), so sketch contents
 are a pure function of (configuration, feed sequence) — reruns of the
-same pipeline are bit-identical, and fault-injection/trace sampling
-streams are never perturbed.
+same pipeline are bit-identical, and fault-injection verdicts are never
+perturbed.
 """
 
 from __future__ import annotations

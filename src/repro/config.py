@@ -1,7 +1,7 @@
 """Run configuration: how one dataset simulation executes.
 
 :class:`RunConfig` is the frozen, validated description of *how* a dataset
-is simulated (backend, capture residency, tracing); *what* is simulated
+is simulated (backend, capture residency); *what* is simulated
 stays on the :class:`~repro.workload.DatasetDescriptor`.  Every setting
 has one front door: how a run executes is the ``config=`` of
 :func:`repro.sim.run_dataset` / :class:`repro.experiments.ExperimentContext`
@@ -33,20 +33,14 @@ class RunConfig:
     aggregates as it freezes them; ``spool_dir`` says where the chunks
     live afterwards: written to chunk files under
     ``<spool_dir>/<dataset_id>/``, or resident in memory (``None``).
-    ``trace`` is the fraction of client queries traced (hash-derived, see
-    :mod:`repro.telemetry.tracing`); 0 means tracing is off.
     """
 
     workers: int = 1
     spool_dir: Optional[str] = None
-    trace: float = 0.0
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 <= self.trace <= 1.0:
-            raise ValueError(f"trace sample must be in [0, 1], got {self.trace}")
-        object.__setattr__(self, "trace", float(self.trace))
 
 
 def check_ports(**ports: Optional[int]) -> None:

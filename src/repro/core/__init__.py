@@ -18,7 +18,7 @@ providers the analytics were configured with (Table 1's by default):
 
 >>> from repro.config import RunConfig
 >>> from repro.core import DatasetAnalytics, dataset, run_dataset
->>> run = run_dataset(dataset("nl-w2020"), config=RunConfig(workers=2, trace=0.05))
+>>> run = run_dataset(dataset("nl-w2020"), config=RunConfig(workers=2))
 >>> DatasetAnalytics.of(run).cloud_share()
 >>> from repro.core import Attributor, PROVIDERS
 >>> attribution = Attributor(registry, PROVIDERS).attribute(view)

@@ -16,7 +16,7 @@ from ..analysis import DatasetAnalytics
 from ..config import RunConfig, check_positive
 from ..sim import DatasetRun, run_dataset
 from ..sim.driver import reject_removed_keywords
-from ..telemetry import MetricsRegistry, TraceBuffer
+from ..telemetry import MetricsRegistry
 from ..workload import DatasetDescriptor, dataset, monthly_google_descriptor
 
 
@@ -51,9 +51,6 @@ class ExperimentContext:
         #: Optional :class:`~repro.faults.FaultPlan` applied to *every*
         #: dataset this context simulates (the CLI's ``--chaos`` flag).
         self.fault_plan = fault_plan
-        #: Session-level trace roll-up: every traced run's buffer merges in
-        #: here (analogous to :attr:`telemetry` for counters).
-        self.traces = TraceBuffer()
         self._runs: Dict[str, DatasetRun] = {}
 
     # -- dataset runs --------------------------------------------------------
@@ -70,8 +67,6 @@ class ExperimentContext:
                 client_queries=max(500, int(descriptor.client_queries * self.scale)),
                 telemetry=self.telemetry, config=self.config,
             )
-            if cached.traces is not None:
-                self.traces.merge(cached.traces)
             self._runs[descriptor.dataset_id] = cached
         return cached
 

@@ -29,8 +29,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..telemetry import tracing
-from ..telemetry.tracing import mix32
 from .plan import FaultPlan
 
 #: Drop causes, used as the ``cause`` label on ``faults.dropped``.
@@ -40,6 +38,22 @@ CAUSE_LOSS = "loss"
 CAUSE_STORM = "storm"
 
 _HASH_DENOM = float(2**32)
+
+
+def mix32(digest: int) -> int:
+    """Murmur3 finalizer: avalanche every input bit of a 32-bit digest.
+
+    CRC32 alone is linear — two inputs differing in a prefix yield digests
+    differing by a constant XOR, which a fixed threshold can fail to
+    distinguish — so hash-derived fault verdicts scramble the digest
+    through this finalizer first.
+    """
+    digest ^= digest >> 16
+    digest = (digest * 0x85EBCA6B) & 0xFFFFFFFF
+    digest ^= digest >> 13
+    digest = (digest * 0xC2B2AE35) & 0xFFFFFFFF
+    digest ^= digest >> 16
+    return digest
 
 
 def derive_fault_seed(run_seed: int) -> int:
@@ -131,9 +145,8 @@ class FaultInjector:
         CRC32 alone is linear — two seeds differing in the prefix yield
         digests differing by a constant XOR, which a fixed threshold can
         fail to distinguish — so the digest is scrambled through
-        :func:`~repro.telemetry.tracing.mix32` (a murmur3 finalizer) to
-        avalanche every input bit across the output.  Trace sampling uses
-        the same idiom with a disjoint domain tag.
+        :func:`mix32` (a murmur3 finalizer) to avalanche every input bit
+        across the output.
         """
         digest = zlib.crc32(
             self._seed_bytes
@@ -185,11 +198,6 @@ class FaultInjector:
         if cause is None:
             return FaultVerdict()
         stats.record_drop(cause)
-        if tracing.ACTIVE is not None:
-            tracing.ACTIVE.event(
-                timestamp, "fault_drop",
-                {"server": server_id, "family": family, "cause": cause},
-            )
         return FaultVerdict(dropped=True, cause=cause)
 
     def extra_latency_ms(
@@ -211,11 +219,6 @@ class FaultInjector:
         if extra > 0.0:
             self.stats.latency_spikes += 1
             self.stats.extra_latency_ms_total += extra
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.event(
-                    timestamp, "fault_latency",
-                    {"server": server_id, "extra_ms": extra},
-                )
         return extra
 
     # -- telemetry --------------------------------------------------------------

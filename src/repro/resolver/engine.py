@@ -50,7 +50,6 @@ from ..dnscore import (
 )
 from ..netsim import IPAddress, Site
 from ..server import AuthoritativeServer, ResponsePlan, ServerSet
-from ..telemetry import tracing
 from ..zones import seed_words, word_stream
 from .cache import ResolverCache
 from .network import AuthorityNetwork
@@ -283,8 +282,6 @@ class SimResolver:
             stale = self.cache.get_stale(session.now, qname, qtype)
             if stale is not None:
                 self.stats.stale_served += 1
-                if tracing.ACTIVE is not None:
-                    tracing.ACTIVE.event(session.now, "stale_served")
                 return RCode.NOERROR
         return rcode
 
@@ -305,27 +302,12 @@ class SimResolver:
         cached = self.cache.get(session.now, qname, qtype)
         if cached is not None:
             self.stats.cache_hits += 1
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.event(
-                    session.now, "cache_hit",
-                    {"qname": qname.to_text(), "depth": depth},
-                )
             return RCode.NOERROR
         negative = self.cache.get_negative(session.now, qname)
         if negative is not None:
             self.stats.cache_hits += 1
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.event(
-                    session.now, "cache_hit",
-                    {"qname": qname.to_text(), "depth": depth, "negative": True},
-                )
             return negative
         self.stats.cache_misses += 1
-        if tracing.ACTIVE is not None:
-            tracing.ACTIVE.event(
-                session.now, "cache_miss",
-                {"qname": qname.to_text(), "depth": depth},
-            )
 
         tld = network.tld_of(qname)
         if tld is None:
@@ -605,10 +587,8 @@ class SimResolver:
                 stats.retransmits += 1
                 if server.server_id != last_server_id:
                     stats.failovers += 1
-            failover = attempt > 0 and server.server_id != last_server_id
             last_server_id = server.server_id
             stats.auth_queries += 1
-            attempt_started = session.now
             send_time = session.tick(rtt)
             if faults is not None and faults.udp_fate(
                 server.server_id, family, send_time, qname_key
@@ -629,26 +609,13 @@ class SimResolver:
                 )
                 session.tick(timeout_ms)
                 spent_timeout_ms += timeout_ms
-                if tracing.ACTIVE is not None:
-                    tracing.ACTIVE.span(
-                        attempt_started, session.now, "auth_timeout",
-                        {
-                            "qname": qname.to_text(),
-                            "server": server.server_id,
-                            "family": family,
-                            "attempt": attempt,
-                            "failover": failover,
-                        },
-                    )
                 if spent_timeout_ms >= RETRY_BUDGET_MS:
                     break  # total budget exhausted: give up early
                 continue
-            transport_used = "udp"
             if response.truncated:
                 tcp_rtt = rtt * float(1.0 + 0.05 * self._rng.random())
                 stats.auth_queries += 1
                 stats.tcp_retries += 1
-                transport_used = "tcp"
                 response = server.answer(
                     session.tick(2 * tcp_rtt),
                     src,
@@ -658,26 +625,8 @@ class SimResolver:
                     edns,
                     tcp_rtt,
                 )
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.span(
-                    attempt_started, session.now, "auth_exchange",
-                    {
-                        "qname": qname.to_text(),
-                        "qtype": int(qtype),
-                        "server": server.server_id,
-                        "family": family,
-                        "attempt": attempt,
-                        "failover": failover,
-                        "transport": transport_used,
-                        "rcode": None if response is None else response.rcode,
-                    },
-                )
             return response
         stats.retry_exhausted += 1
-        if tracing.ACTIVE is not None:
-            tracing.ACTIVE.event(
-                session.now, "retry_exhausted", {"qname": qname.to_text()}
-            )
         return None
 
     # -- NSEC learning ------------------------------------------------------------------

@@ -97,10 +97,6 @@ class ShardTask:
     #: Injected-fault mode for pool attempts (a hook for tests and
     #: drills); the serial fallback strips it.
     fault: Optional[str] = None
-    #: The run's configuration: a traced shard samples by hash per fleet
-    #: member, so the same queries are traced no matter how members are
-    #: packed into shards.
-    config: RunConfig = RunConfig()
     #: The parent spool's directory, where a spilling shard writes its
     #: chunk files (they must outlive the worker); ``None`` keeps them
     #: resident.
@@ -129,10 +125,6 @@ class ShardResult:
     aggregates: Optional[object] = None
     chunks: List[Union[CaptureView, str]] = field(default_factory=list)
     chunk_row_counts: List[int] = field(default_factory=list)
-    #: Completed trace dicts, in member order (tracing enabled only).  The
-    #: parent extends its buffer in shard-index order, reproducing the
-    #: serial trace sequence exactly — the same merge discipline as chunks.
-    traces: List[dict] = field(default_factory=list)
 
 
 @dataclass

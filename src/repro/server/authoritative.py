@@ -24,7 +24,6 @@ from ..dnscore.names import MAX_NAME_LENGTH
 from ..dnscore.rdata import ResourceRecord
 from ..dnscore.message import HEADER_LENGTH, Flags
 from ..netsim import Clock, IPAddress, LatencyModel, Site, nearest_site
-from ..telemetry import tracing
 from ..zones import LookupOutcome, LookupResult, Zone
 from .rrl import RateLimiter, RRLConfig
 
@@ -419,16 +418,6 @@ class AuthoritativeServer:
                 truncated,
                 _NAN if tcp_rtt_ms is None else tcp_rtt_ms,
             ))
-            if tracing.ACTIVE is not None:
-                tracing.ACTIVE.event(
-                    timestamp, "capture_append",
-                    {
-                        "server": self.server_id,
-                        "rcode": rcode,
-                        "bytes": plan.wire_size,
-                        "truncated": truncated,
-                    },
-                )
         return plan
 
     def _build_plan(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..netsim import IPAddress
-from ..telemetry import tracing
 
 
 #: Every ``SLIP``-th limited response from a prefix is sent as a TC=1 slip
@@ -89,12 +88,6 @@ class RateLimiter:
         self._slip_counters[key] = count
         if count % SLIP == 0:
             self.stats.slipped += 1
-            verdict = self.SLIP
-        else:
-            self.stats.dropped += 1
-            verdict = self.DROP
-        # Only limited responses are worth a trace event; PASS is the
-        # overwhelmingly common case and stays on the fast path above.
-        if tracing.ACTIVE is not None:
-            tracing.ACTIVE.event(now, "rrl_limited", {"verdict": verdict})
-        return verdict
+            return self.SLIP
+        self.stats.dropped += 1
+        return self.DROP

@@ -3,7 +3,7 @@
 ``repro serve`` binds asyncio UDP/TCP endpoints that speak actual DNS wire
 format (answerable with ``dig``/``dnsperf``), answers each query from the
 vantage's server chain — the same authoritative servers the simulation
-uses, RRL, fault plans, plan cache and tracing all live; each query tries
+uses, RRL, fault plans and plan cache all live; each query tries
 each server once, in order, and an exhausted chain is silence over UDP
 and SERVFAIL over TCP — and exposes the telemetry registry as a
 Prometheus ``/metrics`` endpoint.

@@ -6,8 +6,8 @@ server chain — the vantage's own servers in declared order, then the
 root's (``root-2020`` serves the root alone) — and produces the response
 message (or ``None`` for deliberate silence).  Everything the simulation
 wired into :meth:`~repro.server.AuthoritativeServer.handle_query` stays
-live on this path — RRL verdicts, the response-plan cache, capture rows,
-tracing taps — and an attached :class:`~repro.faults.FaultInjector` drops
+live on this path — RRL verdicts, the response-plan cache, capture rows
+— and an attached :class:`~repro.faults.FaultInjector` drops
 live UDP exchanges exactly as it drops simulated ones.
 
 A query tries each server of the chain once, in order, the way the

@@ -65,7 +65,7 @@ from ..runtime import (
     record_outcome,
 )
 from ..server import AuthoritativeServer, ServerSet
-from ..telemetry import MetricsRegistry, QueryTracer, TelemetrySnapshot, TraceBuffer
+from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator
 from ..zones import DEFAULT_TLDS, Zone, domains_of, word_stream
 from . import worlds
@@ -110,9 +110,6 @@ class DatasetRun:
     telemetry: Optional[TelemetrySnapshot] = None
     runtime_report: Optional[RuntimeReport] = None
     aggregates: Optional[object] = None
-    #: Sampled per-query traces (tracing enabled only), in the serial
-    #: member order regardless of worker count.
-    traces: Optional[TraceBuffer] = None
 
     @property
     def vantage_server_ids(self) -> List[str]:
@@ -501,7 +498,6 @@ def run_member_range(
     metrics: MetricsRegistry,
     start: int = 0,
     stop: Optional[int] = None,
-    tracer: Optional[QueryTracer] = None,
 ) -> int:
     """Drive client query streams through fleet members ``[start, stop)``.
 
@@ -511,11 +507,6 @@ def run_member_range(
     exactly the union of the serial run's per-member traffic.  The range's
     seeds are hashed in one pass, and each member's stream is drawn as
     columns (:meth:`~repro.workload.WorkloadGenerator.columns`).
-
-    ``tracer`` enables sampled per-query tracing.  The sampling decision is
-    a pure hash of ``(seed, global member index, per-member sequence
-    number)``, so the traced population is identical for every shard
-    layout; untraced runs skip only the per-query sample check.
     """
     descriptor = env.descriptor
     stop = len(env.fleet) if stop is None else stop
@@ -544,7 +535,6 @@ def run_member_range(
     # Counter handles resolved once per provider, not once per member —
     # label-dict construction and registry lookup are off the member loop.
     provider_counters: Dict[str, object] = {}
-    sampled = tracer.sampled if tracer is not None else None
     for index in range(start, stop):
         member = env.fleet[index]
         count = int(counts[index])
@@ -565,17 +555,8 @@ def run_member_range(
         )
         generated = clock_s()
         workload_s += generated - started
-        # One loop for traced and untraced runs: the untraced fast path
-        # pays only the (hoisted) ``sampled is None`` check per query.
-        for member_seq, timestamp, qname, qtype in zip(range(count), stamps, qnames, qtypes):
-            if sampled is not None and sampled(index, member_seq):
-                trace = tracer.begin(
-                    index, member_seq, f"{member.pool}/{index}", member.provider,
-                    timestamp, qname.to_text(), int(qtype),
-                )
-                tracer.finish(trace, int(resolve(network, timestamp, qname, qtype)))
-            else:
-                resolve(network, timestamp, qname, qtype)
+        for timestamp, qname, qtype in zip(stamps, qnames, qtypes):
+            resolve(network, timestamp, qname, qtype)
         done = clock_s()
         resolve_s += done - generated
         run_count += count
@@ -610,22 +591,16 @@ def _run_shard(
     """
     started = time.perf_counter()
     descriptor = env.descriptor
-    config = task.config
     stop = len(env.fleet) if task.stop is None else task.stop
     total_queries = (
         descriptor.client_queries
         if task.client_queries is None
         else task.client_queries
     )
-    tracer = QueryTracer(config.trace, task.seed) if config.trace else None
     rows_before = env.capture.rows_appended
-    queries_run = run_member_range(
-        env, total_queries, metrics, task.start, stop, tracer
-    )
+    queries_run = run_member_range(env, total_queries, metrics, task.start, stop)
     rows_appended = env.capture.rows_appended - rows_before
     publish_fleet_metrics(metrics, env.fleet[task.start:stop])
-    if tracer is not None:
-        metrics.counter("trace.queries_sampled").inc(len(tracer.traces))
     _publish_environment_metrics(metrics, env)
     chunks, chunk_row_counts, aggregates = _freeze_capture(env, metrics, task)
     # The rows are columns now; the store — still shared with the
@@ -640,7 +615,6 @@ def _run_shard(
         aggregates=aggregates,
         chunks=chunks,
         chunk_row_counts=chunk_row_counts,
-        traces=tracer.traces if tracer is not None else [],
     )
 
 
@@ -667,16 +641,14 @@ def _assemble(
     env: SimEnvironment,
     results: Sequence[ShardResult],
     report: RuntimeReport,
-    config: RunConfig,
     metrics: MetricsRegistry,
     spool: CaptureSpool,
 ) -> DatasetRun:
     """Merge shard results, in shard-index order, into the dataset's run.
 
     Shards are contiguous fleet ranges, so adopting their chunks —
-    resident views or chunk files alike — and extending their traces in
-    that order reproduces the sequence one shard over the whole fleet
-    appends; :meth:`~repro.capture.SpooledCapture.view` applies the
+    resident views or chunk files alike — in that order reproduces the
+    sequence one shard over the whole fleet appends; :meth:`~repro.capture.SpooledCapture.view` applies the
     stable canonical sort on top, and their folded states merge into
     ``aggregates``.  ``metrics`` is the run's registry
     (world build, plan, executor bookkeeping); every shard's snapshot
@@ -699,14 +671,6 @@ def _assemble(
         # From merged totals, the gauge's one writer: a shard sees only
         # its own resolve time.
         metrics.gauge("capture.append_rows_per_s").set(rows_appended / resolve_s)
-    traces = None
-    if config.trace:
-        traces = TraceBuffer(
-            dataset_id=descriptor.dataset_id, seed=env.seed,
-            sample=config.trace, base_ts=descriptor.start,
-        )
-        for result in results:
-            traces.extend(result.traces)
     return DatasetRun(
         descriptor=descriptor,
         capture=capture,
@@ -719,7 +683,6 @@ def _assemble(
         client_queries_run=sum(result.queries_run for result in results),
         runtime_report=report,
         aggregates=aggregates,
-        traces=traces,
     )
 
 
@@ -822,7 +785,6 @@ def run_dataset(
             shard_index=shard.index,
             start=shard.start,
             stop=shard.stop,
-            config=config,
             spool_dir=spool_dir,
         )
         for shard in plan
@@ -843,7 +805,7 @@ def run_dataset(
         with metrics.time_phase("runtime.execute"):
             results = [_run_shard(env, task, MetricsRegistry())]
             record_outcome(report, metrics, task, results[0])
-    run = _assemble(env, results, report, config, metrics, spool)
+    run = _assemble(env, results, report, metrics, spool)
     if not pooled:
         worlds.return_fleet(env.fleet_part, metrics)
     run.telemetry = metrics.snapshot()

@@ -18,23 +18,13 @@ Quick use::
     snap.write_json("telemetry.json")
     print(format_summary(snap))
 
-Two sibling layers build on the registry:
-:mod:`~repro.telemetry.tracing` records sampled per-query lifecycle
-traces with deterministic hash-derived sampling, and
+A sibling layer builds on the registry:
 :mod:`~repro.telemetry.exposition` renders snapshots in the Prometheus
 text format (``--metrics-out`` and the live service's ``/metrics``).
 """
 
 from .exposition import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE, to_prometheus, write_prometheus
 from .logs import configure_logging, format_summary
-from .tracing import (
-    QueryTrace,
-    QueryTracer,
-    TraceBuffer,
-    mix32,
-    read_trace_file,
-    summarize_trace_file,
-)
 from .registry import (
     Counter,
     DEFAULT_BUCKETS,
@@ -54,17 +44,11 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "PhaseStat",
-    "QueryTrace",
-    "QueryTracer",
     "TelemetrySnapshot",
-    "TraceBuffer",
     "configure_logging",
     "format_summary",
     "metric_key",
-    "mix32",
-    "read_trace_file",
     "split_key",
-    "summarize_trace_file",
     "PROMETHEUS_CONTENT_TYPE",
     "to_prometheus",
     "write_prometheus",

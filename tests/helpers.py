@@ -1,6 +1,5 @@
-"""What the suite compares runs by: capture views, simulation counters,
-trace exports and plain values, each reduced the one way every module
-reduces it.
+"""What the suite compares runs by: capture views, simulation counters
+and plain values, each reduced the one way every module reduces it.
 
 :func:`view_digest` and :func:`assert_views_equal` are dtype-strict — a
 column that keeps its values but changes its type is a different capture.
@@ -69,18 +68,11 @@ SHARD_ROUNDED = {"faults.extra_latency_ms"}
 def sim_counters(snapshot):
     """The simulation-facing counters: everything but the ``runtime.*``
     bookkeeping (backend, world stores, plan caches), the ``capture.spool.*``
-    chunk accounting, the ``analysis.*`` / ``trace.*`` counters only a
-    streaming / traced run publishes, and :data:`SHARD_ROUNDED`."""
+    chunk accounting, the ``analysis.*`` counters only a streaming run
+    publishes, and :data:`SHARD_ROUNDED`."""
     return {
         key: value for key, value in snapshot.counters.items()
-        if not key.startswith(("runtime.", "capture.spool.", "analysis.", "trace."))
+        if not key.startswith(("runtime.", "capture.spool.", "analysis."))
         and key not in SHARD_ROUNDED
     }
-
-
-def chrome_bytes(run):
-    """The run's Chrome trace export as sorted, compact JSON."""
-    return json.dumps(
-        run.traces.to_chrome_trace(), sort_keys=True, separators=(",", ":"),
-    )
 

@@ -58,6 +58,51 @@ class TestCLI:
         assert provider_sum > 0
         assert data["counters"]["capture.rows_appended"] > 0
 
+    def test_dataset_metrics_out(self, capsys, tmp_path):
+        path = tmp_path / "metrics.prom"
+        assert main(
+            ["dataset", "nz-w2018", "--scale", "0.02", "--metrics-out", str(path)]
+        ) == 0
+        assert "wrote Prometheus metrics" in capsys.readouterr().err
+        assert path.read_text().startswith("# HELP repro_")
+
+    def test_simulating_commands_share_the_flag_surface(self, capsys):
+        """``dataset`` and ``experiments`` expose the same
+        observability/simulation flags with identical help text."""
+        shared = [
+            "--scale", "--seed", "--telemetry-out", "--metrics-out",
+            "--workers", "--chaos", "--chaos-seed", "--spool-dir",
+        ]
+        helps = {}
+        for command in ("dataset", "experiments"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helps[command] = capsys.readouterr().out
+        for flag in shared:
+            for command, text in helps.items():
+                assert flag in text, f"{command} missing {flag}"
+
+        def entry(text, flag):
+            """The whitespace-normalised help entry for one option."""
+            lines = text.splitlines()
+            start = next(
+                i for i, line in enumerate(lines)
+                if line.strip().startswith(flag + " ")
+                or line.strip() == flag
+            )
+            block = [lines[start]]
+            for line in lines[start + 1:]:
+                if not line.strip() or line.lstrip().startswith("--"):
+                    break
+                block.append(line)
+            return " ".join(" ".join(block).split())
+
+        # Identical wording for flags whose semantics match exactly.
+        for flag in ("--telemetry-out", "--metrics-out", "--workers", "--chaos",
+                     "--spool-dir"):
+            entries = {entry(text, flag) for text in helps.values()}
+            assert len(entries) == 1, f"help text drifted for {flag}: {entries}"
+
     def test_dataset_workers_flag_shards_the_run(self, capsys, tmp_path):
         import json
 
@@ -172,7 +217,7 @@ class TestValidatesBeforeSimulating:
 
     @pytest.mark.parametrize("argv, named", [
         (["dataset", "nz-w2018", "--workers", "0"], "workers must be >= 1"),
-        (["dataset", "nz-w2018", "--trace-sample", "2"], "trace sample must be in [0, 1]"),
+        (["dataset", "nz-w2018", "--out", "."], "--out .: is a directory"),
         (["dataset", "nz-w2018", "--scale", "-1"], "scale must be positive"),
         (["experiments", "--workers", "0"], "workers must be >= 1"),
         (["experiments", "--scale", "0"], "scale must be positive"),
@@ -471,8 +516,8 @@ class TestServeBindFailure:
 
 class TestSoakCLI:
     """The soak is gone, and so are the flags of ``serve`` and ``loadgen``
-    that tuned the self-healing layer it exercised: each is a usage error,
-    not a silently ignored setting."""
+    that tuned the self-healing layer it exercised, and the ``trace``
+    command: each is a usage error, not a silently ignored setting."""
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--shed-policy", "drop"],
@@ -480,6 +525,7 @@ class TestSoakCLI:
         ["serve", "--no-breakers"],
         ["serve", "--admission-qps", "10"],
         ["soak"],
+        ["trace"],
         ["loadgen", "--concurrency", "8"],
         ["loadgen", "--timeout", "0.2"],
         ["loadgen", "--streams", "4"],

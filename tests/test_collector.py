@@ -52,7 +52,7 @@ def collector():
         gc.disable()
 
 
-MODES = ("serial", "fork", "spawn", "trace", "chaos", "spool")
+MODES = ("serial", "fork", "spawn", "chaos", "spool")
 
 
 def _run(mode, tmp_path, monkeypatch):
@@ -66,8 +66,6 @@ def _run(mode, tmp_path, monkeypatch):
             executor, "pool_context", lambda: multiprocessing.get_context(mode)
         )
         options["workers"] = 2
-    elif mode == "trace":
-        options["trace"] = 0.05
     elif mode == "chaos":
         descriptor = replace(descriptor, fault_plan=chaos_scenario("flaky-server"))
     elif mode == "spool":

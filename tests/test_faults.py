@@ -26,6 +26,7 @@ from repro.faults import (
     chaos_scenario,
     derive_fault_seed,
 )
+from repro.faults.injector import mix32
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver, engine
 from repro.resolver.engine import _Session
@@ -99,6 +100,11 @@ class TestFaultPlan:
 
 
 class TestFaultInjector:
+    def test_mix32_avalanches_and_stays_32bit(self):
+        seen = {mix32(i) for i in range(1024)}
+        assert len(seen) == 1024  # the finalizer is a bijection
+        assert all(0 <= v <= 0xFFFFFFFF for v in seen)
+
     def test_window_frac_clamped(self):
         injector = make_injector(FaultPlan(), start=100.0, duration=100.0)
         assert injector.window_frac(50.0) == 0.0

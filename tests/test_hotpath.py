@@ -36,7 +36,7 @@ SRC = IPAddress.parse("192.0.2.53")
 
 
 def _cached_shard(case):
-    descriptor, queries, __, seed = CASES[case]
+    descriptor, queries, seed = CASES[case]
     task = ShardTask(
         descriptor=descriptor, seed=seed, client_queries=queries,
         shard_index=0, start=0, stop=None,

@@ -1,9 +1,9 @@
 """One oracle for bit-identity: every execution mode must reproduce one
 committed digest table.
 
-A *case* (:data:`CASES`) is what is simulated: a descriptor, a volume, a
-seed and the sample a traced run uses.  A *column* (:func:`columns`) is one
-digest of what a run produced.  A *row* (:data:`ROWS`) is how it ran.
+A *case* (:data:`CASES`) is what is simulated: a descriptor, a volume and
+a seed.  A *column* (:func:`columns`) is one digest of what a run
+produced.  A *row* (:data:`ROWS`) is how it ran.
 :data:`ORACLE` holds one literal per (case, column) and every scheduled
 (row, case) pair must reproduce it; so must three workers, a spawned pool,
 a null fault plan, the world store visited in two orders, and the report
@@ -35,8 +35,6 @@ from repro.workload import dataset, monthly_google_descriptor
 from .helpers import (
     REPORT_SCALE,
     canonical_digest,
-    chrome_bytes,
-    digest,
     sim_counters,
     view_digest,
 )
@@ -48,7 +46,6 @@ SEED = 20201027
 class Case(NamedTuple):
     descriptor: object
     queries: int
-    sample: float
     seed: int = SEED
 
 
@@ -60,28 +57,26 @@ QMIN_OFF = replace(
 )
 
 CASES = {
-    "nl-w2020": Case(dataset("nl-w2020"), 900, 0.05),
-    "nz-w2019": Case(dataset("nz-w2019"), 900, 0.05),
-    "root-2020": Case(dataset("root-2020"), 900, 0.05),
+    "nl-w2020": Case(dataset("nl-w2020"), 900),
+    "nz-w2019": Case(dataset("nz-w2019"), 900),
+    "root-2020": Case(dataset("root-2020"), 900),
     "nl-w2020+heavy-loss": Case(
-        replace(dataset("nl-w2020"), fault_plan=chaos_scenario("heavy-loss")), 900, 0.05,
+        replace(dataset("nl-w2020"), fault_plan=chaos_scenario("heavy-loss")), 900,
     ),
-    "nz-w2020": Case(dataset("nz-w2020"), 1500, 0.05),
+    "nz-w2020": Case(dataset("nz-w2020"), 1500),
     "nz-w2020+flaky-server": Case(
-        replace(dataset("nz-w2020"), fault_plan=chaos_scenario("flaky-server")), 1500, 0.05,
+        replace(dataset("nz-w2020"), fault_plan=chaos_scenario("flaky-server")), 1500,
     ),
-    "nz-google-2020-02": Case(monthly_google_descriptor("nz", 2020, 2), 400, 0.2),
-    "nz-google-qmin-off": Case(QMIN_OFF, 400, 0.2),
-    "nz-google-2019-12": Case(monthly_google_descriptor("nz", 2019, 12), 400, 0.2),
+    "nz-google-2020-02": Case(monthly_google_descriptor("nz", 2020, 2), 400),
+    "nz-google-qmin-off": Case(QMIN_OFF, 400),
+    "nz-google-2019-12": Case(monthly_google_descriptor("nz", 2019, 12), 400),
 }
 
 #: blake2b-128 digests per (case, column), as :func:`columns` computes them.
 #: Provenance: the first three cases' ``answers`` are what the deleted
 #: whole-view reducers answered at commit a299f2c; the first four's
-#: ``capture`` is the deleted row-tuple merge and sort at commit 984449e;
-#: the ``trace`` of ``nz-w2020``, its flaky-server twin and the cyclic month
-#: is the export at commit 9e68c78, before the trace layer lost its second
-#: format.  The rest were recorded at commit ce6690b, while the pairwise
+#: ``capture`` is the deleted row-tuple merge and sort at commit 984449e.
+#: The rest were recorded at commit ce6690b, while the pairwise
 #: suites this table replaced were in place and passing.
 ORACLE = {
     "nl-w2020": {
@@ -89,7 +84,6 @@ ORACLE = {
         "state": "091f65c778c4704879f4c05767d9cc37",
         "answers": "47beeebc5b2891c5333651fd8b1b1b2e",
         "counters": "f695e26e5c50b27dbbcb954db145f49a",
-        "trace": "92029748983e22c6193fce26d37222fc",
         "queries_run": 900,
     },
     "nz-w2019": {
@@ -97,7 +91,6 @@ ORACLE = {
         "state": "9a612e33fa5a6c9c2620ff993d351dd6",
         "answers": "fac279e47962dc0386d8ed4e79ef5748",
         "counters": "b69f406436b067e88841f4346f608f5b",
-        "trace": "5a92ad736fc948eb49a61063bf8e8558",
         "queries_run": 900,
     },
     "root-2020": {
@@ -105,7 +98,6 @@ ORACLE = {
         "state": "3af6f5382d5a15760756ae498d567004",
         "answers": "1225f901bdf34ec157cde0a0131445bc",
         "counters": "35e7acc138162b34a6b96e92a1d4a650",
-        "trace": "c671569357539f8a422f44c842af071a",
         "queries_run": 900,
     },
     "nl-w2020+heavy-loss": {
@@ -113,7 +105,6 @@ ORACLE = {
         "state": "e93c34fc075c75fa5eaa1ced378c4af4",
         "answers": "22f00f053b8e2837c854fe817f4a0f39",
         "counters": "7f1f31ecf3bee5a027e90c9c58da7b4b",
-        "trace": "37977c3dcc5b2ad0232de093998daad4",
         "queries_run": 900,
     },
     "nz-w2020": {
@@ -121,7 +112,6 @@ ORACLE = {
         "state": "fb95e353a233a06629d6e48cf9d4c9ce",
         "answers": "85ee65b8cab3314dca8d92e5ebbc2c9e",
         "counters": "02f8d5ea95d4bb488199abde76131eaf",
-        "trace": "a5a7b2e34bab660b36096f01e4b47ba0",
         "queries_run": 1500,
     },
     "nz-w2020+flaky-server": {
@@ -129,7 +119,6 @@ ORACLE = {
         "state": "6695b8cef83e5e264c34be5299eea434",
         "answers": "c70c9959820dc61a18feb412a2a11c39",
         "counters": "b66ad922d26981a8789a9a9b19c98fbf",
-        "trace": "ac0dc5ca3adab22abfbcfbb22af40ff6",
         "queries_run": 1500,
     },
     "nz-google-2020-02": {
@@ -137,7 +126,6 @@ ORACLE = {
         "state": "d2d0608f457155518be5e3cec1af559c",
         "answers": "48974c261997c2c494f6ef70175d91c8",
         "counters": "75cde8ee3b34359dd5e77a0ac0891a42",
-        "trace": "9537c9c7054bae7accb052e27bfdf944",
         "queries_run": 400,
     },
     "nz-google-qmin-off": {
@@ -145,7 +133,6 @@ ORACLE = {
         "state": "1e64bf074b6e4756ad41bf3087d68555",
         "answers": "ce6d8ba343503abb5e39cdb001f0b9c6",
         "counters": "68fc96027e4b82a0509ef19928776e0d",
-        "trace": "fcace017e501effddbd20989a1a727c1",
         "queries_run": 400,
     },
     "nz-google-2019-12": {
@@ -153,7 +140,6 @@ ORACLE = {
         "state": "b138c85d24d5b7c397a6ce305f7bd3b7",
         "answers": "89be76ee227ac5b0083b01992fc148fd",
         "counters": "100f0e6f3e132c7fae297c5ae640de78",
-        "trace": "84a8ce4e74563701cfb7c7d742c41a30",
         "queries_run": 400,
     },
 }
@@ -165,7 +151,6 @@ REPORTS = "d68f402f0ab53aaa4e52b84ebbcfb491"
 class Row(NamedTuple):
     workers: int
     stream: bool
-    traced: bool
     plan_cache: bool
     world_store: bool
 
@@ -173,7 +158,6 @@ class Row(NamedTuple):
     def name(self):
         return "-".join((
             f"w{self.workers}", "stream" if self.stream else "memory",
-            "traced" if self.traced else "untraced",
             "plan" if self.plan_cache else "noplan",
             "store" if self.world_store else "nostore",
         ))
@@ -184,16 +168,16 @@ class Row(NamedTuple):
 #: (``stream``) or resident (``memory``); every row folds in its shards.
 #: ``plan_cache`` off makes every server of the run a reference server,
 #: ``world_store`` off every world built from scratch (see :func:`pin`).
-#: The first row is the reference path — one process, resident chunks, no
-#: tracing, every response and every world built from scratch — and the
-#: second its complement.
+#: The first row is the reference path — one process, resident chunks,
+#: every response and every world built from scratch — and the second its
+#: complement.
 ROWS = [
-    Row(1, False, False, False, False),
-    Row(2, True, True, True, True),
-    Row(2, True, True, False, False),
-    Row(2, False, False, True, True),
-    Row(1, True, False, True, False),
-    Row(1, False, True, False, True),
+    Row(1, False, False, False),
+    Row(2, True, True, True),
+    Row(2, True, False, False),
+    Row(2, False, True, True),
+    Row(1, True, True, False),
+    Row(1, False, False, True),
 ]
 
 #: (row, case) pairs the matrix runs: every case runs the reference row
@@ -203,7 +187,7 @@ SCHEDULE = [(row, case) for case in CASES for row in ROWS[:2]] + [
     (ROWS[2], "nz-w2020"),               # every part built again in each worker
     (ROWS[3], "nz-w2020+flaky-server"),  # chaos on a pool, chunks resident
     (ROWS[4], "root-2020"),              # spilled, worlds built from scratch
-    (ROWS[5], "nl-w2020+heavy-loss"),    # a traced resident shard
+    (ROWS[5], "nl-w2020+heavy-loss"),    # chaos on one resident shard
 ]
 
 
@@ -239,7 +223,7 @@ def facade_answers(analytics):
 
 
 def columns(run):
-    """Every column of the table for one run (``trace`` only if traced).
+    """Every column of the table for one run.
 
     Every run answers from what its shards folded.  The heavy-hitter list,
     a sketch that depends on where chunk boundaries fell, always comes
@@ -253,7 +237,7 @@ def columns(run):
     analytics = DatasetAnalytics(run.aggregates)
     answers = facade_answers(analytics)
     answers["composition"].heavy_hitters = one_feed.composition().heavy_hitters
-    got = {
+    return {
         "capture": view_digest(view),
         "state": canonical_digest({
             name: aggregator.exact_state()
@@ -263,9 +247,6 @@ def columns(run):
         "counters": canonical_digest(sim_counters(run.telemetry)),
         "queries_run": run.client_queries_run,
     }
-    if run.traces is not None:
-        got["trace"] = digest(chrome_bytes(run))
-    return got
 
 
 def assert_reproduces(case, row_name, got):
@@ -317,20 +298,18 @@ def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
         )
 
 
-def run_case(case, workers=1, spool_dir=None, traced=False, **overrides):
+def run_case(case, workers=1, spool_dir=None, **overrides):
     """One run of ``case``; ``overrides`` replace descriptor fields."""
-    descriptor, queries, sample, seed = CASES[case]
+    descriptor, queries, seed = CASES[case]
     return run_dataset(
         replace(descriptor, **overrides), seed=seed, client_queries=queries,
-        config=RunConfig(
-            workers=workers, spool_dir=spool_dir, trace=sample if traced else 0.0
-        ),
+        config=RunConfig(workers=workers, spool_dir=spool_dir),
     )
 
 
-def assert_structure(run, workers, spool_dir, traced):
+def assert_structure(run, workers, spool_dir):
     """What the mode itself must show: the backend, the shards, where the
-    chunks live, what the run folded, whether it traced."""
+    chunks live, what the run folded."""
     report = run.runtime_report
     assert report.mode == ("process-pool" if workers > 1 else "serial")
     assert report.shard_count == workers and report.failures == 0
@@ -343,9 +322,6 @@ def assert_structure(run, workers, spool_dir, traced):
     assert bool(chunk_files) == (spool_dir is not None)
     assert run.aggregates.rows_fed == len(run.capture)
     assert run.telemetry.gauges["runtime.stream.enabled"] == (1 if chunk_files else 0)
-    assert (run.traces is not None) == traced
-    if traced:
-        assert run.telemetry.counters["trace.queries_sampled"] == len(run.traces) > 0
 
 
 # -- the matrix ----------------------------------------------------------------
@@ -365,8 +341,8 @@ def test_the_matrix_covers_every_pair_and_every_case():
 def test_row_reproduces_the_table(row, case, monkeypatch, tmp_path):
     pin(monkeypatch, row.plan_cache, row.world_store)
     spool_dir = tmp_path if row.stream else None
-    run = run_case(case, row.workers, spool_dir, row.traced)
-    assert_structure(run, row.workers, spool_dir, row.traced)
+    run = run_case(case, row.workers, spool_dir)
+    assert_structure(run, row.workers, spool_dir)
     # Only servers with a plan cache book its counters.
     assert (run.telemetry.total("runtime.plan_cache.misses") > 0) == row.plan_cache
     assert_reproduces(case, row.name, columns(run))
@@ -385,7 +361,7 @@ def test_every_memoised_plan_is_its_encoder_sized_twin(case, monkeypatch):
 def test_three_workers(monkeypatch):
     pin(monkeypatch)
     run = run_case("nl-w2020", workers=3)
-    assert_structure(run, 3, None, False)
+    assert_structure(run, 3, None)
     assert_reproduces("nl-w2020", "w3", columns(run))
 
 
@@ -393,8 +369,8 @@ def test_spawned_pool(monkeypatch, tmp_path):
     """Spawned workers start with empty world stores and build every part
     themselves; forked ones borrow what the parent parked."""
     pin(monkeypatch, start="spawn")
-    run = run_case("nz-google-qmin-off", workers=2, spool_dir=tmp_path, traced=True)
-    assert_structure(run, 2, tmp_path, True)
+    run = run_case("nz-google-qmin-off", workers=2, spool_dir=tmp_path)
+    assert_structure(run, 2, tmp_path)
     assert_reproduces("nz-google-qmin-off", "spawn", columns(run))
 
 

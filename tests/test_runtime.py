@@ -230,7 +230,7 @@ def recovered_run(monkeypatch, fault):
         ])
 
     monkeypatch.setattr(ShardExecutor, "submit", faulty_submit)
-    descriptor, queries, __, seed = CASES[RECOVERED]
+    descriptor, queries, seed = CASES[RECOVERED]
     return run_dataset(descriptor, seed=seed, client_queries=queries, workers=2)
 
 
@@ -414,13 +414,19 @@ class TestEnvDefaults:
     def test_run_config_rejects_what_cannot_run(self):
         from repro.experiments.context import ExperimentContext
 
-        for field, bad in (("workers", 0), ("trace", 1.5), ("trace", -0.1)):
-            with pytest.raises(ValueError, match=field):
-                RunConfig(**{field: bad})
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(workers=0)
         with pytest.raises(ValueError, match="scale"):
             ExperimentContext(scale=-1)
         with pytest.raises(ValueError, match="workers"):
             ExperimentContext(workers=0)
+
+    def test_context_runs_the_config_it_was_given(self):
+        from repro.experiments.context import ExperimentContext
+
+        config = RunConfig(workers=2)
+        assert ExperimentContext(scale=0.01, config=config).config is config
+        assert ExperimentContext(scale=0.01).config == RunConfig()
 
     def test_every_env_knob_is_in_the_readme_table(self):
         """No module under ``src/repro`` reads the process environment —
@@ -441,7 +447,7 @@ class TestEnvDefaults:
         ]
         assert readers == []
         for constructor in (
-            "DatasetRun(", "ShardTask(", "QueryTracer(", "SpooledCapture(",
+            "DatasetRun(", "ShardTask(", "SpooledCapture(",
             "SimEnvironment(",
         ):
             sites = sum(
@@ -464,18 +470,17 @@ class TestEnvDefaults:
         # Settable only where a caller sets it: every field of the two
         # configs is one the CLI or the benchmark passes.
         assert [field.name for field in fields(RunConfig)] == [
-            "workers", "spool_dir", "trace",
+            "workers", "spool_dir",
         ]
         assert [field.name for field in fields(ServiceConfig)] == [
             "dataset_id", "host", "udp_port", "tcp_port", "metrics_port",
             "seed", "rrl", "fault_plan",
             "fault_window_s", "watchdog_interval_s",
         ]
-        # One trace surface: simulated events in one Chrome-trace file —
-        # no rate frames, no second format, no runtime-category events,
-        # no reader-less telemetry API.
+        # The metrics registry is the one observer: no per-query tracer,
+        # no rate frames, no reader-less telemetry API.
         assert not re.search(
-            r"FlightRecorder|timeseries|jsonl|include_runtime|hash_uniform"
-            r"|\bwindow_s\b|by_label|phase_totals|\.slowest\(|cat=",
+            r"\btrac(ing|e_out|e_sample)\b|Trac(er|eBuffer)\b|FlightRecorder|timeseries"
+            r"|\bwindow_s\b|by_label|phase_totals|\.slowest\(",
             everything,
         )

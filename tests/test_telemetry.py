@@ -18,6 +18,8 @@ from repro.telemetry import (
     format_summary,
     metric_key,
     split_key,
+    to_prometheus,
+    write_prometheus,
 )
 from repro.workload import dataset
 
@@ -328,6 +330,50 @@ class TestRunDatasetIntegration:
         descriptor = monthly_google_descriptor("nz", 2020, 2)  # cyclic event
         run = run_dataset(descriptor, client_queries=400, seed=13)
         assert run.telemetry.total("resolver.servfails") > 0
+
+
+class TestPrometheusExposition:
+    @pytest.fixture(scope="class")
+    def run(self):
+        return run_dataset(dataset("nz-w2018"), client_queries=700, seed=20201027)
+
+    def test_run_snapshot_renders(self, run):
+        text = to_prometheus(run.telemetry)
+        assert "# TYPE repro_capture_rows_appended_total counter" in text
+        assert "repro_resolver_client_queries_total{" in text
+        assert 'provider="Google"' in text
+        assert "# TYPE repro_sim_fleet_size gauge" in text
+        assert "# TYPE repro_phase_seconds_total counter" in text
+        assert text.endswith("\n")
+
+    def test_histogram_buckets_are_cumulative(self, run):
+        text = to_prometheus(run.telemetry)
+        lines = [
+            line for line in text.splitlines()
+            if line.startswith("repro_capture_response_size_bytes_bucket")
+        ]
+        assert lines, "histogram missing from exposition"
+        counts = [float(line.rsplit(" ", 1)[1]) for line in lines]
+        assert counts == sorted(counts)
+        assert lines[-1].startswith(
+            'repro_capture_response_size_bytes_bucket{le="+Inf"}'
+        )
+        count_line = next(
+            line for line in text.splitlines()
+            if line.startswith("repro_capture_response_size_bytes_count")
+        )
+        assert counts[-1] == float(count_line.rsplit(" ", 1)[1])
+
+    def test_label_escaping(self):
+        metrics = MetricsRegistry()
+        metrics.counter("odd.metric", label='quo"te\\back\nline').inc(3)
+        text = to_prometheus(metrics.snapshot())
+        assert 'label="quo\\"te\\\\back\\nline"' in text
+
+    def test_write_prometheus(self, run, tmp_path):
+        path = tmp_path / "metrics.prom"
+        write_prometheus(run.telemetry, str(path))
+        assert path.read_text() == to_prometheus(run.telemetry)
 
 
 class TestExperimentContextTelemetry:

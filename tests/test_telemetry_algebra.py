@@ -2,10 +2,10 @@
 
 ``merge_snapshot`` is to telemetry what aggregator ``merge`` is to the
 streaming analyses (``tests/test_streaming_algebra.py``): the pooled
-runtime folds per-shard snapshots and trace buffers into parent-side
-state, and that fold is only correct if feeding a
-partition-by-partition equals feeding whole, merge is order-insensitive
-(for everything except last-write-wins gauges), and merge is associative.
+runtime folds per-shard snapshots into parent-side state, and that fold
+is only correct if feeding partition-by-partition equals feeding whole,
+merge is order-insensitive (for everything except last-write-wins
+gauges), and merge is associative.
 
 Also here: the :func:`metric_key`/:func:`split_key` round-trip property —
 label values are arbitrary strings (qnames, paths), so the structural
@@ -18,7 +18,7 @@ float accumulation is exact and bit-equality is the right comparison.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry import MetricsRegistry, TraceBuffer, metric_key, split_key
+from repro.telemetry import MetricsRegistry, metric_key, split_key
 
 # -- metric_key / split_key round-trip -----------------------------------------
 
@@ -181,39 +181,3 @@ class TestMergeSnapshotAlgebra:
         b.histogram("h", buckets=(1.0, 4.0)).observe(1.5)
         with pytest.raises(ValueError):
             a.merge_snapshot(b.snapshot())
-
-
-# -- trace-buffer shard order --------------------------------------------------
-
-
-def fake_trace(index, seq, provider="P"):
-    begin = float(index)
-    return {
-        "id": f"{index}:{seq}", "resolver_index": index, "seq": seq,
-        "resolver_id": f"r{index}", "provider": provider, "qname": "q.nl.",
-        "qtype": 1, "rcode": 0, "begin": begin, "end": begin + 0.25,
-        "events": [[begin, "cache_miss", 0.0, None]],
-        "events_dropped": 0,
-    }
-
-
-class TestTraceBufferMerge:
-    def test_shard_order_extend_equals_whole(self):
-        traces = [fake_trace(i, s) for i in range(6) for s in range(2)]
-        whole = TraceBuffer(dataset_id="d", traces=list(traces))
-        sharded = TraceBuffer(dataset_id="d")
-        for start in range(0, len(traces), 4):
-            sharded.extend(traces[start:start + 4])
-        assert sharded.traces == whole.traces
-        assert sharded.to_chrome_trace() == whole.to_chrome_trace()
-
-    def test_cross_dataset_merge_stamps_origin(self):
-        a = TraceBuffer(dataset_id="a", traces=[fake_trace(0, 0)])
-        b = TraceBuffer(dataset_id="b", traces=[fake_trace(1, 0)])
-        session = TraceBuffer()
-        session.merge(a)
-        session.merge(b)
-        assert session.dataset_id == "a"
-        assert len(session) == 2
-        assert "dataset" not in session.traces[0]
-        assert session.traces[1]["dataset"] == "b"
