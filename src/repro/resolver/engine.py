@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from ..netsim import IPAddress, Site
 from ..server import AuthoritativeServer, ResponsePlan, ServerSet
 from ..zones import seed_words, word_stream
 from .cache import ResolverCache
-from .network import AuthorityNetwork
+from .network import AuthorityNetwork, Location
 
 
 #: Chance of asking a random NS of the set instead of the fastest one
@@ -166,6 +166,47 @@ def _edns_for(bufsize: int, dnssec_ok: bool) -> EdnsRecord:
     allocation overhead.
     """
     return EdnsRecord(udp_payload_size=bufsize, dnssec_ok=dnssec_ok)
+
+
+class Route(NamedTuple):
+    """How resolvers at one site with equal family fields reach a server
+    set (:func:`add_route`); shared and read-only."""
+
+    #: Per server, in set order: ``(server, v4 RTT, v6 RTT, v6 probability)``,
+    #: the probability ``None`` when no family draw is made.
+    hops: Tuple[Tuple[AuthoritativeServer, float, float, Optional[float]], ...]
+    fastest: int            #: index of the lowest-RTT hop (the first on a tie)
+    family: Optional[int]   #: the family when no draw is made, else ``None``
+
+
+def add_route(server_set: ServerSet, client_site: Site, key: tuple) -> Route:
+    """Work out, keep in ``server_set.routes`` and return the route for
+    ``key`` = ``(client_site.code, family_policy, fixed_v6_ratio,
+    rtt_sharpness_ms, v6_extra_rtt_ms, has_v4, has_v6)``, a resolver's
+    fields by value.  Only a dual-stack ``fixed`` or ``rtt`` policy draws
+    a family: v6 at the fixed ratio, or logistic in the v4−v6 RTT gap."""
+    __, policy, fixed_v6_ratio, sharpness_ms, v6_extra_ms, has_v4, has_v6 = key
+    if policy == "v4only" or not has_v6:
+        family = 4
+    elif policy == "v6only" or not has_v4:
+        family = 6
+    else:
+        family = None
+    hops = []
+    for server in server_set.servers:
+        rtt4 = server_set.rtt_ms(server, client_site)
+        rtt6 = rtt4 + v6_extra_ms
+        if family is not None:
+            p6 = None
+        elif policy == "fixed":
+            p6 = fixed_v6_ratio
+        else:
+            gap = (rtt4 - rtt6) / max(sharpness_ms, 1e-6)
+            p6 = 1.0 / (1.0 + np.exp(-gap))
+        hops.append((server, rtt4, rtt6, p6))
+    fastest = min(range(len(hops)), key=lambda i: hops[i][1])
+    route = server_set.routes[key] = Route(tuple(hops), fastest, family)
+    return route
 
 
 @lru_cache(maxsize=256)
@@ -294,6 +335,7 @@ class SimResolver:
         qname: Name,
         qtype: RRType,
         depth: int,
+        located: Optional[Location] = None,  # network.locate(qname), if known
     ) -> RCode:
         if depth > CYCLIC_CHASE_DEPTH:
             self.stats.servfails += 1
@@ -309,20 +351,21 @@ class SimResolver:
             return negative
         self.stats.cache_misses += 1
 
-        tld = network.tld_of(qname)
-        if tld is None:
+        if located is None:
+            located = network.locate(qname)
+        if located is None:
             return self._resolve_at_root(network, session, qname, qtype)
+        tld, tld_set, cut = located
 
         # Make sure we know the TLD's nameservers (priming via the root).
-        self._ensure_tld_delegation(network, session, tld)
+        if self._delegation_expiry.get(tld.key, 0.0) <= session.now:
+            self._ensure_tld_delegation(network, session, tld)
 
         # RFC 8198: a cached NSEC range can prove NXDOMAIN with no query.
         if self.cache.nsec_covers(tld, qname):
             self.cache.put_negative(session.now, qname, RCode.NXDOMAIN)
             return RCode.NXDOMAIN
 
-        tld_set = network.server_set_for(tld)
-        cut = network.registered_cut(qname)
         if cut is None:
             # Unregistered name: the TLD will answer NXDOMAIN ("junk").
             send_name, send_type = self._minimized(qname, qtype, tld)
@@ -336,7 +379,7 @@ class SimResolver:
             self.cache.put_negative(session.now, qname, RCode.NXDOMAIN)
             return RCode.NXDOMAIN
 
-        if network.leaf.is_cyclic(cut):
+        if cut.key in network.leaf.partner_ns:
             # Cyclic dependency: the resolver can never learn the leaf NS
             # addresses, so every attempt re-queries the TLD for the name
             # itself (hoping for glue) and then chases the partner's NS
@@ -415,10 +458,9 @@ class SimResolver:
     def _ensure_tld_delegation(
         self, network: AuthorityNetwork, session: _Session, tld: Name
     ) -> None:
-        """Query the root for the TLD delegation when not cached — the only
-        regular ccTLD-driven traffic the root sees from a warm resolver."""
-        if self._delegation_expiry.get(tld.key, 0.0) > session.now:
-            return
+        """Query the root for the TLD delegation, once the cached one has
+        expired — the only regular ccTLD-driven traffic the root sees from a
+        warm resolver."""
         send_name, send_type = self._minimized(tld, RRType.NS, ROOT)
         response = self._send(
             session, network.root, send_name, send_type, network.faults
@@ -494,47 +536,16 @@ class SimResolver:
         domain, and so on until the depth limit.  This is the mechanism that
         made Google emit millions of A/AAAA queries to `.nz` in Feb 2020.
         """
-        partner = network.leaf.cyclic_partner(domain)
-        if partner is None:
+        walk = network.cyclic_walk(domain)
+        if depth >= CYCLIC_CHASE_DEPTH:
+            # Every address query would stop at the depth limit at once.
+            self.stats.servfails += 2 * len(walk)
             return
-        for ns_label in (b"ns1", b"ns2"):
-            ns_name = partner.prepend(ns_label)
+        for ns_name, located in walk:
             for addr_type in (RRType.A, RRType.AAAA):
-                self._resolve(network, session, ns_name, addr_type, depth + 1)
+                self._resolve(network, session, ns_name, addr_type, depth + 1, located)
 
     # -- transport ------------------------------------------------------------------
-
-    def _choose_family(self, server_set: ServerSet, server: AuthoritativeServer) -> int:
-        policy = self.behavior.family_policy
-        if policy == "v4only" or self.v6 is None:
-            return 4
-        if policy == "v6only" or self.v4 is None:
-            return 6
-        if policy == "fixed":
-            return 6 if self._rng.random() < self.behavior.fixed_v6_ratio else 4
-        # "rtt": logistic preference in the v4−v6 RTT gap.
-        rtt = server_set.rtt_ms(server, self.site)
-        rtt4 = rtt
-        rtt6 = rtt + self.behavior.v6_extra_rtt_ms
-        gap = (rtt4 - rtt6) / max(self.behavior.rtt_sharpness_ms, 1e-6)
-        p6 = 1.0 / (1.0 + np.exp(-gap))
-        return 6 if self._rng.random() < p6 else 4
-
-    def _choose_server(
-        self, server_set: ServerSet, exclude: frozenset = frozenset()
-    ) -> AuthoritativeServer:
-        """Mostly the fastest server, with exploration (Müller et al. 2017).
-
-        ``exclude`` holds servers that already timed out this resolution —
-        a real resolver moves to another NS rather than hammering a dead
-        one (the behaviour that makes NS-set redundancy survive outages).
-        The set memoises both the candidates and the lowest-RTT pick per
-        excluded set; the exploration draw is made here, on every call.
-        """
-        candidates = server_set.remaining(exclude) if exclude else server_set.servers
-        if len(candidates) > 1 and self._rng.random() < SERVER_EXPLORATION:
-            return candidates[int(self._rng.integers(len(candidates)))]
-        return server_set.fastest(self.site, exclude)
 
     def _send(
         self,
@@ -548,6 +559,11 @@ class SimResolver:
         exponential-backoff retransmits on drops/timeouts, failover across
         the NS set, and a bounded total retry budget.  Returns the plan of
         the response that came back, or ``None``.
+
+        Each attempt reads its server, family and RTTs off the set's route
+        for this resolver's site and family fields (:func:`add_route`): mostly the fastest
+        server, with exploration (Müller et al. 2017), skipping servers that
+        already timed out while another remains.
 
         The server is asked the question itself
         (:meth:`~repro.server.AuthoritativeServer.answer`); no query message
@@ -573,14 +589,29 @@ class SimResolver:
             if behavior.edns_bufsize > 0
             else None
         )
+        route_key = (
+            self.site.code, behavior.family_policy, behavior.fixed_v6_ratio,
+            behavior.rtt_sharpness_ms, behavior.v6_extra_rtt_ms,
+            self.v4 is not None, self.v6 is not None,
+        )
+        route = server_set.routes.get(route_key)
+        if route is None:
+            route = add_route(server_set, self.site, route_key)
+        rng = self._rng
         for attempt in range(MAX_RETRIES + 1):
-            server = self._choose_server(server_set, frozenset(failed))
-            family = self._choose_family(server_set, server)
-            src = self.v4 if family == 4 else self.v6
-            self._rng.integers(65536)  # the message id
-            rtt = server_set.rtt_ms(server, self.site)
-            if family == 6:
-                rtt += behavior.v6_extra_rtt_ms
+            hops = route.hops
+            if failed:
+                hops = [hop for hop in hops if hop[0].server_id not in failed] or hops
+            if len(hops) > 1 and rng.random() < SERVER_EXPLORATION:
+                hop = hops[int(rng.integers(len(hops)))]
+            elif failed:
+                hop = min(hops, key=lambda hop: hop[1])  # the fastest left
+            else:
+                hop = hops[route.fastest]
+            server, rtt4, rtt6, p6 = hop
+            family = route.family if p6 is None else (6 if rng.random() < p6 else 4)
+            src, rtt = (self.v6, rtt6) if family == 6 else (self.v4, rtt4)
+            rng.integers(65536)  # the message id
             if faults is not None:
                 rtt += faults.extra_latency_ms(server.server_id, session.now, rtt)
             if attempt:
@@ -613,7 +644,7 @@ class SimResolver:
                     break  # total budget exhausted: give up early
                 continue
             if response.truncated:
-                tcp_rtt = rtt * float(1.0 + 0.05 * self._rng.random())
+                tcp_rtt = rtt * float(1.0 + 0.05 * rng.random())
                 stats.auth_queries += 1
                 stats.tcp_retries += 1
                 response = server.answer(

@@ -16,20 +16,27 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..dnscore import Name, RCode, RRType
 from ..server import ServerSet
 from ..zones import Zone
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeafAnswer:
     """Outcome of a query to an (unobserved) leaf authority."""
 
     rcode: RCode
     ttl: float = 3600.0
     exists: bool = True
+
+
+#: Every outcome a leaf authority gives, built once: answers are shared.
+_ANSWER = LeafAnswer(RCode.NOERROR)
+_NODATA = LeafAnswer(RCode.NOERROR, exists=False)
+_NXDOMAIN = LeafAnswer(RCode.NXDOMAIN, exists=False)
+_SERVFAIL = LeafAnswer(RCode.SERVFAIL, ttl=0.0, exists=False)
 
 
 @dataclass
@@ -41,13 +48,6 @@ class CyclicPair:
 
     first: Name
     second: Name
-
-    def partner(self, domain: Name) -> Optional[Name]:
-        if domain.key == self.first.key:
-            return self.second
-        if domain.key == self.second.key:
-            return self.first
-        return None
 
 
 class SyntheticLeafAuthority:
@@ -61,22 +61,15 @@ class SyntheticLeafAuthority:
     """
 
     def __init__(self, cyclic_pairs: Sequence[CyclicPair] = ()):
-        self.cyclic_pairs = list(cyclic_pairs)
-        #: The keys (``Name.key``) of every domain in a cyclic pair.
-        self._cyclic_domains: Set[Tuple[bytes, ...]] = set()
-        for pair in self.cyclic_pairs:
-            self._cyclic_domains.add(pair.first.key)
-            self._cyclic_domains.add(pair.second.key)
-
-    def is_cyclic(self, domain: Name) -> bool:
-        return domain.key in self._cyclic_domains
-
-    def cyclic_partner(self, domain: Name) -> Optional[Name]:
-        for pair in self.cyclic_pairs:
-            partner = pair.partner(domain)
-            if partner is not None:
-                return partner
-        return None
+        #: The key (``Name.key``) of every domain in a cyclic pair → its
+        #: partner's nameserver names, ``ns1`` and ``ns2``: built once, so
+        #: every step of a cyclic walk asks with the same names.
+        self.partner_ns: Dict[Tuple[bytes, ...], Tuple[Name, ...]] = {}
+        for pair in cyclic_pairs:
+            for domain, partner in ((pair.first, pair.second), (pair.second, pair.first)):
+                self.partner_ns[domain.key] = (
+                    partner.prepend(b"ns1"), partner.prepend(b"ns2"),
+                )
 
     @staticmethod
     def _stable_hash(name: Name, salt: str) -> int:
@@ -86,31 +79,33 @@ class SyntheticLeafAuthority:
         """Answer a query for ``qname`` under delegated ``domain``, the zone
         cut covering it: an ancestor-or-self of ``qname``, which therefore
         *is* ``qname`` exactly when it has as many labels."""
-        if domain.key in self._cyclic_domains:
-            return LeafAnswer(RCode.SERVFAIL, ttl=0.0, exists=False)
-        h = self._stable_hash(qname, qtype.name)
+        if domain.key in self.partner_ns:
+            return _SERVFAIL
+        # The name's hash decides only what the rules leave to chance.
         if qname.label_count == domain.label_count:
-            if qtype is RRType.A:
-                return LeafAnswer(RCode.NOERROR)
+            if qtype is RRType.A or qtype in (RRType.NS, RRType.SOA, RRType.DNSKEY):
+                return _ANSWER
             if qtype is RRType.AAAA:
-                exists = h % 100 < 60
-                return LeafAnswer(RCode.NOERROR, exists=exists)
-            if qtype is RRType.MX:
-                return LeafAnswer(RCode.NOERROR, exists=h % 100 < 70)
-            if qtype is RRType.TXT:
-                return LeafAnswer(RCode.NOERROR, exists=h % 100 < 50)
-            if qtype in (RRType.NS, RRType.SOA, RRType.DNSKEY):
-                return LeafAnswer(RCode.NOERROR)
-            return LeafAnswer(RCode.NOERROR, exists=False)
-        # Subdomain: www always exists; others exist 30% of the time.
-        first_label = qname.labels[0] if qname.labels else b""
-        exists = first_label == b"www" or self._stable_hash(qname, "sub") % 100 < 30
-        if not exists:
-            return LeafAnswer(RCode.NXDOMAIN, exists=False)
-        if qtype in (RRType.A, RRType.AAAA):
-            v6_exists = qtype is RRType.A or h % 100 < 60
-            return LeafAnswer(RCode.NOERROR, exists=v6_exists)
-        return LeafAnswer(RCode.NOERROR, exists=h % 100 < 20)
+                share = 60
+            elif qtype is RRType.MX:
+                share = 70
+            elif qtype is RRType.TXT:
+                share = 50
+            else:
+                return _NODATA
+        else:
+            # Subdomain: www always exists; others exist 30% of the time.
+            if qname.labels[0] != b"www" and self._stable_hash(qname, "sub") % 100 >= 30:
+                return _NXDOMAIN
+            if qtype is RRType.A:
+                return _ANSWER
+            share = 60 if qtype is RRType.AAAA else 20
+        return _ANSWER if self._stable_hash(qname, qtype.name) % 100 < share else _NODATA
+
+
+#: Where a name sits (:meth:`AuthorityNetwork.locate`): its TLD, the TLD's
+#: server set, and the registered-domain zone cut covering it, if any.
+Location = Tuple[Name, ServerSet, Optional[Name]]
 
 
 class AuthorityNetwork:
@@ -139,41 +134,41 @@ class AuthorityNetwork:
         leaf: Optional[SyntheticLeafAuthority] = None,
     ):
         self.root = root
-        self.tlds = dict(tlds)
         self.leaf = leaf if leaf is not None else SyntheticLeafAuthority()
         self.faults = None
-        #: A TLD origin's key (``Name.key``) → its server set.
-        self._tld_sets: Dict[Tuple[bytes, ...], ServerSet] = {
-            origin.key: server_set for origin, server_set in self.tlds.items()
-        }
-        #: A TLD's key (its one casefolded label) → its zone: a qname's TLD
-        #: is ``qname.canonical[:1]``.
-        self._tld_zones: Dict[Tuple[bytes, ...], Zone] = {
-            origin.key: server_set.servers[0].zone
-            for origin, server_set in self.tlds.items()
+        #: A TLD's key (its one casefolded label) → its zone and server
+        #: set: a qname's TLD is ``qname.canonical[:1]``.
+        self._tlds: Dict[Tuple[bytes, ...], Tuple[Zone, ServerSet]] = {
+            origin.key: (server_set.servers[0].zone, server_set)
+            for origin, server_set in tlds.items()
             if origin.label_count == 1
         }
+        #: A cyclic domain's key → :meth:`cyclic_walk`.
+        self._walks: Dict[Tuple[bytes, ...], tuple] = {}
 
-    def server_set_for(self, origin: Name) -> Optional[ServerSet]:
-        """The simulated server set authoritative for ``origin`` (root or a
-        TLD), or None for zones below the simulated layer."""
-        if not origin.label_count:
-            return self.root
-        return self._tld_sets.get(origin.key)
+    def locate(self, qname: Name) -> Optional[Location]:
+        """Where ``qname`` sits in the simulated hierarchy, in one lookup:
+        its TLD (in the query's spelling), the TLD's server set, and the
+        delegated (registered-domain) zone cut covering it, if any — or
+        ``None`` when no simulated TLD covers it.
 
-    def tld_of(self, qname: Name) -> Optional[Name]:
-        """The simulated TLD covering ``qname`` (in the query's spelling),
-        if any."""
-        if qname.canonical[:1] in self._tld_zones:
-            return qname.ancestor_with_labels(1)
-        return None
-
-    def registered_cut(self, qname: Name) -> Optional[Name]:
-        """The delegated (registered-domain) zone cut covering ``qname``
-        within its simulated TLD, or None.
-
-        Uses the TLD zone's actual delegation table, so the resolver's
-        control flow mirrors what referrals would teach it.
+        The cut comes from the TLD zone's actual delegation table, so the
+        resolver's control flow mirrors what referrals would teach it.
         """
-        zone = self._tld_zones.get(qname.canonical[:1])
-        return None if zone is None else zone.covering_delegation(qname)
+        found = self._tlds.get(qname.canonical[:1])
+        if found is None:
+            return None
+        zone, tld_set = found
+        return qname.ancestor_with_labels(1), tld_set, zone.covering_delegation(qname)
+
+    def cyclic_walk(self, domain: Name) -> Tuple[Tuple[Name, Optional[Location]], ...]:
+        """The nameserver names of a cyclic ``domain``'s partner
+        (``leaf.partner_ns``), each with where it sits (:meth:`locate`):
+        what every step of a walk over the pair asks, worked out once."""
+        walk = self._walks.get(domain.key)
+        if walk is None:
+            walk = self._walks[domain.key] = tuple(
+                (ns_name, self.locate(ns_name))
+                for ns_name in self.leaf.partner_ns[domain.key]
+            )
+        return walk

@@ -525,7 +525,9 @@ class ServerSet:
     """A vantage point's authoritative NS set with a shared latency model.
 
     Provides the operations the resolver side needs: list the servers,
-    find each server's catchment for a client site, and compute RTTs.
+    find each server's catchment for a client site, compute RTTs, and keep
+    the routes the resolvers send by (built by
+    :func:`repro.resolver.engine.add_route`).
     """
 
     def __init__(self, servers: Sequence[AuthoritativeServer], latency: LatencyModel):
@@ -536,9 +538,8 @@ class ServerSet:
             raise ValueError("all servers in a set must serve the same zone")
         self.servers = list(servers)
         self.latency = latency
-        self._fastest: Dict[Tuple[str, FrozenSet[str]], AuthoritativeServer] = {}
-        self._remaining: Dict[FrozenSet[str], List[AuthoritativeServer]] = {}
-        self._rtts: Dict[Tuple[str, str], float] = {}
+        #: Every route worked out so far, by key.
+        self.routes: Dict[tuple, tuple] = {}
 
     @property
     def origin(self) -> Name:
@@ -558,40 +559,5 @@ class ServerSet:
 
     def rtt_ms(self, server: AuthoritativeServer, client_site: Site) -> float:
         """RTT from a client site to the server's catchment instance, either
-        family (a family's extra delay is the resolver's to add), worked out
-        once per (server, site) like :meth:`fastest`."""
-        key = (server.server_id, client_site.code)
-        rtt = self._rtts.get(key)
-        if rtt is None:
-            rtt = self._rtts[key] = self.latency.rtt_ms(
-                client_site, server.catchment_site(client_site)
-            )
-        return rtt
-
-    def remaining(self, exclude: FrozenSet[str]) -> List[AuthoritativeServer]:
-        """The servers whose ids are not in ``exclude``, in set order — or
-        every server, when that would leave none.  Memoised per excluded
-        set; the list is shared and read-only."""
-        servers = self._remaining.get(exclude)
-        if servers is None:
-            servers = self._remaining[exclude] = [
-                s for s in self.servers if s.server_id not in exclude
-            ] or self.servers
-        return servers
-
-    def fastest(
-        self, client_site: Site, exclude: FrozenSet[str] = frozenset()
-    ) -> AuthoritativeServer:
-        """The lowest-RTT server for this client site among
-        :meth:`remaining` (the first such server on a tie).
-
-        A pure function of site geometry, so it is worked out once per
-        (site, excluded ids).
-        """
-        key = (client_site.code, exclude)
-        server = self._fastest.get(key)
-        if server is None:
-            server = self._fastest[key] = min(
-                self.remaining(exclude), key=lambda s: self.rtt_ms(s, client_site)
-            )
-        return server
+        family (a family's extra delay is the resolver's to add)."""
+        return self.latency.rtt_ms(client_site, server.catchment_site(client_site))

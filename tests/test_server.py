@@ -19,6 +19,7 @@ from repro.dnscore import (
     TXTRdata,
 )
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
+from repro.resolver.engine import add_route
 from repro.server import AuthoritativeServer, RateLimiter, RRLConfig, ServerSet
 from repro.server import authoritative
 from repro.server.authoritative import _anchored_size
@@ -459,14 +460,20 @@ class TestServerSet:
         europe = AuthoritativeServer("nl-a", zone, [GAZETTEER["AMS"]])
         oceania = AuthoritativeServer("nl-b", zone, [GAZETTEER["AKL"]])
         server_set = ServerSet([europe, oceania], latency)
-        assert server_set.fastest(GAZETTEER["FRA"]) is europe
-        assert server_set.fastest(GAZETTEER["SYD"]) is oceania
-        # Memoised per site; the answer is the unmemoised one.
+
+        def fastest(site):
+            key = (site, "rtt", 0.5, 15.0, 0.0, True, True)
+            route = server_set.routes.get(key) or add_route(server_set, GAZETTEER[site], key)
+            return route.hops[route.fastest][0]
+
+        assert fastest("FRA") is europe
+        assert fastest("SYD") is oceania
+        # Kept per route; the answer is the unmemoised one.
         for site in ("FRA", "SYD", "LAX", "NRT"):
             rtts = [server_set.rtt_ms(s, GAZETTEER[site]) for s in server_set.servers]
             expected = server_set.servers[rtts.index(min(rtts))]
-            assert server_set.fastest(GAZETTEER[site]) is expected
-            assert server_set.fastest(GAZETTEER[site]) is expected
+            assert fastest(site) is expected
+            assert fastest(site) is expected
 
     def test_mixed_zones_rejected(self, zone):
         other = Zone(Name.from_text("nz"))
