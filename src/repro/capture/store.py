@@ -22,6 +22,7 @@ Usage pattern::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,9 @@ from .schema import QueryRecord, Transport
 DEFAULT_CHUNK_ROWS = 65536
 
 _U64_MASK = (1 << 64) - 1
+
+#: A row tuple's response-size column (:meth:`CaptureStore._row_of`'s layout).
+_RESPONSE_SIZE = itemgetter(11)
 
 
 def split_address(address: IPAddress) -> Tuple[int, int, int]:
@@ -176,7 +180,7 @@ class CaptureStore:
             sizes = self._frozen.response_size
         else:
             sizes = np.fromiter(
-                (row[11] for row in self._rows), dtype=np.uint32, count=len(self._rows)
+                map(_RESPONSE_SIZE, self._rows), dtype=np.uint32, count=len(self._rows)
             )
         if len(sizes):
             indices = np.searchsorted(

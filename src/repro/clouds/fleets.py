@@ -45,7 +45,6 @@ class FleetResolver:
 
     resolver: SimResolver
     provider: str          #: "Google" … "Cloudflare", or "Background".
-    pool: str
     weight: float          #: relative share of client queries.
     junk_fraction: float   #: fraction of its client queries that are junk.
     is_public_dns: bool = False
@@ -232,7 +231,6 @@ def _build_generic_fleet(
             FleetResolver(
                 resolver=resolver,
                 provider=provider,
-                pool="cloud",
                 weight=total_share * float(weights[index]),
                 junk_fraction=junk,
             )
@@ -283,7 +281,6 @@ def _build_google_fleet(vantage: str, year: int, seed: int) -> List[FleetResolve
                     seed=seed * 100003 + index,
                 ),
                 provider="Google",
-                pool="public-dns",
                 weight=total_share * public_share * float(pub_weights[index]),
                 junk_fraction=junk,
                 is_public_dns=True,
@@ -314,7 +311,6 @@ def _build_google_fleet(vantage: str, year: int, seed: int) -> List[FleetResolve
                     seed=seed * 200003 + index,
                 ),
                 provider="Google",
-                pool="cloud",
                 weight=total_share * (1.0 - public_share) * float(rest_weights[index]),
                 junk_fraction=junk,
             )
@@ -366,7 +362,6 @@ def _build_facebook_fleet(vantage: str, year: int, seed: int) -> List[FleetResol
                         seed=seed * 300007 + site_spec.index * 1009 + index,
                     ),
                     provider="Facebook",
-                    pool=f"loc{site_spec.index}",
                     weight=total_share * site_spec.weight / per_site,
                     junk_fraction=junk,
                     site_index=site_spec.index,
@@ -486,7 +481,6 @@ def build_background_fleet(
                         seed=seed * 7 + cursor,
                     ),
                     provider="Background",
-                    pool=f"as{asn}",
                     weight=background_share * float(weights[cursor]),
                     junk_fraction=junk,
                 )

@@ -12,10 +12,11 @@ immutable :class:`Name` type with the operations the rest of the library needs:
 
 A name's structure is plain slot attributes, each set once when the name is
 built: ``labels`` (the byte-strings in their original case), ``label_count``,
-``key`` (the casefolded labels) and ``canonical`` (``key`` reversed, the RFC
-4034 order).  Reading one is an attribute load, not a call.  All comparisons
-go through ``key``, so ``WWW.Example.NL`` and ``www.example.nl`` compare equal
-but round-trip their original spelling; a table that only needs
+``key`` (the casefolded labels), ``canonical`` (``key`` reversed, the RFC
+4034 order) and ``wire_length`` (the octets of its uncompressed encoding).
+Reading one is an attribute load, not a call.  All comparisons go through
+``key``, so ``WWW.Example.NL`` and ``www.example.nl`` compare equal but
+round-trip their original spelling; a table that only needs
 case-insensitive identity can key by ``name.key`` itself, and then hashing
 and equality run on a tuple of bytes, in C.
 """
@@ -62,10 +63,10 @@ class Name:
 
     The root name is the empty tuple of labels and renders as ``"."``.
 
-    ``labels``, ``label_count``, ``key`` and ``canonical`` are slots set at
-    construction (in ``__init__``, or in ``_derived`` for names pieced
-    together from validated ones) and never change; there is no property
-    and no lazily computed key.  Only the renderings (``to_text``, the
+    ``labels``, ``label_count``, ``key``, ``canonical`` and ``wire_length``
+    are slots set at construction (in ``__init__``, or in ``_derived`` for
+    names pieced together from validated ones) and never change; there is
+    no property and no lazily computed key.  Only the renderings (``to_text``, the
     uncompressed ``to_wire``) and the parent are filled in on first use.
 
     Parameters
@@ -76,7 +77,7 @@ class Name:
     """
 
     __slots__ = (
-        "labels", "label_count", "key", "canonical",
+        "labels", "label_count", "key", "canonical", "wire_length",
         "_hash", "_wire", "_text", "_parent",
     )
 
@@ -91,6 +92,9 @@ class Name:
     #: rightmost (least significant) label.  ``canonical[n]`` is the label
     #: directly below an ``n``-label ancestor.
     canonical: Tuple[bytes, ...]
+    #: Octets of the uncompressed wire form: one length octet per label,
+    #: the labels, and the root's zero octet (``len(to_wire())``).
+    wire_length: int
     _hash: int
     _wire: Optional[bytes]
     _text: Optional[str]
@@ -115,22 +119,27 @@ class Name:
         self.label_count = len(labels)
         self.key = key
         self.canonical = key[::-1]
+        self.wire_length = wire_len
         self._hash = hash(key)
         self._wire = None
         self._text = None
         self._parent = None
 
     @classmethod
-    def _derived(cls, labels: Tuple[bytes, ...], key: Tuple[bytes, ...]) -> "Name":
+    def _derived(
+        cls, labels: Tuple[bytes, ...], key: Tuple[bytes, ...], wire_length: int
+    ) -> "Name":
         """A name whose labels are already known to be valid — pieced
         together from validated names (``parent``/``prepend``) or bounded
-        octet by octet while decoding (``from_wire``): nothing is checked
-        or casefolded again."""
+        octet by octet while decoding (``from_wire``), so its
+        ``wire_length`` is known too: nothing is checked, measured or
+        casefolded again."""
         name = object.__new__(cls)
         name.labels = labels
         name.label_count = len(labels)
         name.key = key
         name.canonical = key[::-1]
+        name.wire_length = wire_length
         name._hash = hash(key)
         name._wire = None
         name._text = None
@@ -243,7 +252,10 @@ class Name:
             return parent
         if not self.label_count:
             raise NameError_("the root name has no parent")
-        parent = self._parent = Name._derived(self.labels[1:], self.key[1:])
+        labels = self.labels
+        parent = self._parent = Name._derived(
+            labels[1:], self.key[1:], self.wire_length - len(labels[0]) - 1
+        )
         return parent
 
     def ancestors(self) -> Iterator["Name"]:
@@ -302,12 +314,13 @@ class Name:
         name's own labels, casefolded key included, are reused as they are.
         """
         prefix = Name(labels)
-        wire_len = (
-            sum(map(len, prefix.labels)) + prefix.label_count + len(self.to_wire())
-        )
+        # The prefix's own root octet is not part of the joined name.
+        wire_len = prefix.wire_length - 1 + self.wire_length
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return Name._derived(prefix.labels + self.labels, prefix.key + self.key)
+        return Name._derived(
+            prefix.labels + self.labels, prefix.key + self.key, wire_len
+        )
 
     def prepend_text(self, text: str) -> "Name":
         """Prepend dotted textual labels, e.g. ``name.prepend_text("www")``."""
@@ -420,7 +433,8 @@ class Name:
         # Each label was bounded by its length octet (1..63, the two top
         # bits being clear) and the running total by MAX_NAME_LENGTH above,
         # which is all ``Name.__init__`` would check again.
-        return cls._derived(tuple(labels), tuple(map(bytes.lower, labels))), after
+        name = cls._derived(tuple(labels), tuple(map(bytes.lower, labels)), total + 1)
+        return name, after
 
 
 #: The DNS root name (zero labels).

@@ -58,29 +58,36 @@ class PrefixTrie(Generic[V]):
         node.value = value
         node.has_value = True
 
-    def lookup(self, address: IPAddress) -> Optional[Tuple[Prefix, V]]:
-        """Longest-prefix match; returns ``(matched_prefix, value)`` or None."""
+    def _longest_match(self, address: IPAddress) -> Optional[Tuple[int, V]]:
+        """``(length, value)`` of the longest stored prefix holding
+        ``address``, or None."""
         node = self._roots[address.family]
-        bits = self._bits_for(address.family)
+        bits = V4_BITS if address.family == 4 else V6_BITS
+        value = address.value
         best: Optional[Tuple[int, V]] = (0, node.value) if node.has_value else None
         for depth in range(bits):
-            bit = (address.value >> (bits - 1 - depth)) & 1
-            node = node.children[bit]
+            node = node.children[(value >> (bits - 1 - depth)) & 1]
             if node is None:
                 break
             if node.has_value:
                 best = (depth + 1, node.value)
+        return best
+
+    def lookup(self, address: IPAddress) -> Optional[Tuple[Prefix, V]]:
+        """Longest-prefix match; returns ``(matched_prefix, value)`` or None."""
+        best = self._longest_match(address)
         if best is None:
             return None
         length, value = best
-        shift = bits - length
+        shift = self._bits_for(address.family) - length
         network = (address.value >> shift) << shift if shift else address.value
         return Prefix(address.family, network, length), value
 
     def lookup_value(self, address: IPAddress) -> Optional[V]:
-        """Longest-prefix match returning just the stored value."""
-        match = self.lookup(address)
-        return None if match is None else match[1]
+        """Longest-prefix match returning just the stored value (no
+        :class:`Prefix` is built)."""
+        best = self._longest_match(address)
+        return None if best is None else best[1]
 
     def __contains__(self, prefix: Prefix) -> bool:
         node = self._roots[prefix.family]

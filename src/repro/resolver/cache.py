@@ -12,7 +12,9 @@ Three stores:
   "aggressive use": a cached NSEC proving a gap lets the resolver
   synthesise NXDOMAIN for *any* name in the gap without a query.  The
   paper hypothesises this mechanism behind the 2020 drop in cloud junk
-  at B-Root (section 4.2.3).
+  at B-Root (section 4.2.3).  Each name's verdict is remembered until its
+  zone learns another range: the cyclic-dependency walk (section 4.2.1)
+  asks it for the same few names at every step.
 """
 
 from __future__ import annotations
@@ -94,15 +96,27 @@ class ResolverCache:
         # as its canonical key: tuples that order like the names (RFC 4034
         # section 6.1) and compare without a Python-level call.
         self._nsec_ranges: Dict[NameKey, List[Tuple[NameKey, NameKey]]] = {}
+        # zone key -> name key -> whether the zone's ranges cover the name;
+        # emptied whenever the zone gains a range.
+        self._nsec_verdicts: Dict[NameKey, Dict[NameKey, bool]] = {}
 
     # -- positive ----------------------------------------------------------
 
-    def put(self, now: float, qname: Name, qtype: RRType, records: Sequence[ResourceRecord]) -> None:
-        """Cache a positive answer under the minimum record TTL."""
+    def put(
+        self,
+        now: float,
+        qname: Name,
+        qtype: RRType,
+        records: Sequence[ResourceRecord],
+        ttl: float,
+    ) -> None:
+        """Cache a positive answer for ``ttl`` seconds (at most
+        :data:`MAX_TTL`); the caller knows the TTL its records carry."""
         if not records:
             raise ValueError("use put_negative for empty answers")
-        ttl = min(min(r.ttl for r in records), MAX_TTL)
-        self._positive[(qname.key, qtype)] = CacheEntry(list(records), now + ttl)
+        self._positive[(qname.key, qtype)] = CacheEntry(
+            list(records), now + (ttl if ttl < MAX_TTL else MAX_TTL)
+        )
 
     def get(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
         """Positive lookup: the live records, or ``None``."""
@@ -151,11 +165,15 @@ class ResolverCache:
         """Record an NSEC gap learned from a negative answer."""
         if not self.aggressive_nsec:
             return
-        ranges = self._nsec_ranges.setdefault(zone.key, [])
+        ranges = self._nsec_ranges.get(zone.key)
+        if ranges is None:
+            ranges = self._nsec_ranges[zone.key] = []
+            self._nsec_verdicts[zone.key] = {}
         entry = (owner.canonical, next_name.canonical)
         index = bisect.bisect_left(ranges, entry)
         if index >= len(ranges) or ranges[index] != entry:
             ranges.insert(index, entry)
+            self._nsec_verdicts[zone.key].clear()
 
     def nsec_covers(self, zone: Name, qname: Name) -> bool:
         """True if a cached NSEC range proves ``qname`` does not exist.
@@ -164,23 +182,35 @@ class ResolverCache:
         between the two.  The zone's last NSEC wraps around to the
         apex/first name, so a gap whose end sorts at-or-before its start
         covers everything after the owner *or* before the next name.
+
+        The verdict is a function of the zone's ranges and the name, so it
+        is worked out once per name until the zone learns another range;
+        every ``True`` counts one synthesised answer, remembered or not.
         """
         if not self.aggressive_nsec:
             return False
-        ranges = self._nsec_ranges.get(zone.key)
-        if not ranges:
+        verdicts = self._nsec_verdicts.get(zone.key)
+        if verdicts is None:
             return False
-        key = qname.canonical
-        index = bisect.bisect_right(ranges, (key, key)) - 1
-        # Probe the bracketing ranges plus the extremes (wraparound gaps
-        # sort by owner, so the covering entry may be the last or first).
-        for probe in {index, index + 1, 0, len(ranges) - 1}:
-            if 0 <= probe < len(ranges):
-                owner, next_key = ranges[probe]
-                if (
-                    owner < key < next_key if owner < next_key
-                    else key > owner or key < next_key
-                ):
-                    self.stats.nsec_synthesised += 1
-                    return True
-        return False
+        covered = verdicts.get(qname.key)
+        if covered is None:
+            ranges = self._nsec_ranges[zone.key]
+            count = len(ranges)
+            key = qname.canonical
+            index = bisect.bisect_right(ranges, (key, key)) - 1
+            # Probe the bracketing ranges plus the extremes (wraparound gaps
+            # sort by owner, so the covering entry may be the last or first).
+            covered = False
+            for probe in (index, index + 1, 0, count - 1):
+                if 0 <= probe < count:
+                    owner, next_key = ranges[probe]
+                    if (
+                        owner < key < next_key if owner < next_key
+                        else key > owner or key < next_key
+                    ):
+                        covered = True
+                        break
+            verdicts[qname.key] = covered
+        if covered:
+            self.stats.nsec_synthesised += 1
+        return covered

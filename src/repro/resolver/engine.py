@@ -32,8 +32,9 @@ simulation's digested telemetry.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +51,7 @@ from ..dnscore import (
 )
 from ..netsim import IPAddress, Site
 from ..server import AuthoritativeServer, ResponsePlan, ServerSet
+from ..server.authoritative import plan_profile
 from ..zones import seed_words, word_stream
 from .cache import ResolverCache
 from .network import AuthorityNetwork, Location
@@ -130,7 +132,8 @@ class ResolverStats:
     stale_served: int = 0    #: RFC 8767 stale answers returned to clients
     cache_hits: int = 0      #: answers served from cache (positive or negative)
     cache_misses: int = 0    #: resolutions that had to go to the network
-    by_qtype: Dict[int, int] = field(default_factory=dict)  #: auth sends per qtype
+    #: Auth sends per qtype; a ``defaultdict`` so a count is one store.
+    by_qtype: Dict[int, int] = field(default_factory=partial(defaultdict, int))
 
 
 class _Session:
@@ -158,14 +161,20 @@ _DNSKEY_TTL = 345600.0
 
 
 @lru_cache(maxsize=256)
-def _edns_for(bufsize: int, dnssec_ok: bool) -> EdnsRecord:
-    """Interned OPT template per (bufsize, DO) pair.
+def _edns_for(
+    bufsize: int, dnssec_ok: bool
+) -> Tuple[Optional[EdnsRecord], tuple, tuple]:
+    """Interned OPT template per (bufsize, DO) pair — ``None`` for a
+    bufsize of 0, which sends no OPT — with the plan-cache key part
+    (:func:`~repro.server.authoritative.plan_profile`) of a UDP and of a TCP
+    send under it.
 
     :class:`EdnsRecord` is frozen and the fleet exercises only a handful of
-    behaviour profiles, so the per-send construction in ``_send`` is pure
-    allocation overhead.
+    behaviour profiles, so building either per send in ``_send`` would be
+    pure overhead.
     """
-    return EdnsRecord(udp_payload_size=bufsize, dnssec_ok=dnssec_ok)
+    edns = EdnsRecord(udp_payload_size=bufsize, dnssec_ok=dnssec_ok) if bufsize > 0 else None
+    return edns, plan_profile(edns, Transport.UDP), plan_profile(edns, Transport.TCP)
 
 
 class Route(NamedTuple):
@@ -419,7 +428,9 @@ class SimResolver:
         return RCode.NOERROR
 
     def _cache_positive_marker(self, now: float, qname: Name, qtype: RRType, ttl: float) -> None:
-        self.cache.put(now, qname, qtype, _positive_marker(int(max(ttl, 1.0))))
+        # Whole seconds, at least one: the marker's TTL is the line's.
+        ttl = int(ttl) if ttl >= 1.0 else 1
+        self.cache.put(now, qname, qtype, _positive_marker(ttl), ttl)
 
     # -- root interaction -------------------------------------------------------
 
@@ -578,17 +589,12 @@ class SimResolver:
         """
         behavior = self.behavior
         stats = self.stats
-        qtype_counts = stats.by_qtype
-        qtype_counts[int(qtype)] = qtype_counts.get(int(qtype), 0) + 1
+        stats.by_qtype[int(qtype)] += 1
         failed: set = set()
         qname_key = qname.to_text().encode() if faults is not None else b""
         last_server_id: Optional[str] = None
         spent_timeout_ms = 0.0
-        edns = (
-            _edns_for(behavior.edns_bufsize, behavior.set_do)
-            if behavior.edns_bufsize > 0
-            else None
-        )
+        edns, udp_profile, tcp_profile = _edns_for(behavior.edns_bufsize, behavior.set_do)
         route_key = (
             self.site.code, behavior.family_policy, behavior.fixed_v6_ratio,
             behavior.rtt_sharpness_ms, behavior.v6_extra_rtt_ms,
@@ -627,7 +633,7 @@ class SimResolver:
                 response = None  # lost in transit: the server never sees it
             else:
                 response = server.answer(
-                    send_time, src, Transport.UDP, qname, qtype, edns
+                    send_time, src, Transport.UDP, qname, qtype, edns, udp_profile
                 )
             if response is None:
                 # Drop (fault, RRL, or outage) → wait out the timeout, back
@@ -654,6 +660,7 @@ class SimResolver:
                     qname,
                     qtype,
                     edns,
+                    tcp_profile,
                     tcp_rtt,
                 )
             return response

@@ -13,13 +13,14 @@ A :class:`ServerSet` models a vantage point's NS set (e.g. `.nl`'s servers
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..capture import CaptureStore, Transport, split_address
 from ..dnscore import Message, Name, Opcode, Question, RCode, RRType
-from ..dnscore.edns import EdnsRecord, effective_udp_limit
+from ..dnscore.edns import CLASSIC_UDP_LIMIT, EdnsRecord
 from ..dnscore.names import MAX_NAME_LENGTH
 from ..dnscore.rdata import ResourceRecord
 from ..dnscore.message import HEADER_LENGTH, Flags
@@ -90,7 +91,7 @@ def _calibrate(result: LookupResult) -> Tuple[Optional[int], FrozenSet[bytes]]:
         for suffix in table
         if len(suffix) > depth and suffix[len(suffix) - depth:] == anchor_key
     )
-    question_size = len(anchor.to_wire()) + _QUESTION_FIXED
+    question_size = anchor.wire_length + _QUESTION_FIXED
     return size - HEADER_LENGTH - question_size, below
 
 
@@ -117,8 +118,30 @@ def _anchored_size(
     depth = result.anchor.label_count
     if qname.label_count > depth and qname.canonical[depth] in below:
         return None
-    size = HEADER_LENGTH + len(qname.to_wire()) + _QUESTION_FIXED + body_size
+    size = HEADER_LENGTH + qname.wire_length + _QUESTION_FIXED + body_size
     return size if edns is None else size + _OPT_SIZE
+
+
+def plan_profile(
+    edns: Optional[EdnsRecord],
+    transport: Transport,
+    rd: bool = False,
+    opcode: Opcode = Opcode.QUERY,
+) -> tuple:
+    """The part of a plan-cache key that is not the question: the sender's
+    EDNS buffer size (``-1`` without OPT) and DO bit, whether it came over
+    TCP, and the header's RD bit and opcode.
+
+    A sender that asks under a fixed OPT template works this out once per
+    template and transport (the resolver's ``_edns_for``), not per send.
+    """
+    return (
+        -1 if edns is None else edns.udp_payload_size,
+        edns is not None and edns.dnssec_ok,
+        transport is Transport.TCP,
+        rd,
+        int(opcode),
+    )
 
 
 @dataclass(slots=True)
@@ -163,7 +186,8 @@ class ServerStats:
     plan_hits: int = 0        #: queries answered from the response-plan cache
     plan_misses: int = 0      #: queries that built (and cached) a fresh plan
     plan_evictions: int = 0   #: wholesale plan-cache flushes (epoch eviction)
-    by_rcode: Dict[int, int] = field(default_factory=dict)
+    #: Responses per rcode; a ``defaultdict`` so a count is one store.
+    by_rcode: Dict[int, int] = field(default_factory=partial(defaultdict, int))
 
 
 class AuthoritativeServer:
@@ -309,11 +333,12 @@ class AuthoritativeServer:
         single = len(questions) == 1
         question = questions[0] if single else query.question
         flags = query.flags
+        edns = query.edns
         hits = self.stats.plan_hits
         plan = self.answer(
-            timestamp, src, transport, question.qname, question.qtype,
-            query.edns, tcp_rtt_ms, flags.rd, flags.opcode,
-            None if single else questions,
+            timestamp, src, transport, question.qname, question.qtype, edns,
+            plan_profile(edns, transport, flags.rd, flags.opcode),
+            tcp_rtt_ms, flags.rd, flags.opcode, None if single else questions,
         )
         if plan is None:
             return None
@@ -336,6 +361,7 @@ class AuthoritativeServer:
         qname: Name,
         qtype: RRType,
         edns: Optional[EdnsRecord],
+        profile: tuple,
         tcp_rtt_ms: Optional[float] = None,
         rd: bool = False,
         opcode: Opcode = Opcode.QUERY,
@@ -345,7 +371,9 @@ class AuthoritativeServer:
         both entry points; the simulator asks it directly, with no message.
 
         The question is ``qname``/``qtype`` under the sender's OPT record
-        ``edns`` and header bits ``rd``/``opcode``.  ``questions`` is a live
+        ``edns`` and header bits ``rd``/``opcode``; ``profile`` is
+        :func:`plan_profile` of those four, the plan-cache key's per-send
+        part, which the caller fixes.  ``questions`` is a live
         query's whole question section when it has more than one: such a
         response is built, sized by encoding and never memoised (a plan's
         size and truncation verdict cover one echoed question).  Returns
@@ -374,15 +402,7 @@ class AuthoritativeServer:
         if plan is None:
             key = None
             if self._plans is not None and questions is None:
-                key = (
-                    qname.key,
-                    int(qtype),
-                    -1 if edns is None else edns.udp_payload_size,
-                    edns is not None and edns.dnssec_ok,
-                    transport is Transport.TCP,
-                    rd,
-                    int(opcode),
-                )
+                key = (qname.key, qtype, profile)
                 plan = self._plans.get(key)
             # Name keys compare case-insensitively (RFC 1035); replay only
             # for the exact spelling the plan was built from so captured
@@ -399,7 +419,7 @@ class AuthoritativeServer:
         if truncated:
             stats.truncated += 1
         rcode = plan.rcode
-        stats.by_rcode[rcode] = stats.by_rcode.get(rcode, 0) + 1
+        stats.by_rcode[rcode] += 1
         if self.capture is not None:
             family, hi, lo = split_address(src)
             self.capture.append_row((
@@ -455,8 +475,15 @@ class AuthoritativeServer:
             dnssec_ok = edns is not None and edns.dnssec_ok
             if edns is not None:
                 response_edns = _RESPONSE_EDNS[dnssec_ok]
-            if qname.is_subdomain_of(self.zone.origin):
+            try:
                 result = self.zone.lookup(qname, qtype, dnssec_ok)
+            except ValueError:
+                # The lookup's own bailiwick test is the only one a query
+                # inside the zone pays for.
+                if qname.is_subdomain_of(self.zone.origin):
+                    raise
+                result = None
+            if result is not None:
                 outcome = result.outcome
                 # Authoritative answer for everything except referrals.
                 aa = outcome is not LookupOutcome.DELEGATION
@@ -478,18 +505,20 @@ class AuthoritativeServer:
                 additionals=additionals,
                 edns=response_edns,
             ).to_wire())
-        limit = (
-            effective_udp_limit(edns)
-            if transport is Transport.UDP
-            else TCP_MAX_SIZE
-        )
+        if transport is not Transport.UDP:
+            limit = TCP_MAX_SIZE
+        elif edns is None or edns.udp_payload_size < CLASSIC_UDP_LIMIT:
+            # RFC 6891 section 6.2.3: a buffer below 512 counts as 512.
+            limit = CLASSIC_UDP_LIMIT
+        else:
+            limit = edns.udp_payload_size
         if wire_size > limit:
             # Truncate: strip records, set TC, and let the client retry TCP.
             tc = True
             answers, authorities, additionals = [], [], []
             if key is not None:
                 # The header, the one echoed question and the OPT record.
-                wire_size = HEADER_LENGTH + len(qname.to_wire()) + _QUESTION_FIXED
+                wire_size = HEADER_LENGTH + qname.wire_length + _QUESTION_FIXED
                 if response_edns is not None:
                     wire_size += _OPT_SIZE
             else:

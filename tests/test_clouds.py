@@ -142,8 +142,8 @@ class TestFleets:
 
     def test_google_pools(self):
         fleet = build_provider_fleet("Google", "nl", 2020, seed=7)
-        pools = {m.pool for m in fleet}
-        assert pools == {"public-dns", "cloud"}
+        # Both pools: Public DNS and Google Cloud.
+        assert {m.is_public_dns for m in fleet} == {True, False}
         public_weight = sum(m.weight for m in fleet if m.is_public_dns)
         total = sum(m.weight for m in fleet)
         assert 0.8 < public_weight / total < 0.95  # Table 4: ~86-88%
@@ -190,13 +190,15 @@ class TestBackgroundOverflow:
         assert overflow
         for member in overflow:
             asn = registry.origin(member.resolver.v4)
-            assert member.pool == f"as{asn}"
+            # Attributed to the AS it was allocated from (named in its id).
+            assert member.resolver.resolver_id.startswith(f"bg-{vantage}-{asn}-")
             assert registry.country_of(asn) == member.resolver.site.country
 
     def test_as_that_fits_announces_only_its_primary(self):
         fleet, registry = build_all_fleets("nl", 2020, seed=3)
-        for pool in {m.pool for m in fleet if m.provider == "Background"}:
-            v4 = [p for p in registry.announcements(int(pool[2:])) if p.family == 4]
+        background = [m for m in fleet if m.provider == "Background"]
+        for asn in {registry.origin(m.resolver.v4) for m in background}:
+            v4 = [p for p in registry.announcements(asn) if p.family == 4]
             assert len(v4) == 1 and PRIMARY_BLOCK.contains_prefix(v4[0])
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dnscore import Name, ROOT, RRType
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
@@ -17,6 +18,7 @@ from repro.resolver import (
     SyntheticLeafAuthority,
     engine,
 )
+from repro.resolver.cache import MAX_TTL, CacheEntry
 from repro.resolver.engine import _Session
 from repro.server import AuthoritativeServer, ServerSet
 from repro.sim import run_dataset
@@ -68,6 +70,27 @@ class TestMinimized:
         sent, qtype = resolver._minimized(qname, RRType.A, ROOT)
         assert sent == Name.from_text("com")
         assert qtype is RRType.NS
+
+
+class TestMarkerWrite:
+    @settings(max_examples=200, derandomize=True)
+    @given(st.floats(0.0, 1e7, allow_nan=False))
+    @example(0.25)          # below one second
+    @example(37.6)          # fractional
+    @example(MAX_TTL)
+    @example(MAX_TTL + 0.5)  # above the cap
+    def test_marker_line_is_the_min_over_records_line(self, ttl):
+        """The marker is written through ``put`` with its TTL; the line must
+        be the one the min-over-records write left: the marker for
+        ``int(max(ttl, 1))``, cached for its records' least TTL, capped."""
+        resolver = make_resolver()
+        qname = Name.from_text("www.example.nl")
+        resolver._cache_positive_marker(12.5, qname, RRType.A, ttl)
+        records = engine._positive_marker(int(max(ttl, 1.0)))
+        line = resolver.cache._positive[(qname.key, RRType.A)]
+        assert line == CacheEntry(
+            list(records), 12.5 + min(min(r.ttl for r in records), MAX_TTL)
+        )
 
 
 class TestSession:

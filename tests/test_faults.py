@@ -425,7 +425,7 @@ class TestServeStale:
         cache = ResolverCache(serve_stale_window=100.0)
         qname = Name.from_text("a.nl")
         record = ResourceRecord(qname, RRType.A, ttl=10, rdata=ARdata(0xC0000201))
-        cache.put(0.0, qname, RRType.A, [record])
+        cache.put(0.0, qname, RRType.A, [record], 10)
         assert cache.get(5.0, qname, RRType.A) is not None       # fresh
         assert cache.get_stale(5.0, qname, RRType.A) is None     # not stale yet
         assert cache.get(50.0, qname, RRType.A) is None          # expired

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.capture import CaptureStore, QueryRecord, Transport, join_address, split_address
-from repro.dnscore import ARdata, Name, NSECRdata, RCode, ResourceRecord, RRType
+from repro.dnscore import ARdata, Name, NSECRdata, RCode, ResourceRecord, ROOT, RRType
 from repro.netsim import IPAddress
 from repro.resolver import ResolverCache
 from repro.zones import ZipfSampler
@@ -85,7 +85,7 @@ class TestCacheProperties:
             name = Name.from_text(f"{label}.nl")
             cache.put(
                 0.0, name, RRType.A,
-                [ResourceRecord(name, RRType.A, int(ttl), ARdata(1))],
+                [ResourceRecord(name, RRType.A, int(ttl), ARdata(1))], ttl,
             )
         for label in labels:
             name = Name.from_text(f"{label}.nl")
@@ -157,6 +157,69 @@ class TestCacheProperties:
         for probe in probes:
             expected = any(covers(owner, nxt, probe) for owner, nxt in learned)
             assert cache.nsec_covers(zone, spelled(probe)) == expected, probe
+
+    @settings(max_examples=100, derandomize=True)
+    @given(
+        st.lists(name_label_st, min_size=2, max_size=8, unique=True),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["learn", "ask", "ask-owner"]), st.booleans(), st.integers(0, 3)
+            ),
+            min_size=12, max_size=40,
+        ),
+    )
+    @example(
+        labels=["alpha", "bravo", "charlie"],
+        steps=[("learn", False, 0), ("ask", False, 1), ("learn", False, 1), ("ask", False, 1)],
+    )
+    def test_remembered_verdicts_replay_the_check(self, labels, steps):
+        """Each verdict is remembered until its zone learns a range.  Asks
+        interleaved with learning, under two zones, give the verdicts and
+        the ``nsec_synthesised`` count of a twin whose memo is emptied
+        before every ask, and of a scan of every learned gap.  Step ``i``
+        learns gap ``i`` of one chain, or asks the name inside it (covered
+        once that gap is learned) or its owner (never covered)."""
+        zones = (Name.from_text("nl"), ROOT)
+        chain = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        gaps = list(zip(chain, chain[1:])) + [(chain[-1], chain[0])]
+        cache = ResolverCache(aggressive_nsec=True)
+        twin = ResolverCache(aggressive_nsec=True)
+        learned = {zone.key: set() for zone in zones}
+        for action, at_root, index in steps:
+            zone = zones[at_root]
+            owner, nxt = gaps[index % len(gaps)]
+            if action == "learn":
+                cache.add_nsec(zone, owner, nxt)
+                twin.add_nsec(zone, owner, nxt)
+                learned[zone.key].add((owner, nxt))
+                continue
+            for verdicts in twin._nsec_verdicts.values():
+                verdicts.clear()
+            # ``owner`` with a zero octet appended to its label sorts right
+            # after it: inside the gap.
+            probe = owner if action == "ask-owner" else owner.parent().prepend(
+                owner.labels[0] + b"\x00"
+            )
+            expected = any(
+                low < probe < high if low < high else low < probe or probe < high
+                for low, high in learned[zone.key]
+            )
+            assert cache.nsec_covers(zone, probe) == twin.nsec_covers(zone, probe) == expected
+            assert cache.stats.nsec_synthesised == twin.stats.nsec_synthesised
+
+    def test_a_range_learned_between_two_asks_changes_the_verdict(self):
+        cache = ResolverCache(aggressive_nsec=True)
+        zone, name = Name.from_text("nl"), Name.from_text("bravo.nl")
+        cache.add_nsec(zone, Name.from_text("delta.nl"), Name.from_text("echo.nl"))
+        assert not cache.nsec_covers(zone, name)
+        assert not cache.nsec_covers(zone, name)
+        cache.add_nsec(zone, Name.from_text("alpha.nl"), Name.from_text("charlie.nl"))
+        assert cache.nsec_covers(zone, name) and cache.nsec_covers(zone, name)
+        assert cache.stats.nsec_synthesised == 2
+        # Another zone's range leaves this zone's verdicts alone.
+        cache.add_nsec(ROOT, Name.from_text("a"), Name.from_text("b"))
+        assert cache.nsec_covers(zone, name)
+        assert cache.stats.nsec_synthesised == 3
 
 
 class TestNSECRdataProperties:

@@ -103,8 +103,9 @@ def constructed_name_st(draw, labels=None):
 
 
 class TestNameStructure:
-    """``labels``, ``label_count``, ``key`` and ``canonical`` are set once,
-    at construction, on every path, and agree with each other."""
+    """``labels``, ``label_count``, ``key``, ``canonical`` and
+    ``wire_length`` are set once, at construction, on every path, and agree
+    with each other."""
 
     @settings(max_examples=300, derandomize=True)
     @given(constructed_name_st())
@@ -114,6 +115,33 @@ class TestNameStructure:
         assert name.canonical == name.key[::-1]
         assert name.canonical_key() is name.canonical
         assert hash(name) == hash(name.key)
+        assert name.wire_length == len(name.to_wire())
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(mixed_label_st, cased_label_st, st.binary(min_size=63, max_size=63)),
+            max_size=3,
+        ).map(tuple),
+        st.data(),
+    )
+    def test_wire_length_is_the_encodings_length(self, labels, data):
+        """What the server sizes a question by, without encoding it:
+        escaped and 63-octet labels, either case."""
+        name = data.draw(constructed_name_st(labels))
+        assert name.wire_length == len(name.to_wire())
+        wire = b"\x00\x00" + name.to_wire()
+        assert Name.from_wire(wire, 2)[0].wire_length == len(wire) - 2
+
+    def test_wire_length_at_the_bounds(self):
+        assert Name.from_text(".").wire_length == len(Name(()).to_wire()) == 1
+        labels = (b"a" * 63, b"B" * 63, b"c" * 63, b"d" * 61)
+        name = Name(labels)
+        assert name.wire_length == len(name.to_wire()) == MAX_NAME_LENGTH
+        assert Name(labels[1:]).prepend(labels[0]).wire_length == MAX_NAME_LENGTH
+        assert name.parent().wire_length == MAX_NAME_LENGTH - 64
+        with pytest.raises(NameError_):
+            name.prepend(b"e")
 
     @settings(max_examples=300, derandomize=True)
     @given(any_labels_st, st.data())

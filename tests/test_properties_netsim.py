@@ -115,6 +115,26 @@ class TestTrieAgainstLinearScan:
                 assert actual[0].length == expected[0].length
                 assert actual[1] == expected[1]
 
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(prefix_st, st.integers()), min_size=1, max_size=20),
+        st.lists(st.tuples(address_st, st.integers(0, 19)), min_size=1, max_size=20),
+    )
+    def test_lookup_value_is_lookups_value(self, entries, probes):
+        """``lookup_value`` builds no prefix but answers as ``lookup``:
+        for random addresses, and for each one moved inside a stored prefix
+        (its network bits, the address's host bits)."""
+        trie = PrefixTrie()
+        for prefix, value in entries:
+            trie.insert(prefix, value)
+        for address, index in probes:
+            prefix = entries[index % len(entries)][0]
+            host = (1 << (prefix.bits - prefix.length)) - 1
+            inside = IPAddress(prefix.family, prefix.value | (address.value & host))
+            for probe in (address, inside):
+                match = trie.lookup(probe)
+                assert trie.lookup_value(probe) == (None if match is None else match[1])
+
     @settings(max_examples=40)
     @given(st.lists(st.tuples(prefix_st, st.integers()), min_size=1, max_size=15))
     def test_items_returns_all_inserted(self, entries):

@@ -42,7 +42,7 @@ class TestResolverCache:
         cache = ResolverCache()
         name = Name.from_text("x.nl")
         record = ResourceRecord(name, RRType.A, 100, ARdata(1))
-        cache.put(0.0, name, RRType.A, [record])
+        cache.put(0.0, name, RRType.A, [record], 100)
         assert cache.get(50.0, name, RRType.A) is not None
         assert cache.get(101.0, name, RRType.A) is None
 
@@ -51,7 +51,9 @@ class TestResolverCache:
 
         cache = ResolverCache()
         name = Name.from_text("x.nl")
-        cache.put(0.0, name, RRType.A, [ResourceRecord(name, RRType.A, 99999, ARdata(1))])
+        cache.put(
+            0.0, name, RRType.A, [ResourceRecord(name, RRType.A, 99999, ARdata(1))], 99999
+        )
         # MAX_TTL is a day.
         assert cache.get(86399.0, name, RRType.A) is not None
         assert cache.get(86401.0, name, RRType.A) is None
@@ -68,7 +70,7 @@ class TestResolverCache:
 
     def test_empty_put_rejected(self):
         with pytest.raises(ValueError):
-            ResolverCache().put(0.0, Name.from_text("x.nl"), RRType.A, [])
+            ResolverCache().put(0.0, Name.from_text("x.nl"), RRType.A, [], 60)
 
     def test_aggressive_nsec_synthesis(self):
         cache = ResolverCache(aggressive_nsec=True)

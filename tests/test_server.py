@@ -22,7 +22,8 @@ from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.resolver.engine import add_route
 from repro.server import AuthoritativeServer, RateLimiter, RRLConfig, ServerSet
 from repro.server import authoritative
-from repro.server.authoritative import _anchored_size
+from repro.dnscore.edns import effective_udp_limit
+from repro.server.authoritative import _anchored_size, plan_profile
 from repro.zones import LookupOutcome, LookupResult, Zone
 
 from .helpers import view_digest
@@ -91,6 +92,34 @@ class TestResponses:
 
 
 class TestTruncation:
+    @pytest.mark.parametrize("dnssec_ok", [False, True])
+    @pytest.mark.parametrize("qtype", [RRType.SOA, RRType.DNSKEY])
+    def test_udp_limit_is_effective_udp_limit(self, server, qtype, dnssec_ok):
+        """The miss path reads the UDP limit inline: without OPT, below 512,
+        at it, and around the response's own size above it, a UDP answer is
+        truncated exactly when it overflows ``effective_udp_limit``."""
+        qname = Name.from_text("nl")
+
+        def ask(transport, edns):
+            return server.answer(
+                1.0, SRC, transport, qname, qtype, edns,
+                plan_profile(edns, transport), None if transport is Transport.UDP else 10.0,
+            )
+
+        # The response's OPT is the server's own, so its size over TCP is
+        # the same whatever buffer the query advertised.
+        plain = ask(Transport.TCP, None).wire_size
+        size = ask(Transport.TCP, EdnsRecord(4096, dnssec_ok)).wire_size
+        # Three answers fit 512 (a buffer below it must not truncate them);
+        # the signed DNSKEY answer does not (its own size is the limit).
+        assert (size > 512) == (qtype is RRType.DNSKEY and dnssec_ok)
+        for bufsize in (None, 0, 100, 511, 512, 513, size - 1, size, size + 1, 4096):
+            edns = None if bufsize is None else EdnsRecord(bufsize, dnssec_ok)
+            untruncated = plain if edns is None else size
+            assert ask(Transport.UDP, edns).truncated == (
+                untruncated > effective_udp_limit(edns)
+            ), bufsize
+
     def test_small_bufsize_with_do_truncates_signed_answer(self, server):
         # DNSKEY answers with RRSIGs exceed 512 octets.
         q = query("nl", RRType.DNSKEY, edns=EdnsRecord(udp_payload_size=512, dnssec_ok=True))
@@ -199,7 +228,10 @@ class TestSizeShortcut:
         @given(
             base=st.sampled_from(cuts + uncut),
             prefix=st.lists(
-                st.sampled_from([b"www", b"ns1", b"NS2", b"ns3", b"a-much-longer-label"]),
+                st.sampled_from([
+                    b"www", b"ns1", b"NS2", b"ns3", b"a-much-longer-label",
+                    b"Dot.And\\Slash", b"L" * 63,
+                ]),
                 max_size=3,
             ),
             mask=st.integers(0, 2**40 - 1),

@@ -31,7 +31,7 @@ SCALE = 0.02
 def twin(server, key, plan):
     """The plan ``server`` builds for ``key`` without memoising it, asked
     with the exact spelling ``plan`` was built from."""
-    __, qtype, bufsize, dnssec_ok, tcp, rd, opcode = key
+    __, qtype, (bufsize, dnssec_ok, tcp, rd, opcode) = key
     edns = None if bufsize < 0 else EdnsRecord(
         udp_payload_size=bufsize, dnssec_ok=dnssec_ok
     )

@@ -10,7 +10,11 @@ below are the resolve loop alone, then simulates the month twice:
 
 * ``cpu_s``: the process CPU seconds of one untraced run;
 * ``calls_per_query``: the function calls ``cProfile`` counts in a second,
-  profiled run, per client query.
+  profiled run, per client query — summed over ``Profile.getstats()``,
+  which keeps one entry per code object.  (``pstats`` keys functions by
+  file, line and name, and every dataclass ``__init__`` is
+  ``('<string>', 2, '__init__')``, so it keeps one of them and drops the
+  rest's calls.)
 
 and prints them with the capture's row count and its view digest
 (``tests.helpers.view_digest``); the two runs must agree on the digest,
@@ -18,7 +22,6 @@ or it exits 1.  Compare two checkouts by running it from each one's root.
 """
 
 import cProfile
-import pstats
 import sys
 import time
 from pathlib import Path
@@ -45,7 +48,7 @@ def main(scale: float, seed: int) -> int:
     profiled = profiler.runcall(
         run_dataset, STORM, seed=seed, client_queries=queries
     )
-    calls = pstats.Stats(profiler).total_calls
+    calls = sum(entry.callcount for entry in profiler.getstats())
     same = view_digest(profiled.capture.view()) == digest
 
     print(
