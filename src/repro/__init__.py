@@ -22,7 +22,7 @@ Subpackages
 ``repro.zones``
     Zone model, synthetic root/.nl/.nz builders, popularity sampling.
 ``repro.server``
-    Authoritative servers: referrals, truncation, RRL, anycast, capture taps.
+    Authoritative servers: referrals, truncation, anycast, capture taps.
 ``repro.resolver``
     Recursive resolvers: caching, Q-min, DNSSEC validation, transports.
 ``repro.clouds``

@@ -12,22 +12,10 @@ Commands
 ``chaos``
     List named chaos scenarios (list-only: it simulates nothing, so it
     takes none of the simulation flags below).
-``serve [<id>]``
-    Live service mode: bind real UDP/TCP sockets answering DNS for the
-    dataset's authority world (``dig @127.0.0.1 -p 5300 example.nl``),
-    with an optional Prometheus ``/metrics`` listener.  ``--chaos`` and
-    ``--rrl`` apply their schedules to live traffic.  A port it cannot
-    bind is a usage error (exit 2) naming the endpoint, the address and
-    the OS error.
-``loadgen``
-    Replay workload-layer query streams against a running ``serve``
-    instance and report q/s + latency percentiles (``--min-answered``
-    turns the report into a CI gate).
 
 Observability flags (see README "Observability"): ``-v/-vv`` turn on
 progress/debug logging, ``--telemetry-out PATH`` exports the run's
-telemetry snapshot as JSON, ``--metrics-out PATH`` exports it in the
-Prometheus text format, and every simulating command prints a
+telemetry snapshot as JSON, and every simulating command prints a
 phase/counter summary on stderr.  The two simulating commands
 (``dataset``, ``experiments``) expose the same flag set via a shared
 helper so availability and help text cannot drift.
@@ -50,11 +38,9 @@ is built, and folded into one :class:`~repro.config.RunConfig`
 (``--workers`` always means shard-level parallelism: every dataset
 simulated is split across the pool); a value that cannot run —
 ``--workers 0``, ``--scale -1``, or ``--chaos-seed``
-without ``--chaos`` (on ``serve`` too) — is a usage error (exit 2) naming
+without ``--chaos`` — is a usage error (exit 2) naming
 it.  So is an unknown dataset id and an output path that is a directory
-or whose directory does not exist, on every command, and a ``serve`` or
-``loadgen`` value its config rejects (``--udp-port 70000``,
-``--tcp-fraction -0.2``).
+or whose directory does not exist.
 """
 
 from __future__ import annotations
@@ -68,9 +54,9 @@ EXIT_PARTIAL = 3
 
 
 def _resolve_flags(args: argparse.Namespace) -> None:
-    """Check the flags of every command that takes ``--chaos``
-    (``dataset``, ``experiments``, ``serve``) and give the simulating ones
-    ``args.config``, the run's :class:`~repro.config.RunConfig`.
+    """Check the flags of the simulating commands (``dataset``,
+    ``experiments``) and give them ``args.config``, the run's
+    :class:`~repro.config.RunConfig`.
 
     ``--chaos-seed`` places the faults of a ``--chaos`` scenario, so alone
     it is an error.  A value that does not validate raises ``ValueError``,
@@ -81,14 +67,12 @@ def _resolve_flags(args: argparse.Namespace) -> None:
 
     if args.chaos_seed is not None and not args.chaos:
         raise ValueError(f"--chaos-seed {args.chaos_seed} needs --chaos SCENARIO")
-    if not hasattr(args, "workers"):
-        return
     check_positive("scale", args.scale)
     args.config = RunConfig(workers=args.workers, spool_dir=args.spool_dir)
 
 
 #: Flags naming a file a command writes; its directory must already exist.
-_OUTPUT_FLAGS = ("out", "write", "telemetry_out", "metrics_out", "port_file", "json")
+_OUTPUT_FLAGS = ("out", "write", "telemetry_out")
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -171,16 +155,6 @@ def _print_telemetry(snapshot, telemetry_out, title: str) -> None:
     if telemetry_out:
         snapshot.write_json(telemetry_out)
         print(f"wrote telemetry to {telemetry_out}", file=sys.stderr)
-
-
-def _export_observability(args, snapshot) -> None:
-    """Write the snapshot to ``--metrics-out`` in the Prometheus text
-    format, if requested."""
-    if args.metrics_out:
-        from .telemetry import write_prometheus
-
-        write_prometheus(snapshot, args.metrics_out)
-        print(f"wrote Prometheus metrics to {args.metrics_out}", file=sys.stderr)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -294,127 +268,7 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         count = write_csv(run.capture, args.out)
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     _print_telemetry(telemetry, args.telemetry_out, title=args.dataset_id)
-    _export_observability(args, telemetry)
     return partial_exit
-
-
-def _serve_config(args: argparse.Namespace):
-    from .config import check_positive
-    from .faults import chaos_scenario
-    from .server import RRLConfig
-    from .service import ServiceConfig
-
-    # Unset serves until signalled; a set duration must be positive and
-    # finite (NaN, 0 or less would stop at once, inf never).
-    if args.duration is not None:
-        check_positive("--duration", args.duration)
-    # 0 is off; anything else the configs check.
-    rrl = None
-    if args.rrl:
-        rrl = RRLConfig(responses_per_second=args.rrl, burst=2.0 * args.rrl)
-    return ServiceConfig(
-        dataset_id=args.dataset_id,
-        host=args.host,
-        udp_port=args.udp_port,
-        tcp_port=args.tcp_port,
-        metrics_port=None if args.no_metrics else args.metrics_port,
-        seed=args.seed,
-        rrl=rrl,
-        fault_plan=(
-            chaos_scenario(args.chaos, seed=args.chaos_seed) if args.chaos else None
-        ),
-        fault_window_s=args.fault_window,
-    )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-    import signal
-
-    from .service import DnsService
-
-    async def _serve() -> int:
-        service = DnsService(args.live_config)
-        try:
-            await service.start()
-        except OSError as error:  # a port it cannot bind, named
-            print(f"repro: error: {error.strerror}", file=sys.stderr)
-            return 2
-        ports = service.ports()
-        if args.port_file:
-            with open(args.port_file, "w") as handle:
-                json.dump(ports, handle)
-            print(f"wrote bound ports to {args.port_file}", file=sys.stderr)
-        metrics_at = (
-            f"http://{args.host}:{ports['metrics']}/metrics"
-            if ports["metrics"] is not None
-            else "off"
-        )
-        sockets = f"udp/tcp {args.host}:{ports['udp']}"
-        if ports["tcp"] != ports["udp"]:
-            sockets = (
-                f"udp {args.host}:{ports['udp']} tcp {args.host}:{ports['tcp']}"
-            )
-        print(
-            f"serving {args.dataset_id}: {sockets}, metrics {metrics_at}",
-            file=sys.stderr,
-        )
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, service.request_shutdown)
-        await service.run_until_shutdown(duration=args.duration)
-        snapshot = await service.stop()
-        _print_telemetry(snapshot, args.telemetry_out, title="serve")
-        _export_observability(args, snapshot)
-        return 0
-
-    return asyncio.run(_serve())
-
-
-def _loadgen_config(args: argparse.Namespace):
-    from .service import LoadGenConfig
-
-    # The gate compares a fraction: a value outside [0, 1] (NaN included)
-    # could never fail, or never pass.
-    if not 0.0 <= args.min_answered <= 1.0:
-        raise ValueError(f"--min-answered must be in [0, 1], got {args.min_answered}")
-    return LoadGenConfig(
-        host=args.host,
-        udp_port=args.port,
-        tcp_port=args.tcp_port,
-        dataset_id=args.dataset_id,
-        queries=args.queries,
-        tcp_fraction=args.tcp_fraction,
-        seed=args.seed,
-    )
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
-    from .service import run_loadgen_sync
-
-    report = run_loadgen_sync(args.live_config)
-    print(report.summary())
-    for rcode, count in sorted(report.rcodes.items()):
-        print(f"  {rcode:<10} {count}")
-    if report.timeouts:
-        print(f"  timeouts   {report.timeouts}")
-    if report.late:
-        print(f"  late       {report.late}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-        print(f"wrote report to {args.json}", file=sys.stderr)
-    if report.answered_fraction < args.min_answered:
-        print(
-            f"ERROR: answered fraction {report.answered_fraction:.4f} below "
-            f"--min-answered {args.min_answered}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -434,7 +288,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print(content)
     snapshot = ctx.telemetry.snapshot()
     _print_telemetry(snapshot, args.telemetry_out, title="experiments")
-    _export_observability(args, snapshot)
     lookups = snapshot.counter
     print(
         f"worlds: {lookups('runtime.env_cache.miss', part='fleet')} fleets built, "
@@ -460,9 +313,6 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
                         help="simulation seed (default: 20201027)")
     parser.add_argument("--telemetry-out", metavar="PATH",
                         help="write the run's telemetry snapshot as JSON")
-    parser.add_argument("--metrics-out", metavar="PATH",
-                        help="write the run's telemetry snapshot in the"
-                             " Prometheus text exposition format")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for sharded execution"
                              " (default: 1 = serial)")
@@ -517,90 +367,11 @@ def main(argv=None) -> int:
     p_chaos = sub.add_parser("chaos", help="list chaos scenarios")
     p_chaos.set_defaults(func=_cmd_chaos)
 
-    p_serve = sub.add_parser(
-        "serve", help="live DNS frontend over real UDP/TCP sockets"
-    )
-    p_serve.add_argument("dataset_id", nargs="?", default="nl-w2020",
-                         help="dataset whose authority world to serve"
-                              " (default: nl-w2020)")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    p_serve.add_argument("--udp-port", type=int, default=5300,
-                         help="UDP port; 0 = ephemeral (default: 5300)")
-    p_serve.add_argument("--tcp-port", type=int, default=None,
-                         help="TCP port (default: same as the bound UDP"
-                              " port)")
-    p_serve.add_argument("--metrics-port", type=int, default=0,
-                         help="Prometheus /metrics port; 0 = ephemeral"
-                              " (default: 0)")
-    p_serve.add_argument("--no-metrics", action="store_true",
-                         help="disable the /metrics listener")
-    p_serve.add_argument("--seed", type=int, default=20201027,
-                         help="world-build seed (default: 20201027)")
-    p_serve.add_argument("--rrl", type=float, default=0.0, metavar="RATE",
-                         help="enable response rate limiting at RATE"
-                              " responses/s per client prefix (0 = off)")
-    p_serve.add_argument("--chaos", metavar="SCENARIO", default=None,
-                         help="apply a named fault schedule to live"
-                              " traffic (default: none)")
-    p_serve.add_argument("--chaos-seed", type=int, default=None,
-                         help="fault-placement seed of --chaos (default:"
-                              " derived from --seed)")
-    p_serve.add_argument("--fault-window", type=float, default=3600.0,
-                         metavar="SECONDS",
-                         help="uptime window the chaos schedule replays"
-                              " over (default: 3600)")
-    p_serve.add_argument("--port-file", metavar="PATH", default=None,
-                         help="write the bound ports as JSON (for"
-                              " scripting against ephemeral ports)")
-    p_serve.add_argument("--duration", type=float, default=None,
-                         metavar="SECONDS",
-                         help="serve for this long then exit (default:"
-                              " until SIGINT/SIGTERM)")
-    p_serve.add_argument("--telemetry-out", metavar="PATH",
-                         help="write the final telemetry snapshot as"
-                              " JSON on shutdown")
-    p_serve.add_argument("--metrics-out", metavar="PATH",
-                         help="write the final snapshot in Prometheus"
-                              " text format on shutdown")
-    p_serve.set_defaults(func=_cmd_serve, make_config=_serve_config)
-
-    p_loadgen = sub.add_parser(
-        "loadgen", help="replay workload streams against a live serve"
-    )
-    p_loadgen.add_argument("dataset_id", nargs="?", default="nl-w2020",
-                           help="dataset shaping the query stream"
-                                " (default: nl-w2020)")
-    p_loadgen.add_argument("--host", default="127.0.0.1",
-                           help="target address (default: 127.0.0.1)")
-    p_loadgen.add_argument("--port", type=int, default=5300,
-                           help="target UDP port (default: 5300)")
-    p_loadgen.add_argument("--tcp-port", type=int, default=None,
-                           help="target TCP port (default: same as"
-                                " --port)")
-    p_loadgen.add_argument("--queries", type=int, default=1000,
-                           help="queries to send (default: 1000)")
-    p_loadgen.add_argument("--tcp-fraction", type=float, default=0.0,
-                           help="share of queries sent over TCP, in"
-                                " [0, 1] (default: 0)")
-    p_loadgen.add_argument("--seed", type=int, default=20201027,
-                           help="stream seed (default: 20201027)")
-    p_loadgen.add_argument("--min-answered", type=float, default=0.0,
-                           metavar="FRACTION",
-                           help="exit 1 if the answered fraction falls"
-                                " below this (CI gate)")
-    p_loadgen.add_argument("--json", metavar="PATH", default=None,
-                           help="write the full report as JSON")
-    p_loadgen.set_defaults(func=_cmd_loadgen, make_config=_loadgen_config)
-
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "chaos"):
             _resolve_flags(args)
         _check_args(args)
-        if hasattr(args, "make_config"):
-            # Built here so a value the config rejects is a usage error too.
-            args.live_config = args.make_config(args)
     except ValueError as exc:
         parser.error(str(exc))
     if args.verbose:

@@ -43,17 +43,9 @@ class RunConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
-def check_ports(**ports: Optional[int]) -> None:
-    """Raise ``ValueError`` naming the first port outside [0, 65535];
-    ``None`` (no port) passes."""
-    for name, port in ports.items():
-        if port is not None and not 0 <= port <= 65535:
-            raise ValueError(f"{name} must be in [0, 65535], got {port}")
-
-
 def check_positive(name: str, value: float) -> float:
     """``value`` as a float if it is positive and finite (NaN is neither);
-    else ``ValueError`` naming ``name``: a scale, a rate or a duration."""
+    else ``ValueError`` naming ``name`` (a scale)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)

@@ -9,9 +9,9 @@ Two implementations exist behind the :class:`Clock` protocol:
 
 * :class:`SimClock` — deterministic simulated time, advanced explicitly by
   the driver; every sim run reads the same instants and stays bit-identical.
-* :class:`WallClock` — real time for the live service mode (``repro serve``),
-  anchored to the monotonic clock so reads never go backwards even when the
-  system clock steps.
+* :class:`WallClock` — real time for the live service
+  (:class:`~repro.service.DnsService`), anchored to the monotonic clock so
+  reads never go backwards even when the system clock steps.
 
 Consumers (driver, resolver, authoritative server) depend on the protocol,
 never on a concrete class, so the same dispatch code serves both worlds.
@@ -90,8 +90,8 @@ class WallClock:
     system clock, ``mono_anchor`` from :func:`time.monotonic` — and every
     :meth:`read` returns ``epoch_anchor + (monotonic() - mono_anchor)``.
     NTP steps or an operator resetting the system clock therefore cannot
-    make served timestamps jump backwards mid-run, which would corrupt RRL
-    token buckets and capture ordering.  A final ``max()`` guard pins the
+    make served timestamps jump backwards mid-run, which would corrupt
+    capture ordering.  A final ``max()`` guard pins the
     result against floating-point jitter.
     """
 
@@ -117,9 +117,7 @@ class WallClock:
         """Backwards-clamp events since construction.
 
         Each count is one :meth:`read` whose raw value would have gone
-        backwards and was pinned to the previous reading.  The live
-        service surfaces this as the ``clock.monotonic_clamps`` counter so
-        time anomalies during long soaks are observable.
+        backwards and was pinned to the previous reading.
         """
         return self._clamps
 

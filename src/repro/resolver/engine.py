@@ -630,14 +630,9 @@ class SimResolver:
             if faults is not None and faults.udp_fate(
                 server.server_id, family, send_time, qname_key
             ).dropped:
-                response = None  # lost in transit: the server never sees it
-            else:
-                response = server.answer(
-                    send_time, src, Transport.UDP, qname, qtype, edns, udp_profile
-                )
-            if response is None:
-                # Drop (fault, RRL, or outage) → wait out the timeout, back
-                # off exponentially, and prefer a different server next.
+                # Lost in transit, so the server never sees it: wait out the
+                # timeout, back off exponentially, and prefer a different
+                # server next.
                 stats.drops += 1
                 failed.add(server.server_id)
                 timeout_ms = min(
@@ -649,6 +644,9 @@ class SimResolver:
                 if spent_timeout_ms >= RETRY_BUDGET_MS:
                     break  # total budget exhausted: give up early
                 continue
+            response = server.answer(
+                send_time, src, Transport.UDP, qname, qtype, edns, udp_profile
+            )
             if response.truncated:
                 tcp_rtt = rtt * float(1.0 + 0.05 * rng.random())
                 stats.auth_queries += 1

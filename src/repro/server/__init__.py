@@ -1,4 +1,4 @@
-"""Authoritative server simulation with anycast, RRL, and capture taps."""
+"""Authoritative server simulation with anycast and capture taps."""
 
 from .authoritative import (
     AuthoritativeServer,
@@ -7,13 +7,10 @@ from .authoritative import (
     ServerStats,
     TCP_MAX_SIZE,
 )
-from .rrl import RateLimiter, RRLConfig
 
 __all__ = [
     "AuthoritativeServer",
-    "RateLimiter",
     "ResponsePlan",
-    "RRLConfig",
     "ServerSet",
     "ServerStats",
     "TCP_MAX_SIZE",

@@ -24,9 +24,8 @@ from ..dnscore.edns import CLASSIC_UDP_LIMIT, EdnsRecord
 from ..dnscore.names import MAX_NAME_LENGTH
 from ..dnscore.rdata import ResourceRecord
 from ..dnscore.message import HEADER_LENGTH, Flags
-from ..netsim import Clock, IPAddress, LatencyModel, Site, nearest_site
+from ..netsim import IPAddress, LatencyModel, Site, nearest_site
 from ..zones import LookupOutcome, LookupResult, Zone
-from .rrl import RateLimiter, RRLConfig
 
 #: Maximum TCP message size (2-octet length prefix bound).
 TCP_MAX_SIZE = 65535
@@ -181,8 +180,6 @@ class ServerStats:
 
     queries: int = 0
     truncated: int = 0
-    rrl_dropped: int = 0
-    rrl_slipped: int = 0
     plan_hits: int = 0        #: queries answered from the response-plan cache
     plan_misses: int = 0      #: queries that built (and cached) a fresh plan
     plan_evictions: int = 0   #: wholesale plan-cache flushes (epoch eviction)
@@ -206,11 +203,9 @@ class AuthoritativeServer:
         ``None`` for servers whose traffic is not collected (the paper
         analyses 2 of 4 `.nl` and 6 of 7 `.nz` servers).
 
-    A server starts without response rate limiting (:meth:`configure_rrl`
-    installs it) and without a clock: the live service mode sets
-    ``clock`` to the :class:`~repro.netsim.Clock` that :meth:`handle_query`
-    consults when called without an explicit timestamp, while the
-    simulation keeps passing explicit sim-time stamps.
+    A server always answers: an outage is a
+    :class:`~repro.faults.OutageWindow` of the network's fault plan, which
+    drops the exchange before it reaches the server.
     """
 
     def __init__(
@@ -226,27 +221,11 @@ class AuthoritativeServer:
         self.zone = zone
         self.sites = list(sites)
         self.capture = capture
-        self.clock: Optional[Clock] = None
         self.stats = ServerStats()
-        self._rrl_config: Optional[RRLConfig] = None
-        self._limiter: Optional[RateLimiter] = None
         self._catchment_cache: Dict[str, Site] = {}
         #: The plan cache.  ``None`` makes a reference server: every
         #: response built and encoded in full, nothing memoised.
         self._plans: Optional[Dict[tuple, ResponsePlan]] = {}
-        #: When False, the server answers nothing (models a DoS outage —
-        #: the paper's motivating scenario, section 1).  Queries sent to an
-        #: offline server time out at the resolver; nothing is captured.
-        self.online = True
-
-    def configure_rrl(self, rrl: Optional[RRLConfig]) -> None:
-        """Install (or clear, with ``None``) response rate limiting.
-
-        Used by the live service mode, which builds the authority world
-        through the environment builder and switches RRL on afterwards.
-        """
-        self._rrl_config = rrl
-        self._limiter = RateLimiter(rrl) if rrl is not None else None
 
     # -- telemetry -------------------------------------------------------------
 
@@ -260,8 +239,10 @@ class AuthoritativeServer:
         label = {"server": self.server_id}
         metrics.counter("server.queries", **label).inc(self.stats.queries)
         metrics.counter("server.truncated", **label).inc(self.stats.truncated)
-        metrics.counter("server.rrl_dropped", **label).inc(self.stats.rrl_dropped)
-        metrics.counter("server.rrl_slipped", **label).inc(self.stats.rrl_slipped)
+        # No server rate-limits (RRL pressure is the fault plan's RRLStorm),
+        # but the oracle's counters digests hold these two series at 0.
+        metrics.counter("server.rrl_dropped", **label).inc(0)
+        metrics.counter("server.rrl_slipped", **label).inc(0)
         for rcode, count in self.stats.by_rcode.items():
             try:
                 rcode_name = RCode(rcode).name
@@ -270,14 +251,6 @@ class AuthoritativeServer:
             metrics.counter(
                 "server.responses", server=self.server_id, rcode=rcode_name
             ).inc(count)
-        if self._limiter is not None:
-            rrl = self._limiter.stats
-            metrics.counter("rrl.passed", **label).inc(rrl.passed)
-            metrics.counter("rrl.slipped", **label).inc(rrl.slipped)
-            metrics.counter("rrl.dropped", **label).inc(rrl.dropped)
-            metrics.gauge("rrl.tracked_prefixes", **label).set(
-                self._limiter.tracked_prefixes
-            )
         if self._plans is not None:
             # ``runtime.`` prefix: cache telemetry is an execution-strategy
             # detail, excluded from serial-vs-pool simulation-counter parity.
@@ -303,30 +276,23 @@ class AuthoritativeServer:
 
     def handle_query(
         self,
-        timestamp: Optional[float],
+        timestamp: float,
         src: IPAddress,
         transport: Transport,
         query: Message,
         tcp_rtt_ms: Optional[float] = None,
-    ) -> Optional[Message]:
+    ) -> Message:
         """Answer one query message and record the exchange: the live
         path's entry point, which unpacks the question for :meth:`answer`
         and wraps the plan it returns in a response message.
 
-        Returns the response message, or ``None`` if RRL dropped it.
         ``tcp_rtt_ms`` is the handshake RTT the capture would measure and
-        must be provided exactly when ``transport`` is TCP.  ``timestamp``
-        may be ``None`` when the server carries a :class:`Clock`, in which
-        case the clock is read — the live service path.  A response
+        must be provided exactly when ``transport`` is TCP.  A response
         replayed from the plan cache names its plan (``Message.plan``), so
         that the endpoint can keep the octets it sends for it.
         """
         if (transport is Transport.TCP) != (tcp_rtt_ms is not None):
             raise ValueError("tcp_rtt_ms must accompany TCP queries only")
-        if timestamp is None:
-            if self.clock is None:
-                raise ValueError("timestamp required when server has no clock")
-            timestamp = self.clock.read()
         # One question is the common case; only then is the ``question``
         # property (a call, and a check this repeats) skipped.
         questions = query.questions
@@ -340,8 +306,6 @@ class AuthoritativeServer:
             plan_profile(edns, transport, flags.rd, flags.opcode),
             tcp_rtt_ms, flags.rd, flags.opcode, None if single else questions,
         )
-        if plan is None:
-            return None
         return Message(
             msg_id=query.msg_id,
             flags=plan.flags,
@@ -366,7 +330,7 @@ class AuthoritativeServer:
         rd: bool = False,
         opcode: Opcode = Opcode.QUERY,
         questions: Optional[List[Question]] = None,
-    ) -> Optional[ResponsePlan]:
+    ) -> ResponsePlan:
         """Answer one question and record the exchange — the one core of
         both entry points; the simulator asks it directly, with no message.
 
@@ -378,41 +342,23 @@ class AuthoritativeServer:
         response is built, sized by encoding and never memoised (a plan's
         size and truncation verdict cover one echoed question).  Returns
         the response's plan — replayed from the plan cache or built now,
-        shared and read-only — or ``None`` when the server is offline or
-        RRL dropped the query.  ``timestamp`` and ``tcp_rtt_ms`` are as for
+        shared and read-only.  ``timestamp`` and ``tcp_rtt_ms`` are as for
         :meth:`handle_query`, unchecked.
         """
-        if not self.online:
-            return None
         stats = self.stats
-        plan = None
-        # RRL verdicts depend on mutable limiter state, so they are decided
-        # before — and never served from or stored into — the plan cache.
-        if self._limiter is not None and transport is Transport.UDP:
-            verdict = self._limiter.check(src, timestamp)
-            if verdict == RateLimiter.DROP:
-                stats.rrl_dropped += 1
-                return None
-            if verdict == RateLimiter.SLIP:
-                stats.rrl_slipped += 1
-                plan = self._build_plan(
-                    qname, qtype, edns, transport, rd, opcode, questions, None,
-                    slip=True,
-                )
-        if plan is None:
-            key = None
-            if self._plans is not None and questions is None:
-                key = (qname.key, qtype, profile)
-                plan = self._plans.get(key)
-            # Name keys compare case-insensitively (RFC 1035); replay only
-            # for the exact spelling the plan was built from so captured
-            # qname text stays bit-identical to the uncached path.
-            if plan is not None and plan.qname_labels == qname.labels:
-                stats.plan_hits += 1
-            else:
-                plan = self._build_plan(
-                    qname, qtype, edns, transport, rd, opcode, questions, key
-                )
+        key = plan = None
+        if self._plans is not None and questions is None:
+            key = (qname.key, qtype, profile)
+            plan = self._plans.get(key)
+        # Name keys compare case-insensitively (RFC 1035); replay only
+        # for the exact spelling the plan was built from so captured
+        # qname text stays bit-identical to the uncached path.
+        if plan is not None and plan.qname_labels == qname.labels:
+            stats.plan_hits += 1
+        else:
+            plan = self._build_plan(
+                qname, qtype, edns, transport, rd, opcode, questions, key
+            )
 
         stats.queries += 1
         truncated = plan.truncated
@@ -450,10 +396,9 @@ class AuthoritativeServer:
         opcode: Opcode,
         questions: Optional[List[Question]],
         key: Optional[tuple],
-        slip: bool = False,
     ) -> ResponsePlan:
-        """Build, size and truncate the response to one question — an RRL
-        ``slip`` when asked — and memoise it under ``key`` when given.
+        """Build, size and truncate the response to one question, and
+        memoise it under ``key`` when given.
 
         An in-zone response adopts the zone lookup's section lists, which a
         memoised result shares with every other response it answers:
@@ -468,34 +413,30 @@ class AuthoritativeServer:
         response_edns = None
         wire_size = None
         aa, rcode, tc = False, RCode.NOERROR, False
-        if slip:
-            # An empty, truncated answer without OPT that invites a TCP retry.
-            opcode, aa, tc = Opcode.QUERY, True, True
+        dnssec_ok = edns is not None and edns.dnssec_ok
+        if edns is not None:
+            response_edns = _RESPONSE_EDNS[dnssec_ok]
+        try:
+            result = self.zone.lookup(qname, qtype, dnssec_ok)
+        except ValueError:
+            # The lookup's own bailiwick test is the only one a query
+            # inside the zone pays for.
+            if qname.is_subdomain_of(self.zone.origin):
+                raise
+            result = None
+        if result is not None:
+            outcome = result.outcome
+            # Authoritative answer for everything except referrals.
+            aa = outcome is not LookupOutcome.DELEGATION
+            if outcome is LookupOutcome.NXDOMAIN:
+                rcode = RCode.NXDOMAIN
+            answers = result.answers
+            authorities = result.authorities
+            additionals = result.additionals
+            if key is not None:
+                wire_size = _anchored_size(result, qname, response_edns)
         else:
-            dnssec_ok = edns is not None and edns.dnssec_ok
-            if edns is not None:
-                response_edns = _RESPONSE_EDNS[dnssec_ok]
-            try:
-                result = self.zone.lookup(qname, qtype, dnssec_ok)
-            except ValueError:
-                # The lookup's own bailiwick test is the only one a query
-                # inside the zone pays for.
-                if qname.is_subdomain_of(self.zone.origin):
-                    raise
-                result = None
-            if result is not None:
-                outcome = result.outcome
-                # Authoritative answer for everything except referrals.
-                aa = outcome is not LookupOutcome.DELEGATION
-                if outcome is LookupOutcome.NXDOMAIN:
-                    rcode = RCode.NXDOMAIN
-                answers = result.answers
-                authorities = result.authorities
-                additionals = result.additionals
-                if key is not None:
-                    wire_size = _anchored_size(result, qname, response_edns)
-            else:
-                rcode = RCode.REFUSED
+            rcode = RCode.REFUSED
         if wire_size is None:
             # The header's size does not depend on its bits.
             wire_size = len(Message(

@@ -1,50 +1,25 @@
-"""Live service mode: real sockets in front of the simulated DNS world.
+"""Live service mode: the simulated DNS world behind one UDP socket.
 
-``repro serve`` binds asyncio UDP/TCP endpoints that speak actual DNS wire
-format (answerable with ``dig``/``dnsperf``), answers each query from the
-vantage's server chain — the same authoritative servers the simulation
-uses, RRL, fault plans and plan cache all live; each query tries
-each server once, in order, and an exhausted chain is silence over UDP
-and SERVFAIL over TCP — and exposes the telemetry registry as a
-Prometheus ``/metrics`` endpoint.
-``repro loadgen`` replays workload-layer query streams against it.
+:class:`DnsService` answers DNS wire format — datagrams and TCP-framed
+messages handed to it — for ``nl-w2020``'s authority world, from the
+vantage's first server, with the response-plan cache and the capture tap
+live.  It is what the benchmark's ``serve_wire`` workload drives; no
+report, table or claim reads it.  :func:`build_query_stream` draws that
+workload's queries from the workload layer.
 """
 
-from .app import (
-    LIVE_CAPTURE_WINDOW,
-    DnsService,
-    ServiceConfig,
-)
-from .dispatch import LIVE_TCP_RTT_MS, QueryDispatcher
-from .endpoints import (
-    TCP_MAX_QUERY,
-    UdpEndpoint,
-    classify_datagram,
-    formerr_response,
-    peer_address,
-)
-from .loadgen import (
-    LoadGenConfig,
-    LoadReport,
-    build_query_stream,
-    run_loadgen,
-    run_loadgen_sync,
-)
+from .app import DnsService, ServiceConfig
+from .dispatch import QueryDispatcher
+from .endpoints import classify_datagram, formerr_response, peer_address
+from .loadgen import LoadGenConfig, build_query_stream
 
 __all__ = [
-    "LIVE_CAPTURE_WINDOW",
     "DnsService",
     "ServiceConfig",
-    "LIVE_TCP_RTT_MS",
     "QueryDispatcher",
-    "TCP_MAX_QUERY",
-    "UdpEndpoint",
     "classify_datagram",
     "formerr_response",
     "peer_address",
     "LoadGenConfig",
-    "LoadReport",
     "build_query_stream",
-    "run_loadgen",
-    "run_loadgen_sync",
 ]

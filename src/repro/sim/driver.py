@@ -182,15 +182,15 @@ class AuthorityWorld:
     """The authoritative half of a simulated world: zones, server sets,
     authority network, and the capture store they feed.
 
-    This is everything ``repro serve`` needs to answer real sockets — the
-    resolver *fleet* (thousands of simulated clients) is a simulation-only
-    concern layered on top by :func:`build_environment`.
+    It is also everything the live service needs to answer a socket (from
+    the vantage's first server) — the resolver *fleet* (thousands of
+    simulated clients) is a simulation-only concern layered on top by
+    :func:`build_environment`.
     """
 
     vantage_zone: Optional[Zone]
     capture: CaptureStore
-    #: The vantage's set, then the root's (``root-2020``: the root's
-    #: alone); ``repro serve`` walks their servers in this order.
+    #: The vantage's set, then the root's (``root-2020``: the root's alone).
     server_sets: Dict[str, ServerSet]
     network: AuthorityNetwork
     storm_domains: List[Name]
@@ -208,7 +208,7 @@ def build_authority_world(
     ones really built); servers, capture, network and fault injector are
     built here, per dataset.  Deterministic given ``(descriptor, seed)`` —
     this is the common prefix of :func:`build_environment` and the live
-    service mode's startup, so both serve byte-identical zone content.
+    service's startup, so both serve byte-identical zone content.
     """
     latency = LatencyModel()
 
@@ -403,7 +403,7 @@ def publish_server_metrics(
     metrics: MetricsRegistry, server_sets: Dict[str, ServerSet]
 ) -> None:
     """Aggregate every authoritative server's counters (queries served,
-    rcode mix, truncation, RRL verdicts) into the registry."""
+    rcode mix, truncation) into the registry."""
     for server_set in server_sets.values():
         for server in server_set:
             server.publish_metrics(metrics)

@@ -18,12 +18,10 @@ Quick use::
     snap.write_json("telemetry.json")
     print(format_summary(snap))
 
-A sibling layer builds on the registry:
-:mod:`~repro.telemetry.exposition` renders snapshots in the Prometheus
-text format (``--metrics-out`` and the live service's ``/metrics``).
+A snapshot leaves the process as JSON (``--telemetry-out``) or as the
+stderr summary every simulating command prints.
 """
 
-from .exposition import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE, to_prometheus, write_prometheus
 from .logs import configure_logging, format_summary
 from .registry import (
     Counter,
@@ -49,7 +47,4 @@ __all__ = [
     "format_summary",
     "metric_key",
     "split_key",
-    "PROMETHEUS_CONTENT_TYPE",
-    "to_prometheus",
-    "write_prometheus",
 ]

@@ -1,5 +1,6 @@
 """What the suite compares runs by: capture views, simulation counters
-and plain values, each reduced the one way every module reduces it.
+and plain values, each reduced the one way every module reduces it; and
+:class:`Outage`, the one way a test takes a server down.
 
 :func:`view_digest` and :func:`assert_views_equal` are dtype-strict — a
 column that keeps its values but changes its type is a different capture.
@@ -10,6 +11,8 @@ import hashlib
 import json
 
 import numpy as np
+
+from repro.faults import FaultInjector, FaultPlan, OutageWindow
 
 #: The scale every whole-matrix test renders the paper's reports at.
 REPORT_SCALE = 0.005
@@ -76,3 +79,28 @@ def sim_counters(snapshot):
         and key not in SHARD_ROUNDED
     }
 
+
+#: Seconds of simulated time an :class:`Outage` injector's window spans,
+#: from 0: every timestamp the unit tests send at falls inside it.
+OUTAGE_WINDOW_S = 1e9
+
+
+class Outage(FaultInjector):
+    """A fault injector under which ``server_ids`` (``OutageWindow``
+    patterns) answer nothing until ``until`` simulated seconds, as in the
+    product: the exchange is dropped before it reaches the server.
+    ``asked`` keeps ``(server_id, family)`` of every UDP exchange a
+    resolver started, dropped or not."""
+
+    def __init__(self, *server_ids, until=OUTAGE_WINDOW_S):
+        plan = FaultPlan(outages=tuple(
+            OutageWindow(server_id, 0.0, until / OUTAGE_WINDOW_S)
+            for server_id in server_ids
+        ))
+        super().__init__(plan, 0, 0.0, OUTAGE_WINDOW_S)
+        self.down = set(server_ids)
+        self.asked = []
+
+    def udp_fate(self, server_id, family, timestamp, qname_key):
+        self.asked.append((server_id, family))
+        return super().udp_fate(server_id, family, timestamp, qname_key)

@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro`` CLI and the report renderer."""
 
-import socket
-
 import pytest
 
 from repro.__main__ import main
@@ -58,19 +56,11 @@ class TestCLI:
         assert provider_sum > 0
         assert data["counters"]["capture.rows_appended"] > 0
 
-    def test_dataset_metrics_out(self, capsys, tmp_path):
-        path = tmp_path / "metrics.prom"
-        assert main(
-            ["dataset", "nz-w2018", "--scale", "0.02", "--metrics-out", str(path)]
-        ) == 0
-        assert "wrote Prometheus metrics" in capsys.readouterr().err
-        assert path.read_text().startswith("# HELP repro_")
-
     def test_simulating_commands_share_the_flag_surface(self, capsys):
         """``dataset`` and ``experiments`` expose the same
         observability/simulation flags with identical help text."""
         shared = [
-            "--scale", "--seed", "--telemetry-out", "--metrics-out",
+            "--scale", "--seed", "--telemetry-out",
             "--workers", "--chaos", "--chaos-seed", "--spool-dir",
         ]
         helps = {}
@@ -98,8 +88,7 @@ class TestCLI:
             return " ".join(" ".join(block).split())
 
         # Identical wording for flags whose semantics match exactly.
-        for flag in ("--telemetry-out", "--metrics-out", "--workers", "--chaos",
-                     "--spool-dir"):
+        for flag in ("--telemetry-out", "--workers", "--chaos", "--spool-dir"):
             entries = {entry(text, flag) for text in helps.values()}
             assert len(entries) == 1, f"help text drifted for {flag}: {entries}"
 
@@ -222,9 +211,6 @@ class TestValidatesBeforeSimulating:
         (["experiments", "--workers", "0"], "workers must be >= 1"),
         (["experiments", "--scale", "0"], "scale must be positive"),
         (["dataset", "nope"], "unknown dataset 'nope'"),
-        (["serve", "nope"], "unknown dataset 'nope'"),
-        (["loadgen", "nope"], "unknown dataset 'nope'"),
-        (["loadgen", "--tcp-port", "70000"], "tcp_port must be in [0, 65535], got 70000"),
         (["experiments", "--scale", "0.005", "--write", "/nonexistent/d/x.md"],
          "--write /nonexistent/d/x.md: its directory does not exist"),
         (["dataset", "nz-w2018", "--scale", "0.01", "--out", "/nonexistent/x.csv"],
@@ -232,36 +218,18 @@ class TestValidatesBeforeSimulating:
         (["dataset", "nz-w2018", "--scale", "0.01",
           "--telemetry-out", "/nonexistent/t.json"],
          "--telemetry-out /nonexistent/t.json: its directory does not exist"),
-        (["dataset", "nz-w2018", "--scale", "0.01",
-          "--metrics-out", "/nonexistent/m.prom"],
-         "--metrics-out /nonexistent/m.prom: its directory does not exist"),
         (["dataset", "nz-w2018", "--scale", "0.01", "--spool-dir", "/proc/x"],
          "--spool-dir /proc/x:"),
-        (["loadgen", "--tcp-fraction", "-0.2", "--queries", "1000"],
-         "tcp_fraction must be in [0, 1], got -0.2"),
-        (["loadgen", "--queries", "0"], "queries must be >= 1, got 0"),
-        (["serve", "--tcp-port", "70000"], "tcp_port must be in [0, 65535], got 70000"),
         # --chaos-seed places the faults of a --chaos scenario: alone it
         # would be dropped without a word.
         (["dataset", "nz-w2018", "--scale", "0.01", "--chaos-seed", "3"],
          "--chaos-seed 3 needs --chaos SCENARIO"),
         (["experiments", "--scale", "0.005", "--chaos-seed", "3"],
          "--chaos-seed 3 needs --chaos SCENARIO"),
-        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "0.1",
-          "--chaos-seed", "3"], "--chaos-seed 3 needs --chaos SCENARIO"),
-        # Out-of-range ports and windows fail in the config, before the
-        # world is built or a socket bound.
-        (["serve", "--udp-port", "70000"], "udp_port must be in [0, 65535], got 70000"),
-        (["serve", "--metrics-port", "-3"], "metrics_port must be in [0, 65535], got -3"),
-        (["loadgen", "--port", "70000"], "udp_port must be in [0, 65535], got 70000"),
-        (["serve", "--chaos", "default-loss", "--fault-window", "-5"],
-         "fault_window_s must be positive and finite, got -5.0"),
         # An unknown scenario is caught before any world is built.
         (["dataset", "nl-w2020", "--chaos", "nope"],
          "unknown chaos scenario 'nope' (see 'repro chaos')"),
         (["experiments", "--chaos", "nope"],
-         "unknown chaos scenario 'nope' (see 'repro chaos')"),
-        (["serve", "--chaos", "nope"],
          "unknown chaos scenario 'nope' (see 'repro chaos')"),
         # A scale with no finite volume, or one past int64.
         (["dataset", "nl-w2020", "--scale", "inf"],
@@ -270,36 +238,6 @@ class TestValidatesBeforeSimulating:
          "scale must be positive and finite, got inf"),
         (["dataset", "nl-w2020", "--scale", "1e300"],
          "1.85e+305 client queries do not fit int64"),
-        # A rate, a share, a window or a duration out of range or not a
-        # finite number: NaN passes a `<= 0` check, and `nan > 0` is False,
-        # so "off" would be silent.
-        (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "-1"],
-         "responses_per_second must be finite and >= 0, got -1.0"),
-        (["loadgen", "--tcp-fraction", "nan"], "tcp_fraction must be in [0, 1], got nan"),
-        (["serve", "--chaos", "default-loss", "--fault-window", "nan"],
-         "fault_window_s must be positive and finite, got nan"),
-        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "inf"],
-         "--duration must be positive and finite, got inf"),
-        (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "nan"],
-         "responses_per_second must be finite and >= 0, got nan"),
-        (["serve", "--udp-port", "0", "--duration", "0.5", "--rrl", "inf"],
-         "responses_per_second must be finite and >= 0, got inf"),
-        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "0.5",
-          "--chaos", "default-loss", "--fault-window", "inf"],
-         "fault_window_s must be positive and finite, got inf"),
-        # A serve that would stop at once: unset serves until signalled,
-        # a set duration must be positive and finite.
-        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "nan"],
-         "--duration must be positive and finite, got nan"),
-        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "0"],
-         "--duration must be positive and finite, got 0.0"),
-        (["serve", "--udp-port", "0", "--no-metrics", "--duration", "-1"],
-         "--duration must be positive and finite, got -1.0"),
-        # A gate that could never fail, or never pass.
-        (["loadgen", "--queries", "1", "--min-answered", "nan"],
-         "--min-answered must be in [0, 1], got nan"),
-        (["loadgen", "--queries", "1", "--min-answered", "1.5"],
-         "--min-answered must be in [0, 1], got 1.5"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:
@@ -404,120 +342,15 @@ class TestPartialExit:
         assert "capture is incomplete" not in err
 
 
-class TestServeCLI:
-    def test_serve_and_loadgen_round_trip(self, capsys, tmp_path):
-        """The full CLI path: serve on ephemeral ports, loadgen against it,
-        SIGTERM → graceful shutdown writing the final snapshot artefacts.
-
-        ``serve`` installs its signal handlers on the main thread's event
-        loop, so it runs here in the main thread while a worker thread
-        waits for the port file, fires the loadgen, and raises SIGTERM.
-        """
-        import json
-        import os
-        import signal
-        import threading
-        import time
-
-        port_file = tmp_path / "ports.json"
-        metrics_out = tmp_path / "metrics.prom"
-        report_path = tmp_path / "loadgen.json"
-        loadgen_rc = {}
-
-        def client():
-            deadline = time.time() + 30.0
-            while not port_file.exists() and time.time() < deadline:
-                time.sleep(0.05)
-            try:
-                ports = json.loads(port_file.read_text())
-                loadgen_rc["rc"] = main(
-                    ["loadgen", "nl-w2020",
-                     "--port", str(ports["udp"]),
-                     "--queries", "40",
-                     "--min-answered", "0.99",
-                     "--json", str(report_path)]
-                )
-            finally:
-                os.kill(os.getpid(), signal.SIGTERM)
-
-        thread = threading.Thread(target=client)
-        thread.start()
-        try:
-            rc = main(
-                ["serve", "nl-w2020", "--udp-port", "0",
-                 "--duration", "60",  # backstop; SIGTERM ends it sooner
-                 "--port-file", str(port_file),
-                 "--metrics-out", str(metrics_out)]
-            )
-        finally:
-            thread.join(timeout=30.0)
-        capsys.readouterr()
-        assert rc == 0
-        assert loadgen_rc.get("rc") == 0
-        report = json.loads(report_path.read_text())
-        assert report["sent"] == 40
-        assert report["answered_fraction"] >= 0.99
-        text = metrics_out.read_text()
-        assert "repro_service_shutdowns_total 1" in text
-        assert "repro_service_queries_total" in text
-
-    def test_loadgen_gate_fails_without_server(self, capsys, tmp_path):
-        # Nothing listens on this port: every query times out and the
-        # --min-answered gate must exit non-zero.
-        rc = main(
-            ["loadgen", "nl-w2020", "--port", "1",
-             "--queries", "3", "--min-answered", "0.99"]
-        )
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "below" in captured.err
-
-
-class TestServeBindFailure:
-    """A port ``serve`` cannot bind ends in exit 2 and one line naming the
-    endpoint, the address and the OS error — not a traceback — and
-    whatever the service had bound before it is released."""
-
-    @staticmethod
-    def _socket(kind, port=0):
-        sock = socket.socket(socket.AF_INET, kind)
-        sock.bind(("127.0.0.1", port))
-        if kind == socket.SOCK_STREAM:
-            sock.listen()
-        return sock
-
-    @pytest.mark.parametrize("endpoint", ["udp", "metrics"])
-    def test_taken_port_is_a_usage_error(self, capsys, endpoint):
-        with self._socket(socket.SOCK_DGRAM) as probe:
-            dns_port = probe.getsockname()[1]
-        kind = socket.SOCK_DGRAM if endpoint == "udp" else socket.SOCK_STREAM
-        with self._socket(kind) as taken:
-            port = taken.getsockname()[1]
-            argv = ["serve", "--udp-port", str(dns_port), "--duration", "5"]
-            if endpoint == "udp":
-                argv[2:3] = [str(port), "--no-metrics"]
-            else:
-                argv += ["--metrics-port", str(port)]
-            assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("repro: error:") == 1 and "Traceback" not in err
-        assert f"repro: error: {endpoint} 127.0.0.1:{port}: Address already in use" in err
-        if endpoint == "metrics":
-            # UDP and TCP were up when the metrics bind failed: both closed.
-            for kind in (socket.SOCK_DGRAM, socket.SOCK_STREAM):
-                self._socket(kind, dns_port).close()
-
-    def test_an_address_not_this_hosts_is_a_usage_error(self, capsys):
-        assert main(["serve", "--udp-port", "0", "--host", "192.0.2.1"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("repro: error:") == 1 and "Traceback" not in err
-        assert "repro: error: udp 192.0.2.1:0: Cannot assign requested address" in err
+#: Commands that were removed: naming one is argparse's invalid choice.
+REMOVED_COMMANDS = ("serve", "loadgen", "soak", "trace")
 
 
 class TestSoakCLI:
-    """The soak is gone, and so are the flags of ``serve`` and ``loadgen``
-    that tuned the self-healing layer it exercised, and the ``trace``
-    command: each is a usage error, not a silently ignored setting."""
+    """The soak is gone, and so are the ``trace``, ``serve`` and
+    ``loadgen`` commands with every flag of theirs, and ``--metrics-out``:
+    each is a usage error (exit 2, one error line, no traceback), not a
+    silently ignored setting."""
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--shed-policy", "drop"],
@@ -531,16 +364,21 @@ class TestSoakCLI:
         ["loadgen", "--streams", "4"],
         ["loadgen", "--junk-fraction", "0.1"],
         ["loadgen", "--rate", "100"],
+        ["serve"],
+        ["loadgen"],
+        ["dataset", "nl-w2020", "--metrics-out", "m.prom"],
     ], ids=lambda argv: "".join(argv[:2]))
     def test_removed_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         named = (
-            f"unrecognized arguments: {argv[1]}" if argv[1:]
-            else f"invalid choice: {argv[0]!r}"
+            f"invalid choice: {argv[0]!r}" if argv[0] in REMOVED_COMMANDS
+            else f"unrecognized arguments: {' '.join(argv[2:])}"
         )
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.count("repro: error:") == 1 and "Traceback" not in err
 
 
 class TestRenderMarkdown:

@@ -25,6 +25,8 @@ from repro.sim import run_dataset
 from repro.workload import monthly_google_descriptor
 from repro.zones import Zone, domains_of
 
+from .helpers import Outage
+
 
 def make_resolver(**behavior_kwargs):
     return SimResolver(
@@ -134,39 +136,28 @@ class _TickLog(_Session):
         return super().tick(ms)
 
 
-def record_asks(server_set):
-    """Wrap each server's ``answer`` to note who was asked from which
-    family; returns the (shared) list of ``(server_id, family)``."""
-    asked = []
-    for server in server_set.servers:
-        def answer(timestamp, src, *args, _answer=server.answer, _id=server.server_id):
-            asked.append((_id, src.family))
-            return _answer(timestamp, src, *args)
-        server.answer = answer
-    return asked
-
-
-def attempts(resolver, server_set, asked):
-    """One ``_send`` of ``QNAME``: ``(server_id, family, rtt)`` per attempt,
-    the RTT read off the clock (an offline server's timeout follows it)."""
+def attempts(resolver, server_set, faults):
+    """One ``_send`` of ``QNAME`` under ``faults`` (an :class:`Outage`):
+    ``(server_id, family, rtt)`` per attempt, the RTT read off the clock
+    (a down server's timeout follows it)."""
     session = _TickLog()
-    asked.clear()
-    resolver._send(session, server_set, QNAME, RRType.A)
+    faults.asked.clear()
+    resolver._send(session, server_set, QNAME, RRType.A, faults)
     ticks = iter(session.ticks)
     sent = []
-    for server_id, family in asked:
+    for server_id, family in faults.asked:
         sent.append((server_id, family, next(ticks)))
-        if not server_set.by_id(server_id).online:
+        if server_id in faults.down:
             next(ticks)
     return sent
 
 
-def by_definition(resolver, server_set):
+def by_definition(resolver, server_set, down=frozenset()):
     """The attempts of one send by the deleted ``_choose_server`` /
     ``_choose_family`` / ``rtt_ms`` formulas: filter out what timed out
     (all, if nothing is left), maybe explore, else the minimum RTT; the
     family by policy, fixed ratio or logistic RTT gap; the message id; the
-    RTT plus the v6 penalty."""
+    RTT plus the v6 penalty; a server in ``down`` times out."""
     rng, behavior, site = resolver._rng, resolver.behavior, resolver.site
 
     def rtt_ms(server):
@@ -199,7 +190,7 @@ def by_definition(resolver, server_set):
         if family == 6:
             rtt += behavior.v6_extra_rtt_ms
         sent.append((server.server_id, family, rtt))
-        if server.online:
+        if server.server_id not in down:
             break
         failed.add(server.server_id)
     return sent
@@ -243,35 +234,32 @@ class TestSelection:
     def test_no_exploration_always_fastest(self, monkeypatch):
         monkeypatch.setattr(engine, "SERVER_EXPLORATION", 0.0)
         server_set, __ = make_server_set()
-        asked = record_asks(server_set)
+        faults = Outage()
         resolver = make_resolver()
         for __ in range(10):
-            assert [a[0] for a in attempts(resolver, server_set, asked)] == ["near"]
+            assert [a[0] for a in attempts(resolver, server_set, faults)] == ["near"]
 
     def test_exclusion_skips_failed(self):
-        server_set, (near, far) = make_server_set()
-        near.online = False
-        asked = record_asks(server_set)
+        server_set, __ = make_server_set()
+        faults = Outage("near")
         resolver = make_resolver()
         for __ in range(20):
-            asked_ids = [a[0] for a in attempts(resolver, server_set, asked)]
+            asked_ids = [a[0] for a in attempts(resolver, server_set, faults)]
             assert asked_ids in (["far"], ["near", "far"])
 
     def test_all_excluded_falls_back(self):
-        server_set, servers = make_server_set()
-        for server in servers:
-            server.online = False
-        asked = record_asks(server_set)
+        server_set, __ = make_server_set()
+        faults = Outage("near", "far")
         resolver = make_resolver()
-        sent = attempts(resolver, server_set, asked)
+        sent = attempts(resolver, server_set, faults)
         assert len(sent) == engine.MAX_RETRIES + 1
         assert {a[0] for a in sent} <= {"near", "far"}
 
     def test_exploration_hits_both(self):
         server_set, __ = make_server_set()
-        asked = record_asks(server_set)
+        faults = Outage()
         resolver = make_resolver()
-        chosen = {attempts(resolver, server_set, asked)[0][0] for __ in range(50)}
+        chosen = {attempts(resolver, server_set, faults)[0][0] for __ in range(50)}
         assert chosen == {"near", "far"}
 
     def test_memoised_fastest_changes_no_choice_and_no_draw(self):
@@ -282,15 +270,13 @@ class TestSelection:
         for sites in (("AMS",), ("SYD", "AMS", "IAD")):
             for offline in (set(), {"near"}, {"near", "far", "mid"}):
                 for fields, has_v4, has_v6 in FAMILIES:
-                    server_set, servers = make_server_set(sites)
-                    for server in servers:
-                        server.online = server.server_id not in offline
-                    asked = record_asks(server_set)
+                    server_set, __ = make_server_set(sites)
+                    faults = Outage(*offline)
                     actual = addressed_resolver(fields, has_v4, has_v6)
                     expected = addressed_resolver(fields, has_v4, has_v6)
                     for __ in range(40):
-                        assert attempts(actual, server_set, asked) == by_definition(
-                            expected, server_set
+                        assert attempts(actual, server_set, faults) == by_definition(
+                            expected, server_set, offline
                         ), (sites, offline, fields, has_v4, has_v6)
                     assert (
                         actual._rng.bit_generator.state
@@ -299,19 +285,19 @@ class TestSelection:
 
     def test_family_v6_extra_rtt_discourages_v6(self):
         server_set, __ = make_server_set()
-        asked = record_asks(server_set)
+        faults = Outage()
         resolver = make_resolver(
             family_policy="rtt", v6_extra_rtt_ms=500.0, rtt_sharpness_ms=10.0
         )
-        families = {attempts(resolver, server_set, asked)[0][1] for __ in range(30)}
+        families = {attempts(resolver, server_set, faults)[0][1] for __ in range(30)}
         assert families == {4}
 
     def test_family_fixed_extremes(self):
         server_set, __ = make_server_set()
-        asked = record_asks(server_set)
+        faults = Outage()
 
         def families(resolver):
-            return {attempts(resolver, server_set, asked)[0][1] for __ in range(10)}
+            return {attempts(resolver, server_set, faults)[0][1] for __ in range(10)}
 
         assert families(make_resolver(family_policy="fixed", fixed_v6_ratio=1.0)) == {6}
         assert families(make_resolver(family_policy="fixed", fixed_v6_ratio=0.0)) == {4}

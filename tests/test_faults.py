@@ -36,7 +36,7 @@ from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 from repro.zones import Zone, build_root_zone
 
-from .helpers import sim_counters
+from .helpers import Outage, sim_counters
 
 DATASET = "nz-w2018"
 QUERIES = 400
@@ -331,10 +331,11 @@ def _send_to_dead_server():
     query: (the clock's advances, the one-way-trip RTT, the stats)."""
     network, tld_set, __ = make_world(1)
     server = tld_set.servers[0]
-    server.online = False
     resolver = make_resolver(ResolverBehavior())
     session = _TickLog(1.0)
-    assert resolver._send(session, tld_set, Name.from_text("example.nl"), RRType.A) is None
+    assert resolver._send(
+        session, tld_set, Name.from_text("example.nl"), RRType.A, Outage("nl-0")
+    ) is None
     return session.ticks, tld_set.rtt_ms(server, resolver.site), resolver.stats
 
 
@@ -367,7 +368,7 @@ class TestRetryBudget:
     def test_failover_counted_on_server_change(self, monkeypatch):
         monkeypatch.setattr(engine, "SERVER_EXPLORATION", 0.0)
         network, tld_set, __ = make_world(3)
-        tld_set.servers[0].online = False
+        network.faults = Outage("nl-0")
         resolver = make_resolver(ResolverBehavior(), seed=3)
         rcode = resolver.resolve(
             network, 1.0, Name.from_text("example.nl"), RRType.A
@@ -385,12 +386,11 @@ class TestServeStale:
     RETRY_AT = 88_000.0
 
     def _prime_then_kill(self, behavior):
-        network, tld_set, __ = make_world(1)
+        network, __, __ = make_world(1)
         resolver = make_resolver(behavior)
         qname = Name.from_text("example.nl")
         assert resolver.resolve(network, 1.0, qname, RRType.A) is RCode.NOERROR
-        for server in tld_set.servers:
-            server.online = False
+        network.faults = Outage("nl-*")
         return network, resolver, qname
 
     def test_stale_answer_on_servfail(self):

@@ -2,11 +2,12 @@
 ``handle_datagram`` / ``handle_stream_query`` must reproduce one committed
 digest table.
 
-A *case* (:data:`CASES`) is a service configuration.  Each case is driven
-by the same kind of stream — :data:`DATAGRAMS` queries from the workload
-layer, a few truncated (FORMERR-bound), a few sent through the TCP
-handler, a few 0x20-spelled, a few for names no zone holds and for
-names outside the vantage zone — sent from :data:`HOSTS` on random source ports, on a :class:`SimClock` that
+A *case* was a service configuration; one is left, ``nl``, since the
+service serves ``nl-w2020`` alone.  It is driven by a stream of
+:data:`DATAGRAMS` queries from the workload layer — a few truncated
+(FORMERR-bound), a few sent through the TCP handler, a few 0x20-spelled, a
+few for names no zone holds and for names outside the vantage zone — sent
+from :data:`HOSTS` on random source ports, on a :class:`SimClock` that
 steps :data:`STEP_S` per datagram.  Three columns reduce what it did: the
 response octets, the ``service.*`` counters and the capture columns.
 :data:`LIVE_ORACLE` holds one literal per (case, column); a mismatch names
@@ -15,7 +16,6 @@ saying why in CHANGES.md.
 """
 
 import asyncio
-import functools
 import hashlib
 import random
 import struct
@@ -23,7 +23,6 @@ import struct
 import pytest
 
 from repro.dnscore import EdnsRecord, Message, Name
-from repro.faults import chaos_scenario
 from repro.netsim import SimClock
 from repro.service import DnsService, LoadGenConfig, ServiceConfig
 from repro.service.endpoints import peer_address
@@ -43,7 +42,7 @@ FLIPPED_AT = (13, 41)  #: qname spelled with random 0x20 case
 
 #: Positions (mod 50) of names the workload stream would not ask: one under
 #: ``nl.`` that its zone does not hold, and names outside every vantage
-#: zone (the chain's first server answers them with its own rcode).
+#: zone (the vantage's first server answers them with its own rcode).
 NAMED_AT = {
     3: "db.internal.invalid.", 23: "ads.blocked.nl.",
     33: "www.example.com.", 45: "mail.example.org.",
@@ -55,14 +54,6 @@ HOSTS = (
     "2001:db8:ffff::1",
 )
 
-CASES = {
-    "nl": dict(dataset_id="nl-w2020"),
-    "root": dict(dataset_id="root-2020"),
-    "flaky-server": dict(
-        dataset_id="nl-w2020", fault_plan=chaos_scenario("flaky-server", seed=11)
-    ),
-}
-
 #: blake2b-128 per (case, column).  Re-recorded once when the live path
 #: lost its forwarding edge: position 3's ``db.internal.invalid.``, which a
 #: ``refused`` policy sink used to answer, now reaches the server chain
@@ -70,22 +61,14 @@ CASES = {
 #: once more when dispatch came to try each server once: the always-zero
 #: ``service.breaker.*`` series went with the breakers, and under
 #: ``flaky-server`` a storm-dropped exchange on ``nl-a`` now fails over to
-#: ``nl-b`` instead of retransmitting to ``nl-a`` (its capture too).
+#: ``nl-b`` instead of retransmitting to ``nl-a`` (its capture too).  The
+#: ``root`` and ``flaky-server`` cases went when the service came to serve
+#: ``nl-w2020`` alone, without a fault plan.
 LIVE_ORACLE = {
     "nl": {
         "responses": "533c53ed2a37741d1182c440ee927ec2",
         "counters": "261d787cc5db5a06fdb2f49f17c5c1a1",
         "capture": "3ec882754654e86a23201e5d76c0fde7",
-    },
-    "root": {
-        "responses": "4c3f2486705c6933167d5001014a7622",
-        "counters": "094e72906cab23116eb03c20c5ce1c09",
-        "capture": "6d191d60e09bb16eac256a7a7f83ad80",
-    },
-    "flaky-server": {
-        "responses": "533c53ed2a37741d1182c440ee927ec2",
-        "counters": "6bfa586374043c86eb7567bda06b791a",
-        "capture": "0f4bd2e5d79d5007e0eb9c53d09a2a4c",
     },
 }
 
@@ -108,13 +91,11 @@ def _flip(name, rng):
     return Name(labels)
 
 
-def stream(dataset_id):
+def stream():
     """``(wire, (host, port), tcp)`` per datagram, the same for every run."""
     rng = random.Random(SEED)
     edns = EdnsRecord(udp_payload_size=1232)
-    queries = build_query_stream(
-        LoadGenConfig(dataset_id=dataset_id, queries=DATAGRAMS, seed=SEED)
-    )
+    queries = build_query_stream(LoadGenConfig(queries=DATAGRAMS, seed=SEED))
     out = []
     for index, (qname, qtype) in enumerate(queries):
         position = index % 50
@@ -137,23 +118,16 @@ def service_counters(service):
     }
 
 
-@functools.lru_cache(maxsize=None)
-def drive(case):
-    """Run ``case`` once; its columns and its ``service.*`` counters."""
+def drive():
+    """Run the stream once; its columns."""
     loop = asyncio.new_event_loop()
-    clock = SimClock(now=dataset(CASES[case]["dataset_id"]).start)
-    service = DnsService(
-        ServiceConfig(
-            udp_port=0, metrics_port=None, watchdog_interval_s=0, seed=SEED,
-            **CASES[case],
-        ),
-        clock=clock,
-    )
+    clock = SimClock(now=dataset("nl-w2020").start)
+    service = DnsService(ServiceConfig(), clock=clock)
     loop.run_until_complete(service.start())
     try:
         hashed = hashlib.blake2b(digest_size=16)
         sink = _Sink()
-        for wire, peer, tcp in stream(CASES[case]["dataset_id"]):
+        for wire, peer, tcp in stream():
             clock.advance(STEP_S)
             if tcp:
                 response = service.handle_stream_query(wire, peer_address(peer))
@@ -165,21 +139,20 @@ def drive(case):
                 hashed.update(b"\xff\xff")
             else:
                 hashed.update(struct.pack("!H", len(response)) + response)
-        counters = service_counters(service)
         columns = {
             "responses": hashed.hexdigest(),
-            "counters": canonical_digest(counters),
+            "counters": canonical_digest(service_counters(service)),
             "capture": view_digest(service.world.capture.view()),
         }
     finally:
         loop.run_until_complete(service.stop())
         loop.close()
-    return columns, counters
+    return columns
 
 
-@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("case", list(LIVE_ORACLE))
 def test_case_reproduces_the_table(case):
-    columns, _ = drive(case)
+    columns = drive()
     expected = LIVE_ORACLE[case]
     wrong = [
         f"{case} / {column}: got {value!r}, the table holds {expected[column]!r}"
@@ -187,14 +160,3 @@ def test_case_reproduces_the_table(case):
     ]
     assert not wrong, "\n".join(wrong)
 
-
-def test_the_chaos_case_degrades():
-    """The flaky-server storm drops exchanges, and failover down the chain
-    still answers every query."""
-    _, counters = drive("flaky-server")
-    total = lambda name: sum(
-        value for key, value in counters.items() if key.startswith(name)
-    )
-    assert total("service.fault_drops") > 0, counters
-    assert total("service.answered") == total("service.queries") > 0, counters
-    assert total("service.unanswered") == 0, counters

@@ -1,15 +1,14 @@
-"""Unit tests for outage handling: offline servers, failover, retries."""
+"""Unit tests for outage handling: servers down under a fault plan's
+outage window, failover, retries."""
 
-import pytest
-
-from repro.capture import CaptureStore, Transport
-from repro.dnscore import Message, Name, RCode, RRType
+from repro.capture import CaptureStore
+from repro.dnscore import Name, RCode, RRType
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver, engine
 from repro.server import AuthoritativeServer, ServerSet
 from repro.zones import Zone, build_root_zone
 
-SRC = IPAddress.parse("192.0.2.99")
+from .helpers import Outage
 
 
 def make_world(n_servers=3):
@@ -42,25 +41,16 @@ def make_resolver(seed=2):
 
 
 class TestOfflineServer:
-    def test_offline_server_returns_none(self):
-        network, tld_set, __ = make_world(1)
-        server = tld_set.servers[0]
-        server.online = False
-        query = Message.make_query(Name.from_text("nl"), RRType.SOA)
-        assert server.handle_query(1.0, SRC, Transport.UDP, query) is None
-        assert server.stats.queries == 0
-
     def test_offline_server_captures_nothing(self):
         network, tld_set, capture = make_world(1)
-        tld_set.servers[0].online = False
+        network.faults = Outage("nl-0")
         resolver = make_resolver()
         resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
         assert len(capture) == 0
 
     def test_failover_to_surviving_server(self):
         network, tld_set, capture = make_world(3)
-        tld_set.servers[0].online = False
-        tld_set.servers[1].online = False
+        network.faults = Outage("nl-0", "nl-1")
         resolver = make_resolver()
         rcode = resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
         assert rcode is RCode.NOERROR
@@ -69,8 +59,7 @@ class TestOfflineServer:
 
     def test_all_offline_means_servfail(self):
         network, tld_set, __ = make_world(2)
-        for server in tld_set.servers:
-            server.online = False
+        network.faults = Outage("nl-*")
         resolver = make_resolver()
         rcode = resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
         assert rcode is RCode.SERVFAIL
@@ -79,7 +68,7 @@ class TestOfflineServer:
 
     def test_retries_bounded(self):
         network, tld_set, __ = make_world(1)
-        tld_set.servers[0].online = False
+        network.faults = Outage("nl-0")
         resolver = make_resolver()
         resolver.resolve(network, 1.0, Name.from_text("example.nl"), RRType.A)
         # MAX_RETRIES (2) + 1 attempts, all dropped.
@@ -87,7 +76,7 @@ class TestOfflineServer:
 
     def test_timeouts_advance_time(self, monkeypatch):
         network, tld_set, capture = make_world(2)
-        tld_set.servers[0].online = False
+        network.faults = Outage("nl-0")
         # Force the dead server to be the preferred one by site proximity:
         # the AMS resolver prefers nl-0 (AMS); after a timeout it must ask
         # nl-1 with a visibly later timestamp.
@@ -99,14 +88,13 @@ class TestOfflineServer:
         assert view.timestamp.min() > 1.3  # at least one 400ms timeout first
 
     def test_recovery(self):
+        # Down for the first 1000 s, back up at 2000 s.
         network, tld_set, __ = make_world(1)
-        server = tld_set.servers[0]
-        server.online = False
+        network.faults = Outage("nl-0", until=1000.0)
         resolver = make_resolver()
         assert resolver.resolve(
             network, 1.0, Name.from_text("example.nl"), RRType.A
         ) is RCode.SERVFAIL
-        server.online = True
         assert resolver.resolve(
             network, 2000.0, Name.from_text("example.nl"), RRType.A
         ) is RCode.NOERROR

@@ -473,9 +473,7 @@ class TestEnvDefaults:
             "workers", "spool_dir",
         ]
         assert [field.name for field in fields(ServiceConfig)] == [
-            "dataset_id", "host", "udp_port", "tcp_port", "metrics_port",
-            "seed", "rrl", "fault_plan",
-            "fault_window_s", "watchdog_interval_s",
+            "udp_port", "metrics_port", "watchdog_interval_s",
         ]
         # The metrics registry is the one observer: no per-query tracer,
         # no rate frames, no reader-less telemetry API.

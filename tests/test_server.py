@@ -1,4 +1,4 @@
-"""Unit tests for the authoritative server: responses, truncation, RRL,
+"""Unit tests for the authoritative server: responses, truncation,
 anycast catchments, and capture taps."""
 
 from collections import Counter
@@ -20,7 +20,7 @@ from repro.dnscore import (
 )
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.resolver.engine import add_route
-from repro.server import AuthoritativeServer, RateLimiter, RRLConfig, ServerSet
+from repro.server import AuthoritativeServer, ServerSet
 from repro.server import authoritative
 from repro.dnscore.edns import effective_udp_limit
 from repro.server.authoritative import _anchored_size, plan_profile
@@ -424,61 +424,6 @@ class TestCaptureTap:
         silent = AuthoritativeServer("nl-x", zone, [GAZETTEER["AMS"]], capture=None)
         silent.handle_query(1.0, SRC, Transport.UDP, query("nl", RRType.SOA))
         assert silent.stats.queries == 1
-
-
-class TestRRL:
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", ["responses_per_second", "burst"])
-    def test_non_finite_settings_rejected(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RRLConfig(**{field: bad})
-
-    def test_limiter_slips_and_drops_under_flood(self):
-        limiter = RateLimiter(RRLConfig(responses_per_second=5, burst=5))
-        verdicts = [limiter.check(SRC, 0.0) for __ in range(20)]
-        assert verdicts[:5] == [RateLimiter.PASS] * 5
-        assert RateLimiter.SLIP in verdicts[5:]
-        assert RateLimiter.DROP in verdicts[5:]
-
-    def test_bucket_refills_over_time(self):
-        limiter = RateLimiter(RRLConfig(responses_per_second=10, burst=5))
-        for __ in range(5):
-            limiter.check(SRC, 0.0)
-        assert limiter.check(SRC, 0.0) != RateLimiter.PASS
-        assert limiter.check(SRC, 10.0) == RateLimiter.PASS
-
-    def test_distinct_prefixes_independent(self):
-        limiter = RateLimiter(RRLConfig(responses_per_second=1, burst=1))
-        a = IPAddress.parse("192.0.2.1")
-        b = IPAddress.parse("198.51.100.1")
-        assert limiter.check(a, 0.0) == RateLimiter.PASS
-        assert limiter.check(b, 0.0) == RateLimiter.PASS
-        # Every SLIP-th (2nd) limited response of a prefix slips.
-        assert limiter.check(a, 0.0) == RateLimiter.DROP
-        assert limiter.check(a, 0.0) == RateLimiter.SLIP
-        assert limiter.check(b, 0.0) == RateLimiter.DROP
-
-    def test_prefix_lengths_share_a_bucket(self):
-        """A /24 (IPv4) or /56 (IPv6) is one bucket; the next one is not."""
-        limiter = RateLimiter(RRLConfig(responses_per_second=1, burst=1))
-        pairs = [("192.0.2.1", "192.0.2.254", "192.0.3.1"),
-                 ("2001:db8:0:ff::1", "2001:db8::2", "2001:db8:0:100::1")]
-        for first, same, other in pairs:
-            assert limiter.check(IPAddress.parse(first), 0.0) == RateLimiter.PASS
-            assert limiter.check(IPAddress.parse(same), 0.0) != RateLimiter.PASS
-            assert limiter.check(IPAddress.parse(other), 0.0) == RateLimiter.PASS
-
-    def test_server_slip_truncates(self, zone):
-        server = AuthoritativeServer("nl-a", zone, [GAZETTEER["AMS"]], capture=CaptureStore())
-        server.configure_rrl(RRLConfig(responses_per_second=1, burst=1))
-        first, dropped, slipped = (
-            server.handle_query(0.0, SRC, Transport.UDP, query("nl", RRType.SOA))
-            for __ in range(3)
-        )
-        assert not first.is_truncated()
-        assert dropped is None
-        assert slipped.is_truncated()
-        assert server.stats.rrl_slipped == 1
 
 
 class TestServerSet:

@@ -1,15 +1,12 @@
-"""Live service mode: dispatch and real-socket round trips.
+"""Live service mode: dispatch, the one UDP socket, and the hot path.
 
-The end-to-end tests bind ephemeral loopback sockets and drive them with
-the built-in load generator inside ``asyncio.run`` (the suite does not
-depend on an asyncio pytest plugin).  They assert the acceptance bar of
-the live mode: byte-valid responses over both UDP and TCP, RRL and chaos
-plans active on live traffic, Prometheus ``/metrics``, and a graceful
-shutdown that yields a final telemetry snapshot.
+The socket tests bind an ephemeral loopback port inside ``asyncio.run``
+(the suite does not depend on an asyncio pytest plugin) and check that
+what comes back over UDP is byte-valid DNS.  The hot-path tests drive
+``handle_datagram`` / ``handle_stream_query`` directly.
 """
 
 import asyncio
-import errno
 import gc
 import random
 import struct
@@ -21,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.app as service_app
-import repro.service.loadgen as service_loadgen
 from repro.capture import Transport
 from repro.dnscore import (
     EdnsRecord,
@@ -33,20 +29,16 @@ from repro.dnscore import (
     RCode,
     RRType,
 )
-from repro.faults import chaos_scenario
 from repro.netsim import IPAddress, SimClock
-from repro.server import RRLConfig
 from repro.service import (
     DnsService,
-    LoadGenConfig,
     QueryDispatcher,
     ServiceConfig,
     classify_datagram,
     formerr_response,
-    run_loadgen,
 )
 from repro.sim import build_authority_world
-from repro.telemetry import MetricsRegistry, TelemetrySnapshot, to_prometheus
+from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 
 CLIENT = IPAddress.parse("127.0.0.1")
@@ -68,7 +60,7 @@ def live_world():
 def dispatcher(live_world):
     descriptor, world, _ = live_world
     clock = SimClock(now=descriptor.start)
-    return QueryDispatcher(world.server_sets, clock, network=world.network)
+    return QueryDispatcher(world.server_sets["nl"].by_id("nl-a"), clock)
 
 
 def _query_for(world, qtype=RRType.A):
@@ -103,9 +95,9 @@ class TestDispatcher:
     def test_out_of_zone_name_gets_the_first_servers_rcode(
         self, live_world, dispatcher
     ):
-        """A name outside the vantage zone is no special case: the chain's
-        first server answers it with its own rcode, and the capture tap
-        records that one exchange."""
+        """A name outside the vantage zone is no special case: the
+        vantage's first server answers it with its own rcode, and the
+        capture tap records that one exchange."""
         _, world, _ = live_world
         capture = world.capture
         before = capture.rows_appended
@@ -119,9 +111,7 @@ class TestDispatcher:
         assert (row.server_id, row.qname, row.rcode) == (
             "nl-a", "db.internal.invalid.", RCode.REFUSED
         )
-        assert [server.server_id for server in dispatcher.chain] == [
-            "nl-a", "nl-b", "nl-c", "root-x"
-        ]
+        assert dispatcher.server.server_id == "nl-a"
 
     def test_non_query_opcode_notimp(self, dispatcher):
         query = Message(
@@ -137,55 +127,12 @@ class TestDispatcher:
         response = dispatcher.dispatch(CLIENT, Transport.UDP, query)
         assert response.rcode is RCode.FORMERR
 
-    def test_exhausted_chain_udp_silence_tcp_servfail(self, live_world):
-        descriptor, world, _ = live_world
-        # A chain of one offline server.
-        server = world.server_sets["nl"].by_id("nl-a")
-        clock = SimClock(now=descriptor.start)
-        dispatcher = QueryDispatcher(
-            {"nl": [server]}, clock, network=world.network
-        )
-        server.online = False
-        try:
-            query = _query_for(world)
-            assert dispatcher.dispatch(CLIENT, Transport.UDP, query) is None
-            tcp = dispatcher.dispatch(CLIENT, Transport.TCP, query)
-            assert tcp is not None and tcp.rcode is RCode.SERVFAIL
-        finally:
-            server.online = True
-
-    def test_rrl_fallback_to_next_server(self, live_world):
-        descriptor, world, _ = live_world
-        clock = SimClock(now=descriptor.start)
-        dispatcher = QueryDispatcher(world.server_sets, clock, network=world.network)
-        nl_set = world.server_sets["nl"]
-        first = nl_set.servers[0]
-        saved = first._rrl_config
-        first.configure_rrl(
-            RRLConfig(responses_per_second=0.0, burst=0.0)
-        )
-        try:
-            response = dispatcher.dispatch(
-                CLIENT, Transport.UDP, _query_for(world)
-            )
-            # The NS set has more than one member; the chain falls through.
-            assert response is not None
-        finally:
-            first.configure_rrl(saved)
-
-
 # ---------------------------------------------------------------------------
-# real sockets, end to end
+# the one UDP socket, end to end
 
 
-def _serve_config(**overrides):
-    base = dict(udp_port=0, metrics_port=None)
-    base.update(overrides)
-    return ServiceConfig(**base)
-
-
-async def _with_service(config, fn):
-    service = DnsService(config)
+async def _with_service(fn):
+    service = DnsService(ServiceConfig())
     await service.start()
     try:
         return await fn(service)
@@ -194,25 +141,6 @@ async def _with_service(config, fn):
 
 
 class TestLiveService:
-    def test_udp_and_tcp_round_trip(self):
-        async def scenario(service):
-            report = await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port,
-                    tcp_port=service.tcp_port,
-                    queries=120,
-                    tcp_fraction=0.25,
-                )
-            )
-            return report
-
-        report = asyncio.run(_with_service(_serve_config(), scenario))
-        assert report.sent == 120
-        assert report.answered_fraction >= 0.99
-        assert report.udp_sent > 0 and report.tcp_sent > 0
-        assert report.decode_errors == 0
-        assert "NOERROR" in report.rcodes
-
     def test_single_udp_exchange_bytes(self):
         async def scenario(service):
             loop = asyncio.get_running_loop()
@@ -241,7 +169,7 @@ class TestLiveService:
                 transport.close()
             return wire
 
-        wire = asyncio.run(_with_service(_serve_config(), scenario))
+        wire = asyncio.run(_with_service(scenario))
         response = Message.from_wire(wire)
         assert response.msg_id == 99
         assert response.flags.qr
@@ -277,7 +205,7 @@ class TestLiveService:
                 transport.close()
             return wire
 
-        wire = asyncio.run(_with_service(_serve_config(), scenario))
+        wire = asyncio.run(_with_service(scenario))
         response = Message.from_wire(wire)
         assert response.msg_id == 0x1234
         assert response.rcode is RCode.FORMERR
@@ -317,213 +245,27 @@ class TestLiveService:
             )
             return protocol.replies, ignored
 
-        replies, ignored = asyncio.run(_with_service(_serve_config(), scenario))
+        replies, ignored = asyncio.run(_with_service(scenario))
         assert replies == []
         assert ignored == 2
 
-    def test_tcp_framing_and_close(self):
-        async def scenario(service):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.tcp_port
-            )
-            query = Message.make_query(
-                Name.from_text("no-such-name-zzz.nl"), RRType.A, msg_id=21
-            )
-            wire = query.to_wire()
-            writer.write(len(wire).to_bytes(2, "big") + wire)
-            await writer.drain()
-            prefix = await asyncio.wait_for(reader.readexactly(2), timeout=5.0)
-            payload = await asyncio.wait_for(
-                reader.readexactly(int.from_bytes(prefix, "big")), timeout=5.0
-            )
-            # A zero-length frame ends the conversation.
-            writer.write(b"\x00\x00")
-            await writer.drain()
-            eof = await asyncio.wait_for(reader.read(1), timeout=5.0)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return payload, eof
+class TestRemovedSettingStubs:
+    """The metrics listener and the endpoint watchdog are gone; their two
+    settings accept only "off", the values the benchmark passes."""
 
-        payload, eof = asyncio.run(_with_service(_serve_config(), scenario))
-        response = Message.from_wire(payload)
-        assert response.msg_id == 21
-        assert response.rcode is RCode.NXDOMAIN
-        assert eof == b""
+    def test_the_benchmarks_call_builds(self):
+        config = ServiceConfig(udp_port=0, metrics_port=None, watchdog_interval_s=0)
+        assert (config.metrics_port, config.watchdog_interval_s) == (None, 0)
 
-    def test_rrl_drops_live_udp(self, monkeypatch):
-        monkeypatch.setattr(service_loadgen, "QUERY_TIMEOUT_S", 0.4)
+    @pytest.mark.parametrize("setting, removed", [
+        ({"metrics_port": 9100}, "the metrics listener was removed"),
+        ({"metrics_port": 0}, "the metrics listener was removed"),
+        ({"watchdog_interval_s": 1.0}, "the endpoint watchdog was removed"),
+    ])
+    def test_anything_else_names_what_was_removed(self, setting, removed):
+        with pytest.raises(ValueError, match=removed):
+            ServiceConfig(**setting)
 
-        async def scenario(service):
-            report = await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port,
-                    queries=80,
-                )
-            )
-            return report, service.snapshot()
-
-        # One-shot bucket: after the first response per prefix (every
-        # client is 127.0.0.1) the limiter drops every other response and
-        # slips the rest as TC=1; a dropped one fails over to the next
-        # server of the chain.
-        config = _serve_config(
-            rrl=RRLConfig(responses_per_second=0.001, burst=1.0)
-        )
-        report, snapshot = asyncio.run(_with_service(config, scenario))
-        assert snapshot.total("rrl.dropped") > 0
-        assert snapshot.total("rrl.slipped") > 0
-        assert snapshot.total("server.rrl_dropped") == snapshot.total("rrl.dropped")
-        assert report.sent == 80
-
-    def test_chaos_with_fallback_keeps_answering(self):
-        async def scenario(service):
-            report = await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port,
-                    queries=150,
-                )
-            )
-            snapshot = service.snapshot()
-            drops = sum(
-                value
-                for key, value in snapshot.counters.items()
-                if "service.fault_drops" in str(key)
-            )
-            return report, drops
-
-        # flaky-server halts *-a for the whole window; the NS set's other
-        # members keep the answered fraction at the acceptance bar.
-        config = _serve_config(fault_plan=chaos_scenario("flaky-server", seed=11))
-        report, drops = asyncio.run(_with_service(config, scenario))
-        assert drops > 0, "chaos plan never fired on live traffic"
-        assert report.answered_fraction >= 0.99
-
-    def test_metrics_endpoint_serves_prometheus(self):
-        async def scenario(service):
-            await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port, queries=25
-                )
-            )
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.metrics_port
-            )
-            writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-            await writer.drain()
-            raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
-            writer.close()
-            return raw.decode()
-
-        raw = asyncio.run(
-            _with_service(_serve_config(metrics_port=0), scenario)
-        )
-        head, _, body = raw.partition("\r\n\r\n")
-        assert head.startswith("HTTP/1.0 200")
-        assert "text/plain; version=0.0.4" in head
-        assert "# TYPE repro_service_queries_total counter" in body
-        assert "repro_service_answered_total" in body
-        assert "repro_server_queries_total" in body
-
-    def test_metrics_endpoint_404_and_healthz(self):
-        async def scenario(service):
-            async def get(path):
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", service.metrics_port
-                )
-                writer.write(f"GET {path} HTTP/1.0\r\n\r\n".encode())
-                await writer.drain()
-                raw = await asyncio.wait_for(reader.read(-1), timeout=5.0)
-                writer.close()
-                return raw.decode()
-
-            return await get("/healthz"), await get("/nope")
-
-        health, missing = asyncio.run(
-            _with_service(_serve_config(metrics_port=0), scenario)
-        )
-        assert health.startswith("HTTP/1.0 200") and "state: ready" in health
-        assert missing.startswith("HTTP/1.0 404")
-
-    def test_graceful_shutdown_final_snapshot(self):
-        async def scenario():
-            service = DnsService(_serve_config())
-            await service.start()
-            await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port, queries=30
-                )
-            )
-            first = await service.stop()
-            second = await service.stop()  # idempotent
-            return service, first, second
-
-        service, first, second = asyncio.run(scenario())
-        assert first is second is service.final_snapshot
-        queries = sum(
-            value
-            for key, value in first.counters.items()
-            if "service.queries" in str(key)
-        )
-        assert queries == 30
-        shutdowns = sum(
-            value
-            for key, value in first.counters.items()
-            if "service.shutdowns" in str(key)
-        )
-        assert shutdowns == 1
-
-    def test_ephemeral_bind_draws_again_when_the_tcp_twin_is_taken(self):
-        """``udp_port=0, tcp_port=None`` asks for one number on both
-        protocols, and the kernel only picked it for UDP."""
-        real_start_server = asyncio.start_server
-        refused = []
-
-        async def first_number_taken(callback, host=None, port=None, **kwargs):
-            if not refused:
-                refused.append(port)
-                raise OSError(
-                    errno.EADDRINUSE,
-                    f"error while attempting to bind on address ({host!r}, {port})",
-                )
-            return await real_start_server(callback, host=host, port=port, **kwargs)
-
-        async def scenario(service):
-            report = await run_loadgen(
-                LoadGenConfig(
-                    udp_port=service.udp_port,
-                    tcp_port=service.tcp_port,
-                    queries=8,
-                    tcp_fraction=0.5,
-                )
-            )
-            return service.udp_port, service.tcp_port, report
-
-        with mock.patch.object(asyncio, "start_server", first_number_taken):
-            udp, tcp, report = asyncio.run(_with_service(_serve_config(), scenario))
-        assert len(refused) == 1 and refused[0] > 0
-        assert udp == tcp
-        assert report.answered == 8
-        assert report.udp_sent > 0 and report.tcp_sent > 0
-
-    def test_named_tcp_port_in_use_fails_at_once(self):
-        async def scenario():
-            blocker = await asyncio.start_server(
-                lambda reader, writer: writer.close(), host="127.0.0.1", port=0
-            )
-            taken = blocker.sockets[0].getsockname()[1]
-            service = DnsService(_serve_config(tcp_port=taken))
-            try:
-                with pytest.raises(OSError) as refusal:
-                    await service.start()
-            finally:
-                blocker.close()
-                await blocker.wait_closed()
-            return refusal.value.errno, service._udp_transport.is_closing()
-
-        assert asyncio.run(scenario()) == (errno.EADDRINUSE, True)
 
 # ---------------------------------------------------------------------------
 # classification helpers
@@ -585,11 +327,10 @@ def _exchange(service, wire, tcp=False):
     return sink.sent
 
 
-def _offline_service(loop, clock=None, plan_cache=True, **overrides):
+def _offline_service(loop, clock=None, plan_cache=True):
     """A started service that is only ever driven in-process; without
     ``plan_cache`` every server of its world is a reference server."""
-    config = _serve_config(watchdog_interval_s=0, **overrides)
-    service = DnsService(config, clock=clock)
+    service = DnsService(ServiceConfig(), clock=clock)
     loop.run_until_complete(service.start())
     if not plan_cache:
         for server in _servers(service):
@@ -896,11 +637,11 @@ def _assert_memo_is_invisible(warm, cold, wire, tcp=False):
 class _Twins:
     """A warm service and its cold twin, started on one injected clock."""
 
-    def __init__(self, **overrides):
+    def __init__(self):
         self.loop = asyncio.new_event_loop()
         clock = SimClock(now=dataset("nl-w2020").start)
-        self.warm = _offline_service(self.loop, clock, **overrides)
-        self.cold = _offline_service(self.loop, clock, **overrides)
+        self.warm = _offline_service(self.loop, clock)
+        self.cold = _offline_service(self.loop, clock)
 
     def __enter__(self):
         return self.warm, self.cold
@@ -1099,8 +840,8 @@ class TestDecodeMemo:
 
 class TestHeldCounters:
     """Fetching the per-datagram counters once must not change what
-    ``/metrics`` and ``snapshot()`` list: a series appears with the first
-    event that touches it, never before."""
+    ``snapshot()`` lists: a series appears with the first event that
+    touches it, never before."""
 
     #: What a service that has seen no traffic lists under ``service.``.
     IDLE = {}
@@ -1157,17 +898,6 @@ class TestHeldCounters:
             assert self._service_series(service) == self.IDLE
             self._burst(service)
             assert self._service_series(service) == self.EXPECTED
-            # /metrics: exactly those series, rendered by the (unchanged)
-            # exposition code.
-            samples = lambda text: sorted(
-                line for line in text.splitlines()
-                if line.startswith("repro_service_") and "_total" in line
-            )
-            exposed = samples(service.render_metrics())
-            assert len(exposed) == len(self.EXPECTED)
-            assert exposed == samples(
-                to_prometheus(TelemetrySnapshot(counters=self.EXPECTED))
-            )
             # Held counters are the registry's own objects: a second burst
             # doubles every series and adds none.
             self._burst(service)
@@ -1208,7 +938,7 @@ class TestLiveCaptureWindow:
 
 
 # ---------------------------------------------------------------------------
-# the live path: source memos, one clock read
+# the live path: source memos, one clock read per query
 
 
 class CountingClock:
@@ -1292,18 +1022,3 @@ class TestOneClockRead:
         finally:
             loop.run_until_complete(service.stop())
             loop.close()
-
-    def test_failover_reads_the_clock_once_too(self, live_world):
-        """``nl-a`` offline: the failover to ``nl-b`` is stamped with the
-        dispatch's one reading."""
-        descriptor, world, _ = live_world
-        clock = CountingClock(descriptor.start)
-        dispatcher = QueryDispatcher(world.server_sets, clock, network=world.network)
-        server = world.server_sets["nl"].by_id("nl-a")
-        server.online = False
-        try:
-            response = dispatcher.dispatch(CLIENT, Transport.UDP, _query_for(world))
-        finally:
-            server.online = True
-        assert response is not None and response.rcode is not RCode.SERVFAIL
-        assert clock.reads == 1

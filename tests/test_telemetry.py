@@ -8,9 +8,8 @@ import pytest
 
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
-from repro.server.rrl import RRLConfig
 from repro.sim import run_dataset
-from repro.sim.driver import publish_fleet_metrics, publish_server_metrics
+from repro.sim.driver import publish_fleet_metrics
 from repro.telemetry import (
     MetricsRegistry,
     TelemetrySnapshot,
@@ -18,10 +17,10 @@ from repro.telemetry import (
     format_summary,
     metric_key,
     split_key,
-    to_prometheus,
-    write_prometheus,
 )
 from repro.workload import dataset
+
+from .helpers import Outage
 
 
 class TestKeys:
@@ -202,8 +201,7 @@ class TestEngineCounters:
         from repro.dnscore import Name, RRType
 
         network = small_world["network"]
-        for server in network.root.servers:
-            server.online = False
+        network.faults = Outage(*(server.server_id for server in network.root.servers))
         resolver = _engine_resolver()
         resolver.resolve(network, 0.0, Name.from_text("example.org"), RRType.A)
         assert resolver.stats.drops > 0
@@ -219,46 +217,6 @@ class TestEngineCounters:
             == resolver.stats.servfails
         )
         assert snap.total("resolver.sends") > 0
-
-    def test_rrl_slip_forces_tcp_retry(self, latency):
-        from repro.capture import CaptureStore
-        from repro.dnscore import Name, RRType
-        from repro.resolver import AuthorityNetwork, SyntheticLeafAuthority
-        from repro.server import AuthoritativeServer, ServerSet
-        from repro.zones import ZoneSpec, build_registry_zone, build_root_zone
-
-        zone = build_registry_zone(ZoneSpec(origin="nl", second_level_count=5, seed=1))
-        capture = CaptureStore()
-        # Every other rate-limited response is a TC=1 slip, which the
-        # resolver retries over TCP.
-        server = AuthoritativeServer("nl-rrl", zone, [GAZETTEER["AMS"]], capture=capture)
-        server.configure_rrl(RRLConfig(responses_per_second=0.0001, burst=1.0))
-        nl_set = ServerSet([server], latency)
-        root_set = ServerSet(
-            [AuthoritativeServer("root-x", build_root_zone(seed=3),
-                                 [GAZETTEER["LAX"]])],
-            latency,
-        )
-        network = AuthorityNetwork(
-            root=root_set,
-            tlds={Name.from_text("nl"): nl_set},
-            leaf=SyntheticLeafAuthority(),
-        )
-        resolver = _engine_resolver()
-        for i in range(30):
-            resolver.resolve(
-                network, float(i) * 0.001,
-                Name.from_text(f"junk-{i}.nl"), RRType.A,
-            )
-        assert resolver.stats.tcp_retries > 0
-        assert server._limiter.stats.slipped > 0
-
-        metrics = MetricsRegistry()
-        publish_server_metrics(metrics, {"nl": nl_set, "root": root_set})
-        snap = metrics.snapshot()
-        assert snap.counter("rrl.slipped", server="nl-rrl") > 0
-        assert snap.counter("server.queries", server="nl-rrl") > 0
-        assert snap.total("server.responses") > 0
 
     def test_cache_hit_miss_counted(self, small_world):
         from repro.dnscore import Name, RRType
@@ -330,50 +288,6 @@ class TestRunDatasetIntegration:
         descriptor = monthly_google_descriptor("nz", 2020, 2)  # cyclic event
         run = run_dataset(descriptor, client_queries=400, seed=13)
         assert run.telemetry.total("resolver.servfails") > 0
-
-
-class TestPrometheusExposition:
-    @pytest.fixture(scope="class")
-    def run(self):
-        return run_dataset(dataset("nz-w2018"), client_queries=700, seed=20201027)
-
-    def test_run_snapshot_renders(self, run):
-        text = to_prometheus(run.telemetry)
-        assert "# TYPE repro_capture_rows_appended_total counter" in text
-        assert "repro_resolver_client_queries_total{" in text
-        assert 'provider="Google"' in text
-        assert "# TYPE repro_sim_fleet_size gauge" in text
-        assert "# TYPE repro_phase_seconds_total counter" in text
-        assert text.endswith("\n")
-
-    def test_histogram_buckets_are_cumulative(self, run):
-        text = to_prometheus(run.telemetry)
-        lines = [
-            line for line in text.splitlines()
-            if line.startswith("repro_capture_response_size_bytes_bucket")
-        ]
-        assert lines, "histogram missing from exposition"
-        counts = [float(line.rsplit(" ", 1)[1]) for line in lines]
-        assert counts == sorted(counts)
-        assert lines[-1].startswith(
-            'repro_capture_response_size_bytes_bucket{le="+Inf"}'
-        )
-        count_line = next(
-            line for line in text.splitlines()
-            if line.startswith("repro_capture_response_size_bytes_count")
-        )
-        assert counts[-1] == float(count_line.rsplit(" ", 1)[1])
-
-    def test_label_escaping(self):
-        metrics = MetricsRegistry()
-        metrics.counter("odd.metric", label='quo"te\\back\nline').inc(3)
-        text = to_prometheus(metrics.snapshot())
-        assert 'label="quo\\"te\\\\back\\nline"' in text
-
-    def test_write_prometheus(self, run, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_prometheus(run.telemetry, str(path))
-        assert path.read_text() == to_prometheus(run.telemetry)
 
 
 class TestExperimentContextTelemetry:
