@@ -9,7 +9,7 @@ records.
 
 Quick start::
 
-    from repro.core import ExperimentContext, figure1
+    from repro.experiments import ExperimentContext, figure1
     ctx = ExperimentContext(scale=0.2)
     print(figure1.run_vantage(ctx, "nl").to_text())
 

@@ -23,8 +23,9 @@ helper so availability and help text cannot drift.
 Chaos flags (see README "Chaos scenarios"): ``--chaos <scenario>`` runs
 the simulation under a named fault schedule (``--chaos-seed``, which
 needs ``--chaos``, varies the fault placement independently of ``--seed``).
-``repro dataset`` exits non-zero when any shard failed outright unless
-``--allow-partial`` is given.
+``repro dataset`` exits 3 when any shard failed outright unless
+``--allow-partial`` is given; ``repro experiments`` always does, and
+renders nothing.
 
 Where the capture lives (see README "Capture chunks and the one fold"):
 every run folds each capture chunk into single-pass aggregates in the
@@ -129,18 +130,23 @@ def _chaos_plan(args):
     return plan
 
 
-def _check_partial(report, allow_partial: bool) -> int:
-    """Exit code for a run report: 0, or EXIT_PARTIAL on shard failures."""
-    if report is None or not report.failures:
-        return 0
+def _report_failures(report, prefix: str = "") -> None:
+    """Print the one error line naming a run report's failed shards."""
     failed = ", ".join(
         f"#{outcome.index} ({outcome.error})" for outcome in report.failed_shards
     )
     print(
-        f"ERROR: {report.failures} shard(s) failed — capture is incomplete: "
-        f"{failed}",
+        f"ERROR: {prefix}{report.failures} shard(s) failed — capture is "
+        f"incomplete: {failed}",
         file=sys.stderr,
     )
+
+
+def _check_partial(report, allow_partial: bool) -> int:
+    """Exit code for a run report: 0, or EXIT_PARTIAL on shard failures."""
+    if report is None or not report.failures:
+        return 0
+    _report_failures(report)
     if allow_partial:
         print("continuing anyway (--allow-partial)", file=sys.stderr)
         return 0
@@ -273,13 +279,19 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import ExperimentContext
+    from .experiments.context import IncompleteRunError
     from .experiments.render_all import run_and_render
 
     ctx = ExperimentContext(
         scale=args.scale, seed=args.seed, fault_plan=_chaos_plan(args),
         config=args.config,
     )
-    content = run_and_render(ctx)
+    try:
+        content = run_and_render(ctx)
+    except IncompleteRunError as error:
+        # Nothing is rendered from an incomplete capture.
+        _report_failures(error.report, prefix=f"{error.dataset_id}: ")
+        return EXIT_PARTIAL
     if args.write:
         with open(args.write, "w") as handle:
             handle.write(content)

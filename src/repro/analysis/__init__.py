@@ -22,7 +22,6 @@ from .sovereignty import (
     JurisdictionRow,
     SovereigntyAggregator,
     SovereigntyReport,
-    bloc_of,
 )
 from .concentration import (
     ConcentrationAggregator,
@@ -73,7 +72,6 @@ __all__ = [
     "SovereigntyAggregator",
     "SovereigntyReport",
     "SpaceSavingSketch",
-    "bloc_of",
     "classify_queries",
     "DatasetAnalytics",
     "EDNSAggregator",

@@ -112,12 +112,6 @@ class DatasetAnalytics:
         out["other"] = float(total - covered) / total
         return out
 
-    def ns_share(self, provider: str) -> float:
-        """Fraction of a provider's queries that are NS queries — the
-        first hint of a Q-min rollout."""
-        self._check_providers((provider,))
-        return self._qtype_share(provider, RRType.NS)
-
     def monthly_point(self, provider: str, year: int, month: int) -> MonthlyPoint:
         """One monthly capture as a Figure 3 data point."""
         self._check_providers((provider,))
@@ -199,14 +193,9 @@ class DatasetAnalytics:
         self._check_providers((provider,))
         return self.aggregates["edns"].finalize_provider(provider)
 
-    def truncation_ratio(self, provider: str) -> float:
-        """Fraction of the provider's UDP queries whose answer came back
-        truncated (TC=1) — section 4.4's headline percentages."""
-        self._check_providers((provider,))
-        return self.aggregates["edns"].truncation_ratio(provider)
-
     def truncation_table(self) -> Dict[str, float]:
-        """Truncation ratios for all providers at once."""
+        """Per provider, the fraction of its UDP queries whose answer came
+        back truncated (TC=1) — section 4.4's headline percentages."""
         agg = self.aggregates["edns"]
         return {p: agg.truncation_ratio(p) for p in self.aggregates.providers}
 

@@ -4,7 +4,7 @@ Two complementary detectors, mirroring the paper's method:
 
 * the **NS-share signal** — a jump in the fraction of NS queries from a
   provider is the first hint of a Q-min rollout
-  (:meth:`DatasetAnalytics.ns_share` / ``monthly_point``);
+  (the ``ns_share`` of :meth:`DatasetAnalytics.monthly_point`);
 * the **minimised-name check** — the paper "manually verif[ied] the query
   names to ensure they match expected Q-min behavior": a minimised query
   at a TLD carries exactly one label more than the zone

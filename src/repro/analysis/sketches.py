@@ -97,9 +97,6 @@ class SpaceSavingSketch:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, item: str) -> bool:
-        return item in self._entries
-
     # -- feeding ---------------------------------------------------------------
 
     def feed(self, item: str, count: int = 1) -> None:

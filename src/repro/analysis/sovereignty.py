@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -55,13 +55,6 @@ JURISDICTION_BLOCS: Dict[str, frozenset] = {
 }
 
 
-def bloc_of(country: str) -> Tuple[str, ...]:
-    """Every bloc the country belongs to (a country can appear in none)."""
-    return tuple(
-        bloc for bloc, members in JURISDICTION_BLOCS.items() if country in members
-    )
-
-
 @dataclass
 class JurisdictionRow:
     """One country's (or bloc's) cut of the capture."""
@@ -85,12 +78,6 @@ class SovereigntyReport:
     blocs: List[JurisdictionRow] = field(default_factory=list)
     #: The existing 5-CP cut on the same totals, for side-by-side reads.
     provider_queries: Dict[str, int] = field(default_factory=dict)
-
-    def country(self, code: str) -> JurisdictionRow:
-        for row in self.countries:
-            if row.name == code:
-                return row
-        return JurisdictionRow(code, 0, 0, 0.0, 0.0, 0, 0.0)
 
     def bloc(self, name: str) -> JurisdictionRow:
         for row in self.blocs:

@@ -132,9 +132,6 @@ class CaptureSpool:
             if not isinstance(chunk, CaptureView)
         ]
 
-    def chunk_row_counts(self) -> List[int]:
-        return list(self._chunk_rows_counts)
-
     def adopt(self, chunks: Sequence[Union[str, Path, CaptureView]],
               row_counts: Optional[Sequence[int]] = None) -> None:
         """Register chunks produced elsewhere (the shard-merge path):

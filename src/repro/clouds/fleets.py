@@ -206,11 +206,7 @@ def _build_generic_fleet(
         dual = index < dual_count and v6_alloc is not None
         bufsize = _sample_bufsize(rng, provider)
         behavior = _behavior_for(provider, vantage, year, bufsize, validating)
-        if not dual:
-            behavior = ResolverBehavior(
-                **{**behavior.__dict__, "family_policy": "v4only"}
-            )
-        else:
+        if dual:
             # Dual-stack machines carry the provider's whole v6 query share.
             ratio = _v6_query_ratio(provider, vantage, year)
             # Floor keeps rarely-v6 fleets (Microsoft) visible in the
@@ -296,10 +292,6 @@ def _build_google_fleet(vantage: str, year: int, seed: int) -> List[FleetResolve
         # its bulk is what dilutes Google's DS share (section 4.2.2).
         behavior = _behavior_for("Google", vantage, year, bufsize, validating=False)
         dual = index < dual_count
-        if not dual:
-            behavior = ResolverBehavior(
-                **{**behavior.__dict__, "family_policy": "v4only"}
-            )
         fleet.append(
             FleetResolver(
                 resolver=SimResolver(
@@ -466,7 +458,7 @@ def build_background_fleet(
                 edns_bufsize=int(
                     rng.choice([512, 1232, 1410, 4096], p=[0.05, 0.25, 0.2, 0.5])
                 ),
-                family_policy="fixed" if dual else "v4only",
+                family_policy="fixed",
                 fixed_v6_ratio=0.4,
                 aggressive_nsec=bool(year >= 2020 and rng.random() < 0.3),
             )

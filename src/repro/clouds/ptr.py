@@ -49,9 +49,6 @@ class PTRTable:
         """The PTR target for ``address``, or None (no PTR record)."""
         return self._table.get(address.to_text())
 
-    def __len__(self) -> int:
-        return len(self._table)
-
 
 def build_facebook_ptr_table(fleet: Iterable[FleetResolver]) -> PTRTable:
     """Synthesise the PTR namespace for a Facebook fleet.

@@ -177,9 +177,6 @@ class Message:
     def set_rcode(self, rcode: RCode) -> None:
         self.flags = replace(self.flags, rcode=rcode)
 
-    def is_truncated(self) -> bool:
-        return self.flags.tc
-
     # -- wire codec ----------------------------------------------------------
 
     def to_wire(self, max_size: Optional[int] = None) -> bytes:
@@ -298,31 +295,3 @@ class Message:
         record, offset = ResourceRecord.from_wire(wire, offset)
         message.additionals.append(record)
         return record, offset
-
-    # -- pretty printing -----------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [
-            f";; id {self.msg_id} opcode {self.flags.opcode.name} "
-            f"rcode {self.flags.rcode.name} flags"
-            f"{' qr' if self.flags.qr else ''}{' aa' if self.flags.aa else ''}"
-            f"{' tc' if self.flags.tc else ''}{' rd' if self.flags.rd else ''}"
-            f"{' ra' if self.flags.ra else ''}"
-        ]
-        if self.edns is not None:
-            lines.append(
-                f";; edns0 udp {self.edns.udp_payload_size}"
-                f"{' do' if self.edns.dnssec_ok else ''}"
-            )
-        lines.append(";; QUESTION")
-        for q in self.questions:
-            lines.append(f"{q.qname.to_text()} {q.qclass.name} {q.qtype.to_text()}")
-        for title, section in (
-            ("ANSWER", self.answers),
-            ("AUTHORITY", self.authorities),
-            ("ADDITIONAL", self.additionals),
-        ):
-            if section:
-                lines.append(f";; {title}")
-                lines.extend(record.to_text() for record in section)
-        return "\n".join(lines)

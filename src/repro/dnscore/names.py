@@ -8,7 +8,7 @@ immutable :class:`Name` type with the operations the rest of the library needs:
 * case-insensitive equality and hashing (RFC 1035 section 2.3.3),
 * relationship predicates (``is_subdomain_of``, ``zone cut`` helpers),
 * label arithmetic used by QNAME minimisation (``ancestor_with_labels``,
-  ``parent``, ``relativize``).
+  ``parent``).
 
 A name's structure is plain slot attributes, each set once when the name is
 built: ``labels`` (the byte-strings in their original case), ``label_count``,
@@ -23,7 +23,7 @@ and equality run on a tuple of bytes, in C.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
@@ -208,7 +208,7 @@ class Name:
     def __repr__(self) -> str:
         return f"Name({self.to_text()!r})"
 
-    # -- equality / ordering -------------------------------------------------
+    # -- equality ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         # ``__class__`` first: no call on the common path.
@@ -221,24 +221,12 @@ class Name:
 
     def canonical_key(self) -> Tuple[bytes, ...]:
         """Sort key for canonical DNS ordering (RFC 4034 section 6.1): the
-        :attr:`canonical` attribute.
-
-        ``sorted(names, key=Name.canonical_key)`` orders like
-        ``sorted(names)`` without a Python-level comparison per pair.
+        :attr:`canonical` attribute, so ``sorted(names,
+        key=Name.canonical_key)`` orders names from their rightmost label.
         """
         return self.canonical
 
-    def __lt__(self, other: "Name") -> bool:
-        """Canonical DNS ordering (RFC 4034 section 6.1): compare from the
-        rightmost (least significant) label."""
-        if not isinstance(other, Name):
-            return NotImplemented
-        return self.canonical < other.canonical
-
     # -- structure ---------------------------------------------------------
-
-    def is_root(self) -> bool:
-        return not self.label_count
 
     def parent(self) -> "Name":
         """The name with the leftmost label removed.
@@ -257,13 +245,6 @@ class Name:
             labels[1:], self.key[1:], self.wire_length - len(labels[0]) - 1
         )
         return parent
-
-    def ancestors(self) -> Iterator["Name"]:
-        """Yield every proper ancestor, nearest first, ending with the root."""
-        name = self
-        while name.label_count:
-            name = name._parent or name.parent()
-            yield name
 
     def ancestor_with_labels(self, count: int) -> "Name":
         """Return the ancestor (or self) having exactly ``count`` labels.
@@ -292,21 +273,6 @@ class Name:
             return False
         return self.canonical[:n] == other.canonical
 
-    def is_proper_subdomain_of(self, other: "Name") -> bool:
-        return self != other and self.is_subdomain_of(other)
-
-    def relativize(self, origin: "Name") -> Tuple[bytes, ...]:
-        """Labels of ``self`` below ``origin`` (most specific first).
-
-        Raises :class:`NameError_` if ``self`` is not a subdomain of
-        ``origin``.
-        """
-        if not self.is_subdomain_of(origin):
-            raise NameError_(
-                f"{self.to_text()} is not a subdomain of {origin.to_text()}"
-            )
-        return self.labels[: self.label_count - origin.label_count]
-
     def prepend(self, *labels: bytes) -> "Name":
         """Return a new name with ``labels`` prepended (most specific first).
 
@@ -321,11 +287,6 @@ class Name:
         return Name._derived(
             prefix.labels + self.labels, prefix.key + self.key, wire_len
         )
-
-    def prepend_text(self, text: str) -> "Name":
-        """Prepend dotted textual labels, e.g. ``name.prepend_text("www")``."""
-        prefix = Name.from_text(text) if text not in (".", "") else ROOT
-        return Name(prefix.labels + self.labels)
 
     # -- wire format --------------------------------------------------------
 

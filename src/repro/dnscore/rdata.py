@@ -1,10 +1,10 @@
 """Typed RDATA implementations and the generic resource-record container.
 
-Each rdata class knows how to encode/decode its wire representation and how
-to render a presentation-format string.  The subset implemented here covers
-every type the paper's traffic contains: address records (A/AAAA), delegation
-records (NS + SOA), mail (MX), DNSSEC material (DS, DNSKEY, RRSIG, NSEC),
-reverse-mapping (PTR), plus CNAME/TXT for realistic zone content.
+Each rdata class knows how to encode and decode its wire representation.
+The subset implemented here covers every type the paper's traffic contains:
+address records (A/AAAA), delegation records (NS + SOA), mail (MX), DNSSEC
+material (DS, DNSKEY, RRSIG, NSEC), reverse-mapping (PTR), plus CNAME/TXT for
+realistic zone content.
 
 Unknown types round-trip as :class:`OpaqueRdata` (RFC 3597 style), so a
 capture pipeline never drops a record merely because it does not model it.
@@ -35,7 +35,7 @@ class Rdata:
     """Base class for typed RDATA.
 
     Subclasses set the class attribute :attr:`rrtype` (via ``@_register``)
-    and implement :meth:`to_wire`, :meth:`from_wire`, and :meth:`to_text`.
+    and implement :meth:`to_wire` and :meth:`from_wire`.
     """
 
     rrtype: ClassVar[RRType]
@@ -47,29 +47,17 @@ class Rdata:
     def from_wire(cls, wire: bytes, offset: int, rdlength: int) -> "Rdata":
         raise NotImplementedError
 
-    def to_text(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.to_text()})"
-
 
 @_register(RRType.A)
 @dataclass(frozen=True)
 class ARdata(Rdata):
-    """IPv4 address record.  ``address`` is the integer form of the address;
-    the textual form is available via :attr:`text`."""
+    """IPv4 address record; ``address`` is the integer form."""
 
     address: int
 
     def __post_init__(self):
         if not 0 <= self.address < 2**32:
             raise ValueError("IPv4 address out of range")
-
-    @property
-    def text(self) -> str:
-        a = self.address
-        return f"{a >> 24 & 255}.{a >> 16 & 255}.{a >> 8 & 255}.{a & 255}"
 
     def to_wire(self, compress=None, offset=0) -> bytes:
         return struct.pack("!I", self.address)
@@ -79,9 +67,6 @@ class ARdata(Rdata):
         if rdlength != 4:
             raise ValueError("A rdata must be 4 octets")
         return cls(struct.unpack_from("!I", wire, offset)[0])
-
-    def to_text(self) -> str:
-        return self.text
 
 
 @_register(RRType.AAAA)
@@ -95,27 +80,6 @@ class AAAARdata(Rdata):
         if not 0 <= self.address < 2**128:
             raise ValueError("IPv6 address out of range")
 
-    @property
-    def text(self) -> str:
-        groups = [(self.address >> shift) & 0xFFFF for shift in range(112, -16, -16)]
-        # Find the longest run of zero groups for :: compression.
-        best_start, best_len = -1, 0
-        run_start, run_len = -1, 0
-        for i, g in enumerate(groups):
-            if g == 0:
-                if run_start < 0:
-                    run_start, run_len = i, 0
-                run_len += 1
-                if run_len > best_len:
-                    best_start, best_len = run_start, run_len
-            else:
-                run_start, run_len = -1, 0
-        if best_len < 2:
-            return ":".join(f"{g:x}" for g in groups)
-        head = ":".join(f"{g:x}" for g in groups[:best_start])
-        tail = ":".join(f"{g:x}" for g in groups[best_start + best_len :])
-        return f"{head}::{tail}"
-
     def to_wire(self, compress=None, offset=0) -> bytes:
         return self.address.to_bytes(16, "big")
 
@@ -124,9 +88,6 @@ class AAAARdata(Rdata):
         if rdlength != 16:
             raise ValueError("AAAA rdata must be 16 octets")
         return cls(int.from_bytes(wire[offset : offset + 16], "big"))
-
-    def to_text(self) -> str:
-        return self.text
 
 
 class _SingleNameRdata(Rdata):
@@ -150,9 +111,6 @@ class _SingleNameRdata(Rdata):
     def from_wire(cls, wire: bytes, offset: int, rdlength: int):
         name, _ = Name.from_wire(wire, offset)
         return cls(name)
-
-    def to_text(self) -> str:
-        return self.target.to_text()
 
 
 @_register(RRType.NS)
@@ -201,12 +159,6 @@ class SOARdata(Rdata):
         serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", wire, offset)
         return cls(mname, rname, serial, refresh, retry, expire, minimum)
 
-    def to_text(self) -> str:
-        return (
-            f"{self.mname.to_text()} {self.rname.to_text()} {self.serial} "
-            f"{self.refresh} {self.retry} {self.expire} {self.minimum}"
-        )
-
 
 @_register(RRType.MX)
 @dataclass(frozen=True)
@@ -226,9 +178,6 @@ class MXRdata(Rdata):
         (preference,) = struct.unpack_from("!H", wire, offset)
         exchange, _ = Name.from_wire(wire, offset + 2)
         return cls(preference, exchange)
-
-    def to_text(self) -> str:
-        return f"{self.preference} {self.exchange.to_text()}"
 
 
 @_register(RRType.TXT)
@@ -261,9 +210,6 @@ class TXTRdata(Rdata):
             offset += n
         return cls(tuple(strings))
 
-    def to_text(self) -> str:
-        return " ".join('"' + s.decode("latin-1") + '"' for s in self.strings)
-
 
 @_register(RRType.DS)
 @dataclass(frozen=True)
@@ -285,9 +231,6 @@ class DSRdata(Rdata):
         digest = wire[offset + 4 : offset + rdlength]
         return cls(key_tag, algorithm, digest_type, digest)
 
-    def to_text(self) -> str:
-        return f"{self.key_tag} {self.algorithm} {self.digest_type} {self.digest.hex().upper()}"
-
 
 @_register(RRType.DNSKEY)
 @dataclass(frozen=True)
@@ -299,22 +242,6 @@ class DNSKEYRdata(Rdata):
     algorithm: int
     public_key: bytes
 
-    ZONE_KEY_FLAG: ClassVar[int] = 0x0100
-    SEP_FLAG: ClassVar[int] = 0x0001
-
-    @property
-    def is_ksk(self) -> bool:
-        return bool(self.flags & self.SEP_FLAG)
-
-    def key_tag(self) -> int:
-        """RFC 4034 appendix B key-tag computation."""
-        rdata = self.to_wire()
-        acc = 0
-        for i, b in enumerate(rdata):
-            acc += b << 8 if i % 2 == 0 else b
-        acc += (acc >> 16) & 0xFFFF
-        return acc & 0xFFFF
-
     def to_wire(self, compress=None, offset=0) -> bytes:
         return struct.pack("!HBB", self.flags, self.protocol, self.algorithm) + self.public_key
 
@@ -323,11 +250,6 @@ class DNSKEYRdata(Rdata):
         flags, protocol, algorithm = struct.unpack_from("!HBB", wire, offset)
         key = wire[offset + 4 : offset + rdlength]
         return cls(flags, protocol, algorithm, key)
-
-    def to_text(self) -> str:
-        import base64
-
-        return f"{self.flags} {self.protocol} {self.algorithm} {base64.b64encode(self.public_key).decode()}"
 
 
 @_register(RRType.RRSIG)
@@ -369,13 +291,6 @@ class RRSIGRdata(Rdata):
         signer, offset = Name.from_wire(wire, offset + 18)
         return cls(RRType(tc), alg, labels, ottl, exp, inc, tag, signer, wire[offset:end])
 
-    def to_text(self) -> str:
-        return (
-            f"{self.type_covered.to_text()} {self.algorithm} {self.labels} "
-            f"{self.original_ttl} {self.expiration} {self.inception} "
-            f"{self.key_tag} {self.signer.to_text()} <sig:{len(self.signature)}B>"
-        )
-
 
 @_register(RRType.NSEC)
 @dataclass(frozen=True)
@@ -390,16 +305,6 @@ class NSECRdata(Rdata):
 
     next_name: Name
     types: Tuple[RRType, ...]
-
-    def covers(self, owner: Name, qname: Name) -> bool:
-        """True if ``qname`` falls in the gap (owner, next_name).
-
-        Handles the zone's final NSEC, whose gap wraps around past the end
-        of the canonical ordering back to the apex.
-        """
-        if owner < self.next_name:
-            return owner < qname < self.next_name
-        return qname > owner or qname < self.next_name
 
     def _type_bitmap(self) -> bytes:
         windows: Dict[int, bytearray] = {}
@@ -440,9 +345,6 @@ class NSECRdata(Rdata):
             offset += length
         return cls(next_name, tuple(types))
 
-    def to_text(self) -> str:
-        return f"{self.next_name.to_text()} " + " ".join(t.to_text() for t in self.types)
-
 
 @dataclass(frozen=True)
 class OpaqueRdata(Rdata):
@@ -457,9 +359,6 @@ class OpaqueRdata(Rdata):
     @classmethod
     def from_wire(cls, wire: bytes, offset: int, rdlength: int) -> "OpaqueRdata":
         raise NotImplementedError("use decode_rdata()")
-
-    def to_text(self) -> str:
-        return f"\\# {len(self.data)} {self.data.hex()}"
 
 
 def decode_rdata(rrtype: int, wire: bytes, offset: int, rdlength: int) -> Rdata:
@@ -503,10 +402,4 @@ class ResourceRecord:
         return (
             cls(name, rrtype_enum, ttl, rdata, RRClass(rrclass)),
             offset + rdlength,
-        )
-
-    def to_text(self) -> str:
-        return (
-            f"{self.name.to_text()} {self.ttl} {self.rrclass.name} "
-            f"{self.rrtype.to_text()} {self.rdata.to_text()}"
         )

@@ -34,13 +34,6 @@ class RRType(enum.IntEnum):
     ANY = 255
 
     @classmethod
-    def from_text(cls, text: str) -> "RRType":
-        try:
-            return cls[text.upper()]
-        except KeyError:
-            raise ValueError(f"unknown RR type {text!r}") from None
-
-    @classmethod
     @lru_cache(maxsize=1024)
     def from_code(cls, code: int) -> "RRType":
         """The type a 16-bit wire code stands for — never a failure.
@@ -48,9 +41,9 @@ class RRType(enum.IntEnum):
         A code this enum does not name (HTTPS 65, SVCB 64, SPF 99, …) comes
         back as an unregistered pseudo-member called ``TYPE<code>``
         (RFC 3597 section 5): it compares, hashes and converts like the
-        integer, and ``name`` / ``to_text()`` work, so a question for such a
-        type travels through the server like any other.  ``RRType(code)``
-        still raises for it.
+        integer, and ``name`` works, so a question for such a type travels
+        through the server like any other.  ``RRType(code)`` still raises
+        for it.
         """
         try:
             return cls(code)
@@ -59,9 +52,6 @@ class RRType(enum.IntEnum):
             unknown._name_ = f"TYPE{code}"
             unknown._value_ = code
             return unknown
-
-    def to_text(self) -> str:
-        return self.name
 
 
 class RRClass(enum.IntEnum):
@@ -88,8 +78,7 @@ class RCode(enum.IntEnum):
     """Response codes (RFC 1035 section 4.1.1 plus EDNS extensions).
 
     The paper defines *junk* traffic as "any query that does not yield a
-    NOERROR RCODE (0)"; :meth:`is_junk` encodes that definition so every
-    consumer uses the same predicate.
+    NOERROR RCODE (0)".
     """
 
     NOERROR = 0
@@ -104,10 +93,6 @@ class RCode(enum.IntEnum):
     NOTAUTH = 9
     NOTZONE = 10
     BADVERS = 16
-
-    def is_junk(self) -> bool:
-        """Paper section 3: junk means any non-NOERROR response."""
-        return self is not RCode.NOERROR
 
 
 #: Types fetched only by DNSSEC-validating resolvers.

@@ -20,6 +20,17 @@ from ..telemetry import MetricsRegistry
 from ..workload import DatasetDescriptor, dataset, monthly_google_descriptor
 
 
+class IncompleteRunError(RuntimeError):
+    """A dataset's run lost shards: its capture is incomplete, so no report
+    may be rendered from it."""
+
+    def __init__(self, dataset_id: str, report):
+        super().__init__(f"{dataset_id}: {report.failures} shard(s) failed")
+        self.dataset_id = dataset_id
+        #: The run's :class:`~repro.runtime.RuntimeReport`.
+        self.report = report
+
+
 class ExperimentContext:
     """Caches simulated datasets; every analytics facade answers from a
     cached run's folded state.
@@ -57,7 +68,8 @@ class ExperimentContext:
 
     def _simulate(self, descriptor: DatasetDescriptor) -> DatasetRun:
         """The (cached) simulation of one descriptor at this context's
-        scale, under its fault plan (if any)."""
+        scale, under its fault plan (if any).  Raises
+        :class:`IncompleteRunError` for a run with failed shards."""
         cached = self._runs.get(descriptor.dataset_id)
         if cached is None:
             if self.fault_plan is not None:
@@ -67,6 +79,9 @@ class ExperimentContext:
                 client_queries=max(500, int(descriptor.client_queries * self.scale)),
                 telemetry=self.telemetry, config=self.config,
             )
+            report = cached.runtime_report
+            if report is not None and report.failures:
+                raise IncompleteRunError(descriptor.dataset_id, report)
             self._runs[descriptor.dataset_id] = cached
         return cached
 

@@ -15,7 +15,7 @@ Wiring: ``DatasetDescriptor.fault_plan`` carries a plan into
 :func:`repro.sim.driver.build_environment`, which attaches the injector to
 the :class:`~repro.resolver.AuthorityNetwork`; ``SimResolver._send``
 consults it per exchange and reacts with retransmit/backoff, NS-set
-failover, SERVFAIL-on-exhaustion and (opt-in) RFC 8767 serve-stale.
+failover and SERVFAIL-on-exhaustion.
 """
 
 from .injector import (

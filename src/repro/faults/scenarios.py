@@ -25,7 +25,7 @@ CHAOS_SCENARIOS: Dict[str, FaultPlan] = {
         outages=(OutageWindow("*-a", 0.33, 0.66),),
     ),
     # The whole NS set goes dark mid-window: resolution collapses unless
-    # caches (or serve-stale, RFC 8767) absorb the hit.
+    # caches absorb the hit.
     "total-outage": FaultPlan(
         name="total-outage",
         outages=(OutageWindow("*", 0.40, 0.60),),

@@ -10,7 +10,7 @@ from .addresses import (
     parse_ipv6,
 )
 from .asregistry import ASInfo, ASRegistry
-from .clock import Clock, SimClock, WallClock, timestamp_to_utc, utc_timestamp
+from .clock import Clock, SimClock, WallClock, utc_timestamp
 from .geo import GAZETTEER, LatencyModel, Site, great_circle_km, nearest_site
 from .prefixtrie import PrefixTrie
 
@@ -33,6 +33,5 @@ __all__ = [
     "nearest_site",
     "parse_ipv4",
     "parse_ipv6",
-    "timestamp_to_utc",
     "utc_timestamp",
 ]

@@ -11,7 +11,6 @@ pairs without object churn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 V4_BITS = 32
 V6_BITS = 128
@@ -137,14 +136,6 @@ class IPAddress:
     def bits(self) -> int:
         return V4_BITS if self.family == 4 else V6_BITS
 
-    def reverse_pointer_name(self) -> str:
-        """The in-addr.arpa / ip6.arpa name used for PTR lookups."""
-        if self.family == 4:
-            octets = [str((self.value >> shift) & 255) for shift in (0, 8, 16, 24)]
-            return ".".join(octets) + ".in-addr.arpa."
-        nibbles = [f"{(self.value >> (4 * i)) & 0xF:x}" for i in range(32)]
-        return ".".join(nibbles) + ".ip6.arpa."
-
 
 @dataclass(frozen=True)
 class Prefix:
@@ -186,19 +177,6 @@ class Prefix:
     def bits(self) -> int:
         return V4_BITS if self.family == 4 else V6_BITS
 
-    def contains(self, address: IPAddress) -> bool:
-        """True if ``address`` falls inside this prefix (same family)."""
-        if address.family != self.family:
-            return False
-        shift = self.bits - self.length
-        return (address.value >> shift) == (self.value >> shift)
-
-    def contains_prefix(self, other: "Prefix") -> bool:
-        if other.family != self.family or other.length < self.length:
-            return False
-        shift = self.bits - self.length
-        return (other.value >> shift) == (self.value >> shift)
-
     def host(self, index: int) -> IPAddress:
         """The ``index``-th address inside the prefix (0 = network address)."""
         span = 1 << (self.bits - self.length)
@@ -208,14 +186,6 @@ class Prefix:
 
     def num_hosts(self) -> int:
         return 1 << (self.bits - self.length)
-
-    def subnets(self, new_length: int) -> Iterator["Prefix"]:
-        """Iterate the subdivision of this prefix into /new_length pieces."""
-        if new_length < self.length or new_length > self.bits:
-            raise AddressError("bad subnet length")
-        step = 1 << (self.bits - new_length)
-        for value in range(self.value, self.value + self.num_hosts(), step):
-            yield Prefix(self.family, value, new_length)
 
     def to_text(self) -> str:
         addr = format_ipv4(self.value) if self.family == 4 else format_ipv6(self.value)

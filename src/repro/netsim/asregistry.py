@@ -9,7 +9,7 @@ background population) and that the analysis side queries for attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from .addresses import IPAddress, Prefix
 from .prefixtrie import PrefixTrie
@@ -40,7 +40,6 @@ class ASRegistry:
     def __init__(self):
         self._ases: Dict[int, ASInfo] = {}
         self._trie: PrefixTrie[int] = PrefixTrie()
-        self._announcements: Dict[int, List[Prefix]] = {}
 
     # -- registration --------------------------------------------------------
 
@@ -56,7 +55,6 @@ class ASRegistry:
         if asn not in self._ases:
             raise KeyError(f"AS{asn} not registered")
         self._trie.insert(prefix, asn)
-        self._announcements.setdefault(asn, []).append(prefix)
 
     # -- lookups --------------------------------------------------------------
 
@@ -76,19 +74,5 @@ class ASRegistry:
         info = self._ases.get(asn)
         return None if info is None else info.country
 
-    def announcements(self, asn: int) -> List[Prefix]:
-        return list(self._announcements.get(asn, []))
-
     def ases(self) -> Iterator[ASInfo]:
         return iter(self._ases.values())
-
-    def asns_for_operator(self, operator: str) -> List[int]:
-        return sorted(
-            info.asn for info in self._ases.values() if info.operator == operator
-        )
-
-    def __len__(self) -> int:
-        return len(self._ases)
-
-    def __contains__(self, asn: int) -> bool:
-        return asn in self._ases

@@ -1,26 +1,24 @@
-"""Simulated and real time behind one protocol.
+"""The live service's time source, behind one protocol.
 
-All timestamps in the system flow from a clock so that runs are deterministic
-and datasets can be pinned to the paper's collection weeks (e.g. w2020 =
-2020-04-05 .. 2020-04-11).  Time is kept as float seconds since the Unix
-epoch, matching what a pcap capture would record.
+Time is kept as float seconds since the Unix epoch, matching what a pcap
+capture would record; datasets are pinned to the paper's collection weeks
+(e.g. w2020 = 2020-04-05 .. 2020-04-11) by :func:`utc_timestamp`.
 
-Two implementations exist behind the :class:`Clock` protocol:
+The simulator reads no clock: every client query carries its own
+timestamp, and a resolution's session stamps each send it makes from it.
+Only the live service (:class:`~repro.service.DnsService`) reads a
+:class:`Clock`, once per query, and hands the reading to the server.  Two
+implementations exist:
 
-* :class:`SimClock` — deterministic simulated time, advanced explicitly by
-  the driver; every sim run reads the same instants and stays bit-identical.
-* :class:`WallClock` — real time for the live service
-  (:class:`~repro.service.DnsService`), anchored to the monotonic clock so
-  reads never go backwards even when the system clock steps.
-
-Consumers (driver, resolver, authoritative server) depend on the protocol,
-never on a concrete class, so the same dispatch code serves both worlds.
+* :class:`WallClock` — real time, anchored to the monotonic clock so reads
+  never go backwards even when the system clock steps; the default.
+* :class:`SimClock` — a clock that moves only when it is set or advanced:
+  the fake the service tests substitute so their captures are fixed.
 """
 
 from __future__ import annotations
 
 import calendar
-import datetime as _dt
 import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -31,18 +29,13 @@ def utc_timestamp(year: int, month: int, day: int) -> float:
     return float(calendar.timegm((year, month, day, 0, 0, 0, 0, 0, 0)))
 
 
-def timestamp_to_utc(ts: float) -> _dt.datetime:
-    """Inverse of :func:`utc_timestamp` (tz-aware UTC datetime)."""
-    return _dt.datetime.fromtimestamp(ts, tz=_dt.timezone.utc)
-
-
 @runtime_checkable
 class Clock(Protocol):
     """The time source contract shared by sim and live modes.
 
     A clock yields monotonically non-decreasing epoch-second floats from
     :meth:`read`.  How time moves is the implementation's business: a
-    :class:`SimClock` only moves when the driver advances it, a
+    :class:`SimClock` only moves when it is set or advanced, a
     :class:`WallClock` moves on its own.
     """
 
@@ -53,11 +46,9 @@ class Clock(Protocol):
 
 @dataclass
 class SimClock:
-    """A monotonically advancing simulated clock.
+    """A stepped clock: it reads ``now`` and moves only when advanced.
 
-    The clock never goes backwards; :meth:`advance_to` with an earlier time
-    raises, surfacing event-ordering bugs instead of silently reordering
-    captures.
+    :meth:`advance` never moves it backwards: a negative step raises.
     """
 
     now: float = 0.0
@@ -73,15 +64,6 @@ class SimClock:
         self.now += seconds
         return self.now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move the clock forward to ``timestamp``."""
-        if timestamp < self.now:
-            raise ValueError(
-                f"cannot move clock backwards ({timestamp} < {self.now})"
-            )
-        self.now = timestamp
-        return self.now
-
 
 class WallClock:
     """Real time for the live service mode, guaranteed monotone.
@@ -95,7 +77,7 @@ class WallClock:
     result against floating-point jitter.
     """
 
-    __slots__ = ("_epoch_anchor", "_mono_anchor", "_last", "_clamps")
+    __slots__ = ("_epoch_anchor", "_mono_anchor", "_last")
 
     def __init__(
         self,
@@ -105,28 +87,17 @@ class WallClock:
         self._epoch_anchor = time.time() if epoch_anchor is None else float(epoch_anchor)
         self._mono_anchor = time.monotonic() if monotonic is None else float(monotonic)
         self._last = self._epoch_anchor
-        self._clamps = 0
 
     @property
     def now(self) -> float:
         """Alias for :meth:`read` mirroring ``SimClock.now``."""
         return self.read()
 
-    @property
-    def clamps(self) -> int:
-        """Backwards-clamp events since construction.
-
-        Each count is one :meth:`read` whose raw value would have gone
-        backwards and was pinned to the previous reading.
-        """
-        return self._clamps
-
     def read(self) -> float:
         """Current wall time (:class:`Clock` protocol), never decreasing."""
         value = self._epoch_anchor + (time.monotonic() - self._mono_anchor)
         if value < self._last:
             value = self._last
-            self._clamps += 1
         else:
             self._last = value
         return value

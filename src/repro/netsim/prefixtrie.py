@@ -33,10 +33,6 @@ class PrefixTrie(Generic[V]):
 
     def __init__(self):
         self._roots: Dict[int, _Node[V]] = {4: _Node(), 6: _Node()}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     @staticmethod
     def _bits_for(family: int) -> int:
@@ -53,8 +49,6 @@ class PrefixTrie(Generic[V]):
                 child = _Node()
                 node.children[bit] = child
             node = child
-        if not node.has_value:
-            self._size += 1
         node.value = value
         node.has_value = True
 
@@ -88,16 +82,6 @@ class PrefixTrie(Generic[V]):
         :class:`Prefix` is built)."""
         best = self._longest_match(address)
         return None if best is None else best[1]
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        node = self._roots[prefix.family]
-        bits = self._bits_for(prefix.family)
-        for depth in range(prefix.length):
-            bit = (prefix.value >> (bits - 1 - depth)) & 1
-            node = node.children[bit]
-            if node is None:
-                return False
-        return node.has_value
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
         """Iterate all (prefix, value) pairs in trie order."""

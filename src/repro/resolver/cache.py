@@ -54,11 +54,10 @@ class NegativeEntry:
 @dataclass
 class CacheStats:
     """What the cache answered without a positive or negative line: names
-    proven absent by a cached NSEC range, and stale answers.  (Hits and
-    misses are the resolver's own count, ``ResolverStats``.)"""
+    proven absent by a cached NSEC range.  (Hits and misses are the
+    resolver's own count, ``ResolverStats``.)"""
 
     nsec_synthesised: int = 0
-    stale_hits: int = 0      #: RFC 8767 serve-stale lookups that hit
 
 
 class ResolverCache:
@@ -71,22 +70,10 @@ class ResolverCache:
     ----------
     aggressive_nsec:
         Enable RFC 8198 synthesis from cached NSEC ranges.
-    serve_stale_window:
-        RFC 8767 retention: expired positive entries remain usable via
-        :meth:`get_stale` for this many seconds past their TTL (and are
-        only evicted once the window has also passed).  ``0`` (default)
-        disables retention — expired entries are evicted on sight.
     """
 
-    def __init__(
-        self,
-        aggressive_nsec: bool = False,
-        serve_stale_window: float = 0.0,
-    ):
-        if serve_stale_window < 0:
-            raise ValueError("serve_stale_window must be >= 0")
+    def __init__(self, aggressive_nsec: bool = False):
         self.aggressive_nsec = aggressive_nsec
-        self.serve_stale_window = serve_stale_window
         self.stats = CacheStats()
         # Every table is keyed by names' keys, not by the names: a tuple of
         # bytes hashes and compares in C, and is as case-insensitive.
@@ -119,29 +106,14 @@ class ResolverCache:
         )
 
     def get(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
-        """Positive lookup: the live records, or ``None``."""
+        """Positive lookup: the live records, or ``None``; an expired
+        entry is evicted on sight."""
         key = (qname.key, qtype)
         entry = self._positive.get(key)
-        if entry is not None and entry.expires_at > now:
-            return entry.records
-        if entry is not None and now >= entry.expires_at + self.serve_stale_window:
-            # Past TTL *and* past the stale window (window 0 = on expiry).
+        if entry is not None:
+            if entry.expires_at > now:
+                return entry.records
             del self._positive[key]
-        return None
-
-    def get_stale(self, now: float, qname: Name, qtype: RRType) -> Optional[List[ResourceRecord]]:
-        """RFC 8767 lookup: an *expired* positive entry still inside the
-        stale window.  Returns None when the entry is fresh (use :meth:`get`),
-        absent, or staler than the window allows."""
-        if self.serve_stale_window <= 0:
-            return None
-        entry = self._positive.get((qname.key, qtype))
-        if (
-            entry is not None
-            and entry.expires_at <= now < entry.expires_at + self.serve_stale_window
-        ):
-            self.stats.stale_hits += 1
-            return entry.records
         return None
 
     # -- negative ----------------------------------------------------------

@@ -22,12 +22,10 @@ exploration (:data:`SERVER_EXPLORATION`), the retransmit schedule
 (:data:`MAX_RETRIES`, :data:`RETRY_INITIAL_TIMEOUT_MS`,
 :data:`RETRY_BACKOFF`, :data:`RETRY_MAX_TIMEOUT_MS`,
 :data:`RETRY_BUDGET_MS`), the cyclic glue-chase depth
-(:data:`CYCLIC_CHASE_DEPTH`), the serve-stale window
-(:data:`SERVE_STALE_WINDOW`) and TCP fallback on truncation, which is
+(:data:`CYCLIC_CHASE_DEPTH`) and TCP fallback on truncation, which is
 always on; the cache's TTL caps live in :mod:`repro.resolver.cache`.
-``serve_stale`` stays a field although no fleet turns it on: the
-``resolver.retry.stale_served`` counters it feeds are part of every
-simulation's digested telemetry.
+A resolver's address family follows from its addresses: one with a
+single family always sends on it, and only a dual-stack one draws.
 """
 
 from __future__ import annotations
@@ -73,9 +71,6 @@ RETRY_INITIAL_TIMEOUT_MS = 400.0
 RETRY_BACKOFF = 2.0
 RETRY_MAX_TIMEOUT_MS = 3000.0
 RETRY_BUDGET_MS = 8000.0
-#: RFC 8767: how many seconds past its TTL an expired answer may be served
-#: when resolution fails (for a resolver with ``serve_stale`` on).
-SERVE_STALE_WINDOW = 86400.0
 
 
 @dataclass
@@ -94,18 +89,14 @@ class ResolverBehavior:
     #: matching its DS-heavy profile in Figure 2d.
     edns_bufsize: int = 4096          #: 0 = send no OPT record at all.
     set_do: bool = False              #: DO bit (validators set this).
-    family_policy: str = "rtt"        #: "rtt" | "fixed" | "v4only" | "v6only"
+    family_policy: str = "rtt"        #: "rtt" | "fixed", for a dual-stack resolver.
     fixed_v6_ratio: float = 0.5       #: used when family_policy == "fixed".
     rtt_sharpness_ms: float = 15.0    #: logistic scale for "rtt" policy.
     v6_extra_rtt_ms: float = 0.0      #: per-resolver IPv6 path penalty (RTT).
     aggressive_nsec: bool = False
-    #: RFC 8767 serve-stale: when resolution fails, answer from expired
-    #: cache entries no older than :data:`SERVE_STALE_WINDOW` seconds past
-    #: their TTL.  Off by default (stock resolver behaviour).
-    serve_stale: bool = False
 
     def __post_init__(self):
-        if self.family_policy not in ("rtt", "fixed", "v4only", "v6only"):
+        if self.family_policy not in ("rtt", "fixed"):
             raise ValueError(f"unknown family policy {self.family_policy!r}")
         if not 0.0 <= self.fixed_v6_ratio <= 1.0:
             raise ValueError("fixed_v6_ratio must be in [0, 1]")
@@ -129,7 +120,6 @@ class ResolverStats:
     retransmits: int = 0     #: re-sends after a timeout (attempt > 0)
     failovers: int = 0       #: retransmits that moved to a different server
     retry_exhausted: int = 0  #: sends abandoned (retries/budget spent)
-    stale_served: int = 0    #: RFC 8767 stale answers returned to clients
     cache_hits: int = 0      #: answers served from cache (positive or negative)
     cache_misses: int = 0    #: resolutions that had to go to the network
     #: Auth sends per qtype; a ``defaultdict`` so a count is one store.
@@ -192,12 +182,13 @@ def add_route(server_set: ServerSet, client_site: Site, key: tuple) -> Route:
     """Work out, keep in ``server_set.routes`` and return the route for
     ``key`` = ``(client_site.code, family_policy, fixed_v6_ratio,
     rtt_sharpness_ms, v6_extra_rtt_ms, has_v4, has_v6)``, a resolver's
-    fields by value.  Only a dual-stack ``fixed`` or ``rtt`` policy draws
-    a family: v6 at the fixed ratio, or logistic in the v4−v6 RTT gap."""
+    fields by value.  A single-family resolver sends on its family; only a
+    dual-stack one draws: v6 at the fixed ratio, or logistic in the v4−v6
+    RTT gap."""
     __, policy, fixed_v6_ratio, sharpness_ms, v6_extra_ms, has_v4, has_v6 = key
-    if policy == "v4only" or not has_v6:
+    if not has_v6:
         family = 4
-    elif policy == "v6only" or not has_v4:
+    elif not has_v4:
         family = 6
     else:
         family = None
@@ -261,20 +252,13 @@ class SimResolver:
             raise ValueError("v4 address has wrong family")
         if v6 is not None and v6.family != 6:
             raise ValueError("v6 address has wrong family")
-        if behavior.family_policy == "v4only" and v4 is None:
-            raise ValueError("v4only policy without a v4 address")
-        if behavior.family_policy == "v6only" and v6 is None:
-            raise ValueError("v6only policy without a v6 address")
         self.resolver_id = resolver_id
         self.site = site
         self.v4 = v4
         self.v6 = v6
         self.behavior = behavior
         self.stats = ResolverStats()
-        self.cache = ResolverCache(
-            aggressive_nsec=behavior.aggressive_nsec,
-            serve_stale_window=SERVE_STALE_WINDOW if behavior.serve_stale else 0.0,
-        )
+        self.cache = ResolverCache(aggressive_nsec=behavior.aggressive_nsec)
         self._seed = seed
         #: ``seed``'s row of its fleet's ``seed_words`` table (:func:`seed_fleet`).
         self._words: Optional[Tuple[np.ndarray, int]] = None
@@ -299,12 +283,8 @@ class SimResolver:
         draw seeds it again from the construction seed) — so a reused
         resolver replays queries bit-identically to a newly built one.
         """
-        behavior = self.behavior
         self.stats = ResolverStats()
-        self.cache = ResolverCache(
-            aggressive_nsec=behavior.aggressive_nsec,
-            serve_stale_window=SERVE_STALE_WINDOW if behavior.serve_stale else 0.0,
-        )
+        self.cache = ResolverCache(aggressive_nsec=self.behavior.aggressive_nsec)
         self.__dict__.pop("_rng", None)
         self._delegation_expiry.clear()
         self._ds_expiry.clear()
@@ -324,16 +304,7 @@ class SimResolver:
         receive.
         """
         self.stats.client_queries += 1
-        session = _Session(now)
-        rcode = self._resolve(network, session, qname, qtype, depth=0)
-        if rcode is RCode.SERVFAIL and self.behavior.serve_stale:
-            # RFC 8767: resolution failed — answer from an expired cache
-            # entry still inside the stale window rather than SERVFAIL.
-            stale = self.cache.get_stale(session.now, qname, qtype)
-            if stale is not None:
-                self.stats.stale_served += 1
-                return RCode.NOERROR
-        return rcode
+        return self._resolve(network, _Session(now), qname, qtype, depth=0)
 
     # --------------------------------------------------------------- internals --
 

@@ -44,23 +44,12 @@ class EnvironmentCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def _lookup(self, key: Hashable, pop: bool) -> Optional[Any]:
         if self.capacity == 0:
             return None
         with self._lock:
-            entry = self._entries.pop(key, None) if pop else self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return entry
+            return self._entries.pop(key, None) if pop else self._entries.get(key)
 
     def acquire(self, key: Hashable) -> Optional[Any]:
         """Pop and return the entry for ``key``, or ``None``."""
@@ -85,7 +74,6 @@ class EnvironmentCache:
             self._entries[key] = entry
             while len(self._entries) > capacity:
                 self._entries.popitem(last=False)
-                self.evictions += 1
 
     def clear(self) -> None:
         with self._lock:

@@ -521,12 +521,6 @@ class ServerSet:
     def __iter__(self):
         return iter(self.servers)
 
-    def by_id(self, server_id: str) -> AuthoritativeServer:
-        for server in self.servers:
-            if server.server_id == server_id:
-                return server
-        raise KeyError(server_id)
-
     def rtt_ms(self, server: AuthoritativeServer, client_site: Site) -> float:
         """RTT from a client site to the server's catchment instance, either
         family (a family's extra delay is the resolver's to add)."""

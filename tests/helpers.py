@@ -71,8 +71,12 @@ SHARD_ROUNDED = {"faults.extra_latency_ms"}
 def sim_counters(snapshot):
     """The simulation-facing counters: everything but the ``runtime.*``
     bookkeeping (backend, world stores, plan caches), the ``capture.spool.*``
-    chunk accounting, the ``analysis.*`` counters only a streaming run
-    publishes, and :data:`SHARD_ROUNDED`."""
+    chunk accounting, :data:`SHARD_ROUNDED` and the ``analysis.*``
+    counters.  Every shard publishes those for its own fold, and some are
+    tallies of the distinct values it saw (the sketch's updates, evictions
+    and tracked items, the sovereignty cut's countries), so their sum moves
+    with the worker count: with them kept, every oracle case's one-worker
+    rows and two-worker rows give two different digests."""
     return {
         key: value for key, value in snapshot.counters.items()
         if not key.startswith(("runtime.", "capture.spool.", "analysis."))

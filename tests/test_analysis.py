@@ -296,7 +296,7 @@ class TestQmin:
         analytics = analytics_of(
             attributor, [rec(GOOGLE, RRType.NS)] * 3 + [rec(GOOGLE)] * 7
         )
-        assert analytics.ns_share("Google") == pytest.approx(0.3)
+        assert analytics.monthly_point("Google", 2020, 1).ns_share == pytest.approx(0.3)
 
     def test_minimized_fraction(self, attributor):
         analytics = analytics_of(
@@ -353,7 +353,7 @@ class TestEdns:
             + [rec(GOOGLE)] * 3
             + [rec(GOOGLE, transport=Transport.TCP, rtt=4.0)],
         )
-        assert analytics.truncation_ratio("Google") == pytest.approx(0.25)
+        assert analytics.truncation_table()["Google"] == pytest.approx(0.25)
 
 
 UNAGGREGATED = "ExampleCloud"
@@ -363,20 +363,20 @@ class TestFacade:
     @pytest.mark.parametrize(
         "method, args",
         [
-            # The attribution's labels for the rest of the capture.
+            # The attribution's labels for the rest of the capture (OTHER,
+            # UNKNOWN) and a provider nothing attributed (UNAGGREGATED).
             ("rrtype_mix", (OTHER,)),
-            ("ns_share", (UNKNOWN,)),
+            ("monthly_point", (UNKNOWN, 2020, 1)),
             ("tcp_share", (OTHER,)),
             ("bufsize_cdf", (UNKNOWN,)),
-            ("truncation_ratio", (OTHER,)),
+            ("minimized_fraction", (OTHER, 1)),
             ("resolver_inventory", (UNKNOWN,)),
-            # A provider nothing attributed.
             ("rrtype_mix", (UNAGGREGATED,)),
             ("bufsize_cdf", (UNAGGREGATED,)),
-            ("truncation_ratio", (UNAGGREGATED,)),
+            ("resolver_inventory", (OTHER,)),
             ("tcp_share", (UNAGGREGATED,)),
             ("resolver_inventory", (UNAGGREGATED,)),
-            ("ns_share", (UNAGGREGATED,)),
+            ("tcp_share", (UNKNOWN,)),
             ("minimized_fraction", (UNAGGREGATED, 1)),
             ("monthly_point", (UNAGGREGATED, 2020, 1)),
         ],
@@ -421,7 +421,7 @@ class TestFacade:
         assert counted == [3] and analytics.aggregates.rows_fed == 3
         # Reading every answer feeds nothing more.
         assert analytics.cloud_share() == 1.0
-        assert analytics.ns_share("Google") == 0.5
+        assert analytics.monthly_point("Google", 2020, 1).ns_share == 0.5
         assert analytics.tcp_share("Amazon") == 0.0
         analytics.junk_ratios(), analytics.dataset_summary(), analytics.google_split()
         analytics.sovereignty(), analytics.composition(), analytics.concentration()

@@ -341,6 +341,36 @@ class TestPartialExit:
         err = capsys.readouterr().err
         assert "capture is incomplete" not in err
 
+    @pytest.mark.parametrize("bad_shard", [0, 1])
+    def test_experiments_render_nothing_from_a_failed_shard(
+        self, capsys, monkeypatch, tmp_path, bad_shard
+    ):
+        """A shard that fails on the pool, on its retry and in the serial
+        fallback (forked workers inherit the patch) stops the matrix: one
+        error line naming the dataset and the shard, exit 3, no document."""
+        from repro.sim import driver
+
+        real = driver.simulate_shard
+
+        def failing(task):
+            if task.descriptor.dataset_id == "nl-w2020" and task.shard_index == bad_shard:
+                raise RuntimeError("injected")
+            return real(task)
+
+        monkeypatch.setattr(driver, "simulate_shard", failing)
+        written = tmp_path / "experiments.md"
+        assert main(
+            ["experiments", "--scale", "0.005", "--workers", "2", "--write", str(written)]
+        ) == 3
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert errors == [
+            f"ERROR: nl-w2020: 1 shard(s) failed — capture is incomplete: "
+            f"#{bad_shard} (serial fallback failed: RuntimeError: injected)"
+        ]
+        assert "Traceback" not in err
+        assert not written.exists()
+
 
 #: Commands that were removed: naming one is argparse's invalid choice.
 REMOVED_COMMANDS = ("serve", "loadgen", "soak", "trace")

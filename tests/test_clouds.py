@@ -174,6 +174,11 @@ OVERSIZED_AS_WORLDS = (
 PRIMARY_BLOCK = Prefix.parse("100.0.0.0/12")
 
 
+def in_primary_block(value: int) -> bool:
+    """Whether a v4 address or prefix value lies in :data:`PRIMARY_BLOCK`."""
+    return value >> 20 == PRIMARY_BLOCK.value >> 20
+
+
 class TestBackgroundOverflow:
     @pytest.mark.parametrize("vantage,year,seed", OVERSIZED_AS_WORLDS)
     def test_oversized_as_builds_and_attributes(self, vantage, year, seed):
@@ -185,7 +190,7 @@ class TestBackgroundOverflow:
         overflow = [
             m for m in fleet
             if m.provider == "Background"
-            and not PRIMARY_BLOCK.contains(m.resolver.v4)
+            and not in_primary_block(m.resolver.v4.value)
         ]
         assert overflow
         for member in overflow:
@@ -198,8 +203,8 @@ class TestBackgroundOverflow:
         fleet, registry = build_all_fleets("nl", 2020, seed=3)
         background = [m for m in fleet if m.provider == "Background"]
         for asn in {registry.origin(m.resolver.v4) for m in background}:
-            v4 = [p for p in registry.announcements(asn) if p.family == 4]
-            assert len(v4) == 1 and PRIMARY_BLOCK.contains_prefix(v4[0])
+            v4 = [p for p, owner in registry._trie.items() if owner == asn and p.family == 4]
+            assert len(v4) == 1 and v4[0].length >= 12 and in_primary_block(v4[0].value)
 
 
 class TestPTR:
@@ -209,11 +214,12 @@ class TestPTR:
 
     def test_table_covers_fleet_minus_missing(self, fb_fleet):
         table = build_facebook_ptr_table(fb_fleet)
-        total_addresses = sum(
-            (1 if m.resolver.v4 else 0) + (1 if m.resolver.v6 else 0)
-            for m in fb_fleet
-        )
-        assert len(table) == total_addresses - 3  # 1 v4 + 2 v6 without PTR
+        addresses = [
+            address for m in fb_fleet for address in (m.resolver.v4, m.resolver.v6)
+            if address is not None
+        ]
+        named = sum(table.lookup(address) is not None for address in addresses)
+        assert named == len(addresses) - 3  # 1 v4 + 2 v6 without PTR
 
     def test_v4_and_v6_share_target(self, fb_fleet):
         table = build_facebook_ptr_table(fb_fleet)

@@ -173,9 +173,9 @@ def by_definition(resolver, server_set, down=frozenset()):
         else:
             server = min(candidates, key=rtt_ms)
         policy = behavior.family_policy
-        if policy == "v4only" or resolver.v6 is None:
+        if resolver.v6 is None:
             family = 4
-        elif policy == "v6only" or resolver.v4 is None:
+        elif resolver.v4 is None:
             family = 6
         elif policy == "fixed":
             family = 6 if rng.random() < behavior.fixed_v6_ratio else 4
@@ -197,13 +197,13 @@ def by_definition(resolver, server_set, down=frozenset()):
 
 
 #: Family settings and the addresses they run with: every policy, and the
-#: single-address resolvers that never draw a family.
+#: single-address resolvers that never draw a family, under each policy.
 FAMILIES = [
     ({"family_policy": "rtt"}, True, True),
     ({"family_policy": "rtt", "v6_extra_rtt_ms": 12.0, "rtt_sharpness_ms": 10.0}, True, True),
     ({"family_policy": "fixed", "fixed_v6_ratio": 0.3}, True, True),
-    ({"family_policy": "v4only"}, True, True),
-    ({"family_policy": "v6only"}, True, True),
+    ({"family_policy": "fixed", "fixed_v6_ratio": 0.3}, True, False),
+    ({"family_policy": "fixed", "fixed_v6_ratio": 0.3}, False, True),
     ({"family_policy": "rtt"}, True, False),
     ({"family_policy": "rtt", "v6_extra_rtt_ms": 3.0}, False, True),
 ]
@@ -266,7 +266,9 @@ class TestSelection:
         """A send read off the shared route against the deleted formulas:
         for every family policy, for one- and three-server sets, with no
         server, one or every server timing out, the same server, family
-        and RTT per attempt, and the same RNG state after."""
+        and RTT per attempt, and the same RNG state after.  A resolver
+        with one family's address gets that family from its route, with
+        no draw at any hop."""
         for sites in (("AMS",), ("SYD", "AMS", "IAD")):
             for offline in (set(), {"near"}, {"near", "far", "mid"}):
                 for fields, has_v4, has_v6 in FAMILIES:
@@ -282,6 +284,10 @@ class TestSelection:
                         actual._rng.bit_generator.state
                         == expected._rng.bit_generator.state
                     )
+                    if not (has_v4 and has_v6):
+                        (route,) = server_set.routes.values()
+                        assert route.family == (4 if has_v4 else 6)
+                        assert all(p6 is None for __, __, __, p6 in route.hops)
 
     def test_family_v6_extra_rtt_discourages_v6(self):
         server_set, __ = make_server_set()

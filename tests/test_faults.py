@@ -10,6 +10,7 @@ exercise.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver, engi
 from repro.resolver.engine import _Session
 from repro.server import AuthoritativeServer, ServerSet
 from repro.sim import run_dataset
+from repro.sim.driver import publish_fleet_metrics
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
 from repro.zones import Zone, build_root_zone
@@ -379,57 +381,22 @@ class TestRetryBudget:
 
 
 class TestServeStale:
-    # The resolution retry at RETRY_AT must actually *fail*: past the
-    # answer TTL (3600s) and past the cached delegation (86400s), so the
-    # resolver has to re-ask the — now offline — TLD servers; and inside
-    # the answer's stale window (TTL + SERVE_STALE_WINDOW, 86400s).
-    RETRY_AT = 88_000.0
+    """No resolver serves stale answers (RFC 8767): past its TTL an answer
+    is gone, and a failed resolution is a SERVFAIL.  The
+    ``resolver.retry.stale_served`` counter stays published, at 0."""
 
-    def _prime_then_kill(self, behavior):
+    def test_stale_disabled_by_default(self):
         network, __, __ = make_world(1)
-        resolver = make_resolver(behavior)
+        resolver = make_resolver(ResolverBehavior())
         qname = Name.from_text("example.nl")
         assert resolver.resolve(network, 1.0, qname, RRType.A) is RCode.NOERROR
         network.faults = Outage("nl-*")
-        return network, resolver, qname
-
-    def test_stale_answer_on_servfail(self):
-        behavior = ResolverBehavior(serve_stale=True)
-        network, resolver, qname = self._prime_then_kill(behavior)
-        rcode = resolver.resolve(network, self.RETRY_AT, qname, RRType.A)
-        assert rcode is RCode.NOERROR
-        assert resolver.stats.stale_served == 1
-        assert resolver.cache.stats.stale_hits >= 1
+        # Past the answer's TTL (3600s) and the cached delegation (86400s),
+        # so the resolver has to ask the now offline TLD servers again.
+        rcode = resolver.resolve(network, 88_000.0, qname, RRType.A)
+        assert rcode is RCode.SERVFAIL
         assert resolver.stats.drops > 0  # it really did try the network
-
-    def test_stale_disabled_by_default(self):
-        behavior = ResolverBehavior()
-        network, resolver, qname = self._prime_then_kill(behavior)
-        rcode = resolver.resolve(network, self.RETRY_AT, qname, RRType.A)
-        assert rcode is RCode.SERVFAIL
-        assert resolver.stats.stale_served == 0
-
-    def test_stale_window_expiry(self):
-        behavior = ResolverBehavior(serve_stale=True)
-        network, resolver, qname = self._prime_then_kill(behavior)
-        # 1 + TTL 3600 + window 86400 < 100000: the entry is too stale.
-        rcode = resolver.resolve(network, 100_000.0, qname, RRType.A)
-        assert rcode is RCode.SERVFAIL
-        assert resolver.stats.stale_served == 0
-
-    def test_cache_get_stale_contract(self):
-        from repro.resolver.cache import ResolverCache
-        from repro.dnscore import ResourceRecord
-        from repro.dnscore.rdata import ARdata
-
-        cache = ResolverCache(serve_stale_window=100.0)
-        qname = Name.from_text("a.nl")
-        record = ResourceRecord(qname, RRType.A, ttl=10, rdata=ARdata(0xC0000201))
-        cache.put(0.0, qname, RRType.A, [record], 10)
-        assert cache.get(5.0, qname, RRType.A) is not None       # fresh
-        assert cache.get_stale(5.0, qname, RRType.A) is None     # not stale yet
-        assert cache.get(50.0, qname, RRType.A) is None          # expired
-        assert cache.get_stale(50.0, qname, RRType.A) is not None
-        # Past TTL + window: evicted on the next regular lookup.
-        assert cache.get(200.0, qname, RRType.A) is None
-        assert cache.get_stale(200.0, qname, RRType.A) is None
+        metrics = MetricsRegistry()
+        publish_fleet_metrics(metrics, [SimpleNamespace(provider="Google", resolver=resolver)])
+        counters = metrics.snapshot().counters
+        assert counters["resolver.retry.stale_served{provider=Google}"] == 0

@@ -94,9 +94,7 @@ class TestPlanCache:
         assert server.stats.plan_hits == 1
         assert second.msg_id == 9  # echoes the query, not the cached plan
         assert second.rcode == first.rcode
-        assert [r.to_text() for r in second.authorities] == [
-            r.to_text() for r in first.authorities
-        ]
+        assert second.authorities == first.authorities
         view = server.capture.view()
         assert list(view.qname) == ["www.example.nl."] * 2
         assert view.response_size[0] == view.response_size[1]
@@ -201,15 +199,12 @@ class TestEnvironmentCache:
         cache.release("fp", "env")
         assert cache.acquire("fp") == "env"
         assert cache.acquire("fp") is None  # popped: second acquire misses
-        assert cache.hits == 1
-        assert cache.misses == 1
 
     def test_capacity_evicts_oldest(self):
         cache = EnvironmentCache(capacity=2)
         cache.release("a", 1)
         cache.release("b", 2)
         cache.release("c", 3)
-        assert cache.evictions == 1
         assert cache.acquire("a") is None
         assert cache.acquire("b") == 2
         assert cache.acquire("c") == 3
@@ -217,7 +212,6 @@ class TestEnvironmentCache:
     def test_capacity_zero_disables(self):
         cache = EnvironmentCache(capacity=0)
         cache.release("fp", "env")
-        assert len(cache) == 0
         assert cache.acquire("fp") is None
         assert cache.share("fp") is None
 
@@ -228,4 +222,3 @@ class TestEnvironmentCache:
         cache.release(("nz", 340, 120), "zone")
         assert cache.share(("nz", 340, 120)) == "zone"
         assert cache.share(("nz", 340, 120)) == "zone"
-        assert (cache.hits, cache.misses) == (2, 1)

@@ -74,7 +74,7 @@ class TestEquality:
         a = Name.from_text("z.example.nl")
         b = Name.from_text("a.other.nl")
         # example < other at the second label, despite z > a at the first.
-        assert a < b
+        assert sorted([b, a], key=Name.canonical_key) == [a, b]
 
 
 class TestStructure:
@@ -84,14 +84,6 @@ class TestStructure:
     def test_parent_of_root_raises(self):
         with pytest.raises(NameError_):
             ROOT.parent()
-
-    def test_ancestors_end_at_root(self):
-        name = Name.from_text("a.b.nl")
-        assert list(name.ancestors()) == [
-            Name.from_text("b.nl"),
-            Name.from_text("nl"),
-            ROOT,
-        ]
 
     def test_ancestor_with_labels(self):
         name = Name.from_text("a.b.c.nl")
@@ -110,7 +102,6 @@ class TestStructure:
         assert example.is_subdomain_of(nl)
         assert example.is_subdomain_of(ROOT)
         assert example.is_subdomain_of(example)
-        assert not example.is_proper_subdomain_of(example)
         assert not nl.is_subdomain_of(example)
 
     def test_subdomain_requires_label_boundary(self):
@@ -118,12 +109,6 @@ class TestStructure:
         assert not Name.from_text("example.nl").is_subdomain_of(
             Name.from_text("ample.nl")
         )
-
-    def test_relativize(self):
-        name = Name.from_text("www.example.nl")
-        assert name.relativize(Name.from_text("nl")) == (b"www", b"example")
-        with pytest.raises(NameError_):
-            name.relativize(Name.from_text("nz"))
 
     def test_prepend(self):
         assert Name.from_text("example.nl").prepend(b"www") == Name.from_text(
@@ -155,11 +140,6 @@ class TestStructure:
         assert name == Name.from_text("www.example.nl")
         assert hash(name) == hash(Name.from_text("www.example.nl"))
         assert name.parent().labels == (b"Example", b"NL")
-
-    def test_prepend_text_multiple_labels(self):
-        assert Name.from_text("nl").prepend_text("www.example") == Name.from_text(
-            "www.example.nl"
-        )
 
 
 class TestWire:

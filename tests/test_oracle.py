@@ -208,10 +208,10 @@ def facade_answers(analytics):
             provider: {
                 "rrtype_mix": analytics.rrtype_mix(provider),
                 "bufsize_cdf": analytics.bufsize_cdf(provider),
-                "truncation_ratio": analytics.truncation_ratio(provider),
+                "truncation_ratio": analytics.truncation_table()[provider],
                 "tcp_share": analytics.tcp_share(provider),
                 "resolver_inventory": analytics.resolver_inventory(provider),
-                "ns_share": analytics.ns_share(provider),
+                "ns_share": analytics.monthly_point(provider, 2020, 1).ns_share,
                 "minimized_fraction": analytics.minimized_fraction(provider, 1),
                 "monthly_point": analytics.monthly_point(provider, 2020, 1),
             }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.capture import CaptureStore, QueryRecord, Transport, join_address, split_address
-from repro.dnscore import ARdata, Name, NSECRdata, RCode, ResourceRecord, ROOT, RRType
+from repro.dnscore import ARdata, Name, RCode, ResourceRecord, ROOT, RRType
 from repro.netsim import IPAddress
 from repro.resolver import ResolverCache
 from repro.zones import ZipfSampler
@@ -73,6 +73,11 @@ class TestStoreProperties:
 name_label_st = st.text(alphabet="abcdefghij", min_size=1, max_size=8)
 
 
+def nl_names(labels):
+    """``<label>.nl`` for each label, in canonical order."""
+    return sorted((Name.from_text(f"{label}.nl") for label in labels), key=Name.canonical_key)
+
+
 class TestCacheProperties:
     @settings(max_examples=50)
     @given(
@@ -97,7 +102,7 @@ class TestCacheProperties:
     def test_nsec_gap_never_covers_endpoints(self, labels, data):
         cache = ResolverCache(aggressive_nsec=True)
         zone = Name.from_text("nl")
-        names = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        names = nl_names(labels)
         for owner, nxt in zip(names, names[1:]):
             cache.add_nsec(zone, owner, nxt)
         # Existing names are never "covered" (they are gap endpoints).
@@ -109,7 +114,7 @@ class TestCacheProperties:
     def test_nsec_covers_interior_points(self, labels):
         cache = ResolverCache(aggressive_nsec=True)
         zone = Name.from_text("nl")
-        names = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        names = nl_names(labels)
         for owner, nxt in zip(names, names[1:]):
             cache.add_nsec(zone, owner, nxt)
         # A name strictly between two adjacent cached endpoints is covered.
@@ -117,7 +122,7 @@ class TestCacheProperties:
             candidate = Name(
                 (owner.labels[0] + b"zzzz",) + owner.labels[1:]
             )
-            if owner < candidate < nxt:
+            if owner.canonical < candidate.canonical < nxt.canonical:
                 assert cache.nsec_covers(zone, candidate)
 
     @settings(max_examples=100)
@@ -139,12 +144,13 @@ class TestCacheProperties:
             ))
 
         def covers(owner, nxt, q):
+            owner, nxt, q = owner.canonical, nxt.canonical, q.canonical
             if owner < nxt:
                 return owner < q < nxt
             return owner < q or q < nxt
 
         zone = Name.from_text("nl")
-        chain = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        chain = nl_names(labels)
         gaps = list(zip(chain, chain[1:])) + [(chain[-1], chain[0])]
         learned = data.draw(st.lists(st.sampled_from(gaps), unique=True))
         cache = ResolverCache(aggressive_nsec=True)
@@ -180,7 +186,7 @@ class TestCacheProperties:
         learns gap ``i`` of one chain, or asks the name inside it (covered
         once that gap is learned) or its owner (never covered)."""
         zones = (Name.from_text("nl"), ROOT)
-        chain = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        chain = nl_names(labels)
         gaps = list(zip(chain, chain[1:])) + [(chain[-1], chain[0])]
         cache = ResolverCache(aggressive_nsec=True)
         twin = ResolverCache(aggressive_nsec=True)
@@ -200,8 +206,10 @@ class TestCacheProperties:
             probe = owner if action == "ask-owner" else owner.parent().prepend(
                 owner.labels[0] + b"\x00"
             )
+            key = probe.canonical
             expected = any(
-                low < probe < high if low < high else low < probe or probe < high
+                low.canonical < key < high.canonical if low.canonical < high.canonical
+                else low.canonical < key or key < high.canonical
                 for low, high in learned[zone.key]
             )
             assert cache.nsec_covers(zone, probe) == twin.nsec_covers(zone, probe) == expected
@@ -229,17 +237,21 @@ class TestNSECRdataProperties:
         name_label_st,
     )
     def test_chain_covers_every_absent_name(self, labels, probe_label):
-        names = sorted(Name.from_text(f"{label}.nl") for label in labels)
+        """Exactly one gap of a zone's complete NSEC chain, wraparound gap
+        included, covers any absent name: a cache that learned only that
+        gap synthesises its NXDOMAIN."""
+        zone = Name.from_text("nl")
+        names = nl_names(labels)
         probe = Name.from_text(f"{probe_label}.nl")
         if probe in names:
             return
         gaps = list(zip(names, names[1:])) + [(names[-1], names[0])]
-        covering = [
-            (owner, nxt)
-            for owner, nxt in gaps
-            if NSECRdata(nxt, (RRType.NS,)).covers(owner, probe)
-        ]
-        # Exactly one gap in a complete chain covers any absent name.
+        covering = []
+        for owner, nxt in gaps:
+            cache = ResolverCache(aggressive_nsec=True)
+            cache.add_nsec(zone, owner, nxt)
+            if cache.nsec_covers(zone, probe):
+                covering.append((owner, nxt))
         assert len(covering) == 1
 
 

@@ -7,6 +7,7 @@ name.
 
 import string
 import struct
+from functools import cmp_to_key
 from unittest import mock
 
 import pytest
@@ -23,6 +24,7 @@ from repro.dnscore import (
     NSRdata,
     Question,
     RCode,
+    ROOT,
     ResourceRecord,
     RRType,
     TXTRdata,
@@ -205,15 +207,16 @@ class TestNameProperties:
 
     @given(name_st)
     def test_parent_chain_reaches_root(self, name):
-        seen = 0
-        for ancestor in name.ancestors():
+        seen, ancestor = 0, name
+        while ancestor.label_count:
+            ancestor = ancestor.parent()
             seen += 1
-            assert name.is_proper_subdomain_of(ancestor)
-        assert seen == name.label_count
+            assert name.is_subdomain_of(ancestor) and name != ancestor
+        assert seen == name.label_count and ancestor == ROOT
 
     @given(name_st, name_st)
     def test_subdomain_antisymmetry(self, a, b):
-        if a.is_proper_subdomain_of(b):
+        if a != b and a.is_subdomain_of(b):
             assert not b.is_subdomain_of(a)
 
     @given(name_st)
@@ -229,28 +232,43 @@ class TestNameProperties:
             extended = base.prepend(*extra)
         except Exception:
             return  # exceeded length limits; out of scope
-        assert extended.relativize(base) == tuple(extra)
+        # The labels below ``base``, most specific first, are ``extra``.
+        assert extended.labels[: extended.label_count - base.label_count] == tuple(extra)
+        assert extended.ancestor_with_labels(base.label_count) == base
 
     @given(st.lists(name_st, min_size=2, max_size=8))
     def test_canonical_ordering_total(self, names):
-        ordered = sorted(names)
-        for a, b in zip(ordered, ordered[1:]):
-            assert not b < a
+        """Two names are equal exactly when their canonical keys are: the
+        order the keys give ties nothing apart."""
+        for a in names:
+            for b in names:
+                assert (a == b) == (a.canonical_key() == b.canonical_key())
 
     @given(st.lists(name_st, min_size=2, max_size=8))
     def test_canonical_key_sorts_like_comparison(self, names):
+        """The key orders like RFC 4034 section 6.1's comparison: label by
+        label from the rightmost, each casefolded and compared as octets,
+        and a name before any name below it."""
+
+        def compare(a, b):
+            for x, y in zip(reversed(a.labels), reversed(b.labels)):
+                x, y = x.lower(), y.lower()
+                if x != y:
+                    return -1 if x < y else 1
+            return (a.label_count > b.label_count) - (a.label_count < b.label_count)
+
         by_key = sorted(names, key=Name.canonical_key)
-        assert [n.labels for n in by_key] == [n.labels for n in sorted(names)]
+        assert [n.key for n in by_key] == [n.key for n in sorted(names, key=cmp_to_key(compare))]
         for a in names:
             for b in names:
-                assert (a < b) == (a.canonical_key() < b.canonical_key())
+                assert (compare(a, b) < 0) == (a.canonical_key() < b.canonical_key())
 
     @given(name_st, st.lists(label_st, min_size=0, max_size=3))
     def test_derived_names_equal_validated_ones(self, base, extra):
         """``parent()`` and ``prepend()`` skip re-validation; what they
         build is indistinguishable from ``Name(labels)``."""
         derived = [base.prepend(*extra)]
-        while not derived[-1].is_root():
+        while derived[-1].label_count:
             derived.append(derived[-1].parent())
         rebuilt = [Name(name.labels) for name in derived]
         for name, fresh in zip(derived, rebuilt):
@@ -260,10 +278,6 @@ class TestNameProperties:
             assert name.to_wire() == fresh.to_wire()
             assert name.to_text() == fresh.to_text()
             assert name == Name([label.swapcase() for label in name.labels])
-        assert sorted(derived) == sorted(rebuilt)
-        assert [a < b for a in derived for b in derived] == [
-            a < b for a in rebuilt for b in rebuilt
-        ]
 
     @given(name_st, name_st)
     def test_compression_preserves_decoding(self, first, second):
@@ -343,7 +357,7 @@ class TestMessageProperties:
             assert wire == message.to_wire()
         else:
             assert len(wire) <= limit
-            assert Message.from_wire(wire).is_truncated()
+            assert Message.from_wire(wire).flags.tc
 
     @settings(max_examples=50)
     @given(

@@ -29,9 +29,6 @@ def round_trip(record: ResourceRecord) -> ResourceRecord:
 
 
 class TestARdata:
-    def test_text(self):
-        assert ARdata(0xC0000201).text == "192.0.2.1"
-
     def test_round_trip(self):
         rec = ResourceRecord(Name.from_text("a.nl"), RRType.A, 300, ARdata(0x01020304))
         assert round_trip(rec) == rec
@@ -46,14 +43,6 @@ class TestARdata:
 
 
 class TestAAAARdata:
-    def test_text_compresses_zero_run(self):
-        rdata = AAAARdata(0x20010DB8 << 96 | 1)
-        assert rdata.text == "2001:db8::1"
-
-    def test_text_no_compression_needed(self):
-        value = int("00010002000300040005000600070008", 16)
-        assert AAAARdata(value).text == "1:2:3:4:5:6:7:8"
-
     def test_round_trip(self):
         rec = ResourceRecord(
             Name.from_text("a.nl"), RRType.AAAA, 300, AAAARdata(0x20010DB8 << 96 | 0xFF)
@@ -132,16 +121,9 @@ class TestDNSSECRdatas:
 
     def test_dnskey_round_trip_and_flags(self):
         ksk = DNSKEYRdata(0x0101, 3, 13, b"\x01" * 32)
-        zsk = DNSKEYRdata(0x0100, 3, 13, b"\x02" * 32)
-        assert ksk.is_ksk and not zsk.is_ksk
         rec = ResourceRecord(Name.from_text("nl"), RRType.DNSKEY, 3600, ksk)
-        assert round_trip(rec) == rec
-
-    def test_key_tag_is_stable_16bit(self):
-        key = DNSKEYRdata(0x0100, 3, 13, bytes(range(64)))
-        tag = key.key_tag()
-        assert 0 <= tag <= 0xFFFF
-        assert tag == key.key_tag()
+        decoded = round_trip(rec)
+        assert decoded == rec and decoded.rdata.flags == 0x0101
 
     def test_rrsig_round_trip(self):
         sig = RRSIGRdata(
@@ -159,13 +141,6 @@ class TestDNSSECRdatas:
         decoded = round_trip(rec)
         assert decoded.rdata.next_name == nsec.next_name
         assert set(decoded.rdata.types) == set(nsec.types)
-
-    def test_nsec_covers_gap(self):
-        nsec = NSECRdata(Name.from_text("delta.nl"), (RRType.NS,))
-        owner = Name.from_text("beta.nl")
-        assert nsec.covers(owner, Name.from_text("charlie.nl"))
-        assert not nsec.covers(owner, Name.from_text("alpha.nl"))
-        assert not nsec.covers(owner, Name.from_text("epsilon.nl"))
 
 
 class TestOpaque:

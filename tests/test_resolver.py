@@ -88,19 +88,14 @@ class TestResolverCache:
 
 class TestBehaviorValidation:
     def test_unknown_family_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ResolverBehavior(family_policy="both")
+        # A resolver's addresses decide a single family; no policy names one.
+        for policy in ("both", "v4only", "v6only"):
+            with pytest.raises(ValueError, match="unknown family policy"):
+                ResolverBehavior(family_policy=policy)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
             ResolverBehavior(family_policy="fixed", fixed_v6_ratio=1.5)
-
-    def test_v6only_without_address_rejected(self):
-        with pytest.raises(ValueError):
-            SimResolver(
-                "r", GAZETTEER["AMS"], IPAddress.parse("192.0.2.1"), None,
-                ResolverBehavior(family_policy="v6only"),
-            )
 
     def test_no_addresses_rejected(self):
         with pytest.raises(ValueError):
@@ -308,7 +303,9 @@ class TestTransportAndFamily:
         assert not np.isnan(view.tcp_rtt_ms[tcp_mask]).any()
 
     def test_v4only_never_uses_v6(self, small_world):
-        resolver = make_resolver(ResolverBehavior(family_policy="v4only"))
+        resolver = make_resolver(
+            ResolverBehavior(family_policy="fixed", fixed_v6_ratio=1.0), v6=False
+        )
         for i in range(5):
             resolver.resolve(
                 small_world["network"], 1000.0 + i, nl_domain(small_world, i), RRType.A

@@ -124,19 +124,19 @@ class TestTruncation:
         # DNSKEY answers with RRSIGs exceed 512 octets.
         q = query("nl", RRType.DNSKEY, edns=EdnsRecord(udp_payload_size=512, dnssec_ok=True))
         response = server.handle_query(1.0, SRC, Transport.UDP, q)
-        assert response.is_truncated()
+        assert response.flags.tc
         assert not response.answers
 
     def test_tcp_never_truncates(self, server):
         q = query("nl", RRType.DNSKEY, edns=EdnsRecord(udp_payload_size=512, dnssec_ok=True))
         response = server.handle_query(1.0, SRC, Transport.TCP, q, tcp_rtt_ms=10.0)
-        assert not response.is_truncated()
+        assert not response.flags.tc
         assert response.answers
 
     def test_big_bufsize_avoids_truncation(self, server):
         q = query("nl", RRType.DNSKEY, edns=EdnsRecord(udp_payload_size=4096, dnssec_ok=True))
         response = server.handle_query(1.0, SRC, Transport.UDP, q)
-        assert not response.is_truncated()
+        assert not response.flags.tc
 
     def test_truncation_recorded_in_capture(self, server):
         q = query("nl", RRType.DNSKEY, edns=EdnsRecord(udp_payload_size=512, dnssec_ok=True))
@@ -162,7 +162,7 @@ def flip_case(name, mask):
 def exchange(server, query, timestamp=1.0):
     """What a resolver does: UDP, then TCP when the answer came back TC."""
     responses = [server.handle_query(timestamp, SRC, Transport.UDP, query)]
-    if responses[0].is_truncated():
+    if responses[0].flags.tc:
         responses.append(
             server.handle_query(timestamp, SRC, Transport.TCP, query, tcp_rtt_ms=10.0)
         )
@@ -211,7 +211,7 @@ class TestSizeShortcut:
         # The zone has what the property needs: third-level cuts, and both
         # glueless (hoster) and in-bailiwick (ns1.<cut>, with glue) NS sets.
         assert {cut.label_count for cut in cuts} == {2, 3}
-        vanity = [c for c in cuts if zone.rrset(c.prepend(b"ns1"), RRType.A)]
+        vanity = [c for c in cuts if (c.prepend(b"ns1"), RRType.A) in zone._rrsets]
         assert vanity and len(vanity) < len(cuts)
         # Names no cut covers: the apex, the registry empty non-terminals
         # (co.nz, ...), unregistered names, and the SOA's own names.
@@ -293,7 +293,7 @@ class TestSizeShortcut:
         zone = fast.zone
         cut = next(
             c for c in sorted(zone.delegation_names, key=Name.canonical_key)
-            if zone.rrset(c.prepend(b"ns1"), RRType.A) and zone.rrset(c, RRType.DS)
+            if (c.prepend(b"ns1"), RRType.A) in zone._rrsets and (c, RRType.DS) in zone._rrsets
         )
         query = Message.make_query(
             cut.prepend(b"www"), RRType.A, msg_id=3,
@@ -303,8 +303,8 @@ class TestSizeShortcut:
         assert _anchored_size(result, query.question.qname, query.edns) > 512
         for server in (fast, reference):
             udp, tcp = exchange(server, query)
-            assert udp.is_truncated() and not udp.authorities
-            assert not tcp.is_truncated() and tcp.authorities
+            assert udp.flags.tc and not udp.authorities
+            assert not tcp.flags.tc and tcp.authorities
         a, b = fast.capture.view(), reference.capture.view()
         assert a.response_size.tolist() == b.response_size.tolist()
         assert a.truncated.tolist() == b.truncated.tolist() == [True, False]
@@ -462,10 +462,3 @@ class TestServerSet:
                 ],
                 LatencyModel(),
             )
-
-    def test_by_id(self, zone):
-        server = AuthoritativeServer("nl-a", zone, [GAZETTEER["AMS"]])
-        server_set = ServerSet([server], LatencyModel())
-        assert server_set.by_id("nl-a") is server
-        with pytest.raises(KeyError):
-            server_set.by_id("nl-z")

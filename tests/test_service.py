@@ -60,7 +60,9 @@ def live_world():
 def dispatcher(live_world):
     descriptor, world, _ = live_world
     clock = SimClock(now=descriptor.start)
-    return QueryDispatcher(world.server_sets["nl"].by_id("nl-a"), clock)
+    server = world.server_sets["nl"].servers[0]
+    assert server.server_id == "nl-a"
+    return QueryDispatcher(server, clock)
 
 
 def _query_for(world, qtype=RRType.A):
@@ -589,7 +591,7 @@ class TestCachedEncoding:
                     assert not answer.answers
                     assert bool(answer.authorities)
                     assert answer.question.qtype == qtype
-                    assert answer.question.qtype.to_text() == f"TYPE{qtype}"
+                    assert answer.question.qtype.name == f"TYPE{qtype}"
                     row = fast.world.capture.view().to_rows()[-1]
                     assert row[7] == qtype and type(row[7]) is int
                     assert row[8] == int(rcode)

@@ -99,7 +99,10 @@ class TestDriver:
         assert a_share(stormy_view) > a_share(quiet_view)
 
     def test_facebook_ptr_table_built(self, nl_run):
-        assert len(nl_run.ptr_table) > 50
+        named = [
+            m for m in nl_run.fleet if nl_run.ptr_table.lookup(m.resolver.v4) is not None
+        ]
+        assert len(named) > 50
 
 
 class TestExperimentContext:

@@ -226,7 +226,6 @@ class TestSpoolProperties:
             assert spool.rows_spooled == len(records)
             chunks = list(spool.iter_views())
             assert all(len(c) <= chunk_rows for c in chunks)
-            assert spool.chunk_row_counts() == [len(c) for c in chunks]
             # Concatenated chunks reproduce the store's rows in append order.
             if records:
                 merged_ts = np.concatenate([c.timestamp for c in chunks])
@@ -341,7 +340,7 @@ class TestSpoolProperties:
             adopter = CaptureSpool(directory=tmp)
             adopter.adopt(writer.chunk_paths())
             assert len(adopter) == 5
-            assert adopter.chunk_row_counts() == writer.chunk_row_counts()
+            assert [len(view) for view in adopter.iter_views()] == [2, 2, 1]
 
 
 def small_view(rows):

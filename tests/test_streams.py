@@ -122,7 +122,7 @@ def test_fleet_words_seed_what_the_integer_seeded():
     resolvers = [
         SimResolver(
             f"r{i}", GAZETTEER["AMS"], IPAddress.parse(f"192.0.2.{i + 1}"), None,
-            ResolverBehavior(family_policy="v4only"), seed=seed,
+            ResolverBehavior(), seed=seed,
         )
         for i, seed in enumerate([0, 7, 2**32 + 5, 20200405 * 100003 + 17])
     ]

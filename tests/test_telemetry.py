@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.capture import CaptureStore, QueryRecord, Transport
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
 from repro.sim import run_dataset
@@ -55,21 +56,27 @@ class TestCounterGauge:
 
 class TestHistogram:
     def test_bucket_assignment_upper_inclusive(self):
+        """The capture buckets its response sizes in bulk: a size lands in
+        the first bucket whose edge is >= it, or in the overflow bucket."""
+        store = CaptureStore()
+        for size in (0, 128, 129, 512, 70000):
+            store.append(QueryRecord(
+                0.0, "s", IPAddress.parse("192.0.2.1"), Transport.UDP, "nl.", 1, 0,
+                response_size=size,
+            ))
         metrics = MetricsRegistry()
-        hist = metrics.histogram("h", buckets=(10.0, 100.0))
-        for value in (0, 10, 11, 100, 101):
-            hist.observe(value)
-        # <=10 -> bucket 0, <=100 -> bucket 1, >100 -> overflow.
-        assert hist.bucket_counts == [2, 2, 1]
-        assert hist.count == 5
-        assert hist.sum == 222.0
-        assert hist.min == 0.0 and hist.max == 101.0
+        store.publish_metrics(metrics)
+        hist = metrics.snapshot().histograms["capture.response_size_bytes"]
+        # <=128 -> bucket 0, <=256 -> 1, <=512 -> 2, >65535 -> overflow.
+        assert hist["bucket_counts"] == [2, 1, 1, 0, 0, 0, 0, 1]
+        assert hist["count"] == 5
+        assert hist["sum"] == 70769.0
+        assert hist["min"] == 0.0 and hist["max"] == 70000.0
 
     def test_observe_many_and_bulk(self):
         metrics = MetricsRegistry()
         hist = metrics.histogram("h", buckets=(1.0, 2.0))
-        for value in (0.5, 1.5, 3.0):
-            hist.observe(value)
+        hist.add_bulk([1, 1, 1], count=3, total=5.0, minimum=0.5, maximum=3.0)
         hist.add_bulk([1, 0, 2], count=3, total=10.0, minimum=0.1, maximum=9.0)
         frozen = metrics.snapshot().histograms["h"]
         assert frozen["bucket_counts"] == [2, 1, 3]
@@ -117,7 +124,7 @@ class TestSnapshot:
         metrics.counter("q", provider="Google").inc(10)
         metrics.counter("q", provider="Amazon").inc(4)
         metrics.gauge("g").set(2.5)
-        metrics.histogram("h", buckets=(1.0,)).observe(0.5)
+        metrics.histogram("h", buckets=(1.0,)).add_bulk([1, 0], 1, 0.5, 0.5, 0.5)
         with metrics.time_phase("p"):
             pass
         return metrics

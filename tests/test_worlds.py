@@ -124,7 +124,7 @@ class TestPoolWorkersBorrow:
         assert run.telemetry.counter("runtime.env_cache.miss", part="fleet") == 1
         # one borrow per pool shard, of the fleet the parent built
         assert run.telemetry.counter("runtime.env_cache.hit", part="fleet") == 2
-        assert len(worlds.FLEETS) == 1  # parked once, by the parent, pristine
+        assert len(worlds.FLEETS._entries) == 1  # parked once, by the parent, pristine
 
     def test_spawned_workers_build_their_own_parts(self, monkeypatch):
         """What they build is held to the table by the oracle's spawned row."""
@@ -153,9 +153,9 @@ class TestSealedZones:
 
     def test_forget_worlds_empties_every_store(self):
         run_dataset(dataset("nz-w2018"), seed=SEED, client_queries=50)
-        assert len(worlds.ZONES) and len(worlds.FLEETS)
+        assert worlds.ZONES._entries and worlds.FLEETS._entries
         forget_worlds()
-        assert len(worlds.ZONES) == len(worlds.FLEETS) == 0
+        assert not worlds.ZONES._entries and not worlds.FLEETS._entries
 
 
 def _resolver(seed=5):

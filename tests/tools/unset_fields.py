@@ -25,8 +25,6 @@ CHECKED = re.compile(r".*(Config|Behavior|Spec)$|DatasetDescriptor$|FaultPlan$")
 
 #: Unset settings kept on purpose, each with the reason.
 KEPT = {
-    "ResolverBehavior.serve_stale": "feeds the resolver.retry.stale_served "
-    "counters the oracle digests (ROADMAP items 6 and 3)",
     "WallClock.__init__(epoch_anchor)": "tests pin the anchor to read a "
     "fake monotonic clock as fixed wall times",
     "WallClock.__init__(monotonic)": "tests substitute a fake monotonic clock",
