@@ -1,20 +1,21 @@
 """The analytics facade: every figure/table answer for one dataset.
 
 Experiments ask an :class:`ExperimentContext` for a dataset's
-``analytics()`` and call metric methods on it.  There is one set of
-reducers — the mergeable aggregators of
-:class:`~repro.analysis.streaming.AggregateSet` — and one fold: every
-simulated run's shards feed it chunk by chunk while freezing their
-captures, and the run carries the merged state as ``run.aggregates``.
-:class:`DatasetAnalytics` finalises that state —
+``analytics()`` and call metric methods on it.  There is one table shape
+— the :class:`~repro.analysis.streaming.CountTable` each metric of
+:class:`~repro.analysis.streaming.AggregateSet` declares its keys over —
+and one fold: every simulated run's shards feed it chunk by chunk while
+freezing their captures, and the run carries the merged state as
+``run.aggregates``.  :class:`DatasetAnalytics` reads each metric's
+rendered table or its ``finalize()`` result, never a metric's fields —
 :meth:`~DatasetAnalytics.of` a run, or :meth:`~DatasetAnalytics.over` a
 view and its attribution, fed once at construction (a hand-built capture
 is the one-chunk case).
 
-Every aggregator but one is exact integer counting, so an answer does
-not depend on how the rows were chunked; the composition heavy-hitter
-list is sketch-derived and agrees between chunkings within its certified
-error bounds rather than bit-for-bit.
+Every table is exact integer counting, so an answer does not depend on
+how the rows were chunked; the composition heavy-hitter list comes from
+sketches fed beside the table and agrees between chunkings within its
+certified error bounds rather than bit-for-bit.
 """
 
 from __future__ import annotations
@@ -88,25 +89,20 @@ class DatasetAnalytics:
         from 5 clouds" headline number."""
         return float(sum(self.provider_shares().values()))
 
-    def _qtype_share(self, provider: str, rrtype: RRType) -> float:
-        agg = self.aggregates["rrtype_mix"]
-        total = agg.totals[provider]
-        return float(agg.count(provider, int(rrtype))) / total if total else 0.0
-
     def rrtype_mix(self, provider: str) -> Dict[str, float]:
         """Per-provider query-type distribution (one group of Figure 2
         bars).  Types outside :data:`~repro.analysis.metrics.RRTYPE_BUCKETS`
         are reported under ``"other"``; fractions sum to 1 over the
         provider's queries."""
         self._check_providers((provider,))
-        agg = self.aggregates["rrtype_mix"]
-        total = agg.totals[provider]
+        counts = self.aggregates["rrtype_mix"].finalize()[provider]
+        total = sum(counts.values())
         if total == 0:
             return {**{t.name: 0.0 for t in RRTYPE_BUCKETS}, "other": 0.0}
         out: Dict[str, float] = {}
         covered = 0
         for rrtype in RRTYPE_BUCKETS:
-            count = agg.count(provider, int(rrtype))
+            count = counts.get(int(rrtype), 0)
             covered += count
             out[rrtype.name] = float(count) / total
         out["other"] = float(total - covered) / total
@@ -115,13 +111,19 @@ class DatasetAnalytics:
     def monthly_point(self, provider: str, year: int, month: int) -> MonthlyPoint:
         """One monthly capture as a Figure 3 data point."""
         self._check_providers((provider,))
+        counts = self.aggregates["rrtype_mix"].finalize()[provider]
+        total = sum(counts.values())
+
+        def share(rrtype: RRType) -> float:
+            return float(counts.get(int(rrtype), 0)) / total if total else 0.0
+
         return MonthlyPoint(
             year=year,
             month=month,
-            ns_share=self._qtype_share(provider, RRType.NS),
-            a_share=self._qtype_share(provider, RRType.A),
-            aaaa_share=self._qtype_share(provider, RRType.AAAA),
-            total_queries=self.aggregates["rrtype_mix"].totals[provider],
+            ns_share=share(RRType.NS),
+            a_share=share(RRType.A),
+            aaaa_share=share(RRType.AAAA),
+            total_queries=total,
         )
 
     def minimized_fraction(
@@ -132,11 +134,15 @@ class DatasetAnalytics:
 
         ``max_cut_depth`` is how many labels below the zone apex
         registrations can sit: 1 for `.nl` (second level only), 2 for
-        `.nz` (second- and third-level registrations)."""
+        `.nz` (second- and third-level registrations).  Absolute names
+        carry one dot per label."""
         self._check_providers((provider,))
-        return self.aggregates["qmin"].minimized_fraction(
-            provider, zone_label_count, max_cut_depth
-        )
+        depths = self.aggregates["qmin"].finalize()[provider]
+        total = sum(depths.values())
+        if total == 0:
+            return 0.0
+        allowed = {zone_label_count + 1 + depth for depth in range(max_cut_depth)}
+        return sum(count for dots, count in depths.items() if dots in allowed) / total
 
     def junk_ratios(self) -> Dict[str, float]:
         """Per-provider junk ratio (Figure 4): non-NOERROR responses over
@@ -145,7 +151,8 @@ class DatasetAnalytics:
 
     def overall_junk_ratio(self) -> float:
         """Vantage-wide junk ratio (section 3's per-dataset 'valid' split)."""
-        return self.aggregates["junk"].overall()
+        state = self.aggregates["junk"].exact_state()
+        return state["junk_total"] / state["total"] if state["total"] else 0.0
 
     # -- Tables 3–6, Figure 6 ----------------------------------------------------
 
@@ -160,44 +167,43 @@ class DatasetAnalytics:
 
     def transport_matrix(self) -> List[TransportRow]:
         """Per-provider IPv4/IPv6 and UDP/TCP query fractions (Table 5)."""
-        agg = self.aggregates["transport"]
         rows = []
-        for provider in self.aggregates.providers:
-            total = agg.totals[provider]
+        for provider, (total, v6, tcp) in self.aggregates["transport"].finalize().items():
             if total == 0:
                 rows.append(TransportRow(provider, 0.0, 0.0, 0.0, 0.0))
                 continue
-            v6 = float(agg.v6[provider]) / total
-            tcp = float(agg.tcp[provider]) / total
+            v6 = float(v6) / total
+            tcp = float(tcp) / total
             rows.append(TransportRow(provider, 1.0 - v6, v6, 1.0 - tcp, tcp))
         return rows
 
     def tcp_share(self, provider: str) -> float:
         """Fraction of the provider's queries arriving over TCP."""
         self._check_providers((provider,))
-        agg = self.aggregates["transport"]
-        total = agg.totals[provider]
-        return float(agg.tcp[provider]) / total if total else 0.0
+        total, _, tcp = self.aggregates["transport"].finalize()[provider]
+        return float(tcp) / total if total else 0.0
 
     def resolver_inventory(self, provider: str) -> InventoryRow:
         """Distinct source addresses per family for one provider (Table 6;
         the paper's 'resolvers' unit is distinct addresses)."""
         self._check_providers((provider,))
-        agg = self.aggregates["inventory"]
-        v4, v6 = len(agg.v4[provider]), len(agg.v6[provider])
-        return InventoryRow(provider, v4 + v6, v4, v6)
+        return self.aggregates["inventory"].finalize()[provider]
 
     def bufsize_cdf(self, provider: str) -> BufsizeCDF:
         """CDF of advertised EDNS0 sizes over the provider's *UDP* queries
         (Figure 6); queries without EDNS0 count at the 512-octet limit."""
         self._check_providers((provider,))
-        return self.aggregates["edns"].finalize_provider(provider)
+        return self.aggregates["edns"].finalize()[provider]
 
     def truncation_table(self) -> Dict[str, float]:
         """Per provider, the fraction of its UDP queries whose answer came
         back truncated (TC=1) — section 4.4's headline percentages."""
-        agg = self.aggregates["edns"]
-        return {p: agg.truncation_ratio(p) for p in self.aggregates.providers}
+        state = self.aggregates["edns"].exact_state()
+        totals, truncated = state["udp_totals"], state["truncated"]
+        return {
+            p: float(truncated[p]) / totals[p] if totals[p] else 0.0
+            for p in self.aggregates.providers
+        }
 
     # -- the re-cuts ---------------------------------------------------------------
 
@@ -235,5 +241,6 @@ class DatasetAnalytics:
         """The configured providers' combined share as one ratio of folded
         counts: the double ``provider_group_concentration`` gives (the
         :meth:`cloud_share` sum of per-provider ratios can differ in ulps)."""
-        shares = self.aggregates["provider_shares"]
-        return sum(shares.counts.values()) / shares.total if shares.total else 0.0
+        state = self.aggregates["provider_shares"].exact_state()
+        total = state["total"]
+        return sum(state["counts"].values()) / total if total else 0.0

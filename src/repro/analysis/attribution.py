@@ -9,8 +9,8 @@ the labels produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,14 @@ UNKNOWN = "Unknown"
 NO_COUNTRY = "ZZ"
 
 
+def factorize(values: np.ndarray) -> Tuple[List[str], np.ndarray]:
+    """A string column as its distinct values, in first-seen order, and
+    each row's index into them."""
+    values = values.tolist()
+    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    return list(index), np.array([index[value] for value in values], dtype=np.intp)
+
+
 @dataclass
 class AttributionResult:
     """Per-row labels plus the lookup tables used to produce them."""
@@ -35,20 +43,24 @@ class AttributionResult:
     providers: np.ndarray   #: object array: provider name / OTHER / UNKNOWN
     asns: np.ndarray        #: int64 array: origin ASN (0 = unrouted)
     #: object array: registry country of the origin AS (NO_COUNTRY when
-    #: unrouted).  Optional so hand-built results predating the
-    #: jurisdiction layer keep working; use :attr:`country_labels`.
-    countries: Optional[np.ndarray] = None
+    #: unrouted).
+    countries: np.ndarray
+    _factorized: Dict[str, Tuple[List[str], np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def provider_mask(self, provider: str) -> np.ndarray:
         return self.providers == provider
 
-    @property
-    def country_labels(self) -> np.ndarray:
-        """Per-row country codes, defaulting to NO_COUNTRY throughout when
-        the result was built without the jurisdiction layer."""
-        if self.countries is not None:
-            return self.countries
-        return np.full(len(self.providers), NO_COUNTRY, dtype=object)
+    def codes(self, column: str, rows) -> Tuple[List[str], np.ndarray]:
+        """The ``providers`` or ``countries`` column under ``rows``, as
+        :func:`factorize` gives it: factorised once per result, however
+        many tables key by it."""
+        factorized = self._factorized.get(column)
+        if factorized is None:
+            factorized = self._factorized[column] = factorize(getattr(self, column))
+        strings, codes = factorized
+        return strings, codes[rows]
 
 
 class Attributor:

@@ -10,7 +10,7 @@ tail of repeated query names.  This module supplies that finer cut:
   (each row's category depends only on that row's columns), which is what
   makes the aggregator's partition == whole algebra hold exactly;
 * :class:`CompositionAggregator` — exact per-category / per-provider
-  counts plus the codebase's first genuinely *approximate* state: a
+  counts (one count table keyed by provider label and category) plus the codebase's first genuinely *approximate* state: a
   space-saving summary and a count-min sketch over query names, for
   repeated-query heavy hitters at any scale.  The exact part participates
   in the registry algebra bit-for-bit (see :meth:`exact_state`); the
@@ -37,7 +37,6 @@ Category precedence (first match wins):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,7 +46,7 @@ from ..capture import CaptureView
 from ..dnscore import RCode
 from .attribution import AttributionResult
 from .sketches import CountMinSketch, SpaceSavingSketch
-from .streaming import StreamingAggregator, _require_same_config
+from .streaming import StreamingAggregator
 
 #: Taxonomy categories, in canonical report order.
 CATEGORIES: Tuple[str, ...] = (
@@ -147,22 +146,21 @@ class CompositionReport:
 class CompositionAggregator(StreamingAggregator):
     """Exact taxonomy counting + approximate heavy-hitter sketching.
 
-    The exact part (category and per-provider counters) merges with the
-    full partition == whole algebra; :meth:`exact_state` exposes exactly
-    that part (plus the count-min table, whose merge is also exact) so
-    the registry-wide property tests can assert bit-equality.  The
-    space-saving summary is deliberately excluded there: its merge is
-    sound (bounds always bracket the truth — asserted in
-    ``tests/test_sketches.py``) but not information-preserving.
+    The exact part is a table keyed by (provider label, category);
+    :meth:`exact_state` renders it (plus the count-min table, whose merge
+    is also exact) so the registry-wide property tests can assert
+    bit-equality.  The space-saving summary is fed beside the table and
+    deliberately excluded there: its merge is sound (bounds always
+    bracket the truth — asserted in ``tests/test_sketches.py``) but not
+    information-preserving.
     """
 
     name = "composition"
+    key = ("label", "category")
+    beside = ("hot_names", "name_counts")
 
     def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.total = 0
-        self.category_counts: Dict[str, int] = {c: 0 for c in CATEGORIES}
-        self.provider_categories: Counter = Counter()   # (label, category) → n
+        super().__init__(providers)
         self.hot_names = SpaceSavingSketch(TOPK_CAPACITY)
         self.name_counts = CountMinSketch(CM_WIDTH, CM_DEPTH, CM_SEED)
 
@@ -174,64 +172,39 @@ class CompositionAggregator(StreamingAggregator):
         )
 
     def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        n = len(view)
-        if not n:
-            return
-        self.total += n
-        codes = classify_queries(view)
-        values, counts = np.unique(codes, return_counts=True)
-        for code, count in zip(values.tolist(), counts.tolist()):
-            self.category_counts[CATEGORIES[int(code)]] += int(count)
-        labels = attribution.providers
-        for label in np.unique(labels.astype(str)):
-            mask = labels == label
-            label = str(label)
-            sub_values, sub_counts = np.unique(codes[mask], return_counts=True)
-            for code, count in zip(sub_values.tolist(), sub_counts.tolist()):
-                self.provider_categories[(label, CATEGORIES[int(code)])] += int(
-                    count
-                )
-        names, name_counts = np.unique(view.qname.astype(str), return_counts=True)
-        names = names.tolist()
-        self.hot_names.feed_many(names, name_counts.tolist())
-        self.name_counts.feed_many(names, name_counts)
-
-    def merge(self, other: "CompositionAggregator") -> None:
-        _require_same_config(self, other)
-        self.total += other.total
-        for category in CATEGORIES:
-            self.category_counts[category] += other.category_counts[category]
-        self.provider_categories.update(other.provider_categories)
-        self.hot_names.merge(other.hot_names)
-        self.name_counts.merge(other.name_counts)
-
-    def state(self):
-        exact = self.exact_state()
-        exact["hot_names"] = self.hot_names.state()
-        return exact
+        super().feed(view, attribution)
+        if len(view):
+            names, counts = np.unique(view.qname.astype(str), return_counts=True)
+            names = names.tolist()
+            self.hot_names.feed_many(names, counts.tolist())
+            self.name_counts.feed_many(names, counts)
 
     def exact_state(self):
         """The partition-invariant part of the state: taxonomy counters
         and the count-min table (both merge exactly)."""
+        sums = self.table.sums(*self.key)
+        category_counts = dict.fromkeys(CATEGORIES, 0)
+        for (_, code), count in sums.items():
+            category_counts[CATEGORIES[code]] += count
         return {
-            "total": self.total,
-            "category_counts": dict(self.category_counts),
+            "total": sum(sums.values()),
+            "category_counts": category_counts,
             "provider_categories": {
                 f"{label}|{category}": count
                 for (label, category), count in sorted(
-                    self.provider_categories.items()
+                    ((label, CATEGORIES[code]), count)
+                    for (label, code), count in sums.items()
                 )
             },
             "name_counts": self.name_counts.state(),
         }
 
     def finalize(self, top_k: int = 10) -> CompositionReport:
-        shares = {
-            c: (float(self.category_counts[c]) / self.total if self.total else 0.0)
-            for c in CATEGORIES
-        }
+        state = self.exact_state()
+        total = state["total"]
         provider_categories: Dict[str, Dict[str, int]] = {}
-        for (label, category), count in sorted(self.provider_categories.items()):
+        for pair, count in state["provider_categories"].items():
+            label, category = pair.split("|")
             provider_categories.setdefault(label, {})[category] = count
         hitters = [
             HeavyHitter(
@@ -244,9 +217,12 @@ class CompositionAggregator(StreamingAggregator):
             for qname, count, error in self.hot_names.top(top_k)
         ]
         return CompositionReport(
-            total_queries=self.total,
-            category_counts=dict(self.category_counts),
-            category_shares=shares,
+            total_queries=total,
+            category_counts=state["category_counts"],
+            category_shares={
+                c: (float(n) / total if total else 0.0)
+                for c, n in state["category_counts"].items()
+            },
             provider_categories=provider_categories,
             heavy_hitters=hitters,
             cm_error_bound=self.name_counts.error_bound(),
@@ -255,7 +231,7 @@ class CompositionAggregator(StreamingAggregator):
 
     def publish_metrics(self, metrics) -> None:
         """Roll sketch telemetry into the registry (`analysis.sketch.*`)."""
-        metrics.counter("analysis.composition.rows").inc(self.total)
+        metrics.counter("analysis.composition.rows").inc(self.exact_state()["total"])
         metrics.counter("analysis.sketch.space_saving.updates").inc(
             self.hot_names.updates
         )

@@ -20,15 +20,13 @@ the reduction Boeira et al. apply per jurisdiction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
 
-from ..capture import CaptureView
 from .attribution import AttributionResult
-from .streaming import StreamingAggregator, _require_same_config
+from .streaming import StreamingAggregator
 
 
 @dataclass
@@ -115,24 +113,18 @@ def provider_group_concentration(
 
 
 class ConcentrationAggregator(StreamingAggregator):
-    """The per-AS query counts behind :func:`concentration`: a
-    ``Counter`` of routed origin AS → queries, merged by addition, so the
-    indices of a merged state are those of the whole capture, bit for bit."""
+    """The per-AS query counts behind :func:`concentration`: a table keyed
+    by routed origin AS, so the indices of a merged state are those of the
+    whole capture, bit for bit."""
 
     name = "concentration"
+    key = ("asn",)
 
-    def __init__(self):
-        self.counts: Counter = Counter()
+    def where(self, view, attribution):
+        return attribution.asns != 0
 
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        self.counts.update(per_as_counts(attribution))
-
-    def merge(self, other: "ConcentrationAggregator") -> None:
-        _require_same_config(self, other)
-        self.counts.update(other.counts)
-
-    def state(self):
-        return {"counts": dict(sorted(self.counts.items()))}
+    def exact_state(self):
+        return {"counts": dict(sorted(self.table.sums("asn").items()))}
 
     def finalize(self) -> ConcentrationReport:
-        return concentration_of_counts(self.counts)
+        return concentration_of_counts(self.table.sums("asn"))

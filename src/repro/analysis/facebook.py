@@ -12,23 +12,22 @@ The paper's pipeline, reproduced step by step:
 The output reproduces Figure 5a (per-site v4/v6 query distribution) and
 Figure 5b (per-site IPv6 query ratio vs median RTTs, per server).  Every
 run folds the Facebook rows in its shards
-(:class:`FacebookSiteAggregator`); steps 1-4 run on the merged state.
+(:class:`FacebookSiteAggregator`, one count table); steps 1-4 run on the
+merged state.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..capture import CaptureView, Transport, join_address
+from ..capture import join_address
 from ..clouds import PTRTable, parse_ptr_embedded_v4, parse_ptr_site
 from ..netsim import IPAddress
-from .attribution import AttributionResult
-from .streaming import StreamingAggregator, _require_same_config
+from .streaming import SOURCE, StreamingAggregator
 
 
 @dataclass
@@ -101,8 +100,8 @@ def classify_addresses(
 
 
 class FacebookSiteAggregator(StreamingAggregator):
-    """The Facebook rows behind Figures 5/8: queries per (server id,
-    source address) and the TCP-handshake RTTs each of those pairs saw.
+    """The Facebook rows behind Figures 5/8: one table keyed by server id,
+    source address and TCP-handshake RTT (NaN for a row without one).
 
     :meth:`finalize` classifies each distinct address once, after the
     merge; a site's median RTT is taken over the same multiset of RTTs
@@ -110,44 +109,30 @@ class FacebookSiteAggregator(StreamingAggregator):
     """
 
     name = "facebook_sites"
+    key = ("server",) + SOURCE + ("rtt",)
 
-    def __init__(self):
-        #: Queries per (server_id, family, hi64, lo64) source key.
-        self.queries: Counter = Counter()
-        #: TCP RTTs (ms) per source key, in fed order.
-        self.rtts: Dict[Tuple[str, int, int, int], List[float]] = {}
+    def where(self, view, attribution):
+        return attribution.provider_mask("Facebook")
 
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        mask = attribution.provider_mask("Facebook")
-        if not mask.any():
-            return
-        keys = list(zip(
-            view.server_id[mask].tolist(), view.family[mask].tolist(),
-            view.src_hi[mask].tolist(), view.src_lo[mask].tolist(),
-        ))
-        self.queries.update(keys)
-        rtt = view.tcp_rtt_ms[mask]
-        timed = (view.transport[mask] == int(Transport.TCP)) & ~np.isnan(rtt)
-        for key, value in zip(compress(keys, timed), rtt[timed].tolist()):
-            self.rtts.setdefault(key, []).append(value)
-
-    def merge(self, other: "FacebookSiteAggregator") -> None:
-        _require_same_config(self, other)
-        self.queries.update(other.queries)
-        for key, values in other.rtts.items():
-            self.rtts.setdefault(key, []).extend(values)
-
-    def state(self):
+    def exact_state(self):
+        rows = self.table.rows()
+        keys = list(zip(*(rows[name].tolist() for name in ("server",) + SOURCE)))
+        queries, rtts = Counter(), {}
+        for key, rtt, count in zip(keys, rows["rtt"].tolist(), rows["n"].tolist()):
+            queries[key] += count
+            if rtt == rtt:
+                rtts.setdefault(key, []).extend([rtt] * count)
         return {
-            "queries": dict(sorted(self.queries.items())),
-            "rtts": {key: sorted(self.rtts[key]) for key in sorted(self.rtts)},
+            "queries": dict(sorted(queries.items())),
+            "rtts": {key: sorted(rtts[key]) for key in sorted(rtts)},
         }
 
     def finalize(
         self, ptr_table: PTRTable, server_id: str
     ) -> Tuple[List[SiteStats], DualStackReport]:
         """Per-site query/RTT aggregates toward one authoritative server."""
-        keys = sorted(key for key in self.queries if key[0] == server_id)
+        state = self.exact_state()
+        keys = [key for key in state["queries"] if key[0] == server_id]
         addresses = [join_address(*key[1:]) for key in keys]
         site_of, report = classify_addresses(addresses, ptr_table)
 
@@ -161,11 +146,11 @@ class FacebookSiteAggregator(StreamingAggregator):
             entry = stats.setdefault(number, SiteStats(site_index=number, site_code=code))
             family = key[1]
             if family == 4:
-                entry.queries_v4 += self.queries[key]
+                entry.queries_v4 += state["queries"][key]
             else:
-                entry.queries_v6 += self.queries[key]
-            if key in self.rtts:
-                rtts.setdefault((number, family), []).extend(self.rtts[key])
+                entry.queries_v6 += state["queries"][key]
+            if key in state["rtts"]:
+                rtts.setdefault((number, family), []).extend(state["rtts"][key])
 
         for (number, family), values in rtts.items():
             median = float(np.median(values))

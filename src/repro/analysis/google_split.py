@@ -11,7 +11,8 @@ index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Tuple
 
 from ..netsim import Prefix, PrefixTrie
 
@@ -38,8 +39,10 @@ class GoogleSplit:
         )
 
 
-def build_public_dns_trie(prefixes: Sequence[str]) -> PrefixTrie:
-    """Index the advertised Public DNS egress ranges for membership tests."""
+@lru_cache(maxsize=4)
+def build_public_dns_trie(prefixes: Tuple[str, ...]) -> PrefixTrie:
+    """Index the advertised Public DNS egress ranges for membership tests
+    (built once per prefix list)."""
     trie: PrefixTrie = PrefixTrie()
     for text in prefixes:
         trie.insert(Prefix.parse(text), True)

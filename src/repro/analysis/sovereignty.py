@@ -5,35 +5,31 @@ Boeira et al. ("Traffic Centralization and Digital Sovereignty",
 PAPERS.md) re-cut the same traffic by *jurisdiction* — which country's
 (or bloc's) operators terminate the queries, and how much of each
 jurisdiction's resolver traffic rides on the hyperscaler clouds.  This
-module supplies that lens as a mergeable single-pass aggregator in the
-PR 5 registry:
+module supplies that lens as one more key column of the count table
+(:mod:`~repro.analysis.streaming`):
 
 * the attribution layer already labels every row with the registry
   country of its origin AS (``AttributionResult.countries``);
-* :class:`SovereigntyAggregator` folds exact per-country query and
-  response-byte counts plus the per-(country, provider-label) cross cut;
+* :class:`SovereigntyAggregator` keys its table by (country, provider
+  label) and sums queries and response bytes;
 * :func:`SovereigntyAggregator.finalize` rolls countries up into
   jurisdiction blocs (EU-27, Five Eyes, BRICS) and reports, per country
   and per bloc, the query share, traffic (response-byte) share, and the
   fraction of that jurisdiction's queries attributable to the five
   tracked cloud providers.
 
-All state is exact integer counting — the aggregator participates in the
-registry-wide merge-algebra property suite unchanged (partition == whole,
-bit-identical across worker counts).
+All state is exact integer counting, so the cut is bit-identical across
+worker counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-import numpy as np
-
-from ..capture import CaptureView
-from .attribution import OTHER, UNKNOWN, AttributionResult
-from .streaming import StreamingAggregator, _require_same_config
+from .attribution import OTHER, UNKNOWN
+from .streaming import StreamingAggregator
 
 #: Jurisdiction blocs rolled up from ISO country codes.  EU-27 plus the
 #: two intelligence/economic blocs the sovereignty literature most often
@@ -87,119 +83,79 @@ class SovereigntyReport:
 
 
 class SovereigntyAggregator(StreamingAggregator):
-    """Exact per-country / per-bloc query and traffic counting.
-
-    State is three counters keyed by country (and by (country, label) for
-    the cloud cross-cut); merge is counter addition, so the full exact
-    algebra (associative, order-insensitive, partition == whole) holds
-    bit-for-bit.
-    """
+    """Exact per-country / per-bloc query and traffic counting: one table
+    keyed by (country, provider label) summing queries and response bytes."""
 
     name = "sovereignty"
+    key = ("country", "label")
+    measures = ("bytes",)
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.total = 0
-        self.total_bytes = 0
-        self.query_counts: Counter = Counter()          # country → queries
-        self.byte_counts: Counter = Counter()           # country → response bytes
-        self.label_counts: Counter = Counter()          # (country, label) → queries
-
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        n = len(view)
-        if not n:
-            return
-        self.total += n
-        countries = attribution.country_labels
-        sizes = view.response_size.astype(np.int64)
-        self.total_bytes += int(sizes.sum())
-        for country in np.unique(countries.astype(str)):
-            mask = countries == country
-            country = str(country)
-            self.query_counts[country] += int(mask.sum())
-            self.byte_counts[country] += int(sizes[mask].sum())
-            labels = attribution.providers[mask]
-            values, counts = np.unique(labels.astype(str), return_counts=True)
-            for label, count in zip(values.tolist(), counts.tolist()):
-                self.label_counts[(country, str(label))] += int(count)
-
-    def merge(self, other: "SovereigntyAggregator") -> None:
-        _require_same_config(self, other)
-        self.total += other.total
-        self.total_bytes += other.total_bytes
-        self.query_counts.update(other.query_counts)
-        self.byte_counts.update(other.byte_counts)
-        self.label_counts.update(other.label_counts)
-
-    def state(self):
+    def exact_state(self):
+        queries = self.table.sums(*self.key)
+        response_bytes = self.table.sums(*self.key, value="bytes")
+        query_counts, byte_counts = Counter(), Counter()
+        for (country, label), count in queries.items():
+            query_counts[country] += count
+            byte_counts[country] += response_bytes[country, label]
         return {
-            "total": self.total,
-            "total_bytes": self.total_bytes,
-            "query_counts": dict(sorted(self.query_counts.items())),
-            "byte_counts": dict(sorted(self.byte_counts.items())),
+            "total": sum(queries.values()),
+            "total_bytes": sum(response_bytes.values()),
+            "query_counts": dict(sorted(query_counts.items())),
+            "byte_counts": dict(sorted(byte_counts.items())),
             "label_counts": {
                 f"{country}|{label}": count
-                for (country, label), count in sorted(self.label_counts.items())
+                for (country, label), count in sorted(queries.items())
             },
         }
 
-    # -- rollups ---------------------------------------------------------------
-
-    def _cloud_queries(self, countries) -> int:
-        tracked = set(self.providers)
-        return sum(
-            count
-            for (country, label), count in self.label_counts.items()
-            if country in countries and label in tracked
-        )
-
-    def _row(self, name: str, members) -> JurisdictionRow:
-        queries = sum(self.query_counts[c] for c in members)
-        response_bytes = sum(self.byte_counts[c] for c in members)
-        cloud = self._cloud_queries(set(members))
-        return JurisdictionRow(
-            name=name,
-            queries=queries,
-            response_bytes=response_bytes,
-            query_share=(float(queries) / self.total) if self.total else 0.0,
-            traffic_share=(
-                float(response_bytes) / self.total_bytes if self.total_bytes else 0.0
-            ),
-            cloud_queries=cloud,
-            cloud_share=(float(cloud) / queries) if queries else 0.0,
-        )
-
     def finalize(self) -> SovereigntyReport:
-        countries = [
-            self._row(country, (country,))
-            for country in sorted(self.query_counts)
-        ]
-        countries.sort(key=lambda row: (-row.queries, row.name))
-        blocs = [
-            self._row(bloc, sorted(members & set(self.query_counts)))
-            for bloc, members in JURISDICTION_BLOCS.items()
-        ]
-        blocs.sort(key=lambda row: (-row.queries, row.name))
-        provider_queries = {p: 0 for p in self.providers}
-        provider_queries[OTHER] = 0
-        provider_queries[UNKNOWN] = 0
-        for (country, label), count in self.label_counts.items():
+        state = self.exact_state()
+        total, total_bytes = state["total"], state["total_bytes"]
+        tracked = set(self.providers)
+        cloud = Counter()
+        provider_queries = dict.fromkeys(self.providers + (OTHER, UNKNOWN), 0)
+        for pair, count in state["label_counts"].items():
+            country, label = pair.split("|")
+            if label in tracked:
+                cloud[country] += count
             if label in provider_queries:
                 provider_queries[label] += count
+
+        def row(name: str, members) -> JurisdictionRow:
+            queries = sum(state["query_counts"][c] for c in members)
+            response_bytes = sum(state["byte_counts"][c] for c in members)
+            cloud_queries = sum(cloud[c] for c in members)
+            return JurisdictionRow(
+                name=name,
+                queries=queries,
+                response_bytes=response_bytes,
+                query_share=(float(queries) / total) if total else 0.0,
+                traffic_share=(
+                    float(response_bytes) / total_bytes if total_bytes else 0.0
+                ),
+                cloud_queries=cloud_queries,
+                cloud_share=(float(cloud_queries) / queries) if queries else 0.0,
+            )
+
+        countries = [row(country, (country,)) for country in state["query_counts"]]
+        blocs = [
+            row(bloc, sorted(members & set(state["query_counts"])))
+            for bloc, members in JURISDICTION_BLOCS.items()
+        ]
+        for rows in (countries, blocs):
+            rows.sort(key=lambda jurisdiction: (-jurisdiction.queries, jurisdiction.name))
         return SovereigntyReport(
-            total_queries=self.total,
-            total_response_bytes=self.total_bytes,
+            total_queries=total,
+            total_response_bytes=total_bytes,
             countries=countries,
             blocs=blocs,
             provider_queries=provider_queries,
         )
 
     def publish_metrics(self, metrics) -> None:
-        """Roll this shard's fold volume into the telemetry registry."""
-        metrics.counter("analysis.sovereignty.rows").inc(self.total)
+        """Roll the fold volume into the telemetry registry."""
+        state = self.exact_state()
+        metrics.counter("analysis.sovereignty.rows").inc(state["total"])
         metrics.counter("analysis.sovereignty.countries").inc(
-            len(self.query_counts)
+            len(state["query_counts"])
         )

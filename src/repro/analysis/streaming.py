@@ -1,371 +1,462 @@
-"""Mergeable single-pass aggregators over capture chunks.
+"""One mergeable count table behind every figure and table.
 
-These are the reducers behind every figure and table: small
-**aggregator** objects that fold chunk views into compact state and
-merge across shards — the shape of the paper's ENTRADA pipeline, where
-55.7B queries reduce to per-category aggregates without the row set ever
-being resident.  A capture that *is* resident is the one-chunk case
+The paper computes each figure and table as a GROUP BY over the capture
+(ENTRADA → Impala), reducing 55.7B queries to per-category aggregates
+without the row set ever being resident.  Here that is one structure: a
+:class:`CountTable` holds row counts, and integer sums such as response
+bytes, keyed by declared columns of a chunk and its attribution
+(:data:`COLUMNS`).  A capture that *is* resident is the one-chunk case
 (:meth:`~repro.analysis.analytics.DatasetAnalytics.over`); every
 simulated run folds its chunks in the shards that froze them.
 
-Every aggregator implements the :class:`StreamingAggregator` protocol:
+Every metric is a :class:`StreamingAggregator` over one table, declared
+by three things:
 
-``feed(view, attribution)``
-    Fold one bounded chunk (plus its per-row attribution labels, which are
-    a deterministic function of the chunk) into the state.
-``merge(other)``
-    Absorb another instance's state (same type, same configuration).
-    Merging is associative and order-insensitive, and feeding a partition
-    of a capture chunk-by-chunk is equivalent to feeding it whole — the
-    algebra the property tests in ``tests/test_streaming_algebra.py`` pin
-    down.
+a key spec
+    The columns it groups by (:attr:`~StreamingAggregator.key`), the rows
+    it keeps (:meth:`~StreamingAggregator.where`) and the measures it
+    sums.  ``feed`` and ``merge`` are the table's, the same for every
+    metric: a chunk folds with one ``np.unique`` over its key columns
+    packed into one integer, and merge is addition — associative,
+    order-insensitive, and feeding a partition chunk by chunk equals
+    feeding it whole (``tests/test_streaming_algebra.py``).
+a renderer
+    ``exact_state()``: the table as the plain-data state the oracle and
+    the benchmark digest.
 ``finalize()``
-    The metric's result.  State is integer counts and sets, and every
-    division happens here on the merged totals, so the result does not
-    depend on how the rows were chunked (``tests/test_streaming_parity.py``
-    pins the bytes).
+    The metric's result.  Every division happens here on the merged
+    totals, so the result does not depend on how the rows were chunked.
 
-States are plain picklable containers (ints, dicts, Counters, sets of int
-tuples), so pool workers ship them back to the parent beside their
-chunks.  :class:`AggregateSet` bundles the full registry for one dataset
-run and is what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
+Tables pickle compacted, so pool workers ship them back to the parent
+beside their chunks.  :class:`AggregateSet` bundles every metric for one
+dataset run and is what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from itertools import compress
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..capture import CaptureView, Transport, join_address
 from ..clouds import GOOGLE_PUBLIC_DNS_PREFIXES, PROVIDERS
 from ..dnscore import RCode, RRType
-from .attribution import AttributionResult
+from .attribution import AttributionResult, factorize
 
-#: Address key as stored in aggregator states: (family, hi64, lo64).
-AddressKey = Tuple[int, int, int]
+#: Rows a table may hold beyond twice its compacted ones before its parts
+#: are cut down to one.
+PENDING_KEYS = 65536
 
 
-def _address_key_set(
-    view: CaptureView, mask: Optional[np.ndarray] = None
-) -> Set[AddressKey]:
-    """Distinct (family, hi, lo) keys under a mask, as plain int tuples."""
-    columns = (view.family, view.src_hi, view.src_lo)
+def _bufsize(view, attribution, rows):
+    """The advertised UDP size, a query without EDNS0 at the classic
+    512-octet limit it implies."""
+    sizes = view.edns_bufsize[rows]
+    return np.where(sizes == 0, sizes.dtype.type(512), sizes)
+
+
+def _ns_depth(view, attribution, rows):
+    """Dots in the qname: one per label of an absolute name."""
+    return np.char.count(view.qname[rows].astype(str), ".").astype(np.uint8)
+
+
+def _category(view, attribution, rows):
+    """The row's composition taxonomy category (an index into CATEGORIES)."""
+    from .composition import classify_queries
+
+    return classify_queries(view)[rows].view(np.uint8)
+
+
+def _rtt(view, attribution, rows):
+    """A TCP query's handshake RTT; NaN for every other row."""
+    rtt = view.tcp_rtt_ms[rows]
+    return np.where(view.transport[rows] == int(Transport.TCP), rtt, np.nan)
+
+
+#: The declared key columns: name → column(view, attribution, rows).  A
+#: string column comes as its distinct strings and each row's index.
+COLUMNS: Dict[str, Callable] = {
+    "label": lambda view, attribution, rows: attribution.codes("providers", rows),
+    "country": lambda view, attribution, rows: attribution.codes("countries", rows),
+    "server": lambda view, attribution, rows: factorize(view.server_id[rows]),
+    "asn": lambda view, attribution, rows: attribution.asns[rows],
+    "family": lambda view, attribution, rows: view.family[rows],
+    "hi": lambda view, attribution, rows: view.src_hi[rows],
+    "lo": lambda view, attribution, rows: view.src_lo[rows],
+    "transport": lambda view, attribution, rows: view.transport[rows],
+    "qtype": lambda view, attribution, rows: view.qtype[rows],
+    "rcode": lambda view, attribution, rows: view.rcode[rows],
+    "tc": lambda view, attribution, rows: view.truncated[rows],
+    "bufsize": _bufsize,
+    "ns_depth": _ns_depth,
+    "category": _category,
+    "day": lambda view, attribution, rows: (
+        view.timestamp[rows] // 86400.0
+    ).astype(np.int64),
+    "rtt": _rtt,
+}
+
+#: The source address: three key columns.
+SOURCE = ("family", "hi", "lo")
+
+#: The summed measures: name → column(view, rows).
+MEASURES: Dict[str, Callable] = {
+    "bytes": lambda view, rows: view.response_size[rows],
+}
+
+
+def _width(dtype: np.dtype) -> Optional[int]:
+    """Bits a key column packs into as it is; None for one that is ranked
+    first (signed, 64-bit or float)."""
+    if dtype == np.bool_:
+        return 1
+    if dtype.kind == "u" and dtype.itemsize <= 4:
+        return 8 * dtype.itemsize
+    return None
+
+
+def _group(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Equal rows of some key columns: the index of each distinct key's
+    first row, and each row's distinct key.
+
+    The columns pack into one int64, a narrow column by shifting it in,
+    a wide one by its rank among its own distinct values, and the packed
+    key is re-ranked whenever the next column would overflow it; one
+    ``np.unique`` over the packed keys then groups the rows."""
+    packed, bits = np.zeros(len(columns[0]), dtype=np.int64), 0
+    for column in columns:
+        width = _width(column.dtype)
+        if width is None:
+            distinct, column = np.unique(column, return_inverse=True)
+            width = (len(distinct) - 1).bit_length()
+        if bits + width > 62:
+            distinct, packed = np.unique(packed, return_inverse=True)
+            bits = (len(distinct) - 1).bit_length()
+        packed = (packed << width) | column.astype(np.int64)
+        bits += width
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _reduce(part: Dict[str, np.ndarray], key: Sequence[str]) -> Dict[str, np.ndarray]:
+    """One row per distinct key of ``part``, every other column summed."""
+    first, inverse = _group([part[name] for name in key])
+    reduced = {name: part[name][first] for name in key}
+    for name in part.keys() - set(key):
+        sums = np.zeros(len(first), dtype=np.int64)
+        np.add.at(sums, inverse, part[name].astype(np.int64, copy=False))
+        reduced[name] = sums
+    return reduced
+
+
+class CountTable:
+    """Row counts (``n``), and integer sums of measures, keyed by columns.
+
+    A fold reduces each chunk to its distinct keys and keeps that as a
+    pending part; the parts are cut down to one when they pile up (past
+    twice the compacted rows plus :data:`PENDING_KEYS`), when read and
+    when pickled, so a fold never re-sorts everything it has seen for
+    each chunk.  A string column is held as codes into the table's own
+    vocabulary, and a merge re-codes the other table's parts into it.
+    """
+
+    def __init__(self, key: Sequence[str], measures: Sequence[str] = ()):
+        self.key = tuple(key)
+        self.measures = tuple(measures)
+        #: String column → its strings, each mapped to its code.
+        self.vocab: Dict[str, Dict[str, int]] = {}
+        self._parts: List[Dict[str, np.ndarray]] = []
+        self._held = 0
+
+    def fold(self, columns: Dict[str, object], measures: Dict[str, np.ndarray]) -> None:
+        """Add one chunk's rows: its key columns, a string column as its
+        (strings, codes) pair, and its measure columns."""
+        part = {
+            name: self._recode(name, column[0])[column[1]]
+            if isinstance(column, tuple) else column
+            for name, column in columns.items()
+        }
+        rows = len(part[self.key[0]])
+        if rows:
+            part["n"] = np.ones(rows, dtype=np.int64)
+            part.update(measures)
+            self._add([_reduce(part, self.key)])
+
+    def _recode(self, name: str, strings: Sequence[str]) -> np.ndarray:
+        """The codes of ``strings`` in this table's vocabulary of ``name``."""
+        vocab = self.vocab.setdefault(name, {})
+        for string in strings:
+            if string not in vocab:
+                vocab[string] = len(vocab)
+        codes = [vocab[string] for string in strings]
+        return np.array(codes, dtype=np.min_scalar_type(len(vocab)))
+
+    def _add(self, parts: List[Dict[str, np.ndarray]]) -> None:
+        self._parts.extend(parts)
+        self._held += sum(len(part["n"]) for part in parts)
+        if self._parts and self._held > 2 * len(self._parts[0]["n"]) + PENDING_KEYS:
+            self._compact()
+
+    def _compact(self) -> None:
+        if len(self._parts) > 1:
+            part = {
+                name: np.concatenate([part[name] for part in self._parts])
+                for name in self._parts[0]
+            }
+            self._parts = [_reduce(part, self.key)]
+            self._held = len(self._parts[0]["n"])
+
+    def merge(self, other: "CountTable") -> None:
+        if (self.key, self.measures) != (other.key, other.measures):
+            raise ValueError(
+                f"cannot merge a table keyed {other.key} into one keyed {self.key}"
+            )
+        recode = {name: self._recode(name, list(vocab)) for name, vocab in other.vocab.items()}
+        self._add([
+            {name: recode[name][column] if name in recode else column
+             for name, column in part.items()}
+            for part in other._parts
+        ])
+
+    def __getstate__(self):
+        self._compact()
+        return self.__dict__
+
+    def rows(self) -> Dict[str, np.ndarray]:
+        """The table, one row per distinct key: each key column (a string
+        one as an object array of its strings), ``n`` and each measure."""
+        self._compact()
+        if not self._parts:
+            return {name: np.zeros(0, dtype=object if name in self.key else np.int64)
+                    for name in self.key + ("n",) + self.measures}
+        rows = dict(self._parts[0])
+        for name, vocab in self.vocab.items():
+            rows[name] = np.array(list(vocab), dtype=object)[rows[name]]
+        return rows
+
+    def sums(self, *columns: str, value: str = "n") -> Dict:
+        """``value`` summed per distinct value of ``columns`` (a tuple of
+        them for more than one): a GROUP BY over the table."""
+        rows = self.rows()
+        if len(columns) == 1:
+            keys = rows[columns[0]].tolist()
+        else:
+            keys = zip(*(rows[name].tolist() for name in columns))
+        sums: Counter = Counter()
+        for key, count in zip(keys, rows[value].tolist()):
+            sums[key] += count
+        return sums
+
+
+def _addresses(rows, mask=None) -> List[Tuple[int, int, int]]:
+    """The sorted (family, hi64, lo64) source keys of the table rows under
+    ``mask``."""
+    columns = (rows[name] for name in SOURCE)
     if mask is not None:
-        columns = tuple(column[mask] for column in columns)
-    return set(zip(*(column.tolist() for column in columns)))
-
-
-def _require_same_config(a, b) -> None:
-    if type(a) is not type(b) or a.config() != b.config():
-        raise ValueError(
-            f"cannot merge {type(b).__name__}{b.config()} into "
-            f"{type(a).__name__}{a.config()}"
-        )
+        columns = (column[mask] for column in columns)
+    return sorted(set(zip(*(column.tolist() for column in columns))))
 
 
 class StreamingAggregator:
-    """Base class: configuration equality + the feed/merge/finalize shape."""
+    """One metric: a key spec over one :class:`CountTable`, folded and
+    merged the same way for every metric; subclasses render it."""
 
     #: Registry key; subclasses override.
     name = "base"
+    #: Key columns (:data:`COLUMNS`) and summed measures (:data:`MEASURES`).
+    key: Tuple[str, ...] = ()
+    measures: Tuple[str, ...] = ()
+    #: Attributes holding mergeable sketches fed beside the table.
+    beside: Tuple[str, ...] = ()
+
+    def __init__(self, providers: Sequence[str]):
+        self.providers = tuple(providers)
+        self.table = CountTable(self.key, self.measures)
 
     def config(self) -> tuple:
         """Hashable configuration; merges require equal configs."""
-        return ()
+        return (self.providers,)
+
+    def where(self, view: CaptureView, attribution: AttributionResult):
+        """The rows the metric counts: a mask, or all of them."""
+        return slice(None)
 
     def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        raise NotImplementedError
+        rows = self.where(view, attribution)
+        self.table.fold(
+            {name: COLUMNS[name](view, attribution, rows) for name in self.key},
+            {name: MEASURES[name](view, rows) for name in self.measures},
+        )
 
     def merge(self, other: "StreamingAggregator") -> None:
+        if type(self) is not type(other) or self.config() != other.config():
+            raise ValueError(
+                f"cannot merge {type(other).__name__}{other.config()} into "
+                f"{type(self).__name__}{self.config()}"
+            )
+        self.table.merge(other.table)
+        for name in self.beside:
+            getattr(self, name).merge(getattr(other, name))
+
+    def exact_state(self):
+        """The table rendered as canonical plain data, exact and
+        partition-invariant: two folds agree iff their states do."""
         raise NotImplementedError
 
     def finalize(self):
         raise NotImplementedError
 
-    def state(self):
-        """Canonical plain-data snapshot of the folded state (test hook:
-        two aggregators agree iff their states compare equal)."""
-        raise NotImplementedError
+    def _per_provider(self, sums: Dict, value=lambda key: 1) -> Dict[str, int]:
+        """Per configured provider, the ``sums`` of its label (keyed by
+        ``(label, …)`` tuples), each weighted by ``value(key)``."""
+        out = dict.fromkeys(self.providers, 0)
+        for key, count in sums.items():
+            if key[0] in out:
+                out[key[0]] += count * value(key)
+        return out
 
-    def exact_state(self):
-        """The partition-invariant part of :meth:`state`.
-
-        Most aggregators are fully exact and inherit ``exact_state ==
-        state``.  Aggregators carrying genuinely approximate state (the
-        composition heavy-hitter summary) override this to expose only
-        the fields whose merge algebra is lossless — the part the
-        registry-wide property tests compare bit-for-bit; the
-        approximate remainder is held to explicit error bounds instead.
-        """
-        return self.state()
+    def _histograms(self, sums: Dict) -> Dict[str, Dict[int, int]]:
+        """Per configured provider, the ``sums`` of its label (keyed by
+        ``(label, value, …)`` tuples) per value."""
+        out = {p: {} for p in self.providers}
+        for (label, value, *_), count in sums.items():
+            if label in out:
+                out[label][value] = out[label].get(value, 0) + count
+        return out
 
 
 class ProviderShareAggregator(StreamingAggregator):
     """Figure 1: per-provider query counts over the capture total."""
 
     name = "provider_shares"
+    key = ("label",)
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.total = 0
-        self.counts: Dict[str, int] = {p: 0 for p in self.providers}
-
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        self.total += len(view)
-        for provider in self.providers:
-            self.counts[provider] += int(
-                (attribution.providers == provider).sum()
-            )
-
-    def merge(self, other: "ProviderShareAggregator") -> None:
-        _require_same_config(self, other)
-        self.total += other.total
-        for provider in self.providers:
-            self.counts[provider] += other.counts[provider]
-
-    def state(self):
-        return {"total": self.total, "counts": dict(self.counts)}
+    def exact_state(self):
+        sums = self.table.sums("label")
+        return {
+            "total": sum(sums.values()),
+            "counts": {p: sums.get(p, 0) for p in self.providers},
+        }
 
     def finalize(self) -> Dict[str, float]:
-        if self.total == 0:
-            return {p: 0.0 for p in self.providers}
-        return {
-            p: float(self.counts[p]) / self.total for p in self.providers
-        }
+        state = self.exact_state()
+        total = state["total"]
+        return {p: float(n) / total if total else 0.0 for p, n in state["counts"].items()}
 
 
 class RRTypeMixAggregator(StreamingAggregator):
     """Figures 2/3: per-provider query counts by qtype value."""
 
     name = "rrtype_mix"
+    key = ("label", "qtype")
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.totals: Dict[str, int] = {p: 0 for p in self.providers}
-        self.by_qtype: Dict[str, Counter] = {p: Counter() for p in self.providers}
-
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        for provider in self.providers:
-            qtypes = view.qtype[attribution.provider_mask(provider)]
-            if not len(qtypes):
-                continue
-            self.totals[provider] += len(qtypes)
-            values, counts = np.unique(qtypes, return_counts=True)
-            bucket = self.by_qtype[provider]
-            for value, count in zip(values, counts):
-                bucket[int(value)] += int(count)
-
-    def merge(self, other: "RRTypeMixAggregator") -> None:
-        _require_same_config(self, other)
-        for provider in self.providers:
-            self.totals[provider] += other.totals[provider]
-            self.by_qtype[provider].update(other.by_qtype[provider])
-
-    def state(self):
-        return {
-            "totals": dict(self.totals),
-            "by_qtype": {p: dict(c) for p, c in self.by_qtype.items()},
-        }
-
-    def count(self, provider: str, rrtype: int) -> int:
-        return self.by_qtype[provider].get(int(rrtype), 0)
+    def exact_state(self):
+        by_qtype = self._histograms(self.table.sums(*self.key))
+        totals = {p: sum(counts.values()) for p, counts in by_qtype.items()}
+        return {"totals": totals, "by_qtype": by_qtype}
 
     def finalize(self) -> Dict[str, Dict[int, int]]:
-        return {p: dict(sorted(self.by_qtype[p].items())) for p in self.providers}
+        by_qtype = self.exact_state()["by_qtype"]
+        return {p: dict(sorted(counts.items())) for p, counts in by_qtype.items()}
+
+
+def _junk(key) -> bool:
+    return key[-1] != int(RCode.NOERROR)
 
 
 class JunkAggregator(StreamingAggregator):
     """Figure 4: non-NOERROR counts, per provider and overall."""
 
     name = "junk"
+    key = ("label", "rcode")
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.total = 0
-        self.junk_total = 0
-        self.provider_totals: Dict[str, int] = {p: 0 for p in self.providers}
-        self.provider_junk: Dict[str, int] = {p: 0 for p in self.providers}
-
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        junk_mask = view.rcode != int(RCode.NOERROR)
-        self.total += len(view)
-        self.junk_total += int(junk_mask.sum())
-        for provider in self.providers:
-            mask = attribution.provider_mask(provider)
-            self.provider_totals[provider] += int(mask.sum())
-            self.provider_junk[provider] += int((junk_mask & mask).sum())
-
-    def merge(self, other: "JunkAggregator") -> None:
-        _require_same_config(self, other)
-        self.total += other.total
-        self.junk_total += other.junk_total
-        for provider in self.providers:
-            self.provider_totals[provider] += other.provider_totals[provider]
-            self.provider_junk[provider] += other.provider_junk[provider]
-
-    def state(self):
+    def exact_state(self):
+        sums = self.table.sums(*self.key)
         return {
-            "total": self.total,
-            "junk_total": self.junk_total,
-            "provider_totals": dict(self.provider_totals),
-            "provider_junk": dict(self.provider_junk),
+            "total": sum(sums.values()),
+            "junk_total": sum(n for key, n in sums.items() if _junk(key)),
+            "provider_totals": self._per_provider(sums),
+            "provider_junk": self._per_provider(sums, _junk),
         }
 
     def finalize(self) -> Dict[str, float]:
-        return {
-            p: (
-                float(self.provider_junk[p]) / self.provider_totals[p]
-                if self.provider_totals[p]
-                else 0.0
-            )
-            for p in self.providers
-        }
-
-    def overall(self) -> float:
-        """Vantage-wide junk ratio."""
-        if self.total == 0:
-            return 0.0
-        return self.junk_total / self.total
+        state = self.exact_state()
+        totals, junk = state["provider_totals"], state["provider_junk"]
+        return {p: float(junk[p]) / totals[p] if totals[p] else 0.0 for p in totals}
 
 
 class TransportAggregator(StreamingAggregator):
     """Table 5: per-provider family and transport counts."""
 
     name = "transport"
+    key = ("label", "family", "transport")
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.totals: Dict[str, int] = {p: 0 for p in self.providers}
-        self.v6: Dict[str, int] = {p: 0 for p in self.providers}
-        self.tcp: Dict[str, int] = {p: 0 for p in self.providers}
-
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        for provider in self.providers:
-            mask = attribution.provider_mask(provider)
-            total = int(mask.sum())
-            if not total:
-                continue
-            self.totals[provider] += total
-            self.v6[provider] += int((view.family[mask] == 6).sum())
-            self.tcp[provider] += int(
-                (view.transport[mask] == int(Transport.TCP)).sum()
-            )
-
-    def merge(self, other: "TransportAggregator") -> None:
-        _require_same_config(self, other)
-        for provider in self.providers:
-            self.totals[provider] += other.totals[provider]
-            self.v6[provider] += other.v6[provider]
-            self.tcp[provider] += other.tcp[provider]
-
-    def state(self):
+    def exact_state(self):
+        sums = self.table.sums(*self.key)
         return {
-            "totals": dict(self.totals),
-            "v6": dict(self.v6),
-            "tcp": dict(self.tcp),
+            "totals": self._per_provider(sums),
+            "v6": self._per_provider(sums, lambda key: key[1] == 6),
+            "tcp": self._per_provider(sums, lambda key: key[2] == int(Transport.TCP)),
         }
 
     def finalize(self) -> Dict[str, Tuple[int, int, int]]:
-        return {
-            p: (self.totals[p], self.v6[p], self.tcp[p]) for p in self.providers
-        }
+        state = self.exact_state()
+        return {p: (n, state["v6"][p], state["tcp"][p]) for p, n in state["totals"].items()}
+
+
+@lru_cache(maxsize=1 << 16)
+def _is_public(prefixes: Tuple[str, ...], key: Tuple[int, int, int]) -> bool:
+    """Whether a source lies in the advertised prefixes: a pure function of
+    the address, so a bounded memo serves every table."""
+    from .google_split import build_public_dns_trie
+
+    return build_public_dns_trie(prefixes).lookup_value(join_address(*key)) is not None
 
 
 class GoogleSplitAggregator(StreamingAggregator):
     """Tables 4/7: Public-DNS vs rest split of Google's traffic, by
     Google's advertised Public DNS egress prefixes
-    (:data:`~repro.clouds.GOOGLE_PUBLIC_DNS_PREFIXES`).
-
-    Membership of an address in those prefixes is a pure function of the
-    address, so the per-address cache and the trie are rebuilt on demand
-    and excluded from pickled state.
-    """
+    (:data:`~repro.clouds.GOOGLE_PUBLIC_DNS_PREFIXES`), which a source's
+    membership in is decided when the table is read."""
 
     name = "google_split"
+    key = SOURCE
     provider = "Google"
     public_prefixes = GOOGLE_PUBLIC_DNS_PREFIXES
-
-    def __init__(self):
-        self.total_queries = 0
-        self.public_queries = 0
-        self.addresses: Set[AddressKey] = set()
-        self.public_addresses: Set[AddressKey] = set()
-        self._trie = None
-        self._member_cache: Dict[AddressKey, bool] = {}
 
     def config(self) -> tuple:
         return (self.provider, self.public_prefixes)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_trie"] = None
-        state["_member_cache"] = {}
-        return state
+    def where(self, view, attribution):
+        return attribution.provider_mask(self.provider)
 
-    def _is_public(self, key: AddressKey) -> bool:
-        hit = self._member_cache.get(key)
-        if hit is None:
-            if self._trie is None:
-                from .google_split import build_public_dns_trie
-
-                self._trie = build_public_dns_trie(self.public_prefixes)
-            hit = self._trie.lookup_value(join_address(*key)) is not None
-            self._member_cache[key] = hit
-        return hit
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        mask = attribution.provider_mask(self.provider)
-        if not mask.any():
-            return
-        keys = view.address_keys(mask)
-        unique, counts = np.unique(keys, return_counts=True)
-        for row, count in zip(unique, counts):
-            key = (int(row["f"]), int(row["h"]), int(row["l"]))
-            self.addresses.add(key)
-            self.total_queries += int(count)
-            if self._is_public(key):
-                self.public_addresses.add(key)
-                self.public_queries += int(count)
-
-    def merge(self, other: "GoogleSplitAggregator") -> None:
-        _require_same_config(self, other)
-        self.total_queries += other.total_queries
-        self.public_queries += other.public_queries
-        self.addresses |= other.addresses
-        self.public_addresses |= other.public_addresses
-
-    def state(self):
+    def exact_state(self):
+        rows = self.table.rows()
+        addresses = list(zip(*(rows[name].tolist() for name in SOURCE)))
+        public = [_is_public(self.public_prefixes, key) for key in addresses]
+        counts = rows["n"].tolist()
         return {
-            "total_queries": self.total_queries,
-            "public_queries": self.public_queries,
-            "addresses": sorted(self.addresses),
-            "public_addresses": sorted(self.public_addresses),
+            "total_queries": sum(counts),
+            "public_queries": sum(compress(counts, public)),
+            "addresses": sorted(addresses),
+            "public_addresses": sorted(compress(addresses, public)),
         }
 
     def finalize(self):
         from .google_split import GoogleSplit
 
+        state = self.exact_state()
+        total, public = len(state["addresses"]), len(state["public_addresses"])
         return GoogleSplit(
-            total_queries=self.total_queries,
-            public_queries=self.public_queries,
-            rest_queries=self.total_queries - self.public_queries,
-            total_resolvers=len(self.addresses),
-            public_resolvers=len(self.public_addresses),
-            rest_resolvers=len(self.addresses - self.public_addresses),
+            total_queries=state["total_queries"],
+            public_queries=state["public_queries"],
+            rest_queries=state["total_queries"] - state["public_queries"],
+            total_resolvers=total,
+            public_resolvers=public,
+            rest_resolvers=total - public,
         )
 
 
@@ -378,110 +469,58 @@ class EDNSAggregator(StreamingAggregator):
     """
 
     name = "edns"
+    key = ("label", "bufsize", "tc")
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.udp_totals: Dict[str, int] = {p: 0 for p in self.providers}
-        self.truncated: Dict[str, int] = {p: 0 for p in self.providers}
-        self.sizes: Dict[str, Counter] = {p: Counter() for p in self.providers}
+    def where(self, view, attribution):
+        return view.transport == int(Transport.UDP)
 
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        udp_mask = view.transport == int(Transport.UDP)
-        for provider in self.providers:
-            mask = attribution.provider_mask(provider) & udp_mask
-            total = int(mask.sum())
-            if not total:
-                continue
-            self.udp_totals[provider] += total
-            self.truncated[provider] += int(view.truncated[mask].sum())
-            sizes = view.edns_bufsize[mask].astype(np.int64)
-            sizes = np.where(sizes == 0, 512, sizes)
-            values, counts = np.unique(sizes, return_counts=True)
-            bucket = self.sizes[provider]
-            for value, count in zip(values, counts):
-                bucket[int(value)] += int(count)
-
-    def merge(self, other: "EDNSAggregator") -> None:
-        _require_same_config(self, other)
-        for provider in self.providers:
-            self.udp_totals[provider] += other.udp_totals[provider]
-            self.truncated[provider] += other.truncated[provider]
-            self.sizes[provider].update(other.sizes[provider])
-
-    def state(self):
+    def exact_state(self):
+        sums = self.table.sums(*self.key)
         return {
-            "udp_totals": dict(self.udp_totals),
-            "truncated": dict(self.truncated),
-            "sizes": {p: dict(c) for p, c in self.sizes.items()},
+            "udp_totals": self._per_provider(sums),
+            "truncated": self._per_provider(sums, lambda key: key[2]),
+            "sizes": self._histograms(sums),
         }
 
-    def finalize_provider(self, provider: str):
-        """One provider's :class:`~repro.analysis.edns.BufsizeCDF`: the
+    def finalize(self):
+        """Per provider, its :class:`~repro.analysis.edns.BufsizeCDF`: the
         sorted distinct sizes and their query-weighted cumulative share."""
         from .edns import BufsizeCDF
 
-        bucket = self.sizes[provider]
-        if not bucket:
-            return BufsizeCDF(provider, np.array([], dtype=np.int64), np.array([]))
-        values = np.array(sorted(bucket), dtype=np.int64)
-        counts = np.array([bucket[v] for v in sorted(bucket)], dtype=np.intp)
-        return BufsizeCDF(provider, values, np.cumsum(counts) / counts.sum())
-
-    def finalize(self):
-        return {p: self.finalize_provider(p) for p in self.providers}
-
-    def truncation_ratio(self, provider: str) -> float:
-        total = self.udp_totals[provider]
-        if total == 0:
-            return 0.0
-        return float(self.truncated[provider]) / total
+        cdfs = {}
+        for provider, bucket in self.exact_state()["sizes"].items():
+            values = np.array(sorted(bucket), dtype=np.int64)
+            counts = np.array([bucket[v] for v in values.tolist()], dtype=np.intp)
+            cumulative = np.cumsum(counts) / counts.sum() if bucket else np.array([])
+            cdfs[provider] = BufsizeCDF(provider, values, cumulative)
+        return cdfs
 
 
 class SummaryAggregator(StreamingAggregator):
     """Table 3: totals, valid counts, distinct resolvers, distinct ASes."""
 
     name = "summary"
+    key = SOURCE + ("asn", "rcode")
 
-    def __init__(self):
-        self.total = 0
-        self.valid = 0
-        self.addresses: Set[AddressKey] = set()
-        self.asns: Set[int] = set()
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        self.total += len(view)
-        self.valid += int((view.rcode == int(RCode.NOERROR)).sum())
-        if len(view):
-            self.addresses |= _address_key_set(view)
-            routed = attribution.asns[attribution.asns != 0]
-            self.asns.update(int(a) for a in np.unique(routed))
-
-    def merge(self, other: "SummaryAggregator") -> None:
-        _require_same_config(self, other)
-        self.total += other.total
-        self.valid += other.valid
-        self.addresses |= other.addresses
-        self.asns |= other.asns
-
-    def state(self):
+    def exact_state(self):
+        rows = self.table.rows()
+        counts = rows["n"]
         return {
-            "total": self.total,
-            "valid": self.valid,
-            "addresses": sorted(self.addresses),
-            "asns": sorted(self.asns),
+            "total": int(counts.sum()),
+            "valid": int(counts[rows["rcode"] == int(RCode.NOERROR)].sum()),
+            "addresses": _addresses(rows),
+            "asns": sorted(set(rows["asn"].tolist()) - {0}),
         }
 
     def finalize(self):
         from .metrics import DatasetSummary
 
+        state = self.exact_state()
         return DatasetSummary(
-            queries_total=self.total,
-            queries_valid=self.valid,
-            resolvers=len(self.addresses),
-            ases=len(self.asns),
+            queries_total=state["total"],
+            queries_valid=state["valid"],
+            resolvers=len(state["addresses"]),
+            ases=len(state["asns"]),
         )
 
 
@@ -489,47 +528,28 @@ class InventoryAggregator(StreamingAggregator):
     """Table 6: distinct source addresses per provider and family."""
 
     name = "inventory"
+    key = ("label",) + SOURCE
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.v4: Dict[str, Set[AddressKey]] = {p: set() for p in self.providers}
-        self.v6: Dict[str, Set[AddressKey]] = {p: set() for p in self.providers}
-
-    def config(self) -> tuple:
-        return (self.providers,)
-
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        for provider in self.providers:
-            mask = attribution.provider_mask(provider)
-            if not mask.any():
-                continue
-            self.v4[provider] |= _address_key_set(view, mask & (view.family == 4))
-            self.v6[provider] |= _address_key_set(view, mask & (view.family == 6))
-
-    def merge(self, other: "InventoryAggregator") -> None:
-        _require_same_config(self, other)
-        for provider in self.providers:
-            self.v4[provider] |= other.v4[provider]
-            self.v6[provider] |= other.v6[provider]
-
-    def state(self):
+    def exact_state(self):
+        rows = self.table.rows()
         return {
-            "v4": {p: sorted(s) for p, s in self.v4.items()},
-            "v6": {p: sorted(s) for p, s in self.v6.items()},
+            f"v{family}": {
+                p: _addresses(rows, (rows["label"] == p) & (rows["family"] == family))
+                for p in self.providers
+            }
+            for family in (4, 6)
         }
 
     def finalize(self):
         from .metrics import InventoryRow
 
-        return {
-            p: InventoryRow(
-                p,
-                len(self.v4[p]) + len(self.v6[p]),
-                len(self.v4[p]),
-                len(self.v6[p]),
-            )
-            for p in self.providers
-        }
+        rows = self.table.rows()
+        inventory = {}
+        for provider in self.providers:
+            families = rows["family"][rows["label"] == provider]
+            v4, v6 = int((families == 4).sum()), int((families == 6).sum())
+            inventory[provider] = InventoryRow(provider, v4 + v6, v4, v6)
+        return inventory
 
 
 class QMinAggregator(StreamingAggregator):
@@ -537,50 +557,17 @@ class QMinAggregator(StreamingAggregator):
     provider's NS-query qnames (depth = dot count of the absolute name)."""
 
     name = "qmin"
+    key = ("label", "ns_depth")
 
-    def __init__(self, providers: Sequence[str]):
-        self.providers = tuple(providers)
-        self.ns_depths: Dict[str, Counter] = {p: Counter() for p in self.providers}
+    def where(self, view, attribution):
+        return view.qtype == int(RRType.NS)
 
-    def config(self) -> tuple:
-        return (self.providers,)
+    def exact_state(self):
+        return {"ns_depths": self._histograms(self.table.sums(*self.key))}
 
-    def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
-        ns_mask = view.qtype == int(RRType.NS)
-        if not ns_mask.any():
-            return
-        for provider in self.providers:
-            qnames = view.qname[attribution.provider_mask(provider) & ns_mask]
-            if not len(qnames):
-                continue
-            depths = self.ns_depths[provider]
-            for name in qnames:
-                depths[name.count(".")] += 1
-
-    def merge(self, other: "QMinAggregator") -> None:
-        _require_same_config(self, other)
-        for provider in self.providers:
-            self.ns_depths[provider].update(other.ns_depths[provider])
-
-    def state(self):
-        return {"ns_depths": {p: dict(c) for p, c in self.ns_depths.items()}}
-
-    def finalize(self):
-        return {p: dict(sorted(self.ns_depths[p].items())) for p in self.providers}
-
-    def minimized_fraction(
-        self, provider: str, zone_label_count: int, max_cut_depth: int = 1
-    ) -> float:
-        """Fraction of the provider's NS queries exactly ``1..max_cut_depth``
-        labels below the zone: a minimised query is stripped to a
-        registration cut.  Absolute names carry one dot per label."""
-        depths = self.ns_depths[provider]
-        total = sum(depths.values())
-        if total == 0:
-            return 0.0
-        allowed = {zone_label_count + 1 + depth for depth in range(max_cut_depth)}
-        hits = sum(count for dots, count in depths.items() if dots in allowed)
-        return hits / total
+    def finalize(self) -> Dict[str, Dict[int, int]]:
+        depths = self.exact_state()["ns_depths"]
+        return {p: dict(sorted(counts.items())) for p, counts in depths.items()}
 
 
 def _sovereignty_factory(providers):
@@ -606,9 +593,9 @@ AGGREGATOR_FACTORIES: Dict[str, Callable] = {
     RRTypeMixAggregator.name: RRTypeMixAggregator,
     JunkAggregator.name: JunkAggregator,
     TransportAggregator.name: TransportAggregator,
-    GoogleSplitAggregator.name: lambda providers: GoogleSplitAggregator(),
+    GoogleSplitAggregator.name: GoogleSplitAggregator,
     EDNSAggregator.name: EDNSAggregator,
-    SummaryAggregator.name: lambda providers: SummaryAggregator(),
+    SummaryAggregator.name: SummaryAggregator,
     InventoryAggregator.name: InventoryAggregator,
     QMinAggregator.name: QMinAggregator,
     "sovereignty": _sovereignty_factory,
@@ -638,9 +625,9 @@ class AggregateSet:
         from .facebook import FacebookSiteAggregator
         from .rssac import RSSACAggregator
 
-        self.concentration = ConcentrationAggregator()
-        self.facebook_sites = FacebookSiteAggregator()
-        self.rssac = RSSACAggregator()
+        self.concentration = ConcentrationAggregator(self.providers)
+        self.facebook_sites = FacebookSiteAggregator(self.providers)
+        self.rssac = RSSACAggregator(self.providers)
 
     def __getitem__(self, name: str) -> StreamingAggregator:
         return self.aggregators[name]
@@ -667,8 +654,7 @@ class AggregateSet:
 
     def publish_metrics(self, metrics) -> None:
         """Let every aggregator that exposes telemetry roll its counters
-        into the registry (``analysis.*``); exact-only aggregators have
-        nothing to publish and are skipped."""
+        into the registry (``analysis.*``), once, from the merged state."""
         for aggregator in self.aggregators.values():
             publish = getattr(aggregator, "publish_metrics", None)
             if publish is not None:

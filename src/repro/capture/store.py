@@ -127,18 +127,6 @@ class CaptureView:
             }
         )
 
-    # -- aggregation ------------------------------------------------------------
-
-    def address_keys(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Composite (family, hi, lo) keys as a structured array, for
-        distinct-resolver counting."""
-        family = self.family if mask is None else self.family[mask]
-        hi = self.src_hi if mask is None else self.src_hi[mask]
-        lo = self.src_lo if mask is None else self.src_lo[mask]
-        out = np.empty(len(family), dtype=[("f", "u1"), ("h", "u8"), ("l", "u8")])
-        out["f"], out["h"], out["l"] = family, hi, lo
-        return out
-
 
 #: Upper-inclusive response-size bucket edges (bytes): the DNS-relevant
 #: landmarks — minimal responses, the 512-byte classic limit, common EDNS0

@@ -450,10 +450,7 @@ def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTa
             aggregates.feed(view, attributor.attribute(view))
             chunks.append(view if task.spool_dir is None else spool.write_view(view))
             row_counts.append(len(view))
-        # Cut the RSSAC source keys a fold leaves pending down once, here.
-        aggregates.rssac.distinct_sources()
     metrics.counter("runtime.rows_folded").inc(aggregates.rows_fed)
-    aggregates.publish_metrics(metrics)
     if task.spool_dir is not None:
         metrics.counter("capture.spool.chunks").inc(len(chunks))
         metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
@@ -666,6 +663,9 @@ def _assemble(
             spool.adopt(result.chunks, result.chunk_row_counts)
             metrics.merge_snapshot(result.telemetry)
         capture = SpooledCapture(spool, rows_appended)
+    # Once, from the merged state: a shard's tally of the distinct values
+    # it saw (countries, tracked names) does not add up across shards.
+    aggregates.publish_metrics(metrics)
     # A stub gauge (see ``_REMOVED_KEYWORDS``): 1 exactly when chunks spilled.
     metrics.gauge("runtime.stream.enabled").set(1 if spool.chunk_paths() else 0)
     resolve_s = metrics.phase_seconds("resolve")

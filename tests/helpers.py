@@ -52,6 +52,11 @@ def view_digest(view):
     return hashed.hexdigest()
 
 
+def sources(view):
+    """The view's distinct (family, hi64, lo64) source addresses."""
+    return set(zip(view.family.tolist(), view.src_hi.tolist(), view.src_lo.tolist()))
+
+
 def assert_views_equal(a, b):
     """Column-for-column equality of two capture views, dtypes included."""
     assert len(a) == len(b)
@@ -72,11 +77,10 @@ def sim_counters(snapshot):
     """The simulation-facing counters: everything but the ``runtime.*``
     bookkeeping (backend, world stores, plan caches), the ``capture.spool.*``
     chunk accounting, :data:`SHARD_ROUNDED` and the ``analysis.*``
-    counters.  Every shard publishes those for its own fold, and some are
-    tallies of the distinct values it saw (the sketch's updates, evictions
-    and tracked items, the sovereignty cut's countries), so their sum moves
-    with the worker count: with them kept, every oracle case's one-worker
-    rows and two-worker rows give two different digests."""
+    counters.  Those are published once, from the merged state, but the
+    sketch's updates and evictions still sum what each shard fed, so they
+    move with the worker count; and the digests were recorded without any
+    of them, so keeping the rest would move every counters literal."""
     return {
         key: value for key, value in snapshot.counters.items()
         if not key.startswith(("runtime.", "capture.spool.", "analysis."))

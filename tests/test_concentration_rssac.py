@@ -28,7 +28,8 @@ def attribution_of(asns, providers=None):
         providers = np.array(["Other"] * len(asns), dtype=object)
     else:
         providers = np.asarray(providers, dtype=object)
-    return AttributionResult(providers=providers, asns=asns)
+    countries = np.array(["ZZ"] * len(asns), dtype=object)
+    return AttributionResult(providers=providers, asns=asns, countries=countries)
 
 
 class TestConcentration:
@@ -118,7 +119,7 @@ def rssac_of(*records):
     """An RSSAC aggregator fed one hand-built store of ``records``."""
     store = CaptureStore()
     store.extend(records)
-    aggregator = RSSACAggregator()
+    aggregator = RSSACAggregator(PROVIDERS)
     aggregator.feed(store.view(), None)
     return aggregator
 
@@ -126,7 +127,7 @@ def rssac_of(*records):
 class TestRSSAC:
     def test_daily_split(self):
         aggregator = rssac_of(rec(0), rec(0), rec(1))
-        assert [row[0] for row in aggregator.state()["counts"].values()] == [2, 1]
+        assert [row[0] for row in aggregator.exact_state()["counts"].values()] == [2, 1]
         summary = aggregator.finalize()
         assert summary.days == 2
         assert summary.peak_daily_queries == 2
@@ -149,7 +150,7 @@ class TestRSSAC:
             rec(0, src_index=1), rec(0, src_index=1), rec(0, src_index=2),
             rec(1, src_index=1),
         )
-        assert [len(s) for s in aggregator.state()["sources"].values()] == [2, 1]
+        assert [len(s) for s in aggregator.exact_state()["sources"].values()] == [2, 1]
         assert aggregator.finalize().unique_sources_peak == 2
 
     def test_summary(self):

@@ -45,12 +45,11 @@ def attribution_of(run):
 def brute_force_sovereignty(view, attribution):
     """Row-at-a-time exact recount of the sovereignty state."""
     queries, response_bytes, labels = Counter(), Counter(), Counter()
-    countries = attribution.country_labels
     for i in range(len(view)):
-        country = str(countries[i])
+        country = str(attribution.countries[i])
         queries[country] += 1
         response_bytes[country] += int(view.response_size[i])
-        labels[(country, str(attribution.providers[i]))] += 1
+        labels[f"{country}|{attribution.providers[i]}"] += 1
     return queries, response_bytes, labels
 
 
@@ -126,21 +125,21 @@ class TestClassifier:
 class TestSovereigntyParity:
     def test_streaming_equals_brute_force(self, workers_fixture, request, mem_run):
         run = request.getfixturevalue(workers_fixture)
-        aggregator = run.aggregates["sovereignty"]
+        state = run.aggregates["sovereignty"].exact_state()
         view, attribution = attribution_of(mem_run)
         queries, response_bytes, labels = brute_force_sovereignty(view, attribution)
-        assert aggregator.total == len(view)
-        assert dict(aggregator.query_counts) == dict(queries)
-        assert dict(aggregator.byte_counts) == dict(response_bytes)
-        assert dict(aggregator.label_counts) == dict(labels)
+        assert state["total"] == len(view)
+        assert state["query_counts"] == dict(queries)
+        assert state["byte_counts"] == dict(response_bytes)
+        assert state["label_counts"] == dict(labels)
 
     def test_composition_equals_brute_force(self, workers_fixture, request, mem_run):
         run = request.getfixturevalue(workers_fixture)
-        aggregator = run.aggregates["composition"]
+        state = run.aggregates["composition"].exact_state()
         expected = brute_force_composition(mem_run.capture.view())
-        assert aggregator.total == sum(expected.values())
+        assert state["total"] == sum(expected.values())
         for category in CATEGORIES:
-            assert aggregator.category_counts[category] == expected.get(category, 0)
+            assert state["category_counts"][category] == expected.get(category, 0)
 
     def test_heavy_hitter_bounds_contain_truth(self, workers_fixture, request, mem_run):
         run = request.getfixturevalue(workers_fixture)
@@ -172,16 +171,16 @@ class TestChaosParity:
     def test_chaos_sovereignty_equals_brute_force(self, chaos_mem_run, chaos_pooled_run):
         view, attribution = attribution_of(chaos_mem_run)
         queries, response_bytes, labels = brute_force_sovereignty(view, attribution)
-        aggregator = chaos_pooled_run.aggregates["sovereignty"]
-        assert dict(aggregator.query_counts) == dict(queries)
-        assert dict(aggregator.byte_counts) == dict(response_bytes)
-        assert dict(aggregator.label_counts) == dict(labels)
+        state = chaos_pooled_run.aggregates["sovereignty"].exact_state()
+        assert state["query_counts"] == dict(queries)
+        assert state["byte_counts"] == dict(response_bytes)
+        assert state["label_counts"] == dict(labels)
 
     def test_chaos_composition_equals_brute_force(self, chaos_mem_run, chaos_pooled_run):
         expected = brute_force_composition(chaos_mem_run.capture.view())
-        aggregator = chaos_pooled_run.aggregates["composition"]
+        state = chaos_pooled_run.aggregates["composition"].exact_state()
         for category in CATEGORIES:
-            assert aggregator.category_counts[category] == expected.get(category, 0)
+            assert state["category_counts"][category] == expected.get(category, 0)
 
 
 class TestFacadeParity:
@@ -225,8 +224,29 @@ class TestFleetCountryFix:
 
     def test_attributed_countries_are_real(self, mem_run):
         __, attribution = attribution_of(mem_run)
-        observed = set(map(str, attribution.country_labels))
+        observed = set(map(str, attribution.countries))
         assert observed <= (GAZETTEER_COUNTRIES | {"ZZ", "US"})
         assert len(observed & GAZETTEER_COUNTRIES) > 3, (
             "expected a spread of real countries from the background fleet"
         )
+
+
+#: ``analysis.*`` counters that still move with the chunking: each shard's
+#: sketch counts the updates and evictions of its own rows.
+CHUNKING_DEPENDENT = {"analysis.sketch.space_saving.updates",
+                      "analysis.sketch.space_saving.evictions",
+                      "analysis.sketch.countmin.updates"}
+
+
+def test_analysis_counters_come_from_merged_state():
+    """One worker and two read the same: published once, after the merge."""
+    def analysis_counters(workers):
+        run = run_dataset(dataset("nz-w2020"), client_queries=3000, seed=SEED,
+                          config=RunConfig(workers=workers))
+        return {name: value for name, value in run.telemetry.counters.items()
+                if name.startswith("analysis.") and name not in CHUNKING_DEPENDENT}
+
+    serial = analysis_counters(1)
+    assert set(serial) == {"analysis.sovereignty.rows", "analysis.sovereignty.countries",
+                           "analysis.composition.rows", "analysis.sketch.space_saving.items"}
+    assert analysis_counters(2) == serial

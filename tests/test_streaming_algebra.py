@@ -1,21 +1,18 @@
 """Aggregator algebra: the merge laws the streaming runtime relies on.
 
-The sharded streaming pipeline is only correct if, for every registered
-aggregator, (1) feeding a capture partition-by-partition equals feeding it
-whole, (2) merge is order-insensitive, and (3) merge is associative — the
-parent may then fold shard states in any grouping and still match a serial
-single-pass fold.  These properties are checked against the canonical
-``exact_state()`` snapshot for every entry in ``AGGREGATOR_FACTORIES``, so
-a new aggregator gets algebra coverage just by registering itself — and
-for the per-AS concentration counts, the Facebook site rows and the
-RSSAC days every ``AggregateSet`` folds beside that registry.
+Every metric is declared keys over one count table (``CountTable``), and
+the sharded pipeline is only correct if (1) feeding a capture
+partition-by-partition equals feeding it whole, (2) merge is
+order-insensitive, and (3) merge is associative.  The table is held to
+the reference those laws stand for: folded in random partitions and
+merged in random orders, it is the ``collections.Counter`` of its rows.
+Per metric, they are checked on its ``exact_state()`` for every registered
+metric and the three every ``AggregateSet`` folds beside the registry.
 
-For fully-exact aggregators ``exact_state()`` *is* ``state()``.  The
-composition aggregator additionally carries an approximate space-saving
-summary whose merge is deliberately lossy; for it the algebra tests
-assert the bound contract instead — after any partitioning/merge order,
-every name's true count still falls inside the summary's certified
-``bounds()`` bracket.
+The composition metric also carries a space-saving summary, fed beside
+its table, whose merge is deliberately lossy; for it the tests assert the
+bound contract instead — after any partitioning/merge order, every
+name's true count still falls inside the summary's ``bounds()`` bracket.
 """
 
 from collections import Counter
@@ -26,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AggregateSet, ConcentrationAggregator
 from repro.analysis import FacebookSiteAggregator, RSSACAggregator
-from repro.analysis.attribution import OTHER, UNKNOWN, AttributionResult
-from repro.analysis.streaming import AGGREGATOR_FACTORIES, GoogleSplitAggregator
+from repro.analysis.attribution import OTHER, UNKNOWN, AttributionResult, factorize
+from repro.analysis.streaming import AGGREGATOR_FACTORIES, CountTable, GoogleSplitAggregator
 from repro.capture import CaptureStore, QueryRecord, Transport
 from repro.clouds import PROVIDERS
 from repro.netsim import IPAddress
@@ -118,9 +115,9 @@ def partition(view, cuts):
 #: concentration counts, the Facebook site rows and the RSSAC days.
 FACTORIES = {
     **AGGREGATOR_FACTORIES,
-    ConcentrationAggregator.name: lambda providers: ConcentrationAggregator(),
-    FacebookSiteAggregator.name: lambda providers: FacebookSiteAggregator(),
-    RSSACAggregator.name: lambda providers: RSSACAggregator(),
+    ConcentrationAggregator.name: ConcentrationAggregator,
+    FacebookSiteAggregator.name: FacebookSiteAggregator,
+    RSSACAggregator.name: RSSACAggregator,
 }
 
 
@@ -255,7 +252,7 @@ class TestAggregateSetAlgebra:
     def test_merge_all_of_nothing_is_empty(self):
         merged = AggregateSet.merge_all([])
         assert merged.rows_fed == 0
-        assert merged["summary"].state()["total"] == 0
+        assert merged["summary"].exact_state()["total"] == 0
 
     def test_mismatched_sets_refuse_to_merge(self):
         # The provider list is a set's one configuration: fewer, the same
@@ -264,3 +261,36 @@ class TestAggregateSetAlgebra:
         for providers in (PROVIDERS[:1], PROVIDERS[::-1], ("Google", "ExampleCloud")):
             with pytest.raises(ValueError, match="differently-configured"):
                 a.merge(AggregateSet(providers))
+
+
+#: One key column of each kind a table packs: narrow ones shifted in (two
+#: of 32 bits overflow the packed key), wide ones ranked, and strings; few
+#: values, far apart, so a key that lost high bits would collide.
+TABLE_KEY = {"tc": np.bool_, "a": np.uint32, "b": np.uint32,
+             "lo": np.uint64, "asn": np.int64, "country": object}
+table_row_st = st.tuples(
+    st.booleans(), *[st.sampled_from([0, 1, 2**31, 2**32 - 1])] * 2,
+    st.sampled_from([0, 2**63, 2**64 - 1]), st.sampled_from([-2**62, -1, 0, 2**62]),
+    st.sampled_from(COUNTRY_POOL),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(table_row_st, max_size=60), st.lists(st.integers(0, 60), max_size=4),
+       st.randoms())
+def test_count_table_is_the_counter_of_its_rows(rows, cuts, random):
+    bounds = sorted({0, len(rows), *(min(cut, len(rows)) for cut in cuts)})
+    tables = [CountTable(TABLE_KEY) for _ in bounds[1:]]
+    for table, start, stop in zip(tables, bounds, bounds[1:]):
+        columns = [np.array(column, dtype=dtype)
+                   for column, dtype in zip(zip(*rows[start:stop]), TABLE_KEY.values())]
+        columns[-1] = factorize(columns[-1])
+        table.fold(dict(zip(TABLE_KEY, columns)), {})
+    random.shuffle(tables)
+    merged = CountTable(TABLE_KEY)
+    for table in tables:
+        merged.merge(table)
+    folded = merged.rows()
+    keys = list(zip(*(folded[name].tolist() for name in TABLE_KEY)))
+    assert len(set(keys)) == len(keys)
+    assert Counter(dict(zip(keys, folded["n"].tolist()))) == Counter(rows)
