@@ -23,25 +23,21 @@ helper so availability and help text cannot drift.
 Chaos flags (see README "Chaos scenarios"): ``--chaos <scenario>`` runs
 the simulation under a named fault schedule (``--chaos-seed``, which
 needs ``--chaos``, varies the fault placement independently of ``--seed``).
-``repro dataset`` exits 3 when any shard failed outright unless
-``--allow-partial`` is given; ``repro experiments`` always does, and
-renders nothing.
 
 Where the capture lives (see README "Capture chunks and the one fold"):
-every run folds each capture chunk into single-pass aggregates in the
-shard that froze it; ``--spool-dir DIR`` then writes the chunks as files
-under ``DIR/<dataset_id>/`` instead of keeping them in memory.  Answers
-are bit-identical either way.
+every run folds each capture chunk into single-pass aggregates as it
+freezes it; ``--spool-dir DIR`` then writes the chunks as files under
+``DIR/<dataset_id>/`` instead of keeping them in memory.  Answers are
+bit-identical either way.
 
 Settings come from flags alone: nothing here reads the environment.  The
 flags of ``dataset`` and ``experiments`` are checked once, before anything
-is built, and folded into one :class:`~repro.config.RunConfig`
-(``--workers`` always means shard-level parallelism: every dataset
-simulated is split across the pool); a value that cannot run —
-``--workers 0``, ``--scale -1``, or ``--chaos-seed``
-without ``--chaos`` — is a usage error (exit 2) naming
-it.  So is an unknown dataset id and an output path that is a directory
-or whose directory does not exist.
+is built, and folded into one :class:`~repro.config.RunConfig`; a value
+that cannot run — ``--scale -1``, ``--chaos-seed`` without ``--chaos``, or
+a ``--workers`` other than 1 (every dataset runs in one process; the flag
+stays only for callers that still pass ``--workers 1``) — is a usage error
+(exit 2) naming it.  So is an unknown dataset id and an output path that
+is a directory or whose directory does not exist.
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-#: Exit code for a run with failed shards (without ``--allow-partial``).
-EXIT_PARTIAL = 3
 
 
 def _resolve_flags(args: argparse.Namespace) -> None:
@@ -66,10 +59,17 @@ def _resolve_flags(args: argparse.Namespace) -> None:
     """
     from .config import RunConfig, check_positive
 
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    if args.workers != 1:
+        raise ValueError(
+            f"--workers {args.workers}: shard parallelism was removed;"
+            " every dataset runs in one process (only --workers 1 runs)"
+        )
     if args.chaos_seed is not None and not args.chaos:
         raise ValueError(f"--chaos-seed {args.chaos_seed} needs --chaos SCENARIO")
     check_positive("scale", args.scale)
-    args.config = RunConfig(workers=args.workers, spool_dir=args.spool_dir)
+    args.config = RunConfig(spool_dir=args.spool_dir)
 
 
 #: Flags naming a file a command writes; its directory must already exist.
@@ -130,29 +130,6 @@ def _chaos_plan(args):
     return plan
 
 
-def _report_failures(report, prefix: str = "") -> None:
-    """Print the one error line naming a run report's failed shards."""
-    failed = ", ".join(
-        f"#{outcome.index} ({outcome.error})" for outcome in report.failed_shards
-    )
-    print(
-        f"ERROR: {prefix}{report.failures} shard(s) failed — capture is "
-        f"incomplete: {failed}",
-        file=sys.stderr,
-    )
-
-
-def _check_partial(report, allow_partial: bool) -> int:
-    """Exit code for a run report: 0, or EXIT_PARTIAL on shard failures."""
-    if report is None or not report.failures:
-        return 0
-    _report_failures(report)
-    if allow_partial:
-        print("continuing anyway (--allow-partial)", file=sys.stderr)
-        return 0
-    return EXIT_PARTIAL
-
-
 def _print_telemetry(snapshot, telemetry_out, title: str) -> None:
     """Stderr summary + optional JSON export, shared by the commands."""
     from .telemetry import format_summary
@@ -211,9 +188,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     run = run_dataset(
         descriptor, client_queries=volume, seed=args.seed, config=args.config
     )
-    if run.runtime_report is not None:
-        print(f"runtime: {run.runtime_report.summary()}", file=sys.stderr)
-    partial_exit = _check_partial(run.runtime_report, args.allow_partial)
     analytics = DatasetAnalytics.of(run)
     summary = analytics.dataset_summary()
     telemetry = run.telemetry
@@ -274,24 +248,18 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         count = write_csv(run.capture, args.out)
         print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     _print_telemetry(telemetry, args.telemetry_out, title=args.dataset_id)
-    return partial_exit
+    return 0
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from .experiments import ExperimentContext
-    from .experiments.context import IncompleteRunError
     from .experiments.render_all import run_and_render
 
     ctx = ExperimentContext(
         scale=args.scale, seed=args.seed, fault_plan=_chaos_plan(args),
         config=args.config,
     )
-    try:
-        content = run_and_render(ctx)
-    except IncompleteRunError as error:
-        # Nothing is rendered from an incomplete capture.
-        _report_failures(error.report, prefix=f"{error.dataset_id}: ")
-        return EXIT_PARTIAL
+    content = run_and_render(ctx)
     if args.write:
         with open(args.write, "w") as handle:
             handle.write(content)
@@ -326,8 +294,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser, scale_default: str) -> None:
     parser.add_argument("--telemetry-out", metavar="PATH",
                         help="write the run's telemetry snapshot as JSON")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sharded execution"
-                             " (default: 1 = serial)")
+                        help="removed: every dataset runs in one process;"
+                             " only 1 (the default) is accepted")
     parser.add_argument("--chaos", metavar="SCENARIO", default=None,
                         help="run under a named fault schedule (see"
                              " 'repro chaos'; default: none)")
@@ -365,9 +333,6 @@ def main(argv=None) -> int:
     p_dataset.add_argument("--composition", action="store_true",
                            help="print the query-composition taxonomy and"
                                 " sketch-backed heavy hitters")
-    p_dataset.add_argument("--allow-partial", action="store_true",
-                           help="exit 0 even when shards failed and the"
-                                " capture is incomplete")
     p_dataset.set_defaults(func=_cmd_dataset)
 
     p_exp = sub.add_parser("experiments", help="run all paper experiments")

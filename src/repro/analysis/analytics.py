@@ -4,9 +4,8 @@ Experiments ask an :class:`ExperimentContext` for a dataset's
 ``analytics()`` and call metric methods on it.  There is one table shape
 — the :class:`~repro.analysis.streaming.CountTable` each metric of
 :class:`~repro.analysis.streaming.AggregateSet` declares its keys over —
-and one fold: every simulated run's shards feed it chunk by chunk while
-freezing their captures, and the run carries the merged state as
-``run.aggregates``.  :class:`DatasetAnalytics` reads each metric's
+and one fold: every simulated run feeds it chunk by chunk while freezing
+its capture, and carries the folded state as ``run.aggregates``.  :class:`DatasetAnalytics` reads each metric's
 rendered table or its ``finalize()`` result, never a metric's fields —
 :meth:`~DatasetAnalytics.of` a run, or :meth:`~DatasetAnalytics.over` a
 view and its attribution, fed once at construction (a hand-built capture
@@ -65,8 +64,8 @@ class DatasetAnalytics:
 
     @classmethod
     def of(cls, run) -> "DatasetAnalytics":
-        """The facade for a :class:`~repro.sim.DatasetRun`: the state its
-        shards folded (Table 1's providers)."""
+        """The facade for a :class:`~repro.sim.DatasetRun`: the state it
+        folded (Table 1's providers)."""
         return cls(run.aggregates)
 
     def _check_providers(self, providers: Sequence[str]) -> None:
@@ -222,7 +221,7 @@ class DatasetAnalytics:
 
     def concentration(self) -> ConcentrationReport:
         """Per-AS concentration indices (HHI, CR-n, Gini) of the whole
-        capture, from the merged per-AS counts; exact."""
+        capture, from the folded per-AS counts; exact."""
         return self.aggregates.concentration.finalize()
 
     def facebook_sites(

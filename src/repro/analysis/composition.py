@@ -150,8 +150,9 @@ class CompositionAggregator(StreamingAggregator):
     :meth:`exact_state` renders it (plus the count-min table, whose merge
     is also exact) so the registry-wide property tests can assert
     bit-equality.  The space-saving summary is fed beside the table and
-    deliberately excluded there: its merge is sound (bounds always
-    bracket the truth — asserted in ``tests/test_sketches.py``) but not
+    deliberately excluded there: what it tracks depends on where the
+    chunk boundaries fell, and its merge is sound (bounds always bracket
+    the truth — asserted in ``tests/test_sketches.py``) but not
     information-preserving.
     """
 
@@ -180,7 +181,7 @@ class CompositionAggregator(StreamingAggregator):
             self.name_counts.feed_many(names, counts)
 
     def exact_state(self):
-        """The partition-invariant part of the state: taxonomy counters
+        """The chunking-invariant part of the state: taxonomy counters
         and the count-min table (both merge exactly)."""
         sums = self.table.sums(*self.key)
         category_counts = dict.fromkeys(CATEGORIES, 0)

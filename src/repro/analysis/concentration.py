@@ -14,7 +14,7 @@ per-AS query distribution of a capture:
 
 These are the natural "future work" extension of the paper: a single
 scalar tracking centralization across vantages and years.  Every run
-folds the per-AS counts in its shards (:class:`ConcentrationAggregator`),
+folds the per-AS counts as it freezes its capture (:class:`ConcentrationAggregator`),
 the reduction Boeira et al. apply per jurisdiction.
 """
 
@@ -114,8 +114,8 @@ def provider_group_concentration(
 
 class ConcentrationAggregator(StreamingAggregator):
     """The per-AS query counts behind :func:`concentration`: a table keyed
-    by routed origin AS, so the indices of a merged state are those of the
-    whole capture, bit for bit."""
+    by routed origin AS, so the indices of a chunk-by-chunk fold are those
+    of the whole capture, bit for bit."""
 
     name = "concentration"
     key = ("asn",)

@@ -11,9 +11,9 @@ The paper's pipeline, reproduced step by step:
 
 The output reproduces Figure 5a (per-site v4/v6 query distribution) and
 Figure 5b (per-site IPv6 query ratio vs median RTTs, per server).  Every
-run folds the Facebook rows in its shards
+run folds the Facebook rows as it freezes its capture
 (:class:`FacebookSiteAggregator`, one count table); steps 1-4 run on the
-merged state.
+folded state.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class FacebookSiteAggregator(StreamingAggregator):
     source address and TCP-handshake RTT (NaN for a row without one).
 
     :meth:`finalize` classifies each distinct address once, after the
-    merge; a site's median RTT is taken over the same multiset of RTTs
+    fold; a site's median RTT is taken over the same multiset of RTTs
     however the rows were chunked, so it is exact.
     """
 

@@ -5,7 +5,8 @@ publish RSSAC002 measurements.  This module computes the corresponding
 aggregates from a capture: per-day traffic volume by transport and address
 family, NXDOMAIN share, and unique-source counts — the same report a root
 operator would publish for a simulated letter.  Every run folds the
-per-day counts in its shards (:class:`RSSACAggregator`, one count table).
+per-day counts as it freezes its capture (:class:`RSSACAggregator`, one
+count table).
 """
 
 from __future__ import annotations

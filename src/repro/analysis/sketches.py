@@ -1,37 +1,38 @@
-"""Mergeable frequency sketches: space-saving top-k and count-min.
+"""Frequency sketches: space-saving top-k and count-min.
 
-The streaming registry (PR 5) has so far held only *exact* aggregator
-state — counters, sets, histograms whose merge algebra is trivially
-lossless.  Heavy-hitter detection over query names breaks that pattern:
-the distinct-name universe grows with volume (junk names are random), so
-any exact top-k state is unbounded.  These two classic sketches bound the
-state while keeping guarantees strong enough to *assert in tests*:
+Heavy-hitter detection over query names is the one approximate state the
+analysis layer keeps: the distinct-name universe grows with volume (junk
+names are random), so any exact top-k state is unbounded.  These two
+classic sketches bound the state while keeping guarantees strong enough
+to *assert in tests*:
 
 :class:`SpaceSavingSketch` (Metwally et al. 2005, "stream-summary")
     At most ``capacity`` tracked items.  Estimates never underestimate,
     each tracked item carries an explicit per-item error ceiling, and any
     item whose true count exceeds the current minimum bucket is guaranteed
-    present.  For a single-fed sketch the minimum bucket — and therefore
-    every per-item error — is at most ``N / capacity``.
+    present.  The minimum bucket — and therefore every per-item error —
+    is at most ``N / capacity``.
 
 :class:`CountMinSketch` (Cormode & Muthukrishnan 2005)
     A ``depth × width`` counter table.  Estimates never underestimate, and
     each overestimate is at most ``εN`` (``ε = e / width``) with
-    confidence ``1 − δ`` (``δ = e^−depth``).  Its merge (element-wise
-    table addition) is *exact*: merging shard tables is bit-identical to
-    feeding the concatenated stream, in any order and grouping.
+    confidence ``1 − δ`` (``δ = e^−depth``).  Its table is a sum, so
+    feeding a stream chunk by chunk fills it exactly as feeding it whole.
 
 Merge semantics
 ---------------
-``CountMinSketch.merge`` satisfies the full exact algebra the registry's
-property tests demand (associative, order-insensitive, partition ==
-whole).  ``SpaceSavingSketch.merge`` is necessarily lossy — two shard
-summaries cannot reconstruct the exact summary of the concatenated
-stream — but it is *sound*: the merged summary still brackets every true
-count (``estimate − error ≤ true ≤ estimate``) and still surfaces every
-item heavier than the merged floor.  ``tests/test_sketches.py`` pins all
-of these down under adversarial streams (Zipf, all-distinct,
-single-dominant, interleaved partitions).
+``CountMinSketch.merge`` (element-wise table addition) is exact:
+associative, order-insensitive, and merging the tables of a stream's
+parts is bit-identical to feeding the whole stream.
+``SpaceSavingSketch.merge`` is necessarily lossy — two summaries cannot
+reconstruct the exact summary of the concatenated stream — but it is
+*sound*: the merged summary still brackets every true count
+(``estimate − error ≤ true ≤ estimate``) and still surfaces every item
+heavier than the merged floor.
+
+``tests/test_sketches.py`` pins these down under adversarial streams
+(Zipf, all-distinct, single-dominant, interleaved partitions) and
+chunked feeds.
 
 Hashing is deterministic and RNG-free (keyed blake2b), so sketch contents
 are a pure function of (configuration, feed sequence) — reruns of the
@@ -349,14 +350,3 @@ class CountMinSketch:
             "total": self.total,
             "table": self.table.tolist(),
         }
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_keys")
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._keys = tuple(
-            f"repro-cm-{self.seed}-{row}".encode() for row in range(self.depth)
-        )

@@ -18,8 +18,8 @@ module supplies that lens as one more key column of the count table
   fraction of that jurisdiction's queries attributable to the five
   tracked cloud providers.
 
-All state is exact integer counting, so the cut is bit-identical across
-worker counts.
+All state is exact integer counting, so the cut is bit-identical however
+the capture was chunked.
 """
 
 from __future__ import annotations

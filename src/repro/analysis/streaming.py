@@ -7,7 +7,7 @@ without the row set ever being resident.  Here that is one structure: a
 bytes, keyed by declared columns of a chunk and its attribution
 (:data:`COLUMNS`).  A capture that *is* resident is the one-chunk case
 (:meth:`~repro.analysis.analytics.DatasetAnalytics.over`); every
-simulated run folds its chunks in the shards that froze them.
+simulated run folds its chunks as it freezes them.
 
 Every metric is a :class:`StreamingAggregator` over one table, declared
 by three things:
@@ -18,18 +18,17 @@ a key spec
     sums.  ``feed`` and ``merge`` are the table's, the same for every
     metric: a chunk folds with one ``np.unique`` over its key columns
     packed into one integer, and merge is addition — associative,
-    order-insensitive, and feeding a partition chunk by chunk equals
-    feeding it whole (``tests/test_streaming_algebra.py``).
+    order-insensitive, and feeding a capture chunk by chunk equals feeding
+    it whole (``tests/test_streaming_algebra.py``).
 a renderer
     ``exact_state()``: the table as the plain-data state the oracle and
     the benchmark digest.
 ``finalize()``
-    The metric's result.  Every division happens here on the merged
-    totals, so the result does not depend on how the rows were chunked.
+    The metric's result.  Every division happens here on the folded or
+    merged totals, so the result does not depend on how the rows were chunked.
 
-Tables pickle compacted, so pool workers ship them back to the parent
-beside their chunks.  :class:`AggregateSet` bundles every metric for one
-dataset run and is what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
+:class:`AggregateSet` bundles every metric for one dataset run and is
+what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,10 +156,10 @@ class CountTable:
 
     A fold reduces each chunk to its distinct keys and keeps that as a
     pending part; the parts are cut down to one when they pile up (past
-    twice the compacted rows plus :data:`PENDING_KEYS`), when read and
-    when pickled, so a fold never re-sorts everything it has seen for
-    each chunk.  A string column is held as codes into the table's own
-    vocabulary, and a merge re-codes the other table's parts into it.
+    twice the compacted rows plus :data:`PENDING_KEYS`) and when read, so
+    a fold never re-sorts everything it has seen for each chunk.  A
+    string column is held as codes into the table's own vocabulary, and a
+    merge re-codes the other table's parts into it.
     """
 
     def __init__(self, key: Sequence[str], measures: Sequence[str] = ()):
@@ -220,10 +219,6 @@ class CountTable:
              for name, column in part.items()}
             for part in other._parts
         ])
-
-    def __getstate__(self):
-        self._compact()
-        return self.__dict__
 
     def rows(self) -> Dict[str, np.ndarray]:
         """The table, one row per distinct key: each key column (a string
@@ -606,10 +601,11 @@ AGGREGATOR_FACTORIES: Dict[str, Callable] = {
 class AggregateSet:
     """The full aggregator bundle for one dataset run.
 
-    Shards feed their chunks into a fresh set, ship it back, and the
-    parent merges the per-shard sets.  ``concentration`` (the per-AS
-    counts), ``facebook_sites`` (Figures 5/8) and ``rssac`` (the RSSAC002
-    report) are folded beside the registry, not in it, so the registry's
+    A run feeds it every chunk of its capture as it freezes them, and
+    two sets of one configuration merge into the set of both captures.
+    ``concentration`` (the per-AS counts), ``facebook_sites`` (Figures
+    5/8) and ``rssac`` (the RSSAC002 report) are folded beside the
+    registry, not in it, so the registry's
     exact states — digested by the oracle and the benchmark goldens —
     stay the figure, table and re-cut aggregators'.
     """
@@ -654,18 +650,8 @@ class AggregateSet:
 
     def publish_metrics(self, metrics) -> None:
         """Let every aggregator that exposes telemetry roll its counters
-        into the registry (``analysis.*``), once, from the merged state."""
+        into the registry (``analysis.*``), once, from the folded state."""
         for aggregator in self.aggregators.values():
             publish = getattr(aggregator, "publish_metrics", None)
             if publish is not None:
                 publish(metrics)
-
-    @classmethod
-    def merge_all(cls, sets: Iterable["AggregateSet"]) -> "AggregateSet":
-        sets = list(sets)
-        if not sets:
-            return cls()
-        merged = sets[0]
-        for other in sets[1:]:
-            merged.merge(other)
-        return merged

@@ -199,10 +199,9 @@ def write_chunk(path: Union[str, Path], view: CaptureView) -> int:
     bytes.
 
     The write lands in a pid-tagged ``.tmp`` file and is renamed into
-    place, so a reader never sees a half-written frame even if a timed-out
-    shard attempt and its retry race on the same deterministic name.  If
-    the write or the rename fails, the temp file is removed before the
-    error propagates.
+    place, so a reader never sees a half-written frame.  If the write or
+    the rename fails, the temp file is removed before the error
+    propagates.
     """
     path = Path(path)
     frame = _encode_frame(view)
@@ -224,15 +223,5 @@ def read_chunk(path: Union[str, Path]) -> CaptureView:
         data = handle.read()
     try:
         return _decode_frame(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def read_row_count(path: Union[str, Path]) -> int:
-    """A frame's row count, from its prefix alone."""
-    with open(path, "rb") as handle:
-        prefix = handle.read(PREFIX_SIZE)
-    try:
-        return _read_prefix(prefix)[0]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

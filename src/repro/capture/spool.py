@@ -1,18 +1,16 @@
 """The capture past the append buffer: columnar chunks, resident or spilled.
 
-Rows become columns once, when a shard freezes its
+Rows become columns once, when a run freezes its
 :class:`~repro.capture.store.CaptureStore` into bounded
 :class:`CaptureView` chunks.  From there on a run's capture is those
 chunks in append order (:class:`CaptureSpool`), mirroring how the paper's
 ENTRADA pipeline lands pcap-derived rows in Parquet files once and queries
-columns ever after.  A chunk is either **resident** — the view itself (an
-in-memory run: the shards hand their chunks over as they are) — or
-**spilled** — a ``.chunk`` file holding one checksummed, compressed
-:mod:`repro.capture.io_binary` frame (a run with a spool directory: each
-shard writes its chunks under it and hands over their paths), read back
-one bounded view at a time, so a single-pass analysis touches O(chunk)
-memory regardless of total rows.  Only the paths a spool wrote or adopted
-are chunks: a writer's ``.tmp`` file is never one.
+columns ever after.  A chunk is either **resident** — the view itself (a
+spool without a directory) — or **spilled** — a ``.chunk`` file holding
+one checksummed, compressed :mod:`repro.capture.io_binary` frame (a spool
+with a directory), read back one bounded view at a time, so a single-pass
+analysis touches O(chunk) memory regardless of total rows.  Only the
+paths a spool wrote are chunks: a writer's ``.tmp`` file is never one.
 
 :class:`SpooledCapture` is the capture every
 :class:`~repro.sim.DatasetRun` carries; its :meth:`~SpooledCapture.view`
@@ -27,14 +25,14 @@ from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .io_binary import read_chunk, read_row_count, write_chunk
+from .io_binary import read_chunk, write_chunk
 from .store import DEFAULT_CHUNK_ROWS, CaptureStore, CaptureView
 
 
-def chunk_name(shard_index: int, sequence: int) -> str:
-    """Deterministic chunk filename: retried shards overwrite their own
-    chunks instead of leaking partial attempts next to good ones."""
-    return f"shard{shard_index:04d}-{sequence:06d}.chunk"
+def chunk_name(sequence: int) -> str:
+    """Deterministic chunk filename: the ``sequence``-th chunk a spool
+    writes, so chunk files sort in append order."""
+    return f"chunk{sequence:06d}.chunk"
 
 
 def concatenate_views(views: Sequence[CaptureView]) -> CaptureView:
@@ -50,64 +48,56 @@ def concatenate_views(views: Sequence[CaptureView]) -> CaptureView:
 class CaptureSpool:
     """One dataset run's chunks, in append order.
 
-    Writers spill views with :meth:`write_view` (one view, one file) or
-    :meth:`append_view` (re-cut to ``chunk_rows``); chunks produced
-    elsewhere — a shard's resident views, or the files a spilling shard
-    wrote — join in shard order through :meth:`adopt`.  The chunk list is
-    explicit, so stale files from crashed attempts are never picked up by
-    accident.  The directory is created by the first write: a spool whose
-    chunks all stay resident never touches the filesystem, and one built
-    without a directory cannot write.
+    Writers add views with :meth:`write_view` (one view, one chunk) or
+    :meth:`append_view` (re-cut to ``chunk_rows``).  With a directory
+    each chunk is spilled to a file there, created by the first write;
+    without one the chunks stay resident and the spool never touches the
+    filesystem.  The chunk list is explicit, so stale files in the
+    directory are never picked up by accident.
     """
 
     def __init__(
         self,
         directory: Optional[Union[str, Path]] = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        shard_index: int = 0,
     ):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
         self.directory = None if directory is None else Path(directory)
         self.chunk_rows = chunk_rows
-        self.shard_index = shard_index
         #: The partial chunk :meth:`append_view` is still filling.
         self._tail: Optional[CaptureView] = None
-        self._sequence = 0
         self._chunks: List[Union[Path, CaptureView]] = []
         self._chunk_rows_counts: List[int] = []
-        #: Compressed bytes written by *this* spool object (adopted chunks
-        #: were accounted by their writer).
+        #: Compressed bytes and rows written to chunk files.
         self.bytes_written = 0
         self.rows_spooled = 0
 
     # -- writing ---------------------------------------------------------------
 
-    def write_view(self, view: CaptureView) -> Optional[str]:
-        """Spill one view as one chunk file, behind any buffered tail, and
-        return its path (``None`` for an empty view) — a spilling shard's
-        path, where each chunk was just built by ``iter_views`` and folded,
-        and is written as it is."""
+    def write_view(self, view: CaptureView) -> None:
+        """Add one view as one chunk, behind any buffered tail: spilled to
+        a chunk file when the spool has a directory, held as it is when it
+        has none.  An empty view adds nothing."""
         self.flush()
         if len(view) == 0:
-            return None
+            return
+        self._chunk_rows_counts.append(len(view))
         if self.directory is None:
-            raise ValueError("a spool without a directory cannot write chunk files")
-        if self._sequence == 0:
+            self._chunks.append(view)
+            return
+        if not self._chunks:
             self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / chunk_name(self.shard_index, self._sequence)
-        self._sequence += 1
+        path = self.directory / chunk_name(len(self._chunks))
         self.bytes_written += write_chunk(path, view)
         self.rows_spooled += len(view)
         self._chunks.append(path)
-        self._chunk_rows_counts.append(len(view))
-        return str(path)
 
     def append_view(self, view: CaptureView) -> None:
-        """Spill a view re-cut to ``chunk_rows``: full slices are written
-        straight to chunk files and the partial tail is kept — as a view —
-        for the next append or :meth:`flush` to complete, so chunk order
-        stays append order."""
+        """Add a view re-cut to ``chunk_rows``: full slices become chunks
+        straight away and the partial tail is kept — as a view — for the
+        next append or :meth:`flush` to complete, so chunk order stays
+        append order."""
         if self._tail is not None:
             view, self._tail = concatenate_views([self._tail, view]), None
         start = 0
@@ -118,7 +108,7 @@ class CaptureSpool:
             self._tail = view.select(slice(start, len(view)))
 
     def flush(self) -> None:
-        """Write any buffered partial chunk."""
+        """Add any buffered partial chunk."""
         if self._tail is not None:
             tail, self._tail = self._tail, None
             self.write_view(tail)
@@ -126,35 +116,11 @@ class CaptureSpool:
     # -- chunk bookkeeping ------------------------------------------------------
 
     def chunk_paths(self) -> List[str]:
-        """Paths of all chunk files, in write/adoption order."""
+        """Paths of all chunk files, in write order."""
         return [
             str(chunk) for chunk in self._chunks
             if not isinstance(chunk, CaptureView)
         ]
-
-    def adopt(self, chunks: Sequence[Union[str, Path, CaptureView]],
-              row_counts: Optional[Sequence[int]] = None) -> None:
-        """Register chunks produced elsewhere (the shard-merge path):
-        resident views, held as they are, or paths of chunk files.
-
-        ``row_counts`` avoids re-opening every file when the writer
-        already reported them; otherwise each count is read from its
-        frame's prefix.
-        """
-        chunks = [
-            chunk if isinstance(chunk, CaptureView) else Path(chunk)
-            for chunk in chunks
-        ]
-        if row_counts is None:
-            row_counts = [
-                len(chunk) if isinstance(chunk, CaptureView)
-                else read_row_count(chunk)
-                for chunk in chunks
-            ]
-        if len(row_counts) != len(chunks):
-            raise ValueError("row_counts must match chunks")
-        self._chunks.extend(chunks)
-        self._chunk_rows_counts.extend(int(c) for c in row_counts)
 
     def keep_resident_as(self, view: CaptureView) -> None:
         """Hold ``view`` — the same rows, in whatever order — as the one
@@ -200,18 +166,14 @@ class CaptureSpool:
 class SpooledCapture:
     """A run's capture: its spool's chunks plus the canonical whole view.
 
-    Answers ``len()`` and ``rows_appended`` from chunk metadata, streams
-    the chunks (:meth:`iter_views`) and materialises the whole capture in
-    canonical order (:meth:`view`, cached) only when asked.
+    Answers ``len()`` from chunk metadata, streams the chunks
+    (:meth:`iter_views`) and materialises the whole capture in canonical
+    order (:meth:`view`, cached) only when asked.
     """
 
-    def __init__(self, spool: CaptureSpool, rows_appended: Optional[int] = None):
+    def __init__(self, spool: CaptureSpool):
         spool.flush()
         self.spool = spool
-        #: Rows ever appended by the simulation — equals the spooled row
-        #: count unless shards failed (then the spool only holds the
-        #: surviving shards' rows).
-        self.rows_appended = len(spool) if rows_appended is None else rows_appended
         self._frozen: Optional[CaptureView] = None
 
     def __len__(self) -> int:
@@ -224,12 +186,12 @@ class SpooledCapture:
     def view(self) -> CaptureView:
         """The whole capture in canonical order (cached).
 
-        Chunks concatenate in the append order one shard over the whole
-        fleet would have produced; on top of that, a stable lexsort keyed
-        by ``(timestamp, server_id-code)`` — rows tied on both keys (one
-        client query fanning out to the same captured server) keep their
-        append order — so captures compare equal column for column
-        whatever the shard layout and wherever the chunks lived.
+        Chunks concatenate in append order; on top of that, a stable
+        lexsort keyed by ``(timestamp, server_id-code)`` — rows tied on
+        both keys (one client query fanning out to the same captured
+        server) keep their append order — so captures compare equal
+        column for column however they were chunked and wherever the
+        chunks lived.
         """
         if self._frozen is None:
             merged = concatenate_views(list(self.spool.iter_views()))

@@ -155,15 +155,15 @@ class CaptureStore:
 
         Response sizes are bucketed in bulk via numpy — no per-row Python
         loop.  (The run's ``capture.append_rows_per_s`` gauge is derived
-        from merged totals when the driver assembles the run.)
+        by the driver, from this count and the run's resolve time.)
         """
         metrics.counter("capture.rows_appended").inc(self.rows_appended)
         hist = metrics.histogram(
             "capture.response_size_bytes", buckets=RESPONSE_SIZE_BUCKETS
         )
         # Only the response-size column is needed; freezing the whole
-        # 14-column view here would do ~14x the work (workers publish once
-        # per shard and immediately discard).
+        # 14-column view here would do ~14x the work (a run publishes once,
+        # before it freezes its chunks).
         if self._frozen is not None:
             sizes = self._frozen.response_size
         else:
@@ -231,8 +231,7 @@ class CaptureStore:
         """Reset to the freshly-constructed state.
 
         The old row list is released, not cleared in place: views frozen
-        from it (a shard's chunks on their way to the assembler) stay
-        valid while the store — still shared by reference with its
+        from it (a run's resident chunks) stay valid while the store — still shared by reference with its
         authoritative servers — starts over on a fresh list.
         """
         self._rows = []

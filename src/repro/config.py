@@ -1,7 +1,7 @@
 """Run configuration: how one dataset simulation executes.
 
-:class:`RunConfig` is the frozen, validated description of *how* a dataset
-is simulated (backend, capture residency); *what* is simulated
+:class:`RunConfig` is the frozen description of *how* a dataset is
+simulated (where its capture lives); *what* is simulated
 stays on the :class:`~repro.workload.DatasetDescriptor`.  Every setting
 has one front door: how a run executes is the ``config=`` of
 :func:`repro.sim.run_dataset` / :class:`repro.experiments.ExperimentContext`
@@ -24,23 +24,13 @@ from typing import Optional
 class RunConfig:
     """How one dataset simulation executes.
 
-    ``workers`` selects the backend: 1 runs the fleet in-process as one
-    shard, more cut it into one shard per worker and run them on a process
-    pool (a run with no client queries stays one shard); either way the
-    capture bytes are the same.
-
-    Every shard folds its capture's columnar chunks into single-pass
+    Every run folds its capture's columnar chunks into single-pass
     aggregates as it freezes them; ``spool_dir`` says where the chunks
     live afterwards: written to chunk files under
     ``<spool_dir>/<dataset_id>/``, or resident in memory (``None``).
     """
 
-    workers: int = 1
     spool_dir: Optional[str] = None
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def check_positive(name: str, value: float) -> float:

@@ -4,7 +4,7 @@ The paper's pipeline separates collection (one week of pcap at the vantage)
 from analytics (many ENTRADA queries over the same warehouse).  The
 :class:`ExperimentContext` mirrors that: dataset simulations are cached by
 id, so every experiment and benchmark re-uses the same captures and the
-state their shards folded.
+state each run folded.
 """
 
 from __future__ import annotations
@@ -18,17 +18,6 @@ from ..sim import DatasetRun, run_dataset
 from ..sim.driver import reject_removed_keywords
 from ..telemetry import MetricsRegistry
 from ..workload import DatasetDescriptor, dataset, monthly_google_descriptor
-
-
-class IncompleteRunError(RuntimeError):
-    """A dataset's run lost shards: its capture is incomplete, so no report
-    may be rendered from it."""
-
-    def __init__(self, dataset_id: str, report):
-        super().__init__(f"{dataset_id}: {report.failures} shard(s) failed")
-        self.dataset_id = dataset_id
-        #: The run's :class:`~repro.runtime.RuntimeReport`.
-        self.report = report
 
 
 class ExperimentContext:
@@ -51,13 +40,12 @@ class ExperimentContext:
         vector: Optional[bool] = None,
         config: Optional[RunConfig] = None,
     ):
-        reject_removed_keywords(vector=vector, stream=stream)
+        reject_removed_keywords(vector=vector, stream=stream, workers=workers)
         self.scale = check_positive("scale", scale)
         self.seed = seed
         #: How every simulation of this context executes: ``config`` (the
-        #: CLI passes the one it built from its flags), else
-        #: ``RunConfig(workers=workers)``.
-        self.config = config if config is not None else RunConfig(workers=workers)
+        #: CLI passes the one it built from its flags), else ``RunConfig()``.
+        self.config = config if config is not None else RunConfig()
         self.telemetry = MetricsRegistry()
         #: Optional :class:`~repro.faults.FaultPlan` applied to *every*
         #: dataset this context simulates (the CLI's ``--chaos`` flag).
@@ -68,8 +56,7 @@ class ExperimentContext:
 
     def _simulate(self, descriptor: DatasetDescriptor) -> DatasetRun:
         """The (cached) simulation of one descriptor at this context's
-        scale, under its fault plan (if any).  Raises
-        :class:`IncompleteRunError` for a run with failed shards."""
+        scale, under its fault plan (if any)."""
         cached = self._runs.get(descriptor.dataset_id)
         if cached is None:
             if self.fault_plan is not None:
@@ -79,9 +66,6 @@ class ExperimentContext:
                 client_queries=max(500, int(descriptor.client_queries * self.scale)),
                 telemetry=self.telemetry, config=self.config,
             )
-            report = cached.runtime_report
-            if report is not None and report.failures:
-                raise IncompleteRunError(descriptor.dataset_id, report)
             self._runs[descriptor.dataset_id] = cached
         return cached
 
@@ -97,7 +81,7 @@ class ExperimentContext:
 
     def analytics(self, dataset_id: str) -> DatasetAnalytics:
         """Metric access for one dataset: answers from the aggregates the
-        run's shards folded, with no row materialisation; every report
+        run folded, with no row materialisation; every report
         over the dataset shares that state.
         """
         return DatasetAnalytics.of(self.run(dataset_id))

@@ -13,8 +13,7 @@ the vantage's overall provider share.
 
 All reported rows come from exact integer counting (the
 :class:`~repro.analysis.sovereignty.SovereigntyAggregator` state), so
-they are bit-identical whether the chunks stayed resident or spilled and
-across worker counts.
+they are bit-identical whether the chunks stayed resident or spilled.
 """
 
 from __future__ import annotations

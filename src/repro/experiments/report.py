@@ -54,10 +54,11 @@ class Report:
     wall_time_s: Optional[float] = None
     counter_deltas: Dict[str, int] = field(default_factory=dict)
     #: Sketch-derived (approximate) results — e.g. heavy-hitter lists from
-    #: the composition aggregator.  Kept out of ``rows``/``series`` because
-    #: those are held to bit-identity however the capture was chunked;
-    #: entries here are only guaranteed within stated error bounds (and
-    #: may legitimately differ between worker counts and volumes).
+    #: the composition aggregator: a function of the capture and of where
+    #: its chunk boundaries fell, guaranteed only within stated error
+    #: bounds.  Kept out of ``rows``/``series``, which hold exact counts,
+    #: and so out of the oracle's report digest, whose literal was recorded
+    #: without them.
     approx: Dict[str, object] = field(default_factory=dict)
 
     def add(self, label: str, paper: Number, measured: Number, unit: str = "", note: str = "") -> None:

@@ -7,7 +7,7 @@ The subsystem splits in three:
   family blackouts and RRL storms, expressed in capture-window fractions;
 * :mod:`repro.faults.injector` — :class:`FaultInjector`: resolves a plan
   against one dataset window and hands the transport layer hash-based
-  (shard-invariant, RNG-free) per-packet verdicts, plus ``faults.*``
+  (order-invariant, RNG-free) per-packet verdicts, plus ``faults.*``
   telemetry;
 * :mod:`repro.faults.scenarios` — named presets behind ``--chaos``.
 

@@ -12,8 +12,7 @@ not RNG-stream-based: each verdict is a pure function of ``(seed,
 server_id, family, send timestamp, qname)``.  The injector therefore
 consumes no shared randomness, which makes fault placement
 
-* independent of shard boundaries and worker count (the parallel runtime's
-  bit-identity guarantee survives chaos),
+* independent of the order in which fleet members are driven,
 * reproducible across runs given the same ``(plan, seed)``,
 * and invisible to the resolvers' own RNG streams — enabling the
   zero-fault path to stay bit-identical to a run without any injector.

@@ -7,7 +7,7 @@ per-family (v4/v6) blackouts, and RRL-pressure storms.  Plans say nothing
 about *which individual packet* is affected — that decision is made
 deterministically by :class:`~repro.faults.injector.FaultInjector` from
 the plan plus a seed, so the same ``(plan, seed)`` always yields the same
-traffic regardless of sharding or worker count.
+traffic.
 
 All windows are expressed as fractions of the dataset's capture window
 (``0.0`` = collection start, ``1.0`` = collection end), which makes one

@@ -10,7 +10,6 @@ from .driver import (
     member_query_counts,
     run_dataset,
     run_member_range,
-    simulate_shard,
 )
 from .worlds import forget_worlds
 
@@ -25,5 +24,4 @@ __all__ = [
     "member_query_counts",
     "run_dataset",
     "run_member_range",
-    "simulate_shard",
 ]

@@ -8,35 +8,27 @@ through every resolver, and returns the captured traffic plus everything
 the analysis layer needs (AS registry, PTR table, fleet metadata).
 
 This is the reproduction's stand-in for "one week of pcap collection at the
-vantage point".
-
-Execution is one pipeline configured by one :class:`~repro.config.RunConfig`:
-the fleet is partitioned into weight-balanced contiguous shards
-(:func:`repro.runtime.plan_shards`), every shard runs through
-:func:`_run_shard` — one shard over the whole fleet, in-process against
-the environment built here (``workers == 1``, the default, or a run with
-no client queries), or one per worker behind :func:`simulate_shard`
-(:class:`repro.runtime.ShardExecutor`) — and
-:func:`_assemble` merges the shard results into the :class:`DatasetRun`,
-so the result is bit-identical whatever the backend.  Rows become columns
-once, in the shard that appended them; from there the capture is columnar
-chunks (:mod:`repro.capture.spool`), and its whole view always comes back
-in canonical ``(timestamp, server_id)`` order.
+vantage point", and, like the paper's one ENTRADA pass over that week, a
+dataset runs in one process as one straight line: build the environment,
+drive the whole fleet (:func:`run_member_range`), publish what the fleet,
+the servers and the capture counted, and freeze the append buffer once
+into columnar chunks, folding each into the run's aggregates as it goes
+(:func:`_freeze_capture`).  From there the capture is those chunks
+(:mod:`repro.capture.spool`), and its whole view always comes back in
+canonical ``(timestamp, server_id)`` order.
 
 Every run is instrumented through :mod:`repro.telemetry`: phase spans
 (``zone_build`` / ``fleet_build`` for assembling a world, ``env_reset``
-for rewinding a borrowed fleet, ``workload`` / ``resolve``, plus the
-``runtime.plan`` / ``runtime.execute`` / ``runtime.merge`` and per-shard
-``runtime.shard.<i>`` spans), per-provider client-query counters,
-aggregated resolver/server/capture counters, and periodic progress logging
-on the ``repro.sim`` logger.  The frozen
-:class:`~repro.telemetry.TelemetrySnapshot` rides on the returned
-:class:`DatasetRun`, alongside the :class:`~repro.runtime.RuntimeReport`
-describing how the shards actually executed.
+for rewinding a borrowed fleet, ``workload`` / ``resolve`` and
+``runtime.fold``), per-provider client-query counters, aggregated
+resolver/server/capture counters, and periodic progress logging on the
+``repro.sim`` logger.  The frozen :class:`~repro.telemetry.TelemetrySnapshot`
+rides on the returned :class:`DatasetRun`.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 import operator
 import os
@@ -44,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as dc_replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,15 +47,6 @@ from ..dnscore import Name, RRType
 from ..faults import FaultInjector, derive_fault_seed
 from ..netsim import ASRegistry, GAZETTEER, LatencyModel
 from ..resolver import AuthorityNetwork, CyclicPair, SyntheticLeafAuthority
-from ..runtime import (
-    RuntimeReport,
-    ShardExecutor,
-    ShardResult,
-    ShardTask,
-    collector_paused,
-    plan_shards,
-    record_outcome,
-)
 from ..server import AuthoritativeServer, ServerSet
 from ..telemetry import MetricsRegistry, TelemetrySnapshot
 from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator
@@ -79,18 +62,18 @@ PROGRESS_INTERVAL_S = 5.0
 class DatasetRun:
     """Everything produced by simulating one dataset.
 
-    ``capture`` is the shards' columnar chunks in shard order — held in
+    ``capture`` is the run's columnar chunks in append order — held in
     memory, or, when the run has a spool directory, spilled to chunk
-    files: ``len()``, ``rows_appended``, ``iter_views()`` and the
-    canonical whole ``view()``.  ``aggregates``
-    (:class:`~repro.analysis.streaming.AggregateSet`) is what the shards
-    folded while freezing those chunks, merged; every
+    files: ``len()``, ``iter_views()`` and the canonical whole
+    ``view()``.  ``aggregates``
+    (:class:`~repro.analysis.streaming.AggregateSet`) is what the run
+    folded while freezing those chunks; every
     :meth:`DatasetAnalytics.of <repro.analysis.DatasetAnalytics.of>`
     answer comes from it.
 
     ``fleet`` is a *borrowed* handle: the resolvers went back to the
     process's fleet store (:mod:`repro.sim.worlds`) when the run was
-    assembled, rewound, and the next dataset of the same ``(vantage, year,
+    done, rewound, and the next dataset of the same ``(vantage, year,
     seed)`` drives them again.  Read who the members are (addresses,
     providers, weights) from it, never what they did — that is in
     ``telemetry``.  ``registry`` and ``ptr_table`` are immutable and safe
@@ -108,7 +91,6 @@ class DatasetRun:
     server_sets: Dict[str, ServerSet]
     client_queries_run: int = 0
     telemetry: Optional[TelemetrySnapshot] = None
-    runtime_report: Optional[RuntimeReport] = None
     aggregates: Optional[object] = None
 
     @property
@@ -120,12 +102,12 @@ class DatasetRun:
 class SimEnvironment:
     """The fully-built deterministic world for one dataset.
 
-    Constructed identically (given ``(descriptor, seed)``) in the parent
-    and in every pool worker; only the member range each party *resolves*
-    differs.  All cross-member state in here is deterministic — the latency
-    model and anycast catchments are memoised pure functions, the leaf
-    authority is hash-based, and every resolver carries its own RNG — which
-    is what makes shard placement invisible in the results.
+    Constructed identically given ``(descriptor, seed)``.  All
+    cross-member state in here is deterministic — the latency model and
+    anycast catchments are memoised pure functions, the leaf authority is
+    hash-based, and every resolver carries its own RNG — which is what
+    makes a world built from scratch and one assembled from parked parts
+    give the same results.
 
     The zones are shared with every other world of the process (sealed)
     and ``fleet`` / ``registry`` / ``ptr_table`` are borrowed from
@@ -285,9 +267,8 @@ def build_environment(
     and PTR table — come from :mod:`repro.sim.worlds`, built only when the
     process does not hold them yet (``runtime.env_cache.miss``); what the
     descriptor owns is built here, over them.
-    Deterministic given ``(descriptor, seed)`` — pool workers call this
-    independently and arrive at the same world as the parent.  The fleet
-    is checked out until :func:`repro.sim.worlds.return_fleet`.
+    Deterministic given ``(descriptor, seed)``.  The fleet is checked out
+    until :func:`repro.sim.worlds.return_fleet`.
     """
     # -- authoritative side ---------------------------------------------------
     world = build_authority_world(descriptor, seed, metrics)
@@ -372,8 +353,7 @@ def publish_fleet_metrics(metrics: MetricsRegistry, fleet: Iterable) -> None:
     up into per-provider ``resolver.*`` counters and per-qtype send counts.
 
     ``fleet`` needs only ``.provider`` and ``.resolver.stats`` attributes,
-    so tests can feed stripped-down stand-ins.  Sharded runs pass each
-    shard's member slice so worker-side publishes never double-count.
+    so tests can feed stripped-down stand-ins.
 
     Sums are accumulated per provider in plain dicts first and the registry
     (label-dict key construction, counter lookup) is touched once per
@@ -413,9 +393,7 @@ def publish_server_metrics(
 
 def _publish_environment_metrics(metrics: MetricsRegistry, env: SimEnvironment) -> None:
     """Everything the environment as a whole counted: authoritative
-    servers, the fault injector and the capture.  Published once per
-    environment — shards that share one (the in-process backend) share its
-    servers and its capture, so only the shard that closes it calls this."""
+    servers, the fault injector and the capture."""
     publish_server_metrics(metrics, env.server_sets)
     if env.network.faults is not None:
         env.network.faults.publish_metrics(metrics)
@@ -423,17 +401,18 @@ def _publish_environment_metrics(metrics: MetricsRegistry, env: SimEnvironment) 
     metrics.gauge("sim.fleet_size").set(len(env.fleet))
 
 
-# -- the hand-over ----------------------------------------------------------------
+# -- the freeze -------------------------------------------------------------------
 
-def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTask):
+def _freeze_capture(
+    env: SimEnvironment, metrics: MetricsRegistry, spool_dir: Optional[str]
+) -> Tuple[SpooledCapture, object]:
     """One pass over the environment's append buffer, the one time its
-    rows become columns; returns ``(chunks, row_counts, aggregates)``.
+    rows become columns; returns the run's capture and its aggregates.
 
     Each bounded chunk view is attributed and fed to a fresh
     :class:`~repro.analysis.streaming.AggregateSet` — the run's one fold —
-    and kept as it is, or, under a spool directory (``task.spool_dir``,
-    the parent's, so the files outlive a pool worker), written out as one
-    compressed chunk file whose path is handed over instead.
+    and kept as it is, or, under ``spool_dir``, written out as one
+    compressed chunk file.  The append buffer is cleared afterwards.
     """
     # Lazy imports: repro.analysis is a consumer of this module's output
     # everywhere else; importing it at call time keeps the sim package
@@ -441,21 +420,23 @@ def _freeze_capture(env: SimEnvironment, metrics: MetricsRegistry, task: ShardTa
     from ..analysis import AggregateSet, Attributor
     from ..clouds import PROVIDERS
 
-    spool = CaptureSpool(directory=task.spool_dir, shard_index=task.shard_index)
+    spool = CaptureSpool(directory=spool_dir)
     aggregates = AggregateSet()
     attributor = Attributor(env.registry, PROVIDERS)
-    chunks, row_counts = [], []
     with metrics.time_phase("runtime.fold"):
         for view in env.capture.iter_views():
             aggregates.feed(view, attributor.attribute(view))
-            chunks.append(view if task.spool_dir is None else spool.write_view(view))
-            row_counts.append(len(view))
+            spool.write_view(view)
+    # The rows are columns now; the store — still shared with the
+    # servers — starts over.
+    env.capture.clear()
     metrics.counter("runtime.rows_folded").inc(aggregates.rows_fed)
-    if task.spool_dir is not None:
-        metrics.counter("capture.spool.chunks").inc(len(chunks))
+    if spool_dir is not None:
+        metrics.counter("capture.spool.chunks").inc(len(spool.chunk_paths()))
         metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
         metrics.counter("capture.spool.bytes").inc(spool.bytes_written)
-    return chunks, row_counts, aggregates
+    aggregates.publish_metrics(metrics)
+    return SpooledCapture(spool), aggregates
 
 
 # -- the resolve loop ------------------------------------------------------------
@@ -468,16 +449,11 @@ def member_query_counts(
     Cumulative-floor (largest-remainder over the cumulative sum)
     apportionment: member *i* receives
     ``floor(total·W_i/W) − floor(total·W_{i−1}/W)`` where ``W_i`` is the
-    cumulative weight through member *i*.  Two invariants hold exactly,
-    and are property-tested in ``tests/test_runtime.py``:
-
-    * the counts **telescope to ``total_queries``** (the last cumulative
-      ratio is exactly 1.0, so the bounds end at ``total``) — unlike the
-      previous per-member ``int(round(...))``, whose independent rounding
-      drifted the fleet-wide sum by dozens of queries;
-    * each member's count depends only on the *full* fleet's weights,
-      never on how members are partitioned into shard ranges, so any
-      partition sums to the same per-member traffic.
+    cumulative weight through member *i*.  The counts **telescope to
+    ``total_queries``** (the last cumulative ratio is exactly 1.0, so the
+    bounds end at ``total``) — unlike a per-member ``int(round(...))``,
+    whose independent rounding drifts the fleet-wide sum by dozens of
+    queries; property-tested in ``tests/test_runtime.py``.
 
     A volume past :data:`~repro.config.MAX_CLIENT_QUERIES` raises
     ``ValueError``: its bounds would not fit the int64 counts.
@@ -492,23 +468,17 @@ def member_query_counts(
 
 
 def run_member_range(
-    env: SimEnvironment,
-    total_queries: int,
-    metrics: MetricsRegistry,
-    start: int = 0,
-    stop: Optional[int] = None,
+    env: SimEnvironment, total_queries: int, metrics: MetricsRegistry
 ) -> int:
-    """Drive client query streams through fleet members ``[start, stop)``.
+    """Drive client query streams through every fleet member.
 
-    Per-member query counts derive from the *full* fleet's weights
+    Per-member query counts derive from the fleet's weights
     (:func:`member_query_counts`) and per-member streams are seeded by
-    global fleet index, so any partition of the fleet into ranges produces
-    exactly the union of the serial run's per-member traffic.  The range's
-    seeds are hashed in one pass, and each member's stream is drawn as
-    columns (:meth:`~repro.workload.WorkloadGenerator.columns`).
+    fleet index; the seeds are hashed in one pass, and each member's
+    stream is drawn as columns
+    (:meth:`~repro.workload.WorkloadGenerator.columns`).
     """
     descriptor = env.descriptor
-    stop = len(env.fleet) if stop is None else stop
 
     domains = domains_of(env.vantage_zone) if env.vantage_zone is not None else []
     generator = WorkloadGenerator(
@@ -522,20 +492,19 @@ def run_member_range(
     counts = member_query_counts(
         [member.weight for member in env.fleet], total_queries
     )
-    seeds = generator.member_seeds(start, stop)
+    seeds = generator.member_seeds(0, len(env.fleet))
 
     run_count = 0
     clock_s = time.perf_counter
     loop_started = clock_s()
     last_progress = loop_started
     # Both phases are timed by summing clock deltas and booked once per
-    # shard: a timer span per member cost more than most members' streams.
+    # run: a timer span per member cost more than most members' streams.
     workload_s = resolve_s = 0.0
     # Counter handles resolved once per provider, not once per member —
     # label-dict construction and registry lookup are off the member loop.
     provider_counters: Dict[str, object] = {}
-    for index in range(start, stop):
-        member = env.fleet[index]
+    for index, member in enumerate(env.fleet):
         count = int(counts[index])
         if count <= 0:
             continue
@@ -549,7 +518,7 @@ def run_member_range(
         network = env.network
         started = clock_s()
         stamps, qnames, qtypes = generator.columns(
-            word_stream(seeds[index - start]), count, pattern,
+            word_stream(seeds[index]), count, pattern,
             member.junk_fraction, env.storm_domains, storm_fraction,
         )
         generated = clock_s()
@@ -574,141 +543,48 @@ def run_member_range(
     return run_count
 
 
-def _run_shard(
-    env: SimEnvironment, task: ShardTask, metrics: MetricsRegistry
-) -> ShardResult:
-    """Resolve one shard's member range against ``env``.
-
-    The one per-shard routine of both backends: a pool worker runs it on
-    the environment it assembled, a serial run — one shard over the whole
-    fleet — on the environment :func:`run_dataset` built.  Each shard has
-    its environment to itself, so it also publishes the
-    environment-wide metrics and freezes the append buffer into columnar
-    chunks (:func:`_freeze_capture`).  Everything the shard measured lands
-    in ``metrics`` and returns as a snapshot; only picklable payloads come
-    back.
-    """
-    started = time.perf_counter()
-    descriptor = env.descriptor
-    stop = len(env.fleet) if task.stop is None else task.stop
-    total_queries = (
-        descriptor.client_queries
-        if task.client_queries is None
-        else task.client_queries
-    )
-    rows_before = env.capture.rows_appended
-    queries_run = run_member_range(env, total_queries, metrics, task.start, stop)
-    rows_appended = env.capture.rows_appended - rows_before
-    publish_fleet_metrics(metrics, env.fleet[task.start:stop])
-    _publish_environment_metrics(metrics, env)
-    chunks, chunk_row_counts, aggregates = _freeze_capture(env, metrics, task)
-    # The rows are columns now; the store — still shared with the
-    # servers — starts over.
-    env.capture.clear()
-    return ShardResult(
-        shard_index=task.shard_index,
-        rows_appended=rows_appended,
-        queries_run=queries_run,
-        telemetry=metrics.snapshot(),
-        duration_s=time.perf_counter() - started,
-        aggregates=aggregates,
-        chunks=chunks,
-        chunk_row_counts=chunk_row_counts,
-    )
-
-
-def simulate_shard(task: ShardTask) -> ShardResult:
-    """Assemble the shard's world and resolve its member range.
-
-    The pool's entry point (via :func:`repro.runtime.execute_shard_task`),
-    also run in the parent for serial fallbacks.  The world is assembled
-    like any other caller's (:func:`borrowed_environment`): a forked worker
-    finds the zones and the fleet its parent parked in the stores it
-    inherited and builds only the per-dataset overlay; a spawned one
-    builds everything.
-    """
-    started = time.perf_counter()
-    metrics = MetricsRegistry()
-    with borrowed_environment(task.descriptor, task.seed, metrics) as env:
-        result = _run_shard(env, task, metrics)
-    # Busy time as the pool sees it includes assembling the world.
-    result.duration_s = time.perf_counter() - started
-    return result
-
-
-def _assemble(
-    env: SimEnvironment,
-    results: Sequence[ShardResult],
-    report: RuntimeReport,
-    metrics: MetricsRegistry,
-    spool: CaptureSpool,
-) -> DatasetRun:
-    """Merge shard results, in shard-index order, into the dataset's run.
-
-    Shards are contiguous fleet ranges, so adopting their chunks —
-    resident views or chunk files alike — in that order reproduces the
-    sequence one shard over the whole fleet appends; :meth:`~repro.capture.SpooledCapture.view` applies the
-    stable canonical sort on top, and their folded states merge into
-    ``aggregates``.  ``metrics`` is the run's registry
-    (world build, plan, executor bookkeeping); every shard's snapshot
-    folds into it here.
-    """
-    from ..analysis import AggregateSet
-
-    descriptor = env.descriptor
-    rows_appended = sum(result.rows_appended for result in results)
-    with metrics.time_phase("runtime.merge"):
-        aggregates = AggregateSet.merge_all([result.aggregates for result in results])
-        for result in results:
-            spool.adopt(result.chunks, result.chunk_row_counts)
-            metrics.merge_snapshot(result.telemetry)
-        capture = SpooledCapture(spool, rows_appended)
-    # Once, from the merged state: a shard's tally of the distinct values
-    # it saw (countries, tracked names) does not add up across shards.
-    aggregates.publish_metrics(metrics)
-    # A stub gauge (see ``_REMOVED_KEYWORDS``): 1 exactly when chunks spilled.
-    metrics.gauge("runtime.stream.enabled").set(1 if spool.chunk_paths() else 0)
-    resolve_s = metrics.phase_seconds("resolve")
-    if resolve_s > 0:
-        # From merged totals, the gauge's one writer: a shard sees only
-        # its own resolve time.
-        metrics.gauge("capture.append_rows_per_s").set(rows_appended / resolve_s)
-    return DatasetRun(
-        descriptor=descriptor,
-        capture=capture,
-        registry=env.registry,
-        fleet=env.fleet,
-        ptr_table=env.ptr_table,
-        network=env.network,
-        vantage_zone=env.vantage_zone,
-        server_sets=env.server_sets,
-        client_queries_run=sum(result.queries_run for result in results),
-        runtime_report=report,
-        aggregates=aggregates,
-    )
-
-
 # -- the entry point -------------------------------------------------------------
 
-#: Keywords of removed modes.  :func:`run_dataset` and ``ExperimentContext``
-#: accept them as ``None``/``False`` (and ``workers=`` beside ``config=``),
-#: and runs publish the ``runtime.{vector,stream}.enabled`` gauges, only
-#: because bench/workloads.py (frozen outside benchmark PRs) passes them and
-#: asserts the gauges; the next benchmark PR drops them there, and then they
-#: go here too.
+#: Keywords of removed modes, each with the one value that still runs.
+#: :func:`run_dataset` and ``ExperimentContext`` accept them only as that
+#: value or ``None``, and runs publish the ``runtime.{workers,vector,stream}``
+#: gauges, only because bench/workloads.py (frozen outside benchmark PRs)
+#: passes them and asserts the gauges; the next benchmark PR drops them
+#: there, and then they go here too.
 _REMOVED_KEYWORDS = {
-    "vector": "the record/replay vector core was removed",
-    "stream": "streaming is no longer a mode: every run folds its chunks"
-              " in the shards, and RunConfig.spool_dir alone says where they live",
+    "vector": ("the record/replay vector core was removed", False),
+    "stream": ("streaming is no longer a mode: every run folds its chunks"
+               " as it freezes them, and RunConfig.spool_dir alone says"
+               " where they live", False),
+    "workers": ("shard parallelism was removed: every dataset runs in one"
+                " process", 1),
 }
 
 
 def reject_removed_keywords(**values) -> None:
     for keyword, value in values.items():
-        if value:
-            raise ValueError(
-                f"{_REMOVED_KEYWORDS[keyword]}; {keyword}= must be None or False"
-            )
+        reason, stub = _REMOVED_KEYWORDS[keyword]
+        if value is not None and value != stub:
+            raise ValueError(f"{reason}; {keyword}= must be {stub!r} or None")
+
+
+@contextmanager
+def collector_paused():
+    """Pause automatic cyclic garbage collection for the block.
+
+    A dataset run allocates millions of objects but leaves almost no
+    reference cycles, so every collection inside it rescans the parked
+    world only to find it alive (12–22 % of ``nl-w2020`` in ``bench/``).  The
+    collector is re-enabled on exit only if it was enabled on entry, so
+    pauses nest and an exception restores the caller's state.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @collector_paused()
@@ -724,16 +600,12 @@ def run_dataset(
 ) -> DatasetRun:
     """Simulate one dataset and return its capture.
 
-    ``config`` says how the run executes (the fields are documented on
-    :class:`~repro.config.RunConfig`); with none, the run is
-    ``RunConfig(workers=workers)``.  For a given fault plan every
-    configuration yields the same capture bytes.  With
-    ``workers=1`` the returned server objects carry their post-run state
-    (a pool leaves the parent's cold; their counters live in the merged
-    telemetry).  The fleet does not: it is
-    borrowed from the process's fleet store and goes back, rewound, once
-    the run is assembled — ``DatasetRun.fleet`` says who the resolvers
-    are, ``DatasetRun.telemetry`` what they did.
+    ``config`` says where the capture's chunks live (see
+    :class:`~repro.config.RunConfig`); either way the capture bytes are
+    the same.  The returned server objects carry their post-run state.
+    The fleet does not: it is borrowed from the process's fleet store and
+    goes back, rewound, once the run is done — ``DatasetRun.fleet`` says
+    who the resolvers are, ``DatasetRun.telemetry`` what they did.
 
     ``client_queries`` overrides the descriptor's volume (tests use small
     values; full-scale experiments use the descriptor default).
@@ -743,79 +615,58 @@ def run_dataset(
     this run's metrics are merged; the run itself always instruments a
     fresh registry whose snapshot lands on ``DatasetRun.telemetry``.
 
-    ``workers``, ``vector`` and ``stream`` are stubs beside ``config``
-    (:data:`_REMOVED_KEYWORDS`): only ``None``/``False`` are accepted for
-    the last two.
+    ``workers``, ``vector`` and ``stream`` are stubs
+    (:data:`_REMOVED_KEYWORDS`): only ``1``, ``False`` and ``False`` (or
+    ``None``) are accepted.
     """
-    reject_removed_keywords(vector=vector, stream=stream)
+    reject_removed_keywords(vector=vector, stream=stream, workers=workers)
     if config is None:
-        config = RunConfig(workers=workers)
+        config = RunConfig()
     metrics = MetricsRegistry()
     metrics.gauge("runtime.vector.enabled").set(0)
+    metrics.gauge("runtime.workers").set(1)
     env = build_environment(descriptor, seed, metrics)
     total_queries = (
         descriptor.client_queries if client_queries is None else client_queries
     )
-
-    # Only a pool runs more than one shard: with no client queries there
-    # is nothing to spread over workers.
-    shard_count = config.workers if total_queries > 0 else 1
-    with metrics.time_phase("runtime.plan"):
-        plan = plan_shards([member.weight for member in env.fleet], shard_count)
-    metrics.counter("runtime.shards_total").inc(len(plan))
-    metrics.gauge("runtime.workers").set(config.workers)
-
     logger.info(
-        "run %s: %d client queries over %d resolvers (%d shards, %d workers)",
+        "run %s: %d client queries over %d resolvers",
         descriptor.dataset_id, total_queries, len(env.fleet),
-        len(plan), config.workers,
     )
 
-    # The parent owns the run's spool: spilling shards write their chunk
-    # files straight into its directory, resident chunks are adopted as
-    # they are.
+    queries_run = run_member_range(env, total_queries, metrics)
+    rows_appended = env.capture.rows_appended
+    publish_fleet_metrics(metrics, env.fleet)
+    _publish_environment_metrics(metrics, env)
     spool_dir = (
         os.path.join(config.spool_dir, descriptor.dataset_id)
         if config.spool_dir else None
     )
-    spool = CaptureSpool(directory=spool_dir)
-    tasks = [
-        ShardTask(
-            descriptor=descriptor,
-            seed=seed,
-            client_queries=total_queries,
-            shard_index=shard.index,
-            start=shard.start,
-            stop=shard.stop,
-            spool_dir=spool_dir,
-        )
-        for shard in plan
-    ]
-    pooled = len(plan) > 1
-    if pooled:
-        # The parent drives no resolver itself: its still-pristine fleet
-        # goes back to the store before the pool forks, so every worker
-        # (and a serial fallback here) borrows it instead of building one.
-        worlds.return_fleet(env.fleet_part, metrics)
-        executor = ShardExecutor(config, metrics)
-        with metrics.time_phase("runtime.execute"):
-            executor.submit(tasks)
-            results, report = executor.collect()
-    else:
-        report = RuntimeReport(mode="serial", workers=1, shard_count=1)
-        (task,) = tasks
-        with metrics.time_phase("runtime.execute"):
-            results = [_run_shard(env, task, MetricsRegistry())]
-            record_outcome(report, metrics, task, results[0])
-    run = _assemble(env, results, report, metrics, spool)
-    if not pooled:
-        worlds.return_fleet(env.fleet_part, metrics)
-    run.telemetry = metrics.snapshot()
+    capture, aggregates = _freeze_capture(env, metrics, spool_dir)
+    # A stub gauge (see ``_REMOVED_KEYWORDS``): 1 exactly when chunks spilled.
+    metrics.gauge("runtime.stream.enabled").set(1 if capture.spool.chunk_paths() else 0)
+    resolve_s = metrics.phase_seconds("resolve")
+    if resolve_s > 0:
+        metrics.gauge("capture.append_rows_per_s").set(rows_appended / resolve_s)
+    worlds.return_fleet(env.fleet_part, metrics)
 
+    run = DatasetRun(
+        descriptor=descriptor,
+        capture=capture,
+        registry=env.registry,
+        fleet=env.fleet,
+        ptr_table=env.ptr_table,
+        network=env.network,
+        vantage_zone=env.vantage_zone,
+        server_sets=env.server_sets,
+        client_queries_run=queries_run,
+        telemetry=metrics.snapshot(),
+        aggregates=aggregates,
+    )
     logger.info(
-        "run %s done (%s): %d client queries, %d captured rows, %.2fs resolve time",
-        descriptor.dataset_id, report.summary(), run.client_queries_run,
-        len(run.capture), run.telemetry.phase_seconds("resolve"),
+        "run %s done: %d client queries, %d captured rows, %.2fs resolve time",
+        descriptor.dataset_id, run.client_queries_run, len(run.capture),
+        run.telemetry.phase_seconds("resolve"),
     )
     if telemetry is not None:
         telemetry.merge_snapshot(run.telemetry)

@@ -4,7 +4,9 @@ The paper's nine snapshots and the monthly Google samples behind Figure 3
 are cuts of three vantages, so most of what
 :func:`repro.sim.driver.build_environment` needs for one dataset was
 already built for another: four registry-zone specs and nine
-``(vantage, year)`` fleets cover the whole report matrix.  This module
+``(vantage, year)`` fleets cover the whole report matrix.  Building a
+world's zones (construction and signing) and its resolver fleet costs
+roughly as much as simulating several thousand queries, so this module
 keeps those parts for the life of the process; the driver assembles a
 per-dataset overlay (servers and their plan caches, capture, authority
 network, fault injector, the ``providers_only`` filter and the Q-min
@@ -19,30 +21,84 @@ override) on top of them.
   :class:`FleetPart` keyed ``(vantage, year, seed)``, checked out by at
   most one environment at a time (:meth:`EnvironmentCache.acquire` pops)
   and rewound — resolver sessions *and* behaviours — when it comes back.
-  The shards of a pooled run borrow it too: the parent parks it before
-  the pool forks (:func:`repro.sim.driver.run_dataset`).
 
-Both stores are :class:`~repro.runtime.EnvironmentCache` instances of
-the default capacity.  Swapping both for ``EnvironmentCache(0)`` shares
-nothing, so every dataset builds its world from scratch — the reference
-path; forked pool workers inherit the swap.
+Both stores are :class:`EnvironmentCache` instances of the default
+capacity.  Each key covers every input the parked object was built from,
+so a hit can only ever substitute a bit-identical build.  Swapping both
+for ``EnvironmentCache(0)`` shares nothing, so every dataset builds its
+world from scratch — the reference path.
 ``runtime.env_cache.{hit,miss}`` with a ``part`` label count every lookup:
 a ``miss`` is a real build, a ``hit`` a part some earlier world paid for.
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Tuple
 
 from ..clouds import FleetResolver, PTRTable, build_all_fleets, build_facebook_ptr_table
 from ..netsim import ASRegistry
 from ..resolver import ResolverBehavior, seed_fleet
-from ..runtime import EnvironmentCache
 from ..telemetry import MetricsRegistry
 from ..workload import DatasetDescriptor
 from ..zones import Zone, ZoneSpec, build_registry_zone, build_root_zone
+
+
+class EnvironmentCache:
+    """Bounded keyed parking lot for built fleets and zones.
+
+    Thread-safe; entries are exclusive (popped on :meth:`acquire`) unless
+    read through :meth:`share`.  The cache never resets or rebuilds what it
+    holds — callers rewind and deposit (see :func:`return_fleet`).
+
+    Capacity is bounded (default 12 entries: the full matrix's nine
+    ``(vantage, year)`` fleets, and three more so that a run beside it
+    evicts none); eviction is FIFO by deposit order.  A cache of capacity
+    ``0`` parks nothing.
+    """
+
+    def __init__(self, capacity: int = 12):
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.capacity = capacity
+
+    def _lookup(self, key: Hashable, pop: bool) -> Optional[Any]:
+        if self.capacity == 0:
+            return None
+        with self._lock:
+            return self._entries.pop(key, None) if pop else self._entries.get(key)
+
+    def acquire(self, key: Hashable) -> Optional[Any]:
+        """Pop and return the entry for ``key``, or ``None``."""
+        return self._lookup(key, pop=True)
+
+    def share(self, key: Hashable) -> Optional[Any]:
+        """The entry for ``key`` without checking it out, or ``None``.
+
+        For immutable entries only (sealed zones): any number of live
+        environments may hold the same object at once.
+        """
+        return self._lookup(key, pop=False)
+
+    def release(self, key: Hashable, entry: Any) -> None:
+        """Deposit (or re-deposit) an entry for later reuse.  Oldest
+        entries are evicted beyond capacity."""
+        capacity = self.capacity
+        if capacity == 0:
+            return
+        with self._lock:
+            self._entries.pop(key, None)
+            self._entries[key] = entry
+            while len(self._entries) > capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
 
 ZONES = EnvironmentCache()
 FLEETS = EnvironmentCache()

@@ -337,8 +337,8 @@ class MetricsRegistry:
                          name, elapsed, stat.total_s, stat.count)
 
     def observe_phase(self, name: str, seconds: float) -> PhaseStat:
-        """Record one externally-timed span (e.g. a worker-measured shard
-        duration shipped across a process boundary)."""
+        """Record one externally-timed span (e.g. the member loop's summed
+        per-member clock deltas)."""
         stat = self._phases.get(name)
         if stat is None:
             stat = self._phases[name] = PhaseStat()

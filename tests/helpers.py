@@ -67,24 +67,25 @@ def assert_views_equal(a, b):
         assert np.array_equal(x, y, equal_nan=equal_nan), f"column {name} differs"
 
 
-#: Counters whose total depends on how the fleet was cut into shards:
-#: each shard rounds its float sum of injected latency to whole
-#: milliseconds before the parent adds the shards up.
-SHARD_ROUNDED = {"faults.extra_latency_ms"}
+#: Simulation counters the oracle's counters literals were recorded
+#: without: the injected latency, rounded to whole milliseconds.
+UNRECORDED = {"faults.extra_latency_ms"}
 
 
 def sim_counters(snapshot):
     """The simulation-facing counters: everything but the ``runtime.*``
-    bookkeeping (backend, world stores, plan caches), the ``capture.spool.*``
-    chunk accounting, :data:`SHARD_ROUNDED` and the ``analysis.*``
-    counters.  Those are published once, from the merged state, but the
-    sketch's updates and evictions still sum what each shard fed, so they
-    move with the worker count; and the digests were recorded without any
-    of them, so keeping the rest would move every counters literal."""
+    bookkeeping (world stores, plan caches, the fold), the
+    ``capture.spool.*`` chunk accounting, the ``analysis.*`` counters and
+    :data:`UNRECORDED`.  The ``runtime.*`` and ``capture.spool.*`` ones
+    count how a row ran (plan caches, world stores, spilled chunks), which
+    the table must not see.  The rest no longer move with how a run
+    executed (there is no shard cut): they are left out only because the
+    digests were recorded without them, and keeping them would move every
+    counters literal."""
     return {
         key: value for key, value in snapshot.counters.items()
         if not key.startswith(("runtime.", "capture.spool.", "analysis."))
-        and key not in SHARD_ROUNDED
+        and key not in UNRECORDED
     }
 
 

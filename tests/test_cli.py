@@ -36,13 +36,16 @@ class TestCLI:
         import json
 
         path = tmp_path / "telemetry.json"
+        # --workers 1 is the one value of the removed flag that still runs
+        # (bench/workloads.py passes it and reads the gauge).
         assert main(
-            ["dataset", "nz-w2018", "--scale", "0.01",
+            ["dataset", "nz-w2018", "--scale", "0.01", "--workers", "1",
              "--telemetry-out", str(path)]
         ) == 0
         capsys.readouterr()
         data = json.loads(path.read_text())
         assert set(data) == {"counters", "gauges", "phases", "histograms"}
+        assert data["gauges"]["runtime.workers"] == 1
         for phase in ("zone_build", "fleet_build", "workload", "resolve"):
             assert phase in data["phases"]
         provider_sum = sum(
@@ -92,23 +95,10 @@ class TestCLI:
             entries = {entry(text, flag) for text in helps.values()}
             assert len(entries) == 1, f"help text drifted for {flag}: {entries}"
 
-    def test_dataset_workers_flag_shards_the_run(self, capsys, tmp_path):
-        import json
-
-        path = tmp_path / "telemetry.json"
-        assert main(
-            ["dataset", "nz-w2018", "--scale", "0.01", "--workers", "2",
-             "--telemetry-out", str(path)]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "runtime: process-pool: 2 shards on 2 workers" in captured.err
-        data = json.loads(path.read_text())
-        assert data["counters"]["runtime.shards_total"] == 2
-        assert "runtime.shard.0" in data["phases"]
-        assert "runtime.shard.1" in data["phases"]
-        assert data["gauges"]["runtime.workers"] == 2.0
-
     def test_experiments_workers_plumbed(self, capsys, monkeypatch):
+        """``--workers 1``, the one value of the removed flag that runs,
+        reaches the matrix as the one-process config."""
+        from repro.config import RunConfig
         from repro.experiments import render_all
 
         seen = {}
@@ -118,9 +108,9 @@ class TestCLI:
             return "# stub report"
 
         monkeypatch.setattr(render_all, "run_and_render", fake_run_and_render)
-        assert main(["experiments", "--scale", "0.05", "--workers", "3"]) == 0
+        assert main(["experiments", "--scale", "0.05", "--workers", "1"]) == 0
         capsys.readouterr()
-        assert seen["ctx"].config.workers == 3
+        assert seen["ctx"].config == RunConfig()
 
     def test_experiments_seed_and_scale_plumbed(self, capsys, monkeypatch):
         from repro.experiments import render_all
@@ -149,8 +139,7 @@ class TestCLI:
 
         monkeypatch.setattr(render_all, "run_and_render", two_cuts_of_one_world)
         forget_worlds()
-        # --workers 1: a pooled run books one more borrow per shard.
-        assert main(["experiments", "--scale", "0.002", "--workers", "1"]) == 0
+        assert main(["experiments", "--scale", "0.002"]) == 0
         last = capsys.readouterr().err.rstrip("\n").split("\n")[-1]
         assert re.fullmatch(
             r"worlds: \d+ fleets built, \d+ borrowed; \d+ zones built", last
@@ -194,7 +183,7 @@ class TestCLI:
         argv = ["dataset", "nz-w2018", "--scale", "0.01"]
         assert main(argv + ["--spool-dir", str(target)]) == 0
         spilled = capsys.readouterr().out
-        assert list((target / "nz-w2018").glob("shard*.chunk"))
+        assert list((target / "nz-w2018").glob("chunk*.chunk"))
         assert main(argv) == 0
         assert capsys.readouterr().out == spilled
 
@@ -238,6 +227,12 @@ class TestValidatesBeforeSimulating:
          "scale must be positive and finite, got inf"),
         (["dataset", "nl-w2020", "--scale", "1e300"],
          "1.85e+305 client queries do not fit int64"),
+        # Shard parallelism was removed: of the positive counts only
+        # --workers 1 runs.
+        (["dataset", "nz-w2018", "--workers", "2"],
+         "--workers 2: shard parallelism was removed"),
+        (["experiments", "--workers", "2"],
+         "--workers 2: shard parallelism was removed"),
     ])
     def test_bad_flag_is_a_usage_error(self, capsys, argv, named):
         with pytest.raises(SystemExit) as excinfo:
@@ -303,73 +298,14 @@ class TestChaosCLI:
 
 
 class TestPartialExit:
-    @staticmethod
-    def _break_runtime_report(monkeypatch):
-        """Wrap run_dataset so the returned report claims a failed shard."""
-        import repro.sim as sim_module
-        from repro.runtime import ShardOutcome
-
-        real = sim_module.run_dataset
-
-        def failing(descriptor, **kwargs):
-            run = real(descriptor, **kwargs)
-            run.runtime_report.failures = 1
-            run.runtime_report.outcomes.append(
-                ShardOutcome(index=7, start=0, stop=None, error="boom")
-            )
-            return run
-
-        monkeypatch.setattr(sim_module, "run_dataset", failing)
-
-    def test_failed_shards_exit_nonzero(self, capsys, monkeypatch):
-        self._break_runtime_report(monkeypatch)
-        assert main(["dataset", "nz-w2018", "--scale", "0.01"]) == 3
-        err = capsys.readouterr().err
-        assert "capture is incomplete" in err
-        assert "#7 (boom)" in err
-
-    def test_allow_partial_exits_zero(self, capsys, monkeypatch):
-        self._break_runtime_report(monkeypatch)
-        assert main(
-            ["dataset", "nz-w2018", "--scale", "0.01", "--allow-partial"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "continuing anyway (--allow-partial)" in err
+    """No run is partial: a dataset runs in one process, so a failure
+    raises out of it instead of leaving a capture with holes."""
 
     def test_clean_run_exits_zero(self, capsys):
         assert main(["dataset", "nz-w2018", "--scale", "0.01"]) == 0
         err = capsys.readouterr().err
         assert "capture is incomplete" not in err
-
-    @pytest.mark.parametrize("bad_shard", [0, 1])
-    def test_experiments_render_nothing_from_a_failed_shard(
-        self, capsys, monkeypatch, tmp_path, bad_shard
-    ):
-        """A shard that fails on the pool, on its retry and in the serial
-        fallback (forked workers inherit the patch) stops the matrix: one
-        error line naming the dataset and the shard, exit 3, no document."""
-        from repro.sim import driver
-
-        real = driver.simulate_shard
-
-        def failing(task):
-            if task.descriptor.dataset_id == "nl-w2020" and task.shard_index == bad_shard:
-                raise RuntimeError("injected")
-            return real(task)
-
-        monkeypatch.setattr(driver, "simulate_shard", failing)
-        written = tmp_path / "experiments.md"
-        assert main(
-            ["experiments", "--scale", "0.005", "--workers", "2", "--write", str(written)]
-        ) == 3
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
-        assert errors == [
-            f"ERROR: nl-w2020: 1 shard(s) failed — capture is incomplete: "
-            f"#{bad_shard} (serial fallback failed: RuntimeError: injected)"
-        ]
-        assert "Traceback" not in err
-        assert not written.exists()
+        assert not [line for line in err.splitlines() if line.startswith("ERROR")]
 
 
 #: Commands that were removed: naming one is argparse's invalid choice.

@@ -1,7 +1,6 @@
 """The collector policy: automatic cyclic garbage collection is paused for
-a dataset run (:func:`repro.sim.run_dataset`) and for a pool worker's shard
-(:func:`repro.runtime.execute_shard_task`), through
-:func:`repro.runtime.collector_paused`.
+a dataset run (:func:`repro.sim.run_dataset`), through
+:func:`repro.sim.driver.collector_paused`.
 
 Two things keep that pause safe, and this module pins both:
 
@@ -18,7 +17,6 @@ Python versions.
 """
 
 import gc
-import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -27,8 +25,8 @@ from repro.__main__ import main
 from repro.config import RunConfig
 from repro.faults import chaos_scenario
 from repro.resolver.engine import SimResolver
-from repro.runtime import ShardTask, collector_paused, execute_shard_task, executor
 from repro.sim import driver, run_dataset
+from repro.sim.driver import collector_paused
 from repro.workload import dataset
 
 DATASET = "nz-w2020"
@@ -52,45 +50,37 @@ def collector():
         gc.disable()
 
 
-MODES = ("serial", "fork", "spawn", "chaos", "spool")
+MODES = ("serial", "chaos", "spool")
 
 
-def _run(mode, tmp_path, monkeypatch):
-    """One small ``nz-w2020`` run in ``mode``."""
+def _run(mode, tmp_path):
+    """One small ``nz-w2020`` run in ``mode``: plain (``serial``), under a
+    chaos plan, or with its chunks spilled."""
     descriptor = dataset(DATASET)
-    options = {"workers": 1}
-    if mode in ("fork", "spawn"):
-        if mode not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"no {mode} start method here")
-        monkeypatch.setattr(
-            executor, "pool_context", lambda: multiprocessing.get_context(mode)
-        )
-        options["workers"] = 2
-    elif mode == "chaos":
+    config = RunConfig()
+    if mode == "chaos":
         descriptor = replace(descriptor, fault_plan=chaos_scenario("flaky-server"))
     elif mode == "spool":
-        options["spool_dir"] = str(tmp_path / "spool")
-    run = run_dataset(descriptor, client_queries=QUERIES, config=RunConfig(**options))
+        config = RunConfig(spool_dir=str(tmp_path / "spool"))
+    run = run_dataset(descriptor, client_queries=QUERIES, config=config)
     assert run.client_queries_run == QUERIES
     assert len(run.capture) > 0
-    if options["workers"] > 1:
-        assert run.runtime_report.mode == "process-pool"
 
 
 class TestCallerStateSurvives:
     @pytest.mark.parametrize("mode", MODES)
-    def test_enabled_collector_is_enabled_again(self, mode, collector, tmp_path, monkeypatch):
-        _run(mode, tmp_path, monkeypatch)
+    def test_enabled_collector_is_enabled_again(self, mode, collector, tmp_path):
+        _run(mode, tmp_path)
         assert gc.isenabled()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_disabled_collector_stays_disabled_and_finds_few_cycles(
-        self, mode, collector, tmp_path, monkeypatch
+        self, mode, collector, tmp_path
     ):
         # With the caller's collector off, no automatic collection can
         # sweep the run's cycles before this count sees them.
         gc.disable()
-        _run(mode, tmp_path, monkeypatch)
+        _run(mode, tmp_path)
         assert not gc.isenabled()
         unreachable = gc.collect()
         assert unreachable <= CYCLE_BUDGET, (mode, unreachable)
@@ -105,7 +95,7 @@ class TestCallerStateSurvives:
         if not enabled:
             gc.disable()
         with pytest.raises(RuntimeError, match="world build failed"):
-            run_dataset(dataset(DATASET), client_queries=QUERIES, workers=1)
+            run_dataset(dataset(DATASET), client_queries=QUERIES)
         assert gc.isenabled() is enabled
 
     def test_pauses_nest(self, collector):
@@ -116,14 +106,14 @@ class TestCallerStateSurvives:
         assert gc.isenabled()
 
     def test_cli_dataset_restores_the_collector(self, collector, capsys):
-        # A pooled, lossy run reaches the pause through the CLI as well as
-        # a serial one.  No cycle count here: building the argument parser
-        # alone leaves ~600 unreachable objects a call.
-        pooled = ["--workers", "2", "--chaos", "default-loss"]
+        # A lossy run reaches the pause through the CLI as well as a plain
+        # one.  No cycle count here: building the argument parser alone
+        # leaves ~600 unreachable objects a call.
+        lossy = ["--chaos", "default-loss"]
         assert main(["dataset", DATASET, "--scale", "0.01"]) == 0
         assert gc.isenabled()
         gc.disable()
-        assert main(["dataset", DATASET, "--scale", "0.01", *pooled]) == 0
+        assert main(["dataset", DATASET, "--scale", "0.01", *lossy]) == 0
         assert not gc.isenabled()
         capsys.readouterr()
 
@@ -145,18 +135,6 @@ def resolve_sees(monkeypatch):
 
 class TestPauseCoversTheWork:
     def test_member_loop_runs_paused(self, collector, resolve_sees):
-        run_dataset(dataset(DATASET), client_queries=QUERIES, workers=1)
-        assert resolve_sees and not any(resolve_sees)
-        assert gc.isenabled()
-
-    def test_worker_entry_pauses_by_itself(self, collector, resolve_sees):
-        # A spawned worker starts with the collector enabled and nothing
-        # inherited from run_dataset; the entry it runs must pause it.
-        task = ShardTask(
-            descriptor=dataset(DATASET), seed=20201027, client_queries=QUERIES,
-            shard_index=0,
-        )
-        result = execute_shard_task(task)
-        assert result.queries_run == QUERIES
+        run_dataset(dataset(DATASET), client_queries=QUERIES)
         assert resolve_sees and not any(resolve_sees)
         assert gc.isenabled()

@@ -103,10 +103,11 @@ def rec(day, transport=Transport.UDP, family=4, rcode=RCode.NOERROR, src_index=0
 
 @pytest.mark.parametrize("case", ["nl-w2020", "nz-w2019", "root-2020"])
 def test_folded_concentration_is_the_whole_view_arithmetic(case):
-    """Two shards' merged per-AS counts give the report and the group
-    share that one pass over the whole attributed view gives, bit for bit."""
+    """The per-AS counts a run folds chunk by chunk give the report and the
+    group share that one pass over the whole attributed view gives, bit
+    for bit."""
     descriptor, queries, seed = CASES[case]
-    run = run_dataset(descriptor, seed=seed, client_queries=queries, workers=2)
+    run = run_dataset(descriptor, seed=seed, client_queries=queries)
     attribution = Attributor(run.registry, PROVIDERS).attribute(run.capture.view())
     analytics = DatasetAnalytics.of(run)
     assert analytics.concentration() == concentration(attribution)

@@ -3,7 +3,7 @@ response-plan caching.
 
 Caching is an execution detail and must be *invisible* in the results:
 that captures are the same bytes with the plan cache and the world store
-on or off, serially, on a pool and under a chaos plan is pinned in
+on or off, resident, spilled and under a chaos plan is pinned in
 ``test_oracle``.  Here: what the caches do — hit, miss, evict, borrow.
 """
 
@@ -14,14 +14,13 @@ from dataclasses import replace
 import pytest
 
 import repro.server.authoritative as authoritative
-from repro.capture import CaptureSpool, CaptureStore, SpooledCapture, Transport
+from repro.capture import CaptureStore, Transport
 from repro.dnscore import Message, Name, RRType
 from repro.faults import chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress
-from repro.runtime import EnvironmentCache, ShardTask
 from repro.server import AuthoritativeServer
 from repro.sim import run_dataset
-from repro.sim.driver import simulate_shard
+from repro.sim.worlds import EnvironmentCache
 from repro.workload import dataset
 from repro.workload.datasets import monthly_google_descriptor
 from repro.zones import Zone
@@ -35,29 +34,16 @@ SEED = 20201027
 SRC = IPAddress.parse("192.0.2.53")
 
 
-def _cached_shard(case):
-    descriptor, queries, seed = CASES[case]
-    task = ShardTask(
-        descriptor=descriptor, seed=seed, client_queries=queries,
-        shard_index=0, start=0, stop=None,
-    )
-    result = simulate_shard(task)
-    spool = CaptureSpool()
-    spool.adopt(result.chunks, result.chunk_row_counts)
-    return result, SpooledCapture(spool, result.rows_appended)
-
-
-class TestWarmShard:
-    def test_a_second_shard_borrows_the_rewound_fleet(self):
-        """What a second shard of the same dataset in one process shares
+class TestWarmRun:
+    def test_a_second_run_borrows_the_rewound_fleet(self):
+        """What a second run of the same dataset in one process shares
         with the first is the rewound fleet (and the sealed zones) — not
         servers: its overlay is its own, so its plan caches start empty.
-        One shard over the whole fleet is the serial run, so it must still
-        give the table's rows."""
-        case = "nz-w2019"
-        _cached_shard(case)
-        warm, warm_store = _cached_shard(case)
-        assert view_digest(warm_store.view()) == ORACLE[case]["capture"]
+        It must still give the table's rows."""
+        descriptor, queries, seed = CASES["nz-w2019"]
+        run_dataset(descriptor, seed=seed, client_queries=queries)
+        warm = run_dataset(descriptor, seed=seed, client_queries=queries)
+        assert view_digest(warm.capture.view()) == ORACLE["nz-w2019"]["capture"]
         telemetry = warm.telemetry
         assert telemetry.counter("runtime.env_cache.hit", part="fleet") == 1
         assert telemetry.counter("runtime.env_cache.miss", part="fleet") == 0
@@ -128,10 +114,10 @@ class TestPlanCache:
         """The cached encoding belongs to the live endpoint.  The
         simulator's loop replays plans all day and never encodes one."""
         run = run_dataset(
-            dataset(DATASET), seed=SEED, client_queries=QUERIES, workers=1
+            dataset(DATASET), seed=SEED, client_queries=QUERIES
         )
         assert run.telemetry.total("runtime.plan_cache.hits") > 0
-        # workers=1: the returned servers carry their post-run state.
+        # The returned servers carry their post-run state.
         plans = [
             plan
             for server_set in run.server_sets.values()
@@ -180,7 +166,7 @@ class TestSendPathKeys:
         monkeypatch.setattr(Name, "__hash__", traced_hash)
         monkeypatch.setattr(Name, "__eq__", traced_eq)
         result = run_dataset(
-            SEND_PATH_RUNS[run](), seed=SEED, client_queries=QUERIES, workers=1
+            SEND_PATH_RUNS[run](), seed=SEED, client_queries=QUERIES
         )
         assert result.telemetry.total("runtime.plan_cache.hits") > 0
         assert {Name.from_text("probe.nl")}  # the wrappers are live

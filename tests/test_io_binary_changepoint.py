@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import jump_detector
 from repro.capture import CaptureStore, QueryRecord, Transport, read_chunk, write_chunk
-from repro.capture.io_binary import MAGIC, read_row_count
+from repro.capture.io_binary import MAGIC
 from repro.netsim import IPAddress
 
 from .helpers import sources
@@ -33,7 +33,6 @@ class TestBinaryIO:
         store.extend(make_record(i) for i in range(200))
         path = tmp_path / "capture.chunk"
         assert write_chunk(path, store.view()) == path.stat().st_size
-        assert read_row_count(path) == 200
         loaded = read_chunk(path)
         original = store.view()
         assert len(loaded) == 200
@@ -54,7 +53,6 @@ class TestBinaryIO:
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.chunk"
         write_chunk(path, CaptureStore().view())
-        assert read_row_count(path) == 0
         assert len(read_chunk(path)) == 0
 
     def test_unicode_qnames(self, tmp_path):
@@ -77,10 +75,9 @@ class TestBinaryIO:
         # The version is the little-endian uint16 right after the magic.
         data[len(MAGIC):len(MAGIC) + 2] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(data))
-        for read in (read_chunk, read_row_count):
-            with pytest.raises(ValueError, match="version 99") as excinfo:
-                read(path)
-            assert str(path) in str(excinfo.value)
+        with pytest.raises(ValueError, match="version 99") as excinfo:
+            read_chunk(path)
+        assert str(path) in str(excinfo.value)
 
 
 FLAT = [0.05, 0.04, 0.06, 0.05, 0.05]

@@ -5,16 +5,15 @@ A *case* (:data:`CASES`) is what is simulated: a descriptor, a volume and
 a seed.  A *column* (:func:`columns`) is one digest of what a run
 produced.  A *row* (:data:`ROWS`) is how it ran.
 :data:`ORACLE` holds one literal per (case, column) and every scheduled
-(row, case) pair must reproduce it; so must three workers, a spawned pool,
-a null fault plan, the world store visited in two orders, and the report
-matrix (:data:`REPORTS`).  A mismatch names case, row and column and
-prints the new digest.  Re-recording is editing that one literal and
-saying why in CHANGES.md.  Beside the table, every plan a serial run of
-each case memoised must equal its keyless, encoder-sized rebuild.
+(row, case) pair must reproduce it; so must a null fault plan, the world
+store visited in two orders, and the report matrix (:data:`REPORTS`),
+resident and spooled.  A mismatch names case, row and column and prints
+the new digest.  Re-recording is editing that one literal and saying why
+in CHANGES.md.  Beside the table, every plan a run of each case memoised
+must equal its keyless, encoder-sized rebuild.
 """
 
 import itertools
-import multiprocessing
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -27,9 +26,9 @@ from repro.config import RunConfig
 from repro.experiments import ExperimentContext
 from repro.experiments.render_all import collect_all
 from repro.faults import FaultPlan, chaos_scenario
-from repro.runtime import EnvironmentCache, executor
 from repro.server import AuthoritativeServer
 from repro.sim import forget_worlds, run_dataset, worlds
+from repro.sim.worlds import EnvironmentCache
 from repro.workload import dataset, monthly_google_descriptor
 
 from .helpers import (
@@ -149,15 +148,16 @@ REPORTS = "d68f402f0ab53aaa4e52b84ebbcfb491"
 
 
 class Row(NamedTuple):
-    workers: int
     stream: bool
     plan_cache: bool
     world_store: bool
 
     @property
     def name(self):
+        # ``w1``: one process, as every run is (--workers 1 is the one
+        # value that runs).
         return "-".join((
-            f"w{self.workers}", "stream" if self.stream else "memory",
+            "w1", "stream" if self.stream else "memory",
             "plan" if self.plan_cache else "noplan",
             "store" if self.world_store else "nostore",
         ))
@@ -165,29 +165,26 @@ class Row(NamedTuple):
 
 #: Every pair of values of any two (two-valued) axes meets in some row.
 #: ``stream`` is where the chunks live: spilled under a spool directory
-#: (``stream``) or resident (``memory``); every row folds in its shards.
-#: ``plan_cache`` off makes every server of the run a reference server,
-#: ``world_store`` off every world built from scratch (see :func:`pin`).
-#: The first row is the reference path — one process, resident chunks,
-#: every response and every world built from scratch — and the second its
-#: complement.
+#: (``stream``) or resident (``memory``).  ``plan_cache`` off makes every
+#: server of the run a reference server, ``world_store`` off every world
+#: built from scratch (see :func:`pin`).  The first four rows cover every
+#: pair; the first is the reference path — resident chunks, every response
+#: and every world built from scratch — and the third the product's
+#: default path.
 ROWS = [
-    Row(1, False, False, False),
-    Row(2, True, True, True),
-    Row(2, True, False, False),
-    Row(2, False, True, True),
-    Row(1, True, True, False),
-    Row(1, False, False, True),
+    Row(False, False, False),
+    Row(True, True, False),
+    Row(False, True, True),
+    Row(True, False, True),
+    Row(False, False, True),
 ]
 
-#: (row, case) pairs the matrix runs: every case runs the reference row
-#: and its complement, which between them give it every axis value, and
-#: each other row runs on one case.
-SCHEDULE = [(row, case) for case in CASES for row in ROWS[:2]] + [
-    (ROWS[2], "nz-w2020"),               # every part built again in each worker
-    (ROWS[3], "nz-w2020+flaky-server"),  # chaos on a pool, chunks resident
-    (ROWS[4], "root-2020"),              # spilled, worlds built from scratch
-    (ROWS[5], "nl-w2020+heavy-loss"),    # chaos on one resident shard
+#: (row, case) pairs the matrix runs: every case runs the first three
+#: rows, which between them give it every axis value, and each other row
+#: runs on one case.
+SCHEDULE = [(row, case) for case in CASES for row in ROWS[:3]] + [
+    (ROWS[3], "nz-w2020+flaky-server"),  # chaos spilled, every response built
+    (ROWS[4], "nl-w2020+heavy-loss"),    # chaos resident, worlds borrowed
 ]
 
 
@@ -225,10 +222,10 @@ def facade_answers(analytics):
 def columns(run):
     """Every column of the table for one run.
 
-    Every run answers from what its shards folded.  The heavy-hitter list,
-    a sketch that depends on where chunk boundaries fell, always comes
-    from one feed of the run's own view, so the answers of every mode
-    share one literal.
+    Every run answers from what it folded.  The heavy-hitter list, a
+    sketch that depends on where chunk boundaries fell, always comes from
+    one feed of the run's own view, because the literal was recorded that
+    way.
     """
     view = run.capture.view()
     one_feed = DatasetAnalytics.over(
@@ -270,16 +267,13 @@ def reports_digest(reports):
 
 # -- running a row -------------------------------------------------------------
 
-def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
+def pin(monkeypatch, plan_cache=True, world_store=True):
     """Set the process-level axes for one test.
 
-    Without ``plan_cache`` every server built from here on — in this
-    process and in the pool workers it forks — is a reference server
-    (``_plans = None``: every response built and encoded in full).
+    Without ``plan_cache`` every server built from here on is a reference
+    server (``_plans = None``: every response built and encoded in full).
     Without ``world_store`` both world stores are swapped for ones that
-    park nothing, so every world is built from scratch.  ``start`` names
-    the multiprocessing start method of the run's shard pools (``None``:
-    the platform rule, fork where it exists).
+    park nothing, so every world is built from scratch.
     """
     if not plan_cache:
         build = AuthoritativeServer.__init__
@@ -292,28 +286,20 @@ def pin(monkeypatch, plan_cache=True, world_store=True, start=None):
     if not world_store:
         monkeypatch.setattr(worlds, "ZONES", EnvironmentCache(0))
         monkeypatch.setattr(worlds, "FLEETS", EnvironmentCache(0))
-    if start is not None:
-        monkeypatch.setattr(
-            executor, "pool_context", lambda: multiprocessing.get_context(start)
-        )
 
 
-def run_case(case, workers=1, spool_dir=None, **overrides):
+def run_case(case, spool_dir=None, **overrides):
     """One run of ``case``; ``overrides`` replace descriptor fields."""
     descriptor, queries, seed = CASES[case]
     return run_dataset(
         replace(descriptor, **overrides), seed=seed, client_queries=queries,
-        config=RunConfig(workers=workers, spool_dir=spool_dir),
+        config=RunConfig(spool_dir=spool_dir),
     )
 
 
-def assert_structure(run, workers, spool_dir):
-    """What the mode itself must show: the backend, the shards, where the
-    chunks live, what the run folded."""
-    report = run.runtime_report
-    assert report.mode == ("process-pool" if workers > 1 else "serial")
-    assert report.shard_count == workers and report.failures == 0
-    assert sum(outcome.rows for outcome in report.outcomes) == len(run.capture)
+def assert_structure(run, spool_dir):
+    """What the mode itself must show: where the chunks live, what the
+    run folded."""
     assert isinstance(run.capture, SpooledCapture)
     chunk_files = [] if spool_dir is None else sorted(
         str(path) for path in (spool_dir / run.descriptor.dataset_id).glob("*.chunk")
@@ -341,8 +327,8 @@ def test_the_matrix_covers_every_pair_and_every_case():
 def test_row_reproduces_the_table(row, case, monkeypatch, tmp_path):
     pin(monkeypatch, row.plan_cache, row.world_store)
     spool_dir = tmp_path if row.stream else None
-    run = run_case(case, row.workers, spool_dir)
-    assert_structure(run, row.workers, spool_dir)
+    run = run_case(case, spool_dir)
+    assert_structure(run, spool_dir)
     # Only servers with a plan cache book its counters.
     assert (run.telemetry.total("runtime.plan_cache.misses") > 0) == row.plan_cache
     assert_reproduces(case, row.name, columns(run))
@@ -350,28 +336,12 @@ def test_row_reproduces_the_table(row, case, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_every_memoised_plan_is_its_encoder_sized_twin(case, monkeypatch):
-    """A serial run's servers keep the plans they memoised; rebuilt without
-    a key, each must come out field for field the same."""
+    """A run's servers keep the plans they memoised; rebuilt without a
+    key, each must come out field for field the same."""
     pin(monkeypatch)
     run = run_case(case)
     checked, wrong = plan_mismatches(run_servers(run))
     assert checked > 0 and not wrong, "\n".join(wrong[:20])
-
-
-def test_three_workers(monkeypatch):
-    pin(monkeypatch)
-    run = run_case("nl-w2020", workers=3)
-    assert_structure(run, 3, None)
-    assert_reproduces("nl-w2020", "w3", columns(run))
-
-
-def test_spawned_pool(monkeypatch, tmp_path):
-    """Spawned workers start with empty world stores and build every part
-    themselves; forked ones borrow what the parent parked."""
-    pin(monkeypatch, start="spawn")
-    run = run_case("nz-google-qmin-off", workers=2, spool_dir=tmp_path)
-    assert_structure(run, 2, tmp_path)
-    assert_reproduces("nz-google-qmin-off", "spawn", columns(run))
 
 
 def test_null_fault_plan_is_no_plan(monkeypatch):
@@ -421,9 +391,9 @@ def test_serial_matrix_reproduces_the_reports(serial_matrix):
 
 
 @pytest.mark.slow
-def test_pooled_streaming_matrix_reproduces_the_reports(monkeypatch, tmp_path):
+def test_spooled_matrix_reproduces_the_reports(monkeypatch, tmp_path):
     pin(monkeypatch)
     ctx = ExperimentContext(
-        scale=REPORT_SCALE, config=RunConfig(workers=2, spool_dir=str(tmp_path))
+        scale=REPORT_SCALE, config=RunConfig(spool_dir=str(tmp_path))
     )
     assert reports_digest(collect_all(ctx)) == REPORTS

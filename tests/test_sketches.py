@@ -1,27 +1,29 @@
 """Property suite for the frequency sketches: every guarantee executable.
 
-The composition aggregator is the codebase's first genuinely approximate
-state, so its sketches don't get the exact-equality algebra treatment —
-they get *bound* properties instead, asserted here under adversarial
-stream shapes (Zipf, all-distinct, single-dominant, interleaved
-partitions) and hypothesis-generated weighted streams:
+The composition aggregator is the codebase's one genuinely approximate
+state, so its sketches don't get the exact-equality treatment — they get
+*bound* properties instead, asserted here under adversarial stream shapes
+(Zipf, all-distinct, single-dominant) and hypothesis-generated weighted
+streams:
 
 space-saving
     estimates never underestimate; per-item error never exceeds the
-    minimum bucket, which never exceeds ``total / capacity`` for a
-    single-fed summary; any item heavier than the minimum bucket is
-    guaranteed tracked; ``bounds()`` brackets the true count — including
-    after arbitrary partition/merge plans, where the summary is lossy
-    but must stay sound.
+    minimum bucket, which never exceeds ``total / capacity``; any item
+    heavier than the minimum bucket is guaranteed tracked; ``bounds()``
+    brackets the true count — also when the stream was fed chunk by
+    chunk, which is a feed sequence of its own, and after arbitrary
+    partition/merge plans, where the summary is lossy but must stay
+    sound.
 
 count-min
-    estimates never underestimate, for any keys whatsoever; the merge is
-    *exact* (element-wise table addition), so partition == whole,
-    commutativity, and associativity hold bit-for-bit on the canonical
-    state; the ``εN`` overestimate ceiling is asserted on a fixed key
-    pool whose keys each own a collision-free row under the default
-    (width, depth, seed) — making the probabilistic guarantee a
-    deterministic equality, immune to flake.
+    estimates never underestimate, for any keys whatsoever; its table is
+    a sum and its merge is *exact* (element-wise table addition), so a
+    stream fed chunk by chunk, or in parts merged in any order and
+    grouping, equals it fed whole bit-for-bit on the canonical state; the
+    ``εN`` overestimate ceiling is asserted on a fixed key pool whose keys
+    each own a collision-free row under the default (width, depth, seed)
+    — making the probabilistic guarantee a deterministic equality, immune
+    to flake.
 """
 
 import pickle
@@ -329,6 +331,20 @@ class TestSpaceSaving:
             assert left.estimate(item) == count
             assert left.error(item) == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(weighted_stream_st, st.integers(1, 8), st.integers(1, 12))
+    def test_chunked_feed_stays_sound(self, stream, capacity, chunk):
+        """Fed chunk by chunk, one ``feed_many`` per chunk of distinct
+        names (as the composition fold feeds a capture): what is tracked
+        depends on the chunking, but the bounds must still bracket every
+        true count and the floor must still cap absences."""
+        sketch = SpaceSavingSketch(capacity)
+        for start in range(0, len(stream), chunk):
+            truth = truth_of(stream[start:start + chunk])
+            names = sorted(truth)
+            sketch.feed_many(names, [truth[name] for name in names])
+        assert_space_saving_sound(sketch, truth_of(stream))
+
     def test_deterministic_eviction(self):
         """Equal-count eviction ties break by insertion order, so the
         summary is a pure function of the feed sequence."""
@@ -469,6 +485,17 @@ class TestCountMin:
         ba.merge(shard(2))
         assert left.state() == right.state() == ba.state()
 
+    @settings(max_examples=40, deadline=None)
+    @given(any_stream_st, st.integers(1, 12))
+    def test_chunked_feed_equals_whole_feed_exactly(self, stream, chunk):
+        whole = CountMinSketch(32, 3, 1)
+        whole.feed_many([item for item, _ in stream], [count for _, count in stream])
+        chunked = CountMinSketch(32, 3, 1)
+        for start in range(0, len(stream), chunk):
+            part = stream[start:start + chunk]
+            chunked.feed_many([item for item, _ in part], [count for _, count in part])
+        assert chunked.state() == whole.state()
+
     def test_epsilon_delta_formulas(self):
         import math
 
@@ -483,8 +510,7 @@ class TestCountMin:
             CountMinSketch(32, 3, 0).merge(CountMinSketch(64, 3, 0))
 
     def test_survives_pickle_round_trip(self):
-        """Workers ship sketches back through pickle; hash keys must be
-        rebuilt so estimates agree after the trip."""
+        """A pickled sketch answers and feeds on as the original does."""
         import pickle
 
         cm = CountMinSketch(64, 3, 5)

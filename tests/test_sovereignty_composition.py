@@ -2,22 +2,22 @@
 recount.
 
 Folded state vs a row-at-a-time exact recount of the materialised
-capture — serial and workers=2, chaos on and off.  The exact fields
-(country/bloc counts, taxonomy categories, count-min table) must match
-the recount bit-for-bit (that they are one literal across worker counts
-is pinned in ``test_oracle``); the space-saving heavy-hitter summary is
-held to its bound contract (every true count inside the certified
-bracket) instead.
+capture — chunks resident and spilled, chaos on and off.  The exact
+fields (country/bloc counts, taxonomy categories, count-min table) must
+match the recount bit-for-bit (that they are one literal in every mode is
+pinned in ``test_oracle``); the space-saving heavy-hitter summary is held
+to its bound contract (every true count inside the certified bracket)
+instead.
 
 Also the regression home for the fleets country fix: background-ISP
 ``ASInfo`` rows must carry a real gazetteer ISO country (the old code
-stored the airport *site code*), and the attribution country totals must
-be deterministic across worker counts.
+stored the airport *site code*).
 """
 
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.analysis import Attributor, DatasetAnalytics
@@ -81,27 +81,22 @@ def brute_force_composition(view):
     return counts
 
 
-def simulate(descriptor, workers, spool_dir=None):
-    """One run of ``descriptor`` with the modes given explicitly."""
+def simulate(descriptor, spool_dir=None):
+    """One run of ``descriptor``, its chunks spilled under ``spool_dir``."""
     return run_dataset(
         descriptor, client_queries=QUERIES, seed=SEED,
-        config=RunConfig(workers=workers, spool_dir=spool_dir),
+        config=RunConfig(spool_dir=spool_dir),
     )
 
 
 @pytest.fixture(scope="module")
 def mem_run():
-    return simulate(dataset(DATASET), workers=1)
+    return simulate(dataset(DATASET))
 
 
 @pytest.fixture(scope="module")
 def stream_run(tmp_path_factory):
-    return simulate(dataset(DATASET), workers=1, spool_dir=tmp_path_factory.mktemp("spool"))
-
-
-@pytest.fixture(scope="module")
-def pooled_run(tmp_path_factory):
-    return simulate(dataset(DATASET), workers=2, spool_dir=tmp_path_factory.mktemp("spool"))
+    return simulate(dataset(DATASET), spool_dir=tmp_path_factory.mktemp("spool"))
 
 
 class TestClassifier:
@@ -121,10 +116,10 @@ class TestClassifier:
         assert sum(counts.values()) == len(view)
 
 
-@pytest.mark.parametrize("workers_fixture", ["stream_run", "pooled_run"])
+@pytest.mark.parametrize("run_fixture", ["mem_run", "stream_run"])
 class TestSovereigntyParity:
-    def test_streaming_equals_brute_force(self, workers_fixture, request, mem_run):
-        run = request.getfixturevalue(workers_fixture)
+    def test_streaming_equals_brute_force(self, run_fixture, request, mem_run):
+        run = request.getfixturevalue(run_fixture)
         state = run.aggregates["sovereignty"].exact_state()
         view, attribution = attribution_of(mem_run)
         queries, response_bytes, labels = brute_force_sovereignty(view, attribution)
@@ -133,16 +128,16 @@ class TestSovereigntyParity:
         assert state["byte_counts"] == dict(response_bytes)
         assert state["label_counts"] == dict(labels)
 
-    def test_composition_equals_brute_force(self, workers_fixture, request, mem_run):
-        run = request.getfixturevalue(workers_fixture)
+    def test_composition_equals_brute_force(self, run_fixture, request, mem_run):
+        run = request.getfixturevalue(run_fixture)
         state = run.aggregates["composition"].exact_state()
         expected = brute_force_composition(mem_run.capture.view())
         assert state["total"] == sum(expected.values())
         for category in CATEGORIES:
             assert state["category_counts"][category] == expected.get(category, 0)
 
-    def test_heavy_hitter_bounds_contain_truth(self, workers_fixture, request, mem_run):
-        run = request.getfixturevalue(workers_fixture)
+    def test_heavy_hitter_bounds_contain_truth(self, run_fixture, request, mem_run):
+        run = request.getfixturevalue(run_fixture)
         aggregator = run.aggregates["composition"]
         truth = Counter(str(q) for q in mem_run.capture.view().qname)
         assert aggregator.hot_names.total == sum(truth.values())
@@ -159,37 +154,31 @@ class TestChaosParity:
         return replace(dataset(DATASET), fault_plan=chaos_scenario("default-loss"))
 
     @pytest.fixture(scope="class")
-    def chaos_mem_run(self, chaos_descriptor):
-        return simulate(chaos_descriptor, workers=1)
+    def chaos_stream_run(self, chaos_descriptor, tmp_path_factory):
+        return simulate(chaos_descriptor, spool_dir=tmp_path_factory.mktemp("spool"))
 
-    @pytest.fixture(scope="class")
-    def chaos_pooled_run(self, chaos_descriptor, tmp_path_factory):
-        return simulate(
-            chaos_descriptor, workers=2, spool_dir=tmp_path_factory.mktemp("spool")
-        )
-
-    def test_chaos_sovereignty_equals_brute_force(self, chaos_mem_run, chaos_pooled_run):
-        view, attribution = attribution_of(chaos_mem_run)
+    def test_chaos_sovereignty_equals_brute_force(self, chaos_stream_run):
+        view, attribution = attribution_of(chaos_stream_run)
         queries, response_bytes, labels = brute_force_sovereignty(view, attribution)
-        state = chaos_pooled_run.aggregates["sovereignty"].exact_state()
+        state = chaos_stream_run.aggregates["sovereignty"].exact_state()
         assert state["query_counts"] == dict(queries)
         assert state["byte_counts"] == dict(response_bytes)
         assert state["label_counts"] == dict(labels)
 
-    def test_chaos_composition_equals_brute_force(self, chaos_mem_run, chaos_pooled_run):
-        expected = brute_force_composition(chaos_mem_run.capture.view())
-        state = chaos_pooled_run.aggregates["composition"].exact_state()
+    def test_chaos_composition_equals_brute_force(self, chaos_stream_run):
+        expected = brute_force_composition(chaos_stream_run.capture.view())
+        state = chaos_stream_run.aggregates["composition"].exact_state()
         for category in CATEGORIES:
             assert state["category_counts"][category] == expected.get(category, 0)
 
 
 class TestFacadeParity:
-    """What the facade answers from two workers' merged folds: heavy
-    hitters inside their bounds, bloc roll-ups that add up."""
+    """What the facade answers from a spilled run's fold: heavy hitters
+    inside their bounds, bloc roll-ups that add up."""
 
-    def test_composition_heavy_hitters_within_bounds(self, mem_run, pooled_run):
+    def test_composition_heavy_hitters_within_bounds(self, mem_run, stream_run):
         truth = Counter(str(q) for q in mem_run.capture.view().qname)
-        streaming = DatasetAnalytics(pooled_run.aggregates).composition(top_k=10)
+        streaming = DatasetAnalytics(stream_run.aggregates).composition(top_k=10)
         assert streaming.heavy_hitters
         for hitter in streaming.heavy_hitters:
             true_count = truth.get(hitter.qname, 0)
@@ -231,22 +220,36 @@ class TestFleetCountryFix:
         )
 
 
-#: ``analysis.*`` counters that still move with the chunking: each shard's
-#: sketch counts the updates and evictions of its own rows.
+#: ``analysis.*`` counters that move with the chunking: a sketch counts
+#: the updates and evictions of the feeds it was given.
 CHUNKING_DEPENDENT = {"analysis.sketch.space_saving.updates",
                       "analysis.sketch.space_saving.evictions",
                       "analysis.sketch.countmin.updates"}
 
 
 def test_analysis_counters_come_from_merged_state():
-    """One worker and two read the same: published once, after the merge."""
-    def analysis_counters(workers):
-        run = run_dataset(dataset("nz-w2020"), client_queries=3000, seed=SEED,
-                          config=RunConfig(workers=workers))
-        return {name: value for name, value in run.telemetry.counters.items()
+    """Published once, from state: a run's ``analysis.*`` counters are
+    what a set merged from the folds of its capture's two halves
+    publishes."""
+    from repro.analysis import AggregateSet
+    from repro.telemetry import MetricsRegistry
+
+    def analysis_counters(counters):
+        return {name: value for name, value in counters.items()
                 if name.startswith("analysis.") and name not in CHUNKING_DEPENDENT}
 
-    serial = analysis_counters(1)
-    assert set(serial) == {"analysis.sovereignty.rows", "analysis.sovereignty.countries",
-                           "analysis.composition.rows", "analysis.sketch.space_saving.items"}
-    assert analysis_counters(2) == serial
+    run = run_dataset(dataset("nz-w2020"), client_queries=3000, seed=SEED)
+    published = analysis_counters(run.telemetry.counters)
+    assert set(published) == {"analysis.sovereignty.rows", "analysis.sovereignty.countries",
+                              "analysis.composition.rows", "analysis.sketch.space_saving.items"}
+
+    view, attributor = run.capture.view(), Attributor(run.registry, PROVIDERS)
+    first = np.arange(len(view)) < len(view) // 2
+    merged = AggregateSet()
+    for half in (view.select(first), view.select(~first)):
+        part = AggregateSet()
+        part.feed(half, attributor.attribute(half))
+        merged.merge(part)
+    metrics = MetricsRegistry()
+    merged.publish_metrics(metrics)
+    assert analysis_counters(metrics.snapshot().counters) == published

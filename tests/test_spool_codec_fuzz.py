@@ -39,7 +39,6 @@ from repro.capture.io_binary import (
     _decode_strings,
     _encode_strings,
     read_chunk,
-    read_row_count,
     write_chunk,
 )
 from repro.capture.spool import chunk_name
@@ -151,7 +150,7 @@ class TestStringPool:
             for i, qname in enumerate(qnames)
         ])
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             write_chunk(path, view)
             loaded = read_chunk(path)
         assert loaded.qname.tolist() == qnames
@@ -164,7 +163,7 @@ class TestChunkRoundTrip:
     def test_write_read_round_trip(self, records):
         view = records_to_view(records)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             size = write_chunk(path, view)
             assert size == path.stat().st_size > 0
             loaded = read_chunk(path)
@@ -181,7 +180,7 @@ class TestChunkRoundTrip:
     def test_empty_chunk_round_trip(self):
         view = records_to_view([])
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             write_chunk(path, view)
             loaded = read_chunk(path)
             assert len(loaded) == 0
@@ -205,7 +204,7 @@ class TestChunkRoundTrip:
         ]
         view = records_to_view(records)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(3, 7)
+            path = Path(tmp) / chunk_name(7)
             write_chunk(path, view)
             loaded = read_chunk(path)
         assert list(loaded.edns_bufsize) == [0xFFFF, 0]
@@ -249,10 +248,10 @@ class TestSpoolProperties:
             spool = CaptureSpool(directory=tmp, chunk_rows=chunk_rows)
             spool.append_view(view)
             capture = SpooledCapture(spool)
-            assert capture.rows_appended == len(records)
+            assert len(capture) == len(records)
             assert_views_equal(reference, capture.view())
-            resident = CaptureSpool()
-            resident.adopt(list(capture.iter_views()))
+            resident = CaptureSpool(chunk_rows=chunk_rows)
+            resident.append_view(view)
             assert_views_equal(reference, SpooledCapture(resident).view())
             capture.cleanup()
 
@@ -305,12 +304,16 @@ class TestSpoolProperties:
             spool.append_view(records_to_view(records))
             with pytest.raises(RuntimeError):
                 next(spool.iter_views())       # a partial chunk is buffered
-            path = spool.write_view(records_to_view(records * 2))
-            assert spool.chunk_paths()[-1] == path
+            spool.write_view(records_to_view(records * 2))
+            assert len(spool.chunk_paths()) == 2
             assert [len(chunk) for chunk in spool.iter_views()] == [1, 2]
             spool.cleanup()
 
-    def test_a_spool_without_a_directory_holds_chunks_but_cannot_write(self):
+    def test_a_spool_without_a_directory_holds_chunks_but_cannot_write(
+        self, tmp_path, monkeypatch
+    ):
+        """A resident spool keeps what it is handed and writes no file."""
+        monkeypatch.chdir(tmp_path)
         view = records_to_view([
             QueryRecord(
                 timestamp=1.0, server_id="nl-a", src=IPAddress(4, 1),
@@ -318,29 +321,11 @@ class TestSpoolProperties:
             )
         ])
         spool = CaptureSpool()
-        spool.adopt([view])
+        spool.write_view(view)
         assert len(spool) == 1 and spool.chunk_paths() == []
-        with pytest.raises(ValueError, match="without a directory"):
-            spool.write_view(view)
-
-    def test_adopt_reads_row_counts_from_metadata(self):
-        view = records_to_view(
-            [
-                QueryRecord(
-                    timestamp=float(i), server_id="nl-a", src=IPAddress(4, i + 1),
-                    transport=Transport.UDP, qname="nl.", qtype=2, rcode=0,
-                )
-                for i in range(5)
-            ]
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            writer = CaptureSpool(directory=tmp, chunk_rows=2, shard_index=1)
-            writer.append_view(view)
-            writer.flush()
-            adopter = CaptureSpool(directory=tmp)
-            adopter.adopt(writer.chunk_paths())
-            assert len(adopter) == 5
-            assert [len(view) for view in adopter.iter_views()] == [2, 2, 1]
+        assert list(spool.iter_views()) == [view]
+        assert spool.bytes_written == spool.rows_spooled == 0
+        assert not list(tmp_path.iterdir())
 
 
 def small_view(rows):
@@ -386,14 +371,12 @@ class TestTornChunks:
     )
     def test_truncated_anywhere(self, records, region, data):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             write_chunk(path, records_to_view(records))
             frame = path.read_bytes()
             start, end = self.regions(frame)[region]
             path.write_bytes(frame[:data.draw(st.integers(start, end - 1))])
             assert_rejected(path)
-            if region == "prefix":
-                assert_rejected(path, read_row_count)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -403,7 +386,7 @@ class TestTornChunks:
     )
     def test_any_flipped_bit(self, records, region, data):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             write_chunk(path, records_to_view(records))
             frame = bytearray(path.read_bytes())
             start, end = self.regions(frame)[region]
@@ -416,32 +399,29 @@ class TestTornChunks:
     @given(st.binary(min_size=len(MAGIC), max_size=len(MAGIC)).filter(lambda m: m != MAGIC))
     def test_wrong_magic(self, magic):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             write_chunk(path, small_view(3))
             path.write_bytes(magic + path.read_bytes()[len(MAGIC):])
             assert_rejected(path)
-            assert_rejected(path, read_row_count)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**16 - 1).filter(lambda v: v != io_binary.FORMAT_VERSION))
     def test_wrong_version(self, version):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / chunk_name(0, 0)
+            path = Path(tmp) / chunk_name(0)
             write_chunk(path, small_view(3))
             frame = bytearray(path.read_bytes())
             frame[len(MAGIC):len(MAGIC) + 2] = version.to_bytes(2, "little")
             path.write_bytes(bytes(frame))
-            for read in (read_chunk, read_row_count):
-                with pytest.raises(ValueError, match=f"version {version}$"):
-                    read(path)
+            with pytest.raises(ValueError, match=f"version {version}$"):
+                read_chunk(path)
 
     def test_a_zip_archive_is_foreign(self, tmp_path):
         """The container chunks used to be is refused, not half-read."""
-        path = tmp_path / chunk_name(0, 0)
+        path = tmp_path / chunk_name(0)
         with open(path, "wb") as handle:
             np.savez_compressed(handle, timestamp=np.zeros(3))
         assert_rejected(path)
-        assert_rejected(path, read_row_count)
 
 
 class TestFailedWrites:
@@ -449,7 +429,7 @@ class TestFailedWrites:
     chunk already at the path as it was."""
 
     def test_full_disk(self, tmp_path, monkeypatch):
-        path = tmp_path / chunk_name(0, 0)
+        path = tmp_path / chunk_name(0)
         write_chunk(path, small_view(4))
         before = path.read_bytes()
 
@@ -473,7 +453,7 @@ class TestFailedWrites:
 
         monkeypatch.setattr(io_binary.os, "replace", refuse)
         with pytest.raises(OSError):
-            write_chunk(tmp_path / chunk_name(0, 0), small_view(4))
+            write_chunk(tmp_path / chunk_name(0), small_view(4))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -489,9 +469,5 @@ def test_a_stale_temp_file_is_never_a_chunk(tmp_path):
     stale.write_bytes(first.read_bytes())
     listed = sorted(str(path) for path in tmp_path.glob("*.chunk"))
     assert listed == sorted(spool.chunk_paths()) and str(stale) not in listed
-    adopter = CaptureSpool(directory=tmp_path)
-    adopter.adopt(listed)
-    assert len(adopter) == 5
-    canonical = SpooledCapture(spool).view()
-    assert len(canonical) == 5
-    assert_views_equal(canonical, SpooledCapture(adopter).view())
+    # Timestamps ascend, so the canonical order is the order written.
+    assert_views_equal(SpooledCapture(spool).view(), view)

@@ -1,18 +1,20 @@
-"""Aggregator algebra: the merge laws the streaming runtime relies on.
+"""Aggregator algebra: the laws the one fold and the merge obey.
 
-Every metric is declared keys over one count table (``CountTable``), and
-the sharded pipeline is only correct if (1) feeding a capture
-partition-by-partition equals feeding it whole, (2) merge is
-order-insensitive, and (3) merge is associative.  The table is held to
-the reference those laws stand for: folded in random partitions and
-merged in random orders, it is the ``collections.Counter`` of its rows.
-Per metric, they are checked on its ``exact_state()`` for every registered
-metric and the three every ``AggregateSet`` folds beside the registry.
+Every metric is declared keys over one count table (``CountTable``).  A
+run folds its capture chunk by chunk, so the fold is only correct if (1)
+feeding a capture partition-by-partition equals feeding it whole; and
+two folds combine by ``merge``, which must be (2) order-insensitive and
+(3) associative.  The table is held to the reference those laws stand
+for: folded in random partitions and merged in random orders, it is the
+``collections.Counter`` of its rows.  Per metric, they are checked on its
+``exact_state()`` for every registered metric and the three every
+``AggregateSet`` folds beside the registry.
 
 The composition metric also carries a space-saving summary, fed beside
-its table, whose merge is deliberately lossy; for it the tests assert the
-bound contract instead — after any partitioning/merge order, every
-name's true count still falls inside the summary's ``bounds()`` bracket.
+its table, which depends on where chunk boundaries fall and whose merge
+is deliberately lossy; for it the tests assert the bound contract
+instead — after any partitioning/merge order, every name's true count
+still falls inside the summary's ``bounds()`` bracket.
 """
 
 from collections import Counter
@@ -235,12 +237,11 @@ class TestAggregateSetAlgebra:
         whole = AggregateSet(PROVIDERS)
         whole.feed(view, synthetic_attribution(view))
 
-        shards = []
+        merged = AggregateSet(PROVIDERS)
         for part in partition(view, cuts):
             shard = AggregateSet(PROVIDERS)
             shard.feed(part, synthetic_attribution(part))
-            shards.append(shard)
-        merged = AggregateSet.merge_all(shards)
+            merged.merge(shard)
 
         assert merged.rows_fed == whole.rows_fed == len(view)
         for name in AGGREGATOR_FACTORIES:
@@ -249,10 +250,24 @@ class TestAggregateSetAlgebra:
         for mine, theirs in zip(merged._beside(), whole._beside()):
             assert mine.exact_state() == theirs.exact_state(), mine.name
 
-    def test_merge_all_of_nothing_is_empty(self):
-        merged = AggregateSet.merge_all([])
-        assert merged.rows_fed == 0
-        assert merged["summary"].exact_state()["total"] == 0
+    @settings(max_examples=15, deadline=None)
+    @given(parts_st)
+    def test_set_chunked_feed_equals_whole(self, data):
+        """What a run does: one set fed its capture chunk by chunk."""
+        records, cuts = data
+        view = records_to_view(records)
+        whole = AggregateSet(PROVIDERS)
+        whole.feed(view, synthetic_attribution(view))
+        chunked = AggregateSet(PROVIDERS)
+        for part in partition(view, cuts):
+            chunked.feed(part, synthetic_attribution(part))
+
+        assert chunked.rows_fed == whole.rows_fed == len(view)
+        for name in AGGREGATOR_FACTORIES:
+            assert chunked[name].exact_state() == whole[name].exact_state(), name
+            assert_approx_part_sound(chunked[name], view)
+        for mine, theirs in zip(chunked._beside(), whole._beside()):
+            assert mine.exact_state() == theirs.exact_state(), mine.name
 
     def test_mismatched_sets_refuse_to_merge(self):
         # The provider list is a set's one configuration: fewer, the same

@@ -154,7 +154,7 @@ def test_no_stream_is_seeded_from_an_integer(monkeypatch):
         run = run_dataset(descriptor, client_queries=600)
         assert run.client_queries_run == 600
     assert seen  # the patch sees the runs' streams
-    # Under a chaos plan, on a pool: forked workers inherit the patch.
+    # Under a chaos plan.
     lossy = replace(dataset("nz-w2020"), fault_plan=chaos_scenario("default-loss"))
-    run = run_dataset(lossy, client_queries=600, workers=2)
+    run = run_dataset(lossy, client_queries=600)
     assert run.client_queries_run == 600

@@ -250,9 +250,8 @@ class TestRunDatasetIntegration:
         for phase in ("zone_build", "fleet_build", "workload", "resolve"):
             assert phase in snap.phases, phase
             assert snap.phases[phase]["total_s"] > 0.0
-        # The member loop books each of its phases once per shard.
-        shards = run.runtime_report.shard_count
-        assert snap.phases["workload"]["count"] == snap.phases["resolve"]["count"] == shards
+        # The member loop books each of its phases once per run.
+        assert snap.phases["workload"]["count"] == snap.phases["resolve"]["count"] == 1
 
     def test_per_provider_sums_match_run(self, run):
         snap = run.telemetry
@@ -305,7 +304,7 @@ class TestExperimentContextTelemetry:
         ctx = ExperimentContext(scale=0.004, seed=5)
         report = instrumented(ctx, lambda: figure4.run_vantage(ctx, "nz"))
         assert report.wall_time_s is not None and report.wall_time_s > 0
-        # The runs' shards fold their captures while simulating: the fold
+        # The runs fold their captures while simulating: the fold
         # is charged to this experiment's delta.
         assert report.counter_deltas.get("runtime.rows_folded", 0) > 0
         assert "telemetry: wall" in report.to_text()
@@ -316,5 +315,5 @@ class TestExperimentContextTelemetry:
         assert snap.total("sim.client_queries") > 0
         # figure4 "nz" covers the three .nz yearly datasets, each cached
         # after the first instrumented run; every captured row was folded
-        # once, chunk by chunk, in the shards.
+        # once, chunk by chunk, as its run froze it.
         assert snap.counter("runtime.rows_folded") == snap.total("capture.rows_appended") > 0

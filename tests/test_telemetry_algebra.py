@@ -1,11 +1,11 @@
-"""Telemetry merge algebra: the laws the shard roll-up relies on.
+"""Telemetry merge algebra: the laws the session roll-up relies on.
 
-``merge_snapshot`` is to telemetry what aggregator ``merge`` is to the
-streaming analyses (``tests/test_streaming_algebra.py``): the pooled
-runtime folds per-shard snapshots into parent-side state, and that fold
-is only correct if feeding partition-by-partition equals feeding whole,
-merge is order-insensitive (for everything except last-write-wins
-gauges), and merge is associative.
+An :class:`~repro.experiments.ExperimentContext` folds every run's
+snapshot into its session registry with ``merge_snapshot``, in whatever
+order the reports ask for datasets, and that fold is only correct if
+feeding partition-by-partition equals feeding whole, merge is
+order-insensitive (for everything except last-write-wins gauges), and
+merge is associative.
 
 Also here: the :func:`metric_key`/:func:`split_key` round-trip property —
 label values are arbitrary strings (qnames, paths), so the structural
@@ -121,13 +121,13 @@ def snap_of(parts):
     return metrics.snapshot()
 
 
-def shard_snaps(parts):
-    shards = []
+def part_snaps(parts):
+    snaps = []
     for part in parts:
         metrics = MetricsRegistry()
         apply_ops(metrics, part)
-        shards.append(metrics.snapshot())
-    return shards
+        snaps.append(metrics.snapshot())
+    return snaps
 
 
 def mergeable(snapshot):
@@ -143,7 +143,7 @@ class TestMergeSnapshotAlgebra:
     @given(ops_parts_st)
     def test_partition_merge_equals_whole(self, parts):
         merged = MetricsRegistry()
-        for snap in shard_snaps(parts):
+        for snap in part_snaps(parts):
             merged.merge_snapshot(snap)
         # In-order merge reproduces everything, gauges included: the last
         # partition's write is the whole run's last write.
@@ -152,7 +152,7 @@ class TestMergeSnapshotAlgebra:
     @settings(max_examples=40, deadline=None)
     @given(ops_parts_st)
     def test_merge_is_order_insensitive(self, parts):
-        snaps = shard_snaps(parts)
+        snaps = part_snaps(parts)
         forward, backward = MetricsRegistry(), MetricsRegistry()
         for snap in snaps:
             forward.merge_snapshot(snap)
@@ -165,7 +165,7 @@ class TestMergeSnapshotAlgebra:
     def test_merge_is_associative(self, parts):
         while len(parts) < 3:
             parts = parts + [[]]
-        a, b, c = shard_snaps(parts[:3])
+        a, b, c = part_snaps(parts[:3])
 
         left = MetricsRegistry()
         left.merge_snapshot(a)

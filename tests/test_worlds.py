@@ -10,16 +10,12 @@ the pieces that make it so — the rewind, the seal, the exclusive
 checkout — each on its own.
 """
 
-import multiprocessing
-import pickle
-
 import pytest
 
 from repro.clouds import FleetResolver
 from repro.dnscore import ARdata, Name, RRType
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
-from repro.runtime import executor
 from repro.sim import borrowed_environment, forget_worlds, run_dataset, worlds
 from repro.sim.driver import build_environment
 from repro.telemetry import MetricsRegistry
@@ -29,7 +25,6 @@ from repro.zones import RRset
 from .test_oracle import BAG_ORDERS, CASES, ORACLE, QMIN_OFF
 
 SEED = 20201027
-QUERIES = 400
 
 
 class TestOrderIndependence:
@@ -86,7 +81,7 @@ class TestBorrowing:
 
     def test_collect_all_builds_each_world_once(self, serial_matrix):
         """The whole matrix: nine (vantage, year) fleets, four registry
-        zone specs and the root — the parent built 39 of each.  A miss in
+        zone specs and the root for 39 environments.  A miss in
         a store is a real build; the ``zone_build`` / ``fleet_build``
         phases open once per assembled environment."""
         reports, snapshot = serial_matrix
@@ -95,41 +90,6 @@ class TestBorrowing:
         assert snapshot.counter("runtime.env_cache.miss", part="zone") <= 5
         assert snapshot.counter("runtime.env_cache.hit", part="fleet") >= 30
         assert snapshot.phases["fleet_build"]["count"] >= 39
-
-
-class TestPoolWorkersBorrow:
-    """A pool worker assembles its world like every other caller: from the
-    stores it inherited (``fork``) or from nothing (``spawn``)."""
-
-    def _pooled(self, monkeypatch, start):
-        monkeypatch.setattr(
-            executor, "pool_context", lambda: multiprocessing.get_context(start)
-        )
-        forget_worlds()
-        run = run_dataset(
-            dataset("nz-w2018"), seed=SEED, client_queries=QUERIES,
-            workers=2,
-        )
-        assert run.runtime_report.mode == "process-pool"
-        assert not any("part=environment" in key for key in run.telemetry.counters)
-        return run
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="needs the fork start method",
-    )
-    def test_forked_workers_drive_the_fleet_the_parent_parked(self, monkeypatch):
-        run = self._pooled(monkeypatch, "fork")
-        assert run.runtime_report.shard_count == 2
-        assert run.telemetry.counter("runtime.env_cache.miss", part="fleet") == 1
-        # one borrow per pool shard, of the fleet the parent built
-        assert run.telemetry.counter("runtime.env_cache.hit", part="fleet") == 2
-        assert len(worlds.FLEETS._entries) == 1  # parked once, by the parent, pristine
-
-    def test_spawned_workers_build_their_own_parts(self, monkeypatch):
-        """What they build is held to the table by the oracle's spawned row."""
-        spawned = self._pooled(monkeypatch, "spawn")
-        assert spawned.telemetry.counter("runtime.env_cache.miss", part="fleet") >= 2
 
 
 class TestSealedZones:
@@ -205,11 +165,11 @@ class TestRewind:
         assert idle.cache is caches[1]
         assert "_rng" not in vars(idle)  # never drew, never seeded
 
-    def test_rewound_fleet_pickles_for_spawn(self, small_world):
+    def test_rewound_fleet_drives_as_built(self, small_world):
         forget_worlds()
         metrics = MetricsRegistry()
         with borrowed_environment(dataset("nz-w2018"), SEED, metrics) as env:
             member = env.fleet[0]
             first = _drive(member.resolver, small_world)
-        part = pickle.loads(pickle.dumps(worlds.FLEETS.acquire(env.fleet_part.key)))
+        part = worlds.FLEETS.acquire(env.fleet_part.key)
         assert _drive(part.members[0].resolver, small_world) == first

@@ -1,5 +1,5 @@
 """``PYTHONPATH=src python tests/tools/plan_twins.py``: run ``nl-w2020``,
-``root-2020`` and ``nz-w2020`` serially at ``--scale 0.02``, then rebuild
+``root-2020`` and ``nz-w2020`` at ``--scale 0.02``, then rebuild
 every response plan each server memoised without its key — the path that
 sizes every response with the encoder, as a reference server does — and
 print each field that differs; exit 1 if any does.
@@ -59,7 +59,7 @@ def plan_mismatches(servers):
 
 
 def run_servers(run):
-    """Every server of a serial run, with its post-run plan cache."""
+    """Every server of a run, with its post-run plan cache."""
     return [server for servers in run.server_sets.values() for server in servers]
 
 
@@ -69,7 +69,6 @@ if __name__ == "__main__":
         descriptor = dataset(dataset_id)
         run = run_dataset(
             descriptor, client_queries=int(descriptor.client_queries * SCALE),
-            workers=1,
         )
         checked, wrong = plan_mismatches(run_servers(run))
         print(f"{dataset_id}: {checked} plans, {len(wrong)} mismatched fields")
