@@ -8,14 +8,14 @@ tail of repeated query names.  This module supplies that finer cut:
 
 * :func:`classify_queries` — a **vectorized, per-row pure** classifier
   (each row's category depends only on that row's columns), which is what
-  makes the aggregator's partition == whole algebra hold exactly;
+  makes the aggregator's chunked fold equal its whole fold exactly;
 * :class:`CompositionAggregator` — exact per-category / per-provider
-  counts (one count table keyed by provider label and category) plus the codebase's first genuinely *approximate* state: a
-  space-saving summary and a count-min sketch over query names, for
-  repeated-query heavy hitters at any scale.  The exact part participates
-  in the registry algebra bit-for-bit (see :meth:`exact_state`); the
-  sketch part carries explicit, test-asserted error bounds instead
-  (``tests/test_sketches.py``).
+  counts (one count table keyed by provider label and category) plus the
+  codebase's one genuinely *approximate* state: a space-saving summary
+  and a count-min sketch over query names, for repeated-query heavy
+  hitters at any scale.  The exact part is chunking-invariant bit-for-bit
+  (see :meth:`exact_state`); the sketch part carries explicit,
+  test-asserted error bounds instead (``tests/test_sketches.py``).
 
 Category precedence (first match wins):
 
@@ -147,30 +147,21 @@ class CompositionAggregator(StreamingAggregator):
     """Exact taxonomy counting + approximate heavy-hitter sketching.
 
     The exact part is a table keyed by (provider label, category);
-    :meth:`exact_state` renders it (plus the count-min table, whose merge
-    is also exact) so the registry-wide property tests can assert
-    bit-equality.  The space-saving summary is fed beside the table and
-    deliberately excluded there: what it tracks depends on where the
-    chunk boundaries fell, and its merge is sound (bounds always bracket
-    the truth — asserted in ``tests/test_sketches.py``) but not
-    information-preserving.
+    :meth:`exact_state` renders it (plus the count-min table, a sum that
+    a chunked feed fills exactly as a whole one) so the registry-wide
+    property tests can assert bit-equality.  The space-saving summary is
+    fed beside the table and deliberately excluded there: what it tracks
+    depends on where the chunk boundaries fell, though its bounds always
+    bracket the truth (asserted in ``tests/test_sketches.py``).
     """
 
     name = "composition"
     key = ("label", "category")
-    beside = ("hot_names", "name_counts")
 
     def __init__(self, providers: Sequence[str]):
         super().__init__(providers)
         self.hot_names = SpaceSavingSketch(TOPK_CAPACITY)
         self.name_counts = CountMinSketch(CM_WIDTH, CM_DEPTH, CM_SEED)
-
-    def config(self) -> tuple:
-        return (
-            self.providers,
-            self.hot_names.capacity,
-            self.name_counts.config(),
-        )
 
     def feed(self, view: CaptureView, attribution: AttributionResult) -> None:
         super().feed(view, attribution)
@@ -182,7 +173,7 @@ class CompositionAggregator(StreamingAggregator):
 
     def exact_state(self):
         """The chunking-invariant part of the state: taxonomy counters
-        and the count-min table (both merge exactly)."""
+        and the count-min table."""
         sums = self.table.sums(*self.key)
         category_counts = dict.fromkeys(CATEGORIES, 0)
         for (_, code), count in sums.items():

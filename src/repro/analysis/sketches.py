@@ -19,20 +19,11 @@ to *assert in tests*:
     confidence ``1 − δ`` (``δ = e^−depth``).  Its table is a sum, so
     feeding a stream chunk by chunk fills it exactly as feeding it whole.
 
-Merge semantics
----------------
-``CountMinSketch.merge`` (element-wise table addition) is exact:
-associative, order-insensitive, and merging the tables of a stream's
-parts is bit-identical to feeding the whole stream.
-``SpaceSavingSketch.merge`` is necessarily lossy — two summaries cannot
-reconstruct the exact summary of the concatenated stream — but it is
-*sound*: the merged summary still brackets every true count
-(``estimate − error ≤ true ≤ estimate``) and still surfaces every item
-heavier than the merged floor.
-
+A space-saving summary fed chunk by chunk is a feed sequence of its own:
+what it tracks depends on where the chunks were cut, but it still
+brackets every true count (``estimate − error ≤ true ≤ estimate``).
 ``tests/test_sketches.py`` pins these down under adversarial streams
-(Zipf, all-distinct, single-dominant, interleaved partitions) and
-chunked feeds.
+(Zipf, all-distinct, single-dominant) and chunked feeds.
 
 Hashing is deterministic and RNG-free (keyed blake2b), so sketch contents
 are a pure function of (configuration, feed sequence) — reruns of the
@@ -52,14 +43,6 @@ import numpy as np
 __all__ = ["CountMinSketch", "SpaceSavingSketch"]
 
 
-def _require_matching(a, b, what: str) -> None:
-    if type(a) is not type(b) or a.config() != b.config():
-        raise ValueError(
-            f"cannot merge differently-configured {what}: "
-            f"{getattr(b, 'config', lambda: '?')()} into {a.config()}"
-        )
-
-
 class SpaceSavingSketch:
     """Deterministic space-saving summary over string items.
 
@@ -72,8 +55,7 @@ class SpaceSavingSketch:
 
     Eviction picks the minimum ``(count, insertion-sequence)`` pair, so
     behaviour is a pure function of the feed sequence (no hashing, no
-    RNG).  ``total`` is the summed weight of everything ever fed
-    (including weight absorbed from merged sketches).
+    RNG).  ``total`` is the summed weight of everything ever fed.
     """
 
     def __init__(self, capacity: int):
@@ -91,9 +73,6 @@ class SpaceSavingSketch:
         #: Telemetry: item-weight updates fed and evictions performed.
         self.updates = 0
         self.evictions = 0
-
-    def config(self) -> tuple:
-        return (self.capacity,)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,41 +165,6 @@ class SpaceSavingSketch:
         )
         return ranked if k is None else ranked[:k]
 
-    # -- algebra ---------------------------------------------------------------
-
-    def merge(self, other: "SpaceSavingSketch") -> None:
-        """Absorb another summary (same capacity).
-
-        For each item in either summary the merged count/error add the
-        other side's count/error when present and its floor otherwise
-        (an absent item's true count is at most that floor, so soundness
-        — ``count − error ≤ true ≤ count`` — is preserved).  The union is
-        then re-truncated to ``capacity`` by ``(count desc, item asc)``,
-        which keeps every item heavier than the new floor.
-        """
-        _require_matching(self, other, "SpaceSavingSketch")
-        floor_a, floor_b = self.min_count(), other.min_count()
-        merged: Dict[str, List[int]] = {}
-        for item in set(self._entries) | set(other._entries):
-            ours = self._entries.get(item)
-            theirs = other._entries.get(item)
-            count = (ours[0] if ours else floor_a) + (theirs[0] if theirs else floor_b)
-            error = (ours[1] if ours else floor_a) + (theirs[1] if theirs else floor_b)
-            merged[item] = [count, error, 0]
-        kept = sorted(merged.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        self._entries = {}
-        for seq, (item, entry) in enumerate(kept[: self.capacity]):
-            entry[2] = seq
-            self._entries[item] = entry
-        self._seq = len(self._entries)
-        self._heap = [
-            (entry[0], entry[2], item) for item, entry in self._entries.items()
-        ]
-        heapq.heapify(self._heap)
-        self.total += other.total
-        self.updates += other.updates
-        self.evictions += other.evictions
-
     def state(self) -> dict:
         """Canonical plain-data snapshot (order-normalised; equal states
         iff the summaries answer every query identically)."""
@@ -235,15 +179,15 @@ class SpaceSavingSketch:
 
 
 class CountMinSketch:
-    """Count-min sketch over string items with exact merge algebra.
+    """Count-min sketch over string items.
 
     ``depth`` independent keyed-blake2b hash rows over ``width`` counters.
     Estimates are minima over the rows: never below the true count, and
     above it by more than ``εN`` (``ε = e/width``) with probability at
     most ``δ = e^−depth`` per query.  The table is a plain int64 numpy
-    array; ``merge`` is element-wise addition, so partition == whole holds
-    *bit-exactly* and the sketch participates in the registry's exact
-    algebra property tests unchanged.  For the same reason a batch feed
+    array of sums, so a stream fed chunk by chunk fills it *bit-exactly*
+    as fed whole, and the sketch participates in the registry's exact
+    chunking property tests unchanged.  For the same reason a batch feed
     (:meth:`feed_many`) and the same items fed one at a time give
     identical tables.
     """
@@ -261,9 +205,6 @@ class CountMinSketch:
         self._keys = tuple(
             f"repro-cm-{self.seed}-{row}".encode() for row in range(self.depth)
         )
-
-    def config(self) -> tuple:
-        return (self.width, self.depth, self.seed)
 
     @property
     def epsilon(self) -> float:
@@ -332,16 +273,8 @@ class CountMinSketch:
         """The εN overestimate ceiling at the sketch's confidence."""
         return self.epsilon * self.total
 
-    # -- algebra ---------------------------------------------------------------
-
-    def merge(self, other: "CountMinSketch") -> None:
-        _require_matching(self, other, "CountMinSketch")
-        self.table += other.table
-        self.total += other.total
-        self.updates += other.updates
-
     def state(self) -> dict:
-        """Canonical plain-data snapshot — exact, so partition == whole
+        """Canonical plain-data snapshot — exact, so chunked == whole
         compares equal bit-for-bit."""
         return {
             "width": self.width,

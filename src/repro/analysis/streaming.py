@@ -1,4 +1,4 @@
-"""One mergeable count table behind every figure and table.
+"""One count table behind every figure and table.
 
 The paper computes each figure and table as a GROUP BY over the capture
 (ENTRADA → Impala), reducing 55.7B queries to per-category aggregates
@@ -15,17 +15,16 @@ by three things:
 a key spec
     The columns it groups by (:attr:`~StreamingAggregator.key`), the rows
     it keeps (:meth:`~StreamingAggregator.where`) and the measures it
-    sums.  ``feed`` and ``merge`` are the table's, the same for every
-    metric: a chunk folds with one ``np.unique`` over its key columns
-    packed into one integer, and merge is addition — associative,
-    order-insensitive, and feeding a capture chunk by chunk equals feeding
-    it whole (``tests/test_streaming_algebra.py``).
+    sums.  ``feed`` is the table's, the same for every metric: a chunk
+    folds with one ``np.unique`` over its key columns packed into one
+    integer, and feeding a capture chunk by chunk equals feeding it whole
+    (``tests/test_streaming_algebra.py``).
 a renderer
     ``exact_state()``: the table as the plain-data state the oracle and
     the benchmark digest.
 ``finalize()``
-    The metric's result.  Every division happens here on the folded or
-    merged totals, so the result does not depend on how the rows were chunked.
+    The metric's result.  Every division happens here on the folded
+    totals, so the result does not depend on how the rows were chunked.
 
 :class:`AggregateSet` bundles every metric for one dataset run and is
 what rides on every :class:`~repro.sim.DatasetRun.aggregates`.
@@ -158,8 +157,8 @@ class CountTable:
     pending part; the parts are cut down to one when they pile up (past
     twice the compacted rows plus :data:`PENDING_KEYS`) and when read, so
     a fold never re-sorts everything it has seen for each chunk.  A
-    string column is held as codes into the table's own vocabulary, and a
-    merge re-codes the other table's parts into it.
+    string column is held as codes into the table's own vocabulary, into
+    which each chunk's strings are re-coded.
     """
 
     def __init__(self, key: Sequence[str], measures: Sequence[str] = ()):
@@ -182,7 +181,7 @@ class CountTable:
         if rows:
             part["n"] = np.ones(rows, dtype=np.int64)
             part.update(measures)
-            self._add([_reduce(part, self.key)])
+            self._add(_reduce(part, self.key))
 
     def _recode(self, name: str, strings: Sequence[str]) -> np.ndarray:
         """The codes of ``strings`` in this table's vocabulary of ``name``."""
@@ -193,10 +192,10 @@ class CountTable:
         codes = [vocab[string] for string in strings]
         return np.array(codes, dtype=np.min_scalar_type(len(vocab)))
 
-    def _add(self, parts: List[Dict[str, np.ndarray]]) -> None:
-        self._parts.extend(parts)
-        self._held += sum(len(part["n"]) for part in parts)
-        if self._parts and self._held > 2 * len(self._parts[0]["n"]) + PENDING_KEYS:
+    def _add(self, part: Dict[str, np.ndarray]) -> None:
+        self._parts.append(part)
+        self._held += len(part["n"])
+        if self._held > 2 * len(self._parts[0]["n"]) + PENDING_KEYS:
             self._compact()
 
     def _compact(self) -> None:
@@ -207,18 +206,6 @@ class CountTable:
             }
             self._parts = [_reduce(part, self.key)]
             self._held = len(self._parts[0]["n"])
-
-    def merge(self, other: "CountTable") -> None:
-        if (self.key, self.measures) != (other.key, other.measures):
-            raise ValueError(
-                f"cannot merge a table keyed {other.key} into one keyed {self.key}"
-            )
-        recode = {name: self._recode(name, list(vocab)) for name, vocab in other.vocab.items()}
-        self._add([
-            {name: recode[name][column] if name in recode else column
-             for name, column in part.items()}
-            for part in other._parts
-        ])
 
     def rows(self) -> Dict[str, np.ndarray]:
         """The table, one row per distinct key: each key column (a string
@@ -256,24 +243,18 @@ def _addresses(rows, mask=None) -> List[Tuple[int, int, int]]:
 
 
 class StreamingAggregator:
-    """One metric: a key spec over one :class:`CountTable`, folded and
-    merged the same way for every metric; subclasses render it."""
+    """One metric: a key spec over one :class:`CountTable`, folded the
+    same way for every metric; subclasses render it."""
 
     #: Registry key; subclasses override.
     name = "base"
     #: Key columns (:data:`COLUMNS`) and summed measures (:data:`MEASURES`).
     key: Tuple[str, ...] = ()
     measures: Tuple[str, ...] = ()
-    #: Attributes holding mergeable sketches fed beside the table.
-    beside: Tuple[str, ...] = ()
 
     def __init__(self, providers: Sequence[str]):
         self.providers = tuple(providers)
         self.table = CountTable(self.key, self.measures)
-
-    def config(self) -> tuple:
-        """Hashable configuration; merges require equal configs."""
-        return (self.providers,)
 
     def where(self, view: CaptureView, attribution: AttributionResult):
         """The rows the metric counts: a mask, or all of them."""
@@ -285,16 +266,6 @@ class StreamingAggregator:
             {name: COLUMNS[name](view, attribution, rows) for name in self.key},
             {name: MEASURES[name](view, rows) for name in self.measures},
         )
-
-    def merge(self, other: "StreamingAggregator") -> None:
-        if type(self) is not type(other) or self.config() != other.config():
-            raise ValueError(
-                f"cannot merge {type(other).__name__}{other.config()} into "
-                f"{type(self).__name__}{self.config()}"
-            )
-        self.table.merge(other.table)
-        for name in self.beside:
-            getattr(self, name).merge(getattr(other, name))
 
     def exact_state(self):
         """The table rendered as canonical plain data, exact and
@@ -421,9 +392,6 @@ class GoogleSplitAggregator(StreamingAggregator):
     key = SOURCE
     provider = "Google"
     public_prefixes = GOOGLE_PUBLIC_DNS_PREFIXES
-
-    def config(self) -> tuple:
-        return (self.provider, self.public_prefixes)
 
     def where(self, view, attribution):
         return attribution.provider_mask(self.provider)
@@ -601,8 +569,7 @@ AGGREGATOR_FACTORIES: Dict[str, Callable] = {
 class AggregateSet:
     """The full aggregator bundle for one dataset run.
 
-    A run feeds it every chunk of its capture as it freezes them, and
-    two sets of one configuration merge into the set of both captures.
+    A run feeds it every chunk of its capture as it freezes them.
     ``concentration`` (the per-AS counts), ``facebook_sites`` (Figures
     5/8) and ``rssac`` (the RSSAC002 report) are folded beside the
     registry, not in it, so the registry's
@@ -638,15 +605,6 @@ class AggregateSet:
             aggregator.feed(view, attribution)
         for aggregator in self._beside():
             aggregator.feed(view, attribution)
-
-    def merge(self, other: "AggregateSet") -> None:
-        if self.providers != other.providers:
-            raise ValueError("cannot merge differently-configured AggregateSets")
-        self.rows_fed += other.rows_fed
-        for name, aggregator in self.aggregators.items():
-            aggregator.merge(other.aggregators[name])
-        for aggregator, theirs in zip(self._beside(), other._beside()):
-            aggregator.merge(theirs)
 
     def publish_metrics(self, metrics) -> None:
         """Let every aggregator that exposes telemetry roll its counters

@@ -252,8 +252,10 @@ class AuthoritativeServer:
                 "server.responses", server=self.server_id, rcode=rcode_name
             ).inc(count)
         if self._plans is not None:
-            # ``runtime.`` prefix: cache telemetry is an execution-strategy
-            # detail, excluded from serial-vs-pool simulation-counter parity.
+            # ``runtime.`` prefix: these count how a query was answered (a
+            # memo hit or a build), and ``tests/helpers.sim_counters`` drops
+            # ``runtime.*`` because the oracle's rows with and without the
+            # plan cache must agree.
             metrics.counter("runtime.plan_cache.hits", **label).inc(
                 self.stats.plan_hits
             )

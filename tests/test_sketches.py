@@ -11,19 +11,15 @@ space-saving
     minimum bucket, which never exceeds ``total / capacity``; any item
     heavier than the minimum bucket is guaranteed tracked; ``bounds()``
     brackets the true count — also when the stream was fed chunk by
-    chunk, which is a feed sequence of its own, and after arbitrary
-    partition/merge plans, where the summary is lossy but must stay
-    sound.
+    chunk, which is a feed sequence of its own.
 
 count-min
     estimates never underestimate, for any keys whatsoever; its table is
-    a sum and its merge is *exact* (element-wise table addition), so a
-    stream fed chunk by chunk, or in parts merged in any order and
-    grouping, equals it fed whole bit-for-bit on the canonical state; the
-    ``εN`` overestimate ceiling is asserted on a fixed key pool whose keys
-    each own a collision-free row under the default (width, depth, seed)
-    — making the probabilistic guarantee a deterministic equality, immune
-    to flake.
+    a sum, so a stream fed chunk by chunk equals it fed whole bit-for-bit
+    on the canonical state; the ``εN`` overestimate ceiling is asserted
+    on a fixed key pool whose keys each own a collision-free row under
+    the default (width, depth, seed) — making the probabilistic guarantee
+    a deterministic equality, immune to flake.
 """
 
 import pickle
@@ -99,14 +95,6 @@ def truth_of(stream):
     for item, count in stream:
         truth[item] += count
     return truth
-
-
-def interleave(stream, ways):
-    """Deal the stream round-robin into ``ways`` partitions."""
-    parts = [[] for _ in range(ways)]
-    for index, pair in enumerate(stream):
-        parts[index % ways].append(pair)
-    return parts
 
 
 def assert_space_saving_sound(sketch, truth):
@@ -199,21 +187,6 @@ class TestHeapEvictionMatchesLinearScan:
             SpaceSavingSketch(capacity), LinearScanSketch(capacity), stream
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(weighted_stream_st, weighted_stream_st, st.integers(1, 8), st.integers(2, 4))
-    def test_interleaved_merge_then_feed(self, stream, tail, capacity, ways):
-        """Merge rebuilds the heap; feeding on afterwards evicts alike."""
-        fast, reference = SpaceSavingSketch(capacity), LinearScanSketch(capacity)
-        for part in interleave(stream, ways):
-            fast_shard, reference_shard = (
-                SpaceSavingSketch(capacity), LinearScanSketch(capacity)
-            )
-            self.feed_both(fast_shard, reference_shard, part)
-            fast.merge(fast_shard)
-            reference.merge(reference_shard)
-            assert full_state(fast) == full_state(reference)
-        self.feed_both(fast, reference, tail)
-
     @settings(max_examples=60, deadline=None)
     @given(batched_stream_st, st.integers(1, 12), st.integers(1, 8))
     def test_batches(self, stream, capacity, batch):
@@ -273,65 +246,6 @@ class TestSpaceSaving:
         assert_space_saving_sound(sketch, truth_of(stream))
 
     @settings(max_examples=40, deadline=None)
-    @given(weighted_stream_st, st.integers(1, 8), st.integers(2, 4))
-    def test_partition_merge_stays_sound(self, stream, capacity, ways):
-        """Interleaved partitions, merged: lossy but the bounds must still
-        bracket every true count and the floor must still cap absences."""
-        merged = SpaceSavingSketch(capacity)
-        for part in interleave(stream, ways):
-            shard = SpaceSavingSketch(capacity)
-            for item, count in part:
-                shard.feed(item, count)
-            merged.merge(shard)
-        assert_space_saving_sound(merged, truth_of(stream))
-
-    @settings(max_examples=40, deadline=None)
-    @given(weighted_stream_st, st.integers(1, 8))
-    def test_merge_is_commutative(self, stream, capacity):
-        parts = interleave(stream, 2)
-
-        def shard(part):
-            sketch = SpaceSavingSketch(capacity)
-            for item, count in part:
-                sketch.feed(item, count)
-            return sketch
-
-        ab = shard(parts[0])
-        ab.merge(shard(parts[1]))
-        ba = shard(parts[1])
-        ba.merge(shard(parts[0]))
-        assert ab.state() == ba.state()
-
-    @settings(max_examples=40, deadline=None)
-    @given(weighted_stream_st)
-    def test_merge_is_associative_under_capacity(self, stream):
-        """With capacity ≥ the distinct-key universe nothing is ever
-        evicted and every floor is 0, so merge degenerates to exact
-        dict-sum — associativity must then hold bit-for-bit."""
-        capacity = 64  # key space is name-0..name-30
-        parts = interleave(stream, 3)
-
-        def shard(index):
-            sketch = SpaceSavingSketch(capacity)
-            for item, count in parts[index]:
-                sketch.feed(item, count)
-            return sketch
-
-        left = shard(0)
-        left.merge(shard(1))
-        left.merge(shard(2))
-        tail = shard(1)
-        tail.merge(shard(2))
-        right = shard(0)
-        right.merge(tail)
-        assert left.state() == right.state()
-        # And it equals the exact truth outright.
-        truth = truth_of(stream)
-        for item, count in truth.items():
-            assert left.estimate(item) == count
-            assert left.error(item) == 0
-
-    @settings(max_examples=40, deadline=None)
     @given(weighted_stream_st, st.integers(1, 8), st.integers(1, 12))
     def test_chunked_feed_stays_sound(self, stream, capacity, chunk):
         """Fed chunk by chunk, one ``feed_many`` per chunk of distinct
@@ -362,10 +276,6 @@ class TestSpaceSaving:
         assert {item for item, __, __ in sketch.top()} == {"b", "c"}
         assert sketch.estimate("c") == 2 and sketch.error("c") == 1
         assert sketch.evictions == 1
-
-    def test_merge_rejects_mismatched_capacity(self):
-        with pytest.raises(ValueError):
-            SpaceSavingSketch(4).merge(SpaceSavingSketch(8))
 
 
 # -- batch == sequence -------------------------------------------------------------
@@ -449,43 +359,6 @@ class TestCountMin:
                 assert cm.estimate(item) == truth[item]
 
     @settings(max_examples=40, deadline=None)
-    @given(any_stream_st, st.integers(2, 4))
-    def test_merge_equals_whole_feed_exactly(self, stream, ways):
-        whole = CountMinSketch(32, 3, 1)
-        for item, count in stream:
-            whole.feed(item, count)
-        merged = CountMinSketch(32, 3, 1)
-        for part in interleave(stream, ways):
-            shard = CountMinSketch(32, 3, 1)
-            for item, count in part:
-                shard.feed(item, count)
-            merged.merge(shard)
-        assert merged.state() == whole.state()
-
-    @settings(max_examples=40, deadline=None)
-    @given(any_stream_st)
-    def test_merge_is_commutative_and_associative(self, stream):
-        parts = interleave(stream, 3)
-
-        def shard(index):
-            cm = CountMinSketch(32, 3, 1)
-            for item, count in parts[index]:
-                cm.feed(item, count)
-            return cm
-
-        left = shard(0)
-        left.merge(shard(1))
-        left.merge(shard(2))
-        tail = shard(1)
-        tail.merge(shard(2))
-        right = shard(0)
-        right.merge(tail)
-        ba = shard(1)
-        ba.merge(shard(0))
-        ba.merge(shard(2))
-        assert left.state() == right.state() == ba.state()
-
-    @settings(max_examples=40, deadline=None)
     @given(any_stream_st, st.integers(1, 12))
     def test_chunked_feed_equals_whole_feed_exactly(self, stream, chunk):
         whole = CountMinSketch(32, 3, 1)
@@ -502,12 +375,6 @@ class TestCountMin:
         cm = CountMinSketch(1024, 4, 0)
         assert cm.epsilon == pytest.approx(math.e / 1024)
         assert cm.confidence == pytest.approx(1 - math.exp(-4))
-
-    def test_merge_rejects_mismatched_config(self):
-        with pytest.raises(ValueError):
-            CountMinSketch(32, 3, 0).merge(CountMinSketch(32, 3, 1))
-        with pytest.raises(ValueError):
-            CountMinSketch(32, 3, 0).merge(CountMinSketch(64, 3, 0))
 
     def test_survives_pickle_round_trip(self):
         """A pickled sketch answers and feeds on as the original does."""

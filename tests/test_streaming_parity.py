@@ -4,22 +4,27 @@ Every run folds its columnar chunks into aggregate state while freezing
 them; a resident run then keeps the chunks in memory, a run with a spool
 directory writes them to chunk files.  That both give the same capture
 and the same answers is pinned once, in ``test_oracle``; this module
-holds what differs between the two by design — the files a run leaves —
-and that the facade and the examples never need the materialised view to
-answer.
+holds what differs between the two by design — the files a run leaves —,
+that the facade and the examples never need the materialised view to
+answer, and that a run folded over many chunks answers as a one-chunk
+run does.
 """
 
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import pytest
 
 from repro.analysis import DatasetAnalytics
+from repro.capture import store
 from repro.config import RunConfig
 from repro.sim import run_dataset
 from repro.workload import dataset
+
+from .helpers import view_digest
 
 DATASET = "nl-w2020"
 QUERIES = 900
@@ -103,6 +108,52 @@ class TestSerialParity:
             assert run.telemetry.counter("runtime.rows_folded") == len(run.capture)
         assert mem_run.capture.spool.chunk_paths() == []
         assert stream_run.capture.spool.chunk_paths()
+
+
+def exact_states(run):
+    """The exact state of every aggregator a run folded: the registry's
+    and the three beside it."""
+    aggregates = run.aggregates
+    return {
+        **{name: aggregator.exact_state()
+           for name, aggregator in aggregates.aggregators.items()},
+        **{aggregator.name: aggregator.exact_state()
+           for aggregator in aggregates._beside()},
+    }
+
+
+class TestManyChunks:
+    """No small run passes one chunk (``DEFAULT_CHUNK_ROWS`` rows); cut
+    to a few hundred rows, the chunks make a run fold over several, and
+    it must answer as the one-chunk run does."""
+
+    CHUNK_ROWS = 200
+
+    @pytest.fixture
+    def small_chunks(self, mem_run, monkeypatch):
+        assert sum(1 for _ in mem_run.capture.iter_views()) == 1
+        monkeypatch.setattr(store, "DEFAULT_CHUNK_ROWS", self.CHUNK_ROWS)
+
+    def test_every_exact_state_is_the_one_chunk_runs(self, mem_run, small_chunks):
+        run = simulate()
+        assert sum(1 for _ in run.capture.iter_views()) > 1
+        assert run.aggregates.rows_fed == len(run.capture) == len(mem_run.capture)
+        assert exact_states(run) == exact_states(mem_run)
+
+    def test_heavy_hitter_bounds_bracket_the_true_counts(self, small_chunks):
+        run = simulate()
+        sketch = run.aggregates["composition"].hot_names
+        truth = Counter(run.capture.view().qname.tolist())
+        assert sketch.evictions and sketch.total == sum(truth.values())
+        for qname, count in truth.items():
+            low, high = sketch.bounds(qname)
+            assert low <= count <= high, qname
+
+    def test_a_spooled_run_writes_every_chunk(self, mem_run, small_chunks, tmp_path):
+        run = simulate(spool_dir=str(tmp_path))
+        assert len(list((tmp_path / DATASET).glob("*.chunk"))) > 1
+        assert view_digest(run.capture.view()) == view_digest(mem_run.capture.view())
+        assert exact_states(run) == exact_states(mem_run)
 
 
 class TestGoldenReports:
