@@ -1,8 +1,8 @@
 """The capture past the append buffer: columnar chunks, resident or spilled.
 
-Rows become columns once, when a run freezes its
-:class:`~repro.capture.store.CaptureStore` into bounded
-:class:`CaptureView` chunks.  From there on a run's capture is those
+Rows become columns once, when a run cuts a bounded :class:`CaptureView`
+chunk off its :class:`~repro.capture.store.CaptureStore` — each time one
+fills, while the fleet runs.  From there on a run's capture is those
 chunks in append order (:class:`CaptureSpool`), mirroring how the paper's
 ENTRADA pipeline lands pcap-derived rows in Parquet files once and queries
 columns ever after.  A chunk is either **resident** — the view itself (a
@@ -25,8 +25,9 @@ from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
+from . import store
 from .io_binary import read_chunk, write_chunk
-from .store import DEFAULT_CHUNK_ROWS, CaptureStore, CaptureView
+from .store import CaptureStore, CaptureView
 
 
 def chunk_name(sequence: int) -> str:
@@ -49,18 +50,22 @@ class CaptureSpool:
     """One dataset run's chunks, in append order.
 
     Writers add views with :meth:`write_view` (one view, one chunk) or
-    :meth:`append_view` (re-cut to ``chunk_rows``).  With a directory
-    each chunk is spilled to a file there, created by the first write;
-    without one the chunks stay resident and the spool never touches the
-    filesystem.  The chunk list is explicit, so stale files in the
-    directory are never picked up by accident.
+    :meth:`append_view` (re-cut to ``chunk_rows``).  ``chunk_rows``
+    defaults to :data:`~repro.capture.store.DEFAULT_CHUNK_ROWS` as the
+    module holds it when the spool is built: the size a run cuts its
+    chunks to.  With a directory each chunk is spilled to a file there,
+    created by the first write; without one the chunks stay resident and
+    the spool never touches the filesystem.  The chunk list is explicit,
+    so stale files in the directory are never picked up by accident.
     """
 
     def __init__(
         self,
         directory: Optional[Union[str, Path]] = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        chunk_rows: Optional[int] = None,
     ):
+        if chunk_rows is None:
+            chunk_rows = store.DEFAULT_CHUNK_ROWS
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
         self.directory = None if directory is None else Path(directory)

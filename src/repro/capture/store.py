@@ -1,29 +1,30 @@
 """The capture's append buffer and its columnar form.
 
-:class:`CaptureStore` is where the authoritative servers append
-:class:`QueryRecord` rows while a simulation runs; :class:`CaptureView` is
-what those rows become — numpy columns — the one time they are frozen
-(:meth:`CaptureStore.rows_to_view`).  Past that point a capture is
-columnar chunks (:mod:`repro.capture.spool`), as ENTRADA's pcap rows are
-Parquet files: the analysis layer works on whole columns (boolean masks,
+:class:`CaptureStore` is where the authoritative servers append row
+tuples while a simulation runs; :class:`CaptureView` is what those rows
+become — numpy columns — the one time they are frozen
+(:meth:`CaptureStore.rows_to_view`).  A dataset run cuts a chunk of
+:data:`DEFAULT_CHUNK_ROWS` rows off the buffer each time one fills
+(:meth:`CaptureStore.take`), so past the buffer a capture is columnar
+chunks (:mod:`repro.capture.spool`), as ENTRADA's pcap rows are Parquet
+files: the analysis layer works on whole columns (boolean masks,
 group-bys) rather than on row objects, which keeps million-row datasets
 tractable in pure Python + numpy.
 
 Usage pattern::
 
     store = CaptureStore()
-    store.append(record)          # during simulation
+    store.append_row(row)         # a server, during simulation
     ...
-    view = store.view()           # freeze to columns
-    mask = view.qtype == RRType.NS
-    ns_per_server = Counter(view.server_id[mask].tolist())
+    chunk = store.take(len(store))  # freeze to columns, drop the rows
+    mask = chunk.qtype == RRType.NS
+    ns_per_server = Counter(chunk.server_id[mask].tolist())
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +37,6 @@ from .schema import QueryRecord, Transport
 DEFAULT_CHUNK_ROWS = 65536
 
 _U64_MASK = (1 << 64) - 1
-
-#: A row tuple's response-size column (:meth:`CaptureStore._row_of`'s layout).
-_RESPONSE_SIZE = itemgetter(11)
 
 
 def split_address(address: IPAddress) -> Tuple[int, int, int]:
@@ -105,10 +103,10 @@ class CaptureView:
             yield self.record(index)
 
     def to_rows(self) -> List[Tuple]:
-        """Expand the view back into :meth:`CaptureStore._row_of`-layout
-        tuples of native Python scalars (``tolist`` per column — the only
-        bulk column→row conversion in the codebase; no product path
-        needs one, the codec fuzz uses it as its reference).
+        """Expand the view back into row tuples of native Python scalars,
+        the layout :meth:`CaptureStore.append_row` takes (``tolist`` per
+        column — the only bulk column→row conversion in the codebase; no
+        product path needs one, the codec fuzz uses it as its reference).
         Exact inverse of :meth:`CaptureStore.rows_to_view` up to scalar
         types: float64/int/bool round-trip bit-for-bit, object columns
         hand back the original interned strings."""
@@ -134,127 +132,69 @@ class CaptureView:
 RESPONSE_SIZE_BUCKETS = (128.0, 256.0, 512.0, 1232.0, 1400.0, 4096.0, 65535.0)
 
 
+def add_response_sizes(histogram, sizes: np.ndarray) -> None:
+    """Bucket a chunk's response-size column into ``histogram`` (one with
+    :data:`RESPONSE_SIZE_BUCKETS`) in bulk via numpy — no per-row Python
+    loop."""
+    if len(sizes):
+        indices = np.searchsorted(
+            np.asarray(histogram.bounds), sizes.astype(np.float64), side="left"
+        )
+        counts = np.bincount(indices, minlength=len(histogram.bounds) + 1)
+        histogram.add_bulk(
+            counts.tolist(),
+            int(len(sizes)),
+            float(sizes.sum()),
+            float(sizes.min()),
+            float(sizes.max()),
+        )
+
+
 class CaptureStore:
-    """Append buffer that freezes into a :class:`CaptureView`."""
+    """The row buffer the capturing servers append to."""
 
     def __init__(self):
         self._rows: List[Tuple] = []
-        self._frozen: Optional[CaptureView] = None
         #: Monotonic count of rows ever appended.  This is *not* always
-        #: ``len(self)``: a live service drops its rows with :meth:`release`
-        #: and keeps counting, so the telemetry meaning is "rows ever
-        #: observed", not "rows currently resident".
+        #: ``len(self)``: a run cuts its chunks off with :meth:`take`, a
+        #: live service drops its rows with :meth:`release`, and both keep
+        #: counting, so the meaning is "rows ever observed", not "rows
+        #: currently resident".
         self.rows_appended = 0
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def publish_metrics(self, metrics) -> None:
-        """Aggregate capture-side telemetry into a
-        :class:`~repro.telemetry.MetricsRegistry`.
-
-        Response sizes are bucketed in bulk via numpy — no per-row Python
-        loop.  (The run's ``capture.append_rows_per_s`` gauge is derived
-        by the driver, from this count and the run's resolve time.)
-        """
-        metrics.counter("capture.rows_appended").inc(self.rows_appended)
-        hist = metrics.histogram(
-            "capture.response_size_bytes", buckets=RESPONSE_SIZE_BUCKETS
-        )
-        # Only the response-size column is needed; freezing the whole
-        # 14-column view here would do ~14x the work (a run publishes once,
-        # before it freezes its chunks).
-        if self._frozen is not None:
-            sizes = self._frozen.response_size
-        else:
-            sizes = np.fromiter(
-                map(_RESPONSE_SIZE, self._rows), dtype=np.uint32, count=len(self._rows)
-            )
-        if len(sizes):
-            indices = np.searchsorted(
-                np.asarray(hist.bounds), sizes.astype(np.float64), side="left"
-            )
-            counts = np.bincount(indices, minlength=len(hist.bounds) + 1)
-            hist.add_bulk(
-                counts.tolist(),
-                int(len(sizes)),
-                float(sizes.sum()),
-                float(sizes.min()),
-                float(sizes.max()),
-            )
-
-    @staticmethod
-    def _row_of(record: QueryRecord) -> Tuple:
-        family, hi, lo = split_address(record.src)
-        return (
-            record.timestamp,
-            record.server_id,
-            family,
-            hi,
-            lo,
-            int(record.transport),
-            record.qname,
-            record.qtype,
-            record.rcode,
-            record.edns_bufsize,
-            record.do_bit,
-            record.response_size,
-            record.truncated,
-            np.nan if record.tcp_rtt_ms is None else record.tcp_rtt_ms,
-        )
-
-    def append(self, record: QueryRecord) -> None:
-        """Add one observation (invalidates any previous view)."""
-        self._rows.append(self._row_of(record))
-        self.rows_appended += 1
-        self._frozen = None
-
     def append_row(self, row: Tuple) -> None:
-        """Add one pre-packed row tuple, skipping :class:`QueryRecord`
-        construction entirely — the response-plan cache's hit path.  The
-        tuple must follow the :meth:`_row_of` layout exactly."""
+        """Add one observation as a row tuple: :class:`CaptureView`'s
+        columns, in field order, as native Python scalars (the source
+        address split by :func:`split_address`, ``tcp_rtt_ms`` NaN over
+        UDP)."""
         self._rows.append(row)
         self.rows_appended += 1
-        self._frozen = None
 
-    def extend(self, records: Iterable[QueryRecord]) -> None:
-        """Bulk append: one view invalidation and one ``rows_appended``
-        update for the whole batch."""
-        rows = [self._row_of(record) for record in records]
-        if not rows:
-            return
-        self._rows.extend(rows)
-        self.rows_appended += len(rows)
-        self._frozen = None
-
-    def clear(self) -> None:
-        """Reset to the freshly-constructed state.
-
-        The old row list is released, not cleared in place: views frozen
-        from it (a run's resident chunks) stay valid while the store — still shared by reference with its
-        authoritative servers — starts over on a fresh list.
-        """
-        self._rows = []
-        self.rows_appended = 0
-        self._frozen = None
+    def take(self, rows: int) -> CaptureView:
+        """Freeze the first ``rows`` buffered rows into a view and drop
+        them from the buffer; ``rows_appended`` stands."""
+        head = self._rows[:rows]
+        del self._rows[:rows]
+        return self.rows_to_view(head)
 
     def release(self) -> None:
         """Drop the resident rows and keep counting.
 
-        Unlike :meth:`clear` this is not a new session: ``rows_appended``
-        — rows ever observed — stands.  A long-running producer whose rows
-        nothing consumes (the live service) calls it to stay bounded.
+        A long-running producer whose rows nothing consumes (the live
+        service) calls it to stay bounded.
         """
         self._rows = []
-        self._frozen = None
 
     @staticmethod
     def rows_to_view(rows: Sequence[Tuple]) -> CaptureView:
         """Freeze a slice of row tuples into columnar form.
 
         This is the one place row tuples become column arrays; both
-        :meth:`view` and :meth:`iter_views` go through it, so every code
-        path agrees on column dtypes.
+        :meth:`view` and :meth:`take` go through it, so every code path
+        agrees on column dtypes.
         """
         columns = list(zip(*rows)) if rows else [[] for _ in range(14)]
         return CaptureView(
@@ -275,15 +215,6 @@ class CaptureStore:
         )
 
     def view(self) -> CaptureView:
-        """Freeze appended rows into columnar form (cached until next append)."""
-        if self._frozen is None:
-            self._frozen = self.rows_to_view(self._rows)
-        return self._frozen
-
-    def iter_views(self) -> Iterator[CaptureView]:
-        """Yield bounded columnar views over the rows,
-        :data:`DEFAULT_CHUNK_ROWS` at a time — the single-pass entry point
-        of the streaming analysis layer (O(chunk) transient column memory
-        instead of a full freeze)."""
-        for start in range(0, len(self._rows), DEFAULT_CHUNK_ROWS):
-            yield self.rows_to_view(self._rows[start : start + DEFAULT_CHUNK_ROWS])
+        """The buffered rows in columnar form (frozen anew on every call:
+        for the live service and worlds driven by hand, not a run)."""
+        return self.rows_to_view(self._rows)

@@ -75,9 +75,7 @@ def _loss_point(
 
 def _capture_shares(env) -> Dict[str, float]:
     """Fraction of captured queries per vantage server id."""
-    counts: Counter = Counter()
-    for chunk in env.capture.iter_views():
-        counts.update(chunk.server_id.tolist())
+    counts = Counter(env.capture.view().server_id.tolist())
     return {server_id: count / len(env.capture) for server_id, count in counts.items()}
 
 

@@ -10,12 +10,13 @@ the analysis layer needs (AS registry, PTR table, fleet metadata).
 This is the reproduction's stand-in for "one week of pcap collection at the
 vantage point", and, like the paper's one ENTRADA pass over that week, a
 dataset runs in one process as one straight line: build the environment,
-drive the whole fleet (:func:`run_member_range`), publish what the fleet,
-the servers and the capture counted, and freeze the append buffer once
-into columnar chunks, folding each into the run's aggregates as it goes
-(:func:`_freeze_capture`).  From there the capture is those chunks
-(:mod:`repro.capture.spool`), and its whole view always comes back in
-canonical ``(timestamp, server_id)`` order.
+drive the whole fleet (:func:`run_member_range`) while the capture lands
+as columnar chunks — each time the servers' append buffer holds a full
+chunk, between two members, it is cut off, frozen and folded into the
+run's aggregates (:class:`_ChunkFold`) —, publish what the fleet, the
+servers and the capture counted, and land the partial tail.  From there
+the capture is those chunks (:mod:`repro.capture.spool`), and its whole
+view always comes back in canonical ``(timestamp, server_id)`` order.
 
 Every run is instrumented through :mod:`repro.telemetry`: phase spans
 (``zone_build`` / ``fleet_build`` for assembling a world, ``env_reset``
@@ -41,6 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..capture import CaptureSpool, CaptureStore, SpooledCapture
+from ..capture.store import RESPONSE_SIZE_BUCKETS, add_response_sizes
 from ..clouds import FleetResolver, PTRTable
 from ..config import RunConfig, check_volume
 from ..dnscore import Name, RRType
@@ -67,7 +69,7 @@ class DatasetRun:
     files: ``len()``, ``iter_views()`` and the canonical whole
     ``view()``.  ``aggregates``
     (:class:`~repro.analysis.streaming.AggregateSet`) is what the run
-    folded while freezing those chunks; every
+    folded as each chunk landed, while the fleet ran; every
     :meth:`DatasetAnalytics.of <repro.analysis.DatasetAnalytics.of>`
     answer comes from it.
 
@@ -397,46 +399,71 @@ def _publish_environment_metrics(metrics: MetricsRegistry, env: SimEnvironment) 
     publish_server_metrics(metrics, env.server_sets)
     if env.network.faults is not None:
         env.network.faults.publish_metrics(metrics)
-    env.capture.publish_metrics(metrics)
+    metrics.counter("capture.rows_appended").inc(env.capture.rows_appended)
     metrics.gauge("sim.fleet_size").set(len(env.fleet))
 
 
-# -- the freeze -------------------------------------------------------------------
+# -- the landing -----------------------------------------------------------------
 
-def _freeze_capture(
-    env: SimEnvironment, metrics: MetricsRegistry, spool_dir: Optional[str]
-) -> Tuple[SpooledCapture, object]:
-    """One pass over the environment's append buffer, the one time its
-    rows become columns; returns the run's capture and its aggregates.
+class _ChunkFold:
+    """Where a run's capture lands, one chunk at a time.
 
-    Each bounded chunk view is attributed and fed to a fresh
-    :class:`~repro.analysis.streaming.AggregateSet` — the run's one fold —
-    and kept as it is, or, under ``spool_dir``, written out as one
-    compressed chunk file.  The append buffer is cleared afterwards.
+    Each chunk is cut off the environment's append buffer — the one time
+    its rows become columns —, attributed and fed to a fresh
+    :class:`~repro.analysis.streaming.AggregateSet` (the run's one fold),
+    bucketed into the ``capture.response_size_bytes`` histogram, and kept
+    as it is, or, under ``spool_dir``, written out as one compressed chunk
+    file.  The spool's ``chunk_rows`` is the chunk size.
     """
-    # Lazy imports: repro.analysis is a consumer of this module's output
-    # everywhere else; importing it at call time keeps the sim package
-    # importable without the analysis layer loaded.
-    from ..analysis import AggregateSet, Attributor
-    from ..clouds import PROVIDERS
 
-    spool = CaptureSpool(directory=spool_dir)
-    aggregates = AggregateSet()
-    attributor = Attributor(env.registry, PROVIDERS)
-    with metrics.time_phase("runtime.fold"):
-        for view in env.capture.iter_views():
-            aggregates.feed(view, attributor.attribute(view))
-            spool.write_view(view)
-    # The rows are columns now; the store — still shared with the
-    # servers — starts over.
-    env.capture.clear()
-    metrics.counter("runtime.rows_folded").inc(aggregates.rows_fed)
-    if spool_dir is not None:
-        metrics.counter("capture.spool.chunks").inc(len(spool.chunk_paths()))
-        metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
-        metrics.counter("capture.spool.bytes").inc(spool.bytes_written)
-    aggregates.publish_metrics(metrics)
-    return SpooledCapture(spool), aggregates
+    def __init__(
+        self, env: SimEnvironment, metrics: MetricsRegistry, spool_dir: Optional[str]
+    ):
+        # Lazy imports: repro.analysis is a consumer of this module's output
+        # everywhere else; importing it at call time keeps the sim package
+        # importable without the analysis layer loaded.
+        from ..analysis import AggregateSet, Attributor
+        from ..clouds import PROVIDERS
+
+        self.buffer = env.capture
+        self.spool = CaptureSpool(directory=spool_dir)
+        self.aggregates = AggregateSet()
+        self.attributor = Attributor(env.registry, PROVIDERS)
+        self.sizes = metrics.histogram(
+            "capture.response_size_bytes", buckets=RESPONSE_SIZE_BUCKETS
+        )
+        self.fold_s = 0.0
+
+    def full_chunks(self) -> int:
+        """Land every full chunk the buffer holds; returns the
+        ``rows_appended`` at which the next one fills."""
+        chunk_rows = self.spool.chunk_rows
+        while len(self.buffer) >= chunk_rows:
+            self._land(chunk_rows)
+        return self.buffer.rows_appended - len(self.buffer) + chunk_rows
+
+    def _land(self, rows: int) -> None:
+        started = time.perf_counter()
+        view = self.buffer.take(rows)
+        self.aggregates.feed(view, self.attributor.attribute(view))
+        add_response_sizes(self.sizes, view.response_size)
+        self.spool.write_view(view)
+        self.fold_s += time.perf_counter() - started
+
+    def finish(self, metrics: MetricsRegistry) -> Tuple[SpooledCapture, object]:
+        """Land what the buffer still holds (the partial tail) and publish
+        the fold; returns the run's capture and its aggregates."""
+        if len(self.buffer):
+            self._land(len(self.buffer))
+        metrics.observe_phase("runtime.fold", self.fold_s)
+        metrics.counter("runtime.rows_folded").inc(self.aggregates.rows_fed)
+        spool = self.spool
+        if spool.directory is not None:
+            metrics.counter("capture.spool.chunks").inc(len(spool.chunk_paths()))
+            metrics.counter("capture.spool.rows").inc(spool.rows_spooled)
+            metrics.counter("capture.spool.bytes").inc(spool.bytes_written)
+        self.aggregates.publish_metrics(metrics)
+        return SpooledCapture(spool), self.aggregates
 
 
 # -- the resolve loop ------------------------------------------------------------
@@ -468,7 +495,8 @@ def member_query_counts(
 
 
 def run_member_range(
-    env: SimEnvironment, total_queries: int, metrics: MetricsRegistry
+    env: SimEnvironment, total_queries: int, metrics: MetricsRegistry,
+    fold: _ChunkFold,
 ) -> int:
     """Drive client query streams through every fleet member.
 
@@ -476,7 +504,9 @@ def run_member_range(
     (:func:`member_query_counts`) and per-member streams are seeded by
     fleet index; the seeds are hashed in one pass, and each member's
     stream is drawn as columns
-    (:meth:`~repro.workload.WorkloadGenerator.columns`).
+    (:meth:`~repro.workload.WorkloadGenerator.columns`).  After a member
+    whose rows fill a chunk, ``fold`` lands every full chunk, so the
+    append buffer never holds more than a chunk plus one member's rows.
     """
     descriptor = env.descriptor
 
@@ -494,6 +524,8 @@ def run_member_range(
     )
     seeds = generator.member_seeds(0, len(env.fleet))
 
+    capture = env.capture
+    next_chunk = fold.full_chunks()
     run_count = 0
     clock_s = time.perf_counter
     loop_started = clock_s()
@@ -529,12 +561,14 @@ def run_member_range(
         resolve_s += done - generated
         run_count += count
         provider_counter.inc(count)
+        if capture.rows_appended >= next_chunk:
+            next_chunk = fold.full_chunks()
         if done - last_progress >= PROGRESS_INTERVAL_S:
             logger.info(
                 "progress: %d/%d client queries (%.0f q/s, %d captured rows,"
                 " at %s fleet member %d/%d)",
                 run_count, total_queries, run_count / max(done - loop_started, 1e-9),
-                env.capture.rows_appended, member.provider, index + 1, len(env.fleet),
+                capture.rows_appended, member.provider, index + 1, len(env.fleet),
             )
             last_progress = done
     if run_count:
@@ -634,15 +668,22 @@ def run_dataset(
         descriptor.dataset_id, total_queries, len(env.fleet),
     )
 
-    queries_run = run_member_range(env, total_queries, metrics)
-    rows_appended = env.capture.rows_appended
-    publish_fleet_metrics(metrics, env.fleet)
-    _publish_environment_metrics(metrics, env)
     spool_dir = (
         os.path.join(config.spool_dir, descriptor.dataset_id)
         if config.spool_dir else None
     )
-    capture, aggregates = _freeze_capture(env, metrics, spool_dir)
+    fold = _ChunkFold(env, metrics, spool_dir)
+    try:
+        queries_run = run_member_range(env, total_queries, metrics, fold)
+        rows_appended = env.capture.rows_appended
+        publish_fleet_metrics(metrics, env.fleet)
+        _publish_environment_metrics(metrics, env)
+        capture, aggregates = fold.finish(metrics)
+    except BaseException:
+        # Chunks land while the fleet runs: a run that fails deletes the
+        # chunk files it wrote, so no partial capture is left behind.
+        fold.spool.cleanup()
+        raise
     # A stub gauge (see ``_REMOVED_KEYWORDS``): 1 exactly when chunks spilled.
     metrics.gauge("runtime.stream.enabled").set(1 if capture.spool.chunk_paths() else 0)
     resolve_s = metrics.phase_seconds("resolve")

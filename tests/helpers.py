@@ -1,5 +1,6 @@
 """What the suite compares runs by: capture views, simulation counters
-and plain values, each reduced the one way every module reduces it; and
+and plain values, each reduced the one way every module reduces it; the
+one way a test builds a capture view from records (:func:`view_of`); and
 :class:`Outage`, the one way a test takes a server down.
 
 :func:`view_digest` and :func:`assert_views_equal` are dtype-strict — a
@@ -12,6 +13,7 @@ import json
 
 import numpy as np
 
+from repro.capture import CaptureStore, split_address
 from repro.faults import FaultInjector, FaultPlan, OutageWindow
 
 #: The scale every whole-matrix test renders the paper's reports at.
@@ -50,6 +52,24 @@ def view_digest(view):
         else:
             hashed.update(np.ascontiguousarray(column).tobytes())
     return hashed.hexdigest()
+
+
+def row_of(record):
+    """A :class:`~repro.capture.QueryRecord` as the row tuple a server
+    appends to its :class:`~repro.capture.CaptureStore`."""
+    return (
+        record.timestamp, record.server_id, *split_address(record.src),
+        int(record.transport), record.qname, record.qtype, record.rcode,
+        record.edns_bufsize, record.do_bit, record.response_size,
+        record.truncated,
+        np.nan if record.tcp_rtt_ms is None else record.tcp_rtt_ms,
+    )
+
+
+def view_of(records):
+    """The records as one capture view, frozen the way a run freezes its
+    chunks (:meth:`~repro.capture.CaptureStore.rows_to_view`)."""
+    return CaptureStore.rows_to_view([row_of(record) for record in records])
 
 
 def sources(view):

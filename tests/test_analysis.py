@@ -21,10 +21,12 @@ from repro.analysis import (
     classify_addresses,
     detect_rollout,
 )
-from repro.capture import CaptureStore, QueryRecord, Transport
+from repro.capture import QueryRecord, Transport
 from repro.clouds import PTRTable
 from repro.dnscore import RCode, RRType
 from repro.netsim import ASInfo, ASRegistry, IPAddress, Prefix
+
+from .helpers import view_of
 
 GOOGLE = "8.8.8.8"
 GOOGLE2 = "8.8.4.4"
@@ -65,12 +67,6 @@ def rec(src, qtype=RRType.A, rcode=RCode.NOERROR, transport=Transport.UDP,
     )
 
 
-def build(records):
-    store = CaptureStore()
-    store.extend(records)
-    return store.view()
-
-
 PROVIDERS = ("Google", "Amazon")
 
 
@@ -81,13 +77,13 @@ def attributor(registry):
 
 def analytics_of(attributor, records):
     """The facade over a hand-built resident view."""
-    view = build(records)
+    view = view_of(records)
     return DatasetAnalytics.over(view, attributor.attribute(view), PROVIDERS)
 
 
 class TestAttribution:
     def test_labels(self, attributor):
-        view = build([rec(GOOGLE), rec(AMAZON), rec(OTHER_ISP), rec("203.0.113.9")])
+        view = view_of([rec(GOOGLE), rec(AMAZON), rec(OTHER_ISP), rec("203.0.113.9")])
         result = attributor.attribute(view)
         assert list(result.providers) == ["Google", "Amazon", "Other", "Unknown"]
         assert list(result.asns) == [15169, 16509, 64500, 0]
@@ -108,7 +104,7 @@ class TestAttribution:
         assert table["Other"] == 1
 
     def test_v6_attribution(self, attributor):
-        view = build([rec(GOOGLE_V6)])
+        view = view_of([rec(GOOGLE_V6)])
         result = attributor.attribute(view)
         assert result.providers[0] == "Google"
 
@@ -143,7 +139,7 @@ class TestAttributeOncePerSource:
         return [[row[column] for row in rows] for column in range(3)]
 
     def test_equals_per_row_lookup(self, fresh):
-        view = build([rec(src) for src in self.SOURCES])
+        view = view_of([rec(src) for src in self.SOURCES])
         result = fresh.attribute(view)
         asns, providers, countries = self.per_row(fresh, view)
         assert result.asns.tolist() == asns
@@ -154,14 +150,14 @@ class TestAttributeOncePerSource:
 
     @pytest.mark.parametrize("sources", [SOURCES, []], ids=["mixed", "empty"])
     def test_dtypes(self, fresh, sources):
-        result = fresh.attribute(build([rec(src) for src in sources]))
+        result = fresh.attribute(view_of([rec(src) for src in sources]))
         assert result.providers.dtype == object
         assert result.countries.dtype == object
         assert result.asns.dtype == np.int64
         assert len(result.providers) == len(result.asns) == len(sources)
 
     def test_one_lookup_per_distinct_source(self, fresh):
-        view = build([rec(src) for src in self.SOURCES])
+        view = view_of([rec(src) for src in self.SOURCES])
         calls = Counter()
         lookup = fresh._lookup
 
@@ -399,7 +395,7 @@ class TestFacade:
     def test_plural_answer_is_the_configured_list(self, attributor, method):
         """A per-provider table answers the providers the set was
         configured with, in that order — also one nothing counted."""
-        view = build([rec(AMAZON), rec(GOOGLE)])
+        view = view_of([rec(AMAZON), rec(GOOGLE)])
         configured = ("Amazon", "ExampleCloud", "Google")
         analytics = DatasetAnalytics.over(view, attributor.attribute(view), configured)
         answer = getattr(analytics, method)()

@@ -14,7 +14,7 @@ from repro.capture import (
 )
 from repro.netsim import IPAddress
 
-from .helpers import sources
+from .helpers import assert_views_equal, row_of, sources, view_of
 
 
 def make_record(**overrides) -> QueryRecord:
@@ -77,79 +77,67 @@ class TestStore:
         assert sources(view) == set()
 
     def test_append_and_record_round_trip(self):
-        store = CaptureStore()
         original = make_record(transport=Transport.TCP, tcp_rtt_ms=42.5)
-        store.append(original)
-        assert store.view().record(0) == original
+        assert view_of([original]).record(0) == original
 
-    def test_view_cached_until_append(self):
+    def test_view_sees_every_append(self):
         store = CaptureStore()
-        store.append(make_record())
+        store.append_row(row_of(make_record()))
         first = store.view()
-        assert store.view() is first
-        store.append(make_record())
-        assert store.view() is not first
+        assert_views_equal(store.view(), first)
+        store.append_row(row_of(make_record()))
+        assert len(first) == 1                  # a view is a snapshot
         assert len(store.view()) == 2
 
     def test_select_mask(self):
-        store = CaptureStore()
-        store.append(make_record(qtype=1))
-        store.append(make_record(qtype=2))
-        store.append(make_record(qtype=1))
-        view = store.view()
+        view = view_of([make_record(qtype=1), make_record(qtype=2), make_record(qtype=1)])
         selected = view.select(view.qtype == 1)
         assert len(selected) == 2
         assert (selected.qtype == 1).all()
 
     def test_unique_addresses(self):
-        store = CaptureStore()
         a = IPAddress.parse("192.0.2.1")
         b = IPAddress.parse("2001:db8::1")
-        for src in (a, b, a, a):
-            store.append(make_record(src=src))
-        unique = sources(store.view())
+        unique = sources(view_of(make_record(src=src) for src in (a, b, a, a)))
         assert set(join_address(*row).to_text() for row in unique) == {
             "192.0.2.1", "2001:db8::1",
         }
 
     def test_same_value_different_family_distinct(self):
-        store = CaptureStore()
-        store.append(make_record(src=IPAddress(4, 42)))
-        store.append(make_record(src=IPAddress(6, 42)))
-        assert len(sources(store.view())) == 2
+        view = view_of([
+            make_record(src=IPAddress(4, 42)), make_record(src=IPAddress(6, 42)),
+        ])
+        assert len(sources(view)) == 2
 
     def test_iter_records_with_mask(self):
-        store = CaptureStore()
-        store.append(make_record(qtype=1))
-        store.append(make_record(qtype=2))
-        view = store.view()
+        view = view_of([make_record(qtype=1), make_record(qtype=2)])
         records = list(view.select(view.qtype == 2).iter_records())
         assert len(records) == 1
         assert records[0].qtype == 2
 
     def test_release_drops_rows_and_keeps_counting(self):
         store = CaptureStore()
-        store.append(make_record(qtype=1))
-        store.append(make_record(qtype=2))
+        store.append_row(row_of(make_record(qtype=1)))
+        store.append_row(row_of(make_record(qtype=2)))
         held = store.view()
         store.release()
         assert len(store) == 0 and len(store.view()) == 0
         assert store.rows_appended == 2          # rows ever observed
         assert len(held) == 2 and held.to_rows()[1][7] == 2   # released, not emptied
-        store.append(make_record(qtype=3))
+        store.append_row(row_of(make_record(qtype=3)))
         assert len(store) == 1 and store.rows_appended == 3
         assert list(store.view().qtype) == [3]
-        # clear() is the other thing: a new session, counted from zero.
-        store.clear()
-        assert len(store) == 0 and store.rows_appended == 0
+        # take() cuts rows off the same way: frozen, dropped, still counted.
+        assert list(store.take(1).qtype) == [3]
+        assert len(store) == 0 and store.rows_appended == 3
 
 
 class TestPersistence:
     @pytest.fixture
     def store(self):
         store = CaptureStore()
-        store.append(make_record())
-        store.append(
+        store.append_row(row_of(make_record()))
+        store.append_row(row_of(
             make_record(
                 transport=Transport.TCP,
                 tcp_rtt_ms=33.25,
@@ -157,7 +145,7 @@ class TestPersistence:
                 rcode=3,
                 truncated=True,
             )
-        )
+        ))
         return store
 
     def test_csv_round_trip(self, store, tmp_path):

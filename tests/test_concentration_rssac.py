@@ -13,12 +13,13 @@ from repro.analysis import (
     per_as_counts,
     provider_group_concentration,
 )
-from repro.capture import CaptureStore, QueryRecord, Transport
+from repro.capture import QueryRecord, Transport
 from repro.clouds import PROVIDERS
 from repro.dnscore import RCode
 from repro.netsim import IPAddress
 from repro.sim import run_dataset
 
+from .helpers import view_of
 from .test_oracle import CASES
 
 
@@ -117,11 +118,9 @@ def test_folded_concentration_is_the_whole_view_arithmetic(case):
 
 
 def rssac_of(*records):
-    """An RSSAC aggregator fed one hand-built store of ``records``."""
-    store = CaptureStore()
-    store.extend(records)
+    """An RSSAC aggregator fed one hand-built view of ``records``."""
     aggregator = RSSACAggregator(PROVIDERS)
-    aggregator.feed(store.view(), None)
+    aggregator.feed(view_of(records), None)
     return aggregator
 
 

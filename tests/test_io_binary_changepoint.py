@@ -3,11 +3,11 @@
 import pytest
 
 from repro.analysis import jump_detector
-from repro.capture import CaptureStore, QueryRecord, Transport, read_chunk, write_chunk
+from repro.capture import QueryRecord, Transport, read_chunk, write_chunk
 from repro.capture.io_binary import MAGIC
 from repro.netsim import IPAddress
 
-from .helpers import sources
+from .helpers import sources, view_of
 
 
 def make_record(i):
@@ -29,48 +29,40 @@ def make_record(i):
 
 class TestBinaryIO:
     def test_round_trip(self, tmp_path):
-        store = CaptureStore()
-        store.extend(make_record(i) for i in range(200))
+        original = view_of(make_record(i) for i in range(200))
         path = tmp_path / "capture.chunk"
-        assert write_chunk(path, store.view()) == path.stat().st_size
+        assert write_chunk(path, original) == path.stat().st_size
         loaded = read_chunk(path)
-        original = store.view()
         assert len(loaded) == 200
         for i in (0, 7, 99, 199):
             assert loaded.record(i) == original.record(i)
 
     def test_columns_usable_for_analysis(self, tmp_path):
-        store = CaptureStore()
-        store.extend(make_record(i) for i in range(50))
+        original = view_of(make_record(i) for i in range(50))
         path = tmp_path / "c.chunk"
-        write_chunk(path, store.view())
+        write_chunk(path, original)
         view = read_chunk(path)
         # Masks and aggregations behave identically on the reloaded view.
-        original = store.view()
         assert sources(view) == sources(original)
         assert (view.rcode[view.qtype == 1] == original.rcode[original.qtype == 1]).all()
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.chunk"
-        write_chunk(path, CaptureStore().view())
+        write_chunk(path, view_of([]))
         assert len(read_chunk(path)) == 0
 
     def test_unicode_qnames(self, tmp_path):
-        store = CaptureStore()
         record = QueryRecord(
             timestamp=1.0, server_id="s", src=IPAddress.parse("192.0.2.1"),
             transport=Transport.UDP, qname="exámple.nl.", qtype=1, rcode=0,
         )
-        store.append(record)
         path = tmp_path / "u.chunk"
-        write_chunk(path, store.view())
+        write_chunk(path, view_of([record]))
         assert read_chunk(path).record(0).qname == "exámple.nl."
 
     def test_version_check(self, tmp_path):
-        store = CaptureStore()
-        store.append(make_record(1))
         path = tmp_path / "v.chunk"
-        write_chunk(path, store.view())
+        write_chunk(path, view_of([make_record(1)]))
         data = bytearray(path.read_bytes())
         # The version is the little-endian uint16 right after the magic.
         data[len(MAGIC):len(MAGIC) + 2] = (99).to_bytes(2, "little")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.capture import CaptureStore, QueryRecord, Transport, join_address, split_address
+from repro.capture import QueryRecord, Transport, join_address, split_address
 from repro.dnscore import ARdata, Name, RCode, ResourceRecord, ROOT, RRType
 from repro.netsim import IPAddress
 from repro.resolver import ResolverCache
 from repro.zones import ZipfSampler
 
-from .helpers import sources
+from .helpers import sources, view_of
 
 # -- capture store vs reference implementation -------------------------------------
 
@@ -39,27 +39,21 @@ class TestStoreProperties:
     @settings(max_examples=40)
     @given(st.lists(record_st, max_size=40))
     def test_unique_addresses_matches_reference(self, records):
-        store = CaptureStore()
-        store.extend(records)
-        view = store.view()
+        view = view_of(records)
         expected = {(r.src.family, r.src.value) for r in records}
         assert len(sources(view)) == len(expected)
 
     @settings(max_examples=40)
     @given(st.lists(record_st, max_size=30))
     def test_row_round_trip(self, records):
-        store = CaptureStore()
-        store.extend(records)
-        view = store.view()
+        view = view_of(records)
         for index, record in enumerate(records):
             assert view.record(index) == record
 
     @settings(max_examples=40)
     @given(st.lists(record_st, max_size=30), st.integers(0, 10))
     def test_select_is_filter(self, records, pivot):
-        store = CaptureStore()
-        store.extend(records)
-        view = store.view()
+        view = view_of(records)
         selected = view.select(view.rcode == pivot)
         assert len(selected) == sum(1 for r in records if r.rcode == pivot)
 

@@ -16,7 +16,7 @@ from repro.service import ServiceConfig
 from repro.sim import member_query_counts, run_dataset
 from repro.workload import dataset
 
-from .helpers import assert_views_equal
+from .helpers import assert_views_equal, row_of, view_of
 
 DATASET = "nz-w2018"
 
@@ -99,29 +99,24 @@ def _record(ts, server, qname="a.nz"):
     )
 
 
-def _view_of(records):
-    store = CaptureStore()
-    store.extend(records)
-    return store.view()
-
-
 def _capture_of(*chunks):
     """A run's capture over resident chunks, one per list of records."""
     spool = CaptureSpool()
     for records in chunks:
-        spool.write_view(_view_of(records))
+        spool.write_view(view_of(records))
     return SpooledCapture(spool)
 
 
 class TestCaptureStoreRuntimeSupport:
-    def test_extend_bulk_appends(self):
+    def test_take_cuts_the_head_and_keeps_counting(self):
         store = CaptureStore()
-        store.extend([_record(1.0, "a"), _record(2.0, "b")])
-        assert len(store) == 2
-        assert store.rows_appended == 2
-        view = store.view()
-        store.extend([])
-        assert store.view() is view  # empty extend keeps the frozen view
+        for record in (_record(1.0, "a"), _record(2.0, "b"), _record(3.0, "c")):
+            store.append_row(row_of(record))
+        assert len(store) == 3
+        assert store.rows_appended == 3
+        assert list(store.take(2).server_id) == ["a", "b"]
+        assert len(store) == 1 and store.rows_appended == 3
+        assert list(store.view().server_id) == ["c"]
 
     def test_sort_canonical_is_stable(self):
         # Two ties on (timestamp, server): qname disambiguates append order.
@@ -141,7 +136,7 @@ class TestCaptureStoreRuntimeSupport:
         capture = _capture_of([a, b], [c, d])
         assert len(capture) == 4
         reference = sorted(
-            _view_of([a, b, c, d]).to_rows(), key=lambda row: (row[0], row[1])
+            view_of([a, b, c, d]).to_rows(), key=lambda row: (row[0], row[1])
         )
         assert_views_equal(capture.view(), CaptureStore.rows_to_view(reference))
         # Resident chunks are not kept beside the whole view built from them.

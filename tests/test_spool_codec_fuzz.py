@@ -32,7 +32,7 @@ from repro.capture import (
     SpooledCapture,
     Transport,
 )
-from repro.capture import io_binary
+from repro.capture import io_binary, store
 from repro.capture.io_binary import (
     MAGIC,
     PREFIX_SIZE,
@@ -44,7 +44,7 @@ from repro.capture.io_binary import (
 from repro.capture.spool import chunk_name
 from repro.netsim import IPAddress
 
-from .helpers import assert_views_equal
+from .helpers import assert_views_equal, view_of
 
 record_st = st.builds(
     lambda ts, server, fam, val, transport, qname, qtype, rcode, bufsize,
@@ -83,10 +83,6 @@ record_st = st.builds(
 )
 
 
-def records_to_view(records):
-    store = CaptureStore()
-    store.extend(records)
-    return store.view()
 
 
 def assert_columns_usable(view):
@@ -131,7 +127,7 @@ class TestStringPool:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(record_st, max_size=50))
     def test_capture_columns(self, records):
-        view = records_to_view(records)
+        view = view_of(records)
         for column in ("server_id", "qname"):
             self.assert_pool_matches(getattr(view, column))
 
@@ -141,7 +137,7 @@ class TestStringPool:
         ids=["ascii", "non-ascii", "empty"],
     )
     def test_chunk_round_trip(self, qnames):
-        view = records_to_view([
+        view = view_of([
             QueryRecord(
                 timestamp=float(i), server_id="nz-ü" if i % 2 else "nl-a",
                 src=IPAddress(4, i + 1), transport=Transport.UDP, qname=qname,
@@ -161,7 +157,7 @@ class TestChunkRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(record_st, max_size=50))
     def test_write_read_round_trip(self, records):
-        view = records_to_view(records)
+        view = view_of(records)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / chunk_name(0)
             size = write_chunk(path, view)
@@ -174,11 +170,11 @@ class TestChunkRoundTrip:
     @given(st.lists(record_st, max_size=60))
     def test_view_to_rows_round_trips(self, records):
         """``CaptureView.to_rows`` inverts ``CaptureStore.rows_to_view``."""
-        view = records_to_view(records)
+        view = view_of(records)
         assert_views_equal(view, CaptureStore.rows_to_view(view.to_rows()))
 
     def test_empty_chunk_round_trip(self):
-        view = records_to_view([])
+        view = view_of([])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / chunk_name(0)
             write_chunk(path, view)
@@ -202,7 +198,7 @@ class TestChunkRoundTrip:
                 rcode=0, edns_bufsize=0,
             ),
         ]
-        view = records_to_view(records)
+        view = view_of(records)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / chunk_name(7)
             write_chunk(path, view)
@@ -219,7 +215,7 @@ class TestSpoolProperties:
     def test_chunking_preserves_rows_and_order(self, records, chunk_rows):
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=chunk_rows)
-            spool.append_view(records_to_view(records))
+            spool.append_view(view_of(records))
             spool.flush()
             assert len(spool) == len(records)
             assert spool.rows_spooled == len(records)
@@ -240,7 +236,7 @@ class TestSpoolProperties:
         """The reassembly invariant behind streaming/in-memory parity:
         materialising a spool — from chunk files or from resident chunks —
         is bit-identical to a stable sort of the row tuples."""
-        view = records_to_view(records)
+        view = view_of(records)
         reference = CaptureStore.rows_to_view(
             sorted(view.to_rows(), key=lambda row: (row[0], row[1]))
         )
@@ -258,19 +254,36 @@ class TestSpoolProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(record_st, max_size=60), st.integers(1, 9))
     def test_spool_append_view_preserves_rows_and_order(self, records, chunk_rows):
-        source = CaptureStore()
-        source.extend(records)
+        source = view_of(records)
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=chunk_rows)
-            spool.append_view(source.view())
+            spool.append_view(source)
             spool.flush()
             assert len(spool) == len(records)
             chunks = list(spool.iter_views())
             assert all(len(c) <= chunk_rows for c in chunks)
             if records:
                 merged = np.concatenate([c.timestamp for c in chunks])
-                assert np.array_equal(merged, source.view().timestamp)
+                assert np.array_equal(merged, source.timestamp)
             spool.cleanup()
+
+    def test_spool_append_view_cuts_to_the_chunk_size_of_the_run(self, monkeypatch):
+        """Built without ``chunk_rows``, a spool re-cuts to
+        ``DEFAULT_CHUNK_ROWS`` as the module holds it then: the size a run
+        reads when it cuts its chunks."""
+        monkeypatch.setattr(store, "DEFAULT_CHUNK_ROWS", 2)
+        records = [
+            QueryRecord(
+                timestamp=float(i), server_id="nl-a", src=IPAddress(4, i + 1),
+                transport=Transport.UDP, qname="nl.", qtype=2, rcode=0,
+            )
+            for i in range(5)
+        ]
+        spool = CaptureSpool()
+        spool.append_view(view_of(records))
+        spool.flush()
+        assert spool.chunk_rows == 2
+        assert [len(chunk) for chunk in spool.iter_views()] == [2, 2, 1]
 
     def test_spool_append_view_respects_pending_buffer(self):
         """A view arriving while a partial chunk sits in the buffer must
@@ -284,8 +297,8 @@ class TestSpoolProperties:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=100)
-            spool.append_view(records_to_view(records[:1]))
-            spool.append_view(records_to_view(records[1:]))
+            spool.append_view(view_of(records[:1]))
+            spool.append_view(view_of(records[1:]))
             assert len(spool) == 4 and spool.chunk_paths() == []
             spool.flush()
             (chunk,) = spool.iter_views()
@@ -301,10 +314,10 @@ class TestSpoolProperties:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             spool = CaptureSpool(directory=tmp, chunk_rows=100)
-            spool.append_view(records_to_view(records))
+            spool.append_view(view_of(records))
             with pytest.raises(RuntimeError):
                 next(spool.iter_views())       # a partial chunk is buffered
-            spool.write_view(records_to_view(records * 2))
+            spool.write_view(view_of(records * 2))
             assert len(spool.chunk_paths()) == 2
             assert [len(chunk) for chunk in spool.iter_views()] == [1, 2]
             spool.cleanup()
@@ -314,7 +327,7 @@ class TestSpoolProperties:
     ):
         """A resident spool keeps what it is handed and writes no file."""
         monkeypatch.chdir(tmp_path)
-        view = records_to_view([
+        view = view_of([
             QueryRecord(
                 timestamp=1.0, server_id="nl-a", src=IPAddress(4, 1),
                 transport=Transport.UDP, qname="nl.", qtype=2, rcode=0,
@@ -329,7 +342,7 @@ class TestSpoolProperties:
 
 
 def small_view(rows):
-    return records_to_view([
+    return view_of([
         QueryRecord(
             timestamp=float(i), server_id="nz-ü" if i % 2 else "nl-a",
             src=IPAddress(4, i + 1), transport=Transport.UDP,
@@ -372,7 +385,7 @@ class TestTornChunks:
     def test_truncated_anywhere(self, records, region, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / chunk_name(0)
-            write_chunk(path, records_to_view(records))
+            write_chunk(path, view_of(records))
             frame = path.read_bytes()
             start, end = self.regions(frame)[region]
             path.write_bytes(frame[:data.draw(st.integers(start, end - 1))])
@@ -387,7 +400,7 @@ class TestTornChunks:
     def test_any_flipped_bit(self, records, region, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / chunk_name(0)
-            write_chunk(path, records_to_view(records))
+            write_chunk(path, view_of(records))
             frame = bytearray(path.read_bytes())
             start, end = self.regions(frame)[region]
             bit = data.draw(st.integers(start * 8, end * 8 - 1))

@@ -26,9 +26,11 @@ from repro.analysis import FacebookSiteAggregator, RSSACAggregator
 from repro.analysis.attribution import OTHER, UNKNOWN, AttributionResult, factorize
 from repro.analysis import streaming
 from repro.analysis.streaming import AGGREGATOR_FACTORIES, CountTable
-from repro.capture import CaptureStore, QueryRecord, Transport
+from repro.capture import QueryRecord, Transport
 from repro.clouds import PROVIDERS
 from repro.netsim import IPAddress
+
+from .helpers import view_of
 
 #: Labels the synthetic attribution can hand out (clouds + the two
 #: non-cloud buckets the real Attributor produces).
@@ -94,10 +96,6 @@ def synthetic_attribution(view) -> AttributionResult:
     return AttributionResult(providers=providers, asns=asns, countries=countries)
 
 
-def records_to_view(records):
-    store = CaptureStore()
-    store.extend(records)
-    return store.view()
 
 
 def partition(view, cuts):
@@ -163,7 +161,7 @@ class TestAggregatorAlgebra:
     @given(parts_st)
     def test_feed_over_partition_equals_whole(self, name, data):
         records, cuts = data
-        view = records_to_view(records)
+        view = view_of(records)
         whole = fed(name, [view])
         chunked = fed(name, partition(view, cuts))
         assert whole.exact_state() == chunked.exact_state()
@@ -177,7 +175,7 @@ class TestAggregateSetAlgebra:
     def test_set_chunked_feed_equals_whole(self, data):
         """What a run does: one set fed its capture chunk by chunk."""
         records, cuts = data
-        view = records_to_view(records)
+        view = view_of(records)
         whole = AggregateSet(PROVIDERS)
         whole.feed(view, synthetic_attribution(view))
         chunked = AggregateSet(PROVIDERS)

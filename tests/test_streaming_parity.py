@@ -18,8 +18,8 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import DatasetAnalytics
-from repro.capture import store
+from repro.analysis import AggregateSet, DatasetAnalytics
+from repro.capture import CaptureStore, split_address, store
 from repro.config import RunConfig
 from repro.sim import run_dataset
 from repro.workload import dataset
@@ -148,6 +148,72 @@ class TestManyChunks:
         for qname, count in truth.items():
             low, high = sketch.bounds(qname)
             assert low <= count <= high, qname
+
+    def test_chunks_fold_while_the_fleet_runs(self, mem_run, small_chunks, monkeypatch):
+        """A run lands each chunk as soon as it fills, between two
+        members: the fold starts before the last row is appended, every
+        chunk but the tail is full, the append buffer stays within a chunk
+        plus one member's rows, and the per-chunk response-size histogram
+        adds up to the one-chunk run's."""
+        from repro.sim import driver
+
+        stores, feeds = [], []
+
+        class RecordingStore(CaptureStore):
+            def __init__(self):
+                super().__init__()
+                stores.append(self)
+
+        feed = AggregateSet.feed
+
+        def recording_feed(self, view, attribution):
+            (capture,) = stores
+            feeds.append((capture.rows_appended, len(capture), len(view)))
+            return feed(self, view, attribution)
+
+        monkeypatch.setattr(driver, "CaptureStore", RecordingStore)
+        monkeypatch.setattr(AggregateSet, "feed", recording_feed)
+        run = simulate()
+        total = len(run.capture)
+        assert total == len(mem_run.capture) and len(feeds) > 1
+
+        assert feeds[0][0] < total
+        assert [rows for __, __, rows in feeds[:-1]] == [self.CHUNK_ROWS] * (len(feeds) - 1)
+        assert sum(rows for __, __, rows in feeds) == total
+
+        view = run.capture.view()
+        per_source = Counter(zip(
+            view.family.tolist(), view.src_hi.tolist(), view.src_lo.tolist()
+        ))
+        largest_member = max(
+            sum(
+                per_source[split_address(address)]
+                for address in (member.resolver.v4, member.resolver.v6)
+                if address is not None
+            )
+            for member in run.fleet
+        )
+        folded = 0
+        for appended, buffered, rows in feeds:
+            assert appended - folded <= self.CHUNK_ROWS + largest_member
+            folded += rows
+            assert buffered == appended - folded    # the chunk left the buffer
+
+        name = "capture.response_size_bytes"
+        assert run.telemetry.histograms[name] == mem_run.telemetry.histograms[name]
+
+    def test_a_run_that_fails_leaves_no_chunk_file(self, small_chunks, tmp_path, monkeypatch):
+        """Chunks are written while the fleet runs; a run that fails after
+        them deletes them."""
+        from repro.sim import driver
+
+        def fail(*args):
+            raise RuntimeError("failed after the fleet")
+
+        monkeypatch.setattr(driver, "publish_fleet_metrics", fail)
+        with pytest.raises(RuntimeError, match="failed after the fleet"):
+            simulate(spool_dir=str(tmp_path))
+        assert not list(tmp_path.rglob("*.chunk"))
 
     def test_a_spooled_run_writes_every_chunk(self, mem_run, small_chunks, tmp_path):
         run = simulate(spool_dir=str(tmp_path))

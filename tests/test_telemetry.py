@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.capture import CaptureStore, QueryRecord, Transport
+from repro.capture import QueryRecord, Transport
+from repro.capture.store import RESPONSE_SIZE_BUCKETS, add_response_sizes
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
 from repro.sim import run_dataset
@@ -21,7 +22,7 @@ from repro.telemetry import (
 )
 from repro.workload import dataset
 
-from .helpers import Outage
+from .helpers import Outage, view_of
 
 
 class TestKeys:
@@ -56,16 +57,22 @@ class TestCounterGauge:
 
 class TestHistogram:
     def test_bucket_assignment_upper_inclusive(self):
-        """The capture buckets its response sizes in bulk: a size lands in
-        the first bucket whose edge is >= it, or in the overflow bucket."""
-        store = CaptureStore()
-        for size in (0, 128, 129, 512, 70000):
-            store.append(QueryRecord(
-                0.0, "s", IPAddress.parse("192.0.2.1"), Transport.UDP, "nl.", 1, 0,
-                response_size=size,
-            ))
+        """A run buckets each chunk's response sizes in bulk: a size lands
+        in the first bucket whose edge is >= it, or in the overflow bucket,
+        and the chunks add up."""
         metrics = MetricsRegistry()
-        store.publish_metrics(metrics)
+        sizes = metrics.histogram(
+            "capture.response_size_bytes", buckets=RESPONSE_SIZE_BUCKETS
+        )
+        for chunk in ((0, 128, 129), (512, 70000)):
+            view = view_of(
+                QueryRecord(
+                    0.0, "s", IPAddress.parse("192.0.2.1"), Transport.UDP, "nl.",
+                    1, 0, response_size=size,
+                )
+                for size in chunk
+            )
+            add_response_sizes(sizes, view.response_size)
         hist = metrics.snapshot().histograms["capture.response_size_bytes"]
         # <=128 -> bucket 0, <=256 -> 1, <=512 -> 2, >65535 -> overflow.
         assert hist["bucket_counts"] == [2, 1, 1, 0, 0, 0, 0, 1]

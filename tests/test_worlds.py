@@ -129,7 +129,7 @@ def _resolver(seed=5):
 
 def _drive(resolver, world):
     """Resolve a fixed script; returns the authoritative queries it caused."""
-    world["nl_capture"].clear()
+    world["nl_capture"].release()
     zone = world["nl_zone"]
     for step, child in enumerate(zone.delegation_names[:25] * 2):
         resolver.resolve(

@@ -16,12 +16,15 @@ below are the resolve loop alone, then simulates the month twice:
   ``('<string>', 2, '__init__')``, so it keeps one of them and drops the
   rest's calls.)
 
-and prints them with the capture's row count and its view digest
-(``tests.helpers.view_digest``); the two runs must agree on the digest,
-or it exits 1.  Compare two checkouts by running it from each one's root.
+and prints them with the capture's row count, its view digest
+(``tests.helpers.view_digest``) and ``peak_rss_mb``, the process's
+``ru_maxrss``: the maximum over the world build and both runs, a trend
+number, not a gate.  The two runs must agree on the digest, or it exits
+1.  Compare two checkouts by running it from each one's root.
 """
 
 import cProfile
+import resource
 import sys
 import time
 from pathlib import Path
@@ -50,11 +53,12 @@ def main(scale: float, seed: int) -> int:
     )
     calls = sum(entry.callcount for entry in profiler.getstats())
     same = view_digest(profiled.capture.view()) == digest
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     print(
         f"{STORM.dataset_id} scale {scale} seed {seed}: {queries} client queries, "
         f"cpu_s {cpu_s:.2f}, calls_per_query {calls / queries:.1f}, "
-        f"rows {len(run.capture)}, digest {digest}"
+        f"rows {len(run.capture)}, digest {digest}, peak_rss_mb {peak_rss_mb:.1f}"
     )
     if not same:
         print("the profiled run's capture differs from the untraced run's")
