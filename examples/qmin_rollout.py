@@ -43,7 +43,7 @@ def main() -> None:
     print(f"detected Q-min rollout: {rollout[0]}-{rollout[1]:02d} "
           "(paper ground truth: 2019-12)")
 
-    __, analytics = ctx.monthly_analytics(vantage, 2020, 1)
+    analytics = ctx.monthly_analytics(vantage, 2020, 1)
     minimised = analytics.minimized_fraction("Google", 1)
     print(f"post-rollout NS queries with minimised qnames: {minimised:.1%}")
 

@@ -205,7 +205,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
         print(f"  fault drops    : {telemetry.total('faults.dropped')}")
         print(f"  retransmits    : {telemetry.total('resolver.retry.retransmits')}")
         print(f"  failovers      : {telemetry.total('resolver.retry.failovers')}")
-        print(f"  stale served   : {telemetry.total('resolver.retry.stale_served')}")
     shares = analytics.provider_shares()
     for provider, share in shares.items():
         print(f"{provider:<11}      : {share:.3f}")

@@ -47,8 +47,9 @@ class DatasetAnalytics:
     counted it.
     """
 
-    def __init__(self, aggregates: AggregateSet):
+    def __init__(self, aggregates: AggregateSet, ptr_table: Optional[PTRTable] = None):
         self.aggregates = aggregates
+        self.ptr_table = ptr_table
 
     @classmethod
     def over(
@@ -57,16 +58,18 @@ class DatasetAnalytics:
         attribution,
         providers: Optional[Sequence[str]] = None,
     ) -> "DatasetAnalytics":
-        """The facade over a view and its attribution, folded here, once."""
+        """The facade over a view and its attribution, folded here, once;
+        it has no PTR table, so it answers no :meth:`facebook_sites`."""
         aggregates = AggregateSet(providers)
         aggregates.feed(view, attribution)
         return cls(aggregates)
 
-    @classmethod
-    def of(cls, run) -> "DatasetAnalytics":
+    @staticmethod
+    def of(run) -> "DatasetAnalytics":
         """The facade for a :class:`~repro.sim.DatasetRun`: the state it
-        folded (Table 1's providers)."""
-        return cls(run.aggregates)
+        folded (Table 1's providers) and its PTR table, so the facade
+        outlives the run."""
+        return DatasetAnalytics(run.aggregates, run.ptr_table)
 
     def _check_providers(self, providers: Sequence[str]) -> None:
         configured = self.aggregates.providers
@@ -224,13 +227,12 @@ class DatasetAnalytics:
         capture, from the folded per-AS counts; exact."""
         return self.aggregates.concentration.finalize()
 
-    def facebook_sites(
-        self, ptr_table: PTRTable, server_id: str
-    ) -> Tuple[List[SiteStats], DualStackReport]:
+    def facebook_sites(self, server_id: str) -> Tuple[List[SiteStats], DualStackReport]:
         """Figures 5/8: the Facebook resolvers' per-site query volumes and
-        median TCP RTTs toward one server, sites named by ``ptr_table``,
-        plus the PTR-based dual-stack classification; exact."""
-        return self.aggregates.facebook_sites.finalize(ptr_table, server_id)
+        median TCP RTTs toward one server, sites named by the PTR table the
+        facade was built with (the run's, for :meth:`of`), plus the
+        PTR-based dual-stack classification; exact."""
+        return self.aggregates.facebook_sites.finalize(self.ptr_table, server_id)
 
     def rssac(self) -> RSSACSummary:
         """The RSSAC002-style rollup of the capture's UTC days; exact."""

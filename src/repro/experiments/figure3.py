@@ -21,7 +21,7 @@ def monthly_series(ctx: ExperimentContext, vantage: str) -> List[MonthlyPoint]:
     """Google's per-month Figure 3 data points for one ccTLD."""
     series = []
     for year, month in FIGURE3_MONTHS:
-        __, analytics = ctx.monthly_analytics(vantage, year, month)
+        analytics = ctx.monthly_analytics(vantage, year, month)
         series.append(analytics.monthly_point("Google", year, month))
     return series
 
@@ -47,7 +47,7 @@ def run_vantage(ctx: ExperimentContext, vantage: str) -> Report:
     # Verify the minimised-name signature on a post-rollout month.  .nz
     # registrations sit at the second AND third level, so minimised cuts
     # may be one or two labels below the apex.
-    __, analytics = ctx.monthly_analytics(vantage, 2020, 1)
+    analytics = ctx.monthly_analytics(vantage, 2020, 1)
     max_cut_depth = 1 if vantage == "nl" else 2
     report.add(
         "minimised NS qnames (2020-01)",

@@ -18,9 +18,7 @@ def run_server(ctx: ExperimentContext, server_id: str) -> Report:
     report = Report(
         figure, f"Facebook sites vs .nl {server_id} (w2020, {figure})"
     )
-    stats, dual = ctx.analytics("nl-w2020").facebook_sites(
-        ctx.run("nl-w2020").ptr_table, server_id
-    )
+    stats, dual = ctx.analytics("nl-w2020").facebook_sites(server_id)
     report.add("sites identified", FIGURE5["sites_total"], len(stats))
     if stats:
         dominant = max(stats, key=lambda s: s.total_queries)

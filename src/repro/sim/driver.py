@@ -88,8 +88,6 @@ class DatasetRun:
     registry: ASRegistry
     fleet: List[FleetResolver]
     ptr_table: PTRTable
-    network: AuthorityNetwork
-    vantage_zone: Optional[Zone]
     server_sets: Dict[str, ServerSet]
     client_queries_run: int = 0
     telemetry: Optional[TelemetrySnapshot] = None
@@ -697,8 +695,6 @@ def run_dataset(
         registry=env.registry,
         fleet=env.fleet,
         ptr_table=env.ptr_table,
-        network=env.network,
-        vantage_zone=env.vantage_zone,
         server_sets=env.server_sets,
         client_queries_run=queries_run,
         telemetry=metrics.snapshot(),

@@ -133,8 +133,8 @@ class TestCLI:
         from repro.experiments import render_all
 
         def two_cuts_of_one_world(ctx):
-            ctx.run("nz-w2020")
-            ctx.monthly("nz", 2020, 1)
+            ctx.analytics("nz-w2020")
+            ctx.monthly_analytics("nz", 2020, 1)
             return "# stub report"
 
         monkeypatch.setattr(render_all, "run_and_render", two_cuts_of_one_world)

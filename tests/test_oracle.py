@@ -345,10 +345,11 @@ def test_every_memoised_plan_is_its_encoder_sized_twin(case, monkeypatch):
 
 
 def test_null_fault_plan_is_no_plan(monkeypatch):
-    """A disabled plan attaches nothing: the run is the no-plan case."""
+    """A disabled plan attaches nothing: the run is the no-plan case.  An
+    attached injector always publishes ``faults.checks``."""
     pin(monkeypatch)
     run = run_case("nl-w2020", fault_plan=FaultPlan())
-    assert run.network.faults is None
+    assert "faults.checks" not in run.telemetry.counters
     assert_reproduces("nl-w2020", "null-plan", columns(run))
 
 

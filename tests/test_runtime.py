@@ -150,8 +150,8 @@ class TestSerialSharding:
         run = run_dataset(dataset(DATASET), client_queries=0, workers=1)
         assert run.telemetry.gauges["runtime.workers"] == 1
         assert len(run.capture) == 0
-        # The built world is still fully usable (the outage extension
-        # relies on this to replay traffic against run.network).
+        # The run still names its members and its servers, though they
+        # answered nothing.
         assert run.fleet and run.server_sets
 
 
@@ -208,7 +208,7 @@ class TestVectorKeywordStub:
 
         ctx = ExperimentContext(scale=0.01, workers=1, vector=False, stream=False)
         assert not hasattr(ctx, "vector") and not hasattr(ctx.config, "stream")
-        ctx.run(DATASET)
+        ctx.analytics(DATASET)
         snapshot = ctx.telemetry.snapshot()
         assert _vector_keys(snapshot) == ["runtime.vector.enabled"]
         assert snapshot.gauges["runtime.vector.enabled"] == 0

@@ -107,10 +107,39 @@ class TestDriver:
 
 class TestExperimentContext:
     def test_runs_cached(self):
+        """A dataset is simulated once: asked again, the context hands back
+        the same facade and simulates nothing."""
         ctx = ExperimentContext(scale=0.02)
-        first = ctx.run("nz-w2020")
-        second = ctx.run("nz-w2020")
-        assert first is second
+        first = ctx.analytics("nz-w2020")
+        simulated = ctx.telemetry.snapshot().total("sim.client_queries")
+        assert simulated > 0
+        assert ctx.analytics("nz-w2020") is first
+        assert ctx.telemetry.snapshot().total("sim.client_queries") == simulated
+
+    def test_a_session_holds_no_finished_run(self, monkeypatch):
+        """The context keeps what its reports read, the folded state: once
+        a dataset is folded, its run — capture, servers and their plan
+        caches — is garbage."""
+        import gc
+        import weakref
+
+        from repro.experiments import context
+
+        dropped = []
+
+        def watched_run_dataset(*args, **kwargs):
+            run = run_dataset(*args, **kwargs)
+            server = run.server_sets[run.descriptor.vantage].servers[0]
+            dropped.extend([weakref.ref(run), weakref.ref(server)])
+            return run
+
+        monkeypatch.setattr(context, "run_dataset", watched_run_dataset)
+        ctx = ExperimentContext(scale=0.02)
+        analytics = ctx.analytics("nz-w2020")
+        gc.collect()
+        assert len(dropped) == 2
+        assert [ref() is None for ref in dropped] == [True, True]
+        assert analytics.dataset_summary().queries_total > 0
 
     def test_bad_scale_rejected(self):
         for scale in (-1, 0):
