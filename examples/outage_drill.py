@@ -4,8 +4,10 @@
 The paper's introduction motivates centralization risk with the 2016 Dyn
 and 2019 AWS DDoS events.  This example runs that scenario against the
 simulated `.nl` deployment: servers are taken offline one at a time while
-a resolver population keeps resolving, and the client-visible failure rate
-plus the retry load on the survivors are reported.
+the Google resolver fleet keeps resolving, and the client-visible failure
+rate plus the retry load on the survivors are reported.  Each scenario is
+a dataset run: `nl-w2020` with an outage fault plan, simulated by
+`run_dataset` like any other dataset and read from its telemetry.
 
 It also demonstrates capture persistence: the baseline capture is written
 to a compact, checksummed chunk file and re-loaded for analysis.
@@ -31,7 +33,7 @@ def main() -> None:
     ctx = ExperimentContext(scale=scale)
 
     print("running outage scenarios against nl-w2020 ...")
-    report = extension_outage.run(ctx, client_queries=4000)
+    report = extension_outage.run(ctx)
     print()
     print(report.to_text())
     print()

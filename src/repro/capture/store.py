@@ -216,5 +216,6 @@ class CaptureStore:
 
     def view(self) -> CaptureView:
         """The buffered rows in columnar form (frozen anew on every call:
-        for the live service and worlds driven by hand, not a run)."""
+        for the live service and an example's hand-built world; a run's
+        capture is its chunks)."""
         return self.rows_to_view(self._rows)

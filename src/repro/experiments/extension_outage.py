@@ -12,146 +12,72 @@ by one — and measures what the paper's framing predicts:
   (traffic concentration under stress);
 * with the whole NS set down, resolution collapses (SERVFAIL storm + a
   burst of retry traffic at the remaining infrastructure).
+
+Every scenario is a dataset (:func:`scenario`): ``nl-w2020`` under a
+fault plan, driven by the Google fleet and run by
+:func:`~repro.sim.run_dataset`; every row is read from its telemetry.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Sequence
+from dataclasses import replace
+from typing import Optional, Tuple
 
-from ..clouds import FleetResolver
-from ..dnscore import RCode
 from ..faults import FaultPlan, OutageWindow
-from ..sim import borrowed_environment
-from ..sim.driver import SimEnvironment
-from ..telemetry import MetricsRegistry
-from ..workload import DatasetDescriptor, DiurnalPattern, WorkloadGenerator, dataset
-from ..zones import domains_of
+from ..sim import run_dataset
+from ..telemetry import TelemetrySnapshot
+from ..workload import DatasetDescriptor, dataset
 from .context import ExperimentContext
 from .report import Report
 
+#: The dataset every fault scenario varies.
+BASE = "nl-w2020"
 
-@dataclass
-class OutageOutcome:
-    """Result of one outage scenario."""
-
-    offline_servers: int
-    client_queries: int
-    servfail_ratio: float
-    auth_queries_per_client: float
-    captured_queries: int
+#: Client queries of one scenario run at scale 1.0 (never fewer than 400).
+CLIENT_QUERIES = 4000
 
 
-@dataclass
-class ResolvedSample:
-    """A fleet sample driven by hand through a borrowed world."""
-
-    env: SimEnvironment
-    members: List[FleetResolver]
-    client_queries: int
-    servfails: int
-
-    @property
-    def servfail_ratio(self) -> float:
-        return self.servfails / self.client_queries if self.client_queries else 0.0
+def scenario(
+    name: str, fault_plan: Optional[FaultPlan], providers: Tuple[str, ...]
+) -> DatasetDescriptor:
+    """The dataset ``nl-w2020+<name>``: ``nl-w2020`` under ``fault_plan``,
+    driven by the members of ``providers`` alone, weighted like every run."""
+    return replace(dataset(BASE), dataset_id=f"{BASE}+{name}",
+                   fault_plan=fault_plan, providers_only=providers)
 
 
-def google_sample(fleet: Sequence[FleetResolver]) -> List[FleetResolver]:
-    """The first 40 Google members of a fleet."""
-    return [m for m in fleet if m.provider == "Google"][:40]
+def run_scenario(ctx: ExperimentContext, descriptor: DatasetDescriptor) -> TelemetrySnapshot:
+    """What one scenario counted, simulated at the context's scale and
+    seed.  It is never spooled and nothing else of the run is kept."""
+    volume = max(400, int(CLIENT_QUERIES * ctx.scale))
+    run = run_dataset(descriptor, ctx.seed, client_queries=volume, telemetry=ctx.telemetry)
+    return run.telemetry
 
 
-@contextmanager
-def resolve_sample(
-    descriptor: DatasetDescriptor,
-    seed: int,
-    metrics: MetricsRegistry,
-    sample: Callable[[Sequence[FleetResolver]], List[FleetResolver]],
-    client_queries: int,
-) -> Iterator[ResolvedSample]:
-    """Borrow ``descriptor``'s world and resolve ``client_queries`` spread
-    evenly over the members ``sample`` picks from its fleet, each with its
-    own workload stream.
-
-    The world is assembled through the shared :func:`borrowed_environment`
-    path, on the fleet the process already holds for the dataset, so the
-    extension experiments exercise exactly the fault layer every chaos
-    scenario uses.  The fleet goes back when the block exits, and
-    returning it rewinds the members' stats: read them inside the block.
-    """
-    with borrowed_environment(descriptor, seed, metrics) as env:
-        generator = WorkloadGenerator(
-            descriptor.vantage, domains_of(env.vantage_zone), seed=seed
-        )
-        pattern = DiurnalPattern(descriptor.start, descriptor.duration)
-        members = sample(env.fleet)
-        per_member = max(1, client_queries // len(members))
-        total = servfails = 0
-        for index, member in enumerate(members):
-            for query in generator.generate(
-                index, per_member, pattern, junk_fraction=0.05
-            ):
-                rcode = member.resolver.resolve(
-                    env.network, query.timestamp, query.qname, query.qtype
-                )
-                total += 1
-                if rcode is RCode.SERVFAIL:
-                    servfails += 1
-        yield ResolvedSample(env, members, total, servfails)
+def per_client_query(telemetry: TelemetrySnapshot, counter: str) -> float:
+    """A fleet counter per client query the fleet resolved."""
+    return telemetry.total(counter) / max(telemetry.total("resolver.client_queries"), 1)
 
 
-def _run_scenario(
-    offline: int, client_queries: int, seed: int, metrics: MetricsRegistry
-) -> OutageOutcome:
-    """Simulate nl-w2020 with ``offline`` of the NS set forced down: one
-    full-window :class:`OutageWindow` per dark server."""
-    base = dataset("nl-w2020")
-    plan = FaultPlan(
-        name=f"outage-{offline}",
-        outages=tuple(
-            OutageWindow(spec.server_id, 0.0, 1.0)
-            for spec in base.servers[:offline]
-        ),
-    )
-    descriptor = replace(base, fault_plan=plan) if offline else base
-    with resolve_sample(
-        descriptor, seed, metrics, google_sample, client_queries
-    ) as sample:
-        auth_queries = sum(m.resolver.stats.auth_queries for m in sample.members)
-    return OutageOutcome(
-        offline_servers=offline,
-        client_queries=sample.client_queries,
-        servfail_ratio=sample.servfail_ratio,
-        auth_queries_per_client=auth_queries / max(sample.client_queries, 1),
-        captured_queries=len(sample.env.capture),
-    )
-
-
-def run(ctx: ExperimentContext, client_queries: int = 4000) -> Report:
-    report = Report(
-        "ext-outage", "Authoritative outage resilience at .nl (extension)"
-    )
-    volume = max(400, int(client_queries * ctx.scale))
-    outcomes: List[OutageOutcome] = []
-    total_servers = len(dataset("nl-w2020").servers)
-    for offline in range(total_servers + 1):
-        outcomes.append(_run_scenario(offline, volume, ctx.seed, ctx.telemetry))
-    for outcome in outcomes:
-        label = f"{outcome.offline_servers}/{total_servers} servers down"
-        expectation = "~0" if outcome.offline_servers < total_servers else "~1.0"
-        report.add(
-            f"{label}: SERVFAIL ratio", expectation, round(outcome.servfail_ratio, 3)
-        )
-        report.add(
-            f"{label}: auth queries/client",
-            "rises with retries" if outcome.offline_servers else "baseline",
-            round(outcome.auth_queries_per_client, 2),
-        )
+def run(ctx: ExperimentContext) -> Report:
+    report = Report("ext-outage", "Authoritative outage resilience at .nl (extension)")
+    servers = dataset(BASE).servers
+    total = len(servers)
+    servfail, retry_load = [], []
+    for offline in range(total + 1):
+        # One full-window outage per dark server; none is no plan at all.
+        outages = tuple(OutageWindow(s.server_id, 0.0, 1.0) for s in servers[:offline])
+        plan = FaultPlan(name=f"outage-{offline}", outages=outages)
+        telemetry = run_scenario(ctx, scenario(plan.name, plan, ("Google",)))
+        servfail.append(per_client_query(telemetry, "resolver.servfails"))
+        retry_load.append(per_client_query(telemetry, "resolver.auth_queries"))
+        label = f"{offline}/{total} servers down"
+        report.add(f"{label}: SERVFAIL ratio", "~0" if offline < total else "~1.0",
+                   round(servfail[-1], 3))
+        report.add(f"{label}: auth queries/client",
+                   "rises with retries" if offline else "baseline", round(retry_load[-1], 2))
     report.series = {
-        "offline": [o.offline_servers for o in outcomes],
-        "servfail": [o.servfail_ratio for o in outcomes],
-        "retry_load": [o.auth_queries_per_client for o in outcomes],
+        "offline": list(range(total + 1)), "servfail": servfail, "retry_load": retry_load,
     }
     report.notes.append(
         "NS-set redundancy absorbs partial outages (Dyn/AWS motivation, "

@@ -4,7 +4,6 @@ from .driver import (
     AuthorityWorld,
     DatasetRun,
     SimEnvironment,
-    borrowed_environment,
     build_authority_world,
     build_environment,
     member_query_counts,
@@ -17,7 +16,6 @@ __all__ = [
     "AuthorityWorld",
     "DatasetRun",
     "SimEnvironment",
-    "borrowed_environment",
     "build_authority_world",
     "build_environment",
     "forget_worlds",

@@ -297,22 +297,6 @@ def build_environment(
     )
 
 
-@contextmanager
-def borrowed_environment(
-    descriptor: DatasetDescriptor, seed: int, metrics: MetricsRegistry
-):
-    """``with borrowed_environment(...) as env``: :func:`build_environment`
-    on entry, the fleet returned on exit — the entry point for code that
-    drives a world by hand instead of through :func:`run_dataset`.  What
-    the resolvers counted has to be read inside the block: returning the
-    fleet rewinds them."""
-    env = build_environment(descriptor, seed, metrics)
-    try:
-        yield env
-    finally:
-        worlds.return_fleet(env.fleet_part, metrics)
-
-
 # -- telemetry aggregation -------------------------------------------------------
 
 #: ``(counter name, ResolverStats attribute)`` pairs rolled up per provider.

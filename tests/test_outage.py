@@ -1,11 +1,22 @@
 """Unit tests for outage handling: servers down under a fault plan's
-outage window, failover, retries."""
+outage window, failover, retries; and the fault scenarios of the
+``ext-outage`` / ``ext-resilience`` reports, which are dataset runs."""
+
+from dataclasses import fields
+
+import numpy as np
 
 from repro.capture import CaptureStore
+from repro.clouds import PROVIDERS
 from repro.dnscore import Name, RCode, RRType
+from repro.experiments import ExperimentContext, extension_outage
+from repro.experiments.extension_outage import scenario
+from repro.faults import FaultPlan, OutageWindow, chaos_scenario
 from repro.netsim import GAZETTEER, IPAddress, LatencyModel
 from repro.resolver import AuthorityNetwork, ResolverBehavior, SimResolver, engine
 from repro.server import AuthoritativeServer, ServerSet
+from repro.sim import run_dataset
+from repro.workload import dataset
 from repro.zones import Zone, build_root_zone
 
 from .helpers import Outage
@@ -98,3 +109,55 @@ class TestOfflineServer:
         assert resolver.resolve(
             network, 2000.0, Name.from_text("example.nl"), RRType.A
         ) is RCode.NOERROR
+
+
+class TestScenariosAreDatasetRuns:
+    SEED = 20201027
+
+    def test_a_scenario_changes_only_its_id_plan_and_providers(self):
+        base = dataset("nl-w2020")
+        plan = chaos_scenario("flaky-server")
+        descriptor = scenario("flaky-server", plan, tuple(PROVIDERS))
+        changed = {
+            f.name for f in fields(base)
+            if getattr(descriptor, f.name) != getattr(base, f.name)
+        }
+        assert changed == {"dataset_id", "fault_plan", "providers_only"}
+        assert descriptor.dataset_id == "nl-w2020+flaky-server"
+        assert descriptor.fault_plan is plan
+        assert descriptor.providers_only == tuple(PROVIDERS)
+
+    def test_outage_series_are_the_scenario_runs_ratios(self):
+        ctx = ExperimentContext(scale=0.005, seed=self.SEED)  # 400 queries
+        report = extension_outage.run(ctx)
+        servers = dataset("nl-w2020").servers
+        for offline in report.series["offline"]:
+            plan = FaultPlan(name=f"outage-{offline}", outages=tuple(
+                OutageWindow(spec.server_id, 0.0, 1.0) for spec in servers[:offline]
+            ))
+            telemetry = run_dataset(
+                scenario(f"outage-{offline}", plan, ("Google",)), self.SEED,
+                client_queries=400,
+            ).telemetry
+            client = telemetry.total("resolver.client_queries")
+            assert client == 400
+            assert report.series["servfail"][offline] == (
+                telemetry.total("resolver.servfails") / client
+            )
+            assert report.series["retry_load"][offline] == (
+                telemetry.total("resolver.auth_queries") / client
+            )
+
+    def test_server_queries_count_the_captured_rows(self):
+        """``ext-resilience``'s capture shares read ``server.queries``: under
+        ``flaky-server`` it must still be each captured server's row count."""
+        run = run_dataset(
+            scenario("flaky-server", chaos_scenario("flaky-server"), tuple(PROVIDERS)),
+            self.SEED, client_queries=600,
+        )
+        server_ids = run.capture.view().server_id
+        assert run.telemetry.counter("faults.dropped", cause="storm") > 0
+        for server_id in run.vantage_server_ids:
+            rows = int(np.count_nonzero(server_ids == server_id))
+            assert rows > 0
+            assert run.telemetry.counter("server.queries", server=server_id) == rows

@@ -16,7 +16,7 @@ from repro.clouds import FleetResolver
 from repro.dnscore import ARdata, Name, RRType
 from repro.netsim import GAZETTEER, IPAddress
 from repro.resolver import ResolverBehavior, SimResolver
-from repro.sim import borrowed_environment, forget_worlds, run_dataset, worlds
+from repro.sim import forget_worlds, run_dataset, worlds
 from repro.sim.driver import build_environment
 from repro.telemetry import MetricsRegistry
 from repro.workload import dataset
@@ -46,17 +46,19 @@ class TestBorrowing:
     def test_override_does_not_outlive_the_borrow(self):
         forget_worlds()
         metrics = MetricsRegistry()
-        with borrowed_environment(dataset("nz-w2020"), SEED, metrics) as env:
-            part = env.fleet_part
-            members = len(part.members)
-            google = [m for m in part.members if m.provider == "Google"]
-            assert all(m.resolver.behavior.qname_minimization for m in google)
-        with borrowed_environment(QMIN_OFF, SEED, metrics) as env:
-            assert env.fleet_part is part  # the same fleet, borrowed again
-            assert {m.provider for m in env.fleet} == {"Google"}
-            assert not any(m.resolver.behavior.qname_minimization for m in env.fleet)
-            # The filter is the environment's own list, never the part's.
-            assert len(part.members) == members
+        env = build_environment(dataset("nz-w2020"), SEED, metrics)
+        part = env.fleet_part
+        members = len(part.members)
+        google = [m for m in part.members if m.provider == "Google"]
+        assert all(m.resolver.behavior.qname_minimization for m in google)
+        worlds.return_fleet(part, metrics)
+        env = build_environment(QMIN_OFF, SEED, metrics)
+        assert env.fleet_part is part  # the same fleet, borrowed again
+        assert {m.provider for m in env.fleet} == {"Google"}
+        assert not any(m.resolver.behavior.qname_minimization for m in env.fleet)
+        # The filter is the environment's own list, never the part's.
+        assert len(part.members) == members
+        worlds.return_fleet(part, metrics)
         assert all(m.resolver.behavior.qname_minimization for m in google)
         snapshot = metrics.snapshot()
         assert snapshot.counter("runtime.env_cache.miss", part="fleet") == 1
@@ -168,8 +170,8 @@ class TestRewind:
     def test_rewound_fleet_drives_as_built(self, small_world):
         forget_worlds()
         metrics = MetricsRegistry()
-        with borrowed_environment(dataset("nz-w2018"), SEED, metrics) as env:
-            member = env.fleet[0]
-            first = _drive(member.resolver, small_world)
+        env = build_environment(dataset("nz-w2018"), SEED, metrics)
+        first = _drive(env.fleet[0].resolver, small_world)
+        worlds.return_fleet(env.fleet_part, metrics)
         part = worlds.FLEETS.acquire(env.fleet_part.key)
         assert _drive(part.members[0].resolver, small_world) == first
