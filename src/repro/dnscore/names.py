@@ -100,7 +100,7 @@ class Name:
     _text: Optional[str]
     _parent: Optional["Name"]
 
-    def __init__(self, labels: Iterable[bytes] = ()):
+    def __init__(self, labels: Iterable[bytes]):
         labels = tuple(bytes(label) for label in labels)
         for label in labels:
             if not label:
@@ -276,17 +276,24 @@ class Name:
     def prepend(self, *labels: bytes) -> "Name":
         """Return a new name with ``labels`` prepended (most specific first).
 
-        Only the new labels and the total length are validated; this
-        name's own labels, casefolded key included, are reused as they are.
+        Only the new labels and the total length are validated, in place,
+        with ``__init__``'s checks; this name's own labels, casefolded key
+        included, are reused as they are.
         """
-        prefix = Name(labels)
-        # The prefix's own root octet is not part of the joined name.
-        wire_len = prefix.wire_length - 1 + self.wire_length
+        wire_len = self.wire_length
+        key = []
+        for label in labels:
+            if not label:
+                raise NameError_("empty label in name")
+            if len(label) > MAX_LABEL_LENGTH:
+                raise NameError_(
+                    f"label exceeds {MAX_LABEL_LENGTH} octets: {label!r}"
+                )
+            wire_len += len(label) + 1
+            key.append(_casefold_label(label))
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
-        return Name._derived(
-            prefix.labels + self.labels, prefix.key + self.key, wire_len
-        )
+        return Name._derived(labels + self.labels, tuple(key) + self.key, wire_len)
 
     # -- wire format --------------------------------------------------------
 
@@ -399,4 +406,4 @@ class Name:
 
 
 #: The DNS root name (zero labels).
-ROOT = Name()
+ROOT = Name(())

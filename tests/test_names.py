@@ -141,6 +141,33 @@ class TestStructure:
         assert hash(name) == hash(Name.from_text("www.example.nl"))
         assert name.parent().labels == (b"Example", b"NL")
 
+    @pytest.mark.parametrize("base, labels", [
+        (ROOT, (b"nl",)),
+        (Name.from_text("Example.NL"), (b"WwW",)),
+        (Name.from_text("example.nl"), (b"A", b"b-C", b"x" * 63)),
+        (Name([b"a" * 61] * 4), (b"B" * 5,)),  # exactly 255 octets
+    ])
+    def test_prepend_is_the_validating_constructor(self, base, labels):
+        """``prepend`` checks its new labels in place; what it builds is
+        what ``Name`` builds from the joined labels."""
+        prepended, built = base.prepend(*labels), Name(labels + base.labels)
+        assert prepended.labels == built.labels
+        assert prepended.key == built.key
+        assert prepended.wire_length == built.wire_length
+        assert hash(prepended) == hash(built)
+
+    @pytest.mark.parametrize("base, labels", [
+        (Name.from_text("example.nl"), (b"www", b"")),           # empty label
+        (Name.from_text("example.nl"), (b"x" * 64,)),            # 64-octet label
+        (Name([b"a" * 61] * 4), (b"b" * 6,)),                    # 256 octets
+    ])
+    def test_prepend_raises_what_the_constructor_raises(self, base, labels):
+        with pytest.raises(NameError_) as built:
+            Name(labels + base.labels)
+        with pytest.raises(NameError_) as prepended:
+            base.prepend(*labels)
+        assert str(prepended.value) == str(built.value)
+
 
 class TestWire:
     def test_root_wire_is_single_zero(self):
