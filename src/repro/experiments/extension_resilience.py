@@ -66,16 +66,15 @@ def run(ctx: ExperimentContext) -> Report:
         report.add(f"{label}: SERVFAIL ratio", "~0 (retries absorb loss)", round(failed, 3))
 
     # -- failover share shift (flaky-server scenario) ----------------------
-    providers = tuple(PROVIDERS)
-    before = capture_shares(run_scenario(ctx, scenario("five-cps", None, providers)))
+    before = capture_shares(run_scenario(ctx, scenario("five-cps", None, PROVIDERS)))
     flaky = run_scenario(ctx, scenario(
-        "flaky-server", chaos_scenario("flaky-server"), providers
+        "flaky-server", chaos_scenario("flaky-server"), PROVIDERS
     ))
     for server_id, share in capture_shares(flaky).items():
         expectation = "share drops (flaky)" if server_id.endswith("-a") else "absorbs failovers"
         report.add(f"flaky-server: {server_id} capture share", expectation, round(share, 3),
                    note=f"healthy {before[server_id]:.3f} -> flaky {share:.3f}")
-    for provider in providers:
+    for provider in PROVIDERS:
         report.add(f"flaky-server: {provider} failovers", ">0 under faults",
                    flaky.counter("resolver.retry.failovers", provider=provider))
 

@@ -117,7 +117,7 @@ class TestScenariosAreDatasetRuns:
     def test_a_scenario_changes_only_its_id_plan_and_providers(self):
         base = dataset("nl-w2020")
         plan = chaos_scenario("flaky-server")
-        descriptor = scenario("flaky-server", plan, tuple(PROVIDERS))
+        descriptor = scenario("flaky-server", plan, PROVIDERS)
         changed = {
             f.name for f in fields(base)
             if getattr(descriptor, f.name) != getattr(base, f.name)
@@ -125,7 +125,7 @@ class TestScenariosAreDatasetRuns:
         assert changed == {"dataset_id", "fault_plan", "providers_only"}
         assert descriptor.dataset_id == "nl-w2020+flaky-server"
         assert descriptor.fault_plan is plan
-        assert descriptor.providers_only == tuple(PROVIDERS)
+        assert descriptor.providers_only == PROVIDERS
 
     def test_outage_series_are_the_scenario_runs_ratios(self):
         ctx = ExperimentContext(scale=0.005, seed=self.SEED)  # 400 queries
@@ -152,7 +152,7 @@ class TestScenariosAreDatasetRuns:
         """``ext-resilience``'s capture shares read ``server.queries``: under
         ``flaky-server`` it must still be each captured server's row count."""
         run = run_dataset(
-            scenario("flaky-server", chaos_scenario("flaky-server"), tuple(PROVIDERS)),
+            scenario("flaky-server", chaos_scenario("flaky-server"), PROVIDERS),
             self.SEED, client_queries=600,
         )
         server_ids = run.capture.view().server_id
